@@ -519,28 +519,27 @@ def range_coordinate_matrix(s: qs.BipartiteState, require_orthogonal_basis: bool
     names = [name for name, _ in basis]
     if len(set(names)) != len(names):
         basis = [(f"{name}_{l}", v) for l, (name, v) in enumerate(basis)]
-    for name, v in basis:
-        if any(x.im != 0 for x in v):
-            raise NonOrthogonalBasis("range basis must be real for Q-coefficients")
     if require_orthogonal_basis:
         for (n1, v1), (n2, v2) in itertools.combinations(basis, 2):
             if em.vdot(v1, v2):
                 raise NonOrthogonalBasis(f"range basis vectors {n1} and {n2} overlap")
-    ring = PolyRing([name for name, _ in basis])
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            idx = i * n + j
-            terms = {}
-            for l, (_, v) in enumerate(basis):
-                c = v[idx]
-                if c:
-                    mono = tuple(1 if t == l else 0 for t in range(len(basis)))
-                    terms[mono] = Fraction(c.re)
-            row.append(Polynomial(ring, terms))
-        entries.append(tuple(row))
-    return SymbolicRangeMatrix(m, n, ring, tuple(entries), tuple(basis))
+    return coordinate_matrix(m, n, PolyRing([name for name, _ in basis]), basis)
+
+
+def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> SymbolicRangeMatrix:
+    """Coordinate matrix ``Psi_ij = sum_l v_l[ij] x_l`` of ``(name, vector)`` pairs.
+
+    Basis entries must be real: the coordinate ring is Q.
+    """
+    for _, v in basis:
+        if any(x.im != 0 for x in v):
+            raise NonOrthogonalBasis("range basis must be real for Q-coefficients")
+    units = [tuple(1 if t == l else 0 for t in range(len(basis))) for l in range(len(basis))]
+    entries = tuple(
+        tuple(Polynomial(ring, {units[l]: v[i * n + j].re for l, (_, v) in enumerate(basis)})
+              for j in range(n))
+        for i in range(m))
+    return SymbolicRangeMatrix(m, n, ring, entries, tuple(basis))
 
 
 def _symbolic_det(entries: list, rows: tuple, cols: tuple, ring: PolyRing) -> Polynomial:
@@ -705,10 +704,7 @@ def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[
                                 target: qs.BipartiteState) -> SNCertificate:
     """Certify ``SN(target) <= max SR(v_i)`` from an exact decomposition."""
     m, n = target.dims
-    acc = em.ExactMatrix.zeros(m * n, m * n)
-    for v, w in zip(vectors, weights):
-        acc = acc + em.ExactMatrix.outer(v, v).scale(Fraction(w))
-    if acc != target.matrix:
+    if em.weighted_gram(vectors, [Fraction(w) for w in weights], m * n) != target.matrix:
         raise DecompositionMismatch("decomposition does not reproduce the target")
     ranks = [qs.schmidt_rank(v, m, n) for v in vectors]
     value = max(ranks)
@@ -920,11 +916,6 @@ def cofactor_identity_4x5(perturb: bool = False) -> bool:
     else:
         lhs = x00 * (g5 - g3 - g4) - (x02 * g1 + x20 * g2).scale(Fraction(1, 2))
     return (lhs - x00 ** 4).is_zero()
-
-
-def cofactor_identity_check() -> bool:
-    """True iff the explicit cofactor identity holds by symbolic expansion."""
-    return cofactor_identity_4x5(perturb=False)
 
 
 # ---------------------------------------------------------------------------

@@ -128,10 +128,10 @@ def cmd_certify_sn(args) -> int:
         print("certify-sn: state carries no range decomposition", file=sys.stderr)
         return EXIT_INPUT
     m, n = state.dims
-    ranked = [(qs.schmidt_rank(e.vec, m, n), i) for i, e in enumerate(state.edges)]
-    max_sr, wit_idx = max(ranked)
+    ranks = [qs.schmidt_rank(e.vec, m, n) for e in state.edges]
+    max_sr = max(ranks)
     k = args.k if args.k else max_sr
-    witness = state.edges[wit_idx].vec
+    witness = state.edges[ranks.index(max_sr)].vec
     exclude = [e.name for e in state.edges if e.name.startswith("delta")] \
         if args.exclude_deltas else []
     naming = "edge" if exclude else "site"
@@ -146,15 +146,12 @@ def cmd_certify_sn(args) -> int:
     }
     if isinstance(lower, ac.SNCertificate):
         payload["lower"] = se.sn_lower_certificate(lower, state)
-        verdict = f"SN in [{lower.value}, {upper.value}]"
-        if lower.value == upper.value:
-            verdict = f"SN = {lower.value}"
-        payload["verdict"] = verdict
-        _emit(args, payload, text=f"{state.label}: {verdict} "
+        payload["verdict"] = se.sn_verdict_text(lower.value, upper.value)
+        _emit(args, payload, text=f"{state.label}: {payload['verdict']} "
               f"(lower N={lower.evidence['power']}, upper max SR={upper.value})")
         return EXIT_OK
     payload["lower_inconclusive"] = lower.reason
-    payload["verdict"] = f"SN <= {upper.value} (lower bound inconclusive)"
+    payload["verdict"] = se.sn_verdict_text(None, upper.value)
     _emit(args, payload, text=payload["verdict"])
     return EXIT_INCONCLUSIVE
 

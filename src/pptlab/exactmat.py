@@ -405,6 +405,27 @@ class ExactMatrix:
             raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
 
 
+def weighted_gram(vectors: Sequence[Vector], weights: Sequence, dim: int) -> ExactMatrix:
+    """Conic sum ``sum_i w_i |v_i><v_i|`` as a ``dim x dim`` matrix.
+
+    Only the nonzero entries of each vector are visited, so a sum of sparse
+    grid edges costs per pair of nonzeros rather than per matrix entry.
+    """
+    if len(vectors) != len(weights):
+        raise DimensionMismatch(f"{len(vectors)} vectors but {len(weights)} weights")
+    out = [[ZERO] * dim for _ in range(dim)]
+    for v, w in zip(vectors, weights):
+        if len(v) != dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in a {dim}-dimensional Gram sum")
+        w = as_scalar(w)
+        nz = [(i, a, a.conj()) for i, a in enumerate(v) if a]
+        for i, a, _ in nz:
+            row, wa = out[i], w * a
+            for j, _, bc in nz:
+                row[j] = row[j] + wa * bc
+    return ExactMatrix(out)
+
+
 # ---------------------------------------------------------------------------
 # row reduction core
 # ---------------------------------------------------------------------------
@@ -550,10 +571,7 @@ class PsdResult:
     witness_value: Fraction | None = None
 
     def reconstruct(self, n: int) -> ExactMatrix:
-        acc = ExactMatrix.zeros(n, n)
-        for (_, d), l in zip(self.pivots, self.columns):
-            acc = acc + ExactMatrix.outer(l, l).scale(d)
-        return acc
+        return weighted_gram(self.columns, [d for _, d in self.pivots], n)
 
     @property
     def rank(self) -> int:

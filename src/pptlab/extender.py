@@ -195,9 +195,17 @@ def _to_a_frame(blocks: ExtensionBlocks) -> ExtensionBlocks:
         return blocks
     core_sw = qs.swap_subsystems(blocks.core)
     m, n = blocks.core.dims
-    chi = blocks.coupling
-    rows = [[chi.entry(a * n + b, c) for c in range(m)] for b in range(n) for a in range(m)]
-    return ExtensionBlocks(core_sw, em.ExactMatrix(rows), blocks.edge, "A", blocks.perp_index)
+    return ExtensionBlocks(core_sw, _swap_coupling_rows(blocks.coupling, m, n), blocks.edge, "A",
+                           blocks.perp_index)
+
+
+def _swap_coupling_rows(chi: em.ExactMatrix, m: int, n: int) -> em.ExactMatrix:
+    """Reorder coupling rows from ``(a, b)`` on an ``m x n`` core to ``(b, a)``.
+
+    This moves a side-B coupling into the frame of the swapped core; the
+    same map with ``(n, m)`` moves it back.
+    """
+    return em.ExactMatrix([chi.row(a * n + b) for b in range(n) for a in range(m)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,20 +279,8 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     rho_ta = core.partial_transpose("A")
     if not em.psd_check(rho_ta).is_psd:
         raise NotPPT("core state is not PPT")
-    P = em.orth_projector(em.column_space(rho))
-    Q = em.orth_projector(em.column_space(rho_ta)).conjugate()
     N = m * n * n
-    P1 = P.kron(em.ExactMatrix.identity(n))
-    rows = [[em.ZERO] * N for _ in range(N)]
-    for a in range(m):
-        for c in range(n):
-            for a2 in range(m):
-                for c2 in range(n):
-                    v = Q.entry(a * n + c, a2 * n + c2)
-                    if v:
-                        for b in range(n):
-                            rows[(a * n + b) * n + c][(a2 * n + b) * n + c2] = v
-    P2 = em.ExactMatrix(rows)
+    P1, P2 = _coupling_projectors(rho, rho_ta, m, n)
     joint = P1 + P2 - em.ExactMatrix.identity(N).scale(2)
     _, sol = em.rank_and_kernel(joint)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
@@ -301,14 +297,23 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
 def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
     """Independent solver route: null space of the stacked complements."""
     m, n = core.dims
-    rho = core.matrix
-    rho_ta = core.partial_transpose("A")
+    N = m * n * n
+    iden = em.ExactMatrix.identity(N)
+    P1, P2 = _coupling_projectors(core.matrix, core.partial_transpose("A"), m, n)
+    stacked = [list((iden - P1).row(i)) for i in range(N)]
+    stacked += [list((iden - P2).row(i)) for i in range(N)]
+    _, kern = em.rank_and_kernel(em.ExactMatrix(stacked))
+    return kern
+
+
+def _coupling_projectors(rho: em.ExactMatrix, rho_ta: em.ExactMatrix, m: int, n: int):
+    """Projectors ``P1`` on R(rho) (x) C^n over (A,B) and ``P2`` on the
+    conjugated R(rho^Ta) over (A,B'), both on the Choi index ``(a, b, c)``."""
     P = em.orth_projector(em.column_space(rho))
     Q = em.orth_projector(em.column_space(rho_ta)).conjugate()
     N = m * n * n
-    iden = em.ExactMatrix.identity(N)
     P1 = P.kron(em.ExactMatrix.identity(n))
-    rows2 = [[em.ZERO] * N for _ in range(N)]
+    rows = [[em.ZERO] * N for _ in range(N)]
     for a in range(m):
         for c in range(n):
             for a2 in range(m):
@@ -316,11 +321,8 @@ def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
                     v = Q.entry(a * n + c, a2 * n + c2)
                     if v:
                         for b in range(n):
-                            rows2[(a * n + b) * n + c][(a2 * n + b) * n + c2] = v
-    stacked = [list((iden - P1).row(i)) for i in range(N)]
-    stacked += [list((iden - em.ExactMatrix(rows2)).row(i)) for i in range(N)]
-    _, kern = em.rank_and_kernel(em.ExactMatrix(stacked))
-    return kern
+                            rows[(a * n + b) * n + c][(a2 * n + b) * n + c2] = v
+    return P1, em.ExactMatrix(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -341,25 +343,9 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side = "A",
                                  label=label or f"slocc({core.label})", _skip_checks=True)
     m, n = core.dims
     chi = slocc_coupling(core, phi)
-    # edge[b, c] = <phi b| rho |phi c>
-    edge = em.ExactMatrix([[_phi_sandwich(core.matrix, phi, b, c, m, n) for c in range(n)]
-                           for b in range(n)])
+    edge = _alpha_sandwich(core.matrix, phi, m, n)
     blocks = ExtensionBlocks(core, chi, edge, "A", m)
     return assemble_extension(blocks, label=label or f"slocc({core.label})")
-
-
-def _phi_sandwich(rho: em.ExactMatrix, phi: em.Vector, b: int, c: int, m: int, n: int):
-    """Entry ``<phi, b| rho |phi, c>``."""
-    acc = em.ZERO
-    for a in range(m):
-        if not phi[a]:
-            continue
-        for a2 in range(m):
-            if phi[a2]:
-                v = rho.entry(a * n + b, a2 * n + c)
-                if v:
-                    acc = acc + phi[a].conj() * v * phi[a2]
-    return acc
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
@@ -380,9 +366,8 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     if side == "B":
         blocks_sw = product_pair_extension(qs.swap_subsystems(core), alpha, beta, gamma, "A")
         m, n = core.dims
-        chi_sw = blocks_sw.coupling
-        rows = [[chi_sw.entry(b * m + a, c) for c in range(m)] for a in range(m) for b in range(n)]
-        return ExtensionBlocks(core, em.ExactMatrix(rows), blocks_sw.edge, "B", n)
+        return ExtensionBlocks(core, _swap_coupling_rows(blocks_sw.coupling, n, m),
+                               blocks_sw.edge, "B", n)
 
     m, n = core.dims
     if len(alpha) != m or len(beta) != n or len(gamma) != n:
@@ -398,16 +383,14 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
         raise PreconditionViolation("product vector |alpha beta> is not in the range of rho_c")
     if not em.column_space(rho_ta).contains(ag):
         raise PreconditionViolation("partial conjugate not in the transposed range of rho_c")
-    loc = em.ExactMatrix([[_alpha_sandwich(rho, alpha, b, c, m, n) for c in range(n)]
-                          for b in range(n)])
-    r_loc = em.rank(loc)
+    r_loc = em.rank(_alpha_sandwich(rho, alpha, m, n))
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
     chi = em.ExactMatrix.outer(ab, gamma)
     s1 = em.vdot(ab, em.solve_on_range(rho, ab))
     s2 = em.vdot(ag, em.solve_on_range(rho_ta, ag))
-    edge = em.ExactMatrix.outer(gamma, gamma).scale(s1) + em.ExactMatrix.outer(beta, beta).scale(s2)
+    edge = em.weighted_gram([gamma, beta], [s1, s2], n)
     blocks = ExtensionBlocks(core, chi, edge, "A", m)
     try:
         ext = assemble_extension(blocks)
@@ -424,18 +407,22 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     return blocks
 
 
-def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, b: int, c: int, m: int, n: int):
-    """Entry ``<alpha, b| rho |alpha, c>`` of the local B-side operator."""
-    acc = em.ZERO
-    for a in range(m):
-        if not alpha[a]:
-            continue
-        for a2 in range(m):
-            if alpha[a2]:
-                v = rho.entry(a * n + b, a2 * n + c)
-                if v:
-                    acc = acc + alpha[a].conj() * v * alpha[a2]
-    return acc
+def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, m: int, n: int) -> em.ExactMatrix:
+    """Local B-side operator ``<alpha| rho |alpha>`` with entries ``<alpha, b| rho |alpha, c>``."""
+    nz = [a for a in range(m) if alpha[a]]
+    rows = []
+    for b in range(n):
+        row = []
+        for c in range(n):
+            acc = em.ZERO
+            for a in nz:
+                for a2 in nz:
+                    v = rho.entry(a * n + b, a2 * n + c)
+                    if v:
+                        acc = acc + alpha[a].conj() * v * alpha[a2]
+            row.append(acc)
+        rows.append(row)
+    return em.ExactMatrix(rows)
 
 
 def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side = "A",
@@ -443,8 +430,7 @@ def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side = "A
     """Extension with the unique edge block making the Schur complement zero."""
     if side == "B":
         m, n = core.dims
-        rows = [[chi.entry(a * n + b, c) for c in range(m)] for b in range(n) for a in range(m)]
-        sw = flat_extension(qs.swap_subsystems(core), em.ExactMatrix(rows), "A")
+        sw = flat_extension(qs.swap_subsystems(core), _swap_coupling_rows(chi, m, n), "A")
         out = qs.swap_subsystems(sw)
         return qs.BipartiteState(out.dim_a, out.dim_b, out.matrix,
                                  label=label or f"flat({core.label})", _skip_checks=True)
@@ -479,10 +465,7 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
         raise DimensionMismatch("one weight per core vector")
     blocks = split_blocks(ext, side, perp_index)
     m, n = blocks.core.dims
-    acc = em.ExactMatrix.zeros(m * n, m * n)
-    for v, w in zip(core_vectors, weights):
-        acc = acc + em.ExactMatrix.outer(v, v).scale(w)
-    if acc != blocks.core.matrix:
+    if em.weighted_gram(core_vectors, weights, m * n) != blocks.core.matrix:
         raise DecompositionMismatch("core vectors do not reproduce the core block")
     K = em.solve_on_range_matrix(blocks.core.matrix, blocks.coupling)
     Kadj = K.adjoint()
@@ -510,10 +493,10 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     zero_core = em.ExactMatrix.zeros(m * n, m * n)
     zero_chi = em.ExactMatrix.zeros(m * n, remainder_edge.rows)
     remainder = assemble_matrix(zero_core, zero_chi, remainder_edge, (m, n), side, perp_index)
-    total = remainder
-    for v, w in lifted:
-        total = total + em.ExactMatrix.outer(v, v).scale(w)
-    assert total == ext.matrix, "lift identity failed"
+    total = remainder + em.weighted_gram([v for v, _ in lifted], [w for _, w in lifted],
+                                         m_ext * n_ext)
+    if total != ext.matrix:
+        raise DecompositionMismatch("lifted vectors and remainder do not reproduce the extension")
     return lifted, remainder
 
 
@@ -715,5 +698,6 @@ def witness_schur_peel(W: em.ExactMatrix, dims: tuple, side: Side, perp_index: i
     psd_part = assemble_matrix(flat_core, chi, We, core_dims, side, perp_index)
     embedded = assemble_matrix(W_peeled, em.ExactMatrix.zeros(*chi.shape),
                                em.ExactMatrix.zeros(*We.shape), core_dims, side, perp_index)
-    assert embedded + psd_part == W, "peel identity failed"
+    if embedded + psd_part != W:
+        raise DecompositionMismatch("peeled witness and PSD part do not reproduce the witness")
     return W_peeled, psd_part

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import exactmat as em
 from . import qstates as qs
+from .extender import extension_count_bound
 from .errors import ConvergenceFailure, DimensionMismatch, RankAmbiguity
 
 DEFAULT_TOL = 1e-10
@@ -353,10 +354,10 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
                     ambiguous += 1
                     continue
                 dims_hist[d] = dims_hist.get(d, 0) + 1
-                expected = m + max(extension_count_bound_local(m, n, p, q), 0)
+                expected = m + max(extension_count_bound(m, n, p, q), 0)
                 if d != expected:
                     deviations.append({"seed": seed + i, "dimension": d, "expected": expected})
-            bound = extension_count_bound_local(m, n, p, q)
+            bound = extension_count_bound(m, n, p, q)
             reports.append(SurveyReport(
                 dims=(m, n), birank=(p, q), samples=samples, converged=converged,
                 residual_max=float(max(residuals)) if residuals else float("nan"),
@@ -365,10 +366,6 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
                 expected_dimension=m + max(bound, 0), deviations=deviations,
                 calibration=calibration))
     return reports
-
-
-def extension_count_bound_local(m: int, n: int, p: int, q: int) -> int:
-    return (p + q - m * n) * n - m
 
 
 def survey_table(reports) -> str:

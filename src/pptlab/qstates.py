@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from . import exactmat as em
-from .errors import BoundsViolation, DimensionMismatch, InvalidK, NotPsd
+from .errors import BoundsViolation, DecompositionMismatch, DimensionMismatch, InvalidK, NotPsd
 
 Side = Literal["A", "B"]
 
@@ -132,9 +132,8 @@ class BipartiteState:
             if not res.is_psd:
                 raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
         if self.edges is not None:
-            acc = em.ExactMatrix.zeros(matrix.rows, matrix.rows)
-            for e in self.edges:
-                acc = acc + em.ExactMatrix.outer(e.vec, e.vec).scale(e.weight)
+            acc = em.weighted_gram([e.vec for e in self.edges], [e.weight for e in self.edges],
+                                   matrix.rows)
             if acc != matrix:
                 raise DimensionMismatch("recorded edge decomposition does not reproduce the matrix")
 
@@ -161,10 +160,7 @@ class BipartiteState:
 
 
 def state_from_edges(dim_a: int, dim_b: int, edges: Sequence[NamedVector], label: str = "") -> BipartiteState:
-    n = dim_a * dim_b
-    acc = em.ExactMatrix.zeros(n, n)
-    for e in edges:
-        acc = acc + em.ExactMatrix.outer(e.vec, e.vec).scale(e.weight)
+    acc = em.weighted_gram([e.vec for e in edges], [e.weight for e in edges], dim_a * dim_b)
     return BipartiteState(dim_a, dim_b, acc, label=label, edges=edges)
 
 
@@ -307,7 +303,8 @@ def rho_3x3() -> BipartiteState:
         NamedVector("e3", _sites_vec([(0, 2)], 3, 3), Fraction(3)),
         NamedVector("e4", _sites_vec([(2, 0)], 3, 3), Fraction(3)),
     ]
-    assert all(tuple(v.vec) in e for v in order)
+    if not all(tuple(v.vec) in e for v in order):
+        raise DecompositionMismatch("canonical rho3x3 edges differ from the grid edges")
     return BipartiteState(3, 3, st.matrix, label="rho3x3", edges=order, _skip_checks=True)
 
 
@@ -330,11 +327,9 @@ def tiles_complement() -> BipartiteState:
         |0>(|0>-|1>),  |2>(|1>-|2>),  (|0>-|1>)|2>,  (|1>-|2>)|0>,
         (|0>+|1>+|2>)(|0>+|1>+|2>).
     """
-    M = em.ExactMatrix.identity(9)
-    for v in tiles_kernel_products():
-        n2 = em.vdot(v, v)
-        M = M - em.ExactMatrix.outer(v, v).scale(em.ONE / n2)
-    return BipartiteState(3, 3, M, label="tiles-complement")
+    products = tiles_kernel_products()
+    P = em.weighted_gram(products, [em.ONE / em.vdot(v, v) for v in products], 9)
+    return BipartiteState(3, 3, em.ExactMatrix.identity(9) - P, label="tiles-complement")
 
 
 def tiles_kernel_products() -> tuple:

@@ -119,14 +119,11 @@ def verify_ppt_certificate(data: dict) -> bool:
     for key, M in (("rho", s.matrix), ("rho_ta", pt)):
         ev = data[key]
         if ev["psd"]:
-            acc = em.ExactMatrix.zeros(M.rows, M.cols)
-            for (idx, d), col in zip(ev["pivots"], ev["columns"]):
-                dval = Fraction(d)
-                if dval < 0:
-                    raise CertificateInvalid(f"negative pivot in {key}")
-                acc = acc + em.ExactMatrix.outer(vector_from_json(col),
-                                                 vector_from_json(col)).scale(dval)
-            if acc != M:
+            pivots = [Fraction(d) for _, d in ev["pivots"]]
+            if any(d < 0 for d in pivots):
+                raise CertificateInvalid(f"negative pivot in {key}")
+            columns = [vector_from_json(col) for col in ev["columns"]]
+            if em.weighted_gram(columns, pivots, M.rows) != M:
                 raise CertificateInvalid(f"factorization of {key} does not reproduce the matrix")
         else:
             w = vector_from_json(ev["witness"])
@@ -156,22 +153,26 @@ def verify_sn_lower_certificate(data: dict) -> bool:
     """
     from . import algcert as ac
 
+    if data["value"] != data["k"]:
+        raise CertificateInvalid("claimed value differs from the certified k")
     s = state_from_json(data["state"])
     m, n = s.dims
     ring = ac.PolyRing(data["variables"])
     basis = [vector_from_json(v) for v in data["basis"]]
+    if len(basis) != ring.nvars:
+        raise CertificateInvalid("the certificate needs one variable per basis vector")
     witness = vector_from_json(data["witness"])
     rng = em.column_space(s.matrix)
     if not rng.contains(witness):
         raise CertificateInvalid("witness is not in the state's range")
-    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != em.rank(s.matrix):
-        raise CertificateInvalid("stored basis does not span the range")
+    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != em.rank(s.matrix) \
+            or not all(rng.contains(v) for v in basis):
+        raise CertificateInvalid("stored basis is not a basis of the range")
     overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
     if len(overlaps) != 1 or ring.variables[overlaps[0]] != data["witness_variable"]:
         raise CertificateInvalid("witness overlap is not the declared single variable")
     generators = [ac.poly_from_json(ring, g) for g in data["generators"]]
-    sym = ac.SymbolicRangeMatrix(m, n, ring, _entries_from_basis(ring, basis, m, n),
-                                 tuple(zip(data["variables"], basis)))
+    sym = ac.coordinate_matrix(m, n, ring, tuple(zip(data["variables"], basis)))
     minors = ac.minor_ideal(sym, data["k"], exclude_vars=data.get("excluded_variables", ()))
     minor_keys = {frozenset(p.terms.items()) for p in minors}
     for g in generators:
@@ -195,24 +196,6 @@ def verify_sn_lower_certificate(data: dict) -> bool:
     return True
 
 
-def _entries_from_basis(ring, basis, m, n):
-    from . import algcert as ac
-
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(n):
-            terms = {}
-            for l, v in enumerate(basis):
-                c = v[i * n + j]
-                if c:
-                    mono = tuple(1 if t == l else 0 for t in range(len(basis)))
-                    terms[mono] = Fraction(c.re)
-            row.append(ac.Polynomial(ring, terms))
-        entries.append(tuple(row))
-    return tuple(entries)
-
-
 def sn_upper_certificate(cert, state: qs.BipartiteState) -> dict:
     out = {"kind": "sn-upper", "value": cert.value, "state": state_to_json(state)}
     out.update(cert.evidence)
@@ -224,12 +207,9 @@ def verify_sn_upper_certificate(data: dict) -> bool:
     m, n = s.dims
     vectors = [vector_from_json(v) for v in data["vectors"]]
     weights = [Fraction(w) for w in data["weights"]]
-    acc = em.ExactMatrix.zeros(m * n, m * n)
-    for v, w in zip(vectors, weights):
-        if w < 0:
-            raise CertificateInvalid("negative weight")
-        acc = acc + em.ExactMatrix.outer(v, v).scale(w)
-    if acc != s.matrix:
+    if any(w < 0 for w in weights):
+        raise CertificateInvalid("negative weight")
+    if em.weighted_gram(vectors, weights, m * n) != s.matrix:
         raise CertificateInvalid("decomposition does not reproduce the state")
     ranks = [qs.schmidt_rank(v, m, n) for v in vectors]
     if max(ranks) != data["value"]:
@@ -237,11 +217,35 @@ def verify_sn_upper_certificate(data: dict) -> bool:
     return True
 
 
+def sn_verdict_text(lower: int | None, upper: int) -> str:
+    """Verdict line of an sn-verdict payload; ``lower`` is None when inconclusive."""
+    if lower is None:
+        return f"SN <= {upper} (lower bound inconclusive)"
+    if lower == upper:
+        return f"SN = {lower}"
+    return f"SN in [{lower}, {upper}]"
+
+
+def _state_key(data: dict) -> tuple:
+    return data["dim_a"], data["dim_b"], matrix_from_json(data["matrix"])
+
+
 def verify_sn_verdict(data: dict) -> bool:
-    """Replay a combined lower+upper verdict payload."""
-    if "lower" in data:
-        verify_sn_lower_certificate(data["lower"])
-    verify_sn_upper_certificate(data["upper"])
+    """Replay a combined lower+upper verdict payload.
+
+    Both halves must concern the same state, and the stored verdict line
+    must be the one their values imply.
+    """
+    lower = data.get("lower")
+    upper = data["upper"]
+    if lower is not None and _state_key(lower["state"]) != _state_key(upper["state"]):
+        raise CertificateInvalid("lower and upper certificates concern different states")
+    expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
+    if data["verdict"] != expected:
+        raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
+    if lower is not None:
+        verify_sn_lower_certificate(lower)
+    verify_sn_upper_certificate(upper)
     return True
 
 

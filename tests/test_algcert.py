@@ -440,8 +440,18 @@ def test_npt_detected():
 
 # -- the explicit identity ------------------------------------------------------------------------
 
+def test_coordinate_matrix_requires_a_real_basis():
+    ring = ac.PolyRing(["x", "y"])
+    real = [("x", em.vector([1, 0, 0, 1])), ("y", em.vector([0, 1, 0, 0]))]
+    sym = ac.coordinate_matrix(2, 2, ring, real)
+    assert str(sym.entry(0, 0)) == "x" and str(sym.entry(0, 1)) == "y"
+    complex_basis = [("x", em.vector([1, 0, 0, em.GaussianRational(1, 1)])), real[1]]
+    with pytest.raises(NonOrthogonalBasis, match="real"):
+        ac.coordinate_matrix(2, 2, ring, complex_basis)
+
+
 def test_cofactor_identity():
-    assert ac.cofactor_identity_check()
+    assert ac.cofactor_identity_4x5()
     assert not ac.cofactor_identity_4x5(perturb=True)
 
 

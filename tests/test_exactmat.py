@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptlab import exactmat as em
 from pptlab.errors import DimensionMismatch, NotHermitian, RangeViolation
@@ -269,6 +271,41 @@ def test_matrix_kron_and_outer():
     P = em.ExactMatrix.outer(u, u)
     assert P.is_hermitian()
     assert P.entry(0, 1) == em.GaussianRational(0, -1)
+
+
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: em.GaussianRational(Fraction(a, b), Fraction(c, d)),
+    st.integers(-4, 4), st.integers(1, 3), st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def gram_terms(draw):
+    dim = draw(st.integers(0, 5))
+    count = draw(st.integers(0, 4))
+    vecs = [tuple(draw(st.lists(gaussian_rationals, min_size=dim, max_size=dim)))
+            for _ in range(count)]
+    weights = draw(st.lists(gaussian_rationals, min_size=count, max_size=count))
+    return vecs, weights, dim
+
+
+@settings(max_examples=150, deadline=None)
+@given(gram_terms())
+def test_weighted_gram_matches_dense_outer_sum(terms):
+    vecs, weights, dim = terms
+    reference = em.ExactMatrix.zeros(dim, dim)
+    for v, w in zip(vecs, weights):
+        reference = reference + em.ExactMatrix.outer(v, v).scale(w)
+    assert em.weighted_gram(vecs, weights, dim) == reference
+
+
+def test_weighted_gram_rejects_mismatched_inputs():
+    v = em.vector([1, 2, 0])
+    with pytest.raises(DimensionMismatch):
+        em.weighted_gram([v], [1], 4)
+    with pytest.raises(DimensionMismatch):
+        em.weighted_gram([v, v], [1], 3)
+    with pytest.raises(DimensionMismatch):
+        em.weighted_gram([v], [1, 1], 3)
 
 
 def test_projector_onto_rho3x3_range_has_trace_five():

@@ -18,11 +18,8 @@ def rnd_scalar(rng, span=2):
 
 def random_psd_state(rng, m, n, nvec=None):
     nvec = nvec or rng.randint(1, 3)
-    acc = em.ExactMatrix.zeros(m * n, m * n)
-    for _ in range(nvec):
-        v = tuple(rnd_scalar(rng) for _ in range(m * n))
-        acc = acc + em.ExactMatrix.outer(v, v)
-    return qs.BipartiteState(m, n, acc, label="random")
+    vecs = [tuple(rnd_scalar(rng) for _ in range(m * n)) for _ in range(nvec)]
+    return qs.BipartiteState(m, n, em.weighted_gram(vecs, [1] * nvec, m * n), label="random")
 
 
 # -- split / assemble ----------------------------------------------------------
@@ -341,9 +338,8 @@ def test_extremality_psd_flat_and_perturbed():
     assert not verdict.extremal
     assert len(verdict.rank_one_parts) == 1
     # the decomposition reassembles the extension
-    total = verdict.flat_part
-    for v, w in verdict.rank_one_parts:
-        total = total + em.ExactMatrix.outer(v, v).scale(w)
+    parts = verdict.rank_one_parts
+    total = verdict.flat_part + em.weighted_gram([v for v, _ in parts], [w for _, w in parts], 6)
     assert total == ex.assemble_extension(bumped).matrix
 
 

@@ -105,10 +105,7 @@ def test_rho3x3_pt_decomposition_bit_exact():
         (qs._sites_vec([(0, 0)], 3, 3), 1),
         (qs._sites_vec([(2, 2)], 3, 3), 1),
     ]
-    acc = em.ExactMatrix.zeros(9, 9)
-    for v, w in fs:
-        acc = acc + em.ExactMatrix.outer(v, v).scale(w)
-    assert acc == pt
+    assert em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9) == pt
 
 
 def test_birank_examples():
@@ -187,9 +184,7 @@ def test_rho4x5_pipeline_stages_and_ppt():
 
 def test_rho4x5_decomposition_recorded_and_exact():
     final = qs.rho_4x5().final
-    acc = em.ExactMatrix.zeros(20, 20)
-    for e in final.edges:
-        acc = acc + em.ExactMatrix.outer(e.vec, e.vec).scale(e.weight)
+    acc = em.weighted_gram([e.vec for e in final.edges], [e.weight for e in final.edges], 20)
     assert acc == final.matrix
     names = [e.name for e in final.edges]
     assert names[:5] == ["e0", "e1", "e2", "e3", "e4"]
@@ -234,9 +229,7 @@ def test_family_ppt_and_pt_decomposition_k2_to_k5():
         dim = 2 * k - 1
         pt = st.partial_transpose("A")
         dec = qs.family_pt_decomposition(k)
-        acc = em.ExactMatrix.zeros(dim * dim, dim * dim)
-        for e in dec:
-            acc = acc + em.ExactMatrix.outer(e.vec, e.vec).scale(e.weight)
+        acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], dim * dim)
         assert acc == pt, f"k={k}"
         assert em.psd_check(pt).is_psd
         assert max(qs.schmidt_rank(e.vec, dim, dim) for e in dec) <= 2
@@ -257,9 +250,7 @@ def test_family_surplus_weights_still_decompose():
     spec = qs.FamilySpec(2, (2, 3))
     st = qs.rho_family(spec)
     dec = qs.family_pt_decomposition(spec)
-    acc = em.ExactMatrix.zeros(9, 9)
-    for e in dec:
-        acc = acc + em.ExactMatrix.outer(e.vec, e.vec).scale(e.weight)
+    acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], 9)
     assert acc == st.partial_transpose("A")
     with pytest.raises(InvalidK):
         qs.family_pt_decomposition(qs.FamilySpec(2, (Fraction(1, 2), 1)))

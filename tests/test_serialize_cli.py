@@ -186,3 +186,95 @@ def test_reproduce_deterministic_manifest():
     man = acceptance.manifest([a])
     assert man["criteria"][0]["number"] == 7
     assert isinstance(man["passed"], bool)
+
+
+# -- sn-verdict claims ----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def rho3x3_verdict(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verdict") / "rho3x3.json"
+    assert cli.run(["certify-sn", "--state", "rho3x3", "--k", "2", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def _rejected(data):
+    with pytest.raises(se.CertificateInvalid):
+        se.verify_certificate(data)
+
+
+def test_cli_certify_family2_uses_first_max_rank_witness(tmp_path, capsys):
+    cert = tmp_path / "fam2.json"
+    assert cli.run(["certify-sn", "--state", "family:2", "--exclude-deltas",
+                    "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert data["verdict"] == "SN = 2"
+    assert data["lower"]["witness_variable"] == "alpha"
+    capsys.readouterr()
+    assert cli.run(["verify", str(cert)]) == 0
+    assert "OK" in capsys.readouterr().out
+
+
+def test_sn_lower_value_must_equal_k(rho3x3_verdict):
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    assert se.verify_certificate(lower)
+    lower["value"] = 17
+    _rejected(lower)
+
+
+def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
+    fam = qs.rho_family(2)
+    upper = ac.sn_upper_from_decomposition([e.vec for e in fam.edges],
+                                           [e.weight for e in fam.edges], fam)
+    mixed = json.loads(json.dumps(rho3x3_verdict))
+    mixed["upper"] = se.sn_upper_certificate(upper, fam)
+    mixed["verdict"] = "SN = 2"
+    assert se.verify_certificate(mixed["upper"])
+    with pytest.raises(se.CertificateInvalid, match="different states"):
+        se.verify_certificate(mixed)
+
+
+def test_sn_verdict_text_is_rebuilt(rho3x3_verdict):
+    assert se.verify_certificate(rho3x3_verdict)
+    assert rho3x3_verdict["verdict"] == "SN in [2, 3]"
+    bad = json.loads(json.dumps(rho3x3_verdict))
+    bad["verdict"] = "SN = 3"
+    _rejected(bad)
+    inconclusive = {k: v for k, v in rho3x3_verdict.items() if k != "lower"}
+    inconclusive["verdict"] = "SN <= 3 (lower bound inconclusive)"
+    assert se.verify_certificate(inconclusive)
+    inconclusive["verdict"] = "SN in [2, 3]"
+    _rejected(inconclusive)
+
+
+def test_cli_verify_accepts_inconclusive_verdict(tmp_path):
+    st = qs.grid_to_state(qs.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
+    f = tmp_path / "sep.json"
+    f.write_text(json.dumps(se.state_to_json(st)))
+    cert = tmp_path / "cert.json"
+    assert cli.run(["certify-sn", "--state", str(f), "--k", "2", "--out", str(cert)]) == 1
+    assert json.loads(cert.read_text())["verdict"] == "SN <= 1 (lower bound inconclusive)"
+    assert cli.run(["verify", str(cert)]) == 0
+
+
+def test_complex_tampered_basis_fails_verify(rho3x3_verdict, tmp_path):
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    vec = lower["basis"][1]
+    vec[vec.index("1")] = "1+1 i"
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(lower))
+    assert cli.run(["verify", str(path)]) == 1
+
+
+def test_basis_outside_the_range_is_rejected(rho3x3_verdict):
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    vec = lower["basis"][1]
+    vec[vec.index("0")] = "1"
+    with pytest.raises(se.CertificateInvalid, match="not a basis of the range"):
+        se.verify_certificate(lower)
+
+
+def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    lower["variables"] = lower["variables"][:-1]
+    with pytest.raises(se.CertificateInvalid, match="one variable per basis vector"):
+        se.verify_certificate(lower)
