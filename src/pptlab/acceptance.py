@@ -18,6 +18,7 @@ from . import algcert as ac
 from . import exactmat as em
 from . import extender as ex
 from . import qstates as qs
+from .errors import CriterionFailed
 
 SURVEY_SEED = 2026
 RANDOM_SEED = 7
@@ -38,12 +39,19 @@ class CriterionResult:
         return f"{status}  criterion {self.number}: {self.name}  [{self.seconds:.2f}s{budget}]"
 
 
+def _check(condition, message: str) -> None:
+    """Raise :class:`CriterionFailed` unless ``condition`` holds; unlike
+    ``assert`` this check survives ``python -O``."""
+    if not condition:
+        raise CriterionFailed(message)
+
+
 def _run(number, name, limit, fn) -> CriterionResult:
     t0 = time.time()
     try:
         details = fn()
         passed = True
-    except AssertionError as exc:
+    except CriterionFailed as exc:
         details = {"error": str(exc)}
         passed = False
     dt = time.time() - t0
@@ -61,10 +69,11 @@ def criterion_1() -> CriterionResult:
 
     def body():
         rho = qs.rho_3x3()
-        assert em.psd_check(rho.matrix).is_psd, "rho not PSD"
+        _check(em.psd_check(rho.matrix).is_psd, "rho not PSD")
         pt = rho.partial_transpose("B")
-        assert em.psd_check(pt).is_psd, "partial transpose not PSD"
-        assert qs.birank(rho) == (5, 6), f"birank {qs.birank(rho)}"
+        _check(em.psd_check(pt).is_psd, "partial transpose not PSD")
+        birank = qs.birank(rho)
+        _check(birank == (5, 6), f"birank {birank}")
         fs = [
             (qs._sites_vec([(0, 2), (1, 1)], 3, 3, minus=[(2, 0)]), 1),
             (qs._sites_vec([(0, 2), (2, 0)], 3, 3), 2),
@@ -74,18 +83,18 @@ def criterion_1() -> CriterionResult:
             (qs._sites_vec([(2, 2)], 3, 3), 1),
         ]
         acc = em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9)
-        assert acc == pt, "PT does not equal the weighted f-decomposition bit-exactly"
+        _check(acc == pt, "PT does not equal the weighted f-decomposition bit-exactly")
         sym = ac.range_coordinate_matrix(rho, require_orthogonal_basis=True)
         minors = ac.minor_ideal(sym, 2)
         gb = ac.buchberger(minors)
         ring = sym.ring
         psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
-        assert ac.in_ideal(psi00 ** 2, gb), "psi00^2 not in the 2-minor ideal"
-        assert ac.in_ideal(psi01 * psi10, gb), "psi01*psi10 not in the 2-minor ideal"
+        _check(ac.in_ideal(psi00 ** 2, gb), "psi00^2 not in the 2-minor ideal")
+        _check(ac.in_ideal(psi01 * psi10, gb), "psi01*psi10 not in the 2-minor ideal")
         cands = [qs._sites_vec([(0, 2)], 3, 3), qs._sites_vec([(2, 0)], 3, 3)]
         verdict = ac.edge_state_check(rho, cands)
-        assert verdict.is_edge_for_candidates, "edge-state check failed"
-        assert all(d["in_range"] for d in verdict.details)
+        _check(verdict.is_edge_for_candidates, "edge-state check failed")
+        _check(all(d["in_range"] for d in verdict.details), "a candidate lies outside the range")
         return {"birank": [5, 6], "edge_state": True,
                 "groebner_size": len(gb)}
 
@@ -98,19 +107,21 @@ def criterion_2() -> CriterionResult:
 
     def body():
         pipe = qs.rho_4x5()
-        assert [s.kind for s in pipe.steps] == ["direct_sum", "product_pair", "product_pair"]
+        kinds = [s.kind for s in pipe.steps]
+        _check(kinds == ["direct_sum", "product_pair", "product_pair"], f"steps {kinds}")
         final = pipe.final
-        assert final.dims == (4, 5)
-        assert em.psd_check(final.partial_transpose("A")).is_psd, "final state not PPT"
+        _check(final.dims == (4, 5), f"final dims {final.dims}")
+        _check(em.psd_check(final.partial_transpose("A")).is_psd, "final state not PPT")
         witness = final.edges[0].vec
         cert = ac.certify_sn_lower(final, witness, 3)
-        assert isinstance(cert, ac.SNCertificate), f"lower bound inconclusive: {cert}"
-        assert cert.evidence["power"] == 4, f"observed N = {cert.evidence['power']}"
-        assert ac.cofactor_identity_4x5(), "cofactor identity failed"
+        if not isinstance(cert, ac.SNCertificate):
+            raise CriterionFailed(f"lower bound inconclusive: {cert}")
+        _check(cert.evidence["power"] == 4, f"observed N = {cert.evidence['power']}")
+        _check(ac.cofactor_identity_4x5(), "cofactor identity failed")
         upper = ac.sn_upper_from_decomposition([e.vec for e in final.edges],
                                                [e.weight for e in final.edges], final)
-        assert upper.value <= 3, f"upper bound {upper.value}"
-        assert cert.value == upper.value == 3
+        _check(upper.value <= 3, f"upper bound {upper.value}")
+        _check(cert.value == upper.value == 3, f"lower {cert.value}, upper {upper.value}")
         return {"lower": cert.value, "power": cert.evidence["power"], "upper": upper.value,
                 "schmidt_number": 3}
 
@@ -124,13 +135,13 @@ def criterion_3() -> CriterionResult:
         pipe = qs.rho_4x5()
         bound = ex.sn_bounds_from_projection(pipe.stage2, "B", em.basis_vector(4, 0))
         verdict = bound.separability
-        assert verdict.separable and verdict.rule == "R2", \
-            f"projection not R2-separable: {verdict}"
+        _check(verdict.separable and verdict.rule == "R2",
+               f"projection not R2-separable: {verdict}")
         block_dims = [tuple(sorted(b["dims"])) for b in verdict.details["blocks"]]
-        assert (2, 3) in block_dims, f"no 2x3 block found: {block_dims}"
+        _check((2, 3) in block_dims, f"no 2x3 block found: {block_dims}")
         ph_blocks = [b for b in verdict.details["blocks"] if b["rule"] == "peres-horodecki"]
-        assert len(ph_blocks) == 1
-        assert bound.sn_upper == 2
+        _check(len(ph_blocks) == 1, f"{len(ph_blocks)} Peres-Horodecki blocks")
+        _check(bound.sn_upper == 2, f"SN upper bound {bound.sn_upper}")
         return {"rule": verdict.rule, "blocks": verdict.details["blocks"],
                 "products": len(verdict.details["products"]), "sn_upper": 2}
 
@@ -150,16 +161,17 @@ def criterion_4(include_k5: bool | None = None) -> CriterionResult:
             st = qs.rho_family(k)
             dim = 2 * k - 1
             pt = st.partial_transpose("A")
-            assert em.psd_check(pt).is_psd, f"k={k} not PPT"
+            _check(em.psd_check(pt).is_psd, f"k={k} not PPT")
             dec = qs.family_pt_decomposition(k)
             acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], dim * dim)
-            assert acc == pt, f"k={k}: transpose decomposition not bit-exact"
-            assert max(qs.schmidt_rank(e.vec, dim, dim) for e in dec) <= 2
+            _check(acc == pt, f"k={k}: transpose decomposition not bit-exact")
+            _check(max(qs.schmidt_rank(e.vec, dim, dim) for e in dec) <= 2,
+                   f"k={k}: a decomposition vector has Schmidt rank above 2")
             omega = qs.family_kernel_vector(k)
-            assert not any(pt.matvec(omega)), f"k={k}: Omega not in the kernel"
+            _check(not any(pt.matvec(omega)), f"k={k}: Omega not in the kernel")
             deltas = [e for e in st.edges if e.name.startswith("delta")]
-            assert deltas and all(em.vdot(omega, e.vec) for e in deltas), \
-                f"k={k}: Omega overlaps vanish"
+            _check(deltas and all(em.vdot(omega, e.vec) for e in deltas),
+                   f"k={k}: Omega overlaps vanish")
             alpha = st.edges[0].vec
             excl = [e.name for e in st.edges if e.name.startswith("delta")]
             # k <= 4 runs the Groebner route; the k=5 minor system is handled
@@ -168,12 +180,11 @@ def criterion_4(include_k5: bool | None = None) -> CriterionResult:
             method = "groebner" if k <= 4 else "linear"
             cert = ac.certify_sn_lower(st, alpha, k, exclude_vars=excl, naming="edge",
                                        method=method)
-            assert isinstance(cert, ac.SNCertificate), f"k={k} lower bound inconclusive"
-            assert cert.evidence["power"] == k, \
-                f"k={k}: observed power {cert.evidence['power']}"
+            _check(isinstance(cert, ac.SNCertificate), f"k={k} lower bound inconclusive")
+            _check(cert.evidence["power"] == k, f"k={k}: observed power {cert.evidence['power']}")
             upper = ac.sn_upper_from_decomposition([e.vec for e in st.edges],
                                                    [e.weight for e in st.edges], st)
-            assert upper.value == k, f"k={k}: upper bound {upper.value}"
+            _check(upper.value == k, f"k={k}: upper bound {upper.value}")
             details[f"k{k}"] = {"power": cert.evidence["power"], "sn": k, "method": method}
         if not include_k5:
             details["k5"] = "skipped long job (set PPTLAB_RUN_K5=1 to include)"
@@ -190,11 +201,11 @@ def criterion_5() -> CriterionResult:
     def body():
         tiles = qs.tiles_complement()
         for v in qs.tiles_kernel_products():
-            assert not any(tiles.matrix.matvec(v)), "kernel substitution failed"
-        assert qs.birank(tiles) == (4, 4)
+            _check(not any(tiles.matrix.matvec(v)), "kernel substitution failed")
+        _check(qs.birank(tiles) == (4, 4), "birank is not (4, 4)")
         space = ex.ppt_extension_space(tiles)
-        assert space.dimension == 3, f"extension dimension {space.dimension}"
-        assert space.trivial_dimension == 3
+        _check(space.dimension == 3, f"extension dimension {space.dimension}")
+        _check(space.trivial_dimension == 3, f"trivial dimension {space.trivial_dimension}")
         return {"birank": [4, 4], "dimension": 3, "trivial": 3}
 
     return _run(5, "Tiles-complement unextendibility (dimension 3)", 5.0, body)
@@ -220,16 +231,16 @@ def criterion_6() -> CriterionResult:
             space = ex.ppt_extension_space(st)
             spaces[name] = space
             m = st.dim_a
-            assert space.dimension >= m, f"{name}: dim {space.dimension} < m"
+            _check(space.dimension >= m, f"{name}: dim {space.dimension} < m")
             if space.bound > 0:
-                assert space.dimension >= space.bound + m, \
-                    f"{name}: dim {space.dimension} < bound {space.bound} + m"
+                _check(space.dimension >= space.bound + m,
+                       f"{name}: dim {space.dimension} < bound {space.bound} + m")
             summary[name] = {"dimension": space.dimension, "bound": space.bound,
                              "trivial": space.trivial_dimension}
-        assert spaces["rho3x3"].bound == 3
-        assert ex.extension_count_bound(3, 3, 5, 6) == 3
-        assert ex.extension_count_bound(3, 3, 4, 4) == -6
-        assert ex.extension_count_bound(2, 4, 8, 8) == 30
+        _check(spaces["rho3x3"].bound == 3, f"rho3x3 bound {spaces['rho3x3'].bound}")
+        _check(ex.extension_count_bound(3, 3, 5, 6) == 3, "count bound (3, 3, 5, 6) is not 3")
+        _check(ex.extension_count_bound(3, 3, 4, 4) == -6, "count bound (3, 3, 4, 4) is not -6")
+        _check(ex.extension_count_bound(2, 4, 8, 8) == 30, "count bound (2, 4, 8, 8) is not 30")
 
         # the two nontrivial pipeline couplings solve the constraint system
         step_specs = [
@@ -244,11 +255,11 @@ def criterion_6() -> CriterionResult:
             m, n = sw.dims
             chi_vec = ex.coupling_choi_vector(blocks.coupling, m, n)
             space = spaces[name]
-            assert space.solution_space.contains(chi_vec), f"{name}: coupling not a solution"
+            _check(space.solution_space.contains(chi_vec), f"{name}: coupling not a solution")
             trivial = em.Subspace(m * n * n, [
                 ex.coupling_choi_vector(ex.slocc_coupling(sw, em.basis_vector(m, i)), m, n)
                 for i in range(m)])
-            assert not trivial.contains(chi_vec), f"{name}: coupling is trivial"
+            _check(not trivial.contains(chi_vec), f"{name}: coupling is trivial")
             summary[name]["pipeline_coupling"] = "nontrivial solution"
         return summary
 
@@ -284,11 +295,11 @@ def criterion_7(seed: int = RANDOM_SEED) -> CriterionResult:
             lifted, remainder = ex.lift_decomposition(ext, "A", m, vecs)
             total = remainder + em.weighted_gram([v for v, _ in lifted],
                                                  [w for _, w in lifted], (m + 1) * n)
-            assert total == ext.matrix, "reconstruction not bit-exact"
+            _check(total == ext.matrix, "reconstruction not bit-exact")
             for v0, (v1, _) in zip(vecs, lifted):
                 sr0 = qs.schmidt_rank(v0, m, n)
                 sr1 = qs.schmidt_rank(v1, m + 1, n)
-                assert sr1 <= sr0 + 1, f"SR increment {sr1 - sr0}"
+                _check(sr1 <= sr0 + 1, f"SR increment {sr1 - sr0}")
             cases += 1
         return {"cases": 50, "failures": 0}
 
@@ -306,16 +317,17 @@ def criterion_8(seed: int = SURVEY_SEED) -> CriterionResult:
 
         reports = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=100, seed=seed)
         r = reports[0]
-        assert r.converged >= 90, f"only {r.converged}/100 converged"
-        assert r.residual_max < 1e-9, f"residual {r.residual_max}"
-        assert set(r.extension_dims) == {3}, f"dimensions {r.extension_dims}"
-        assert sum(r.extension_dims.values()) + r.ambiguous == r.converged
-        assert not r.deviations
+        _check(r.converged >= 90, f"only {r.converged}/100 converged")
+        _check(r.residual_max < 1e-9, f"residual {r.residual_max}")
+        _check(set(r.extension_dims) == {3}, f"dimensions {r.extension_dims}")
+        _check(sum(r.extension_dims.values()) + r.ambiguous == r.converged,
+               "dimensions and ambiguous samples do not add up to the converged ones")
+        _check(not r.deviations, f"deviations {r.deviations}")
         oracle = {}
         for name, st in (("rho3x3", qs.rho_3x3()), ("family-k2", qs.rho_family(2))):
             exact_dim = ex.ppt_extension_space(st).dimension
             num_dim = nl.numeric_extension_dimension(nl.from_exact(st))
-            assert num_dim == exact_dim, f"{name}: numeric {num_dim} vs exact {exact_dim}"
+            _check(num_dim == exact_dim, f"{name}: numeric {num_dim} vs exact {exact_dim}")
             oracle[name] = exact_dim
         return {"converged": r.converged, "residual_max": r.residual_max,
                 "extension_dims": r.extension_dims, "oracle": oracle}
@@ -348,7 +360,7 @@ def criterion_9(seed: int = RANDOM_SEED) -> CriterionResult:
             core_dims = (m - 1, n) if side == "A" else (m, n - 1)
             W = ex.assemble_matrix(Wc, chi, We, core_dims, side, perp)
             peeled, psd_part = ex.witness_schur_peel(W, (m, n), side, perp)
-            assert em.psd_check(psd_part).is_psd, f"case {case}: completion not PSD"
+            _check(em.psd_check(psd_part).is_psd, f"case {case}: completion not PSD")
         return {"cases": 50, "failures": 0}
 
     return _run(9, "witness Schur peel identity suite (50 cases)", None, body)

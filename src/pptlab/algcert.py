@@ -10,11 +10,15 @@ decompositions checked bit-exactly.
 
 Monomial order is graded reverse lexicographic with the variable order
 fixed by range-basis index; the order is recorded in every certificate so
-reductions can be replayed.
+reductions can be replayed.  Polynomials carry exponent tuples; the
+reduction, Buchberger, cofactor and minor kernels pack each monomial into
+one int on entry and unpack on exit (:class:`_Packing`).
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import logging
 from dataclasses import dataclass, field
@@ -26,6 +30,8 @@ from . import qstates as qs
 from .errors import (
     DecompositionMismatch,
     DimensionMismatch,
+    InternalInconsistency,
+    MonomialOverflow,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
     WitnessNotInRange,
@@ -234,129 +240,271 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _divides(m1: tuple, m2: tuple) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+# ---------------------------------------------------------------------------
+# packed monomials: the Groebner, cofactor and minor kernels
+# ---------------------------------------------------------------------------
+
+class _Packing:
+    """Monomials of an ``nvars``-variable ring packed into one Python int.
+
+    Fields, most significant first: ``[degree | MAX-e_{n-1} | ... | MAX-e_0]``,
+    each ``width`` bits with the top bit of every exponent field spare as a
+    guard.  Integer order is then grevlex, the product of ``a`` and ``b`` is
+    ``a + b - one``, the quotient ``a / b`` is ``a - b + one``, and ``a``
+    divides ``b`` iff ``((a | guard) - b) & guard == guard``.  Every packed
+    monomial has degree at most ``max``, so no field can wrap: packing and
+    :meth:`lcm` raise :class:`MonomialOverflow` instead.
+    """
+
+    __slots__ = ("nvars", "width", "max", "one", "guard", "_spread")
+
+    def __init__(self, nvars: int):
+        # up to 32 bytes per monomial: four-byte fields for small rings, one
+        # byte per field (degrees up to 127) from 16 variables on
+        width = 8 * min(4, max(1, 32 // (nvars + 1)))
+        self.nvars = nvars
+        self.width = width
+        self.max = (1 << (width - 1)) - 1
+        self.one = sum(self.max << (width * i) for i in range(nvars))
+        self.guard = sum(1 << (width * i + width - 1) for i in range(nvars))
+        self._spread = sum(1 << (width * i) for i in range(nvars))
+
+    def pack(self, exps: tuple) -> int:
+        if len(exps) != self.nvars or min(exps, default=0) < 0:
+            raise DimensionMismatch(f"exponent vector {exps} does not fit {self.nvars} variables")
+        key = self.check_degree(sum(exps))
+        for e in reversed(exps):
+            key = (key << self.width) | (self.max - e)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        w, mx = self.width, self.max
+        return tuple(mx - ((key >> (w * i)) & mx) for i in range(self.nvars))
+
+    def pack_terms(self, p: Polynomial) -> dict:
+        return {self.pack(m): c for m, c in p.terms.items()}
+
+    def polynomial(self, ring: PolyRing, terms: dict) -> Polynomial:
+        return Polynomial(ring, {self.unpack(m): c for m, c in terms.items()})
+
+    def degree(self, key: int) -> int:
+        return key >> (self.width * self.nvars)
+
+    def lcm(self, a: int, b: int) -> int:
+        g, w = self.guard, self.width
+        ge = ((a | g) - b) & g                  # guards of fields with e_a <= e_b
+        ge -= ge >> (w - 1)                     # ... widened to their value bits
+        low = (b & ge) | (a & (self.one ^ ge))  # per-field min = per-variable max
+        # the exponent sum collects in field n-1 of (exponents * [1, ..., 1])
+        deg = ((self.one - low) * self._spread >> (w * max(self.nvars - 1, 0))) & ((1 << w) - 1)
+        return (self.check_degree(deg) << (w * self.nvars)) | low
+
+    def check_degree(self, deg: int) -> int:
+        if deg > self.max:
+            raise MonomialOverflow(f"degree {deg} exceeds the packed limit {self.max} "
+                                   f"of a {self.nvars}-variable ring")
+        return deg
 
 
-def _lcm(m1: tuple, m2: tuple) -> tuple:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+def _monic_terms(terms: dict) -> dict:
+    lc = terms[max(terms)]
+    return terms if lc == 1 else {m: c / lc for m, c in terms.items()}
 
 
-def _coprime(m1: tuple, m2: tuple) -> bool:
-    return all(a == 0 or b == 0 for a, b in zip(m1, m2))
+def _divisor(terms: dict, guard: int) -> tuple:
+    """Divisor record ``(lead | guard, lead, lead coefficient, tail)``."""
+    lead = max(terms)
+    return (lead | guard, lead, terms[lead], [(m, c) for m, c in terms.items() if m != lead])
+
+
+def _reduce(work: dict, divisors: Sequence[tuple], guard: int) -> dict:
+    """Full reduction of the packed terms ``work`` (consumed) by ``divisors``.
+
+    Terms are visited in strictly descending order; each is reduced by the
+    first divisor in list order whose lead divides it, or moved to the
+    returned remainder.
+    """
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        m = -heapq.heappop(heap)
+        c = work.pop(m, None)
+        if c is None:       # cancelled, or a duplicate heap entry
+            continue
+        for lg, lead, lc, tail in divisors:
+            if (lg - m) & guard == guard:
+                break
+        else:
+            remainder[m] = c
+            continue
+        f = c / lc
+        shift = m - lead
+        for t, tc in tail:
+            mm = t + shift
+            s = work.get(mm)
+            if s is None:
+                work[mm] = -f * tc
+                heapq.heappush(heap, -mm)
+            else:
+                s -= f * tc
+                if s:
+                    work[mm] = s
+                else:
+                    del work[mm]
+    return remainder
+
+
+def normal_forms(polys: Sequence[Polynomial], basis: Sequence[Polynomial]) -> list:
+    """:func:`normal_form` of each of ``polys`` modulo one ``basis``, packed once."""
+    if not polys:
+        return []
+    ring = polys[0].ring
+    P = _Packing(ring.nvars)
+    divisors = [_divisor(P.pack_terms(g), P.guard) for g in basis if g]
+    return [P.polynomial(ring, _reduce(P.pack_terms(p), divisors, P.guard)) for p in polys]
 
 
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full reduction of ``p`` modulo ``basis``; idempotent.
 
-    The result contains no term divisible by any basis leading monomial.
+    Terms are reduced in descending grevlex order, each by the first basis
+    element (in list order) whose leading monomial divides it, so the result
+    is determined for any basis, Groebner or not.  It contains no term
+    divisible by any basis leading monomial.
     """
-    divisors = [(g.leading_monomial(), g.leading_coeff(), g) for g in basis if g]
-    work = dict(p.terms)
-    remainder: dict = {}
-    while work:
-        m = max(work, key=_grevlex_key)
-        c = work.pop(m)
-        hit = None
-        for lm, lc, g in divisors:
-            if _divides(lm, m):
-                hit = (lm, lc, g)
-                break
-        if hit is None:
-            remainder[m] = c
-            continue
-        lm, lc, g = hit
-        shift = tuple(a - b for a, b in zip(m, lm))
-        factor = c / lc
-        for gm, gc in g.terms.items():
-            if gm == lm:
-                continue
-            mm = tuple(a + b for a, b in zip(gm, shift))
-            s = work.get(mm, 0) - factor * gc
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Polynomial(p.ring, remainder)
+    return normal_forms([p], basis)[0]
 
 
-def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
-    l = _lcm(f.leading_monomial(), g.leading_monomial())
-    mf = tuple(a - b for a, b in zip(l, f.leading_monomial()))
-    mg = tuple(a - b for a, b in zip(l, g.leading_monomial()))
-    return f.mul_term(Fraction(1) / f.leading_coeff(), mf) - \
-        g.mul_term(Fraction(1) / g.leading_coeff(), mg)
-
-
-def _gm_update(G: list, pairs: list, h: Polynomial) -> None:
-    """Gebauer-Moeller pair update; mutates ``G`` and ``pairs``."""
-    lm_h = h.leading_monomial()
-    cand = [(g, _lcm(lm_h, g.leading_monomial())) for g in G]
-    kept: list = []
-    while cand:
-        g, l = cand.pop(0)
-        if _coprime(lm_h, g.leading_monomial()):
-            continue  # Buchberger's first criterion
-        if any(_divides(l2, l) and l2 != l for _, l2 in cand) or \
-           any(_divides(l2, l) for _, l2 in kept):
-            continue  # M criterion
-        kept.append((g, l))
-    surviving = []
-    for f1, f2, l in pairs:
-        if not _divides(lm_h, l) or \
-           _lcm(f1.leading_monomial(), lm_h) == l or \
-           _lcm(f2.leading_monomial(), lm_h) == l:
-            surviving.append((f1, f2, l))
-    pairs[:] = surviving + [(h, g, l) for g, l in kept]
-    G[:] = [g for g in G if not _divides(lm_h, g.leading_monomial())]
-    G.append(h)
-
-
-def interreduce(polys: Iterable[Polynomial]) -> list:
-    """Reduce each polynomial against the others until stable; monic output."""
-    current = [p.monic() for p in polys if p]
+def _interreduce(terms_list: Iterable[dict], guard: int) -> list:
+    """Packed :func:`interreduce`: monic divisor records sorted by lead."""
+    current = [_divisor(_monic_terms(t), guard) for t in terms_list if t]
     changed = True
     while changed:
         changed = False
         nxt = []
-        for i, p in enumerate(current):
-            rest = nxt + current[i + 1:]
-            r = normal_form(p, rest)
-            if r != p:
+        for i, record in enumerate(current):
+            terms = _record_terms(record)
+            r = _reduce(dict(terms), nxt + current[i + 1:], guard)
+            if r != terms:
                 changed = True
             if r:
-                nxt.append(r.monic())
+                nxt.append(_divisor(_monic_terms(r), guard))
         current = nxt
-    current.sort(key=lambda p: _grevlex_key(p.leading_monomial()))
+    current.sort(key=lambda d: d[1])
     return current
+
+
+def _record_terms(record: tuple) -> dict:
+    _, lead, lc, tail = record
+    terms = dict(tail)
+    terms[lead] = lc
+    return terms
+
+
+def interreduce(polys: Iterable[Polynomial]) -> list:
+    """Reduce each polynomial against the others until stable; monic output
+    sorted by leading monomial."""
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    P = _Packing(ring.nvars)
+    reduced = _interreduce([P.pack_terms(p) for p in polys], P.guard)
+    return [P.polynomial(ring, _record_terms(d)) for d in reduced]
+
+
+def _s_polynomial(f: tuple, g: tuple, lcm: int) -> dict:
+    """Packed S-polynomial of two monic divisor records with lead lcm ``lcm``."""
+    shift = lcm - f[1]
+    work = {t + shift: c for t, c in f[3]}
+    shift = lcm - g[1]
+    for t, c in g[3]:
+        m = t + shift
+        s = work.get(m, 0) - c
+        if s:
+            work[m] = s
+        else:
+            work.pop(m, None)
+    return work
+
+
+def _gm_update(P: _Packing, polys: list, G: list, pairs: list, ih: int) -> None:
+    """Gebauer-Moeller update for the new basis element ``polys[ih]``.
+
+    ``G`` holds basis indices, ``pairs`` is a heap of ``(lcm, i, j)``; both
+    are updated in place.
+    """
+    guard = P.guard
+    lead_h = polys[ih][1]
+    deg_h = P.degree(lead_h)
+    lcms = {}
+    cand = []
+    for ig in G:
+        lead_g = polys[ig][1]
+        l = lcms[ig] = P.lcm(lead_h, lead_g)
+        cand.append((l, P.degree(l) != deg_h + P.degree(lead_g), ig))
+    # chain criterion (M and F): keep only the pairs whose lcm no other new
+    # pair's lcm divides.  A divisor has lower degree or is equal, so one
+    # ascending pass suffices; coprime pairs sort first among equal lcms and
+    # are dropped only after they have served as divisors
+    cand.sort()
+    kept = []
+    for l, not_coprime, ig in cand:
+        if any((kg - l) & guard == guard for kg, _, _ in kept):
+            continue
+        kept.append((l | guard, not_coprime, (l, ih, ig)))
+    # criterion B on the old pairs: drop (i, j) when lead_h divides its lcm
+    # and the pairs (i, h), (j, h) have smaller lcms
+    def lcm_with_h(i):
+        return lcms[i] if i in lcms else P.lcm(polys[i][1], lead_h)
+
+    hg = lead_h | guard
+    surviving = []
+    for pair in pairs:
+        l, i, j = pair
+        if (hg - l) & guard != guard or lcm_with_h(i) == l or lcm_with_h(j) == l:
+            surviving.append(pair)
+    surviving.extend(pair for _, not_coprime, pair in kept if not_coprime)
+    heapq.heapify(surviving)
+    pairs[:] = surviving
+    G[:] = [ig for ig in G if (hg - polys[ig][1]) & guard != guard]
+    G.append(ih)
 
 
 def buchberger(generators: Sequence[Polynomial], progress_every: int = 2000) -> list:
     """Reduced Groebner basis of the given generators (grevlex).
 
-    Uses the normal pair-selection strategy with the Gebauer-Moeller
-    criteria.  Emits progress through the module logger; the reduced basis
-    is deterministic for a fixed generator set.
+    Uses the normal pair-selection strategy (a heap keyed by lcm) with the
+    Gebauer-Moeller criteria on packed monomials.  Emits progress through the
+    module logger; the reduced basis is unique for the generated ideal.
     """
-    gens = interreduce(generators)
-    if not gens:
+    generators = [g for g in generators if g]
+    if not generators:
         return []
+    ring = generators[0].ring
+    P = _Packing(ring.nvars)
+    guard = P.guard
+    polys = _interreduce([P.pack_terms(g) for g in generators], guard)
     G: list = []
     pairs: list = []
-    for g in gens:
-        _gm_update(G, pairs, g)
+    for ih in range(len(polys)):
+        _gm_update(P, polys, G, pairs, ih)
+    divisors = [polys[ig] for ig in G]
     processed = 0
     while pairs:
-        pairs.sort(key=lambda t: _grevlex_key(t[2]), reverse=True)
-        f1, f2, _ = pairs.pop()
-        h = normal_form(s_polynomial(f1, f2), G)
+        l, i, j = heapq.heappop(pairs)
+        h = _reduce(_s_polynomial(polys[i], polys[j], l), divisors, guard)
         processed += 1
         if processed % progress_every == 0:
             log.info("buchberger: %d pairs processed, %d pending, basis size %d",
                      processed, len(pairs), len(G))
         if h:
-            _gm_update(G, pairs, h.monic())
-    return interreduce(G)
+            polys.append(_divisor(_monic_terms(h), guard))
+            _gm_update(P, polys, G, pairs, len(polys) - 1)
+            divisors = [polys[ig] for ig in G]
+    reduced = _interreduce([_record_terms(polys[ig]) for ig in G], guard)
+    return [P.polynomial(ring, _record_terms(d)) for d in reduced]
 
 
 def in_ideal(p: Polynomial, groebner: Sequence[Polynomial]) -> bool:
@@ -375,29 +523,29 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
     with its cofactor polynomial, ready to replay by expansion.
     """
     ring = target.ring
-    columns = []          # (gen_index, multiplier monomial, polynomial terms)
+    P = _Packing(ring.nvars)
+    packed = [P.pack_terms(g) for g in generators]
+    P.check_degree(max((g.degree() for g in generators), default=0) + cofactor_degree)
+    eliminated: dict = {}   # pivot monomial -> (row terms, row trail)
     for mono in _monomials_up_to(ring.nvars, cofactor_degree):
-        for i, g in enumerate(generators):
-            shifted = {tuple(a + b for a, b in zip(m, mono)): c for m, c in g.terms.items()}
-            columns.append((i, mono, shifted))
-    eliminated: dict = {}
-    for i, mono, terms in columns:
-        work = dict(terms)
-        trail = {(i, mono): Fraction(1)}
-        while work:
-            lead = max(work, key=_grevlex_key)
-            hit = eliminated.get(lead)
-            if hit is None:
-                eliminated[lead] = (work, trail)
-                break
-            pterms, ptrail = hit
-            f = work[lead] / pterms[lead]
-            _dict_submul(work, f, pterms)
-            _dict_submul(trail, f, ptrail)
-    work = dict(target.terms)
+        shift = P.pack(mono) - P.one
+        for i, terms in enumerate(packed):
+            work = {m + shift: c for m, c in terms.items()}
+            trail = {(i, mono): Fraction(1)}
+            while work:
+                lead = max(work)
+                hit = eliminated.get(lead)
+                if hit is None:
+                    eliminated[lead] = (work, trail)
+                    break
+                pterms, ptrail = hit
+                f = work[lead] / pterms[lead]
+                _dict_submul(work, f, pterms)
+                _dict_submul(trail, f, ptrail)
+    work = P.pack_terms(target)
     trail: dict = {}
     while work:
-        lead = max(work, key=_grevlex_key)
+        lead = max(work)
         hit = eliminated.get(lead)
         if hit is None:
             return None
@@ -419,7 +567,7 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
     for i, c in out:
         acc = acc + c * generators[i]
     if acc != target:
-        raise AssertionError("cofactor bookkeeping failed")
+        raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
     return out
 
 
@@ -542,54 +690,82 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
     return SymbolicRangeMatrix(m, n, ring, entries, tuple(basis))
 
 
-def _symbolic_det(entries: list, rows: tuple, cols: tuple, ring: PolyRing) -> Polynomial:
-    """Cofactor expansion along the row with the most zero entries."""
-    k = len(rows)
-    if k == 1:
-        return entries[rows[0]][cols[0]]
-    best_r = max(range(k), key=lambda r: sum(entries[rows[r]][c].is_zero() for c in cols))
-    acc = ring.zero()
-    rest_rows = rows[:best_r] + rows[best_r + 1:]
-    for pos, c in enumerate(cols):
-        e = entries[rows[best_r]][c]
-        if e.is_zero():
-            continue
-        minor = _symbolic_det(entries, rest_rows, cols[:pos] + cols[pos + 1:], ring)
-        if minor.is_zero():
-            continue
-        term = e * minor
-        acc = acc + (term if (best_r + pos) % 2 == 0 else -term)
-    return acc
+def _laplace_extend(table: dict, row: list) -> dict:
+    """Minors on one more (first) row from the ``table`` of minors on the rest.
+
+    ``table`` maps a sorted column tuple to the packed terms of its minor;
+    ``row`` lists the new row's nonzero entries as ``(column, [(monomial -
+    one, coefficient)])``.  Zero minors are left out of the result.
+    """
+    out: dict = {}
+    for cols, minor in table.items():
+        for c, entry in row:
+            if c in cols:
+                continue
+            pos = bisect.bisect(cols, c)
+            acc = out.setdefault(cols[:pos] + (c,) + cols[pos:], {})
+            for shift, ec in entry:
+                if pos % 2:
+                    ec = -ec
+                for t, tc in minor.items():
+                    m = t + shift
+                    s = acc.get(m, 0) + ec * tc
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+    return {cols: minor for cols, minor in out.items() if minor}
 
 
 def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()) -> list:
-    """All nonzero ``k x k`` minors of ``M`` as polynomials, deduplicated.
+    """All nonzero ``k x k`` minors of ``M`` as monic polynomials, deduplicated.
 
     Minors containing any excluded variable are dropped entirely; the
     exclusion is a heuristic restriction of the generator set and is
-    recorded by callers in their certificates.
+    recorded by callers in their certificates.  The output is sorted by
+    leading monomial, then term count, then the first ``(rows, cols)`` in
+    lexicographic order that yields the minor.
+
+    Rows are chosen depth first from the bottom up: the table of all ``j x j``
+    minors on a row suffix grows into the ``(j+1) x (j+1)`` table on one more
+    row by Laplace expansion along that row, so every sub-minor is computed
+    once and only the tables on the current path are held.
     """
     if k > min(M.dim_a, M.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
-    excluded = {M.ring._index[v] for v in exclude_vars}
-    entries = [list(row) for row in M.entries]
-    seen = set()
-    out = []
-    for rows in itertools.combinations(range(M.dim_a), k):
-        for cols in itertools.combinations(range(M.dim_b), k):
-            p = _symbolic_det(entries, rows, cols, M.ring)
-            if p.is_zero():
+    ring = M.ring
+    P = _Packing(ring.nvars)
+    excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
+    # nonzero entries per row as (column, [(monomial - one, coefficient)])
+    rows = [[(j, [(P.pack(m) - P.one, c) for m, c in e.terms.items()])
+             for j, e in enumerate(row) if e] for row in M.entries]
+    P.check_degree(k * max((e.degree() for row in M.entries for e in row), default=0))
+    found: dict = {}        # monic terms -> first (rows, cols)
+    # depth-first over row sets, one (rows, minors on them, rows left to
+    # prepend) frame per level
+    path = [((), {(): {P.one: Fraction(1)}}, iter(range(k - 1, M.dim_a)))]
+    while path:
+        chosen, table, candidates = path[-1]
+        r = next(candidates, None)
+        if r is None:
+            path.pop()
+            continue
+        grown = _laplace_extend(table, rows[r])
+        if not grown:
+            continue        # every larger minor on these rows vanishes too
+        chosen = (r,) + chosen
+        if len(chosen) < k:
+            path.append((chosen, grown, iter(range(k - len(chosen) - 1, r))))
+            continue
+        for cols, minor in grown.items():
+            if excluded and any(t & excluded != excluded for t in minor):
                 continue
-            if excluded and any(any(m[i] for i in excluded) for m in p.terms):
-                continue
-            p = p.monic()
-            key = frozenset(p.terms.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(p)
-    out.sort(key=lambda p: (_grevlex_key(p.leading_monomial()), len(p.terms)))
-    return out
+            key = frozenset(_monic_terms(minor).items())
+            first = found.get(key)
+            if first is None or (chosen, cols) < first:
+                found[key] = (chosen, cols)
+    out = sorted(found, key=lambda key: (max(key)[0], len(key), found[key]))
+    return [P.polynomial(ring, dict(key)) for key in out]
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +810,13 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     :class:`SNCertificate` on success, :class:`Inconclusive` otherwise.
 
     ``method="groebner"`` reduces witness powers by a Buchberger basis and
-    stores the basis for replay.  ``method="linear"`` applies to homogeneous
-    minor sets only (every coordinate-matrix entry a monomial): it solves
-    the membership linearly per degree and stores explicit cofactors
-    ``sum c_i g_i = x_w^N``, which is much faster on large instances and
-    replays by plain expansion.
+    stores the basis for replay.  ``method="linear"`` needs a homogeneous
+    minor set of one degree, which range coordinate matrices always give:
+    every entry is a linear form, so every ``k x k`` minor is homogeneous of
+    degree ``k``.  It solves the membership linearly per degree (a Macaulay
+    matrix argument, complete for homogeneous ideals) and stores explicit
+    cofactors ``sum c_i g_i = x_w^N``, which is much faster on large
+    instances and replays by plain expansion.
     """
     if n_max is None:
         n_max = 2 * k
@@ -993,4 +1171,10 @@ def poly_to_json(p: Polynomial) -> dict:
 
 
 def poly_from_json(ring: PolyRing, data: dict) -> Polynomial:
-    return Polynomial(ring, {tuple(m): Fraction(c) for m, c in data["terms"]})
+    terms = {}
+    for m, c in data["terms"]:
+        m = tuple(m)
+        if len(m) != ring.nvars or not all(type(e) is int and e >= 0 for e in m):
+            raise DimensionMismatch(f"exponents {list(m)} are not {ring.nvars} natural numbers")
+        terms[m] = Fraction(c)
+    return Polynomial(ring, terms)

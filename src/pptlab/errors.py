@@ -63,3 +63,15 @@ class ConvergenceFailure(PptlabError):
 
 class RankAmbiguity(PptlabError):
     """Floating-point rank decision is ambiguous near the tolerance."""
+
+
+class MonomialOverflow(PptlabError):
+    """A monomial degree exceeds the packed-monomial field width of its ring."""
+
+
+class InternalInconsistency(PptlabError):
+    """A computed result failed its own replay check: a defect, not bad input."""
+
+
+class CriterionFailed(PptlabError):
+    """An acceptance criterion's claim does not hold."""

@@ -157,9 +157,10 @@ def parse_scalar(text: str) -> GaussianRational:
     s = text.strip()
     if s.endswith("i"):
         body = s[:-1].strip()
-        # split at the sign separating real and imaginary parts
+        # split at the sign separating real and imaginary parts; a sign after
+        # "e" belongs to an exponent ("2e-3")
         for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/":
+            if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
                 re_part, im_part = body[:pos], body[pos] + body[pos + 1:]
                 return GaussianRational(Fraction(re_part), Fraction(im_part))
         return GaussianRational(0, Fraction(body))

@@ -188,10 +188,10 @@ def verify_sn_lower_certificate(data: dict) -> bool:
             raise CertificateInvalid("cofactor identity does not expand to the witness power")
         return True
     gb = [ac.poly_from_json(ring, g) for g in data["groebner_basis"]]
-    for g in generators:
-        if not ac.normal_form(g, gb).is_zero():
-            raise CertificateInvalid("a generator does not reduce to zero")
-    if not ac.normal_form(target, gb).is_zero():
+    *reduced, witness_rest = ac.normal_forms(generators + [target], gb)
+    if any(reduced):
+        raise CertificateInvalid("a generator does not reduce to zero")
+    if witness_rest:
         raise CertificateInvalid("witness power does not reduce to zero")
     return True
 

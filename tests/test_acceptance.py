@@ -4,6 +4,10 @@ Criterion 4's k=5 member is opt-in: set ``PPTLAB_RUN_K5=1`` to include it
 (the certification is a long-running job; see the README).
 """
 
+import os
+import subprocess
+import sys
+
 from pptlab import acceptance
 
 
@@ -49,3 +53,17 @@ def test_criterion_8_survey_replication():
 
 def test_criterion_9_witness_peel_suite():
     _check(acceptance.criterion_9())
+
+
+def test_false_claim_fails_under_python_O():
+    """Criteria check their claims without ``assert``, so ``python -O``
+    cannot turn a false claim into a PASS."""
+    code = ("from pptlab import acceptance, qstates\n"
+            "qstates.birank = lambda state: (0, 0)\n"
+            "print(acceptance.criterion_1().line())\n")
+    src = os.path.dirname(os.path.dirname(acceptance.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.startswith("FAIL"), out.stdout

@@ -1,5 +1,8 @@
 """Polynomial layer, Groebner bases, and certification rules."""
 
+import hashlib
+import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -10,6 +13,7 @@ from pptlab import algcert as ac
 from pptlab import exactmat as em
 from pptlab import qstates as qs
 from pptlab.errors import (
+    MonomialOverflow,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
     WitnessNotInRange,
@@ -141,6 +145,7 @@ def test_buchberger_matches_sympy_on_random_ideals():
         if not ours:
             continue
         gb_ours = ac.buchberger(ours)
+        assert ac.interreduce([g.scale(3) for g in reversed(gb_ours)]) == gb_ours
         gb_sympy = sympy.groebner(theirs, *xs, order="grevlex")
         ours_set = {str(g) for g in gb_ours}
         sympy_set = set()
@@ -151,6 +156,60 @@ def test_buchberger_matches_sympy_on_random_ideals():
                 terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
             sympy_set.add(str(ac.Polynomial(ring, terms).monic()))
         assert ours_set == sympy_set
+
+
+def _first_divisor_remainder(p, basis):
+    """Reference reduction on exponent tuples: the largest remaining term is
+    reduced by the first basis element whose leading monomial divides it."""
+    ring = p.ring
+    divisors = [g for g in basis if g]
+    work, remainder = dict(p.terms), {}
+    while work:
+        m = max(work, key=ac._grevlex_key)
+        c = work.pop(m)
+        g = next((g for g in divisors
+                  if all(a <= b for a, b in zip(g.leading_monomial(), m))), None)
+        if g is None:
+            remainder[m] = c
+            continue
+        shift = tuple(a - b for a, b in zip(m, g.leading_monomial()))
+        rest = ac.Polynomial(ring, {**work, m: c}) - g.mul_term(c / g.leading_coeff(), shift)
+        work = dict(rest.terms)
+    return ac.Polynomial(ring, remainder)
+
+
+def test_normal_form_first_divisor_rule_on_non_groebner_bases():
+    """Remainders modulo arbitrary bases (overlapping leads, zero entries,
+    list order mattering) match the first-divisor rule term for term."""
+    rng = random.Random(5)
+    ring = ac.PolyRing(["x", "y", "z"])
+
+    def rnd_poly(terms, degree):
+        return ac.Polynomial(ring, {tuple(rng.randint(0, degree) for _ in range(3)):
+                                    Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                    for _ in range(terms)})
+
+    for _ in range(150):
+        basis = [rnd_poly(rng.randint(0, 3), 2) for _ in range(rng.randint(1, 4))]
+        p = rnd_poly(rng.randint(1, 6), 4)
+        assert ac.normal_form(p, basis) == _first_divisor_remainder(p, basis)
+        assert ac.normal_form(p, basis[::-1]) == _first_divisor_remainder(p, basis[::-1])
+
+
+def test_oversized_exponent_raises_instead_of_wrapping():
+    ring = ac.PolyRing(["x", "y", "z"])         # four bytes per exponent field
+    top = 2 ** 31 - 1
+    x_top = ac.Polynomial(ring, {(top, 0, 0): Fraction(1)})
+    assert ac.normal_form(x_top, [ring.var("y")]) == x_top
+    with pytest.raises(MonomialOverflow):
+        ac.normal_form(ac.Polynomial(ring, {(top + 1, 0, 0): Fraction(1)}), [ring.var("y")])
+    wide = ac.PolyRing([f"x{i}" for i in range(40)])  # one byte: degrees up to 127
+    x0, x1, x2 = (wide.var(f"x{i}") for i in range(3))
+    with pytest.raises(MonomialOverflow):
+        ac.normal_form(x0 ** 128, [x1])
+    # lead lcms of degree 200 in the pair update
+    with pytest.raises(MonomialOverflow):
+        ac.buchberger([x0 ** 100 + x1, x2 ** 100 + x1])
 
 
 # -- range coordinate matrices ---------------------------------------------------------
@@ -230,6 +289,85 @@ def test_minor_exclusion_filter():
         assert all(not any(mono[i] for i in banned) for mono in p.terms)
     unfiltered = ac.minor_ideal(sym, 3)
     assert len(unfiltered) > len(filtered)
+
+
+def test_minor_ideal_matches_sympy_determinants():
+    """The monic nonzero k x k determinants of random sparse linear-form
+    matrices, expanded by sympy, deduplicated and in the documented order,
+    with and without an excluded variable."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    names = ("a", "b", "c", "d", "e")
+    ring = ac.PolyRing(names)
+    syms = sympy.symbols(names)
+    units = [tuple(int(t == l) for t in range(len(names))) for l in range(len(names))]
+    for _ in range(12):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        cells = [[{l: Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
+                   for l in rng.sample(range(len(names)), rng.choice((0, 1, 1, 2)))}
+                  for _ in range(n)] for _ in range(m)]
+        sym = ac.SymbolicRangeMatrix(m, n, ring, tuple(
+            tuple(ac.Polynomial(ring, {units[l]: c for l, c in cell.items()}) for cell in row)
+            for row in cells), ())
+        S = sympy.Matrix(m, n, lambda i, j: sum(
+            sympy.Rational(c.numerator, c.denominator) * syms[l] for l, c in cells[i][j].items()))
+        for k in range(1, min(m, n) + 1):
+            dets = []
+            for rows in itertools.combinations(range(m), k):
+                for cols in itertools.combinations(range(n), k):
+                    det = sympy.Poly(S.extract(list(rows), list(cols)).det(), *syms)
+                    if not det.is_zero:
+                        dets.append(ac.Polynomial(ring, {
+                            tuple(e): Fraction(int(c.p), int(c.q)) for e, c in det.terms()}))
+            excluded = rng.randrange(len(names))
+            for exclude in ((), (names[excluded],)):
+                # first occurrence in (rows, cols) order, then a stable sort
+                expected = {}
+                for p in dets:
+                    if not (exclude and any(mono[excluded] for mono in p.terms)):
+                        p = p.monic()
+                        expected.setdefault(frozenset(p.terms.items()), p)
+                expected = sorted(expected.values(), key=lambda p: (
+                    ac._grevlex_key(p.leading_monomial()), len(p.terms)))
+                assert ac.minor_ideal(sym, k, exclude) == expected
+
+
+def test_minor_ideal_ties_keep_the_first_lexicographic_position():
+    """Minors with equal lead and length keep the order of their first
+    (rows, cols) occurrence.  A = ad - bc comes from rows (0, 3) and (1, 2),
+    B = 2ad - bc (monic: bc - 2ad) from rows (0, 4) only, so A precedes B."""
+    ring = ac.PolyRing(["a", "b", "c", "d"])
+    a, b, c, d = (ring.var(v) for v in ring.variables)
+    rows = [(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))]
+    sym = ac.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
+    minors = ac.minor_ideal(sym, 2)
+    first = (b * c - a * d).monic()
+    second = (b * c - (a * d).scale(2)).monic()
+    assert minors.index(first) + 1 == minors.index(second)
+
+
+def _json_digest(polys):
+    payload = json.dumps([ac.poly_to_json(p) for p in polys], sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("k, generators, gens_digest, basis_size, basis_digest", [
+    (3, 21, "dcc1175fa0a29cf5a29efabe926020f2db0b2d4d60c152bb5e5b2bc2f1485570",
+     24, "fba744e1e0529cc2e380dd97fd270054b295a1f1f9c2df00cca8213b389c908c"),
+    (4, 138, "fe20ce885d60aebb332768da597c296c96c01f98c18687255bb5311b04328600",
+     488, "b1fb0fa874fdc73018cae447e848b9a28c2835b89f9b4f9e4a0218ecb558a03c"),
+], ids=["family3", "family4"])
+def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
+                                                     basis_size, basis_digest):
+    """The certify-sn generator list (content and order) and its reduced
+    Groebner basis, pinned by SHA-256 of their JSON."""
+    st = qs.rho_family(k)
+    deltas = [e.name for e in st.edges if e.name.startswith("delta")]
+    sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming="edge")
+    gens = ac.minor_ideal(sym, k, exclude_vars=deltas)
+    assert (len(gens), _json_digest(gens)) == (generators, gens_digest)
+    gb = ac.buchberger(gens)
+    assert (len(gb), _json_digest(gb)) == (basis_size, basis_digest)
 
 
 # -- minor consequence chain of the 3x3 grid state ------------------------------------------------------------------

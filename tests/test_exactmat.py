@@ -67,6 +67,18 @@ def test_scalar_serialization_roundtrip():
     assert em.parse_scalar("3") == em.GaussianRational(3)
 
 
+@given(st.fractions(), st.fractions())
+def test_parse_scalar_inverts_format_scalar(re, im):
+    z = em.GaussianRational(re, im)
+    assert em.parse_scalar(em.format_scalar(z)) == z
+
+
+def test_parse_scalar_exponent_notation():
+    assert em.parse_scalar("1+2e-3 i") == em.GaussianRational(1, Fraction(2, 1000))
+    assert em.parse_scalar("1e-3-2E+2 i") == em.GaussianRational(Fraction(1, 1000), -200)
+    assert em.parse_scalar("-2e-3 i") == em.GaussianRational(0, Fraction(-2, 1000))
+
+
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         em.ONE / em.ZERO

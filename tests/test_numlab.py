@@ -181,7 +181,8 @@ def test_eigenvalues_match_exact_characteristic_polynomial():
                 entries[j][i] = entries[i][j]
         sym_entries = [[x.scale(1 if i == j else 0) - ring.constant(entries[i][j])
                         for j in range(3)] for i in range(3)]
-        charpoly = ac._symbolic_det(sym_entries, (0, 1, 2), (0, 1, 2), ring)
+        sym = ac.SymbolicRangeMatrix(3, 3, ring, tuple(map(tuple, sym_entries)), ())
+        [charpoly] = ac.minor_ideal(sym, 3)  # det(xI - A) is monic already
         M = np.array([[float(v) for v in row] for row in entries])
         w = np.linalg.eigvalsh(M)
         scale = max(1.0, np.abs(w).max()) ** 3

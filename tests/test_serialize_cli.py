@@ -1,5 +1,6 @@
 """Serialization round-trips, certificate replay, and the CLI surface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -169,6 +170,18 @@ def test_cli_certify_inconclusive_exit(tmp_path):
     assert cli.run(["certify-sn", "--state", str(f), "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize("state, args, digest", [
+    ("rho4x5", [], "808dc24d9e3f3aeec5fed4ed91ab97e9aba1f6b6f8ef113496ca11befe9771d5"),
+    ("family:3", ["--exclude-deltas"],
+     "7d31ffe1a9dd500e1ee7f68ebee9e4c7265106b0be272910fd6ebb94dc6f71a1"),
+], ids=["rho4x5", "family3"])
+def test_certify_sn_json_pinned(tmp_path, state, args, digest):
+    """certify-sn output bytes are pinned by SHA-256."""
+    out = tmp_path / "cert.json"
+    assert cli.run(["certify-sn", "--state", state, *args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_verify_fresh_process(tmp_path):
     cert = tmp_path / "c.json"
     assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
@@ -278,3 +291,16 @@ def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
     lower["variables"] = lower["variables"][:-1]
     with pytest.raises(se.CertificateInvalid, match="one variable per basis vector"):
         se.verify_certificate(lower)
+
+
+@pytest.mark.parametrize("exponents", [
+    [0.5, 0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1, 2], ["1", 0, 0, 0, 1],
+], ids=["float", "short", "negative", "string"])
+def test_malformed_exponents_fail_verify(rho3x3_verdict, tmp_path, exponents):
+    """A tampered exponent vector in the stored Groebner basis is rejected
+    by a clean verify failure, not accepted and not a crash."""
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    lower["groebner_basis"][-1]["terms"][0][0] = exponents
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(lower))
+    assert cli.run(["verify", str(path)]) == 1
