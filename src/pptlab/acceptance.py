@@ -153,10 +153,10 @@ def criterion_4(include_k5: bool | None = None) -> CriterionResult:
     antidiagonal weights, SN = k for k in {2, 3, 4} (k=5 opt-in)."""
     if include_k5 is None:
         include_k5 = os.environ.get("PPTLAB_RUN_K5", "") == "1"
+    ks = (2, 3, 4, 5) if include_k5 else (2, 3, 4)
 
     def body():
         details = {}
-        ks = (2, 3, 4, 5) if include_k5 else (2, 3, 4)
         for k in ks:
             st = qs.rho_family(k)
             dim = 2 * k - 1
@@ -191,7 +191,7 @@ def criterion_4(include_k5: bool | None = None) -> CriterionResult:
         return details
 
     limit = None if include_k5 else 600.0
-    return _run(4, "scaling family SN = k (k = 2, 3, 4)", limit, body)
+    return _run(4, f"scaling family SN = k (k = {', '.join(map(str, ks))})", limit, body)
 
 
 def criterion_5() -> CriterionResult:
@@ -256,10 +256,8 @@ def criterion_6() -> CriterionResult:
             chi_vec = ex.coupling_choi_vector(blocks.coupling, m, n)
             space = spaces[name]
             _check(space.solution_space.contains(chi_vec), f"{name}: coupling not a solution")
-            trivial = em.Subspace(m * n * n, [
-                ex.coupling_choi_vector(ex.slocc_coupling(sw, em.basis_vector(m, i)), m, n)
-                for i in range(m)])
-            _check(not trivial.contains(chi_vec), f"{name}: coupling is trivial")
+            _check(not ex.trivial_coupling_space(sw).contains(chi_vec),
+                   f"{name}: coupling is trivial")
             summary[name]["pipeline_coupling"] = "nontrivial solution"
         return summary
 

@@ -797,12 +797,11 @@ class Inconclusive:
 
 
 def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
-                     n_max: int | None = None, exclude_vars: Sequence[str] = (),
-                     require_orthogonal_basis: bool = True, naming: str = "site",
+                     exclude_vars: Sequence[str] = (), naming: str = "site",
                      method: str = "groebner"):
     """Certify ``SN(s) >= k`` through the range criterion.
 
-    Searches the smallest ``N <= n_max`` with ``x_w^N`` in the ideal of
+    Searches the smallest ``N <= 2k`` with ``x_w^N`` in the ideal of
     ``k x k`` minors, where ``x_w`` is the single range coordinate the
     witness overlaps.  Membership means every Schmidt-rank ``k-1`` vector in
     the range is orthogonal to the witness, which itself lies in the range,
@@ -816,15 +815,15 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     degree ``k``.  It solves the membership linearly per degree (a Macaulay
     matrix argument, complete for homogeneous ideals) and stores explicit
     cofactors ``sum c_i g_i = x_w^N``, which is much faster on large
-    instances and replays by plain expansion.
+    instances and replays by plain expansion.  The minors have degree ``k``,
+    so no power below ``k`` lies in the ideal; the verifier accepts exactly
+    the powers ``k <= N <= 2k`` this search can return.
     """
-    if n_max is None:
-        n_max = 2 * k
+    n_max = 2 * k
     m, n = s.dims
     if not em.column_space(s.matrix).contains(witness_vector):
         raise WitnessNotInRange("witness vector is not in R(rho)")
-    sym = range_coordinate_matrix(s, require_orthogonal_basis=require_orthogonal_basis,
-                                  naming=naming)
+    sym = range_coordinate_matrix(s, require_orthogonal_basis=True, naming=naming)
     overlaps = [(name, em.vdot(v, witness_vector)) for name, v in sym.basis]
     nonzero = [(name, c) for name, c in overlaps if c]
     if len(nonzero) != 1:

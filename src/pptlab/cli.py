@@ -135,8 +135,7 @@ def cmd_certify_sn(args) -> int:
     exclude = [e.name for e in state.edges if e.name.startswith("delta")] \
         if args.exclude_deltas else []
     naming = "edge" if exclude else "site"
-    lower = ac.certify_sn_lower(state, witness, k, n_max=args.nmax,
-                                exclude_vars=exclude, naming=naming,
+    lower = ac.certify_sn_lower(state, witness, k, exclude_vars=exclude, naming=naming,
                                 method=args.method)
     upper = ac.sn_upper_from_decomposition([e.vec for e in state.edges],
                                            [e.weight for e in state.edges], state)
@@ -354,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify-sn", help="Schmidt number certification (lower + upper)")
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, help="target Schmidt number (default: max edge SR)")
-    p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--method", choices=("groebner", "linear"), default="groebner",
                    help="ideal-membership route: Groebner reduction or the "
                         "homogeneous cofactor solver")

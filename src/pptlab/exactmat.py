@@ -95,18 +95,11 @@ class GaussianRational:
             return self
         return GaussianRational._raw(self.re, -self.im)
 
-    def inverse(self) -> "GaussianRational":
-        return ONE / self
-
     def abs2(self) -> Fraction:
         """Squared modulus; exact, nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
     # -- predicates & conversions ---------------------------------------
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -188,9 +181,6 @@ def basis_vector(n: int, j: int) -> Vector:
 
 def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_scale(c, v: Vector) -> Vector:

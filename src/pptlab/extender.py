@@ -6,11 +6,16 @@ A (1,0)-extension adjoins one level ``|perp>`` to side A of a core state
     rho = [[rho_c, chi], [chi*, rho_e]],
 
 where ``chi`` couples the new level into the core and ``rho_e`` lives on
-``|perp> (x) C^n``.  Extensions of side B reuse the same machinery through
-subsystem swaps.  The linear constraints a PPT extension places on ``chi``
-are solved exactly in the tripartite Choi-dual picture, where the coupling
-becomes a vector ``|chi>`` in A (x) B (x) B' and partial transposition acts
-as the swap of B and B'.
+``|perp> (x) C^n``.  :func:`level_indices` is the one map from the core and
+the new level into the extended product basis, on either side.  A side-B
+(0,1)-extension is placed directly at its B-level; the constructions whose
+formulas are written for side A (SLOCC and product-pair extensions, the PPT
+extremality check) build their blocks on the swapped core and come back
+through :func:`_from_a_frame`.  The flat edge ``chi* rho_c^+ chi`` does not
+depend on the frame and is computed in place.  The linear constraints a PPT
+extension places on ``chi`` are solved exactly in the tripartite Choi-dual
+picture, where the coupling becomes a vector ``|chi>`` in A (x) B (x) B' and
+partial transposition acts as the swap of B and B'.
 
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
@@ -70,6 +75,27 @@ class ExtensionBlocks:
         return (m + 1, n) if self.side == "A" else (m, n + 1)
 
 
+def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):
+    """Place a core and one adjoined level in an ``m_ext x n_ext`` product basis.
+
+    Returns ``(core_idx, new_idx)``: ``core_idx[i]`` is the extended flat
+    index of the core's basis vector ``i`` (the core is the system without
+    level ``perp_index`` of ``side``), and ``new_idx[j]`` that of the
+    adjoined level paired with basis vector ``j`` of the other side.
+    """
+    if not 0 <= perp_index < (m_ext if side == "A" else n_ext):
+        raise BoundsViolation(f"perp_index outside side {side}")
+    if side == "A":
+        keep = [a for a in range(m_ext) if a != perp_index]
+        core_idx = [a * n_ext + b for a in keep for b in range(n_ext)]
+        new_idx = [perp_index * n_ext + b for b in range(n_ext)]
+    else:
+        keep = [b for b in range(n_ext) if b != perp_index]
+        core_idx = [a * n_ext + b for a in range(m_ext) for b in keep]
+        new_idx = [a * n_ext + perp_index for a in range(m_ext)]
+    return core_idx, new_idx
+
+
 def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int):
     """Split an operator on an ``m x n`` system at one local level.
 
@@ -78,20 +104,8 @@ def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int)
     """
     if M.shape != (m * n, m * n):
         raise DimensionMismatch("operator size does not match dimensions")
-    if side == "A":
-        if not (0 <= perp_index < m):
-            raise BoundsViolation("perp_index outside side A")
-        amap = [a for a in range(m) if a != perp_index]
-        core_idx = [a * n + b for a in amap for b in range(n)]
-        new_idx = [perp_index * n + b for b in range(n)]
-        core_dims = (m - 1, n)
-    else:
-        if not (0 <= perp_index < n):
-            raise BoundsViolation("perp_index outside side B")
-        bmap = [b for b in range(n) if b != perp_index]
-        core_idx = [a * n + b for a in range(m) for b in bmap]
-        new_idx = [a * n + perp_index for a in range(m)]
-        core_dims = (m, n - 1)
+    core_idx, new_idx = level_indices(m, n, side, perp_index)
+    core_dims = (m - 1, n) if side == "A" else (m, n - 1)
     core = em.ExactMatrix([[M.entry(r, c) for c in core_idx] for r in core_idx])
     chi = em.ExactMatrix([[M.entry(r, c) for c in new_idx] for r in core_idx])
     edge = em.ExactMatrix([[M.entry(r, c) for c in new_idx] for r in new_idx])
@@ -102,16 +116,8 @@ def assemble_matrix(core: em.ExactMatrix, chi: em.ExactMatrix, edge: em.ExactMat
                     core_dims: tuple, side: Side, perp_index: int) -> em.ExactMatrix:
     """Inverse of :func:`split_matrix`."""
     m, n = core_dims
-    if side == "A":
-        m_ext, n_ext = m + 1, n
-        amap = [a for a in range(m_ext) if a != perp_index]
-        core_idx = [a * n_ext + b for a in amap for b in range(n_ext)]
-        new_idx = [perp_index * n_ext + b for b in range(n_ext)]
-    else:
-        m_ext, n_ext = m, n + 1
-        bmap = [b for b in range(n_ext) if b != perp_index]
-        core_idx = [a * n_ext + b for a in range(m_ext) for b in bmap]
-        new_idx = [a * n_ext + perp_index for a in range(m_ext)]
+    m_ext, n_ext = (m + 1, n) if side == "A" else (m, n + 1)
+    core_idx, new_idx = level_indices(m_ext, n_ext, side, perp_index)
     size = m_ext * n_ext
     out = [[em.ZERO] * size for _ in range(size)]
     for i, r in enumerate(core_idx):
@@ -146,21 +152,20 @@ def assemble_extension(blocks: ExtensionBlocks, label: str = "") -> qs.Bipartite
 # Schur complements
 # ---------------------------------------------------------------------------
 
-def schur_complement(blocks: ExtensionBlocks, which: str = "edge_minus_core") -> em.ExactMatrix:
-    """``rho_e - chi* rho_c^{-1} chi`` or ``rho_c - chi rho_e^{-1} chi*``.
+def _flat_edge(rho_c: em.ExactMatrix, chi: em.ExactMatrix):
+    """``(K, chi* K)`` with ``K = rho_c^{-1} chi`` solved on the range.
 
-    The pseudoinverse acts through range-restricted solving; a range
-    violation signals that the assembled operator cannot be PSD.
+    ``chi* K`` is the edge block of the flat extension, the same for every
+    solution ``K`` and in every frame.  A range violation signals that no
+    edge block makes the assembled operator PSD.
     """
-    rho_c = blocks.core.matrix
-    chi, rho_e = blocks.coupling, blocks.edge
-    if which == "edge_minus_core":
-        K = em.solve_on_range_matrix(rho_c, chi)
-        return rho_e - chi.adjoint().matmul(K)
-    if which == "core_minus_edge":
-        K = em.solve_on_range_matrix(rho_e, chi.adjoint())
-        return rho_c - chi.matmul(K)
-    raise ValueError(f"unknown Schur complement {which!r}")
+    K = em.solve_on_range_matrix(rho_c, chi)
+    return K, chi.adjoint().matmul(K)
+
+
+def schur_complement(blocks: ExtensionBlocks) -> em.ExactMatrix:
+    """Edge Schur complement ``rho_e - chi* rho_c^{-1} chi``."""
+    return blocks.edge - _flat_edge(blocks.core.matrix, blocks.coupling)[1]
 
 
 def pt_coupling(chi: em.ExactMatrix, m: int, n: int) -> em.ExactMatrix:
@@ -183,10 +188,8 @@ def schur_complement_pt(blocks: ExtensionBlocks) -> em.ExactMatrix:
     """Edge Schur complement of the partial transpose of the extension."""
     blocks = _to_a_frame(blocks)
     m, n = blocks.core.dims
-    rho_ta = blocks.core.partial_transpose("A")
     X = pt_coupling(blocks.coupling, m, n)
-    K = em.solve_on_range_matrix(rho_ta, X)
-    return blocks.edge - X.adjoint().matmul(K)
+    return blocks.edge - _flat_edge(blocks.core.partial_transpose("A"), X)[1]
 
 
 def _to_a_frame(blocks: ExtensionBlocks) -> ExtensionBlocks:
@@ -199,13 +202,23 @@ def _to_a_frame(blocks: ExtensionBlocks) -> ExtensionBlocks:
                            blocks.perp_index)
 
 
+def _from_a_frame(blocks_a: ExtensionBlocks, core: qs.BipartiteState, side: Side) -> ExtensionBlocks:
+    """Inverse of :func:`_to_a_frame`: side-A blocks built on the swapped
+    ``core`` become side-B blocks of ``core``; side-A blocks pass through."""
+    if side == "A":
+        return blocks_a
+    n, m = blocks_a.core.dims
+    return ExtensionBlocks(core, _swap_coupling_rows(blocks_a.coupling, n, m), blocks_a.edge, "B",
+                           blocks_a.perp_index)
+
+
 def _swap_coupling_rows(chi: em.ExactMatrix, m: int, n: int) -> em.ExactMatrix:
     """Reorder coupling rows from ``(a, b)`` on an ``m x n`` core to ``(b, a)``.
 
     This moves a side-B coupling into the frame of the swapped core; the
     same map with ``(n, m)`` moves it back.
     """
-    return em.ExactMatrix([chi.row(a * n + b) for b in range(n) for a in range(m)])
+    return em.ExactMatrix([chi.row(r) for r in qs.swap_index(m, n)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +226,11 @@ def _swap_coupling_rows(chi: em.ExactMatrix, m: int, n: int) -> em.ExactMatrix:
 # ---------------------------------------------------------------------------
 
 def coupling_choi_vector(chi: em.ExactMatrix, m: int, n: int) -> em.Vector:
-    """Vectorize an A-side coupling into the tripartite index ``(a, b, c)``."""
-    out = [em.ZERO] * (m * n * n)
-    for ab in range(m * n):
-        for c in range(n):
-            out[ab * n + c] = chi.entry(ab, c)
-    return tuple(out)
+    """Vectorize an A-side coupling into the tripartite index ``(a, b, c)``:
+    the rows ``(a, b)`` of ``chi`` laid end to end."""
+    if chi.shape != (m * n, n):
+        raise DimensionMismatch("coupling of unexpected shape")
+    return tuple(x for ab in range(m * n) for x in chi.row(ab))
 
 
 def coupling_from_choi(w: em.Vector, m: int, n: int) -> em.ExactMatrix:
@@ -266,6 +278,14 @@ def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
     return em.ExactMatrix.from_cols(cols)
 
 
+def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
+    """Span of the side-A SLOCC couplings ``slocc_coupling(core, |i>)`` as
+    Choi vectors; every trivial extension's coupling lies in it."""
+    m, n = core.dims
+    return em.Subspace(m * n * n, [coupling_choi_vector(slocc_coupling(core, em.basis_vector(m, i)),
+                                                        m, n) for i in range(m)])
+
+
 def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     """Solve the joint fixed-point system for side-A PPT couplings.
 
@@ -284,10 +304,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     joint = P1 + P2 - em.ExactMatrix.identity(N).scale(2)
     _, sol = em.rank_and_kernel(joint)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
-
-    trivial_vecs = [coupling_choi_vector(slocc_coupling(core, em.basis_vector(m, i)), m, n)
-                    for i in range(m)]
-    trivial_dim = em.Subspace(N, trivial_vecs).dim
+    trivial_dim = trivial_coupling_space(core).dim
     p = em.rank(rho)
     q = em.rank(rho_ta)
     return ExtensionSpace(dimension=sol.dim, basis=basis, trivial_dimension=trivial_dim,
@@ -336,16 +353,12 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side = "A",
     The new level is appended as the last local index.  The output is PPT
     iff the core is, and no decomposition vector gains Schmidt rank.
     """
-    if side == "B":
-        sw = slocc_extension(qs.swap_subsystems(core), phi, "A")
-        out = qs.swap_subsystems(sw)
-        return qs.BipartiteState(out.dim_a, out.dim_b, out.matrix,
-                                 label=label or f"slocc({core.label})", _skip_checks=True)
-    m, n = core.dims
-    chi = slocc_coupling(core, phi)
-    edge = _alpha_sandwich(core.matrix, phi, m, n)
-    blocks = ExtensionBlocks(core, chi, edge, "A", m)
-    return assemble_extension(blocks, label=label or f"slocc({core.label})")
+    frame = core if side == "A" else qs.swap_subsystems(core)
+    m, n = frame.dims
+    blocks_a = ExtensionBlocks(frame, slocc_coupling(frame, phi),
+                               _alpha_sandwich(frame.matrix, phi, m, n), "A", m)
+    return assemble_extension(_from_a_frame(blocks_a, core, side),
+                              label=label or f"slocc({core.label})")
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
@@ -363,17 +376,12 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     The assembled extension is verified PPT exactly before returning, and
     verified to lie outside the trivial SLOCC coupling family.
     """
-    if side == "B":
-        blocks_sw = product_pair_extension(qs.swap_subsystems(core), alpha, beta, gamma, "A")
-        m, n = core.dims
-        return ExtensionBlocks(core, _swap_coupling_rows(blocks_sw.coupling, n, m),
-                               blocks_sw.edge, "B", n)
-
-    m, n = core.dims
+    frame = core if side == "A" else qs.swap_subsystems(core)
+    m, n = frame.dims
     if len(alpha) != m or len(beta) != n or len(gamma) != n:
         raise DimensionMismatch("alpha on the extended side, beta/gamma on the other side")
-    rho = core.matrix
-    rho_ta = core.partial_transpose("A")
+    rho = frame.matrix
+    rho_ta = frame.partial_transpose("A")
     bg = em.vdot(beta, gamma)
     if bg.abs2() == em.vdot(beta, beta).re * em.vdot(gamma, gamma).re:
         raise PreconditionViolation("beta and gamma are parallel")
@@ -391,7 +399,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     s1 = em.vdot(ab, em.solve_on_range(rho, ab))
     s2 = em.vdot(ag, em.solve_on_range(rho_ta, ag))
     edge = em.weighted_gram([gamma, beta], [s1, s2], n)
-    blocks = ExtensionBlocks(core, chi, edge, "A", m)
+    blocks = ExtensionBlocks(frame, chi, edge, "A", m)
     try:
         ext = assemble_extension(blocks)
     except NotPsd as exc:
@@ -399,12 +407,9 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "A")
     if not em.psd_check(pt).is_psd:
         raise PPTFailure("assembled extension fails the exact PPT check")
-    trivial = [coupling_choi_vector(slocc_coupling(core, em.basis_vector(m, i)), m, n)
-               for i in range(m)]
-    span = em.Subspace(m * n * n, trivial)
-    if span.contains(coupling_choi_vector(chi, m, n)):
+    if trivial_coupling_space(frame).contains(coupling_choi_vector(chi, m, n)):
         raise PreconditionViolation("coupling lies inside the trivial SLOCC family")
-    return blocks
+    return _from_a_frame(blocks, core, side)
 
 
 def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, m: int, n: int) -> em.ExactMatrix:
@@ -427,17 +432,13 @@ def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, m: int, n: int) -> em
 
 def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side = "A",
                    label: str = "") -> qs.BipartiteState:
-    """Extension with the unique edge block making the Schur complement zero."""
-    if side == "B":
-        m, n = core.dims
-        sw = flat_extension(qs.swap_subsystems(core), _swap_coupling_rows(chi, m, n), "A")
-        out = qs.swap_subsystems(sw)
-        return qs.BipartiteState(out.dim_a, out.dim_b, out.matrix,
-                                 label=label or f"flat({core.label})", _skip_checks=True)
-    m, n = core.dims
-    K = em.solve_on_range_matrix(core.matrix, chi)
-    edge = chi.adjoint().matmul(K)
-    blocks = ExtensionBlocks(core, chi, edge, "A", m)
+    """Extension with the unique edge block making the Schur complement zero.
+
+    ``chi`` has rows indexed by the core product basis and one column per
+    basis vector of the other side; the new level is the last local index.
+    """
+    perp = core.dim_a if side == "A" else core.dim_b
+    blocks = ExtensionBlocks(core, chi, _flat_edge(core.matrix, chi)[1], side, perp)
     return assemble_extension(blocks, label=label or f"flat({core.label})")
 
 
@@ -467,29 +468,19 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     m, n = blocks.core.dims
     if em.weighted_gram(core_vectors, weights, m * n) != blocks.core.matrix:
         raise DecompositionMismatch("core vectors do not reproduce the core block")
-    K = em.solve_on_range_matrix(blocks.core.matrix, blocks.coupling)
+    K, flat_edge = _flat_edge(blocks.core.matrix, blocks.coupling)
     Kadj = K.adjoint()
     m_ext, n_ext = ext.dims
+    core_idx, new_idx = level_indices(m_ext, n_ext, side, perp_index)
     lifted = []
     for v, w in zip(core_vectors, weights):
-        tail = Kadj.matvec(v)
         out = [em.ZERO] * (m_ext * n_ext)
-        if side == "A":
-            amap = [a for a in range(m_ext) if a != perp_index]
-            for a in range(m):
-                for b in range(n):
-                    out[amap[a] * n_ext + b] = v[a * n + b]
-            for b, t in enumerate(tail):
-                out[perp_index * n_ext + b] = t
-        else:
-            bmap = [b for b in range(n_ext) if b != perp_index]
-            for a in range(m):
-                for b in range(n):
-                    out[a * n_ext + bmap[b]] = v[a * n + b]
-            for a, t in enumerate(tail):
-                out[a * n_ext + perp_index] = t
+        for r, x in zip(core_idx, v):
+            out[r] = x
+        for r, t in zip(new_idx, Kadj.matvec(v)):
+            out[r] = t
         lifted.append((tuple(out), w))
-    remainder_edge = blocks.edge - blocks.coupling.adjoint().matmul(K)
+    remainder_edge = blocks.edge - flat_edge
     zero_core = em.ExactMatrix.zeros(m * n, m * n)
     zero_chi = em.ExactMatrix.zeros(m * n, remainder_edge.rows)
     remainder = assemble_matrix(zero_core, zero_chi, remainder_edge, (m, n), side, perp_index)
@@ -582,11 +573,10 @@ def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
         res = em.psd_check(blocks_a.edge)
         parts = _embedded_rank_ones(res, blocks_a, m, n)
         return PsdExtremality(False, "edge block of rank above one", None, parts)
-    rho_ec = schur_complement(blocks_a, "edge_minus_core")
+    flat_edge = _flat_edge(blocks_a.core.matrix, blocks_a.coupling)[1]
+    rho_ec = blocks_a.edge - flat_edge
     if rho_ec.is_zero():
         return PsdExtremality(True, "flat extension")
-    K = em.solve_on_range_matrix(blocks_a.core.matrix, blocks_a.coupling)
-    flat_edge = blocks_a.coupling.adjoint().matmul(K)
     flat = assemble_matrix(blocks_a.core.matrix, blocks_a.coupling, flat_edge,
                            (m, n), "A", blocks_a.perp_index)
     res = em.psd_check(rho_ec)
@@ -595,11 +585,12 @@ def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
 
 
 def _embedded_rank_ones(res: em.PsdResult, blocks_a: ExtensionBlocks, m: int, n: int) -> tuple:
+    _, new_idx = level_indices(m + 1, n, "A", blocks_a.perp_index)
     parts = []
     for (_, d), col in zip(res.pivots, res.columns):
         vec = [em.ZERO] * ((m + 1) * n)
-        for b, x in enumerate(col):
-            vec[blocks_a.perp_index * n + b] = x
+        for r, x in zip(new_idx, col):
+            vec[r] = x
         parts.append((tuple(vec), Fraction(d)))
     return tuple(parts)
 
@@ -633,7 +624,7 @@ def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "A")
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")
-    rho_ec = schur_complement(blocks_a, "edge_minus_core")
+    rho_ec = schur_complement(blocks_a)
     rho_ta_ec = schur_complement_pt(blocks_a)
     r1 = em.column_space(rho_ec)
     r2 = em.column_space(rho_ta_ec)
@@ -646,28 +637,9 @@ def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     v_basis = em.column_space(rho_ta.conjugate()).basis
     y_basis = r2.basis
     N = m * n * n
-    s1 = []
-    for u in u_basis:
-        for w in w_basis:
-            vec = [em.ZERO] * N
-            for ab in range(m * n):
-                if u[ab]:
-                    for c in range(n):
-                        if w[c]:
-                            vec[ab * n + c] = u[ab] * w[c]
-            s1.append(tuple(vec))
-    s2 = []
-    for v in v_basis:
-        for y in y_basis:
-            vec = [em.ZERO] * N
-            for a in range(m):
-                for c in range(n):
-                    x = v[a * n + c]
-                    if x:
-                        for b in range(n):
-                            if y[b]:
-                                vec[(a * n + b) * n + c] = x * y[b]
-            s2.append(tuple(vec))
+    s1 = [em.kron_vec(u, w) for u in u_basis for w in w_basis]
+    s2 = [tuple(v[a * n + c] * y[b] for a in range(m) for b in range(n) for c in range(n))
+          for v in v_basis for y in y_basis]
     inter = em.subspace_intersection(em.Subspace(N, s1), em.Subspace(N, s2))
     certified = triv and inter.dim == 0
     verdict = "Extremal" if certified else "NotCertified"
@@ -692,8 +664,7 @@ def witness_schur_peel(W: em.ExactMatrix, dims: tuple, side: Side, perp_index: i
     if not W.is_hermitian():
         raise NotHermitian("witness must be Hermitian")
     Wc, chi, We, core_dims = split_matrix(W, m, n, side, perp_index)
-    K = em.solve_on_range_matrix(We, chi.adjoint())  # W_e^{-1} chi*
-    flat_core = chi.matmul(K)
+    flat_core = _flat_edge(We, chi.adjoint())[1]  # chi W_e^{-1} chi*
     W_peeled = Wc - flat_core
     psd_part = assemble_matrix(flat_core, chi, We, core_dims, side, perp_index)
     embedded = assemble_matrix(W_peeled, em.ExactMatrix.zeros(*chi.shape),

@@ -22,15 +22,9 @@ from .errors import BoundsViolation, DecompositionMismatch, DimensionMismatch, I
 
 Side = Literal["A", "B"]
 
-Site = tuple  # (i, j)
-
 
 def flat_index(i: int, j: int, n: int) -> int:
     return i * n + j
-
-
-def site_of(index: int, n: int) -> Site:
-    return divmod(index, n)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +199,6 @@ def partial_transpose_matrix(M: em.ExactMatrix, m: int, n: int, side: Side = "B"
     return em.ExactMatrix(out)
 
 
-def partial_transpose(s: BipartiteState, side: Side = "B") -> em.ExactMatrix:
-    return s.partial_transpose(side)
-
-
 def birank(s: BipartiteState) -> tuple:
     """Pair ``(rank(rho), rank(rho^Ta))``, both exact."""
     p = em.rank(s.matrix)
@@ -216,30 +206,26 @@ def birank(s: BipartiteState) -> tuple:
     return (p, q)
 
 
+def swap_index(m: int, n: int) -> list:
+    """The A<->B relabelling of an ``m x n`` product basis: entry ``j*m + i``
+    is ``i*n + j``, the index of ``|i>_A (x) |j>_B`` before the swap.
+
+    Reading any index set through it moves that set into the swapped
+    ``n x m`` frame; ``swap_index(n, m)`` moves it back.
+    """
+    return [flat_index(i, j, n) for j in range(n) for i in range(m)]
+
+
 def swap_subsystems(s: BipartiteState) -> BipartiteState:
     """Relabel A and B: ``<ji|rho'|lk> = <ij|rho|kl>``; an involution."""
-    m, n = s.dim_a, s.dim_b
-    size = m * n
-    out = [[em.ZERO] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(n):
-            r_new = j * m + i
-            for k in range(m):
-                for l in range(n):
-                    out[r_new][l * m + k] = s.matrix.entry(flat_index(i, j, n), flat_index(k, l, n))
+    src = swap_index(s.dim_a, s.dim_b)
+    rows = [s.matrix.row(r) for r in src]
+    out = em.ExactMatrix([[row[c] for c in src] for row in rows])
     edges = None
     if s.edges is not None:
-        edges = [NamedVector(e.name, _swap_vector(e.vec, m, n), e.weight) for e in s.edges]
-    return BipartiteState(n, m, em.ExactMatrix(out), label=f"swap({s.label})", edges=edges,
+        edges = [NamedVector(e.name, tuple(e.vec[r] for r in src), e.weight) for e in s.edges]
+    return BipartiteState(s.dim_b, s.dim_a, out, label=f"swap({s.label})", edges=edges,
                           _skip_checks=True)
-
-
-def _swap_vector(v: em.Vector, m: int, n: int) -> em.Vector:
-    out = [em.ZERO] * (m * n)
-    for i in range(m):
-        for j in range(n):
-            out[j * m + i] = v[i * n + j]
-    return tuple(out)
 
 
 def project_local_block(s: BipartiteState, rows_a: Sequence[int], rows_b: Sequence[int]) -> BipartiteState:
@@ -387,7 +373,7 @@ def rho_4x5() -> Rho45Pipeline:
                                        edge=edge, side="A", perp_index=3)
     stage1 = extender.assemble_extension(blocks1, label="rho4x3")
     decomposition = [
-        NamedVector(e.name, _embed_a(e.vec, 3, 3, perp=3), e.weight) for e in core.edges
+        NamedVector(e.name, e.vec + em.zero_vector(3), e.weight) for e in core.edges
     ] + [
         NamedVector("p30", _sites_vec([(3, 0)], 4, 3), Fraction(3)),
         NamedVector("p32", _sites_vec([(3, 2)], 4, 3), Fraction(3)),
@@ -427,16 +413,6 @@ def rho_4x5() -> Rho45Pipeline:
                           {"alpha": [2], "beta": [0], "gamma": [3]})
 
     return Rho45Pipeline(stage1, stage2, final, (step1, step2, step3))
-
-
-def _embed_a(v: em.Vector, m: int, n: int, perp: int) -> em.Vector:
-    """Embed an m x n vector into (m+1) x n with a fresh A-level at ``perp``."""
-    out = [em.ZERO] * ((m + 1) * n)
-    a_map = [a for a in range(m + 1) if a != perp]
-    for a in range(m):
-        for b in range(n):
-            out[a_map[a] * n + b] = v[a * n + b]
-    return tuple(out)
 
 
 def _remainder_vectors(remainder: em.ExactMatrix, prefix: str) -> list:

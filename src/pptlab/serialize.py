@@ -149,12 +149,17 @@ def verify_sn_lower_certificate(data: dict) -> bool:
     Checks that the witness lies in the state's range, overlaps exactly one
     basis coordinate, that the basis spans the range, that every generator
     reduces to zero modulo the stored Groebner basis, and that the witness
-    power does as well.  The Buchberger construction itself is not re-run.
+    power ``k <= N <= 2k`` does as well.  The Buchberger construction itself
+    is not re-run.
     """
     from . import algcert as ac
 
     if data["value"] != data["k"]:
         raise CertificateInvalid("claimed value differs from the certified k")
+    power, k = data["power"], data["k"]
+    if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
+        # the minors are homogeneous of degree k, and the certifier searches N <= 2k
+        raise CertificateInvalid("witness power is not an integer in [k, 2k]")
     s = state_from_json(data["state"])
     m, n = s.dims
     ring = ac.PolyRing(data["variables"])
@@ -173,12 +178,12 @@ def verify_sn_lower_certificate(data: dict) -> bool:
         raise CertificateInvalid("witness overlap is not the declared single variable")
     generators = [ac.poly_from_json(ring, g) for g in data["generators"]]
     sym = ac.coordinate_matrix(m, n, ring, tuple(zip(data["variables"], basis)))
-    minors = ac.minor_ideal(sym, data["k"], exclude_vars=data.get("excluded_variables", ()))
+    minors = ac.minor_ideal(sym, k, exclude_vars=data.get("excluded_variables", ()))
     minor_keys = {frozenset(p.terms.items()) for p in minors}
     for g in generators:
         if frozenset(g.monic().terms.items()) not in minor_keys:
             raise CertificateInvalid("stored generator is not a minor of the range matrix")
-    target = ring.var(data["witness_variable"]) ** data["power"]
+    target = ring.var(data["witness_variable"]) ** power
     method = data.get("method", "groebner")
     if method == "linear":
         acc = ring.zero()
@@ -262,14 +267,6 @@ def verify_certificate(data: dict) -> bool:
     if kind not in VERIFIERS:
         raise CertificateInvalid(f"unknown certificate kind {kind!r}")
     return VERIFIERS[kind](data)
-
-
-def dump(data, path=None) -> str:
-    text = json.dumps(data, indent=2)
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
-    return text
 
 
 def load(path) -> dict:

@@ -35,6 +35,19 @@ def test_criterion_4_scaling_family():
     _check(acceptance.criterion_4())
 
 
+def test_criterion_4_name_lists_the_k_that_ran(monkeypatch):
+    result = acceptance.criterion_4(include_k5=True)
+    assert result.passed, result.details
+    assert result.name == "scaling family SN = k (k = 2, 3, 4, 5)"
+    assert result.details["k5"]["sn"] == 5
+
+    def stop(k):
+        raise acceptance.CriterionFailed("not run")
+
+    monkeypatch.setattr(acceptance.qs, "rho_family", stop)
+    assert acceptance.criterion_4(include_k5=False).name == "scaling family SN = k (k = 2, 3, 4)"
+
+
 def test_criterion_5_tiles_unextendibility():
     _check(acceptance.criterion_5())
 

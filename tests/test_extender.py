@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
-from pptlab.errors import PreconditionViolation, RangeViolation
+from pptlab.errors import BoundsViolation, PptlabError, PreconditionViolation, RangeViolation
 
 
 def rnd_scalar(rng, span=2):
@@ -53,6 +55,96 @@ def test_split_assemble_roundtrip_random():
         perp = rng.randrange(m if side == "A" else n)
         blocks = ex.split_blocks(st, side, perp)
         assert ex.assemble_extension(blocks).matrix == st.matrix
+
+
+@pytest.mark.parametrize("side, bad", [("A", -1), ("A", 4), ("B", -1), ("B", 4)])
+def test_split_and_assemble_reject_out_of_range_levels(side, bad):
+    M = qs.rho_4x5().stage2.matrix                # 4x4, and 4x4 again after assembly
+    with pytest.raises(BoundsViolation):
+        ex.split_matrix(M, 4, 4, side, bad)
+    core, chi, edge, core_dims = ex.split_matrix(M, 4, 4, side, 0)
+    with pytest.raises(BoundsViolation):
+        ex.assemble_matrix(core, chi, edge, core_dims, side, bad)
+
+
+def test_level_indices_partition_the_extended_basis():
+    for m_ext, n_ext in ((4, 3), (3, 5), (1, 2)):
+        for side in "AB":
+            for perp in range(m_ext if side == "A" else n_ext):
+                core_idx, new_idx = ex.level_indices(m_ext, n_ext, side, perp)
+                assert sorted(core_idx + new_idx) == list(range(m_ext * n_ext))
+                assert len(new_idx) == (n_ext if side == "A" else m_ext)
+
+
+# -- side B is side A on the swapped core ---------------------------------------------
+
+SWAP_CORES = {
+    "rho3x3": qs.rho_3x3,
+    "tiles": qs.tiles_complement,
+    "family2": lambda: qs.rho_family(2),
+    "stage1": lambda: qs.rho_4x5().stage1,
+}
+
+gaussian_rationals = st.builds(
+    lambda a, b, c, d: em.GaussianRational(Fraction(a, b), Fraction(c, d)),
+    st.integers(-3, 3), st.integers(1, 3), st.integers(-3, 3), st.integers(1, 3))
+
+
+def _swap_rows(chi, m, n):
+    return em.ExactMatrix([chi.row(r) for r in qs.swap_index(m, n)])
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args), None
+    except PptlabError as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("name", sorted(SWAP_CORES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_side_b_extensions_are_swapped_side_a_extensions(name, data):
+    """slocc, flat and product-pair extensions on side B equal, bit for bit,
+    the swap of the side-A extension of the swapped core."""
+    core = SWAP_CORES[name]()
+    sw = qs.swap_subsystems(core)
+    m, n = core.dims
+    vec = lambda size: tuple(data.draw(st.lists(gaussian_rationals, min_size=size, max_size=size)))
+
+    phi = vec(n)
+    got = ex.slocc_extension(core, phi, "B")
+    want = qs.swap_subsystems(ex.slocc_extension(sw, phi, "A"))
+    assert got.dims == want.dims == (m, n + 1)
+    assert got.matrix == want.matrix
+
+    R = em.ExactMatrix([list(vec(m)) for _ in range(m * n)])
+    chi = core.matrix.matmul(R)                   # a generic coupling in the range
+    got = ex.flat_extension(core, chi, "B")
+    want = qs.swap_subsystems(ex.flat_extension(sw, _swap_rows(chi, m, n), "A"))
+    assert got.dims == want.dims == (m, n + 1)
+    assert got.matrix == want.matrix
+
+    alpha, beta, gamma = vec(n), vec(m), vec(m)
+    got, got_exc = _outcome(ex.product_pair_extension, core, alpha, beta, gamma, "B")
+    want, want_exc = _outcome(ex.product_pair_extension, sw, alpha, beta, gamma, "A")
+    assert got_exc == want_exc
+    if got is not None:
+        assert got.coupling == _swap_rows(want.coupling, n, m) and got.edge == want.edge
+
+
+@pytest.mark.parametrize("stage, alpha, beta", [("stage1", 0, 2), ("stage2", 2, 0)])
+def test_side_b_product_pair_is_swapped_side_a(stage, alpha, beta):
+    core = getattr(qs.rho_4x5(), stage)
+    sw = qs.swap_subsystems(core)
+    m, n = core.dims
+    args = (em.basis_vector(n, alpha), em.basis_vector(m, beta), em.basis_vector(m, 3))
+    got = ex.product_pair_extension(core, *args, side="B")
+    want = ex.product_pair_extension(sw, *args, side="A")
+    assert (got.side, got.perp_index, got.core) == ("B", n, core)
+    assert got.coupling == _swap_rows(want.coupling, n, m) and got.edge == want.edge
+    assert ex.assemble_extension(got).matrix == \
+        qs.swap_subsystems(ex.assemble_extension(want)).matrix
 
 
 # -- Schur complements -----------------------------------------------------------

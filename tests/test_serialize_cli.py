@@ -304,3 +304,24 @@ def test_malformed_exponents_fail_verify(rho3x3_verdict, tmp_path, exponents):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(lower))
     assert cli.run(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("power", [1, 5, 2.0, True, "2"],
+                         ids=["below-k", "above-2k", "float", "bool", "string"])
+def test_sn_lower_power_must_be_an_integer_in_k_to_2k(rho3x3_verdict, power):
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    assert lower["k"] == 2 and lower["power"] == 2
+    lower["power"] = power
+    with pytest.raises(se.CertificateInvalid, match=r"\[k, 2k\]"):
+        se.verify_certificate(lower)
+
+
+def test_huge_witness_power_is_rejected_quickly(rho3x3_verdict, tmp_path):
+    """A power of 10^9 used to expand x_w^power term by term until killed."""
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    lower["power"] = 10 ** 9
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(lower))
+    proc = subprocess.run([sys.executable, "-m", "pptlab.cli", "verify", str(path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
