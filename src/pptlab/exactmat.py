@@ -500,6 +500,12 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def annihilator(self) -> list:
+        """Rows ``r`` with ``S = {w : sum_j r[j] w[j] = 0}``, one per non-pivot
+        column, read off the canonical basis without elimination."""
+        pivots = [next(i for i, x in enumerate(b) if x) for b in self.basis]
+        return _kernel_from_rref(self.basis, pivots, self.ambient_dim)
+
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector of wrong length")
@@ -534,9 +540,7 @@ def column_space(M: ExactMatrix) -> Subspace:
 
 def rank_and_kernel(M: ExactMatrix) -> tuple[int, Subspace]:
     """Exact rank of ``M`` together with its right kernel."""
-    rows = [list(r) for r in (M.row(i) for i in range(M.rows))]
-    if not rows:
-        return 0, Subspace(M.cols, [basis_vector(M.cols, j) for j in range(M.cols)])
+    rows = [list(M.row(i)) for i in range(M.rows)]
     pivots = _rref(rows)
     kern = _kernel_from_rref(rows, pivots, M.cols)
     return len(pivots), Subspace(M.cols, kern)
@@ -544,6 +548,17 @@ def rank_and_kernel(M: ExactMatrix) -> tuple[int, Subspace]:
 
 def rank(M: ExactMatrix) -> int:
     return rank_and_kernel(M)[0]
+
+
+def null_space(rows: Sequence[Vector], n: int) -> Subspace:
+    """``{w in C^n : sum_j r[j] w[j] = 0 for every row r}``; all of ``C^n``
+    when there are no rows."""
+    if not rows:
+        return Subspace(n, [basis_vector(n, j) for j in range(n)])
+    M = ExactMatrix(rows)
+    if M.cols != n:
+        raise DimensionMismatch(f"constraint rows of length {M.cols} on C^{n}")
+    return rank_and_kernel(M)[1]
 
 
 @dataclass(frozen=True)
@@ -730,19 +745,10 @@ def _solve_on_range_cols(A: ExactMatrix, bs: list) -> list:
 
 
 def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
-    """Exact intersection, computed as the joint fixed space of projectors.
-
-    ``x`` lies in both subspaces iff ``(P_U + P_V) x = 2 x``; the kernel of
-    ``P_U + P_V - 2*I`` is therefore exactly the intersection.
-    """
+    """Exact intersection: the null space of both annihilators' rows stacked."""
     if U.ambient_dim != V.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
-    n = U.ambient_dim
-    if U.dim == 0 or V.dim == 0:
-        return Subspace(n)
-    P = orth_projector(U) + orth_projector(V) - ExactMatrix.identity(n).scale(2)
-    _, kern = rank_and_kernel(P)
-    return kern
+    return null_space(U.annihilator() + V.annihilator(), U.ambient_dim)
 
 
 def intersection_via_stacked_kernel(U: Subspace, V: Subspace) -> Subspace:

@@ -287,59 +287,65 @@ def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
 
 
 def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
-    """Solve the joint fixed-point system for side-A PPT couplings.
+    """Solve the side-A PPT coupling constraints exactly.
 
-    Builds the projector ``P`` on R(rho_c) acting on (A,B) and the
-    conjugated projector on R(rho_c^Ta) acting on (A,B'), both extended by
-    the identity on the remaining factor, and intersects their ranges
-    exactly.  Side-B extensions are analyzed on the swapped core.
+    A coupling's Choi vector must lie in R(rho_c) (x) C^n over (A,B) and in
+    the conjugated R(rho_c^Ta) over (A,B'); the solutions are the null space
+    of both ranges' annihilator rows, stacked (:func:`_choi_null_space`).
+    Side-B extensions are analyzed on the swapped core.
     """
     m, n = core.dims
-    rho = core.matrix
     rho_ta = core.partial_transpose("A")
     if not em.psd_check(rho_ta).is_psd:
         raise NotPPT("core state is not PPT")
-    N = m * n * n
-    P1, P2 = _coupling_projectors(rho, rho_ta, m, n)
-    joint = P1 + P2 - em.ExactMatrix.identity(N).scale(2)
-    _, sol = em.rank_and_kernel(joint)
+    range_ab = em.column_space(core.matrix)
+    range_ac = em.column_space(rho_ta.conjugate())
+    sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
-    trivial_dim = trivial_coupling_space(core).dim
-    p = em.rank(rho)
-    q = em.rank(rho_ta)
-    return ExtensionSpace(dimension=sol.dim, basis=basis, trivial_dimension=trivial_dim,
-                          bound=extension_count_bound(m, n, p, q), solution_space=sol)
+    return ExtensionSpace(dimension=sol.dim, basis=basis,
+                          trivial_dimension=trivial_coupling_space(core).dim,
+                          bound=extension_count_bound(m, n, range_ab.dim, range_ac.dim),
+                          solution_space=sol)
 
 
 def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
-    """Independent solver route: null space of the stacked complements."""
+    """Independent solver route: both tensor ranges are spanned by range basis
+    vectors times unit vectors and intersected by
+    :func:`em.intersection_via_stacked_kernel`, which forms no annihilator."""
     m, n = core.dims
+    units = [em.basis_vector(n, j) for j in range(n)]
+    s1 = [em.kron_vec(u, e) for u in em.column_space(core.matrix).basis for e in units]
+    s2 = [tuple(v[a * n + c] * e[b] for a in range(m) for b in range(n) for c in range(n))
+          for v in em.column_space(core.partial_transpose("A").conjugate()).basis for e in units]
     N = m * n * n
-    iden = em.ExactMatrix.identity(N)
-    P1, P2 = _coupling_projectors(core.matrix, core.partial_transpose("A"), m, n)
-    stacked = [list((iden - P1).row(i)) for i in range(N)]
-    stacked += [list((iden - P2).row(i)) for i in range(N)]
-    _, kern = em.rank_and_kernel(em.ExactMatrix(stacked))
-    return kern
+    return em.intersection_via_stacked_kernel(em.Subspace(N, s1), em.Subspace(N, s2))
 
 
-def _coupling_projectors(rho: em.ExactMatrix, rho_ta: em.ExactMatrix, m: int, n: int):
-    """Projectors ``P1`` on R(rho) (x) C^n over (A,B) and ``P2`` on the
-    conjugated R(rho^Ta) over (A,B'), both on the Choi index ``(a, b, c)``."""
-    P = em.orth_projector(em.column_space(rho))
-    Q = em.orth_projector(em.column_space(rho_ta)).conjugate()
-    N = m * n * n
-    P1 = P.kron(em.ExactMatrix.identity(n))
-    rows = [[em.ZERO] * N for _ in range(N)]
-    for a in range(m):
-        for c in range(n):
-            for a2 in range(m):
-                for c2 in range(n):
-                    v = Q.entry(a * n + c, a2 * n + c2)
-                    if v:
-                        for b in range(n):
-                            rows[(a * n + b) * n + c][(a2 * n + b) * n + c2] = v
-    return P1, em.ExactMatrix(rows)
+def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspace,
+                     range_c: em.Subspace | None = None,
+                     range_b: em.Subspace | None = None) -> em.Subspace:
+    """Vectors ``w`` on the Choi index ``(a, b, c)`` whose slices lie in every
+    given range: ``w[., ., c]`` in ``range_ab``, ``w[., b, .]`` in ``range_ac``,
+    ``w[a, b, .]`` in ``range_c`` and ``w[a, ., c]`` in ``range_b``.
+
+    Each range's annihilator rows are embedded once per value of the
+    spectator index, and the solutions are the null space of all of them.
+    """
+    cells = [(a, b, c) for a in range(m) for b in range(n) for c in range(n)]
+    rows = []
+    for space, place in ((range_ab, lambda a, b, c: (a * n + b, c)),
+                         (range_ac, lambda a, b, c: (a * n + c, b)),
+                         (range_c, lambda a, b, c: (c, (a, b))),
+                         (range_b, lambda a, b, c: (b, (a, c)))):
+        if space is None:
+            continue
+        slices = {}  # spectator -> {Choi index: index into the range}
+        for w, cell in enumerate(cells):
+            j, spectator = place(*cell)
+            slices.setdefault(spectator, {})[w] = j
+        rows += [[r[members[w]] if w in members else em.ZERO for w in range(len(cells))]
+                 for r in space.annihilator() for members in slices.values()]
+    return em.null_space(rows, len(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -562,33 +568,31 @@ def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
     """Extremality in the cone of PSD local extensions.
 
     Flat extensions are extremal; a nonflat extension splits into its flat
-    part plus rank-one terms supported on the new level.
+    part plus rank-one terms supported on the new level, both in the frame
+    of ``blocks``.
     """
-    blocks_a = _to_a_frame(blocks)
-    m, n = blocks_a.core.dims
-    if blocks_a.core.matrix.is_zero():
-        r = em.rank(blocks_a.edge)
-        if r <= 1:
+    core = blocks.core.matrix
+    if core.is_zero():
+        if em.rank(blocks.edge) <= 1:
             return PsdExtremality(True, "rank-one edge with zero core")
-        res = em.psd_check(blocks_a.edge)
-        parts = _embedded_rank_ones(res, blocks_a, m, n)
+        parts = _embedded_rank_ones(em.psd_check(blocks.edge), blocks)
         return PsdExtremality(False, "edge block of rank above one", None, parts)
-    flat_edge = _flat_edge(blocks_a.core.matrix, blocks_a.coupling)[1]
-    rho_ec = blocks_a.edge - flat_edge
+    flat_edge = _flat_edge(core, blocks.coupling)[1]
+    rho_ec = blocks.edge - flat_edge
     if rho_ec.is_zero():
         return PsdExtremality(True, "flat extension")
-    flat = assemble_matrix(blocks_a.core.matrix, blocks_a.coupling, flat_edge,
-                           (m, n), "A", blocks_a.perp_index)
-    res = em.psd_check(rho_ec)
-    parts = _embedded_rank_ones(res, blocks_a, m, n)
+    flat = assemble_matrix(core, blocks.coupling, flat_edge, blocks.core.dims, blocks.side,
+                           blocks.perp_index)
+    parts = _embedded_rank_ones(em.psd_check(rho_ec), blocks)
     return PsdExtremality(False, "nonzero Schur complement", flat, parts)
 
 
-def _embedded_rank_ones(res: em.PsdResult, blocks_a: ExtensionBlocks, m: int, n: int) -> tuple:
-    _, new_idx = level_indices(m + 1, n, "A", blocks_a.perp_index)
+def _embedded_rank_ones(res: em.PsdResult, blocks: ExtensionBlocks) -> tuple:
+    m_ext, n_ext = blocks.ext_dims
+    _, new_idx = level_indices(m_ext, n_ext, blocks.side, blocks.perp_index)
     parts = []
     for (_, d), col in zip(res.pivots, res.columns):
-        vec = [em.ZERO] * ((m + 1) * n)
+        vec = [em.ZERO] * (m_ext * n_ext)
         for r, x in zip(new_idx, col):
             vec[r] = x
         parts.append((tuple(vec), Fraction(d)))
@@ -625,22 +629,12 @@ def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")
     rho_ec = schur_complement(blocks_a)
-    rho_ta_ec = schur_complement_pt(blocks_a)
-    r1 = em.column_space(rho_ec)
-    r2 = em.column_space(rho_ta_ec)
-    triv = em.subspace_intersection(r1, r2).dim == 0
-
-    rho = blocks_a.core.matrix
-    rho_ta = blocks_a.core.partial_transpose("A")
-    u_basis = em.column_space(rho).basis
-    w_basis = em.column_space(rho_ec.conjugate()).basis
-    v_basis = em.column_space(rho_ta.conjugate()).basis
-    y_basis = r2.basis
-    N = m * n * n
-    s1 = [em.kron_vec(u, w) for u in u_basis for w in w_basis]
-    s2 = [tuple(v[a * n + c] * y[b] for a in range(m) for b in range(n) for c in range(n))
-          for v in v_basis for y in y_basis]
-    inter = em.subspace_intersection(em.Subspace(N, s1), em.Subspace(N, s2))
+    r2 = em.column_space(schur_complement_pt(blocks_a))
+    triv = em.subspace_intersection(em.column_space(rho_ec), r2).dim == 0
+    # couplings in R(rho_c) (x) conj R(rho_ec) and in conj R(rho_c^Ta) (x) R(rho_ec^Ta)
+    inter = _choi_null_space(m, n, em.column_space(blocks_a.core.matrix),
+                             em.column_space(blocks_a.core.partial_transpose("A").conjugate()),
+                             range_c=em.column_space(rho_ec.conjugate()), range_b=r2)
     certified = triv and inter.dim == 0
     verdict = "Extremal" if certified else "NotCertified"
     return PptExtremality(certified, triv, inter.dim, verdict)

@@ -194,11 +194,11 @@ def numeric_extension_dimension(state: FloatState, svd_tol: float = DEFAULT_SVD_
                                 return_report: bool = False):
     """Dimension of the PPT coupling solution space, from float range bases.
 
-    Mirrors the exact solver: builds the projector on the numerical range of
-    ``rho`` acting on (A,B) and the conjugated range projector of
-    ``rho^Ta`` acting on (A,B'), stacks the complements, and counts the
-    singular values below the tolerance.  Raises :class:`RankAmbiguity`
-    when singular values cluster within a decade of the threshold.
+    Mirrors the exact solver: stacks the annihilator rows ``(1 - P) (x) 1``
+    of the numerical range of ``rho`` on (A,B) and the conjugated ones of
+    ``rho^Ta`` on (A,B'), and counts the singular values below the
+    tolerance.  Raises :class:`RankAmbiguity` when singular values cluster
+    within a decade of the threshold.
     """
     m, n = state.dim_a, state.dim_b
     rho = np.asarray(state.matrix, dtype=complex)

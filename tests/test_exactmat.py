@@ -261,17 +261,39 @@ def test_intersection_dimension_bound_and_mismatch():
 
 
 def test_intersection_oracle_equivalence():
-    """Projector-based intersection equals the stacked-kernel computation on
-    all subspace pairs built from {-1, 0, 1} vectors in ambient dim <= 4."""
+    """The annihilator-route intersection equals the stacked-kernel computation
+    on subspace pairs built from {-1, 0, 1, i, -i, 1+i} vectors in ambient
+    dim <= 4."""
     rng = random.Random(11)
-    for _ in range(60):
+    entries = (-1, 0, 1, em.I_UNIT, -em.I_UNIT, em.GaussianRational(1, 1))
+    for _ in range(120):
         n = rng.randint(1, 4)
         def sub():
             k = rng.randint(0, n)
-            return em.Subspace(n, [tuple(em.as_scalar(rng.choice((-1, 0, 1)))
+            return em.Subspace(n, [tuple(em.as_scalar(rng.choice(entries))
                                          for _ in range(n)) for _ in range(k)])
         U, V = sub(), sub()
         assert em.subspace_intersection(U, V) == em.intersection_via_stacked_kernel(U, V)
+
+
+def test_annihilator_rows_cut_out_the_subspace():
+    rng = random.Random(12)
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        S = em.Subspace(n, [tuple(rnd_scalar(rng) for _ in range(n))
+                            for _ in range(rng.randint(0, n))])
+        rows = S.annihilator()
+        assert len(rows) == n - S.dim
+        for r in rows:
+            for b in S.basis:
+                assert sum((x * y for x, y in zip(r, b)), em.ZERO) == 0
+        assert em.null_space(rows, n) == S
+
+
+def test_null_space_without_rows_is_everything():
+    assert em.null_space([], 3) == em.Subspace(3, [em.basis_vector(3, j) for j in range(3)])
+    with pytest.raises(DimensionMismatch):
+        em.null_space([em.vector([1, 0])], 3)
 
 
 def test_matrix_kron_and_outer():

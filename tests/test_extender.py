@@ -208,10 +208,18 @@ def test_extension_space_rho3x3():
 
 
 def test_extension_space_cross_check_stacked():
-    for st in (qs.rho_3x3(), qs.rho_family(2)):
+    mixed = qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm")
+    dense = ex.slocc_extension(qs.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]))
+    # a local diagonal unitary with complex phases
+    op = em.ExactMatrix.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]
+                             ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
+    phased = qs.BipartiteState(3, 3, op.matmul(qs.rho_3x3().matrix).matmul(op.adjoint()),
+                               label="phased")
+    for st in (qs.rho_3x3(), qs.rho_family(2), qs.tiles_complement(), mixed,
+               qs.swap_subsystems(qs.rho_4x5().stage1), dense, phased):
         space = ex.ppt_extension_space(st)
         stacked = ex.ppt_extension_space_stacked(st)
-        assert stacked == space.solution_space
+        assert stacked == space.solution_space, st.label
 
 
 def test_extension_space_tiles_is_slocc_only():
@@ -435,6 +443,21 @@ def test_extremality_psd_flat_and_perturbed():
     assert total == ex.assemble_extension(bumped).matrix
 
 
+@pytest.mark.parametrize("stage, side", [("final", "B"), ("stage1", "A")])
+def test_extremality_psd_parts_in_the_frame_of_the_blocks(stage, side):
+    st = getattr(qs.rho_4x5(), stage)
+    perp = (st.dim_a if side == "A" else st.dim_b) - 1
+    verdict = ex.extremality_check_psd(ex.split_blocks(st, side, perp))
+    assert not verdict.extremal
+    parts = verdict.rank_one_parts
+    total = verdict.flat_part + em.weighted_gram([v for v, _ in parts], [w for _, w in parts],
+                                                 st.matrix.rows)
+    assert total == st.matrix
+    _, new_idx = ex.level_indices(st.dim_a, st.dim_b, side, perp)
+    for v, _ in parts:
+        assert all(not x for i, x in enumerate(v) if i not in new_idx)
+
+
 def test_extremality_psd_rank_one_edge_with_zero_core():
     core = qs.BipartiteState(1, 2, em.ExactMatrix.zeros(2, 2), label="0")
     v = em.vector([1, 1])
@@ -473,6 +496,30 @@ def test_extremality_ppt_product_pair_regression():
     assert verdict.triv_intersection_ok
     assert verdict.perturbation_dimension == 1
     assert verdict.verdict == "NotCertified"
+
+
+@pytest.mark.parametrize("stage, side, expected", [
+    ("stage1", "A", (False, 2)), ("stage1", "B", (False, 4)),
+    ("stage2", "A", (False, 2)), ("stage2", "B", (True, 1)),
+])
+def test_extremality_ppt_pipeline_stages_frozen(stage, side, expected):
+    """Frozen values, kept under a complex local unitary that mixes levels 0
+    and 1 on both sides and fixes the split level."""
+    st = getattr(qs.rho_4x5(), stage)
+    perp = (st.dim_a if side == "A" else st.dim_b) - 1
+    c, s = em.as_scalar(Fraction(3, 5)), em.GaussianRational(0, Fraction(4, 5))
+
+    def mix(d):  # [[c, s], [s, c]] on levels 0 and 1, the identity elsewhere
+        rows = em.ExactMatrix.identity(d).tolists()
+        rows[0][:2], rows[1][:2] = [c, s], [s, c]
+        return em.ExactMatrix(rows)
+
+    op = mix(st.dim_a).kron(mix(st.dim_b))
+    rotated = qs.BipartiteState(*st.dims, op.matmul(st.matrix).matmul(op.adjoint()), label="rot")
+    for state in (st, rotated):
+        verdict = ex.extremality_check_ppt(ex.split_blocks(state, side, perp))
+        assert (verdict.triv_intersection_ok, verdict.perturbation_dimension) == expected
+        assert verdict.verdict == "NotCertified"
 
 
 def test_extremality_ppt_slocc_extension_certified():
