@@ -236,14 +236,8 @@ def cmd_reproduce(args) -> int:
     from . import acceptance
 
     results = acceptance.run_all(seed=args.seed, include_k5=args.k5 or None)
-    for r in results:
-        print(r.line())
     payload = acceptance.manifest(results)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-    if args.json:
-        print(json.dumps(payload, indent=2))
+    _emit(args, payload, text="\n".join(r.line() for r in results))
     return EXIT_OK if payload["passed"] else EXIT_INCONCLUSIVE
 
 

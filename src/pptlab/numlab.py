@@ -13,6 +13,7 @@ survey headers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
 DEFAULT_SVD_TOL = 1e-7
 _START_NOISE = 0.1
+# exact rounding of samples snaps factor entries to multiples of 2**-ROUNDING_BITS
+ROUNDING_BITS = 24
 
 
 @dataclass
@@ -91,15 +94,51 @@ def _params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     return h + np.triu(h, 1).conj().T
 
 
-def _grad_to_params(g: np.ndarray) -> np.ndarray:
-    """Gradient of a real function of a Hermitian matrix, in parameter form.
+def _birank_jacobian(x: np.ndarray, eig, m: int, n: int, kp: int, kq: int):
+    """Gauss-Newton rows and residual values for the compressed blocks.
 
-    For ``d lambda = tr(G dX)`` with Hermitian ``G``: diagonal entries give
-    the diagonal derivatives, ``2 Re / 2 Im`` the off-diagonal ones.
+    For each block (``K`` the ``kk`` target eigenvectors of ``X``, then of
+    ``X^Tb``), the rows in order are: for each ``i`` the diagonal entry
+    ``(K* X K)_ii``, then for each ``j > i`` its real and imaginary parts.
+    A row is the parameter gradient of that entry: for ``d lambda = tr(G dX)``
+    with Hermitian ``G``, the diagonal of ``G`` gives the diagonal
+    derivatives and ``2 Re / 2 Im`` of its upper triangle the off-diagonal
+    ones, with ``G`` pulled back through the partial transpose for the
+    second block.  The rows of one ``i`` come from one stacked outer product,
+    which keeps temporaries at ``kk`` matrices rather than ``kk**2``; each
+    entry is the same IEEE expression as for a single outer product.
     """
-    n = g.shape[0]
-    iu = np.triu_indices(n, 1)
-    return np.concatenate([np.real(np.diag(g)), 2 * np.real(g[iu]), 2 * np.imag(g[iu])])
+    size = m * n
+    d = np.diag_indices(size)
+    iu = np.triu_indices(size, 1)
+    im = size + len(iu[0])  # first column of the imaginary parts
+    jac = np.empty((kp * kp + kq * kq, size * size))
+    vals = np.empty(len(jac))
+    lo = 0
+    for vecs, kk, transpose in ((eig[0], kp, False), (eig[1], kq, True)):
+        K = vecs[:, :kk]
+        target = partial_transpose_np(x, m, n) if transpose else x
+        B = K.conj().T @ target @ K
+        for i in range(kk):
+            right = K[:, i:].T
+            ji = right[:, :, None] * K[:, i].conj()             # [t] = K_{i+t} K_i*
+            ij = K[:, i][:, None] * right.conj()[:, None, :]    # [t] = K_i K_{i+t}*
+            g = np.empty((2 * (kk - i) - 1, size, size), dtype=complex)
+            g[0] = ji[0]
+            g[1::2] = (ji[1:] + ij[1:]) / 2
+            g[2::2] = (ji[1:] - ij[1:]) / 2j
+            if transpose:
+                g = g.reshape(-1, m, n, m, n).transpose(0, 1, 4, 3, 2).reshape(-1, size, size)
+            hi = lo + len(g)
+            upper = g[:, iu[0], iu[1]]
+            jac[lo:hi, :size] = g[:, d[0], d[1]].real
+            jac[lo:hi, size:im] = 2 * upper.real
+            jac[lo:hi, im:] = 2 * upper.imag
+            vals[lo] = B[i, i].real
+            vals[lo + 1:hi:2] = B[i, i + 1:].real
+            vals[lo + 2:hi:2] = B[i, i + 1:].imag
+            lo = hi
+    return jac, vals
 
 
 def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
@@ -136,25 +175,8 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
             return FloatState(m, n, x, (p, q),
                               residual=0.0 if r.size == 0 else float(np.max(np.abs(r))),
                               iterations=it)
-        v1, v2 = eig
-        rows, vals = [], []
-        for vecs, kk, transpose in ((v1, kp, False), (v2, kq, True)):
-            K = vecs[:, :kk]
-            target = partial_transpose_np(x, m, n) if transpose else x
-            B = K.conj().T @ target @ K
-            for i in range(kk):
-                g = np.outer(K[:, i], K[:, i].conj())
-                rows.append(_grad_to_params(partial_transpose_np(g, m, n) if transpose else g))
-                vals.append(B[i, i].real)
-                for j in range(i + 1, kk):
-                    g_re = (np.outer(K[:, j], K[:, i].conj()) + np.outer(K[:, i], K[:, j].conj())) / 2
-                    g_im = (np.outer(K[:, j], K[:, i].conj()) - np.outer(K[:, i], K[:, j].conj())) / 2j
-                    for g2, val in ((g_re, B[i, j].real), (g_im, B[i, j].imag)):
-                        rows.append(_grad_to_params(
-                            partial_transpose_np(g2, m, n) if transpose else g2))
-                        vals.append(val)
-        jac = np.array(rows)
-        step = np.linalg.lstsq(jac, -np.array(vals), rcond=None)[0]
+        jac, vals = _birank_jacobian(x, eig, m, n, kp, kq)
+        step = np.linalg.lstsq(jac, -vals, rcond=None)[0]
         base = np.max(np.abs(r))
         scale = 1.0
         for _ in range(40):
@@ -242,15 +264,16 @@ def from_exact(state: qs.BipartiteState, normalize: bool = True) -> FloatState:
 
 # -- exact rounding of sampled states -----------------------------------------
 
-def rationalize_to_birank(state: FloatState, max_denominator: int = 10 ** 7,
-                          shift: Fraction = Fraction(1, 2 ** 16)):
+def rationalize_to_birank(state: FloatState, shift: Fraction = Fraction(1, 2 ** 16)):
     """Round a converged sample to a nearby exactly-PPT rational state.
 
-    Rank-truncates the sample to its target rank, rationalizes the factor
-    columns, and adds ``shift`` times the identity.  The shift commutes with
-    partial transposition and dominates the rounding perturbation of the
-    near-zero eigenvalues (entrywise error about 1/max_denominator), so the
-    result passes the exact PPT verification while staying within about
+    Rank-truncates the sample to its target rank, rounds the factor columns
+    entrywise to the nearest multiple of ``2**-ROUNDING_BITS`` (error at
+    most ``2**-25``), and adds ``shift`` times the identity.  Every entry of
+    the Gram part then has a denominator dividing ``2**48``, which keeps the
+    exact LDL* pivots small.  The shift commutes with partial transposition
+    and dominates the rounding perturbation of the near-zero eigenvalues, so
+    the result passes the exact PPT verification while staying within about
     ``shift`` of the sample in operator norm.  Both positivity checks run
     exactly; :class:`~pptlab.errors.NotPsd` signals a failed rounding.
     """
@@ -265,7 +288,7 @@ def rationalize_to_birank(state: FloatState, max_denominator: int = 10 ** 7,
     for i in range(size - p, size):
         if w[i] <= 0:
             continue
-        cols.append(_rationalize_vector(np.sqrt(w[i]) * v[:, i], max_denominator))
+        cols.append(_rationalize_vector(np.sqrt(w[i]) * v[:, i]))
     B = em.ExactMatrix.from_cols(cols)
     sigma = B.matmul(B.adjoint()) + em.ExactMatrix.identity(size).scale(shift)
     exact = qs.BipartiteState(m, n, sigma, label="rounded-sample")
@@ -274,13 +297,14 @@ def rationalize_to_birank(state: FloatState, max_denominator: int = 10 ** 7,
     return exact
 
 
-def _rationalize_vector(v: np.ndarray, max_denominator: int) -> em.Vector:
-    out = []
-    for z in v:
-        out.append(em.GaussianRational(
-            Fraction(float(np.real(z))).limit_denominator(max_denominator),
-            Fraction(float(np.imag(z))).limit_denominator(max_denominator)))
-    return tuple(out)
+def _dyadic(x: float) -> Fraction:
+    """The multiple of ``2**-ROUNDING_BITS`` nearest to ``x`` (exact for a float)."""
+    return Fraction(round(math.ldexp(x, ROUNDING_BITS)), 1 << ROUNDING_BITS)
+
+
+def _rationalize_vector(v: np.ndarray) -> em.Vector:
+    return tuple(em.GaussianRational(_dyadic(float(z.real)), _dyadic(float(z.imag)))
+                 for z in v)
 
 
 # -- survey -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -199,6 +200,35 @@ def test_reproduce_deterministic_manifest():
     man = acceptance.manifest([a])
     assert man["criteria"][0]["number"] == 7
     assert isinstance(man["passed"], bool)
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+def test_cli_reproduce_stdout(monkeypatch, capsys, as_json):
+    """With --json, stdout is the manifest alone; in text mode, the PASS lines."""
+    from pptlab import acceptance
+
+    monkeypatch.setattr(acceptance, "run_all",
+                        lambda seed, include_k5: [acceptance.criterion_1(),
+                                                  acceptance.criterion_3()])
+    assert cli.run(["reproduce"] + (["--json"] if as_json else [])) == 0
+    out = capsys.readouterr().out
+    if as_json:
+        assert [c["number"] for c in json.loads(out)["criteria"]] == [1, 3]
+    else:
+        assert [line.split()[:3] for line in out.splitlines()] == \
+            [["PASS", "criterion", "1:"], ["PASS", "criterion", "3:"]]
+
+
+def test_cli_import_loads_no_numpy():
+    """Only the sampling verbs need numpy; every other CLI process skips
+    its import cost."""
+    code = ("import sys, pptlab.cli\n"
+            "print(sorted({'numpy', 'pptlab.numlab'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # -- sn-verdict claims ----------------------------------------------------------
