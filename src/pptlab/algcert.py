@@ -3,14 +3,14 @@
 The range of a state is parametrized by one coordinate per range-basis
 vector; vanishing of all ``k x k`` minors of the resulting coordinate
 matrix cuts out exactly the Schmidt-rank ``<= k-1`` vectors.  Membership of
-a power of the witness coordinate in the minor ideal, decided through a
-Groebner basis over the rationals, then certifies a Schmidt-number lower
-bound via the Nullstellensatz.  Upper bounds come from explicit conic
-decompositions checked bit-exactly.
+a power of the witness coordinate in the minor ideal, shown by an explicit
+identity ``sum_i c_i det M[rows_i, cols_i] = x_w^N`` over the minors it
+uses, then certifies a Schmidt-number lower bound via the Nullstellensatz.
+Upper bounds come from explicit conic decompositions checked bit-exactly.
+Buchberger's algorithm stays as an independent membership oracle.
 
 Monomial order is graded reverse lexicographic with the variable order
-fixed by range-basis index; the order is recorded in every certificate so
-reductions can be replayed.  Polynomials carry exponent tuples; the
+fixed by range-basis index.  Polynomials carry exponent tuples; the
 reduction, Buchberger, cofactor and minor kernels pack each monomial into
 one int on entry and unpack on exit (:class:`_Packing`).
 """
@@ -355,16 +355,6 @@ def _reduce(work: dict, divisors: Sequence[tuple], guard: int) -> dict:
     return remainder
 
 
-def normal_forms(polys: Sequence[Polynomial], basis: Sequence[Polynomial]) -> list:
-    """:func:`normal_form` of each of ``polys`` modulo one ``basis``, packed once."""
-    if not polys:
-        return []
-    ring = polys[0].ring
-    P = _Packing(ring.nvars)
-    divisors = [_divisor(P.pack_terms(g), P.guard) for g in basis if g]
-    return [P.polynomial(ring, _reduce(P.pack_terms(p), divisors, P.guard)) for p in polys]
-
-
 def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full reduction of ``p`` modulo ``basis``; idempotent.
 
@@ -373,7 +363,9 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     is determined for any basis, Groebner or not.  It contains no term
     divisible by any basis leading monomial.
     """
-    return normal_forms([p], basis)[0]
+    P = _Packing(p.ring.nvars)
+    divisors = [_divisor(P.pack_terms(g), P.guard) for g in basis if g]
+    return P.polynomial(p.ring, _reduce(P.pack_terms(p), divisors, P.guard))
 
 
 def _interreduce(terms_list: Iterable[dict], guard: int) -> list:
@@ -596,11 +588,6 @@ def _monomials_up_to(nvars: int, degree: int):
     return out
 
 
-def is_homogeneous(p: Polynomial) -> bool:
-    degs = {sum(m) for m in p.terms}
-    return len(degs) <= 1
-
-
 # ---------------------------------------------------------------------------
 # symbolic range matrices and minor ideals
 # ---------------------------------------------------------------------------
@@ -717,14 +704,37 @@ def _laplace_extend(table: dict, row: list) -> dict:
     return {cols: minor for cols, minor in out.items() if minor}
 
 
+class Minor(Polynomial):
+    """A monic minor that remembers where it was first found:
+    ``det M[rows, cols] = det_factor * minor`` for the sorted index tuples
+    ``rows`` and ``cols``.  It compares equal to the plain polynomial."""
+
+    __slots__ = ("rows", "cols", "det_factor")
+
+    def __init__(self, ring: PolyRing, terms: dict, rows: tuple, cols: tuple,
+                 det_factor: Fraction):
+        super().__init__(ring, terms)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "det_factor", det_factor)
+
+
+def _packed_rows(M: SymbolicRangeMatrix, P: _Packing, k: int) -> list:
+    """Nonzero entries per row of ``M`` as ``(column, [(monomial - one,
+    coefficient)])``, after checking that ``k x k`` minors fit ``P``."""
+    P.check_degree(k * max((e.degree() for row in M.entries for e in row), default=0))
+    return [[(j, [(P.pack(m) - P.one, c) for m, c in e.terms.items()])
+             for j, e in enumerate(row) if e] for row in M.entries]
+
+
 def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()) -> list:
-    """All nonzero ``k x k`` minors of ``M`` as monic polynomials, deduplicated.
+    """All nonzero ``k x k`` minors of ``M``, deduplicated, as monic :class:`Minor` objects.
 
     Minors containing any excluded variable are dropped entirely; the
-    exclusion is a heuristic restriction of the generator set and is
-    recorded by callers in their certificates.  The output is sorted by
-    leading monomial, then term count, then the first ``(rows, cols)`` in
-    lexicographic order that yields the minor.
+    exclusion is a heuristic restriction of the generator set.  The output
+    is sorted by leading monomial, then term count, then the first
+    ``(rows, cols)`` in lexicographic order that yields the minor, which
+    each :class:`Minor` carries with the factor of that determinant.
 
     Rows are chosen depth first from the bottom up: the table of all ``j x j``
     minors on a row suffix grows into the ``(j+1) x (j+1)`` table on one more
@@ -736,11 +746,8 @@ def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()
     ring = M.ring
     P = _Packing(ring.nvars)
     excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
-    # nonzero entries per row as (column, [(monomial - one, coefficient)])
-    rows = [[(j, [(P.pack(m) - P.one, c) for m, c in e.terms.items()])
-             for j, e in enumerate(row) if e] for row in M.entries]
-    P.check_degree(k * max((e.degree() for row in M.entries for e in row), default=0))
-    found: dict = {}        # monic terms -> first (rows, cols)
+    rows = _packed_rows(M, P, k)
+    found: dict = {}        # monic terms -> (first rows, cols, leading coefficient)
     # depth-first over row sets, one (rows, minors on them, rows left to
     # prepend) frame per level
     path = [((), {(): {P.one: Fraction(1)}}, iter(range(k - 1, M.dim_a)))]
@@ -762,10 +769,27 @@ def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()
                 continue
             key = frozenset(_monic_terms(minor).items())
             first = found.get(key)
-            if first is None or (chosen, cols) < first:
-                found[key] = (chosen, cols)
-    out = sorted(found, key=lambda key: (max(key)[0], len(key), found[key]))
-    return [P.polynomial(ring, dict(key)) for key in out]
+            if first is None or (chosen, cols) < first[:2]:
+                found[key] = (chosen, cols, minor[max(minor)])
+    out = sorted(found, key=lambda key: (max(key)[0], len(key), found[key][:2]))
+    return [Minor(ring, {P.unpack(m): c for m, c in key}, *found[key]) for key in out]
+
+
+def minor_determinants(M: SymbolicRangeMatrix, pairs: Sequence[tuple]) -> list:
+    """``det M[rows, cols]`` for each ``(rows, cols)`` pair of equally long,
+    strictly increasing index sequences, by the :func:`minor_ideal` kernel:
+    Laplace expansion along ``rows`` from the last, over ``cols`` only."""
+    ring = M.ring
+    P = _Packing(ring.nvars)
+    rows = _packed_rows(M, P, max((len(r) for r, _ in pairs), default=0))
+    out = []
+    for chosen, cols in pairs:
+        keep = set(cols)
+        table = {(): {P.one: Fraction(1)}}
+        for r in reversed(chosen):
+            table = _laplace_extend(table, [(c, e) for c, e in rows[r] if c in keep])
+        out.append(P.polynomial(ring, table.get(tuple(cols), {})))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +801,11 @@ class SNCertificate:
     """Replayable Schmidt-number bound.
 
     ``kind`` is "lower" or "upper"; ``value`` the certified bound.  Lower
-    evidence replays by reducing ``witness_variable^power`` to zero with the
-    stored Groebner basis; upper evidence replays by re-summing the stored
-    decomposition.
+    evidence is an indexed cofactor identity: ``minors`` lists
+    ``[rows, cols, cofactor]`` with ``sum cofactor * det M[rows, cols] =
+    witness_variable^power`` over the coordinate matrix ``M`` of the stored
+    range basis, and replays by computing those determinants only.  Upper
+    evidence replays by re-summing the stored decomposition.
     """
 
     kind: str
@@ -793,12 +819,10 @@ class Inconclusive:
     """Negative space of a certificate search: nothing was proven."""
 
     reason: str
-    details: dict = field(default_factory=dict, compare=False)
 
 
 def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
-                     exclude_vars: Sequence[str] = (), naming: str = "site",
-                     method: str = "groebner"):
+                     exclude_vars: Sequence[str] = (), naming: str = "site"):
     """Certify ``SN(s) >= k`` through the range criterion.
 
     Searches the smallest ``N <= 2k`` with ``x_w^N`` in the ideal of
@@ -808,19 +832,17 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     so no rank ``<= k-1`` decomposition can exist.  Returns an
     :class:`SNCertificate` on success, :class:`Inconclusive` otherwise.
 
-    ``method="groebner"`` reduces witness powers by a Buchberger basis and
-    stores the basis for replay.  ``method="linear"`` needs a homogeneous
-    minor set of one degree, which range coordinate matrices always give:
-    every entry is a linear form, so every ``k x k`` minor is homogeneous of
-    degree ``k``.  It solves the membership linearly per degree (a Macaulay
-    matrix argument, complete for homogeneous ideals) and stores explicit
-    cofactors ``sum c_i g_i = x_w^N``, which is much faster on large
-    instances and replays by plain expansion.  The minors have degree ``k``,
-    so no power below ``k`` lies in the ideal; the verifier accepts exactly
-    the powers ``k <= N <= 2k`` this search can return.
+    Every entry of a range coordinate matrix is a linear form, so every
+    minor is homogeneous of degree ``k`` and membership of ``x_w^N`` is a
+    linear problem in the cofactors of degree ``N - k`` (a Macaulay matrix
+    argument, complete for homogeneous ideals); no power below ``k`` lies in
+    the ideal, and the verifier accepts exactly the powers ``k <= N <= 2k``
+    this search can return.  The minors come from one :func:`minor_ideal`
+    enumeration.  The certificate keeps only those with a nonzero cofactor,
+    each as its first ``[rows, cols]`` with the cofactor rescaled from the
+    monic minor to that determinant.  Excluding variables only shrinks the
+    ideal, so ``exclude_vars`` is a search heuristic and is not recorded.
     """
-    n_max = 2 * k
-    m, n = s.dims
     if not em.column_space(s.matrix).contains(witness_vector):
         raise WitnessNotInRange("witness vector is not in R(rho)")
     sym = range_coordinate_matrix(s, require_orthogonal_basis=True, naming=naming)
@@ -833,48 +855,22 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     generators = minor_ideal(sym, k, exclude_vars=exclude_vars)
     if not generators:
         return Inconclusive("no nonzero minors survive the exclusion filter")
-    log.info("certify_sn_lower: %d generators in %d variables (method=%s)",
-             len(generators), sym.ring.nvars, method)
-    evidence = {
-        "witness": [em.format_scalar(x) for x in witness_vector],
-        "witness_variable": witness_var,
-        "k": k,
-        "monomial_order": "grevlex",
-        "variables": list(sym.ring.variables),
-        "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
-        "excluded_variables": list(exclude_vars),
-        "generators": [poly_to_json(g) for g in generators],
-        "method": method,
-    }
+    log.info("certify_sn_lower: %d minors in %d variables", len(generators), sym.ring.nvars)
     xw = sym.ring.var(witness_var)
-    if method == "groebner":
-        gb = buchberger(generators)
-        power = None
-        for N in range(1, n_max + 1):
-            if in_ideal(xw ** N, gb):
-                power = N
-                break
-        if power is None:
-            return Inconclusive(f"{witness_var}^N not in the minor ideal for N <= {n_max}",
-                                {"groebner_size": len(gb)})
-        evidence["power"] = power
-        evidence["groebner_basis"] = [poly_to_json(g) for g in gb]
-        return SNCertificate("lower", k, evidence)
-    if method == "linear":
-        if not all(is_homogeneous(g) for g in generators):
-            return Inconclusive("linear method requires homogeneous minors")
-        gen_degree = generators[0].degree()
-        if any(g.degree() != gen_degree for g in generators):
-            return Inconclusive("linear method requires minors of equal degree")
-        for N in range(gen_degree, n_max + 1):
-            cof = linear_membership_cofactors(xw ** N, generators,
-                                              cofactor_degree=N - gen_degree)
-            if cof is not None:
-                evidence["power"] = N
-                evidence["cofactors"] = [[i, poly_to_json(c)] for i, c in cof]
-                return SNCertificate("lower", k, evidence)
-        return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {n_max}")
-    raise ValueError(f"unknown method {method!r}")
+    for N in range(k, 2 * k + 1):
+        cof = linear_membership_cofactors(xw ** N, generators, cofactor_degree=N - k)
+        if cof is not None:
+            used = [(generators[i], c.scale(1 / generators[i].det_factor)) for i, c in cof]
+            return SNCertificate("lower", k, {
+                "witness": [em.format_scalar(x) for x in witness_vector],
+                "witness_variable": witness_var,
+                "k": k,
+                "variables": list(sym.ring.variables),
+                "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
+                "power": N,
+                "minors": [[list(g.rows), list(g.cols), poly_to_json(c)] for g, c in used],
+            })
+    return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
 
 
 def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[Fraction],
@@ -1162,18 +1158,8 @@ def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
 
 
 # ---------------------------------------------------------------------------
-# polynomial JSON round-trip
+# polynomial JSON
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: Polynomial) -> dict:
     return {"terms": [[list(m), str(c)] for m, c in sorted(p.terms.items(), key=lambda t: _grevlex_key(t[0]))]}
-
-
-def poly_from_json(ring: PolyRing, data: dict) -> Polynomial:
-    terms = {}
-    for m, c in data["terms"]:
-        m = tuple(m)
-        if len(m) != ring.nvars or not all(type(e) is int and e >= 0 for e in m):
-            raise DimensionMismatch(f"exponents {list(m)} are not {ring.nvars} natural numbers")
-        terms[m] = Fraction(c)
-    return Polynomial(ring, terms)

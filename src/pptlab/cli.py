@@ -135,8 +135,7 @@ def cmd_certify_sn(args) -> int:
     exclude = [e.name for e in state.edges if e.name.startswith("delta")] \
         if args.exclude_deltas else []
     naming = "edge" if exclude else "site"
-    lower = ac.certify_sn_lower(state, witness, k, exclude_vars=exclude, naming=naming,
-                                method=args.method)
+    lower = ac.certify_sn_lower(state, witness, k, exclude_vars=exclude, naming=naming)
     upper = ac.sn_upper_from_decomposition([e.vec for e in state.edges],
                                            [e.weight for e in state.edges], state)
     payload = {
@@ -344,14 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_extend)
 
-    p = sub.add_parser("certify-sn", help="Schmidt number certification (lower + upper)")
+    p = sub.add_parser(
+        "certify-sn", help="Schmidt number certification (lower + upper)",
+        description="Lower bound SN >= k by the range criterion: an identity "
+                    "sum_i c_i det M[rows_i, cols_i] = x_w^N over the k x k minors of the "
+                    "range coordinate matrix M, found by a linear cofactor solve and stored "
+                    "as the [rows, cols, c_i] of the minors it uses.  Upper bound from the "
+                    "state's edge decomposition (max Schmidt rank).")
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, help="target Schmidt number (default: max edge SR)")
-    p.add_argument("--method", choices=("groebner", "linear"), default="groebner",
-                   help="ideal-membership route: Groebner reduction or the "
-                        "homogeneous cofactor solver")
+    p.add_argument("--method", choices=("linear",), default="linear",
+                   help="ideal-membership route: the homogeneous cofactor solver "
+                        "(the only route)")
     p.add_argument("--exclude-deltas", action="store_true",
-                   help="drop minors containing delta variables (family states)")
+                   help="search only minors free of delta variables (family states)")
     common(p)
     p.set_defaults(fn=cmd_certify_sn)
 

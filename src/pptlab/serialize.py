@@ -144,61 +144,105 @@ def sn_lower_certificate(cert, state: qs.BipartiteState) -> dict:
 
 
 def verify_sn_lower_certificate(data: dict) -> bool:
-    """Replay a lower-bound certificate by reduction only.
+    """Replay a lower-bound certificate: an indexed cofactor identity.
 
-    Checks that the witness lies in the state's range, overlaps exactly one
-    basis coordinate, that the basis spans the range, that every generator
-    reduces to zero modulo the stored Groebner basis, and that the witness
-    power ``k <= N <= 2k`` does as well.  The Buchberger construction itself
-    is not re-run.
+    Checks the witness (in the range, overlapping exactly the declared
+    coordinate of the real stored basis of the range), ``value == k`` and
+    the power ``k <= N <= 2k``.  Then it shape-checks every ``[rows, cols,
+    cofactor]`` of ``minors`` (``k`` strictly increasing in-range indices,
+    no pair twice, cofactors of degree ``N - k``), computes only those
+    determinants of the basis's coordinate matrix ``M`` with the
+    :func:`algcert.minor_ideal` kernel, and checks ``sum cofactor *
+    det M[rows, cols] = x_w^N`` exactly.  Nothing is enumerated.
     """
+    return _verify_sn_lower(data, state_from_json(data["state"]))
+
+
+def _verify_sn_lower(data: dict, s: qs.BipartiteState) -> bool:
+    # imported here: a process that only reads states and ppt certificates
+    # skips algcert's imports (about 3 MB of peak RSS)
     from . import algcert as ac
 
+    if "minors" not in data or "generators" in data or "groebner_basis" in data:
+        raise CertificateInvalid("sn-lower certificate in the retired generator/Groebner format "
+                                 "(no indexed minors): re-run certify-sn to replace it")
     if data["value"] != data["k"]:
         raise CertificateInvalid("claimed value differs from the certified k")
     power, k = data["power"], data["k"]
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
-    s = state_from_json(data["state"])
     m, n = s.dims
-    ring = ac.PolyRing(data["variables"])
-    basis = [vector_from_json(v) for v in data["basis"]]
+    ring = _parsed(ac.PolyRing, data["variables"], "variable list")
+    basis = [_parsed(vector_from_json, v, "basis vector") for v in data["basis"]]
     if len(basis) != ring.nvars:
         raise CertificateInvalid("the certificate needs one variable per basis vector")
-    witness = vector_from_json(data["witness"])
+    witness = _parsed(vector_from_json, data["witness"], "witness")
     rng = em.column_space(s.matrix)
     if not rng.contains(witness):
         raise CertificateInvalid("witness is not in the state's range")
-    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != em.rank(s.matrix) \
+    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != rng.dim \
             or not all(rng.contains(v) for v in basis):
         raise CertificateInvalid("stored basis is not a basis of the range")
+    if any(x.im for v in basis for x in v):
+        raise CertificateInvalid("stored basis is not real: the coordinate ring is Q")
     overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
     if len(overlaps) != 1 or ring.variables[overlaps[0]] != data["witness_variable"]:
         raise CertificateInvalid("witness overlap is not the declared single variable")
-    generators = [ac.poly_from_json(ring, g) for g in data["generators"]]
-    sym = ac.coordinate_matrix(m, n, ring, tuple(zip(data["variables"], basis)))
-    minors = ac.minor_ideal(sym, k, exclude_vars=data.get("excluded_variables", ()))
-    minor_keys = {frozenset(p.terms.items()) for p in minors}
-    for g in generators:
-        if frozenset(g.monic().terms.items()) not in minor_keys:
-            raise CertificateInvalid("stored generator is not a minor of the range matrix")
-    target = ring.var(data["witness_variable"]) ** power
-    method = data.get("method", "groebner")
-    if method == "linear":
-        acc = ring.zero()
-        for i, cof in data["cofactors"]:
-            acc = acc + ac.poly_from_json(ring, cof) * generators[i]
-        if acc != target:
-            raise CertificateInvalid("cofactor identity does not expand to the witness power")
-        return True
-    gb = [ac.poly_from_json(ring, g) for g in data["groebner_basis"]]
-    *reduced, witness_rest = ac.normal_forms(generators + [target], gb)
-    if any(reduced):
-        raise CertificateInvalid("a generator does not reduce to zero")
-    if witness_rest:
-        raise CertificateInvalid("witness power does not reduce to zero")
+    pairs, cofactors = _indexed_minors(data["minors"], ring, k, power - k, m, n)
+    sym = ac.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
+    acc = ring.zero()
+    for terms, det in zip(cofactors, ac.minor_determinants(sym, pairs)):
+        acc = acc + ac.Polynomial(ring, terms) * det
+    if acc != ring.var(data["witness_variable"]) ** power:
+        raise CertificateInvalid("cofactor identity does not expand to the witness power")
     return True
+
+
+def _parsed(parse, data, what: str):
+    """``parse(data)``, with malformed input reported as an invalid certificate."""
+    try:
+        return parse(data)
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise CertificateInvalid(f"malformed {what}: {exc}") from None
+
+
+def _indexed_minors(entries, ring, k: int, degree: int, m: int, n: int) -> tuple:
+    """The ``(rows, cols)`` pairs and cofactor terms of shape-checked ``minors``."""
+    if not isinstance(entries, list):
+        raise CertificateInvalid("minors is not a list of [rows, cols, cofactor]")
+    pairs, cofactors = [], []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise CertificateInvalid(f"minor entry {entry!r} is not [rows, cols, cofactor]")
+        rows, cols, cof = entry
+        for idx, bound in ((rows, m), (cols, n)):
+            if not (isinstance(idx, list) and len(idx) == k and all(type(i) is int for i in idx)
+                    and idx == sorted(set(idx)) and all(0 <= i < bound for i in idx)):
+                raise CertificateInvalid(f"minor indices {idx!r} are not {k} strictly "
+                                         f"increasing indices below {bound}")
+        pairs.append((tuple(rows), tuple(cols)))
+        cofactors.append(_cofactor(ring, cof, degree))
+    if len(set(pairs)) != len(pairs):
+        raise CertificateInvalid("a minor (rows, cols) is listed twice")
+    return pairs, cofactors
+
+
+def _cofactor(ring, data, degree: int) -> dict:
+    """The terms of a stored ``{"terms": [[exponents, "p/q"], ...]}`` of one ``degree``."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise CertificateInvalid("cofactor has no term list")
+    out = {}
+    for term in terms:
+        exps, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
+        if not (isinstance(exps, list) and len(exps) == ring.nvars and isinstance(c, str)
+                and all(type(e) is int and e >= 0 for e in exps) and sum(exps) == degree) \
+                or tuple(exps) in out:
+            raise CertificateInvalid(f"cofactor term {term!r} is not {ring.nvars} natural "
+                                     f"exponents of sum {degree} and a rational string")
+        out[tuple(exps)] = _parsed(Fraction, c, "cofactor coefficient")
+    return out
 
 
 def sn_upper_certificate(cert, state: qs.BipartiteState) -> dict:
@@ -208,7 +252,10 @@ def sn_upper_certificate(cert, state: qs.BipartiteState) -> dict:
 
 
 def verify_sn_upper_certificate(data: dict) -> bool:
-    s = state_from_json(data["state"])
+    return _verify_sn_upper(data, state_from_json(data["state"]))
+
+
+def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
     m, n = s.dims
     vectors = [vector_from_json(v) for v in data["vectors"]]
     weights = [Fraction(w) for w in data["weights"]]
@@ -231,26 +278,24 @@ def sn_verdict_text(lower: int | None, upper: int) -> str:
     return f"SN in [{lower}, {upper}]"
 
 
-def _state_key(data: dict) -> tuple:
-    return data["dim_a"], data["dim_b"], matrix_from_json(data["matrix"])
-
-
 def verify_sn_verdict(data: dict) -> bool:
     """Replay a combined lower+upper verdict payload.
 
-    Both halves must concern the same state, and the stored verdict line
-    must be the one their values imply.
+    Both halves must store the same state (equal as JSON), which is parsed
+    once for both, and the stored verdict line must be the one their values
+    imply.
     """
     lower = data.get("lower")
     upper = data["upper"]
-    if lower is not None and _state_key(lower["state"]) != _state_key(upper["state"]):
+    if lower is not None and lower["state"] != upper["state"]:
         raise CertificateInvalid("lower and upper certificates concern different states")
     expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
     if data["verdict"] != expected:
         raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
+    s = state_from_json(upper["state"])
     if lower is not None:
-        verify_sn_lower_certificate(lower)
-    verify_sn_upper_certificate(upper)
+        _verify_sn_lower(lower, s)
+    _verify_sn_upper(upper, s)
     return True
 
 

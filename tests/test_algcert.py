@@ -389,15 +389,33 @@ def test_minor_consequence_chain_rho3x3():
 
 # -- certification ----------------------------------------------------------------------------
 
+def _cofactor(ring, data):
+    return ac.Polynomial(ring, {tuple(m): Fraction(c) for m, c in data["terms"]})
+
+
+def _leibniz_det(sym, rows, cols):
+    """det M[rows, cols] as a signed sum over permutations: independent of the
+    Laplace kernel behind minor_ideal and minor_determinants."""
+    ring = sym.ring
+    acc = ring.zero()
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        term = ring.constant((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term = term * sym.entry(rows[i], cols[j])
+        acc = acc + term
+    return acc
+
+
 def test_certify_rho4x5():
     final = qs.rho_4x5().final
     cert = ac.certify_sn_lower(final, final.edges[0].vec, 3)
     assert isinstance(cert, ac.SNCertificate)
     assert cert.value == 3 and cert.evidence["power"] == 4
     # psi00^3 is not in the ideal: the observed power is minimal
-    ring = ac.PolyRing(cert.evidence["variables"])
-    gb = [ac.poly_from_json(ring, g) for g in cert.evidence["groebner_basis"]]
-    assert not ac.normal_form(ring.var("psi00") ** 3, gb).is_zero()
+    sym = ac.range_coordinate_matrix(final, require_orthogonal_basis=True)
+    gb = ac.buchberger(ac.minor_ideal(sym, 3))
+    assert not ac.normal_form(sym.ring.var("psi00") ** 3, gb).is_zero()
 
 
 def test_certify_family_members():
@@ -410,24 +428,55 @@ def test_certify_family_members():
 
 
 def test_linear_method_agrees_with_groebner():
-    """Dual-route check: cofactor solver and Buchberger find the same power."""
-    cases = [(qs.rho_family(2), 2, True), (qs.rho_family(3), 3, True),
-             (qs.rho_4x5().final, 3, False)]
-    for st, k, family in cases:
-        excl = [e.name for e in st.edges if e.name.startswith("delta")] if family else ()
-        naming = "edge" if family else "site"
-        a = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
-        b = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming,
-                                method="linear")
-        assert isinstance(a, ac.SNCertificate) and isinstance(b, ac.SNCertificate)
-        assert a.evidence["power"] == b.evidence["power"]
-        # replay the cofactor identity by expansion
-        ring = ac.PolyRing(b.evidence["variables"])
-        gens = [ac.poly_from_json(ring, g) for g in b.evidence["generators"]]
+    """Buchberger as the oracle of the linear route: the stored power is the
+    least N with x_w^N in the minor ideal, the certificate keeps the C_k
+    minors with nonzero cofactor on the family, and its identity replays by
+    Leibniz expansion of the stored (rows, cols)."""
+    rho45 = qs.rho_4x5().final
+    cases = [(qs.rho_3x3(), 2, (), "site", 2, 2), (rho45, 3, (), "site", 4, 6)]
+    for k, used in ((2, 2), (3, 5), (4, 14)):
+        st = qs.rho_family(k)
+        deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
+        cases.append((st, k, deltas, "edge", k, used))
+    for st, k, excl, naming, power, used in cases:
+        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
+        assert isinstance(cert, ac.SNCertificate)
+        ev = cert.evidence
+        assert (ev["power"], len(ev["minors"])) == (power, used)
+        sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming=naming)
+        ring = sym.ring
+        assert list(ring.variables) == ev["variables"]
+        xw = ring.var(ev["witness_variable"])
+        gb = ac.buchberger(ac.minor_ideal(sym, k, exclude_vars=excl))
+        assert [ac.in_ideal(xw ** N, gb) for N in range(1, power + 1)] == \
+            [False] * (power - 1) + [True]
         acc = ring.zero()
-        for i, cof in b.evidence["cofactors"]:
-            acc = acc + ac.poly_from_json(ring, cof) * gens[i]
-        assert acc == ring.var(b.evidence["witness_variable"]) ** b.evidence["power"]
+        for rows, cols, cof in ev["minors"]:
+            acc = acc + _cofactor(ring, cof) * _leibniz_det(sym, rows, cols)
+        assert acc == xw ** power
+
+
+def test_minor_positions_give_the_determinants():
+    """Each Minor's first (rows, cols) and factor reproduce its determinant,
+    and minor_determinants agrees with the Leibniz expansion, zero minors
+    included."""
+    rng = random.Random(23)
+    names = ("a", "b", "c", "d")
+    ring = ac.PolyRing(names)
+    for _ in range(10):
+        m, n = rng.randint(2, 4), rng.randint(2, 5)
+        sym = ac.SymbolicRangeMatrix(m, n, ring, tuple(
+            tuple(sum((ring.var(v).scale(rng.choice((-2, -1, 1, Fraction(1, 2))))
+                       for v in rng.sample(names, rng.choice((0, 1, 1, 2)))), ring.zero())
+                  for _ in range(n)) for _ in range(m)), ())
+        for k in range(1, min(m, n) + 1):
+            minors = ac.minor_ideal(sym, k)
+            dets = ac.minor_determinants(sym, [(g.rows, g.cols) for g in minors])
+            assert dets == [g * g.det_factor for g in minors]
+            pairs = [(r, c) for r in itertools.combinations(range(m), k)
+                     for c in itertools.combinations(range(n), k)]
+            assert ac.minor_determinants(sym, pairs) == \
+                [_leibniz_det(sym, r, c) for r, c in pairs]
 
 
 def test_linear_membership_cofactors_small():

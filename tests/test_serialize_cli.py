@@ -8,6 +8,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from pptlab import algcert as ac
 from pptlab import cli
@@ -63,12 +65,12 @@ def test_sn_certificates_roundtrip():
     assert se.verify_certificate(json.loads(json.dumps(ldata)))
     assert se.verify_certificate(json.loads(json.dumps(udata)))
     bad = json.loads(json.dumps(ldata))
-    bad["groebner_basis"] = bad["groebner_basis"][:2]
-    with pytest.raises(se.CertificateInvalid):
+    bad["minors"] = bad["minors"][:2]
+    with pytest.raises(se.CertificateInvalid, match="does not expand"):
         se.verify_certificate(bad)
     bad2 = json.loads(json.dumps(ldata))
-    bad2["generators"][0]["terms"][0][0][0] += 3  # exponent bump: not a minor any more
-    with pytest.raises(se.CertificateInvalid):
+    bad2["minors"][0][0] = [0, 1, 2]    # another minor: the identity breaks
+    with pytest.raises(se.CertificateInvalid, match="does not expand"):
         se.verify_certificate(bad2)
 
 
@@ -106,7 +108,7 @@ def test_cli_certify_and_verify_roundtrip(tmp_path):
     assert cli.run(["verify", str(cert)]) == 0
     data = json.loads(cert.read_text())
     assert data["verdict"] == "SN = 3"
-    data["lower"]["groebner_basis"] = data["lower"]["groebner_basis"][:1]
+    data["lower"]["minors"] = data["lower"]["minors"][:1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert cli.run(["verify", str(bad)]) == 1
@@ -172,9 +174,9 @@ def test_cli_certify_inconclusive_exit(tmp_path):
 
 
 @pytest.mark.parametrize("state, args, digest", [
-    ("rho4x5", [], "808dc24d9e3f3aeec5fed4ed91ab97e9aba1f6b6f8ef113496ca11befe9771d5"),
+    ("rho4x5", [], "21e7cca07123ef48cc9c5bc7bc2ba404c6e105aecfdabceb3ddf5e6bcbd81bbe"),
     ("family:3", ["--exclude-deltas"],
-     "7d31ffe1a9dd500e1ee7f68ebee9e4c7265106b0be272910fd6ebb94dc6f71a1"),
+     "0393750fb9180c1b3b060f530ae7d5a488dd63b44bc79651aa1e305c3f392ffb"),
 ], ids=["rho4x5", "family3"])
 def test_certify_sn_json_pinned(tmp_path, state, args, digest):
     """certify-sn output bytes are pinned by SHA-256."""
@@ -219,16 +221,25 @@ def test_cli_reproduce_stdout(monkeypatch, capsys, as_json):
             [["PASS", "criterion", "1:"], ["PASS", "criterion", "3:"]]
 
 
-def test_cli_import_loads_no_numpy():
-    """Only the sampling verbs need numpy; every other CLI process skips
-    its import cost."""
-    code = ("import sys, pptlab.cli\n"
-            "print(sorted({'numpy', 'pptlab.numlab'} & set(sys.modules)))\n")
+def _loaded_after_import(module, names):
+    code = f"import sys, {module}\nprint(sorted({set(names)!r} & set(sys.modules)))\n"
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_cli_import_loads_no_numpy():
+    """Only the sampling verbs need numpy; every other CLI process skips
+    its import cost."""
+    assert _loaded_after_import("pptlab.cli", ["numpy", "pptlab.numlab"]) == "[]"
+
+
+def test_serialize_import_loads_no_algcert():
+    """Only sn-lower replay needs algcert; library users of serialize (states,
+    ppt certificates) skip its imports and their peak memory."""
+    assert _loaded_after_import("pptlab.serialize", ["pptlab.algcert", "logging"]) == "[]"
 
 
 # -- sn-verdict claims ----------------------------------------------------------
@@ -327,10 +338,10 @@ def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
     [0.5, 0, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 1, 2], ["1", 0, 0, 0, 1],
 ], ids=["float", "short", "negative", "string"])
 def test_malformed_exponents_fail_verify(rho3x3_verdict, tmp_path, exponents):
-    """A tampered exponent vector in the stored Groebner basis is rejected
-    by a clean verify failure, not accepted and not a crash."""
+    """A tampered exponent vector in a stored cofactor is rejected by a
+    clean verify failure, not accepted and not a crash."""
     lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    lower["groebner_basis"][-1]["terms"][0][0] = exponents
+    lower["minors"][-1][2]["terms"][0][0] = exponents
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(lower))
     assert cli.run(["verify", str(path)]) == 1
@@ -355,3 +366,163 @@ def test_huge_witness_power_is_rejected_quickly(rho3x3_verdict, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "pptlab.cli", "verify", str(path)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
+
+
+# -- the indexed sn-lower format ------------------------------------------------
+
+def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
+    """The retired Groebner replay accepted this payload: it never checked that
+    the stored basis [1] lies in the minor ideal, so it 'proved' SN >= 3 for
+    a 3x3 PPT state from its one 3x3 minor."""
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    ring = ac.PolyRing(lower["variables"])
+    basis = tuple(zip(ring.variables, (se.vector_from_json(v) for v in lower["basis"])))
+    (minor,) = ac.minor_ideal(ac.coordinate_matrix(3, 3, ring, basis), 3)
+    forged = {key: lower[key] for key in ("kind", "state", "witness", "witness_variable",
+                                          "variables", "basis")}
+    forged.update(value=3, k=3, power=3, method="groebner", monomial_order="grevlex",
+                  excluded_variables=[], generators=[ac.poly_to_json(minor)],
+                  groebner_basis=[ac.poly_to_json(ring.one())])
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(forged))
+    capsys.readouterr()
+    assert cli.run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("verify: FAILED")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("minors"),
+    lambda d: d.update(generators=[]),
+    lambda d: d.update(groebner_basis=[]),
+], ids=["no-minors", "generators", "groebner-basis"])
+def test_old_format_sn_lower_is_rejected(rho3x3_verdict, edit):
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    edit(lower)
+    with pytest.raises(se.CertificateInvalid, match="re-run certify-sn"):
+        se.verify_certificate(lower)
+
+
+def test_sn_verdict_parses_its_state_once(rho3x3_verdict, monkeypatch):
+    calls = []
+    parse = se.state_from_json
+    monkeypatch.setattr(se, "state_from_json", lambda data: calls.append(1) or parse(data))
+    assert se.verify_certificate(rho3x3_verdict)
+    assert len(calls) == 1
+
+
+def test_sn_verdict_halves_must_store_equal_states(rho3x3_verdict):
+    relabelled = json.loads(json.dumps(rho3x3_verdict))
+    relabelled["lower"]["state"]["label"] = "another"
+    assert se.verify_certificate(relabelled["lower"])
+    with pytest.raises(se.CertificateInvalid, match="different states"):
+        se.verify_certificate(relabelled)
+
+
+@pytest.fixture(scope="module")
+def genuine_lowers():
+    """Genuine sn-lower payloads of family:3 (edge naming, deltas excluded)
+    and rho4x5 (power 4, cofactors of degree 1), with their states."""
+    out = {}
+    for name, state, naming in (("family3", qs.rho_family(3), "edge"),
+                                ("rho4x5", qs.rho_4x5().final, "site")):
+        deltas = [e.name for e in state.edges if e.name.startswith("delta")]
+        cert = ac.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas,
+                                   naming=naming)
+        out[name] = (state, json.loads(json.dumps(se.sn_lower_certificate(cert, state))))
+    return out
+
+
+MUTATIONS = ("index", "repeated-index", "unsorted", "out-of-range", "duplicate-pair",
+             "entry-shape", "coefficient", "exponent", "exponent-move", "power",
+             "witness-variable", "basis-entry")
+
+
+def _mutate(data, lower, m, n):
+    """One drawn perturbation of one field of ``lower`` (in place)."""
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    minors = lower["minors"]
+    entry = minors[data.draw(st.integers(0, len(minors) - 1), label="entry")]
+    side = data.draw(st.integers(0, 1), label="side")
+    idx, bound = entry[side], (m, n)[side]
+    pos = data.draw(st.integers(0, len(idx) - 1), label="position")
+    term = data.draw(st.sampled_from(entry[2]["terms"]), label="term")
+    if kind == "index":
+        idx[pos] = data.draw(st.integers(0, bound - 1), label="new index")
+    elif kind == "repeated-index":
+        idx[pos] = idx[pos - 1]
+    elif kind == "unsorted":
+        idx.reverse()
+    elif kind == "out-of-range":
+        idx[pos] = data.draw(st.sampled_from([-1, bound, bound + 2, True, 1.0, "0"]))
+    elif kind == "duplicate-pair":
+        minors.insert(data.draw(st.integers(0, len(minors))), json.loads(json.dumps(entry)))
+    elif kind == "entry-shape":
+        minors[minors.index(entry)] = data.draw(st.sampled_from([
+            entry[:2], entry + [1], "entry", None, [entry[0], ",".join(map(str, entry[1])),
+                                                   entry[2]],
+            [entry[0], entry[1], ["terms"]], [entry[0], entry[1], {"terms": "1"}],
+            [entry[0], entry[1], {"terms": [[term[0]]]}]]))
+    elif kind == "coefficient":
+        term[1] = data.draw(st.sampled_from(["0", "2", "-1", "1/2", "x", "1/0", "", "1+1 i", 1])
+                            | st.fractions().map(str), label="coefficient")
+    elif kind == "exponent":
+        term[0][data.draw(st.integers(0, len(term[0]) - 1))] = data.draw(
+            st.sampled_from([0, 1, 2, -1, 0.5, "1", None, 10 ** 9]), label="exponent")
+    elif kind == "exponent-move":
+        a, b = data.draw(st.permutations(range(len(term[0]))))[:2]
+        term[0][a], term[0][b] = term[0][b], term[0][a]
+    elif kind == "power":
+        lower["power"] = data.draw(st.integers(-2, 12) | st.sampled_from([4.0, "3", None]))
+    elif kind == "witness-variable":
+        lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"] + ["x", 0]))
+    else:
+        vec = data.draw(st.sampled_from(lower["basis"]), label="basis vector")
+        vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(
+            st.sampled_from(["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]), label="entry")
+
+
+def _claim_holds(lower, state):
+    """Independent check of an accepted payload by sympy determinants: the
+    stored basis is a real basis of the range, the witness overlaps only the
+    declared coordinate, and the identity expands to the witness power."""
+    sympy = pytest.importorskip("sympy")
+    m, n = state.dims
+    basis = [se.vector_from_json(v) for v in lower["basis"]]
+    witness = se.vector_from_json(lower["witness"])
+    rng = em.column_space(state.matrix)
+    names = lower["variables"]
+    if not (lower["value"] == lower["k"] and len(basis) == len(names) == rng.dim
+            and em.Subspace(m * n, basis).dim == rng.dim and all(map(rng.contains, basis))
+            and all(x.im == 0 for v in basis for x in v)
+            and [x for x, v in zip(names, basis) if em.vdot(v, witness)]
+            == [lower["witness_variable"]]):
+        return False
+    xs = sympy.symbols(names)
+
+    def rational(q):
+        return sympy.Rational(q.numerator, q.denominator)
+
+    M = sympy.Matrix(m, n, lambda i, j: sum(rational(v[i * n + j].re) * x
+                                            for x, v in zip(xs, basis)))
+    lhs = sum(rational(Fraction(c)) * sympy.prod([x ** e for x, e in zip(xs, exps)])
+              * M.extract(rows, cols).det() for rows, cols, cof in lower["minors"]
+              for exps, c in cof["terms"])
+    return sympy.expand(lhs - xs[names.index(lower["witness_variable"])] ** lower["power"]) == 0
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_sn_lower_payloads_are_rejected(genuine_lowers, data):
+    """Mutation fuzzing of the indexed format: every one-field perturbation of
+    a genuine family:3 or rho4x5 payload is rejected with CertificateInvalid
+    (never a KeyError, TypeError or hang), unless the identity it leaves is
+    still true."""
+    state, genuine = genuine_lowers[data.draw(st.sampled_from(sorted(genuine_lowers)))]
+    lower = json.loads(json.dumps(genuine))
+    _mutate(data, lower, *state.dims)
+    assume(lower != genuine)
+    try:
+        se.verify_certificate(lower)
+    except se.CertificateInvalid:
+        return
+    assert _claim_holds(lower, state)
