@@ -39,6 +39,8 @@ from .errors import (
 
 log = logging.getLogger(__name__)
 
+PROGRESS_EVERY = 2000  # Buchberger pairs between progress log lines
+
 
 # ---------------------------------------------------------------------------
 # polynomials over Q, grevlex order
@@ -464,12 +466,13 @@ def _gm_update(P: _Packing, polys: list, G: list, pairs: list, ih: int) -> None:
     G.append(ih)
 
 
-def buchberger(generators: Sequence[Polynomial], progress_every: int = 2000) -> list:
+def buchberger(generators: Sequence[Polynomial]) -> list:
     """Reduced Groebner basis of the given generators (grevlex).
 
     Uses the normal pair-selection strategy (a heap keyed by lcm) with the
-    Gebauer-Moeller criteria on packed monomials.  Emits progress through the
-    module logger; the reduced basis is unique for the generated ideal.
+    Gebauer-Moeller criteria on packed monomials.  Logs progress every
+    :data:`PROGRESS_EVERY` pairs; the reduced basis is unique for the
+    generated ideal.
     """
     generators = [g for g in generators if g]
     if not generators:
@@ -488,7 +491,7 @@ def buchberger(generators: Sequence[Polynomial], progress_every: int = 2000) -> 
         l, i, j = heapq.heappop(pairs)
         h = _reduce(_s_polynomial(polys[i], polys[j], l), divisors, guard)
         processed += 1
-        if processed % progress_every == 0:
+        if processed % PROGRESS_EVERY == 0:
             log.info("buchberger: %d pairs processed, %d pending, basis size %d",
                      processed, len(pairs), len(G))
         if h:

@@ -25,7 +25,6 @@ import logging
 import sys
 
 from . import algcert as ac
-from . import exactmat as em
 from . import extender as ex
 from . import qstates as qs
 from . import serialize as se
@@ -92,33 +91,11 @@ def cmd_ppt_check(args) -> int:
 
 def cmd_extend(args) -> int:
     state = _load_state(args.state)
-    step = json.loads(args.step)
-    kind = step.get("kind")
-    side = step.get("side", "A")
-    if kind == "slocc":
-        phi = se.vector_from_json(step["phi"])
-        out = ex.slocc_extension(state, phi, side)
-    elif kind == "direct_sum":
-        edge = se.matrix_from_json(step["edge"])
-        local = state.dim_b if side == "A" else state.dim_a
-        blocks = ex.ExtensionBlocks(state, em.ExactMatrix.zeros(state.dim_a * state.dim_b,
-                                                                local),
-                                    edge, side, state.dim_a if side == "A" else state.dim_b)
-        out = ex.assemble_extension(blocks, label=f"direct_sum({state.label})")
-    elif kind == "product_pair":
-        alpha = se.vector_from_json(step["alpha"])
-        beta = se.vector_from_json(step["beta"])
-        gamma = se.vector_from_json(step["gamma"])
-        blocks = ex.product_pair_extension(state, alpha, beta, gamma, side)
-        out = ex.assemble_extension(blocks, label=f"product_pair({state.label})")
-    elif kind == "flat":
-        chi = se.matrix_from_json(step["chi"])
-        out = ex.flat_extension(state, chi, side)
-    else:
-        print(f"extend: unknown step kind {kind!r}", file=sys.stderr)
-        return EXIT_INPUT
+    data = json.loads(args.step)
+    step = se.step_from_json(data, label=f"{data.get('kind')}({state.label})")
+    out = ex.apply_step(state, step)
     _emit(args, se.state_to_json(out),
-          text=f"extended to {out.dim_a}x{out.dim_b} ({kind} on side {side})")
+          text=f"extended to {out.dim_a}x{out.dim_b} ({step.kind} on side {step.side})")
     return EXIT_OK
 
 
@@ -234,7 +211,7 @@ def cmd_verify(args) -> int:
 def cmd_reproduce(args) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(seed=args.seed, include_k5=args.k5 or None)
+    results = acceptance.run_all(seed=args.seed)
     payload = acceptance.manifest(results)
     _emit(args, payload, text="\n".join(r.line() for r in results))
     return EXIT_OK if payload["passed"] else EXIT_INCONCLUSIVE
@@ -392,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--k5", action="store_true", help="include the k=5 long job")
     common(p)
     p.set_defaults(fn=cmd_reproduce)
 

@@ -497,6 +497,75 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     return lifted, remainder
 
 
+# ---------------------------------------------------------------------------
+# extension steps and pipelines
+# ---------------------------------------------------------------------------
+
+def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix, side: Side,
+                          label: str) -> qs.BipartiteState:
+    """Extension with zero coupling: the new level carries ``edge`` alone."""
+    chi = em.ExactMatrix.zeros(core.dim_a * core.dim_b, edge.rows)
+    perp = core.dim_a if side == "A" else core.dim_b
+    return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), label=label)
+
+
+# step kind -> (parameter keys, kernel(core, *parameters, side, label))
+_STEP_KINDS = {
+    "direct_sum": (("edge",), _direct_sum_extension),
+    "slocc": (("phi",), slocc_extension),
+    "product_pair": (("alpha", "beta", "gamma"), lambda core, alpha, beta, gamma, side, label:
+                     assemble_extension(product_pair_extension(core, alpha, beta, gamma, side),
+                                        label=label)),
+    "flat": (("chi",), flat_extension),
+}
+
+
+def step_keys(kind: str) -> tuple:
+    """The parameter keys of a step kind, as named in the step JSON."""
+    if kind not in _STEP_KINDS:
+        raise BoundsViolation(f"unknown step kind {kind!r}")
+    return _STEP_KINDS[kind][0]
+
+
+def apply_step(core: qs.BipartiteState, step: qs.ExtensionStep) -> qs.BipartiteState:
+    """Apply one :class:`qstates.ExtensionStep` to ``core``; the new level
+    is the last local index of ``step.side``."""
+    keys = step_keys(step.kind)
+    if step.side not in ("A", "B"):
+        raise BoundsViolation(f"side must be 'A' or 'B', not {step.side!r}")
+    kernel = _STEP_KINDS[step.kind][1]
+    return kernel(core, *(step.parameters[key] for key in keys), step.side, step.label)
+
+
+def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> list:
+    """Apply ``steps`` in order and return the state after each one.
+
+    When ``core`` carries edges, each step lifts them through the extension
+    (:func:`lift_decomposition`) and adds the remainder's LDL* rank-one
+    parts under the step's ``names``.
+    """
+    states = []
+    for step in steps:
+        ext = apply_step(core, step)
+        if core.edges is not None:
+            perp = (ext.dim_a if step.side == "A" else ext.dim_b) - 1
+            lifted, remainder = lift_decomposition(ext, step.side, perp,
+                                                   [e.vec for e in core.edges],
+                                                   [e.weight for e in core.edges])
+            res = em.psd_check(remainder)
+            if len(res.pivots) != len(step.names):
+                raise DecompositionMismatch(f"{step.label}: remainder has {len(res.pivots)} "
+                                            f"rank-one parts, {len(step.names)} names")
+            edges = [qs.NamedVector(e.name, v, w) for e, (v, w) in zip(core.edges, lifted)]
+            edges += [qs.NamedVector(name, col, Fraction(d))
+                      for name, (_, d), col in zip(step.names, res.pivots, res.columns)]
+            ext = qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=ext.label,
+                                    edges=edges, _skip_checks=True)
+        states.append(ext)
+        core = ext
+    return states
+
+
 @dataclass(frozen=True)
 class ProjectionBound:
     """Certified relation between a state and one local projection of it.

@@ -13,18 +13,28 @@ their positivity is precisely the property under investigation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from . import exactmat as em
-from .errors import BoundsViolation, DecompositionMismatch, DimensionMismatch, InvalidK, NotPsd
+from .errors import BoundsViolation, DimensionMismatch, InvalidK, NotPsd
 
 Side = Literal["A", "B"]
 
 
 def flat_index(i: int, j: int, n: int) -> int:
     return i * n + j
+
+
+def _sites_vec(plus: list, m: int, n: int, minus: list = ()) -> em.Vector:
+    """Plus one on every ``plus`` site and minus one on every ``minus`` site."""
+    v = [em.ZERO] * (m * n)
+    for (i, j) in plus:
+        v[flat_index(i, j, n)] = em.ONE
+    for (i, j) in minus:
+        v[flat_index(i, j, n)] = -em.ONE
+    return tuple(v)
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +54,9 @@ class GridEdge:
     weight: Fraction
 
     def vector(self, dim_a: int, dim_b: int) -> em.Vector:
-        v = [em.ZERO] * (dim_a * dim_b)
         if self.kind == "solid":
-            for (i, j) in self.sites:
-                v[flat_index(i, j, dim_b)] = em.ONE
-        else:
-            (i, j), (k, l) = self.sites
-            v[flat_index(i, j, dim_b)] = em.ONE
-            v[flat_index(k, l, dim_b)] = -em.ONE
-        return tuple(v)
+            return _sites_vec(self.sites, dim_a, dim_b)
+        return _sites_vec(self.sites[:1], dim_a, dim_b, minus=self.sites[1:])
 
 
 @dataclass(frozen=True)
@@ -280,27 +284,10 @@ def rho_3x3() -> BipartiteState:
         dashed=[([(1, 0), (2, 1)], 1)],
     )
     st = grid_to_state(g, label="rho3x3")
-    # canonical edge order/names e0..e4 as listed in the docstring
-    e = {tuple(v.vec): v for v in st.edges}
-    order = [
-        NamedVector("e0", _sites_vec([(0, 0), (1, 1), (2, 2)], 3, 3), Fraction(1)),
-        NamedVector("e1", _sites_vec([(0, 1), (1, 2)], 3, 3), Fraction(1)),
-        NamedVector("e2", _sites_vec([(1, 0)], 3, 3, minus=[(2, 1)]), Fraction(1)),
-        NamedVector("e3", _sites_vec([(0, 2)], 3, 3), Fraction(3)),
-        NamedVector("e4", _sites_vec([(2, 0)], 3, 3), Fraction(3)),
-    ]
-    if not all(tuple(v.vec) in e for v in order):
-        raise DecompositionMismatch("canonical rho3x3 edges differ from the grid edges")
-    return BipartiteState(3, 3, st.matrix, label="rho3x3", edges=order, _skip_checks=True)
-
-
-def _sites_vec(plus: list, m: int, n: int, minus: list = ()) -> em.Vector:
-    v = [em.ZERO] * (m * n)
-    for (i, j) in plus:
-        v[flat_index(i, j, n)] = em.ONE
-    for (i, j) in minus:
-        v[flat_index(i, j, n)] = -em.ONE
-    return tuple(v)
+    # grid_to_state lists solid edges first; name them e0..e4 in docstring order
+    edges = [NamedVector(f"e{i}", st.edges[j].vec, st.edges[j].weight)
+             for i, j in enumerate((0, 1, 4, 2, 3))]
+    return BipartiteState(3, 3, st.matrix, label="rho3x3", edges=edges, _skip_checks=True)
 
 
 @functools.lru_cache(maxsize=None)
@@ -337,11 +324,20 @@ def tiles_kernel_products() -> tuple:
 
 @dataclass(frozen=True)
 class ExtensionStep:
-    """One replayable step of an extension pipeline."""
+    """One replayable step of an extension pipeline.
+
+    ``parameters`` holds the step's exact data under the ``pptlab extend``
+    step-JSON keys: ``edge`` (direct_sum), ``phi`` (slocc), ``alpha``,
+    ``beta``, ``gamma`` (product_pair) or ``chi`` (flat).  The new level is
+    the last local index of ``side``.  ``label`` names the extended state and
+    ``names`` the remainder's rank-one parts (:func:`extender.run_pipeline`).
+    """
 
     kind: str                   # "direct_sum" | "slocc" | "product_pair" | "flat"
     side: Side
-    parameters: dict = field(compare=False, default_factory=dict)
+    parameters: dict
+    label: str
+    names: tuple
 
 
 @dataclass(frozen=True)
@@ -354,6 +350,20 @@ class Rho45Pipeline:
     steps: tuple                # tuple[ExtensionStep, ...]
 
 
+RHO_4X5_STEPS = (
+    # a direct sum on A: the new level carries 3|30><30| + 3|32><32|
+    ExtensionStep("direct_sum", "A", {"edge": em.ExactMatrix.diag([3, 0, 3])},
+                  "rho4x3", ("p30", "p32")),
+    # B-extensions with couplings |20><3|_A and then |02><3|_A
+    ExtensionStep("product_pair", "B", {"alpha": em.basis_vector(3, 0),
+                                        "beta": em.basis_vector(4, 2),
+                                        "gamma": em.basis_vector(4, 3)}, "rho4x4", ("q0",)),
+    ExtensionStep("product_pair", "B", {"alpha": em.basis_vector(4, 2),
+                                        "beta": em.basis_vector(4, 0),
+                                        "gamma": em.basis_vector(4, 3)}, "rho4x5", ("r0",)),
+)
+
+
 @functools.lru_cache(maxsize=None)
 def rho_4x5() -> Rho45Pipeline:
     """Three-step local-extension pipeline from ``rho_3x3`` to a 4x5 state.
@@ -361,67 +371,12 @@ def rho_4x5() -> Rho45Pipeline:
     Step 1 adjoins a fourth A-level carrying the products ``3|30><30| +
     3|32><32|`` (a direct-sum, entanglement-trivial extension).  Steps 2 and
     3 adjoin B-levels with couplings ``|20><3|_A`` and ``|02><3|_A`` and the
-    minimal-rank edge blocks; both are nontrivial PPT extensions.  The final
-    state carries its exact conic decomposition as ``edges``.
+    minimal-rank edge blocks; both are nontrivial PPT extensions.  Every
+    stage carries its exact conic decomposition as ``edges``.
     """
     from . import extender  # local import; extender depends on this module
 
-    core = rho_3x3()
-    # stage 1: direct sum with 3|30><30| + 3|32><32|
-    edge = em.ExactMatrix.diag([3, 0, 3])
-    blocks1 = extender.ExtensionBlocks(core=core, coupling=em.ExactMatrix.zeros(9, 3),
-                                       edge=edge, side="A", perp_index=3)
-    stage1 = extender.assemble_extension(blocks1, label="rho4x3")
-    decomposition = [
-        NamedVector(e.name, e.vec + em.zero_vector(3), e.weight) for e in core.edges
-    ] + [
-        NamedVector("p30", _sites_vec([(3, 0)], 4, 3), Fraction(3)),
-        NamedVector("p32", _sites_vec([(3, 2)], 4, 3), Fraction(3)),
-    ]
-    stage1 = BipartiteState(4, 3, stage1.matrix, label="rho4x3", edges=decomposition,
-                            _skip_checks=True)
-    step1 = ExtensionStep("direct_sum", "A", {"edge_diag": ["3", "0", "3"]})
-
-    # stage 2: nontrivial B-extension with coupling |20><3|_A
-    alpha = em.basis_vector(3, 0)   # B-side vector |0>
-    beta = em.basis_vector(4, 2)    # A-side |2>
-    gamma = em.basis_vector(4, 3)   # A-side |3>
-    blocks2 = extender.product_pair_extension(stage1, alpha, beta, gamma, side="B")
-    stage2 = extender.assemble_extension(blocks2, label="rho4x4")
-    lifted, remainder = extender.lift_decomposition(
-        stage2, "B", 3, [e.vec for e in decomposition], [e.weight for e in decomposition])
-    decomposition2 = [NamedVector(e.name, v, e.weight) for e, (v, _) in zip(decomposition, lifted)]
-    decomposition2 += _remainder_vectors(remainder, prefix="q")
-    stage2 = BipartiteState(4, 4, stage2.matrix, label="rho4x4", edges=decomposition2,
-                            _skip_checks=True)
-    step2 = ExtensionStep("product_pair", "B",
-                          {"alpha": [0], "beta": [2], "gamma": [3]})
-
-    # stage 3: nontrivial B-extension with coupling |02><3|_A
-    alpha = em.basis_vector(4, 2)
-    beta = em.basis_vector(4, 0)
-    gamma = em.basis_vector(4, 3)
-    blocks3 = extender.product_pair_extension(stage2, alpha, beta, gamma, side="B")
-    final = extender.assemble_extension(blocks3, label="rho4x5")
-    lifted, remainder = extender.lift_decomposition(
-        final, "B", 4, [e.vec for e in decomposition2], [e.weight for e in decomposition2])
-    decomposition3 = [NamedVector(e.name, v, e.weight) for e, (v, _) in zip(decomposition2, lifted)]
-    decomposition3 += _remainder_vectors(remainder, prefix="r")
-    final = BipartiteState(4, 5, final.matrix, label="rho4x5", edges=decomposition3,
-                           _skip_checks=True)
-    step3 = ExtensionStep("product_pair", "B",
-                          {"alpha": [2], "beta": [0], "gamma": [3]})
-
-    return Rho45Pipeline(stage1, stage2, final, (step1, step2, step3))
-
-
-def _remainder_vectors(remainder: em.ExactMatrix, prefix: str) -> list:
-    """Split a PSD remainder into weighted rank-one named vectors."""
-    res = em.psd_check(remainder)
-    out = []
-    for t, ((_, d), col) in enumerate(zip(res.pivots, res.columns)):
-        out.append(NamedVector(f"{prefix}{t}", col, Fraction(d)))
-    return out
+    return Rho45Pipeline(*extender.run_pipeline(rho_3x3(), RHO_4X5_STEPS), RHO_4X5_STEPS)
 
 
 # ---------------------------------------------------------------------------

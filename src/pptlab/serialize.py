@@ -11,6 +11,7 @@ import json
 from fractions import Fraction
 
 from . import exactmat as em
+from . import extender as ex
 from . import qstates as qs
 from .errors import PptlabError
 
@@ -64,6 +65,15 @@ def state_from_json(data: dict) -> qs.BipartiteState:
                  for e in data["edges"]]
     return qs.BipartiteState(data["dim_a"], data["dim_b"], matrix_from_json(data["matrix"]),
                              label=data.get("label", ""), edges=edges)
+
+
+def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
+    """Parse one extension step: ``kind``, ``side`` (default "A") and the
+    kind's parameters, vectors as lists and matrices as objects."""
+    kind = data.get("kind")
+    parameters = {key: matrix_from_json(data[key]) if isinstance(data[key], dict)
+                  else vector_from_json(data[key]) for key in ex.step_keys(kind)}
+    return qs.ExtensionStep(kind, data.get("side", "A"), parameters, label, ())
 
 
 def graph_to_json(g: qs.GridGraph) -> dict:

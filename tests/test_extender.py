@@ -1,5 +1,6 @@
 """Local extension engine."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
-from pptlab.errors import BoundsViolation, PptlabError, PreconditionViolation, RangeViolation
+from pptlab.errors import (BoundsViolation, DecompositionMismatch, PptlabError,
+                           PreconditionViolation, RangeViolation)
 
 
 def rnd_scalar(rng, span=2):
@@ -279,6 +281,30 @@ def test_slocc_side_b():
     assert em.psd_check(st.partial_transpose("A")).is_psd
 
 
+# -- extension steps and pipelines ---------------------------------------------------
+
+def test_run_pipeline_without_edges_builds_the_same_stages():
+    pipe = qs.rho_4x5()
+    bare = qs.BipartiteState(3, 3, qs.rho_3x3().matrix, label="bare")
+    stages = ex.run_pipeline(bare, pipe.steps)
+    assert [st.matrix for st in stages] == [pipe.stage1.matrix, pipe.stage2.matrix,
+                                            pipe.final.matrix]
+    assert all(st.edges is None for st in stages)
+
+
+def test_run_pipeline_needs_one_name_per_remainder_part():
+    step = dataclasses.replace(qs.rho_4x5().steps[0], names=("p30",))
+    with pytest.raises(DecompositionMismatch, match="2 rank-one parts, 1 names"):
+        ex.run_pipeline(qs.rho_3x3(), [step])
+
+
+@pytest.mark.parametrize("change", [{"kind": "twist"}, {"side": "C"}], ids=["kind", "side"])
+def test_apply_step_rejects_unknown_kind_and_side(change):
+    step = dataclasses.replace(qs.rho_4x5().steps[0], **change)
+    with pytest.raises(BoundsViolation):
+        ex.apply_step(qs.rho_3x3(), step)
+
+
 # -- product-pair extensions ----------------------------------------------------------
 
 def test_product_pair_parallel_rejected():
@@ -374,7 +400,6 @@ def test_lift_mismatched_core_rejected():
     edge = em.ExactMatrix.identity(2)
     blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(4, 2), edge, "A", 2)
     st = ex.assemble_extension(blocks)
-    from pptlab.errors import DecompositionMismatch
     with pytest.raises(DecompositionMismatch):
         ex.lift_decomposition(st, "A", 2, [em.vector([1, 0, 0, 0])])
 

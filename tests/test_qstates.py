@@ -192,6 +192,17 @@ def test_rho4x5_decomposition_recorded_and_exact():
     assert final.edges[0].vec == qs._sites_vec([(0, 0), (1, 1), (2, 2)], 4, 5)
 
 
+def test_rho4x5_stage_labels_and_edge_names():
+    pipe = qs.rho_4x5()
+    core = ["e0", "e1", "e2", "e3", "e4", "p30", "p32"]
+    assert [(st.label, [e.name for e in st.edges])
+            for st in (pipe.stage1, pipe.stage2, pipe.final)] == \
+        [("rho4x3", core), ("rho4x4", core + ["q0"]), ("rho4x5", core + ["q0", "r0"])]
+    p30, p32 = pipe.stage1.edges[5:]
+    assert (p30.vec, p30.weight) == (qs._sites_vec([(3, 0)], 4, 3), 3)
+    assert (p32.vec, p32.weight) == (qs._sites_vec([(3, 2)], 4, 3), 3)
+
+
 def test_family_defaults_and_validation():
     assert qs.FamilySpec(2).resolved_d() == [1, 1]
     assert qs.FamilySpec(3).resolved_d() == [1, 2, 2, 1]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pptlab import algcert as ac
 from pptlab import cli
 from pptlab import exactmat as em
+from pptlab import extender as ex
 from pptlab import qstates as qs
 from pptlab import serialize as se
 
@@ -114,28 +115,92 @@ def test_cli_certify_and_verify_roundtrip(tmp_path):
     assert cli.run(["verify", str(bad)]) == 1
 
 
-def test_cli_extend_slocc(tmp_path):
+# the three steps of qstates.rho_4x5() as `pptlab extend --step` JSON
+RHO_4X5_STEP_JSON = (
+    {"kind": "direct_sum", "side": "A",
+     "edge": {"rows": 3, "cols": 3,
+              "entries": [["3", "0", "0"], ["0", "0", "0"], ["0", "0", "3"]]}},
+    {"kind": "product_pair", "side": "B", "alpha": ["1", "0", "0"],
+     "beta": ["0", "0", "1", "0"], "gamma": ["0", "0", "0", "1"]},
+    {"kind": "product_pair", "side": "B", "alpha": ["0", "0", "1", "0"],
+     "beta": ["1", "0", "0", "0"], "gamma": ["0", "0", "0", "1"]},
+)
+
+
+def test_cli_replays_the_recorded_rho4x5_steps(tmp_path):
+    pipe = qs.rho_4x5()
+    state = "rho3x3"
+    for i, (data, step, want) in enumerate(zip(RHO_4X5_STEP_JSON, pipe.steps,
+                                               (pipe.stage1, pipe.stage2, pipe.final))):
+        assert se.step_from_json(data, step.label).parameters == step.parameters
+        out = tmp_path / f"stage{i}.json"
+        assert cli.run(["extend", "--state", state, "--step", json.dumps(data),
+                        "--out", str(out)]) == 0
+        assert se.state_from_json(json.loads(out.read_text())).matrix == want.matrix
+        state = str(out)
+
+
+def _kernel_case(kind, side, tmp_path):
+    """(state reference, its label, step parameters as JSON, the library
+    kernel's extension) for one step kind on one side."""
+    rho = qs.rho_3x3()
+    if kind == "slocc":
+        phi = ["1", "-2", "1/2+1 i"]
+        return "rho3x3", rho.label, {"phi": phi}, \
+            ex.slocc_extension(rho, se.vector_from_json(phi), side)
+    if kind == "direct_sum":
+        edge = em.ExactMatrix.diag([3, 0, Fraction(1, 2)])
+        blocks = ex.ExtensionBlocks(rho, em.ExactMatrix.zeros(9, 3), edge, side, 3)
+        return "rho3x3", rho.label, {"edge": se.matrix_to_json(edge)}, \
+            ex.assemble_extension(blocks)
+    if kind == "flat":
+        chi = em.ExactMatrix([[rho.matrix.entry(r, c) for c in (0, 4, 8)] for r in range(9)])
+        return "rho3x3", rho.label, {"chi": se.matrix_to_json(chi)}, \
+            ex.flat_extension(rho, chi, side)
+    core = qs.rho_4x5().stage1 if side == "B" else qs.swap_subsystems(qs.rho_4x5().stage1)
+    path = tmp_path / "core.json"
+    path.write_text(json.dumps(se.state_to_json(core)))
+    vectors = {"alpha": em.basis_vector(3, 0), "beta": em.basis_vector(4, 2),
+               "gamma": em.basis_vector(4, 3)}
+    want = ex.assemble_extension(ex.product_pair_extension(core, **vectors, side=side))
+    return str(path), core.label, {k: se.vector_to_json(v) for k, v in vectors.items()}, want
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("kind", ["direct_sum", "slocc", "product_pair", "flat"])
+def test_cli_extend_matches_library_kernel(tmp_path, kind, side):
+    state, label, params, want = _kernel_case(kind, side, tmp_path)
     out = tmp_path / "ext.json"
-    rc = cli.run(["extend", "--state", "rho3x3",
-                  "--step", json.dumps({"kind": "slocc", "side": "A",
-                                        "phi": ["1", "0", "0"]}),
-                  "--out", str(out)])
-    assert rc == 0
-    st = se.state_from_json(json.loads(out.read_text()))
-    assert st.dims == (4, 3)
-
-
-def test_cli_extend_product_pair(tmp_path):
-    s1 = tmp_path / "s1.json"
-    assert cli.run(["build", "--state", "rho4x5:stage1", "--out", str(s1)]) == 0
-    out = tmp_path / "s2.json"
-    step = {"kind": "product_pair", "side": "B",
-            "alpha": ["1", "0", "0"], "beta": ["0", "0", "1", "0"],
-            "gamma": ["0", "0", "0", "1"]}
-    assert cli.run(["extend", "--state", str(s1), "--step", json.dumps(step),
+    step = {"kind": kind, "side": side, **params}
+    assert cli.run(["extend", "--state", state, "--step", json.dumps(step),
                     "--out", str(out)]) == 0
-    st = se.state_from_json(json.loads(out.read_text()))
-    assert st.matrix == qs.rho_4x5().stage2.matrix
+    got = se.state_from_json(json.loads(out.read_text()))
+    assert got.dims == want.dims and got.matrix == want.matrix
+    assert got.label == f"{kind}({label})"
+
+
+@pytest.mark.parametrize("step", [
+    {"kind": "twist", "side": "A", "phi": ["1", "0", "0"]},
+    {"kind": "slocc", "side": "A", "phi": ["1", "0"]},
+    {"kind": "product_pair", "side": "A", "alpha": ["1", "0", "0"],
+     "beta": ["0", "1"], "gamma": ["0", "0", "1"]},
+], ids=["unknown-kind", "short-phi", "short-beta"])
+def test_cli_extend_input_errors_exit_2(step, capsys):
+    assert cli.run(["extend", "--state", "rho3x3", "--step", json.dumps(step)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("state, digest", [
+    ("rho4x5:stage1", "a76c2dac1dfa4ceb7e18fa238e8d500d426e17510bf42431bfe41c2cda4096e4"),
+    ("rho4x5:stage2", "46d86dfa6302597de4fd9961e1c4e474ff4bd2ec83f45880797edf16f1434672"),
+    ("rho4x5", "247e1c095fea62e198935c0a387f7961fbebcc3e8268c44e01a2e772b5009b30"),
+], ids=["stage1", "stage2", "final"])
+def test_build_rho4x5_json_pinned(tmp_path, state, digest):
+    """The pipeline states' bytes (labels, edge names and order, vectors and
+    weights) are pinned by SHA-256."""
+    out = tmp_path / "state.json"
+    assert cli.run(["build", "--state", state, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_cli_extremal():
@@ -210,8 +275,7 @@ def test_cli_reproduce_stdout(monkeypatch, capsys, as_json):
     from pptlab import acceptance
 
     monkeypatch.setattr(acceptance, "run_all",
-                        lambda seed, include_k5: [acceptance.criterion_1(),
-                                                  acceptance.criterion_3()])
+                        lambda seed: [acceptance.criterion_1(), acceptance.criterion_3()])
     assert cli.run(["reproduce"] + (["--json"] if as_json else [])) == 0
     out = capsys.readouterr().out
     if as_json:
