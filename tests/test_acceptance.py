@@ -30,8 +30,15 @@ def test_criterion_3_stage2_projection():
 def test_criterion_4_scaling_family():
     result = acceptance.criterion_4()
     _check(result)
-    assert result.name == "scaling family SN = k (k = 2, 3, 4, 5)"
     assert [result.details[f"k{k}"]["minors"] for k in (2, 3, 4, 5)] == [2, 5, 14, 42]
+
+
+def test_criterion_4_name_lists_the_k_that_ran():
+    result = acceptance.criterion_4()
+    assert result.passed, result.details
+    assert result.name == "scaling family SN = k (k = 2, 3, 4, 5)"
+    assert sorted(result.details) == ["k2", "k3", "k4", "k5"]
+    assert [result.details[f"k{k}"]["sn"] for k in (2, 3, 4, 5)] == [2, 3, 4, 5]
 
 
 def test_criterion_5_tiles_unextendibility():
