@@ -21,6 +21,7 @@ import bisect
 import heapq
 import itertools
 import logging
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -519,25 +520,32 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
     """
     ring = target.ring
     P = _Packing(ring.nvars)
-    packed = [P.pack_terms(g) for g in generators]
+    packed = [_int_terms(P.pack_terms(g)) for g in generators]
     P.check_degree(max((g.degree() for g in generators), default=0) + cofactor_degree)
+    # Macaulay rows over the ints: each row is (terms, trail) with terms =
+    # sum trail[(i, mono)] * mono * generators[i], scaled freely
     eliminated: dict = {}   # pivot monomial -> (row terms, row trail)
     for mono in _monomials_up_to(ring.nvars, cofactor_degree):
         shift = P.pack(mono) - P.one
-        for i, terms in enumerate(packed):
+        for i, (terms, scale) in enumerate(packed):
             work = {m + shift: c for m, c in terms.items()}
-            trail = {(i, mono): Fraction(1)}
+            trail = {(i, mono): scale}
             while work:
                 lead = max(work)
                 hit = eliminated.get(lead)
                 if hit is None:
+                    g = math.gcd(*work.values(), *trail.values())
+                    if g != 1:
+                        work = {m: c // g for m, c in work.items()}
+                        trail = {key: c // g for key, c in trail.items()}
                     eliminated[lead] = (work, trail)
                     break
                 pterms, ptrail = hit
-                f = work[lead] / pterms[lead]
-                _dict_submul(work, f, pterms)
-                _dict_submul(trail, f, ptrail)
-    work = P.pack_terms(target)
+                a, b = _eliminators(pterms[lead], work[lead])
+                _int_submul(work, a, b, pterms)
+                _int_submul(trail, a, b, ptrail)
+    # the target row keeps sigma * target - work = sum trail * mono * generators
+    work, sigma = _int_terms(P.pack_terms(target))
     trail: dict = {}
     while work:
         lead = max(work)
@@ -545,13 +553,14 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
         if hit is None:
             return None
         pterms, ptrail = hit
-        f = work[lead] / pterms[lead]
-        _dict_submul(work, f, pterms)
-        _dict_submul(trail, -f, ptrail)
+        a, b = _eliminators(pterms[lead], work[lead])
+        _int_submul(work, a, b, pterms)
+        _int_submul(trail, a, -b, ptrail)
+        sigma *= a
     cofactors: dict = {}
     for (i, mono), c in trail.items():
         cof = cofactors.setdefault(i, {})
-        cof[mono] = cof.get(mono, Fraction(0)) + c
+        cof[mono] = cof.get(mono, 0) + Fraction(c, sigma)
     out = []
     for i, terms in sorted(cofactors.items()):
         p = Polynomial(ring, terms)
@@ -566,9 +575,27 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
     return out
 
 
-def _dict_submul(target: dict, factor: Fraction, source: dict):
+def _int_terms(terms: dict) -> tuple:
+    """``(scale * terms, scale)`` with ``scale`` the least integer that makes
+    every coefficient an int."""
+    scale = math.lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (scale // c.denominator) for m, c in terms.items()}, scale
+
+
+def _eliminators(pivot: int, entry: int) -> tuple:
+    """``(a, b)`` with ``a > 0`` and ``a * entry == b * pivot``, in lowest terms."""
+    g = math.gcd(pivot, entry)
+    a, b = pivot // g, entry // g
+    return (a, b) if a > 0 else (-a, -b)
+
+
+def _int_submul(target: dict, a: int, b: int, source: dict):
+    """``target = a * target - b * source`` in place, dropping zero entries."""
+    if a != 1:
+        for key, val in target.items():
+            target[key] = a * val
     for key, val in source.items():
-        s = target.get(key, Fraction(0)) - factor * val
+        s = target.get(key, 0) - b * val
         if s:
             target[key] = s
         else:
@@ -685,7 +712,8 @@ def _laplace_extend(table: dict, row: list) -> dict:
 
     ``table`` maps a sorted column tuple to the packed terms of its minor;
     ``row`` lists the new row's nonzero entries as ``(column, [(monomial -
-    one, coefficient)])``.  Zero minors are left out of the result.
+    one, coefficient)])``.  Coefficients are ints (:func:`_packed_rows`).
+    Zero minors are left out of the result.
     """
     out: dict = {}
     for cols, minor in table.items():
@@ -722,12 +750,20 @@ class Minor(Polynomial):
         object.__setattr__(self, "det_factor", det_factor)
 
 
-def _packed_rows(M: SymbolicRangeMatrix, P: _Packing, k: int) -> list:
-    """Nonzero entries per row of ``M`` as ``(column, [(monomial - one,
-    coefficient)])``, after checking that ``k x k`` minors fit ``P``."""
+def _packed_rows(M: SymbolicRangeMatrix, P: _Packing, k: int) -> tuple:
+    """``(rows, scales)``: the nonzero entries of each row of ``M`` times
+    ``scales[row]``, the lcm of the row's denominators, as ``(column,
+    [(monomial - one, int coefficient)])``, after checking that ``k x k``
+    minors fit ``P``.  A minor of the scaled rows is the minor of ``M``
+    times the product of their scales."""
     P.check_degree(k * max((e.degree() for row in M.entries for e in row), default=0))
-    return [[(j, [(P.pack(m) - P.one, c) for m, c in e.terms.items()])
-             for j, e in enumerate(row) if e] for row in M.entries]
+    rows, scales = [], []
+    for row in M.entries:
+        scale = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        rows.append([(j, [(P.pack(m) - P.one, c.numerator * (scale // c.denominator))
+                          for m, c in e.terms.items()]) for j, e in enumerate(row) if e])
+        scales.append(scale)
+    return rows, scales
 
 
 def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()) -> list:
@@ -749,11 +785,11 @@ def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()
     ring = M.ring
     P = _Packing(ring.nvars)
     excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
-    rows = _packed_rows(M, P, k)
-    found: dict = {}        # monic terms -> (first rows, cols, leading coefficient)
+    rows, scales = _packed_rows(M, P, k)
+    found: dict = {}        # primitive terms -> (first rows, cols, leading coefficient)
     # depth-first over row sets, one (rows, minors on them, rows left to
     # prepend) frame per level
-    path = [((), {(): {P.one: Fraction(1)}}, iter(range(k - 1, M.dim_a)))]
+    path = [((), {(): {P.one: 1}}, iter(range(k - 1, M.dim_a)))]
     while path:
         chosen, table, candidates = path[-1]
         r = next(candidates, None)
@@ -770,12 +806,21 @@ def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()
         for cols, minor in grown.items():
             if excluded and any(t & excluded != excluded for t in minor):
                 continue
-            key = frozenset(_monic_terms(minor).items())
+            # proportional minors share one primitive form with a positive lead
+            lead = minor[max(minor)]
+            g = math.gcd(*minor.values()) * (1 if lead > 0 else -1)
+            key = frozenset((m, c // g) for m, c in minor.items())
             first = found.get(key)
             if first is None or (chosen, cols) < first[:2]:
-                found[key] = (chosen, cols, minor[max(minor)])
+                found[key] = (chosen, cols, lead)
     out = sorted(found, key=lambda key: (max(key)[0], len(key), found[key][:2]))
-    return [Minor(ring, {P.unpack(m): c for m, c in key}, *found[key]) for key in out]
+    minors = []
+    for key in out:
+        chosen, cols, lead = found[key]
+        plead = max(key)[1]
+        minors.append(Minor(ring, {P.unpack(m): Fraction(c, plead) for m, c in key}, chosen, cols,
+                            Fraction(lead, math.prod(scales[r] for r in chosen))))
+    return minors
 
 
 def minor_determinants(M: SymbolicRangeMatrix, pairs: Sequence[tuple]) -> list:
@@ -784,14 +829,16 @@ def minor_determinants(M: SymbolicRangeMatrix, pairs: Sequence[tuple]) -> list:
     Laplace expansion along ``rows`` from the last, over ``cols`` only."""
     ring = M.ring
     P = _Packing(ring.nvars)
-    rows = _packed_rows(M, P, max((len(r) for r, _ in pairs), default=0))
+    rows, scales = _packed_rows(M, P, max((len(r) for r, _ in pairs), default=0))
     out = []
     for chosen, cols in pairs:
         keep = set(cols)
-        table = {(): {P.one: Fraction(1)}}
+        table = {(): {P.one: 1}}
         for r in reversed(chosen):
             table = _laplace_extend(table, [(c, e) for c, e in rows[r] if c in keep])
-        out.append(P.polynomial(ring, table.get(tuple(cols), {})))
+        scale = math.prod(scales[r] for r in chosen)
+        out.append(P.polynomial(ring, {m: Fraction(c, scale)
+                                       for m, c in table.get(tuple(cols), {}).items()}))
     return out
 
 

@@ -3,7 +3,9 @@
 Reproducible workflows over files; every verb supports ``--json`` and
 ``--out``.  Exit codes: 0 a verdict was produced, 1 the run was
 inconclusive (failed certificate replay, inconclusive certification,
-failed acceptance), 2 input error.
+failed acceptance), 2 input error: input that does not parse, or a
+:class:`PptlabError` the input causes.  Any other exception is a fault of
+the program and surfaces with its traceback.
 
 Examples:
 
@@ -28,11 +30,31 @@ from . import algcert as ac
 from . import extender as ex
 from . import qstates as qs
 from . import serialize as se
-from .errors import PptlabError
+from .errors import InternalInconsistency, PptlabError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INPUT = 2
+
+
+class InputError(PptlabError):
+    """Command-line input that does not parse (exit 2)."""
+
+
+# what reading a file, JSON text or a number raises on malformed input
+_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+
+
+def _parse(parse, *args):
+    """``parse(*args)``, with the exceptions of malformed input raised as
+    :class:`InputError`.  Only input parsing goes through here, so the same
+    exceptions from the computation itself keep their tracebacks."""
+    try:
+        return parse(*args)
+    except FileNotFoundError as exc:
+        raise InputError(str(exc)) from exc
+    except _PARSE_ERRORS as exc:
+        raise InputError(f"{type(exc).__name__}: {exc}") from exc
 
 
 def _load_state(ref: str) -> qs.BipartiteState:
@@ -46,8 +68,8 @@ def _load_state(ref: str) -> qs.BipartiteState:
     if ref in named:
         return named[ref]()
     if ref.startswith("family:"):
-        return qs.rho_family(int(ref.split(":", 1)[1]))
-    return se.state_from_json(se.load(ref))
+        return qs.rho_family(_parse(int, ref.split(":", 1)[1]))
+    return _parse(se.state_from_json, _parse(se.load, ref))
 
 
 def _emit(args, payload: dict, text: str | None = None) -> None:
@@ -66,7 +88,7 @@ def _emit(args, payload: dict, text: str | None = None) -> None:
 
 def cmd_build(args) -> int:
     if args.graph:
-        g = se.graph_from_json(se.load(args.graph))
+        g = _parse(se.graph_from_json, _parse(se.load, args.graph))
         state = qs.grid_to_state(g, label=args.label or "grid-state")
     elif args.family:
         state = qs.rho_family(int(args.family))
@@ -91,9 +113,13 @@ def cmd_ppt_check(args) -> int:
 
 def cmd_extend(args) -> int:
     state = _load_state(args.state)
-    data = json.loads(args.step)
-    step = se.step_from_json(data, label=f"{data.get('kind')}({state.label})")
-    out = ex.apply_step(state, step)
+    data = _parse(json.loads, args.step)
+    if not isinstance(data, dict):
+        raise InputError("--step must be a JSON object")
+    step = _parse(se.step_from_json, data, f"{data.get('kind')}({state.label})")
+    # a state with edges keeps them: lifted through the step, with the
+    # remainder's rank-one parts named by the step
+    out = ex.apply_step(state, step) if state.edges is None else ex.run_pipeline(state, [step])[0]
     _emit(args, se.state_to_json(out),
           text=f"extended to {out.dim_a}x{out.dim_b} ({step.kind} on side {step.side})")
     return EXIT_OK
@@ -163,8 +189,8 @@ def cmd_extremal(args) -> int:
 def cmd_sample(args) -> int:
     from . import numlab as nl
 
-    m, n = _parse_dims(args.dims)
-    p, q = (int(x) for x in args.birank.split(","))
+    m, n = _parse(_parse_dims, args.dims)
+    p, q = _parse(_parse_birank, args.birank)
     try:
         st = nl.gauss_newton_birank(m, n, p, q, seed=args.seed, tol=args.tol)
     except PptlabError as exc:
@@ -188,8 +214,8 @@ def cmd_sample(args) -> int:
 def cmd_survey(args) -> int:
     from . import numlab as nl
 
-    dims = [_parse_dims(d) for d in args.dims.split()]
-    biranks = [tuple(int(x) for x in b.split(",")) for b in args.birank.split()]
+    dims = [_parse(_parse_dims, d) for d in args.dims.split()]
+    biranks = [_parse(_parse_birank, b) for b in args.birank.split()]
     reports = nl.unextendibility_survey(dims, biranks, samples=args.samples,
                                         seed=args.seed, tol=args.tol)
     payload = {"kind": "survey", "reports": [r.to_json() for r in reports]}
@@ -198,11 +224,15 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = se.load(args.certificate)
+    data = _parse(se.load, args.certificate)
     try:
         se.verify_certificate(data)
     except PptlabError as exc:
         print(f"verify: FAILED: {exc}")
+        return EXIT_INCONCLUSIVE
+    except _PARSE_ERRORS as exc:
+        # a certificate is untrusted input: one that does not parse fails
+        print(f"verify: FAILED: malformed certificate: {type(exc).__name__}: {exc}")
         return EXIT_INCONCLUSIVE
     print(f"verify: OK ({data.get('kind')})")
     return EXIT_OK
@@ -287,6 +317,11 @@ def render_svg(state: qs.BipartiteState) -> str:
 def _parse_dims(text: str):
     m, n = text.lower().split("x")
     return int(m), int(n)
+
+
+def _parse_birank(text: str):
+    p, q = text.split(",")
+    return int(p), int(q)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,10 +423,12 @@ def run(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
+    except InternalInconsistency:
+        raise
+    except InputError as exc:
         print(f"{args.verb}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PptlabError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except PptlabError as exc:
         print(f"{args.verb}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

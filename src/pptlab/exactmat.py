@@ -7,13 +7,19 @@ basis so that equality of subspaces is syntactic equality of bases
 (:class:`Subspace`).
 
 Every operation here is exact: verdicts like :func:`psd_check` are decided
-by symmetric-pivoted LDL* elimination over the field, never by floating
-point.  The pseudoinverse is never materialized; its action is available
-through :func:`solve_on_range`.
+by symmetric-pivoted LDL* elimination, never by floating point.  The
+elimination kernels (:func:`_rref` behind subspaces, ranks, kernels and
+solves, and :func:`psd_check`) run on integer rows with a shared
+denominator: each row is scaled to Gaussian integers, held as pairs of int
+lists, once on entry, eliminated fraction-free with exact divisions
+(Bareiss; Zhou & Jeffrey for LDL*), and reduced to Gaussian rationals only
+on output.  The pseudoinverse is never materialized; its action is
+available through :func:`solve_on_range`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -418,44 +424,120 @@ def weighted_gram(vectors: Sequence[Vector], weights: Sequence, dim: int) -> Exa
 
 
 # ---------------------------------------------------------------------------
-# row reduction core
+# integer kernel: Gaussian-integer rows with a shared denominator
 # ---------------------------------------------------------------------------
+#
+# A row is two int lists ``(re, im)``, ``im`` None when the row is real, and
+# stands for ``row / den``; scalars are ``(re, im)`` int pairs.  Eliminating
+# with pivot ``p`` maps a row to ``(p * row - f * pivot_row) / den``, an
+# exact division: Bareiss's step (Bareiss 1968; Zhou & Jeffrey 2008 for
+# LDL*) taken lazily, so a row the pivot does not touch keeps its entries
+# and its ``den``, the pivot of the step that last changed it.
 
-def _rref(rows: list, limit_cols: int | None = None) -> list:
-    """Reduce ``rows`` (lists of GaussianRational) in place to RREF.
+def _row_lcm(row) -> int:
+    """Least common denominator of a sequence of Gaussian rationals."""
+    return math.lcm(*{x.re.denominator for x in row}, *{x.im.denominator for x in row})
 
-    Pivots are normalized to 1 and eliminated above and below.  Pivot search
-    is restricted to the first ``limit_cols`` columns when given, which makes
-    the same routine usable on augmented systems.  Returns pivot columns.
+
+def _int_row(row, scale: int) -> tuple:
+    """``scale * row`` as Gaussian-integer lists ``(re, im)``; ``scale`` must
+    clear every denominator."""
+    if scale == 1:
+        re = [x.re.numerator for x in row]
+        im = [x.im.numerator for x in row]
+    else:
+        re = [x.re.numerator * (scale // x.re.denominator) for x in row]
+        im = [x.im.numerator * (scale // x.im.denominator) for x in row]
+    return re, (im if any(im) else None)
+
+
+def _combine(a: tuple, x: tuple, b: tuple, y: tuple, q: tuple) -> tuple:
+    """Exact ``(a * x - b * y) / q`` for Gaussian-integer rows ``x``, ``y``
+    and scalars ``a``, ``b``, ``q``; the quotient must be integral."""
+    (ar, ai), (br, bi), (qr, qi) = a, b, q
+    (xr, xi), (yr, yi) = x, y
+    if xi is None and yi is None and not (ai or bi or qi):
+        if qr == 1:
+            return [ar * u - br * v for u, v in zip(xr, yr)], None
+        return [(ar * u - br * v) // qr for u, v in zip(xr, yr)], None
+    zero = [0] * len(xr)
+    xi, yi = xi or zero, yi or zero
+    re = [ar * u - ai * s - br * v + bi * t for u, s, v, t in zip(xr, xi, yr, yi)]
+    im = [ar * s + ai * u - br * t - bi * v for u, s, v, t in zip(xr, xi, yr, yi)]
+    if qi:
+        n2 = qr * qr + qi * qi
+        re, im = ([(u * qr + s * qi) // n2 for u, s in zip(re, im)],
+                  [(s * qr - u * qi) // n2 for u, s in zip(re, im)])
+    elif qr != 1:
+        re = [u // qr for u in re]
+        im = [s // qr for s in im]
+    return re, (im if any(im) else None)
+
+
+def _entry(row: tuple, j: int) -> tuple:
+    re, im = row
+    return re[j], (im[j] if im is not None else 0)
+
+
+def _nonzero(row: tuple, j: int) -> bool:
+    re, im = row
+    return bool(re[j] or (im is not None and im[j]))
+
+
+def _quotient(ur: int, ui: int, q: tuple) -> GaussianRational:
+    """``(ur + ui i) / q`` as a reduced Gaussian rational."""
+    qr, qi = q
+    if qi:
+        n2 = qr * qr + qi * qi
+        ur, ui, qr = ur * qr + ui * qi, ui * qr - ur * qi, n2
+    if not ui:
+        return GaussianRational._raw(Fraction(ur, qr), _ZERO) if ur else ZERO
+    return GaussianRational._raw(Fraction(ur, qr), Fraction(ui, qr))
+
+
+def _rref(rows: Sequence[Sequence], limit_cols: int | None = None) -> tuple:
+    """Reduced row echelon form of ``rows`` (sequences of GaussianRational).
+
+    Pivots are the first nonzero entry at or below the current row, column
+    by column; pivot search is restricted to the first ``limit_cols``
+    columns when given, which makes the same routine usable on augmented
+    systems.  Returns ``(pivot columns, pivot rows normalized to 1 and
+    eliminated above and below, whether every other row reduced to zero)``.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
+    work = [_int_row(row, _row_lcm(row)) for row in rows]
+    nrows = len(work)
+    ncols = len(work[0][0]) if nrows else 0
     span = ncols if limit_cols is None else limit_cols
+    den = [(1, 0)] * nrows
+    p_prev = (1, 0)
     pivots = []
     r = 0
     for c in range(span):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if _nonzero(work[i], c)), None)
         if pr is None:
             continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        if piv != ONE:
-            inv = ONE / piv
-            rows[r] = [inv * x for x in rows[r]]
+        work[r], work[pr], den[r], den[pr] = work[pr], work[r], den[pr], den[r]
+        if den[r] != p_prev:    # bring the pivot row up to the current step
+            work[r] = _combine(p_prev, work[r], (0, 0), work[r], den[r])
+        pivot_row = work[r]
+        p = _entry(pivot_row, c)
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b if b else a for a, b in zip(ri, rr)]
+            if i != r and _nonzero(work[i], c):
+                work[i] = _combine(p, work[i], _entry(work[i], c), pivot_row, den[i])
+                den[i] = p
+        den[r] = p_prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return pivots
+    reduced = []
+    for row, c in zip(work, pivots):
+        lead = _entry(row, c)
+        re, im = row
+        im = im or [0] * len(re)
+        reduced.append(tuple(_quotient(u, s, lead) for u, s in zip(re, im)))
+    rest_zero = not any(any(re) or im is not None for re, im in work[r:])
+    return pivots, reduced, rest_zero
 
 
 def _kernel_from_rref(rref_rows: list, pivots: list, ncols: int) -> list:
@@ -484,14 +566,12 @@ class Subspace:
     __slots__ = ("ambient_dim", "basis")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Vector] = ()):
-        rows = [list(vector(v)) for v in vectors]
+        rows = [vector(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("basis vector of wrong length")
-        pivots = _rref(rows)
-        canon = tuple(tuple(rows[i]) for i in range(len(pivots)))
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", canon)
+        object.__setattr__(self, "basis", tuple(_rref(rows)[1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -540,10 +620,8 @@ def column_space(M: ExactMatrix) -> Subspace:
 
 def rank_and_kernel(M: ExactMatrix) -> tuple[int, Subspace]:
     """Exact rank of ``M`` together with its right kernel."""
-    rows = [list(M.row(i)) for i in range(M.rows)]
-    pivots = _rref(rows)
-    kern = _kernel_from_rref(rows, pivots, M.cols)
-    return len(pivots), Subspace(M.cols, kern)
+    pivots, reduced, _ = _rref([M.row(i) for i in range(M.rows)])
+    return len(pivots), Subspace(M.cols, _kernel_from_rref(reduced, pivots, M.cols))
 
 
 def rank(M: ExactMatrix) -> int:
@@ -614,62 +692,71 @@ def _psd_witness(loc: list, pivot_indices: list, ell_list: list, n: int) -> Vect
 def psd_check(M: ExactMatrix) -> PsdResult:
     """Exact positive-semidefiniteness decision by pivoted LDL*.
 
-    Pivots only on nonzero diagonal entries; a negative diagonal or a zero
-    diagonal with a nonzero residual row yields an explicit witness vector
-    with a negative quadratic form value.
+    Pivots only on nonzero diagonal entries, the first in index order; a
+    negative diagonal or a zero diagonal with a nonzero residual row yields
+    an explicit witness vector with a negative quadratic form value.  The
+    elimination is fraction-free over Gaussian-integer rows of ``L * M``,
+    ``L`` the common denominator of ``M``: eliminating a pivot updates only
+    the rows and columns where the pivot row is nonzero.
     """
-    if not M.is_hermitian():
-        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
     n = M.rows
-    R = [list(M.row(i)) for i in range(n)]
+    if n != M.cols:
+        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
+    scale = math.lcm(*(_row_lcm(row) for row in M._e))
+    A = [_int_row(row, scale) for row in M._e]
+    re_t = [list(col) for col in zip(*(re for re, _ in A))]
+    zero = [0] * n
+    im_t = [[-x for x in col] for col in zip(*(im or zero for _, im in A))]
+    if re_t != [re for re, _ in A] or im_t != [im or zero for _, im in A]:
+        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
+    den = [1] * n           # row i of the Schur complement is A[i] / (den[i] * scale)
+    p_prev = 1
     active = list(range(n))
     pivot_indices: list[int] = []
     pivot_values: list[Fraction] = []
     ells: list[list] = []
 
     while True:
-        piv = None
-        for j in active:
-            d = R[j][j]
-            if d:
-                piv = j
-                break
+        piv = next((j for j in active if A[j][0][j]), None)
         if piv is not None:
-            d = R[piv][piv].re
-            if d < 0:
+            re, im = A[piv]
+            dnum = re[piv]
+            d = Fraction(dnum, den[piv] * scale)
+            if dnum < 0:
                 loc = [ZERO] * n
                 loc[piv] = ONE
                 w = _psd_witness(loc, pivot_indices, ells, n)
                 return PsdResult(False, witness=w, witness_value=d)
-            dval = R[piv][piv]
-            ell = [R[i][piv] / dval for i in range(n)]
-            nz = [i for i, x in enumerate(ell) if x]
+            # ell = column piv / d, the conjugate of the pivot row over its diagonal
+            nz = [i for i in range(n) if _nonzero(A[piv], i)]
+            ell = [ZERO] * n
             for i in nz:
-                li = ell[i]
-                Ri = R[i]
-                for k in nz:
-                    Ri[k] = Ri[k] - dval * li * ell[k].conj()
+                ell[i] = _quotient(re[i], -im[i] if im is not None else 0, (dnum, 0))
+            if den[piv] != p_prev:  # bring the pivot row up to the current step
+                A[piv] = _combine((p_prev, 0), A[piv], (0, 0), A[piv], (den[piv], 0))
+            p = (A[piv][0][piv], 0)
+            for i in nz:
+                if i != piv:
+                    A[i] = _combine(p, A[i], _entry(A[i], piv), A[piv], (den[i], 0))
+                    den[i] = p[0]
+            p_prev = p[0]
             pivot_indices.append(piv)
             pivot_values.append(d)
             ells.append(ell)
             active.remove(piv)
         else:
-            off = None
-            for ai, i in enumerate(active):
-                for k in active[ai + 1:]:
-                    if R[i][k]:
-                        off = (i, k)
-                        break
-                if off:
-                    break
+            off = next(((i, k) for ai, i in enumerate(active) for k in active[ai + 1:]
+                        if _nonzero(A[i], k)), None)
             if off is None:
                 cols = tuple(tuple(l) for l in ells)
                 return PsdResult(True, pivots=tuple(zip(pivot_indices, pivot_values)), columns=cols)
             i, k = off
+            ur, ui = _entry(A[i], k)
+            q = den[i] * scale
             loc = [ZERO] * n
             loc[i] = ONE
-            loc[k] = -R[i][k].conj()
-            value = -2 * R[i][k].abs2()
+            loc[k] = -_quotient(ur, -ui, (q, 0))
+            value = Fraction(-2 * (ur * ur + ui * ui), q * q)
             w = _psd_witness(loc, pivot_indices, ells, n)
             return PsdResult(False, witness=w, witness_value=value)
 
@@ -689,11 +776,10 @@ def orth_projector(S: Subspace) -> ExactMatrix:
 def _solve_invertible(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     """Solve ``A X = B`` for invertible square ``A``."""
     n = A.rows
-    rows = [list(A.row(i)) + list(B.row(i)) for i in range(n)]
-    pivots = _rref(rows, limit_cols=n)
+    pivots, reduced, _ = _rref([A.row(i) + B.row(i) for i in range(n)], limit_cols=n)
     if len(pivots) != n:
         raise RangeViolation("matrix is singular")
-    return ExactMatrix([rows[i][n:] for i in range(n)])
+    return ExactMatrix([row[n:] for row in reduced])
 
 
 def solve_on_range(A: ExactMatrix, b: Vector) -> Vector:
@@ -714,26 +800,24 @@ def solve_on_range_matrix(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
 
 def _solve_on_range_cols(A: ExactMatrix, bs: list) -> list:
     m, n = A.rows, A.cols
+    bs = [vector(b) for b in bs]
     for b in bs:
         if len(b) != m:
             raise DimensionMismatch("right-hand side of wrong length")
     k = len(bs)
-    rows = [list(A.row(i)) + [bs[j][i] for j in range(k)] for i in range(m)]
-    pivots = _rref(rows, limit_cols=n)
-    r = len(pivots)
-    for i in range(r, m):
-        for j in range(k):
-            if rows[i][n + j]:
-                raise RangeViolation("right-hand side outside the range")
+    rows = [A.row(i) + tuple(b[i] for b in bs) for i in range(m)]
+    pivots, reduced, consistent = _rref(rows, limit_cols=n)
+    if not consistent:
+        raise RangeViolation("right-hand side outside the range")
     # particular solutions with free variables set to zero
     xs = []
     for j in range(k):
         x = [ZERO] * n
-        for t, pc in enumerate(pivots):
-            x[pc] = rows[t][n + j]
+        for row, pc in zip(reduced, pivots):
+            x[pc] = row[n + j]
         xs.append(x)
     # project out the kernel component to land in R(A*)
-    kern = _kernel_from_rref([row[:n] for row in rows[:r]], pivots, n)
+    kern = _kernel_from_rref(reduced, pivots, n)
     if kern:
         K = ExactMatrix.from_cols(kern)
         G = K.adjoint().matmul(K)

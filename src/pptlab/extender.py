@@ -382,6 +382,13 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     The assembled extension is verified PPT exactly before returning, and
     verified to lie outside the trivial SLOCC coupling family.
     """
+    return _product_pair(core, alpha, beta, gamma, side)[0]
+
+
+def _product_pair(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
+                  gamma: em.Vector, side: Side) -> tuple:
+    """:func:`product_pair_extension`'s blocks and the checked extension
+    they assemble to, in the frame of ``core``."""
     frame = core if side == "A" else qs.swap_subsystems(core)
     m, n = frame.dims
     if len(alpha) != m or len(beta) != n or len(gamma) != n:
@@ -415,7 +422,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
         raise PPTFailure("assembled extension fails the exact PPT check")
     if trivial_coupling_space(frame).contains(coupling_choi_vector(chi, m, n)):
         raise PreconditionViolation("coupling lies inside the trivial SLOCC family")
-    return _from_a_frame(blocks, core, side)
+    return _from_a_frame(blocks, core, side), ext if side == "A" else qs.swap_subsystems(ext)
 
 
 def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, m: int, n: int) -> em.ExactMatrix:
@@ -509,13 +516,20 @@ def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix, side: S
     return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), label=label)
 
 
+def _product_pair_step(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
+                       gamma: em.Vector, side: Side, label: str) -> qs.BipartiteState:
+    """The product-pair extension, relabelled; it was checked PSD and PPT
+    when it was built, so it is not factored again."""
+    ext = _product_pair(core, alpha, beta, gamma, side)[1]
+    return qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=label or "extension",
+                             _skip_checks=True)
+
+
 # step kind -> (parameter keys, kernel(core, *parameters, side, label))
 _STEP_KINDS = {
     "direct_sum": (("edge",), _direct_sum_extension),
     "slocc": (("phi",), slocc_extension),
-    "product_pair": (("alpha", "beta", "gamma"), lambda core, alpha, beta, gamma, side, label:
-                     assemble_extension(product_pair_extension(core, alpha, beta, gamma, side),
-                                        label=label)),
+    "product_pair": (("alpha", "beta", "gamma"), _product_pair_step),
     "flat": (("chi",), flat_extension),
 }
 
@@ -542,7 +556,7 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
 
     When ``core`` carries edges, each step lifts them through the extension
     (:func:`lift_decomposition`) and adds the remainder's LDL* rank-one
-    parts under the step's ``names``.
+    parts under the step's ``names`` (``<side><level>_<t>`` when None).
     """
     states = []
     for step in steps:
@@ -553,12 +567,15 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
                                                    [e.vec for e in core.edges],
                                                    [e.weight for e in core.edges])
             res = em.psd_check(remainder)
-            if len(res.pivots) != len(step.names):
+            names = step.names
+            if names is None:
+                names = tuple(f"{step.side}{perp}_{t}" for t in range(len(res.pivots)))
+            if len(res.pivots) != len(names):
                 raise DecompositionMismatch(f"{step.label}: remainder has {len(res.pivots)} "
-                                            f"rank-one parts, {len(step.names)} names")
+                                            f"rank-one parts, {len(names)} names")
             edges = [qs.NamedVector(e.name, v, w) for e, (v, w) in zip(core.edges, lifted)]
             edges += [qs.NamedVector(name, col, Fraction(d))
-                      for name, (_, d), col in zip(step.names, res.pivots, res.columns)]
+                      for name, (_, d), col in zip(names, res.pivots, res.columns)]
             ext = qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=ext.label,
                                     edges=edges, _skip_checks=True)
         states.append(ext)

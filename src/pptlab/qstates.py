@@ -330,14 +330,15 @@ class ExtensionStep:
     step-JSON keys: ``edge`` (direct_sum), ``phi`` (slocc), ``alpha``,
     ``beta``, ``gamma`` (product_pair) or ``chi`` (flat).  The new level is
     the last local index of ``side``.  ``label`` names the extended state and
-    ``names`` the remainder's rank-one parts (:func:`extender.run_pipeline`).
+    ``names`` the remainder's rank-one parts (:func:`extender.run_pipeline`);
+    ``None`` names them ``<side><level>_<t>`` after the new level.
     """
 
     kind: str                   # "direct_sum" | "slocc" | "product_pair" | "flat"
     side: Side
     parameters: dict
     label: str
-    names: tuple
+    names: tuple | None
 
 
 @dataclass(frozen=True)

@@ -68,12 +68,18 @@ def state_from_json(data: dict) -> qs.BipartiteState:
 
 
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
-    """Parse one extension step: ``kind``, ``side`` (default "A") and the
-    kind's parameters, vectors as lists and matrices as objects."""
+    """Parse one extension step: ``kind``, ``side`` (default "A"), the
+    kind's parameters, vectors as lists and matrices as objects, and the
+    optional ``names`` of the remainder's rank-one parts."""
     kind = data.get("kind")
     parameters = {key: matrix_from_json(data[key]) if isinstance(data[key], dict)
                   else vector_from_json(data[key]) for key in ex.step_keys(kind)}
-    return qs.ExtensionStep(kind, data.get("side", "A"), parameters, label, ())
+    names = data.get("names")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(x, str) for x in names)):
+        raise ValueError("step names must be a list of strings")
+    return qs.ExtensionStep(kind, data.get("side", "A"), parameters, label,
+                            None if names is None else tuple(names))
 
 
 def graph_to_json(g: qs.GridGraph) -> dict:

@@ -479,6 +479,43 @@ def test_minor_positions_give_the_determinants():
                 [_leibniz_det(sym, r, c) for r, c in pairs]
 
 
+def test_minor_determinants_on_rows_with_denominators():
+    """Every row of the coordinate matrix has non-integer coefficients, so
+    the integer minor tables scale each row: determinants, Minor factors
+    and monic forms still match the Leibniz expansion."""
+    rng = random.Random(29)
+    names = ("a", "b", "c")
+    ring = ac.PolyRing(names)
+    coefficients = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 6), Fraction(5, 4), Fraction(-1, 2))
+    for _ in range(6):
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        basis = [(name, tuple(em.GaussianRational(rng.choice(coefficients) if rng.random() < 0.6
+                                                  else 0) for _ in range(m * n)))
+                 for name in names]
+        sym = ac.coordinate_matrix(m, n, ring, basis)
+        assert all(any(c.denominator > 1 for e in row for c in e.terms.values())
+                   for row in sym.entries if any(row))
+        for k in range(1, min(m, n) + 1):
+            pairs = [(r, c) for r in itertools.combinations(range(m), k)
+                     for c in itertools.combinations(range(n), k)]
+            dets = ac.minor_determinants(sym, pairs)
+            assert dets == [_leibniz_det(sym, r, c) for r, c in pairs]
+            for g in ac.minor_ideal(sym, k):
+                det = _leibniz_det(sym, g.rows, g.cols)
+                assert g.leading_coeff() == 1 and g * g.det_factor == det
+
+
+def test_linear_membership_cofactors_with_denominators():
+    """Generators and a target with denominators: the cofactors are the
+    unique rational solution."""
+    ring = ac.PolyRing(["x", "y"])
+    x, y = ring.var("x"), ring.var("y")
+    gens = [x * x - (y * y).scale(Fraction(1, 3)), (x * y).scale(Fraction(2, 5))]
+    target = (x ** 3).scale(Fraction(3, 7))
+    cof = dict(ac.linear_membership_cofactors(target, gens, cofactor_degree=1))
+    assert cof == {0: x.scale(Fraction(3, 7)), 1: y.scale(Fraction(5, 14))}
+
+
 def test_linear_membership_cofactors_small():
     ring = ac.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")

@@ -347,3 +347,113 @@ def test_projector_onto_rho3x3_range_has_trace_five():
 
     P = em.orth_projector(em.column_space(qs.rho_3x3().matrix))
     assert P.trace() == 5  # trace of a projector equals the rank
+
+
+# -- the integer kernel: properties of RREF and LDL* ----------------------------
+
+def _big_fractions(bits):
+    """Rationals with numerators and denominators of up to ``bits`` bits,
+    zero included, so that rows need scaling and elimination meets long ints."""
+    return st.builds(Fraction, st.integers(-(1 << bits), 1 << bits),
+                     st.integers(1, 1 << bits))
+
+
+@st.composite
+def gaussian_rows(draw, max_rows=5, max_cols=6):
+    """Rows of Gaussian rationals, some of them combinations of the others
+    (rank-deficient), with entries of up to 1100 bits in some draws."""
+    bits = draw(st.sampled_from((2, 8, 1100)))
+    complex_entries = draw(st.booleans())
+    ncols = draw(st.integers(1, max_cols))
+    part = st.one_of(st.just(Fraction(0)), _big_fractions(bits))
+
+    def scalar():
+        return em.GaussianRational(draw(part), draw(part) if complex_entries else 0)
+
+    rows = [tuple(scalar() for _ in range(ncols)) for _ in range(draw(st.integers(1, max_rows)))]
+    for _ in range(draw(st.integers(0, 2))):     # dependent rows
+        a, b = scalar(), scalar()
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows.append(tuple(a * x + b * y for x, y in zip(rows[i], rows[j])))
+    return rows
+
+
+def _to_sympy(z):
+    import sympy
+    return sympy.Rational(z.re.numerator, z.re.denominator) \
+        + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+
+
+def _from_sympy(x):
+    import sympy
+    re, im = sympy.expand(x).as_real_imag()
+    return em.GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(gaussian_rows())
+def test_rref_matches_sympy(rows):
+    """The canonical basis is sympy's reduced row echelon form, pivots included."""
+    import sympy
+    ncols = len(rows[0])
+    ref, pivots = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows]).rref()
+    want = tuple(tuple(_from_sympy(ref[i, j]) for j in range(ncols)) for i in range(len(pivots)))
+    S = em.Subspace(ncols, rows)
+    assert S.basis == want
+    assert [next(j for j, x in enumerate(b) if x) for b in S.basis] == list(pivots)
+    rank, kern = em.rank_and_kernel(em.ExactMatrix(rows))
+    assert rank == len(pivots) and kern.dim == ncols - rank
+    for v in kern.basis:
+        assert em.is_zero_vector(em.ExactMatrix(rows).matvec(v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_rows(), st.data())
+def test_rref_invariant_under_row_operations_and_scaling(rows, data):
+    """Row swaps, row scalings and row additions leave the canonical basis alone."""
+    S = em.Subspace(len(rows[0]), rows)
+    work = list(rows)
+    for _ in range(data.draw(st.integers(1, 6))):
+        i = data.draw(st.integers(0, len(work) - 1))
+        j = data.draw(st.integers(0, len(work) - 1))
+        c = em.GaussianRational(data.draw(_big_fractions(40).filter(bool)),
+                                data.draw(_big_fractions(40)))
+        op = data.draw(st.sampled_from(("swap", "scale", "add")))
+        if op == "swap":
+            work[i], work[j] = work[j], work[i]
+        elif op == "scale":
+            work[i] = em.vec_scale(c, work[i])
+        elif i != j:
+            work[i] = em.vec_add(work[i], em.vec_scale(c, work[j]))
+    assert em.Subspace(len(rows[0]), work) == S
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaussian_rows(max_rows=5, max_cols=5), st.booleans())
+def test_psd_check_pivots_or_witness(rows, gram):
+    """PSD: positive pivots, unit columns and an exact reconstruction.  Not
+    PSD: a witness with ``<v|M|v> = witness_value < 0``."""
+    B = em.ExactMatrix(rows)
+    M = B.adjoint().matmul(B) if gram else B.adjoint().matmul(B) - em.ExactMatrix.identity(B.cols)
+    res = em.psd_check(M)
+    if gram:
+        assert res.is_psd
+    if res.is_psd:
+        assert all(d > 0 for _, d in res.pivots)
+        assert all(col[i] == 1 for (i, _), col in zip(res.pivots, res.columns))
+        assert res.reconstruct(M.rows) == M
+    else:
+        value = em.vdot(res.witness, M.matvec(res.witness))
+        assert value.im == 0 and value.re == res.witness_value < 0
+
+
+def test_psd_check_zero_diagonal_witness_on_scaled_entries():
+    """A zero diagonal with a coupling, on entries with denominators: the
+    witness value is exact in the original scale."""
+    M = em.ExactMatrix([[Fraction(1, 3), 0, Fraction(1, 6)],
+                        [0, 0, em.GaussianRational(Fraction(2, 7), Fraction(-1, 5))],
+                        [Fraction(1, 6), em.GaussianRational(Fraction(2, 7), Fraction(1, 5)), 0]])
+    res = em.psd_check(M)
+    assert not res.is_psd
+    value = em.vdot(res.witness, M.matvec(res.witness))
+    assert value.im == 0 and value.re == res.witness_value < 0

@@ -292,6 +292,27 @@ def test_run_pipeline_without_edges_builds_the_same_stages():
     assert all(st.edges is None for st in stages)
 
 
+def test_rho4x5_factors_no_large_matrix_twice(monkeypatch):
+    """Building rho4x5 PSD-checks each 16x16 and 20x20 matrix once: a
+    product-pair step reuses the extension it checked."""
+    factored = []
+    check = em.psd_check
+
+    def counting(M):
+        factored.append(M)
+        return check(M)
+
+    monkeypatch.setattr(em, "psd_check", counting)
+    qs.rho_4x5.cache_clear()
+    try:
+        qs.rho_4x5()
+    finally:
+        qs.rho_4x5.cache_clear()
+    large = [M for M in factored if M.rows in (16, 20)]
+    assert [M.rows for M in large] == [16, 16, 16, 20, 20, 20]
+    assert len(set(large)) == len(large)
+
+
 def test_run_pipeline_needs_one_name_per_remainder_part():
     step = dataclasses.replace(qs.rho_4x5().steps[0], names=("p30",))
     with pytest.raises(DecompositionMismatch, match="2 rank-one parts, 1 names"):

@@ -203,6 +203,96 @@ def test_build_rho4x5_json_pinned(tmp_path, state, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_cli_extend_lifts_the_edges_of_a_state_that_has_them(tmp_path):
+    """With each step's ``names``, three ``pptlab extend`` calls rebuild
+    rho4x5 with its edges: the file equals ``build --state rho4x5`` up to
+    the label, and certify-sn and verify accept it with SN = 3 at power 4."""
+    state = "rho3x3"
+    for i, (data, step) in enumerate(zip(RHO_4X5_STEP_JSON, qs.rho_4x5().steps)):
+        named = {**data, "names": list(step.names)}
+        assert se.step_from_json(named, step.label) == step
+        out = tmp_path / f"stage{i}.json"
+        assert cli.run(["extend", "--state", state, "--step", json.dumps(named),
+                        "--out", str(out)]) == 0
+        state = str(out)
+    built = se.state_to_json(qs.rho_4x5().final)
+    replayed = json.loads((tmp_path / "stage2.json").read_text())
+    assert replayed["label"] != built["label"]
+    assert {**replayed, "label": built["label"]} == built
+    cert = tmp_path / "cert.json"
+    assert cli.run(["certify-sn", "--state", state, "--out", str(cert)]) == 0
+    assert cli.run(["verify", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert (data["verdict"], data["lower"]["power"]) == ("SN = 3", 4)
+
+
+def test_cli_extend_names_an_unnamed_remainder(tmp_path):
+    """A step without ``names`` still lifts the edges; the remainder's parts
+    are named after the new level."""
+    out = tmp_path / "ext.json"
+    assert cli.run(["extend", "--state", "rho3x3", "--step", json.dumps(RHO_4X5_STEP_JSON[0]),
+                    "--out", str(out)]) == 0
+    st = se.state_from_json(json.loads(out.read_text()))
+    assert [e.name for e in st.edges] == ["e0", "e1", "e2", "e3", "e4", "A3_0", "A3_1"]
+    assert st.matrix == qs.rho_4x5().stage1.matrix
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--state", "rho3x3", "--step", "{not json"],
+    ["extend", "--state", "rho3x3", "--step", "[1, 2]"],
+    ["extend", "--state", "rho3x3", "--step",
+     json.dumps({**RHO_4X5_STEP_JSON[0], "names": "p30"})],
+    ["ppt-check", "--state", "family:x"],
+    ["ppt-check", "--state", "missing-state.json"],
+    ["sample", "--dims", "3x3", "--birank", "4,4,4"],
+], ids=["step-json", "step-not-object", "names-not-list", "family-k", "missing-file",
+        "birank"])
+def test_cli_input_that_does_not_parse_exits_2(argv, capsys):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_internal_value_error_is_not_an_input_error(monkeypatch):
+    """A ValueError raised by the computation, not by parsing the input,
+    surfaces with its traceback instead of exiting 2."""
+    def broken(state):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(se, "ppt_certificate", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        cli.run(["ppt-check", "--state", "rho3x3"])
+
+
+def test_cli_verify_fails_a_certificate_that_does_not_parse(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    del data["rho"]
+    cert.write_text(json.dumps(data))
+    assert cli.run(["verify", str(cert)]) == 1
+    assert "malformed certificate: KeyError" in capsys.readouterr().out
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("state, digest", [
+    ("rho3x3", "0cfe4fd5e86eb3901b77b9377b074e1c77e25b97ca858ce53a2baadc4cb6a59e"),
+    ("rho4x5", "3be7955b48748518778bf9635d2683034a876b3e6e3163bd76b0444c1a76531b"),
+    ("family:3", "9567de028ef828c397a93e52dac5d0f6f816be8fff3ea81642ceba962ae135ba"),
+    (os.path.join(DATA, "rounded_4x4_s634511.json"),
+     "ec60d7b134ddebecb36dac9168b758e7154c9db7c019e0e3fb88a0ccb92060b1"),
+], ids=["rho3x3", "rho4x5", "family3", "rounded-4x4"])
+def test_ppt_check_json_pinned(tmp_path, state, digest):
+    """ppt-check output bytes (pivots, columns, verdict) are pinned by
+    SHA-256.  The rounded state is the exact rounding of the 4x4 birank-(7,7)
+    Gauss-Newton sample with seed 634511, stored as a file so that the pin
+    does not depend on floating point."""
+    out = tmp_path / "ppt.json"
+    assert cli.run(["ppt-check", "--state", state, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_extremal():
     assert cli.run(["extremal", "--state", "rho4x5", "--side", "B", "--perp", "4"]) == 0
 
