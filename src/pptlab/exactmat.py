@@ -375,13 +375,7 @@ class ExactMatrix:
         return all(not x for row in self._e for x in row)
 
     def is_hermitian(self) -> bool:
-        if not self.is_square():
-            return False
-        for i in range(self.rows):
-            for j in range(i, self.cols):
-                if self._e[i][j] != self._e[j][i].conj():
-                    return False
-        return True
+        return self.is_square() and _int_hermitian(_int_matrix(self)[1])
 
     def is_diagonal(self) -> bool:
         return all(not self._e[i][j] for i in range(self.rows) for j in range(self.cols) if i != j)
@@ -449,6 +443,21 @@ def _int_row(row, scale: int) -> tuple:
         re = [x.re.numerator * (scale // x.re.denominator) for x in row]
         im = [x.im.numerator * (scale // x.im.denominator) for x in row]
     return re, (im if any(im) else None)
+
+
+def _int_matrix(M: "ExactMatrix") -> tuple:
+    """``(L, rows)``: ``L`` the common denominator of ``M`` and the rows of
+    ``L * M`` as Gaussian-integer lists."""
+    scale = math.lcm(*(_row_lcm(row) for row in M._e))
+    return scale, [_int_row(row, scale) for row in M._e]
+
+
+def _int_hermitian(A: list) -> bool:
+    """Whether the square Gaussian-integer rows ``A`` equal their adjoint."""
+    zero = [0] * len(A)
+    re_t = [list(col) for col in zip(*(re for re, _ in A))]
+    im_t = [[-x for x in col] for col in zip(*(im or zero for _, im in A))]
+    return re_t == [re for re, _ in A] and im_t == [im or zero for _, im in A]
 
 
 def _combine(a: tuple, x: tuple, b: tuple, y: tuple, q: tuple) -> tuple:
@@ -697,17 +706,11 @@ def psd_check(M: ExactMatrix) -> PsdResult:
     an explicit witness vector with a negative quadratic form value.  The
     elimination is fraction-free over Gaussian-integer rows of ``L * M``,
     ``L`` the common denominator of ``M``: eliminating a pivot updates only
-    the rows and columns where the pivot row is nonzero.
+    the rows where the pivot row is nonzero, each over its full length.
     """
     n = M.rows
-    if n != M.cols:
-        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
-    scale = math.lcm(*(_row_lcm(row) for row in M._e))
-    A = [_int_row(row, scale) for row in M._e]
-    re_t = [list(col) for col in zip(*(re for re, _ in A))]
-    zero = [0] * n
-    im_t = [[-x for x in col] for col in zip(*(im or zero for _, im in A))]
-    if re_t != [re for re, _ in A] or im_t != [im or zero for _, im in A]:
+    scale, A = _int_matrix(M)
+    if n != M.cols or not _int_hermitian(A):
         raise NotHermitian("psd_check requires an exactly Hermitian matrix")
     den = [1] * n           # row i of the Schur complement is A[i] / (den[i] * scale)
     p_prev = 1

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from operator import itemgetter
 
 from . import exactmat as em
 from . import extender as ex
@@ -18,6 +19,10 @@ from .errors import PptlabError
 
 class CertificateInvalid(PptlabError):
     """A certificate failed its replay."""
+
+
+class MalformedData(PptlabError):
+    """Stored JSON without the fields and types its reader expects."""
 
 
 def matrix_to_json(M: em.ExactMatrix) -> dict:
@@ -59,12 +64,21 @@ def state_to_json(s: qs.BipartiteState) -> dict:
 
 
 def state_from_json(data: dict) -> qs.BipartiteState:
+    """Build a stored state.  Malformed JSON raises :class:`MalformedData`;
+    the checks of the constructor (exact Hermitian and PSD) run outside
+    that conversion, so a fault in them keeps its own exception."""
+    return qs.BipartiteState(*_parsed("state", _state_parts, data))
+
+
+def _state_parts(data: dict) -> tuple:
+    dim_a, dim_b = data["dim_a"], data["dim_b"]
+    if type(dim_a) is not int or type(dim_b) is not int:
+        raise TypeError("state dimensions are not integers")
     edges = None
     if "edges" in data:
         edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"]), Fraction(e["weight"]))
                  for e in data["edges"]]
-    return qs.BipartiteState(data["dim_a"], data["dim_b"], matrix_from_json(data["matrix"]),
-                             label=data.get("label", ""), edges=edges)
+    return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", ""), edges
 
 
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
@@ -130,27 +144,40 @@ def _psd_json(res: em.PsdResult) -> dict:
 
 def verify_ppt_certificate(data: dict) -> bool:
     """Replay a PPT certificate: rebuild both factorizations and check them."""
-    s = state_from_json(data["state"])
+    stored, evidence, claimed = _parsed("certificate", _read_ppt, data)
+    s = state_from_json(stored)
     pt = s.partial_transpose("A")
     for key, M in (("rho", s.matrix), ("rho_ta", pt)):
-        ev = data[key]
-        if ev["psd"]:
-            pivots = [Fraction(d) for _, d in ev["pivots"]]
+        psd, *ev = evidence[key]
+        if psd:
+            pivots, columns = ev
             if any(d < 0 for d in pivots):
                 raise CertificateInvalid(f"negative pivot in {key}")
-            columns = [vector_from_json(col) for col in ev["columns"]]
             if em.weighted_gram(columns, pivots, M.rows) != M:
                 raise CertificateInvalid(f"factorization of {key} does not reproduce the matrix")
         else:
-            w = vector_from_json(ev["witness"])
+            w, value = ev
             val = em.vdot(w, M.matvec(w))
-            if not (val.im == 0 and val.re < 0 and str(val.re) == ev["witness_value"]):
+            if not (val.im == 0 and val.re < 0 and str(val.re) == value):
                 raise CertificateInvalid(f"witness for {key} does not evaluate negatively")
-    claimed = data["verdict"]
-    actual = "PPT" if (data["rho"]["psd"] and data["rho_ta"]["psd"]) else "NPT"
+    actual = "PPT" if (evidence["rho"][0] and evidence["rho_ta"][0]) else "NPT"
     if claimed != actual:
         raise CertificateInvalid("verdict does not match the evidence")
     return True
+
+
+def _read_ppt(data: dict) -> tuple:
+    """The stored state, ``{key: (True, pivots, columns) | (False, witness,
+    value)}`` for ``rho`` and ``rho_ta``, and the claimed verdict."""
+    evidence = {}
+    for key in ("rho", "rho_ta"):
+        ev = data[key]
+        if ev["psd"]:
+            evidence[key] = (True, [Fraction(d) for _, d in ev["pivots"]],
+                             [vector_from_json(col) for col in ev["columns"]])
+        else:
+            evidence[key] = (False, vector_from_json(ev["witness"]), ev["witness_value"])
+    return data["state"], evidence, data["verdict"]
 
 
 def sn_lower_certificate(cert, state: qs.BipartiteState) -> dict:
@@ -171,10 +198,38 @@ def verify_sn_lower_certificate(data: dict) -> bool:
     :func:`algcert.minor_ideal` kernel, and checks ``sum cofactor *
     det M[rows, cols] = x_w^N`` exactly.  Nothing is enumerated.
     """
-    return _verify_sn_lower(data, state_from_json(data["state"]))
+    return _verify_sn_lower(data, _stored_state(data))
 
 
 def _verify_sn_lower(data: dict, s: qs.BipartiteState) -> bool:
+    from . import algcert as ac
+
+    m, n = s.dims
+    ring, basis, witness, witness_variable, power, pairs, cofactors = \
+        _parsed("certificate", _read_sn_lower, data, m, n)
+    rng = em.column_space(s.matrix)
+    if not rng.contains(witness):
+        raise CertificateInvalid("witness is not in the state's range")
+    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != rng.dim \
+            or not all(rng.contains(v) for v in basis):
+        raise CertificateInvalid("stored basis is not a basis of the range")
+    if any(x.im for v in basis for x in v):
+        raise CertificateInvalid("stored basis is not real: the coordinate ring is Q")
+    overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
+    if len(overlaps) != 1 or ring.variables[overlaps[0]] != witness_variable:
+        raise CertificateInvalid("witness overlap is not the declared single variable")
+    sym = ac.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
+    acc = ring.zero()
+    for terms, det in zip(cofactors, ac.minor_determinants(sym, pairs)):
+        acc = acc + ac.Polynomial(ring, terms) * det
+    if acc != ring.var(witness_variable) ** power:
+        raise CertificateInvalid("cofactor identity does not expand to the witness power")
+    return True
+
+
+def _read_sn_lower(data: dict, m: int, n: int) -> tuple:
+    """The ring, basis, witness, witness variable, power, minor pairs and
+    cofactor terms of an sn-lower certificate of an ``m x n`` state."""
     # imported here: a process that only reads states and ppt certificates
     # skips algcert's imports (about 3 MB of peak RSS)
     from . import algcert as ac
@@ -188,39 +243,28 @@ def _verify_sn_lower(data: dict, s: qs.BipartiteState) -> bool:
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
-    m, n = s.dims
-    ring = _parsed(ac.PolyRing, data["variables"], "variable list")
-    basis = [_parsed(vector_from_json, v, "basis vector") for v in data["basis"]]
+    ring = ac.PolyRing(data["variables"])
+    basis = [vector_from_json(v) for v in data["basis"]]
     if len(basis) != ring.nvars:
         raise CertificateInvalid("the certificate needs one variable per basis vector")
-    witness = _parsed(vector_from_json, data["witness"], "witness")
-    rng = em.column_space(s.matrix)
-    if not rng.contains(witness):
-        raise CertificateInvalid("witness is not in the state's range")
-    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != rng.dim \
-            or not all(rng.contains(v) for v in basis):
-        raise CertificateInvalid("stored basis is not a basis of the range")
-    if any(x.im for v in basis for x in v):
-        raise CertificateInvalid("stored basis is not real: the coordinate ring is Q")
-    overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
-    if len(overlaps) != 1 or ring.variables[overlaps[0]] != data["witness_variable"]:
-        raise CertificateInvalid("witness overlap is not the declared single variable")
     pairs, cofactors = _indexed_minors(data["minors"], ring, k, power - k, m, n)
-    sym = ac.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
-    acc = ring.zero()
-    for terms, det in zip(cofactors, ac.minor_determinants(sym, pairs)):
-        acc = acc + ac.Polynomial(ring, terms) * det
-    if acc != ring.var(data["witness_variable"]) ** power:
-        raise CertificateInvalid("cofactor identity does not expand to the witness power")
-    return True
+    return (ring, basis, vector_from_json(data["witness"]), data["witness_variable"], power,
+            pairs, cofactors)
 
 
-def _parsed(parse, data, what: str):
-    """``parse(data)``, with malformed input reported as an invalid certificate."""
+def _stored_state(data: dict) -> qs.BipartiteState:
+    return state_from_json(_parsed("certificate", itemgetter("state"), data))
+
+
+def _parsed(what: str, parse, *args):
+    """``parse(*args)``, with the exceptions of malformed JSON raised as
+    :class:`MalformedData`.  Only reading stored fields goes through here,
+    so the same exceptions from a replay keep their tracebacks."""
     try:
-        return parse(data)
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
-        raise CertificateInvalid(f"malformed {what}: {exc}") from None
+        return parse(*args)
+    except (KeyError, IndexError, ValueError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise MalformedData(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
 def _indexed_minors(entries, ring, k: int, degree: int, m: int, n: int) -> tuple:
@@ -257,7 +301,7 @@ def _cofactor(ring, data, degree: int) -> dict:
                 or tuple(exps) in out:
             raise CertificateInvalid(f"cofactor term {term!r} is not {ring.nvars} natural "
                                      f"exponents of sum {degree} and a rational string")
-        out[tuple(exps)] = _parsed(Fraction, c, "cofactor coefficient")
+        out[tuple(exps)] = Fraction(c)
     return out
 
 
@@ -268,21 +312,27 @@ def sn_upper_certificate(cert, state: qs.BipartiteState) -> dict:
 
 
 def verify_sn_upper_certificate(data: dict) -> bool:
-    return _verify_sn_upper(data, state_from_json(data["state"]))
+    return _verify_sn_upper(data, _stored_state(data))
 
 
 def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
     m, n = s.dims
-    vectors = [vector_from_json(v) for v in data["vectors"]]
-    weights = [Fraction(w) for w in data["weights"]]
+    vectors, weights, value = _parsed("certificate", _read_sn_upper, data)
     if any(w < 0 for w in weights):
         raise CertificateInvalid("negative weight")
     if em.weighted_gram(vectors, weights, m * n) != s.matrix:
         raise CertificateInvalid("decomposition does not reproduce the state")
     ranks = [qs.schmidt_rank(v, m, n) for v in vectors]
-    if max(ranks) != data["value"]:
+    if max(ranks) != value:
         raise CertificateInvalid("claimed bound does not match the decomposition ranks")
     return True
+
+
+def _read_sn_upper(data: dict) -> tuple:
+    vectors = [vector_from_json(v) for v in data["vectors"]]
+    if not vectors:
+        raise CertificateInvalid("the decomposition has no vectors")
+    return vectors, [Fraction(w) for w in data["weights"]], data["value"]
 
 
 def sn_verdict_text(lower: int | None, upper: int) -> str:
@@ -301,18 +351,24 @@ def verify_sn_verdict(data: dict) -> bool:
     once for both, and the stored verdict line must be the one their values
     imply.
     """
-    lower = data.get("lower")
-    upper = data["upper"]
+    lower, upper, stored = _parsed("certificate", _read_sn_verdict, data)
+    s = state_from_json(stored)
+    if lower is not None:
+        _verify_sn_lower(lower, s)
+    _verify_sn_upper(upper, s)
+    return True
+
+
+def _read_sn_verdict(data: dict) -> tuple:
+    """The lower (None when inconclusive) and upper halves and their stored
+    state, checked to be one state and to imply the stored verdict line."""
+    lower, upper = data.get("lower"), data["upper"]
     if lower is not None and lower["state"] != upper["state"]:
         raise CertificateInvalid("lower and upper certificates concern different states")
     expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
     if data["verdict"] != expected:
         raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
-    s = state_from_json(upper["state"])
-    if lower is not None:
-        _verify_sn_lower(lower, s)
-    _verify_sn_upper(upper, s)
-    return True
+    return lower, upper, upper["state"]
 
 
 VERIFIERS = {
@@ -324,10 +380,15 @@ VERIFIERS = {
 
 
 def verify_certificate(data: dict) -> bool:
-    kind = data.get("kind")
+    """Replay ``data`` by its ``kind``.  A certificate that does not parse
+    fails with :class:`CertificateInvalid` like one whose replay fails."""
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind not in VERIFIERS:
         raise CertificateInvalid(f"unknown certificate kind {kind!r}")
-    return VERIFIERS[kind](data)
+    try:
+        return VERIFIERS[kind](data)
+    except MalformedData as exc:
+        raise CertificateInvalid(str(exc)) from None
 
 
 def load(path) -> dict:

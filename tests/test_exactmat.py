@@ -132,6 +132,27 @@ def test_psd_requires_hermitian():
         em.psd_check(em.ExactMatrix([[0, 1], [0, 0]]))
 
 
+def test_is_hermitian_matches_the_entrywise_definition():
+    """The check on integer rows agrees with ``M[i][j] == conj(M[j][i])`` on
+    Gaussian-rational matrices, Hermitian or with one entry changed."""
+    rng = random.Random(11)
+    assert not em.ExactMatrix([[1, 2, 3], [2, 1, 0]]).is_hermitian()
+    assert em.ExactMatrix([]).is_hermitian()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        M = rnd_hermitian(rng, n, den=7)
+        rows = [list(M.row(i)) for i in range(n)]
+        if rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i][j] = rows[i][j] + rnd_scalar(rng, den=3)
+        M = em.ExactMatrix(rows)
+        entrywise = all(rows[i][j] == rows[j][i].conj() for i in range(n) for j in range(n))
+        assert M.is_hermitian() == entrywise
+        if not entrywise:
+            with pytest.raises(NotHermitian):
+                em.psd_check(M)
+
+
 def test_psd_gram_reconstruction():
     rng = random.Random(5)
     for _ in range(20):

@@ -273,6 +273,51 @@ def test_cli_verify_fails_a_certificate_that_does_not_parse(tmp_path, capsys):
     assert "malformed certificate: KeyError" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edit", [
+    lambda d: [d],
+    lambda d: {**d, "state": {**d["state"], "dim_a": 3.0}},
+    lambda d: {**d, "rho": {**d["rho"], "pivots": [[0]]}},
+    lambda d: {**d, "rho_ta": {**d["rho_ta"], "columns": "x"}},
+], ids=["not-an-object", "float-dimension", "short-pivot", "columns-not-a-list"])
+def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
+    cert = tmp_path / "cert.json"
+    assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
+    cert.write_text(json.dumps(edit(json.loads(cert.read_text()))))
+    assert cli.run(["verify", str(cert)]) == 1
+    assert "verify: FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("verb, kernel", [
+    ("ppt-check", "psd_check"), ("verify", "weighted_gram"), ("verify", "psd_check"),
+])
+def test_cli_kernel_fault_in_a_replay_keeps_its_traceback(tmp_path, monkeypatch, verb, kernel):
+    """Reading a stored state or certificate is input parsing; the exact
+    kernels that replay it are not, so a ValueError raised inside one
+    surfaces instead of exiting 2 or failing the certificate."""
+    path = tmp_path / "in.json"
+    if verb == "verify":
+        assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(path)]) == 0
+        argv = ["verify", str(path)]
+    else:
+        assert cli.run(["build", "--state", "rho3x3", "--out", str(path)]) == 0
+        argv = ["ppt-check", "--state", str(path)]
+
+    def broken(*args):
+        raise ValueError("kernel fault")
+
+    monkeypatch.setattr(em, kernel, broken)
+    with pytest.raises(ValueError, match="kernel fault"):
+        cli.run(argv)
+
+
+def test_cli_state_file_with_float_dimensions_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    assert cli.run(["build", "--state", "rho3x3", "--out", str(path)]) == 0
+    path.write_text(json.dumps({**json.loads(path.read_text()), "dim_b": 3.0}))
+    assert cli.run(["ppt-check", "--state", str(path)]) == 2
+    assert "malformed state" in capsys.readouterr().err
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -680,3 +725,9 @@ def test_mutated_sn_lower_payloads_are_rejected(genuine_lowers, data):
     except se.CertificateInvalid:
         return
     assert _claim_holds(lower, state)
+
+
+def test_sn_upper_without_vectors_is_rejected(rho3x3_verdict):
+    upper = {**rho3x3_verdict["upper"], "vectors": [], "weights": []}
+    with pytest.raises(se.CertificateInvalid, match="no vectors"):
+        se.verify_certificate(upper)
