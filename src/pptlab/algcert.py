@@ -933,7 +933,7 @@ def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[
     value = max(ranks)
     evidence = {
         "vectors": [[em.format_scalar(x) for x in v] for v in vectors],
-        "weights": [str(Fraction(w)) for w in weights],
+        "weights": [em.format_scalar(Fraction(w)) for w in weights],
         "schmidt_ranks": ranks,
     }
     return SNCertificate("upper", value, evidence)
@@ -1081,7 +1081,7 @@ def block_separability(s: qs.BipartiteState):
         a, b = divmod(r, n)
         if not M.entry(r, r):
             continue
-        products.append({"site": [a, b], "weight": str(M.entry(r, r).re)})
+        products.append({"site": [a, b], "weight": em.format_scalar(M.entry(r, r).re)})
     for r in range(size):
         for c in range(size):
             if M.entry(r, c) and r != c:
@@ -1212,4 +1212,5 @@ def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
 # ---------------------------------------------------------------------------
 
 def poly_to_json(p: Polynomial) -> dict:
-    return {"terms": [[list(m), str(c)] for m, c in sorted(p.terms.items(), key=lambda t: _grevlex_key(t[0]))]}
+    return {"terms": [[list(m), em.format_scalar(c)]
+                      for m, c in sorted(p.terms.items(), key=lambda t: _grevlex_key(t[0]))]}

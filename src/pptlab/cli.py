@@ -7,6 +7,12 @@ failed acceptance), 2 input error: input that does not parse, or a
 :class:`PptlabError` the input causes.  Any other exception is a fault of
 the program and surfaces with its traceback.
 
+Each verb imports the modules it runs, inside its ``cmd_*`` function:
+``algcert`` for ``certify-sn``, ``extender`` for ``extend`` and
+``extremal``, ``numlab`` (numpy) for ``sample`` and ``survey``.  Only
+``--verbose`` imports and configures ``logging``.  A ``ppt-check`` or
+``verify`` process that replays no sn-lower half loads none of them.
+
 Examples:
 
     pptlab build --family 3 --out fam3.json
@@ -23,11 +29,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 
-from . import algcert as ac
-from . import extender as ex
 from . import qstates as qs
 from . import serialize as se
 from .errors import InternalInconsistency, PptlabError
@@ -112,6 +115,8 @@ def cmd_ppt_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from . import extender as ex
+
     state = _load_state(args.state)
     data = _parse(json.loads, args.step)
     if not isinstance(data, dict):
@@ -124,6 +129,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_certify_sn(args) -> int:
+    from . import algcert as ac
+
     state = _load_state(args.state)
     if state.edges is None:
         print("certify-sn: state carries no range decomposition", file=sys.stderr)
@@ -156,6 +163,8 @@ def cmd_certify_sn(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from . import extender as ex
+
     state = _load_state(args.state)
     side = args.side
     perp = args.perp if args.perp is not None else \
@@ -414,8 +423,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING,
-                        format="%(levelname)s %(name)s: %(message)s")
+    if args.verbose:
+        import logging
+
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.fn(args)
     except InternalInconsistency:

@@ -69,6 +69,10 @@ class MonomialOverflow(PptlabError):
     """A monomial degree exceeds the packed-monomial field width of its ring."""
 
 
+class ScalarTooLarge(PptlabError):
+    """An exact scalar has a part longer than Python converts to decimal text."""
+
+
 class InternalInconsistency(PptlabError):
     """A computed result failed its own replay check: a defect, not bad input."""
 

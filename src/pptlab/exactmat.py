@@ -20,11 +20,12 @@ available through :func:`solve_on_range`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotHermitian, RangeViolation
+from .errors import DimensionMismatch, NotHermitian, RangeViolation, ScalarTooLarge
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -143,12 +144,33 @@ def as_scalar(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {x!r} as an exact scalar")
 
 
-def format_scalar(z: GaussianRational) -> str:
-    """Serialize as ``"p/q"`` or ``"p/q+r/s i"``."""
-    if z.im == 0:
-        return str(z.re)
-    sign = "+" if z.im >= 0 else "-"
-    return f"{z.re}{sign}{abs(z.im)} i"
+def format_scalar(z) -> str:
+    """Serialize an exact scalar (GaussianRational, int or Fraction) as
+    ``"p/q"`` or ``"p/q+r/s i"``; every scalar written to JSON goes through here.
+
+    Python converts an int of more than ``sys.get_int_max_str_digits()``
+    decimal digits neither to nor from text (the limit guards readers of
+    untrusted JSON against quadratic-time parsing), so a longer part raises
+    :class:`ScalarTooLarge` naming the limit and the digit count.
+    """
+    z = as_scalar(z)
+    try:
+        if z.im == 0:
+            return str(z.re)
+        sign = "+" if z.im >= 0 else "-"
+        return f"{z.re}{sign}{abs(z.im)} i"
+    except ValueError:
+        digits = max(_decimal_digits(n) for x in (z.re, z.im)
+                     for n in (x.numerator, x.denominator))
+        raise ScalarTooLarge(f"a scalar with a {digits}-digit part exceeds Python's limit of "
+                             f"{sys.get_int_max_str_digits()} digits for int-to-text "
+                             "conversion") from None
+
+
+def _decimal_digits(n: int) -> int:
+    n = abs(n)
+    d = int(n.bit_length() * 0.30102999566398120)  # log10(2): the count is d or d + 1
+    return d + 1 if n >= 10 ** d else d
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -401,19 +423,37 @@ def weighted_gram(vectors: Sequence[Vector], weights: Sequence, dim: int) -> Exa
 
     Only the nonzero entries of each vector are visited, so a sum of sparse
     grid edges costs per pair of nonzeros rather than per matrix entry.
+    The sum runs on the integer kernel: each vector's nonzeros are scaled
+    to Gaussian integers ``u = s v``, its weight ``w / s^2`` is written over
+    the common denominator of all terms, and the integer sums are reduced
+    to Gaussian rationals once per entry at the end.
     """
     if len(vectors) != len(weights):
         raise DimensionMismatch(f"{len(vectors)} vectors but {len(weights)} weights")
-    out = [[ZERO] * dim for _ in range(dim)]
+    terms = []
     for v, w in zip(vectors, weights):
         if len(v) != dim:
             raise DimensionMismatch(f"vector of length {len(v)} in a {dim}-dimensional Gram sum")
         w = as_scalar(w)
-        nz = [(i, a, a.conj()) for i, a in enumerate(v) if a]
-        for i, a, _ in nz:
-            row, wa = out[i], w * a
-            for j, _, bc in nz:
-                row[j] = row[j] + wa * bc
+        nz = [i for i, a in enumerate(v) if a]
+        if nz and w:
+            values = [v[i] for i in nz]
+            s = _row_lcm(values)
+            terms.append((nz, *_int_row(values, s), w.re / (s * s), w.im / (s * s)))
+    scale = math.lcm(*(c.denominator for *_, cr, ci in terms for c in (cr, ci)))
+    acc = {}  # (i, j): the integer sums (re, im) of entry (i, j) times scale
+    for nz, re, im, cr, ci in terms:
+        mr = cr.numerator * (scale // cr.denominator)
+        mi = ci.numerator * (scale // ci.denominator)
+        im = im or [0] * len(nz)
+        for i, a, ai in zip(nz, re, im):
+            xr, xi = mr * a - mi * ai, mr * ai + mi * a  # scale * w / s^2 * u_i
+            for j, b, bi in zip(nz, re, im):
+                sr, si = acc.get((i, j), (0, 0))
+                acc[i, j] = (sr + xr * b + xi * bi, si + xi * b - xr * bi)
+    out = [[ZERO] * dim for _ in range(dim)]
+    for (i, j), (sr, si) in acc.items():
+        out[i][j] = _quotient(sr, si, (scale, 0))
     return ExactMatrix(out)
 
 

@@ -2,7 +2,8 @@
 
 Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``; matrices as
 ``{"rows", "cols", "entries"}`` with stringified entries.  Certificates
-carry a ``"kind"`` tag dispatched by the verifier.
+carry a ``"kind"`` tag dispatched by the verifier.  Each reader of a stored
+state or certificate parses every distinct scalar string once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from fractions import Fraction
 from operator import itemgetter
 
 from . import exactmat as em
-from . import extender as ex
 from . import qstates as qs
 from .errors import PptlabError
 
@@ -33,8 +33,8 @@ def matrix_to_json(M: em.ExactMatrix) -> dict:
     }
 
 
-def matrix_from_json(data: dict) -> em.ExactMatrix:
-    entries = [[em.parse_scalar(x) for x in row] for row in data["entries"]]
+def matrix_from_json(data: dict, scalar=em.parse_scalar) -> em.ExactMatrix:
+    entries = [[scalar(x) for x in row] for row in data["entries"]]
     M = em.ExactMatrix(entries) if entries else em.ExactMatrix.zeros(data["rows"], data["cols"])
     if M.shape != (data["rows"], data["cols"]):
         raise CertificateInvalid("matrix shape mismatch")
@@ -45,8 +45,29 @@ def vector_to_json(v: em.Vector) -> list:
     return [em.format_scalar(x) for x in v]
 
 
-def vector_from_json(data) -> em.Vector:
-    return tuple(em.parse_scalar(x) for x in data)
+def vector_from_json(data, scalar=em.parse_scalar) -> em.Vector:
+    return tuple(scalar(x) for x in data)
+
+
+def _scalar_reader():
+    """A parser of the scalar strings of one document that parses each once.
+
+    A stored state repeats few strings many times (family:5's has 8,970
+    scalars, 36 distinct).  ``"0"`` reads as :data:`exactmat.ZERO`, the zero
+    the kernels build, so comparing a read matrix with a computed one
+    short-circuits on identity.  The memo lives as long as one read.
+    """
+    memo = {"0": em.ZERO}
+
+    def scalar(text):
+        try:
+            return memo[text]
+        except (KeyError, TypeError):  # TypeError: unhashable, which parse_scalar rejects
+            pass
+        z = memo[text] = em.parse_scalar(text)
+        return z
+
+    return scalar
 
 
 def state_to_json(s: qs.BipartiteState) -> dict:
@@ -58,8 +79,8 @@ def state_to_json(s: qs.BipartiteState) -> dict:
         "matrix": matrix_to_json(s.matrix),
     }
     if s.edges is not None:
-        out["edges"] = [{"name": e.name, "vector": vector_to_json(e.vec), "weight": str(e.weight)}
-                        for e in s.edges]
+        out["edges"] = [{"name": e.name, "vector": vector_to_json(e.vec),
+                         "weight": em.format_scalar(e.weight)} for e in s.edges]
     return out
 
 
@@ -74,20 +95,25 @@ def _state_parts(data: dict) -> tuple:
     dim_a, dim_b = data["dim_a"], data["dim_b"]
     if type(dim_a) is not int or type(dim_b) is not int:
         raise TypeError("state dimensions are not integers")
+    scalar = _scalar_reader()
     edges = None
     if "edges" in data:
-        edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"]), Fraction(e["weight"]))
+        edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"], scalar),
+                                Fraction(e["weight"]))
                  for e in data["edges"]]
-    return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", ""), edges
+    return dim_a, dim_b, matrix_from_json(data["matrix"], scalar), data.get("label", ""), edges
 
 
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
     """Parse one extension step: ``kind``, ``side`` (default "A"), the
     kind's parameters, vectors as lists and matrices as objects, and the
     optional ``names`` of the remainder's rank-one parts."""
+    from . import extender as ex
+
     kind = data.get("kind")
-    parameters = {key: matrix_from_json(data[key]) if isinstance(data[key], dict)
-                  else vector_from_json(data[key]) for key in ex.step_keys(kind)}
+    scalar = _scalar_reader()
+    parameters = {key: matrix_from_json(data[key], scalar) if isinstance(data[key], dict)
+                  else vector_from_json(data[key], scalar) for key in ex.step_keys(kind)}
     names = data.get("names")
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):
@@ -97,9 +123,9 @@ def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
 
 
 def graph_to_json(g: qs.GridGraph) -> dict:
-    solid = [{"sites": [list(s) for s in e.sites], "weight": str(e.weight)}
+    solid = [{"sites": [list(s) for s in e.sites], "weight": em.format_scalar(e.weight)}
              for e in g.edges if e.kind == "solid"]
-    dashed = [{"sites": [list(s) for s in e.sites], "weight": str(e.weight)}
+    dashed = [{"sites": [list(s) for s in e.sites], "weight": em.format_scalar(e.weight)}
               for e in g.edges if e.kind == "dashed"]
     return {"dims": [g.dim_a, g.dim_b], "solid": solid, "dashed": dashed}
 
@@ -135,11 +161,11 @@ def _psd_json(res: em.PsdResult) -> dict:
     if res.is_psd:
         return {
             "psd": True,
-            "pivots": [[i, str(d)] for i, d in res.pivots],
+            "pivots": [[i, em.format_scalar(d)] for i, d in res.pivots],
             "columns": [vector_to_json(c) for c in res.columns],
         }
     return {"psd": False, "witness": vector_to_json(res.witness),
-            "witness_value": str(res.witness_value)}
+            "witness_value": em.format_scalar(res.witness_value)}
 
 
 def verify_ppt_certificate(data: dict) -> bool:
@@ -158,7 +184,7 @@ def verify_ppt_certificate(data: dict) -> bool:
         else:
             w, value = ev
             val = em.vdot(w, M.matvec(w))
-            if not (val.im == 0 and val.re < 0 and str(val.re) == value):
+            if not (val.im == 0 and val.re < 0 and em.format_scalar(val.re) == value):
                 raise CertificateInvalid(f"witness for {key} does not evaluate negatively")
     actual = "PPT" if (evidence["rho"][0] and evidence["rho_ta"][0]) else "NPT"
     if claimed != actual:
@@ -170,13 +196,14 @@ def _read_ppt(data: dict) -> tuple:
     """The stored state, ``{key: (True, pivots, columns) | (False, witness,
     value)}`` for ``rho`` and ``rho_ta``, and the claimed verdict."""
     evidence = {}
+    scalar = _scalar_reader()
     for key in ("rho", "rho_ta"):
         ev = data[key]
         if ev["psd"]:
             evidence[key] = (True, [Fraction(d) for _, d in ev["pivots"]],
-                             [vector_from_json(col) for col in ev["columns"]])
+                             [vector_from_json(col, scalar) for col in ev["columns"]])
         else:
-            evidence[key] = (False, vector_from_json(ev["witness"]), ev["witness_value"])
+            evidence[key] = (False, vector_from_json(ev["witness"], scalar), ev["witness_value"])
     return data["state"], evidence, data["verdict"]
 
 
@@ -244,12 +271,13 @@ def _read_sn_lower(data: dict, m: int, n: int) -> tuple:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
     ring = ac.PolyRing(data["variables"])
-    basis = [vector_from_json(v) for v in data["basis"]]
+    scalar = _scalar_reader()
+    basis = [vector_from_json(v, scalar) for v in data["basis"]]
     if len(basis) != ring.nvars:
         raise CertificateInvalid("the certificate needs one variable per basis vector")
     pairs, cofactors = _indexed_minors(data["minors"], ring, k, power - k, m, n)
-    return (ring, basis, vector_from_json(data["witness"]), data["witness_variable"], power,
-            pairs, cofactors)
+    return (ring, basis, vector_from_json(data["witness"], scalar), data["witness_variable"],
+            power, pairs, cofactors)
 
 
 def _stored_state(data: dict) -> qs.BipartiteState:
@@ -329,7 +357,8 @@ def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
 
 
 def _read_sn_upper(data: dict) -> tuple:
-    vectors = [vector_from_json(v) for v in data["vectors"]]
+    scalar = _scalar_reader()
+    vectors = [vector_from_json(v, scalar) for v in data["vectors"]]
     if not vectors:
         raise CertificateInvalid("the decomposition has no vectors")
     return vectors, [Fraction(w) for w in data["weights"]], data["value"]

@@ -478,3 +478,30 @@ def test_psd_check_zero_diagonal_witness_on_scaled_entries():
     assert not res.is_psd
     value = em.vdot(res.witness, M.matvec(res.witness))
     assert value.im == 0 and value.re == res.witness_value < 0
+
+
+@st.composite
+def long_gram_terms(draw):
+    """Vectors and weights with parts of up to 1100 bits, real or complex,
+    zero entries and zero weights included, as in a replayed LDL*
+    factorization."""
+    part = _big_fractions(draw(st.sampled_from((2, 64, 1100))))
+    scalar = st.one_of(st.just(em.ZERO), st.builds(em.GaussianRational, part),
+                       st.builds(em.GaussianRational, part, part))
+    dim = draw(st.integers(0, 5))
+    count = draw(st.integers(0, 4))
+    vecs = [tuple(draw(st.lists(scalar, min_size=dim, max_size=dim))) for _ in range(count)]
+    weights = draw(st.lists(st.one_of(part, scalar), min_size=count, max_size=count))
+    return vecs, weights, dim
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_gram_terms())
+def test_weighted_gram_on_long_entries_matches_dense_outer_sum(terms):
+    """The integer-kernel Gram sum equals the dense outer-product reference on
+    entries whose denominators differ from vector to vector."""
+    vecs, weights, dim = terms
+    reference = em.ExactMatrix.zeros(dim, dim)
+    for v, w in zip(vecs, weights):
+        reference = reference + em.ExactMatrix.outer(v, v).scale(w)
+    assert em.weighted_gram(vecs, weights, dim) == reference

@@ -318,6 +318,138 @@ def test_cli_state_file_with_float_dimensions_exits_2(tmp_path, capsys):
     assert "malformed state" in capsys.readouterr().err
 
 
+def test_cli_verify_of_a_witness_value_past_the_digit_limit_fails(tmp_path, capsys):
+    """A stored witness whose value ``<w|M|w>`` is too long to write as text
+    fails the replay with one line instead of a traceback."""
+    cert = se.ppt_certificate(qs.BipartiteState(2, 2, em.ExactMatrix(
+        [[1, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 1]])))
+    assert cert["verdict"] == "NPT"
+    scale = 10 ** 2200 + 7
+    cert["rho_ta"]["witness"] = [em.format_scalar(em.parse_scalar(x) * scale)
+                                 for x in cert["rho_ta"]["witness"]]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert cli.run(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verify: FAILED: a scalar with a ") and out.count("\n") == 1
+
+
+# -- the scalar reader: each distinct string parsed once per read -------------
+
+BAD_SCALARS = ["1/0", "", "1//2", "1" * 5000, 1, [], None]
+BAD_IDS = ["zero-denominator", "empty", "double-slash", "5000-digits", "int", "list", "null"]
+
+
+def _malformed(what, bad):
+    """The message ``serialize`` gives for ``bad``, from ``parse_scalar`` itself."""
+    try:
+        em.parse_scalar(bad)
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        return f"malformed {what}: {type(exc).__name__}: {exc}"
+    raise AssertionError(f"{bad!r} parses")
+
+
+def _spoil_state(data, bad):
+    """``data`` (a stored state) with ``bad`` at several matrix entries and
+    in an edge vector."""
+    data = json.loads(json.dumps(data))
+    for i, j in ((0, 1), (1, 0), (2, 2), (4, 4)):
+        data["matrix"]["entries"][i][j] = bad
+    data["edges"][0]["vector"][0] = data["edges"][1]["vector"][3] = bad
+    return data
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
+def test_repeated_malformed_scalar_in_a_state_is_rejected(bad):
+    data = _spoil_state(se.state_to_json(qs.rho_3x3()), bad)
+    with pytest.raises(se.MalformedData) as info:
+        se.state_from_json(data)
+    assert str(info.value) == _malformed("state", bad)
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
+def test_repeated_malformed_scalar_fails_verify(bad):
+    cert = se.ppt_certificate(qs.rho_3x3())
+    spoiled = {**cert, "state": _spoil_state(cert["state"], bad)}
+    with pytest.raises(se.CertificateInvalid) as info:
+        se.verify_certificate(spoiled)
+    assert str(info.value) == _malformed("state", bad)
+    spoiled = json.loads(json.dumps(cert))
+    for col in spoiled["rho_ta"]["columns"][:3]:
+        col[-1] = bad
+    with pytest.raises(se.CertificateInvalid) as info:
+        se.verify_certificate(spoiled)
+    assert str(info.value) == _malformed("certificate", bad)
+
+
+SPELLINGS = ["0", "-0", "0/3", " 0", "0+0 i", "1", "1/2", "2/4", "-3/7", "3e-2",
+             "1+2 i", "1-2 i", "-1/2 i", "2/3+0 i"]
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_reading_equals_entrywise_parse(data):
+    """A step's matrix and a diagonal state read exactly as ``parse_scalar``
+    reads each entry, whatever strings repeat; ``"0"`` reads as ``ZERO``."""
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    entries = data.draw(st.lists(st.lists(st.sampled_from(SPELLINGS), min_size=cols,
+                                          max_size=cols), min_size=rows, max_size=rows))
+    edge = se.step_from_json({"kind": "direct_sum",
+                              "edge": {"rows": rows, "cols": cols, "entries": entries}},
+                             "x").parameters["edge"]
+    assert edge == em.ExactMatrix([[em.parse_scalar(x) for x in row] for row in entries])
+    assert all((x is em.ZERO) == (text == "0")
+               for row, texts in zip(edge.tolists(), entries) for x, text in zip(row, texts))
+    n = data.draw(st.integers(1, 5))
+    diagonal = data.draw(st.lists(st.sampled_from(["0", "-0", "1", "1/2", "2/4", "3e-2"]),
+                                  min_size=n, max_size=n))
+    zeros = st.sampled_from(["0", "-0", "0/3", "0+0 i"])
+    stored = {"dim_a": 1, "dim_b": n, "label": "", "matrix": {"rows": n, "cols": n, "entries": [
+        [diagonal[i] if i == j else data.draw(zeros) for j in range(n)] for i in range(n)]}}
+    state = se.state_from_json(stored)
+    assert state.matrix == em.ExactMatrix(
+        [[em.parse_scalar(x) for x in row] for row in stored["matrix"]["entries"]])
+
+
+def test_reads_share_no_memo(monkeypatch):
+    """Each read parses every distinct scalar string of its document once
+    (``"0"`` is seeded), and a second read of the same document parses them
+    all again: there is no cache across reads."""
+    data = se.state_to_json(qs.rho_family(3))
+    texts = [x for row in data["matrix"]["entries"] for x in row] \
+        + [x for e in data["edges"] for x in e["vector"]]
+    calls = []
+    parse = em.parse_scalar
+    monkeypatch.setattr(em, "parse_scalar", lambda text: calls.append(text) or parse(text))
+    first = se.state_from_json(data)
+    assert sorted(calls) == sorted(set(texts) - {"0"})
+    calls.clear()
+    assert se.state_from_json(data) == first
+    assert sorted(calls) == sorted(set(texts) - {"0"})
+
+
+def test_cli_ppt_check_of_a_scalar_past_the_digit_limit_exits_2(tmp_path, capsys):
+    """A pivot longer than Python's int-to-text limit fails with one line
+    naming the limit and the digit count, not a traceback.  The state is the
+    Gram matrix of four integer vectors with ~700-digit entries: it reads
+    fine, and its LDL* pivots outgrow the limit."""
+    import random
+
+    rng = random.Random(7)
+    vecs = [[rng.randrange(10 ** 699, 10 ** 700) for _ in range(4)] for _ in range(4)]
+    gram = [[sum(a * b for a, b in zip(u, v)) for v in vecs] for u in vecs]
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(se.state_to_json(qs.BipartiteState(2, 2, em.ExactMatrix(gram)))))
+    assert cli.run(["ppt-check", "--state", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("ppt-check: ScalarTooLarge: ")
+    limit = sys.get_int_max_str_digits()
+    assert f"limit of {limit} digits" in err
+    digits = int(err.split("-digit part")[0].rsplit(" ", 1)[1])
+    assert digits > limit
+
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -420,13 +552,22 @@ def test_cli_reproduce_stdout(monkeypatch, capsys, as_json):
             [["PASS", "criterion", "1:"], ["PASS", "criterion", "3:"]]
 
 
-def _loaded_after_import(module, names):
-    code = f"import sys, {module}\nprint(sorted({set(names)!r} & set(sys.modules)))\n"
+def _child(args):
+    """Run ``python args...`` with this ``pptlab`` on the path."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path), check=True)
-    return proc.stdout.strip()
+
+
+def _loaded_after(code, names):
+    """Which of ``names`` a fresh process has loaded after running ``code``."""
+    code += f"\nimport sys\nprint(sorted({set(names)!r} & set(sys.modules)))\n"
+    return _child(["-c", code]).stdout.strip().splitlines()[-1]
+
+
+def _loaded_after_import(module, names):
+    return _loaded_after(f"import {module}", names)
 
 
 def test_cli_import_loads_no_numpy():
@@ -436,9 +577,44 @@ def test_cli_import_loads_no_numpy():
 
 
 def test_serialize_import_loads_no_algcert():
-    """Only sn-lower replay needs algcert; library users of serialize (states,
-    ppt certificates) skip its imports and their peak memory."""
+    """Importing serialize loads neither algcert nor logging, which only
+    algcert uses: an sn-lower replay imports algcert when it runs, so a
+    process that reads only states and ppt certificates skips both."""
     assert _loaded_after_import("pptlab.serialize", ["pptlab.algcert", "logging"]) == "[]"
+
+
+def test_serialize_import_loads_no_extender():
+    """Only ``step_from_json`` needs extender (the step kinds' keys)."""
+    assert _loaded_after_import("pptlab.serialize", ["pptlab.extender"]) == "[]"
+
+
+VERB_MODULES = ["pptlab.algcert", "pptlab.extender", "logging"]
+
+
+def test_cli_import_loads_no_verb_modules():
+    """Each verb imports the modules it runs; importing the CLI loads none."""
+    assert _loaded_after_import("pptlab.cli", VERB_MODULES) == "[]"
+
+
+def test_ppt_check_and_verify_process_loads_no_verb_modules(tmp_path):
+    """A process that writes a ppt certificate and replays it loads neither
+    algcert, extender nor logging."""
+    state, cert = tmp_path / "state.json", tmp_path / "ppt.json"
+    assert cli.run(["build", "--state", "family:3", "--out", str(state)]) == 0
+    ppt_check = ["ppt-check", "--state", str(state), "--out", str(cert)]
+    code = (f"from pptlab import cli\n"
+            f"assert cli.run({ppt_check!r}) == 0\n"
+            f"assert cli.run({['verify', str(cert)]!r}) == 0")
+    assert _loaded_after(code, VERB_MODULES) == "[]"
+
+
+def test_cli_verbose_configures_logging():
+    """``--verbose`` logs the certifier's INFO lines to stderr; without it
+    the run writes nothing there."""
+    argv = ["-m", "pptlab.cli", "certify-sn", "--state", "rho3x3", "--k", "2"]
+    assert _child(argv).stderr == ""
+    err = _child(argv[:2] + ["--verbose"] + argv[2:]).stderr
+    assert "INFO pptlab.algcert: certify_sn_lower: " in err
 
 
 # -- sn-verdict claims ----------------------------------------------------------
