@@ -12,7 +12,9 @@ Buchberger's algorithm stays as an independent membership oracle.
 Monomial order is graded reverse lexicographic with the variable order
 fixed by range-basis index.  Polynomials carry exponent tuples; the
 reduction, Buchberger, cofactor and minor kernels pack each monomial into
-one int on entry and unpack on exit (:class:`_Packing`).
+one int on entry and unpack on exit (:class:`_Packing`).  The certifier's
+witness closure packs the matrix rows once and keeps its minors packed
+until it writes the cofactors.
 """
 
 from __future__ import annotations
@@ -20,11 +22,10 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import logging
 import math
-from dataclasses import dataclass, field
+import sys
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import exactmat as em
 from . import qstates as qs
@@ -38,7 +39,13 @@ from .errors import (
     WitnessNotInRange,
 )
 
-log = logging.getLogger(__name__)
+
+def _info(msg: str, *args) -> None:
+    """Log an INFO line when the process has loaded :mod:`logging` (the
+    CLI's ``--verbose`` does); otherwise skip its import."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).info(msg, *args)
 
 PROGRESS_EVERY = 2000  # Buchberger pairs between progress log lines
 
@@ -493,8 +500,8 @@ def buchberger(generators: Sequence[Polynomial]) -> list:
         h = _reduce(_s_polynomial(polys[i], polys[j], l), divisors, guard)
         processed += 1
         if processed % PROGRESS_EVERY == 0:
-            log.info("buchberger: %d pairs processed, %d pending, basis size %d",
-                     processed, len(pairs), len(G))
+            _info("buchberger: %d pairs processed, %d pending, basis size %d",
+                  processed, len(pairs), len(G))
         if h:
             polys.append(_divisor(_monic_terms(h), guard))
             _gm_update(P, polys, G, pairs, len(polys) - 1)
@@ -522,30 +529,63 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
     P = _Packing(ring.nvars)
     packed = [_int_terms(P.pack_terms(g)) for g in generators]
     P.check_degree(max((g.degree() for g in generators), default=0) + cofactor_degree)
+    work, sigma = _int_terms(P.pack_terms(target))
+    solved = _cofactor_trail(work, sigma, packed, _cofactor_monomials(P, cofactor_degree))
+    if solved is None:
+        return None
+    trail, sigma = solved
+    cofactors: dict = {}
+    for (i, mono), c in trail.items():
+        cofactors.setdefault(i, {})[mono] = Fraction(c, sigma)
+    out = [(i, Polynomial(ring, terms)) for i, terms in sorted(cofactors.items())]
+    # replay the identity before returning it
+    acc = ring.zero()
+    for i, c in out:
+        acc = acc + c * generators[i]
+    if acc != target:
+        raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
+    return out
+
+
+def _cofactor_monomials(P: _Packing, degree: int) -> list:
+    """``(exponents, packed monomial - one)`` of every cofactor monomial of
+    degree 0..``degree``, in :func:`_monomials_up_to` order."""
+    return [(mono, P.pack(mono) - P.one) for mono in _monomials_up_to(P.nvars, degree)]
+
+
+def _cofactor_trail(work: dict, sigma: int, generators: Sequence[tuple], monomials: list):
+    """The integer Macaulay solve behind :func:`linear_membership_cofactors`.
+
+    ``work`` holds the packed int terms of ``sigma * target`` (consumed);
+    ``generators`` the ``(int terms, scale)`` of each generator ``g_i``,
+    whose terms are ``scale * g_i``; ``monomials`` the cofactor monomials of
+    :func:`_cofactor_monomials`.  Returns ``(trail, sigma)`` with ``sigma *
+    target = sum trail[i, exponents] * monomial * g_i`` and no zero entry,
+    or ``None`` when the target is not a combination of the rows.  Rows are
+    eliminated in ``monomials`` order, generators in list order within each.
+    """
     # Macaulay rows over the ints: each row is (terms, trail) with terms =
     # sum trail[(i, mono)] * mono * generators[i], scaled freely
     eliminated: dict = {}   # pivot monomial -> (row terms, row trail)
-    for mono in _monomials_up_to(ring.nvars, cofactor_degree):
-        shift = P.pack(mono) - P.one
-        for i, (terms, scale) in enumerate(packed):
-            work = {m + shift: c for m, c in terms.items()}
+    for mono, shift in monomials:
+        for i, (terms, scale) in enumerate(generators):
+            row = {m + shift: c for m, c in terms.items()}
             trail = {(i, mono): scale}
-            while work:
-                lead = max(work)
+            while row:
+                lead = max(row)
                 hit = eliminated.get(lead)
                 if hit is None:
-                    g = math.gcd(*work.values(), *trail.values())
+                    g = math.gcd(*row.values(), *trail.values())
                     if g != 1:
-                        work = {m: c // g for m, c in work.items()}
+                        row = {m: c // g for m, c in row.items()}
                         trail = {key: c // g for key, c in trail.items()}
-                    eliminated[lead] = (work, trail)
+                    eliminated[lead] = (row, trail)
                     break
                 pterms, ptrail = hit
-                a, b = _eliminators(pterms[lead], work[lead])
-                _int_submul(work, a, b, pterms)
+                a, b = _eliminators(pterms[lead], row[lead])
+                _int_submul(row, a, b, pterms)
                 _int_submul(trail, a, b, ptrail)
     # the target row keeps sigma * target - work = sum trail * mono * generators
-    work, sigma = _int_terms(P.pack_terms(target))
     trail: dict = {}
     while work:
         lead = max(work)
@@ -557,22 +597,7 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
         _int_submul(work, a, b, pterms)
         _int_submul(trail, a, -b, ptrail)
         sigma *= a
-    cofactors: dict = {}
-    for (i, mono), c in trail.items():
-        cof = cofactors.setdefault(i, {})
-        cof[mono] = cof.get(mono, 0) + Fraction(c, sigma)
-    out = []
-    for i, terms in sorted(cofactors.items()):
-        p = Polynomial(ring, terms)
-        if p:
-            out.append((i, p))
-    # replay the identity before returning it
-    acc = ring.zero()
-    for i, c in out:
-        acc = acc + c * generators[i]
-    if acc != target:
-        raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
-    return out
+    return trail, sigma
 
 
 def _int_terms(terms: dict) -> tuple:
@@ -622,8 +647,7 @@ def _monomials_up_to(nvars: int, degree: int):
 # symbolic range matrices and minor ideals
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymbolicRangeMatrix:
+class SymbolicRangeMatrix(NamedTuple):
     """Coordinate matrix ``Psi_ij = <ij|psi(x)>`` of a parametrized range vector.
 
     ``basis`` holds the (name, vector) pairs backing each variable, in
@@ -685,8 +709,10 @@ def range_coordinate_matrix(s: qs.BipartiteState, require_orthogonal_basis: bool
     if len(set(names)) != len(names):
         basis = [(f"{name}_{l}", v) for l, (name, v) in enumerate(basis)]
     if require_orthogonal_basis:
-        for (n1, v1), (n2, v2) in itertools.combinations(basis, 2):
-            if em.vdot(v1, v2):
+        supports = [frozenset(i for i, x in enumerate(v) if x) for _, v in basis]
+        for (a, (n1, v1)), (b, (n2, v2)) in itertools.combinations(enumerate(basis), 2):
+            # vectors with disjoint supports are orthogonal
+            if not supports[a].isdisjoint(supports[b]) and em.vdot(v1, v2):
                 raise NonOrthogonalBasis(f"range basis vectors {n1} and {n2} overlap")
     return coordinate_matrix(m, n, PolyRing([name for name, _ in basis]), basis)
 
@@ -766,6 +792,21 @@ def _packed_rows(M: SymbolicRangeMatrix, P: _Packing, k: int) -> tuple:
     return rows, scales
 
 
+def _has_excluded(minor: dict, excluded: int) -> bool:
+    """Whether a term of the packed ``minor`` has a variable of the field
+    mask ``excluded``."""
+    return bool(excluded) and any(t & excluded != excluded for t in minor)
+
+
+def _primitive(minor: dict) -> tuple:
+    """``(key, lead)``: the primitive form with a positive leading
+    coefficient, which proportional minors share, as a frozenset of packed
+    terms, and the leading coefficient of ``minor``."""
+    lead = minor[max(minor)]
+    g = math.gcd(*minor.values()) * (1 if lead > 0 else -1)
+    return frozenset((m, c // g) for m, c in minor.items()), lead
+
+
 def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()) -> list:
     """All nonzero ``k x k`` minors of ``M``, deduplicated, as monic :class:`Minor` objects.
 
@@ -804,12 +845,9 @@ def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()
             path.append((chosen, grown, iter(range(k - len(chosen) - 1, r))))
             continue
         for cols, minor in grown.items():
-            if excluded and any(t & excluded != excluded for t in minor):
+            if _has_excluded(minor, excluded):
                 continue
-            # proportional minors share one primitive form with a positive lead
-            lead = minor[max(minor)]
-            g = math.gcd(*minor.values()) * (1 if lead > 0 else -1)
-            key = frozenset((m, c // g) for m, c in minor.items())
+            key, lead = _primitive(minor)
             first = found.get(key)
             if first is None or (chosen, cols) < first[:2]:
                 found[key] = (chosen, cols, lead)
@@ -832,22 +870,157 @@ def minor_determinants(M: SymbolicRangeMatrix, pairs: Sequence[tuple]) -> list:
     rows, scales = _packed_rows(M, P, max((len(r) for r, _ in pairs), default=0))
     out = []
     for chosen, cols in pairs:
-        keep = set(cols)
-        table = {(): {P.one: 1}}
-        for r in reversed(chosen):
-            table = _laplace_extend(table, [(c, e) for c, e in rows[r] if c in keep])
         scale = math.prod(scales[r] for r in chosen)
         out.append(P.polynomial(ring, {m: Fraction(c, scale)
-                                       for m, c in table.get(tuple(cols), {}).items()}))
+                                       for m, c in _determinant(rows, P, chosen, cols).items()}))
     return out
+
+
+def _determinant(rows: list, P: _Packing, chosen: tuple, cols: tuple) -> dict:
+    """Packed int terms of the minor of the :func:`_packed_rows` ``rows`` on
+    ``chosen`` x ``cols`` (empty when it vanishes)."""
+    keep = set(cols)
+    table = {(): {P.one: 1}}
+    for r in reversed(chosen):
+        table = _laplace_extend(table, [(c, e) for c, e in rows[r] if c in keep])
+    return table.get(tuple(cols), {})
+
+
+class _WitnessClosure:
+    """The minors that share monomials, transitively, with a witness power.
+
+    In the Macaulay system of ``x_w^N`` over the ``k x k`` minors, a row
+    ``mono * g`` that shares no monomial, however indirectly, with ``x_w^N``
+    never meets the rows that do: eliminating them never mixes the two
+    sets, so the target reduces exactly as in the full system.  The closure
+    therefore starts from the packed monomial ``x_w^N``; for each degree-``k``
+    divisor ``t`` of a monomial it reaches, it lists the ``(rows, cols)``
+    whose Leibniz expansion has a term on ``t`` (one position per variable
+    of ``t``, in distinct rows and columns: every entry is a linear form),
+    computes those determinants only, and queues every monomial of each
+    row ``(u / t) * g`` whose minor ``g`` contains ``t``.  Zero minors and
+    minors with an excluded variable are dropped, and proportional minors
+    keep their lexicographically first ``(rows, cols)``, as in
+    :func:`minor_ideal`.  Determinants are cached across powers.
+    """
+
+    def __init__(self, M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()):
+        ring = M.ring
+        P = self.P = _Packing(ring.nvars)
+        self.k = k
+        self.rows, self.scales = _packed_rows(M, P, k)
+        self.excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
+        # variable l as a packed factor: monomial * x_l = monomial + units[l]
+        self.units = [(1 << (P.width * P.nvars)) - (1 << (P.width * l)) for l in range(P.nvars)]
+        self.places: dict = {}      # units[l] -> [(row, col)] of the entries with x_l
+        for i, row in enumerate(self.rows):
+            for j, entry in row:
+                for unit, _ in entry:
+                    self.places.setdefault(unit, []).append((i, j))
+        self._minors: dict = {}     # (rows, cols) -> (terms, primitive key, lead) or None
+
+    def factors(self, u: int) -> list:
+        """The variables of the packed monomial ``u``, with repeats, as units,
+        the variables with the fewest positions first."""
+        P = self.P
+        w = P.width
+        exps = P.one - (u & ((1 << (w * P.nvars)) - 1))   # exponent e_l in field l
+        out = []
+        while exps:
+            l = (exps.bit_length() - 1) // w
+            e = exps >> (w * l)
+            exps -= e << (w * l)
+            out += [self.units[l]] * e
+        out.sort(key=lambda unit: (len(self.places.get(unit, ())), unit))
+        return out
+
+    def positions(self, divisor: tuple) -> set:
+        """``(rows, cols)`` of every minor whose expansion has a term on the
+        variables ``divisor`` (units with repeats, in :meth:`factors` order)."""
+        out = set()
+        k, places = self.k, self.places
+
+        def grow(a, rows, cols, start):
+            if a == k:
+                out.add((tuple(sorted(rows)), tuple(sorted(cols))))
+                return
+            spots = places.get(divisor[a], ())
+            # a repeated variable takes increasing positions
+            for p in range(start if a and divisor[a - 1] == divisor[a] else 0, len(spots)):
+                i, j = spots[p]
+                if i not in rows and j not in cols:
+                    grow(a + 1, rows + (i,), cols + (j,), p + 1)
+
+        grow(0, (), (), 0)
+        return out
+
+    def minor(self, pos: tuple):
+        """``(terms, primitive key, lead)`` of the minor at ``pos``, or ``None``
+        when it vanishes or has an excluded variable."""
+        if pos in self._minors:
+            return self._minors[pos]
+        terms = _determinant(self.rows, self.P, *pos)
+        out = None
+        if terms and not _has_excluded(terms, self.excluded):
+            out = (terms,) + _primitive(terms)
+        self._minors[pos] = out
+        return out
+
+    def component(self, target: int) -> dict:
+        """Primitive key -> ``(rows, cols, lead)`` of every minor in a
+        Macaulay row reached from the packed degree-``>= k`` monomial ``target``."""
+        P, k = self.P, self.k
+        found: dict = {}
+        expanded = set()            # (key, multiplier) rows already queued
+        seen = {target}
+        queue = [target]
+        while queue:
+            u = queue.pop()
+            occurrences = self.factors(u)
+            divisors = [tuple(occurrences)] if len(occurrences) == k \
+                else sorted(set(itertools.combinations(occurrences, k)))
+            for divisor in divisors:
+                t = P.one + sum(divisor)
+                shift = u - t       # a term m of g sits at m + shift in (u / t) * g
+                for pos in self.positions(divisor):
+                    hit = self.minor(pos)
+                    if hit is None or t not in hit[0]:
+                        continue
+                    terms, key, lead = hit
+                    first = found.get(key)
+                    if first is None or pos < first[:2]:
+                        found[key] = pos + (lead,)
+                    if (key, shift) in expanded:
+                        continue
+                    expanded.add((key, shift))
+                    for m in terms:
+                        mm = m + shift
+                        if mm not in seen:
+                            seen.add(mm)
+                            queue.append(mm)
+        return found
 
 
 # ---------------------------------------------------------------------------
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SNCertificate:
+# == and hash of a record over its ``_compared()`` fields only
+def _record_eq(self, other):
+    return self._compared() == other._compared() if type(other) is type(self) \
+        else NotImplemented
+
+
+def _record_ne(self, other):
+    eq = _record_eq(self, other)
+    return eq if eq is NotImplemented else not eq
+
+
+def _record_hash(self):
+    return hash(self._compared())
+
+
+class SNCertificate(NamedTuple):
     """Replayable Schmidt-number bound.
 
     ``kind`` is "lower" or "upper"; ``value`` the certified bound.  Lower
@@ -860,12 +1033,16 @@ class SNCertificate:
 
     kind: str
     value: int
-    evidence: dict = field(compare=False)
+    evidence: dict          # left out of ==
     trusted_rules_used: tuple = ()
 
+    def _compared(self) -> tuple:
+        return self.kind, self.value, self.trusted_rules_used
 
-@dataclass(frozen=True)
-class Inconclusive:
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, _record_hash
+
+
+class Inconclusive(NamedTuple):
     """Negative space of a certificate search: nothing was proven."""
 
     reason: str
@@ -887,11 +1064,13 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     linear problem in the cofactors of degree ``N - k`` (a Macaulay matrix
     argument, complete for homogeneous ideals); no power below ``k`` lies in
     the ideal, and the verifier accepts exactly the powers ``k <= N <= 2k``
-    this search can return.  The minors come from one :func:`minor_ideal`
-    enumeration.  The certificate keeps only those with a nonzero cofactor,
-    each as its first ``[rows, cols]`` with the cofactor rescaled from the
-    monic minor to that determinant.  Excluding variables only shrinks the
-    ideal, so ``exclude_vars`` is a search heuristic and is not recorded.
+    this search can return.  The solve at each ``N`` runs over the minors
+    of :class:`_WitnessClosure`, in :func:`minor_ideal`'s order, and finds
+    the cofactors the solve over every minor would; nothing is enumerated.
+    The certificate keeps only the minors with a nonzero cofactor, each as
+    its first ``[rows, cols]`` with the cofactor rescaled from the monic
+    minor to that determinant.  Excluding variables only shrinks the ideal,
+    so ``exclude_vars`` is a search heuristic and is not recorded.
     """
     if not em.column_space(s.matrix).contains(witness_vector):
         raise WitnessNotInRange("witness vector is not in R(rho)")
@@ -901,26 +1080,57 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     if len(nonzero) != 1:
         raise NonSingleVariableOverlap(
             f"witness overlaps {len(nonzero)} basis vectors, need exactly 1")
+    if k > min(sym.dim_a, sym.dim_b):
+        raise DimensionMismatch("minor size exceeds matrix dimensions")
     witness_var = nonzero[0][0]
-    generators = minor_ideal(sym, k, exclude_vars=exclude_vars)
-    if not generators:
-        return Inconclusive("no nonzero minors survive the exclusion filter")
-    log.info("certify_sn_lower: %d minors in %d variables", len(generators), sym.ring.nvars)
-    xw = sym.ring.var(witness_var)
+    closure = _WitnessClosure(sym, k, exclude_vars)
+    P = closure.P
+    xw = closure.units[sym.ring._index[witness_var]]
     for N in range(k, 2 * k + 1):
-        cof = linear_membership_cofactors(xw ** N, generators, cofactor_degree=N - k)
-        if cof is not None:
-            used = [(generators[i], c.scale(1 / generators[i].det_factor)) for i, c in cof]
-            return SNCertificate("lower", k, {
-                "witness": [em.format_scalar(x) for x in witness_vector],
-                "witness_variable": witness_var,
-                "k": k,
-                "variables": list(sym.ring.variables),
-                "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
-                "power": N,
-                "minors": [[list(g.rows), list(g.cols), poly_to_json(c)] for g, c in used],
-            })
+        P.check_degree(N)
+        target = P.one + N * xw
+        found = closure.component(target)
+        _info("certify_sn_lower: N=%d: %d minors in %d variables", N, len(found), P.nvars)
+        # minor_ideal's order: leading monomial, term count, first (rows, cols)
+        keys = sorted(found, key=lambda key: (max(key)[0], len(key), found[key][:2]))
+        generators = [(dict(key), max(key)[1]) for key in keys]
+        monomials = _cofactor_monomials(P, N - k)
+        solved = _cofactor_trail({target: 1}, 1, generators, monomials)
+        if solved is None:
+            continue
+        trail, sigma = solved
+        _replay_trail(trail, sigma, target, generators, dict(monomials))
+        cofactors: dict = {}
+        for (i, mono), c in trail.items():
+            rows, _, lead = found[keys[i]]
+            det_factor = Fraction(lead, math.prod(closure.scales[r] for r in rows))
+            cofactors.setdefault(i, {})[mono] = Fraction(c, sigma) / det_factor
+        return SNCertificate("lower", k, {
+            "witness": [em.format_scalar(x) for x in witness_vector],
+            "witness_variable": witness_var,
+            "k": k,
+            "variables": list(sym.ring.variables),
+            "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
+            "power": N,
+            "minors": [[list(found[keys[i]][0]), list(found[keys[i]][1]),
+                        poly_to_json(Polynomial(sym.ring, terms))]
+                       for i, terms in sorted(cofactors.items())],
+        })
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
+
+
+def _replay_trail(trail: dict, sigma: int, target: int, generators: list, shifts: dict):
+    """Check ``sigma * target = sum trail[i, mono] * mono * g_i`` on packed
+    int terms, where ``generators[i] = (scale * g_i terms, scale)``."""
+    L = math.lcm(*(generators[i][1] for i, _ in trail))
+    acc: dict = {}
+    for (i, mono), c in trail.items():
+        terms, scale = generators[i]
+        f, shift = c * (L // scale), shifts[mono]
+        for m, gc in terms.items():
+            acc[m + shift] = acc.get(m + shift, 0) + f * gc
+    if {m: c for m, c in acc.items() if c} != {target: sigma * L}:
+        raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
 
 
 def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[Fraction],
@@ -950,16 +1160,20 @@ TRUSTED_RULES = {
 }
 
 
-@dataclass(frozen=True)
-class RuleVerdict:
+class RuleVerdict(NamedTuple):
     """Outcome of the trusted separability rule set."""
 
     separable: bool
     rule: str | None
     sn_bound: int | None
     trusted_rules_used: tuple
+    details: dict           # left out of ==
     entangled: bool = False
-    details: dict = field(default_factory=dict, compare=False)
+
+    def _compared(self) -> tuple:
+        return self.separable, self.rule, self.sn_bound, self.trusted_rules_used, self.entangled
+
+    __eq__, __ne__, __hash__ = _record_eq, _record_ne, _record_hash
 
 
 def _is_ppt(s: qs.BipartiteState) -> bool:
@@ -997,7 +1211,7 @@ def separability_rules(s: qs.BipartiteState, kernel_candidates: Sequence[em.Vect
     if s.dims == (3, 3):
         return RuleVerdict(False, None, 2, (TRUSTED_RULES["R4"],),
                            details={"reason": "3x3 PPT: SN <= 2 recorded, separability unknown"})
-    return RuleVerdict(False, None, None, ())
+    return RuleVerdict(False, None, None, (), details={})
 
 
 def block_separability(s: qs.BipartiteState):
@@ -1145,8 +1359,7 @@ def cofactor_identity_4x5(perturb: bool = False) -> bool:
 # edge-state verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EdgeVerdict:
+class EdgeVerdict(NamedTuple):
     """Range-criterion edge check, limited to the supplied candidates."""
 
     is_edge_for_candidates: bool

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, NotHermitian, RangeViolation, ScalarTooLarge
 
@@ -688,8 +687,7 @@ def null_space(rows: Sequence[Vector], n: int) -> Subspace:
     return rank_and_kernel(M)[1]
 
 
-@dataclass(frozen=True)
-class PsdResult:
+class PsdResult(NamedTuple):
     """Outcome of an exact PSD decision.
 
     PSD case: ``M = sum_t d_t |l_t><l_t|`` with strictly positive rational

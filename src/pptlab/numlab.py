@@ -311,7 +311,12 @@ def _rationalize_vector(v: np.ndarray) -> em.Vector:
 
 @dataclass
 class SurveyReport:
-    """Per-(dims, birank) sampling summary."""
+    """Per-(dims, birank) sampling summary.
+
+    ``rank_mismatch`` lists the seeds of converged samples whose numerical
+    ranks differ from the target birank: their birank collapsed, so they
+    sample a different stratum than the one the row counts.
+    """
 
     dims: tuple
     birank: tuple
@@ -325,6 +330,7 @@ class SurveyReport:
     expected_dimension: int       # m + max(bound, 0)
     deviations: list = field(default_factory=list)
     calibration: dict = field(default_factory=dict)
+    rank_mismatch: list = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
@@ -340,6 +346,8 @@ class SurveyReport:
             "expected_dimension": self.expected_dimension,
             "deviations": self.deviations,
             "calibration": self.calibration,
+            "rank_mismatch": len(self.rank_mismatch),
+            "rank_mismatch_seeds": self.rank_mismatch,
         }
 
 
@@ -350,7 +358,9 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
 
     For each (dims, birank) pair, samples are drawn with consecutive seeds;
     every converged sample's numerical extension dimension is compared to
-    ``m + max(bound, 0)`` and deviations are flagged.
+    ``m + max(bound, 0)`` and deviations are flagged.  Samples whose
+    numerical ranks are not ``(p, q)`` are counted, with their seeds, in
+    ``rank_mismatch``; they stay in every other count.
     """
     reports = []
     calibration = {"tol": tol, "max_iter": max_iter, "svd_tol": svd_tol,
@@ -363,6 +373,7 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
             dims_hist: dict = {}
             ambiguous = 0
             deviations = []
+            mismatched = []
             converged = 0
             for i in range(samples):
                 try:
@@ -373,10 +384,13 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
                 converged += 1
                 residuals.append(st.residual)
                 try:
-                    d = numeric_extension_dimension(st, svd_tol=svd_tol)
+                    d, report = numeric_extension_dimension(st, svd_tol=svd_tol,
+                                                            return_report=True)
                 except RankAmbiguity:
                     ambiguous += 1
                     continue
+                if report["ranks"] != (p, q):
+                    mismatched.append(seed + i)
                 dims_hist[d] = dims_hist.get(d, 0) + 1
                 expected = m + max(extension_count_bound(m, n, p, q), 0)
                 if d != expected:
@@ -388,17 +402,18 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
                 residual_median=float(np.median(residuals)) if residuals else float("nan"),
                 extension_dims=dims_hist, ambiguous=ambiguous, bound=bound,
                 expected_dimension=m + max(bound, 0), deviations=deviations,
-                calibration=calibration))
+                calibration=calibration, rank_mismatch=mismatched))
     return reports
 
 
 def survey_table(reports) -> str:
     """Aligned-column text rendering of survey reports."""
-    header = f"{'dims':>6} {'birank':>8} {'conv':>9} {'res_max':>10} {'ext dims':>18} {'bound':>6} {'flags':>6}"
+    header = f"{'dims':>6} {'birank':>8} {'conv':>9} {'res_max':>10} {'ext dims':>18} {'bound':>6} {'flags':>6} {'rk!=':>5}"
     lines = [header, "-" * len(header)]
     for r in reports:
         hist = ",".join(f"{k}:{v}" for k, v in sorted(r.extension_dims.items()))
         lines.append(
             f"{r.dims[0]}x{r.dims[1]:>4} {str(r.birank):>8} {r.converged:>4}/{r.samples:<4} "
-            f"{r.residual_max:>10.2e} {hist:>18} {r.bound:>6} {len(r.deviations):>6}")
+            f"{r.residual_max:>10.2e} {hist:>18} {r.bound:>6} {len(r.deviations):>6} "
+            f"{len(r.rank_mismatch):>5}")
     return "\n".join(lines)

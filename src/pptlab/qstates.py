@@ -13,9 +13,8 @@ their positivity is precisely the property under investigation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal, NamedTuple, Sequence
 
 from . import exactmat as em
 from .errors import BoundsViolation, DimensionMismatch, InvalidK, NotPsd
@@ -41,8 +40,7 @@ def _sites_vec(plus: list, m: int, n: int, minus: list = ()) -> em.Vector:
 # grid graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridEdge:
+class GridEdge(NamedTuple):
     """One weighted hyperedge of a grid graph.
 
     ``kind`` is "solid" (plus-superposition of all sites) or "dashed"
@@ -59,16 +57,14 @@ class GridEdge:
         return _sites_vec(self.sites[:1], dim_a, dim_b, minus=self.sites[1:])
 
 
-@dataclass(frozen=True)
-class GridGraph:
-    """Vertex grid with solid hyperedges and dashed two-site edges."""
+class GridGraph(NamedTuple("GridGraph", [("dim_a", int), ("dim_b", int), ("edges", tuple)])):
+    """Vertex grid with solid hyperedges and dashed two-site edges
+    (``edges`` is a tuple of :class:`GridEdge`), checked at construction."""
 
-    dim_a: int
-    dim_b: int
-    edges: tuple  # tuple[GridEdge, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for e in self.edges:
+    def __new__(cls, dim_a: int, dim_b: int, edges: tuple):
+        for e in edges:
             if e.weight <= 0:
                 raise BoundsViolation("edge weights must be strictly positive")
             if e.kind not in ("solid", "dashed"):
@@ -78,8 +74,9 @@ class GridGraph:
             if e.kind == "solid" and not e.sites:
                 raise BoundsViolation("solid edges need at least one site")
             for (i, j) in e.sites:
-                if not (0 <= i < self.dim_a and 0 <= j < self.dim_b):
-                    raise BoundsViolation(f"site ({i},{j}) outside the {self.dim_a}x{self.dim_b} grid")
+                if not (0 <= i < dim_a and 0 <= j < dim_b):
+                    raise BoundsViolation(f"site ({i},{j}) outside the {dim_a}x{dim_b} grid")
+        return super().__new__(cls, dim_a, dim_b, edges)
 
 
 def grid_graph(dim_a: int, dim_b: int, solid: Iterable = (), dashed: Iterable = ()) -> GridGraph:
@@ -96,8 +93,7 @@ def grid_graph(dim_a: int, dim_b: int, solid: Iterable = (), dashed: Iterable = 
 # bipartite states
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NamedVector:
+class NamedVector(NamedTuple):
     """A labeled vector with a positive rational weight, e.g. a grid edge."""
 
     name: str
@@ -322,8 +318,7 @@ def tiles_kernel_products() -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class ExtensionStep:
+class ExtensionStep(NamedTuple):
     """One replayable step of an extension pipeline.
 
     ``parameters`` holds the step's exact data under the ``pptlab extend``
@@ -341,8 +336,7 @@ class ExtensionStep:
     names: tuple | None
 
 
-@dataclass(frozen=True)
-class Rho45Pipeline:
+class Rho45Pipeline(NamedTuple):
     """The three-stage construction of the 4x5 Schmidt-number-3 PPT state."""
 
     stage1: BipartiteState      # 4x3, after admixing 3|30><30| + 3|32><32|
@@ -384,8 +378,7 @@ def rho_4x5() -> Rho45Pipeline:
 # the scaling family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Parameters of the (2k-1)x(2k-1) family member.
 
     ``d_weights`` overrides the default antidiagonal weights
@@ -433,7 +426,10 @@ def rho_family(spec: FamilySpec | int) -> BipartiteState:
     """Family member ``rho^(k)`` in local dimensions ``(2k-1) x (2k-1)``.
 
     With the default weights the state is PPT and has Schmidt number ``k``
-    for k <= 5.
+    for k <= 5 (the paper's claim).  ``certify-sn --exclude-deltas``
+    certifies, and ``verify`` replays, Schmidt number ``k`` for k = 6, 7
+    and 8 too: consistent with the conjectured scaling, not a proof for
+    every k.
     """
     if isinstance(spec, int):
         spec = FamilySpec(spec)

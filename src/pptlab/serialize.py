@@ -345,7 +345,7 @@ def verify_sn_upper_certificate(data: dict) -> bool:
 
 def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
     m, n = s.dims
-    vectors, weights, value = _parsed("certificate", _read_sn_upper, data)
+    vectors, weights, value, stored_ranks = _parsed("certificate", _read_sn_upper, data)
     if any(w < 0 for w in weights):
         raise CertificateInvalid("negative weight")
     if em.weighted_gram(vectors, weights, m * n) != s.matrix:
@@ -353,6 +353,8 @@ def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
     ranks = [qs.schmidt_rank(v, m, n) for v in vectors]
     if max(ranks) != value:
         raise CertificateInvalid("claimed bound does not match the decomposition ranks")
+    if stored_ranks != ranks or any(type(r) is not int for r in stored_ranks):
+        raise CertificateInvalid("stored Schmidt ranks are not the vectors' ranks")
     return True
 
 
@@ -361,7 +363,7 @@ def _read_sn_upper(data: dict) -> tuple:
     vectors = [vector_from_json(v, scalar) for v in data["vectors"]]
     if not vectors:
         raise CertificateInvalid("the decomposition has no vectors")
-    return vectors, [Fraction(w) for w in data["weights"]], data["value"]
+    return vectors, [Fraction(w) for w in data["weights"]], data["value"], data["schmidt_ranks"]
 
 
 def sn_verdict_text(lower: int | None, upper: int) -> str:

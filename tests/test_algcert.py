@@ -13,6 +13,7 @@ from pptlab import algcert as ac
 from pptlab import exactmat as em
 from pptlab import qstates as qs
 from pptlab.errors import (
+    DimensionMismatch,
     MonomialOverflow,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
@@ -346,6 +347,41 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
     assert minors.index(first) + 1 == minors.index(second)
 
 
+def _closure_component(sym, k, variables):
+    """The witness closure's component of the monomial on ``variables``, as
+    monic polynomial -> (rows, cols)."""
+    closure = ac._WitnessClosure(sym, k)
+    P = closure.P
+    target = P.one + sum(closure.units[sym.ring._index[v]] for v in variables)
+    return {P.polynomial(sym.ring, dict(key)).monic(): (rows, cols)
+            for key, (rows, cols, _) in closure.component(target).items()}
+
+
+def test_closure_keeps_the_first_position_of_proportional_minors():
+    """From ``a*d`` the closure reaches ad - bc (at rows (0, 3) and (1, 2)),
+    2ad - bc, ad - b^2, ad - c^2 and 2ad - c^2, each at the (rows, cols)
+    minor_ideal stores for it, and nothing that shares no monomial with them."""
+    ring = ac.PolyRing(["a", "b", "c", "d"])
+    a, b, c, d = (ring.var(v) for v in ring.variables)
+    for rows in ([(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))],
+                 [(c, d.scale(2)), (c, d), (b, d), (a, c), (a, b)]):
+        sym = ac.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
+        component = _closure_component(sym, 2, ["a", "d"])
+        expected = {m: (m.rows, m.cols) for m in ac.minor_ideal(sym, 2) if m.terms.keys() & {
+            (1, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (0, 0, 2, 0)}}
+        assert component == expected and len(component) == 5
+
+
+def test_closure_skips_a_minor_whose_expansion_cancels_the_monomial():
+    """det [[a, a+b], [a, b]] = -a^2: the positions of ``a*b`` are a
+    candidate, but the minor does not contain it."""
+    ring = ac.PolyRing(["a", "b"])
+    a, b = (ring.var(v) for v in ring.variables)
+    sym = ac.SymbolicRangeMatrix(2, 2, ring, ((a, a + b), (a, b)), ())
+    assert _closure_component(sym, 2, ["a", "b"]) == {}
+    assert _closure_component(sym, 2, ["a", "a"]) == {a * a: ((0, 1), (0, 1))}
+
+
 def _json_digest(polys):
     payload = json.dumps([ac.poly_to_json(p) for p in polys], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -454,6 +490,60 @@ def test_linear_method_agrees_with_groebner():
         for rows, cols, cof in ev["minors"]:
             acc = acc + _cofactor(ring, cof) * _leibniz_det(sym, rows, cols)
         assert acc == xw ** power
+
+
+def _enumerated_lower(st, k, exclude_vars=(), naming="site"):
+    """The enumerate-then-solve oracle: every ``k x k`` minor from
+    ``minor_ideal``, then ``linear_membership_cofactors`` at N = k..2k, as
+    the power and the ``[rows, cols, cofactor]`` triples of the first hit."""
+    sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming=naming)
+    generators = ac.minor_ideal(sym, k, exclude_vars=exclude_vars)
+    xw = sym.ring.var(next(name for name, v in sym.basis if em.vdot(v, st.edges[0].vec)))
+    for N in range(k, 2 * k + 1):
+        cof = ac.linear_membership_cofactors(xw ** N, generators, cofactor_degree=N - k)
+        if cof is not None:
+            return N, [[list(generators[i].rows), list(generators[i].cols),
+                        ac.poly_to_json(c.scale(1 / generators[i].det_factor))] for i, c in cof]
+    return None
+
+
+def _closure_cases():
+    cases = [("rho3x3", qs.rho_3x3(), 2, (), "site"), ("rho4x5", qs.rho_4x5().final, 3, (), "site"),
+             ("family3-all", qs.rho_family(3), 3, (), "site")]
+    for k in (2, 3, 4):
+        st = qs.rho_family(k)
+        deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
+        cases.append((f"family{k}", st, k, deltas, "edge"))
+    return cases
+
+
+@pytest.mark.parametrize("name, st, k, excl, naming", _closure_cases(),
+                         ids=[c[0] for c in _closure_cases()])
+def test_closure_matches_enumerate_then_solve(name, st, k, excl, naming):
+    """The witness closure stores the same power, minors, positions and
+    cofactors as solving over every enumerated minor."""
+    cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
+    assert (cert.evidence["power"], cert.evidence["minors"]) == \
+        _enumerated_lower(st, k, excl, naming)
+
+
+def test_certify_sn_lower_never_enumerates(monkeypatch):
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("certify_sn_lower enumerated the minors")
+
+    monkeypatch.setattr(ac, "minor_ideal", enumerate_)
+    monkeypatch.setattr(ac, "linear_membership_cofactors", enumerate_)
+    final = qs.rho_4x5().final
+    assert ac.certify_sn_lower(final, final.edges[0].vec, 3).evidence["power"] == 4
+    st = qs.rho_family(4)
+    deltas = [e.name for e in st.edges if e.name.startswith("delta")]
+    cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas, naming="edge")
+    assert len(cert.evidence["minors"]) == 14
+
+
+def test_certify_sn_lower_rejects_k_above_the_dimensions():
+    with pytest.raises(DimensionMismatch):
+        ac.certify_sn_lower(qs.rho_3x3(), qs.rho_3x3().edges[0].vec, 4)
 
 
 def test_minor_positions_give_the_determinants():
@@ -726,3 +816,16 @@ def test_partial_conjugate_complex_product():
     # equal up to the fixed phase convention: compare projectors
     assert em.ExactMatrix.outer(w, w).scale(em.vdot(expect, expect)) == \
         em.ExactMatrix.outer(expect, expect).scale(em.vdot(w, w))
+
+
+def test_records_are_immutable_and_compare_without_their_evidence():
+    """Certificates and rule verdicts are named tuples whose evidence and
+    details stay out of == and hash, as before."""
+    cert = ac.SNCertificate("lower", 3, {"power": 4})
+    same = cert._replace(evidence={"power": 5})
+    assert cert == same and not cert != same and hash(cert) == hash(same)
+    assert cert != cert._replace(value=2)
+    verdict = ac.RuleVerdict(True, "R1", 1, (), details={"reason": "a"})
+    assert verdict == verdict._replace(details={}) and verdict != verdict._replace(entangled=True)
+    with pytest.raises(AttributeError):
+        cert.value = 4

@@ -1,6 +1,5 @@
 """Local extension engine."""
 
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -314,14 +313,14 @@ def test_rho4x5_factors_no_large_matrix_twice(monkeypatch):
 
 
 def test_run_pipeline_needs_one_name_per_remainder_part():
-    step = dataclasses.replace(qs.rho_4x5().steps[0], names=("p30",))
+    step = qs.rho_4x5().steps[0]._replace(names=("p30",))
     with pytest.raises(DecompositionMismatch, match="2 rank-one parts, 1 names"):
         ex.run_pipeline(qs.rho_3x3(), [step])
 
 
 @pytest.mark.parametrize("change", [{"kind": "twist"}, {"side": "C"}], ids=["kind", "side"])
 def test_apply_step_rejects_unknown_kind_and_side(change):
-    step = dataclasses.replace(qs.rho_4x5().steps[0], **change)
+    step = qs.rho_4x5().steps[0]._replace(**change)
     with pytest.raises(BoundsViolation):
         ex.apply_step(qs.rho_3x3(), step)
 

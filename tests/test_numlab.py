@@ -182,6 +182,22 @@ def test_survey_rank44_and_rank56():
     assert "3x" in table and "4, 4" in str(table)
 
 
+def test_survey_counts_samples_whose_birank_collapsed():
+    """Seed 777 at 3x4 (5,6) converges to a sample of numerical ranks (5,5):
+    the survey keeps it in every count and reports it as a rank mismatch."""
+    report, = nl.unextendibility_survey([(3, 4)], [(5, 6)], samples=1, seed=777)
+    assert (report.converged, report.extension_dims, report.deviations) == (1, {3: 1}, [])
+    assert report.rank_mismatch == [777]
+    assert (report.to_json()["rank_mismatch"], report.to_json()["rank_mismatch_seeds"]) == (1, [777])
+    assert nl.survey_table([report]).splitlines()[-1].split()[-1] == "1"
+
+
+def test_survey_of_full_birank_samples_reports_no_mismatch():
+    report, = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=3, seed=5)
+    assert report.converged == 3 and report.rank_mismatch == []
+    assert report.to_json()["rank_mismatch"] == 0
+
+
 def test_eigenvalues_match_exact_characteristic_polynomial():
     """Numeric eigenvalues are roots of the exactly computed characteristic
     polynomial of random rational symmetric matrices."""

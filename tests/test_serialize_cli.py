@@ -17,6 +17,7 @@ from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
 from pptlab import serialize as se
+from pptlab.errors import PptlabError
 
 
 def test_state_json_roundtrip():
@@ -598,14 +599,26 @@ def test_cli_import_loads_no_verb_modules():
 
 def test_ppt_check_and_verify_process_loads_no_verb_modules(tmp_path):
     """A process that writes a ppt certificate and replays it loads neither
-    algcert, extender nor logging."""
+    algcert, extender, logging nor dataclasses."""
     state, cert = tmp_path / "state.json", tmp_path / "ppt.json"
     assert cli.run(["build", "--state", "family:3", "--out", str(state)]) == 0
     ppt_check = ["ppt-check", "--state", str(state), "--out", str(cert)]
     code = (f"from pptlab import cli\n"
             f"assert cli.run({ppt_check!r}) == 0\n"
             f"assert cli.run({['verify', str(cert)]!r}) == 0")
-    assert _loaded_after(code, VERB_MODULES) == "[]"
+    assert _loaded_after(code, VERB_MODULES + ["dataclasses"]) == "[]"
+
+
+def test_certify_sn_and_verify_process_loads_no_logging_or_dataclasses(tmp_path):
+    """Without ``--verbose`` the certifier logs nothing, so a process that
+    writes an sn-verdict and replays it imports neither ``logging`` nor
+    ``dataclasses`` (the records are named tuples)."""
+    cert = tmp_path / "sn.json"
+    certify = ["certify-sn", "--state", "family:3", "--exclude-deltas", "--out", str(cert)]
+    code = (f"from pptlab import cli\n"
+            f"assert cli.run({certify!r}) == 0\n"
+            f"assert cli.run({['verify', str(cert)]!r}) == 0")
+    assert _loaded_after(code, ["logging", "dataclasses"]) == "[]"
 
 
 def test_cli_verbose_configures_logging():
@@ -901,6 +914,144 @@ def test_mutated_sn_lower_payloads_are_rejected(genuine_lowers, data):
     except se.CertificateInvalid:
         return
     assert _claim_holds(lower, state)
+
+
+CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
+
+
+@pytest.mark.parametrize("k", sorted(CATALAN))
+def test_family_certificates_use_catalan_many_minors_and_replay(k, tmp_path):
+    """certify-sn on family:k (deltas excluded) proves SN = k at witness power
+    k with C_k minors, and verify replays the certificate."""
+    path = tmp_path / "sn.json"
+    assert cli.run(["certify-sn", "--state", f"family:{k}", "--exclude-deltas",
+                    "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert (data["verdict"], data["lower"]["power"]) == (f"SN = {k}", k)
+    assert len(data["lower"]["minors"]) == CATALAN[k]
+    assert se.verify_certificate(data)
+
+
+@pytest.fixture(scope="module")
+def genuine_verdicts(tmp_path_factory):
+    """Genuine sn-verdict payloads of rho4x5 and family:3, written by certify-sn."""
+    out = {}
+    for name, ref in (("rho4x5", ["--state", "rho4x5"]),
+                      ("family3", ["--state", "family:3", "--exclude-deltas"])):
+        path = tmp_path_factory.mktemp("verdict") / f"{name}.json"
+        assert cli.run(["certify-sn", *ref, "--out", str(path)]) == 0
+        out[name] = json.loads(path.read_text())
+    return out
+
+
+UPPER_MUTATIONS = ("upper-vector-entry", "upper-weight", "schmidt-rank", "state-entry")
+VERDICT_MUTATIONS = ("cofactor", "row-index", "column-index", "power", "witness-variable",
+                     "basis-entry") + UPPER_MUTATIONS
+ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
+
+
+def _mutate_verdict(data, lower, upper):
+    """One drawn perturbation of one field of an sn-verdict's halves, or of
+    an sn-upper alone when ``lower`` is None (in place)."""
+    kind = data.draw(st.sampled_from(VERDICT_MUTATIONS if lower else UPPER_MUTATIONS),
+                     label="mutation")
+    if kind in ("cofactor", "row-index", "column-index"):
+        entry = data.draw(st.sampled_from(lower["minors"]), label="minor")
+        if kind == "cofactor":
+            term = data.draw(st.sampled_from(entry[2]["terms"]), label="term")
+            term[1] = data.draw(st.sampled_from(["0", "2", "-1", "1/2", "-1/2", "x", 1]))
+        else:
+            idx = entry[kind == "column-index"]
+            bound = lower["state"]["dim_b" if kind == "column-index" else "dim_a"]
+            idx[data.draw(st.integers(0, len(idx) - 1))] = data.draw(st.integers(-1, bound))
+    elif kind == "power":
+        lower["power"] = data.draw(st.integers(-1, 2 * lower["k"] + 2))
+    elif kind == "witness-variable":
+        lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"]))
+    elif kind in ("basis-entry", "upper-vector-entry"):
+        vec = data.draw(st.sampled_from(lower["basis"] if kind == "basis-entry"
+                                        else upper["vectors"]), label="vector")
+        vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(st.sampled_from(ENTRIES))
+    elif kind == "upper-weight":
+        weights = upper["weights"]
+        weights[data.draw(st.integers(0, len(weights) - 1))] = data.draw(
+            st.sampled_from(["0", "2", "1/2", "-1", "x", None]))
+    elif kind == "schmidt-rank":
+        ranks = upper["schmidt_ranks"]
+        ranks[data.draw(st.integers(0, len(ranks) - 1))] = data.draw(
+            st.integers(0, 6) | st.sampled_from([2.0, "2", None]))
+    else:
+        # the upper copy of the state, or both copies alike
+        copies = [upper["state"]] + ([lower["state"]] if lower and data.draw(st.booleans()) else [])
+        size = upper["state"]["matrix"]["rows"]
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        value = data.draw(st.sampled_from(ENTRIES))
+        for state in copies:
+            state["matrix"]["entries"][i][j] = value
+
+
+def _upper_claim_holds(upper):
+    """Independent check of an accepted sn-upper payload: a dense weighted
+    outer-product sum equals the stored state, the weights are nonnegative,
+    and sympy ranks of the vectors' matricizations are the stored Schmidt
+    ranks, whose maximum is the claimed value."""
+    sympy = pytest.importorskip("sympy")
+    state = se.state_from_json(upper["state"])
+    m, n = state.dims
+    vectors = [se.vector_from_json(v) for v in upper["vectors"]]
+    weights = [em.as_scalar(Fraction(w)) for w in upper["weights"]]
+    if len(weights) != len(vectors) or any(w.re < 0 for w in weights):
+        return False
+    for r in range(m * n):
+        for c in range(m * n):
+            acc = em.ZERO
+            for v, w in zip(vectors, weights):
+                acc = acc + w * v[r] * v[c].conj()
+            if acc != state.matrix.entry(r, c):
+                return False
+
+    def number(z):
+        return sympy.Rational(z.re.numerator, z.re.denominator) \
+            + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+
+    ranks = [sympy.Matrix(m, n, [number(z) for z in v]).rank() for v in vectors]
+    return upper["schmidt_ranks"] == ranks and upper["value"] == max(ranks)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_sn_verdict_and_sn_upper_payloads_are_rejected(genuine_verdicts, data):
+    """Mutation fuzzing of sn-verdict and sn-upper payloads: ``verify`` fails
+    every one-field perturbation of a genuine rho4x5 or family:3 verdict, or
+    of its upper half alone, with a PptlabError (which ``pptlab verify``
+    reports as FAILED), unless the claim it leaves is still true."""
+    genuine = genuine_verdicts[data.draw(st.sampled_from(sorted(genuine_verdicts)))]
+    if data.draw(st.booleans(), label="upper alone"):
+        genuine = genuine["upper"]
+    payload = json.loads(json.dumps(genuine))
+    lower = payload.get("lower")
+    _mutate_verdict(data, lower, payload.get("upper", payload))
+    assume(payload != genuine)
+    try:
+        se.verify_certificate(payload)
+    except PptlabError:
+        return
+    if lower is None:
+        assert _upper_claim_holds(payload)
+        return
+    upper = payload["upper"]
+    value = (lower["value"], upper["value"])
+    assert lower["state"] == upper["state"] and _upper_claim_holds(upper)
+    assert _claim_holds(lower, se.state_from_json(lower["state"]))
+    assert payload["verdict"] == (f"SN = {value[0]}" if value[0] == value[1]
+                                  else f"SN in [{value[0]}, {value[1]}]")
+
+
+def test_sn_upper_with_a_wrong_stored_schmidt_rank_is_rejected(rho3x3_verdict):
+    upper = json.loads(json.dumps(rho3x3_verdict["upper"]))
+    upper["schmidt_ranks"][0] += 1
+    with pytest.raises(se.CertificateInvalid, match="Schmidt ranks"):
+        se.verify_certificate(upper)
 
 
 def test_sn_upper_without_vectors_is_rejected(rho3x3_verdict):
