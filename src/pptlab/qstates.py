@@ -78,6 +78,10 @@ class GridGraph(NamedTuple("GridGraph", [("dim_a", int), ("dim_b", int), ("edges
                     raise BoundsViolation(f"site ({i},{j}) outside the {dim_a}x{dim_b} grid")
         return super().__new__(cls, dim_a, dim_b, edges)
 
+    def _replace(self, **changes) -> "GridGraph":
+        # the named tuple's own _replace would skip the checks in __new__
+        return GridGraph(**{**self._asdict(), **changes})
+
 
 def grid_graph(dim_a: int, dim_b: int, solid: Iterable = (), dashed: Iterable = ()) -> GridGraph:
     """Build a grid graph from (sites, weight) pairs."""

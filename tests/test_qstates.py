@@ -33,6 +33,13 @@ def test_grid_bounds_and_weight_validation():
         qs.grid_graph(2, 2, dashed=[([(0, 0)], 1)])
 
 
+def test_grid_graph_replace_keeps_the_checks():
+    g = qs.grid_graph(2, 2, solid=[([(1, 1)], 1)])
+    assert g._replace(dim_a=3).dim_a == 3
+    with pytest.raises(BoundsViolation):
+        g._replace(dim_a=1)
+
+
 def test_grid_state_psd_random():
     rng = random.Random(1)
     for _ in range(25):
