@@ -861,21 +861,6 @@ def minor_ideal(M: SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()
     return minors
 
 
-def minor_determinants(M: SymbolicRangeMatrix, pairs: Sequence[tuple]) -> list:
-    """``det M[rows, cols]`` for each ``(rows, cols)`` pair of equally long,
-    strictly increasing index sequences, by the :func:`minor_ideal` kernel:
-    Laplace expansion along ``rows`` from the last, over ``cols`` only."""
-    ring = M.ring
-    P = _Packing(ring.nvars)
-    rows, scales = _packed_rows(M, P, max((len(r) for r, _ in pairs), default=0))
-    out = []
-    for chosen, cols in pairs:
-        scale = math.prod(scales[r] for r in chosen)
-        out.append(P.polynomial(ring, {m: Fraction(c, scale)
-                                       for m, c in _determinant(rows, P, chosen, cols).items()}))
-    return out
-
-
 def _determinant(rows: list, P: _Packing, chosen: tuple, cols: tuple) -> dict:
     """Packed int terms of the minor of the :func:`_packed_rows` ``rows`` on
     ``chosen`` x ``cols`` (empty when it vanishes)."""

@@ -30,6 +30,7 @@ from typing import Literal, Sequence
 
 from . import exactmat as em
 from . import qstates as qs
+from .qstates import extension_count_bound
 from .errors import (
     BoundsViolation,
     DecompositionMismatch,
@@ -256,11 +257,6 @@ class ExtensionSpace:
     @property
     def real_dimension(self) -> int:
         return 2 * self.dimension
-
-
-def extension_count_bound(m: int, n: int, p: int, q: int) -> int:
-    """Counting bound ``(p + q - m n) n - m`` for nontrivial extensions."""
-    return (p + q - m * n) * n - m
 
 
 def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:

@@ -210,6 +210,12 @@ def birank(s: BipartiteState) -> tuple:
     return (p, q)
 
 
+def extension_count_bound(m: int, n: int, p: int, q: int) -> int:
+    """Counting bound ``(p + q - m n) n - m`` for nontrivial extensions of
+    an ``m x n`` state of birank ``(p, q)``."""
+    return (p + q - m * n) * n - m
+
+
 def swap_index(m: int, n: int) -> list:
     """The A<->B relabelling of an ``m x n`` product basis: entry ``j*m + i``
     is ``i*n + j``, the index of ``|i>_A (x) |j>_B`` before the swap.

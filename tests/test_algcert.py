@@ -431,7 +431,7 @@ def _cofactor(ring, data):
 
 def _leibniz_det(sym, rows, cols):
     """det M[rows, cols] as a signed sum over permutations: independent of the
-    Laplace kernel behind minor_ideal and minor_determinants."""
+    Laplace kernel behind minor_ideal and the sn-lower replay."""
     ring = sym.ring
     acc = ring.zero()
     for perm in itertools.permutations(range(len(rows))):
@@ -546,10 +546,20 @@ def test_certify_sn_lower_rejects_k_above_the_dimensions():
         ac.certify_sn_lower(qs.rho_3x3(), qs.rho_3x3().edges[0].vec, 4)
 
 
+def _determinants(sym, pairs):
+    """``det M[rows, cols]`` for each pair, from the packed rows and
+    ``_determinant``: the kernel the sn-lower replay sums over."""
+    P = ac._Packing(sym.ring.nvars)
+    rows, scales = ac._packed_rows(sym, P, max((len(r) for r, _ in pairs), default=0))
+    return [P.polynomial(sym.ring, {t: Fraction(c, math.prod(scales[r] for r in chosen))
+                                    for t, c in ac._determinant(rows, P, chosen, cols).items()})
+            for chosen, cols in pairs]
+
+
 def test_minor_positions_give_the_determinants():
     """Each Minor's first (rows, cols) and factor reproduce its determinant,
-    and minor_determinants agrees with the Leibniz expansion, zero minors
-    included."""
+    and the packed determinant kernel agrees with the Leibniz expansion,
+    zero minors included."""
     rng = random.Random(23)
     names = ("a", "b", "c", "d")
     ring = ac.PolyRing(names)
@@ -561,11 +571,11 @@ def test_minor_positions_give_the_determinants():
                   for _ in range(n)) for _ in range(m)), ())
         for k in range(1, min(m, n) + 1):
             minors = ac.minor_ideal(sym, k)
-            dets = ac.minor_determinants(sym, [(g.rows, g.cols) for g in minors])
+            dets = _determinants(sym, [(g.rows, g.cols) for g in minors])
             assert dets == [g * g.det_factor for g in minors]
             pairs = [(r, c) for r in itertools.combinations(range(m), k)
                      for c in itertools.combinations(range(n), k)]
-            assert ac.minor_determinants(sym, pairs) == \
+            assert _determinants(sym, pairs) == \
                 [_leibniz_det(sym, r, c) for r, c in pairs]
 
 
@@ -588,7 +598,7 @@ def test_minor_determinants_on_rows_with_denominators():
         for k in range(1, min(m, n) + 1):
             pairs = [(r, c) for r in itertools.combinations(range(m), k)
                      for c in itertools.combinations(range(n), k)]
-            dets = ac.minor_determinants(sym, pairs)
+            dets = _determinants(sym, pairs)
             assert dets == [_leibniz_det(sym, r, c) for r, c in pairs]
             for g in ac.minor_ideal(sym, k):
                 det = _leibniz_det(sym, g.rows, g.cols)

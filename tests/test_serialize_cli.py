@@ -609,6 +609,17 @@ def test_ppt_check_and_verify_process_loads_no_verb_modules(tmp_path):
     assert _loaded_after(code, VERB_MODULES + ["dataclasses"]) == "[]"
 
 
+def test_survey_and_sample_process_loads_no_extender_or_algcert():
+    """The sampler takes the counting bound from qstates, so a process that
+    runs ``survey`` and ``sample`` compiles neither extender nor algcert."""
+    survey = ["survey", "--dims", "3x3", "--birank", "4,4", "--samples", "1", "--json"]
+    sample = ["sample", "--dims", "3x3", "--birank", "4,4", "--json"]
+    code = (f"from pptlab import cli\n"
+            f"assert cli.run({survey!r}) == 0\n"
+            f"assert cli.run({sample!r}) == 0")
+    assert _loaded_after(code, ["pptlab.extender", "pptlab.algcert"]) == "[]"
+
+
 def test_certify_sn_and_verify_process_loads_no_logging_or_dataclasses(tmp_path):
     """Without ``--verbose`` the certifier logs nothing, so a process that
     writes an sn-verdict and replays it imports neither ``logging`` nor
@@ -754,6 +765,19 @@ def test_huge_witness_power_is_rejected_quickly(rho3x3_verdict, tmp_path):
     proc = subprocess.run([sys.executable, "-m", "pptlab.cli", "verify", str(path)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize("factor", ["2", "1/3", "-1"])
+def test_scaled_cofactors_fail_verify(rho3x3_verdict, factor):
+    """The replay checks the coefficient of the witness power too: the
+    cofactors times ``factor`` expand to ``factor * x_w^N``, not the stated
+    identity."""
+    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    for _, _, cofactor in lower["minors"]:
+        for term in cofactor["terms"]:
+            term[1] = str(Fraction(term[1]) * Fraction(factor))
+    with pytest.raises(se.CertificateInvalid, match="does not expand to the witness power"):
+        se.verify_certificate(lower)
 
 
 # -- the indexed sn-lower format ------------------------------------------------
