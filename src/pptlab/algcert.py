@@ -871,6 +871,40 @@ def _determinant(rows: list, P: _Packing, chosen: tuple, cols: tuple) -> dict:
     return table.get(tuple(cols), {})
 
 
+def minor_identity_holds(M: SymbolicRangeMatrix, power: int, witness_variable: str,
+                         pairs: Sequence[tuple], cofactors: Sequence[dict]) -> bool:
+    """Whether ``sum cofactor_i * det M[rows_i, cols_i] = x_w^power`` exactly.
+
+    ``pairs`` lists the ``(rows, cols)`` of each minor and ``cofactors`` the
+    matching terms (exponent tuple -> Fraction) of degree ``power - k``.
+    Only these determinants are computed, on the packed int rows of ``M``
+    (:func:`_packed_rows`, :func:`_determinant`), and the sum is compared
+    with ``x_w^power`` over one common denominator: that of every cofactor
+    coefficient times its minor's row scales.  Both the certifier and the
+    verifier of sn-lower identities call it.
+    """
+    P = _Packing(M.ring.nvars)
+    rows, scales = _packed_rows(M, P, power)  # every product has degree power
+    shifted = [(math.prod(scales[r] for r in chosen),
+                [(P.pack(e) - P.one, c) for e, c in terms.items() if c])
+               for (chosen, _), terms in zip(pairs, cofactors)]
+    den = math.lcm(*(scale * c.denominator for scale, cof in shifted for _, c in cof))
+    acc: dict = {}
+    for (chosen, cols), (scale, cof) in zip(pairs, shifted):
+        det = _determinant(rows, P, chosen, cols)
+        for shift, c in cof:
+            f = c.numerator * (den // (scale * c.denominator))
+            for t, tc in det.items():
+                key = t + shift
+                total = acc.get(key, 0) + f * tc
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    target = tuple(power if v == witness_variable else 0 for v in M.ring.variables)
+    return acc == {P.pack(target): den}
+
+
 class _WitnessClosure:
     """The minors that share monomials, transitively, with a witness power.
 
@@ -1084,12 +1118,16 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
         if solved is None:
             continue
         trail, sigma = solved
-        _replay_trail(trail, sigma, target, generators, dict(monomials))
         cofactors: dict = {}
         for (i, mono), c in trail.items():
             rows, _, lead = found[keys[i]]
             det_factor = Fraction(lead, math.prod(closure.scales[r] for r in rows))
             cofactors.setdefault(i, {})[mono] = Fraction(c, sigma) / det_factor
+        used = sorted(cofactors)
+        pairs = [found[keys[i]][:2] for i in used]
+        terms = [cofactors[i] for i in used]
+        if not minor_identity_holds(sym, N, witness_var, pairs, terms):
+            raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
         return SNCertificate("lower", k, {
             "witness": [em.format_scalar(x) for x in witness_vector],
             "witness_variable": witness_var,
@@ -1097,25 +1135,10 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
             "variables": list(sym.ring.variables),
             "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
             "power": N,
-            "minors": [[list(found[keys[i]][0]), list(found[keys[i]][1]),
-                        poly_to_json(Polynomial(sym.ring, terms))]
-                       for i, terms in sorted(cofactors.items())],
+            "minors": [[list(rows), list(cols), poly_to_json(Polynomial(sym.ring, cof))]
+                       for (rows, cols), cof in zip(pairs, terms)],
         })
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
-
-
-def _replay_trail(trail: dict, sigma: int, target: int, generators: list, shifts: dict):
-    """Check ``sigma * target = sum trail[i, mono] * mono * g_i`` on packed
-    int terms, where ``generators[i] = (scale * g_i terms, scale)``."""
-    L = math.lcm(*(generators[i][1] for i, _ in trail))
-    acc: dict = {}
-    for (i, mono), c in trail.items():
-        terms, scale = generators[i]
-        f, shift = c * (L // scale), shifts[mono]
-        for m, gc in terms.items():
-            acc[m + shift] = acc.get(m + shift, 0) + f * gc
-    if {m: c for m, c in acc.items() if c} != {target: sigma * L}:
-        raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
 
 
 def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[Fraction],

@@ -14,7 +14,7 @@ denominator: each row is scaled to Gaussian integers, held as pairs of int
 lists, once on entry, eliminated fraction-free with exact divisions
 (Bareiss; Zhou & Jeffrey for LDL*), and reduced to Gaussian rationals only
 on output.  The pseudoinverse is never materialized; its action is
-available through :func:`solve_on_range`.
+available through :func:`solve_on_range_matrix`.
 """
 
 from __future__ import annotations
@@ -243,24 +243,17 @@ def is_zero_vector(v: Vector) -> bool:
 # ---------------------------------------------------------------------------
 
 class ExactMatrix:
-    """Dense immutable matrix of Gaussian rationals.
+    """Dense immutable matrix of Gaussian rationals."""
 
-    ``hermitian_hint`` marks matrices whose Hermiticity was established at
-    construction; it is verified exactly when requested, never assumed.
-    """
+    __slots__ = ("rows", "cols", "_e")
 
-    __slots__ = ("rows", "cols", "_e", "hermitian_hint")
-
-    def __init__(self, entries: Sequence[Sequence], hermitian_hint: bool = False):
+    def __init__(self, entries: Sequence[Sequence]):
         e = tuple(tuple(as_scalar(x) for x in row) for row in entries)
         if e and any(len(r) != len(e[0]) for r in e):
             raise DimensionMismatch("ragged matrix rows")
         object.__setattr__(self, "_e", e)
         object.__setattr__(self, "rows", len(e))
         object.__setattr__(self, "cols", len(e[0]) if e else 0)
-        object.__setattr__(self, "hermitian_hint", hermitian_hint)
-        if hermitian_hint and not self.is_hermitian():
-            raise NotHermitian("hermitian_hint set on a non-Hermitian matrix")
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -823,50 +816,27 @@ def _solve_invertible(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([row[n:] for row in reduced])
 
 
-def solve_on_range(A: ExactMatrix, b: Vector) -> Vector:
-    """Minimal-norm solution of ``A x = b`` when ``b`` is in R(A).
-
-    The result lies in R(A*), so multiplying by ``A`` realizes the
-    pseudoinverse action without forming a pseudoinverse matrix.  Raises
-    :class:`RangeViolation` when ``b`` is not in the range.
-    """
-    return _solve_on_range_cols(A, [b])[0]
-
-
 def solve_on_range_matrix(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Columnwise :func:`solve_on_range`; shares one elimination pass."""
-    cols = [B.col(j) for j in range(B.cols)]
-    return ExactMatrix.from_cols(_solve_on_range_cols(A, cols))
+    """A particular solution ``X`` of ``A X = B``, free variables set to zero.
 
-
-def _solve_on_range_cols(A: ExactMatrix, bs: list) -> list:
+    One elimination pass serves every column of ``B``.  Raises
+    :class:`RangeViolation` when a column of ``B`` is not in R(A).  The
+    solution is not unique when ``A`` is singular, but for Hermitian ``A``
+    and ``Y`` with columns in R(A), ``Y = A S``, the product
+    ``Y* X = S* B`` is the same for every solution: this is how the
+    pseudoinverse acts without being formed.
+    """
     m, n = A.rows, A.cols
-    bs = [vector(b) for b in bs]
-    for b in bs:
-        if len(b) != m:
-            raise DimensionMismatch("right-hand side of wrong length")
-    k = len(bs)
-    rows = [A.row(i) + tuple(b[i] for b in bs) for i in range(m)]
-    pivots, reduced, consistent = _rref(rows, limit_cols=n)
+    if B.rows != m:
+        raise DimensionMismatch("right-hand side of wrong length")
+    k = B.cols
+    pivots, reduced, consistent = _rref([A.row(i) + B.row(i) for i in range(m)], limit_cols=n)
     if not consistent:
         raise RangeViolation("right-hand side outside the range")
-    # particular solutions with free variables set to zero
-    xs = []
-    for j in range(k):
-        x = [ZERO] * n
-        for row, pc in zip(reduced, pivots):
-            x[pc] = row[n + j]
-        xs.append(x)
-    # project out the kernel component to land in R(A*)
-    kern = _kernel_from_rref(reduced, pivots, n)
-    if kern:
-        K = ExactMatrix.from_cols(kern)
-        G = K.adjoint().matmul(K)
-        for j in range(k):
-            coeffs = K.adjoint().matvec(tuple(xs[j]))
-            proj = K.matvec(_solve_invertible(G, ExactMatrix.from_cols([coeffs])).col(0))
-            xs[j] = [a - p for a, p in zip(xs[j], proj)]
-    return [tuple(x) for x in xs]
+    X = [[ZERO] * k for _ in range(n)]
+    for row, pc in zip(reduced, pivots):
+        X[pc] = row[n:]
+    return ExactMatrix(X)
 
 
 def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:

@@ -30,7 +30,6 @@ from typing import Literal, Sequence
 
 from . import exactmat as em
 from . import qstates as qs
-from .qstates import extension_count_bound
 from .errors import (
     BoundsViolation,
     DecompositionMismatch,
@@ -156,9 +155,13 @@ def assemble_extension(blocks: ExtensionBlocks, label: str = "") -> qs.Bipartite
 def _flat_edge(rho_c: em.ExactMatrix, chi: em.ExactMatrix):
     """``(K, chi* K)`` with ``K = rho_c^{-1} chi`` solved on the range.
 
-    ``chi* K`` is the edge block of the flat extension, the same for every
-    solution ``K`` and in every frame.  A range violation signals that no
-    edge block makes the assembled operator PSD.
+    This is the one range solve of the extension layer: flat extensions,
+    Schur complements (of an extension and of its partial transpose), the
+    product-pair edge, decomposition lifts and the witness peel-off all
+    call it.  ``K`` is a particular solution; ``chi* K``, the edge block of
+    the flat extension, is the same for every solution and in every frame,
+    and so is ``v* K`` for every ``v`` in R(rho_c).  A range violation
+    signals that no edge block makes the assembled operator PSD.
     """
     K = em.solve_on_range_matrix(rho_c, chi)
     return K, chi.adjoint().matmul(K)
@@ -167,30 +170,6 @@ def _flat_edge(rho_c: em.ExactMatrix, chi: em.ExactMatrix):
 def schur_complement(blocks: ExtensionBlocks) -> em.ExactMatrix:
     """Edge Schur complement ``rho_e - chi* rho_c^{-1} chi``."""
     return blocks.edge - _flat_edge(blocks.core.matrix, blocks.coupling)[1]
-
-
-def pt_coupling(chi: em.ExactMatrix, m: int, n: int) -> em.ExactMatrix:
-    """Coupling block of the partial transpose on the extended side A.
-
-    For real ``|perp>`` the transpose of the extension has coupling
-    ``X[(a,b), c] = conj(chi[(a,c), b])``.
-    """
-    if chi.shape != (m * n, n):
-        raise DimensionMismatch("coupling of unexpected shape")
-    out = [[em.ZERO] * n for _ in range(m * n)]
-    for a in range(m):
-        for b in range(n):
-            for c in range(n):
-                out[a * n + b][c] = chi.entry(a * n + c, b).conj()
-    return em.ExactMatrix(out)
-
-
-def schur_complement_pt(blocks: ExtensionBlocks) -> em.ExactMatrix:
-    """Edge Schur complement of the partial transpose of the extension."""
-    blocks = _to_a_frame(blocks)
-    m, n = blocks.core.dims
-    X = pt_coupling(blocks.coupling, m, n)
-    return blocks.edge - _flat_edge(blocks.core.partial_transpose("A"), X)[1]
 
 
 def _to_a_frame(blocks: ExtensionBlocks) -> ExtensionBlocks:
@@ -300,7 +279,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
     return ExtensionSpace(dimension=sol.dim, basis=basis,
                           trivial_dimension=trivial_coupling_space(core).dim,
-                          bound=extension_count_bound(m, n, range_ab.dim, range_ac.dim),
+                          bound=qs.extension_count_bound(m, n, range_ab.dim, range_ac.dim),
                           solution_space=sol)
 
 
@@ -405,9 +384,8 @@ def _product_pair(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
     chi = em.ExactMatrix.outer(ab, gamma)
-    s1 = em.vdot(ab, em.solve_on_range(rho, ab))
-    s2 = em.vdot(ag, em.solve_on_range(rho_ta, ag))
-    edge = em.weighted_gram([gamma, beta], [s1, s2], n)
+    # the flat edges of the extension and of its partial transpose
+    edge = _flat_edge(rho, chi)[1] + _flat_edge(rho_ta, em.ExactMatrix.outer(ag, beta))[1]
     blocks = ExtensionBlocks(frame, chi, edge, "A", m)
     try:
         ext = assemble_extension(blocks)
@@ -711,11 +689,13 @@ def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")
     rho_ec = schur_complement(blocks_a)
-    r2 = em.column_space(schur_complement_pt(blocks_a))
+    # the partial transpose splits into rho_c^Ta, its coupling and the same edge
+    core_ta, chi_ta, edge_ta, _ = split_matrix(pt, m + 1, n, "A", blocks_a.perp_index)
+    r2 = em.column_space(edge_ta - _flat_edge(core_ta, chi_ta)[1])
     triv = em.subspace_intersection(em.column_space(rho_ec), r2).dim == 0
     # couplings in R(rho_c) (x) conj R(rho_ec) and in conj R(rho_c^Ta) (x) R(rho_ec^Ta)
     inter = _choi_null_space(m, n, em.column_space(blocks_a.core.matrix),
-                             em.column_space(blocks_a.core.partial_transpose("A").conjugate()),
+                             em.column_space(core_ta.conjugate()),
                              range_c=em.column_space(rho_ec.conjugate()), range_b=r2)
     certified = triv and inter.dim == 0
     verdict = "Extremal" if certified else "NotCertified"

@@ -62,22 +62,6 @@ def random_hermitian(n: int, seed) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def eig_hermitian(matrix: np.ndarray, tol: float = 1e-9):
-    """Ascending eigenvalues and orthonormal eigenvectors of a Hermitian matrix.
-
-    Residuals ``|A v - w v|`` are verified against ``tol * |A|``.
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.shape[0] != a.shape[1]:
-        raise DimensionMismatch("matrix must be square")
-    w, v = np.linalg.eigh(a)
-    scale = max(np.linalg.norm(a, 2), 1e-300)
-    resid = np.linalg.norm(a @ v - v * w, axis=0)
-    if np.any(resid > tol * scale):
-        raise ConvergenceFailure(f"eigen residual {resid.max():.3e} above {tol:.1e} * |A|")
-    return w, v
-
-
 def partial_transpose_np(x: np.ndarray, m: int, n: int, side: str = "B") -> np.ndarray:
     t = x.reshape(m, n, m, n)
     if side == "B":

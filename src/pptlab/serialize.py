@@ -9,7 +9,6 @@ state or certificate parses every distinct scalar string once.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from operator import itemgetter
 
@@ -222,11 +221,10 @@ def verify_sn_lower_certificate(data: dict) -> bool:
     the power ``k <= N <= 2k``.  Then it shape-checks every ``[rows, cols,
     cofactor]`` of ``minors`` (``k`` strictly increasing in-range indices,
     no pair twice, cofactors of degree ``N - k``), computes only those
-    determinants of the basis's coordinate matrix ``M`` on its packed
-    integer rows (:func:`algcert._packed_rows`, :func:`algcert._determinant`),
-    and checks ``sum cofactor * det M[rows, cols] = x_w^N`` exactly, on
-    packed monomials with integer coefficients over one common denominator.
-    Nothing is enumerated.
+    determinants of the basis's coordinate matrix ``M`` and checks ``sum
+    cofactor * det M[rows, cols] = x_w^N`` exactly
+    (:func:`algcert.minor_identity_holds`, the check ``certify-sn`` runs on
+    what it writes).  Nothing is enumerated.
     """
     return _verify_sn_lower(data, _stored_state(data))
 
@@ -249,29 +247,7 @@ def _verify_sn_lower(data: dict, s: qs.BipartiteState) -> bool:
     if len(overlaps) != 1 or ring.variables[overlaps[0]] != witness_variable:
         raise CertificateInvalid("witness overlap is not the declared single variable")
     sym = ac.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
-    P = ac._Packing(ring.nvars)
-    rows, scales = ac._packed_rows(sym, P, power)  # every product has degree power
-    # a minor of the packed rows is det M[rows, cols] times the product of
-    # their scales; the identity is checked times the common denominator
-    # ``den`` of every cofactor coefficient over its minor's scale
-    shifted = [(math.prod(scales[r] for r in chosen),
-                [(P.pack(e) - P.one, c) for e, c in terms.items() if c])
-               for (chosen, _), terms in zip(pairs, cofactors)]
-    den = math.lcm(*(scale * c.denominator for scale, cof in shifted for _, c in cof))
-    acc: dict = {}
-    for (chosen, cols), (scale, cof) in zip(pairs, shifted):
-        det = ac._determinant(rows, P, chosen, cols)
-        for shift, c in cof:
-            f = c.numerator * (den // (scale * c.denominator))
-            for t, tc in det.items():
-                key = t + shift
-                total = acc.get(key, 0) + f * tc
-                if total:
-                    acc[key] = total
-                else:
-                    del acc[key]
-    target = tuple(power if v == witness_variable else 0 for v in ring.variables)
-    if acc != {P.pack(target): den}:
+    if not ac.minor_identity_holds(sym, power, witness_variable, pairs, cofactors):
         raise CertificateInvalid("cofactor identity does not expand to the witness power")
     return True
 

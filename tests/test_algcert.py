@@ -14,6 +14,7 @@ from pptlab import exactmat as em
 from pptlab import qstates as qs
 from pptlab.errors import (
     DimensionMismatch,
+    InternalInconsistency,
     MonomialOverflow,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
@@ -544,6 +545,25 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
     with pytest.raises(DimensionMismatch):
         ac.certify_sn_lower(qs.rho_3x3(), qs.rho_3x3().edges[0].vec, 4)
+
+
+def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
+    """The certifier checks the identity of the cofactors it is about to
+    write: a solve whose trail has one coefficient changed is caught."""
+    solve = ac._cofactor_trail
+
+    def tampered(*args):
+        solved = solve(*args)
+        if solved is None:
+            return None
+        trail, sigma = solved
+        key = next(iter(trail))
+        return {**trail, key: trail[key] + 1}, sigma
+
+    monkeypatch.setattr(ac, "_cofactor_trail", tampered)
+    final = qs.rho_4x5().final
+    with pytest.raises(InternalInconsistency):
+        ac.certify_sn_lower(final, final.edges[0].vec, 3)
 
 
 def _determinants(sym, pairs):

@@ -221,28 +221,37 @@ def test_kernel_plus_corange_projectors_sum_to_identity():
         assert P == em.ExactMatrix.identity(M.cols)
 
 
-# -- solve_on_range -----------------------------------------------------------------
+# -- solve_on_range_matrix ----------------------------------------------------------
 
 def test_solve_identity_and_diagonal():
-    b = em.vector([3, Fraction(-1, 2)])
-    assert em.solve_on_range(em.ExactMatrix.identity(2), b) == b
+    B = em.ExactMatrix([[3, 1], [Fraction(-1, 2), 0]])
+    assert em.solve_on_range_matrix(em.ExactMatrix.identity(2), B) == B
     A = em.ExactMatrix.diag([1, 0])
-    assert em.solve_on_range(A, em.vector([2, 0])) == em.vector([2, 0])
+    B = em.ExactMatrix([[2, 0], [0, 0]])
+    assert em.solve_on_range_matrix(A, B) == B
     with pytest.raises(RangeViolation):
-        em.solve_on_range(A, em.vector([0, 1]))
+        em.solve_on_range_matrix(A, em.ExactMatrix([[0], [1]]))
 
 
 def test_solve_reproduces_rhs_and_minimal_norm():
+    """``A X = B`` on random systems; on rank-deficient Hermitian PSD ``A``
+    the particular solution gives the pseudoinverse's ``Y* X`` for every
+    ``Y`` with columns in R(A), which is all its callers read."""
     rng = random.Random(9)
     for _ in range(25):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         A = rnd_matrix(rng, rows, cols)
-        x0 = tuple(rnd_scalar(rng) for _ in range(cols))
-        b = A.matvec(x0)
-        x = em.solve_on_range(A, b)
-        assert A.matvec(x) == b
-        # minimal-norm solution lies in R(A*)
-        assert em.column_space(A.adjoint()).contains(x)
+        B = A.matmul(rnd_matrix(rng, cols, rng.randint(1, 3)))
+        assert A.matmul(em.solve_on_range_matrix(A, B)) == B
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        G = rnd_matrix(rng, n, rng.randint(1, n - 1))
+        A = G.matmul(G.adjoint())           # rank below n
+        R = rnd_matrix(rng, n, rng.randint(1, 3))
+        Y = A.matmul(rnd_matrix(rng, n, rng.randint(1, 3)))
+        X = em.solve_on_range_matrix(A, A.matmul(R))
+        assert A.matmul(X) == A.matmul(R)
+        assert Y.adjoint().matmul(X) == Y.adjoint().matmul(R)
 
 
 # -- subspaces -----------------------------------------------------------------------

@@ -186,9 +186,9 @@ def test_schur_range_violation_signals_non_psd():
 # -- the constraint system ---------------------------------------------------------
 
 def test_extension_count_bound_values():
-    assert ex.extension_count_bound(3, 3, 5, 6) == 3
-    assert ex.extension_count_bound(3, 3, 4, 4) == -6
-    assert ex.extension_count_bound(2, 4, 8, 8) == 30
+    assert qs.extension_count_bound(3, 3, 5, 6) == 3
+    assert qs.extension_count_bound(3, 3, 4, 4) == -6
+    assert qs.extension_count_bound(2, 4, 8, 8) == 30
 
 
 def test_extension_space_maximally_mixed():
@@ -543,15 +543,21 @@ def test_extremality_ppt_product_pair_regression():
     assert verdict.verdict == "NotCertified"
 
 
-@pytest.mark.parametrize("stage, side, expected", [
-    ("stage1", "A", (False, 2)), ("stage1", "B", (False, 4)),
-    ("stage2", "A", (False, 2)), ("stage2", "B", (True, 1)),
-])
-def test_extremality_ppt_pipeline_stages_frozen(stage, side, expected):
+_FROZEN_PPT = [  # stage, side, split level, (trivial range intersection, perturbation dim)
+    ("stage1", "A", 3, (False, 2)), ("stage1", "B", 2, (False, 4)),
+    ("stage2", "A", 3, (False, 2)), ("stage2", "B", 3, (True, 1)),
+    ("stage1", "A", 2, (True, 2)), ("stage2", "A", 2, (True, 1)), ("final", "B", 2, (True, 1)),
+]
+
+
+@pytest.mark.parametrize("stage, side, perp, expected", _FROZEN_PPT,
+                         ids=[f"{stage}-{side}-expected{i}"
+                              for i, (stage, side, _, _) in enumerate(_FROZEN_PPT)])
+def test_extremality_ppt_pipeline_stages_frozen(stage, side, perp, expected):
     """Frozen values, kept under a complex local unitary that mixes levels 0
-    and 1 on both sides and fixes the split level."""
+    and 1 on both sides and fixes the split level.  The rows at level 2 split
+    off a level that is not the last."""
     st = getattr(qs.rho_4x5(), stage)
-    perp = (st.dim_a if side == "A" else st.dim_b) - 1
     c, s = em.as_scalar(Fraction(3, 5)), em.GaussianRational(0, Fraction(4, 5))
 
     def mix(d):  # [[c, s], [s, c]] on levels 0 and 1, the identity elsewhere
@@ -628,10 +634,14 @@ def test_extension_space_complex_covariance_and_completions():
         assert em.psd_check(rot.partial_transpose("A")).is_psd
         space = ex.ppt_extension_space(rot)
         assert space.dimension == dim
-        rho_ta = rot.partial_transpose("A")
+        zero_edge = em.ExactMatrix.zeros(3, 3)
         for chi in space.basis:
+            # the partial transpose's coupling, read off the transposed operator
+            pt0 = qs.partial_transpose_matrix(
+                ex.assemble_matrix(rot.matrix, chi, zero_edge, (3, 3), "A", 3), 4, 3, "A")
+            rho_ta, X, _, _ = ex.split_matrix(pt0, 4, 3, "A", 3)
+            assert rho_ta == rot.partial_transpose("A")
             K1 = em.solve_on_range_matrix(rot.matrix, chi)
-            X = ex.pt_coupling(chi, 3, 3)
             K2 = em.solve_on_range_matrix(rho_ta, X)
             edge = chi.adjoint().matmul(K1) + X.adjoint().matmul(K2)
             ext = ex.assemble_extension(ex.ExtensionBlocks(rot, chi, edge, "A", 3))
