@@ -265,11 +265,10 @@ def criterion_7(seed: int = RANDOM_SEED) -> CriterionResult:
             R = em.ExactMatrix([[_random_scalar(rng) for _ in range(n)]
                                 for _ in range(m * n)])
             chi = core_mat.matmul(R)
-            K = em.solve_on_range_matrix(core_mat, chi)
             gcols = rng.randint(1, 2)
             G = em.ExactMatrix([[_random_scalar(rng) for _ in range(gcols)]
                                 for _ in range(n)])
-            edge = chi.adjoint().matmul(K) + G.matmul(G.adjoint())
+            edge = ex._flat_edge(core_mat, chi)[1] + G.matmul(G.adjoint())
             blocks = ex.ExtensionBlocks(core, chi, edge, "A", m)
             ext = ex.assemble_extension(blocks)
             lifted, remainder = ex.lift_decomposition(ext, "A", m, vecs)

@@ -1131,7 +1131,6 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
         return SNCertificate("lower", k, {
             "witness": [em.format_scalar(x) for x in witness_vector],
             "witness_variable": witness_var,
-            "k": k,
             "variables": list(sym.ring.variables),
             "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
             "power": N,

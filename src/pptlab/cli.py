@@ -13,6 +13,11 @@ Each verb imports the modules it runs, inside its ``cmd_*`` function:
 ``--verbose`` imports and configures ``logging``.  A ``ppt-check`` or
 ``verify`` process that replays no sn-lower half loads none of them.
 
+``certify-sn`` writes one ``sn-verdict``: the state once, the evidence of
+the lower and upper bounds, and the verdict line.  ``verify`` replays the
+two certificate kinds, ``ppt`` and ``sn-verdict``, and fails an sn
+certificate in a retired layout with a request to re-run ``certify-sn``.
+
 Examples:
 
     pptlab build --family 3 --out fam3.json
@@ -146,18 +151,11 @@ def cmd_certify_sn(args) -> int:
     lower = ac.certify_sn_lower(state, witness, k, exclude_vars=exclude, naming=naming)
     upper = ac.sn_upper_from_decomposition([e.vec for e in state.edges],
                                            [e.weight for e in state.edges], state)
-    payload = {
-        "kind": "sn-verdict",
-        "upper": se.sn_upper_certificate(upper, state),
-    }
+    payload = se.sn_verdict_certificate(state, lower, upper)
     if isinstance(lower, ac.SNCertificate):
-        payload["lower"] = se.sn_lower_certificate(lower, state)
-        payload["verdict"] = se.sn_verdict_text(lower.value, upper.value)
         _emit(args, payload, text=f"{state.label}: {payload['verdict']} "
               f"(lower N={lower.evidence['power']}, upper max SR={upper.value})")
         return EXIT_OK
-    payload["lower_inconclusive"] = lower.reason
-    payload["verdict"] = se.sn_verdict_text(None, upper.value)
     _emit(args, payload, text=payload["verdict"])
     return EXIT_INCONCLUSIVE
 

@@ -2,15 +2,20 @@
 
 Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``; matrices as
 ``{"rows", "cols", "entries"}`` with stringified entries.  Certificates
-carry a ``"kind"`` tag dispatched by the verifier.  Each reader of a stored
-state or certificate parses every distinct scalar string once.
+carry a ``"kind"`` tag dispatched by the verifier.  There are two kinds,
+each storing its state once, at the top level: ``ppt`` (LDL* evidence for
+the state and its partial transpose) and ``sn-verdict`` (the evidence of a
+Schmidt-number ``lower`` and ``upper`` bound, no state in either, and the
+verdict line).  Standalone ``sn-lower``/``sn-upper`` certificates and
+verdicts that store the state in each half are rejected with a request to
+re-run ``certify-sn``.  Each reader of a stored state or certificate parses
+every distinct scalar string once.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from operator import itemgetter
 
 from . import exactmat as em
 from . import qstates as qs
@@ -207,34 +212,25 @@ def _read_ppt(data: dict) -> tuple:
     return data["state"], evidence, data["verdict"]
 
 
-def sn_lower_certificate(cert, state: qs.BipartiteState) -> dict:
-    out = {"kind": "sn-lower", "value": cert.value, "state": state_to_json(state)}
-    out.update(cert.evidence)
-    return out
-
-
-def verify_sn_lower_certificate(data: dict) -> bool:
-    """Replay a lower-bound certificate: an indexed cofactor identity.
+def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
+    """Replay the lower half of an sn-verdict on its state: an indexed
+    cofactor identity proving ``SN(s) >= value``.
 
     Checks the witness (in the range, overlapping exactly the declared
-    coordinate of the real stored basis of the range), ``value == k`` and
-    the power ``k <= N <= 2k``.  Then it shape-checks every ``[rows, cols,
-    cofactor]`` of ``minors`` (``k`` strictly increasing in-range indices,
-    no pair twice, cofactors of degree ``N - k``), computes only those
-    determinants of the basis's coordinate matrix ``M`` and checks ``sum
-    cofactor * det M[rows, cols] = x_w^N`` exactly
+    coordinate of the real stored basis of the range) and the power
+    ``k <= N <= 2k`` with ``k = value``.  Then it shape-checks every
+    ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly increasing
+    in-range indices, no pair twice, cofactors of degree ``N - k``),
+    computes only those determinants of the basis's coordinate matrix ``M``
+    and checks ``sum cofactor * det M[rows, cols] = x_w^N`` exactly
     (:func:`algcert.minor_identity_holds`, the check ``certify-sn`` runs on
     what it writes).  Nothing is enumerated.
     """
-    return _verify_sn_lower(data, _stored_state(data))
-
-
-def _verify_sn_lower(data: dict, s: qs.BipartiteState) -> bool:
     from . import algcert as ac
 
     m, n = s.dims
     ring, basis, witness, witness_variable, power, pairs, cofactors = \
-        _parsed("certificate", _read_sn_lower, data, m, n)
+        _parsed("certificate", _read_sn_lower, half, m, n)
     rng = em.column_space(s.matrix)
     if not rng.contains(witness):
         raise CertificateInvalid("witness is not in the state's range")
@@ -252,34 +248,25 @@ def _verify_sn_lower(data: dict, s: qs.BipartiteState) -> bool:
     return True
 
 
-def _read_sn_lower(data: dict, m: int, n: int) -> tuple:
+def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
     """The ring, basis, witness, witness variable, power, minor pairs and
-    cofactor terms of an sn-lower certificate of an ``m x n`` state."""
+    cofactor terms of the lower half of an sn-verdict on an ``m x n`` state."""
     # imported here: a process that only reads states and ppt certificates
     # skips algcert's imports (about 3 MB of peak RSS)
     from . import algcert as ac
 
-    if "minors" not in data or "generators" in data or "groebner_basis" in data:
-        raise CertificateInvalid("sn-lower certificate in the retired generator/Groebner format "
-                                 "(no indexed minors): re-run certify-sn to replace it")
-    if data["value"] != data["k"]:
-        raise CertificateInvalid("claimed value differs from the certified k")
-    power, k = data["power"], data["k"]
+    k, power = half["value"], half["power"]
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
-    ring = ac.PolyRing(data["variables"])
+    ring = ac.PolyRing(half["variables"])
     scalar = _scalar_reader()
-    basis = [vector_from_json(v, scalar) for v in data["basis"]]
+    basis = [vector_from_json(v, scalar) for v in half["basis"]]
     if len(basis) != ring.nvars:
         raise CertificateInvalid("the certificate needs one variable per basis vector")
-    pairs, cofactors = _indexed_minors(data["minors"], ring, k, power - k, m, n)
-    return (ring, basis, vector_from_json(data["witness"], scalar), data["witness_variable"],
+    pairs, cofactors = _indexed_minors(half["minors"], ring, k, power - k, m, n)
+    return (ring, basis, vector_from_json(half["witness"], scalar), half["witness_variable"],
             power, pairs, cofactors)
-
-
-def _stored_state(data: dict) -> qs.BipartiteState:
-    return state_from_json(_parsed("certificate", itemgetter("state"), data))
 
 
 def _parsed(what: str, parse, *args):
@@ -331,19 +318,12 @@ def _cofactor(ring, data, degree: int) -> dict:
     return out
 
 
-def sn_upper_certificate(cert, state: qs.BipartiteState) -> dict:
-    out = {"kind": "sn-upper", "value": cert.value, "state": state_to_json(state)}
-    out.update(cert.evidence)
-    return out
-
-
-def verify_sn_upper_certificate(data: dict) -> bool:
-    return _verify_sn_upper(data, _stored_state(data))
-
-
-def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
+def verify_sn_upper_certificate(half: dict, s: qs.BipartiteState) -> bool:
+    """Replay the upper half of an sn-verdict on its state: the stored
+    decomposition re-sums to the state with nonnegative weights, and
+    ``value`` is the largest of the vectors' Schmidt ranks, as stored."""
     m, n = s.dims
-    vectors, weights, value, stored_ranks = _parsed("certificate", _read_sn_upper, data)
+    vectors, weights, value, stored_ranks = _parsed("certificate", _read_sn_upper, half)
     if any(w < 0 for w in weights):
         raise CertificateInvalid("negative weight")
     if em.weighted_gram(vectors, weights, m * n) != s.matrix:
@@ -356,12 +336,12 @@ def _verify_sn_upper(data: dict, s: qs.BipartiteState) -> bool:
     return True
 
 
-def _read_sn_upper(data: dict) -> tuple:
+def _read_sn_upper(half: dict) -> tuple:
     scalar = _scalar_reader()
-    vectors = [vector_from_json(v, scalar) for v in data["vectors"]]
+    vectors = [vector_from_json(v, scalar) for v in half["vectors"]]
     if not vectors:
         raise CertificateInvalid("the decomposition has no vectors")
-    return vectors, [Fraction(w) for w in data["weights"]], data["value"], data["schmidt_ranks"]
+    return vectors, [Fraction(w) for w in half["weights"]], half["value"], half["schmidt_ranks"]
 
 
 def sn_verdict_text(lower: int | None, upper: int) -> str:
@@ -373,37 +353,44 @@ def sn_verdict_text(lower: int | None, upper: int) -> str:
     return f"SN in [{lower}, {upper}]"
 
 
-def verify_sn_verdict(data: dict) -> bool:
-    """Replay a combined lower+upper verdict payload.
+def sn_verdict_certificate(state: qs.BipartiteState, lower, upper) -> dict:
+    """The sn-verdict of ``state``: the state once, the evidence of each
+    bound under ``lower`` and ``upper`` with its ``value``, and the verdict
+    line.  ``lower`` is an ``algcert.SNCertificate``, or an
+    ``algcert.Inconclusive`` whose reason is stored as ``lower_inconclusive``."""
+    proven = not hasattr(lower, "reason")
+    half = {"lower": {"value": lower.value, **lower.evidence}} if proven \
+        else {"lower_inconclusive": lower.reason}
+    return {"kind": "sn-verdict", "state": state_to_json(state), **half,
+            "upper": {"value": upper.value, **upper.evidence},
+            "verdict": sn_verdict_text(lower.value if proven else None, upper.value)}
 
-    Both halves must store the same state (equal as JSON), which is parsed
-    once for both, and the stored verdict line must be the one their values
-    imply.
-    """
+
+def verify_sn_verdict(data: dict) -> bool:
+    """Replay an sn-verdict: parse the one stored state, replay each half on
+    it (:func:`verify_sn_lower_certificate` unless the lower bound is
+    inconclusive, :func:`verify_sn_upper_certificate`), and check that the
+    stored verdict line is the one their values imply."""
     lower, upper, stored = _parsed("certificate", _read_sn_verdict, data)
     s = state_from_json(stored)
     if lower is not None:
-        _verify_sn_lower(lower, s)
-    _verify_sn_upper(upper, s)
+        verify_sn_lower_certificate(lower, s)
+    verify_sn_upper_certificate(upper, s)
     return True
 
 
 def _read_sn_verdict(data: dict) -> tuple:
-    """The lower (None when inconclusive) and upper halves and their stored
-    state, checked to be one state and to imply the stored verdict line."""
+    """The lower (None when inconclusive) and upper halves and the stored
+    state, with the stored verdict line checked against their values."""
     lower, upper = data.get("lower"), data["upper"]
-    if lower is not None and lower["state"] != upper["state"]:
-        raise CertificateInvalid("lower and upper certificates concern different states")
     expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
     if data["verdict"] != expected:
         raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
-    return lower, upper, upper["state"]
+    return lower, upper, data["state"]
 
 
 VERIFIERS = {
     "ppt": verify_ppt_certificate,
-    "sn-lower": verify_sn_lower_certificate,
-    "sn-upper": verify_sn_upper_certificate,
     "sn-verdict": verify_sn_verdict,
 }
 
@@ -412,6 +399,11 @@ def verify_certificate(data: dict) -> bool:
     """Replay ``data`` by its ``kind``.  A certificate that does not parse
     fails with :class:`CertificateInvalid` like one whose replay fails."""
     kind = data.get("kind") if isinstance(data, dict) else None
+    if kind in ("sn-lower", "sn-upper") or kind == "sn-verdict" and "state" not in data:
+        # a standalone half (the generator/Groebner payloads among them), or
+        # a verdict that stored its state in each half
+        raise CertificateInvalid(f"{kind} certificate in a retired layout (a standalone half, "
+                                 "or a state stored per half): re-run certify-sn to replace it")
     if kind not in VERIFIERS:
         raise CertificateInvalid(f"unknown certificate kind {kind!r}")
     try:

@@ -57,21 +57,27 @@ def test_ppt_certificate_tamper_detection():
         se.verify_certificate(bad)
 
 
+def _verdict(state, lower):
+    """The sn-verdict of ``state`` with the ``lower`` result and the upper
+    bound of its edges, as read back from JSON."""
+    upper = ac.sn_upper_from_decomposition([e.vec for e in state.edges],
+                                           [e.weight for e in state.edges], state)
+    return json.loads(json.dumps(se.sn_verdict_certificate(state, lower, upper)))
+
+
 def test_sn_certificates_roundtrip():
     final = qs.rho_4x5().final
-    lower = ac.certify_sn_lower(final, final.edges[0].vec, 3)
-    upper = ac.sn_upper_from_decomposition([e.vec for e in final.edges],
-                                           [e.weight for e in final.edges], final)
-    ldata = se.sn_lower_certificate(lower, final)
-    udata = se.sn_upper_certificate(upper, final)
-    assert se.verify_certificate(json.loads(json.dumps(ldata)))
-    assert se.verify_certificate(json.loads(json.dumps(udata)))
-    bad = json.loads(json.dumps(ldata))
-    bad["minors"] = bad["minors"][:2]
+    data = _verdict(final, ac.certify_sn_lower(final, final.edges[0].vec, 3))
+    assert set(data) == {"kind", "state", "lower", "upper", "verdict"}
+    assert data["state"] == se.state_to_json(final) and data["verdict"] == "SN = 3"
+    assert not {"kind", "state", "k"} & (set(data["lower"]) | set(data["upper"]))
+    assert se.verify_certificate(data)
+    bad = json.loads(json.dumps(data))
+    bad["lower"]["minors"] = bad["lower"]["minors"][:2]
     with pytest.raises(se.CertificateInvalid, match="does not expand"):
         se.verify_certificate(bad)
-    bad2 = json.loads(json.dumps(ldata))
-    bad2["minors"][0][0] = [0, 1, 2]    # another minor: the identity breaks
+    bad2 = json.loads(json.dumps(data))
+    bad2["lower"]["minors"][0][0] = [0, 1, 2]    # another minor: the identity breaks
     with pytest.raises(se.CertificateInvalid, match="does not expand"):
         se.verify_certificate(bad2)
 
@@ -507,9 +513,9 @@ def test_cli_certify_inconclusive_exit(tmp_path):
 
 
 @pytest.mark.parametrize("state, args, digest", [
-    ("rho4x5", [], "21e7cca07123ef48cc9c5bc7bc2ba404c6e105aecfdabceb3ddf5e6bcbd81bbe"),
+    ("rho4x5", [], "3552235310ce2414089a7ce1016d3ab8c207438d42792358bed5e801131d3749"),
     ("family:3", ["--exclude-deltas"],
-     "0393750fb9180c1b3b060f530ae7d5a488dd63b44bc79651aa1e305c3f392ffb"),
+     "ad931c89bdfc626dfdaed0d4fb45ee431912f620e148c0685954ad2ca9e804a5"),
 ], ids=["rho4x5", "family3"])
 def test_certify_sn_json_pinned(tmp_path, state, args, digest):
     """certify-sn output bytes are pinned by SHA-256."""
@@ -655,6 +661,10 @@ def _rejected(data):
         se.verify_certificate(data)
 
 
+def _copy(data):
+    return json.loads(json.dumps(data))
+
+
 def test_cli_certify_family2_uses_first_max_rank_witness(tmp_path, capsys):
     cert = tmp_path / "fam2.json"
     assert cli.run(["certify-sn", "--state", "family:2", "--exclude-deltas",
@@ -668,21 +678,32 @@ def test_cli_certify_family2_uses_first_max_rank_witness(tmp_path, capsys):
 
 
 def test_sn_lower_value_must_equal_k(rho3x3_verdict):
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    assert se.verify_certificate(lower)
-    lower["value"] = 17
-    _rejected(lower)
+    """The lower ``value`` is the k of the replay: another value, with the
+    verdict line it implies, fails the power range or the minor size."""
+    assert se.verify_certificate(rho3x3_verdict)
+    bad = _copy(rho3x3_verdict)
+    bad["lower"]["value"], bad["verdict"] = 17, "SN in [17, 3]"
+    with pytest.raises(se.CertificateInvalid, match=r"\[k, 2k\]"):
+        se.verify_certificate(bad)
+    bad["lower"]["value"], bad["verdict"] = 3, "SN = 3"
+    bad["lower"]["power"] = 3
+    with pytest.raises(se.CertificateInvalid, match="not 3 strictly increasing"):
+        se.verify_certificate(bad)
 
 
 def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
+    """Both halves replay on the one stored state: the upper evidence of
+    another 3x3 state does not re-sum to it."""
     fam = qs.rho_family(2)
     upper = ac.sn_upper_from_decomposition([e.vec for e in fam.edges],
                                            [e.weight for e in fam.edges], fam)
-    mixed = json.loads(json.dumps(rho3x3_verdict))
-    mixed["upper"] = se.sn_upper_certificate(upper, fam)
+    mixed = _copy(rho3x3_verdict)
+    mixed["upper"] = {"value": upper.value, **upper.evidence}
     mixed["verdict"] = "SN = 2"
-    assert se.verify_certificate(mixed["upper"])
-    with pytest.raises(se.CertificateInvalid, match="different states"):
+    assert se.verify_certificate({"kind": "sn-verdict", "state": se.state_to_json(fam),
+                                  "upper": mixed["upper"],
+                                  "verdict": "SN <= 2 (lower bound inconclusive)"})
+    with pytest.raises(se.CertificateInvalid, match="does not reproduce the state"):
         se.verify_certificate(mixed)
 
 
@@ -710,27 +731,27 @@ def test_cli_verify_accepts_inconclusive_verdict(tmp_path):
 
 
 def test_complex_tampered_basis_fails_verify(rho3x3_verdict, tmp_path):
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    vec = lower["basis"][1]
+    cert = _copy(rho3x3_verdict)
+    vec = cert["lower"]["basis"][1]
     vec[vec.index("1")] = "1+1 i"
     path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(lower))
+    path.write_text(json.dumps(cert))
     assert cli.run(["verify", str(path)]) == 1
 
 
 def test_basis_outside_the_range_is_rejected(rho3x3_verdict):
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    vec = lower["basis"][1]
+    cert = _copy(rho3x3_verdict)
+    vec = cert["lower"]["basis"][1]
     vec[vec.index("0")] = "1"
     with pytest.raises(se.CertificateInvalid, match="not a basis of the range"):
-        se.verify_certificate(lower)
+        se.verify_certificate(cert)
 
 
 def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    lower["variables"] = lower["variables"][:-1]
+    cert = _copy(rho3x3_verdict)
+    cert["lower"]["variables"] = cert["lower"]["variables"][:-1]
     with pytest.raises(se.CertificateInvalid, match="one variable per basis vector"):
-        se.verify_certificate(lower)
+        se.verify_certificate(cert)
 
 
 @pytest.mark.parametrize("exponents", [
@@ -739,29 +760,29 @@ def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
 def test_malformed_exponents_fail_verify(rho3x3_verdict, tmp_path, exponents):
     """A tampered exponent vector in a stored cofactor is rejected by a
     clean verify failure, not accepted and not a crash."""
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    lower["minors"][-1][2]["terms"][0][0] = exponents
+    cert = _copy(rho3x3_verdict)
+    cert["lower"]["minors"][-1][2]["terms"][0][0] = exponents
     path = tmp_path / "tampered.json"
-    path.write_text(json.dumps(lower))
+    path.write_text(json.dumps(cert))
     assert cli.run(["verify", str(path)]) == 1
 
 
 @pytest.mark.parametrize("power", [1, 5, 2.0, True, "2"],
                          ids=["below-k", "above-2k", "float", "bool", "string"])
 def test_sn_lower_power_must_be_an_integer_in_k_to_2k(rho3x3_verdict, power):
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    assert lower["k"] == 2 and lower["power"] == 2
-    lower["power"] = power
+    cert = _copy(rho3x3_verdict)
+    assert cert["lower"]["value"] == 2 and cert["lower"]["power"] == 2
+    cert["lower"]["power"] = power
     with pytest.raises(se.CertificateInvalid, match=r"\[k, 2k\]"):
-        se.verify_certificate(lower)
+        se.verify_certificate(cert)
 
 
 def test_huge_witness_power_is_rejected_quickly(rho3x3_verdict, tmp_path):
     """A power of 10^9 used to expand x_w^power term by term until killed."""
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    lower["power"] = 10 ** 9
+    cert = _copy(rho3x3_verdict)
+    cert["lower"]["power"] = 10 ** 9
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps(lower))
+    path.write_text(json.dumps(cert))
     proc = subprocess.run([sys.executable, "-m", "pptlab.cli", "verify", str(path)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
@@ -772,21 +793,48 @@ def test_scaled_cofactors_fail_verify(rho3x3_verdict, factor):
     """The replay checks the coefficient of the witness power too: the
     cofactors times ``factor`` expand to ``factor * x_w^N``, not the stated
     identity."""
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
-    for _, _, cofactor in lower["minors"]:
+    cert = _copy(rho3x3_verdict)
+    for _, _, cofactor in cert["lower"]["minors"]:
         for term in cofactor["terms"]:
             term[1] = str(Fraction(term[1]) * Fraction(factor))
     with pytest.raises(se.CertificateInvalid, match="does not expand to the witness power"):
-        se.verify_certificate(lower)
+        se.verify_certificate(cert)
 
 
-# -- the indexed sn-lower format ------------------------------------------------
+# -- the indexed sn-lower format and the retired layouts -------------------------
+
+def _retired(verdict, layout):
+    """``verdict`` re-laid out as an older certificate: the state in each
+    half (with the kind and, in the lower half, ``k``), or one half alone."""
+    cert = _copy(verdict)
+    state = cert.pop("state")
+    lower = {"kind": "sn-lower", "state": state, "k": cert["lower"]["value"], **cert["lower"]}
+    upper = {"kind": "sn-upper", "state": state, **cert["upper"]}
+    if layout == "state-per-half":
+        return {**cert, "lower": lower, "upper": upper}
+    return {"sn-lower": lower, "sn-upper": upper}[layout]
+
+
+@pytest.mark.parametrize("layout", ["state-per-half", "sn-lower", "sn-upper"])
+def test_cli_verify_fails_retired_sn_layouts(rho3x3_verdict, tmp_path, capsys, layout):
+    """The layouts before the state was stored once, at the top level: a
+    verdict with a state per half (what certify-sn wrote before) and a
+    standalone half.  Each fails ``pptlab verify`` with one line that asks
+    to re-run certify-sn, although every proof in it is genuine."""
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_retired(rho3x3_verdict, layout)))
+    capsys.readouterr()
+    assert cli.run(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verify: FAILED: ") and out.count("\n") == 1
+    assert "retired layout" in out and "re-run certify-sn" in out
+
 
 def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
     """The retired Groebner replay accepted this payload: it never checked that
     the stored basis [1] lies in the minor ideal, so it 'proved' SN >= 3 for
     a 3x3 PPT state from its one 3x3 minor."""
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    lower = _retired(rho3x3_verdict, "sn-lower")
     ring = ac.PolyRing(lower["variables"])
     basis = tuple(zip(ring.variables, (se.vector_from_json(v) for v in lower["basis"])))
     (minor,) = ac.minor_ideal(ac.coordinate_matrix(3, 3, ring, basis), 3)
@@ -808,7 +856,8 @@ def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
     lambda d: d.update(groebner_basis=[]),
 ], ids=["no-minors", "generators", "groebner-basis"])
 def test_old_format_sn_lower_is_rejected(rho3x3_verdict, edit):
-    lower = json.loads(json.dumps(rho3x3_verdict["lower"]))
+    """Generator/Groebner payloads were standalone sn-lower certificates."""
+    lower = _retired(rho3x3_verdict, "sn-lower")
     edit(lower)
     with pytest.raises(se.CertificateInvalid, match="re-run certify-sn"):
         se.verify_certificate(lower)
@@ -822,25 +871,42 @@ def test_sn_verdict_parses_its_state_once(rho3x3_verdict, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sn_verdict_halves_must_store_equal_states(rho3x3_verdict):
-    relabelled = json.loads(json.dumps(rho3x3_verdict))
-    relabelled["lower"]["state"]["label"] = "another"
-    assert se.verify_certificate(relabelled["lower"])
-    with pytest.raises(se.CertificateInvalid, match="different states"):
-        se.verify_certificate(relabelled)
+@pytest.mark.parametrize("conclusive", [True, False], ids=["both-halves", "inconclusive"])
+def test_sn_verdict_replays_through_the_module_half_verifiers(rho3x3_verdict, monkeypatch,
+                                                              conclusive):
+    """``verify_sn_verdict`` calls the module's ``verify_sn_lower_certificate``
+    and ``verify_sn_upper_certificate`` (which a tracer can wrap by name),
+    each once, with its half and the one parsed state."""
+    calls = []
+
+    def counted(name):
+        replay = getattr(se, name)
+        return lambda half, state: calls.append((name, half, state)) or replay(half, state)
+
+    for name in ("verify_sn_lower_certificate", "verify_sn_upper_certificate"):
+        monkeypatch.setattr(se, name, counted(name))
+    cert = _copy(rho3x3_verdict)
+    if not conclusive:
+        del cert["lower"]
+        cert["verdict"] = "SN <= 3 (lower bound inconclusive)"
+    assert se.verify_certificate(cert)
+    halves = (["lower"] if conclusive else []) + ["upper"]
+    assert [name for name, _, _ in calls] == [f"verify_sn_{h}_certificate" for h in halves]
+    assert [half for _, half, _ in calls] == [cert[h] for h in halves]
+    assert all(state == qs.rho_3x3() for _, _, state in calls)
 
 
 @pytest.fixture(scope="module")
 def genuine_lowers():
-    """Genuine sn-lower payloads of family:3 (edge naming, deltas excluded)
-    and rho4x5 (power 4, cofactors of degree 1), with their states."""
+    """Genuine sn-verdicts of family:3 (edge naming, deltas excluded) and
+    rho4x5 (power 4, cofactors of degree 1), with their states."""
     out = {}
     for name, state, naming in (("family3", qs.rho_family(3), "edge"),
                                 ("rho4x5", qs.rho_4x5().final, "site")):
         deltas = [e.name for e in state.edges if e.name.startswith("delta")]
         cert = ac.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas,
                                    naming=naming)
-        out[name] = (state, json.loads(json.dumps(se.sn_lower_certificate(cert, state))))
+        out[name] = (state, _verdict(state, cert))
     return out
 
 
@@ -894,16 +960,18 @@ def _mutate(data, lower, m, n):
 
 
 def _claim_holds(lower, state):
-    """Independent check of an accepted payload by sympy determinants: the
-    stored basis is a real basis of the range, the witness overlaps only the
-    declared coordinate, and the identity expands to the witness power."""
+    """Independent check of an accepted lower half by sympy determinants:
+    the stored basis is a real basis of the range, the witness overlaps only
+    the declared coordinate, every minor is ``value x value``, and the
+    identity expands to the witness power."""
     sympy = pytest.importorskip("sympy")
     m, n = state.dims
     basis = [se.vector_from_json(v) for v in lower["basis"]]
     witness = se.vector_from_json(lower["witness"])
     rng = em.column_space(state.matrix)
     names = lower["variables"]
-    if not (lower["value"] == lower["k"] and len(basis) == len(names) == rng.dim
+    if not (all(len(rows) == len(cols) == lower["value"] for rows, cols, _ in lower["minors"])
+            and len(basis) == len(names) == rng.dim
             and em.Subspace(m * n, basis).dim == rng.dim and all(map(rng.contains, basis))
             and all(x.im == 0 for v in basis for x in v)
             and [x for x, v in zip(names, basis) if em.vdot(v, witness)]
@@ -926,18 +994,18 @@ def _claim_holds(lower, state):
 @given(data=st.data())
 def test_mutated_sn_lower_payloads_are_rejected(genuine_lowers, data):
     """Mutation fuzzing of the indexed format: every one-field perturbation of
-    a genuine family:3 or rho4x5 payload is rejected with CertificateInvalid
-    (never a KeyError, TypeError or hang), unless the identity it leaves is
-    still true."""
+    the lower half of a genuine family:3 or rho4x5 verdict, replayed inside
+    the verdict, is rejected with CertificateInvalid (never a KeyError,
+    TypeError or hang), unless the identity it leaves is still true."""
     state, genuine = genuine_lowers[data.draw(st.sampled_from(sorted(genuine_lowers)))]
-    lower = json.loads(json.dumps(genuine))
-    _mutate(data, lower, *state.dims)
-    assume(lower != genuine)
+    cert = _copy(genuine)
+    _mutate(data, cert["lower"], *state.dims)
+    assume(cert != genuine)
     try:
-        se.verify_certificate(lower)
+        se.verify_certificate(cert)
     except se.CertificateInvalid:
         return
-    assert _claim_holds(lower, state)
+    assert _claim_holds(cert["lower"], state)
 
 
 CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
@@ -968,15 +1036,18 @@ def genuine_verdicts(tmp_path_factory):
     return out
 
 
-UPPER_MUTATIONS = ("upper-vector-entry", "upper-weight", "schmidt-rank", "state-entry")
+UPPER_MUTATIONS = ("upper-vector-entry", "upper-weight", "schmidt-rank", "state-entry",
+                   "verdict")
 VERDICT_MUTATIONS = ("cofactor", "row-index", "column-index", "power", "witness-variable",
                      "basis-entry") + UPPER_MUTATIONS
 ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
 
 
-def _mutate_verdict(data, lower, upper):
-    """One drawn perturbation of one field of an sn-verdict's halves, or of
-    an sn-upper alone when ``lower`` is None (in place)."""
+def _mutate_verdict(data, payload):
+    """One drawn perturbation of one field of an sn-verdict (in place): of
+    a half, of its one state, or of the verdict line.  Without a lower half only the upper and
+    state mutations apply."""
+    lower, upper, state = payload.get("lower"), payload["upper"], payload["state"]
     kind = data.draw(st.sampled_from(VERDICT_MUTATIONS if lower else UPPER_MUTATIONS),
                      label="mutation")
     if kind in ("cofactor", "row-index", "column-index"):
@@ -986,10 +1057,10 @@ def _mutate_verdict(data, lower, upper):
             term[1] = data.draw(st.sampled_from(["0", "2", "-1", "1/2", "-1/2", "x", 1]))
         else:
             idx = entry[kind == "column-index"]
-            bound = lower["state"]["dim_b" if kind == "column-index" else "dim_a"]
+            bound = state["dim_b" if kind == "column-index" else "dim_a"]
             idx[data.draw(st.integers(0, len(idx) - 1))] = data.draw(st.integers(-1, bound))
     elif kind == "power":
-        lower["power"] = data.draw(st.integers(-1, 2 * lower["k"] + 2))
+        lower["power"] = data.draw(st.integers(-1, 2 * lower["value"] + 2))
     elif kind == "witness-variable":
         lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"]))
     elif kind in ("basis-entry", "upper-vector-entry"):
@@ -1000,27 +1071,27 @@ def _mutate_verdict(data, lower, upper):
         weights = upper["weights"]
         weights[data.draw(st.integers(0, len(weights) - 1))] = data.draw(
             st.sampled_from(["0", "2", "1/2", "-1", "x", None]))
+    elif kind == "verdict":
+        payload["verdict"] = data.draw(st.sampled_from(
+            ["SN = 2", "SN = 3", "SN = 4", "SN in [2, 3]", "SN in [3, 4]",
+             "SN <= 3 (lower bound inconclusive)", "SN <= 4 (lower bound inconclusive)", None]))
     elif kind == "schmidt-rank":
         ranks = upper["schmidt_ranks"]
         ranks[data.draw(st.integers(0, len(ranks) - 1))] = data.draw(
             st.integers(0, 6) | st.sampled_from([2.0, "2", None]))
     else:
-        # the upper copy of the state, or both copies alike
-        copies = [upper["state"]] + ([lower["state"]] if lower and data.draw(st.booleans()) else [])
-        size = upper["state"]["matrix"]["rows"]
+        size = state["matrix"]["rows"]
         i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-        value = data.draw(st.sampled_from(ENTRIES))
-        for state in copies:
-            state["matrix"]["entries"][i][j] = value
+        state["matrix"]["entries"][i][j] = data.draw(st.sampled_from(ENTRIES))
 
 
-def _upper_claim_holds(upper):
-    """Independent check of an accepted sn-upper payload: a dense weighted
-    outer-product sum equals the stored state, the weights are nonnegative,
-    and sympy ranks of the vectors' matricizations are the stored Schmidt
-    ranks, whose maximum is the claimed value."""
+def _upper_claim_holds(upper, stored):
+    """Independent check of an accepted upper half on the ``stored`` state:
+    a dense weighted outer-product sum equals the state, the weights are
+    nonnegative, and sympy ranks of the vectors' matricizations are the
+    stored Schmidt ranks, whose maximum is the claimed value."""
     sympy = pytest.importorskip("sympy")
-    state = se.state_from_json(upper["state"])
+    state = se.state_from_json(stored)
     m, n = state.dims
     vectors = [se.vector_from_json(v) for v in upper["vectors"]]
     weights = [em.as_scalar(Fraction(w)) for w in upper["weights"]]
@@ -1045,40 +1116,174 @@ def _upper_claim_holds(upper):
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_mutated_sn_verdict_and_sn_upper_payloads_are_rejected(genuine_verdicts, data):
-    """Mutation fuzzing of sn-verdict and sn-upper payloads: ``verify`` fails
-    every one-field perturbation of a genuine rho4x5 or family:3 verdict, or
-    of its upper half alone, with a PptlabError (which ``pptlab verify``
-    reports as FAILED), unless the claim it leaves is still true."""
+    """Mutation fuzzing of sn-verdicts: ``verify`` fails every one-field
+    perturbation of a genuine rho4x5 or family:3 verdict, or of the same
+    verdict with an inconclusive lower bound (its upper half and state
+    alone), with a PptlabError (which ``pptlab verify`` reports as FAILED),
+    unless the claim it leaves is still true."""
     genuine = genuine_verdicts[data.draw(st.sampled_from(sorted(genuine_verdicts)))]
     if data.draw(st.booleans(), label="upper alone"):
-        genuine = genuine["upper"]
-    payload = json.loads(json.dumps(genuine))
-    lower = payload.get("lower")
-    _mutate_verdict(data, lower, payload.get("upper", payload))
+        genuine = {"kind": "sn-verdict", "state": genuine["state"],
+                   "lower_inconclusive": "not searched", "upper": genuine["upper"],
+                   "verdict": se.sn_verdict_text(None, genuine["upper"]["value"])}
+    payload = _copy(genuine)
+    _mutate_verdict(data, payload)
     assume(payload != genuine)
     try:
         se.verify_certificate(payload)
     except PptlabError:
         return
-    if lower is None:
-        assert _upper_claim_holds(payload)
-        return
-    upper = payload["upper"]
-    value = (lower["value"], upper["value"])
-    assert lower["state"] == upper["state"] and _upper_claim_holds(upper)
-    assert _claim_holds(lower, se.state_from_json(lower["state"]))
-    assert payload["verdict"] == (f"SN = {value[0]}" if value[0] == value[1]
-                                  else f"SN in [{value[0]}, {value[1]}]")
+    lower, upper = payload.get("lower"), payload["upper"]
+    assert _upper_claim_holds(upper, payload["state"])
+    if lower is not None:
+        assert _claim_holds(lower, se.state_from_json(payload["state"]))
+    assert payload["verdict"] == se.sn_verdict_text(lower and lower["value"], upper["value"])
 
 
 def test_sn_upper_with_a_wrong_stored_schmidt_rank_is_rejected(rho3x3_verdict):
-    upper = json.loads(json.dumps(rho3x3_verdict["upper"]))
-    upper["schmidt_ranks"][0] += 1
+    cert = _copy(rho3x3_verdict)
+    cert["upper"]["schmidt_ranks"][0] += 1
     with pytest.raises(se.CertificateInvalid, match="Schmidt ranks"):
-        se.verify_certificate(upper)
+        se.verify_certificate(cert)
 
 
 def test_sn_upper_without_vectors_is_rejected(rho3x3_verdict):
-    upper = {**rho3x3_verdict["upper"], "vectors": [], "weights": []}
+    cert = {**rho3x3_verdict, "upper": {**rho3x3_verdict["upper"], "vectors": [], "weights": []}}
     with pytest.raises(se.CertificateInvalid, match="no vectors"):
-        se.verify_certificate(upper)
+        se.verify_certificate(cert)
+
+
+FAMILY6 = os.path.join(DATA, "family6_sn_verdict.json")
+
+
+def test_committed_family6_certificate_replays_and_is_rewritten(tmp_path, capsys):
+    """The committed family:6 sn-verdict (11x11, past the paper's 9x9) is
+    pinned by SHA-256, ``pptlab verify`` replays it as SN = 6, and
+    ``certify-sn`` writes the same bytes."""
+    with open(FAMILY6, "rb") as fh:
+        committed = fh.read()
+    assert hashlib.sha256(committed).hexdigest() == \
+        "f9a84cfa0dc02c788f05404c663c07229968c75dec2bc963ae1c37a373528968"
+    assert json.loads(committed)["verdict"] == "SN = 6"
+    capsys.readouterr()
+    assert cli.run(["verify", FAMILY6]) == 0
+    assert capsys.readouterr().out == "verify: OK (sn-verdict)\n"
+    out = tmp_path / "sn.json"
+    assert cli.run(["certify-sn", "--state", "family:6", "--exclude-deltas",
+                    "--out", str(out)]) == 0
+    assert out.read_bytes() == committed
+
+
+# -- ppt certificates under mutation -----------------------------------------------
+
+def _npt_state():
+    """A complex 3x3 NPT state: |v><v| + I/4 with v = |00> + i|11> + (1+i)/2 |22>."""
+    v = tuple(em.parse_scalar(x) for x in ["1", "0", "0", "0", "1 i", "0", "0", "0", "1/2+1/2 i"])
+    return qs.BipartiteState(3, 3, em.ExactMatrix.outer(v, v)
+                             + em.ExactMatrix.identity(9).scale(Fraction(1, 4)), label="npt")
+
+
+@pytest.fixture(scope="module")
+def genuine_ppt_certificates():
+    """Genuine ppt certificates of rho3x3 (PPT) and of a complex NPT state."""
+    out = {name: json.loads(json.dumps(se.ppt_certificate(state)))
+           for name, state in (("rho3x3", qs.rho_3x3()), ("npt", _npt_state()))}
+    assert (out["rho3x3"]["verdict"], out["npt"]["verdict"]) == ("PPT", "NPT")
+    return out
+
+
+PPT_MUTATIONS = ("pivot", "column-entry", "imaginary-part", "state-entry", "swapped-state",
+                 "verdict")
+NPT_MUTATIONS = PPT_MUTATIONS + ("witness-entry", "witness-value")
+SCALARS = ["0", "1", "-1", "2", "1/2", "-1/4", "1+1 i", "1 i", "x", "", None, 1]
+
+
+def _conjugate_text(text):
+    return em.format_scalar(em.parse_scalar(text).conj())
+
+
+def _mutate_ppt(data, cert, others):
+    """One drawn perturbation of one field of a ppt certificate (in place);
+    ``swapped-state`` stores the state of one of the ``others`` with its
+    genuine ``rho`` evidence, so that only the ``rho_ta`` evidence is false."""
+    npt = not cert["rho_ta"]["psd"]
+    kind = data.draw(st.sampled_from(NPT_MUTATIONS if npt else PPT_MUTATIONS), label="mutation")
+    key = "rho" if npt else data.draw(st.sampled_from(["rho", "rho_ta"]), label="block")
+    ev, matrix = cert[key], cert["state"]["matrix"]["entries"]
+    if kind == "pivot":
+        pivot = data.draw(st.sampled_from(ev["pivots"]), label="pivot")
+        pivot[1] = data.draw(st.sampled_from(SCALARS) | st.fractions().map(str), label="value")
+    elif kind == "column-entry":
+        col = data.draw(st.sampled_from(ev["columns"]), label="column")
+        col[data.draw(st.integers(0, len(col) - 1))] = data.draw(st.sampled_from(SCALARS))
+    elif kind == "imaginary-part":
+        # a column entry or a state entry with its imaginary part negated or shifted
+        rows = ev["columns"] if data.draw(st.booleans(), label="in a column") else matrix
+        row = data.draw(st.sampled_from(rows), label="row")
+        i = data.draw(st.integers(0, len(row) - 1))
+        shift = data.draw(st.sampled_from([None, "1 i", "-1/2 i"]), label="shift")
+        row[i] = _conjugate_text(row[i]) if shift is None else \
+            em.format_scalar(em.parse_scalar(row[i]) + em.parse_scalar(shift))
+    elif kind == "state-entry":
+        size = len(matrix)
+        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+        value = data.draw(st.sampled_from(SCALARS[:7]), label="entry")
+        matrix[i][j] = value
+        if data.draw(st.booleans(), label="hermitian"):
+            matrix[j][i] = _conjugate_text(value)
+    elif kind == "swapped-state":
+        other = _copy(data.draw(st.sampled_from(others)))
+        cert["state"], cert["rho"] = other["state"], other["rho"]
+    elif kind == "verdict":
+        cert["verdict"] = data.draw(st.sampled_from(["PPT", "NPT", "ppt", None]), label="verdict")
+    elif kind == "witness-entry":
+        w = cert["rho_ta"]["witness"]
+        w[data.draw(st.integers(0, len(w) - 1))] = data.draw(st.sampled_from(SCALARS))
+    else:
+        cert["rho_ta"]["witness_value"] = data.draw(
+            st.sampled_from(["-1", "-4", "0", "15/4", "-15/4 ", "x", None, -3.75])
+            | st.fractions().map(str), label="witness value")
+
+
+def _ppt_claim_holds(cert):
+    """Independent check of an accepted ppt certificate: by sympy, the stored
+    matrix is Hermitian and is PSD (the stored state is a state), and its
+    partial transpose is PSD exactly when the verdict is PPT.  A Hermitian
+    ``A`` is PSD iff every coefficient of ``det(x + A)`` is nonnegative."""
+    sympy = pytest.importorskip("sympy")
+    m, n = cert["state"]["dim_a"], cert["state"]["dim_b"]
+
+    def number(text):
+        z = em.parse_scalar(text)
+        return sympy.Rational(z.re.numerator, z.re.denominator) \
+            + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+
+    M = sympy.Matrix([[number(x) for x in row] for row in cert["state"]["matrix"]["entries"]])
+    pt = sympy.Matrix(m * n, m * n, lambda r, c: M[(c // n) * n + r % n, (r // n) * n + c % n])
+    x = sympy.Symbol("x")
+
+    def psd(A):
+        return all(sympy.expand(c) >= 0 for c in (-A).charpoly(x).all_coeffs())
+
+    return M == M.H and psd(M) and psd(pt) == (cert["verdict"] == "PPT")
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_ppt_certificates_are_rejected(genuine_ppt_certificates, data):
+    """Mutation fuzzing of ppt certificates: ``verify`` fails every one-field
+    perturbation of a genuine PPT (rho3x3) or NPT (complex 3x3) certificate,
+    a pivot, a column entry, an imaginary part, a state entry, the whole
+    state, the verdict or, on the NPT state, the witness or its value, with
+    a PptlabError, unless sympy shows the verdict still true of the stored
+    state."""
+    name = data.draw(st.sampled_from(sorted(genuine_ppt_certificates)))
+    genuine = genuine_ppt_certificates[name]
+    cert = _copy(genuine)
+    _mutate_ppt(data, cert, [c for key, c in genuine_ppt_certificates.items() if key != name])
+    assume(cert != genuine)
+    try:
+        se.verify_certificate(cert)
+    except PptlabError:
+        return
+    assert _ppt_claim_holds(cert)
