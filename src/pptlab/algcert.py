@@ -379,7 +379,8 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
 
 
 def _interreduce(terms_list: Iterable[dict], guard: int) -> list:
-    """Packed :func:`interreduce`: monic divisor records sorted by lead."""
+    """Reduce each packed polynomial against the others until stable:
+    monic divisor records sorted by lead."""
     current = [_divisor(_monic_terms(t), guard) for t in terms_list if t]
     changed = True
     while changed:
@@ -402,18 +403,6 @@ def _record_terms(record: tuple) -> dict:
     terms = dict(tail)
     terms[lead] = lc
     return terms
-
-
-def interreduce(polys: Iterable[Polynomial]) -> list:
-    """Reduce each polynomial against the others until stable; monic output
-    sorted by leading monomial."""
-    polys = [p for p in polys if p]
-    if not polys:
-        return []
-    ring = polys[0].ring
-    P = _Packing(ring.nvars)
-    reduced = _interreduce([P.pack_terms(p) for p in polys], P.guard)
-    return [P.polynomial(ring, _record_terms(d)) for d in reduced]
 
 
 def _s_polynomial(f: tuple, g: tuple, lcm: int) -> dict:
@@ -1053,10 +1042,9 @@ class SNCertificate(NamedTuple):
     kind: str
     value: int
     evidence: dict          # left out of ==
-    trusted_rules_used: tuple = ()
 
     def _compared(self) -> tuple:
-        return self.kind, self.value, self.trusted_rules_used
+        return self.kind, self.value
 
     __eq__, __ne__, __hash__ = _record_eq, _record_ne, _record_hash
 

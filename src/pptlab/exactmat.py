@@ -7,14 +7,15 @@ basis so that equality of subspaces is syntactic equality of bases
 (:class:`Subspace`).
 
 Every operation here is exact: verdicts like :func:`psd_check` are decided
-by symmetric-pivoted LDL* elimination, never by floating point.  The
-elimination kernels (:func:`_rref` behind subspaces, ranks, kernels and
-solves, and :func:`psd_check`) run on integer rows with a shared
-denominator: each row is scaled to Gaussian integers, held as pairs of int
-lists, once on entry, eliminated fraction-free with exact divisions
-(Bareiss; Zhou & Jeffrey for LDL*), and reduced to Gaussian rationals only
-on output.  The pseudoinverse is never materialized; its action is
-available through :func:`solve_on_range_matrix`.
+by symmetric-pivoted LDL* elimination, never by floating point.  One row
+elimination (:func:`_echelon`) serves subspaces, ranks, kernels and solves;
+it and :func:`psd_check` run on integer rows: each row is scaled to
+Gaussian integers, held as pairs of int lists, once on entry, and
+eliminated fraction-free with exact divisions (Bareiss; Zhou & Jeffrey for
+LDL*).  Only outputs become Gaussian rationals: a kernel's canonical basis
+is read off the integer rows, a rank counts pivots.  The pseudoinverse is
+never materialized; its action is available through
+:func:`solve_on_range_matrix`.
 """
 
 from __future__ import annotations
@@ -536,24 +537,29 @@ def _quotient(ur: int, ui: int, q: tuple) -> GaussianRational:
     return GaussianRational._raw(Fraction(ur, qr), Fraction(ui, qr))
 
 
-def _rref(rows: Sequence[Sequence], limit_cols: int | None = None) -> tuple:
-    """Reduced row echelon form of ``rows`` (sequences of GaussianRational).
+def _int_rows(rows: Iterable[Sequence]) -> list:
+    """Each row of Gaussian rationals scaled to Gaussian integers by its own
+    least common denominator."""
+    return [_int_row(row, _row_lcm(row)) for row in rows]
 
-    Pivots are the first nonzero entry at or below the current row, column
-    by column; pivot search is restricted to the first ``limit_cols``
-    columns when given, which makes the same routine usable on augmented
-    systems.  Returns ``(pivot columns, pivot rows normalized to 1 and
-    eliminated above and below, whether every other row reduced to zero)``.
+
+def _echelon(work: list, columns: Iterable[int], reduce: bool = True) -> list:
+    """Fraction-free elimination of the Gaussian-integer rows ``work``, in place.
+
+    The one row elimination of the package.  Pivots are the first nonzero
+    entry at or below the current row, column by column in the order
+    ``columns``; each clears its column from every other row, or only from
+    the rows below it (enough for a rank) unless ``reduce``.  Returns the
+    pivot columns; ``work[r]`` is then a multiple of the ``r``-th pivot row.
     """
-    work = [_int_row(row, _row_lcm(row)) for row in rows]
     nrows = len(work)
-    ncols = len(work[0][0]) if nrows else 0
-    span = ncols if limit_cols is None else limit_cols
     den = [(1, 0)] * nrows
     p_prev = (1, 0)
     pivots = []
     r = 0
-    for c in range(span):
+    for c in columns:
+        if r == nrows:
+            break
         pr = next((i for i in range(r, nrows) if _nonzero(work[i], c)), None)
         if pr is None:
             continue
@@ -562,35 +568,57 @@ def _rref(rows: Sequence[Sequence], limit_cols: int | None = None) -> tuple:
             work[r] = _combine(p_prev, work[r], (0, 0), work[r], den[r])
         pivot_row = work[r]
         p = _entry(pivot_row, c)
-        for i in range(nrows):
+        for i in range(0 if reduce else r + 1, nrows):
             if i != r and _nonzero(work[i], c):
                 work[i] = _combine(p, work[i], _entry(work[i], c), pivot_row, den[i])
                 den[i] = p
         den[r] = p_prev = p
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
+    return pivots
+
+
+def _rref(rows: Sequence[Sequence], limit_cols: int | None = None) -> tuple:
+    """Reduced row echelon form of ``rows`` (sequences of GaussianRational).
+
+    Pivot search is restricted to the first ``limit_cols`` columns when
+    given, which makes the same routine usable on augmented systems.
+    Returns ``(pivot columns, pivot rows normalized to 1 and eliminated
+    above and below, whether every other row reduced to zero)``.
+    """
+    work = _int_rows(rows)
+    ncols = len(work[0][0]) if work else 0
+    pivots = _echelon(work, range(ncols if limit_cols is None else limit_cols))
     reduced = []
     for row, c in zip(work, pivots):
         lead = _entry(row, c)
         re, im = row
         im = im or [0] * len(re)
         reduced.append(tuple(_quotient(u, s, lead) for u, s in zip(re, im)))
-    rest_zero = not any(any(re) or im is not None for re, im in work[r:])
+    rest_zero = not any(any(re) or im is not None for re, im in work[len(pivots):])
     return pivots, reduced, rest_zero
 
 
-def _kernel_from_rref(rref_rows: list, pivots: list, ncols: int) -> list:
-    free = [c for c in range(ncols) if c not in set(pivots)]
+def _int_kernel(work: list, ncols: int) -> tuple:
+    """``(rank, right kernel)`` of the Gaussian-integer rows ``work``.
+
+    Columns are eliminated last to first, so each pivot row is zero right of
+    its pivot and at the other pivots.  The kernel vector of free column
+    ``f`` (1 at ``f``, ``-row[f] / lead`` at each pivot) is then zero left
+    of ``f`` and at the other free columns: by increasing ``f``, these
+    vectors are the canonical basis as they stand.
+    """
+    pivots = _echelon(work, range(ncols - 1, -1, -1))
+    minus_leads = [(-lr, -li) for lr, li in (_entry(row, c) for row, c in zip(work, pivots))]
     basis = []
-    for f in free:
+    for f in sorted(set(range(ncols)) - set(pivots)):
         v = [ZERO] * ncols
         v[f] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref_rows[r][f]
+        for row, pc, lead in zip(work, pivots, minus_leads):
+            if _nonzero(row, f):
+                v[pc] = _quotient(*_entry(row, f), lead)
         basis.append(tuple(v))
-    return basis
+    return len(pivots), Subspace._canonical(ncols, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +642,14 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(_rref(rows)[1]))
 
+    @staticmethod
+    def _canonical(ambient_dim: int, basis: list) -> "Subspace":
+        """The subspace spanned by ``basis``, which is already canonical."""
+        S = object.__new__(Subspace)
+        object.__setattr__(S, "ambient_dim", ambient_dim)
+        object.__setattr__(S, "basis", tuple(basis))
+        return S
+
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
@@ -625,7 +661,14 @@ class Subspace:
         """Rows ``r`` with ``S = {w : sum_j r[j] w[j] = 0}``, one per non-pivot
         column, read off the canonical basis without elimination."""
         pivots = [next(i for i, x in enumerate(b) if x) for b in self.basis]
-        return _kernel_from_rref(self.basis, pivots, self.ambient_dim)
+        rows = []
+        for f in sorted(set(range(self.ambient_dim)) - set(pivots)):
+            v = [ZERO] * self.ambient_dim
+            v[f] = ONE
+            for b, pc in zip(self.basis, pivots):
+                v[pc] = -b[f]
+            rows.append(tuple(v))
+        return rows
 
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
@@ -661,23 +704,20 @@ def column_space(M: ExactMatrix) -> Subspace:
 
 def rank_and_kernel(M: ExactMatrix) -> tuple[int, Subspace]:
     """Exact rank of ``M`` together with its right kernel."""
-    pivots, reduced, _ = _rref([M.row(i) for i in range(M.rows)])
-    return len(pivots), Subspace(M.cols, _kernel_from_rref(reduced, pivots, M.cols))
+    return _int_kernel(_int_rows(M._e), M.cols)
 
 
 def rank(M: ExactMatrix) -> int:
-    return rank_and_kernel(M)[0]
+    return len(_echelon(_int_rows(M._e), range(M.cols), reduce=False))
 
 
 def null_space(rows: Sequence[Vector], n: int) -> Subspace:
     """``{w in C^n : sum_j r[j] w[j] = 0 for every row r}``; all of ``C^n``
     when there are no rows."""
-    if not rows:
-        return Subspace(n, [basis_vector(n, j) for j in range(n)])
-    M = ExactMatrix(rows)
-    if M.cols != n:
-        raise DimensionMismatch(f"constraint rows of length {M.cols} on C^{n}")
-    return rank_and_kernel(M)[1]
+    for r in rows:
+        if len(r) != n:
+            raise DimensionMismatch(f"constraint rows of length {len(r)} on C^{n}")
+    return _int_kernel(_int_rows(vector(r) for r in rows), n)[1]
 
 
 class PsdResult(NamedTuple):
@@ -844,29 +884,3 @@ def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
     if U.ambient_dim != V.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
     return null_space(U.annihilator() + V.annihilator(), U.ambient_dim)
-
-
-def intersection_via_stacked_kernel(U: Subspace, V: Subspace) -> Subspace:
-    """Independent route to the intersection for cross-checks.
-
-    Solves ``sum a_i u_i = sum b_j v_j`` through the kernel of the stacked
-    basis matrix ``[U | -V]`` and maps the ``a`` part back.
-    """
-    if U.ambient_dim != V.ambient_dim:
-        raise DimensionMismatch("subspaces in different ambient spaces")
-    n = U.ambient_dim
-    if U.dim == 0 or V.dim == 0:
-        return Subspace(n)
-    cols = [u for u in U.basis] + [vec_scale(-1, v) for v in V.basis]
-    M = ExactMatrix.from_cols(cols)
-    _, kern = rank_and_kernel(M)
-    vecs = []
-    for w in kern.basis:
-        a = w[:U.dim]
-        x = zero_vector(n)
-        for c, u in zip(a, U.basis):
-            if c:
-                x = vec_add(x, vec_scale(c, u))
-        if not is_zero_vector(x):
-            vecs.append(x)
-    return Subspace(n, vecs)

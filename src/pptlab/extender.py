@@ -255,10 +255,13 @@ def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
 
 def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
     """Span of the side-A SLOCC couplings ``slocc_coupling(core, |i>)`` as
-    Choi vectors; every trivial extension's coupling lies in it."""
+    Choi vectors; every trivial extension's coupling lies in it.  Column
+    ``c`` of ``slocc_coupling(core, |i>)`` is column ``i*n + c`` of the
+    core, so the Choi vectors are read off the core matrix."""
     m, n = core.dims
-    return em.Subspace(m * n * n, [coupling_choi_vector(slocc_coupling(core, em.basis_vector(m, i)),
-                                                        m, n) for i in range(m)])
+    rows = core.matrix.tolists()
+    return em.Subspace(m * n * n, [[x for row in rows for x in row[i * n:(i + 1) * n]]
+                                   for i in range(m)])
 
 
 def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
@@ -283,19 +286,6 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
                           solution_space=sol)
 
 
-def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
-    """Independent solver route: both tensor ranges are spanned by range basis
-    vectors times unit vectors and intersected by
-    :func:`em.intersection_via_stacked_kernel`, which forms no annihilator."""
-    m, n = core.dims
-    units = [em.basis_vector(n, j) for j in range(n)]
-    s1 = [em.kron_vec(u, e) for u in em.column_space(core.matrix).basis for e in units]
-    s2 = [tuple(v[a * n + c] * e[b] for a in range(m) for b in range(n) for c in range(n))
-          for v in em.column_space(core.partial_transpose("A").conjugate()).basis for e in units]
-    N = m * n * n
-    return em.intersection_via_stacked_kernel(em.Subspace(N, s1), em.Subspace(N, s2))
-
-
 def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspace,
                      range_c: em.Subspace | None = None,
                      range_b: em.Subspace | None = None) -> em.Subspace:
@@ -303,10 +293,16 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
     given range: ``w[., ., c]`` in ``range_ab``, ``w[., b, .]`` in ``range_ac``,
     ``w[a, b, .]`` in ``range_c`` and ``w[a, ., c]`` in ``range_b``.
 
-    Each range's annihilator rows are embedded once per value of the
-    spectator index, and the solutions are the null space of all of them.
+    Each range's annihilator rows are scaled to Gaussian integers once and
+    embedded once per value of the spectator index; the solutions are the
+    kernel of all of them, read off one integer elimination.
     """
     cells = [(a, b, c) for a in range(m) for b in range(n) for c in range(n)]
+    N = len(cells)
+
+    def spread(x, members):  # the integer row x of a range, placed on one slice
+        return [x[members[w]] if w in members else 0 for w in range(N)]
+
     rows = []
     for space, place in ((range_ab, lambda a, b, c: (a * n + b, c)),
                          (range_ac, lambda a, b, c: (a * n + c, b)),
@@ -318,9 +314,9 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
         for w, cell in enumerate(cells):
             j, spectator = place(*cell)
             slices.setdefault(spectator, {})[w] = j
-        rows += [[r[members[w]] if w in members else em.ZERO for w in range(len(cells))]
-                 for r in space.annihilator() for members in slices.values()]
-    return em.null_space(rows, len(cells))
+        rows += [(spread(re, members), im and spread(im, members))
+                 for re, im in em._int_rows(space.annihilator()) for members in slices.values()]
+    return em._int_kernel(rows, N)[1]
 
 
 # ---------------------------------------------------------------------------

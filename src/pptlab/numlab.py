@@ -358,8 +358,8 @@ def rationalize_to_birank(state: FloatState, shift: Fraction = Fraction(1, 2 ** 
         if w[i] <= 0:
             continue
         cols.append(_rationalize_vector(np.sqrt(w[i]) * v[:, i]))
-    B = em.ExactMatrix.from_cols(cols)
-    sigma = B.matmul(B.adjoint()) + em.ExactMatrix.identity(size).scale(shift)
+    gram = em.weighted_gram(cols, [1] * len(cols), size)
+    sigma = gram + em.ExactMatrix.identity(size).scale(shift)
     exact = qs.BipartiteState(m, n, sigma, label="rounded-sample")
     if not em.psd_check(exact.partial_transpose("B")).is_psd:
         raise NotPsd("partial transpose of the rounded state is not PSD")

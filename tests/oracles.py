@@ -1,0 +1,67 @@
+"""Independent routes that the tests compare the package against.
+
+None of them is on a path the package runs: each recomputes a result of
+``exactmat``, ``extender`` or ``algcert`` a second way.
+"""
+
+from pptlab import algcert as ac
+from pptlab import exactmat as em
+from pptlab import extender as ex
+from pptlab import qstates as qs
+
+
+def intersection_via_stacked_kernel(U: em.Subspace, V: em.Subspace) -> em.Subspace:
+    """The intersection of ``U`` and ``V`` without annihilators.
+
+    Solves ``sum a_i u_i = sum b_j v_j`` through the kernel of the stacked
+    basis matrix ``[U | -V]`` and maps the ``a`` part back.
+    """
+    n = U.ambient_dim
+    if U.dim == 0 or V.dim == 0:
+        return em.Subspace(n)
+    cols = list(U.basis) + [em.vec_scale(-1, v) for v in V.basis]
+    _, kern = em.rank_and_kernel(em.ExactMatrix.from_cols(cols))
+    vecs = []
+    for w in kern.basis:
+        x = em.zero_vector(n)
+        for c, u in zip(w[:U.dim], U.basis):
+            if c:
+                x = em.vec_add(x, em.vec_scale(c, u))
+        if not em.is_zero_vector(x):
+            vecs.append(x)
+    return em.Subspace(n, vecs)
+
+
+def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
+    """The side-A solution space of ``extender.ppt_extension_space``, solved
+    another way: both tensor ranges are spanned by range basis vectors
+    times unit vectors and intersected by
+    :func:`intersection_via_stacked_kernel`, which forms no annihilator."""
+    m, n = core.dims
+    units = [em.basis_vector(n, j) for j in range(n)]
+    s1 = [em.kron_vec(u, e) for u in em.column_space(core.matrix).basis for e in units]
+    s2 = [tuple(v[a * n + c] * e[b] for a in range(m) for b in range(n) for c in range(n))
+          for v in em.column_space(core.partial_transpose("A").conjugate()).basis for e in units]
+    N = m * n * n
+    return intersection_via_stacked_kernel(em.Subspace(N, s1), em.Subspace(N, s2))
+
+
+def trivial_coupling_space_by_products(core: qs.BipartiteState) -> em.Subspace:
+    """``extender.trivial_coupling_space`` by its definition: the Choi
+    vectors of ``slocc_coupling(core, |i>)``, whose columns are products of
+    the core matrix with unit vectors."""
+    m, n = core.dims
+    couplings = [ex.slocc_coupling(core, em.basis_vector(m, i)) for i in range(m)]
+    return em.Subspace(m * n * n, [ex.coupling_choi_vector(chi, m, n) for chi in couplings])
+
+
+def interreduce(polys) -> list:
+    """Reduce each polynomial against the others until stable; monic output
+    sorted by leading monomial (``algcert``'s packed interreduction)."""
+    polys = [p for p in polys if p]
+    if not polys:
+        return []
+    ring = polys[0].ring
+    P = ac._Packing(ring.nvars)
+    reduced = ac._interreduce([P.pack_terms(p) for p in polys], P.guard)
+    return [P.polynomial(ring, ac._record_terms(d)) for d in reduced]

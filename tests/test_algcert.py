@@ -21,6 +21,8 @@ from pptlab.errors import (
     WitnessNotInRange,
 )
 
+from oracles import interreduce
+
 
 # -- polynomial arithmetic -------------------------------------------------------
 
@@ -147,7 +149,7 @@ def test_buchberger_matches_sympy_on_random_ideals():
         if not ours:
             continue
         gb_ours = ac.buchberger(ours)
-        assert ac.interreduce([g.scale(3) for g in reversed(gb_ours)]) == gb_ours
+        assert interreduce([g.scale(3) for g in reversed(gb_ours)]) == gb_ours
         gb_sympy = sympy.groebner(theirs, *xs, order="grevlex")
         ours_set = {str(g) for g in gb_ours}
         sympy_set = set()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from pptlab import exactmat as em
 from pptlab.errors import DimensionMismatch, NotHermitian, RangeViolation
 
+from oracles import intersection_via_stacked_kernel
+
 
 def rnd_scalar(rng, span=3, den=3):
     return em.GaussianRational(Fraction(rng.randint(-span, span), rng.randint(1, den)),
@@ -303,7 +305,7 @@ def test_intersection_oracle_equivalence():
             return em.Subspace(n, [tuple(em.as_scalar(rng.choice(entries))
                                          for _ in range(n)) for _ in range(k)])
         U, V = sub(), sub()
-        assert em.subspace_intersection(U, V) == em.intersection_via_stacked_kernel(U, V)
+        assert em.subspace_intersection(U, V) == intersection_via_stacked_kernel(U, V)
 
 
 def test_annihilator_rows_cut_out_the_subspace():
@@ -435,6 +437,39 @@ def test_rref_matches_sympy(rows):
     assert rank == len(pivots) and kern.dim == ncols - rank
     for v in kern.basis:
         assert em.is_zero_vector(em.ExactMatrix(rows).matvec(v))
+
+
+def _sympy_subspace(vectors, n):
+    """The canonical subspace of sympy vectors, through sympy's own RREF."""
+    import sympy
+    if not vectors:
+        return em.Subspace(n)
+    ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return em.Subspace._canonical(n, [tuple(_from_sympy(ref[i, j]) for j in range(n))
+                                      for i in range(len(pivots))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(gaussian_rows(), st.data())
+def test_elimination_entry_points_match_sympy(rows, data):
+    """``rank``, ``rank_and_kernel``, ``null_space`` and ``column_space`` of
+    complex, rank-deficient matrices with zero rows and long denominators
+    equal sympy's rank, null space and column space; every kernel vector
+    annihilates every row."""
+    import sympy
+    rows = list(rows)
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows.insert(data.draw(st.integers(0, len(rows))), (em.ZERO,) * len(rows[0]))
+    m, n = len(rows), len(rows[0])
+    M = em.ExactMatrix(rows)
+    S = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows])
+    rank, kern = em.rank_and_kernel(M)
+    assert em.rank(M) == rank == S.rank()
+    assert kern == _sympy_subspace(S.nullspace(), n)
+    assert em.null_space(rows, n) == kern
+    for v in kern.basis:
+        assert em.is_zero_vector(M.matvec(v))
+    assert em.column_space(M) == _sympy_subspace(S.columnspace(), m)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,6 +13,8 @@ from pptlab import qstates as qs
 from pptlab.errors import (BoundsViolation, DecompositionMismatch, PptlabError,
                            PreconditionViolation, RangeViolation)
 
+from oracles import ppt_extension_space_stacked, trivial_coupling_space_by_products
+
 
 def rnd_scalar(rng, span=2):
     return em.GaussianRational(Fraction(rng.randint(-span, span), rng.randint(1, 2)),
@@ -208,7 +210,43 @@ def test_extension_space_rho3x3():
     assert space.dimension == 7  # frozen exact value (one above the counting bound)
 
 
+# the magnitudes of the dense directions: every entry nonzero, as in the benchmark
+DENSE = (Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3))
+
+
+def dense_direction(rng, size):
+    values = list(DENSE[:size])
+    rng.shuffle(values)
+    return em.vector(rng.choice((-1, 1)) * v for v in values)
+
+
+def dense_extensions(seed):
+    """A SLOCC extension of rho3x3, tiles, family:2 and rho4x5:stage1 on each
+    side and a flat one on one side (B for tiles and stage1), along dense
+    seeded directions, each in the frame of the other side's extension space."""
+    rng = random.Random(seed)
+    cores = ((qs.rho_3x3(), "A"), (qs.tiles_complement(), "B"), (qs.rho_family(2), "A"),
+             (qs.rho_4x5().stage1, "B"))
+    out = []
+    for core, flat_side in cores:
+        m, n = core.dims
+        for side in "AB":
+            local = m if side == "A" else n
+            exts = [ex.slocc_extension(core, dense_direction(rng, local), side)]
+            if side == flat_side:
+                phi = dense_direction(rng, local)
+                chi = ex.slocc_coupling(core, phi) if side == "A" else ex._swap_coupling_rows(
+                    ex.slocc_coupling(qs.swap_subsystems(core), phi), n, m)
+                exts.append(ex.flat_extension(core, chi, side))
+            out += [qs.swap_subsystems(e) if side == "A" else e for e in exts]
+    return out
+
+
 def test_extension_space_cross_check_stacked():
+    """The annihilator solve equals the stacked-kernel oracle, and the
+    trivial couplings read off the core equal the SLOCC couplings' Choi
+    vectors, on the named states and on seeded dense extensions (among them
+    rho4x5:stage1 extended on side B, a 4x4 state on 64 Choi coordinates)."""
     mixed = qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm")
     dense = ex.slocc_extension(qs.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]))
     # a local diagonal unitary with complex phases
@@ -216,11 +254,16 @@ def test_extension_space_cross_check_stacked():
                              ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
     phased = qs.BipartiteState(3, 3, op.matmul(qs.rho_3x3().matrix).matmul(op.adjoint()),
                                label="phased")
-    for st in (qs.rho_3x3(), qs.rho_family(2), qs.tiles_complement(), mixed,
-               qs.swap_subsystems(qs.rho_4x5().stage1), dense, phased):
+    states = [qs.rho_3x3(), qs.rho_family(2), qs.tiles_complement(), mixed,
+              qs.swap_subsystems(qs.rho_4x5().stage1), dense, phased]
+    seeded = dense_extensions(5)
+    assert [st.dims for st in seeded].count((4, 4)) == 2
+    for st in states + seeded:
         space = ex.ppt_extension_space(st)
-        stacked = ex.ppt_extension_space_stacked(st)
-        assert stacked == space.solution_space, st.label
+        assert ppt_extension_space_stacked(st) == space.solution_space, st.label
+        trivial = ex.trivial_coupling_space(st)
+        assert trivial == trivial_coupling_space_by_products(st), st.label
+        assert trivial.dim == space.trivial_dimension
 
 
 def test_extension_space_tiles_is_slocc_only():

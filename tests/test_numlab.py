@@ -1,5 +1,6 @@
 """Floating-point sampling laboratory."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -147,6 +148,20 @@ def test_rounded_4x4_sample_certifies_with_small_pivots(tmp_path):
     assert cli.run(["ppt-check", "--state", str(state_path), "--out", str(cert)]) == 0
     assert json.loads(cert.read_text())["verdict"] == "PPT"
     assert cli.run(["verify", str(cert)]) == 0
+
+
+@pytest.mark.parametrize("m, n, p, q, seed, digest", [
+    (3, 3, 4, 4, 200, "1eaf9c1a597d4f240e3682f0e2c16da32636a66770b552d9a3b652d1278314fd"),
+    (4, 4, 7, 7, 634511, "2f5a0fd08fbb82c9d515b7d7a2163e2104338ef80b7c6e03e1720b211c16e200"),
+])
+def test_rounded_samples_pinned(m, n, p, q, seed, digest):
+    """The rounded state of a fixed sample is pinned by the SHA-256 of its
+    JSON: the exact Gram part and shift must not change a bit.  (The float
+    samples come from numpy's LAPACK; a build that moves an entry across a
+    point of the 2^-24 grid changes a digest too.)"""
+    exact = nl.rationalize_to_birank(nl.gauss_newton_birank(m, n, p, q, seed=seed))
+    text = json.dumps(se.state_to_json(exact))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_survey_empty():
