@@ -2,7 +2,8 @@
 
 __version__ = "0.1.0"
 
-__all__ = ["exactmat", "qstates", "extender", "algcert", "numlab", "serialize", "cli", "acceptance"]
+__all__ = ["exactmat", "qstates", "constructions", "extender", "minors", "algcert", "numlab",
+           "serialize", "cli", "acceptance"]
 
 
 def __getattr__(name):

@@ -12,8 +12,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import algcert as ac
+from . import constructions as co
 from . import exactmat as em
 from . import extender as ex
+from . import minors as mi
 from . import qstates as qs
 from .errors import CriterionFailed
 
@@ -65,19 +67,19 @@ def criterion_1() -> CriterionResult:
     edge-state verdict."""
 
     def body():
-        rho = qs.rho_3x3()
+        rho = co.rho_3x3()
         _check(em.psd_check(rho.matrix).is_psd, "rho not PSD")
         pt = rho.partial_transpose("B")
         _check(em.psd_check(pt).is_psd, "partial transpose not PSD")
         birank = qs.birank(rho)
         _check(birank == (5, 6), f"birank {birank}")
         fs = [
-            (qs._sites_vec([(0, 2), (1, 1)], 3, 3, minus=[(2, 0)]), 1),
-            (qs._sites_vec([(0, 2), (2, 0)], 3, 3), 2),
-            (qs._sites_vec([(0, 1), (1, 0)], 3, 3), 1),
-            (qs._sites_vec([(1, 2), (2, 1)], 3, 3), 1),
-            (qs._sites_vec([(0, 0)], 3, 3), 1),
-            (qs._sites_vec([(2, 2)], 3, 3), 1),
+            (co._sites_vec([(0, 2), (1, 1)], 3, 3, minus=[(2, 0)]), 1),
+            (co._sites_vec([(0, 2), (2, 0)], 3, 3), 2),
+            (co._sites_vec([(0, 1), (1, 0)], 3, 3), 1),
+            (co._sites_vec([(1, 2), (2, 1)], 3, 3), 1),
+            (co._sites_vec([(0, 0)], 3, 3), 1),
+            (co._sites_vec([(2, 2)], 3, 3), 1),
         ]
         acc = em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9)
         _check(acc == pt, "PT does not equal the weighted f-decomposition bit-exactly")
@@ -88,8 +90,8 @@ def criterion_1() -> CriterionResult:
         psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
         _check(ac.in_ideal(psi00 ** 2, gb), "psi00^2 not in the 2-minor ideal")
         _check(ac.in_ideal(psi01 * psi10, gb), "psi01*psi10 not in the 2-minor ideal")
-        cands = [qs._sites_vec([(0, 2)], 3, 3), qs._sites_vec([(2, 0)], 3, 3)]
-        verdict = ac.edge_state_check(rho, cands)
+        cands = [co._sites_vec([(0, 2)], 3, 3), co._sites_vec([(2, 0)], 3, 3)]
+        verdict = ex.edge_state_check(rho, cands)
         _check(verdict.is_edge_for_candidates, "edge-state check failed")
         _check(all(d["in_range"] for d in verdict.details), "a candidate lies outside the range")
         return {"birank": [5, 6], "edge_state": True,
@@ -98,12 +100,44 @@ def criterion_1() -> CriterionResult:
     return _run(1, "rho3x3 regression", 1.0, body)
 
 
+def cofactor_identity_4x5(perturb: bool = False) -> bool:
+    """Verify the explicit Nullstellensatz identity for the 4x5 coordinate ideal.
+
+    With the five minors
+
+        g1 = x20*(x00^2 - x01*x10),   g2 = x02*(x00^2 + x01*x10),
+        g3 = x20*(x01^2 - x00*x02),   g4 = -x02*(x10^2 + x00*x20),
+        g5 = x00^3 + x01^2*x20 - x10^2*x02 - x00*x02*x20,
+
+    direct expansion shows
+
+        x00*(g5 - g3 - g4) - (x02*g1 + x20*g2)/2 = x00^4,
+
+    so x00^4 lies in the ideal generated by the g_i.  (The cofactors on g1
+    and g2 carry the factor 1/2; the variant without it misses by
+    x00^2*x02*x20 + 2*x01*x10*x02*x20 and is exposed here as the
+    ``perturb`` branch for testing.)  Independent of Groebner machinery.
+    """
+    ring = mi.PolyRing(["x00", "x01", "x10", "x02", "x20"])
+    x00, x01, x10, x02, x20 = (ring.var(v) for v in ring.variables)
+    g1 = x20 * (x00 * x00 - x01 * x10)
+    g2 = x02 * (x00 * x00 + x01 * x10)
+    g3 = x20 * (x01 * x01 - x00 * x02)
+    g4 = -(x02 * (x10 * x10 + x00 * x20))
+    g5 = x00 * x00 * x00 + x01 * x01 * x20 - x10 * x10 * x02 - x00 * x02 * x20
+    if perturb:
+        lhs = x00 * (g5 - g3 - g4) - x02 * g1 + x20 * g2
+    else:
+        lhs = x00 * (g5 - g3 - g4) - (x02 * g1 + x20 * g2).scale(Fraction(1, 2))
+    return (lhs - x00 ** 4).is_zero()
+
+
 def criterion_2() -> CriterionResult:
     """The 4x5 pipeline: three recorded steps, exact PPT, lower bound with
     N=4, cofactor identity, upper bound 3, combined SN = 3."""
 
     def body():
-        pipe = qs.rho_4x5()
+        pipe = co.rho_4x5()
         kinds = [s.kind for s in pipe.steps]
         _check(kinds == ["direct_sum", "product_pair", "product_pair"], f"steps {kinds}")
         final = pipe.final
@@ -114,7 +148,7 @@ def criterion_2() -> CriterionResult:
         if not isinstance(cert, ac.SNCertificate):
             raise CriterionFailed(f"lower bound inconclusive: {cert}")
         _check(cert.evidence["power"] == 4, f"observed N = {cert.evidence['power']}")
-        _check(ac.cofactor_identity_4x5(), "cofactor identity failed")
+        _check(cofactor_identity_4x5(), "cofactor identity failed")
         upper = ac.sn_upper_from_decomposition([e.vec for e in final.edges],
                                                [e.weight for e in final.edges], final)
         _check(upper.value <= 3, f"upper bound {upper.value}")
@@ -129,7 +163,7 @@ def criterion_3() -> CriterionResult:
     """Intermediate 4x4 state: separable projection and SN <= 2."""
 
     def body():
-        pipe = qs.rho_4x5()
+        pipe = co.rho_4x5()
         bound = ex.sn_bounds_from_projection(pipe.stage2, "B", em.basis_vector(4, 0))
         verdict = bound.separability
         _check(verdict.separable and verdict.rule == "R2",
@@ -153,16 +187,16 @@ def criterion_4() -> CriterionResult:
     def body():
         details = {}
         for k in ks:
-            st = qs.rho_family(k)
+            st = co.rho_family(k)
             dim = 2 * k - 1
             pt = st.partial_transpose("A")
             _check(em.psd_check(pt).is_psd, f"k={k} not PPT")
-            dec = qs.family_pt_decomposition(k)
+            dec = co.family_pt_decomposition(k)
             acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], dim * dim)
             _check(acc == pt, f"k={k}: transpose decomposition not bit-exact")
             _check(max(qs.schmidt_rank(e.vec, dim, dim) for e in dec) <= 2,
                    f"k={k}: a decomposition vector has Schmidt rank above 2")
-            omega = qs.family_kernel_vector(k)
+            omega = co.family_kernel_vector(k)
             _check(not any(pt.matvec(omega)), f"k={k}: Omega not in the kernel")
             deltas = [e for e in st.edges if e.name.startswith("delta")]
             _check(deltas and all(em.vdot(omega, e.vec) for e in deltas),
@@ -187,8 +221,8 @@ def criterion_5() -> CriterionResult:
     dimension exactly 3 (trivial extensions only)."""
 
     def body():
-        tiles = qs.tiles_complement()
-        for v in qs.tiles_kernel_products():
+        tiles = co.tiles_complement()
+        for v in co.tiles_kernel_products():
             _check(not any(tiles.matrix.matvec(v)), "kernel substitution failed")
         _check(qs.birank(tiles) == (4, 4), "birank is not (4, 4)")
         space = ex.ppt_extension_space(tiles)
@@ -204,11 +238,11 @@ def criterion_6() -> CriterionResult:
     solve the linear constraint system and are nontrivial."""
 
     def body():
-        pipe = qs.rho_4x5()
+        pipe = co.rho_4x5()
         corpus = {
-            "rho3x3": qs.rho_3x3(),
-            "family-k2": qs.rho_family(2),
-            "tiles": qs.tiles_complement(),
+            "rho3x3": co.rho_3x3(),
+            "family-k2": co.rho_family(2),
+            "tiles": co.tiles_complement(),
             "mixed-2x2": qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm"),
             "stage1-swapped": qs.swap_subsystems(pipe.stage1),
             "stage2-swapped": qs.swap_subsystems(pipe.stage2),
@@ -303,7 +337,7 @@ def criterion_8(seed: int = SURVEY_SEED) -> CriterionResult:
                "dimensions and ambiguous samples do not add up to the converged ones")
         _check(not r.deviations, f"deviations {r.deviations}")
         oracle = {}
-        for name, st in (("rho3x3", qs.rho_3x3()), ("family-k2", qs.rho_family(2))):
+        for name, st in (("rho3x3", co.rho_3x3()), ("family-k2", co.rho_family(2))):
             exact_dim = ex.ppt_extension_space(st).dimension
             num_dim = nl.numeric_extension_dimension(nl.from_exact(st))
             _check(num_dim == exact_dim, f"{name}: numeric {num_dim} vs exact {exact_dim}")

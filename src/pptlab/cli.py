@@ -9,9 +9,11 @@ the program and surfaces with its traceback.
 
 Each verb imports the modules it runs, inside its ``cmd_*`` function:
 ``algcert`` for ``certify-sn``, ``extender`` for ``extend`` and
-``extremal``, ``numlab`` (numpy) for ``sample`` and ``survey``.  Only
-``--verbose`` imports and configures ``logging``.  A ``ppt-check`` or
-``verify`` process that replays no sn-lower half loads none of them.
+``extremal``, ``numlab`` (numpy) for ``sample`` and ``survey``.
+``constructions`` loads only for ``build`` and for a named state
+(``rho3x3``, ``rho4x5``, ``tiles``, ``family:k``), and the replay kernel
+``minors`` only to replay an sn-lower half, so ``verify`` never loads the
+certifier.  Only ``--verbose`` imports and configures ``logging``.
 
 ``certify-sn`` writes one ``sn-verdict``: the state once, the evidence of
 the lower and upper bounds, and the verdict line.  ``verify`` replays the
@@ -65,41 +67,45 @@ def _parse(parse, *args):
         raise InputError(f"{type(exc).__name__}: {exc}") from exc
 
 
+# named state references: name -> the state, from the constructions module
+NAMED_STATES = {
+    "rho3x3": lambda co: co.rho_3x3(),
+    "rho4x5": lambda co: co.rho_4x5().final,
+    "rho4x5:stage1": lambda co: co.rho_4x5().stage1,
+    "rho4x5:stage2": lambda co: co.rho_4x5().stage2,
+    "tiles": lambda co: co.tiles_complement(),
+}
+
+
 def _load_state(ref: str) -> qs.BipartiteState:
-    named = {
-        "rho3x3": qs.rho_3x3,
-        "rho4x5": lambda: qs.rho_4x5().final,
-        "rho4x5:stage1": lambda: qs.rho_4x5().stage1,
-        "rho4x5:stage2": lambda: qs.rho_4x5().stage2,
-        "tiles": qs.tiles_complement,
-    }
-    if ref in named:
-        return named[ref]()
-    if ref.startswith("family:"):
-        return qs.rho_family(_parse(int, ref.split(":", 1)[1]))
+    if ref in NAMED_STATES or ref.startswith("family:"):
+        from . import constructions as co
+
+        if ref in NAMED_STATES:
+            return NAMED_STATES[ref](co)
+        return co.rho_family(_parse(int, ref.split(":", 1)[1]))
     return se.state_from_json(_parse(se.load, ref))
 
 
-def _emit(args, payload: dict, text: str | None = None) -> None:
-    if args.json or text is None:
-        out = json.dumps(payload, indent=2)
-    else:
-        out = text
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        if not args.json and text is not None:
-            print(text)
-    else:
-        print(out)
+def _emit(args, payload: dict, text: str) -> None:
+    """Write the JSON payload to ``--out`` when given, and print it under
+    ``--json``; otherwise print ``text``.  The payload is encoded once."""
+    path = getattr(args, "out", None)
+    encoded = json.dumps(payload, indent=2) if path or args.json else None
+    if path:
+        with open(path, "w") as fh:
+            fh.write(encoded + "\n")
+    print(encoded if args.json else text)
 
 
 def cmd_build(args) -> int:
+    from . import constructions as co
+
     if args.graph:
         g = _parse(se.graph_from_json, _parse(se.load, args.graph))
-        state = qs.grid_to_state(g, label=args.label or "grid-state")
+        state = co.grid_to_state(g, label=args.label or "grid-state")
     elif args.family:
-        state = qs.rho_family(int(args.family))
+        state = co.rho_family(int(args.family))
     elif args.state:
         state = _load_state(args.state)
     else:

@@ -20,13 +20,17 @@ partial transposition acts as the swap of B and B'.
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
 dimension n when extending A, A-side space of dimension m when extending B).
+
+The trusted separability rules (:func:`separability_rules`), which bound
+the Schmidt number of a projected state (:func:`sn_bounds_from_projection`),
+and the candidate edge-state check (:func:`edge_state_check`) live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from . import exactmat as em
 from . import qstates as qs
@@ -253,15 +257,20 @@ def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
     return em.ExactMatrix.from_cols(cols)
 
 
-def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
-    """Span of the side-A SLOCC couplings ``slocc_coupling(core, |i>)`` as
-    Choi vectors; every trivial extension's coupling lies in it.  Column
-    ``c`` of ``slocc_coupling(core, |i>)`` is column ``i*n + c`` of the
-    core, so the Choi vectors are read off the core matrix."""
+def _trivial_choi_rows(core: qs.BipartiteState) -> list:
+    """The Choi vectors of the side-A SLOCC couplings ``slocc_coupling(core,
+    |i>)``, one per ``i``.  Column ``c`` of ``slocc_coupling(core, |i>)`` is
+    column ``i*n + c`` of the core, so they are read off the core matrix."""
     m, n = core.dims
     rows = core.matrix.tolists()
-    return em.Subspace(m * n * n, [[x for row in rows for x in row[i * n:(i + 1) * n]]
-                                   for i in range(m)])
+    return [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
+
+
+def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
+    """Span of the side-A SLOCC couplings as Choi vectors; every trivial
+    extension's coupling lies in it."""
+    m, n = core.dims
+    return em.Subspace(m * n * n, _trivial_choi_rows(core))
 
 
 def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
@@ -281,7 +290,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
     return ExtensionSpace(dimension=sol.dim, basis=basis,
-                          trivial_dimension=trivial_coupling_space(core).dim,
+                          trivial_dimension=em.rank(em.ExactMatrix(_trivial_choi_rows(core))),
                           bound=qs.extension_count_bound(m, n, range_ab.dim, range_ac.dim),
                           solution_space=sol)
 
@@ -426,7 +435,7 @@ def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side = "A
 
 
 # ---------------------------------------------------------------------------
-# decomposition lifting and projection bounds
+# decomposition lifting
 # ---------------------------------------------------------------------------
 
 def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
@@ -553,6 +562,182 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
     return states
 
 
+# ---------------------------------------------------------------------------
+# trusted separability rules, projection bounds and edge states
+# ---------------------------------------------------------------------------
+
+TRUSTED_RULES = {
+    "R1": "peres-horodecki separability in 2x2 and 2x3",
+    "R3": "2x4 PPT with a product vector in the kernel is separable",
+    "R4": "3x3 PPT states have Schmidt number at most 2",
+}
+
+
+class RuleVerdict(NamedTuple):
+    """Outcome of the trusted separability rule set."""
+
+    separable: bool
+    rule: str | None
+    sn_bound: int | None
+    trusted_rules_used: tuple
+    details: dict           # left out of == and hash
+    entangled: bool = False
+
+    def _compared(self) -> tuple:
+        return self.separable, self.rule, self.sn_bound, self.trusted_rules_used, self.entangled
+
+    def __eq__(self, other):
+        return self._compared() == other._compared() if type(other) is type(self) \
+            else NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self._compared())
+
+
+def _is_ppt(s: qs.BipartiteState) -> bool:
+    return em.psd_check(s.partial_transpose("A")).is_psd
+
+
+def separability_rules(s: qs.BipartiteState) -> RuleVerdict:
+    """Apply the trusted rules in order R1, R2, R3, R4.
+
+    R1: 2x2 or 2x3 dimensions and PPT.  R2: the support splits into a sum
+    of local blocks, each one 1-dimensional on a side, diagonal, or
+    R1-certified, plus isolated diagonal product terms.  R3: 2x4 PPT with a
+    verified product vector in the kernel.  R4 records the Schmidt-number
+    bound 2 for 3x3 PPT states without claiming separability.  Every applied
+    trusted rule is named in the verdict.
+    """
+    dims = tuple(sorted(s.dims))
+    ppt = _is_ppt(s)
+    if not ppt:
+        return RuleVerdict(False, None, None, (), entangled=True,
+                           details={"reason": "partial transpose not PSD"})
+    if dims in ((2, 2), (2, 3)) or 1 in dims:
+        rule = "R1" if dims in ((2, 2), (2, 3)) else "R2"
+        used = (TRUSTED_RULES["R1"],) if rule == "R1" else ()
+        return RuleVerdict(True, rule, 1, used,
+                           details={"reason": f"PPT in {s.dim_a}x{s.dim_b}"})
+    ok, info = block_separability(s)
+    if ok:
+        return RuleVerdict(True, "R2", 1, tuple(info.get("trusted", ())), details=info)
+    if dims == (2, 4):
+        prod = _kernel_product_vector(s)
+        if prod is not None:
+            return RuleVerdict(True, "R3", 1, (TRUSTED_RULES["R3"],),
+                               details={"kernel_product": [em.format_scalar(x) for x in prod]})
+    if s.dims == (3, 3):
+        return RuleVerdict(False, None, 2, (TRUSTED_RULES["R4"],),
+                           details={"reason": "3x3 PPT: SN <= 2 recorded, separability unknown"})
+    return RuleVerdict(False, None, None, (), details={})
+
+
+def block_separability(s: qs.BipartiteState):
+    """Direct-sum local block decomposition (rule R2 workhorse).
+
+    Local indices tied together by off-diagonal entries form clusters; each
+    cluster's block is the principal submatrix over its index rectangle
+    ``A_t x B_t``, which keeps interior diagonal terms inside the block
+    (dropping them can break the block's positivity under partial
+    transposition).  Diagonal sites outside every rectangle peel off as
+    product states.  Each block must be trivially separable (a local
+    dimension of 1, or diagonal) or certified by the 2x2 / 2x3 PPT rule.
+    Returns ``(ok, details)``.
+    """
+    M = s.matrix
+    m, n = s.dims
+    size = m * n
+    parent = list(range(m + n))  # nodes: A indices, then B indices at offset m
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+
+    live = set()
+    coupled = set()
+    for r in range(size):
+        for c in range(size):
+            if M.entry(r, c):
+                live.add(r)
+                live.add(c)
+                if r != c:
+                    coupled.update((r, c))
+                    a1, b1 = divmod(r, n)
+                    a2, b2 = divmod(c, n)
+                    union(a1, a2)
+                    union(m + b1, m + b2)
+                    union(a1, m + b1)
+    clusters: dict = {}
+    for r in coupled:
+        a, b = divmod(r, n)
+        clusters.setdefault(find(a), [set(), set()])
+        root = find(a)
+        clusters[root][0].add(a)
+        clusters[root][1].add(b)
+
+    products = []
+    blocks = []
+    trusted = []
+    for rows_a, rows_b in clusters.values():
+        rows_a, rows_b = sorted(rows_a), sorted(rows_b)
+        block = qs.project_local_block(s, rows_a, rows_b)
+        dims = tuple(sorted(block.dims))
+        entry = {"rows_a": rows_a, "rows_b": rows_b, "dims": list(block.dims)}
+        if 1 in dims:
+            entry["rule"] = "local-dimension-1"
+        elif block.matrix.is_diagonal():
+            entry["rule"] = "diagonal"
+        elif dims in ((2, 2), (2, 3)) and _is_ppt(block):
+            entry["rule"] = "peres-horodecki"
+            trusted.append(TRUSTED_RULES["R1"])
+        else:
+            return False, {"failed_block": entry, "blocks": blocks, "products": products}
+        blocks.append(entry)
+    # reconstruction sanity: every live entry is either inside one rectangle
+    # or an isolated diagonal outside all rectangles
+    rect_membership = {}
+    for t, (rows_a, rows_b) in enumerate(clusters.values()):
+        for a in rows_a:
+            for b in rows_b:
+                rect_membership[a * n + b] = t
+    for r in sorted(live):
+        if r in rect_membership:
+            continue
+        a, b = divmod(r, n)
+        if not M.entry(r, r):
+            continue
+        products.append({"site": [a, b], "weight": em.format_scalar(M.entry(r, r).re)})
+    for r in range(size):
+        for c in range(size):
+            if M.entry(r, c) and r != c:
+                if rect_membership.get(r) is None or rect_membership.get(r) != rect_membership.get(c):
+                    return False, {"failed_block": "off-diagonal entry escapes all rectangles",
+                                   "blocks": blocks, "products": products}
+    return True, {"blocks": blocks, "products": products, "trusted": trusted}
+
+
+def _kernel_product_vector(s: qs.BipartiteState):
+    """A kernel basis vector of ``rho`` of Schmidt rank 1, or None.  The
+    search is not exhaustive."""
+    m, n = s.dims
+    _, kern = em.rank_and_kernel(s.matrix)
+    for v in kern.basis:
+        if qs.schmidt_rank(v, m, n) == 1:
+            return v
+    return None
+
+
 @dataclass(frozen=True)
 class ProjectionBound:
     """Certified relation between a state and one local projection of it.
@@ -565,7 +750,7 @@ class ProjectionBound:
     side: Side
     removed_vector: em.Vector
     projected: qs.BipartiteState
-    separability: object
+    separability: RuleVerdict
     sn_upper: int | None
 
     @property
@@ -581,8 +766,6 @@ def sn_bounds_from_projection(s: qs.BipartiteState, side: Side,
     state is restricted to the surviving local indices before the
     separability rules run.
     """
-    from . import algcert  # deferred: algcert has no dependency back on this module
-
     local_dim = s.dim_a if side == "A" else s.dim_b
     if len(removed_vector) != local_dim:
         raise DimensionMismatch("removed vector must live on the chosen side")
@@ -603,9 +786,70 @@ def sn_bounds_from_projection(s: qs.BipartiteState, side: Side,
         mat = op.matmul(s.matrix).matmul(op.adjoint())
         projected = qs.BipartiteState(s.dim_a, s.dim_b, mat, label=f"{s.label}|proj",
                                       _skip_checks=True)
-    verdict = algcert.separability_rules(projected)
+    verdict = separability_rules(projected)
     upper = 2 if verdict.separable else None
     return ProjectionBound(side, removed_vector, projected, verdict, upper)
+
+
+class EdgeVerdict(NamedTuple):
+    """Range-criterion edge check, limited to the supplied candidates."""
+
+    is_edge_for_candidates: bool
+    candidates: tuple
+    details: tuple
+
+
+def edge_state_check(s: qs.BipartiteState, candidates: Sequence[em.Vector] | None = None) -> EdgeVerdict:
+    """Check whether any candidate product vector blocks the edge property.
+
+    A state is an edge state when no product vector ``|a b>`` in its range
+    has its partial conjugate ``|a b*>`` in the range of the partial
+    transpose.  Only the finite candidate list is examined (grid product
+    edges by default), and the verdict says so.
+    """
+    m, n = s.dims
+    if candidates is None:
+        candidates = [e.vec for e in (s.edges or ())
+                      if qs.schmidt_rank(e.vec, m, n) == 1]
+    range_rho = em.column_space(s.matrix)
+    range_pt = em.column_space(s.partial_transpose("B"))
+    details = []
+    blocked = False
+    for v in candidates:
+        if qs.schmidt_rank(v, m, n) != 1:
+            raise DimensionMismatch("candidates must be product vectors")
+        in_range = range_rho.contains(v)
+        conj_v = _partial_conjugate(v, m, n)
+        pt_in_range = range_pt.contains(conj_v) if in_range else False
+        details.append({"in_range": in_range, "pt_in_corange": pt_in_range})
+        if in_range and pt_in_range:
+            blocked = True
+    return EdgeVerdict(not blocked, tuple(tuple(v) for v in candidates), tuple(details))
+
+
+def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
+    """``|a b> -> |a b*>`` for a product vector: conjugate the B factor.
+
+    For a rank-one matricization ``u w^T`` the partially conjugated vector
+    has matricization ``u w*^T``; entrywise this is well defined for
+    product vectors only, where it equals the conjugate up to the global
+    phase of ``u``.  Exactness keeps this closed over Gaussian rationals.
+    """
+    A = em.ExactMatrix([[v[i * n + j] for j in range(n)] for i in range(m)])
+    # rank-one factorization: first nonzero row/column
+    for i in range(m):
+        if any(A.row(i)):
+            row = A.row(i)
+            break
+    pivot_j = next(j for j, x in enumerate(row) if x)
+    col = A.col(pivot_j)
+    # v = col (x) row / row[pivot_j]; conjugate the B factor (the row)
+    scale = em.ONE / row[pivot_j]
+    out = [em.ZERO] * (m * n)
+    for i in range(m):
+        for j in range(n):
+            out[i * n + j] = col[i] * row[j].conj() * scale.conj()
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,418 @@
+"""The sn-lower replay kernel: polynomials, packed monomials and minors.
+
+A Schmidt-number lower bound is an identity ``sum_i c_i det M[rows_i,
+cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` of a range
+basis (``Psi_ij = sum_l v_l[ij] x_l``).  This module holds what checking
+such an identity needs, and nothing of the search that finds one:
+:class:`PolyRing` and :class:`Polynomial` over Q in grevlex order,
+:class:`_Packing` (a monomial as one int), :func:`coordinate_matrix`, and
+:func:`minor_identity_holds`, which computes only the listed determinants
+by Laplace expansion on packed int rows.  The certifier
+(:mod:`pptlab.algcert`) checks what it writes with the same function the
+verifier (:mod:`pptlab.serialize`) replays, so a ``verify`` process never
+loads the certifier.
+"""
+
+from __future__ import annotations
+
+import bisect
+import math
+from fractions import Fraction
+from typing import NamedTuple, Sequence
+
+from .errors import DimensionMismatch, MonomialOverflow, NonOrthogonalBasis
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q, grevlex order
+# ---------------------------------------------------------------------------
+
+def _grevlex_key(exps: tuple):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+class PolyRing:
+    """Polynomial ring over Q with named variables and grevlex order."""
+
+    __slots__ = ("variables", "_index")
+
+    def __init__(self, variables: Sequence[str]):
+        vs = tuple(variables)
+        if len(set(vs)) != len(vs):
+            raise ValueError("duplicate variable names")
+        object.__setattr__(self, "variables", vs)
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyRing is immutable")
+
+    @property
+    def nvars(self) -> int:
+        return len(self.variables)
+
+    def zero(self) -> "Polynomial":
+        return Polynomial(self, {})
+
+    def one(self) -> "Polynomial":
+        return self.constant(1)
+
+    def constant(self, c) -> "Polynomial":
+        c = Fraction(c)
+        return Polynomial(self, {(0,) * self.nvars: c} if c else {})
+
+    def var(self, name: str) -> "Polynomial":
+        i = self._index[name]
+        e = tuple(1 if j == i else 0 for j in range(self.nvars))
+        return Polynomial(self, {e: Fraction(1)})
+
+    def monomial_str(self, exps: tuple) -> str:
+        parts = []
+        for v, e in zip(self.variables, exps):
+            if e == 1:
+                parts.append(v)
+            elif e > 1:
+                parts.append(f"{v}^{e}")
+        return "*".join(parts) if parts else "1"
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and self.variables == other.variables
+
+    def __hash__(self):
+        return hash(self.variables)
+
+    def __repr__(self):
+        return f"PolyRing({', '.join(self.variables)})"
+
+
+class Polynomial:
+    """Sparse multivariate polynomial with rational coefficients."""
+
+    __slots__ = ("ring", "terms", "_lead")
+
+    def __init__(self, ring: PolyRing, terms: dict):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(self, "_lead", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def leading_monomial(self) -> tuple:
+        lead = self._lead
+        if lead is None and self.terms:
+            lead = max(self.terms, key=_grevlex_key)
+            object.__setattr__(self, "_lead", lead)
+        return lead
+
+    def leading_coeff(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
+
+    def degree(self) -> int:
+        return max((sum(m) for m in self.terms), default=-1)
+
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) + c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return Polynomial(self.ring, out)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) - c
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return Polynomial(self.ring, out)
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            out: dict = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    s = out.get(m, 0) + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        out.pop(m, None)
+            return Polynomial(self.ring, out)
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "Polynomial":
+        c = Fraction(c)
+        if not c:
+            return self.ring.zero()
+        return Polynomial(self.ring, {m: c * x for m, x in self.terms.items()})
+
+    def mul_term(self, coeff: Fraction, mono: tuple) -> "Polynomial":
+        if not coeff:
+            return self.ring.zero()
+        return Polynomial(self.ring, {tuple(a + b for a, b in zip(m, mono)): coeff * c
+                                      for m, c in self.terms.items()})
+
+    def __pow__(self, k: int) -> "Polynomial":
+        out = self.ring.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def monic(self) -> "Polynomial":
+        if self.is_zero():
+            return self
+        lc = self.leading_coeff()
+        if lc == 1:
+            return self
+        return Polynomial(self.ring, {m: c / lc for m, c in self.terms.items()})
+
+    def evaluate(self, point: dict) -> Fraction:
+        """Evaluate at rational values given per variable name."""
+        vals = [Fraction(point[v]) for v in self.ring.variables]
+        acc = Fraction(0)
+        for m, c in self.terms.items():
+            t = c
+            for v, e in zip(vals, m):
+                for _ in range(e):
+                    t *= v
+            acc += t
+        return acc
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=_grevlex_key, reverse=True):
+            c = self.terms[m]
+            mono = self.ring.monomial_str(m)
+            if mono == "1":
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        s = " + ".join(parts).replace("+ -", "- ")
+        return s
+
+    def __repr__(self):
+        return f"Polynomial({self})"
+
+
+# ---------------------------------------------------------------------------
+# packed monomials
+# ---------------------------------------------------------------------------
+
+class _Packing:
+    """Monomials of an ``nvars``-variable ring packed into one Python int.
+
+    Fields, most significant first: ``[degree | MAX-e_{n-1} | ... | MAX-e_0]``,
+    each ``width`` bits with the top bit of every exponent field spare as a
+    guard.  Integer order is then grevlex, the product of ``a`` and ``b`` is
+    ``a + b - one``, the quotient ``a / b`` is ``a - b + one``, and ``a``
+    divides ``b`` iff ``((a | guard) - b) & guard == guard``.  Every packed
+    monomial has degree at most ``max``, so no field can wrap: packing and
+    :meth:`lcm` raise :class:`MonomialOverflow` instead.
+    """
+
+    __slots__ = ("nvars", "width", "max", "one", "guard", "_spread")
+
+    def __init__(self, nvars: int):
+        # up to 32 bytes per monomial: four-byte fields for small rings, one
+        # byte per field (degrees up to 127) from 16 variables on
+        width = 8 * min(4, max(1, 32 // (nvars + 1)))
+        self.nvars = nvars
+        self.width = width
+        self.max = (1 << (width - 1)) - 1
+        self.one = sum(self.max << (width * i) for i in range(nvars))
+        self.guard = sum(1 << (width * i + width - 1) for i in range(nvars))
+        self._spread = sum(1 << (width * i) for i in range(nvars))
+
+    def pack(self, exps: tuple) -> int:
+        if len(exps) != self.nvars or min(exps, default=0) < 0:
+            raise DimensionMismatch(f"exponent vector {exps} does not fit {self.nvars} variables")
+        key = self.check_degree(sum(exps))
+        for e in reversed(exps):
+            key = (key << self.width) | (self.max - e)
+        return key
+
+    def unpack(self, key: int) -> tuple:
+        w, mx = self.width, self.max
+        return tuple(mx - ((key >> (w * i)) & mx) for i in range(self.nvars))
+
+    def pack_terms(self, p: Polynomial) -> dict:
+        return {self.pack(m): c for m, c in p.terms.items()}
+
+    def polynomial(self, ring: PolyRing, terms: dict) -> Polynomial:
+        return Polynomial(ring, {self.unpack(m): c for m, c in terms.items()})
+
+    def degree(self, key: int) -> int:
+        return key >> (self.width * self.nvars)
+
+    def lcm(self, a: int, b: int) -> int:
+        g, w = self.guard, self.width
+        ge = ((a | g) - b) & g                  # guards of fields with e_a <= e_b
+        ge -= ge >> (w - 1)                     # ... widened to their value bits
+        low = (b & ge) | (a & (self.one ^ ge))  # per-field min = per-variable max
+        # the exponent sum collects in field n-1 of (exponents * [1, ..., 1])
+        deg = ((self.one - low) * self._spread >> (w * max(self.nvars - 1, 0))) & ((1 << w) - 1)
+        return (self.check_degree(deg) << (w * self.nvars)) | low
+
+    def check_degree(self, deg: int) -> int:
+        if deg > self.max:
+            raise MonomialOverflow(f"degree {deg} exceeds the packed limit {self.max} "
+                                   f"of a {self.nvars}-variable ring")
+        return deg
+
+
+# ---------------------------------------------------------------------------
+# coordinate matrices and their minors
+# ---------------------------------------------------------------------------
+
+class SymbolicRangeMatrix(NamedTuple):
+    """Coordinate matrix ``Psi_ij = <ij|psi(x)>`` of a parametrized range vector.
+
+    ``basis`` holds the (name, vector) pairs backing each variable, in
+    variable order; all entries are degree <= 1.
+    """
+
+    dim_a: int
+    dim_b: int
+    ring: PolyRing
+    entries: tuple          # tuple[tuple[Polynomial, ...], ...]
+    basis: tuple            # tuple[(name, em.Vector), ...]
+
+    def entry(self, i: int, j: int) -> Polynomial:
+        return self.entries[i][j]
+
+    def zero_pattern(self) -> set:
+        return {(i, j) for i in range(self.dim_a) for j in range(self.dim_b)
+                if self.entries[i][j].is_zero()}
+
+
+def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> SymbolicRangeMatrix:
+    """Coordinate matrix ``Psi_ij = sum_l v_l[ij] x_l`` of ``(name, vector)`` pairs.
+
+    Basis entries must be real: the coordinate ring is Q.
+    """
+    for _, v in basis:
+        if any(x.im != 0 for x in v):
+            raise NonOrthogonalBasis("range basis must be real for Q-coefficients")
+    units = [tuple(1 if t == l else 0 for t in range(len(basis))) for l in range(len(basis))]
+    entries = tuple(
+        tuple(Polynomial(ring, {units[l]: v[i * n + j].re for l, (_, v) in enumerate(basis)})
+              for j in range(n))
+        for i in range(m))
+    return SymbolicRangeMatrix(m, n, ring, entries, tuple(basis))
+
+
+def _laplace_extend(table: dict, row: list) -> dict:
+    """Minors on one more (first) row from the ``table`` of minors on the rest.
+
+    ``table`` maps a sorted column tuple to the packed terms of its minor;
+    ``row`` lists the new row's nonzero entries as ``(column, [(monomial -
+    one, coefficient)])``.  Coefficients are ints (:func:`_packed_rows`).
+    Zero minors are left out of the result.
+    """
+    out: dict = {}
+    for cols, minor in table.items():
+        for c, entry in row:
+            if c in cols:
+                continue
+            pos = bisect.bisect(cols, c)
+            acc = out.setdefault(cols[:pos] + (c,) + cols[pos:], {})
+            for shift, ec in entry:
+                if pos % 2:
+                    ec = -ec
+                for t, tc in minor.items():
+                    m = t + shift
+                    s = acc.get(m, 0) + ec * tc
+                    if s:
+                        acc[m] = s
+                    else:
+                        del acc[m]
+    return {cols: minor for cols, minor in out.items() if minor}
+
+
+def _packed_rows(M: SymbolicRangeMatrix, P: _Packing, k: int) -> tuple:
+    """``(rows, scales)``: the nonzero entries of each row of ``M`` times
+    ``scales[row]``, the lcm of the row's denominators, as ``(column,
+    [(monomial - one, int coefficient)])``, after checking that ``k x k``
+    minors fit ``P``.  A minor of the scaled rows is the minor of ``M``
+    times the product of their scales."""
+    P.check_degree(k * max((e.degree() for row in M.entries for e in row), default=0))
+    rows, scales = [], []
+    for row in M.entries:
+        scale = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
+        rows.append([(j, [(P.pack(m) - P.one, c.numerator * (scale // c.denominator))
+                          for m, c in e.terms.items()]) for j, e in enumerate(row) if e])
+        scales.append(scale)
+    return rows, scales
+
+
+def _determinant(rows: list, P: _Packing, chosen: tuple, cols: tuple) -> dict:
+    """Packed int terms of the minor of the :func:`_packed_rows` ``rows`` on
+    ``chosen`` x ``cols`` (empty when it vanishes)."""
+    keep = set(cols)
+    table = {(): {P.one: 1}}
+    for r in reversed(chosen):
+        table = _laplace_extend(table, [(c, e) for c, e in rows[r] if c in keep])
+    return table.get(tuple(cols), {})
+
+
+def minor_identity_holds(M: SymbolicRangeMatrix, power: int, witness_variable: str,
+                         pairs: Sequence[tuple], cofactors: Sequence[dict]) -> bool:
+    """Whether ``sum cofactor_i * det M[rows_i, cols_i] = x_w^power`` exactly.
+
+    ``pairs`` lists the ``(rows, cols)`` of each minor and ``cofactors`` the
+    matching terms (exponent tuple -> Fraction) of degree ``power - k``.
+    Only these determinants are computed, on the packed int rows of ``M``
+    (:func:`_packed_rows`, :func:`_determinant`), and the sum is compared
+    with ``x_w^power`` over one common denominator: that of every cofactor
+    coefficient times its minor's row scales.  Both the certifier and the
+    verifier of sn-lower identities call it.
+    """
+    P = _Packing(M.ring.nvars)
+    rows, scales = _packed_rows(M, P, power)  # every product has degree power
+    shifted = [(math.prod(scales[r] for r in chosen),
+                [(P.pack(e) - P.one, c) for e, c in terms.items() if c])
+               for (chosen, _), terms in zip(pairs, cofactors)]
+    den = math.lcm(*(scale * c.denominator for scale, cof in shifted for _, c in cof))
+    acc: dict = {}
+    for (chosen, cols), (scale, cof) in zip(pairs, shifted):
+        det = _determinant(rows, P, chosen, cols)
+        for shift, c in cof:
+            f = c.numerator * (den // (scale * c.denominator))
+            for t, tc in det.items():
+                key = t + shift
+                total = acc.get(key, 0) + f * tc
+                if total:
+                    acc[key] = total
+                else:
+                    del acc[key]
+    target = tuple(power if v == witness_variable else 0 for v in M.ring.variables)
+    return acc == {P.pack(target): den}

@@ -322,11 +322,10 @@ def numeric_extension_dimension(state: FloatState, svd_tol: float = DEFAULT_SVD_
     return dim, report
 
 
-def from_exact(state: qs.BipartiteState, normalize: bool = True) -> FloatState:
-    """Cast an exact state to floats (optionally trace-normalized)."""
+def from_exact(state: qs.BipartiteState) -> FloatState:
+    """Cast an exact state to floats, trace-normalized."""
     mat = np.array(state.to_complex_rows(), dtype=complex)
-    if normalize:
-        mat = mat / np.trace(mat).real
+    mat = mat / np.trace(mat).real
     p, q = qs.birank(state)
     return FloatState(state.dim_a, state.dim_b, mat, (p, q), residual=0.0)
 

@@ -9,7 +9,10 @@ Schmidt-number ``lower`` and ``upper`` bound, no state in either, and the
 verdict line).  Standalone ``sn-lower``/``sn-upper`` certificates and
 verdicts that store the state in each half are rejected with a request to
 re-run ``certify-sn``.  Each reader of a stored state or certificate parses
-every distinct scalar string once.
+every distinct scalar string once.  Replaying a lower half imports the
+replay kernel :mod:`pptlab.minors` when it runs, never the certifier
+:mod:`pptlab.algcert`; reading a grid graph imports
+:mod:`pptlab.constructions`.
 """
 
 from __future__ import annotations
@@ -127,7 +130,8 @@ def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
                             None if names is None else tuple(names))
 
 
-def graph_to_json(g: qs.GridGraph) -> dict:
+def graph_to_json(g) -> dict:
+    """A :class:`constructions.GridGraph` as JSON."""
     solid = [{"sites": [list(s) for s in e.sites], "weight": em.format_scalar(e.weight)}
              for e in g.edges if e.kind == "solid"]
     dashed = [{"sites": [list(s) for s in e.sites], "weight": em.format_scalar(e.weight)}
@@ -135,11 +139,14 @@ def graph_to_json(g: qs.GridGraph) -> dict:
     return {"dims": [g.dim_a, g.dim_b], "solid": solid, "dashed": dashed}
 
 
-def graph_from_json(data: dict) -> qs.GridGraph:
+def graph_from_json(data: dict):
+    """The :class:`constructions.GridGraph` of :func:`graph_to_json`."""
+    from . import constructions as co  # only graph input builds a grid state
+
     m, n = data["dims"]
     solid = [(e["sites"], Fraction(e["weight"])) for e in data.get("solid", ())]
     dashed = [(e["sites"], Fraction(e["weight"])) for e in data.get("dashed", ())]
-    return qs.grid_graph(m, n, solid=solid, dashed=dashed)
+    return co.grid_graph(m, n, solid=solid, dashed=dashed)
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +230,10 @@ def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
     in-range indices, no pair twice, cofactors of degree ``N - k``),
     computes only those determinants of the basis's coordinate matrix ``M``
     and checks ``sum cofactor * det M[rows, cols] = x_w^N`` exactly
-    (:func:`algcert.minor_identity_holds`, the check ``certify-sn`` runs on
+    (:func:`minors.minor_identity_holds`, the check ``certify-sn`` runs on
     what it writes).  Nothing is enumerated.
     """
-    from . import algcert as ac
+    from . import minors as mi
 
     m, n = s.dims
     ring, basis, witness, witness_variable, power, pairs, cofactors = \
@@ -242,8 +249,8 @@ def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
     overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
     if len(overlaps) != 1 or ring.variables[overlaps[0]] != witness_variable:
         raise CertificateInvalid("witness overlap is not the declared single variable")
-    sym = ac.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
-    if not ac.minor_identity_holds(sym, power, witness_variable, pairs, cofactors):
+    sym = mi.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
+    if not mi.minor_identity_holds(sym, power, witness_variable, pairs, cofactors):
         raise CertificateInvalid("cofactor identity does not expand to the witness power")
     return True
 
@@ -252,14 +259,14 @@ def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
     """The ring, basis, witness, witness variable, power, minor pairs and
     cofactor terms of the lower half of an sn-verdict on an ``m x n`` state."""
     # imported here: a process that only reads states and ppt certificates
-    # skips algcert's imports (about 3 MB of peak RSS)
-    from . import algcert as ac
+    # skips compiling the replay kernel
+    from . import minors as mi
 
     k, power = half["value"], half["power"]
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
-    ring = ac.PolyRing(half["variables"])
+    ring = mi.PolyRing(half["variables"])
     scalar = _scalar_reader()
     basis = [vector_from_json(v, scalar) for v in half["basis"]]
     if len(basis) != ring.nvars:

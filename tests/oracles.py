@@ -7,6 +7,7 @@ None of them is on a path the package runs: each recomputes a result of
 from pptlab import algcert as ac
 from pptlab import exactmat as em
 from pptlab import extender as ex
+from pptlab import minors as mi
 from pptlab import qstates as qs
 
 
@@ -62,6 +63,6 @@ def interreduce(polys) -> list:
     if not polys:
         return []
     ring = polys[0].ring
-    P = ac._Packing(ring.nvars)
+    P = mi._Packing(ring.nvars)
     reduced = ac._interreduce([P.pack_terms(p) for p in polys], P.guard)
     return [P.polynomial(ring, ac._record_terms(d)) for d in reduced]

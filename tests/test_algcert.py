@@ -9,8 +9,12 @@ from fractions import Fraction
 
 import pytest
 
+from pptlab import acceptance
 from pptlab import algcert as ac
+from pptlab import constructions as co
 from pptlab import exactmat as em
+from pptlab import extender as ex
+from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab.errors import (
     DimensionMismatch,
@@ -28,14 +32,14 @@ from oracles import interreduce
 
 def test_grevlex_order():
     # standard example: x*y^2 > x^2*z in grevlex
-    ring = ac.PolyRing(["x", "y", "z"])
+    ring = mi.PolyRing(["x", "y", "z"])
     a = (1, 2, 0)
     b = (2, 0, 1)
-    assert ac._grevlex_key(a) > ac._grevlex_key(b)
+    assert mi._grevlex_key(a) > mi._grevlex_key(b)
 
 
 def test_polynomial_str_and_eval():
-    ring = ac.PolyRing(["x", "y"])
+    ring = mi.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     p = x * x - y.scale(Fraction(1, 2)) + ring.constant(3)
     assert p.evaluate({"x": 2, "y": 4}) == 4 - 2 + 3
@@ -43,21 +47,21 @@ def test_polynomial_str_and_eval():
 
 
 def test_polynomial_ring_mismatch_protection():
-    r1 = ac.PolyRing(["x"])
-    r2 = ac.PolyRing(["x", "y"])
+    r1 = mi.PolyRing(["x"])
+    r2 = mi.PolyRing(["x", "y"])
     assert r1 != r2
 
 
 # -- normal form and Buchberger -----------------------------------------------------
 
 def test_buchberger_single_generator():
-    ring = ac.PolyRing(["x"])
+    ring = mi.PolyRing(["x"])
     x = ring.var("x")
     assert ac.buchberger([x]) == [x]
 
 
 def test_buchberger_elimination_example():
-    ring = ac.PolyRing(["x", "y"])
+    ring = mi.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     gb = ac.buchberger([x * x + x * y, y * y])
     assert ac.in_ideal(x ** 3, gb)
@@ -67,7 +71,7 @@ def test_buchberger_elimination_example():
 
 def test_normal_form_idempotent_random():
     rng = random.Random(0)
-    ring = ac.PolyRing(["x", "y", "z"])
+    ring = mi.PolyRing(["x", "y", "z"])
     vars_ = [ring.var(v) for v in ring.variables]
 
     def rnd_poly():
@@ -88,7 +92,7 @@ def test_normal_form_idempotent_random():
 
 def test_generators_reduce_to_zero():
     rng = random.Random(1)
-    ring = ac.PolyRing(["a", "b"])
+    ring = mi.PolyRing(["a", "b"])
     a, b = ring.var("a"), ring.var("b")
     gens = [a * a - b, a * b + b, b * b.scale(2) - a]
     gb = ac.buchberger(gens)
@@ -98,7 +102,7 @@ def test_generators_reduce_to_zero():
 
 def test_ideal_membership_invariant_under_scaling_and_permutation():
     rng = random.Random(2)
-    ring = ac.PolyRing(["x", "y"])
+    ring = mi.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     gens = [x * x + x * y, y * y, x * y * y]
     target = x ** 3
@@ -115,7 +119,7 @@ def test_buchberger_matches_sympy_on_random_ideals():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(3)
     xs = sympy.symbols("x y z")
-    ring = ac.PolyRing(["x", "y", "z"])
+    ring = mi.PolyRing(["x", "y", "z"])
     vars_ = [ring.var(v) for v in ring.variables]
 
     def rnd_terms():
@@ -158,7 +162,7 @@ def test_buchberger_matches_sympy_on_random_ideals():
             terms = {}
             for exps, c in poly.terms():
                 terms[tuple(exps)] = Fraction(int(c.p), int(c.q))
-            sympy_set.add(str(ac.Polynomial(ring, terms).monic()))
+            sympy_set.add(str(mi.Polynomial(ring, terms).monic()))
         assert ours_set == sympy_set
 
 
@@ -169,7 +173,7 @@ def _first_divisor_remainder(p, basis):
     divisors = [g for g in basis if g]
     work, remainder = dict(p.terms), {}
     while work:
-        m = max(work, key=ac._grevlex_key)
+        m = max(work, key=mi._grevlex_key)
         c = work.pop(m)
         g = next((g for g in divisors
                   if all(a <= b for a, b in zip(g.leading_monomial(), m))), None)
@@ -177,19 +181,19 @@ def _first_divisor_remainder(p, basis):
             remainder[m] = c
             continue
         shift = tuple(a - b for a, b in zip(m, g.leading_monomial()))
-        rest = ac.Polynomial(ring, {**work, m: c}) - g.mul_term(c / g.leading_coeff(), shift)
+        rest = mi.Polynomial(ring, {**work, m: c}) - g.mul_term(c / g.leading_coeff(), shift)
         work = dict(rest.terms)
-    return ac.Polynomial(ring, remainder)
+    return mi.Polynomial(ring, remainder)
 
 
 def test_normal_form_first_divisor_rule_on_non_groebner_bases():
     """Remainders modulo arbitrary bases (overlapping leads, zero entries,
     list order mattering) match the first-divisor rule term for term."""
     rng = random.Random(5)
-    ring = ac.PolyRing(["x", "y", "z"])
+    ring = mi.PolyRing(["x", "y", "z"])
 
     def rnd_poly(terms, degree):
-        return ac.Polynomial(ring, {tuple(rng.randint(0, degree) for _ in range(3)):
+        return mi.Polynomial(ring, {tuple(rng.randint(0, degree) for _ in range(3)):
                                     Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                     for _ in range(terms)})
 
@@ -201,13 +205,13 @@ def test_normal_form_first_divisor_rule_on_non_groebner_bases():
 
 
 def test_oversized_exponent_raises_instead_of_wrapping():
-    ring = ac.PolyRing(["x", "y", "z"])         # four bytes per exponent field
+    ring = mi.PolyRing(["x", "y", "z"])         # four bytes per exponent field
     top = 2 ** 31 - 1
-    x_top = ac.Polynomial(ring, {(top, 0, 0): Fraction(1)})
+    x_top = mi.Polynomial(ring, {(top, 0, 0): Fraction(1)})
     assert ac.normal_form(x_top, [ring.var("y")]) == x_top
     with pytest.raises(MonomialOverflow):
-        ac.normal_form(ac.Polynomial(ring, {(top + 1, 0, 0): Fraction(1)}), [ring.var("y")])
-    wide = ac.PolyRing([f"x{i}" for i in range(40)])  # one byte: degrees up to 127
+        ac.normal_form(mi.Polynomial(ring, {(top + 1, 0, 0): Fraction(1)}), [ring.var("y")])
+    wide = mi.PolyRing([f"x{i}" for i in range(40)])  # one byte: degrees up to 127
     x0, x1, x2 = (wide.var(f"x{i}") for i in range(3))
     with pytest.raises(MonomialOverflow):
         ac.normal_form(x0 ** 128, [x1])
@@ -219,7 +223,7 @@ def test_oversized_exponent_raises_instead_of_wrapping():
 # -- range coordinate matrices ---------------------------------------------------------
 
 def test_range_matrix_rho3x3_pattern():
-    sym = ac.range_coordinate_matrix(qs.rho_3x3(), require_orthogonal_basis=True)
+    sym = ac.range_coordinate_matrix(co.rho_3x3(), require_orthogonal_basis=True)
     assert sym.ring.variables == ("psi00", "psi01", "psi10", "psi02", "psi20")
     grid = [[str(sym.entry(i, j)) for j in range(3)] for i in range(3)]
     assert grid == [["psi00", "psi01", "psi02"],
@@ -228,7 +232,7 @@ def test_range_matrix_rho3x3_pattern():
 
 
 def test_range_matrix_rho4x5_zero_pattern():
-    sym = ac.range_coordinate_matrix(qs.rho_4x5().final, require_orthogonal_basis=True)
+    sym = ac.range_coordinate_matrix(co.rho_4x5().final, require_orthogonal_basis=True)
     assert sym.zero_pattern() == {(0, 3), (1, 3), (1, 4), (2, 4), (3, 1)}
 
 
@@ -262,7 +266,7 @@ def test_range_matrix_orthogonality_enforced():
 # -- minors ------------------------------------------------------------------------------
 
 def test_minor_count_4x5():
-    sym = ac.range_coordinate_matrix(qs.rho_4x5().final)
+    sym = ac.range_coordinate_matrix(co.rho_4x5().final)
     total = math.comb(4, 3) * math.comb(5, 3)
     assert total == 40
     minors = ac.minor_ideal(sym, 3)
@@ -270,7 +274,7 @@ def test_minor_count_4x5():
 
 
 def test_minors_rho3x3_contain_printed_pair():
-    sym = ac.range_coordinate_matrix(qs.rho_3x3())
+    sym = ac.range_coordinate_matrix(co.rho_3x3())
     minors = ac.minor_ideal(sym, 2)
     ring = sym.ring
     psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
@@ -282,7 +286,7 @@ def test_minors_rho3x3_contain_printed_pair():
 
 
 def test_minor_exclusion_filter():
-    st = qs.rho_family(3)
+    st = co.rho_family(3)
     sym = ac.range_coordinate_matrix(st, naming="edge")
     deltas = [v for v in sym.ring.variables if v.startswith("delta")]
     filtered = ac.minor_ideal(sym, 3, exclude_vars=deltas)
@@ -302,7 +306,7 @@ def test_minor_ideal_matches_sympy_determinants():
     sympy = pytest.importorskip("sympy")
     rng = random.Random(11)
     names = ("a", "b", "c", "d", "e")
-    ring = ac.PolyRing(names)
+    ring = mi.PolyRing(names)
     syms = sympy.symbols(names)
     units = [tuple(int(t == l) for t in range(len(names))) for l in range(len(names))]
     for _ in range(12):
@@ -310,8 +314,8 @@ def test_minor_ideal_matches_sympy_determinants():
         cells = [[{l: Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
                    for l in rng.sample(range(len(names)), rng.choice((0, 1, 1, 2)))}
                   for _ in range(n)] for _ in range(m)]
-        sym = ac.SymbolicRangeMatrix(m, n, ring, tuple(
-            tuple(ac.Polynomial(ring, {units[l]: c for l, c in cell.items()}) for cell in row)
+        sym = mi.SymbolicRangeMatrix(m, n, ring, tuple(
+            tuple(mi.Polynomial(ring, {units[l]: c for l, c in cell.items()}) for cell in row)
             for row in cells), ())
         S = sympy.Matrix(m, n, lambda i, j: sum(
             sympy.Rational(c.numerator, c.denominator) * syms[l] for l, c in cells[i][j].items()))
@@ -321,7 +325,7 @@ def test_minor_ideal_matches_sympy_determinants():
                 for cols in itertools.combinations(range(n), k):
                     det = sympy.Poly(S.extract(list(rows), list(cols)).det(), *syms)
                     if not det.is_zero:
-                        dets.append(ac.Polynomial(ring, {
+                        dets.append(mi.Polynomial(ring, {
                             tuple(e): Fraction(int(c.p), int(c.q)) for e, c in det.terms()}))
             excluded = rng.randrange(len(names))
             for exclude in ((), (names[excluded],)):
@@ -332,7 +336,7 @@ def test_minor_ideal_matches_sympy_determinants():
                         p = p.monic()
                         expected.setdefault(frozenset(p.terms.items()), p)
                 expected = sorted(expected.values(), key=lambda p: (
-                    ac._grevlex_key(p.leading_monomial()), len(p.terms)))
+                    mi._grevlex_key(p.leading_monomial()), len(p.terms)))
                 assert ac.minor_ideal(sym, k, exclude) == expected
 
 
@@ -340,10 +344,10 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
     """Minors with equal lead and length keep the order of their first
     (rows, cols) occurrence.  A = ad - bc comes from rows (0, 3) and (1, 2),
     B = 2ad - bc (monic: bc - 2ad) from rows (0, 4) only, so A precedes B."""
-    ring = ac.PolyRing(["a", "b", "c", "d"])
+    ring = mi.PolyRing(["a", "b", "c", "d"])
     a, b, c, d = (ring.var(v) for v in ring.variables)
     rows = [(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))]
-    sym = ac.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
+    sym = mi.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
     minors = ac.minor_ideal(sym, 2)
     first = (b * c - a * d).monic()
     second = (b * c - (a * d).scale(2)).monic()
@@ -364,11 +368,11 @@ def test_closure_keeps_the_first_position_of_proportional_minors():
     """From ``a*d`` the closure reaches ad - bc (at rows (0, 3) and (1, 2)),
     2ad - bc, ad - b^2, ad - c^2 and 2ad - c^2, each at the (rows, cols)
     minor_ideal stores for it, and nothing that shares no monomial with them."""
-    ring = ac.PolyRing(["a", "b", "c", "d"])
+    ring = mi.PolyRing(["a", "b", "c", "d"])
     a, b, c, d = (ring.var(v) for v in ring.variables)
     for rows in ([(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))],
                  [(c, d.scale(2)), (c, d), (b, d), (a, c), (a, b)]):
-        sym = ac.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
+        sym = mi.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
         component = _closure_component(sym, 2, ["a", "d"])
         expected = {m: (m.rows, m.cols) for m in ac.minor_ideal(sym, 2) if m.terms.keys() & {
             (1, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (0, 0, 2, 0)}}
@@ -378,9 +382,9 @@ def test_closure_keeps_the_first_position_of_proportional_minors():
 def test_closure_skips_a_minor_whose_expansion_cancels_the_monomial():
     """det [[a, a+b], [a, b]] = -a^2: the positions of ``a*b`` are a
     candidate, but the minor does not contain it."""
-    ring = ac.PolyRing(["a", "b"])
+    ring = mi.PolyRing(["a", "b"])
     a, b = (ring.var(v) for v in ring.variables)
-    sym = ac.SymbolicRangeMatrix(2, 2, ring, ((a, a + b), (a, b)), ())
+    sym = mi.SymbolicRangeMatrix(2, 2, ring, ((a, a + b), (a, b)), ())
     assert _closure_component(sym, 2, ["a", "b"]) == {}
     assert _closure_component(sym, 2, ["a", "a"]) == {a * a: ((0, 1), (0, 1))}
 
@@ -400,7 +404,7 @@ def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
                                                      basis_size, basis_digest):
     """The certify-sn generator list (content and order) and its reduced
     Groebner basis, pinned by SHA-256 of their JSON."""
-    st = qs.rho_family(k)
+    st = co.rho_family(k)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
     sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming="edge")
     gens = ac.minor_ideal(sym, k, exclude_vars=deltas)
@@ -412,7 +416,7 @@ def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
 # -- minor consequence chain of the 3x3 grid state ------------------------------------------------------------------
 
 def test_minor_consequence_chain_rho3x3():
-    sym = ac.range_coordinate_matrix(qs.rho_3x3())
+    sym = ac.range_coordinate_matrix(co.rho_3x3())
     ring = sym.ring
     gb = ac.buchberger(ac.minor_ideal(sym, 2))
     psi00, psi01, psi10, psi02, psi20 = (ring.var(v) for v in ring.variables)
@@ -429,7 +433,7 @@ def test_minor_consequence_chain_rho3x3():
 # -- certification ----------------------------------------------------------------------------
 
 def _cofactor(ring, data):
-    return ac.Polynomial(ring, {tuple(m): Fraction(c) for m, c in data["terms"]})
+    return mi.Polynomial(ring, {tuple(m): Fraction(c) for m, c in data["terms"]})
 
 
 def _leibniz_det(sym, rows, cols):
@@ -447,7 +451,7 @@ def _leibniz_det(sym, rows, cols):
 
 
 def test_certify_rho4x5():
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     cert = ac.certify_sn_lower(final, final.edges[0].vec, 3)
     assert isinstance(cert, ac.SNCertificate)
     assert cert.value == 3 and cert.evidence["power"] == 4
@@ -459,7 +463,7 @@ def test_certify_rho4x5():
 
 def test_certify_family_members():
     for k in (2, 3):
-        st = qs.rho_family(k)
+        st = co.rho_family(k)
         excl = [e.name for e in st.edges if e.name.startswith("delta")]
         cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming="edge")
         assert isinstance(cert, ac.SNCertificate)
@@ -471,10 +475,10 @@ def test_linear_method_agrees_with_groebner():
     least N with x_w^N in the minor ideal, the certificate keeps the C_k
     minors with nonzero cofactor on the family, and its identity replays by
     Leibniz expansion of the stored (rows, cols)."""
-    rho45 = qs.rho_4x5().final
-    cases = [(qs.rho_3x3(), 2, (), "site", 2, 2), (rho45, 3, (), "site", 4, 6)]
+    rho45 = co.rho_4x5().final
+    cases = [(co.rho_3x3(), 2, (), "site", 2, 2), (rho45, 3, (), "site", 4, 6)]
     for k, used in ((2, 2), (3, 5), (4, 14)):
-        st = qs.rho_family(k)
+        st = co.rho_family(k)
         deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
         cases.append((st, k, deltas, "edge", k, used))
     for st, k, excl, naming, power, used in cases:
@@ -511,10 +515,10 @@ def _enumerated_lower(st, k, exclude_vars=(), naming="site"):
 
 
 def _closure_cases():
-    cases = [("rho3x3", qs.rho_3x3(), 2, (), "site"), ("rho4x5", qs.rho_4x5().final, 3, (), "site"),
-             ("family3-all", qs.rho_family(3), 3, (), "site")]
+    cases = [("rho3x3", co.rho_3x3(), 2, (), "site"), ("rho4x5", co.rho_4x5().final, 3, (), "site"),
+             ("family3-all", co.rho_family(3), 3, (), "site")]
     for k in (2, 3, 4):
-        st = qs.rho_family(k)
+        st = co.rho_family(k)
         deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
         cases.append((f"family{k}", st, k, deltas, "edge"))
     return cases
@@ -536,9 +540,9 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
 
     monkeypatch.setattr(ac, "minor_ideal", enumerate_)
     monkeypatch.setattr(ac, "linear_membership_cofactors", enumerate_)
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     assert ac.certify_sn_lower(final, final.edges[0].vec, 3).evidence["power"] == 4
-    st = qs.rho_family(4)
+    st = co.rho_family(4)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
     cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas, naming="edge")
     assert len(cert.evidence["minors"]) == 14
@@ -546,7 +550,7 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
     with pytest.raises(DimensionMismatch):
-        ac.certify_sn_lower(qs.rho_3x3(), qs.rho_3x3().edges[0].vec, 4)
+        ac.certify_sn_lower(co.rho_3x3(), co.rho_3x3().edges[0].vec, 4)
 
 
 def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
@@ -563,7 +567,7 @@ def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
         return {**trail, key: trail[key] + 1}, sigma
 
     monkeypatch.setattr(ac, "_cofactor_trail", tampered)
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     with pytest.raises(InternalInconsistency):
         ac.certify_sn_lower(final, final.edges[0].vec, 3)
 
@@ -571,10 +575,10 @@ def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
 def _determinants(sym, pairs):
     """``det M[rows, cols]`` for each pair, from the packed rows and
     ``_determinant``: the kernel the sn-lower replay sums over."""
-    P = ac._Packing(sym.ring.nvars)
-    rows, scales = ac._packed_rows(sym, P, max((len(r) for r, _ in pairs), default=0))
+    P = mi._Packing(sym.ring.nvars)
+    rows, scales = mi._packed_rows(sym, P, max((len(r) for r, _ in pairs), default=0))
     return [P.polynomial(sym.ring, {t: Fraction(c, math.prod(scales[r] for r in chosen))
-                                    for t, c in ac._determinant(rows, P, chosen, cols).items()})
+                                    for t, c in mi._determinant(rows, P, chosen, cols).items()})
             for chosen, cols in pairs]
 
 
@@ -584,10 +588,10 @@ def test_minor_positions_give_the_determinants():
     zero minors included."""
     rng = random.Random(23)
     names = ("a", "b", "c", "d")
-    ring = ac.PolyRing(names)
+    ring = mi.PolyRing(names)
     for _ in range(10):
         m, n = rng.randint(2, 4), rng.randint(2, 5)
-        sym = ac.SymbolicRangeMatrix(m, n, ring, tuple(
+        sym = mi.SymbolicRangeMatrix(m, n, ring, tuple(
             tuple(sum((ring.var(v).scale(rng.choice((-2, -1, 1, Fraction(1, 2))))
                        for v in rng.sample(names, rng.choice((0, 1, 1, 2)))), ring.zero())
                   for _ in range(n)) for _ in range(m)), ())
@@ -607,14 +611,14 @@ def test_minor_determinants_on_rows_with_denominators():
     and monic forms still match the Leibniz expansion."""
     rng = random.Random(29)
     names = ("a", "b", "c")
-    ring = ac.PolyRing(names)
+    ring = mi.PolyRing(names)
     coefficients = (Fraction(1, 3), Fraction(-2, 5), Fraction(7, 6), Fraction(5, 4), Fraction(-1, 2))
     for _ in range(6):
         m, n = rng.randint(2, 4), rng.randint(2, 4)
         basis = [(name, tuple(em.GaussianRational(rng.choice(coefficients) if rng.random() < 0.6
                                                   else 0) for _ in range(m * n)))
                  for name in names]
-        sym = ac.coordinate_matrix(m, n, ring, basis)
+        sym = mi.coordinate_matrix(m, n, ring, basis)
         assert all(any(c.denominator > 1 for e in row for c in e.terms.values())
                    for row in sym.entries if any(row))
         for k in range(1, min(m, n) + 1):
@@ -630,7 +634,7 @@ def test_minor_determinants_on_rows_with_denominators():
 def test_linear_membership_cofactors_with_denominators():
     """Generators and a target with denominators: the cofactors are the
     unique rational solution."""
-    ring = ac.PolyRing(["x", "y"])
+    ring = mi.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     gens = [x * x - (y * y).scale(Fraction(1, 3)), (x * y).scale(Fraction(2, 5))]
     target = (x ** 3).scale(Fraction(3, 7))
@@ -639,7 +643,7 @@ def test_linear_membership_cofactors_with_denominators():
 
 
 def test_linear_membership_cofactors_small():
-    ring = ac.PolyRing(["x", "y"])
+    ring = mi.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     gens = [x * x - y * y, x * y]
     # x^3 = x*(x^2 - y^2) + y*(x y)
@@ -659,7 +663,7 @@ def test_certify_separable_inconclusive():
 
 
 def test_certify_witness_validation():
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     with pytest.raises(WitnessNotInRange):
         ac.certify_sn_lower(final, em.basis_vector(20, 3), 3)
     overlap = em.vec_add(final.edges[0].vec, final.edges[1].vec)
@@ -671,7 +675,7 @@ def test_certify_numeric_spot_check():
     """Points on the variety of the 2-minor ideal have vanishing witness
     coordinate: substitute random solutions of the rho3x3 system."""
     rng = random.Random(4)
-    sym = ac.range_coordinate_matrix(qs.rho_3x3())
+    sym = ac.range_coordinate_matrix(co.rho_3x3())
     # the variety of the 2-minors: psi00 = psi01*psi10 = 0 and more;
     # points with only psi02/psi20 free satisfy every minor
     minors = ac.minor_ideal(sym, 2)
@@ -684,7 +688,7 @@ def test_certify_numeric_spot_check():
 
 
 def test_sn_upper_family_and_product():
-    st = qs.rho_family(3)
+    st = co.rho_family(3)
     cert = ac.sn_upper_from_decomposition([e.vec for e in st.edges],
                                           [e.weight for e in st.edges], st)
     assert cert.value == 3
@@ -696,11 +700,11 @@ def test_sn_upper_family_and_product():
 
 def test_sn_upper_family_transpose():
     for k in (2, 3):
-        st = qs.rho_family(k)
+        st = co.rho_family(k)
         dim = 2 * k - 1
         pt_state = qs.BipartiteState(dim, dim, st.partial_transpose("A"),
                                      label=f"family{k}-pt")
-        dec = qs.family_pt_decomposition(k)
+        dec = co.family_pt_decomposition(k)
         cert = ac.sn_upper_from_decomposition([e.vec for e in dec],
                                               [e.weight for e in dec], pt_state)
         assert cert.value == 2
@@ -709,14 +713,14 @@ def test_sn_upper_family_transpose():
 def test_sn_upper_mismatch():
     from pptlab.errors import DecompositionMismatch
 
-    st = qs.rho_family(2)
+    st = co.rho_family(2)
     with pytest.raises(DecompositionMismatch):
         ac.sn_upper_from_decomposition([st.edges[0].vec], [Fraction(1)], st)
 
 
 def test_lower_never_exceeds_upper_on_corpus():
-    pipe = qs.rho_4x5()
-    corpus = [(pipe.final, 3, ()), (qs.rho_family(2), 2, ("delta_1", "delta_2"))]
+    pipe = co.rho_4x5()
+    corpus = [(pipe.final, 3, ()), (co.rho_family(2), 2, ("delta_1", "delta_2"))]
     for st, k, excl in corpus:
         naming = "edge" if excl else "site"
         lower = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
@@ -730,20 +734,20 @@ def test_lower_never_exceeds_upper_on_corpus():
 
 def test_r1_small_dimensions():
     d = qs.BipartiteState(2, 3, em.ExactMatrix.diag([1, 2, 1, 1, 0, 1]), label="d23")
-    v = ac.separability_rules(d)
+    v = ex.separability_rules(d)
     assert v.separable and v.rule == "R1"
 
 
 def test_r2_diagonal_state():
     d = qs.BipartiteState(3, 3, em.ExactMatrix.diag([1, 0, 2, 0, 1, 1, 3, 0, 1]), label="diag")
-    v = ac.separability_rules(d)
+    v = ex.separability_rules(d)
     assert v.separable and v.rule == "R2"
 
 
 def test_r2_stage2_projection():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     proj = qs.project_local_block(pipe.stage2, [0, 1, 2, 3], [1, 2, 3])
-    v = ac.separability_rules(proj)
+    v = ex.separability_rules(proj)
     assert v.separable and v.rule == "R2"
     dims = [tuple(sorted(b["dims"])) for b in v.details["blocks"]]
     assert (2, 3) in dims
@@ -753,7 +757,7 @@ def test_r2_rejects_entangled_block():
     # a pure entangled state cannot decompose
     v = em.vector([1, 0, 0, 1])
     st = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="bell")
-    verdict = ac.separability_rules(st)
+    verdict = ex.separability_rules(st)
     assert not verdict.separable
     assert verdict.entangled  # caught by the PPT precheck
 
@@ -765,13 +769,13 @@ def test_r3_kernel_product():
     a1 = em.kron_vec(em.vector([1, -1]), em.basis_vector(4, 2))
     mat = em.ExactMatrix.outer(a0, a0) + em.ExactMatrix.outer(a1, a1)
     st = qs.BipartiteState(2, 4, mat, label="s24")
-    v = ac.separability_rules(st)
+    v = ex.separability_rules(st)
     assert v.separable
     assert v.rule in ("R2", "R3")
 
 
 def test_r4_rho3x3_bound():
-    v = ac.separability_rules(qs.rho_3x3())
+    v = ex.separability_rules(co.rho_3x3())
     assert not v.separable
     assert v.sn_bound == 2
     assert any("3x3" in r for r in v.trusted_rules_used)
@@ -780,25 +784,25 @@ def test_r4_rho3x3_bound():
 def test_npt_detected():
     v = em.vector([1, 0, 0, 1])
     st = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="bell")
-    verdict = ac.separability_rules(st)
+    verdict = ex.separability_rules(st)
     assert verdict.entangled and not verdict.separable
 
 
 # -- the explicit identity ------------------------------------------------------------------------
 
 def test_coordinate_matrix_requires_a_real_basis():
-    ring = ac.PolyRing(["x", "y"])
+    ring = mi.PolyRing(["x", "y"])
     real = [("x", em.vector([1, 0, 0, 1])), ("y", em.vector([0, 1, 0, 0]))]
-    sym = ac.coordinate_matrix(2, 2, ring, real)
+    sym = mi.coordinate_matrix(2, 2, ring, real)
     assert str(sym.entry(0, 0)) == "x" and str(sym.entry(0, 1)) == "y"
     complex_basis = [("x", em.vector([1, 0, 0, em.GaussianRational(1, 1)])), real[1]]
     with pytest.raises(NonOrthogonalBasis, match="real"):
-        ac.coordinate_matrix(2, 2, ring, complex_basis)
+        mi.coordinate_matrix(2, 2, ring, complex_basis)
 
 
 def test_cofactor_identity():
-    assert ac.cofactor_identity_4x5()
-    assert not ac.cofactor_identity_4x5(perturb=True)
+    assert acceptance.cofactor_identity_4x5()
+    assert not acceptance.cofactor_identity_4x5(perturb=True)
 
 
 def test_cofactor_identity_random_points():
@@ -819,8 +823,8 @@ def test_cofactor_identity_random_points():
 # -- edge states -----------------------------------------------------------------------------------
 
 def test_edge_state_rho3x3():
-    cands = [qs._sites_vec([(0, 2)], 3, 3), qs._sites_vec([(2, 0)], 3, 3)]
-    verdict = ac.edge_state_check(qs.rho_3x3(), cands)
+    cands = [co._sites_vec([(0, 2)], 3, 3), co._sites_vec([(2, 0)], 3, 3)]
+    verdict = ex.edge_state_check(co.rho_3x3(), cands)
     assert verdict.is_edge_for_candidates
     assert all(d["in_range"] and not d["pt_in_corange"] for d in verdict.details)
 
@@ -828,13 +832,13 @@ def test_edge_state_rho3x3():
 def test_edge_state_product_counterexample():
     v = em.kron_vec(em.vector([1, 0]), em.vector([1, 0]))
     st = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="p")
-    verdict = ac.edge_state_check(st, [v])
+    verdict = ex.edge_state_check(st, [v])
     assert not verdict.is_edge_for_candidates
 
 
 def test_edge_state_rho4x5_regression():
-    final = qs.rho_4x5().final
-    verdict = ac.edge_state_check(final)  # grid product edges as candidates
+    final = co.rho_4x5().final
+    verdict = ex.edge_state_check(final)  # grid product edges as candidates
     assert len(verdict.candidates) == 4   # |30>, |32>, |23>, |04>
     assert verdict.is_edge_for_candidates  # frozen regression verdict
 
@@ -843,7 +847,7 @@ def test_partial_conjugate_complex_product():
     a = em.vector([1, em.I_UNIT])
     b = em.vector([em.GaussianRational(1, 1), em.GaussianRational(2)])
     v = em.kron_vec(a, b)
-    w = ac._partial_conjugate(v, 2, 2)
+    w = ex._partial_conjugate(v, 2, 2)
     expect = em.kron_vec(a, em.vec_conj(b))
     # equal up to the fixed phase convention: compare projectors
     assert em.ExactMatrix.outer(w, w).scale(em.vdot(expect, expect)) == \
@@ -857,7 +861,7 @@ def test_records_are_immutable_and_compare_without_their_evidence():
     same = cert._replace(evidence={"power": 5})
     assert cert == same and not cert != same and hash(cert) == hash(same)
     assert cert != cert._replace(value=2)
-    verdict = ac.RuleVerdict(True, "R1", 1, (), details={"reason": "a"})
+    verdict = ex.RuleVerdict(True, "R1", 1, (), details={"reason": "a"})
     assert verdict == verdict._replace(details={}) and verdict != verdict._replace(entangled=True)
     with pytest.raises(AttributeError):
         cert.value = 4

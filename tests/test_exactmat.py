@@ -375,9 +375,9 @@ def test_weighted_gram_rejects_mismatched_inputs():
 
 
 def test_projector_onto_rho3x3_range_has_trace_five():
-    from pptlab import qstates as qs
+    from pptlab import constructions as co
 
-    P = em.orth_projector(em.column_space(qs.rho_3x3().matrix))
+    P = em.orth_projector(em.column_space(co.rho_3x3().matrix))
     assert P.trace() == 5  # trace of a projector equals the rank
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
@@ -30,7 +31,7 @@ def random_psd_state(rng, m, n, nvec=None):
 # -- split / assemble ----------------------------------------------------------
 
 def test_direct_sum_split_has_zero_coupling():
-    core = qs.rho_3x3()
+    core = co.rho_3x3()
     edge = em.ExactMatrix.diag([3, 0, 3])
     blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), edge, "A", 3)
     st = ex.assemble_extension(blocks)
@@ -41,7 +42,7 @@ def test_direct_sum_split_has_zero_coupling():
 
 
 def test_split_rho45_at_last_b_index():
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     blocks = ex.split_blocks(final, "B", 4)
     assert blocks.core.dims == (4, 4)
     nz_cols = [c for c in range(blocks.coupling.cols) if any(blocks.coupling.col(c))]
@@ -62,7 +63,7 @@ def test_split_assemble_roundtrip_random():
 
 @pytest.mark.parametrize("side, bad", [("A", -1), ("A", 4), ("B", -1), ("B", 4)])
 def test_split_and_assemble_reject_out_of_range_levels(side, bad):
-    M = qs.rho_4x5().stage2.matrix                # 4x4, and 4x4 again after assembly
+    M = co.rho_4x5().stage2.matrix                # 4x4, and 4x4 again after assembly
     with pytest.raises(BoundsViolation):
         ex.split_matrix(M, 4, 4, side, bad)
     core, chi, edge, core_dims = ex.split_matrix(M, 4, 4, side, 0)
@@ -82,10 +83,10 @@ def test_level_indices_partition_the_extended_basis():
 # -- side B is side A on the swapped core ---------------------------------------------
 
 SWAP_CORES = {
-    "rho3x3": qs.rho_3x3,
-    "tiles": qs.tiles_complement,
-    "family2": lambda: qs.rho_family(2),
-    "stage1": lambda: qs.rho_4x5().stage1,
+    "rho3x3": co.rho_3x3,
+    "tiles": co.tiles_complement,
+    "family2": lambda: co.rho_family(2),
+    "stage1": lambda: co.rho_4x5().stage1,
 }
 
 gaussian_rationals = st.builds(
@@ -138,7 +139,7 @@ def test_side_b_extensions_are_swapped_side_a_extensions(name, data):
 
 @pytest.mark.parametrize("stage, alpha, beta", [("stage1", 0, 2), ("stage2", 2, 0)])
 def test_side_b_product_pair_is_swapped_side_a(stage, alpha, beta):
-    core = getattr(qs.rho_4x5(), stage)
+    core = getattr(co.rho_4x5(), stage)
     sw = qs.swap_subsystems(core)
     m, n = core.dims
     args = (em.basis_vector(n, alpha), em.basis_vector(m, beta), em.basis_vector(m, 3))
@@ -153,7 +154,7 @@ def test_side_b_product_pair_is_swapped_side_a(stage, alpha, beta):
 # -- Schur complements -----------------------------------------------------------
 
 def test_schur_zero_coupling_returns_edge():
-    core = qs.rho_3x3()
+    core = co.rho_3x3()
     edge = em.ExactMatrix.diag([1, 2, 3])
     blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), edge, "A", 3)
     assert ex.schur_complement(blocks) == edge
@@ -203,7 +204,7 @@ def test_extension_space_maximally_mixed():
 
 
 def test_extension_space_rho3x3():
-    space = ex.ppt_extension_space(qs.rho_3x3())
+    space = ex.ppt_extension_space(co.rho_3x3())
     assert space.bound == 3
     assert space.trivial_dimension == 3
     assert space.dimension >= space.bound + 3
@@ -225,8 +226,8 @@ def dense_extensions(seed):
     side and a flat one on one side (B for tiles and stage1), along dense
     seeded directions, each in the frame of the other side's extension space."""
     rng = random.Random(seed)
-    cores = ((qs.rho_3x3(), "A"), (qs.tiles_complement(), "B"), (qs.rho_family(2), "A"),
-             (qs.rho_4x5().stage1, "B"))
+    cores = ((co.rho_3x3(), "A"), (co.tiles_complement(), "B"), (co.rho_family(2), "A"),
+             (co.rho_4x5().stage1, "B"))
     out = []
     for core, flat_side in cores:
         m, n = core.dims
@@ -248,14 +249,14 @@ def test_extension_space_cross_check_stacked():
     vectors, on the named states and on seeded dense extensions (among them
     rho4x5:stage1 extended on side B, a 4x4 state on 64 Choi coordinates)."""
     mixed = qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm")
-    dense = ex.slocc_extension(qs.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]))
+    dense = ex.slocc_extension(co.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]))
     # a local diagonal unitary with complex phases
     op = em.ExactMatrix.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]
                              ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
-    phased = qs.BipartiteState(3, 3, op.matmul(qs.rho_3x3().matrix).matmul(op.adjoint()),
+    phased = qs.BipartiteState(3, 3, op.matmul(co.rho_3x3().matrix).matmul(op.adjoint()),
                                label="phased")
-    states = [qs.rho_3x3(), qs.rho_family(2), qs.tiles_complement(), mixed,
-              qs.swap_subsystems(qs.rho_4x5().stage1), dense, phased]
+    states = [co.rho_3x3(), co.rho_family(2), co.tiles_complement(), mixed,
+              qs.swap_subsystems(co.rho_4x5().stage1), dense, phased]
     seeded = dense_extensions(5)
     assert [st.dims for st in seeded].count((4, 4)) == 2
     for st in states + seeded:
@@ -266,14 +267,31 @@ def test_extension_space_cross_check_stacked():
         assert trivial.dim == space.trivial_dimension
 
 
+def test_trivial_dimension_is_the_rank_of_the_slocc_choi_rows():
+    """``trivial_dimension`` is read off a rank of the SLOCC couplings' Choi
+    rows.  It equals the dimension of :func:`trivial_coupling_space`, and
+    keeps its pinned value, on acceptance criterion 6's corpus, a core with
+    an empty A-level (rank below m) and the seeded dense extensions of the
+    extend-survey cores."""
+    pipe = co.rho_4x5()
+    corpus = [co.rho_3x3(), co.rho_family(2), co.tiles_complement(),
+              qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm"),
+              qs.swap_subsystems(pipe.stage1), qs.swap_subsystems(pipe.stage2),
+              qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 0, 0]), label="empty-level")]
+    states = corpus + dense_extensions(11) + dense_extensions(12)
+    dims = [ex.ppt_extension_space(st).trivial_dimension for st in states]
+    assert dims == [ex.trivial_coupling_space(st).dim for st in states]
+    assert dims == [3, 3, 3, 2, 3, 4, 1] + 2 * ([3] * 10 + [4, 4])
+
+
 def test_extension_space_tiles_is_slocc_only():
-    space = ex.ppt_extension_space(qs.tiles_complement())
+    space = ex.ppt_extension_space(co.tiles_complement())
     assert space.dimension == 3
     assert space.trivial_dimension == 3
 
 
 def test_slocc_couplings_always_solve():
-    for st in (qs.rho_3x3(), qs.rho_family(2)):
+    for st in (co.rho_3x3(), co.rho_family(2)):
         space = ex.ppt_extension_space(st)
         m, n = st.dims
         for i in range(m):
@@ -284,7 +302,7 @@ def test_slocc_couplings_always_solve():
 # -- slocc ---------------------------------------------------------------------------
 
 def test_slocc_zero_phi_is_direct_sum():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     st = ex.slocc_extension(rho, em.zero_vector(3))
     blocks = ex.split_blocks(st, "A", 3)
     assert blocks.coupling.is_zero() and blocks.edge.is_zero()
@@ -292,19 +310,19 @@ def test_slocc_zero_phi_is_direct_sum():
 
 
 def test_slocc_preserves_birank_and_ppt():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     st = ex.slocc_extension(rho, em.basis_vector(3, 0))
     assert qs.birank(st) == (5, 6)
     assert em.psd_check(st.partial_transpose("A")).is_psd
 
 
 def test_slocc_does_not_raise_schmidt_rank():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     phi = em.vector([1, Fraction(1, 2), 0])
     st = ex.slocc_extension(rho, phi)
     for e in rho.edges:
         # the lifted edge is (S (x) 1) e
-        lifted = list(qs._sites_vec([], 4, 3))
+        lifted = list(co._sites_vec([], 4, 3))
         for a in range(3):
             for b in range(3):
                 lifted[a * 3 + b] = e.vec[a * 3 + b]
@@ -317,7 +335,7 @@ def test_slocc_does_not_raise_schmidt_rank():
 
 
 def test_slocc_side_b():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     st = ex.slocc_extension(rho, em.basis_vector(3, 1), side="B")
     assert st.dims == (3, 4)
     assert em.psd_check(st.partial_transpose("A")).is_psd
@@ -326,8 +344,8 @@ def test_slocc_side_b():
 # -- extension steps and pipelines ---------------------------------------------------
 
 def test_run_pipeline_without_edges_builds_the_same_stages():
-    pipe = qs.rho_4x5()
-    bare = qs.BipartiteState(3, 3, qs.rho_3x3().matrix, label="bare")
+    pipe = co.rho_4x5()
+    bare = qs.BipartiteState(3, 3, co.rho_3x3().matrix, label="bare")
     stages = ex.run_pipeline(bare, pipe.steps)
     assert [st.matrix for st in stages] == [pipe.stage1.matrix, pipe.stage2.matrix,
                                             pipe.final.matrix]
@@ -345,33 +363,33 @@ def test_rho4x5_factors_no_large_matrix_twice(monkeypatch):
         return check(M)
 
     monkeypatch.setattr(em, "psd_check", counting)
-    qs.rho_4x5.cache_clear()
+    co.rho_4x5.cache_clear()
     try:
-        qs.rho_4x5()
+        co.rho_4x5()
     finally:
-        qs.rho_4x5.cache_clear()
+        co.rho_4x5.cache_clear()
     large = [M for M in factored if M.rows in (16, 20)]
     assert [M.rows for M in large] == [16, 16, 16, 20, 20, 20]
     assert len(set(large)) == len(large)
 
 
 def test_run_pipeline_needs_one_name_per_remainder_part():
-    step = qs.rho_4x5().steps[0]._replace(names=("p30",))
+    step = co.rho_4x5().steps[0]._replace(names=("p30",))
     with pytest.raises(DecompositionMismatch, match="2 rank-one parts, 1 names"):
-        ex.run_pipeline(qs.rho_3x3(), [step])
+        ex.run_pipeline(co.rho_3x3(), [step])
 
 
 @pytest.mark.parametrize("change", [{"kind": "twist"}, {"side": "C"}], ids=["kind", "side"])
 def test_apply_step_rejects_unknown_kind_and_side(change):
-    step = qs.rho_4x5().steps[0]._replace(**change)
+    step = co.rho_4x5().steps[0]._replace(**change)
     with pytest.raises(BoundsViolation):
-        ex.apply_step(qs.rho_3x3(), step)
+        ex.apply_step(co.rho_3x3(), step)
 
 
 # -- product-pair extensions ----------------------------------------------------------
 
 def test_product_pair_parallel_rejected():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     sw = qs.swap_subsystems(pipe.stage1)
     beta = em.basis_vector(4, 2)
     with pytest.raises(PreconditionViolation, match="parallel"):
@@ -379,7 +397,7 @@ def test_product_pair_parallel_rejected():
 
 
 def test_product_pair_range_precondition():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     sw = qs.swap_subsystems(pipe.stage1)
     # |alpha beta> with beta = |1>_A is not in the range
     with pytest.raises(PreconditionViolation, match="range"):
@@ -400,7 +418,7 @@ def test_product_pair_local_rank_precondition():
 
 
 def test_product_pair_pipeline_steps_are_ppt_and_nontrivial():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     blocks2 = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
                                         em.basis_vector(4, 2), em.basis_vector(4, 3),
                                         side="B")
@@ -416,7 +434,7 @@ def test_product_pair_pipeline_steps_are_ppt_and_nontrivial():
 
 
 def test_product_pair_edge_block_minimal_form():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     blocks = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
                                        em.basis_vector(4, 2), em.basis_vector(4, 3),
                                        side="B")
@@ -468,7 +486,7 @@ def test_lift_mismatched_core_rejected():
 
 
 def test_lift_through_recorded_pipeline():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     lifted, remainder = ex.lift_decomposition(
         pipe.stage2, "B", 3,
         [e.vec for e in pipe.stage1.edges], [e.weight for e in pipe.stage1.edges])
@@ -488,7 +506,7 @@ def test_projection_bound_on_separable_state():
 
 
 def test_projection_bound_stage2():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     rec = ex.sn_bounds_from_projection(pipe.stage2, "B", em.basis_vector(4, 0))
     assert rec.separability.separable
     assert rec.separability.rule == "R2"
@@ -496,7 +514,7 @@ def test_projection_bound_stage2():
 
 
 def test_projection_bound_final_state_uninformative():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     rec = ex.sn_bounds_from_projection(pipe.final, "B", em.basis_vector(5, 0))
     assert not rec.separability.separable
     assert rec.sn_upper is None
@@ -533,7 +551,7 @@ def test_extremality_psd_flat_and_perturbed():
 
 @pytest.mark.parametrize("stage, side", [("final", "B"), ("stage1", "A")])
 def test_extremality_psd_parts_in_the_frame_of_the_blocks(stage, side):
-    st = getattr(qs.rho_4x5(), stage)
+    st = getattr(co.rho_4x5(), stage)
     perp = (st.dim_a if side == "A" else st.dim_b) - 1
     verdict = ex.extremality_check_psd(ex.split_blocks(st, side, perp))
     assert not verdict.extremal
@@ -575,7 +593,7 @@ def test_extremality_ppt_direct_sum_overlap_not_certified():
 
 
 def test_extremality_ppt_product_pair_regression():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     blocks = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
                                        em.basis_vector(4, 2), em.basis_vector(4, 3),
                                        side="B")
@@ -600,7 +618,7 @@ def test_extremality_ppt_pipeline_stages_frozen(stage, side, perp, expected):
     """Frozen values, kept under a complex local unitary that mixes levels 0
     and 1 on both sides and fixes the split level.  The rows at level 2 split
     off a level that is not the last."""
-    st = getattr(qs.rho_4x5(), stage)
+    st = getattr(co.rho_4x5(), stage)
     c, s = em.as_scalar(Fraction(3, 5)), em.GaussianRational(0, Fraction(4, 5))
 
     def mix(d):  # [[c, s], [s, c]] on levels 0 and 1, the identity elsewhere
@@ -617,7 +635,7 @@ def test_extremality_ppt_pipeline_stages_frozen(stage, side, perp, expected):
 
 
 def test_extremality_ppt_slocc_extension_certified():
-    st = ex.slocc_extension(qs.rho_3x3(), em.basis_vector(3, 0))
+    st = ex.slocc_extension(co.rho_3x3(), em.basis_vector(3, 0))
     verdict = ex.extremality_check_ppt(ex.split_blocks(st, "A", 3))
     assert verdict.verdict == "Extremal"
 
@@ -670,7 +688,7 @@ def test_extension_space_complex_covariance_and_completions():
                         [0, em.GaussianRational(0, -1), 1]])
     assert em.rank(A) == 3 and em.rank(B) == 3
     op = A.kron(B)
-    expectations = [(qs.tiles_complement(), 3), (qs.rho_3x3(), 7)]
+    expectations = [(co.tiles_complement(), 3), (co.rho_3x3(), 7)]
     for base, dim in expectations:
         mat = op.matmul(base.matrix).matmul(op.adjoint())
         rot = qs.BipartiteState(3, 3, mat, label=f"{base.label}-rotated")

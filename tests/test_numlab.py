@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from pptlab import cli
+from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
+from pptlab import minors as mi
 from pptlab import numlab as nl
 from pptlab import qstates as qs
 from pptlab import serialize as se
@@ -85,9 +87,9 @@ def test_gauss_newton_determinism():
 
 def test_numeric_extension_dimension_oracle_agreement():
     cases = [
-        qs.rho_3x3(),
-        qs.rho_family(2),
-        qs.tiles_complement(),
+        co.rho_3x3(),
+        co.rho_family(2),
+        co.tiles_complement(),
         qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm"),
     ]
     for st in cases:
@@ -102,7 +104,7 @@ def test_numeric_extension_dimension_sampled():
 
 
 def test_numeric_extension_dimension_report_gap():
-    st = nl.from_exact(qs.rho_3x3())
+    st = nl.from_exact(co.rho_3x3())
     dim, report = nl.numeric_extension_dimension(st, return_report=True)
     assert dim == report["dimension"]
     lo, hi = report["spectral_gap"]
@@ -110,7 +112,7 @@ def test_numeric_extension_dimension_report_gap():
 
 
 def test_rank_ambiguity_detection():
-    st = nl.from_exact(qs.rho_3x3())
+    st = nl.from_exact(co.rho_3x3())
     # an eigenvalue of rho3x3/13 is 1/13; a tolerance within its decade trips
     with pytest.raises(RankAmbiguity):
         nl.numeric_extension_dimension(st, svd_tol=1 / 13)
@@ -206,7 +208,7 @@ def test_eigenvalues_match_exact_characteristic_polynomial():
     from pptlab import algcert as ac
 
     rng = random.Random(17)
-    ring = ac.PolyRing(["x"])
+    ring = mi.PolyRing(["x"])
     x = ring.var("x")
     for _ in range(10):
         entries = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]
@@ -216,7 +218,7 @@ def test_eigenvalues_match_exact_characteristic_polynomial():
                 entries[j][i] = entries[i][j]
         sym_entries = [[x.scale(1 if i == j else 0) - ring.constant(entries[i][j])
                         for j in range(3)] for i in range(3)]
-        sym = ac.SymbolicRangeMatrix(3, 3, ring, tuple(map(tuple, sym_entries)), ())
+        sym = mi.SymbolicRangeMatrix(3, 3, ring, tuple(map(tuple, sym_entries)), ())
         [charpoly] = ac.minor_ideal(sym, 3)  # det(xI - A) is monic already
         M = np.array([[float(v) for v in row] for row in entries])
         w = np.linalg.eigvalsh(M)

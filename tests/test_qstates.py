@@ -5,36 +5,37 @@ from fractions import Fraction
 
 import pytest
 
+from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import qstates as qs
 from pptlab.errors import BoundsViolation, InvalidK, NotPsd
 
 
 def test_grid_single_solid_edge():
-    g = qs.grid_graph(2, 2, solid=[([(0, 0)], 1)])
-    st = qs.grid_to_state(g)
+    g = co.grid_graph(2, 2, solid=[([(0, 0)], 1)])
+    st = co.grid_to_state(g)
     expect = em.ExactMatrix.outer(em.basis_vector(4, 0), em.basis_vector(4, 0))
     assert st.matrix == expect
 
 
 def test_grid_dashed_edge():
-    g = qs.grid_graph(2, 2, dashed=[([(0, 0), (1, 1)], 1)])
-    st = qs.grid_to_state(g)
+    g = co.grid_graph(2, 2, dashed=[([(0, 0), (1, 1)], 1)])
+    st = co.grid_to_state(g)
     v = em.vector([1, 0, 0, -1])
     assert st.matrix == em.ExactMatrix.outer(v, v)
 
 
 def test_grid_bounds_and_weight_validation():
     with pytest.raises(BoundsViolation):
-        qs.grid_graph(2, 2, solid=[([(0, 2)], 1)])
+        co.grid_graph(2, 2, solid=[([(0, 2)], 1)])
     with pytest.raises(BoundsViolation):
-        qs.grid_graph(2, 2, solid=[([(0, 0)], 0)])
+        co.grid_graph(2, 2, solid=[([(0, 0)], 0)])
     with pytest.raises(BoundsViolation):
-        qs.grid_graph(2, 2, dashed=[([(0, 0)], 1)])
+        co.grid_graph(2, 2, dashed=[([(0, 0)], 1)])
 
 
 def test_grid_graph_replace_keeps_the_checks():
-    g = qs.grid_graph(2, 2, solid=[([(1, 1)], 1)])
+    g = co.grid_graph(2, 2, solid=[([(1, 1)], 1)])
     assert g._replace(dim_a=3).dim_a == 3
     with pytest.raises(BoundsViolation):
         g._replace(dim_a=1)
@@ -55,12 +56,12 @@ def test_grid_state_psd_random():
             while b == a:
                 b = (rng.randrange(m), rng.randrange(n))
             dashed.append(((a, b), 1))
-        st = qs.grid_to_state(qs.grid_graph(m, n, solid, dashed))
+        st = co.grid_to_state(co.grid_graph(m, n, solid, dashed))
         assert em.psd_check(st.matrix).is_psd
 
 
 def test_rho3x3_trace_and_norms():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     assert rho.matrix.trace() == 13  # sum of weight * norm^2 = 3+2+2+3+3
     assert [int(em.vdot(e.vec, e.vec).re) for e in rho.edges] == [3, 2, 2, 1, 1]
 
@@ -101,16 +102,16 @@ def test_partial_transpose_involution_and_full_transpose():
 
 
 def test_rho3x3_pt_decomposition_bit_exact():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     pt = rho.partial_transpose("B")
     assert em.psd_check(pt).is_psd
     fs = [
-        (qs._sites_vec([(0, 2), (1, 1)], 3, 3, minus=[(2, 0)]), 1),
-        (qs._sites_vec([(0, 2), (2, 0)], 3, 3), 2),
-        (qs._sites_vec([(0, 1), (1, 0)], 3, 3), 1),
-        (qs._sites_vec([(1, 2), (2, 1)], 3, 3), 1),
-        (qs._sites_vec([(0, 0)], 3, 3), 1),
-        (qs._sites_vec([(2, 2)], 3, 3), 1),
+        (co._sites_vec([(0, 2), (1, 1)], 3, 3, minus=[(2, 0)]), 1),
+        (co._sites_vec([(0, 2), (2, 0)], 3, 3), 2),
+        (co._sites_vec([(0, 1), (1, 0)], 3, 3), 1),
+        (co._sites_vec([(1, 2), (2, 1)], 3, 3), 1),
+        (co._sites_vec([(0, 0)], 3, 3), 1),
+        (co._sites_vec([(2, 2)], 3, 3), 1),
     ]
     assert em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9) == pt
 
@@ -119,23 +120,23 @@ def test_birank_examples():
     prod = qs.BipartiteState(2, 2, em.ExactMatrix.outer(em.vector([1, 0, 0, 0]),
                                                         em.vector([1, 0, 0, 0])), label="p")
     assert qs.birank(prod) == (1, 1)
-    assert qs.birank(qs.rho_3x3()) == (5, 6)
+    assert qs.birank(co.rho_3x3()) == (5, 6)
     # frozen regression for the final pipeline state
-    assert qs.birank(qs.rho_4x5().final) == (9, 10)
+    assert qs.birank(co.rho_4x5().final) == (9, 10)
 
 
 def test_project_local_block_identity_and_subblock():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     full = qs.project_local_block(pipe.final, [0, 1, 2, 3], [0, 1, 2, 3, 4])
     assert full == pipe.final
     sub = qs.project_local_block(pipe.final, [0, 1, 2], [0, 1, 2])
-    assert sub == qs.rho_3x3()  # the red dashed box is the original block
+    assert sub == co.rho_3x3()  # the red dashed box is the original block
 
 
 def test_project_local_block_preserves_ppt_property():
     rng = random.Random(3)
     for _ in range(10):
-        st = qs.rho_family(2)
+        st = co.rho_family(2)
         rows_a = sorted(rng.sample(range(3), rng.randint(1, 3)))
         rows_b = sorted(rng.sample(range(3), rng.randint(1, 3)))
         block = qs.project_local_block(st, rows_a, rows_b)
@@ -143,7 +144,7 @@ def test_project_local_block_preserves_ppt_property():
 
 
 def test_project_local_block_composition():
-    st = qs.rho_4x5().final
+    st = co.rho_4x5().final
     two_step = qs.project_local_block(qs.project_local_block(st, [0, 1, 2, 3], [0, 1, 2]),
                                       [0, 2], [0, 1, 2])
     one_step = qs.project_local_block(st, [0, 2], [0, 1, 2])
@@ -151,7 +152,7 @@ def test_project_local_block_composition():
 
 
 def test_project_local_block_validation():
-    st = qs.rho_3x3()
+    st = co.rho_3x3()
     with pytest.raises(BoundsViolation):
         qs.project_local_block(st, [], [0])
     with pytest.raises(BoundsViolation):
@@ -167,10 +168,10 @@ def test_swap_examples():
     assert sw.dims == (3, 2)
     v10 = em.basis_vector(6, 2)  # |10> on 3x2
     assert sw.matrix == em.ExactMatrix.outer(v10, v10)
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     assert qs.swap_subsystems(qs.swap_subsystems(rho)).matrix == rho.matrix
     # a swap-symmetric state is unchanged
-    sym = qs.rho_family(2)
+    sym = co.rho_family(2)
     assert qs.swap_subsystems(sym).matrix == sym.matrix
 
 
@@ -180,7 +181,7 @@ def test_state_constructor_rejects_non_psd():
 
 
 def test_rho4x5_pipeline_stages_and_ppt():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     assert pipe.stage1.dims == (4, 3)
     assert pipe.stage2.dims == (4, 4)
     assert pipe.final.dims == (4, 5)
@@ -190,44 +191,44 @@ def test_rho4x5_pipeline_stages_and_ppt():
 
 
 def test_rho4x5_decomposition_recorded_and_exact():
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     acc = em.weighted_gram([e.vec for e in final.edges], [e.weight for e in final.edges], 20)
     assert acc == final.matrix
     names = [e.name for e in final.edges]
     assert names[:5] == ["e0", "e1", "e2", "e3", "e4"]
     # the first edge is the witness |00> + |11> + |22>
-    assert final.edges[0].vec == qs._sites_vec([(0, 0), (1, 1), (2, 2)], 4, 5)
+    assert final.edges[0].vec == co._sites_vec([(0, 0), (1, 1), (2, 2)], 4, 5)
 
 
 def test_rho4x5_stage_labels_and_edge_names():
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     core = ["e0", "e1", "e2", "e3", "e4", "p30", "p32"]
     assert [(st.label, [e.name for e in st.edges])
             for st in (pipe.stage1, pipe.stage2, pipe.final)] == \
         [("rho4x3", core), ("rho4x4", core + ["q0"]), ("rho4x5", core + ["q0", "r0"])]
     p30, p32 = pipe.stage1.edges[5:]
-    assert (p30.vec, p30.weight) == (qs._sites_vec([(3, 0)], 4, 3), 3)
-    assert (p32.vec, p32.weight) == (qs._sites_vec([(3, 2)], 4, 3), 3)
+    assert (p30.vec, p30.weight) == (co._sites_vec([(3, 0)], 4, 3), 3)
+    assert (p32.vec, p32.weight) == (co._sites_vec([(3, 2)], 4, 3), 3)
 
 
 def test_family_defaults_and_validation():
-    assert qs.FamilySpec(2).resolved_d() == [1, 1]
-    assert qs.FamilySpec(3).resolved_d() == [1, 2, 2, 1]
+    assert co.FamilySpec(2).resolved_d() == [1, 1]
+    assert co.FamilySpec(3).resolved_d() == [1, 2, 2, 1]
     with pytest.raises(InvalidK):
-        qs.rho_family(1)
+        co.rho_family(1)
     with pytest.raises(InvalidK):
-        qs.FamilySpec(2, (1, 2, 3)).resolved_d()
+        co.FamilySpec(2, (1, 2, 3)).resolved_d()
 
 
 def test_family_k2_structure():
-    st = qs.rho_family(2)
+    st = co.rho_family(2)
     assert st.dims == (3, 3)
     names = {e.name for e in st.edges}
     assert names == {"alpha", "beta_1_1", "gamma_0_0", "delta_1", "delta_2"}
 
 
 def test_family_k4_matches_grid_structure():
-    st = qs.rho_family(4)
+    st = co.rho_family(4)
     assert st.dims == (7, 7)
     kinds = {}
     for e in st.edges:
@@ -243,10 +244,10 @@ def test_family_k4_matches_grid_structure():
 
 def test_family_ppt_and_pt_decomposition_k2_to_k5():
     for k in (2, 3, 4, 5):
-        st = qs.rho_family(k)
+        st = co.rho_family(k)
         dim = 2 * k - 1
         pt = st.partial_transpose("A")
-        dec = qs.family_pt_decomposition(k)
+        dec = co.family_pt_decomposition(k)
         acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], dim * dim)
         assert acc == pt, f"k={k}"
         assert em.psd_check(pt).is_psd
@@ -255,9 +256,9 @@ def test_family_ppt_and_pt_decomposition_k2_to_k5():
 
 def test_family_kernel_vector_and_minimality():
     for k in (2, 3, 4, 5):
-        st = qs.rho_family(k)
+        st = co.rho_family(k)
         pt = st.partial_transpose("A")
-        omega = qs.family_kernel_vector(k)
+        omega = co.family_kernel_vector(k)
         assert not any(pt.matvec(omega))
         for e in st.edges:
             if e.name.startswith("delta"):
@@ -265,19 +266,19 @@ def test_family_kernel_vector_and_minimality():
 
 
 def test_family_surplus_weights_still_decompose():
-    spec = qs.FamilySpec(2, (2, 3))
-    st = qs.rho_family(spec)
-    dec = qs.family_pt_decomposition(spec)
+    spec = co.FamilySpec(2, (2, 3))
+    st = co.rho_family(spec)
+    dec = co.family_pt_decomposition(spec)
     acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], 9)
     assert acc == st.partial_transpose("A")
     with pytest.raises(InvalidK):
-        qs.family_pt_decomposition(qs.FamilySpec(2, (Fraction(1, 2), 1)))
+        co.family_pt_decomposition(co.FamilySpec(2, (Fraction(1, 2), 1)))
 
 
 def test_tiles_complement_is_projector_with_kernel_products():
-    tiles = qs.tiles_complement()
+    tiles = co.tiles_complement()
     assert tiles.matrix.matmul(tiles.matrix) == tiles.matrix
-    for v in qs.tiles_kernel_products():
+    for v in co.tiles_kernel_products():
         assert em.is_zero_vector(tiles.matrix.matvec(v))
     assert qs.birank(tiles) == (4, 4)
     assert em.psd_check(tiles.partial_transpose("A")).is_psd
@@ -289,7 +290,7 @@ def test_schmidt_rank():
 
 
 def test_partial_transpose_commutes_with_swap():
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     sw = qs.swap_subsystems(rho)
     lhs = qs.partial_transpose_matrix(sw.matrix, 3, 3, "A")
     # T_A after the swap equals the swap of T_B

@@ -13,15 +13,17 @@ from hypothesis import strategies as st
 
 from pptlab import algcert as ac
 from pptlab import cli
+from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
+from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import serialize as se
 from pptlab.errors import PptlabError
 
 
 def test_state_json_roundtrip():
-    for st in (qs.rho_3x3(), qs.rho_4x5().final, qs.tiles_complement()):
+    for st in (co.rho_3x3(), co.rho_4x5().final, co.tiles_complement()):
         data = se.state_to_json(st)
         back = se.state_from_json(json.loads(json.dumps(data)))
         assert back == st
@@ -30,16 +32,16 @@ def test_state_json_roundtrip():
 
 
 def test_graph_json_roundtrip():
-    g = qs.grid_graph(3, 4,
+    g = co.grid_graph(3, 4,
                       solid=[([(0, 0), (1, 1)], Fraction(3, 2)), ([(2, 3)], 1)],
                       dashed=[([(0, 1), (1, 0)], 2)])
     back = se.graph_from_json(json.loads(json.dumps(se.graph_to_json(g))))
     assert back == g
-    assert qs.grid_to_state(back).matrix == qs.grid_to_state(g).matrix
+    assert co.grid_to_state(back).matrix == co.grid_to_state(g).matrix
 
 
 def test_ppt_certificate_roundtrip_and_npt():
-    cert = se.ppt_certificate(qs.rho_3x3())
+    cert = se.ppt_certificate(co.rho_3x3())
     assert cert["verdict"] == "PPT"
     assert se.verify_certificate(json.loads(json.dumps(cert)))
     v = em.vector([1, 0, 0, 1])
@@ -50,7 +52,7 @@ def test_ppt_certificate_roundtrip_and_npt():
 
 
 def test_ppt_certificate_tamper_detection():
-    cert = se.ppt_certificate(qs.rho_3x3())
+    cert = se.ppt_certificate(co.rho_3x3())
     bad = json.loads(json.dumps(cert))
     bad["rho"]["pivots"][0][1] = "2"
     with pytest.raises(se.CertificateInvalid):
@@ -66,7 +68,7 @@ def _verdict(state, lower):
 
 
 def test_sn_certificates_roundtrip():
-    final = qs.rho_4x5().final
+    final = co.rho_4x5().final
     data = _verdict(final, ac.certify_sn_lower(final, final.edges[0].vec, 3))
     assert set(data) == {"kind", "state", "lower", "upper", "verdict"}
     assert data["state"] == se.state_to_json(final) and data["verdict"] == "SN = 3"
@@ -135,7 +137,7 @@ RHO_4X5_STEP_JSON = (
 
 
 def test_cli_replays_the_recorded_rho4x5_steps(tmp_path):
-    pipe = qs.rho_4x5()
+    pipe = co.rho_4x5()
     state = "rho3x3"
     for i, (data, step, want) in enumerate(zip(RHO_4X5_STEP_JSON, pipe.steps,
                                                (pipe.stage1, pipe.stage2, pipe.final))):
@@ -150,7 +152,7 @@ def test_cli_replays_the_recorded_rho4x5_steps(tmp_path):
 def _kernel_case(kind, side, tmp_path):
     """(state reference, its label, step parameters as JSON, the library
     kernel's extension) for one step kind on one side."""
-    rho = qs.rho_3x3()
+    rho = co.rho_3x3()
     if kind == "slocc":
         phi = ["1", "-2", "1/2+1 i"]
         return "rho3x3", rho.label, {"phi": phi}, \
@@ -164,7 +166,7 @@ def _kernel_case(kind, side, tmp_path):
         chi = em.ExactMatrix([[rho.matrix.entry(r, c) for c in (0, 4, 8)] for r in range(9)])
         return "rho3x3", rho.label, {"chi": se.matrix_to_json(chi)}, \
             ex.flat_extension(rho, chi, side)
-    core = qs.rho_4x5().stage1 if side == "B" else qs.swap_subsystems(qs.rho_4x5().stage1)
+    core = co.rho_4x5().stage1 if side == "B" else qs.swap_subsystems(co.rho_4x5().stage1)
     path = tmp_path / "core.json"
     path.write_text(json.dumps(se.state_to_json(core)))
     vectors = {"alpha": em.basis_vector(3, 0), "beta": em.basis_vector(4, 2),
@@ -215,14 +217,14 @@ def test_cli_extend_lifts_the_edges_of_a_state_that_has_them(tmp_path):
     rho4x5 with its edges: the file equals ``build --state rho4x5`` up to
     the label, and certify-sn and verify accept it with SN = 3 at power 4."""
     state = "rho3x3"
-    for i, (data, step) in enumerate(zip(RHO_4X5_STEP_JSON, qs.rho_4x5().steps)):
+    for i, (data, step) in enumerate(zip(RHO_4X5_STEP_JSON, co.rho_4x5().steps)):
         named = {**data, "names": list(step.names)}
         assert se.step_from_json(named, step.label) == step
         out = tmp_path / f"stage{i}.json"
         assert cli.run(["extend", "--state", state, "--step", json.dumps(named),
                         "--out", str(out)]) == 0
         state = str(out)
-    built = se.state_to_json(qs.rho_4x5().final)
+    built = se.state_to_json(co.rho_4x5().final)
     replayed = json.loads((tmp_path / "stage2.json").read_text())
     assert replayed["label"] != built["label"]
     assert {**replayed, "label": built["label"]} == built
@@ -241,7 +243,7 @@ def test_cli_extend_names_an_unnamed_remainder(tmp_path):
                     "--out", str(out)]) == 0
     st = se.state_from_json(json.loads(out.read_text()))
     assert [e.name for e in st.edges] == ["e0", "e1", "e2", "e3", "e4", "A3_0", "A3_1"]
-    assert st.matrix == qs.rho_4x5().stage1.matrix
+    assert st.matrix == co.rho_4x5().stage1.matrix
 
 
 @pytest.mark.parametrize("argv", [
@@ -368,7 +370,7 @@ def _spoil_state(data, bad):
 
 @pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
 def test_repeated_malformed_scalar_in_a_state_is_rejected(bad):
-    data = _spoil_state(se.state_to_json(qs.rho_3x3()), bad)
+    data = _spoil_state(se.state_to_json(co.rho_3x3()), bad)
     with pytest.raises(se.MalformedData) as info:
         se.state_from_json(data)
     assert str(info.value) == _malformed("state", bad)
@@ -376,7 +378,7 @@ def test_repeated_malformed_scalar_in_a_state_is_rejected(bad):
 
 @pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
 def test_repeated_malformed_scalar_fails_verify(bad):
-    cert = se.ppt_certificate(qs.rho_3x3())
+    cert = se.ppt_certificate(co.rho_3x3())
     spoiled = {**cert, "state": _spoil_state(cert["state"], bad)}
     with pytest.raises(se.CertificateInvalid) as info:
         se.verify_certificate(spoiled)
@@ -422,7 +424,7 @@ def test_reads_share_no_memo(monkeypatch):
     """Each read parses every distinct scalar string of its document once
     (``"0"`` is seeded), and a second read of the same document parses them
     all again: there is no cache across reads."""
-    data = se.state_to_json(qs.rho_family(3))
+    data = se.state_to_json(co.rho_family(3))
     texts = [x for row in data["matrix"]["entries"] for x in row] \
         + [x for e in data["edges"] for x in e["vector"]]
     calls = []
@@ -506,7 +508,7 @@ def test_cli_entrypoint_runs():
 
 def test_cli_certify_inconclusive_exit(tmp_path):
     # a separable product-edge state: the lower bound search is inconclusive
-    st = qs.grid_to_state(qs.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
+    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
     assert cli.run(["certify-sn", "--state", str(f), "--k", "2"]) == 1
@@ -585,9 +587,12 @@ def test_cli_import_loads_no_numpy():
 
 def test_serialize_import_loads_no_algcert():
     """Importing serialize loads neither algcert nor logging, which only
-    algcert uses: an sn-lower replay imports algcert when it runs, so a
-    process that reads only states and ppt certificates skips both."""
-    assert _loaded_after_import("pptlab.serialize", ["pptlab.algcert", "logging"]) == "[]"
+    algcert uses, nor the replay kernel or the named constructions: an
+    sn-lower replay imports ``minors`` when it runs, and graph input
+    ``constructions``, so a process that reads only states and ppt
+    certificates skips all four."""
+    names = ["pptlab.algcert", "logging", "pptlab.minors", "pptlab.constructions"]
+    assert _loaded_after_import("pptlab.serialize", names) == "[]"
 
 
 def test_serialize_import_loads_no_extender():
@@ -636,6 +641,46 @@ def test_certify_sn_and_verify_process_loads_no_logging_or_dataclasses(tmp_path)
             f"assert cli.run({certify!r}) == 0\n"
             f"assert cli.run({['verify', str(cert)]!r}) == 0")
     assert _loaded_after(code, ["logging", "dataclasses"]) == "[]"
+
+
+def _pptlab_modules_after(argv):
+    """The ``pptlab`` modules a fresh process has loaded after ``pptlab argv``."""
+    code = (f"import json, sys\nfrom pptlab import cli\n"
+            f"assert cli.run({argv!r}) == 0\n"
+            f"print(json.dumps([m for m in sys.modules if m.startswith('pptlab.')]))")
+    return set(json.loads(_child(["-c", code]).stdout.splitlines()[-1]))
+
+
+def test_each_verb_process_loads_only_the_modules_it_runs(tmp_path):
+    """``verify`` replays without the certifier (``algcert``) and without
+    the named constructions; a verb that reads its state from a file never
+    builds a named state; ``survey`` loads neither the certifier nor the
+    extension layer."""
+    state, ppt, sn = tmp_path / "state.json", tmp_path / "ppt.json", tmp_path / "sn.json"
+    assert cli.run(["build", "--state", "family:3", "--out", str(state)]) == 0
+    loaded = _pptlab_modules_after(["ppt-check", "--state", str(state), "--out", str(ppt)])
+    assert "pptlab.constructions" not in loaded
+    loaded = _pptlab_modules_after(["certify-sn", "--state", str(state), "--exclude-deltas",
+                                    "--out", str(sn)])
+    assert "pptlab.algcert" in loaded and "pptlab.constructions" not in loaded
+    loaded = _pptlab_modules_after(["verify", FAMILY6])
+    assert "pptlab.minors" in loaded
+    assert not loaded & {"pptlab.algcert", "pptlab.constructions"}
+    loaded = _pptlab_modules_after(["verify", str(ppt)])
+    assert not loaded & {"pptlab.algcert", "pptlab.constructions", "pptlab.minors"}
+    loaded = _pptlab_modules_after(["survey", "--dims", "3x3", "--birank", "4,4",
+                                    "--samples", "1", "--json"])
+    assert "pptlab.numlab" in loaded
+    assert not loaded & {"pptlab.algcert", "pptlab.extender", "pptlab.constructions"}
+
+
+def test_cli_json_with_out_prints_what_it_writes(tmp_path, capsys):
+    """``--json`` prints the payload on stdout also when ``--out`` writes it."""
+    out = tmp_path / "ppt.json"
+    assert cli.run(["ppt-check", "--state", "rho3x3", "--json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    assert json.loads(printed)["verdict"] == "PPT"
 
 
 def test_cli_verbose_configures_logging():
@@ -694,7 +739,7 @@ def test_sn_lower_value_must_equal_k(rho3x3_verdict):
 def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
     """Both halves replay on the one stored state: the upper evidence of
     another 3x3 state does not re-sum to it."""
-    fam = qs.rho_family(2)
+    fam = co.rho_family(2)
     upper = ac.sn_upper_from_decomposition([e.vec for e in fam.edges],
                                            [e.weight for e in fam.edges], fam)
     mixed = _copy(rho3x3_verdict)
@@ -721,7 +766,7 @@ def test_sn_verdict_text_is_rebuilt(rho3x3_verdict):
 
 
 def test_cli_verify_accepts_inconclusive_verdict(tmp_path):
-    st = qs.grid_to_state(qs.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
+    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
     cert = tmp_path / "cert.json"
@@ -835,9 +880,9 @@ def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
     the stored basis [1] lies in the minor ideal, so it 'proved' SN >= 3 for
     a 3x3 PPT state from its one 3x3 minor."""
     lower = _retired(rho3x3_verdict, "sn-lower")
-    ring = ac.PolyRing(lower["variables"])
+    ring = mi.PolyRing(lower["variables"])
     basis = tuple(zip(ring.variables, (se.vector_from_json(v) for v in lower["basis"])))
-    (minor,) = ac.minor_ideal(ac.coordinate_matrix(3, 3, ring, basis), 3)
+    (minor,) = ac.minor_ideal(mi.coordinate_matrix(3, 3, ring, basis), 3)
     forged = {key: lower[key] for key in ("kind", "state", "witness", "witness_variable",
                                           "variables", "basis")}
     forged.update(value=3, k=3, power=3, method="groebner", monomial_order="grevlex",
@@ -893,7 +938,7 @@ def test_sn_verdict_replays_through_the_module_half_verifiers(rho3x3_verdict, mo
     halves = (["lower"] if conclusive else []) + ["upper"]
     assert [name for name, _, _ in calls] == [f"verify_sn_{h}_certificate" for h in halves]
     assert [half for _, half, _ in calls] == [cert[h] for h in halves]
-    assert all(state == qs.rho_3x3() for _, _, state in calls)
+    assert all(state == co.rho_3x3() for _, _, state in calls)
 
 
 @pytest.fixture(scope="module")
@@ -901,8 +946,8 @@ def genuine_lowers():
     """Genuine sn-verdicts of family:3 (edge naming, deltas excluded) and
     rho4x5 (power 4, cofactors of degree 1), with their states."""
     out = {}
-    for name, state, naming in (("family3", qs.rho_family(3), "edge"),
-                                ("rho4x5", qs.rho_4x5().final, "site")):
+    for name, state, naming in (("family3", co.rho_family(3), "edge"),
+                                ("rho4x5", co.rho_4x5().final, "site")):
         deltas = [e.name for e in state.edges if e.name.startswith("delta")]
         cert = ac.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas,
                                    naming=naming)
@@ -1187,7 +1232,7 @@ def _npt_state():
 def genuine_ppt_certificates():
     """Genuine ppt certificates of rho3x3 (PPT) and of a complex NPT state."""
     out = {name: json.loads(json.dumps(se.ppt_certificate(state)))
-           for name, state in (("rho3x3", qs.rho_3x3()), ("npt", _npt_state()))}
+           for name, state in (("rho3x3", co.rho_3x3()), ("npt", _npt_state()))}
     assert (out["rho3x3"]["verdict"], out["npt"]["verdict"]) == ("PPT", "NPT")
     return out
 
