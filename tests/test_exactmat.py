@@ -1,6 +1,8 @@
 """Exact scalar, matrix, and subspace layer."""
 
+import contextlib
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -428,7 +430,8 @@ def test_rref_matches_sympy(rows):
     """The canonical basis is sympy's reduced row echelon form, pivots included."""
     import sympy
     ncols = len(rows[0])
-    ref, pivots = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows]).rref()
+    with _sympy_long_ints():
+        ref, pivots = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows]).rref()
     want = tuple(tuple(_from_sympy(ref[i, j]) for j in range(ncols)) for i in range(len(pivots)))
     S = em.Subspace(ncols, rows)
     assert S.basis == want
@@ -439,12 +442,27 @@ def test_rref_matches_sympy(rows):
         assert em.is_zero_vector(em.ExactMatrix(rows).matvec(v))
 
 
+@contextlib.contextmanager
+def _sympy_long_ints():
+    """Lift Python's int-to-text digit limit while sympy runs: converting a
+    rational matrix to the integers, sympy formats each rejected entry into
+    its ``CoercionFailed`` message, and ``str`` of a long entry raises
+    ``ValueError`` before sympy can fall back to the rationals."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _sympy_subspace(vectors, n):
     """The canonical subspace of sympy vectors, through sympy's own RREF."""
     import sympy
     if not vectors:
         return em.Subspace(n)
-    ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    with _sympy_long_ints():
+        ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
     return em.Subspace._canonical(n, [tuple(_from_sympy(ref[i, j]) for j in range(n))
                                       for i in range(len(pivots))])
 
@@ -463,13 +481,15 @@ def test_elimination_entry_points_match_sympy(rows, data):
     m, n = len(rows), len(rows[0])
     M = em.ExactMatrix(rows)
     S = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows])
+    with _sympy_long_ints():
+        s_rank, s_null, s_cols = S.rank(), S.nullspace(), S.columnspace()
     rank, kern = em.rank_and_kernel(M)
-    assert em.rank(M) == rank == S.rank()
-    assert kern == _sympy_subspace(S.nullspace(), n)
+    assert em.rank(M) == rank == s_rank
+    assert kern == _sympy_subspace(s_null, n)
     assert em.null_space(rows, n) == kern
     for v in kern.basis:
         assert em.is_zero_vector(M.matvec(v))
-    assert em.column_space(M) == _sympy_subspace(S.columnspace(), m)
+    assert em.column_space(M) == _sympy_subspace(s_cols, m)
 
 
 @settings(max_examples=60, deadline=None)
