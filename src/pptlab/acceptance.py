@@ -143,17 +143,13 @@ def criterion_2() -> CriterionResult:
         final = pipe.final
         _check(final.dims == (4, 5), f"final dims {final.dims}")
         _check(em.psd_check(final.partial_transpose("A")).is_psd, "final state not PPT")
-        witness = final.edges[0].vec
-        cert = ac.certify_sn_lower(final, witness, 3)
-        if not isinstance(cert, ac.SNCertificate):
-            raise CriterionFailed(f"lower bound inconclusive: {cert}")
-        _check(cert.evidence["power"] == 4, f"observed N = {cert.evidence['power']}")
+        lower, upper = ac.certify_sn(final)
+        if not isinstance(lower, ac.LowerBound):
+            raise CriterionFailed(f"lower bound inconclusive: {lower}")
+        _check(lower.power == 4, f"observed N = {lower.power}")
         _check(cofactor_identity_4x5(), "cofactor identity failed")
-        upper = ac.sn_upper_from_decomposition([e.vec for e in final.edges],
-                                               [e.weight for e in final.edges], final)
-        _check(upper.value <= 3, f"upper bound {upper.value}")
-        _check(cert.value == upper.value == 3, f"lower {cert.value}, upper {upper.value}")
-        return {"lower": cert.value, "power": cert.evidence["power"], "upper": upper.value,
+        _check(lower.value == upper.value == 3, f"lower {lower.value}, upper {upper.value}")
+        return {"lower": lower.value, "power": lower.power, "upper": upper.value,
                 "schmidt_number": 3}
 
     return _run(2, "4x5 extension pipeline, SN = 3", 10.0, body)
@@ -201,16 +197,11 @@ def criterion_4() -> CriterionResult:
             deltas = [e for e in st.edges if e.name.startswith("delta")]
             _check(deltas and all(em.vdot(omega, e.vec) for e in deltas),
                    f"k={k}: Omega overlaps vanish")
-            alpha = st.edges[0].vec
-            excl = [e.name for e in st.edges if e.name.startswith("delta")]
-            cert = ac.certify_sn_lower(st, alpha, k, exclude_vars=excl, naming="edge")
-            _check(isinstance(cert, ac.SNCertificate), f"k={k} lower bound inconclusive")
-            _check(cert.evidence["power"] == k, f"k={k}: observed power {cert.evidence['power']}")
-            upper = ac.sn_upper_from_decomposition([e.vec for e in st.edges],
-                                                   [e.weight for e in st.edges], st)
+            lower, upper = ac.certify_sn(st, k, exclude_deltas=True)
+            _check(isinstance(lower, ac.LowerBound), f"k={k} lower bound inconclusive")
+            _check(lower.power == k, f"k={k}: observed power {lower.power}")
             _check(upper.value == k, f"k={k}: upper bound {upper.value}")
-            details[f"k{k}"] = {"power": cert.evidence["power"], "sn": k,
-                                "minors": len(cert.evidence["minors"])}
+            details[f"k{k}"] = {"power": lower.power, "sn": k, "minors": len(lower.minors)}
         return details
 
     return _run(4, f"scaling family SN = k (k = {', '.join(map(str, ks))})", 600.0, body)

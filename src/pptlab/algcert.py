@@ -7,14 +7,19 @@ a power of the witness coordinate in the minor ideal, shown by an explicit
 identity ``sum_i c_i det M[rows_i, cols_i] = x_w^N`` over the minors it
 uses, then certifies a Schmidt-number lower bound via the Nullstellensatz.
 Upper bounds come from explicit conic decompositions checked bit-exactly.
-Buchberger's algorithm stays as an independent membership oracle.
+:func:`certify_sn` is the recipe ``certify-sn`` and the acceptance suite
+run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
+:class:`UpperBound` holding exact values, which
+:func:`serialize.sn_verdict_certificate` writes as JSON.  Buchberger's
+algorithm stays as an independent membership oracle.
 
-Polynomials, packed monomials and the replay of an identity live in
-:mod:`pptlab.minors`, which the verifier loads without this module.  The
-reduction, Buchberger, cofactor and minor kernels here pack each monomial
-into one int on entry (:class:`minors._Packing`) and unpack on exit.  The
-witness closure packs the matrix rows once and keeps its minors packed
-until it writes the cofactors, which it checks with the verifier's
+Polynomials, packed monomials, coordinate matrices and the replay of an
+identity live in :mod:`pptlab.minors`, which the verifier loads without
+this module.  The reduction, Buchberger and cofactor kernels here pack
+each monomial into one int on entry (:class:`minors._Packing`) and unpack
+on exit.  The minor kernels and the witness closure read the packed rows
+of the coordinate matrix and keep their minors packed until they return
+them; the closure's cofactors are checked with the verifier's
 :func:`minors.minor_identity_holds`.  The trusted separability rules and
 the edge-state check live in :mod:`pptlab.extender`.
 """
@@ -470,10 +475,9 @@ def minor_ideal(M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] =
     """
     if k > min(M.dim_a, M.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
-    ring = M.ring
-    P = mi._Packing(ring.nvars)
+    ring, P, rows, scales = M.ring, M.packing, M.rows, M.scales
+    P.check_degree(k)
     excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
-    rows, scales = mi._packed_rows(M, P, k)
     found: dict = {}        # primitive terms -> (first rows, cols, leading coefficient)
     # depth-first over row sets, one (rows, minors on them, rows left to
     # prepend) frame per level
@@ -527,13 +531,12 @@ class _WitnessClosure:
     """
 
     def __init__(self, M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()):
-        ring = M.ring
-        P = self.P = mi._Packing(ring.nvars)
+        P = self.P = M.packing
+        P.check_degree(k)
         self.k = k
-        self.rows, self.scales = mi._packed_rows(M, P, k)
-        self.excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
-        # variable l as a packed factor: monomial * x_l = monomial + units[l]
-        self.units = [(1 << (P.width * P.nvars)) - (1 << (P.width * l)) for l in range(P.nvars)]
+        self.rows, self.scales = M.rows, M.scales
+        self.excluded = sum(P.max << (P.width * M.ring._index[v]) for v in exclude_vars)
+        self.units = [P.unit(l) for l in range(P.nvars)]
         self.places: dict = {}      # units[l] -> [(row, col)] of the entries with x_l
         for i, row in enumerate(self.rows):
             for j, entry in row:
@@ -627,40 +630,31 @@ class _WitnessClosure:
 # certificates
 # ---------------------------------------------------------------------------
 
-# == and hash of a record over its ``_compared()`` fields only
-def _record_eq(self, other):
-    return self._compared() == other._compared() if type(other) is type(self) \
-        else NotImplemented
+class LowerBound(NamedTuple):
+    """A proven ``SN >= value``: the indexed cofactor identity ``sum
+    cofactor * det M[rows, cols] = witness_variable^power`` over the
+    coordinate matrix ``M`` of the real range ``basis`` (one vector per
+    name in ``variables``).  ``minors`` holds ``(rows, cols, {exponents:
+    Fraction})`` triples; the identity replays by computing those
+    determinants only."""
 
-
-def _record_ne(self, other):
-    eq = _record_eq(self, other)
-    return eq if eq is NotImplemented else not eq
-
-
-def _record_hash(self):
-    return hash(self._compared())
-
-
-class SNCertificate(NamedTuple):
-    """Replayable Schmidt-number bound.
-
-    ``kind`` is "lower" or "upper"; ``value`` the certified bound.  Lower
-    evidence is an indexed cofactor identity: ``minors`` lists
-    ``[rows, cols, cofactor]`` with ``sum cofactor * det M[rows, cols] =
-    witness_variable^power`` over the coordinate matrix ``M`` of the stored
-    range basis, and replays by computing those determinants only.  Upper
-    evidence replays by re-summing the stored decomposition.
-    """
-
-    kind: str
     value: int
-    evidence: dict          # left out of ==
+    witness: em.Vector
+    witness_variable: str
+    variables: tuple
+    basis: tuple
+    power: int
+    minors: tuple
 
-    def _compared(self) -> tuple:
-        return self.kind, self.value
 
-    __eq__, __ne__, __hash__ = _record_eq, _record_ne, _record_hash
+class UpperBound(NamedTuple):
+    """A proven ``SN <= value``: ``sum weights[i] |v_i><v_i|`` re-sums to
+    the state, and ``value`` is the largest of the vectors' Schmidt ranks."""
+
+    value: int
+    vectors: tuple
+    weights: tuple
+    schmidt_ranks: tuple
 
 
 class Inconclusive(NamedTuple):
@@ -677,8 +671,8 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     ``k x k`` minors, where ``x_w`` is the single range coordinate the
     witness overlaps.  Membership means every Schmidt-rank ``k-1`` vector in
     the range is orthogonal to the witness, which itself lies in the range,
-    so no rank ``<= k-1`` decomposition can exist.  Returns an
-    :class:`SNCertificate` on success, :class:`Inconclusive` otherwise.
+    so no rank ``<= k-1`` decomposition can exist.  Returns a
+    :class:`LowerBound` on success, :class:`Inconclusive` otherwise.
 
     Every entry of a range coordinate matrix is a linear form, so every
     minor is homogeneous of degree ``k`` and membership of ``x_w^N`` is a
@@ -730,38 +724,36 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
         terms = [cofactors[i] for i in used]
         if not mi.minor_identity_holds(sym, N, witness_var, pairs, terms):
             raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
-        return SNCertificate("lower", k, {
-            "witness": [em.format_scalar(x) for x in witness_vector],
-            "witness_variable": witness_var,
-            "variables": list(sym.ring.variables),
-            "basis": [[em.format_scalar(x) for x in v] for _, v in sym.basis],
-            "power": N,
-            "minors": [[list(rows), list(cols), poly_to_json(mi.Polynomial(sym.ring, cof))]
-                       for (rows, cols), cof in zip(pairs, terms)],
-        })
+        return LowerBound(k, tuple(witness_vector), witness_var, sym.ring.variables,
+                          tuple(v for _, v in sym.basis), N,
+                          tuple((rows, cols, cof) for (rows, cols), cof in zip(pairs, terms)))
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
 
 
 def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[Fraction],
-                                target: qs.BipartiteState) -> SNCertificate:
+                                target: qs.BipartiteState) -> UpperBound:
     """Certify ``SN(target) <= max SR(v_i)`` from an exact decomposition."""
     m, n = target.dims
-    if em.weighted_gram(vectors, [Fraction(w) for w in weights], m * n) != target.matrix:
+    weights = tuple(Fraction(w) for w in weights)
+    if em.weighted_gram(vectors, weights, m * n) != target.matrix:
         raise DecompositionMismatch("decomposition does not reproduce the target")
-    ranks = [qs.schmidt_rank(v, m, n) for v in vectors]
-    value = max(ranks)
-    evidence = {
-        "vectors": [[em.format_scalar(x) for x in v] for v in vectors],
-        "weights": [em.format_scalar(Fraction(w)) for w in weights],
-        "schmidt_ranks": ranks,
-    }
-    return SNCertificate("upper", value, evidence)
+    ranks = tuple(qs.schmidt_rank(v, m, n) for v in vectors)
+    return UpperBound(max(ranks), tuple(vectors), weights, ranks)
 
 
-# ---------------------------------------------------------------------------
-# polynomial JSON
-# ---------------------------------------------------------------------------
+def certify_sn(s: qs.BipartiteState, k: int | None = None, exclude_deltas: bool = False) -> tuple:
+    """``(lower, upper)`` Schmidt-number bounds of a state with recorded edges.
 
-def poly_to_json(p: mi.Polynomial) -> dict:
-    return {"terms": [[list(m), em.format_scalar(c)]
-                      for m, c in sorted(p.terms.items(), key=lambda t: mi._grevlex_key(t[0]))]}
+    The upper bound is the edges' decomposition
+    (:func:`sn_upper_from_decomposition`).  The lower bound's witness is the
+    first edge of maximal Schmidt rank and ``k`` defaults to that rank
+    (:func:`certify_sn_lower`).  ``exclude_deltas`` leaves out the
+    ``delta*`` edges' variables and names the variables after the edges, as
+    the scaling family's certificates do.
+    """
+    upper = sn_upper_from_decomposition([e.vec for e in s.edges], [e.weight for e in s.edges], s)
+    witness = s.edges[upper.schmidt_ranks.index(upper.value)].vec
+    exclude = [e.name for e in s.edges if e.name.startswith("delta")] if exclude_deltas else []
+    lower = certify_sn_lower(s, witness, k or upper.value, exclude_vars=exclude,
+                             naming="edge" if exclude else "site")
+    return lower, upper

@@ -15,14 +15,15 @@ Each verb imports the modules it runs, inside its ``cmd_*`` function:
 ``minors`` only to replay an sn-lower half, so ``verify`` never loads the
 certifier.  Only ``--verbose`` imports and configures ``logging``.
 
-``certify-sn`` writes one ``sn-verdict``: the state once, the evidence of
-the lower and upper bounds, and the verdict line.  ``verify`` replays the
-two certificate kinds, ``ppt`` and ``sn-verdict``, and fails an sn
-certificate in a retired layout with a request to re-run ``certify-sn``.
+``certify-sn`` runs :func:`algcert.certify_sn` and writes one
+``sn-verdict``: the state once, the evidence of the lower and upper bounds,
+and the verdict line.  ``verify`` replays the two certificate kinds, ``ppt``
+and ``sn-verdict``, and fails an sn certificate in a retired layout with a
+request to re-run ``certify-sn``.
 
 Examples:
 
-    pptlab build --family 3 --out fam3.json
+    pptlab build --state family:3 --out fam3.json
     pptlab ppt-check --state fam3.json
     pptlab build --state rho4x5 --out rho45.json
     pptlab certify-sn --state rho45.json --k 3 --out cert.json
@@ -104,12 +105,10 @@ def cmd_build(args) -> int:
     if args.graph:
         g = _parse(se.graph_from_json, _parse(se.load, args.graph))
         state = co.grid_to_state(g, label=args.label or "grid-state")
-    elif args.family:
-        state = co.rho_family(int(args.family))
     elif args.state:
         state = _load_state(args.state)
     else:
-        print("build: need --graph, --family, or --state", file=sys.stderr)
+        print("build: need --graph or --state", file=sys.stderr)
         return EXIT_INPUT
     payload = se.state_to_json(state)
     _emit(args, payload, text=f"built {state.dim_a}x{state.dim_b} state "
@@ -146,21 +145,11 @@ def cmd_certify_sn(args) -> int:
     if state.edges is None:
         print("certify-sn: state carries no range decomposition", file=sys.stderr)
         return EXIT_INPUT
-    m, n = state.dims
-    ranks = [qs.schmidt_rank(e.vec, m, n) for e in state.edges]
-    max_sr = max(ranks)
-    k = args.k if args.k else max_sr
-    witness = state.edges[ranks.index(max_sr)].vec
-    exclude = [e.name for e in state.edges if e.name.startswith("delta")] \
-        if args.exclude_deltas else []
-    naming = "edge" if exclude else "site"
-    lower = ac.certify_sn_lower(state, witness, k, exclude_vars=exclude, naming=naming)
-    upper = ac.sn_upper_from_decomposition([e.vec for e in state.edges],
-                                           [e.weight for e in state.edges], state)
+    lower, upper = ac.certify_sn(state, args.k, args.exclude_deltas)
     payload = se.sn_verdict_certificate(state, lower, upper)
-    if isinstance(lower, ac.SNCertificate):
+    if isinstance(lower, ac.LowerBound):
         _emit(args, payload, text=f"{state.label}: {payload['verdict']} "
-              f"(lower N={lower.evidence['power']}, upper max SR={upper.value})")
+              f"(lower N={lower.power}, upper max SR={upper.value})")
         return EXIT_OK
     _emit(args, payload, text=payload["verdict"])
     return EXIT_INCONCLUSIVE
@@ -343,10 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", help="write the JSON payload to this path")
 
-    p = sub.add_parser("build", help="build a state from a grid graph, family, or name")
+    p = sub.add_parser("build", help="build a state from a grid graph or a name")
     p.add_argument("--graph", help="GridGraph JSON file")
-    p.add_argument("--family", type=int, help="family parameter k")
-    p.add_argument("--state", help="named state or state JSON file")
+    p.add_argument("--state", help="named state (e.g. rho4x5, family:3) or state JSON file")
     p.add_argument("--label", default="")
     common(p)
     p.set_defaults(fn=cmd_build)

@@ -10,12 +10,13 @@ where ``chi`` couples the new level into the core and ``rho_e`` lives on
 the new level into the extended product basis, on either side.  A side-B
 (0,1)-extension is placed directly at its B-level; the constructions whose
 formulas are written for side A (SLOCC and product-pair extensions, the PPT
-extremality check) build their blocks on the swapped core and come back
-through :func:`_from_a_frame`.  The flat edge ``chi* rho_c^+ chi`` does not
-depend on the frame and is computed in place.  The linear constraints a PPT
-extension places on ``chi`` are solved exactly in the tripartite Choi-dual
-picture, where the coupling becomes a vector ``|chi>`` in A (x) B (x) B' and
-partial transposition acts as the swap of B and B'.
+extremality check) work on the swapped core; :func:`qstates.swap_subsystems`
+of the assembled state, the one side-B frame change, brings the result
+back.  The flat edge ``chi* rho_c^+ chi`` does not depend on the frame and
+is computed in place.  The linear constraints a PPT extension places on
+``chi`` are solved exactly in the tripartite Choi-dual picture, where the
+coupling becomes a vector ``|chi>`` in A (x) B (x) B' and partial
+transposition acts as the swap of B and B'.
 
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
@@ -176,35 +177,6 @@ def schur_complement(blocks: ExtensionBlocks) -> em.ExactMatrix:
     return blocks.edge - _flat_edge(blocks.core.matrix, blocks.coupling)[1]
 
 
-def _to_a_frame(blocks: ExtensionBlocks) -> ExtensionBlocks:
-    """Rewrite side-B blocks as side-A blocks of the swapped core."""
-    if blocks.side == "A":
-        return blocks
-    core_sw = qs.swap_subsystems(blocks.core)
-    m, n = blocks.core.dims
-    return ExtensionBlocks(core_sw, _swap_coupling_rows(blocks.coupling, m, n), blocks.edge, "A",
-                           blocks.perp_index)
-
-
-def _from_a_frame(blocks_a: ExtensionBlocks, core: qs.BipartiteState, side: Side) -> ExtensionBlocks:
-    """Inverse of :func:`_to_a_frame`: side-A blocks built on the swapped
-    ``core`` become side-B blocks of ``core``; side-A blocks pass through."""
-    if side == "A":
-        return blocks_a
-    n, m = blocks_a.core.dims
-    return ExtensionBlocks(core, _swap_coupling_rows(blocks_a.coupling, n, m), blocks_a.edge, "B",
-                           blocks_a.perp_index)
-
-
-def _swap_coupling_rows(chi: em.ExactMatrix, m: int, n: int) -> em.ExactMatrix:
-    """Reorder coupling rows from ``(a, b)`` on an ``m x n`` core to ``(b, a)``.
-
-    This moves a side-B coupling into the frame of the swapped core; the
-    same map with ``(n, m)`` moves it back.
-    """
-    return em.ExactMatrix([chi.row(r) for r in qs.swap_index(m, n)])
-
-
 # ---------------------------------------------------------------------------
 # the PPT constraint system (Choi dual form)
 # ---------------------------------------------------------------------------
@@ -341,10 +313,17 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side = "A",
     """
     frame = core if side == "A" else qs.swap_subsystems(core)
     m, n = frame.dims
-    blocks_a = ExtensionBlocks(frame, slocc_coupling(frame, phi),
-                               _alpha_sandwich(frame.matrix, phi, m, n), "A", m)
-    return assemble_extension(_from_a_frame(blocks_a, core, side),
-                              label=label or f"slocc({core.label})")
+    blocks = ExtensionBlocks(frame, slocc_coupling(frame, phi),
+                             _alpha_sandwich(frame.matrix, phi, m, n), "A", m)
+    return _in_frame(assemble_extension(blocks), side, label or f"slocc({core.label})")
+
+
+def _in_frame(ext: qs.BipartiteState, side: Side, label: str) -> qs.BipartiteState:
+    """``ext``, built in the A frame, as an extension on ``side`` labelled
+    ``label``: a side-B extension is the swap of the A-frame one."""
+    if side == "B":
+        ext = qs.swap_subsystems(ext)
+    return qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=label, _skip_checks=True)
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
@@ -362,13 +341,14 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     The assembled extension is verified PPT exactly before returning, and
     verified to lie outside the trivial SLOCC coupling family.
     """
-    return _product_pair(core, alpha, beta, gamma, side)[0]
+    blocks, ext = _product_pair(core, alpha, beta, gamma, side)
+    return blocks if side == "A" else split_blocks(qs.swap_subsystems(ext), "B", core.dim_b)
 
 
 def _product_pair(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
                   gamma: em.Vector, side: Side) -> tuple:
-    """:func:`product_pair_extension`'s blocks and the checked extension
-    they assemble to, in the frame of ``core``."""
+    """:func:`product_pair_extension`'s side-A blocks on the core, swapped
+    for ``side`` B, and the checked extension they assemble to."""
     frame = core if side == "A" else qs.swap_subsystems(core)
     m, n = frame.dims
     if len(alpha) != m or len(beta) != n or len(gamma) != n:
@@ -401,7 +381,7 @@ def _product_pair(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
         raise PPTFailure("assembled extension fails the exact PPT check")
     if trivial_coupling_space(frame).contains(coupling_choi_vector(chi, m, n)):
         raise PreconditionViolation("coupling lies inside the trivial SLOCC family")
-    return _from_a_frame(blocks, core, side), ext if side == "A" else qs.swap_subsystems(ext)
+    return blocks, ext
 
 
 def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, m: int, n: int) -> em.ExactMatrix:
@@ -499,9 +479,7 @@ def _product_pair_step(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vecto
                        gamma: em.Vector, side: Side, label: str) -> qs.BipartiteState:
     """The product-pair extension, relabelled; it was checked PSD and PPT
     when it was built, so it is not factored again."""
-    ext = _product_pair(core, alpha, beta, gamma, side)[1]
-    return qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=label or "extension",
-                             _skip_checks=True)
+    return _in_frame(_product_pair(core, alpha, beta, gamma, side)[1], side, label or "extension")
 
 
 # step kind -> (parameter keys, kernel(core, *parameters, side, label))
@@ -580,22 +558,8 @@ class RuleVerdict(NamedTuple):
     rule: str | None
     sn_bound: int | None
     trusted_rules_used: tuple
-    details: dict           # left out of == and hash
+    details: dict
     entangled: bool = False
-
-    def _compared(self) -> tuple:
-        return self.separable, self.rule, self.sn_bound, self.trusted_rules_used, self.entangled
-
-    def __eq__(self, other):
-        return self._compared() == other._compared() if type(other) is type(self) \
-            else NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(self._compared())
 
 
 def _is_ppt(s: qs.BipartiteState) -> bool:
@@ -922,9 +886,14 @@ class PptExtremality:
 
 
 def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
-    blocks_a = _to_a_frame(blocks)
+    """Runs in the A frame: a side-B extension is analyzed as the side-A
+    extension of the swapped core."""
+    ext = assemble_extension(blocks)
+    blocks_a = blocks
+    if blocks.side == "B":
+        ext = qs.swap_subsystems(ext)
+        blocks_a = split_blocks(ext, "A", blocks.perp_index)
     m, n = blocks_a.core.dims
-    ext = assemble_extension(blocks_a)
     pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "A")
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")

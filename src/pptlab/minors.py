@@ -5,9 +5,10 @@ cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` of a range
 basis (``Psi_ij = sum_l v_l[ij] x_l``).  This module holds what checking
 such an identity needs, and nothing of the search that finds one:
 :class:`PolyRing` and :class:`Polynomial` over Q in grevlex order,
-:class:`_Packing` (a monomial as one int), :func:`coordinate_matrix`, and
-:func:`minor_identity_holds`, which computes only the listed determinants
-by Laplace expansion on packed int rows.  The certifier
+:class:`_Packing` (a monomial as one int), :func:`coordinate_matrix`, which
+builds ``M`` from the basis once as scaled integer rows of packed linear
+forms, and :func:`minor_identity_holds`, which computes only the listed
+determinants by Laplace expansion on those rows.  The certifier
 (:mod:`pptlab.algcert`) checks what it writes with the same function the
 verifier (:mod:`pptlab.serialize`) replays, so a ``verify`` process never
 loads the certifier.
@@ -264,6 +265,10 @@ class _Packing:
         w, mx = self.width, self.max
         return tuple(mx - ((key >> (w * i)) & mx) for i in range(self.nvars))
 
+    def unit(self, l: int) -> int:
+        """Variable ``l`` as a packed factor: ``monomial * x_l = monomial + unit(l)``."""
+        return (1 << (self.width * self.nvars)) - (1 << (self.width * l))
+
     def pack_terms(self, p: Polynomial) -> dict:
         return {self.pack(m): c for m, c in p.terms.items()}
 
@@ -294,24 +299,25 @@ class _Packing:
 # ---------------------------------------------------------------------------
 
 class SymbolicRangeMatrix(NamedTuple):
-    """Coordinate matrix ``Psi_ij = <ij|psi(x)>`` of a parametrized range vector.
+    """Coordinate matrix ``Psi_ij = <ij|psi(x)> = sum_l v_l[ij] x_l`` of a
+    parametrized range vector, as the packed integer rows its minors are
+    computed on.
 
     ``basis`` holds the (name, vector) pairs backing each variable, in
-    variable order; all entries are degree <= 1.
+    variable order.  ``rows[i]`` lists the nonzero entries of row ``i``
+    times ``scales[i]``, the lcm of the row's denominators, as ``(column,
+    [(packed x_l - one, int coefficient)])`` in variable order; a minor of
+    the scaled rows is the minor of ``Psi`` times the product of their
+    scales.
     """
 
     dim_a: int
     dim_b: int
     ring: PolyRing
-    entries: tuple          # tuple[tuple[Polynomial, ...], ...]
     basis: tuple            # tuple[(name, em.Vector), ...]
-
-    def entry(self, i: int, j: int) -> Polynomial:
-        return self.entries[i][j]
-
-    def zero_pattern(self) -> set:
-        return {(i, j) for i in range(self.dim_a) for j in range(self.dim_b)
-                if self.entries[i][j].is_zero()}
+    packing: _Packing
+    rows: tuple
+    scales: tuple
 
 
 def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> SymbolicRangeMatrix:
@@ -322,12 +328,17 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
     for _, v in basis:
         if any(x.im != 0 for x in v):
             raise NonOrthogonalBasis("range basis must be real for Q-coefficients")
-    units = [tuple(1 if t == l else 0 for t in range(len(basis))) for l in range(len(basis))]
-    entries = tuple(
-        tuple(Polynomial(ring, {units[l]: v[i * n + j].re for l, (_, v) in enumerate(basis)})
-              for j in range(n))
-        for i in range(m))
-    return SymbolicRangeMatrix(m, n, ring, entries, tuple(basis))
+    P = _Packing(ring.nvars)
+    units = [P.unit(l) for l in range(P.nvars)]
+    rows, scales = [], []
+    for i in range(m):
+        entries = [(j, [(units[l], v[i * n + j].re) for l, (_, v) in enumerate(basis)
+                        if v[i * n + j]]) for j in range(n)]
+        scale = math.lcm(*(c.denominator for _, entry in entries for _, c in entry))
+        rows.append(tuple((j, [(unit, c.numerator * (scale // c.denominator)) for unit, c in entry])
+                          for j, entry in entries if entry))
+        scales.append(scale)
+    return SymbolicRangeMatrix(m, n, ring, tuple(basis), P, tuple(rows), tuple(scales))
 
 
 def _laplace_extend(table: dict, row: list) -> dict:
@@ -335,7 +346,7 @@ def _laplace_extend(table: dict, row: list) -> dict:
 
     ``table`` maps a sorted column tuple to the packed terms of its minor;
     ``row`` lists the new row's nonzero entries as ``(column, [(monomial -
-    one, coefficient)])``.  Coefficients are ints (:func:`_packed_rows`).
+    one, coefficient)])``.  Coefficients are ints (:class:`SymbolicRangeMatrix`).
     Zero minors are left out of the result.
     """
     out: dict = {}
@@ -358,25 +369,9 @@ def _laplace_extend(table: dict, row: list) -> dict:
     return {cols: minor for cols, minor in out.items() if minor}
 
 
-def _packed_rows(M: SymbolicRangeMatrix, P: _Packing, k: int) -> tuple:
-    """``(rows, scales)``: the nonzero entries of each row of ``M`` times
-    ``scales[row]``, the lcm of the row's denominators, as ``(column,
-    [(monomial - one, int coefficient)])``, after checking that ``k x k``
-    minors fit ``P``.  A minor of the scaled rows is the minor of ``M``
-    times the product of their scales."""
-    P.check_degree(k * max((e.degree() for row in M.entries for e in row), default=0))
-    rows, scales = [], []
-    for row in M.entries:
-        scale = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-        rows.append([(j, [(P.pack(m) - P.one, c.numerator * (scale // c.denominator))
-                          for m, c in e.terms.items()]) for j, e in enumerate(row) if e])
-        scales.append(scale)
-    return rows, scales
-
-
 def _determinant(rows: list, P: _Packing, chosen: tuple, cols: tuple) -> dict:
-    """Packed int terms of the minor of the :func:`_packed_rows` ``rows`` on
-    ``chosen`` x ``cols`` (empty when it vanishes)."""
+    """Packed int terms of the minor of the :class:`SymbolicRangeMatrix`
+    ``rows`` on ``chosen`` x ``cols`` (empty when it vanishes)."""
     keep = set(cols)
     table = {(): {P.one: 1}}
     for r in reversed(chosen):
@@ -391,13 +386,13 @@ def minor_identity_holds(M: SymbolicRangeMatrix, power: int, witness_variable: s
     ``pairs`` lists the ``(rows, cols)`` of each minor and ``cofactors`` the
     matching terms (exponent tuple -> Fraction) of degree ``power - k``.
     Only these determinants are computed, on the packed int rows of ``M``
-    (:func:`_packed_rows`, :func:`_determinant`), and the sum is compared
+    (:func:`_determinant`), and the sum is compared
     with ``x_w^power`` over one common denominator: that of every cofactor
     coefficient times its minor's row scales.  Both the certifier and the
     verifier of sn-lower identities call it.
     """
-    P = _Packing(M.ring.nvars)
-    rows, scales = _packed_rows(M, P, power)  # every product has degree power
+    P, rows, scales = M.packing, M.rows, M.scales
+    P.check_degree(power)   # every product has degree power
     shifted = [(math.prod(scales[r] for r in chosen),
                 [(P.pack(e) - P.one, c) for e, c in terms.items() if c])
                for (chosen, _), terms in zip(pairs, cofactors)]

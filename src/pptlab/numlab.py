@@ -37,7 +37,9 @@ _START_NOISE = 0.1
 _REFINE_LIMIT = 1e-6
 _GRAM_BLOCK = 32  # rows per tile of the Gram product (see _gram)
 # exact rounding of samples snaps factor entries to multiples of 2**-ROUNDING_BITS
+# and adds ROUNDING_SHIFT times the identity
 ROUNDING_BITS = 24
+ROUNDING_SHIFT = Fraction(1, 2 ** 16)
 
 
 @dataclass
@@ -207,7 +209,7 @@ def _min_norm_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
-                        tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> FloatState:
+                        tol: float = DEFAULT_TOL) -> FloatState:
     """Sample a random PPT state of birank ``(p, q)``.
 
     The convergence residual stacks the ``mn - p`` smallest eigenvalues of
@@ -221,7 +223,8 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
     is the minimum-norm solution of the linearized system, from the normal
     equations ``J^T (J J^T)^{-1} (-values)``, or from ``lstsq`` when ``J J^T``
     is singular or too ill-conditioned for them (:func:`_min_norm_step`).
-    Steps are halved while the max eigenvalue residual increases.
+    Steps are halved while the max eigenvalue residual increases, for at
+    most :data:`DEFAULT_MAX_ITER` steps.
     """
     size = m * n
     if not (1 <= p <= size and 1 <= q <= size):
@@ -238,7 +241,7 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
 
     r, eig = residual(x)
     it = 0
-    while it < max_iter:
+    while it < DEFAULT_MAX_ITER:
         if r.size == 0 or np.max(np.abs(r)) < tol:
             return FloatState(m, n, x, (p, q),
                               residual=0.0 if r.size == 0 else float(np.max(np.abs(r))),
@@ -264,7 +267,7 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
                           residual=0.0 if r.size == 0 else float(np.max(np.abs(r))),
                           iterations=it)
     raise ConvergenceFailure(
-        f"residual {np.max(np.abs(r)):.3e} above {tol:.1e} after {max_iter} iterations")
+        f"residual {np.max(np.abs(r)):.3e} above {tol:.1e} after {DEFAULT_MAX_ITER} iterations")
 
 
 # -- numerical extension dimension -------------------------------------------
@@ -332,18 +335,19 @@ def from_exact(state: qs.BipartiteState) -> FloatState:
 
 # -- exact rounding of sampled states -----------------------------------------
 
-def rationalize_to_birank(state: FloatState, shift: Fraction = Fraction(1, 2 ** 16)):
+def rationalize_to_birank(state: FloatState):
     """Round a converged sample to a nearby exactly-PPT rational state.
 
     Rank-truncates the sample to its target rank, rounds the factor columns
     entrywise to the nearest multiple of ``2**-ROUNDING_BITS`` (error at
-    most ``2**-25``), and adds ``shift`` times the identity.  Every entry of
-    the Gram part then has a denominator dividing ``2**48``, which keeps the
-    exact LDL* pivots small.  The shift commutes with partial transposition
-    and dominates the rounding perturbation of the near-zero eigenvalues, so
-    the result passes the exact PPT verification while staying within about
-    ``shift`` of the sample in operator norm.  Both positivity checks run
-    exactly; :class:`~pptlab.errors.NotPsd` signals a failed rounding.
+    most ``2**-25``), and adds :data:`ROUNDING_SHIFT` times the identity.
+    Every entry of the Gram part then has a denominator dividing ``2**48``,
+    which keeps the exact LDL* pivots small.  The shift commutes with partial
+    transposition and dominates the rounding perturbation of the near-zero
+    eigenvalues, so the result passes the exact PPT verification while
+    staying within about the shift of the sample in operator norm.  Both
+    positivity checks run exactly; :class:`~pptlab.errors.NotPsd` signals a
+    failed rounding.
     """
     from .errors import NotPsd
 
@@ -358,7 +362,7 @@ def rationalize_to_birank(state: FloatState, shift: Fraction = Fraction(1, 2 ** 
             continue
         cols.append(_rationalize_vector(np.sqrt(w[i]) * v[:, i]))
     gram = em.weighted_gram(cols, [1] * len(cols), size)
-    sigma = gram + em.ExactMatrix.identity(size).scale(shift)
+    sigma = gram + em.ExactMatrix.identity(size).scale(ROUNDING_SHIFT)
     exact = qs.BipartiteState(m, n, sigma, label="rounded-sample")
     if not em.psd_check(exact.partial_transpose("B")).is_psd:
         raise NotPsd("partial transpose of the rounded state is not PSD")
@@ -420,8 +424,7 @@ class SurveyReport:
 
 
 def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
-                           tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                           svd_tol: float = DEFAULT_SVD_TOL) -> list:
+                           tol: float = DEFAULT_TOL) -> list:
     """Sample fixed-birank states and histogram their extension dimensions.
 
     For each (dims, birank) pair, samples are drawn with consecutive seeds;
@@ -431,7 +434,7 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
     ``rank_mismatch``; they stay in every other count.
     """
     reports = []
-    calibration = {"tol": tol, "max_iter": max_iter, "svd_tol": svd_tol,
+    calibration = {"tol": tol, "max_iter": DEFAULT_MAX_ITER, "svd_tol": DEFAULT_SVD_TOL,
                    "note": "defaults are empirical calibration choices"}
     for (m, n) in dims_list:
         for (p, q) in biranks:
@@ -445,15 +448,13 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
             converged = 0
             for i in range(samples):
                 try:
-                    st = gauss_newton_birank(m, n, p, q, seed=seed + i,
-                                             tol=tol, max_iter=max_iter)
+                    st = gauss_newton_birank(m, n, p, q, seed=seed + i, tol=tol)
                 except ConvergenceFailure:
                     continue
                 converged += 1
                 residuals.append(st.residual)
                 try:
-                    d, report = numeric_extension_dimension(st, svd_tol=svd_tol,
-                                                            return_report=True)
+                    d, report = numeric_extension_dimension(st, return_report=True)
                 except RankAmbiguity:
                     ambiguous += 1
                     continue

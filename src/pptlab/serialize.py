@@ -6,9 +6,11 @@ carry a ``"kind"`` tag dispatched by the verifier.  There are two kinds,
 each storing its state once, at the top level: ``ppt`` (LDL* evidence for
 the state and its partial transpose) and ``sn-verdict`` (the evidence of a
 Schmidt-number ``lower`` and ``upper`` bound, no state in either, and the
-verdict line).  Standalone ``sn-lower``/``sn-upper`` certificates and
-verdicts that store the state in each half are rejected with a request to
-re-run ``certify-sn``.  Each reader of a stored state or certificate parses
+verdict line).  Each half of an sn-verdict is written here, from the exact
+bounds the certifier returns, next to the reader that replays it.
+Standalone ``sn-lower``/``sn-upper`` certificates and verdicts that store
+the state in each half are rejected with a request to re-run
+``certify-sn``.  Each reader of a stored state or certificate parses
 every distinct scalar string once.  Replaying a lower half imports the
 replay kernel :mod:`pptlab.minors` when it runs, never the certifier
 :mod:`pptlab.algcert`; reading a grid graph imports
@@ -276,6 +278,18 @@ def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
             power, pairs, cofactors)
 
 
+def _sn_lower_json(lower) -> dict:
+    """The lower half that :func:`_read_sn_lower` reads."""
+    return {"value": lower.value,
+            "witness": vector_to_json(lower.witness),
+            "witness_variable": lower.witness_variable,
+            "variables": list(lower.variables),
+            "basis": [vector_to_json(v) for v in lower.basis],
+            "power": lower.power,
+            "minors": [[list(rows), list(cols), _cofactor_json(cof)]
+                       for rows, cols, cof in lower.minors]}
+
+
 def _parsed(what: str, parse, *args):
     """``parse(*args)``, with the exceptions of malformed JSON raised as
     :class:`MalformedData`.  Only reading stored fields goes through here,
@@ -306,6 +320,15 @@ def _indexed_minors(entries, ring, k: int, degree: int, m: int, n: int) -> tuple
     if len(set(pairs)) != len(pairs):
         raise CertificateInvalid("a minor (rows, cols) is listed twice")
     return pairs, cofactors
+
+
+def _cofactor_json(terms: dict) -> dict:
+    """The ``{"terms": [[exponents, "p/q"], ...]}`` of :func:`_cofactor`, in
+    ascending grevlex order."""
+    from . import minors as mi
+
+    return {"terms": [[list(m), em.format_scalar(c)]
+                      for m, c in sorted(terms.items(), key=lambda t: mi._grevlex_key(t[0]))]}
 
 
 def _cofactor(ring, data, degree: int) -> dict:
@@ -351,6 +374,14 @@ def _read_sn_upper(half: dict) -> tuple:
     return vectors, [Fraction(w) for w in half["weights"]], half["value"], half["schmidt_ranks"]
 
 
+def _sn_upper_json(upper) -> dict:
+    """The upper half that :func:`_read_sn_upper` reads."""
+    return {"value": upper.value,
+            "vectors": [vector_to_json(v) for v in upper.vectors],
+            "weights": [em.format_scalar(w) for w in upper.weights],
+            "schmidt_ranks": list(upper.schmidt_ranks)}
+
+
 def sn_verdict_text(lower: int | None, upper: int) -> str:
     """Verdict line of an sn-verdict payload; ``lower`` is None when inconclusive."""
     if lower is None:
@@ -363,13 +394,13 @@ def sn_verdict_text(lower: int | None, upper: int) -> str:
 def sn_verdict_certificate(state: qs.BipartiteState, lower, upper) -> dict:
     """The sn-verdict of ``state``: the state once, the evidence of each
     bound under ``lower`` and ``upper`` with its ``value``, and the verdict
-    line.  ``lower`` is an ``algcert.SNCertificate``, or an
-    ``algcert.Inconclusive`` whose reason is stored as ``lower_inconclusive``."""
+    line.  ``lower`` is an ``algcert.LowerBound``, or an
+    ``algcert.Inconclusive`` whose reason is stored as ``lower_inconclusive``;
+    ``upper`` is an ``algcert.UpperBound``."""
     proven = not hasattr(lower, "reason")
-    half = {"lower": {"value": lower.value, **lower.evidence}} if proven \
-        else {"lower_inconclusive": lower.reason}
+    half = {"lower": _sn_lower_json(lower)} if proven else {"lower_inconclusive": lower.reason}
     return {"kind": "sn-verdict", "state": state_to_json(state), **half,
-            "upper": {"value": upper.value, **upper.evidence},
+            "upper": _sn_upper_json(upper),
             "verdict": sn_verdict_text(lower.value if proven else None, upper.value)}
 
 

@@ -1,7 +1,7 @@
 """Independent routes that the tests compare the package against.
 
 None of them is on a path the package runs: each recomputes a result of
-``exactmat``, ``extender`` or ``algcert`` a second way.
+``exactmat``, ``extender``, ``minors`` or ``algcert`` a second way.
 """
 
 from pptlab import algcert as ac
@@ -66,3 +66,31 @@ def interreduce(polys) -> list:
     P = mi._Packing(ring.nvars)
     reduced = ac._interreduce([P.pack_terms(p) for p in polys], P.guard)
     return [P.polynomial(ring, ac._record_terms(d)) for d in reduced]
+
+
+def _unit(ring, l: int) -> tuple:
+    return tuple(int(t == l) for t in range(ring.nvars))
+
+
+def coordinate_entries(sym) -> tuple:
+    """The entries ``Psi_ij = sum_l v_l[ij] x_l`` of a
+    ``minors.SymbolicRangeMatrix`` as polynomials, read from its basis
+    rather than from its packed rows."""
+    ring, n = sym.ring, sym.dim_b
+    return tuple(tuple(mi.Polynomial(ring, {_unit(ring, l): v[i * n + j].re
+                                            for l, (_, v) in enumerate(sym.basis)})
+                       for j in range(n))
+                 for i in range(sym.dim_a))
+
+
+def linear_form_matrix(ring, entries):
+    """The ``minors.coordinate_matrix`` whose entries are ``entries``, a grid
+    of linear forms in ``ring``: basis vector ``l`` holds the coefficients
+    of ``x_l``."""
+    m, n = len(entries), len(entries[0])
+    if any(sum(mono) != 1 for row in entries for p in row for mono in p.terms):
+        raise ValueError("entries must be linear forms")
+    basis = [(name, tuple(em.GaussianRational(entries[i][j].terms.get(_unit(ring, l), 0))
+                          for i in range(m) for j in range(n)))
+             for l, name in enumerate(ring.variables)]
+    return mi.coordinate_matrix(m, n, ring, basis)

@@ -16,6 +16,7 @@ from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import minors as mi
 from pptlab import qstates as qs
+from pptlab import serialize as se
 from pptlab.errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -25,7 +26,7 @@ from pptlab.errors import (
     WitnessNotInRange,
 )
 
-from oracles import interreduce
+from oracles import coordinate_entries, interreduce, linear_form_matrix
 
 
 # -- polynomial arithmetic -------------------------------------------------------
@@ -225,7 +226,7 @@ def test_oversized_exponent_raises_instead_of_wrapping():
 def test_range_matrix_rho3x3_pattern():
     sym = ac.range_coordinate_matrix(co.rho_3x3(), require_orthogonal_basis=True)
     assert sym.ring.variables == ("psi00", "psi01", "psi10", "psi02", "psi20")
-    grid = [[str(sym.entry(i, j)) for j in range(3)] for i in range(3)]
+    grid = [[str(e) for e in row] for row in coordinate_entries(sym)]
     assert grid == [["psi00", "psi01", "psi02"],
                     ["psi10", "psi00", "psi01"],
                     ["psi20", "-psi10", "psi00"]]
@@ -233,14 +234,16 @@ def test_range_matrix_rho3x3_pattern():
 
 def test_range_matrix_rho4x5_zero_pattern():
     sym = ac.range_coordinate_matrix(co.rho_4x5().final, require_orthogonal_basis=True)
-    assert sym.zero_pattern() == {(0, 3), (1, 3), (1, 4), (2, 4), (3, 1)}
+    zeros = {(i, j) for i, row in enumerate(coordinate_entries(sym))
+             for j, e in enumerate(row) if e.is_zero()}
+    assert zeros == {(0, 3), (1, 3), (1, 4), (2, 4), (3, 1)}
 
 
 def test_range_matrix_pure_product():
     v = em.basis_vector(1, 0)
     st = qs.BipartiteState(1, 1, em.ExactMatrix([[1]]), label="00")
     sym = ac.range_coordinate_matrix(st)
-    assert not sym.entry(0, 0).is_zero()
+    assert not coordinate_entries(sym)[0][0].is_zero()
 
 
 def test_range_matrix_falls_back_to_rref_basis():
@@ -314,9 +317,9 @@ def test_minor_ideal_matches_sympy_determinants():
         cells = [[{l: Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 2)))
                    for l in rng.sample(range(len(names)), rng.choice((0, 1, 1, 2)))}
                   for _ in range(n)] for _ in range(m)]
-        sym = mi.SymbolicRangeMatrix(m, n, ring, tuple(
-            tuple(mi.Polynomial(ring, {units[l]: c for l, c in cell.items()}) for cell in row)
-            for row in cells), ())
+        sym = linear_form_matrix(ring, [
+            [mi.Polynomial(ring, {units[l]: c for l, c in cell.items()}) for cell in row]
+            for row in cells])
         S = sympy.Matrix(m, n, lambda i, j: sum(
             sympy.Rational(c.numerator, c.denominator) * syms[l] for l, c in cells[i][j].items()))
         for k in range(1, min(m, n) + 1):
@@ -347,7 +350,7 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
     ring = mi.PolyRing(["a", "b", "c", "d"])
     a, b, c, d = (ring.var(v) for v in ring.variables)
     rows = [(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))]
-    sym = mi.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
+    sym = linear_form_matrix(ring, rows)
     minors = ac.minor_ideal(sym, 2)
     first = (b * c - a * d).monic()
     second = (b * c - (a * d).scale(2)).monic()
@@ -372,7 +375,7 @@ def test_closure_keeps_the_first_position_of_proportional_minors():
     a, b, c, d = (ring.var(v) for v in ring.variables)
     for rows in ([(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))],
                  [(c, d.scale(2)), (c, d), (b, d), (a, c), (a, b)]):
-        sym = mi.SymbolicRangeMatrix(5, 2, ring, tuple(rows), ())
+        sym = linear_form_matrix(ring, rows)
         component = _closure_component(sym, 2, ["a", "d"])
         expected = {m: (m.rows, m.cols) for m in ac.minor_ideal(sym, 2) if m.terms.keys() & {
             (1, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (0, 0, 2, 0)}}
@@ -384,13 +387,13 @@ def test_closure_skips_a_minor_whose_expansion_cancels_the_monomial():
     candidate, but the minor does not contain it."""
     ring = mi.PolyRing(["a", "b"])
     a, b = (ring.var(v) for v in ring.variables)
-    sym = mi.SymbolicRangeMatrix(2, 2, ring, ((a, a + b), (a, b)), ())
+    sym = linear_form_matrix(ring, ((a, a + b), (a, b)))
     assert _closure_component(sym, 2, ["a", "b"]) == {}
     assert _closure_component(sym, 2, ["a", "a"]) == {a * a: ((0, 1), (0, 1))}
 
 
 def _json_digest(polys):
-    payload = json.dumps([ac.poly_to_json(p) for p in polys], sort_keys=True)
+    payload = json.dumps([se._cofactor_json(p.terms) for p in polys], sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -432,20 +435,18 @@ def test_minor_consequence_chain_rho3x3():
 
 # -- certification ----------------------------------------------------------------------------
 
-def _cofactor(ring, data):
-    return mi.Polynomial(ring, {tuple(m): Fraction(c) for m, c in data["terms"]})
-
-
 def _leibniz_det(sym, rows, cols):
-    """det M[rows, cols] as a signed sum over permutations: independent of the
-    Laplace kernel behind minor_ideal and the sn-lower replay."""
+    """det M[rows, cols] as a signed sum over permutations of the entries
+    read from the basis: independent of the packed rows and the Laplace
+    kernel behind minor_ideal and the sn-lower replay."""
     ring = sym.ring
+    entries = coordinate_entries(sym)
     acc = ring.zero()
     for perm in itertools.permutations(range(len(rows))):
         inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
         term = ring.constant((-1) ** inversions)
         for i, j in enumerate(perm):
-            term = term * sym.entry(rows[i], cols[j])
+            term = term * entries[rows[i]][cols[j]]
         acc = acc + term
     return acc
 
@@ -453,8 +454,8 @@ def _leibniz_det(sym, rows, cols):
 def test_certify_rho4x5():
     final = co.rho_4x5().final
     cert = ac.certify_sn_lower(final, final.edges[0].vec, 3)
-    assert isinstance(cert, ac.SNCertificate)
-    assert cert.value == 3 and cert.evidence["power"] == 4
+    assert isinstance(cert, ac.LowerBound)
+    assert cert.value == 3 and cert.power == 4
     # psi00^3 is not in the ideal: the observed power is minimal
     sym = ac.range_coordinate_matrix(final, require_orthogonal_basis=True)
     gb = ac.buchberger(ac.minor_ideal(sym, 3))
@@ -466,8 +467,8 @@ def test_certify_family_members():
         st = co.rho_family(k)
         excl = [e.name for e in st.edges if e.name.startswith("delta")]
         cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming="edge")
-        assert isinstance(cert, ac.SNCertificate)
-        assert cert.evidence["power"] == k
+        assert isinstance(cert, ac.LowerBound)
+        assert cert.power == k
 
 
 def test_linear_method_agrees_with_groebner():
@@ -483,34 +484,33 @@ def test_linear_method_agrees_with_groebner():
         cases.append((st, k, deltas, "edge", k, used))
     for st, k, excl, naming, power, used in cases:
         cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
-        assert isinstance(cert, ac.SNCertificate)
-        ev = cert.evidence
-        assert (ev["power"], len(ev["minors"])) == (power, used)
+        assert isinstance(cert, ac.LowerBound)
+        assert (cert.power, len(cert.minors)) == (power, used)
         sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming=naming)
         ring = sym.ring
-        assert list(ring.variables) == ev["variables"]
-        xw = ring.var(ev["witness_variable"])
+        assert ring.variables == cert.variables
+        xw = ring.var(cert.witness_variable)
         gb = ac.buchberger(ac.minor_ideal(sym, k, exclude_vars=excl))
         assert [ac.in_ideal(xw ** N, gb) for N in range(1, power + 1)] == \
             [False] * (power - 1) + [True]
         acc = ring.zero()
-        for rows, cols, cof in ev["minors"]:
-            acc = acc + _cofactor(ring, cof) * _leibniz_det(sym, rows, cols)
+        for rows, cols, cof in cert.minors:
+            acc = acc + mi.Polynomial(ring, cof) * _leibniz_det(sym, rows, cols)
         assert acc == xw ** power
 
 
 def _enumerated_lower(st, k, exclude_vars=(), naming="site"):
     """The enumerate-then-solve oracle: every ``k x k`` minor from
     ``minor_ideal``, then ``linear_membership_cofactors`` at N = k..2k, as
-    the power and the ``[rows, cols, cofactor]`` triples of the first hit."""
+    the power and the ``(rows, cols, cofactor terms)`` triples of the first hit."""
     sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming=naming)
     generators = ac.minor_ideal(sym, k, exclude_vars=exclude_vars)
     xw = sym.ring.var(next(name for name, v in sym.basis if em.vdot(v, st.edges[0].vec)))
     for N in range(k, 2 * k + 1):
         cof = ac.linear_membership_cofactors(xw ** N, generators, cofactor_degree=N - k)
         if cof is not None:
-            return N, [[list(generators[i].rows), list(generators[i].cols),
-                        ac.poly_to_json(c.scale(1 / generators[i].det_factor))] for i, c in cof]
+            return N, tuple((generators[i].rows, generators[i].cols,
+                             c.scale(1 / generators[i].det_factor).terms) for i, c in cof)
     return None
 
 
@@ -530,8 +530,7 @@ def test_closure_matches_enumerate_then_solve(name, st, k, excl, naming):
     """The witness closure stores the same power, minors, positions and
     cofactors as solving over every enumerated minor."""
     cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
-    assert (cert.evidence["power"], cert.evidence["minors"]) == \
-        _enumerated_lower(st, k, excl, naming)
+    assert (cert.power, cert.minors) == _enumerated_lower(st, k, excl, naming)
 
 
 def test_certify_sn_lower_never_enumerates(monkeypatch):
@@ -541,11 +540,11 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
     monkeypatch.setattr(ac, "minor_ideal", enumerate_)
     monkeypatch.setattr(ac, "linear_membership_cofactors", enumerate_)
     final = co.rho_4x5().final
-    assert ac.certify_sn_lower(final, final.edges[0].vec, 3).evidence["power"] == 4
+    assert ac.certify_sn_lower(final, final.edges[0].vec, 3).power == 4
     st = co.rho_family(4)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
     cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas, naming="edge")
-    assert len(cert.evidence["minors"]) == 14
+    assert len(cert.minors) == 14
 
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
@@ -575,8 +574,7 @@ def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
 def _determinants(sym, pairs):
     """``det M[rows, cols]`` for each pair, from the packed rows and
     ``_determinant``: the kernel the sn-lower replay sums over."""
-    P = mi._Packing(sym.ring.nvars)
-    rows, scales = mi._packed_rows(sym, P, max((len(r) for r, _ in pairs), default=0))
+    P, rows, scales = sym.packing, sym.rows, sym.scales
     return [P.polynomial(sym.ring, {t: Fraction(c, math.prod(scales[r] for r in chosen))
                                     for t, c in mi._determinant(rows, P, chosen, cols).items()})
             for chosen, cols in pairs]
@@ -591,10 +589,10 @@ def test_minor_positions_give_the_determinants():
     ring = mi.PolyRing(names)
     for _ in range(10):
         m, n = rng.randint(2, 4), rng.randint(2, 5)
-        sym = mi.SymbolicRangeMatrix(m, n, ring, tuple(
-            tuple(sum((ring.var(v).scale(rng.choice((-2, -1, 1, Fraction(1, 2))))
-                       for v in rng.sample(names, rng.choice((0, 1, 1, 2)))), ring.zero())
-                  for _ in range(n)) for _ in range(m)), ())
+        sym = linear_form_matrix(ring, [
+            [sum((ring.var(v).scale(rng.choice((-2, -1, 1, Fraction(1, 2))))
+                  for v in rng.sample(names, rng.choice((0, 1, 1, 2)))), ring.zero())
+             for _ in range(n)] for _ in range(m)])
         for k in range(1, min(m, n) + 1):
             minors = ac.minor_ideal(sym, k)
             dets = _determinants(sym, [(g.rows, g.cols) for g in minors])
@@ -620,7 +618,7 @@ def test_minor_determinants_on_rows_with_denominators():
                  for name in names]
         sym = mi.coordinate_matrix(m, n, ring, basis)
         assert all(any(c.denominator > 1 for e in row for c in e.terms.values())
-                   for row in sym.entries if any(row))
+                   for row in coordinate_entries(sym) if any(row))
         for k in range(1, min(m, n) + 1):
             pairs = [(r, c) for r in itertools.combinations(range(m), k)
                      for c in itertools.combinations(range(n), k)]
@@ -726,7 +724,7 @@ def test_lower_never_exceeds_upper_on_corpus():
         lower = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
         upper = ac.sn_upper_from_decomposition([e.vec for e in st.edges],
                                                [e.weight for e in st.edges], st)
-        assert isinstance(lower, ac.SNCertificate)
+        assert isinstance(lower, ac.LowerBound)
         assert lower.value <= upper.value
 
 
@@ -794,7 +792,7 @@ def test_coordinate_matrix_requires_a_real_basis():
     ring = mi.PolyRing(["x", "y"])
     real = [("x", em.vector([1, 0, 0, 1])), ("y", em.vector([0, 1, 0, 0]))]
     sym = mi.coordinate_matrix(2, 2, ring, real)
-    assert str(sym.entry(0, 0)) == "x" and str(sym.entry(0, 1)) == "y"
+    assert [str(e) for e in coordinate_entries(sym)[0]] == ["x", "y"]
     complex_basis = [("x", em.vector([1, 0, 0, em.GaussianRational(1, 1)])), real[1]]
     with pytest.raises(NonOrthogonalBasis, match="real"):
         mi.coordinate_matrix(2, 2, ring, complex_basis)
@@ -854,14 +852,12 @@ def test_partial_conjugate_complex_product():
         em.ExactMatrix.outer(expect, expect).scale(em.vdot(w, w))
 
 
-def test_records_are_immutable_and_compare_without_their_evidence():
-    """Certificates and rule verdicts are named tuples whose evidence and
-    details stay out of == and hash, as before."""
-    cert = ac.SNCertificate("lower", 3, {"power": 4})
-    same = cert._replace(evidence={"power": 5})
-    assert cert == same and not cert != same and hash(cert) == hash(same)
-    assert cert != cert._replace(value=2)
+def test_records_are_immutable():
+    """Bounds and rule verdicts are named tuples: their fields cannot be
+    reassigned."""
+    final = co.rho_4x5().final
+    lower, upper = ac.certify_sn(final)
     verdict = ex.RuleVerdict(True, "R1", 1, (), details={"reason": "a"})
-    assert verdict == verdict._replace(details={}) and verdict != verdict._replace(entangled=True)
-    with pytest.raises(AttributeError):
-        cert.value = 4
+    for record, field in ((lower, "power"), (upper, "value"), (verdict, "rule")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 4)

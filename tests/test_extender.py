@@ -236,7 +236,7 @@ def dense_extensions(seed):
             exts = [ex.slocc_extension(core, dense_direction(rng, local), side)]
             if side == flat_side:
                 phi = dense_direction(rng, local)
-                chi = ex.slocc_coupling(core, phi) if side == "A" else ex._swap_coupling_rows(
+                chi = ex.slocc_coupling(core, phi) if side == "A" else _swap_rows(
                     ex.slocc_coupling(qs.swap_subsystems(core), phi), n, m)
                 exts.append(ex.flat_extension(core, chi, side))
             out += [qs.swap_subsystems(e) if side == "A" else e for e in exts]

@@ -86,7 +86,7 @@ def test_sn_certificates_roundtrip():
 
 def test_cli_build_and_ppt_check(tmp_path):
     out = tmp_path / "state.json"
-    rc = cli.run(["build", "--family", "2", "--out", str(out)])
+    rc = cli.run(["build", "--state", "family:2", "--out", str(out)])
     assert rc == 0
     rc = cli.run(["ppt-check", "--state", str(out)])
     assert rc == 0
@@ -506,23 +506,41 @@ def test_cli_entrypoint_runs():
     assert "pptlab" in proc.stdout
 
 
-def test_cli_certify_inconclusive_exit(tmp_path):
-    # a separable product-edge state: the lower bound search is inconclusive
+def _separable_2x2(tmp_path) -> str:
+    """A state file of the separable product-edge state ``|00><00| + |11><11|``,
+    on which the lower bound search is inconclusive."""
     st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
-    assert cli.run(["certify-sn", "--state", str(f), "--k", "2"]) == 1
+    return str(f)
 
 
-@pytest.mark.parametrize("state, args, digest", [
-    ("rho4x5", [], "3552235310ce2414089a7ce1016d3ab8c207438d42792358bed5e801131d3749"),
-    ("family:3", ["--exclude-deltas"],
+def test_cli_certify_inconclusive_exit(tmp_path):
+    assert cli.run(["certify-sn", "--state", _separable_2x2(tmp_path), "--k", "2"]) == 1
+
+
+@pytest.mark.parametrize("state, args, code, digest", [
+    ("rho3x3", ["--k", "2"], 0,
+     "2358fff56ab3b7cd470e2440e1fb2a81abba7512a55723ef0eac26209ac66d8a"),
+    ("rho4x5", [], 0, "3552235310ce2414089a7ce1016d3ab8c207438d42792358bed5e801131d3749"),
+    ("family:2", ["--exclude-deltas"], 0,
+     "a4fdabc3807228de148061a4cc60b03da4c585a82ae2eaa69def3a6476972274"),
+    ("family:3", ["--exclude-deltas"], 0,
      "ad931c89bdfc626dfdaed0d4fb45ee431912f620e148c0685954ad2ca9e804a5"),
-], ids=["rho4x5", "family3"])
-def test_certify_sn_json_pinned(tmp_path, state, args, digest):
-    """certify-sn output bytes are pinned by SHA-256."""
+    ("family:4", ["--exclude-deltas"], 0,
+     "7ac0e4fcb4913e5ce0c86764ae326db89cc73a915d3b93f0fcc9738a023e5cd2"),
+    ("family:5", ["--exclude-deltas", "--method", "linear"], 0,
+     "7929ec75d9b4d8e5e0fd1cf63d62645fc11ee852a92700a3e12ba248868c10c5"),
+    (None, ["--k", "2"], 1, "0831c776782c92110a79f90091a9f80a9506b53c683fe7f67968a61b6f6ca492"),
+], ids=["rho3x3-k2", "rho4x5", "family2", "family3", "family4", "family5-linear",
+        "inconclusive-2x2"])
+def test_certify_sn_json_pinned(tmp_path, state, args, code, digest):
+    """certify-sn output bytes are pinned by SHA-256, with the exit code.
+    The state ``None`` is the separable 2x2 state, whose certificate pins
+    the ``lower_inconclusive`` layout."""
+    state = state or _separable_2x2(tmp_path)
     out = tmp_path / "cert.json"
-    assert cli.run(["certify-sn", "--state", state, *args, "--out", str(out)]) == 0
+    assert cli.run(["certify-sn", "--state", state, *args, "--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -743,7 +761,7 @@ def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
     upper = ac.sn_upper_from_decomposition([e.vec for e in fam.edges],
                                            [e.weight for e in fam.edges], fam)
     mixed = _copy(rho3x3_verdict)
-    mixed["upper"] = {"value": upper.value, **upper.evidence}
+    mixed["upper"] = se._sn_upper_json(upper)
     mixed["verdict"] = "SN = 2"
     assert se.verify_certificate({"kind": "sn-verdict", "state": se.state_to_json(fam),
                                   "upper": mixed["upper"],
@@ -886,8 +904,8 @@ def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
     forged = {key: lower[key] for key in ("kind", "state", "witness", "witness_variable",
                                           "variables", "basis")}
     forged.update(value=3, k=3, power=3, method="groebner", monomial_order="grevlex",
-                  excluded_variables=[], generators=[ac.poly_to_json(minor)],
-                  groebner_basis=[ac.poly_to_json(ring.one())])
+                  excluded_variables=[], generators=[se._cofactor_json(minor.terms)],
+                  groebner_basis=[se._cofactor_json(ring.one().terms)])
     path = tmp_path / "forged.json"
     path.write_text(json.dumps(forged))
     capsys.readouterr()
