@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import algcert as ac
 from . import constructions as co
@@ -23,14 +23,13 @@ SURVEY_SEED = 2026
 RANDOM_SEED = 7
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool
     seconds: float
     limit: float | None
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -100,7 +99,7 @@ def criterion_1() -> CriterionResult:
     return _run(1, "rho3x3 regression", 1.0, body)
 
 
-def cofactor_identity_4x5(perturb: bool = False) -> bool:
+def cofactor_identity_4x5() -> bool:
     """Verify the explicit Nullstellensatz identity for the 4x5 coordinate ideal.
 
     With the five minors
@@ -114,9 +113,7 @@ def cofactor_identity_4x5(perturb: bool = False) -> bool:
         x00*(g5 - g3 - g4) - (x02*g1 + x20*g2)/2 = x00^4,
 
     so x00^4 lies in the ideal generated by the g_i.  (The cofactors on g1
-    and g2 carry the factor 1/2; the variant without it misses by
-    x00^2*x02*x20 + 2*x01*x10*x02*x20 and is exposed here as the
-    ``perturb`` branch for testing.)  Independent of Groebner machinery.
+    and g2 carry the factor 1/2.)  Independent of Groebner machinery.
     """
     ring = mi.PolyRing(["x00", "x01", "x10", "x02", "x20"])
     x00, x01, x10, x02, x20 = (ring.var(v) for v in ring.variables)
@@ -125,10 +122,7 @@ def cofactor_identity_4x5(perturb: bool = False) -> bool:
     g3 = x20 * (x01 * x01 - x00 * x02)
     g4 = -(x02 * (x10 * x10 + x00 * x20))
     g5 = x00 * x00 * x00 + x01 * x01 * x20 - x10 * x10 * x02 - x00 * x02 * x20
-    if perturb:
-        lhs = x00 * (g5 - g3 - g4) - x02 * g1 + x20 * g2
-    else:
-        lhs = x00 * (g5 - g3 - g4) - (x02 * g1 + x20 * g2).scale(Fraction(1, 2))
+    lhs = x00 * (g5 - g3 - g4) - (x02 * g1 + x20 * g2).scale(Fraction(1, 2))
     return (lhs - x00 ** 4).is_zero()
 
 
@@ -310,7 +304,7 @@ def criterion_7(seed: int = RANDOM_SEED) -> CriterionResult:
     return _run(7, "decomposition lifting property suite (50 cases)", None, body)
 
 
-def criterion_8(seed: int = SURVEY_SEED) -> CriterionResult:
+def criterion_8() -> CriterionResult:
     """Survey replication: 3x3 birank (4,4), 100 samples: at least 90
     converge below 1e-9 and every converged sample has extension dimension
     3; the numeric dimension agrees with the exact solver on rho3x3 and the
@@ -319,7 +313,7 @@ def criterion_8(seed: int = SURVEY_SEED) -> CriterionResult:
     def body():
         from . import numlab as nl
 
-        reports = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=100, seed=seed)
+        reports = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=100, seed=SURVEY_SEED)
         r = reports[0]
         _check(r.converged >= 90, f"only {r.converged}/100 converged")
         _check(r.residual_max < 1e-9, f"residual {r.residual_max}")

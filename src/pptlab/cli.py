@@ -41,7 +41,7 @@ import sys
 
 from . import qstates as qs
 from . import serialize as se
-from .errors import InternalInconsistency, PptlabError
+from .errors import ConvergenceFailure, InternalInconsistency, PptlabError
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -176,7 +176,7 @@ def cmd_extremal(args) -> int:
             "verdict": ppt_v.verdict,
             "trivial_range_intersection": ppt_v.triv_intersection_ok,
             "perturbation_dimension": ppt_v.perturbation_dimension,
-            "note": ppt_v.notes,
+            "note": ex.PPT_EXTREMALITY_NOTE,
         }
     except PptlabError as exc:
         payload["ppt_cone"] = {"error": str(exc)}
@@ -192,8 +192,8 @@ def cmd_sample(args) -> int:
     m, n = _parse(_parse_dims, args.dims)
     p, q = _parse(_parse_birank, args.birank)
     try:
-        st = nl.gauss_newton_birank(m, n, p, q, seed=args.seed, tol=args.tol)
-    except PptlabError as exc:
+        st = nl.gauss_newton_birank(m, n, p, q, seed=args.seed)
+    except ConvergenceFailure as exc:
         print(f"sample: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     payload = {
@@ -216,8 +216,7 @@ def cmd_survey(args) -> int:
 
     dims = [_parse(_parse_dims, d) for d in args.dims.split()]
     biranks = [_parse(_parse_birank, b) for b in args.birank.split()]
-    reports = nl.unextendibility_survey(dims, biranks, samples=args.samples,
-                                        seed=args.seed, tol=args.tol)
+    reports = nl.unextendibility_survey(dims, biranks, samples=args.samples, seed=args.seed)
     payload = {"kind": "survey", "reports": [r.to_json() for r in reports]}
     _emit(args, payload, text=nl.survey_table(reports))
     return EXIT_OK
@@ -380,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", required=True, help="e.g. 3x3")
     p.add_argument("--birank", required=True, help="e.g. 4,4")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
     common(p)
     p.set_defaults(fn=cmd_sample)
 
@@ -389,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--birank", required=True, help="space-separated, e.g. '4,4 5,6'")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
     common(p)
     p.set_defaults(fn=cmd_survey)
 

@@ -210,33 +210,11 @@ def rho_4x5() -> Rho45Pipeline:
 # the scaling family
 # ---------------------------------------------------------------------------
 
-class FamilySpec(NamedTuple):
-    """Parameters of the (2k-1)x(2k-1) family member.
-
-    ``d_weights`` overrides the default antidiagonal weights
-    ``d_i = min(i, 2k-1-i)``; when given it must have length ``2k-2``.
-    """
-
-    k: int
-    d_weights: tuple | None = None
-
-    def resolved_d(self) -> list:
-        if self.d_weights is None:
-            return [Fraction(min(i, 2 * self.k - 1 - i)) for i in range(1, 2 * self.k - 1)]
-        d = [Fraction(x) for x in self.d_weights]
-        if len(d) != 2 * self.k - 2:
-            raise InvalidK(f"d_weights must have length {2 * self.k - 2}")
-        if any(x < 0 for x in d):
-            raise InvalidK("d_weights must be nonnegative")
-        return d
-
-
-def family_edges(spec: FamilySpec) -> list:
-    """Named defining edges of the family member (also its eigenvectors)."""
-    k = spec.k
+def family_edges(k: int) -> list:
+    """Named defining edges of the family member (also its eigenvectors);
+    the antidiagonal edge ``delta_i`` has weight ``min(i, 2k-1-i)``."""
     if k < 2:
         raise InvalidK("family requires k >= 2")
-    d = spec.resolved_d()
     dim = 2 * k - 1
     alpha = _sites_vec([(i, k - 1 - i) for i in range(k)], dim, dim)
     edges = [qs.NamedVector("alpha", alpha, Fraction(1))]
@@ -251,13 +229,12 @@ def family_edges(spec: FamilySpec) -> list:
                 v = _sites_vec([(i, j)], dim, dim)
                 edges.append(qs.NamedVector(f"gamma_{i}_{j}", v, Fraction(1)))
     for i in range(1, dim):
-        if d[i - 1] > 0:
-            v = _sites_vec([(i, dim - i)], dim, dim)
-            edges.append(qs.NamedVector(f"delta_{i}", v, d[i - 1]))
+        v = _sites_vec([(i, dim - i)], dim, dim)
+        edges.append(qs.NamedVector(f"delta_{i}", v, Fraction(min(i, dim - i))))
     return edges
 
 
-def rho_family(spec: FamilySpec | int) -> qs.BipartiteState:
+def rho_family(k: int) -> qs.BipartiteState:
     """Family member ``rho^(k)`` in local dimensions ``(2k-1) x (2k-1)``.
 
     With the default weights the state is PPT and has Schmidt number ``k``
@@ -266,29 +243,21 @@ def rho_family(spec: FamilySpec | int) -> qs.BipartiteState:
     and 8 too: consistent with the conjectured scaling, not a proof for
     every k.
     """
-    if isinstance(spec, int):
-        spec = FamilySpec(spec)
-    edges = family_edges(spec)
-    dim = 2 * spec.k - 1
-    return qs.state_from_edges(dim, dim, edges, label=f"family-k{spec.k}")
+    dim = 2 * k - 1
+    return qs.state_from_edges(dim, dim, family_edges(k), label=f"family-k{k}")
 
 
-def family_pt_decomposition(spec: FamilySpec | int) -> list:
+def family_pt_decomposition(k: int) -> list:
     """Exact Schmidt-rank <= 2 conic decomposition of ``rho^(k)^Ta``.
 
     Consists of the pair vectors ``eta_ab = |a,b> + |k-1-b,k-1-a>`` for
     ``a+b < k-1``, the antidiagonal pairs ``mu_ij = |i,2k-1-i> +
-    |2k-1-j,j>`` for each beta edge, and diagonal product terms.  All
-    weights are 1 except surplus antidiagonal terms when ``d_weights``
-    exceed the minimal values; requires ``d_i >= min(i, 2k-1-i)``.
+    |2k-1-j,j>`` for each beta edge, and diagonal product terms, all of
+    weight 1.
     """
-    if isinstance(spec, int):
-        spec = FamilySpec(spec)
-    k = spec.k
     if k < 2:
         raise InvalidK("family requires k >= 2")
     dim = 2 * k - 1
-    d = spec.resolved_d()
     out = []
     for a in range(k):
         for b in range(k):
@@ -308,12 +277,6 @@ def family_pt_decomposition(spec: FamilySpec | int) -> list:
             if i + j >= k:
                 v = _sites_vec([(dim - j, dim - i)], dim, dim)
                 out.append(qs.NamedVector(f"prod_b_{i}_{j}", v, Fraction(1)))
-    for i in range(1, dim):
-        surplus = d[i - 1] - Fraction(min(i, dim - i))
-        if surplus < 0:
-            raise InvalidK("family_pt_decomposition requires d_i >= min(i, 2k-1-i)")
-        if surplus > 0:
-            out.append(qs.NamedVector(f"prod_d_{i}", _sites_vec([(i, dim - i)], dim, dim), surplus))
     return out
 
 

@@ -199,21 +199,8 @@ def vector(entries: Iterable) -> Vector:
     return tuple(as_scalar(e) for e in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (ZERO,) * n
-
-
 def basis_vector(n: int, j: int) -> Vector:
     return tuple(ONE if i == j else ZERO for i in range(n))
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = as_scalar(c)
-    return tuple(c * a for a in v)
 
 
 def vdot(u: Vector, v: Vector) -> GaussianRational:
@@ -733,9 +720,6 @@ class PsdResult(NamedTuple):
     columns: tuple = ()           # tuple[Vector, ...], l_t with l_t[index]=1
     witness: Vector | None = None
     witness_value: Fraction | None = None
-
-    def reconstruct(self, n: int) -> ExactMatrix:
-        return weighted_gram(self.columns, [d for _, d in self.pivots], n)
 
     @property
     def rank(self) -> int:

@@ -29,7 +29,6 @@ and the candidate edge-state check (:func:`edge_state_check`) live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
@@ -53,26 +52,29 @@ Side = Literal["A", "B"]
 # block form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionBlocks:
-    """Block data of a single-level local extension."""
+class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
+        ("core", qs.BipartiteState), ("coupling", em.ExactMatrix), ("edge", em.ExactMatrix),
+        ("side", Side), ("perp_index", int)])):
+    """Block data of a single-level local extension, checked at construction."""
 
-    core: qs.BipartiteState
-    coupling: em.ExactMatrix
-    edge: em.ExactMatrix
-    side: Side
-    perp_index: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        m, n = self.core.dims
-        new_local = n if self.side == "A" else m
-        if self.coupling.shape != (m * n, new_local):
+    def __new__(cls, core: qs.BipartiteState, coupling: em.ExactMatrix, edge: em.ExactMatrix,
+                side: Side, perp_index: int):
+        m, n = core.dims
+        new_local = n if side == "A" else m
+        if coupling.shape != (m * n, new_local):
             raise DimensionMismatch("coupling block has the wrong shape")
-        if self.edge.shape != (new_local, new_local):
+        if edge.shape != (new_local, new_local):
             raise DimensionMismatch("edge block has the wrong shape")
-        ext_local = (m if self.side == "A" else n) + 1
-        if not (0 <= self.perp_index < ext_local):
+        ext_local = (m if side == "A" else n) + 1
+        if not (0 <= perp_index < ext_local):
             raise BoundsViolation("perp_index outside the extended local space")
+        return super().__new__(cls, core, coupling, edge, side, perp_index)
+
+    def _replace(self, **changes) -> "ExtensionBlocks":
+        # the named tuple's own _replace would skip the checks in __new__
+        return ExtensionBlocks(**{**self._asdict(), **changes})
 
     @property
     def ext_dims(self) -> tuple:
@@ -193,8 +195,7 @@ def coupling_from_choi(w: em.Vector, m: int, n: int) -> em.ExactMatrix:
     return em.ExactMatrix([[w[ab * n + c] for c in range(n)] for ab in range(m * n)])
 
 
-@dataclass(frozen=True)
-class ExtensionSpace:
+class ExtensionSpace(NamedTuple):
     """Solution space of the PPT coupling constraints for a fixed core.
 
     ``dimension`` counts complex dimensions of the chi-space (the edge block
@@ -207,11 +208,7 @@ class ExtensionSpace:
     basis: tuple                       # tuple[ExactMatrix, ...]
     trivial_dimension: int
     bound: int
-    solution_space: em.Subspace | None = field(compare=False, default=None)
-
-    @property
-    def real_dimension(self) -> int:
-        return 2 * self.dimension
+    solution_space: em.Subspace
 
 
 def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
@@ -261,10 +258,8 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     range_ac = em.column_space(rho_ta.conjugate())
     sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
-    return ExtensionSpace(dimension=sol.dim, basis=basis,
-                          trivial_dimension=em.rank(em.ExactMatrix(_trivial_choi_rows(core))),
-                          bound=qs.extension_count_bound(m, n, range_ab.dim, range_ac.dim),
-                          solution_space=sol)
+    return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(_trivial_choi_rows(core))),
+                          qs.extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
 
 
 def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspace,
@@ -702,8 +697,7 @@ def _kernel_product_vector(s: qs.BipartiteState):
     return None
 
 
-@dataclass(frozen=True)
-class ProjectionBound:
+class ProjectionBound(NamedTuple):
     """Certified relation between a state and one local projection of it.
 
     Records ``SN(state) <= SN(projected) + 1`` for the projector
@@ -716,10 +710,6 @@ class ProjectionBound:
     projected: qs.BipartiteState
     separability: RuleVerdict
     sn_upper: int | None
-
-    @property
-    def relation(self) -> str:
-        return "SN(state) <= SN(projected) + 1"
 
 
 def sn_bounds_from_projection(s: qs.BipartiteState, side: Side,
@@ -820,12 +810,11 @@ def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
 # extremality
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PsdExtremality:
+class PsdExtremality(NamedTuple):
     extremal: bool
     reason: str
-    flat_part: em.ExactMatrix | None = None      # assembled flat extension
-    rank_one_parts: tuple = ()                   # weighted vectors in R(rho_ec) (x) |perp>
+    flat_part: em.ExactMatrix | None     # assembled flat extension
+    rank_one_parts: tuple                # weighted vectors in R(rho_ec) (x) |perp>
 
 
 def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
@@ -838,13 +827,13 @@ def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
     core = blocks.core.matrix
     if core.is_zero():
         if em.rank(blocks.edge) <= 1:
-            return PsdExtremality(True, "rank-one edge with zero core")
+            return PsdExtremality(True, "rank-one edge with zero core", None, ())
         parts = _embedded_rank_ones(em.psd_check(blocks.edge), blocks)
         return PsdExtremality(False, "edge block of rank above one", None, parts)
     flat_edge = _flat_edge(core, blocks.coupling)[1]
     rho_ec = blocks.edge - flat_edge
     if rho_ec.is_zero():
-        return PsdExtremality(True, "flat extension")
+        return PsdExtremality(True, "flat extension", None, ())
     flat = assemble_matrix(core, blocks.coupling, flat_edge, blocks.core.dims, blocks.side,
                            blocks.perp_index)
     parts = _embedded_rank_ones(em.psd_check(rho_ec), blocks)
@@ -863,26 +852,24 @@ def _embedded_rank_ones(res: em.PsdResult, blocks: ExtensionBlocks) -> tuple:
     return tuple(parts)
 
 
-@dataclass(frozen=True)
-class PptExtremality:
+# what a PPT-cone verdict of extremality_check_ppt does and does not claim
+PPT_EXTREMALITY_NOTE = "sufficient condition only; NotCertified does not assert non-extremality"
+
+
+class PptExtremality(NamedTuple):
     """Sufficient-condition verdict for extremality in the PPT extension cone.
 
     ``Extremal`` requires the edge Schur complements of the extension and of
     its partial transpose to have trivially intersecting ranges, and the
     exact perturbation space of couplings compatible with both range
     structures to vanish.  When the conditions fail the verdict is
-    ``NotCertified``: the criterion is one-sided.
+    ``NotCertified``: the criterion is one-sided (:data:`PPT_EXTREMALITY_NOTE`).
     """
 
     certified: bool
     triv_intersection_ok: bool
     perturbation_dimension: int
     verdict: str
-
-    @property
-    def notes(self) -> str:
-        return ("sufficient condition only; NotCertified does not assert "
-                "non-extremality")
 
 
 def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:

@@ -162,12 +162,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: c * x for m, x in self.terms.items()})
 
-    def mul_term(self, coeff: Fraction, mono: tuple) -> "Polynomial":
-        if not coeff:
-            return self.ring.zero()
-        return Polynomial(self.ring, {tuple(a + b for a, b in zip(m, mono)): coeff * c
-                                      for m, c in self.terms.items()})
-
     def __pow__(self, k: int) -> "Polynomial":
         out = self.ring.one()
         for _ in range(k):

@@ -6,20 +6,23 @@ zero with a damped Gauss-Newton iteration, then measures extension-space
 dimensions numerically.  Everything here is double precision; the exact
 layer is the oracle these routines are validated against.
 
-Calibration defaults (residual tolerance 1e-10, 200 iterations, step
-halving on residual increase) were fixed empirically and are quoted in the
-survey headers.  Each Gauss-Newton step is the minimum-norm solution of the
-linearized system, taken from the normal equations of ``J J^T`` with one
-refinement step; ``lstsq`` (an SVD) is the fallback when ``J J^T`` is
-singular or the refinement shows the solve too inaccurate.
+The calibration is fixed: residual tolerance :data:`DEFAULT_TOL` (1e-10),
+at most :data:`DEFAULT_MAX_ITER` (200) iterations with step halving on a
+residual increase, and rank tolerance :data:`DEFAULT_SVD_TOL` (1e-7).  The
+values were chosen empirically, no caller sets them, and each survey
+reports them under ``calibration``.  Each Gauss-Newton step is the
+minimum-norm solution of the linearized system, taken from the normal
+equations of ``J J^T`` with one refinement step; ``lstsq`` (an SVD) is the
+fallback when ``J J^T`` is singular or the refinement shows the solve too
+inaccurate.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,16 +45,15 @@ ROUNDING_BITS = 24
 ROUNDING_SHIFT = Fraction(1, 2 ** 16)
 
 
-@dataclass
-class FloatState:
+class FloatState(NamedTuple):
     """Double-precision Hermitian state with its targeted birank."""
 
     dim_a: int
     dim_b: int
     matrix: np.ndarray
     birank_target: tuple
-    residual: float = float("nan")
-    iterations: int = 0
+    residual: float
+    iterations: int
 
 
 def random_hermitian(n: int, seed) -> np.ndarray:
@@ -208,8 +210,7 @@ def _min_norm_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(jac, rhs, rcond=None)[0] if step is None else step
 
 
-def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
-                        tol: float = DEFAULT_TOL) -> FloatState:
+def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0) -> FloatState:
     """Sample a random PPT state of birank ``(p, q)``.
 
     The convergence residual stacks the ``mn - p`` smallest eigenvalues of
@@ -224,7 +225,8 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
     equations ``J^T (J J^T)^{-1} (-values)``, or from ``lstsq`` when ``J J^T``
     is singular or too ill-conditioned for them (:func:`_min_norm_step`).
     Steps are halved while the max eigenvalue residual increases, for at
-    most :data:`DEFAULT_MAX_ITER` steps.
+    most :data:`DEFAULT_MAX_ITER` steps, until the residual is below
+    :data:`DEFAULT_TOL`.
     """
     size = m * n
     if not (1 <= p <= size and 1 <= q <= size):
@@ -241,11 +243,10 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
 
     r, eig = residual(x)
     it = 0
-    while it < DEFAULT_MAX_ITER:
-        if r.size == 0 or np.max(np.abs(r)) < tol:
-            return FloatState(m, n, x, (p, q),
-                              residual=0.0 if r.size == 0 else float(np.max(np.abs(r))),
-                              iterations=it)
+    while r.size and not np.max(np.abs(r)) < DEFAULT_TOL:  # a NaN residual keeps iterating
+        if it == DEFAULT_MAX_ITER:
+            raise ConvergenceFailure(f"residual {np.max(np.abs(r)):.3e} above {DEFAULT_TOL:.1e} "
+                                     f"after {DEFAULT_MAX_ITER} iterations")
         jac, vals = _birank_jacobian(x, eig, m, n, kp, kq)
         step = _min_norm_step(jac, -vals)
         params = _herm_to_params(x)
@@ -262,43 +263,41 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0,
             scale *= 0.5
         x, r, eig = x_new, r_new, eig_new
         it += 1
-    if r.size == 0 or np.max(np.abs(r)) < tol:
-        return FloatState(m, n, x, (p, q),
-                          residual=0.0 if r.size == 0 else float(np.max(np.abs(r))),
-                          iterations=it)
-    raise ConvergenceFailure(
-        f"residual {np.max(np.abs(r)):.3e} above {tol:.1e} after {DEFAULT_MAX_ITER} iterations")
+    return FloatState(m, n, x, (p, q), float(np.max(np.abs(r))) if r.size else 0.0, it)
 
 
 # -- numerical extension dimension -------------------------------------------
 
-def _range_projector(mat: np.ndarray, svd_tol: float):
+# a value within a decade of DEFAULT_SVD_TOL makes a rank ambiguous
+_AMBIGUOUS = (DEFAULT_SVD_TOL / np.sqrt(10), DEFAULT_SVD_TOL * np.sqrt(10))
+
+
+def _range_projector(mat: np.ndarray):
     w, v = np.linalg.eigh(mat)
     mags = np.abs(w)
-    lo, hi = svd_tol / np.sqrt(10), svd_tol * np.sqrt(10)
+    lo, hi = _AMBIGUOUS
     if np.any((mags >= lo) & (mags <= hi)):
         raise RankAmbiguity(
-            f"eigenvalue magnitude within a decade of the rank tolerance {svd_tol:.1e}")
-    keep = mags > svd_tol
+            f"eigenvalue magnitude within a decade of the rank tolerance {DEFAULT_SVD_TOL:.1e}")
+    keep = mags > DEFAULT_SVD_TOL
     vv = v[:, keep]
     return vv @ vv.conj().T, int(keep.sum())
 
 
-def numeric_extension_dimension(state: FloatState, svd_tol: float = DEFAULT_SVD_TOL,
-                                return_report: bool = False):
+def numeric_extension_dimension(state: FloatState, return_report: bool = False):
     """Dimension of the PPT coupling solution space, from float range bases.
 
     Mirrors the exact solver: stacks the annihilator rows ``(1 - P) (x) 1``
     of the numerical range of ``rho`` on (A,B) and the conjugated ones of
-    ``rho^Ta`` on (A,B'), and counts the singular values below the
-    tolerance.  Raises :class:`RankAmbiguity` when singular values cluster
+    ``rho^Ta`` on (A,B'), and counts the singular values below
+    :data:`DEFAULT_SVD_TOL`.  Raises :class:`RankAmbiguity` when singular values cluster
     within a decade of the threshold.
     """
     m, n = state.dim_a, state.dim_b
     rho = np.asarray(state.matrix, dtype=complex)
     rho_ta = partial_transpose_np(rho, m, n, "A")
-    P, p = _range_projector(rho, svd_tol)
-    Q, q = _range_projector(rho_ta, svd_tol)
+    P, p = _range_projector(rho)
+    Q, q = _range_projector(rho_ta)
     N = m * n * n
     P1 = np.kron(np.eye(m * n) - P, np.eye(n))
     swap = np.zeros((N, N))
@@ -308,14 +307,14 @@ def numeric_extension_dimension(state: FloatState, svd_tol: float = DEFAULT_SVD_
                 swap[a * n * n + b * n + c, a * n * n + c * n + b] = 1.0
     P2 = np.kron(np.eye(m * n) - Q.conj(), np.eye(n)) @ swap
     sv = np.linalg.svd(np.vstack([P1, P2]), compute_uv=False)
-    lo, hi = svd_tol / np.sqrt(10), svd_tol * np.sqrt(10)
+    lo, hi = _AMBIGUOUS
     if np.any((sv >= lo) & (sv <= hi)):
         raise RankAmbiguity("singular values within a decade of the rank tolerance")
-    dim = int(np.sum(sv < svd_tol))
+    dim = int(np.sum(sv < DEFAULT_SVD_TOL))
     if not return_report:
         return dim
-    above = sv[sv > svd_tol]
-    below = sv[sv < svd_tol]
+    above = sv[sv > DEFAULT_SVD_TOL]
+    below = sv[sv < DEFAULT_SVD_TOL]
     report = {
         "dimension": dim,
         "ranks": (p, q),
@@ -330,7 +329,7 @@ def from_exact(state: qs.BipartiteState) -> FloatState:
     mat = np.array(state.to_complex_rows(), dtype=complex)
     mat = mat / np.trace(mat).real
     p, q = qs.birank(state)
-    return FloatState(state.dim_a, state.dim_b, mat, (p, q), residual=0.0)
+    return FloatState(state.dim_a, state.dim_b, mat, (p, q), 0.0, 0)
 
 
 # -- exact rounding of sampled states -----------------------------------------
@@ -381,8 +380,7 @@ def _rationalize_vector(v: np.ndarray) -> em.Vector:
 
 # -- survey -------------------------------------------------------------------
 
-@dataclass
-class SurveyReport:
+class SurveyReport(NamedTuple):
     """Per-(dims, birank) sampling summary.
 
     ``rank_mismatch`` lists the seeds of converged samples whose numerical
@@ -400,9 +398,9 @@ class SurveyReport:
     ambiguous: int
     bound: int
     expected_dimension: int       # m + max(bound, 0)
-    deviations: list = field(default_factory=list)
-    calibration: dict = field(default_factory=dict)
-    rank_mismatch: list = field(default_factory=list)
+    deviations: list
+    calibration: dict
+    rank_mismatch: list
 
     def to_json(self) -> dict:
         return {
@@ -423,8 +421,7 @@ class SurveyReport:
         }
 
 
-def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
-                           tol: float = DEFAULT_TOL) -> list:
+def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0) -> list:
     """Sample fixed-birank states and histogram their extension dimensions.
 
     For each (dims, birank) pair, samples are drawn with consecutive seeds;
@@ -434,7 +431,7 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
     ``rank_mismatch``; they stay in every other count.
     """
     reports = []
-    calibration = {"tol": tol, "max_iter": DEFAULT_MAX_ITER, "svd_tol": DEFAULT_SVD_TOL,
+    calibration = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER, "svd_tol": DEFAULT_SVD_TOL,
                    "note": "defaults are empirical calibration choices"}
     for (m, n) in dims_list:
         for (p, q) in biranks:
@@ -448,7 +445,7 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0,
             converged = 0
             for i in range(samples):
                 try:
-                    st = gauss_newton_birank(m, n, p, q, seed=seed + i, tol=tol)
+                    st = gauss_newton_birank(m, n, p, q, seed=seed + i)
                 except ConvergenceFailure:
                     continue
                 converged += 1

@@ -20,14 +20,14 @@ def intersection_via_stacked_kernel(U: em.Subspace, V: em.Subspace) -> em.Subspa
     n = U.ambient_dim
     if U.dim == 0 or V.dim == 0:
         return em.Subspace(n)
-    cols = list(U.basis) + [em.vec_scale(-1, v) for v in V.basis]
+    cols = list(U.basis) + [tuple(-x for x in v) for v in V.basis]
     _, kern = em.rank_and_kernel(em.ExactMatrix.from_cols(cols))
     vecs = []
     for w in kern.basis:
-        x = em.zero_vector(n)
+        x = (em.ZERO,) * n
         for c, u in zip(w[:U.dim], U.basis):
             if c:
-                x = em.vec_add(x, em.vec_scale(c, u))
+                x = tuple(a + c * b for a, b in zip(x, u))
         if not em.is_zero_vector(x):
             vecs.append(x)
     return em.Subspace(n, vecs)

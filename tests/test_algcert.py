@@ -182,7 +182,9 @@ def _first_divisor_remainder(p, basis):
             remainder[m] = c
             continue
         shift = tuple(a - b for a, b in zip(m, g.leading_monomial()))
-        rest = mi.Polynomial(ring, {**work, m: c}) - g.mul_term(c / g.leading_coeff(), shift)
+        q = c / g.leading_coeff()
+        multiple = {tuple(a + b for a, b in zip(t, shift)): q * x for t, x in g.terms.items()}
+        rest = mi.Polynomial(ring, {**work, m: c}) - mi.Polynomial(ring, multiple)
         work = dict(rest.terms)
     return mi.Polynomial(ring, remainder)
 
@@ -664,7 +666,7 @@ def test_certify_witness_validation():
     final = co.rho_4x5().final
     with pytest.raises(WitnessNotInRange):
         ac.certify_sn_lower(final, em.basis_vector(20, 3), 3)
-    overlap = em.vec_add(final.edges[0].vec, final.edges[1].vec)
+    overlap = tuple(a + b for a, b in zip(final.edges[0].vec, final.edges[1].vec))
     with pytest.raises(NonSingleVariableOverlap):
         ac.certify_sn_lower(final, overlap, 3)
 
@@ -799,8 +801,18 @@ def test_coordinate_matrix_requires_a_real_basis():
 
 
 def test_cofactor_identity():
+    """The identity holds; with the cofactors ``-x02`` and ``x20`` on g1 and
+    g2 in place of ``-x02/2`` and ``-x20/2`` it misses ``x00^4``."""
     assert acceptance.cofactor_identity_4x5()
-    assert not acceptance.cofactor_identity_4x5(perturb=True)
+    ring = mi.PolyRing(["x00", "x01", "x10", "x02", "x20"])
+    x00, x01, x10, x02, x20 = (ring.var(v) for v in ring.variables)
+    g1 = x20 * (x00 * x00 - x01 * x10)
+    g2 = x02 * (x00 * x00 + x01 * x10)
+    g3 = x20 * (x01 * x01 - x00 * x02)
+    g4 = -(x02 * (x10 * x10 + x00 * x20))
+    g5 = x00 * x00 * x00 + x01 * x01 * x20 - x10 * x10 * x02 - x00 * x02 * x20
+    perturbed = x00 * (g5 - g3 - g4) - x02 * g1 + x20 * g2
+    assert perturbed - x00 ** 4 == x00 * x00 * x02 * x20 + 2 * x01 * x10 * x02 * x20
 
 
 def test_cofactor_identity_random_points():

@@ -165,7 +165,7 @@ def test_psd_gram_reconstruction():
         G = B.matmul(B.adjoint())
         res = em.psd_check(G)
         assert res.is_psd
-        assert res.reconstruct(n) == G
+        assert em.weighted_gram(res.columns, [d for _, d in res.pivots], n) == G
         assert all(d > 0 for _, d in res.pivots)
 
 
@@ -507,9 +507,9 @@ def test_rref_invariant_under_row_operations_and_scaling(rows, data):
         if op == "swap":
             work[i], work[j] = work[j], work[i]
         elif op == "scale":
-            work[i] = em.vec_scale(c, work[i])
+            work[i] = tuple(c * x for x in work[i])
         elif i != j:
-            work[i] = em.vec_add(work[i], em.vec_scale(c, work[j]))
+            work[i] = tuple(x + c * y for x, y in zip(work[i], work[j]))
     assert em.Subspace(len(rows[0]), work) == S
 
 
@@ -526,7 +526,7 @@ def test_psd_check_pivots_or_witness(rows, gram):
     if res.is_psd:
         assert all(d > 0 for _, d in res.pivots)
         assert all(col[i] == 1 for (i, _), col in zip(res.pivots, res.columns))
-        assert res.reconstruct(M.rows) == M
+        assert em.weighted_gram(res.columns, [d for _, d in res.pivots], M.rows) == M
     else:
         value = em.vdot(res.witness, M.matvec(res.witness))
         assert value.im == 0 and value.re == res.witness_value < 0

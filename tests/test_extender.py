@@ -11,8 +11,8 @@ from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
-from pptlab.errors import (BoundsViolation, DecompositionMismatch, PptlabError,
-                           PreconditionViolation, RangeViolation)
+from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch,
+                           PptlabError, PreconditionViolation, RangeViolation)
 
 from oracles import ppt_extension_space_stacked, trivial_coupling_space_by_products
 
@@ -59,6 +59,19 @@ def test_split_assemble_roundtrip_random():
         perp = rng.randrange(m if side == "A" else n)
         blocks = ex.split_blocks(st, side, perp)
         assert ex.assemble_extension(blocks).matrix == st.matrix
+
+
+def test_extension_blocks_check_shapes_and_level():
+    """Blocks are checked at construction, and ``_replace`` keeps the checks."""
+    core, edge = co.rho_3x3(), em.ExactMatrix.diag([3, 0, 3])
+    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), edge, "A", 3)
+    with pytest.raises(DimensionMismatch, match="coupling"):
+        ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 2), edge, "A", 3)
+    with pytest.raises(DimensionMismatch, match="edge"):
+        ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), em.ExactMatrix.zeros(2, 2), "A", 3)
+    assert blocks._replace(perp_index=0).perp_index == 0
+    with pytest.raises(BoundsViolation):
+        blocks._replace(perp_index=4)
 
 
 @pytest.mark.parametrize("side, bad", [("A", -1), ("A", 4), ("B", -1), ("B", 4)])
@@ -199,7 +212,6 @@ def test_extension_space_maximally_mixed():
     space = ex.ppt_extension_space(mm)
     assert space.bound == 6
     assert space.dimension == 8  # every coupling solves the full-rank system
-    assert space.real_dimension == 16
     assert space.trivial_dimension == 2
 
 
@@ -303,7 +315,7 @@ def test_slocc_couplings_always_solve():
 
 def test_slocc_zero_phi_is_direct_sum():
     rho = co.rho_3x3()
-    st = ex.slocc_extension(rho, em.zero_vector(3))
+    st = ex.slocc_extension(rho, (em.ZERO,) * 3)
     blocks = ex.split_blocks(st, "A", 3)
     assert blocks.coupling.is_zero() and blocks.edge.is_zero()
     assert blocks.core.matrix == rho.matrix
@@ -502,7 +514,6 @@ def test_projection_bound_on_separable_state():
     rec = ex.sn_bounds_from_projection(d, "B", em.basis_vector(2, 0))
     assert rec.separability.separable
     assert rec.sn_upper == 2
-    assert "SN(state) <= SN(projected) + 1" == rec.relation
 
 
 def test_projection_bound_stage2():

@@ -114,10 +114,10 @@ def test_numeric_extension_dimension_report_gap():
 
 
 def test_rank_ambiguity_detection():
-    st = nl.from_exact(co.rho_3x3())
-    # an eigenvalue of rho3x3/13 is 1/13; a tolerance within its decade trips
+    # an eigenvalue of 1e-7 sits on the rank tolerance, so the rank is ambiguous
+    st = nl.FloatState(2, 2, np.diag([0.5, 0.3, 0.2, 1e-7]).astype(complex), (4, 4), 0.0, 0)
     with pytest.raises(RankAmbiguity):
-        nl.numeric_extension_dimension(st, svd_tol=1 / 13)
+        nl.numeric_extension_dimension(st)
 
 
 def test_rationalize_round_trip():

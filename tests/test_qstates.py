@@ -212,12 +212,10 @@ def test_rho4x5_stage_labels_and_edge_names():
 
 
 def test_family_defaults_and_validation():
-    assert co.FamilySpec(2).resolved_d() == [1, 1]
-    assert co.FamilySpec(3).resolved_d() == [1, 2, 2, 1]
+    for k, weights in ((2, [1, 1]), (3, [1, 2, 2, 1])):
+        assert [e.weight for e in co.family_edges(k) if e.name.startswith("delta")] == weights
     with pytest.raises(InvalidK):
         co.rho_family(1)
-    with pytest.raises(InvalidK):
-        co.FamilySpec(2, (1, 2, 3)).resolved_d()
 
 
 def test_family_k2_structure():
@@ -263,16 +261,6 @@ def test_family_kernel_vector_and_minimality():
         for e in st.edges:
             if e.name.startswith("delta"):
                 assert em.vdot(omega, e.vec)
-
-
-def test_family_surplus_weights_still_decompose():
-    spec = co.FamilySpec(2, (2, 3))
-    st = co.rho_family(spec)
-    dec = co.family_pt_decomposition(spec)
-    acc = em.weighted_gram([e.vec for e in dec], [e.weight for e in dec], 9)
-    assert acc == st.partial_transpose("A")
-    with pytest.raises(InvalidK):
-        co.family_pt_decomposition(co.FamilySpec(2, (Fraction(1, 2), 1)))
 
 
 def test_tiles_complement_is_projector_with_kernel_products():

@@ -19,7 +19,7 @@ from pptlab import extender as ex
 from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import serialize as se
-from pptlab.errors import PptlabError
+from pptlab.errors import ConvergenceFailure, PptlabError
 
 
 def test_state_json_roundtrip():
@@ -491,6 +491,20 @@ def test_cli_sample_and_survey(capsys):
     assert "ext dims" in out
 
 
+def test_cli_sample_exit_codes(monkeypatch, capsys):
+    """A birank the dimensions cannot carry is an input error (exit 2); only
+    a sample that does not converge is inconclusive (exit 1)."""
+    assert cli.run(["sample", "--dims", "2x2", "--birank", "9,9"]) == 2
+    assert "DimensionMismatch: birank outside the valid range" in capsys.readouterr().err
+
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceFailure("residual above tolerance")
+
+    monkeypatch.setattr("pptlab.numlab.gauss_newton_birank", no_convergence)
+    assert cli.run(["sample", "--dims", "3x3", "--birank", "4,4"]) == 1
+    assert capsys.readouterr().err == "sample: residual above tolerance\n"
+
+
 def test_cli_plot(tmp_path, capsys):
     svg = tmp_path / "g.svg"
     assert cli.run(["plot", "--state", "rho3x3", "--svg", str(svg)]) == 0
@@ -640,13 +654,24 @@ def test_ppt_check_and_verify_process_loads_no_verb_modules(tmp_path):
 
 def test_survey_and_sample_process_loads_no_extender_or_algcert():
     """The sampler takes the counting bound from qstates, so a process that
-    runs ``survey`` and ``sample`` compiles neither extender nor algcert."""
+    runs ``survey`` and ``sample`` compiles neither extender nor algcert;
+    its records are named tuples, so it loads no ``dataclasses`` either."""
     survey = ["survey", "--dims", "3x3", "--birank", "4,4", "--samples", "1", "--json"]
     sample = ["sample", "--dims", "3x3", "--birank", "4,4", "--json"]
     code = (f"from pptlab import cli\n"
             f"assert cli.run({survey!r}) == 0\n"
             f"assert cli.run({sample!r}) == 0")
-    assert _loaded_after(code, ["pptlab.extender", "pptlab.algcert"]) == "[]"
+    assert _loaded_after(code, ["pptlab.extender", "pptlab.algcert", "dataclasses"]) == "[]"
+
+
+def test_build_and_extremal_process_loads_no_dataclasses():
+    """Building rho4x5 runs the extension pipeline and ``extremal`` splits
+    and checks its blocks; the extension layer's records are named tuples,
+    so neither loads ``dataclasses``."""
+    code = ("from pptlab import cli\n"
+            "assert cli.run(['build', '--state', 'rho4x5']) == 0\n"
+            "assert cli.run(['extremal', '--state', 'rho4x5', '--json']) == 0")
+    assert _loaded_after(code, ["pptlab.extender", "dataclasses"]) == "['pptlab.extender']"
 
 
 def test_certify_sn_and_verify_process_loads_no_logging_or_dataclasses(tmp_path):
