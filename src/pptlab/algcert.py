@@ -6,7 +6,7 @@ matrix cuts out exactly the Schmidt-rank ``<= k-1`` vectors.  Membership of
 a power of the witness coordinate in the minor ideal, shown by an explicit
 identity ``sum_i c_i det M[rows_i, cols_i] = x_w^N`` over the minors it
 uses, then certifies a Schmidt-number lower bound via the Nullstellensatz.
-Upper bounds come from explicit conic decompositions checked bit-exactly.
+Upper bounds come from a state's edges, the conic decomposition it is.
 :func:`certify_sn` is the recipe ``certify-sn`` and the acceptance suite
 run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
 :class:`UpperBound` holding exact values, which
@@ -37,9 +37,9 @@ from . import exactmat as em
 from . import minors as mi
 from . import qstates as qs
 from .errors import (
-    DecompositionMismatch,
     DimensionMismatch,
     InternalInconsistency,
+    InvalidK,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
     WitnessNotInRange,
@@ -402,21 +402,15 @@ def range_coordinate_matrix(s: qs.BipartiteState, require_orthogonal_basis: bool
     if naming not in ("site", "edge"):
         raise ValueError("naming must be 'site' or 'edge'")
     m, n = s.dims
-    rho_rank = em.rank(s.matrix)
-    basis: list = []
-    if s.edges is not None:
-        vecs = [e.vec for e in s.edges]
-        if len(vecs) == rho_rank and em.Subspace(m * n, vecs).dim == rho_rank:
-            basis = [(e.name, e.vec) for e in s.edges]
-    if basis and naming == "site":
-        basis = [(_site_variable_name(next(i for i, x in enumerate(v) if x), n), v)
-                 for _, v in basis]
-    if not basis:
-        if naming == "edge":
+    rng = em.column_space(s.matrix)
+    vectors = qs.edge_basis(s, rng)
+    if naming == "edge":
+        if vectors is None:
             raise NonOrthogonalBasis("state has no usable edge basis for edge naming")
-        canonical = em.column_space(s.matrix).basis
+        basis = [(e.name, e.vec) for e in s.edges]
+    else:
         basis = [(_site_variable_name(next(i for i, x in enumerate(v) if x), n), v)
-                 for v in canonical]
+                 for v in (rng.basis if vectors is None else vectors)]
     names = [name for name, _ in basis]
     if len(set(names)) != len(names):
         basis = [(f"{name}_{l}", v) for l, (name, v) in enumerate(basis)]
@@ -633,27 +627,25 @@ class _WitnessClosure:
 class LowerBound(NamedTuple):
     """A proven ``SN >= value``: the indexed cofactor identity ``sum
     cofactor * det M[rows, cols] = witness_variable^power`` over the
-    coordinate matrix ``M`` of the real range ``basis`` (one vector per
-    name in ``variables``).  ``minors`` holds ``(rows, cols, {exponents:
-    Fraction})`` triples; the identity replays by computing those
-    determinants only."""
+    coordinate matrix ``M`` of the real range basis that ``basis`` names
+    (``"edges"``, the state's edge vectors, or ``"range"``, the canonical
+    basis), one vector per name in ``variables``.  ``minors`` holds ``(rows,
+    cols, {exponents: Fraction})`` triples, replayed as those determinants."""
 
     value: int
     witness: em.Vector
     witness_variable: str
     variables: tuple
-    basis: tuple
+    basis: str
     power: int
     minors: tuple
 
 
 class UpperBound(NamedTuple):
-    """A proven ``SN <= value``: ``sum weights[i] |v_i><v_i|`` re-sums to
-    the state, and ``value`` is the largest of the vectors' Schmidt ranks."""
+    """A proven ``SN <= value``: the state is the weighted Gram sum of its
+    edges, and ``value`` is the largest of their Schmidt ranks."""
 
     value: int
-    vectors: tuple
-    weights: tuple
     schmidt_ranks: tuple
 
 
@@ -687,6 +679,8 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     minor to that determinant.  Excluding variables only shrinks the ideal,
     so ``exclude_vars`` is a search heuristic and is not recorded.
     """
+    if k < 1:
+        raise InvalidK(f"k = {k}: a Schmidt-number lower bound needs k >= 1")
     if not em.column_space(s.matrix).contains(witness_vector):
         raise WitnessNotInRange("witness vector is not in R(rho)")
     sym = range_coordinate_matrix(s, require_orthogonal_basis=True, naming=naming)
@@ -724,21 +718,19 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
         terms = [cofactors[i] for i in used]
         if not mi.minor_identity_holds(sym, N, witness_var, pairs, terms):
             raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
-        return LowerBound(k, tuple(witness_vector), witness_var, sym.ring.variables,
-                          tuple(v for _, v in sym.basis), N,
+        edges = [e.vec for e in s.edges or ()]
+        source = "edges" if [v for _, v in sym.basis] == edges else "range"
+        return LowerBound(k, tuple(witness_vector), witness_var, sym.ring.variables, source, N,
                           tuple((rows, cols, cof) for (rows, cols), cof in zip(pairs, terms)))
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
 
 
-def sn_upper_from_decomposition(vectors: Sequence[em.Vector], weights: Sequence[Fraction],
-                                target: qs.BipartiteState) -> UpperBound:
-    """Certify ``SN(target) <= max SR(v_i)`` from an exact decomposition."""
+def sn_upper_from_decomposition(target: qs.BipartiteState) -> UpperBound:
+    """Certify ``SN(target) <= max SR(e)`` over the edges whose weighted Gram
+    sum ``target`` is (checked when it was built)."""
     m, n = target.dims
-    weights = tuple(Fraction(w) for w in weights)
-    if em.weighted_gram(vectors, weights, m * n) != target.matrix:
-        raise DecompositionMismatch("decomposition does not reproduce the target")
-    ranks = tuple(qs.schmidt_rank(v, m, n) for v in vectors)
-    return UpperBound(max(ranks), tuple(vectors), weights, ranks)
+    ranks = tuple(qs.schmidt_rank(e.vec, m, n) for e in target.edges)
+    return UpperBound(max(ranks), ranks)
 
 
 def certify_sn(s: qs.BipartiteState, k: int | None = None, exclude_deltas: bool = False) -> tuple:
@@ -751,9 +743,9 @@ def certify_sn(s: qs.BipartiteState, k: int | None = None, exclude_deltas: bool 
     ``delta*`` edges' variables and names the variables after the edges, as
     the scaling family's certificates do.
     """
-    upper = sn_upper_from_decomposition([e.vec for e in s.edges], [e.weight for e in s.edges], s)
+    upper = sn_upper_from_decomposition(s)
     witness = s.edges[upper.schmidt_ranks.index(upper.value)].vec
     exclude = [e.name for e in s.edges if e.name.startswith("delta")] if exclude_deltas else []
-    lower = certify_sn_lower(s, witness, k or upper.value, exclude_vars=exclude,
+    lower = certify_sn_lower(s, witness, upper.value if k is None else k, exclude_vars=exclude,
                              naming="edge" if exclude else "site")
     return lower, upper

@@ -18,8 +18,8 @@ certifier.  Only ``--verbose`` imports and configures ``logging``.
 ``certify-sn`` runs :func:`algcert.certify_sn` and writes one
 ``sn-verdict``: the state once, the evidence of the lower and upper bounds,
 and the verdict line.  ``verify`` replays the two certificate kinds, ``ppt``
-and ``sn-verdict``, and fails an sn certificate in a retired layout with a
-request to re-run ``certify-sn``.
+and ``sn-verdict``, and fails one in a retired layout with a request to
+re-run the verb that wrote it.
 
 Examples:
 
@@ -216,6 +216,8 @@ def cmd_survey(args) -> int:
 
     dims = [_parse(_parse_dims, d) for d in args.dims.split()]
     biranks = [_parse(_parse_birank, b) for b in args.birank.split()]
+    if args.samples < 1:  # no residual to report, and JSON has no NaN
+        raise InputError("--samples must be at least 1")
     reports = nl.unextendibility_survey(dims, biranks, samples=args.samples, seed=args.seed)
     payload = {"kind": "survey", "reports": [r.to_json() for r in reports]}
     _emit(args, payload, text=nl.survey_table(reports))

@@ -105,7 +105,7 @@ def grid_to_state(g: GridGraph, label: str = "") -> qs.BipartiteState:
         else:
             name, nd = f"d{nd}", nd + 1
         named.append(qs.NamedVector(name, e.vector(g.dim_a, g.dim_b), e.weight))
-    return qs.state_from_edges(g.dim_a, g.dim_b, named, label=label or "grid-state")
+    return qs.BipartiteState(g.dim_a, g.dim_b, label=label or "grid-state", edges=named)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def rho_family(k: int) -> qs.BipartiteState:
     every k.
     """
     dim = 2 * k - 1
-    return qs.state_from_edges(dim, dim, family_edges(k), label=f"family-k{k}")
+    return qs.BipartiteState(dim, dim, label=f"family-k{k}", edges=family_edges(k))
 
 
 def family_pt_decomposition(k: int) -> list:

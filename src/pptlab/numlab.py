@@ -326,7 +326,7 @@ def numeric_extension_dimension(state: FloatState, return_report: bool = False):
 
 def from_exact(state: qs.BipartiteState) -> FloatState:
     """Cast an exact state to floats, trace-normalized."""
-    mat = np.array(state.to_complex_rows(), dtype=complex)
+    mat = np.array(state.matrix.to_complex_rows(), dtype=complex)
     mat = mat / np.trace(mat).real
     p, q = qs.birank(state)
     return FloatState(state.dim_a, state.dim_b, mat, (p, q), 0.0, 0)
@@ -428,15 +428,16 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0) -> l
     every converged sample's numerical extension dimension is compared to
     ``m + max(bound, 0)`` and deviations are flagged.  Samples whose
     numerical ranks are not ``(p, q)`` are counted, with their seeds, in
-    ``rank_mismatch``; they stay in every other count.
+    ``rank_mismatch``; they stay in every other count.  A birank outside
+    ``1..mn`` raises :class:`DimensionMismatch` before any sampling.
     """
+    if any(not (1 <= p <= m * n and 1 <= q <= m * n) for m, n in dims_list for p, q in biranks):
+        raise DimensionMismatch("birank outside the valid range")
     reports = []
     calibration = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER, "svd_tol": DEFAULT_SVD_TOL,
                    "note": "defaults are empirical calibration choices"}
     for (m, n) in dims_list:
         for (p, q) in biranks:
-            if not (1 <= p <= m * n and 1 <= q <= m * n):
-                continue
             residuals = []
             dims_hist: dict = {}
             ambiguous = 0

@@ -6,8 +6,9 @@ unnormalized; normalization does not change any entanglement property and
 would leave the rational field.
 
 States verify Hermiticity and positive semidefiniteness exactly at
-construction.  Partial transposes are returned as plain matrices because
-their positivity is precisely the property under investigation.  An
+construction; a state given its edges alone is their weighted Gram sum.
+Partial transposes are returned as plain matrices because their
+positivity is precisely the property under investigation.  An
 :class:`ExtensionStep` is one replayable step of an extension pipeline.
 The paper's named states (grid graphs, rho3x3, Tiles, the 4x5 pipeline and
 the scaling family) are built in :mod:`pptlab.constructions`.
@@ -44,31 +45,34 @@ class BipartiteState:
     """Unnormalized bipartite density operator with exact entries.
 
     ``edges`` optionally records a conic decomposition ``sum_w w |v><v|``
-    of the matrix (grid edges or lifted edges); when present it is verified
-    bit-exactly at construction.
+    of the matrix (grid edges or lifted edges).  Given alone, the edges
+    define the matrix by one Gram sum; given with a matrix, they are
+    verified bit-exactly against it at construction.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
 
-    def __init__(self, dim_a: int, dim_b: int, matrix: em.ExactMatrix,
+    def __init__(self, dim_a: int, dim_b: int, matrix: em.ExactMatrix | None = None,
                  label: str = "", edges: Sequence[NamedVector] | None = None,
                  _skip_checks: bool = False):
+        if edges is not None:
+            edges = tuple(edges)
+            acc = em.weighted_gram([e.vec for e in edges], [e.weight for e in edges],
+                                   dim_a * dim_b)
+            if matrix is not None and acc != matrix:
+                raise DimensionMismatch("recorded edge decomposition does not reproduce the matrix")
+            matrix = acc
         if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
             raise DimensionMismatch("matrix size does not match local dimensions")
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "label", label)
-        object.__setattr__(self, "edges", tuple(edges) if edges is not None else None)
+        object.__setattr__(self, "edges", edges)
         if not _skip_checks:
             res = em.psd_check(matrix)  # includes the exact Hermitian check
             if not res.is_psd:
                 raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
-        if self.edges is not None:
-            acc = em.weighted_gram([e.vec for e in self.edges], [e.weight for e in self.edges],
-                                   matrix.rows)
-            if acc != matrix:
-                raise DimensionMismatch("recorded edge decomposition does not reproduce the matrix")
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteState is immutable")
@@ -88,13 +92,12 @@ class BipartiteState:
     def partial_transpose(self, side: Side = "B") -> em.ExactMatrix:
         return partial_transpose_matrix(self.matrix, self.dim_a, self.dim_b, side)
 
-    def to_complex_rows(self):
-        return self.matrix.to_complex_rows()
 
-
-def state_from_edges(dim_a: int, dim_b: int, edges: Sequence[NamedVector], label: str = "") -> BipartiteState:
-    acc = em.weighted_gram([e.vec for e in edges], [e.weight for e in edges], dim_a * dim_b)
-    return BipartiteState(dim_a, dim_b, acc, label=label, edges=edges)
+def edge_basis(s: BipartiteState, rng: em.Subspace) -> tuple | None:
+    """The edge vectors of ``s`` when they are a basis of ``rng``, its range
+    (linearly independent and spanning it), else None."""
+    vecs = tuple(e.vec for e in s.edges or ())
+    return vecs if len(vecs) == rng.dim and em.Subspace(rng.ambient_dim, vecs) == rng else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,20 @@
 """JSON round-trips for states, grid graphs, and certificates.
 
 Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``; matrices as
-``{"rows", "cols", "entries"}`` with stringified entries.  Certificates
-carry a ``"kind"`` tag dispatched by the verifier.  There are two kinds,
-each storing its state once, at the top level: ``ppt`` (LDL* evidence for
-the state and its partial transpose) and ``sn-verdict`` (the evidence of a
-Schmidt-number ``lower`` and ``upper`` bound, no state in either, and the
-verdict line).  Each half of an sn-verdict is written here, from the exact
-bounds the certifier returns, next to the reader that replays it.
-Standalone ``sn-lower``/``sn-upper`` certificates and verdicts that store
-the state in each half are rejected with a request to re-run
-``certify-sn``.  Each reader of a stored state or certificate parses
-every distinct scalar string once.  Replaying a lower half imports the
-replay kernel :mod:`pptlab.minors` when it runs, never the certifier
-:mod:`pptlab.algcert`; reading a grid graph imports
+``{"rows", "cols", "entries"}`` with stringified entries.  A state stores
+its ``edges`` when it has them, else its ``matrix``; an edge state's
+matrix is read back by one Gram sum.  Certificates carry a ``"kind"`` tag
+dispatched by the verifier: ``ppt`` (LDL* evidence for the state and its
+partial transpose) and ``sn-verdict`` (the evidence of a Schmidt-number
+``lower`` and ``upper`` bound, and the verdict line), each storing its
+state once.  The halves refer to that state: the lower one names its basis
+of the range (``"edges"`` or ``"range"``), the upper one stores the
+Schmidt ranks of the state's edges.  Each half is written here, from the
+exact bounds the certifier returns, next to the reader that replays it.
+Retired layouts fail with a request to re-run the verb that wrote them.
+Each reader parses every distinct scalar string once.  Replaying a lower
+half imports the replay kernel :mod:`pptlab.minors` when it runs, never
+the certifier :mod:`pptlab.algcert`; reading a grid graph imports
 :mod:`pptlab.constructions`.
 """
 
@@ -62,8 +63,8 @@ def vector_from_json(data, scalar=em.parse_scalar) -> em.Vector:
 def _scalar_reader():
     """A parser of the scalar strings of one document that parses each once.
 
-    A stored state repeats few strings many times (family:5's has 8,970
-    scalars, 36 distinct).  ``"0"`` reads as :data:`exactmat.ZERO`, the zero
+    A stored state repeats few strings many times (family:5's has 2,349
+    scalars, 2 distinct).  ``"0"`` reads as :data:`exactmat.ZERO`, the zero
     the kernels build, so comparing a read matrix with a computed one
     short-circuits on identity.  The memo lives as long as one read.
     """
@@ -81,37 +82,44 @@ def _scalar_reader():
 
 
 def state_to_json(s: qs.BipartiteState) -> dict:
-    out = {
-        "kind": "state",
-        "dim_a": s.dim_a,
-        "dim_b": s.dim_b,
-        "label": s.label,
-        "matrix": matrix_to_json(s.matrix),
-    }
-    if s.edges is not None:
+    """A state as JSON: its ``edges`` when it has them, else its ``matrix``."""
+    out = {"kind": "state", "dim_a": s.dim_a, "dim_b": s.dim_b, "label": s.label}
+    if s.edges is None:
+        out["matrix"] = matrix_to_json(s.matrix)
+    else:
         out["edges"] = [{"name": e.name, "vector": vector_to_json(e.vec),
                          "weight": em.format_scalar(e.weight)} for e in s.edges]
     return out
 
 
 def state_from_json(data: dict) -> qs.BipartiteState:
-    """Build a stored state.  Malformed JSON raises :class:`MalformedData`;
-    the checks of the constructor (exact Hermitian and PSD) run outside
-    that conversion, so a fault in them keeps its own exception."""
+    """Build a stored state from its edges (one Gram sum) or its matrix.
+    Malformed JSON, and the retired layout that stored both, raise
+    :class:`MalformedData`; the checks of the constructor run outside that
+    conversion, so a fault in them keeps its own exception."""
     return qs.BipartiteState(*_parsed("state", _state_parts, data))
 
 
+def _retired_state(data) -> bool:
+    """A stored state with both ``matrix`` and ``edges`` (a retired layout)."""
+    return isinstance(data, dict) and "matrix" in data and "edges" in data
+
+
 def _state_parts(data: dict) -> tuple:
+    if _retired_state(data):
+        raise MalformedData("state in a retired layout (both matrix and edges): "
+                            "re-run build to replace it")
     dim_a, dim_b = data["dim_a"], data["dim_b"]
     if type(dim_a) is not int or type(dim_b) is not int:
         raise TypeError("state dimensions are not integers")
     scalar = _scalar_reader()
-    edges = None
-    if "edges" in data:
-        edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"], scalar),
-                                Fraction(e["weight"]))
-                 for e in data["edges"]]
-    return dim_a, dim_b, matrix_from_json(data["matrix"], scalar), data.get("label", ""), edges
+    if "edges" not in data:
+        return dim_a, dim_b, matrix_from_json(data["matrix"], scalar), data.get("label", "")
+    edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"], scalar), Fraction(e["weight"]))
+             for e in data["edges"]]
+    if not all(isinstance(e.name, str) for e in edges):
+        raise TypeError("edge names are not strings")
+    return dim_a, dim_b, None, data.get("label", ""), edges
 
 
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
@@ -225,8 +233,10 @@ def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
     """Replay the lower half of an sn-verdict on its state: an indexed
     cofactor identity proving ``SN(s) >= value``.
 
-    Checks the witness (in the range, overlapping exactly the declared
-    coordinate of the real stored basis of the range) and the power
+    The half names a real basis of the range: ``"edges"``, the state's
+    edge vectors (checked by one :class:`exactmat.Subspace` comparison), or
+    ``"range"``, the canonical basis.  Checks the witness (in the range,
+    overlapping exactly the declared coordinate of that basis) and the power
     ``k <= N <= 2k`` with ``k = value``.  Then it shape-checks every
     ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly increasing
     in-range indices, no pair twice, cofactors of degree ``N - k``),
@@ -238,16 +248,16 @@ def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
     from . import minors as mi
 
     m, n = s.dims
-    ring, basis, witness, witness_variable, power, pairs, cofactors = \
-        _parsed("certificate", _read_sn_lower, half, m, n)
     rng = em.column_space(s.matrix)
+    ring, source, witness, witness_variable, power, pairs, cofactors = \
+        _parsed("certificate", _read_sn_lower, half, m, n, rng.dim)
     if not rng.contains(witness):
         raise CertificateInvalid("witness is not in the state's range")
-    if em.Subspace(m * n, basis).dim != len(basis) or len(basis) != rng.dim \
-            or not all(rng.contains(v) for v in basis):
-        raise CertificateInvalid("stored basis is not a basis of the range")
+    basis = rng.basis if source == "range" else qs.edge_basis(s, rng)
+    if basis is None:
+        raise CertificateInvalid("the state's edges are not a basis of the range")
     if any(x.im for v in basis for x in v):
-        raise CertificateInvalid("stored basis is not real: the coordinate ring is Q")
+        raise CertificateInvalid("the basis is not real: the coordinate ring is Q")
     overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
     if len(overlaps) != 1 or ring.variables[overlaps[0]] != witness_variable:
         raise CertificateInvalid("witness overlap is not the declared single variable")
@@ -257,9 +267,10 @@ def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
     return True
 
 
-def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
-    """The ring, basis, witness, witness variable, power, minor pairs and
-    cofactor terms of the lower half of an sn-verdict on an ``m x n`` state."""
+def _read_sn_lower(half: dict, m: int, n: int, rank: int) -> tuple:
+    """The ring, basis source, witness, witness variable, power, minor
+    pairs and cofactor terms of the lower half of an sn-verdict on an
+    ``m x n`` state of rank ``rank``."""
     # imported here: a process that only reads states and ppt certificates
     # skips compiling the replay kernel
     from . import minors as mi
@@ -268,14 +279,14 @@ def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
+    if half["basis"] not in ("edges", "range"):
+        raise CertificateInvalid('basis is neither "edges" nor "range"')
     ring = mi.PolyRing(half["variables"])
-    scalar = _scalar_reader()
-    basis = [vector_from_json(v, scalar) for v in half["basis"]]
-    if len(basis) != ring.nvars:
+    if ring.nvars != rank:
         raise CertificateInvalid("the certificate needs one variable per basis vector")
     pairs, cofactors = _indexed_minors(half["minors"], ring, k, power - k, m, n)
-    return (ring, basis, vector_from_json(half["witness"], scalar), half["witness_variable"],
-            power, pairs, cofactors)
+    return (ring, half["basis"], vector_from_json(half["witness"]),
+            half["witness_variable"], power, pairs, cofactors)
 
 
 def _sn_lower_json(lower) -> dict:
@@ -284,7 +295,7 @@ def _sn_lower_json(lower) -> dict:
             "witness": vector_to_json(lower.witness),
             "witness_variable": lower.witness_variable,
             "variables": list(lower.variables),
-            "basis": [vector_to_json(v) for v in lower.basis],
+            "basis": lower.basis,
             "power": lower.power,
             "minors": [[list(rows), list(cols), _cofactor_json(cof)]
                        for rows, cols, cof in lower.minors]}
@@ -349,37 +360,26 @@ def _cofactor(ring, data, degree: int) -> dict:
 
 
 def verify_sn_upper_certificate(half: dict, s: qs.BipartiteState) -> bool:
-    """Replay the upper half of an sn-verdict on its state: the stored
-    decomposition re-sums to the state with nonnegative weights, and
-    ``value`` is the largest of the vectors' Schmidt ranks, as stored."""
+    """Replay the upper half of an sn-verdict on its state, the weighted Gram
+    sum of its edges: the weights are nonnegative, and ``value`` is the
+    largest of the edges' Schmidt ranks, as stored."""
     m, n = s.dims
-    vectors, weights, value, stored_ranks = _parsed("certificate", _read_sn_upper, half)
-    if any(w < 0 for w in weights):
+    value, stored_ranks = _parsed("certificate", lambda h: (h["value"], h["schmidt_ranks"]), half)
+    if not s.edges:
+        raise CertificateInvalid("the state has no edge decomposition")
+    if any(e.weight < 0 for e in s.edges):
         raise CertificateInvalid("negative weight")
-    if em.weighted_gram(vectors, weights, m * n) != s.matrix:
-        raise CertificateInvalid("decomposition does not reproduce the state")
-    ranks = [qs.schmidt_rank(v, m, n) for v in vectors]
+    ranks = [qs.schmidt_rank(e.vec, m, n) for e in s.edges]
     if max(ranks) != value:
         raise CertificateInvalid("claimed bound does not match the decomposition ranks")
     if stored_ranks != ranks or any(type(r) is not int for r in stored_ranks):
-        raise CertificateInvalid("stored Schmidt ranks are not the vectors' ranks")
+        raise CertificateInvalid("stored Schmidt ranks are not the edges' ranks")
     return True
 
 
-def _read_sn_upper(half: dict) -> tuple:
-    scalar = _scalar_reader()
-    vectors = [vector_from_json(v, scalar) for v in half["vectors"]]
-    if not vectors:
-        raise CertificateInvalid("the decomposition has no vectors")
-    return vectors, [Fraction(w) for w in half["weights"]], half["value"], half["schmidt_ranks"]
-
-
 def _sn_upper_json(upper) -> dict:
-    """The upper half that :func:`_read_sn_upper` reads."""
-    return {"value": upper.value,
-            "vectors": [vector_to_json(v) for v in upper.vectors],
-            "weights": [em.format_scalar(w) for w in upper.weights],
-            "schmidt_ranks": list(upper.schmidt_ranks)}
+    """The upper half that :func:`verify_sn_upper_certificate` reads."""
+    return {"value": upper.value, "schmidt_ranks": list(upper.schmidt_ranks)}
 
 
 def sn_verdict_text(lower: int | None, upper: int) -> str:
@@ -437,12 +437,14 @@ def verify_certificate(data: dict) -> bool:
     """Replay ``data`` by its ``kind``.  A certificate that does not parse
     fails with :class:`CertificateInvalid` like one whose replay fails."""
     kind = data.get("kind") if isinstance(data, dict) else None
-    if kind in ("sn-lower", "sn-upper") or kind == "sn-verdict" and "state" not in data:
-        # a standalone half (the generator/Groebner payloads among them), or
-        # a verdict that stored its state in each half
-        raise CertificateInvalid(f"{kind} certificate in a retired layout (a standalone half, "
-                                 "or a state stored per half): re-run certify-sn to replace it")
-    if kind not in VERIFIERS:
+    if kind in ("sn-lower", "sn-upper") or kind == "sn-verdict" and "state" not in data \
+            or kind and _retired_state(data.get("state")):
+        # a standalone half (the generator/Groebner payloads among them), a
+        # verdict that stored its state in each half, or a state that stored
+        # its matrix next to its edges (whose sn-verdict copied the edges)
+        raise CertificateInvalid(f"{kind} certificate in a retired layout: re-run "
+                                 f"{'ppt-check' if kind == 'ppt' else 'certify-sn'} to replace it")
+    if not isinstance(kind, str) or kind not in VERIFIERS:
         raise CertificateInvalid(f"unknown certificate kind {kind!r}")
     try:
         return VERIFIERS[kind](data)

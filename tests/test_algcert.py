@@ -689,33 +689,32 @@ def test_certify_numeric_spot_check():
 
 def test_sn_upper_family_and_product():
     st = co.rho_family(3)
-    cert = ac.sn_upper_from_decomposition([e.vec for e in st.edges],
-                                          [e.weight for e in st.edges], st)
+    cert = ac.sn_upper_from_decomposition(st)
     assert cert.value == 3
     v = em.kron_vec(em.vector([1, 2]), em.vector([0, 1]))
-    pure = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="prod")
-    cert = ac.sn_upper_from_decomposition([v], [Fraction(1)], pure)
-    assert cert.value == 1
+    pure = qs.BipartiteState(2, 2, label="prod", edges=[qs.NamedVector("v", v, Fraction(1))])
+    assert pure.matrix == em.ExactMatrix.outer(v, v)
+    cert = ac.sn_upper_from_decomposition(pure)
+    assert cert == (1, (1,))
 
 
 def test_sn_upper_family_transpose():
     for k in (2, 3):
         st = co.rho_family(k)
         dim = 2 * k - 1
+        # the constructor checks the decomposition against the matrix
         pt_state = qs.BipartiteState(dim, dim, st.partial_transpose("A"),
-                                     label=f"family{k}-pt")
-        dec = co.family_pt_decomposition(k)
-        cert = ac.sn_upper_from_decomposition([e.vec for e in dec],
-                                              [e.weight for e in dec], pt_state)
+                                     label=f"family{k}-pt", edges=co.family_pt_decomposition(k))
+        cert = ac.sn_upper_from_decomposition(pt_state)
         assert cert.value == 2
 
 
 def test_sn_upper_mismatch():
-    from pptlab.errors import DecompositionMismatch
-
+    """An upper bound is read off a state's edges, which a state checks
+    against its matrix when it is built."""
     st = co.rho_family(2)
-    with pytest.raises(DecompositionMismatch):
-        ac.sn_upper_from_decomposition([st.edges[0].vec], [Fraction(1)], st)
+    with pytest.raises(DimensionMismatch, match="does not reproduce"):
+        qs.BipartiteState(*st.dims, st.matrix, edges=st.edges[:1])
 
 
 def test_lower_never_exceeds_upper_on_corpus():
@@ -724,8 +723,7 @@ def test_lower_never_exceeds_upper_on_corpus():
     for st, k, excl in corpus:
         naming = "edge" if excl else "site"
         lower = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
-        upper = ac.sn_upper_from_decomposition([e.vec for e in st.edges],
-                                               [e.weight for e in st.edges], st)
+        upper = ac.sn_upper_from_decomposition(st)
         assert isinstance(lower, ac.LowerBound)
         assert lower.value <= upper.value
 

@@ -62,8 +62,7 @@ def test_ppt_certificate_tamper_detection():
 def _verdict(state, lower):
     """The sn-verdict of ``state`` with the ``lower`` result and the upper
     bound of its edges, as read back from JSON."""
-    upper = ac.sn_upper_from_decomposition([e.vec for e in state.edges],
-                                           [e.weight for e in state.edges], state)
+    upper = ac.sn_upper_from_decomposition(state)
     return json.loads(json.dumps(se.sn_verdict_certificate(state, lower, upper)))
 
 
@@ -200,9 +199,9 @@ def test_cli_extend_input_errors_exit_2(step, capsys):
 
 
 @pytest.mark.parametrize("state, digest", [
-    ("rho4x5:stage1", "a76c2dac1dfa4ceb7e18fa238e8d500d426e17510bf42431bfe41c2cda4096e4"),
-    ("rho4x5:stage2", "46d86dfa6302597de4fd9961e1c4e474ff4bd2ec83f45880797edf16f1434672"),
-    ("rho4x5", "247e1c095fea62e198935c0a387f7961fbebcc3e8268c44e01a2e772b5009b30"),
+    ("rho4x5:stage1", "0355e18e534a502cef3b26ba0820b85d3161a338c7b7c487222b7f07b87eae71"),
+    ("rho4x5:stage2", "77e6e3e40c8d1d66bdbe1f1f88e97d9d927ba4810a4dfa0d6ff1a36302d13972"),
+    ("rho4x5", "4312cf7024830fad1fb5a43998c68a4dba3c1843104e2dd0fa4956fddc984844"),
 ], ids=["stage1", "stage2", "final"])
 def test_build_rho4x5_json_pinned(tmp_path, state, digest):
     """The pipeline states' bytes (labels, edge names and order, vectors and
@@ -287,7 +286,9 @@ def test_cli_verify_fails_a_certificate_that_does_not_parse(tmp_path, capsys):
     lambda d: {**d, "state": {**d["state"], "dim_a": 3.0}},
     lambda d: {**d, "rho": {**d["rho"], "pivots": [[0]]}},
     lambda d: {**d, "rho_ta": {**d["rho_ta"], "columns": "x"}},
-], ids=["not-an-object", "float-dimension", "short-pivot", "columns-not-a-list"])
+    lambda d: {**d, "kind": ["ppt"]},
+], ids=["not-an-object", "float-dimension", "short-pivot", "columns-not-a-list",
+        "kind-not-a-string"])
 def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
     cert = tmp_path / "cert.json"
     assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
@@ -359,30 +360,40 @@ def _malformed(what, bad):
 
 
 def _spoil_state(data, bad):
-    """``data`` (a stored state) with ``bad`` at several matrix entries and
-    in an edge vector."""
+    """``data`` (a stored state) with ``bad`` at several entries of its edge
+    vectors, or of its matrix when it stores no edges."""
     data = json.loads(json.dumps(data))
-    for i, j in ((0, 1), (1, 0), (2, 2), (4, 4)):
-        data["matrix"]["entries"][i][j] = bad
-    data["edges"][0]["vector"][0] = data["edges"][1]["vector"][3] = bad
+    if "edges" in data:
+        for e, i in ((0, 0), (1, 3), (2, 3), (4, 6)):
+            data["edges"][e]["vector"][i] = bad
+    else:
+        for i, j in ((0, 1), (1, 0), (2, 2), (4, 4)):
+            data["matrix"]["entries"][i][j] = bad
     return data
+
+
+# a state stored as its edges, and one stored as its matrix
+SPOILED_STATES = (co.rho_3x3, co.tiles_complement)
 
 
 @pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
 def test_repeated_malformed_scalar_in_a_state_is_rejected(bad):
-    data = _spoil_state(se.state_to_json(co.rho_3x3()), bad)
-    with pytest.raises(se.MalformedData) as info:
-        se.state_from_json(data)
-    assert str(info.value) == _malformed("state", bad)
+    for state in SPOILED_STATES:
+        data = _spoil_state(se.state_to_json(state()), bad)
+        with pytest.raises(se.MalformedData) as info:
+            se.state_from_json(data)
+        assert str(info.value) == _malformed("state", bad)
 
 
 @pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
 def test_repeated_malformed_scalar_fails_verify(bad):
+    for state in SPOILED_STATES:
+        spoiled = se.ppt_certificate(state())
+        spoiled["state"] = _spoil_state(spoiled["state"], bad)
+        with pytest.raises(se.CertificateInvalid) as info:
+            se.verify_certificate(spoiled)
+        assert str(info.value) == _malformed("state", bad)
     cert = se.ppt_certificate(co.rho_3x3())
-    spoiled = {**cert, "state": _spoil_state(cert["state"], bad)}
-    with pytest.raises(se.CertificateInvalid) as info:
-        se.verify_certificate(spoiled)
-    assert str(info.value) == _malformed("state", bad)
     spoiled = json.loads(json.dumps(cert))
     for col in spoiled["rho_ta"]["columns"][:3]:
         col[-1] = bad
@@ -425,8 +436,7 @@ def test_reads_share_no_memo(monkeypatch):
     (``"0"`` is seeded), and a second read of the same document parses them
     all again: there is no cache across reads."""
     data = se.state_to_json(co.rho_family(3))
-    texts = [x for row in data["matrix"]["entries"] for x in row] \
-        + [x for e in data["edges"] for x in e["vector"]]
+    texts = [x for e in data["edges"] for x in e["vector"]]
     calls = []
     parse = em.parse_scalar
     monkeypatch.setattr(em, "parse_scalar", lambda text: calls.append(text) or parse(text))
@@ -463,9 +473,9 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.mark.parametrize("state, digest", [
-    ("rho3x3", "0cfe4fd5e86eb3901b77b9377b074e1c77e25b97ca858ce53a2baadc4cb6a59e"),
-    ("rho4x5", "3be7955b48748518778bf9635d2683034a876b3e6e3163bd76b0444c1a76531b"),
-    ("family:3", "9567de028ef828c397a93e52dac5d0f6f816be8fff3ea81642ceba962ae135ba"),
+    ("rho3x3", "fb1feff34429b516408c1331c3ad0a3134c3116795e019afecf4c2230ca31e62"),
+    ("rho4x5", "4c1e361297bcb09d9f4de16f8ccf7d1505a51a5bf2f887fe374fe9459705a0df"),
+    ("family:3", "73c307127fd24e8c74048e5092a6bc6dbf70f75546474e706c3d3e3d64d93dda"),
     (os.path.join(DATA, "rounded_4x4_s634511.json"),
      "ec60d7b134ddebecb36dac9168b758e7154c9db7c019e0e3fb88a0ccb92060b1"),
 ], ids=["rho3x3", "rho4x5", "family3", "rounded-4x4"])
@@ -481,6 +491,24 @@ def test_ppt_check_json_pinned(tmp_path, state, digest):
 
 def test_cli_extremal():
     assert cli.run(["extremal", "--state", "rho4x5", "--side", "B", "--perp", "4"]) == 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--birank", "10,10"], "DimensionMismatch: birank outside the valid range"),
+    (["--birank", "4,4 10,10"], "DimensionMismatch: birank outside the valid range"),
+    (["--birank", "4,4", "--samples", "0"], "--samples must be at least 1"),
+], ids=["birank", "second-birank", "no-samples"])
+def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
+    """A birank outside ``1..mn`` used to be skipped (``"reports": []``,
+    exit 0), and no samples wrote a NaN residual, which is not JSON; both
+    exit 2 before any sampling, as ``sample`` does."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the survey sampled before rejecting its input")
+
+    monkeypatch.setattr("pptlab.numlab.gauss_newton_birank", no_sampling)
+    assert cli.run(["survey", "--dims", "3x3", *argv, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"survey: {message}\n"
 
 
 def test_cli_sample_and_survey(capsys):
@@ -533,19 +561,28 @@ def test_cli_certify_inconclusive_exit(tmp_path):
     assert cli.run(["certify-sn", "--state", _separable_2x2(tmp_path), "--k", "2"]) == 1
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cli_certify_rejects_k_below_1(k, capsys):
+    """``--k 0`` used to certify the default k, and ``--k -1`` to run an
+    empty search; both are input errors."""
+    assert cli.run(["certify-sn", "--state", "rho3x3", "--k", k]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"certify-sn: InvalidK: k = {k}: ")
+
+
 @pytest.mark.parametrize("state, args, code, digest", [
     ("rho3x3", ["--k", "2"], 0,
-     "2358fff56ab3b7cd470e2440e1fb2a81abba7512a55723ef0eac26209ac66d8a"),
-    ("rho4x5", [], 0, "3552235310ce2414089a7ce1016d3ab8c207438d42792358bed5e801131d3749"),
+     "b325c894fc9bd15734c01c30559144104812f8fb3cf3a007d6d25670dc22843d"),
+    ("rho4x5", [], 0, "df25fbabefc3c9dbadfd16b2ee8ac0325b2b4a64d4e627a3452509881dc74e3e"),
     ("family:2", ["--exclude-deltas"], 0,
-     "a4fdabc3807228de148061a4cc60b03da4c585a82ae2eaa69def3a6476972274"),
+     "c470c6217a0ffa5be193667dcb2e6d623972e570eb18520343484d9ca36c008a"),
     ("family:3", ["--exclude-deltas"], 0,
-     "ad931c89bdfc626dfdaed0d4fb45ee431912f620e148c0685954ad2ca9e804a5"),
+     "3146b4527b34d847e8f07e97482ab7b324644ccbbe1ca9b4df57963bdd683241"),
     ("family:4", ["--exclude-deltas"], 0,
-     "7ac0e4fcb4913e5ce0c86764ae326db89cc73a915d3b93f0fcc9738a023e5cd2"),
+     "1684d1e4f75a5b732526ee3d9e43a22a983f48950d129a63b12804d30e47d093"),
     ("family:5", ["--exclude-deltas", "--method", "linear"], 0,
-     "7929ec75d9b4d8e5e0fd1cf63d62645fc11ee852a92700a3e12ba248868c10c5"),
-    (None, ["--k", "2"], 1, "0831c776782c92110a79f90091a9f80a9506b53c683fe7f67968a61b6f6ca492"),
+     "fcf79e65fe24e9f8f4b5de152c8823d3d2e8f56f59b042317c531787b625b596"),
+    (None, ["--k", "2"], 1, "3ddc1ed44c03326999041a2455e8272defd097759b46c3d1ef6730875e8caee2"),
 ], ids=["rho3x3-k2", "rho4x5", "family2", "family3", "family4", "family5-linear",
         "inconclusive-2x2"])
 def test_certify_sn_json_pinned(tmp_path, state, args, code, digest):
@@ -780,18 +817,17 @@ def test_sn_lower_value_must_equal_k(rho3x3_verdict):
 
 
 def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
-    """Both halves replay on the one stored state: the upper evidence of
-    another 3x3 state does not re-sum to it."""
+    """Both halves replay on the one stored state: the upper half of
+    another 3x3 state does not match the ranks of its edges."""
     fam = co.rho_family(2)
-    upper = ac.sn_upper_from_decomposition([e.vec for e in fam.edges],
-                                           [e.weight for e in fam.edges], fam)
+    upper = ac.sn_upper_from_decomposition(fam)
     mixed = _copy(rho3x3_verdict)
     mixed["upper"] = se._sn_upper_json(upper)
     mixed["verdict"] = "SN = 2"
     assert se.verify_certificate({"kind": "sn-verdict", "state": se.state_to_json(fam),
                                   "upper": mixed["upper"],
                                   "verdict": "SN <= 2 (lower bound inconclusive)"})
-    with pytest.raises(se.CertificateInvalid, match="does not reproduce the state"):
+    with pytest.raises(se.CertificateInvalid, match="does not match the decomposition ranks"):
         se.verify_certificate(mixed)
 
 
@@ -819,20 +855,65 @@ def test_cli_verify_accepts_inconclusive_verdict(tmp_path):
 
 
 def test_complex_tampered_basis_fails_verify(rho3x3_verdict, tmp_path):
+    """The lower half's basis is the state's edges: a complex entry in one
+    leaves a basis of the range over which the coordinate ring is not Q."""
     cert = _copy(rho3x3_verdict)
-    vec = cert["lower"]["basis"][1]
+    assert cert["lower"]["basis"] == "edges"
+    vec = cert["state"]["edges"][1]["vector"]
     vec[vec.index("1")] = "1+1 i"
+    with pytest.raises(se.CertificateInvalid, match="not real"):
+        se.verify_certificate(cert)
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(cert))
     assert cli.run(["verify", str(path)]) == 1
 
 
+def _split_e3(verdict):
+    """``verdict`` with rho3x3's edge e3 (weight 3) stored as two edges of
+    weights 1 and 2: the same matrix, and edges that are linearly dependent."""
+    cert = _copy(verdict)
+    edges = cert["state"]["edges"]
+    e3 = next(e for e in edges if e["name"] == "e3")
+    assert e3["weight"] == "3"
+    e3["weight"] = "1"
+    edges.append({**e3, "name": "e3b", "weight": "2"})
+    cert["upper"]["schmidt_ranks"].append(1)
+    return cert
+
+
 def test_basis_outside_the_range_is_rejected(rho3x3_verdict):
-    cert = _copy(rho3x3_verdict)
-    vec = cert["lower"]["basis"][1]
-    vec[vec.index("0")] = "1"
+    """``"basis": "edges"`` names a basis of the range only when the edges
+    are linearly independent."""
+    cert = _split_e3(rho3x3_verdict)
+    assert se.state_from_json(cert["state"]) == co.rho_3x3()
+    assert cert["lower"]["basis"] == "edges"
     with pytest.raises(se.CertificateInvalid, match="not a basis of the range"):
         se.verify_certificate(cert)
+    for bad in ("Edges", None, 0, "matrix"):
+        cert["lower"]["basis"] = bad
+        with pytest.raises(se.CertificateInvalid, match='neither "edges" nor "range"'):
+            se.verify_certificate(cert)
+
+
+def test_range_basis_certifies_and_replays_on_dependent_edges(rho3x3_verdict, tmp_path,
+                                                             capsys):
+    """On a state whose edges are linearly dependent, certify-sn writes
+    ``"basis": "range"`` (the canonical basis of the range, named by
+    site) and verify replays it; the upper half still reads the edges."""
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(_split_e3(rho3x3_verdict)["state"]))
+    cert = tmp_path / "sn.json"
+    assert cli.run(["certify-sn", "--state", str(path), "--k", "2", "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert data["lower"]["basis"] == "range" and data["verdict"] == "SN in [2, 3]"
+    assert data["lower"]["variables"] == ["psi00", "psi01", "psi02", "psi10", "psi20"]
+    assert data["upper"] == {"value": 3, "schmidt_ranks": [3, 2, 2, 1, 1, 1]}
+    capsys.readouterr()
+    assert cli.run(["verify", str(cert)]) == 0
+    assert capsys.readouterr().out == "verify: OK (sn-verdict)\n"
+    data["lower"]["basis"] = "edges"
+    with pytest.raises(se.CertificateInvalid, match="not a basis of the range"):
+        se.verify_certificate(data)
 
 
 def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
@@ -892,9 +973,21 @@ def test_scaled_cofactors_fail_verify(rho3x3_verdict, factor):
 # -- the indexed sn-lower format and the retired layouts -------------------------
 
 def _retired(verdict, layout):
-    """``verdict`` re-laid out as an older certificate: the state in each
-    half (with the kind and, in the lower half, ``k``), or one half alone."""
+    """``verdict`` re-laid out as an older certificate: as certify-sn wrote
+    it before the halves referred to the state (the state's matrix next to
+    its edges, the basis vectors in the lower half, the edge vectors and
+    weights in the upper half), and before that with the state in each half
+    (with the kind and, in the lower half, ``k``), or one half alone."""
     cert = _copy(verdict)
+    state = se.state_from_json(cert["state"])
+    cert["state"]["matrix"] = se.matrix_to_json(state.matrix)
+    cert["lower"]["basis"] = [se.vector_to_json(e.vec) for e in state.edges]
+    cert["upper"] = {"value": cert["upper"]["value"],
+                     "vectors": [se.vector_to_json(e.vec) for e in state.edges],
+                     "weights": [em.format_scalar(e.weight) for e in state.edges],
+                     "schmidt_ranks": cert["upper"]["schmidt_ranks"]}
+    if layout == "edges-copied":
+        return cert
     state = cert.pop("state")
     lower = {"kind": "sn-lower", "state": state, "k": cert["lower"]["value"], **cert["lower"]}
     upper = {"kind": "sn-upper", "state": state, **cert["upper"]}
@@ -903,12 +996,13 @@ def _retired(verdict, layout):
     return {"sn-lower": lower, "sn-upper": upper}[layout]
 
 
-@pytest.mark.parametrize("layout", ["state-per-half", "sn-lower", "sn-upper"])
+@pytest.mark.parametrize("layout", ["state-per-half", "sn-lower", "sn-upper", "edges-copied"])
 def test_cli_verify_fails_retired_sn_layouts(rho3x3_verdict, tmp_path, capsys, layout):
-    """The layouts before the state was stored once, at the top level: a
-    verdict with a state per half (what certify-sn wrote before) and a
-    standalone half.  Each fails ``pptlab verify`` with one line that asks
-    to re-run certify-sn, although every proof in it is genuine."""
+    """The layouts before the state was stored once, at the top level (a
+    verdict with a state per half, and a standalone half), and before an
+    sn-verdict referred to its state's edges instead of copying them.
+    Each fails ``pptlab verify`` with one line that asks to re-run
+    certify-sn, although every proof in it is genuine."""
     path = tmp_path / "old.json"
     path.write_text(json.dumps(_retired(rho3x3_verdict, layout)))
     capsys.readouterr()
@@ -1000,7 +1094,7 @@ def genuine_lowers():
 
 MUTATIONS = ("index", "repeated-index", "unsorted", "out-of-range", "duplicate-pair",
              "entry-shape", "coefficient", "exponent", "exponent-move", "power",
-             "witness-variable", "basis-entry")
+             "witness-variable", "basis")
 
 
 def _mutate(data, lower, m, n):
@@ -1042,21 +1136,28 @@ def _mutate(data, lower, m, n):
     elif kind == "witness-variable":
         lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"] + ["x", 0]))
     else:
-        vec = data.draw(st.sampled_from(lower["basis"]), label="basis vector")
-        vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(
-            st.sampled_from(["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]), label="entry")
+        lower["basis"] = data.draw(st.sampled_from(BASIS_SOURCES), label="basis")
+
+
+BASIS_SOURCES = ["edges", "range", "Edges", "", None, 0, ["edges"]]
 
 
 def _claim_holds(lower, state):
     """Independent check of an accepted lower half by sympy determinants:
-    the stored basis is a real basis of the range, the witness overlaps only
-    the declared coordinate, every minor is ``value x value``, and the
-    identity expands to the witness power."""
+    the named basis (the state's edges or the canonical basis of its range)
+    is a real basis of the range, the witness overlaps only the declared
+    coordinate, every minor is ``value x value``, and the identity expands
+    to the witness power."""
     sympy = pytest.importorskip("sympy")
     m, n = state.dims
-    basis = [se.vector_from_json(v) for v in lower["basis"]]
-    witness = se.vector_from_json(lower["witness"])
     rng = em.column_space(state.matrix)
+    if lower["basis"] == "range":
+        basis = list(rng.basis)
+    elif lower["basis"] == "edges":
+        basis = [e.vec for e in state.edges]
+    else:
+        return False
+    witness = se.vector_from_json(lower["witness"])
     names = lower["variables"]
     if not (all(len(rows) == len(cols) == lower["value"] for rows, cols, _ in lower["minors"])
             and len(basis) == len(names) == rng.dim
@@ -1124,20 +1225,21 @@ def genuine_verdicts(tmp_path_factory):
     return out
 
 
-UPPER_MUTATIONS = ("upper-vector-entry", "upper-weight", "schmidt-rank", "state-entry",
-                   "verdict")
+UPPER_MUTATIONS = ("edge-name", "edge-vector-entry", "edge-weight", "schmidt-rank", "verdict")
 VERDICT_MUTATIONS = ("cofactor", "row-index", "column-index", "power", "witness-variable",
-                     "basis-entry") + UPPER_MUTATIONS
+                     "basis") + UPPER_MUTATIONS
 ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
 
 
 def _mutate_verdict(data, payload):
     """One drawn perturbation of one field of an sn-verdict (in place): of
-    a half, of its one state, or of the verdict line.  Without a lower half only the upper and
-    state mutations apply."""
+    a half, of an edge of its one state (name, vector entry or weight), or
+    of the verdict line.  Without a lower half only the upper and state
+    mutations apply."""
     lower, upper, state = payload.get("lower"), payload["upper"], payload["state"]
     kind = data.draw(st.sampled_from(VERDICT_MUTATIONS if lower else UPPER_MUTATIONS),
                      label="mutation")
+    edge = data.draw(st.sampled_from(state["edges"]), label="edge")
     if kind in ("cofactor", "row-index", "column-index"):
         entry = data.draw(st.sampled_from(lower["minors"]), label="minor")
         if kind == "cofactor":
@@ -1151,53 +1253,41 @@ def _mutate_verdict(data, payload):
         lower["power"] = data.draw(st.integers(-1, 2 * lower["value"] + 2))
     elif kind == "witness-variable":
         lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"]))
-    elif kind in ("basis-entry", "upper-vector-entry"):
-        vec = data.draw(st.sampled_from(lower["basis"] if kind == "basis-entry"
-                                        else upper["vectors"]), label="vector")
+    elif kind == "basis":
+        lower["basis"] = data.draw(st.sampled_from(BASIS_SOURCES), label="basis")
+    elif kind == "edge-name":
+        edge["name"] = data.draw(st.sampled_from(["e0", "alpha", "psi00", "", None, 0]))
+    elif kind == "edge-vector-entry":
+        vec = edge["vector"]
         vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(st.sampled_from(ENTRIES))
-    elif kind == "upper-weight":
-        weights = upper["weights"]
-        weights[data.draw(st.integers(0, len(weights) - 1))] = data.draw(
-            st.sampled_from(["0", "2", "1/2", "-1", "x", None]))
+    elif kind == "edge-weight":
+        edge["weight"] = data.draw(st.sampled_from(["0", "2", "1/2", "-1", "x", None]))
     elif kind == "verdict":
         payload["verdict"] = data.draw(st.sampled_from(
             ["SN = 2", "SN = 3", "SN = 4", "SN in [2, 3]", "SN in [3, 4]",
              "SN <= 3 (lower bound inconclusive)", "SN <= 4 (lower bound inconclusive)", None]))
-    elif kind == "schmidt-rank":
+    else:
         ranks = upper["schmidt_ranks"]
         ranks[data.draw(st.integers(0, len(ranks) - 1))] = data.draw(
             st.integers(0, 6) | st.sampled_from([2.0, "2", None]))
-    else:
-        size = state["matrix"]["rows"]
-        i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-        state["matrix"]["entries"][i][j] = data.draw(st.sampled_from(ENTRIES))
 
 
 def _upper_claim_holds(upper, stored):
-    """Independent check of an accepted upper half on the ``stored`` state:
-    a dense weighted outer-product sum equals the state, the weights are
-    nonnegative, and sympy ranks of the vectors' matricizations are the
-    stored Schmidt ranks, whose maximum is the claimed value."""
+    """Independent check of an accepted upper half on the ``stored`` state,
+    the weighted Gram sum of its edges: the weights are nonnegative, and
+    sympy ranks of the edge vectors' matricizations are the stored Schmidt
+    ranks, whose maximum is the claimed value."""
     sympy = pytest.importorskip("sympy")
-    state = se.state_from_json(stored)
-    m, n = state.dims
-    vectors = [se.vector_from_json(v) for v in upper["vectors"]]
-    weights = [em.as_scalar(Fraction(w)) for w in upper["weights"]]
-    if len(weights) != len(vectors) or any(w.re < 0 for w in weights):
+    m, n = stored["dim_a"], stored["dim_b"]
+    if any(Fraction(e["weight"]) < 0 for e in stored["edges"]):
         return False
-    for r in range(m * n):
-        for c in range(m * n):
-            acc = em.ZERO
-            for v, w in zip(vectors, weights):
-                acc = acc + w * v[r] * v[c].conj()
-            if acc != state.matrix.entry(r, c):
-                return False
 
     def number(z):
         return sympy.Rational(z.re.numerator, z.re.denominator) \
             + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
 
-    ranks = [sympy.Matrix(m, n, [number(z) for z in v]).rank() for v in vectors]
+    ranks = [sympy.Matrix(m, n, [number(em.parse_scalar(x)) for x in e["vector"]]).rank()
+             for e in stored["edges"]]
     return upper["schmidt_ranks"] == ranks and upper["value"] == max(ranks)
 
 
@@ -1236,9 +1326,48 @@ def test_sn_upper_with_a_wrong_stored_schmidt_rank_is_rejected(rho3x3_verdict):
 
 
 def test_sn_upper_without_vectors_is_rejected(rho3x3_verdict):
-    cert = {**rho3x3_verdict, "upper": {**rho3x3_verdict["upper"], "vectors": [], "weights": []}}
-    with pytest.raises(se.CertificateInvalid, match="no vectors"):
-        se.verify_certificate(cert)
+    """The upper half reads the state's edges: a state with no edges, or one
+    stored as its matrix alone, has no decomposition to bound."""
+    for state in ({**rho3x3_verdict["state"], "edges": []},
+                  se.state_to_json(co.tiles_complement())):
+        cert = {"kind": "sn-verdict", "state": state, "lower_inconclusive": "not searched",
+                "upper": {"value": 1, "schmidt_ranks": []},
+                "verdict": "SN <= 1 (lower bound inconclusive)"}
+        with pytest.raises(se.CertificateInvalid, match="no edge decomposition"):
+            se.verify_certificate(cert)
+
+
+def test_sn_upper_with_a_negative_edge_weight_is_rejected(rho3x3_verdict):
+    """Edges e3 (weight 4) and a copy of it (weight -1) sum to rho3x3, a PSD
+    state, but are not a conic decomposition: the upper half fails."""
+    cert = _split_e3(rho3x3_verdict)
+    e3, copy = cert["state"]["edges"][3], cert["state"]["edges"][-1]
+    assert (e3["name"], copy["name"]) == ("e3", "e3b")
+    e3["weight"], copy["weight"] = "4", "-1"
+    assert se.state_from_json(cert["state"]) == co.rho_3x3()
+    with pytest.raises(se.CertificateInvalid, match="negative weight"):
+        se.verify_sn_upper_certificate(cert["upper"], se.state_from_json(cert["state"]))
+
+
+def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys):
+    """A state file that stores both its matrix and its edges is input in a
+    retired layout (exit 2, re-run build); a ppt certificate holding one
+    fails verify (exit 1, re-run ppt-check)."""
+    state, cert = tmp_path / "state.json", tmp_path / "ppt.json"
+    assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
+    old = json.loads(cert.read_text())
+    old["state"]["matrix"] = se.matrix_to_json(co.rho_3x3().matrix)
+    state.write_text(json.dumps(old["state"]))
+    cert.write_text(json.dumps(old))
+    capsys.readouterr()
+    for verb in ("ppt-check", "certify-sn", "build"):
+        assert cli.run([verb, "--state", str(state)]) == 2
+        err = capsys.readouterr().err
+        assert "retired layout" in err and "re-run build" in err
+    assert cli.run(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verify: FAILED: ppt certificate in a retired layout")
+    assert "re-run ppt-check" in out
 
 
 FAMILY6 = os.path.join(DATA, "family6_sn_verdict.json")
@@ -1251,7 +1380,7 @@ def test_committed_family6_certificate_replays_and_is_rewritten(tmp_path, capsys
     with open(FAMILY6, "rb") as fh:
         committed = fh.read()
     assert hashlib.sha256(committed).hexdigest() == \
-        "f9a84cfa0dc02c788f05404c663c07229968c75dec2bc963ae1c37a373528968"
+        "bad320f0d97568df1f3e234a0e781fa61e98499d0b2972f51cac4dc583e3cf36"
     assert json.loads(committed)["verdict"] == "SN = 6"
     capsys.readouterr()
     assert cli.run(["verify", FAMILY6]) == 0
@@ -1290,14 +1419,22 @@ def _conjugate_text(text):
     return em.format_scalar(em.parse_scalar(text).conj())
 
 
+def _state_rows(state):
+    """The lists of scalar strings a stored state holds: the rows of its
+    matrix, or the vectors of its edges."""
+    return state["matrix"]["entries"] if "matrix" in state else [e["vector"] for e in state["edges"]]
+
+
 def _mutate_ppt(data, cert, others):
     """One drawn perturbation of one field of a ppt certificate (in place);
     ``swapped-state`` stores the state of one of the ``others`` with its
-    genuine ``rho`` evidence, so that only the ``rho_ta`` evidence is false."""
+    genuine ``rho`` evidence, so that only the ``rho_ta`` evidence is false.
+    The state mutations change an entry of the matrix, or of an edge (its
+    name, a vector entry or its weight) when the state is stored as edges."""
     npt = not cert["rho_ta"]["psd"]
     kind = data.draw(st.sampled_from(NPT_MUTATIONS if npt else PPT_MUTATIONS), label="mutation")
     key = "rho" if npt else data.draw(st.sampled_from(["rho", "rho_ta"]), label="block")
-    ev, matrix = cert[key], cert["state"]["matrix"]["entries"]
+    ev, state = cert[key], cert["state"]
     if kind == "pivot":
         pivot = data.draw(st.sampled_from(ev["pivots"]), label="pivot")
         pivot[1] = data.draw(st.sampled_from(SCALARS) | st.fractions().map(str), label="value")
@@ -1306,19 +1443,29 @@ def _mutate_ppt(data, cert, others):
         col[data.draw(st.integers(0, len(col) - 1))] = data.draw(st.sampled_from(SCALARS))
     elif kind == "imaginary-part":
         # a column entry or a state entry with its imaginary part negated or shifted
-        rows = ev["columns"] if data.draw(st.booleans(), label="in a column") else matrix
+        rows = ev["columns"] if data.draw(st.booleans(), label="in a column") \
+            else _state_rows(state)
         row = data.draw(st.sampled_from(rows), label="row")
         i = data.draw(st.integers(0, len(row) - 1))
         shift = data.draw(st.sampled_from([None, "1 i", "-1/2 i"]), label="shift")
         row[i] = _conjugate_text(row[i]) if shift is None else \
             em.format_scalar(em.parse_scalar(row[i]) + em.parse_scalar(shift))
-    elif kind == "state-entry":
+    elif kind == "state-entry" and "matrix" in state:
+        matrix = state["matrix"]["entries"]
         size = len(matrix)
         i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
         value = data.draw(st.sampled_from(SCALARS[:7]), label="entry")
         matrix[i][j] = value
         if data.draw(st.booleans(), label="hermitian"):
             matrix[j][i] = _conjugate_text(value)
+    elif kind == "state-entry":
+        edge = data.draw(st.sampled_from(state["edges"]), label="edge")
+        field = data.draw(st.sampled_from(["name", "vector", "weight"]), label="edge field")
+        if field == "vector":
+            vec = edge["vector"]
+            vec[data.draw(st.integers(0, len(vec) - 1))] = data.draw(st.sampled_from(SCALARS))
+        else:
+            edge[field] = data.draw(st.sampled_from(SCALARS + ["e0", "3"]), label=field)
     elif kind == "swapped-state":
         other = _copy(data.draw(st.sampled_from(others)))
         cert["state"], cert["rho"] = other["state"], other["rho"]
@@ -1335,18 +1482,27 @@ def _mutate_ppt(data, cert, others):
 
 def _ppt_claim_holds(cert):
     """Independent check of an accepted ppt certificate: by sympy, the stored
-    matrix is Hermitian and is PSD (the stored state is a state), and its
+    matrix, or the weighted Gram sum of the stored edges, is Hermitian and
+    is PSD (the stored state is a state), and its
     partial transpose is PSD exactly when the verdict is PPT.  A Hermitian
     ``A`` is PSD iff every coefficient of ``det(x + A)`` is nonnegative."""
     sympy = pytest.importorskip("sympy")
-    m, n = cert["state"]["dim_a"], cert["state"]["dim_b"]
+    state = cert["state"]
+    m, n = state["dim_a"], state["dim_b"]
 
     def number(text):
         z = em.parse_scalar(text)
         return sympy.Rational(z.re.numerator, z.re.denominator) \
             + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
 
-    M = sympy.Matrix([[number(x) for x in row] for row in cert["state"]["matrix"]["entries"]])
+    if "matrix" in state:
+        M = sympy.Matrix([[number(x) for x in row] for row in state["matrix"]["entries"]])
+    else:
+        M = sympy.zeros(m * n, m * n)
+        for e in state["edges"]:
+            v = sympy.Matrix([number(x) for x in e["vector"]])
+            w = Fraction(e["weight"])
+            M += sympy.Rational(w.numerator, w.denominator) * v * v.H
     pt = sympy.Matrix(m * n, m * n, lambda r, c: M[(c // n) * n + r % n, (r // n) * n + c % n])
     x = sympy.Symbol("x")
 
