@@ -387,22 +387,22 @@ def _site_variable_name(idx: int, n: int) -> str:
     return f"psi_{i}_{j}"
 
 
-def range_coordinate_matrix(s: qs.BipartiteState, require_orthogonal_basis: bool = False,
-                            naming: str = "site") -> mi.SymbolicRangeMatrix:
-    """Parametrize R(rho) as a symbolic coordinate matrix.
+def range_coordinate_matrix(s: qs.BipartiteState, rng: em.Subspace,
+                            require_orthogonal_basis: bool = False,
+                            naming: str = "site") -> tuple:
+    """``(source, matrix)``: ``rng``, the range of ``s``, as a symbolic coordinate matrix.
 
-    Uses the state's recorded edge decomposition as the range basis when it
-    is linearly independent and spans the range; otherwise the canonical
-    RREF basis of the range.  Variables are named after each basis vector's
-    leading site (``psi<i><j>``, ``naming="site"``) or after the recorded
-    edge names (``naming="edge"``).
+    The basis is the state's recorded edges (source ``"edges"``) when they
+    are linearly independent and span the range, else the canonical RREF
+    basis of the range (``"range"``).  Variables are named after each basis
+    vector's leading site (``psi<i><j>``, ``naming="site"``) or after the
+    recorded edge names (``naming="edge"``).
 
     Basis entries must be real: the coordinate ring is Q.
     """
     if naming not in ("site", "edge"):
         raise ValueError("naming must be 'site' or 'edge'")
     m, n = s.dims
-    rng = em.column_space(s.matrix)
     vectors = qs.edge_basis(s, rng)
     if naming == "edge":
         if vectors is None:
@@ -420,7 +420,8 @@ def range_coordinate_matrix(s: qs.BipartiteState, require_orthogonal_basis: bool
             # vectors with disjoint supports are orthogonal
             if not supports[a].isdisjoint(supports[b]) and em.vdot(v1, v2):
                 raise NonOrthogonalBasis(f"range basis vectors {n1} and {n2} overlap")
-    return mi.coordinate_matrix(m, n, mi.PolyRing([name for name, _ in basis]), basis)
+    return ("range" if vectors is None else "edges",
+            mi.coordinate_matrix(m, n, mi.PolyRing([name for name, _ in basis]), basis))
 
 
 class Minor(mi.Polynomial):
@@ -681,9 +682,10 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     """
     if k < 1:
         raise InvalidK(f"k = {k}: a Schmidt-number lower bound needs k >= 1")
-    if not em.column_space(s.matrix).contains(witness_vector):
+    rng = em.column_space(s.matrix)
+    if not rng.contains(witness_vector):
         raise WitnessNotInRange("witness vector is not in R(rho)")
-    sym = range_coordinate_matrix(s, require_orthogonal_basis=True, naming=naming)
+    source, sym = range_coordinate_matrix(s, rng, require_orthogonal_basis=True, naming=naming)
     overlaps = [(name, em.vdot(v, witness_vector)) for name, v in sym.basis]
     nonzero = [(name, c) for name, c in overlaps if c]
     if len(nonzero) != 1:
@@ -718,8 +720,6 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
         terms = [cofactors[i] for i in used]
         if not mi.minor_identity_holds(sym, N, witness_var, pairs, terms):
             raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
-        edges = [e.vec for e in s.edges or ()]
-        source = "edges" if [v for _, v in sym.basis] == edges else "range"
         return LowerBound(k, tuple(witness_vector), witness_var, sym.ring.variables, source, N,
                           tuple((rows, cols, cof) for (rows, cols), cof in zip(pairs, terms)))
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Reproducible workflows over files; every verb supports ``--json`` and
-``--out``.  Exit codes: 0 a verdict was produced, 1 the run was
-inconclusive (failed certificate replay, inconclusive certification,
-failed acceptance), 2 input error: input that does not parse, or a
+Reproducible workflows over files; a verb that computes a payload prints
+it under ``--json`` and writes it to ``--out`` (``verify`` and ``plot``
+print text only).  Exit codes: 0 a verdict was produced, 1 the run was
+inconclusive (failed certificate replay, inconclusive certification, failed
+acceptance), 2 input error: input that does not parse, or a
 :class:`PptlabError` the input causes.  Any other exception is a fault of
 the program and surfaces with its traceback.
 
@@ -91,7 +92,7 @@ def _load_state(ref: str) -> qs.BipartiteState:
 def _emit(args, payload: dict, text: str) -> None:
     """Write the JSON payload to ``--out`` when given, and print it under
     ``--json``; otherwise print ``text``.  The payload is encoded once."""
-    path = getattr(args, "out", None)
+    path = args.out
     encoded = json.dumps(payload, indent=2) if path or args.json else None
     if path:
         with open(path, "w") as fh:
@@ -328,10 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("-v", "--verbose", action="store_true")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, out=True):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit JSON on stdout")
-        if out:
-            p.add_argument("--out", help="write the JSON payload to this path")
+        p.add_argument("--out", help="write the JSON payload to this path")
 
     p = sub.add_parser("build", help="build a state from a grid graph or a name")
     p.add_argument("--graph", help="GridGraph JSON file")
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay a certificate without re-deriving it")
     p.add_argument("certificate")
-    common(p, out=False)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reproduce", help="run the acceptance suite")
@@ -405,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="grid-graph diagram of a state's edges (display only)")
     p.add_argument("--state", required=True)
     p.add_argument("--svg", help="also write an SVG file")
-    common(p, out=False)
     p.set_defaults(fn=cmd_plot)
 
     return ap

@@ -129,11 +129,10 @@ def rho_3x3() -> qs.BipartiteState:
                ([(2, 0)], 3)],
         dashed=[([(1, 0), (2, 1)], 1)],
     )
-    st = grid_to_state(g, label="rho3x3")
-    # grid_to_state lists solid edges first; name them e0..e4 in docstring order
-    edges = [qs.NamedVector(f"e{i}", st.edges[j].vec, st.edges[j].weight)
+    # the graph lists solid edges first; name them e0..e4 in docstring order
+    edges = [qs.NamedVector(f"e{i}", g.edges[j].vector(3, 3), g.edges[j].weight)
              for i, j in enumerate((0, 1, 4, 2, 3))]
-    return qs.BipartiteState(3, 3, st.matrix, label="rho3x3", edges=edges, _skip_checks=True)
+    return qs.BipartiteState(3, 3, label="rho3x3", edges=edges)
 
 
 @functools.lru_cache(maxsize=None)

@@ -827,17 +827,8 @@ def orth_projector(S: Subspace) -> ExactMatrix:
         return ExactMatrix.zeros(S.ambient_dim, S.ambient_dim)
     C = ExactMatrix.from_cols(S.basis)        # ambient x k
     G = C.adjoint().matmul(C)                 # k x k, positive definite
-    X = _solve_invertible(G, C.adjoint())     # G^{-1} C*
+    X = solve_on_range_matrix(G, C.adjoint())  # G^{-1} C*, unique: G is invertible
     return C.matmul(X)
-
-
-def _solve_invertible(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Solve ``A X = B`` for invertible square ``A``."""
-    n = A.rows
-    pivots, reduced, _ = _rref([A.row(i) + B.row(i) for i in range(n)], limit_cols=n)
-    if len(pivots) != n:
-        raise RangeViolation("matrix is singular")
-    return ExactMatrix([row[n:] for row in reduced])
 
 
 def solve_on_range_matrix(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:

@@ -1,20 +1,23 @@
 """JSON round-trips for states, grid graphs, and certificates.
 
 Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``; matrices as
-``{"rows", "cols", "entries"}`` with stringified entries.  A state stores
-its ``edges`` when it has them, else its ``matrix``; an edge state's
-matrix is read back by one Gram sum.  Certificates carry a ``"kind"`` tag
-dispatched by the verifier: ``ppt`` (LDL* evidence for the state and its
-partial transpose) and ``sn-verdict`` (the evidence of a Schmidt-number
-``lower`` and ``upper`` bound, and the verdict line), each storing its
-state once.  The halves refer to that state: the lower one names its basis
-of the range (``"edges"`` or ``"range"``), the upper one stores the
-Schmidt ranks of the state's edges.  Each half is written here, from the
-exact bounds the certifier returns, next to the reader that replays it.
-Retired layouts fail with a request to re-run the verb that wrote them.
-Each reader parses every distinct scalar string once.  Replaying a lower
-half imports the replay kernel :mod:`pptlab.minors` when it runs, never
-the certifier :mod:`pptlab.algcert`; reading a grid graph imports
+``{"rows", "cols", "entries"}`` with stringified entries.  A vector (edge
+vector, witness, LDL* column) stores its nonzero entries as ``[index,
+"p/q"]`` pairs in index order, a cofactor monomial its ``[variable,
+exponent]`` pairs; their lengths come from the state or the ring.  A
+state stores its ``edges`` when it has them, else its ``matrix``; an edge
+state's matrix is read back by one Gram sum.  Certificates carry a
+``"kind"`` tag dispatched by the verifier: ``ppt`` (LDL* evidence for the
+state and its partial transpose) and ``sn-verdict`` (the evidence of a
+Schmidt-number ``lower`` and ``upper`` bound, and the verdict line), each
+storing its state once.  The halves refer to that state: the lower one
+names its basis of the range (``"edges"`` or ``"range"``), the upper one
+stores the Schmidt ranks of the state's edges.  Each half is written
+here, from the exact bounds the certifier returns, next to the reader that
+replays it.  Retired layouts (dense vectors among them) fail with a
+request to re-run the verb that wrote them.  Replaying a lower half
+imports the replay kernel :mod:`pptlab.minors` when it runs, never the
+certifier :mod:`pptlab.algcert`; reading a grid graph imports
 :mod:`pptlab.constructions`.
 """
 
@@ -36,6 +39,10 @@ class MalformedData(PptlabError):
     """Stored JSON without the fields and types its reader expects."""
 
 
+class RetiredLayout(MalformedData):
+    """Stored JSON in a layout that an earlier version wrote."""
+
+
 def matrix_to_json(M: em.ExactMatrix) -> dict:
     return {
         "rows": M.rows,
@@ -44,8 +51,8 @@ def matrix_to_json(M: em.ExactMatrix) -> dict:
     }
 
 
-def matrix_from_json(data: dict, scalar=em.parse_scalar) -> em.ExactMatrix:
-    entries = [[scalar(x) for x in row] for row in data["entries"]]
+def matrix_from_json(data: dict) -> em.ExactMatrix:
+    entries = [[em.parse_scalar(x) for x in row] for row in data["entries"]]
     M = em.ExactMatrix(entries) if entries else em.ExactMatrix.zeros(data["rows"], data["cols"])
     if M.shape != (data["rows"], data["cols"]):
         raise CertificateInvalid("matrix shape mismatch")
@@ -53,32 +60,38 @@ def matrix_from_json(data: dict, scalar=em.parse_scalar) -> em.ExactMatrix:
 
 
 def vector_to_json(v: em.Vector) -> list:
-    return [em.format_scalar(x) for x in v]
+    """The nonzero entries of ``v`` as ``[index, "p/q"]`` pairs."""
+    return _sparse_to_json(v, em.format_scalar)
 
 
-def vector_from_json(data, scalar=em.parse_scalar) -> em.Vector:
-    return tuple(scalar(x) for x in data)
+def vector_from_json(data, length: int) -> em.Vector:
+    """The vector of ``length`` entries that :func:`vector_to_json` wrote."""
+    return tuple(_sparse_from_json(data, length, em.parse_scalar, em.ZERO))
 
 
-def _scalar_reader():
-    """A parser of the scalar strings of one document that parses each once.
+def _sparse_to_json(v, value) -> list:
+    """``[index, value(x)]`` for each nonzero entry ``x`` of ``v``, in index order."""
+    return [[i, value(x)] for i, x in enumerate(v) if x]
 
-    A stored state repeats few strings many times (family:5's has 2,349
-    scalars, 2 distinct).  ``"0"`` reads as :data:`exactmat.ZERO`, the zero
-    the kernels build, so comparing a read matrix with a computed one
-    short-circuits on identity.  The memo lives as long as one read.
-    """
-    memo = {"0": em.ZERO}
 
-    def scalar(text):
-        try:
-            return memo[text]
-        except (KeyError, TypeError):  # TypeError: unhashable, which parse_scalar rejects
-            pass
-        z = memo[text] = em.parse_scalar(text)
-        return z
-
-    return scalar
+def _sparse_from_json(data, length: int, parse, zero) -> list:
+    """The ``length`` entries whose nonzero ones ``data`` lists as
+    ``[index, value]`` pairs, ``zero`` elsewhere: int indices increasing
+    strictly below ``length``, values that ``parse`` reads as nonzero.  A
+    bare string entry is a vector in the retired dense layout."""
+    if not isinstance(data, list):
+        raise TypeError(f"{data!r} is not a list of [index, value] pairs")
+    out, last = [zero] * length, -1
+    for pair in data:
+        if isinstance(pair, str):
+            raise RetiredLayout("a vector stored densely")
+        index, value = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+        x = parse(value) if type(index) is int and last < index < length else None
+        if not x:
+            raise ValueError(f"entry {pair!r} is not [index, nonzero value] with an index "
+                             f"above {last} and below {length}")
+        out[index], last = x, index
+    return out
 
 
 def state_to_json(s: qs.BipartiteState) -> dict:
@@ -94,29 +107,27 @@ def state_to_json(s: qs.BipartiteState) -> dict:
 
 def state_from_json(data: dict) -> qs.BipartiteState:
     """Build a stored state from its edges (one Gram sum) or its matrix.
-    Malformed JSON, and the retired layout that stored both, raise
-    :class:`MalformedData`; the checks of the constructor run outside that
+    Malformed JSON raises :class:`MalformedData`, and a retired layout
+    :class:`RetiredLayout`; the checks of the constructor run outside that
     conversion, so a fault in them keeps its own exception."""
-    return qs.BipartiteState(*_parsed("state", _state_parts, data))
-
-
-def _retired_state(data) -> bool:
-    """A stored state with both ``matrix`` and ``edges`` (a retired layout)."""
-    return isinstance(data, dict) and "matrix" in data and "edges" in data
+    try:
+        parts = _parsed("state", _state_parts, data)
+    except RetiredLayout as exc:
+        raise RetiredLayout(f"state in a retired layout ({exc}): "
+                            "re-run build to replace it") from None
+    return qs.BipartiteState(*parts)
 
 
 def _state_parts(data: dict) -> tuple:
-    if _retired_state(data):
-        raise MalformedData("state in a retired layout (both matrix and edges): "
-                            "re-run build to replace it")
+    if isinstance(data, dict) and "matrix" in data and "edges" in data:
+        raise RetiredLayout("both matrix and edges")
     dim_a, dim_b = data["dim_a"], data["dim_b"]
     if type(dim_a) is not int or type(dim_b) is not int:
         raise TypeError("state dimensions are not integers")
-    scalar = _scalar_reader()
     if "edges" not in data:
-        return dim_a, dim_b, matrix_from_json(data["matrix"], scalar), data.get("label", "")
-    edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"], scalar), Fraction(e["weight"]))
-             for e in data["edges"]]
+        return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", "")
+    edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"], dim_a * dim_b),
+                            Fraction(e["weight"])) for e in data["edges"]]
     if not all(isinstance(e.name, str) for e in edges):
         raise TypeError("edge names are not strings")
     return dim_a, dim_b, None, data.get("label", ""), edges
@@ -124,14 +135,14 @@ def _state_parts(data: dict) -> tuple:
 
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
     """Parse one extension step: ``kind``, ``side`` (default "A"), the
-    kind's parameters, vectors as lists and matrices as objects, and the
-    optional ``names`` of the remainder's rank-one parts."""
+    kind's parameters, vectors as lists of every entry (a step names no
+    dimensions) and matrices as objects, and the optional ``names`` of the
+    remainder's rank-one parts."""
     from . import extender as ex
 
     kind = data.get("kind")
-    scalar = _scalar_reader()
-    parameters = {key: matrix_from_json(data[key], scalar) if isinstance(data[key], dict)
-                  else vector_from_json(data[key], scalar) for key in ex.step_keys(kind)}
+    parameters = {key: matrix_from_json(data[key]) if isinstance(data[key], dict)
+                  else tuple(em.parse_scalar(x) for x in data[key]) for key in ex.step_keys(kind)}
     names = data.get("names")
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):
@@ -192,8 +203,8 @@ def _psd_json(res: em.PsdResult) -> dict:
 
 def verify_ppt_certificate(data: dict) -> bool:
     """Replay a PPT certificate: rebuild both factorizations and check them."""
-    stored, evidence, claimed = _parsed("certificate", _read_ppt, data)
-    s = state_from_json(stored)
+    s = state_from_json(_parsed("certificate", lambda d: d["state"], data))
+    evidence, claimed = _parsed("certificate", _read_ppt, data, s.matrix.rows)
     pt = s.partial_transpose("A")
     for key, M in (("rho", s.matrix), ("rho_ta", pt)):
         psd, *ev = evidence[key]
@@ -214,19 +225,18 @@ def verify_ppt_certificate(data: dict) -> bool:
     return True
 
 
-def _read_ppt(data: dict) -> tuple:
-    """The stored state, ``{key: (True, pivots, columns) | (False, witness,
-    value)}`` for ``rho`` and ``rho_ta``, and the claimed verdict."""
+def _read_ppt(data: dict, n: int) -> tuple:
+    """``{key: (True, pivots, columns) | (False, witness, value)}`` for
+    ``rho`` and ``rho_ta`` (vectors of ``n`` entries), and the verdict."""
     evidence = {}
-    scalar = _scalar_reader()
     for key in ("rho", "rho_ta"):
         ev = data[key]
         if ev["psd"]:
             evidence[key] = (True, [Fraction(d) for _, d in ev["pivots"]],
-                             [vector_from_json(col, scalar) for col in ev["columns"]])
+                             [vector_from_json(col, n) for col in ev["columns"]])
         else:
-            evidence[key] = (False, vector_from_json(ev["witness"], scalar), ev["witness_value"])
-    return data["state"], evidence, data["verdict"]
+            evidence[key] = (False, vector_from_json(ev["witness"], n), ev["witness_value"])
+    return evidence, data["verdict"]
 
 
 def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
@@ -285,7 +295,7 @@ def _read_sn_lower(half: dict, m: int, n: int, rank: int) -> tuple:
     if ring.nvars != rank:
         raise CertificateInvalid("the certificate needs one variable per basis vector")
     pairs, cofactors = _indexed_minors(half["minors"], ring, k, power - k, m, n)
-    return (ring, half["basis"], vector_from_json(half["witness"]),
+    return (ring, half["basis"], vector_from_json(half["witness"], m * n),
             half["witness_variable"], power, pairs, cofactors)
 
 
@@ -334,28 +344,28 @@ def _indexed_minors(entries, ring, k: int, degree: int, m: int, n: int) -> tuple
 
 
 def _cofactor_json(terms: dict) -> dict:
-    """The ``{"terms": [[exponents, "p/q"], ...]}`` of :func:`_cofactor`, in
-    ascending grevlex order."""
+    """The ``{"terms": [[monomial, "p/q"], ...]}`` of :func:`_cofactor`, in
+    ascending grevlex order, each monomial its ``[variable, exponent]`` pairs."""
     from . import minors as mi
 
-    return {"terms": [[list(m), em.format_scalar(c)]
+    return {"terms": [[_sparse_to_json(m, int), em.format_scalar(c)]
                       for m, c in sorted(terms.items(), key=lambda t: mi._grevlex_key(t[0]))]}
 
 
 def _cofactor(ring, data, degree: int) -> dict:
-    """The terms of a stored ``{"terms": [[exponents, "p/q"], ...]}`` of one ``degree``."""
+    """The terms of a stored ``{"terms": [[monomial, "p/q"], ...]}`` of one ``degree``."""
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
         raise CertificateInvalid("cofactor has no term list")
     out = {}
     for term in terms:
-        exps, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
-        if not (isinstance(exps, list) and len(exps) == ring.nvars and isinstance(c, str)
-                and all(type(e) is int and e >= 0 for e in exps) and sum(exps) == degree) \
-                or tuple(exps) in out:
-            raise CertificateInvalid(f"cofactor term {term!r} is not {ring.nvars} natural "
-                                     f"exponents of sum {degree} and a rational string")
-        out[tuple(exps)] = Fraction(c)
+        monomial, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
+        exps = tuple(_sparse_from_json(monomial, ring.nvars,
+                                       lambda e: e if type(e) is int and e > 0 else 0, 0))
+        if not isinstance(c, str) or sum(exps) != degree or exps in out:
+            raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial of "
+                                     f"degree {degree} and a rational string")
+        out[exps] = Fraction(c)
     return out
 
 
@@ -437,17 +447,18 @@ def verify_certificate(data: dict) -> bool:
     """Replay ``data`` by its ``kind``.  A certificate that does not parse
     fails with :class:`CertificateInvalid` like one whose replay fails."""
     kind = data.get("kind") if isinstance(data, dict) else None
-    if kind in ("sn-lower", "sn-upper") or kind == "sn-verdict" and "state" not in data \
-            or kind and _retired_state(data.get("state")):
-        # a standalone half (the generator/Groebner payloads among them), a
-        # verdict that stored its state in each half, or a state that stored
-        # its matrix next to its edges (whose sn-verdict copied the edges)
-        raise CertificateInvalid(f"{kind} certificate in a retired layout: re-run "
-                                 f"{'ppt-check' if kind == 'ppt' else 'certify-sn'} to replace it")
-    if not isinstance(kind, str) or kind not in VERIFIERS:
-        raise CertificateInvalid(f"unknown certificate kind {kind!r}")
     try:
+        if kind in ("sn-lower", "sn-upper") or kind == "sn-verdict" and "state" not in data:
+            # a standalone half (the generator/Groebner payloads among them), or
+            # a verdict that stored its state in each half
+            raise RetiredLayout(kind)
+        if not isinstance(kind, str) or kind not in VERIFIERS:
+            raise CertificateInvalid(f"unknown certificate kind {kind!r}")
         return VERIFIERS[kind](data)
+    except RetiredLayout:  # also dense vectors, or a state with both matrix and edges
+        verb = "ppt-check" if kind == "ppt" else "certify-sn"
+        raise CertificateInvalid(f"{kind} certificate in a retired layout: "
+                                 f"re-run {verb} to replace it") from None
     except MalformedData as exc:
         raise CertificateInvalid(str(exc)) from None
 

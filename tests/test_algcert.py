@@ -225,8 +225,13 @@ def test_oversized_exponent_raises_instead_of_wrapping():
 
 # -- range coordinate matrices ---------------------------------------------------------
 
+def _range_matrix(st, **kwargs):
+    """The symbolic coordinate matrix of the range of ``st``."""
+    return ac.range_coordinate_matrix(st, em.column_space(st.matrix), **kwargs)[1]
+
+
 def test_range_matrix_rho3x3_pattern():
-    sym = ac.range_coordinate_matrix(co.rho_3x3(), require_orthogonal_basis=True)
+    sym = _range_matrix(co.rho_3x3(), require_orthogonal_basis=True)
     assert sym.ring.variables == ("psi00", "psi01", "psi10", "psi02", "psi20")
     grid = [[str(e) for e in row] for row in coordinate_entries(sym)]
     assert grid == [["psi00", "psi01", "psi02"],
@@ -235,7 +240,7 @@ def test_range_matrix_rho3x3_pattern():
 
 
 def test_range_matrix_rho4x5_zero_pattern():
-    sym = ac.range_coordinate_matrix(co.rho_4x5().final, require_orthogonal_basis=True)
+    sym = _range_matrix(co.rho_4x5().final, require_orthogonal_basis=True)
     zeros = {(i, j) for i, row in enumerate(coordinate_entries(sym))
              for j, e in enumerate(row) if e.is_zero()}
     assert zeros == {(0, 3), (1, 3), (1, 4), (2, 4), (3, 1)}
@@ -244,14 +249,14 @@ def test_range_matrix_rho4x5_zero_pattern():
 def test_range_matrix_pure_product():
     v = em.basis_vector(1, 0)
     st = qs.BipartiteState(1, 1, em.ExactMatrix([[1]]), label="00")
-    sym = ac.range_coordinate_matrix(st)
+    sym = _range_matrix(st)
     assert not coordinate_entries(sym)[0][0].is_zero()
 
 
 def test_range_matrix_falls_back_to_rref_basis():
     # a state without recorded edges still yields a parametrization
     st = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 0, 0]), label="d")
-    sym = ac.range_coordinate_matrix(st)
+    sym = _range_matrix(st)
     assert sym.ring.variables == ("psi00", "psi01")
 
 
@@ -263,15 +268,15 @@ def test_range_matrix_orthogonality_enforced():
                            edges=[qs.NamedVector("a", v1, Fraction(1)),
                                   qs.NamedVector("b", v2, Fraction(1))])
     with pytest.raises(NonOrthogonalBasis):
-        ac.range_coordinate_matrix(st, require_orthogonal_basis=True)
-    sym = ac.range_coordinate_matrix(st)  # fine without the flag
+        _range_matrix(st, require_orthogonal_basis=True)
+    sym = _range_matrix(st)  # fine without the flag
     assert sym.ring.nvars == 2
 
 
 # -- minors ------------------------------------------------------------------------------
 
 def test_minor_count_4x5():
-    sym = ac.range_coordinate_matrix(co.rho_4x5().final)
+    sym = _range_matrix(co.rho_4x5().final)
     total = math.comb(4, 3) * math.comb(5, 3)
     assert total == 40
     minors = ac.minor_ideal(sym, 3)
@@ -279,7 +284,7 @@ def test_minor_count_4x5():
 
 
 def test_minors_rho3x3_contain_printed_pair():
-    sym = ac.range_coordinate_matrix(co.rho_3x3())
+    sym = _range_matrix(co.rho_3x3())
     minors = ac.minor_ideal(sym, 2)
     ring = sym.ring
     psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
@@ -292,7 +297,7 @@ def test_minors_rho3x3_contain_printed_pair():
 
 def test_minor_exclusion_filter():
     st = co.rho_family(3)
-    sym = ac.range_coordinate_matrix(st, naming="edge")
+    sym = _range_matrix(st, naming="edge")
     deltas = [v for v in sym.ring.variables if v.startswith("delta")]
     filtered = ac.minor_ideal(sym, 3, exclude_vars=deltas)
     assert filtered
@@ -400,10 +405,10 @@ def _json_digest(polys):
 
 
 @pytest.mark.parametrize("k, generators, gens_digest, basis_size, basis_digest", [
-    (3, 21, "dcc1175fa0a29cf5a29efabe926020f2db0b2d4d60c152bb5e5b2bc2f1485570",
-     24, "fba744e1e0529cc2e380dd97fd270054b295a1f1f9c2df00cca8213b389c908c"),
-    (4, 138, "fe20ce885d60aebb332768da597c296c96c01f98c18687255bb5311b04328600",
-     488, "b1fb0fa874fdc73018cae447e848b9a28c2835b89f9b4f9e4a0218ecb558a03c"),
+    (3, 21, "a6b64aa67573f461f5c491def70f3f2ea2bbccebf6d279352b788bf8556ac19e",
+     24, "be297d1478fd6003c8dabe7a202136036cabea5662209059afe9b67029bc01b5"),
+    (4, 138, "5ae3e3fafe57fa63ef476912818a761bf08bfeb0317bc228aa76e4eebb2b3f5e",
+     488, "beaa4d736669e67f66274ab79be84e5685d1846a75d4abb82337485e8efc20a0"),
 ], ids=["family3", "family4"])
 def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
                                                      basis_size, basis_digest):
@@ -411,7 +416,7 @@ def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
     Groebner basis, pinned by SHA-256 of their JSON."""
     st = co.rho_family(k)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
-    sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming="edge")
+    sym = _range_matrix(st, require_orthogonal_basis=True, naming="edge")
     gens = ac.minor_ideal(sym, k, exclude_vars=deltas)
     assert (len(gens), _json_digest(gens)) == (generators, gens_digest)
     gb = ac.buchberger(gens)
@@ -421,7 +426,7 @@ def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
 # -- minor consequence chain of the 3x3 grid state ------------------------------------------------------------------
 
 def test_minor_consequence_chain_rho3x3():
-    sym = ac.range_coordinate_matrix(co.rho_3x3())
+    sym = _range_matrix(co.rho_3x3())
     ring = sym.ring
     gb = ac.buchberger(ac.minor_ideal(sym, 2))
     psi00, psi01, psi10, psi02, psi20 = (ring.var(v) for v in ring.variables)
@@ -459,7 +464,7 @@ def test_certify_rho4x5():
     assert isinstance(cert, ac.LowerBound)
     assert cert.value == 3 and cert.power == 4
     # psi00^3 is not in the ideal: the observed power is minimal
-    sym = ac.range_coordinate_matrix(final, require_orthogonal_basis=True)
+    sym = _range_matrix(final, require_orthogonal_basis=True)
     gb = ac.buchberger(ac.minor_ideal(sym, 3))
     assert not ac.normal_form(sym.ring.var("psi00") ** 3, gb).is_zero()
 
@@ -488,7 +493,7 @@ def test_linear_method_agrees_with_groebner():
         cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
         assert isinstance(cert, ac.LowerBound)
         assert (cert.power, len(cert.minors)) == (power, used)
-        sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming=naming)
+        sym = _range_matrix(st, require_orthogonal_basis=True, naming=naming)
         ring = sym.ring
         assert ring.variables == cert.variables
         xw = ring.var(cert.witness_variable)
@@ -505,7 +510,7 @@ def _enumerated_lower(st, k, exclude_vars=(), naming="site"):
     """The enumerate-then-solve oracle: every ``k x k`` minor from
     ``minor_ideal``, then ``linear_membership_cofactors`` at N = k..2k, as
     the power and the ``(rows, cols, cofactor terms)`` triples of the first hit."""
-    sym = ac.range_coordinate_matrix(st, require_orthogonal_basis=True, naming=naming)
+    sym = _range_matrix(st, require_orthogonal_basis=True, naming=naming)
     generators = ac.minor_ideal(sym, k, exclude_vars=exclude_vars)
     xw = sym.ring.var(next(name for name, v in sym.basis if em.vdot(v, st.edges[0].vec)))
     for N in range(k, 2 * k + 1):
@@ -547,6 +552,25 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
     cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas, naming="edge")
     assert len(cert.minors) == 14
+
+
+def test_certify_sn_lower_solves_for_the_range_once(monkeypatch):
+    """The witness check and the choice of basis share one range solve, and
+    the basis choice names its source: the edges, or on rho3x3 with e3 split
+    into two dependent edges, the canonical basis of the range."""
+    rho = co.rho_3x3()
+    split = [e._replace(weight=Fraction(1)) if e.name == "e3" else e for e in rho.edges]
+    split = qs.BipartiteState(3, 3, label="split", edges=split + [
+        qs.NamedVector("e3b", rho.edges[3].vec, Fraction(2))])
+    assert split == rho
+    calls = []
+    column_space = em.column_space
+    monkeypatch.setattr(em, "column_space", lambda M: calls.append(M) or column_space(M))
+    for st, k, source in ((co.rho_4x5().final, 3, "edges"), (rho, 2, "edges"),
+                          (split, 2, "range")):
+        calls.clear()
+        assert ac.certify_sn_lower(st, st.edges[0].vec, k).basis == source
+        assert calls == [st.matrix]
 
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
@@ -675,7 +699,7 @@ def test_certify_numeric_spot_check():
     """Points on the variety of the 2-minor ideal have vanishing witness
     coordinate: substitute random solutions of the rho3x3 system."""
     rng = random.Random(4)
-    sym = ac.range_coordinate_matrix(co.rho_3x3())
+    sym = _range_matrix(co.rho_3x3())
     # the variety of the 2-minors: psi00 = psi01*psi10 = 0 and more;
     # points with only psi02/psi20 free satisfy every minor
     minors = ac.minor_ideal(sym, 2)

@@ -66,6 +66,24 @@ def test_rho3x3_trace_and_norms():
     assert [int(em.vdot(e.vec, e.vec).re) for e in rho.edges] == [3, 2, 2, 1, 1]
 
 
+def test_rho3x3_sums_its_named_edges_once(monkeypatch):
+    """rho3x3 builds its five named edges and sums them once; its edges and
+    matrix are those of the grid state it names."""
+    calls = []
+    gram = em.weighted_gram
+    monkeypatch.setattr(em, "weighted_gram", lambda *args: calls.append(1) or gram(*args))
+    rho = co.rho_3x3.__wrapped__()
+    assert len(calls) == 1
+    monkeypatch.undo()
+    grid = co.grid_to_state(co.grid_graph(
+        3, 3, solid=[([(0, 0), (1, 1), (2, 2)], 1), ([(0, 1), (1, 2)], 1), ([(0, 2)], 3),
+                     ([(2, 0)], 3)], dashed=[([(1, 0), (2, 1)], 1)]))
+    assert rho.matrix == grid.matrix and rho.label == "rho3x3"
+    assert [(e.name, e.vec, e.weight) for e in rho.edges] == \
+        [(f"e{i}", grid.edges[j].vec, grid.edges[j].weight)
+         for i, j in enumerate((0, 1, 4, 2, 3))]
+
+
 def test_partial_transpose_diagonal_invariant():
     d = qs.BipartiteState(2, 3, em.ExactMatrix.diag([1, 2, 3, 4, 5, 6]), label="d")
     assert d.partial_transpose("B") == d.matrix
