@@ -82,8 +82,7 @@ def criterion_1() -> CriterionResult:
         ]
         acc = em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9)
         _check(acc == pt, "PT does not equal the weighted f-decomposition bit-exactly")
-        _, sym = ac.range_coordinate_matrix(rho, em.column_space(rho.matrix),
-                                            require_orthogonal_basis=True)
+        _, sym = ac.range_coordinate_matrix(rho, em.column_space(rho.matrix))
         minors = ac.minor_ideal(sym, 2)
         gb = ac.buchberger(minors)
         ring = sym.ring

@@ -13,15 +13,16 @@ run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
 :func:`serialize.sn_verdict_certificate` writes as JSON.  Buchberger's
 algorithm stays as an independent membership oracle.
 
-Polynomials, packed monomials, coordinate matrices and the replay of an
-identity live in :mod:`pptlab.minors`, which the verifier loads without
-this module.  The reduction, Buchberger and cofactor kernels here pack
-each monomial into one int on entry (:class:`minors._Packing`) and unpack
-on exit.  The minor kernels and the witness closure read the packed rows
-of the coordinate matrix and keep their minors packed until they return
-them; the closure's cofactors are checked with the verifier's
-:func:`minors.minor_identity_holds`.  The trusted separability rules and
-the edge-state check live in :mod:`pptlab.extender`.
+Polynomials, packed monomials, coordinate matrices, the setup of a lower
+bound and the replay of an identity live in :mod:`pptlab.minors`, which
+the verifier loads without this module.  The reduction, Buchberger and
+cofactor kernels here pack each monomial into one int on entry
+(:class:`minors._Packing`) and unpack on exit.  The minor kernels and the
+witness closure read the packed rows of the coordinate matrix and keep
+their minors packed until they return them; the closure's cofactors are
+checked with the verifier's :func:`minors.minor_identity_holds`.  The
+trusted separability rules and the edge-state check live in
+:mod:`pptlab.extender`.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .errors import (
     InternalInconsistency,
     InvalidK,
     NonOrthogonalBasis,
-    NonSingleVariableOverlap,
-    WitnessNotInRange,
 )
 
 
@@ -387,41 +386,43 @@ def _site_variable_name(idx: int, n: int) -> str:
     return f"psi_{i}_{j}"
 
 
-def range_coordinate_matrix(s: qs.BipartiteState, rng: em.Subspace,
-                            require_orthogonal_basis: bool = False,
-                            naming: str = "site") -> tuple:
-    """``(source, matrix)``: ``rng``, the range of ``s``, as a symbolic coordinate matrix.
-
-    The basis is the state's recorded edges (source ``"edges"``) when they
-    are linearly independent and span the range, else the canonical RREF
-    basis of the range (``"range"``).  Variables are named after each basis
-    vector's leading site (``psi<i><j>``, ``naming="site"``) or after the
-    recorded edge names (``naming="edge"``).
-
-    Basis entries must be real: the coordinate ring is Q.
-    """
-    if naming not in ("site", "edge"):
-        raise ValueError("naming must be 'site' or 'edge'")
-    m, n = s.dims
-    vectors = qs.edge_basis(s, rng)
+def _named_basis(s: qs.BipartiteState, rng: em.Subspace, naming: str) -> tuple:
+    """``(source, basis)``: the basis of ``rng``, the range of ``s``, that
+    the certifier uses, as ``(variable, vector)`` pairs: the edges under
+    their names (``naming="edge"``), or the edges when they are a basis,
+    else the canonical RREF basis (``"range"``), named after each vector's
+    leading site (``psi<i><j>``).  Repeated names get their position appended."""
     if naming == "edge":
-        if vectors is None:
-            raise NonOrthogonalBasis("state has no usable edge basis for edge naming")
-        basis = [(e.name, e.vec) for e in s.edges]
+        source, basis = "edges", [(e.name, e.vec) for e in s.edges or ()]
     else:
-        basis = [(_site_variable_name(next(i for i, x in enumerate(v) if x), n), v)
+        vectors = qs.edge_basis(s, rng)
+        source = "range" if vectors is None else "edges"
+        basis = [(_site_variable_name(next(i for i, x in enumerate(v) if x), s.dim_b), v)
                  for v in (rng.basis if vectors is None else vectors)]
     names = [name for name, _ in basis]
     if len(set(names)) != len(names):
         basis = [(f"{name}_{l}", v) for l, (name, v) in enumerate(basis)]
-    if require_orthogonal_basis:
-        supports = [frozenset(i for i, x in enumerate(v) if x) for _, v in basis]
-        for (a, (n1, v1)), (b, (n2, v2)) in itertools.combinations(enumerate(basis), 2):
-            # vectors with disjoint supports are orthogonal
-            if not supports[a].isdisjoint(supports[b]) and em.vdot(v1, v2):
-                raise NonOrthogonalBasis(f"range basis vectors {n1} and {n2} overlap")
-    return ("range" if vectors is None else "edges",
-            mi.coordinate_matrix(m, n, mi.PolyRing([name for name, _ in basis]), basis))
+    return source, basis
+
+
+def _require_orthogonal(basis: Sequence) -> None:
+    """Refuse ``(name, vector)`` pairs with two non-orthogonal vectors."""
+    supports = [frozenset(i for i, x in enumerate(v) if x) for _, v in basis]
+    for (a, (n1, v1)), (b, (n2, v2)) in itertools.combinations(enumerate(basis), 2):
+        # vectors with disjoint supports are orthogonal
+        if not supports[a].isdisjoint(supports[b]) and em.vdot(v1, v2):
+            raise NonOrthogonalBasis(f"range basis vectors {n1} and {n2} overlap")
+
+
+def range_coordinate_matrix(s: qs.BipartiteState, rng: em.Subspace,
+                            naming: str = "site") -> tuple:
+    """``(source, matrix)``: ``rng``, the range of ``s``, as a symbolic
+    coordinate matrix over the real, orthogonal basis :func:`_named_basis`
+    names."""
+    source, basis = _named_basis(s, rng, naming)
+    sym = mi.coordinate_matrix(s.dim_a, s.dim_b, mi.PolyRing([name for name, _ in basis]), basis)
+    _require_orthogonal(sym.basis)
+    return source, sym
 
 
 class Minor(mi.Polynomial):
@@ -657,7 +658,7 @@ class Inconclusive(NamedTuple):
 
 
 def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
-                     exclude_vars: Sequence[str] = (), naming: str = "site"):
+                     exclude_vars: Sequence[str] = ()):
     """Certify ``SN(s) >= k`` through the range criterion.
 
     Searches the smallest ``N <= 2k`` with ``x_w^N`` in the ideal of
@@ -666,6 +667,10 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     the range is orthogonal to the witness, which itself lies in the range,
     so no rank ``<= k-1`` decomposition can exist.  Returns a
     :class:`LowerBound` on success, :class:`Inconclusive` otherwise.
+
+    The variables take the edges' names exactly when ``exclude_vars`` is
+    non-empty.  The setup is the verifier's (:func:`minors.lower_bound_setup`),
+    and the certifier demands an orthogonal basis on top.
 
     Every entry of a range coordinate matrix is a linear form, so every
     minor is homogeneous of degree ``k`` and membership of ``x_w^N`` is a
@@ -683,17 +688,12 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
     if k < 1:
         raise InvalidK(f"k = {k}: a Schmidt-number lower bound needs k >= 1")
     rng = em.column_space(s.matrix)
-    if not rng.contains(witness_vector):
-        raise WitnessNotInRange("witness vector is not in R(rho)")
-    source, sym = range_coordinate_matrix(s, rng, require_orthogonal_basis=True, naming=naming)
-    overlaps = [(name, em.vdot(v, witness_vector)) for name, v in sym.basis]
-    nonzero = [(name, c) for name, c in overlaps if c]
-    if len(nonzero) != 1:
-        raise NonSingleVariableOverlap(
-            f"witness overlaps {len(nonzero)} basis vectors, need exactly 1")
+    source, basis = _named_basis(s, rng, "edge" if exclude_vars else "site")
+    sym, witness_var = mi.lower_bound_setup(s, rng, source, [name for name, _ in basis],
+                                            witness_vector)
+    _require_orthogonal(sym.basis)
     if k > min(sym.dim_a, sym.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
-    witness_var = nonzero[0][0]
     closure = _WitnessClosure(sym, k, exclude_vars)
     P = closure.P
     xw = closure.units[sym.ring._index[witness_var]]
@@ -726,8 +726,8 @@ def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
 
 
 def sn_upper_from_decomposition(target: qs.BipartiteState) -> UpperBound:
-    """Certify ``SN(target) <= max SR(e)`` over the edges whose weighted Gram
-    sum ``target`` is (checked when it was built)."""
+    """Certify ``SN(target) <= max SR(e)`` over the edges whose conic sum
+    ``target`` is (nonnegative weights, checked when it was built)."""
     m, n = target.dims
     ranks = tuple(qs.schmidt_rank(e.vec, m, n) for e in target.edges)
     return UpperBound(max(ranks), ranks)
@@ -746,6 +746,5 @@ def certify_sn(s: qs.BipartiteState, k: int | None = None, exclude_deltas: bool 
     upper = sn_upper_from_decomposition(s)
     witness = s.edges[upper.schmidt_ranks.index(upper.value)].vec
     exclude = [e.name for e in s.edges if e.name.startswith("delta")] if exclude_deltas else []
-    lower = certify_sn_lower(s, witness, upper.value if k is None else k, exclude_vars=exclude,
-                             naming="edge" if exclude else "site")
+    lower = certify_sn_lower(s, witness, upper.value if k is None else k, exclude_vars=exclude)
     return lower, upper

@@ -9,9 +9,9 @@ such an identity needs, and nothing of the search that finds one:
 builds ``M`` from the basis once as scaled integer rows of packed linear
 forms, and :func:`minor_identity_holds`, which computes only the listed
 determinants by Laplace expansion on those rows.  The certifier
-(:mod:`pptlab.algcert`) checks what it writes with the same function the
-verifier (:mod:`pptlab.serialize`) replays, so a ``verify`` process never
-loads the certifier.
+(:mod:`pptlab.algcert`) and the verifier (:mod:`pptlab.serialize`) run the
+same setup, :func:`lower_bound_setup`, and the same identity check, so a
+``verify`` process never loads the certifier.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch, MonomialOverflow, NonOrthogonalBasis
+from . import exactmat as em
+from . import qstates as qs
+from .errors import (DimensionMismatch, MonomialOverflow, NonOrthogonalBasis,
+                     NonSingleVariableOverlap, WitnessNotInRange)
 
 
 # ---------------------------------------------------------------------------
@@ -117,25 +120,15 @@ class Polynomial:
     def degree(self) -> int:
         return max((sum(m) for m in self.terms), default=-1)
 
+    # the constructor drops the zero coefficients that sums and products leave
     def __add__(self, other: "Polynomial") -> "Polynomial":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+            out[m] = out.get(m, 0) + c
         return Polynomial(self.ring, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) - c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Polynomial(self.ring, out)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
@@ -146,11 +139,7 @@ class Polynomial:
             for m1, c1 in self.terms.items():
                 for m2, c2 in other.terms.items():
                     m = tuple(a + b for a, b in zip(m1, m2))
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
+                    out[m] = out.get(m, 0) + c1 * c2
             return Polynomial(self.ring, out)
         return self.scale(other)
 
@@ -175,18 +164,6 @@ class Polynomial:
         if lc == 1:
             return self
         return Polynomial(self.ring, {m: c / lc for m, c in self.terms.items()})
-
-    def evaluate(self, point: dict) -> Fraction:
-        """Evaluate at rational values given per variable name."""
-        vals = [Fraction(point[v]) for v in self.ring.variables]
-        acc = Fraction(0)
-        for m, c in self.terms.items():
-            t = c
-            for v, e in zip(vals, m):
-                for _ in range(e):
-                    t *= v
-            acc += t
-        return acc
 
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
@@ -321,7 +298,7 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
     """
     for _, v in basis:
         if any(x.im != 0 for x in v):
-            raise NonOrthogonalBasis("range basis must be real for Q-coefficients")
+            raise NonOrthogonalBasis("the basis is not real: the coordinate ring is Q")
     P = _Packing(ring.nvars)
     units = [P.unit(l) for l in range(P.nvars)]
     rows, scales = [], []
@@ -333,6 +310,28 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
                           for j, entry in entries if entry))
         scales.append(scale)
     return SymbolicRangeMatrix(m, n, ring, tuple(basis), P, tuple(rows), tuple(scales))
+
+
+def lower_bound_setup(s: qs.BipartiteState, rng: em.Subspace, basis: str,
+                      variables: Sequence[str], witness: em.Vector) -> tuple:
+    """``(M, witness_variable)``: the coordinate matrix of the basis of
+    ``rng``, the range of ``s``, that ``basis`` names (``"range"``, the
+    canonical one, or ``"edges"``, which must be one), one of ``variables``
+    per vector, and the variable of the one vector the ``witness`` (which
+    must lie in ``rng``) overlaps.  Each check raises its own error."""
+    if not rng.contains(witness):
+        raise WitnessNotInRange("the witness is not in the state's range")
+    vectors = rng.basis if basis == "range" else qs.edge_basis(s, rng)
+    if vectors is None:
+        raise NonOrthogonalBasis("the state's edges are not a basis of the range")
+    if len(variables) != len(vectors) or len(set(variables)) != len(variables):
+        raise DimensionMismatch("the certificate needs one variable per basis vector")
+    M = coordinate_matrix(s.dim_a, s.dim_b, PolyRing(variables), tuple(zip(variables, vectors)))
+    overlaps = [name for name, v in M.basis if em.vdot(v, witness)]
+    if len(overlaps) != 1:
+        raise NonSingleVariableOverlap(
+            f"the witness overlaps {len(overlaps)} basis vectors, need exactly 1")
+    return M, overlaps[0]
 
 
 def _laplace_extend(table: dict, row: list) -> dict:

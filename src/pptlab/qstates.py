@@ -6,7 +6,8 @@ unnormalized; normalization does not change any entanglement property and
 would leave the rational field.
 
 States verify Hermiticity and positive semidefiniteness exactly at
-construction; a state given its edges alone is their weighted Gram sum.
+construction; a state given its edges alone is their weighted Gram sum,
+and an edge of negative weight is refused.
 Partial transposes are returned as plain matrices because their
 positivity is precisely the property under investigation.  An
 :class:`ExtensionStep` is one replayable step of an extension pipeline.
@@ -34,7 +35,7 @@ def flat_index(i: int, j: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 class NamedVector(NamedTuple):
-    """A labeled vector with a positive rational weight, e.g. a grid edge."""
+    """A labeled vector with a nonnegative rational weight, e.g. a grid edge."""
 
     name: str
     vec: em.Vector
@@ -45,9 +46,9 @@ class BipartiteState:
     """Unnormalized bipartite density operator with exact entries.
 
     ``edges`` optionally records a conic decomposition ``sum_w w |v><v|``
-    of the matrix (grid edges or lifted edges).  Given alone, the edges
-    define the matrix by one Gram sum; given with a matrix, they are
-    verified bit-exactly against it at construction.
+    of the matrix (grid edges or lifted edges), with no negative weight.
+    Given alone, the edges define the matrix by one Gram sum; given with a
+    matrix, they are verified bit-exactly against it at construction.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
@@ -57,6 +58,9 @@ class BipartiteState:
                  _skip_checks: bool = False):
         if edges is not None:
             edges = tuple(edges)
+            bad = next((e for e in edges if e.weight < 0), None)
+            if bad is not None:
+                raise BoundsViolation(f"edge {bad.name!r} has negative weight {bad.weight}")
             acc = em.weighted_gram([e.vec for e in edges], [e.weight for e in edges],
                                    dim_a * dim_b)
             if matrix is not None and acc != matrix:
@@ -95,9 +99,11 @@ class BipartiteState:
 
 def edge_basis(s: BipartiteState, rng: em.Subspace) -> tuple | None:
     """The edge vectors of ``s`` when they are a basis of ``rng``, its range
-    (linearly independent and spanning it), else None."""
+    (linearly independent and spanning it), else None.  The edges of
+    positive weight span the range of the Gram sum (no weight is negative),
+    so the edges are a basis of it exactly when there are ``rng.dim``."""
     vecs = tuple(e.vec for e in s.edges or ())
-    return vecs if len(vecs) == rng.dim and em.Subspace(rng.ambient_dim, vecs) == rng else None
+    return vecs if len(vecs) == rng.dim else None
 
 
 # ---------------------------------------------------------------------------

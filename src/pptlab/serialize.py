@@ -1,6 +1,7 @@
 """JSON round-trips for states, grid graphs, and certificates.
 
-Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``; matrices as
+Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``, and only
+hand-written grid-graph input may spell them as JSON numbers; matrices as
 ``{"rows", "cols", "entries"}`` with stringified entries.  A vector (edge
 vector, witness, LDL* column) stores its nonzero entries as ``[index,
 "p/q"]`` pairs in index order, a cofactor monomial its ``[variable,
@@ -14,10 +15,11 @@ storing its state once.  The halves refer to that state: the lower one
 names its basis of the range (``"edges"`` or ``"range"``), the upper one
 stores the Schmidt ranks of the state's edges.  Each half is written
 here, from the exact bounds the certifier returns, next to the reader that
-replays it.  Retired layouts (dense vectors among them) fail with a
-request to re-run the verb that wrote them.  Replaying a lower half
-imports the replay kernel :mod:`pptlab.minors` when it runs, never the
-certifier :mod:`pptlab.algcert`; reading a grid graph imports
+replays it, the lower one after the certifier's setup
+(:func:`minors.lower_bound_setup`).  Retired layouts (dense vectors among
+them) fail with a request to re-run the verb that wrote them.  Replaying a
+lower half imports the replay kernel :mod:`pptlab.minors` when it runs,
+never the certifier :mod:`pptlab.algcert`; reading a grid graph imports
 :mod:`pptlab.constructions`.
 """
 
@@ -94,6 +96,13 @@ def _sparse_from_json(data, length: int, parse, zero) -> list:
     return out
 
 
+def _rational(text) -> Fraction:
+    """A stored rational: a ``"p/q"`` string, never a JSON number or bool."""
+    if not isinstance(text, str):
+        raise TypeError(f"{text!r} is not a rational string")
+    return Fraction(text)
+
+
 def state_to_json(s: qs.BipartiteState) -> dict:
     """A state as JSON: its ``edges`` when it has them, else its ``matrix``."""
     out = {"kind": "state", "dim_a": s.dim_a, "dim_b": s.dim_b, "label": s.label}
@@ -127,7 +136,7 @@ def _state_parts(data: dict) -> tuple:
     if "edges" not in data:
         return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", "")
     edges = [qs.NamedVector(e["name"], vector_from_json(e["vector"], dim_a * dim_b),
-                            Fraction(e["weight"])) for e in data["edges"]]
+                            _rational(e["weight"])) for e in data["edges"]]
     if not all(isinstance(e.name, str) for e in edges):
         raise TypeError("edge names are not strings")
     return dim_a, dim_b, None, data.get("label", ""), edges
@@ -232,7 +241,7 @@ def _read_ppt(data: dict, n: int) -> tuple:
     for key in ("rho", "rho_ta"):
         ev = data[key]
         if ev["psd"]:
-            evidence[key] = (True, [Fraction(d) for _, d in ev["pivots"]],
+            evidence[key] = (True, [_rational(d) for _, d in ev["pivots"]],
                              [vector_from_json(col, n) for col in ev["columns"]])
         else:
             evidence[key] = (False, vector_from_json(ev["witness"], n), ev["witness_value"])
@@ -243,59 +252,48 @@ def verify_sn_lower_certificate(half: dict, s: qs.BipartiteState) -> bool:
     """Replay the lower half of an sn-verdict on its state: an indexed
     cofactor identity proving ``SN(s) >= value``.
 
-    The half names a real basis of the range: ``"edges"``, the state's
-    edge vectors (checked by one :class:`exactmat.Subspace` comparison), or
-    ``"range"``, the canonical basis.  Checks the witness (in the range,
-    overlapping exactly the declared coordinate of that basis) and the power
-    ``k <= N <= 2k`` with ``k = value``.  Then it shape-checks every
-    ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly increasing
-    in-range indices, no pair twice, cofactors of degree ``N - k``),
-    computes only those determinants of the basis's coordinate matrix ``M``
-    and checks ``sum cofactor * det M[rows, cols] = x_w^N`` exactly
-    (:func:`minors.minor_identity_holds`, the check ``certify-sn`` runs on
-    what it writes).  Nothing is enumerated.
+    Checks the power ``k <= N <= 2k`` with ``k = value`` and shape-checks
+    every ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly
+    increasing in-range indices, no pair twice, cofactors of degree
+    ``N - k``).  The certifier's setup (:func:`minors.lower_bound_setup`)
+    checks the named basis and the witness, which must overlap the declared
+    variable.  Then only the listed determinants of the coordinate matrix
+    ``M`` are computed and ``sum cofactor * det M[rows, cols] = x_w^N`` is
+    checked exactly (:func:`minors.minor_identity_holds`, the check
+    ``certify-sn`` runs on what it writes).  Nothing is enumerated.
     """
     from . import minors as mi
 
     m, n = s.dims
-    rng = em.column_space(s.matrix)
-    ring, source, witness, witness_variable, power, pairs, cofactors = \
-        _parsed("certificate", _read_sn_lower, half, m, n, rng.dim)
-    if not rng.contains(witness):
-        raise CertificateInvalid("witness is not in the state's range")
-    basis = rng.basis if source == "range" else qs.edge_basis(s, rng)
-    if basis is None:
-        raise CertificateInvalid("the state's edges are not a basis of the range")
-    if any(x.im for v in basis for x in v):
-        raise CertificateInvalid("the basis is not real: the coordinate ring is Q")
-    overlaps = [i for i, v in enumerate(basis) if em.vdot(v, witness)]
-    if len(overlaps) != 1 or ring.variables[overlaps[0]] != witness_variable:
+    source, variables, witness, witness_variable, power, pairs, cofactors = \
+        _parsed("certificate", _read_sn_lower, half, m, n)
+    try:
+        sym, overlapped = mi.lower_bound_setup(s, em.column_space(s.matrix), source,
+                                               variables, witness)
+    except PptlabError as exc:
+        raise CertificateInvalid(str(exc)) from None
+    if overlapped != witness_variable:
         raise CertificateInvalid("witness overlap is not the declared single variable")
-    sym = mi.coordinate_matrix(m, n, ring, tuple(zip(ring.variables, basis)))
     if not mi.minor_identity_holds(sym, power, witness_variable, pairs, cofactors):
         raise CertificateInvalid("cofactor identity does not expand to the witness power")
     return True
 
 
-def _read_sn_lower(half: dict, m: int, n: int, rank: int) -> tuple:
-    """The ring, basis source, witness, witness variable, power, minor
-    pairs and cofactor terms of the lower half of an sn-verdict on an
-    ``m x n`` state of rank ``rank``."""
-    # imported here: a process that only reads states and ppt certificates
-    # skips compiling the replay kernel
-    from . import minors as mi
-
+def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
+    """The basis source, variables, witness, witness variable, power,
+    minor pairs and cofactor terms of the lower half of an sn-verdict on an
+    ``m x n`` state."""
     k, power = half["value"], half["power"]
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
     if half["basis"] not in ("edges", "range"):
         raise CertificateInvalid('basis is neither "edges" nor "range"')
-    ring = mi.PolyRing(half["variables"])
-    if ring.nvars != rank:
-        raise CertificateInvalid("the certificate needs one variable per basis vector")
-    pairs, cofactors = _indexed_minors(half["minors"], ring, k, power - k, m, n)
-    return (ring, half["basis"], vector_from_json(half["witness"], m * n),
+    variables = half["variables"]
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
+        raise CertificateInvalid("variables is not a list of names")
+    pairs, cofactors = _indexed_minors(half["minors"], len(variables), k, power - k, m, n)
+    return (half["basis"], variables, vector_from_json(half["witness"], m * n),
             half["witness_variable"], power, pairs, cofactors)
 
 
@@ -322,7 +320,7 @@ def _parsed(what: str, parse, *args):
         raise MalformedData(f"malformed {what}: {type(exc).__name__}: {exc}") from None
 
 
-def _indexed_minors(entries, ring, k: int, degree: int, m: int, n: int) -> tuple:
+def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) -> tuple:
     """The ``(rows, cols)`` pairs and cofactor terms of shape-checked ``minors``."""
     if not isinstance(entries, list):
         raise CertificateInvalid("minors is not a list of [rows, cols, cofactor]")
@@ -337,7 +335,7 @@ def _indexed_minors(entries, ring, k: int, degree: int, m: int, n: int) -> tuple
                 raise CertificateInvalid(f"minor indices {idx!r} are not {k} strictly "
                                          f"increasing indices below {bound}")
         pairs.append((tuple(rows), tuple(cols)))
-        cofactors.append(_cofactor(ring, cof, degree))
+        cofactors.append(_cofactor(nvars, cof, degree))
     if len(set(pairs)) != len(pairs):
         raise CertificateInvalid("a minor (rows, cols) is listed twice")
     return pairs, cofactors
@@ -352,7 +350,7 @@ def _cofactor_json(terms: dict) -> dict:
                       for m, c in sorted(terms.items(), key=lambda t: mi._grevlex_key(t[0]))]}
 
 
-def _cofactor(ring, data, degree: int) -> dict:
+def _cofactor(nvars: int, data, degree: int) -> dict:
     """The terms of a stored ``{"terms": [[monomial, "p/q"], ...]}`` of one ``degree``."""
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list):
@@ -360,7 +358,7 @@ def _cofactor(ring, data, degree: int) -> dict:
     out = {}
     for term in terms:
         monomial, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
-        exps = tuple(_sparse_from_json(monomial, ring.nvars,
+        exps = tuple(_sparse_from_json(monomial, nvars,
                                        lambda e: e if type(e) is int and e > 0 else 0, 0))
         if not isinstance(c, str) or sum(exps) != degree or exps in out:
             raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial of "
@@ -370,15 +368,12 @@ def _cofactor(ring, data, degree: int) -> dict:
 
 
 def verify_sn_upper_certificate(half: dict, s: qs.BipartiteState) -> bool:
-    """Replay the upper half of an sn-verdict on its state, the weighted Gram
-    sum of its edges: the weights are nonnegative, and ``value`` is the
-    largest of the edges' Schmidt ranks, as stored."""
+    """Replay the upper half of an sn-verdict on its state, the conic sum of
+    its edges: ``value`` is the largest of the edges' Schmidt ranks, as stored."""
     m, n = s.dims
     value, stored_ranks = _parsed("certificate", lambda h: (h["value"], h["schmidt_ranks"]), half)
     if not s.edges:
         raise CertificateInvalid("the state has no edge decomposition")
-    if any(e.weight < 0 for e in s.edges):
-        raise CertificateInvalid("negative weight")
     ranks = [qs.schmidt_rank(e.vec, m, n) for e in s.edges]
     if max(ranks) != value:
         raise CertificateInvalid("claimed bound does not match the decomposition ranks")

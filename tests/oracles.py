@@ -1,8 +1,12 @@
 """Independent routes that the tests compare the package against.
 
 None of them is on a path the package runs: each recomputes a result of
-``exactmat``, ``extender``, ``minors`` or ``algcert`` a second way.
+``exactmat``, ``extender``, ``minors`` or ``algcert`` a second way, or
+(:func:`evaluate`) computes what only the tests need.
 """
+
+import math
+from fractions import Fraction
 
 from pptlab import algcert as ac
 from pptlab import exactmat as em
@@ -94,3 +98,10 @@ def linear_form_matrix(ring, entries):
                           for i in range(m) for j in range(n)))
              for l, name in enumerate(ring.variables)]
     return mi.coordinate_matrix(m, n, ring, basis)
+
+
+def evaluate(p, point: dict) -> Fraction:
+    """The polynomial ``p`` at rational values given per variable name."""
+    vals = [Fraction(point[v]) for v in p.ring.variables]
+    return sum((c * math.prod(v ** e for v, e in zip(vals, m)) for m, c in p.terms.items()),
+               Fraction(0))

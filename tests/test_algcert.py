@@ -26,7 +26,7 @@ from pptlab.errors import (
     WitnessNotInRange,
 )
 
-from oracles import coordinate_entries, interreduce, linear_form_matrix
+from oracles import coordinate_entries, evaluate, interreduce, linear_form_matrix
 
 
 # -- polynomial arithmetic -------------------------------------------------------
@@ -43,7 +43,7 @@ def test_polynomial_str_and_eval():
     ring = mi.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     p = x * x - y.scale(Fraction(1, 2)) + ring.constant(3)
-    assert p.evaluate({"x": 2, "y": 4}) == 4 - 2 + 3
+    assert evaluate(p, {"x": 2, "y": 4}) == 4 - 2 + 3
     assert str(ring.zero()) == "0"
 
 
@@ -231,7 +231,7 @@ def _range_matrix(st, **kwargs):
 
 
 def test_range_matrix_rho3x3_pattern():
-    sym = _range_matrix(co.rho_3x3(), require_orthogonal_basis=True)
+    sym = _range_matrix(co.rho_3x3())
     assert sym.ring.variables == ("psi00", "psi01", "psi10", "psi02", "psi20")
     grid = [[str(e) for e in row] for row in coordinate_entries(sym)]
     assert grid == [["psi00", "psi01", "psi02"],
@@ -240,7 +240,7 @@ def test_range_matrix_rho3x3_pattern():
 
 
 def test_range_matrix_rho4x5_zero_pattern():
-    sym = _range_matrix(co.rho_4x5().final, require_orthogonal_basis=True)
+    sym = _range_matrix(co.rho_4x5().final)
     zeros = {(i, j) for i, row in enumerate(coordinate_entries(sym))
              for j, e in enumerate(row) if e.is_zero()}
     assert zeros == {(0, 3), (1, 3), (1, 4), (2, 4), (3, 1)}
@@ -268,9 +268,7 @@ def test_range_matrix_orthogonality_enforced():
                            edges=[qs.NamedVector("a", v1, Fraction(1)),
                                   qs.NamedVector("b", v2, Fraction(1))])
     with pytest.raises(NonOrthogonalBasis):
-        _range_matrix(st, require_orthogonal_basis=True)
-    sym = _range_matrix(st)  # fine without the flag
-    assert sym.ring.nvars == 2
+        _range_matrix(st)
 
 
 # -- minors ------------------------------------------------------------------------------
@@ -416,7 +414,7 @@ def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
     Groebner basis, pinned by SHA-256 of their JSON."""
     st = co.rho_family(k)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
-    sym = _range_matrix(st, require_orthogonal_basis=True, naming="edge")
+    sym = _range_matrix(st, naming="edge")
     gens = ac.minor_ideal(sym, k, exclude_vars=deltas)
     assert (len(gens), _json_digest(gens)) == (generators, gens_digest)
     gb = ac.buchberger(gens)
@@ -464,7 +462,7 @@ def test_certify_rho4x5():
     assert isinstance(cert, ac.LowerBound)
     assert cert.value == 3 and cert.power == 4
     # psi00^3 is not in the ideal: the observed power is minimal
-    sym = _range_matrix(final, require_orthogonal_basis=True)
+    sym = _range_matrix(final)
     gb = ac.buchberger(ac.minor_ideal(sym, 3))
     assert not ac.normal_form(sym.ring.var("psi00") ** 3, gb).is_zero()
 
@@ -473,7 +471,7 @@ def test_certify_family_members():
     for k in (2, 3):
         st = co.rho_family(k)
         excl = [e.name for e in st.edges if e.name.startswith("delta")]
-        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming="edge")
+        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
         assert isinstance(cert, ac.LowerBound)
         assert cert.power == k
 
@@ -484,16 +482,16 @@ def test_linear_method_agrees_with_groebner():
     minors with nonzero cofactor on the family, and its identity replays by
     Leibniz expansion of the stored (rows, cols)."""
     rho45 = co.rho_4x5().final
-    cases = [(co.rho_3x3(), 2, (), "site", 2, 2), (rho45, 3, (), "site", 4, 6)]
+    cases = [(co.rho_3x3(), 2, (), 2, 2), (rho45, 3, (), 4, 6)]
     for k, used in ((2, 2), (3, 5), (4, 14)):
         st = co.rho_family(k)
         deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
-        cases.append((st, k, deltas, "edge", k, used))
-    for st, k, excl, naming, power, used in cases:
-        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
+        cases.append((st, k, deltas, k, used))
+    for st, k, excl, power, used in cases:
+        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
         assert isinstance(cert, ac.LowerBound)
         assert (cert.power, len(cert.minors)) == (power, used)
-        sym = _range_matrix(st, require_orthogonal_basis=True, naming=naming)
+        sym = _range_matrix(st, naming="edge" if excl else "site")
         ring = sym.ring
         assert ring.variables == cert.variables
         xw = ring.var(cert.witness_variable)
@@ -506,11 +504,12 @@ def test_linear_method_agrees_with_groebner():
         assert acc == xw ** power
 
 
-def _enumerated_lower(st, k, exclude_vars=(), naming="site"):
+def _enumerated_lower(st, k, exclude_vars=()):
     """The enumerate-then-solve oracle: every ``k x k`` minor from
     ``minor_ideal``, then ``linear_membership_cofactors`` at N = k..2k, as
-    the power and the ``(rows, cols, cofactor terms)`` triples of the first hit."""
-    sym = _range_matrix(st, require_orthogonal_basis=True, naming=naming)
+    the power and the ``(rows, cols, cofactor terms)`` triples of the first
+    hit; variables named after the edges when variables are excluded."""
+    sym = _range_matrix(st, naming="edge" if exclude_vars else "site")
     generators = ac.minor_ideal(sym, k, exclude_vars=exclude_vars)
     xw = sym.ring.var(next(name for name, v in sym.basis if em.vdot(v, st.edges[0].vec)))
     for N in range(k, 2 * k + 1):
@@ -522,22 +521,22 @@ def _enumerated_lower(st, k, exclude_vars=(), naming="site"):
 
 
 def _closure_cases():
-    cases = [("rho3x3", co.rho_3x3(), 2, (), "site"), ("rho4x5", co.rho_4x5().final, 3, (), "site"),
-             ("family3-all", co.rho_family(3), 3, (), "site")]
+    cases = [("rho3x3", co.rho_3x3(), 2, ()), ("rho4x5", co.rho_4x5().final, 3, ()),
+             ("family3-all", co.rho_family(3), 3, ())]
     for k in (2, 3, 4):
         st = co.rho_family(k)
         deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
-        cases.append((f"family{k}", st, k, deltas, "edge"))
+        cases.append((f"family{k}", st, k, deltas))
     return cases
 
 
-@pytest.mark.parametrize("name, st, k, excl, naming", _closure_cases(),
+@pytest.mark.parametrize("name, st, k, excl", _closure_cases(),
                          ids=[c[0] for c in _closure_cases()])
-def test_closure_matches_enumerate_then_solve(name, st, k, excl, naming):
+def test_closure_matches_enumerate_then_solve(name, st, k, excl):
     """The witness closure stores the same power, minors, positions and
     cofactors as solving over every enumerated minor."""
-    cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
-    assert (cert.power, cert.minors) == _enumerated_lower(st, k, excl, naming)
+    cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+    assert (cert.power, cert.minors) == _enumerated_lower(st, k, excl)
 
 
 def test_certify_sn_lower_never_enumerates(monkeypatch):
@@ -550,7 +549,7 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
     assert ac.certify_sn_lower(final, final.edges[0].vec, 3).power == 4
     st = co.rho_family(4)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
-    cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas, naming="edge")
+    cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas)
     assert len(cert.minors) == 14
 
 
@@ -707,7 +706,7 @@ def test_certify_numeric_spot_check():
         point = {v: Fraction(0) for v in sym.ring.variables}
         free = rng.choice(("psi02", "psi20"))
         point[free] = Fraction(rng.randint(-5, 5))
-        if all(p.evaluate(point) == 0 for p in minors):
+        if all(evaluate(p, point) == 0 for p in minors):
             assert point["psi00"] == 0
 
 
@@ -745,8 +744,7 @@ def test_lower_never_exceeds_upper_on_corpus():
     pipe = co.rho_4x5()
     corpus = [(pipe.final, 3, ()), (co.rho_family(2), 2, ("delta_1", "delta_2"))]
     for st, k, excl in corpus:
-        naming = "edge" if excl else "site"
-        lower = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl, naming=naming)
+        lower = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
         upper = ac.sn_upper_from_decomposition(st)
         assert isinstance(lower, ac.LowerBound)
         assert lower.value <= upper.value

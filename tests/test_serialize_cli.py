@@ -19,7 +19,14 @@ from pptlab import extender as ex
 from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import serialize as se
-from pptlab.errors import ConvergenceFailure, PptlabError
+from pptlab.errors import (
+    BoundsViolation,
+    ConvergenceFailure,
+    NonOrthogonalBasis,
+    NonSingleVariableOverlap,
+    PptlabError,
+    WitnessNotInRange,
+)
 
 
 def test_state_json_roundtrip():
@@ -929,6 +936,79 @@ def test_range_basis_certifies_and_replays_on_dependent_edges(rho3x3_verdict, tm
         se.verify_certificate(data)
 
 
+def _witness(pairs):
+    """Edit: the lower half's witness becomes the sparse ``pairs``."""
+    def edit(cert):
+        cert["lower"]["witness"] = pairs
+    return edit
+
+
+def _complex_edge(cert):
+    """Edit: edge e1 of the state gets the complex entry ``1+1 i``."""
+    cert["state"]["edges"][1]["vector"][0][1] = "1+1 i"
+
+
+@pytest.mark.parametrize("edit, exclude, error, message", [
+    (_witness([[4, "1"]]), (), WitnessNotInRange, "not in the state's range"),
+    (_witness([[0, "1"], [1, "1"], [4, "1"], [5, "1"], [8, "1"]]), (),
+     NonSingleVariableOverlap, "overlaps 2 basis vectors"),
+    (lambda cert: cert.update(_split_e3(cert)), ("e3b",), NonOrthogonalBasis,
+     "not a basis of the range"),
+    (_complex_edge, (), NonOrthogonalBasis, "not real"),
+], ids=["witness-outside-the-range", "witness-overlaps-two", "edges-on-split-e3",
+        "complex-basis"])
+def test_certifier_and_verifier_refuse_the_same_setups(rho3x3_verdict, edit, exclude, error,
+                                                       message):
+    """One setup (minors.lower_bound_setup) refuses a bad witness or basis
+    for both sides: certify_sn_lower raises its error, and verify of the
+    rho3x3 sn-verdict edited the same way fails with the same message.
+    Naming variables after the edges (an excluded e3b) makes the certifier
+    use the dependent edges of the e3 split as its basis."""
+    cert = _copy(rho3x3_verdict)
+    edit(cert)
+    state = se.state_from_json(cert["state"])
+    witness = se.vector_from_json(cert["lower"]["witness"], 9)
+    with pytest.raises(error, match=message):
+        ac.certify_sn_lower(state, witness, 2, exclude_vars=exclude)
+    with pytest.raises(se.CertificateInvalid, match=message):
+        se.verify_certificate(cert)
+
+
+def test_cofactor_exponents_must_be_positive_ints(tmp_path):
+    """rho4x5's first cofactor term is ``9/2 * psi20`` (monomial ``[[5, 1]]``).
+    ``[[5, true]]`` is the same monomial, so the identity would still replay,
+    and ``[[0, 2], [1, -1]]`` keeps degree 1: each must fail verify."""
+    path = tmp_path / "rho4x5.json"
+    assert cli.run(["certify-sn", "--state", "rho4x5", "--out", str(path)]) == 0
+    genuine = json.loads(path.read_text())
+    term = genuine["lower"]["minors"][0][2]["terms"][0]
+    assert term == [[[5, 1]], "9/2"]
+    for monomial in ([[5, True]], [[0, 2], [1, -1]]):
+        cert = _copy(genuine)
+        cert["lower"]["minors"][0][2]["terms"][0][0] = monomial
+        with pytest.raises(se.CertificateInvalid):
+            se.verify_certificate(cert)
+
+
+@pytest.mark.parametrize("weight", [3, 3.0, True], ids=["int", "float", "bool"])
+def test_stored_weights_and_pivots_are_strings(rho3x3_verdict, weight):
+    """A stored rational is a string: rho3x3's e3 weight ``"3"`` written as
+    a JSON number (or ``true``) fails verify, and so does a ppt pivot of
+    the same value."""
+    cert = _copy(rho3x3_verdict)
+    e3 = cert["state"]["edges"][3]
+    assert (e3["name"], e3["weight"]) == ("e3", "3")
+    e3["weight"] = weight
+    with pytest.raises(se.CertificateInvalid, match="not a rational string"):
+        se.verify_certificate(cert)
+    ppt = json.loads(json.dumps(se.ppt_certificate(co.rho_3x3())))
+    pivot = ppt["rho"]["pivots"][0 if weight is True else 2]
+    assert Fraction(pivot[1]) == weight
+    pivot[1] = weight
+    with pytest.raises(se.CertificateInvalid, match="not a rational string"):
+        se.verify_certificate(ppt)
+
+
 def test_sn_lower_needs_one_variable_per_basis_vector(rho3x3_verdict):
     cert = _copy(rho3x3_verdict)
     cert["lower"]["variables"] = cert["lower"]["variables"][:-1]
@@ -1131,11 +1211,9 @@ def genuine_lowers():
     """Genuine sn-verdicts of family:3 (edge naming, deltas excluded) and
     rho4x5 (power 4, cofactors of degree 1), with their states."""
     out = {}
-    for name, state, naming in (("family3", co.rho_family(3), "edge"),
-                                ("rho4x5", co.rho_4x5().final, "site")):
+    for name, state in (("family3", co.rho_family(3)), ("rho4x5", co.rho_4x5().final)):
         deltas = [e.name for e in state.edges if e.name.startswith("delta")]
-        cert = ac.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas,
-                                   naming=naming)
+        cert = ac.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas)
         out[name] = (state, _verdict(state, cert))
     return out
 
@@ -1401,7 +1479,8 @@ def _mutate_verdict(data, payload):
         term = data.draw(st.sampled_from(entry[2]["terms"]), label="term")
         _spoil_pairs(data, term[0], len(lower["variables"]), 1, [0])
     elif kind == "edge-weight":
-        edge["weight"] = data.draw(st.sampled_from(["0", "2", "1/2", "-1", "x", None]))
+        edge["weight"] = data.draw(st.sampled_from(["0", "2", "1/2", "-1", "x", None, 3, 3.0, True]
+                                                   + _numbers(edge["weight"])))
     elif kind == "verdict":
         payload["verdict"] = data.draw(st.sampled_from(
             ["SN = 2", "SN = 3", "SN = 4", "SN in [2, 3]", "SN in [3, 4]",
@@ -1412,16 +1491,23 @@ def _mutate_verdict(data, payload):
             st.integers(0, 6) | st.sampled_from([2.0, "2", None]))
 
 
+def _numbers(text):
+    """The JSON numbers (and ``true`` for 1) equal to the stored rational ``text``."""
+    q = Fraction(text)
+    return [float(q)] + ([int(q)] if q.denominator == 1 else []) + ([True] if q == 1 else [])
+
+
 def _upper_claim_holds(upper, stored):
     """Independent check of an accepted upper half on the ``stored`` state,
     the weighted Gram sum of its edges: the edge vectors are valid sparse
-    pairs, the weights are nonnegative, and sympy ranks of the edge vectors'
-    matricizations are the stored Schmidt ranks, whose maximum is the
-    claimed value."""
+    pairs, the weights are nonnegative rational strings, and sympy ranks of
+    the edge vectors' matricizations are the stored Schmidt ranks, whose
+    maximum is the claimed value."""
     sympy = pytest.importorskip("sympy")
     m, n = stored["dim_a"], stored["dim_b"]
     vectors = [_vector(e["vector"], m * n) for e in stored["edges"]]
-    if None in vectors or any(Fraction(e["weight"]) < 0 for e in stored["edges"]):
+    if None in vectors or not all(isinstance(e["weight"], str) and Fraction(e["weight"]) >= 0
+                                  for e in stored["edges"]):
         return False
 
     def number(z):
@@ -1480,14 +1566,54 @@ def test_sn_upper_without_vectors_is_rejected(rho3x3_verdict):
 
 def test_sn_upper_with_a_negative_edge_weight_is_rejected(rho3x3_verdict):
     """Edges e3 (weight 4) and a copy of it (weight -1) sum to rho3x3, a PSD
-    state, but are not a conic decomposition: the upper half fails."""
+    matrix, but are not a conic decomposition: the state is refused where
+    it is built, so no upper half is ever read off it."""
     cert = _split_e3(rho3x3_verdict)
     e3, copy = cert["state"]["edges"][3], cert["state"]["edges"][-1]
     assert (e3["name"], copy["name"]) == ("e3", "e3b")
     e3["weight"], copy["weight"] = "4", "-1"
-    assert se.state_from_json(cert["state"]) == co.rho_3x3()
-    with pytest.raises(se.CertificateInvalid, match="negative weight"):
-        se.verify_sn_upper_certificate(cert["upper"], se.state_from_json(cert["state"]))
+    with pytest.raises(BoundsViolation, match="'e3b' has negative weight -1"):
+        se.state_from_json(cert["state"])
+    with pytest.raises(BoundsViolation, match="negative weight"):
+        se.verify_certificate(cert)
+
+
+def _signed_2x2_state():
+    """``|Phi+><Phi+| + |00><00|`` (``|Phi+> = |00> + |11>``, an NPT state)
+    as ten product edges with signed weights: ``|00>`` (weight 2), ``|11>``
+    (weight 1), and ``(|0> + a|1>)(|0> + b|1>)`` with weight ``ab/8`` for
+    the eight pairs of fourth roots of unity with ``ab = +-1``, whose sum is
+    ``|00><11| + |11><00|``."""
+    roots = [em.GaussianRational(1), em.GaussianRational(0, 1),
+             em.GaussianRational(-1), em.GaussianRational(0, -1)]
+    edges = [("p00", em.basis_vector(4, 0), Fraction(2)),
+             ("p11", em.basis_vector(4, 3), Fraction(1))]
+    for i, a in enumerate(roots):
+        for j, b in enumerate(roots):
+            ab = a * b
+            if ab.im == 0:
+                edges.append((f"q{i}{j}", (em.ONE, b, a, ab), ab.re / 8))
+    return edges
+
+
+def test_signed_product_edges_are_refused_by_every_verb(tmp_path, capsys):
+    """Signed weights could write any PSD matrix as product edges, which
+    would bound an NPT state's Schmidt number by 1: build, ppt-check and
+    certify-sn refuse the state file (exit 2, the weight named)."""
+    edges = _signed_2x2_state()
+    phi, e00 = em.vector([1, 0, 0, 1]), em.basis_vector(4, 0)
+    target = em.ExactMatrix.outer(phi, phi) + em.ExactMatrix.outer(e00, e00)
+    assert em.weighted_gram([v for _, v, _ in edges], [w for _, _, w in edges], 4) == target
+    assert se.ppt_certificate(qs.BipartiteState(2, 2, target))["verdict"] == "NPT"
+    path = tmp_path / "signed.json"
+    path.write_text(json.dumps({"kind": "state", "dim_a": 2, "dim_b": 2, "label": "signed",
+                                "edges": [{"name": name, "vector": se.vector_to_json(v),
+                                           "weight": em.format_scalar(w)}
+                                          for name, v, w in edges]}))
+    for verb in ("build", "ppt-check", "certify-sn"):
+        capsys.readouterr()
+        assert cli.run([verb, "--state", str(path)]) == 2
+        assert "has negative weight -1/8" in capsys.readouterr().err
 
 
 def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys):
@@ -1649,7 +1775,8 @@ def _mutate_ppt(data, cert, others):
         ev = cert[data.draw(st.sampled_from(["rho", "rho_ta"]), label="block")]
     if kind == "pivot":
         pivot = data.draw(st.sampled_from(ev["pivots"]), label="pivot")
-        pivot[1] = data.draw(st.sampled_from(SCALARS) | st.fractions().map(str), label="value")
+        pivot[1] = data.draw(st.sampled_from(SCALARS + [3, 3.0, True] + _numbers(pivot[1]))
+                             | st.fractions().map(str), label="value")
     elif kind == "column-entry":
         _set_entry(data.draw(st.sampled_from(ev["columns"]), label="column"),
                    data.draw(st.integers(0, n - 1), label="row"), data.draw(st.sampled_from(SCALARS)))
@@ -1679,6 +1806,9 @@ def _mutate_ppt(data, cert, others):
         if field == "vector":
             _set_entry(edge["vector"], data.draw(st.integers(0, n - 1), label="site"),
                        data.draw(st.sampled_from(SCALARS)))
+        elif field == "weight":
+            edge[field] = data.draw(st.sampled_from(SCALARS + ["3", 3, 3.0, True]
+                                                    + _numbers(edge[field])), label=field)
         else:
             edge[field] = data.draw(st.sampled_from(SCALARS + ["e0", "3"]), label=field)
     elif kind == "swapped-state":
@@ -1706,14 +1836,18 @@ def _ppt_claim_holds(cert):
     stored matrix, or the weighted Gram sum of the stored edges, is
     Hermitian and is PSD (the stored state is a state), and its partial
     transpose is PSD exactly when the verdict is PPT.  A Hermitian ``A`` is
-    PSD iff every coefficient of ``det(x + A)`` is nonnegative."""
+    PSD iff every coefficient of ``det(x + A)`` is nonnegative.  Stored
+    rationals (edge weights, pivots) must be strings."""
     sympy = pytest.importorskip("sympy")
     state = cert["state"]
     m, n = state["dim_a"], state["dim_b"]
     evidence = [v for ev in (cert["rho"], cert["rho_ta"])
                 for v in (ev["columns"] if ev["psd"] else [ev["witness"]])]
     edges = [_vector(e["vector"], m * n) for e in state.get("edges", ())]
-    if None in edges or any(_vector(v, m * n) is None for v in evidence):
+    rationals = [e["weight"] for e in state.get("edges", ())] + [
+        d for ev in (cert["rho"], cert["rho_ta"]) if ev["psd"] for _, d in ev["pivots"]]
+    if None in edges or any(_vector(v, m * n) is None for v in evidence) \
+            or not all(isinstance(x, str) for x in rationals):
         return False
 
     def number(z):
