@@ -143,7 +143,7 @@ def cmd_certify_sn(args) -> int:
     from . import algcert as ac
 
     state = _load_state(args.state)
-    if state.edges is None:
+    if not state.edges:
         print("certify-sn: state carries no range decomposition", file=sys.stderr)
         return EXIT_INPUT
     lower, upper = ac.certify_sn(state, args.k, args.exclude_deltas)

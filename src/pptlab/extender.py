@@ -18,6 +18,8 @@ is computed in place.  The linear constraints a PPT extension places on
 coupling becomes a vector ``|chi>`` in A (x) B (x) B' and partial
 transposition acts as the swap of B and B'.
 
+An extension is checked PSD once, when assembled; its core, relabellings and
+projections are unchecked, and its lifted edges are checked only by their sum.
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
 dimension n when extending A, A-side space of dimension m when extending B).
@@ -142,8 +144,7 @@ def assemble_matrix(core: em.ExactMatrix, chi: em.ExactMatrix, edge: em.ExactMat
 def split_blocks(s: qs.BipartiteState, side: Side, perp_index: int) -> ExtensionBlocks:
     """Exact block extraction; :func:`assemble_extension` inverts it bit-exactly."""
     core_m, chi, edge, core_dims = split_matrix(s.matrix, s.dim_a, s.dim_b, side, perp_index)
-    core = qs.BipartiteState(core_dims[0], core_dims[1], core_m,
-                             label=f"{s.label}|core", _skip_checks=True)
+    core = qs.BipartiteState._raw(*core_dims, core_m, f"{s.label}|core")
     return ExtensionBlocks(core, chi, edge, side, perp_index)
 
 
@@ -316,9 +317,8 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side = "A",
 def _in_frame(ext: qs.BipartiteState, side: Side, label: str) -> qs.BipartiteState:
     """``ext``, built in the A frame, as an extension on ``side`` labelled
     ``label``: a side-B extension is the swap of the A-frame one."""
-    if side == "B":
-        ext = qs.swap_subsystems(ext)
-    return qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=label, _skip_checks=True)
+    ext = qs.swap_subsystems(ext) if side == "B" else ext
+    return qs.BipartiteState._raw(*ext.dims, ext.matrix, label)
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
@@ -422,6 +422,7 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     ``(v_i ; chi* rho_c^{-1} v_i)`` and the separable remainder
     ``rho_{e\\c} (x) |perp><perp|`` such that the weighted sum reproduces the
     extension bit-exactly.  Each lift raises the Schmidt rank by at most 1.
+    That sum is the one check; on the core block it is the given decomposition.
 
     Returns ``(lifted, remainder)`` where ``lifted`` is a list of
     ``(vector, weight)`` pairs on the extended space and ``remainder`` is the
@@ -433,8 +434,6 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
         raise DimensionMismatch("one weight per core vector")
     blocks = split_blocks(ext, side, perp_index)
     m, n = blocks.core.dims
-    if em.weighted_gram(core_vectors, weights, m * n) != blocks.core.matrix:
-        raise DecompositionMismatch("core vectors do not reproduce the core block")
     K, flat_edge = _flat_edge(blocks.core.matrix, blocks.coupling)
     Kadj = K.adjoint()
     m_ext, n_ext = ext.dims
@@ -525,11 +524,11 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
             if len(res.pivots) != len(names):
                 raise DecompositionMismatch(f"{step.label}: remainder has {len(res.pivots)} "
                                             f"rank-one parts, {len(names)} names")
+            # lift_decomposition checked that these edges sum to ext.matrix
             edges = [qs.NamedVector(e.name, v, w) for e, (v, w) in zip(core.edges, lifted)]
             edges += [qs.NamedVector(name, col, Fraction(d))
                       for name, (_, d), col in zip(names, res.pivots, res.columns)]
-            ext = qs.BipartiteState(ext.dim_a, ext.dim_b, ext.matrix, label=ext.label,
-                                    edges=edges, _skip_checks=True)
+            ext = qs.BipartiteState._raw(*ext.dims, ext.matrix, ext.label, tuple(edges))
         states.append(ext)
         core = ext
     return states
@@ -738,8 +737,7 @@ def sn_bounds_from_projection(s: qs.BipartiteState, side: Side,
         op = A.kron(em.ExactMatrix.identity(s.dim_b)) if side == "A" \
             else em.ExactMatrix.identity(s.dim_a).kron(A)
         mat = op.matmul(s.matrix).matmul(op.adjoint())
-        projected = qs.BipartiteState(s.dim_a, s.dim_b, mat, label=f"{s.label}|proj",
-                                      _skip_checks=True)
+        projected = qs.BipartiteState._raw(*s.dims, mat, f"{s.label}|proj")
     verdict = separability_rules(projected)
     upper = 2 if verdict.separable else None
     return ProjectionBound(side, removed_vector, projected, verdict, upper)

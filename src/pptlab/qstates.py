@@ -5,9 +5,9 @@ Basis convention: the product basis vector ``|i>_A (x) |j>_B`` of an
 unnormalized; normalization does not change any entanglement property and
 would leave the rational field.
 
-States verify Hermiticity and positive semidefiniteness exactly at
-construction; a state given its edges alone is their weighted Gram sum,
-and an edge of negative weight is refused.
+A state is checked once, where it is made: given edges, by refusing a
+negative weight (their Gram sum is then PSD), else by exact LDL*.  What
+keeps a checked state valid builds its result unchecked (``_raw``).
 Partial transposes are returned as plain matrices because their
 positivity is precisely the property under investigation.  An
 :class:`ExtensionStep` is one replayable step of an extension pipeline.
@@ -45,18 +45,23 @@ class NamedVector(NamedTuple):
 class BipartiteState:
     """Unnormalized bipartite density operator with exact entries.
 
-    ``edges`` optionally records a conic decomposition ``sum_w w |v><v|``
-    of the matrix (grid edges or lifted edges), with no negative weight.
-    Given alone, the edges define the matrix by one Gram sum; given with a
-    matrix, they are verified bit-exactly against it at construction.
+    ``edges`` optionally records a conic decomposition ``sum_w w |v><v|`` of
+    the matrix, with no negative weight: alone, they define it by one Gram
+    sum, PSD by construction; with a matrix, they must reproduce it.  A
+    matrix alone is checked PSD by exact LDL*.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
 
     def __init__(self, dim_a: int, dim_b: int, matrix: em.ExactMatrix | None = None,
-                 label: str = "", edges: Sequence[NamedVector] | None = None,
-                 _skip_checks: bool = False):
-        if edges is not None:
+                 label: str = "", edges: Sequence[NamedVector] | None = None):
+        if edges is None:
+            if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
+                raise DimensionMismatch("matrix size does not match local dimensions")
+            res = em.psd_check(matrix)  # includes the exact Hermitian check
+            if not res.is_psd:
+                raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
+        else:
             edges = tuple(edges)
             bad = next((e for e in edges if e.weight < 0), None)
             if bad is not None:
@@ -66,17 +71,18 @@ class BipartiteState:
             if matrix is not None and acc != matrix:
                 raise DimensionMismatch("recorded edge decomposition does not reproduce the matrix")
             matrix = acc
-        if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
-            raise DimensionMismatch("matrix size does not match local dimensions")
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "edges", edges)
-        if not _skip_checks:
-            res = em.psd_check(matrix)  # includes the exact Hermitian check
-            if not res.is_psd:
-                raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
+        self._set(dim_a, dim_b, matrix, label, edges)
+
+    def _set(self, *fields) -> "BipartiteState":
+        for slot, value in zip(self.__slots__, fields):
+            object.__setattr__(self, slot, value)
+        return self
+
+    @staticmethod
+    def _raw(dim_a: int, dim_b: int, matrix: em.ExactMatrix, label: str,
+             edges: tuple | None = None) -> "BipartiteState":
+        """Unchecked: a state made from a checked one, ``edges`` summing to ``matrix``."""
+        return object.__new__(BipartiteState)._set(dim_a, dim_b, matrix, label, edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteState is immutable")
@@ -157,11 +163,9 @@ def swap_subsystems(s: BipartiteState) -> BipartiteState:
     src = swap_index(s.dim_a, s.dim_b)
     rows = [s.matrix.row(r) for r in src]
     out = em.ExactMatrix([[row[c] for c in src] for row in rows])
-    edges = None
-    if s.edges is not None:
-        edges = [NamedVector(e.name, tuple(e.vec[r] for r in src), e.weight) for e in s.edges]
-    return BipartiteState(s.dim_b, s.dim_a, out, label=f"swap({s.label})", edges=edges,
-                          _skip_checks=True)
+    edges = None if s.edges is None else \
+        tuple(NamedVector(e.name, tuple(e.vec[r] for r in src), e.weight) for e in s.edges)
+    return BipartiteState._raw(s.dim_b, s.dim_a, out, f"swap({s.label})", edges)
 
 
 def project_local_block(s: BipartiteState, rows_a: Sequence[int], rows_b: Sequence[int]) -> BipartiteState:
@@ -177,13 +181,11 @@ def project_local_block(s: BipartiteState, rows_a: Sequence[int], rows_b: Sequen
             raise BoundsViolation(f"{name} contains duplicates")
         if any(i < 0 or i >= bound for i in idx):
             raise BoundsViolation(f"{name} outside local dimension {bound}")
-    n_new = len(rows_b)
     sel = [flat_index(i, j, s.dim_b) for i in rows_a for j in rows_b]
     out = [[s.matrix.entry(r, c) for c in sel] for r in sel]
-    identity_projection = (list(rows_a) == list(range(s.dim_a)) and list(rows_b) == list(range(s.dim_b)))
-    edges = s.edges if identity_projection else None
-    return BipartiteState(len(rows_a), n_new, em.ExactMatrix(out),
-                          label=f"{s.label}|block", edges=edges, _skip_checks=True)
+    whole = list(rows_a) == list(range(s.dim_a)) and list(rows_b) == list(range(s.dim_b))
+    return BipartiteState._raw(len(rows_a), len(rows_b), em.ExactMatrix(out),
+                               f"{s.label}|block", s.edges if whole else None)
 
 
 def schmidt_rank(v: em.Vector, m: int, n: int) -> int:

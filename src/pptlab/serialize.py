@@ -54,11 +54,11 @@ def matrix_to_json(M: em.ExactMatrix) -> dict:
 
 
 def matrix_from_json(data: dict) -> em.ExactMatrix:
-    entries = [[em.parse_scalar(x) for x in row] for row in data["entries"]]
-    M = em.ExactMatrix(entries) if entries else em.ExactMatrix.zeros(data["rows"], data["cols"])
-    if M.shape != (data["rows"], data["cols"]):
-        raise CertificateInvalid("matrix shape mismatch")
-    return M
+    rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    if not (type(rows) is type(cols) is int and len(entries) == rows and (rows or not cols)
+            and all(isinstance(row, list) and len(row) == cols for row in entries)):
+        raise ValueError(f"matrix entries are not {rows!r} rows of {cols!r} entries each")
+    return em.ExactMatrix([[em.parse_scalar(x) for x in row] for row in entries])
 
 
 def vector_to_json(v: em.Vector) -> list:

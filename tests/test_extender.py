@@ -164,6 +164,42 @@ def test_side_b_product_pair_is_swapped_side_a(stage, alpha, beta):
         qs.swap_subsystems(ex.assemble_extension(want)).matrix
 
 
+@st.composite
+def edge_states(draw):
+    """A small state given by its edges: Gaussian-rational vectors and
+    nonnegative rational weights, zero among them."""
+    m, n, count = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    weights = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    edges = [qs.NamedVector(f"v{i}", tuple(draw(st.lists(gaussian_rationals, min_size=m * n,
+                                                          max_size=m * n))), draw(weights))
+             for i in range(count)]
+    return qs.BipartiteState(m, n, label="drawn", edges=edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(edge_states(), st.data())
+def test_unchecked_states_agree_with_checked_ones(s, data):
+    """What swap_subsystems, split_blocks and project_local_block build
+    without a check is what a checked construction gives: the swap is the
+    state of the permuted edges and an involution, and a core or a local
+    block is PSD."""
+    m, n = s.dims
+    sw = qs.swap_subsystems(s)
+    src = qs.swap_index(m, n)
+    checked = qs.BipartiteState(n, m, label="checked", edges=[
+        qs.NamedVector(e.name, tuple(e.vec[r] for r in src), e.weight) for e in s.edges])
+    assert (sw.dims, sw.matrix, sw.edges) == (checked.dims, checked.matrix, checked.edges)
+    back = qs.swap_subsystems(sw)
+    assert (back.dims, back.matrix, back.edges) == (s.dims, s.matrix, s.edges)
+    for side, local in (("A", m), ("B", n)):
+        if local > 1:
+            core = ex.split_blocks(s, side, data.draw(st.integers(0, local - 1))).core
+            assert em.psd_check(core.matrix).is_psd
+    rows_a = data.draw(st.lists(st.integers(0, m - 1), min_size=1, unique=True))
+    rows_b = data.draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True))
+    assert em.psd_check(qs.project_local_block(s, rows_a, rows_b).matrix).is_psd
+
+
 # -- Schur complements -----------------------------------------------------------
 
 def test_schur_zero_coupling_returns_edge():
@@ -364,6 +400,34 @@ def test_run_pipeline_without_edges_builds_the_same_stages():
     assert all(st.edges is None for st in stages)
 
 
+def test_rho4x5_sums_and_factors_each_matrix_once(monkeypatch):
+    """Built from scratch, rho4x5 runs 4 Gram sums (rho3x3's edges, then
+    each step's lifted edges once, in lift_decomposition) and 8 LDL* (each
+    assembled extension, each product pair's partial transpose and each
+    remainder); no state built from edges is factored."""
+    calls = []
+    for name in ("weighted_gram", "psd_check"):
+        kernel = getattr(em, name)
+        monkeypatch.setattr(em, name, lambda *args, _name=name, _kernel=kernel:
+                            calls.append(_name) or _kernel(*args))
+    co.rho_3x3.cache_clear()
+    co.rho_4x5.cache_clear()
+    try:
+        co.rho_4x5()
+    finally:
+        co.rho_3x3.cache_clear()
+        co.rho_4x5.cache_clear()
+    assert (calls.count("weighted_gram"), calls.count("psd_check")) == (4, 8)
+
+
+def test_rho4x5_stages_are_the_sums_of_their_edges():
+    """run_pipeline hands each stage on without summing its edges again;
+    summing them reproduces the stage's matrix."""
+    for stage in co.rho_4x5()[:3]:
+        assert qs.BipartiteState(*stage.dims, label="sum", edges=stage.edges).matrix == \
+            stage.matrix
+
+
 def test_rho4x5_factors_no_large_matrix_twice(monkeypatch):
     """Building rho4x5 PSD-checks each 16x16 and 20x20 matrix once: a
     product-pair step reuses the extension it checked."""
@@ -505,6 +569,23 @@ def test_lift_through_recorded_pipeline():
     for (v1, _), e in zip(lifted, pipe.stage1.edges):
         sr0 = qs.schmidt_rank(e.vec, 4, 3)
         assert qs.schmidt_rank(v1, 4, 4) <= sr0 + 1
+
+
+def test_lift_checks_the_core_through_the_extension_once(monkeypatch):
+    """lift_decomposition runs one Gram sum, of the lifted edges against the
+    extension, and that check refuses a wrong core vector or weight."""
+    pipe = co.rho_4x5()
+    vecs = [e.vec for e in pipe.stage1.edges]
+    weights = [e.weight for e in pipe.stage1.edges]
+    calls = []
+    gram = em.weighted_gram
+    monkeypatch.setattr(em, "weighted_gram", lambda *args: calls.append(1) or gram(*args))
+    ex.lift_decomposition(pipe.stage2, "B", 3, vecs, weights)
+    assert len(calls) == 1
+    for wrong_vecs, wrong_weights in (([vecs[1]] + vecs[1:], weights),
+                                      (vecs, [2 * weights[0]] + weights[1:])):
+        with pytest.raises(DecompositionMismatch):
+            ex.lift_decomposition(pipe.stage2, "B", 3, wrong_vecs, wrong_weights)
 
 
 # -- projection bounds --------------------------------------------------------------------

@@ -84,6 +84,17 @@ def test_rho3x3_sums_its_named_edges_once(monkeypatch):
          for i, j in enumerate((0, 1, 4, 2, 3))]
 
 
+def test_swap_subsystems_sums_and_factors_nothing(monkeypatch):
+    """A swap permutes a checked state's matrix and edges: no Gram sum and
+    no LDL* runs."""
+    stage = co.rho_4x5().stage1
+    calls = []
+    for name in ("weighted_gram", "psd_check"):
+        monkeypatch.setattr(em, name, lambda *args, _name=name: calls.append(_name))
+    sw = qs.swap_subsystems(stage)
+    assert calls == [] and sw.dims == (3, 4) and len(sw.edges) == len(stage.edges)
+
+
 def test_partial_transpose_diagonal_invariant():
     d = qs.BipartiteState(2, 3, em.ExactMatrix.diag([1, 2, 3, 4, 5, 6]), label="d")
     assert d.partial_transpose("B") == d.matrix
@@ -299,7 +310,8 @@ def test_partial_transpose_commutes_with_swap():
     rho = co.rho_3x3()
     sw = qs.swap_subsystems(rho)
     lhs = qs.partial_transpose_matrix(sw.matrix, 3, 3, "A")
-    # T_A after the swap equals the swap of T_B
+    # T_A after the swap equals the swap of T_B, relabelled like a state's matrix
     tb = rho.partial_transpose("B")
-    rhs = qs.swap_subsystems(qs.BipartiteState(3, 3, tb, label="", _skip_checks=True)).matrix
+    src = qs.swap_index(3, 3)
+    rhs = em.ExactMatrix([[tb.entry(r, c) for c in src] for r in src])
     assert lhs == rhs

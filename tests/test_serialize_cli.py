@@ -311,10 +311,12 @@ def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
 def test_cli_kernel_fault_in_a_replay_keeps_its_traceback(tmp_path, monkeypatch, verb, kernel):
     """Reading a stored state or certificate is input parsing; the exact
     kernels that replay it are not, so a ValueError raised inside one
-    surfaces instead of exiting 2 or failing the certificate."""
+    surfaces instead of exiting 2 or failing the certificate.  Only a
+    matrix state (tiles) is factored when it is loaded."""
     path = tmp_path / "in.json"
     if verb == "verify":
-        assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(path)]) == 0
+        state = "tiles" if kernel == "psd_check" else "rho3x3"
+        assert cli.run(["ppt-check", "--state", state, "--out", str(path)]) == 0
         argv = ["verify", str(path)]
     else:
         assert cli.run(["build", "--state", "rho3x3", "--out", str(path)]) == 0
@@ -334,6 +336,79 @@ def test_cli_state_file_with_float_dimensions_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({**json.loads(path.read_text()), "dim_b": 3.0}))
     assert cli.run(["ppt-check", "--state", str(path)]) == 2
     assert "malformed state" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    {"rows": 4, "cols": 4, "entries": []},
+    {"rows": 0, "cols": 2, "entries": []},
+    {"rows": 2, "cols": 1, "entries": [["1"]]},
+    {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0"]]},
+    {"rows": 1, "cols": 2, "entries": ["10"]},
+    {"rows": True, "cols": 1, "entries": [["1"]]},
+    {"rows": 1, "cols": True, "entries": [["1"]]},
+    {"rows": 1.0, "cols": 1, "entries": [["1"]]},
+], ids=["empty-4x4", "empty-0x2", "short", "ragged", "row-not-a-list", "bool-rows",
+        "bool-cols", "float-rows"])
+def test_matrix_from_json_requires_rows_of_entries(data):
+    with pytest.raises(ValueError, match="rows of"):
+        se.matrix_from_json(data)
+
+
+def test_matrix_from_json_reads_what_matrix_to_json_writes():
+    assert se.matrix_from_json({"rows": 0, "cols": 0, "entries": []}).shape == (0, 0)
+    M = em.ExactMatrix([[1, em.GaussianRational(0, Fraction(1, 2))], [0, -3]])
+    assert se.matrix_from_json(json.loads(json.dumps(se.matrix_to_json(M)))) == M
+
+
+def test_cli_a_matrix_without_its_entries_is_malformed(tmp_path, capsys):
+    """Empty ``entries`` is not the zero matrix: a state file holding it
+    exits 2 on ppt-check, a ppt certificate holding it fails verify, and
+    an extend step whose edge holds it exits 2."""
+    cert = se.ppt_certificate(qs.BipartiteState(2, 2, em.ExactMatrix.zeros(4, 4), label="0"))
+    cert["state"]["matrix"]["entries"] = []
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(cert["state"]))
+    assert cli.run(["ppt-check", "--state", str(state)]) == 2
+    assert "malformed state: ValueError" in capsys.readouterr().err
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert cli.run(["verify", str(path)]) == 1
+    assert "verify: FAILED: malformed state" in capsys.readouterr().out
+    step = {**RHO_4X5_STEP_JSON[0], "edge": {"rows": 3, "cols": 3, "entries": []}}
+    assert cli.run(["extend", "--state", "rho3x3", "--step", json.dumps(step)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ValueError: matrix entries" in captured.err
+
+
+@pytest.mark.parametrize("state", [
+    {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "none", "edges": []}, "tiles",
+], ids=["empty-edges", "matrix-state"])
+def test_cli_certify_sn_needs_edges(tmp_path, capsys, state):
+    """certify-sn bounds a state through its edges: a state without any
+    exits 2 with one line, not a traceback."""
+    if isinstance(state, dict):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        state = str(path)
+    assert cli.run(["certify-sn", "--state", state]) == 2
+    assert capsys.readouterr().err == "certify-sn: state carries no range decomposition\n"
+
+
+def test_loading_an_edge_state_sums_its_edges_once(tmp_path, monkeypatch):
+    """A state file of edges is read by one Gram sum and no LDL*: a Gram sum
+    of nonnegative weights is PSD by construction."""
+    path = tmp_path / "family5.json"
+    assert cli.run(["build", "--state", "family:5", "--out", str(path)]) == 0
+    data = json.loads(path.read_text())
+    calls = []
+    for name in ("weighted_gram", "psd_check"):
+        kernel = getattr(em, name)
+        monkeypatch.setattr(em, name, lambda *args, _name=name, _kernel=kernel:
+                            calls.append(_name) or _kernel(*args))
+    loaded = se.state_from_json(data)
+    assert calls == ["weighted_gram"]
+    monkeypatch.undo()
+    assert loaded == co.rho_family(5) and loaded.edges == tuple(co.family_edges(5))
 
 
 def test_cli_verify_of_a_witness_value_past_the_digit_limit_fails(tmp_path, capsys):
