@@ -6,6 +6,14 @@ __all__ = ["exactmat", "qstates", "constructions", "extender", "minors", "algcer
            "serialize", "cli", "acceptance"]
 
 
+def extension_count_bound(m: int, n: int, p: int, q: int) -> int:
+    """Counting bound ``(p + q - m n) n - m`` for nontrivial extensions of
+    an ``m x n`` state of birank ``(p, q)``.  It lives here, free of numpy
+    and of the exact layer, because both the exact extension solver and the
+    float survey use it."""
+    return (p + q - m * n) * n - m
+
+
 def __getattr__(name):
     # Submodules are imported lazily so the exact core stays importable
     # without numpy.

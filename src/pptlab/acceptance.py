@@ -15,6 +15,7 @@ from . import algcert as ac
 from . import constructions as co
 from . import exactmat as em
 from . import extender as ex
+from . import extension_count_bound
 from . import minors as mi
 from . import qstates as qs
 from .errors import CriterionFailed
@@ -245,9 +246,9 @@ def criterion_6() -> CriterionResult:
             summary[name] = {"dimension": space.dimension, "bound": space.bound,
                              "trivial": space.trivial_dimension}
         _check(spaces["rho3x3"].bound == 3, f"rho3x3 bound {spaces['rho3x3'].bound}")
-        _check(qs.extension_count_bound(3, 3, 5, 6) == 3, "count bound (3, 3, 5, 6) is not 3")
-        _check(qs.extension_count_bound(3, 3, 4, 4) == -6, "count bound (3, 3, 4, 4) is not -6")
-        _check(qs.extension_count_bound(2, 4, 8, 8) == 30, "count bound (2, 4, 8, 8) is not 30")
+        _check(extension_count_bound(3, 3, 5, 6) == 3, "count bound (3, 3, 5, 6) is not 3")
+        _check(extension_count_bound(3, 3, 4, 4) == -6, "count bound (3, 3, 4, 4) is not -6")
+        _check(extension_count_bound(2, 4, 8, 8) == 30, "count bound (2, 4, 8, 8) is not 30")
 
         # the two side-B pipeline couplings, in the swapped frame, are nontrivial solutions
         for name, step in (("stage1-swapped", pipe.steps[1]), ("stage2-swapped", pipe.steps[2])):

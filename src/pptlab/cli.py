@@ -9,12 +9,16 @@ acceptance), 2 input error: input that does not parse, or a
 the program and surfaces with its traceback.
 
 Each verb imports the modules it runs, inside its ``cmd_*`` function:
-``algcert`` for ``certify-sn``, ``extender`` for ``extend`` and
-``extremal``, ``numlab`` (numpy) for ``sample`` and ``survey``.
-``constructions`` loads only for ``build`` and for a named state
-(``rho3x3``, ``rho4x5``, ``tiles``, ``family:k``), and the replay kernel
-``minors`` only to replay an sn-lower half, so ``verify`` never loads the
-certifier.  Only ``--verbose`` imports and configures ``logging``.
+``serialize`` (and with it the exact layer) for every verb that reads or
+writes a state or certificate, ``algcert`` for ``certify-sn``,
+``extender`` for ``extend`` and ``extremal``, and ``numlab`` (numpy) for
+``sample`` and ``survey``, which load no exact module.  ``constructions``
+loads only for ``build`` and for a named state (``rho3x3``, ``rho4x5``,
+``tiles``, ``family:k``), and the replay kernel ``minors`` only to replay
+an sn-lower half, so ``verify`` never loads the certifier.  Only
+``--verbose`` imports and configures ``logging``.  ``ppt-check`` of a
+stored matrix state factors it once: the certificate's LDL* of rho is its
+check.
 
 ``certify-sn`` runs :func:`algcert.certify_sn` and writes one
 ``sn-verdict``: the state once, the evidence of the lower and upper bounds,
@@ -39,10 +43,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import qstates as qs
-from . import serialize as se
 from .errors import ConvergenceFailure, InternalInconsistency, PptlabError
+
+if TYPE_CHECKING:
+    from . import qstates as qs
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -79,14 +85,25 @@ NAMED_STATES = {
 }
 
 
-def _load_state(ref: str) -> qs.BipartiteState:
-    if ref in NAMED_STATES or ref.startswith("family:"):
-        from . import constructions as co
+def _named_state(ref: str) -> qs.BipartiteState | None:
+    """The state ``ref`` names, or None when ``ref`` is a file."""
+    if ref not in NAMED_STATES and not ref.startswith("family:"):
+        return None
+    from . import constructions as co
 
-        if ref in NAMED_STATES:
-            return NAMED_STATES[ref](co)
-        return co.rho_family(_parse(int, ref.split(":", 1)[1]))
-    return se.state_from_json(_parse(se.load, ref))
+    if ref in NAMED_STATES:
+        return NAMED_STATES[ref](co)
+    return co.rho_family(_parse(int, ref.split(":", 1)[1]))
+
+
+def _load_state(ref: str) -> qs.BipartiteState:
+    """The state ``ref`` names, or the one stored in the file ``ref``."""
+    state = _named_state(ref)
+    if state is None:
+        from . import serialize as se
+
+        state = se.state_from_json(_parse(se.load, ref))
+    return state
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -102,6 +119,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def cmd_build(args) -> int:
     from . import constructions as co
+    from . import serialize as se
 
     if args.graph:
         g = _parse(se.graph_from_json, _parse(se.load, args.graph))
@@ -118,7 +136,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_ppt_check(args) -> int:
-    state = _load_state(args.state)
+    from . import serialize as se
+
+    state = _named_state(args.state)
+    if state is None:  # the certificate's LDL* of rho checks a stored matrix state
+        state = se.ppt_state_from_json(_parse(se.load, args.state))
     cert = se.ppt_certificate(state)
     verdict = cert["verdict"]
     _emit(args, cert, text=f"{state.label or 'state'}: {verdict}")
@@ -127,6 +149,7 @@ def cmd_ppt_check(args) -> int:
 
 def cmd_extend(args) -> int:
     from . import extender as ex
+    from . import serialize as se
 
     state = _load_state(args.state)
     data = _parse(json.loads, args.step)
@@ -141,6 +164,7 @@ def cmd_extend(args) -> int:
 
 def cmd_certify_sn(args) -> int:
     from . import algcert as ac
+    from . import serialize as se
 
     state = _load_state(args.state)
     if not state.edges:
@@ -226,6 +250,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import serialize as se
+
     data = _parse(se.load, args.certificate)
     try:
         se.verify_certificate(data)

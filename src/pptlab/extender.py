@@ -35,6 +35,7 @@ from fractions import Fraction
 from typing import Literal, NamedTuple, Sequence
 
 from . import exactmat as em
+from . import extension_count_bound
 from . import qstates as qs
 from .errors import (
     BoundsViolation,
@@ -260,7 +261,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
     return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(_trivial_choi_rows(core))),
-                          qs.extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
+                          extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
 
 
 def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspace,

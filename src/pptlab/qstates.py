@@ -7,7 +7,9 @@ would leave the rational field.
 
 A state is checked once, where it is made: given edges, by refusing a
 negative weight (their Gram sum is then PSD), else by exact LDL*.  What
-keeps a checked state valid builds its result unchecked (``_raw``).
+keeps a checked state valid builds its result unchecked (``_raw``), and so
+does :func:`serialize.ppt_state_from_json`, whose callers check a stored
+matrix by the ppt certificate's own LDL* of it.
 Partial transposes are returned as plain matrices because their
 positivity is precisely the property under investigation.  An
 :class:`ExtensionStep` is one replayable step of an extension pipeline.
@@ -58,9 +60,7 @@ class BipartiteState:
         if edges is None:
             if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
                 raise DimensionMismatch("matrix size does not match local dimensions")
-            res = em.psd_check(matrix)  # includes the exact Hermitian check
-            if not res.is_psd:
-                raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
+            state_ldl(matrix, label)
         else:
             edges = tuple(edges)
             bad = next((e for e in edges if e.weight < 0), None)
@@ -103,6 +103,16 @@ class BipartiteState:
         return partial_transpose_matrix(self.matrix, self.dim_a, self.dim_b, side)
 
 
+def state_ldl(matrix: em.ExactMatrix, label: str) -> em.PsdResult:
+    """The exact LDL* of a state's matrix, which is the check of a matrix
+    state: :class:`NotPsd` unless the matrix is PSD (and, from
+    :func:`exactmat.psd_check`, ``NotHermitian`` unless it is Hermitian)."""
+    res = em.psd_check(matrix)
+    if not res.is_psd:
+        raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
+    return res
+
+
 def edge_basis(s: BipartiteState, rng: em.Subspace) -> tuple | None:
     """The edge vectors of ``s`` when they are a basis of ``rng``, its range
     (linearly independent and spanning it), else None.  The edges of
@@ -140,12 +150,6 @@ def birank(s: BipartiteState) -> tuple:
     p = em.rank(s.matrix)
     q = em.rank(s.partial_transpose("A"))
     return (p, q)
-
-
-def extension_count_bound(m: int, n: int, p: int, q: int) -> int:
-    """Counting bound ``(p + q - m n) n - m`` for nontrivial extensions of
-    an ``m x n`` state of birank ``(p, q)``."""
-    return (p + q - m * n) * n - m
 
 
 def swap_index(m: int, n: int) -> list:

@@ -9,7 +9,8 @@ exponent]`` pairs; their lengths come from the state or the ring.  A
 state stores its ``edges`` when it has them, else its ``matrix``; an edge
 state's matrix is read back by one Gram sum.  Certificates carry a
 ``"kind"`` tag dispatched by the verifier: ``ppt`` (LDL* evidence for the
-state and its partial transpose) and ``sn-verdict`` (the evidence of a
+state and its partial transpose; for a state stored as its matrix, rho's
+is also the state's check) and ``sn-verdict`` (the evidence of a
 Schmidt-number ``lower`` and ``upper`` bound, and the verdict line), each
 storing its state once.  The halves refer to that state: the lower one
 names its basis of the range (``"edges"`` or ``"range"``), the upper one
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from . import exactmat as em
 from . import qstates as qs
-from .errors import PptlabError
+from .errors import DimensionMismatch, NotPsd, PptlabError
 
 
 class CertificateInvalid(PptlabError):
@@ -119,12 +120,32 @@ def state_from_json(data: dict) -> qs.BipartiteState:
     Malformed JSON raises :class:`MalformedData`, and a retired layout
     :class:`RetiredLayout`; the checks of the constructor run outside that
     conversion, so a fault in them keeps its own exception."""
+    return qs.BipartiteState(*_state_fields(data))
+
+
+def ppt_state_from_json(data: dict) -> qs.BipartiteState:
+    """The stored state a ppt certificate is made or replayed for: as
+    :func:`state_from_json`, but a matrix state is checked here for its
+    shape only.  The certificate's LDL* of rho checks it, once:
+    :func:`ppt_certificate` computes it, and :func:`verify_ppt_certificate`
+    replays its Gram sum; each raises :class:`NotPsd` when rho is not PSD."""
+    parts = _state_fields(data)
+    dim_a, dim_b, matrix, label = parts[:4]
+    if matrix is None:  # edges: a Gram sum of nonnegative weights is PSD
+        return qs.BipartiteState(*parts)
+    if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
+        raise DimensionMismatch("matrix size does not match local dimensions")
+    return qs.BipartiteState._raw(dim_a, dim_b, matrix, label)
+
+
+def _state_fields(data: dict) -> tuple:
+    """The constructor arguments of a stored state (:func:`_state_parts`),
+    with a retired layout named as such."""
     try:
-        parts = _parsed("state", _state_parts, data)
+        return _parsed("state", _state_parts, data)
     except RetiredLayout as exc:
         raise RetiredLayout(f"state in a retired layout ({exc}): "
                             "re-run build to replace it") from None
-    return qs.BipartiteState(*parts)
 
 
 def _state_parts(data: dict) -> tuple:
@@ -184,19 +205,19 @@ def graph_from_json(data: dict):
 # ---------------------------------------------------------------------------
 
 def ppt_certificate(s: qs.BipartiteState) -> dict:
-    """Exact PPT certificate: LDL* pivots for the state and its partial
-    transpose (or a negativity witness)."""
-    res_rho = em.psd_check(s.matrix)
-    pt = s.partial_transpose("A")
-    res_pt = em.psd_check(pt)
-    out = {
+    """Exact PPT certificate: LDL* pivots for the state and for its partial
+    transpose (or a negativity witness).  The LDL* of rho is also the check
+    of a matrix state read by :func:`ppt_state_from_json`
+    (:func:`qstates.state_ldl`)."""
+    res_rho = qs.state_ldl(s.matrix, s.label)
+    res_pt = em.psd_check(s.partial_transpose("A"))
+    return {
         "kind": "ppt",
         "state": state_to_json(s),
-        "verdict": "PPT" if (res_rho.is_psd and res_pt.is_psd) else "NPT",
+        "verdict": "PPT" if res_pt.is_psd else "NPT",
         "rho": _psd_json(res_rho),
         "rho_ta": _psd_json(res_pt),
     }
-    return out
 
 
 def _psd_json(res: em.PsdResult) -> dict:
@@ -211,11 +232,13 @@ def _psd_json(res: em.PsdResult) -> dict:
 
 
 def verify_ppt_certificate(data: dict) -> bool:
-    """Replay a PPT certificate: rebuild both factorizations and check them."""
-    s = state_from_json(_parsed("certificate", lambda d: d["state"], data))
+    """Replay a PPT certificate: rebuild both factorizations and check them.
+    The Gram sum of rho's factorization proves rho PSD, so it is also the
+    check of a matrix state (:func:`ppt_state_from_json`), and a valid
+    negativity witness for rho raises :class:`NotPsd`."""
+    s = ppt_state_from_json(_parsed("certificate", lambda d: d["state"], data))
     evidence, claimed = _parsed("certificate", _read_ppt, data, s.matrix.rows)
-    pt = s.partial_transpose("A")
-    for key, M in (("rho", s.matrix), ("rho_ta", pt)):
+    for key, M in (("rho", s.matrix), ("rho_ta", s.partial_transpose("A"))):
         psd, *ev = evidence[key]
         if psd:
             pivots, columns = ev
@@ -228,8 +251,9 @@ def verify_ppt_certificate(data: dict) -> bool:
             val = em.vdot(w, M.matvec(w))
             if not (val.im == 0 and val.re < 0 and em.format_scalar(val.re) == value):
                 raise CertificateInvalid(f"witness for {key} does not evaluate negatively")
-    actual = "PPT" if (evidence["rho"][0] and evidence["rho_ta"][0]) else "NPT"
-    if claimed != actual:
+            if key == "rho":
+                raise NotPsd(f"state {s.label!r} is not PSD; witness value {value}")
+    if claimed != ("PPT" if evidence["rho_ta"][0] else "NPT"):
         raise CertificateInvalid("verdict does not match the evidence")
     return True
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pptlab import constructions as co
+from pptlab import extension_count_bound
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
@@ -238,9 +239,9 @@ def test_schur_range_violation_signals_non_psd():
 # -- the constraint system ---------------------------------------------------------
 
 def test_extension_count_bound_values():
-    assert qs.extension_count_bound(3, 3, 5, 6) == 3
-    assert qs.extension_count_bound(3, 3, 4, 4) == -6
-    assert qs.extension_count_bound(2, 4, 8, 8) == 30
+    assert extension_count_bound(3, 3, 5, 6) == 3
+    assert extension_count_bound(3, 3, 4, 4) == -6
+    assert extension_count_bound(2, 4, 8, 8) == 30
 
 
 def test_extension_space_maximally_mixed():

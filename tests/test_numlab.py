@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -274,17 +277,17 @@ def _recorded_steps(monkeypatch, cases):
     """Every ``(jac, rhs)`` the sampler solves along the paths of ``cases``
     (``(m, n, p, q, seed)``), and how many of them went to ``lstsq``."""
     steps, fallbacks = [], []
-    solve, lstsq = nl._min_norm_step, np.linalg.lstsq
+    solve, lstsq = nl._min_norm_steps, np.linalg.lstsq
 
     def recording(jac, rhs):
-        steps.append((jac, rhs))
+        steps.extend(zip(jac, rhs))
         return solve(jac, rhs)
 
     def counting(*args, **kwargs):
         fallbacks.append(1)
         return lstsq(*args, **kwargs)
 
-    monkeypatch.setattr(nl, "_min_norm_step", recording)
+    monkeypatch.setattr(nl, "_min_norm_steps", recording)
     monkeypatch.setattr(np.linalg, "lstsq", counting)
     for m, n, p, q, seed in cases:
         nl.gauss_newton_birank(m, n, p, q, seed=seed)
@@ -303,7 +306,8 @@ def test_min_norm_step_matches_lstsq_on_sampler_iterates(monkeypatch):
     assert fallbacks < len(steps) / 2
     for jac, rhs in steps:
         ref = np.linalg.lstsq(jac, rhs, rcond=None)[0]
-        assert np.linalg.norm(nl._min_norm_step(jac, rhs) - ref) <= 1e-9 * np.linalg.norm(ref)
+        step, = nl._min_norm_steps(jac[None], rhs[None])
+        assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
 
 
 def test_rank_deficient_jacobian_takes_the_lstsq_fallback(monkeypatch):
@@ -314,7 +318,7 @@ def test_rank_deficient_jacobian_takes_the_lstsq_fallback(monkeypatch):
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-    step = nl._min_norm_step(jac, rhs)
+    step, = nl._min_norm_steps(jac[None], rhs[None])
     assert calls == [1]
     assert np.array_equal(step, lstsq(jac, rhs, rcond=None)[0])
 
@@ -337,3 +341,77 @@ def test_sampler_outcomes_are_pinned(shape, seeds, ranks, dimension):
         dim, report = nl.numeric_extension_dimension(st, return_report=True)
         got.append((report["ranks"], dim))
     assert got == [(r, dimension) for r in ranks]
+
+
+def _same_sample(a, b):
+    """Bit for bit: the matrix, the residual and the iteration count."""
+    return (a.matrix.tobytes() == b.matrix.tobytes() and a.residual.hex() == b.residual.hex()
+            and a.iterations == b.iterations)
+
+
+@pytest.mark.parametrize("shape, seeds", [((3, 3, 4, 4), range(1000, 1020)),
+                                          ((3, 4, 5, 6), range(1000, 1006))],
+                         ids=["3x3-44x20", "3x4-56x6"])
+def test_lockstep_samples_equal_one_seed_at_a_time(monkeypatch, shape, seeds):
+    """The survey's shapes, sampled as one lockstep batch, give every seed
+    the sample that ``gauss_newton_birank`` gives it alone, bit for bit.
+    Both batches take the ``lstsq`` fallback on some steps."""
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+    batch = nl.gauss_newton_lockstep(*shape, seeds)
+    assert calls
+    assert all(_same_sample(got, nl.gauss_newton_birank(*shape, seed=seed))
+               for seed, got in zip(seeds, batch))
+
+
+def test_samples_past_the_iteration_limit_leave_the_lockstep(monkeypatch):
+    """With the limit at 20 iterations, four of the 3x4 (5,6) seeds
+    1000-1005 fail (each with the error it raises alone) and leave the
+    batch; the two others converge to the samples they converge to alone."""
+    monkeypatch.setattr(nl, "DEFAULT_MAX_ITER", 20)
+    seeds = range(1000, 1006)
+    batch = nl.gauss_newton_lockstep(3, 4, 5, 6, seeds)
+    assert [isinstance(got, ConvergenceFailure) for got in batch] == [
+        False, True, False, True, True, True]
+    for seed, got in zip(seeds, batch):
+        if isinstance(got, ConvergenceFailure):
+            with pytest.raises(ConvergenceFailure, match=f"^{re.escape(str(got))}$"):
+                nl.gauss_newton_birank(3, 4, 5, 6, seed=seed)
+            assert str(got).endswith("after 20 iterations")
+        else:
+            assert _same_sample(got, nl.gauss_newton_birank(3, 4, 5, 6, seed=seed))
+
+
+def test_one_singular_gram_matrix_changes_no_other_step(monkeypatch):
+    """A zero Jacobian row makes one Gram matrix of the stack exactly
+    singular, which fails the stacked solve: that sample's step is
+    lstsq's, and every other step equals its own batch of one."""
+    steps, _ = _recorded_steps(monkeypatch, [(3, 4, 5, 6, 1000)])
+    jacs = np.stack([jac for jac, _ in steps[:3]])
+    rhs = np.stack([r for _, r in steps[:3]])
+    jacs[1, 4] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(nl._gram(jacs), rhs[..., None])
+    got = nl._min_norm_steps(jacs, rhs)
+    assert np.array_equal(got[1], np.linalg.lstsq(jacs[1], rhs[1], rcond=None)[0])
+    for s in (0, 2):
+        alone, = nl._min_norm_steps(jacs[s:s + 1], rhs[s:s + 1])
+        assert got[s].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("code", [
+    "import pptlab.numlab",
+    "from pptlab import cli; cli.run(['survey', '--dims', '3x3', '--birank', '4,4', "
+    "'--samples', '2', '--json'])",
+    "from pptlab import cli; cli.run(['sample', '--dims', '3x3', '--birank', '4,4', '--json'])",
+], ids=["import", "survey", "sample"])
+def test_the_float_layer_loads_without_the_exact_one(code):
+    """numlab, and the survey and sample verbs, load no exact module."""
+    check = code + ("\nimport json, sys"
+                    "\nprint(json.dumps([m for m in sys.modules if m.startswith('pptlab.')]))")
+    out = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                         check=True).stdout.splitlines()[-1]
+    loaded = set(json.loads(out))
+    assert "pptlab.numlab" in loaded
+    assert not loaded & {"pptlab.exactmat", "pptlab.qstates", "pptlab.serialize"}

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -24,6 +25,7 @@ from pptlab.errors import (
     ConvergenceFailure,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
+    NotPsd,
     PptlabError,
     WitnessNotInRange,
 )
@@ -306,17 +308,15 @@ def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
 
 
 @pytest.mark.parametrize("verb, kernel", [
-    ("ppt-check", "psd_check"), ("verify", "weighted_gram"), ("verify", "psd_check"),
+    ("ppt-check", "psd_check"), ("verify", "weighted_gram"),
 ])
 def test_cli_kernel_fault_in_a_replay_keeps_its_traceback(tmp_path, monkeypatch, verb, kernel):
     """Reading a stored state or certificate is input parsing; the exact
     kernels that replay it are not, so a ValueError raised inside one
-    surfaces instead of exiting 2 or failing the certificate.  Only a
-    matrix state (tiles) is factored when it is loaded."""
+    surfaces instead of exiting 2 or failing the certificate."""
     path = tmp_path / "in.json"
     if verb == "verify":
-        state = "tiles" if kernel == "psd_check" else "rho3x3"
-        assert cli.run(["ppt-check", "--state", state, "--out", str(path)]) == 0
+        assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(path)]) == 0
         argv = ["verify", str(path)]
     else:
         assert cli.run(["build", "--state", "rho3x3", "--out", str(path)]) == 0
@@ -584,6 +584,63 @@ def test_ppt_check_json_pinned(tmp_path, state, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def _counting(monkeypatch, name):
+    """Calls of the exactmat kernel ``name``, counted from now on."""
+    calls = []
+    kernel = getattr(em, name)
+    monkeypatch.setattr(em, name, lambda *args: calls.append(1) or kernel(*args))
+    return calls
+
+
+def test_a_stored_matrix_state_is_factored_once_by_ppt_check_and_not_by_verify(
+        tmp_path, monkeypatch):
+    """ppt-check of a stored matrix state runs two LDL* (rho and its partial
+    transpose; three when loading the state ran its own), and verify of the
+    certificate runs none: the Gram sums of the stored factorizations check
+    both matrices, rho's the state itself."""
+    state, cert = os.path.join(DATA, "rounded_4x4_s634511.json"), tmp_path / "ppt.json"
+    calls = _counting(monkeypatch, "psd_check")
+    assert cli.run(["ppt-check", "--state", state, "--out", str(cert)]) == 0
+    assert len(calls) == 2
+    grams = _counting(monkeypatch, "weighted_gram")
+    assert cli.run(["verify", str(cert)]) == 0
+    assert (len(calls), len(grams)) == (2, 2)
+
+
+def _not_psd_matrix_state():
+    """``diag(1, 1, 1, -1)`` on 2x2, stored as a matrix: not a state."""
+    return {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "not-psd",
+            "matrix": se.matrix_to_json(em.ExactMatrix(
+                [[1 if i == j else 0 for j in range(4)] for i in range(3)]
+                + [[0, 0, 0, -1]]))}
+
+
+def test_ppt_check_of_a_stored_matrix_that_is_not_psd_exits_2(tmp_path, capsys):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(_not_psd_matrix_state()))
+    assert cli.run(["ppt-check", "--state", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("ppt-check: NotPsd: state 'not-psd' is not PSD")
+
+
+def test_ppt_certificate_with_a_negativity_witness_for_rho_fails_verify(tmp_path, capsys):
+    """A matrix "state" that is not PSD, stored with a valid negativity
+    witness for rho and a verdict of NPT, is no certificate: the replay
+    finds rho not PSD (NotPsd), and verify fails."""
+    data = _not_psd_matrix_state()
+    rho = se.matrix_from_json(data["matrix"])
+    res_rho = em.psd_check(rho)
+    res_pt = em.psd_check(qs.partial_transpose_matrix(rho, 2, 2, "A"))
+    assert not res_rho.is_psd
+    cert = {"kind": "ppt", "state": data, "verdict": "NPT",
+            "rho": se._psd_json(res_rho), "rho_ta": se._psd_json(res_pt)}
+    with pytest.raises(NotPsd, match="state 'not-psd' is not PSD"):
+        se.verify_certificate(json.loads(json.dumps(cert)))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    assert cli.run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("verify: FAILED: state 'not-psd' is not PSD")
+
+
 def test_cli_extremal():
     assert cli.run(["extremal", "--state", "rho4x5", "--side", "B", "--perp", "4"]) == 0
 
@@ -600,7 +657,7 @@ def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("the survey sampled before rejecting its input")
 
-    monkeypatch.setattr("pptlab.numlab.gauss_newton_birank", no_sampling)
+    monkeypatch.setattr("pptlab.numlab.gauss_newton_lockstep", no_sampling)
     assert cli.run(["survey", "--dims", "3x3", *argv, "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"survey: {message}\n"
@@ -1063,6 +1120,27 @@ def test_cofactor_exponents_must_be_positive_ints(tmp_path):
         cert["lower"]["minors"][0][2]["terms"][0][0] = monomial
         with pytest.raises(se.CertificateInvalid):
             se.verify_certificate(cert)
+
+
+def test_negative_exponent_aliasing_a_packed_monomial_fails_verify(rho3x3_verdict):
+    """rho3x3's cofactors are constants (degree 0, monomial ``[]``).  The
+    exponents ``(2^w, -(2^w + 1), 1, 0, 0)`` also sum to 0, and their fields
+    ``MAX - e_l``, added with ``w`` bits per field, carry into the key of the
+    constant monomial, so the identity would still replay.  The reader
+    refuses the negative exponent as malformed; without that rule only the
+    sign check of ``_Packing.pack``, which is not a certificate check,
+    stands in the way (it raises DimensionMismatch)."""
+    cert = _copy(rho3x3_verdict)
+    names, term = cert["lower"]["variables"], cert["lower"]["minors"][0][2]["terms"][0]
+    assert term[0] == []
+    packing = mi._Packing(len(names))
+    w = packing.width
+    exps = (2 ** w, -(2 ** w + 1), 1, 0, 0)
+    assert sum(exps) == 0
+    assert sum((packing.max - e) << (w * l) for l, e in enumerate(exps)) == packing.pack((0,) * 5)
+    term[0] = [[l, e] for l, e in enumerate(exps) if e]
+    with pytest.raises(se.CertificateInvalid, match=re.escape(f"entry [1, {exps[1]}] is not")):
+        se.verify_certificate(cert)
 
 
 @pytest.mark.parametrize("weight", [3, 3.0, True], ids=["int", "float", "bool"])
