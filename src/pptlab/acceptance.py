@@ -18,7 +18,7 @@ from . import extender as ex
 from . import extension_count_bound
 from . import minors as mi
 from . import qstates as qs
-from .errors import CriterionFailed
+from .errors import CriterionFailed, DecompositionMismatch
 
 SURVEY_SEED = 2026
 RANDOM_SEED = 7
@@ -253,9 +253,9 @@ def criterion_6() -> CriterionResult:
         # the two side-B pipeline couplings, in the swapped frame, are nontrivial solutions
         for name, step in (("stage1-swapped", pipe.steps[1]), ("stage2-swapped", pipe.steps[2])):
             sw = corpus[name]
-            blocks = ex.product_pair_extension(sw, **step.parameters)
             m, n = sw.dims
-            chi_vec = ex.coupling_choi_vector(blocks.coupling, m, n)
+            ext = ex.product_pair_extension(sw, **step.parameters, side="A")
+            chi_vec = ex.coupling_choi_vector(ex.split_blocks(ext, "A", m).coupling, m, n)
             space = spaces[name]
             _check(space.solution_space.contains(chi_vec), f"{name}: coupling not a solution")
             _check(not ex.trivial_coupling_space(sw).contains(chi_vec),
@@ -280,8 +280,9 @@ def criterion_7(seed: int = RANDOM_SEED) -> CriterionResult:
             vecs = [_random_vector(rng, m * n) for _ in range(nvec)]
             if all(em.is_zero_vector(v) for v in vecs):
                 continue
-            core_mat = em.weighted_gram(vecs, [1] * nvec, m * n)
-            core = qs.BipartiteState(m, n, core_mat, label="random-core")
+            core = qs.BipartiteState(m, n, label="random-core", edges=[
+                qs.NamedVector(f"v{i}", v, Fraction(1)) for i, v in enumerate(vecs)])
+            core_mat = core.matrix
             R = em.ExactMatrix([[_random_scalar(rng) for _ in range(n)]
                                 for _ in range(m * n)])
             chi = core_mat.matmul(R)
@@ -291,10 +292,10 @@ def criterion_7(seed: int = RANDOM_SEED) -> CriterionResult:
             edge = ex._flat_edge(core_mat, chi)[1] + G.matmul(G.adjoint())
             blocks = ex.ExtensionBlocks(core, chi, edge, "A", m)
             ext = ex.assemble_extension(blocks)
-            lifted, remainder = ex.lift_decomposition(ext, "A", m, vecs)
-            total = remainder + em.weighted_gram([v for v, _ in lifted],
-                                                 [w for _, w in lifted], (m + 1) * n)
-            _check(total == ext.matrix, "reconstruction not bit-exact")
+            try:  # the lift checks its own sum against the extension, bit for bit
+                lifted = ex.lift_decomposition(ext, "A", m, vecs)[0]
+            except DecompositionMismatch as exc:
+                raise CriterionFailed(f"reconstruction not bit-exact: {exc}") from exc
             for v0, (v1, _) in zip(vecs, lifted):
                 sr0 = qs.schmidt_rank(v0, m, n)
                 sr1 = qs.schmidt_rank(v1, m + 1, n)

@@ -216,6 +216,7 @@ def cmd_sample(args) -> int:
 
     m, n = _parse(_parse_dims, args.dims)
     p, q = _parse(_parse_birank, args.birank)
+    _check_seed(args.seed)
     try:
         st = nl.gauss_newton_birank(m, n, p, q, seed=args.seed)
     except ConvergenceFailure as exc:
@@ -236,6 +237,11 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generator takes no negative seed
+        raise InputError("--seed must be at least 0")
+
+
 def cmd_survey(args) -> int:
     from . import numlab as nl
 
@@ -243,6 +249,7 @@ def cmd_survey(args) -> int:
     biranks = [_parse(_parse_birank, b) for b in args.birank.split()]
     if args.samples < 1:  # no residual to report, and JSON has no NaN
         raise InputError("--samples must be at least 1")
+    _check_seed(args.seed)
     reports = nl.unextendibility_survey(dims, biranks, samples=args.samples, seed=args.seed)
     payload = {"kind": "survey", "reports": [r.to_json() for r in reports]}
     _emit(args, payload, text=nl.survey_table(reports))

@@ -7,16 +7,16 @@ A (1,0)-extension adjoins one level ``|perp>`` to side A of a core state
 
 where ``chi`` couples the new level into the core and ``rho_e`` lives on
 ``|perp> (x) C^n``.  :func:`level_indices` is the one map from the core and
-the new level into the extended product basis, on either side.  A side-B
-(0,1)-extension is placed directly at its B-level; the constructions whose
-formulas are written for side A (SLOCC and product-pair extensions, the PPT
-extremality check) work on the swapped core; :func:`qstates.swap_subsystems`
-of the assembled state, the one side-B frame change, brings the result
-back.  The flat edge ``chi* rho_c^+ chi`` does not depend on the frame and
-is computed in place.  The linear constraints a PPT extension places on
-``chi`` are solved exactly in the tripartite Choi-dual picture, where the
-coupling becomes a vector ``|chi>`` in A (x) B (x) B' and partial
-transposition acts as the swap of B and B'.
+the new level into the extended product basis, on either side: every
+construction (direct-sum, SLOCC, product-pair and flat extensions) takes
+the extended side as a parameter and places its new level with it, as do
+block splitting, decomposition lifts and the witness peel.  The linear
+constraints a PPT extension places on ``chi`` are solved exactly in the
+tripartite Choi-dual picture, where the coupling becomes a vector
+``|chi>`` in A (x) B (x) B' and partial transposition acts as the swap of
+B and B'.  That picture is written for side A, so only the Choi analyses
+(:func:`ppt_extension_space` and :func:`extremality_check_ppt`) read a
+side-B extension through :func:`qstates.swap_subsystems`.
 
 An extension is checked PSD once, when assembled; its core, relabellings and
 projections are unchecked, and its lifted edges are checked only by their sum.
@@ -213,35 +213,46 @@ class ExtensionSpace(NamedTuple):
     solution_space: em.Subspace
 
 
-def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
-    """Coupling of the trivial extension generated by ``1 + |perp><phi|``."""
+def _product_columns(core: qs.BipartiteState, phi: em.Vector, side: Side) -> em.ExactMatrix:
+    """The product vectors ``|phi>|j>`` (side A) or ``|j>|phi>`` (side B) of
+    the core's basis, one column per basis vector ``j`` of the other side.
+
+    With ``X`` this matrix, ``rho X`` is the coupling of the SLOCC extension
+    by ``phi`` on ``side`` and ``X* rho X``, the local operator
+    ``<phi|rho|phi>``, is its edge.
+    """
     m, n = core.dims
-    if len(phi) != m:
+    if len(phi) != (m if side == "A" else n):
         raise DimensionMismatch("phi must live on the extended side")
-    cols = []
-    for c in range(n):
-        target = [em.ZERO] * (m * n)
-        for a in range(m):
-            if phi[a]:
-                target[a * n + c] = phi[a]
-        cols.append(core.matrix.matvec(tuple(target)))
-    return em.ExactMatrix.from_cols(cols)
+    if side == "A":
+        return em.ExactMatrix([[x if b == j else em.ZERO for j in range(n)]
+                               for x in phi for b in range(n)])
+    return em.ExactMatrix([[x if a == j else em.ZERO for j in range(m)]
+                           for a in range(m) for x in phi])
 
 
-def _trivial_choi_rows(core: qs.BipartiteState) -> list:
-    """The Choi vectors of the side-A SLOCC couplings ``slocc_coupling(core,
-    |i>)``, one per ``i``.  Column ``c`` of ``slocc_coupling(core, |i>)`` is
-    column ``i*n + c`` of the core, so they are read off the core matrix."""
+def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
+    """Coupling of the trivial side-A extension generated by ``1 + |perp><phi|``."""
+    return core.matrix.matmul(_product_columns(core, phi, "A"))
+
+
+def _trivial_choi_rows(core: qs.BipartiteState, side: Side) -> list:
+    """The SLOCC couplings ``rho X`` on ``side`` for ``phi = |i>``, one per
+    ``i``, each flattened row by row (for side A, its Choi vector).  Column
+    ``j`` of such a coupling is column ``i*n + j`` (side A) or ``j*n + i``
+    (side B) of the core, so they are read off the core matrix."""
     m, n = core.dims
     rows = core.matrix.tolists()
-    return [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
+    if side == "A":
+        return [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
+    return [[x for row in rows for x in row[i::n]] for i in range(n)]
 
 
 def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
     """Span of the side-A SLOCC couplings as Choi vectors; every trivial
     extension's coupling lies in it."""
     m, n = core.dims
-    return em.Subspace(m * n * n, _trivial_choi_rows(core))
+    return em.Subspace(m * n * n, _trivial_choi_rows(core, "A"))
 
 
 def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
@@ -260,7 +271,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     range_ac = em.column_space(rho_ta.conjugate())
     sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
-    return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(_trivial_choi_rows(core))),
+    return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(_trivial_choi_rows(core, "A"))),
                           extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
 
 
@@ -303,99 +314,72 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
 
 def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side = "A",
                     label: str = "") -> qs.BipartiteState:
-    """Trivial extension ``(S (x) 1) rho (S (x) 1)*`` with ``S = 1 + |perp><phi|``.
+    """Trivial extension ``(S (x) 1) rho (S (x) 1)*`` with ``S = 1 + |perp><phi|``
+    (``1 (x) S`` on side B): coupling ``rho X`` and edge ``X* rho X``, with
+    ``X`` the product columns of ``phi`` (:func:`_product_columns`).
 
     The new level is appended as the last local index.  The output is PPT
     iff the core is, and no decomposition vector gains Schmidt rank.
     """
-    frame = core if side == "A" else qs.swap_subsystems(core)
-    m, n = frame.dims
-    blocks = ExtensionBlocks(frame, slocc_coupling(frame, phi),
-                             _alpha_sandwich(frame.matrix, phi, m, n), "A", m)
-    return _in_frame(assemble_extension(blocks), side, label or f"slocc({core.label})")
-
-
-def _in_frame(ext: qs.BipartiteState, side: Side, label: str) -> qs.BipartiteState:
-    """``ext``, built in the A frame, as an extension on ``side`` labelled
-    ``label``: a side-B extension is the swap of the A-frame one."""
-    ext = qs.swap_subsystems(ext) if side == "B" else ext
-    return qs.BipartiteState._raw(*ext.dims, ext.matrix, label)
+    X = _product_columns(core, phi, side)
+    chi = core.matrix.matmul(X)
+    blocks = ExtensionBlocks(core, chi, X.adjoint().matmul(chi), side,
+                             core.dim_a if side == "A" else core.dim_b)
+    return assemble_extension(blocks, label or f"slocc({core.label})")
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
-                           gamma: em.Vector, side: Side = "A") -> ExtensionBlocks:
+                           gamma: em.Vector, side: Side, label: str = "") -> qs.BipartiteState:
     """Nontrivial PPT extension with coupling ``|alpha beta><gamma|``.
 
     ``alpha`` lives on the extended side, ``beta`` and ``gamma`` on the other
-    side.  Preconditions, checked exactly: ``|alpha beta>`` in R(rho_c),
-    ``|conj(alpha) gamma>`` in R(rho_c^Ta), ``beta`` and ``gamma`` not
-    parallel, and ``rank(<alpha|rho_c|alpha>) > 2``.  The edge block takes
-    the minimal-rank form
+    side, and ``|alpha beta>`` is their product in the A-then-B order.  With
+    ``T`` the partial transpose on ``side``, the preconditions, checked
+    exactly in this order: ``beta`` and ``gamma`` not parallel,
+    ``|alpha beta>`` in R(rho_c), ``|conj(alpha) gamma>`` in R(rho_c^T), and
+    ``rank(<alpha|rho_c|alpha>) > 2``.  The edge block takes the
+    minimal-rank form
 
-        rho_e = <ab|rho_c^{-1}|ab> |gamma><gamma| + <ag|(rho^Ta)^{-1}|ag> |beta><beta|.
+        rho_e = <ab|rho_c^{-1}|ab> |gamma><gamma| + <ag|(rho^T)^{-1}|ag> |beta><beta|.
 
     The assembled extension is verified PPT exactly before returning, and
-    verified to lie outside the trivial SLOCC coupling family.
+    verified to lie outside the trivial SLOCC coupling family of ``side``.
     """
-    blocks, ext = _product_pair(core, alpha, beta, gamma, side)
-    return blocks if side == "A" else split_blocks(qs.swap_subsystems(ext), "B", core.dim_b)
-
-
-def _product_pair(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
-                  gamma: em.Vector, side: Side) -> tuple:
-    """:func:`product_pair_extension`'s side-A blocks on the core, swapped
-    for ``side`` B, and the checked extension they assemble to."""
-    frame = core if side == "A" else qs.swap_subsystems(core)
-    m, n = frame.dims
-    if len(alpha) != m or len(beta) != n or len(gamma) != n:
+    m, n = core.dims
+    here, other = (m, n) if side == "A" else (n, m)
+    if len(alpha) != here or len(beta) != other or len(gamma) != other:
         raise DimensionMismatch("alpha on the extended side, beta/gamma on the other side")
-    rho = frame.matrix
-    rho_ta = frame.partial_transpose("A")
+    pair = em.kron_vec if side == "A" else (lambda x, y: em.kron_vec(y, x))
+    rho = core.matrix
+    rho_t = core.partial_transpose(side)
     bg = em.vdot(beta, gamma)
     if bg.abs2() == em.vdot(beta, beta).re * em.vdot(gamma, gamma).re:
         raise PreconditionViolation("beta and gamma are parallel")
-    ab = em.kron_vec(alpha, beta)
-    ag = em.kron_vec(em.vec_conj(alpha), gamma)
+    ab = pair(alpha, beta)
+    ag = pair(em.vec_conj(alpha), gamma)
     if not em.column_space(rho).contains(ab):
         raise PreconditionViolation("product vector |alpha beta> is not in the range of rho_c")
-    if not em.column_space(rho_ta).contains(ag):
+    if not em.column_space(rho_t).contains(ag):
         raise PreconditionViolation("partial conjugate not in the transposed range of rho_c")
-    r_loc = em.rank(_alpha_sandwich(rho, alpha, m, n))
+    X = _product_columns(core, alpha, side)
+    r_loc = em.rank(X.adjoint().matmul(rho.matmul(X)))
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
     chi = em.ExactMatrix.outer(ab, gamma)
     # the flat edges of the extension and of its partial transpose
-    edge = _flat_edge(rho, chi)[1] + _flat_edge(rho_ta, em.ExactMatrix.outer(ag, beta))[1]
-    blocks = ExtensionBlocks(frame, chi, edge, "A", m)
+    edge = _flat_edge(rho, chi)[1] + _flat_edge(rho_t, em.ExactMatrix.outer(ag, beta))[1]
     try:
-        ext = assemble_extension(blocks)
+        ext = assemble_extension(ExtensionBlocks(core, chi, edge, side, here), label)
     except NotPsd as exc:
         raise PPTFailure(f"assembled extension is not PSD: {exc}") from exc
-    pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "A")
-    if not em.psd_check(pt).is_psd:
+    if not em.psd_check(ext.partial_transpose(side)).is_psd:
         raise PPTFailure("assembled extension fails the exact PPT check")
-    if trivial_coupling_space(frame).contains(coupling_choi_vector(chi, m, n)):
+    # chi flattened row by row, as the trivial couplings are
+    if em.Subspace(m * n * other, _trivial_choi_rows(core, side)).contains(
+            em.kron_vec(ab, em.vec_conj(gamma))):
         raise PreconditionViolation("coupling lies inside the trivial SLOCC family")
-    return blocks, ext
-
-
-def _alpha_sandwich(rho: em.ExactMatrix, alpha: em.Vector, m: int, n: int) -> em.ExactMatrix:
-    """Local B-side operator ``<alpha| rho |alpha>`` with entries ``<alpha, b| rho |alpha, c>``."""
-    nz = [a for a in range(m) if alpha[a]]
-    rows = []
-    for b in range(n):
-        row = []
-        for c in range(n):
-            acc = em.ZERO
-            for a in nz:
-                for a2 in nz:
-                    v = rho.entry(a * n + b, a2 * n + c)
-                    if v:
-                        acc = acc + alpha[a].conj() * v * alpha[a2]
-            row.append(acc)
-        rows.append(row)
-    return em.ExactMatrix(rows)
+    return ext
 
 
 def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side = "A",
@@ -470,18 +454,11 @@ def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix, side: S
     return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), label=label)
 
 
-def _product_pair_step(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
-                       gamma: em.Vector, side: Side, label: str) -> qs.BipartiteState:
-    """The product-pair extension, relabelled; it was checked PSD and PPT
-    when it was built, so it is not factored again."""
-    return _in_frame(_product_pair(core, alpha, beta, gamma, side)[1], side, label or "extension")
-
-
-# step kind -> (parameter keys, kernel(core, *parameters, side, label))
+# step kind -> (parameter keys, constructor(core, *parameters, side, label))
 _STEP_KINDS = {
     "direct_sum": (("edge",), _direct_sum_extension),
     "slocc": (("phi",), slocc_extension),
-    "product_pair": (("alpha", "beta", "gamma"), _product_pair_step),
+    "product_pair": (("alpha", "beta", "gamma"), product_pair_extension),
     "flat": (("chi",), flat_extension),
 }
 

@@ -5,6 +5,9 @@ import subprocess
 import sys
 
 from pptlab import acceptance
+from pptlab import exactmat as em
+from pptlab import extender as ex
+from pptlab.errors import DecompositionMismatch
 
 
 def _check(result):
@@ -51,6 +54,29 @@ def test_criterion_6_counting_bound_consistency():
 
 def test_criterion_7_lift_property_suite():
     _check(acceptance.criterion_7())
+
+
+def test_criterion_7_checks_each_lift_once(monkeypatch):
+    """Each case's core is the Gram sum of its vectors and its lift is checked
+    by lift_decomposition's own sum: 100 Gram sums and 50 LDL* (one per
+    assembled extension) for the 50 cases."""
+    calls = []
+    for name in ("weighted_gram", "psd_check"):
+        kernel = getattr(em, name)
+        monkeypatch.setattr(em, name, lambda *args, _name=name, _kernel=kernel:
+                            calls.append(_name) or _kernel(*args))
+    assert acceptance.criterion_7().passed
+    assert (calls.count("weighted_gram"), calls.count("psd_check")) == (100, 50)
+
+
+def test_criterion_7_fails_on_a_lift_that_does_not_reproduce(monkeypatch):
+    def mismatch(*args):
+        raise DecompositionMismatch("lifted vectors and remainder do not reproduce the extension")
+
+    monkeypatch.setattr(ex, "lift_decomposition", mismatch)
+    result = acceptance.criterion_7()
+    assert not result.passed and result.line().startswith("FAIL")
+    assert result.details["error"].startswith("reconstruction not bit-exact")
 
 
 def test_criterion_8_survey_replication():

@@ -96,11 +96,22 @@ def test_level_indices_partition_the_extended_basis():
 
 # -- side B is side A on the swapped core ---------------------------------------------
 
+def _phased_full_rank():
+    """rho3x3 plus the identity under complex local phases: a complex PPT
+    state of full rank on which every product pair meets its range
+    preconditions, and whose partial transposes on A and on B differ."""
+    op = em.ExactMatrix.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]
+                             ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
+    rho = co.rho_3x3().matrix + em.ExactMatrix.identity(9)
+    return qs.BipartiteState(3, 3, op.matmul(rho).matmul(op.adjoint()), label="phased")
+
+
 SWAP_CORES = {
     "rho3x3": co.rho_3x3,
     "tiles": co.tiles_complement,
     "family2": lambda: co.rho_family(2),
     "stage1": lambda: co.rho_4x5().stage1,
+    "phased": _phased_full_rank,
 }
 
 gaussian_rationals = st.builds(
@@ -148,7 +159,9 @@ def test_side_b_extensions_are_swapped_side_a_extensions(name, data):
     want, want_exc = _outcome(ex.product_pair_extension, sw, alpha, beta, gamma, "A")
     assert got_exc == want_exc
     if got is not None:
-        assert got.coupling == _swap_rows(want.coupling, n, m) and got.edge == want.edge
+        want = qs.swap_subsystems(want)
+        assert got.dims == want.dims == (m, n + 1)
+        assert got.matrix == want.matrix
 
 
 @pytest.mark.parametrize("stage, alpha, beta", [("stage1", 0, 2), ("stage2", 2, 0)])
@@ -157,12 +170,48 @@ def test_side_b_product_pair_is_swapped_side_a(stage, alpha, beta):
     sw = qs.swap_subsystems(core)
     m, n = core.dims
     args = (em.basis_vector(n, alpha), em.basis_vector(m, beta), em.basis_vector(m, 3))
-    got = ex.product_pair_extension(core, *args, side="B")
-    want = ex.product_pair_extension(sw, *args, side="A")
-    assert (got.side, got.perp_index, got.core) == ("B", n, core)
+    got_ext = ex.product_pair_extension(core, *args, side="B")
+    want_ext = ex.product_pair_extension(sw, *args, side="A")
+    got, want = ex.split_blocks(got_ext, "B", n), ex.split_blocks(want_ext, "A", n)
+    assert got.core == core
     assert got.coupling == _swap_rows(want.coupling, n, m) and got.edge == want.edge
-    assert ex.assemble_extension(got).matrix == \
-        qs.swap_subsystems(ex.assemble_extension(want)).matrix
+    assert got_ext.matrix == qs.swap_subsystems(want_ext).matrix
+
+
+def _rank2_core_swapped():
+    """A 3x2 core whose side-B sandwich ``<alpha|rho|alpha>`` has rank 2 for
+    ``alpha = |0>``: the swap of the core of the local-rank test."""
+    vecs = [em.kron_vec(em.basis_vector(2, 0), em.basis_vector(3, j)) for j in (0, 1)]
+    core = qs.BipartiteState(2, 3, em.weighted_gram(vecs, [1, 1], 6), label="rank2")
+    return qs.swap_subsystems(core)
+
+
+_PRECONDITION_CASES = {  # case -> (core, alpha, beta, gamma, expected message)
+    "dims": (lambda: co.rho_4x5().stage1, em.basis_vector(2, 0), em.basis_vector(4, 2),
+             em.basis_vector(4, 3), "alpha on the extended side"),
+    "parallel": (lambda: co.rho_4x5().stage1, em.basis_vector(3, 0), em.basis_vector(4, 2),
+                 em.vector([0, 0, 2, 0]), "parallel"),
+    "range": (lambda: co.rho_4x5().stage1, em.basis_vector(3, 0), em.basis_vector(4, 0),
+              em.basis_vector(4, 1), "not in the range of rho_c"),
+    "transposed-range": (lambda: co.rho_4x5().stage1, em.basis_vector(3, 0),
+                         em.basis_vector(4, 2), em.basis_vector(4, 1),
+                         "not in the transposed range"),
+    "local-rank": (_rank2_core_swapped, em.basis_vector(2, 0), em.vector([1, 0, 0]),
+                   em.vector([0, 1, 0]), "rank(<alpha|rho_c|alpha>) = 2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRECONDITION_CASES))
+def test_side_b_product_pair_checks_as_the_swapped_side_a_one(case):
+    """Each precondition of a side-B product pair fails with the type and
+    message of the side-A one on the swapped core, so the checks run in the
+    same order on both sides."""
+    make, alpha, beta, gamma, message = _PRECONDITION_CASES[case]
+    core = make()
+    got_exc = _outcome(ex.product_pair_extension, core, alpha, beta, gamma, "B")[1]
+    want_exc = _outcome(ex.product_pair_extension, qs.swap_subsystems(core),
+                        alpha, beta, gamma, "A")[1]
+    assert got_exc == want_exc and message in got_exc[1]
 
 
 @st.composite
@@ -316,6 +365,18 @@ def test_extension_space_cross_check_stacked():
         assert trivial.dim == space.trivial_dimension
 
 
+def test_trivial_rows_are_the_slocc_couplings_on_each_side():
+    """The trivial couplings a product pair is checked against, read off the
+    core, are the couplings of the SLOCC extensions by ``|i>`` on the same
+    side, flattened row by row."""
+    for core in (co.rho_3x3(), co.rho_4x5().stage1, co.rho_4x5().stage2):
+        for side, local in (("A", core.dim_a), ("B", core.dim_b)):
+            couplings = [ex.split_blocks(ex.slocc_extension(core, em.basis_vector(local, i), side),
+                                         side, local).coupling for i in range(local)]
+            assert ex._trivial_choi_rows(core, side) == \
+                [[x for r in range(c.rows) for x in c.row(r)] for c in couplings]
+
+
 def test_trivial_dimension_is_the_rank_of_the_slocc_choi_rows():
     """``trivial_dimension`` is read off a rank of the SLOCC couplings' Choi
     rows.  It equals the dimension of :func:`trivial_coupling_space`, and
@@ -421,6 +482,25 @@ def test_rho4x5_sums_and_factors_each_matrix_once(monkeypatch):
     assert (calls.count("weighted_gram"), calls.count("psd_check")) == (4, 8)
 
 
+def test_rho4x5_builds_every_level_in_place(monkeypatch):
+    """Each step of rho4x5 places its new level on its own side, so the
+    build changes no frame; it still runs 4 Gram sums and 8 LDL*."""
+    calls = []
+    for module, name in ((em, "weighted_gram"), (em, "psd_check"), (qs, "swap_subsystems")):
+        kernel = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _kernel=kernel:
+                            calls.append(_name) or _kernel(*args))
+    co.rho_3x3.cache_clear()
+    co.rho_4x5.cache_clear()
+    try:
+        co.rho_4x5()
+    finally:
+        co.rho_3x3.cache_clear()
+        co.rho_4x5.cache_clear()
+    assert [calls.count(name) for name in ("swap_subsystems", "weighted_gram", "psd_check")] \
+        == [0, 4, 8]
+
+
 def test_rho4x5_stages_are_the_sums_of_their_edges():
     """run_pipeline hands each stage on without summing its edges again;
     summing them reproduces the stage's matrix."""
@@ -491,20 +571,18 @@ def test_product_pair_local_rank_precondition():
     core = qs.BipartiteState(2, 3, acc, label="rank2")
     with pytest.raises(PreconditionViolation, match="rank"):
         ex.product_pair_extension(core, em.basis_vector(2, 0), em.vector([1, 0, 0]),
-                                  em.vector([0, 1, 0]))
+                                  em.vector([0, 1, 0]), side="A")
 
 
 def test_product_pair_pipeline_steps_are_ppt_and_nontrivial():
     pipe = co.rho_4x5()
-    blocks2 = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
-                                        em.basis_vector(4, 2), em.basis_vector(4, 3),
-                                        side="B")
-    stage2 = ex.assemble_extension(blocks2)
+    stage2 = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
+                                       em.basis_vector(4, 2), em.basis_vector(4, 3),
+                                       side="B")
     assert stage2.matrix == pipe.stage2.matrix
-    blocks3 = ex.product_pair_extension(pipe.stage2, em.basis_vector(4, 2),
-                                        em.basis_vector(4, 0), em.basis_vector(4, 3),
-                                        side="B")
-    final = ex.assemble_extension(blocks3)
+    final = ex.product_pair_extension(pipe.stage2, em.basis_vector(4, 2),
+                                      em.basis_vector(4, 0), em.basis_vector(4, 3),
+                                      side="B")
     assert final.matrix == pipe.final.matrix
     for st in (stage2, final):
         assert em.psd_check(st.partial_transpose("A")).is_psd
@@ -512,9 +590,10 @@ def test_product_pair_pipeline_steps_are_ppt_and_nontrivial():
 
 def test_product_pair_edge_block_minimal_form():
     pipe = co.rho_4x5()
-    blocks = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
-                                       em.basis_vector(4, 2), em.basis_vector(4, 3),
-                                       side="B")
+    ext = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
+                                    em.basis_vector(4, 2), em.basis_vector(4, 3),
+                                    side="B")
+    blocks = ex.split_blocks(ext, "B", 3)
     # rho_e = s1 |gamma><gamma| + s2 |beta><beta| with s1 = s2 = 1/3 here
     expect = em.ExactMatrix.diag([0, 0, Fraction(1, 3), Fraction(1, 3)])
     assert blocks.edge == expect
@@ -687,10 +766,10 @@ def test_extremality_ppt_direct_sum_overlap_not_certified():
 
 def test_extremality_ppt_product_pair_regression():
     pipe = co.rho_4x5()
-    blocks = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
-                                       em.basis_vector(4, 2), em.basis_vector(4, 3),
-                                       side="B")
-    verdict = ex.extremality_check_ppt(blocks)
+    ext = ex.product_pair_extension(pipe.stage1, em.basis_vector(3, 0),
+                                    em.basis_vector(4, 2), em.basis_vector(4, 3),
+                                    side="B")
+    verdict = ex.extremality_check_ppt(ex.split_blocks(ext, "B", 3))
     # frozen regression: trivial range intersection holds, one perturbation direction
     assert verdict.triv_intersection_ok
     assert verdict.perturbation_dimension == 1

@@ -179,7 +179,7 @@ def _kernel_case(kind, side, tmp_path):
     path.write_text(json.dumps(se.state_to_json(core)))
     vectors = {"alpha": em.basis_vector(3, 0), "beta": em.basis_vector(4, 2),
                "gamma": em.basis_vector(4, 3)}
-    want = ex.assemble_extension(ex.product_pair_extension(core, **vectors, side=side))
+    want = ex.product_pair_extension(core, **vectors, side=side)
     return str(path), core.label, \
         {k: [em.format_scalar(x) for x in v] for k, v in vectors.items()}, want
 
@@ -649,7 +649,8 @@ def test_cli_extremal():
     (["--birank", "10,10"], "DimensionMismatch: birank outside the valid range"),
     (["--birank", "4,4 10,10"], "DimensionMismatch: birank outside the valid range"),
     (["--birank", "4,4", "--samples", "0"], "--samples must be at least 1"),
-], ids=["birank", "second-birank", "no-samples"])
+    (["--birank", "4,4", "--seed", "-3"], "--seed must be at least 0"),
+], ids=["birank", "second-birank", "no-samples", "negative-seed"])
 def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
     """A birank outside ``1..mn`` used to be skipped (``"reports": []``,
     exit 0), and no samples wrote a NaN residual, which is not JSON; both
@@ -661,6 +662,18 @@ def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
     assert cli.run(["survey", "--dims", "3x3", *argv, "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"survey: {message}\n"
+
+
+def test_cli_sample_negative_seed_exits_2(capsys, monkeypatch):
+    """numpy's generator takes no negative seed; ``sample`` rejects one as
+    input before it samples, as ``survey`` does."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample sampled before rejecting its input")
+
+    monkeypatch.setattr("pptlab.numlab.gauss_newton_birank", no_sampling)
+    assert cli.run(["sample", "--dims", "3x3", "--birank", "4,4", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "sample: --seed must be at least 0\n"
 
 
 def test_cli_sample_and_survey(capsys):
