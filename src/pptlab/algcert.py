@@ -247,7 +247,7 @@ def in_ideal(p: mi.Polynomial, groebner: Sequence[mi.Polynomial]) -> bool:
 
 
 def linear_membership_cofactors(target: mi.Polynomial, generators: Sequence[mi.Polynomial],
-                                cofactor_degree: int = 0):
+                                cofactor_degree: int):
     """Explicit cofactors ``target = sum_i c_i g_i`` with polynomial ``c_i``
     of degree at most ``cofactor_degree``, or ``None``.
 
@@ -415,7 +415,7 @@ def _require_orthogonal(basis: Sequence) -> None:
 
 
 def range_coordinate_matrix(s: qs.BipartiteState, rng: em.Subspace,
-                            naming: str = "site") -> tuple:
+                            naming: str) -> tuple:
     """``(source, matrix)``: ``rng``, the range of ``s``, as a symbolic
     coordinate matrix over the real, orthogonal basis :func:`_named_basis`
     names."""
@@ -455,7 +455,7 @@ def _primitive(minor: dict) -> tuple:
     return frozenset((m, c // g) for m, c in minor.items()), lead
 
 
-def minor_ideal(M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()) -> list:
+def minor_ideal(M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str]) -> list:
     """All nonzero ``k x k`` minors of ``M``, deduplicated, as monic :class:`Minor` objects.
 
     Minors containing any excluded variable are dropped entirely; the
@@ -526,7 +526,7 @@ class _WitnessClosure:
     :func:`minor_ideal`.  Determinants are cached across powers.
     """
 
-    def __init__(self, M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str] = ()):
+    def __init__(self, M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str]):
         P = self.P = M.packing
         P.check_degree(k)
         self.k = k
@@ -658,7 +658,7 @@ class Inconclusive(NamedTuple):
 
 
 def certify_sn_lower(s: qs.BipartiteState, witness_vector: em.Vector, k: int,
-                     exclude_vars: Sequence[str] = ()):
+                     exclude_vars: Sequence[str]):
     """Certify ``SN(s) >= k`` through the range criterion.
 
     Searches the smallest ``N <= 2k`` with ``x_w^N`` in the ideal of

@@ -80,7 +80,7 @@ class GridGraph(NamedTuple("GridGraph", [("dim_a", int), ("dim_b", int), ("edges
         return GridGraph(**{**self._asdict(), **changes})
 
 
-def grid_graph(dim_a: int, dim_b: int, solid: Iterable = (), dashed: Iterable = ()) -> GridGraph:
+def grid_graph(dim_a: int, dim_b: int, solid: Iterable, dashed: Iterable) -> GridGraph:
     """Build a grid graph from (sites, weight) pairs."""
     edges = []
     for sites, w in solid:
@@ -90,7 +90,7 @@ def grid_graph(dim_a: int, dim_b: int, solid: Iterable = (), dashed: Iterable = 
     return GridGraph(dim_a, dim_b, tuple(edges))
 
 
-def grid_to_state(g: GridGraph, label: str = "") -> qs.BipartiteState:
+def grid_to_state(g: GridGraph, label: str) -> qs.BipartiteState:
     """Translate a grid graph into its unnormalized mixed state.
 
     Solid hyperedges become ``|e+> = sum |ij>`` and dashed edges
@@ -105,7 +105,7 @@ def grid_to_state(g: GridGraph, label: str = "") -> qs.BipartiteState:
         else:
             name, nd = f"d{nd}", nd + 1
         named.append(qs.NamedVector(name, e.vector(g.dim_a, g.dim_b), e.weight))
-    return qs.BipartiteState(g.dim_a, g.dim_b, label=label or "grid-state", edges=named)
+    return qs.BipartiteState(g.dim_a, g.dim_b, label=label, edges=named)
 
 
 # ---------------------------------------------------------------------------

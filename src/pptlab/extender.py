@@ -46,6 +46,7 @@ from .errors import (
     NotPsd,
     PPTFailure,
     PreconditionViolation,
+    RangeViolation,
 )
 
 Side = Literal["A", "B"]
@@ -202,6 +203,7 @@ class ExtensionSpace(NamedTuple):
 
     ``dimension`` counts complex dimensions of the chi-space (the edge block
     is not a degree of freedom: a valid edge exists for every solution).
+    ``trivial_dimension`` is that of the span of the side-A SLOCC couplings.
     ``bound`` is the counting lower bound ``(p+q-mn)n - m`` on the number of
     nontrivial extensions; it may be negative.
     """
@@ -236,25 +238,6 @@ def slocc_coupling(core: qs.BipartiteState, phi: em.Vector) -> em.ExactMatrix:
     return core.matrix.matmul(_product_columns(core, phi, "A"))
 
 
-def _trivial_choi_rows(core: qs.BipartiteState, side: Side) -> list:
-    """The SLOCC couplings ``rho X`` on ``side`` for ``phi = |i>``, one per
-    ``i``, each flattened row by row (for side A, its Choi vector).  Column
-    ``j`` of such a coupling is column ``i*n + j`` (side A) or ``j*n + i``
-    (side B) of the core, so they are read off the core matrix."""
-    m, n = core.dims
-    rows = core.matrix.tolists()
-    if side == "A":
-        return [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
-    return [[x for row in rows for x in row[i::n]] for i in range(n)]
-
-
-def trivial_coupling_space(core: qs.BipartiteState) -> em.Subspace:
-    """Span of the side-A SLOCC couplings as Choi vectors; every trivial
-    extension's coupling lies in it."""
-    m, n = core.dims
-    return em.Subspace(m * n * n, _trivial_choi_rows(core, "A"))
-
-
 def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     """Solve the side-A PPT coupling constraints exactly.
 
@@ -271,7 +254,10 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     range_ac = em.column_space(rho_ta.conjugate())
     sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
-    return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(_trivial_choi_rows(core, "A"))),
+    # Choi vector i: the SLOCC coupling by |i>, columns i*n .. i*n + n-1 of the core
+    rows = core.matrix.tolists()
+    trivial = [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
+    return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(trivial)),
                           extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
 
 
@@ -312,7 +298,7 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
 # concrete extensions
 # ---------------------------------------------------------------------------
 
-def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side = "A",
+def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side,
                     label: str = "") -> qs.BipartiteState:
     """Trivial extension ``(S (x) 1) rho (S (x) 1)*`` with ``S = 1 + |perp><phi|``
     (``1 (x) S`` on side B): coupling ``rho X`` and edge ``X* rho X``, with
@@ -337,13 +323,19 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     ``T`` the partial transpose on ``side``, the preconditions, checked
     exactly in this order: ``beta`` and ``gamma`` not parallel,
     ``|alpha beta>`` in R(rho_c), ``|conj(alpha) gamma>`` in R(rho_c^T), and
-    ``rank(<alpha|rho_c|alpha>) > 2``.  The edge block takes the
-    minimal-rank form
+    ``rank(<alpha|rho_c|alpha>) > 2``.  Past the first, ``beta`` and
+    ``gamma`` are nonzero, so the two range conditions are decided by the
+    range solves of the edge block, which takes the minimal-rank form
 
         rho_e = <ab|rho_c^{-1}|ab> |gamma><gamma| + <ag|(rho^T)^{-1}|ag> |beta><beta|.
 
-    The assembled extension is verified PPT exactly before returning, and
-    verified to lie outside the trivial SLOCC coupling family of ``side``.
+    The assembled extension is verified PPT exactly before returning.  It
+    is not checked against the trivial SLOCC couplings ``rho X_phi`` of
+    ``side`` (:func:`_product_columns`), which the checks exclude: if
+    ``|ab><g| = rho X_phi``, then ``X_phi* |ab><g| = <phi|a> |b><g|``
+    equals the PSD ``X_phi* rho X_phi``, so either ``b`` is parallel to
+    ``g`` (refused), or ``rho X_phi`` and so the coupling are zero (refused
+    by the local rank).
     """
     m, n = core.dims
     here, other = (m, n) if side == "A" else (n, m)
@@ -357,32 +349,32 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
         raise PreconditionViolation("beta and gamma are parallel")
     ab = pair(alpha, beta)
     ag = pair(em.vec_conj(alpha), gamma)
-    if not em.column_space(rho).contains(ab):
-        raise PreconditionViolation("product vector |alpha beta> is not in the range of rho_c")
-    if not em.column_space(rho_t).contains(ag):
-        raise PreconditionViolation("partial conjugate not in the transposed range of rho_c")
+    chi = em.ExactMatrix.outer(ab, gamma)
+
+    def flat_edge(M, coupling, outside):  # of the extension, then of its partial transpose
+        try:
+            return _flat_edge(M, coupling)[1]
+        except RangeViolation:
+            raise PreconditionViolation(outside) from None
+
+    edge = flat_edge(rho, chi, "product vector |alpha beta> is not in the range of rho_c") + \
+        flat_edge(rho_t, em.ExactMatrix.outer(ag, beta),
+                  "partial conjugate not in the transposed range of rho_c")
     X = _product_columns(core, alpha, side)
     r_loc = em.rank(X.adjoint().matmul(rho.matmul(X)))
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
-    chi = em.ExactMatrix.outer(ab, gamma)
-    # the flat edges of the extension and of its partial transpose
-    edge = _flat_edge(rho, chi)[1] + _flat_edge(rho_t, em.ExactMatrix.outer(ag, beta))[1]
     try:
         ext = assemble_extension(ExtensionBlocks(core, chi, edge, side, here), label)
     except NotPsd as exc:
         raise PPTFailure(f"assembled extension is not PSD: {exc}") from exc
     if not em.psd_check(ext.partial_transpose(side)).is_psd:
         raise PPTFailure("assembled extension fails the exact PPT check")
-    # chi flattened row by row, as the trivial couplings are
-    if em.Subspace(m * n * other, _trivial_choi_rows(core, side)).contains(
-            em.kron_vec(ab, em.vec_conj(gamma))):
-        raise PreconditionViolation("coupling lies inside the trivial SLOCC family")
     return ext
 
 
-def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side = "A",
+def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side,
                    label: str = "") -> qs.BipartiteState:
     """Extension with the unique edge block making the Schur complement zero.
 
@@ -583,6 +575,12 @@ def block_separability(s: qs.BipartiteState):
     product states.  Each block must be trivially separable (a local
     dimension of 1, or diagonal) or certified by the 2x2 / 2x3 PPT rule.
     Returns ``(ok, details)``.
+
+    Every nonzero entry is then inside one rectangle or is such a diagonal
+    site, so nothing else is checked: an off-diagonal entry ``(r, c)``
+    joins the A and B indices of both sites into one cluster, so both
+    sites lie in that cluster's rectangle, and rectangles of different
+    clusters share no A index and no B index.
     """
     M = s.matrix
     m, n = s.dims
@@ -600,29 +598,24 @@ def block_separability(s: qs.BipartiteState):
         if rx != ry:
             parent[rx] = ry
 
-    live = set()
     coupled = set()
     for r in range(size):
         for c in range(size):
-            if M.entry(r, c):
-                live.add(r)
-                live.add(c)
-                if r != c:
-                    coupled.update((r, c))
-                    a1, b1 = divmod(r, n)
-                    a2, b2 = divmod(c, n)
-                    union(a1, a2)
-                    union(m + b1, m + b2)
-                    union(a1, m + b1)
+            if r != c and M.entry(r, c):
+                coupled.update((r, c))
+                a1, b1 = divmod(r, n)
+                a2, b2 = divmod(c, n)
+                union(a1, a2)
+                union(m + b1, m + b2)
+                union(a1, m + b1)
     clusters: dict = {}
     for r in coupled:
         a, b = divmod(r, n)
-        clusters.setdefault(find(a), [set(), set()])
         root = find(a)
+        clusters.setdefault(root, [set(), set()])
         clusters[root][0].add(a)
         clusters[root][1].add(b)
 
-    products = []
     blocks = []
     trusted = []
     for rows_a, rows_b in clusters.values():
@@ -638,28 +631,11 @@ def block_separability(s: qs.BipartiteState):
             entry["rule"] = "peres-horodecki"
             trusted.append(TRUSTED_RULES["R1"])
         else:
-            return False, {"failed_block": entry, "blocks": blocks, "products": products}
+            return False, {"failed_block": entry, "blocks": blocks, "products": []}
         blocks.append(entry)
-    # reconstruction sanity: every live entry is either inside one rectangle
-    # or an isolated diagonal outside all rectangles
-    rect_membership = {}
-    for t, (rows_a, rows_b) in enumerate(clusters.values()):
-        for a in rows_a:
-            for b in rows_b:
-                rect_membership[a * n + b] = t
-    for r in sorted(live):
-        if r in rect_membership:
-            continue
-        a, b = divmod(r, n)
-        if not M.entry(r, r):
-            continue
-        products.append({"site": [a, b], "weight": em.format_scalar(M.entry(r, r).re)})
-    for r in range(size):
-        for c in range(size):
-            if M.entry(r, c) and r != c:
-                if rect_membership.get(r) is None or rect_membership.get(r) != rect_membership.get(c):
-                    return False, {"failed_block": "off-diagonal entry escapes all rectangles",
-                                   "blocks": blocks, "products": products}
+    inside = {a * n + b for rows_a, rows_b in clusters.values() for a in rows_a for b in rows_b}
+    products = [{"site": list(divmod(r, n)), "weight": em.format_scalar(M.entry(r, r).re)}
+                for r in range(size) if r not in inside and M.entry(r, r)]
     return True, {"blocks": blocks, "products": products, "trusted": trusted}
 
 
@@ -729,18 +705,15 @@ class EdgeVerdict(NamedTuple):
     details: tuple
 
 
-def edge_state_check(s: qs.BipartiteState, candidates: Sequence[em.Vector] | None = None) -> EdgeVerdict:
+def edge_state_check(s: qs.BipartiteState, candidates: Sequence[em.Vector]) -> EdgeVerdict:
     """Check whether any candidate product vector blocks the edge property.
 
     A state is an edge state when no product vector ``|a b>`` in its range
     has its partial conjugate ``|a b*>`` in the range of the partial
-    transpose.  Only the finite candidate list is examined (grid product
-    edges by default), and the verdict says so.
+    transpose.  Only the finite candidate list is examined, and the verdict
+    says so.
     """
     m, n = s.dims
-    if candidates is None:
-        candidates = [e.vec for e in (s.edges or ())
-                      if qs.schmidt_rank(e.vec, m, n) == 1]
     range_rho = em.column_space(s.matrix)
     range_pt = em.column_space(s.partial_transpose("B"))
     details = []

@@ -235,7 +235,7 @@ def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
             for j, r, step in zip(jac, rhs, steps)]
 
 
-def gauss_newton_birank(m: int, n: int, p: int, q: int, seed=0) -> FloatState:
+def gauss_newton_birank(m: int, n: int, p: int, q: int, seed) -> FloatState:
     """Sample a random PPT state of birank ``(p, q)``: the lockstep batch
     (:func:`gauss_newton_lockstep`) of one ``seed``.
 
@@ -484,7 +484,7 @@ class SurveyReport(NamedTuple):
         }
 
 
-def unextendibility_survey(dims_list, biranks, samples: int, seed: int = 0) -> list:
+def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
     """Sample fixed-birank states and histogram their extension dimensions.
 
     For each (dims, birank) pair, samples are drawn with consecutive seeds;

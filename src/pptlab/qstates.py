@@ -99,7 +99,7 @@ class BipartiteState:
     def __repr__(self):
         return f"BipartiteState({self.dim_a}x{self.dim_b}, {self.label!r})"
 
-    def partial_transpose(self, side: Side = "B") -> em.ExactMatrix:
+    def partial_transpose(self, side: Side) -> em.ExactMatrix:
         return partial_transpose_matrix(self.matrix, self.dim_a, self.dim_b, side)
 
 
@@ -126,7 +126,7 @@ def edge_basis(s: BipartiteState, rng: em.Subspace) -> tuple | None:
 # partial transposition, swaps, local projections
 # ---------------------------------------------------------------------------
 
-def partial_transpose_matrix(M: em.ExactMatrix, m: int, n: int, side: Side = "B") -> em.ExactMatrix:
+def partial_transpose_matrix(M: em.ExactMatrix, m: int, n: int, side: Side) -> em.ExactMatrix:
     """Exact partial transpose: ``<ij|M^Tb|kl> = <il|M|kj>`` on side B,
     ``<ij|M^Ta|kl> = <kj|M|il>`` on side A."""
     if M.shape != (m * n, m * n):

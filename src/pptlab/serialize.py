@@ -264,6 +264,8 @@ def _read_ppt(data: dict, n: int) -> tuple:
     evidence = {}
     for key in ("rho", "rho_ta"):
         ev = data[key]
+        if type(ev["psd"]) is not bool:
+            raise TypeError(f"{key} psd is not true or false")
         if ev["psd"]:
             evidence[key] = (True, [_rational(d) for _, d in ev["pivots"]],
                              [vector_from_json(col, n) for col in ev["columns"]])
@@ -396,6 +398,8 @@ def verify_sn_upper_certificate(half: dict, s: qs.BipartiteState) -> bool:
     its edges: ``value`` is the largest of the edges' Schmidt ranks, as stored."""
     m, n = s.dims
     value, stored_ranks = _parsed("certificate", lambda h: (h["value"], h["schmidt_ranks"]), half)
+    if type(value) is not int:
+        raise CertificateInvalid("upper bound value is not an integer")
     if not s.edges:
         raise CertificateInvalid("the state has no edge decomposition")
     ranks = [qs.schmidt_rank(e.vec, m, n) for e in s.edges]

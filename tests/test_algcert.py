@@ -225,9 +225,9 @@ def test_oversized_exponent_raises_instead_of_wrapping():
 
 # -- range coordinate matrices ---------------------------------------------------------
 
-def _range_matrix(st, **kwargs):
+def _range_matrix(st, naming="site"):
     """The symbolic coordinate matrix of the range of ``st``."""
-    return ac.range_coordinate_matrix(st, em.column_space(st.matrix), **kwargs)[1]
+    return ac.range_coordinate_matrix(st, em.column_space(st.matrix), naming)[1]
 
 
 def test_range_matrix_rho3x3_pattern():
@@ -277,13 +277,13 @@ def test_minor_count_4x5():
     sym = _range_matrix(co.rho_4x5().final)
     total = math.comb(4, 3) * math.comb(5, 3)
     assert total == 40
-    minors = ac.minor_ideal(sym, 3)
+    minors = ac.minor_ideal(sym, 3, ())
     assert 0 < len(minors) <= total
 
 
 def test_minors_rho3x3_contain_printed_pair():
     sym = _range_matrix(co.rho_3x3())
-    minors = ac.minor_ideal(sym, 2)
+    minors = ac.minor_ideal(sym, 2, ())
     ring = sym.ring
     psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
     plus = (psi00 * psi00 + psi01 * psi10).monic()
@@ -303,7 +303,7 @@ def test_minor_exclusion_filter():
     banned = {idx[v] for v in deltas}
     for p in filtered:
         assert all(not any(mono[i] for i in banned) for mono in p.terms)
-    unfiltered = ac.minor_ideal(sym, 3)
+    unfiltered = ac.minor_ideal(sym, 3, ())
     assert len(unfiltered) > len(filtered)
 
 
@@ -356,7 +356,7 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
     a, b, c, d = (ring.var(v) for v in ring.variables)
     rows = [(a, b), (a, c), (b, d), (c, d), (c, d.scale(2))]
     sym = linear_form_matrix(ring, rows)
-    minors = ac.minor_ideal(sym, 2)
+    minors = ac.minor_ideal(sym, 2, ())
     first = (b * c - a * d).monic()
     second = (b * c - (a * d).scale(2)).monic()
     assert minors.index(first) + 1 == minors.index(second)
@@ -365,7 +365,7 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
 def _closure_component(sym, k, variables):
     """The witness closure's component of the monomial on ``variables``, as
     monic polynomial -> (rows, cols)."""
-    closure = ac._WitnessClosure(sym, k)
+    closure = ac._WitnessClosure(sym, k, ())
     P = closure.P
     target = P.one + sum(closure.units[sym.ring._index[v]] for v in variables)
     return {P.polynomial(sym.ring, dict(key)).monic(): (rows, cols)
@@ -382,7 +382,7 @@ def test_closure_keeps_the_first_position_of_proportional_minors():
                  [(c, d.scale(2)), (c, d), (b, d), (a, c), (a, b)]):
         sym = linear_form_matrix(ring, rows)
         component = _closure_component(sym, 2, ["a", "d"])
-        expected = {m: (m.rows, m.cols) for m in ac.minor_ideal(sym, 2) if m.terms.keys() & {
+        expected = {m: (m.rows, m.cols) for m in ac.minor_ideal(sym, 2, ()) if m.terms.keys() & {
             (1, 0, 0, 1), (0, 1, 1, 0), (0, 2, 0, 0), (0, 0, 2, 0)}}
         assert component == expected and len(component) == 5
 
@@ -426,12 +426,12 @@ def test_family_generators_and_reduced_basis_pinned(k, generators, gens_digest,
 def test_minor_consequence_chain_rho3x3():
     sym = _range_matrix(co.rho_3x3())
     ring = sym.ring
-    gb = ac.buchberger(ac.minor_ideal(sym, 2))
+    gb = ac.buchberger(ac.minor_ideal(sym, 2, ()))
     psi00, psi01, psi10, psi02, psi20 = (ring.var(v) for v in ring.variables)
     assert ac.in_ideal(psi00 ** 2, gb)
     assert ac.in_ideal(psi01 * psi10, gb)
     # adding psi00 = 0 forces psi01^2 = psi10^2 = 0 as well
-    gb2 = ac.buchberger(ac.minor_ideal(sym, 2) + [psi00])
+    gb2 = ac.buchberger(ac.minor_ideal(sym, 2, ()) + [psi00])
     assert ac.in_ideal(psi01 ** 2, gb2)
     assert ac.in_ideal(psi10 ** 2, gb2)
     # and the two surviving coordinates cannot mix in a product vector
@@ -458,12 +458,12 @@ def _leibniz_det(sym, rows, cols):
 
 def test_certify_rho4x5():
     final = co.rho_4x5().final
-    cert = ac.certify_sn_lower(final, final.edges[0].vec, 3)
+    cert = ac.certify_sn_lower(final, final.edges[0].vec, 3, ())
     assert isinstance(cert, ac.LowerBound)
     assert cert.value == 3 and cert.power == 4
     # psi00^3 is not in the ideal: the observed power is minimal
     sym = _range_matrix(final)
-    gb = ac.buchberger(ac.minor_ideal(sym, 3))
+    gb = ac.buchberger(ac.minor_ideal(sym, 3, ()))
     assert not ac.normal_form(sym.ring.var("psi00") ** 3, gb).is_zero()
 
 
@@ -546,7 +546,7 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
     monkeypatch.setattr(ac, "minor_ideal", enumerate_)
     monkeypatch.setattr(ac, "linear_membership_cofactors", enumerate_)
     final = co.rho_4x5().final
-    assert ac.certify_sn_lower(final, final.edges[0].vec, 3).power == 4
+    assert ac.certify_sn_lower(final, final.edges[0].vec, 3, ()).power == 4
     st = co.rho_family(4)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
     cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas)
@@ -568,13 +568,13 @@ def test_certify_sn_lower_solves_for_the_range_once(monkeypatch):
     for st, k, source in ((co.rho_4x5().final, 3, "edges"), (rho, 2, "edges"),
                           (split, 2, "range")):
         calls.clear()
-        assert ac.certify_sn_lower(st, st.edges[0].vec, k).basis == source
+        assert ac.certify_sn_lower(st, st.edges[0].vec, k, ()).basis == source
         assert calls == [st.matrix]
 
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
     with pytest.raises(DimensionMismatch):
-        ac.certify_sn_lower(co.rho_3x3(), co.rho_3x3().edges[0].vec, 4)
+        ac.certify_sn_lower(co.rho_3x3(), co.rho_3x3().edges[0].vec, 4, ())
 
 
 def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
@@ -593,7 +593,7 @@ def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
     monkeypatch.setattr(ac, "_cofactor_trail", tampered)
     final = co.rho_4x5().final
     with pytest.raises(InternalInconsistency):
-        ac.certify_sn_lower(final, final.edges[0].vec, 3)
+        ac.certify_sn_lower(final, final.edges[0].vec, 3, ())
 
 
 def _determinants(sym, pairs):
@@ -619,7 +619,7 @@ def test_minor_positions_give_the_determinants():
                   for v in rng.sample(names, rng.choice((0, 1, 1, 2)))), ring.zero())
              for _ in range(n)] for _ in range(m)])
         for k in range(1, min(m, n) + 1):
-            minors = ac.minor_ideal(sym, k)
+            minors = ac.minor_ideal(sym, k, ())
             dets = _determinants(sym, [(g.rows, g.cols) for g in minors])
             assert dets == [g * g.det_factor for g in minors]
             pairs = [(r, c) for r in itertools.combinations(range(m), k)
@@ -649,7 +649,7 @@ def test_minor_determinants_on_rows_with_denominators():
                      for c in itertools.combinations(range(n), k)]
             dets = _determinants(sym, pairs)
             assert dets == [_leibniz_det(sym, r, c) for r, c in pairs]
-            for g in ac.minor_ideal(sym, k):
+            for g in ac.minor_ideal(sym, k, ()):
                 det = _leibniz_det(sym, g.rows, g.cols)
                 assert g.leading_coeff() == 1 and g * g.det_factor == det
 
@@ -681,17 +681,17 @@ def test_linear_membership_cofactors_small():
 
 def test_certify_separable_inconclusive():
     d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 1, 1]), label="sep")
-    res = ac.certify_sn_lower(d, em.basis_vector(4, 0), 2)
+    res = ac.certify_sn_lower(d, em.basis_vector(4, 0), 2, ())
     assert isinstance(res, ac.Inconclusive)
 
 
 def test_certify_witness_validation():
     final = co.rho_4x5().final
     with pytest.raises(WitnessNotInRange):
-        ac.certify_sn_lower(final, em.basis_vector(20, 3), 3)
+        ac.certify_sn_lower(final, em.basis_vector(20, 3), 3, ())
     overlap = tuple(a + b for a, b in zip(final.edges[0].vec, final.edges[1].vec))
     with pytest.raises(NonSingleVariableOverlap):
-        ac.certify_sn_lower(final, overlap, 3)
+        ac.certify_sn_lower(final, overlap, 3, ())
 
 
 def test_certify_numeric_spot_check():
@@ -701,7 +701,7 @@ def test_certify_numeric_spot_check():
     sym = _range_matrix(co.rho_3x3())
     # the variety of the 2-minors: psi00 = psi01*psi10 = 0 and more;
     # points with only psi02/psi20 free satisfy every minor
-    minors = ac.minor_ideal(sym, 2)
+    minors = ac.minor_ideal(sym, 2, ())
     for _ in range(100):
         point = {v: Fraction(0) for v in sym.ring.variables}
         free = rng.choice(("psi02", "psi20"))
@@ -791,7 +791,52 @@ def test_r3_kernel_product():
     st = qs.BipartiteState(2, 4, mat, label="s24")
     v = ex.separability_rules(st)
     assert v.separable
-    assert v.rule in ("R2", "R3")
+    assert v.rule == "R2"  # two 1x2 blocks on disjoint rows; see the R3 tests below
+
+
+def _chained_2x4(diag, extra=()):
+    """A 2x4 state: ``diag`` plus ``|00>+|11>``, ``|01>+|12>`` and
+    ``|12>+|13>``, whose off-diagonal entries join every A and B level into
+    one 2x4 block, so R2 cannot split it; ``extra`` are further matrices
+    added to it.  None of the vectors has weight on ``|03>``."""
+    def sites(*pairs):
+        v = [0] * 8
+        for a, b in pairs:
+            v[a * 4 + b] = 1
+        return em.vector(v)
+
+    vecs = [sites((0, 0), (1, 1)), sites((0, 1), (1, 2)), sites((1, 2), (1, 3))]
+    M = em.weighted_gram(vecs, [1] * 3, 8) + em.ExactMatrix.diag(diag)
+    for X in extra:
+        M = M + X
+    return qs.BipartiteState(2, 4, M, label="chained")
+
+
+def test_r3_kernel_product_of_a_state_r2_cannot_split():
+    """With no weight on ``|03>``, the kernel is spanned by that product
+    vector, and only R3 certifies the state."""
+    st = _chained_2x4([1, 1, 1, 0, 1, 1, 1, 1])
+    ok, info = ex.block_separability(st)
+    assert not ok and info["failed_block"]["dims"] == [2, 4]
+    v = ex.separability_rules(st)
+    assert (v.separable, v.rule, v.sn_bound) == (True, "R3", 1)
+    assert v.trusted_rules_used == (ex.TRUSTED_RULES["R3"],)
+    assert v.details["kernel_product"] == ["0", "0", "0", "1", "0", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("kernel", ["empty", "entangled"])
+def test_2x4_state_without_a_kernel_product_falls_through(kernel):
+    """A PPT 2x4 state that R2 cannot split and whose kernel basis holds no
+    product vector (full rank, or the kernel spanned by the Schmidt-rank-2
+    ``|03>+|10>``) gets no rule and no bound."""
+    k = em.vector([0, 0, 0, 1, 1, 0, 0, 0])
+    st = _chained_2x4([1] * 8) if kernel == "empty" else \
+        _chained_2x4([2] * 8, [-em.ExactMatrix.outer(k, k)])
+    assert not ex.block_separability(st)[0]
+    assert em.rank(st.matrix) == (8 if kernel == "empty" else 7)
+    v = ex.separability_rules(st)
+    assert (v.separable, v.entangled, v.rule, v.sn_bound, v.trusted_rules_used) == \
+        (False, False, None, None, ())
 
 
 def test_r4_rho3x3_bound():
@@ -868,7 +913,8 @@ def test_edge_state_product_counterexample():
 
 def test_edge_state_rho4x5_regression():
     final = co.rho_4x5().final
-    verdict = ex.edge_state_check(final)  # grid product edges as candidates
+    cands = [e.vec for e in final.edges if qs.schmidt_rank(e.vec, 4, 5) == 1]
+    verdict = ex.edge_state_check(final, cands)  # grid product edges as candidates
     assert len(verdict.candidates) == 4   # |30>, |32>, |23>, |04>
     assert verdict.is_edge_for_candidates  # frozen regression verdict
 

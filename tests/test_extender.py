@@ -1,10 +1,11 @@
 """Local extension engine."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from pptlab import constructions as co
@@ -12,7 +13,7 @@ from pptlab import extension_count_bound
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
-from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch,
+from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch, NotPPT,
                            PptlabError, PreconditionViolation, RangeViolation)
 
 from oracles import ppt_extension_space_stacked, trivial_coupling_space_by_products
@@ -270,7 +271,7 @@ def test_schur_flat_extension_vanishes():
     core = random_psd_state(rng, 2, 2)
     R = em.ExactMatrix([[rnd_scalar(rng) for _ in range(2)] for _ in range(4)])
     chi = core.matrix.matmul(R)
-    flat = ex.flat_extension(core, chi)
+    flat = ex.flat_extension(core, chi, "A")
     blocks = ex.split_blocks(flat, "A", 2)
     assert ex.schur_complement(blocks).is_zero()
     # flat extensions preserve the range dimension
@@ -343,11 +344,12 @@ def dense_extensions(seed):
 
 def test_extension_space_cross_check_stacked():
     """The annihilator solve equals the stacked-kernel oracle, and the
-    trivial couplings read off the core equal the SLOCC couplings' Choi
-    vectors, on the named states and on seeded dense extensions (among them
-    rho4x5:stage1 extended on side B, a 4x4 state on 64 Choi coordinates)."""
+    trivial dimension read off the core is the dimension of the SLOCC
+    couplings' Choi vectors, on the named states and on seeded dense
+    extensions (among them rho4x5:stage1 extended on side B, a 4x4 state on
+    64 Choi coordinates)."""
     mixed = qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm")
-    dense = ex.slocc_extension(co.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]))
+    dense = ex.slocc_extension(co.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]), "A")
     # a local diagonal unitary with complex phases
     op = em.ExactMatrix.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]
                              ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
@@ -360,27 +362,35 @@ def test_extension_space_cross_check_stacked():
     for st in states + seeded:
         space = ex.ppt_extension_space(st)
         assert ppt_extension_space_stacked(st) == space.solution_space, st.label
-        trivial = ex.trivial_coupling_space(st)
-        assert trivial == trivial_coupling_space_by_products(st), st.label
-        assert trivial.dim == space.trivial_dimension
+        assert trivial_coupling_space_by_products(st).dim == space.trivial_dimension, st.label
 
 
 def test_trivial_rows_are_the_slocc_couplings_on_each_side():
-    """The trivial couplings a product pair is checked against, read off the
-    core, are the couplings of the SLOCC extensions by ``|i>`` on the same
-    side, flattened row by row."""
+    """The trivial couplings counted by ``trivial_dimension`` are those of
+    the SLOCC extensions by ``|i>`` on side A; on side B they are those of
+    the side-A extensions of the swapped core, with their rows swapped."""
     for core in (co.rho_3x3(), co.rho_4x5().stage1, co.rho_4x5().stage2):
-        for side, local in (("A", core.dim_a), ("B", core.dim_b)):
+        m, n = core.dims
+        sw = qs.swap_subsystems(core)
+        for side, local in (("A", m), ("B", n)):
             couplings = [ex.split_blocks(ex.slocc_extension(core, em.basis_vector(local, i), side),
                                          side, local).coupling for i in range(local)]
-            assert ex._trivial_choi_rows(core, side) == \
-                [[x for r in range(c.rows) for x in c.row(r)] for c in couplings]
+            if side == "A":
+                assert couplings == [ex.slocc_coupling(core, em.basis_vector(m, i))
+                                     for i in range(m)]
+                trivial = trivial_coupling_space_by_products(core)
+                assert trivial == em.Subspace(m * n * n, [ex.coupling_choi_vector(c, m, n)
+                                                          for c in couplings])
+                assert trivial.dim == ex.ppt_extension_space(core).trivial_dimension
+            else:
+                assert couplings == [_swap_rows(ex.slocc_coupling(sw, em.basis_vector(n, i)),
+                                                n, m) for i in range(n)]
 
 
 def test_trivial_dimension_is_the_rank_of_the_slocc_choi_rows():
     """``trivial_dimension`` is read off a rank of the SLOCC couplings' Choi
-    rows.  It equals the dimension of :func:`trivial_coupling_space`, and
-    keeps its pinned value, on acceptance criterion 6's corpus, a core with
+    rows.  It equals the dimension of the oracle's span of those couplings,
+    and keeps its pinned value, on acceptance criterion 6's corpus, a core with
     an empty A-level (rank below m) and the seeded dense extensions of the
     extend-survey cores."""
     pipe = co.rho_4x5()
@@ -390,8 +400,19 @@ def test_trivial_dimension_is_the_rank_of_the_slocc_choi_rows():
               qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 0, 0]), label="empty-level")]
     states = corpus + dense_extensions(11) + dense_extensions(12)
     dims = [ex.ppt_extension_space(st).trivial_dimension for st in states]
-    assert dims == [ex.trivial_coupling_space(st).dim for st in states]
+    assert dims == [trivial_coupling_space_by_products(st).dim for st in states]
     assert dims == [3, 3, 3, 2, 3, 4, 1] + 2 * ([3] * 10 + [4, 4])
+
+
+def _bell_core():
+    """The NPT 2x2 projector on ``|00>+|11>``."""
+    v = em.vector([1, 0, 0, 1])
+    return qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="bell")
+
+
+def test_extension_space_refuses_an_npt_core():
+    with pytest.raises(NotPPT, match="core state is not PPT"):
+        ex.ppt_extension_space(_bell_core())
 
 
 def test_extension_space_tiles_is_slocc_only():
@@ -413,7 +434,7 @@ def test_slocc_couplings_always_solve():
 
 def test_slocc_zero_phi_is_direct_sum():
     rho = co.rho_3x3()
-    st = ex.slocc_extension(rho, (em.ZERO,) * 3)
+    st = ex.slocc_extension(rho, (em.ZERO,) * 3, "A")
     blocks = ex.split_blocks(st, "A", 3)
     assert blocks.coupling.is_zero() and blocks.edge.is_zero()
     assert blocks.core.matrix == rho.matrix
@@ -421,7 +442,7 @@ def test_slocc_zero_phi_is_direct_sum():
 
 def test_slocc_preserves_birank_and_ppt():
     rho = co.rho_3x3()
-    st = ex.slocc_extension(rho, em.basis_vector(3, 0))
+    st = ex.slocc_extension(rho, em.basis_vector(3, 0), "A")
     assert qs.birank(st) == (5, 6)
     assert em.psd_check(st.partial_transpose("A")).is_psd
 
@@ -429,7 +450,7 @@ def test_slocc_preserves_birank_and_ppt():
 def test_slocc_does_not_raise_schmidt_rank():
     rho = co.rho_3x3()
     phi = em.vector([1, Fraction(1, 2), 0])
-    st = ex.slocc_extension(rho, phi)
+    st = ex.slocc_extension(rho, phi, "A")
     for e in rho.edges:
         # the lifted edge is (S (x) 1) e
         lifted = list(co._sites_vec([], 4, 3))
@@ -484,12 +505,15 @@ def test_rho4x5_sums_and_factors_each_matrix_once(monkeypatch):
 
 def test_rho4x5_builds_every_level_in_place(monkeypatch):
     """Each step of rho4x5 places its new level on its own side, so the
-    build changes no frame; it still runs 4 Gram sums and 8 LDL*."""
+    build changes no frame; it still runs 4 Gram sums and 8 LDL*.  A
+    product pair decides its range conditions by the range solves of its
+    edge block, so the build forms no column space and runs 7 ``_rref``."""
     calls = []
-    for module, name in ((em, "weighted_gram"), (em, "psd_check"), (qs, "swap_subsystems")):
+    for module, name in ((em, "weighted_gram"), (em, "psd_check"), (qs, "swap_subsystems"),
+                         (em, "column_space"), (em, "_rref")):
         kernel = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _name=name, _kernel=kernel:
-                            calls.append(_name) or _kernel(*args))
+        monkeypatch.setattr(module, name, lambda *args, _name=name, _kernel=kernel, **kwargs:
+                            calls.append(_name) or _kernel(*args, **kwargs))
     co.rho_3x3.cache_clear()
     co.rho_4x5.cache_clear()
     try:
@@ -497,8 +521,8 @@ def test_rho4x5_builds_every_level_in_place(monkeypatch):
     finally:
         co.rho_3x3.cache_clear()
         co.rho_4x5.cache_clear()
-    assert [calls.count(name) for name in ("swap_subsystems", "weighted_gram", "psd_check")] \
-        == [0, 4, 8]
+    assert [calls.count(name) for name in ("swap_subsystems", "weighted_gram", "psd_check",
+                                           "column_space", "_rref")] == [0, 4, 8, 0, 7]
 
 
 def test_rho4x5_stages_are_the_sums_of_their_edges():
@@ -584,8 +608,49 @@ def test_product_pair_pipeline_steps_are_ppt_and_nontrivial():
                                       em.basis_vector(4, 0), em.basis_vector(4, 3),
                                       side="B")
     assert final.matrix == pipe.final.matrix
-    for st in (stage2, final):
+    for core, st in ((pipe.stage1, stage2), (pipe.stage2, final)):
         assert em.psd_check(st.partial_transpose("A")).is_psd
+        assert not _is_trivial_coupling(core, st, "B")
+
+
+FULL_RANK_CORES = {  # every product vector is in both ranges, so most draws build
+    "phased": _phased_full_rank,
+    "stage1-plus-identity": lambda: qs.BipartiteState(
+        4, 3, co.rho_4x5().stage1.matrix + em.ExactMatrix.identity(12), label="stage1+1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RANK_CORES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_product_pair_coupling_is_never_trivial(name, data):
+    """Once its preconditions pass, a product pair's coupling lies outside
+    the span of the SLOCC couplings on its side (the proof is in the
+    docstring of ``product_pair_extension``, which therefore does not check
+    it).  A refused draw fails a precondition, never the PPT check."""
+    core = FULL_RANK_CORES[name]()
+    side = data.draw(st.sampled_from("AB"), label="side")
+    here, other = core.dims if side == "A" else core.dims[::-1]
+    vec = lambda size: tuple(data.draw(st.lists(gaussian_rationals, min_size=size, max_size=size)))
+    alpha, beta, gamma = vec(here), vec(other), vec(other)
+    ext, exc = _outcome(ex.product_pair_extension, core, alpha, beta, gamma, side)
+    event("built" if ext is not None else "refused")
+    if ext is None:
+        assert exc[0] is PreconditionViolation
+        return
+    assert not _is_trivial_coupling(core, ext, side)
+
+
+def _is_trivial_coupling(core, ext, side):
+    """Whether the coupling of ``ext``, the extension of ``core`` at the
+    last level of ``side``, is in the span of the SLOCC couplings by
+    ``|i>`` on that side, all flattened row by row."""
+    here = core.dim_a if side == "A" else core.dim_b
+    flat = lambda c: [x for r in range(c.rows) for x in c.row(r)]
+    trivial = [flat(ex.split_blocks(ex.slocc_extension(core, em.basis_vector(here, i), side),
+                                    side, here).coupling) for i in range(here)]
+    chi = flat(ex.split_blocks(ext, side, here).coupling)
+    return em.Subspace(len(chi), trivial).contains(tuple(chi))
 
 
 def test_product_pair_edge_block_minimal_form():
@@ -624,7 +689,7 @@ def test_lift_single_pure_core():
     core = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="pure")
     R = em.ExactMatrix([[1, 0], [0, 1], [1, 1], [0, 0]])
     chi = core.matrix.matmul(R)
-    st = ex.flat_extension(core, chi)
+    st = ex.flat_extension(core, chi, "A")
     lifted, remainder = ex.lift_decomposition(st, "A", 2, [v])
     assert len(lifted) == 1
     assert remainder.is_zero()
@@ -668,6 +733,50 @@ def test_lift_checks_the_core_through_the_extension_once(monkeypatch):
             ex.lift_decomposition(pipe.stage2, "B", 3, wrong_vecs, wrong_weights)
 
 
+# -- separability rules --------------------------------------------------------------------
+
+@st.composite
+def sparse_states(draw):
+    """A small state of up to four edges, each on one or two sites."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    edges = []
+    for i in range(draw(st.integers(0, 4))):
+        sites = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+                              min_size=1, max_size=2, unique=True))
+        vec = [em.ZERO] * (m * n)
+        for a, b in sites:
+            vec[a * n + b] = draw(gaussian_rationals.filter(bool))
+        edges.append(qs.NamedVector(f"v{i}", tuple(vec), Fraction(1)))
+    return qs.BipartiteState(m, n, label="sparse", edges=edges)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_states())
+def test_block_separability_parts_sum_to_the_state(s):
+    """When every block passes, the blocks (principal submatrices over their
+    rectangles) and the isolated diagonal products add up to the state: no
+    entry escapes all rectangles, so ``block_separability`` does not look
+    for one."""
+    ok, info = ex.block_separability(s)
+    event("split" if ok else "refused")
+    if not ok:
+        return
+    m, n = s.dims
+    parts = [list(itertools.product(b["rows_a"], b["rows_b"])) for b in info["blocks"]]
+    parts += [[tuple(p["site"])] for p in info["products"]]
+    total = [[em.ZERO] * (m * n) for _ in range(m * n)]
+    for sites in parts:
+        idx = [a * n + b for a, b in sites]
+        for r in idx:
+            for c in idx:
+                assert not total[r][c], "two parts overlap"
+                total[r][c] = s.matrix.entry(r, c)
+    assert em.ExactMatrix(total) == s.matrix
+    assert [p["weight"] for p in info["products"]] == \
+        [em.format_scalar(s.matrix.entry(a * n + b, a * n + b).re)
+         for a, b in (p["site"] for p in info["products"])]
+
+
 # -- projection bounds --------------------------------------------------------------------
 
 def test_projection_bound_on_separable_state():
@@ -707,7 +816,7 @@ def test_extremality_psd_flat_and_perturbed():
     core = random_psd_state(rng, 2, 2)
     R = em.ExactMatrix([[rnd_scalar(rng) for _ in range(2)] for _ in range(4)])
     chi = core.matrix.matmul(R)
-    flat = ex.flat_extension(core, chi)
+    flat = ex.flat_extension(core, chi, "A")
     blocks = ex.split_blocks(flat, "A", 2)
     assert ex.extremality_check_psd(blocks).extremal
     bumped = ex.ExtensionBlocks(blocks.core, blocks.coupling,
@@ -734,6 +843,29 @@ def test_extremality_psd_parts_in_the_frame_of_the_blocks(stage, side):
     _, new_idx = ex.level_indices(st.dim_a, st.dim_b, side, perp)
     for v, _ in parts:
         assert all(not x for i, x in enumerate(v) if i not in new_idx)
+
+
+def test_extremality_psd_zero_core_with_an_edge_of_rank_two():
+    """A zero core with an edge of rank above one splits into the edge's
+    rank-one LDL* parts, placed on the new level."""
+    core = qs.BipartiteState(1, 2, em.ExactMatrix.zeros(2, 2), label="0")
+    edge = em.ExactMatrix([[2, 1], [1, 2]])
+    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(2, 2), edge, "A", 1)
+    verdict = ex.extremality_check_psd(blocks)
+    assert (verdict.extremal, verdict.reason, verdict.flat_part) == \
+        (False, "edge block of rank above one", None)
+    parts = verdict.rank_one_parts
+    assert len(parts) == 2 and all(not any(v[:2]) for v, _ in parts)
+    assert em.weighted_gram([v for v, _ in parts], [w for _, w in parts], 4) == \
+        ex.assemble_extension(blocks).matrix
+
+
+def test_extremality_ppt_refuses_an_npt_extension():
+    """A direct sum on an NPT core is PSD but not PPT."""
+    blocks = ex.ExtensionBlocks(_bell_core(), em.ExactMatrix.zeros(4, 2),
+                                em.ExactMatrix.identity(2), "A", 2)
+    with pytest.raises(NotPPT, match="extension is not PPT"):
+        ex.extremality_check_ppt(blocks)
 
 
 def test_extremality_psd_rank_one_edge_with_zero_core():
@@ -807,7 +939,7 @@ def test_extremality_ppt_pipeline_stages_frozen(stage, side, perp, expected):
 
 
 def test_extremality_ppt_slocc_extension_certified():
-    st = ex.slocc_extension(co.rho_3x3(), em.basis_vector(3, 0))
+    st = ex.slocc_extension(co.rho_3x3(), em.basis_vector(3, 0), "A")
     verdict = ex.extremality_check_ppt(ex.split_blocks(st, "A", 3))
     assert verdict.verdict == "Extremal"
 

@@ -172,7 +172,7 @@ def test_rounded_samples_pinned(m, n, p, q, seed, digest):
 
 
 def test_survey_empty():
-    assert nl.unextendibility_survey([(2, 2)], [(4, 4)], samples=0) [0].converged == 0
+    assert nl.unextendibility_survey([(2, 2)], [(4, 4)], samples=0, seed=0)[0].converged == 0
 
 
 def test_survey_rank44_and_rank56():
@@ -224,7 +224,7 @@ def test_eigenvalues_match_exact_characteristic_polynomial():
                 entries[j][i] = entries[i][j]
         sym = linear_form_matrix(ring, [[x.scale(1 if i == j else 0) - y.scale(entries[i][j])
                                          for j in range(3)] for i in range(3)])
-        [charpoly] = ac.minor_ideal(sym, 3)  # det(xI - yA) is monic in x^3 already
+        [charpoly] = ac.minor_ideal(sym, 3, ())  # det(xI - yA) is monic in x^3 already
         M = np.array([[float(v) for v in row] for row in entries])
         w = np.linalg.eigvalsh(M)
         scale = max(1.0, np.abs(w).max()) ** 3

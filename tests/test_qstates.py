@@ -12,30 +12,30 @@ from pptlab.errors import BoundsViolation, InvalidK, NotPsd
 
 
 def test_grid_single_solid_edge():
-    g = co.grid_graph(2, 2, solid=[([(0, 0)], 1)])
-    st = co.grid_to_state(g)
+    g = co.grid_graph(2, 2, solid=[([(0, 0)], 1)], dashed=())
+    st = co.grid_to_state(g, "grid")
     expect = em.ExactMatrix.outer(em.basis_vector(4, 0), em.basis_vector(4, 0))
     assert st.matrix == expect
 
 
 def test_grid_dashed_edge():
-    g = co.grid_graph(2, 2, dashed=[([(0, 0), (1, 1)], 1)])
-    st = co.grid_to_state(g)
+    g = co.grid_graph(2, 2, solid=(), dashed=[([(0, 0), (1, 1)], 1)])
+    st = co.grid_to_state(g, "grid")
     v = em.vector([1, 0, 0, -1])
     assert st.matrix == em.ExactMatrix.outer(v, v)
 
 
 def test_grid_bounds_and_weight_validation():
     with pytest.raises(BoundsViolation):
-        co.grid_graph(2, 2, solid=[([(0, 2)], 1)])
+        co.grid_graph(2, 2, solid=[([(0, 2)], 1)], dashed=())
     with pytest.raises(BoundsViolation):
-        co.grid_graph(2, 2, solid=[([(0, 0)], 0)])
+        co.grid_graph(2, 2, solid=[([(0, 0)], 0)], dashed=())
     with pytest.raises(BoundsViolation):
-        co.grid_graph(2, 2, dashed=[([(0, 0)], 1)])
+        co.grid_graph(2, 2, solid=(), dashed=[([(0, 0)], 1)])
 
 
 def test_grid_graph_replace_keeps_the_checks():
-    g = co.grid_graph(2, 2, solid=[([(1, 1)], 1)])
+    g = co.grid_graph(2, 2, solid=[([(1, 1)], 1)], dashed=())
     assert g._replace(dim_a=3).dim_a == 3
     with pytest.raises(BoundsViolation):
         g._replace(dim_a=1)
@@ -56,7 +56,7 @@ def test_grid_state_psd_random():
             while b == a:
                 b = (rng.randrange(m), rng.randrange(n))
             dashed.append(((a, b), 1))
-        st = co.grid_to_state(co.grid_graph(m, n, solid, dashed))
+        st = co.grid_to_state(co.grid_graph(m, n, solid, dashed), "random-grid")
         assert em.psd_check(st.matrix).is_psd
 
 
@@ -77,7 +77,7 @@ def test_rho3x3_sums_its_named_edges_once(monkeypatch):
     monkeypatch.undo()
     grid = co.grid_to_state(co.grid_graph(
         3, 3, solid=[([(0, 0), (1, 1), (2, 2)], 1), ([(0, 1), (1, 2)], 1), ([(0, 2)], 3),
-                     ([(2, 0)], 3)], dashed=[([(1, 0), (2, 1)], 1)]))
+                     ([(2, 0)], 3)], dashed=[([(1, 0), (2, 1)], 1)]), "grid")
     assert rho.matrix == grid.matrix and rho.label == "rho3x3"
     assert [(e.name, e.vec, e.weight) for e in rho.edges] == \
         [(f"e{i}", grid.edges[j].vec, grid.edges[j].weight)

@@ -46,7 +46,7 @@ def test_graph_json_roundtrip():
                       dashed=[([(0, 1), (1, 0)], 2)])
     back = se.graph_from_json(json.loads(json.dumps(se.graph_to_json(g))))
     assert back == g
-    assert co.grid_to_state(back).matrix == co.grid_to_state(g).matrix
+    assert co.grid_to_state(back, "back").matrix == co.grid_to_state(g, "g").matrix
 
 
 def test_ppt_certificate_roundtrip_and_npt():
@@ -77,7 +77,7 @@ def _verdict(state, lower):
 
 def test_sn_certificates_roundtrip():
     final = co.rho_4x5().final
-    data = _verdict(final, ac.certify_sn_lower(final, final.edges[0].vec, 3))
+    data = _verdict(final, ac.certify_sn_lower(final, final.edges[0].vec, 3, ()))
     assert set(data) == {"kind", "state", "lower", "upper", "verdict"}
     assert data["state"] == se.state_to_json(final) and data["verdict"] == "SN = 3"
     assert not {"kind", "state", "k"} & (set(data["lower"]) | set(data["upper"]))
@@ -297,8 +297,10 @@ def test_cli_verify_fails_a_certificate_that_does_not_parse(tmp_path, capsys):
     lambda d: {**d, "rho": {**d["rho"], "pivots": [[0]]}},
     lambda d: {**d, "rho_ta": {**d["rho_ta"], "columns": "x"}},
     lambda d: {**d, "kind": ["ppt"]},
+    lambda d: {**d, "rho": {**d["rho"], "psd": 1}},
+    lambda d: {**d, "rho_ta": {**d["rho_ta"], "psd": "yes"}},
 ], ids=["not-an-object", "float-dimension", "short-pivot", "columns-not-a-list",
-        "kind-not-a-string"])
+        "kind-not-a-string", "psd-one", "psd-yes"])
 def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
     cert = tmp_path / "cert.json"
     assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
@@ -716,7 +718,8 @@ def test_cli_entrypoint_runs():
 def _separable_2x2(tmp_path) -> str:
     """A state file of the separable product-edge state ``|00><00| + |11><11|``,
     on which the lower bound search is inconclusive."""
-    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
+    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)], dashed=()),
+                          "grid-state")
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
     return str(f)
@@ -1010,7 +1013,8 @@ def test_sn_verdict_text_is_rebuilt(rho3x3_verdict):
 
 
 def test_cli_verify_accepts_inconclusive_verdict(tmp_path):
-    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)]))
+    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)], dashed=()),
+                          "grid-state")
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
     cert = tmp_path / "cert.json"
@@ -1313,7 +1317,7 @@ def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
     ring = mi.PolyRing(lower["variables"])
     edges = se.state_from_json(rho3x3_verdict["state"]).edges
     basis = tuple(zip(ring.variables, (e.vec for e in edges)))
-    (minor,) = ac.minor_ideal(mi.coordinate_matrix(3, 3, ring, basis), 3)
+    (minor,) = ac.minor_ideal(mi.coordinate_matrix(3, 3, ring, basis), 3, ())
     forged = {key: lower[key] for key in ("kind", "state", "witness", "witness_variable",
                                           "variables", "basis")}
     forged.update(value=3, k=3, power=3, method="groebner", monomial_order="grevlex",
@@ -1600,7 +1604,7 @@ def genuine_verdicts(tmp_path_factory):
 
 
 UPPER_MUTATIONS = ("edge-name", "edge-vector-entry", "edge-pairs", "edge-weight",
-                   "schmidt-rank", "verdict")
+                   "upper-value", "schmidt-rank", "verdict")
 VERDICT_MUTATIONS = ("cofactor", "row-index", "column-index", "power", "witness-variable",
                      "basis", "witness-pairs", "monomial-pairs") + UPPER_MUTATIONS
 ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
@@ -1647,6 +1651,9 @@ def _mutate_verdict(data, payload):
     elif kind == "edge-weight":
         edge["weight"] = data.draw(st.sampled_from(["0", "2", "1/2", "-1", "x", None, 3, 3.0, True]
                                                    + _numbers(edge["weight"])))
+    elif kind == "upper-value":
+        upper["value"] = data.draw(st.integers(0, 6) | st.sampled_from(
+            [True, None, str(upper["value"])] + _numbers(str(upper["value"]))), label="value")
     elif kind == "verdict":
         payload["verdict"] = data.draw(st.sampled_from(
             ["SN = 2", "SN = 3", "SN = 4", "SN in [2, 3]", "SN in [3, 4]",
@@ -1668,7 +1675,7 @@ def _upper_claim_holds(upper, stored):
     the weighted Gram sum of its edges: the edge vectors are valid sparse
     pairs, the weights are nonnegative rational strings, and sympy ranks of
     the edge vectors' matricizations are the stored Schmidt ranks, whose
-    maximum is the claimed value."""
+    maximum is the claimed value, an integer."""
     sympy = pytest.importorskip("sympy")
     m, n = stored["dim_a"], stored["dim_b"]
     vectors = [_vector(e["vector"], m * n) for e in stored["edges"]]
@@ -1681,7 +1688,8 @@ def _upper_claim_holds(upper, stored):
             + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
 
     ranks = [sympy.Matrix(m, n, [number(x) for x in v]).rank() for v in vectors]
-    return upper["schmidt_ranks"] == ranks and upper["value"] == max(ranks)
+    return upper["schmidt_ranks"] == ranks and type(upper["value"]) is int \
+        and upper["value"] == max(ranks)
 
 
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1709,6 +1717,21 @@ def test_mutated_sn_verdict_and_sn_upper_payloads_are_rejected(genuine_verdicts,
     if lower is not None:
         assert _claim_holds(lower, se.state_from_json(payload["state"]))
     assert payload["verdict"] == se.sn_verdict_text(lower and lower["value"], upper["value"])
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["bool", "float"])
+def test_sn_upper_value_must_be_an_integer(tmp_path, capsys, value):
+    """On an SN = 1 sn-verdict, an upper value of ``true`` or ``1.0`` equals
+    the edges' largest Schmidt rank and gives the same verdict line, so only
+    its type tells it from the integer 1."""
+    cert = tmp_path / "cert.json"
+    assert cli.run(["certify-sn", "--state", _separable_2x2(tmp_path), "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    assert (data["verdict"], data["upper"]["value"]) == ("SN = 1", 1)
+    data["upper"]["value"] = value
+    cert.write_text(json.dumps(data))
+    assert cli.run(["verify", str(cert)]) == 1
+    assert "upper bound value is not an integer" in capsys.readouterr().out
 
 
 def test_sn_upper_with_a_wrong_stored_schmidt_rank_is_rejected(rho3x3_verdict):
@@ -1909,7 +1932,7 @@ def genuine_ppt_certificates():
 
 
 PPT_MUTATIONS = ("pivot", "column-entry", "column-pairs", "imaginary-part", "state-entry",
-                 "swapped-state", "verdict")
+                 "swapped-state", "verdict", "psd-flag")
 NPT_MUTATIONS = PPT_MUTATIONS + ("witness-entry", "witness-pairs", "witness-value")
 SCALARS = ["0", "1", "-1", "2", "1/2", "-1/4", "1+1 i", "1 i", "x", "", None, 1]
 
@@ -1982,6 +2005,9 @@ def _mutate_ppt(data, cert, others):
         cert["state"], cert["rho"] = other["state"], other["rho"]
     elif kind == "verdict":
         cert["verdict"] = data.draw(st.sampled_from(["PPT", "NPT", "ppt", None]), label="verdict")
+    elif kind == "psd-flag":
+        ev["psd"] = data.draw(st.sampled_from([1, 0, 1.0, "yes", "", None, not ev["psd"]]),
+                              label="psd")
     elif kind == "edge-pairs":
         edge = data.draw(st.sampled_from(state["edges"]), label="edge")
         _spoil_pairs(data, edge["vector"], n, "1", ZERO_SPELLINGS)
@@ -2003,8 +2029,11 @@ def _ppt_claim_holds(cert):
     Hermitian and is PSD (the stored state is a state), and its partial
     transpose is PSD exactly when the verdict is PPT.  A Hermitian ``A`` is
     PSD iff every coefficient of ``det(x + A)`` is nonnegative.  Stored
-    rationals (edge weights, pivots) must be strings."""
+    rationals (edge weights, pivots) must be strings, and each ``psd`` flag
+    ``true`` or ``false``."""
     sympy = pytest.importorskip("sympy")
+    if not all(type(cert[key]["psd"]) is bool for key in ("rho", "rho_ta")):
+        return False
     state = cert["state"]
     m, n = state["dim_a"], state["dim_b"]
     evidence = [v for ev in (cert["rho"], cert["rho_ta"])
@@ -2044,7 +2073,7 @@ def test_mutated_ppt_certificates_are_rejected(genuine_ppt_certificates, data):
     """Mutation fuzzing of ppt certificates: ``verify`` fails every one-field
     perturbation of a genuine PPT (rho3x3) or NPT (complex 3x3) certificate,
     a pivot, a column entry, an imaginary part, a state entry, the whole
-    state, the verdict or, on the NPT state, the witness or its value, with
+    state, the verdict, a ``psd`` flag or, on the NPT state, the witness or its value, with
     a PptlabError, unless sympy shows the verdict still true of the stored
     state."""
     name = data.draw(st.sampled_from(sorted(genuine_ppt_certificates)))
