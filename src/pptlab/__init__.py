@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-__all__ = ["exactmat", "qstates", "constructions", "extender", "minors", "algcert", "numlab",
-           "serialize", "cli", "acceptance"]
+__all__ = ["replay", "exactmat", "qstates", "constructions", "extender", "minors", "certifier",
+           "algcert", "numlab", "serialize", "cli", "acceptance"]
 
 
 def extension_count_bound(m: int, n: int, p: int, q: int) -> int:

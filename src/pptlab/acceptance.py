@@ -12,6 +12,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import algcert as ac
+from . import certifier as ce
 from . import constructions as co
 from . import exactmat as em
 from . import extender as ex
@@ -137,8 +138,8 @@ def criterion_2() -> CriterionResult:
         final = pipe.final
         _check(final.dims == (4, 5), f"final dims {final.dims}")
         _check(em.psd_check(final.partial_transpose("A")).is_psd, "final state not PPT")
-        lower, upper = ac.certify_sn(final)
-        if not isinstance(lower, ac.LowerBound):
+        lower, upper = ce.certify_sn(final)
+        if not isinstance(lower, ce.LowerBound):
             raise CriterionFailed(f"lower bound inconclusive: {lower}")
         _check(lower.power == 4, f"observed N = {lower.power}")
         _check(cofactor_identity_4x5(), "cofactor identity failed")
@@ -191,8 +192,8 @@ def criterion_4() -> CriterionResult:
             deltas = [e for e in st.edges if e.name.startswith("delta")]
             _check(deltas and all(em.vdot(omega, e.vec) for e in deltas),
                    f"k={k}: Omega overlaps vanish")
-            lower, upper = ac.certify_sn(st, k, exclude_deltas=True)
-            _check(isinstance(lower, ac.LowerBound), f"k={k} lower bound inconclusive")
+            lower, upper = ce.certify_sn(st, k, exclude_deltas=True)
+            _check(isinstance(lower, ce.LowerBound), f"k={k} lower bound inconclusive")
             _check(lower.power == k, f"k={k}: observed power {lower.power}")
             _check(upper.value == k, f"k={k}: upper bound {upper.value}")
             details[f"k{k}"] = {"power": lower.power, "sn": k, "minors": len(lower.minors)}

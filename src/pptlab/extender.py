@@ -18,8 +18,10 @@ B and B'.  That picture is written for side A, so only the Choi analyses
 (:func:`ppt_extension_space` and :func:`extremality_check_ppt`) read a
 side-B extension through :func:`qstates.swap_subsystems`.
 
-An extension is checked PSD once, when assembled; its core, relabellings and
-projections are unchecked, and its lifted edges are checked only by their sum.
+An extension is checked PSD once, when assembled (a product pair by the
+LDL* of its partial transpose, which proves it PSD too); its core,
+relabellings and projections are unchecked, and its lifted edges are
+checked only by their sum.
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
 dimension n when extending A, A-side space of dimension m when extending B).
@@ -43,7 +45,6 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotPPT,
-    NotPsd,
     PPTFailure,
     PreconditionViolation,
     RangeViolation,
@@ -329,13 +330,24 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
 
         rho_e = <ab|rho_c^{-1}|ab> |gamma><gamma| + <ag|(rho^T)^{-1}|ag> |beta><beta|.
 
-    The assembled extension is verified PPT exactly before returning.  It
-    is not checked against the trivial SLOCC couplings ``rho X_phi`` of
-    ``side`` (:func:`_product_columns`), which the checks exclude: if
-    ``|ab><g| = rho X_phi``, then ``X_phi* |ab><g| = <phi|a> |b><g|``
-    equals the PSD ``X_phi* rho X_phi``, so either ``b`` is parallel to
-    ``g`` (refused), or ``rho X_phi`` and so the coupling are zero (refused
-    by the local rank).
+    Write ``s1`` and ``s2`` for the two coefficients.  The extension is the
+    flat extension of ``rho_c`` by ``chi`` plus ``s2 |beta><beta|`` on the
+    new level, so it is PSD exactly when ``s2 >= 0``.  Its partial transpose
+    on ``side`` is the flat extension of ``rho^T`` by ``|conj(alpha)
+    gamma><beta|`` plus ``s1 |gamma><gamma|``, and ``s1 >= 0`` because
+    ``rho_c`` is PSD, so it is PSD exactly when ``rho^T`` is.  A PSD
+    ``rho^T`` makes ``s2 >= 0``.  One exact LDL* of the partial transpose
+    therefore proves the extension PPT, and the extension is built without
+    a check of its own.  It fails, with :class:`PPTFailure`, exactly when
+    the core is NPT: the core is not required to be PPT, and on an NPT core
+    the extension may be PSD or not.
+
+    The extension is not checked against the trivial SLOCC couplings
+    ``rho X_phi`` of ``side`` (:func:`_product_columns`), which the checks
+    exclude: if ``|ab><g| = rho X_phi``, then ``X_phi* |ab><g| = <phi|a>
+    |b><g|`` equals the PSD ``X_phi* rho X_phi``, so either ``b`` is
+    parallel to ``g`` (refused), or ``rho X_phi`` and so the coupling are
+    zero (refused by the local rank).
     """
     m, n = core.dims
     here, other = (m, n) if side == "A" else (n, m)
@@ -365,11 +377,10 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
-    try:
-        ext = assemble_extension(ExtensionBlocks(core, chi, edge, side, here), label)
-    except NotPsd as exc:
-        raise PPTFailure(f"assembled extension is not PSD: {exc}") from exc
-    if not em.psd_check(ext.partial_transpose(side)).is_psd:
+    dims = (m + 1, n) if side == "A" else (m, n + 1)
+    ext = qs.BipartiteState._raw(*dims, assemble_matrix(rho, chi, edge, (m, n), side, here),
+                                 label or "extension")
+    if not em.psd_check(ext.partial_transpose(side)).is_psd:  # also proves ext PSD
         raise PPTFailure("assembled extension fails the exact PPT check")
     return ext
 

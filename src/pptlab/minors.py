@@ -1,4 +1,4 @@
-"""The sn-lower replay kernel: polynomials, packed monomials and minors.
+"""The sn-lower replay: polynomials, packed monomials and minors.
 
 A Schmidt-number lower bound is an identity ``sum_i c_i det M[rows_i,
 cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` of a range
@@ -9,9 +9,11 @@ such an identity needs, and nothing of the search that finds one:
 builds ``M`` from the basis once as scaled integer rows of packed linear
 forms, and :func:`minor_identity_holds`, which computes only the listed
 determinants by Laplace expansion on those rows.  The certifier
-(:mod:`pptlab.algcert`) and the verifier (:mod:`pptlab.serialize`) run the
-same setup, :func:`lower_bound_setup`, and the same identity check, so a
-``verify`` process never loads the certifier.
+(:mod:`pptlab.certifier`) and the verifier (:mod:`pptlab.replay`) run the
+same setup, :func:`lower_bound_setup`, and the same identity check.  Of
+the package it imports only the replay kernel and :mod:`pptlab.errors`, so
+a ``verify`` process that replays a lower half loads this module on top of
+the kernel, and never the certifier.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import exactmat as em
-from . import qstates as qs
+from . import replay as rp
 from .errors import (DimensionMismatch, MonomialOverflow, NonOrthogonalBasis,
                      NonSingleVariableOverlap, WitnessNotInRange)
 
@@ -285,7 +286,7 @@ class SymbolicRangeMatrix(NamedTuple):
     dim_a: int
     dim_b: int
     ring: PolyRing
-    basis: tuple            # tuple[(name, em.Vector), ...]
+    basis: tuple            # tuple[(name, rp.Vector), ...]
     packing: _Packing
     rows: tuple
     scales: tuple
@@ -312,8 +313,8 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
     return SymbolicRangeMatrix(m, n, ring, tuple(basis), P, tuple(rows), tuple(scales))
 
 
-def lower_bound_setup(s: qs.BipartiteState, rng: em.Subspace, basis: str,
-                      variables: Sequence[str], witness: em.Vector) -> tuple:
+def lower_bound_setup(s: rp.BipartiteState, rng: rp.Subspace, basis: str,
+                      variables: Sequence[str], witness: rp.Vector) -> tuple:
     """``(M, witness_variable)``: the coordinate matrix of the basis of
     ``rng``, the range of ``s``, that ``basis`` names (``"range"``, the
     canonical one, or ``"edges"``, which must be one), one of ``variables``
@@ -321,13 +322,13 @@ def lower_bound_setup(s: qs.BipartiteState, rng: em.Subspace, basis: str,
     must lie in ``rng``) overlaps.  Each check raises its own error."""
     if not rng.contains(witness):
         raise WitnessNotInRange("the witness is not in the state's range")
-    vectors = rng.basis if basis == "range" else qs.edge_basis(s, rng)
+    vectors = rng.basis if basis == "range" else rp.edge_basis(s, rng)
     if vectors is None:
         raise NonOrthogonalBasis("the state's edges are not a basis of the range")
     if len(variables) != len(vectors) or len(set(variables)) != len(variables):
         raise DimensionMismatch("the certificate needs one variable per basis vector")
     M = coordinate_matrix(s.dim_a, s.dim_b, PolyRing(variables), tuple(zip(variables, vectors)))
-    overlaps = [name for name, v in M.basis if em.vdot(v, witness)]
+    overlaps = [name for name, v in M.basis if rp.vdot(v, witness)]
     if len(overlaps) != 1:
         raise NonSingleVariableOverlap(
             f"the witness overlaps {len(overlaps)} basis vectors, need exactly 1")

@@ -1,0 +1,1225 @@
+"""The replay kernel: everything ``pptlab verify`` runs.
+
+A certificate is trusted only as far as the code that replays it, so that
+code sits in this one bottom-layer module, which imports only
+:mod:`pptlab.errors` and the standard library: exact scalars
+(:class:`GaussianRational`) with their ``"p/q+r/s i"`` text form, dense
+matrices (:class:`ExactMatrix`) and the one Gram kernel
+:func:`weighted_gram`, the one row elimination (:func:`_echelon`) behind
+:func:`column_space` and :func:`rank`, the pivoted LDL* :func:`psd_check`,
+the state record (:class:`BipartiteState`, checked once where it is made)
+with its partial transpose and the Schmidt rank of a vector, the JSON
+readers with the sparse ``[index, value]`` codec, and the two verifiers
+behind :data:`VERIFIERS`, through which :func:`verify_certificate`
+dispatches.  Replaying an sn-lower half imports :mod:`pptlab.minors` when
+it runs.  :mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and
+:mod:`pptlab.serialize` import this code from here under their names.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+from fractions import Fraction
+from typing import Iterable, Literal, NamedTuple, Sequence
+
+from .errors import (BoundsViolation, DimensionMismatch, NotHermitian, NotPsd, PptlabError,
+                     ScalarTooLarge)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _frac(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+class GaussianRational:
+    """Exact complex scalar with rational real and imaginary parts.
+
+    Values are immutable.  Mixed arithmetic with ``int`` and ``Fraction``
+    is supported; division by zero raises ``ZeroDivisionError``.
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", _frac(re))
+        object.__setattr__(self, "im", _frac(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @staticmethod
+    def _raw(re: Fraction, im: Fraction) -> "GaussianRational":
+        z = object.__new__(GaussianRational)
+        object.__setattr__(z, "re", re)
+        object.__setattr__(z, "im", im)
+        return z
+
+    # -- arithmetic ----------------------------------------------------
+    def __add__(self, other):
+        other = as_scalar(other)
+        return GaussianRational._raw(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = as_scalar(other)
+        return GaussianRational._raw(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return as_scalar(other) - self
+
+    def __mul__(self, other):
+        other = as_scalar(other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        if b == 0 and d == 0:  # real fast path
+            return GaussianRational._raw(a * c, _ZERO)
+        return GaussianRational._raw(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = as_scalar(other)
+        n2 = other.abs2()
+        if n2 == 0:
+            raise ZeroDivisionError("division by zero GaussianRational")
+        if self.im == 0 and other.im == 0:
+            return GaussianRational._raw(self.re / other.re, _ZERO)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussianRational._raw((a * c + b * d) / n2, (b * c - a * d) / n2)
+
+    def __rtruediv__(self, other):
+        return as_scalar(other) / self
+
+    def __neg__(self):
+        return GaussianRational._raw(-self.re, -self.im)
+
+    def conj(self) -> "GaussianRational":
+        if self.im == 0:
+            return self
+        return GaussianRational._raw(self.re, -self.im)
+
+    def abs2(self) -> Fraction:
+        """Squared modulus; exact, nonnegative rational."""
+        return self.re * self.re + self.im * self.im
+
+    # -- predicates & conversions ---------------------------------------
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.im)
+
+    def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.im == 0 and self.re == other
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
+
+    def to_complex(self) -> complex:
+        return complex(self.re) + 1j * float(self.im)
+
+    def __repr__(self):
+        return f"GaussianRational({self.re!r}, {self.im!r})"
+
+    def __str__(self):
+        return format_scalar(self)
+
+
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+
+
+def as_scalar(x) -> GaussianRational:
+    """Coerce int, Fraction or GaussianRational to a GaussianRational."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return GaussianRational._raw(_frac(x), _ZERO)
+    raise TypeError(f"cannot interpret {x!r} as an exact scalar")
+
+
+def format_scalar(z) -> str:
+    """Serialize an exact scalar (GaussianRational, int or Fraction) as
+    ``"p/q"`` or ``"p/q+r/s i"``; every scalar written to JSON goes through here.
+
+    Python converts an int of more than ``sys.get_int_max_str_digits()``
+    decimal digits neither to nor from text (the limit guards readers of
+    untrusted JSON against quadratic-time parsing), so a longer part raises
+    :class:`ScalarTooLarge` naming the limit and the digit count.
+    """
+    z = as_scalar(z)
+    try:
+        if z.im == 0:
+            return str(z.re)
+        sign = "+" if z.im >= 0 else "-"
+        return f"{z.re}{sign}{abs(z.im)} i"
+    except ValueError:
+        digits = max(_decimal_digits(n) for x in (z.re, z.im)
+                     for n in (x.numerator, x.denominator))
+        raise ScalarTooLarge(f"a scalar with a {digits}-digit part exceeds Python's limit of "
+                             f"{sys.get_int_max_str_digits()} digits for int-to-text "
+                             "conversion") from None
+
+
+def _decimal_digits(n: int) -> int:
+    n = abs(n)
+    d = int(n.bit_length() * 0.30102999566398120)  # log10(2): the count is d or d + 1
+    return d + 1 if n >= 10 ** d else d
+
+
+def parse_scalar(text: str) -> GaussianRational:
+    """Inverse of :func:`format_scalar`."""
+    s = text.strip()
+    if s.endswith("i"):
+        body = s[:-1].strip()
+        # split at the sign separating real and imaginary parts; a sign after
+        # "e" belongs to an exponent ("2e-3")
+        for pos in range(len(body) - 1, 0, -1):
+            if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
+                re_part, im_part = body[:pos], body[pos] + body[pos + 1:]
+                return GaussianRational(Fraction(re_part), Fraction(im_part))
+        return GaussianRational(0, Fraction(body))
+    return GaussianRational(Fraction(s))
+
+
+# ---------------------------------------------------------------------------
+# vectors: plain tuples of GaussianRational
+# ---------------------------------------------------------------------------
+
+Vector = tuple  # tuple[GaussianRational, ...]
+
+
+def vector(entries: Iterable) -> Vector:
+    return tuple(as_scalar(e) for e in entries)
+
+
+def vdot(u: Vector, v: Vector) -> GaussianRational:
+    """Hermitian inner product ``<u|v>``, conjugate-linear in ``u``."""
+    if len(u) != len(v):
+        raise DimensionMismatch("vectors of different length")
+    acc = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            acc = acc + a.conj() * b
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# matrices
+# ---------------------------------------------------------------------------
+
+class ExactMatrix:
+    """Dense immutable matrix of Gaussian rationals."""
+
+    __slots__ = ("rows", "cols", "_e")
+
+    def __init__(self, entries: Sequence[Sequence]):
+        e = tuple(tuple(as_scalar(x) for x in row) for row in entries)
+        if e and any(len(r) != len(e[0]) for r in e):
+            raise DimensionMismatch("ragged matrix rows")
+        object.__setattr__(self, "_e", e)
+        object.__setattr__(self, "rows", len(e))
+        object.__setattr__(self, "cols", len(e[0]) if e else 0)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExactMatrix is immutable")
+
+    # -- constructors ---------------------------------------------------
+    @staticmethod
+    def zeros(rows: int, cols: int) -> "ExactMatrix":
+        return ExactMatrix([[ZERO] * cols for _ in range(rows)])
+
+    @staticmethod
+    def identity(n: int) -> "ExactMatrix":
+        return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def diag(values: Iterable) -> "ExactMatrix":
+        vals = [as_scalar(v) for v in values]
+        n = len(vals)
+        return ExactMatrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
+
+    @staticmethod
+    def from_cols(columns: Sequence[Vector]) -> "ExactMatrix":
+        if not columns:
+            return ExactMatrix.zeros(0, 0)
+        n = len(columns[0])
+        return ExactMatrix([[columns[j][i] for j in range(len(columns))] for i in range(n)])
+
+    @staticmethod
+    def outer(u: Vector, v: Vector) -> "ExactMatrix":
+        """Rank-one operator ``|u><v|``."""
+        vc = [b.conj() for b in v]
+        return ExactMatrix([[a * b for b in vc] for a in u])
+
+    # -- access ----------------------------------------------------------
+    def entry(self, i: int, j: int) -> GaussianRational:
+        return self._e[i][j]
+
+    def row(self, i: int) -> Vector:
+        return self._e[i]
+
+    def col(self, j: int) -> Vector:
+        return tuple(r[j] for r in self._e)
+
+    def tolists(self):
+        return [list(r) for r in self._e]
+
+    def to_complex_rows(self):
+        return [[x.to_complex() for x in row] for row in self._e]
+
+    # -- algebra ----------------------------------------------------------
+    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
+        self._check_same_shape(other)
+        return ExactMatrix([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+
+    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        self._check_same_shape(other)
+        return ExactMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
+
+    def __neg__(self) -> "ExactMatrix":
+        return ExactMatrix([[-a for a in r] for r in self._e])
+
+    def scale(self, c) -> "ExactMatrix":
+        c = as_scalar(c)
+        return ExactMatrix([[c * a for a in r] for r in self._e])
+
+    def __mul__(self, other):
+        if isinstance(other, ExactMatrix):
+            return self.matmul(other)
+        return self.scale(other)
+
+    __rmul__ = scale
+
+    def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"cannot multiply {self.shape} by {other.shape}")
+        ot = list(zip(*other._e))  # columns of other
+        out = []
+        for r in self._e:
+            nz = [(k, a) for k, a in enumerate(r) if a]
+            out_row = []
+            for c in ot:
+                acc = ZERO
+                for k, a in nz:
+                    b = c[k]
+                    if b:
+                        acc = acc + a * b
+                out_row.append(acc)
+            out.append(out_row)
+        return ExactMatrix(out)
+
+    def matvec(self, v: Vector) -> Vector:
+        if self.cols != len(v):
+            raise DimensionMismatch("matrix-vector shape mismatch")
+        out = []
+        for r in self._e:
+            acc = ZERO
+            for a, b in zip(r, v):
+                if a and b:
+                    acc = acc + a * b
+            out.append(acc)
+        return tuple(out)
+
+    def adjoint(self) -> "ExactMatrix":
+        return ExactMatrix([[self._e[i][j].conj() for i in range(self.rows)] for j in range(self.cols)])
+
+    def transpose(self) -> "ExactMatrix":
+        return ExactMatrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
+
+    def conjugate(self) -> "ExactMatrix":
+        return ExactMatrix([[x.conj() for x in row] for row in self._e])
+
+    def trace(self) -> GaussianRational:
+        acc = ZERO
+        for i in range(min(self.rows, self.cols)):
+            acc = acc + self._e[i][i]
+        return acc
+
+    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
+        out = []
+        for r1 in self._e:
+            for r2 in other._e:
+                out.append([a * b for a in r1 for b in r2])
+        return ExactMatrix(out)
+
+    # -- predicates --------------------------------------------------------
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def is_square(self) -> bool:
+        return self.rows == self.cols
+
+    def is_zero(self) -> bool:
+        return all(not x for row in self._e for x in row)
+
+    def is_hermitian(self) -> bool:
+        return self.is_square() and _int_hermitian(_int_matrix(self)[1])
+
+    def is_diagonal(self) -> bool:
+        return all(not self._e[i][j] for i in range(self.rows) for j in range(self.cols) if i != j)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self.shape == other.shape and self._e == other._e
+
+    def __hash__(self):
+        return hash(self._e)
+
+    def __repr__(self):
+        return f"ExactMatrix({self.rows}x{self.cols})"
+
+    def _check_same_shape(self, other: "ExactMatrix"):
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"shape mismatch {self.shape} vs {other.shape}")
+
+
+def weighted_gram(vectors: Sequence[Vector], weights: Sequence, dim: int) -> ExactMatrix:
+    """Conic sum ``sum_i w_i |v_i><v_i|`` as a ``dim x dim`` matrix.
+
+    Only the nonzero entries of each vector are visited, so a sum of sparse
+    grid edges costs per pair of nonzeros rather than per matrix entry.
+    The sum runs on the integer kernel: each vector's nonzeros are scaled
+    to Gaussian integers ``u = s v``, its weight ``w / s^2`` is written over
+    the common denominator of all terms, and the integer sums are reduced
+    to Gaussian rationals once per entry at the end.
+    """
+    if len(vectors) != len(weights):
+        raise DimensionMismatch(f"{len(vectors)} vectors but {len(weights)} weights")
+    terms = []
+    for v, w in zip(vectors, weights):
+        if len(v) != dim:
+            raise DimensionMismatch(f"vector of length {len(v)} in a {dim}-dimensional Gram sum")
+        w = as_scalar(w)
+        nz = [i for i, a in enumerate(v) if a]
+        if nz and w:
+            values = [v[i] for i in nz]
+            s = _row_lcm(values)
+            terms.append((nz, *_int_row(values, s), w.re / (s * s), w.im / (s * s)))
+    scale = math.lcm(*(c.denominator for *_, cr, ci in terms for c in (cr, ci)))
+    acc = {}  # (i, j): the integer sums (re, im) of entry (i, j) times scale
+    for nz, re, im, cr, ci in terms:
+        mr = cr.numerator * (scale // cr.denominator)
+        mi = ci.numerator * (scale // ci.denominator)
+        im = im or [0] * len(nz)
+        for i, a, ai in zip(nz, re, im):
+            xr, xi = mr * a - mi * ai, mr * ai + mi * a  # scale * w / s^2 * u_i
+            for j, b, bi in zip(nz, re, im):
+                sr, si = acc.get((i, j), (0, 0))
+                acc[i, j] = (sr + xr * b + xi * bi, si + xi * b - xr * bi)
+    out = [[ZERO] * dim for _ in range(dim)]
+    for (i, j), (sr, si) in acc.items():
+        out[i][j] = _quotient(sr, si, (scale, 0))
+    return ExactMatrix(out)
+
+
+# ---------------------------------------------------------------------------
+# integer kernel: Gaussian-integer rows with a shared denominator
+# ---------------------------------------------------------------------------
+#
+# A row is two int lists ``(re, im)``, ``im`` None when the row is real, and
+# stands for ``row / den``; scalars are ``(re, im)`` int pairs.  Eliminating
+# with pivot ``p`` maps a row to ``(p * row - f * pivot_row) / den``, an
+# exact division: Bareiss's step (Bareiss 1968; Zhou & Jeffrey 2008 for
+# LDL*) taken lazily, so a row the pivot does not touch keeps its entries
+# and its ``den``, the pivot of the step that last changed it.
+
+def _row_lcm(row) -> int:
+    """Least common denominator of a sequence of Gaussian rationals."""
+    return math.lcm(*{x.re.denominator for x in row}, *{x.im.denominator for x in row})
+
+
+def _int_row(row, scale: int) -> tuple:
+    """``scale * row`` as Gaussian-integer lists ``(re, im)``; ``scale`` must
+    clear every denominator."""
+    if scale == 1:
+        re = [x.re.numerator for x in row]
+        im = [x.im.numerator for x in row]
+    else:
+        re = [x.re.numerator * (scale // x.re.denominator) for x in row]
+        im = [x.im.numerator * (scale // x.im.denominator) for x in row]
+    return re, (im if any(im) else None)
+
+
+def _int_matrix(M: "ExactMatrix") -> tuple:
+    """``(L, rows)``: ``L`` the common denominator of ``M`` and the rows of
+    ``L * M`` as Gaussian-integer lists."""
+    scale = math.lcm(*(_row_lcm(row) for row in M._e))
+    return scale, [_int_row(row, scale) for row in M._e]
+
+
+def _int_hermitian(A: list) -> bool:
+    """Whether the square Gaussian-integer rows ``A`` equal their adjoint."""
+    zero = [0] * len(A)
+    re_t = [list(col) for col in zip(*(re for re, _ in A))]
+    im_t = [[-x for x in col] for col in zip(*(im or zero for _, im in A))]
+    return re_t == [re for re, _ in A] and im_t == [im or zero for _, im in A]
+
+
+def _combine(a: tuple, x: tuple, b: tuple, y: tuple, q: tuple) -> tuple:
+    """Exact ``(a * x - b * y) / q`` for Gaussian-integer rows ``x``, ``y``
+    and scalars ``a``, ``b``, ``q``; the quotient must be integral."""
+    (ar, ai), (br, bi), (qr, qi) = a, b, q
+    (xr, xi), (yr, yi) = x, y
+    if xi is None and yi is None and not (ai or bi or qi):
+        if qr == 1:
+            return [ar * u - br * v for u, v in zip(xr, yr)], None
+        return [(ar * u - br * v) // qr for u, v in zip(xr, yr)], None
+    zero = [0] * len(xr)
+    xi, yi = xi or zero, yi or zero
+    re = [ar * u - ai * s - br * v + bi * t for u, s, v, t in zip(xr, xi, yr, yi)]
+    im = [ar * s + ai * u - br * t - bi * v for u, s, v, t in zip(xr, xi, yr, yi)]
+    if qi:
+        n2 = qr * qr + qi * qi
+        re, im = ([(u * qr + s * qi) // n2 for u, s in zip(re, im)],
+                  [(s * qr - u * qi) // n2 for u, s in zip(re, im)])
+    elif qr != 1:
+        re = [u // qr for u in re]
+        im = [s // qr for s in im]
+    return re, (im if any(im) else None)
+
+
+def _entry(row: tuple, j: int) -> tuple:
+    re, im = row
+    return re[j], (im[j] if im is not None else 0)
+
+
+def _nonzero(row: tuple, j: int) -> bool:
+    re, im = row
+    return bool(re[j] or (im is not None and im[j]))
+
+
+def _quotient(ur: int, ui: int, q: tuple) -> GaussianRational:
+    """``(ur + ui i) / q`` as a reduced Gaussian rational."""
+    qr, qi = q
+    if qi:
+        n2 = qr * qr + qi * qi
+        ur, ui, qr = ur * qr + ui * qi, ui * qr - ur * qi, n2
+    if not ui:
+        return GaussianRational._raw(Fraction(ur, qr), _ZERO) if ur else ZERO
+    return GaussianRational._raw(Fraction(ur, qr), Fraction(ui, qr))
+
+
+def _int_rows(rows: Iterable[Sequence]) -> list:
+    """Each row of Gaussian rationals scaled to Gaussian integers by its own
+    least common denominator."""
+    return [_int_row(row, _row_lcm(row)) for row in rows]
+
+
+def _echelon(work: list, columns: Iterable[int], reduce: bool = True) -> list:
+    """Fraction-free elimination of the Gaussian-integer rows ``work``, in place.
+
+    The one row elimination of the package.  Pivots are the first nonzero
+    entry at or below the current row, column by column in the order
+    ``columns``; each clears its column from every other row, or only from
+    the rows below it (enough for a rank) unless ``reduce``.  Returns the
+    pivot columns; ``work[r]`` is then a multiple of the ``r``-th pivot row.
+    """
+    nrows = len(work)
+    den = [(1, 0)] * nrows
+    p_prev = (1, 0)
+    pivots = []
+    r = 0
+    for c in columns:
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if _nonzero(work[i], c)), None)
+        if pr is None:
+            continue
+        work[r], work[pr], den[r], den[pr] = work[pr], work[r], den[pr], den[r]
+        if den[r] != p_prev:    # bring the pivot row up to the current step
+            work[r] = _combine(p_prev, work[r], (0, 0), work[r], den[r])
+        pivot_row = work[r]
+        p = _entry(pivot_row, c)
+        for i in range(0 if reduce else r + 1, nrows):
+            if i != r and _nonzero(work[i], c):
+                work[i] = _combine(p, work[i], _entry(work[i], c), pivot_row, den[i])
+                den[i] = p
+        den[r] = p_prev = p
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def _rref(rows: Sequence[Sequence], limit_cols: int | None = None) -> tuple:
+    """Reduced row echelon form of ``rows`` (sequences of GaussianRational).
+
+    Pivot search is restricted to the first ``limit_cols`` columns when
+    given, which makes the same routine usable on augmented systems.
+    Returns ``(pivot columns, pivot rows normalized to 1 and eliminated
+    above and below, whether every other row reduced to zero)``.
+    """
+    work = _int_rows(rows)
+    ncols = len(work[0][0]) if work else 0
+    pivots = _echelon(work, range(ncols if limit_cols is None else limit_cols))
+    reduced = []
+    for row, c in zip(work, pivots):
+        lead = _entry(row, c)
+        re, im = row
+        im = im or [0] * len(re)
+        reduced.append(tuple(_quotient(u, s, lead) for u, s in zip(re, im)))
+    rest_zero = not any(any(re) or im is not None for re, im in work[len(pivots):])
+    return pivots, reduced, rest_zero
+
+
+# ---------------------------------------------------------------------------
+# subspaces
+# ---------------------------------------------------------------------------
+
+class Subspace:
+    """Linear subspace with a canonical RREF basis.
+
+    Two subspaces are equal iff their canonical bases are identical, so
+    equality is decidable by syntactic comparison.
+    """
+
+    __slots__ = ("ambient_dim", "basis")
+
+    def __init__(self, ambient_dim: int, vectors: Iterable[Vector] = ()):
+        rows = [vector(v) for v in vectors]
+        for r in rows:
+            if len(r) != ambient_dim:
+                raise DimensionMismatch("basis vector of wrong length")
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "basis", tuple(_rref(rows)[1]))
+
+    @staticmethod
+    def _canonical(ambient_dim: int, basis: list) -> "Subspace":
+        """The subspace spanned by ``basis``, which is already canonical."""
+        S = object.__new__(Subspace)
+        object.__setattr__(S, "ambient_dim", ambient_dim)
+        object.__setattr__(S, "basis", tuple(basis))
+        return S
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subspace is immutable")
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def annihilator(self) -> list:
+        """Rows ``r`` with ``S = {w : sum_j r[j] w[j] = 0}``, one per non-pivot
+        column, read off the canonical basis without elimination."""
+        pivots = [next(i for i, x in enumerate(b) if x) for b in self.basis]
+        rows = []
+        for f in sorted(set(range(self.ambient_dim)) - set(pivots)):
+            v = [ZERO] * self.ambient_dim
+            v[f] = ONE
+            for b, pc in zip(self.basis, pivots):
+                v[pc] = -b[f]
+            rows.append(tuple(v))
+        return rows
+
+    def contains(self, v: Vector) -> bool:
+        if len(v) != self.ambient_dim:
+            raise DimensionMismatch("vector of wrong length")
+        w = list(v)
+        for b in self.basis:
+            lead = next(i for i, x in enumerate(b) if x)
+            if w[lead]:
+                f = w[lead]
+                w = [a - f * c if c else a for a, c in zip(w, b)]
+        return not any(w)
+
+    def __eq__(self, other):
+        if not isinstance(other, Subspace):
+            return NotImplemented
+        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+
+    def __hash__(self):
+        return hash((self.ambient_dim, self.basis))
+
+    def __repr__(self):
+        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
+
+
+def column_space(M: ExactMatrix) -> Subspace:
+    """Range R(M) as a canonical subspace."""
+    return Subspace(M.rows, [M.col(j) for j in range(M.cols)])
+
+
+def rank(M: ExactMatrix) -> int:
+    return len(_echelon(_int_rows(M._e), range(M.cols), reduce=False))
+
+
+# ---------------------------------------------------------------------------
+# exact PSD decision
+# ---------------------------------------------------------------------------
+
+class PsdResult(NamedTuple):
+    """Outcome of an exact PSD decision.
+
+    PSD case: ``M = sum_t d_t |l_t><l_t|`` with strictly positive rational
+    ``d_t`` (``pivots`` holds the pivot index alongside ``d_t``).  Non-PSD
+    case: ``witness`` satisfies ``<v|M|v> = witness_value < 0`` exactly.
+    """
+
+    is_psd: bool
+    pivots: tuple = ()            # tuple[(index, Fraction), ...]
+    columns: tuple = ()           # tuple[Vector, ...], l_t with l_t[index]=1
+    witness: Vector | None = None
+    witness_value: Fraction | None = None
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _psd_witness(loc: list, pivot_indices: list, ell_list: list, n: int) -> Vector:
+    """Extend a local witness to the original coordinates.
+
+    The local witness ``loc`` lives in the residual after eliminating the
+    recorded pivots; appending corrections on the pivot coordinates makes it
+    orthogonal to every recorded column, which preserves the quadratic form
+    value taken on the residual.
+    """
+    v = list(loc)
+    t = len(pivot_indices)
+    alphas = [ZERO] * t
+    for s in range(t - 1, -1, -1):
+        ell = ell_list[s]
+        acc = ZERO
+        for i, x in enumerate(v):
+            if x and ell[i]:
+                acc = acc + ell[i].conj() * x
+        for s2 in range(s + 1, t):
+            a2 = alphas[s2]
+            if a2 and ell[pivot_indices[s2]]:
+                acc = acc + ell[pivot_indices[s2]].conj() * a2
+        alphas[s] = -acc
+    for s in range(t):
+        v[pivot_indices[s]] = v[pivot_indices[s]] + alphas[s]
+    return tuple(v)
+
+
+def psd_check(M: ExactMatrix) -> PsdResult:
+    """Exact positive-semidefiniteness decision by pivoted LDL*.
+
+    Pivots only on nonzero diagonal entries, the first in index order; a
+    negative diagonal or a zero diagonal with a nonzero residual row yields
+    an explicit witness vector with a negative quadratic form value.  The
+    elimination is fraction-free over Gaussian-integer rows of ``L * M``,
+    ``L`` the common denominator of ``M``: eliminating a pivot updates only
+    the rows where the pivot row is nonzero, each over its full length.
+    """
+    n = M.rows
+    scale, A = _int_matrix(M)
+    if n != M.cols or not _int_hermitian(A):
+        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
+    den = [1] * n           # row i of the Schur complement is A[i] / (den[i] * scale)
+    p_prev = 1
+    active = list(range(n))
+    pivot_indices: list[int] = []
+    pivot_values: list[Fraction] = []
+    ells: list[list] = []
+
+    while True:
+        piv = next((j for j in active if A[j][0][j]), None)
+        if piv is not None:
+            re, im = A[piv]
+            dnum = re[piv]
+            d = Fraction(dnum, den[piv] * scale)
+            if dnum < 0:
+                loc = [ZERO] * n
+                loc[piv] = ONE
+                w = _psd_witness(loc, pivot_indices, ells, n)
+                return PsdResult(False, witness=w, witness_value=d)
+            # ell = column piv / d, the conjugate of the pivot row over its diagonal
+            nz = [i for i in range(n) if _nonzero(A[piv], i)]
+            ell = [ZERO] * n
+            for i in nz:
+                ell[i] = _quotient(re[i], -im[i] if im is not None else 0, (dnum, 0))
+            if den[piv] != p_prev:  # bring the pivot row up to the current step
+                A[piv] = _combine((p_prev, 0), A[piv], (0, 0), A[piv], (den[piv], 0))
+            p = (A[piv][0][piv], 0)
+            for i in nz:
+                if i != piv:
+                    A[i] = _combine(p, A[i], _entry(A[i], piv), A[piv], (den[i], 0))
+                    den[i] = p[0]
+            p_prev = p[0]
+            pivot_indices.append(piv)
+            pivot_values.append(d)
+            ells.append(ell)
+            active.remove(piv)
+        else:
+            off = next(((i, k) for ai, i in enumerate(active) for k in active[ai + 1:]
+                        if _nonzero(A[i], k)), None)
+            if off is None:
+                cols = tuple(tuple(l) for l in ells)
+                return PsdResult(True, pivots=tuple(zip(pivot_indices, pivot_values)), columns=cols)
+            i, k = off
+            ur, ui = _entry(A[i], k)
+            q = den[i] * scale
+            loc = [ZERO] * n
+            loc[i] = ONE
+            loc[k] = -_quotient(ur, -ui, (q, 0))
+            value = Fraction(-2 * (ur * ur + ui * ui), q * q)
+            w = _psd_witness(loc, pivot_indices, ells, n)
+            return PsdResult(False, witness=w, witness_value=value)
+
+
+# ---------------------------------------------------------------------------
+# bipartite states
+# ---------------------------------------------------------------------------
+
+Side = Literal["A", "B"]
+
+
+def flat_index(i: int, j: int, n: int) -> int:
+    return i * n + j
+
+
+class NamedVector(NamedTuple):
+    """A labeled vector with a nonnegative rational weight, e.g. a grid edge."""
+
+    name: str
+    vec: Vector
+    weight: Fraction
+
+
+class BipartiteState:
+    """Unnormalized bipartite density operator with exact entries.
+
+    ``edges`` optionally records a conic decomposition ``sum_w w |v><v|`` of
+    the matrix, with no negative weight: alone, they define it by one Gram
+    sum, PSD by construction; with a matrix, they must reproduce it.  A
+    matrix alone is checked PSD by exact LDL*.
+    """
+
+    __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
+
+    def __init__(self, dim_a: int, dim_b: int, matrix: ExactMatrix | None = None,
+                 label: str = "", edges: Sequence[NamedVector] | None = None):
+        if edges is None:
+            if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
+                raise DimensionMismatch("matrix size does not match local dimensions")
+            state_ldl(matrix, label)
+        else:
+            edges = tuple(edges)
+            bad = next((e for e in edges if e.weight < 0), None)
+            if bad is not None:
+                raise BoundsViolation(f"edge {bad.name!r} has negative weight {bad.weight}")
+            acc = weighted_gram([e.vec for e in edges], [e.weight for e in edges],
+                                   dim_a * dim_b)
+            if matrix is not None and acc != matrix:
+                raise DimensionMismatch("recorded edge decomposition does not reproduce the matrix")
+            matrix = acc
+        self._set(dim_a, dim_b, matrix, label, edges)
+
+    def _set(self, *fields) -> "BipartiteState":
+        for slot, value in zip(self.__slots__, fields):
+            object.__setattr__(self, slot, value)
+        return self
+
+    @staticmethod
+    def _raw(dim_a: int, dim_b: int, matrix: ExactMatrix, label: str,
+             edges: tuple | None = None) -> "BipartiteState":
+        """Unchecked: a state made from a checked one, ``edges`` summing to ``matrix``."""
+        return object.__new__(BipartiteState)._set(dim_a, dim_b, matrix, label, edges)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BipartiteState is immutable")
+
+    @property
+    def dims(self) -> tuple:
+        return (self.dim_a, self.dim_b)
+
+    def __eq__(self, other):
+        if not isinstance(other, BipartiteState):
+            return NotImplemented
+        return self.dims == other.dims and self.matrix == other.matrix
+
+    def __repr__(self):
+        return f"BipartiteState({self.dim_a}x{self.dim_b}, {self.label!r})"
+
+    def partial_transpose(self, side: Side) -> ExactMatrix:
+        return partial_transpose_matrix(self.matrix, self.dim_a, self.dim_b, side)
+
+
+def state_ldl(matrix: ExactMatrix, label: str) -> PsdResult:
+    """The exact LDL* of a state's matrix, which is the check of a matrix
+    state: :class:`NotPsd` unless the matrix is PSD (and, from
+    :func:`psd_check`, ``NotHermitian`` unless it is Hermitian)."""
+    res = psd_check(matrix)
+    if not res.is_psd:
+        raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
+    return res
+
+
+def edge_basis(s: BipartiteState, rng: Subspace) -> tuple | None:
+    """The edge vectors of ``s`` when they are a basis of ``rng``, its range
+    (linearly independent and spanning it), else None.  The edges of
+    positive weight span the range of the Gram sum (no weight is negative),
+    so the edges are a basis of it exactly when there are ``rng.dim``."""
+    vecs = tuple(e.vec for e in s.edges or ())
+    return vecs if len(vecs) == rng.dim else None
+
+
+def partial_transpose_matrix(M: ExactMatrix, m: int, n: int, side: Side) -> ExactMatrix:
+    """Exact partial transpose: ``<ij|M^Tb|kl> = <il|M|kj>`` on side B,
+    ``<ij|M^Ta|kl> = <kj|M|il>`` on side A."""
+    if M.shape != (m * n, m * n):
+        raise DimensionMismatch("operator size does not match local dimensions")
+    out = [[ZERO] * (m * n) for _ in range(m * n)]
+    for i in range(m):
+        for j in range(n):
+            r = flat_index(i, j, n)
+            for k in range(m):
+                for l in range(n):
+                    c = flat_index(k, l, n)
+                    if side == "B":
+                        out[r][c] = M.entry(flat_index(i, l, n), flat_index(k, j, n))
+                    else:
+                        out[r][c] = M.entry(flat_index(k, j, n), flat_index(i, l, n))
+    return ExactMatrix(out)
+
+
+def schmidt_rank(v: Vector, m: int, n: int) -> int:
+    """Exact Schmidt rank: rank of the ``m x n`` coefficient matricization."""
+    if len(v) != m * n:
+        raise DimensionMismatch("vector length does not match dimensions")
+    M = ExactMatrix([[v[flat_index(i, j, n)] for j in range(n)] for i in range(m)])
+    return rank(M)
+
+
+# ---------------------------------------------------------------------------
+# JSON readers
+# ---------------------------------------------------------------------------
+
+class CertificateInvalid(PptlabError):
+    """A certificate failed its replay."""
+
+
+class MalformedData(PptlabError):
+    """Stored JSON without the fields and types its reader expects."""
+
+
+class RetiredLayout(MalformedData):
+    """Stored JSON in a layout that an earlier version wrote."""
+
+
+def matrix_from_json(data: dict) -> ExactMatrix:
+    rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    if not (type(rows) is type(cols) is int and len(entries) == rows and (rows or not cols)
+            and all(isinstance(row, list) and len(row) == cols for row in entries)):
+        raise ValueError(f"matrix entries are not {rows!r} rows of {cols!r} entries each")
+    return ExactMatrix([[parse_scalar(x) for x in row] for row in entries])
+
+
+def vector_from_json(data, length: int) -> Vector:
+    """The vector of ``length`` entries that :func:`serialize.vector_to_json` wrote."""
+    return tuple(_sparse_from_json(data, length, parse_scalar, ZERO))
+
+
+def _sparse_to_json(v, value) -> list:
+    """``[index, value(x)]`` for each nonzero entry ``x`` of ``v``, in index order."""
+    return [[i, value(x)] for i, x in enumerate(v) if x]
+
+
+def _sparse_from_json(data, length: int, parse, zero) -> list:
+    """The ``length`` entries whose nonzero ones ``data`` lists as
+    ``[index, value]`` pairs, ``zero`` elsewhere: int indices increasing
+    strictly below ``length``, values that ``parse`` reads as nonzero.  A
+    bare string entry is a vector in the retired dense layout."""
+    if not isinstance(data, list):
+        raise TypeError(f"{data!r} is not a list of [index, value] pairs")
+    out, last = [zero] * length, -1
+    for pair in data:
+        if isinstance(pair, str):
+            raise RetiredLayout("a vector stored densely")
+        index, value = pair if isinstance(pair, list) and len(pair) == 2 else (None, None)
+        x = parse(value) if type(index) is int and last < index < length else None
+        if not x:
+            raise ValueError(f"entry {pair!r} is not [index, nonzero value] with an index "
+                             f"above {last} and below {length}")
+        out[index], last = x, index
+    return out
+
+
+def _rational(text) -> Fraction:
+    """A stored rational: a ``"p/q"`` string, never a JSON number or bool."""
+    if not isinstance(text, str):
+        raise TypeError(f"{text!r} is not a rational string")
+    return Fraction(text)
+
+
+def state_from_json(data: dict) -> BipartiteState:
+    """Build a stored state from its edges (one Gram sum) or its matrix.
+    Malformed JSON raises :class:`MalformedData`, and a retired layout
+    :class:`RetiredLayout`; the checks of the constructor run outside that
+    conversion, so a fault in them keeps its own exception."""
+    return BipartiteState(*_state_fields(data))
+
+
+def ppt_state_from_json(data: dict) -> BipartiteState:
+    """The stored state a ppt certificate is made or replayed for: as
+    :func:`state_from_json`, but a matrix state is checked here for its
+    shape only.  The certificate's LDL* of rho checks it, once:
+    :func:`serialize.ppt_certificate` computes it, and :func:`verify_ppt_certificate`
+    replays its Gram sum; each raises :class:`NotPsd` when rho is not PSD."""
+    parts = _state_fields(data)
+    dim_a, dim_b, matrix, label = parts[:4]
+    if matrix is None:  # edges: a Gram sum of nonnegative weights is PSD
+        return BipartiteState(*parts)
+    if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
+        raise DimensionMismatch("matrix size does not match local dimensions")
+    return BipartiteState._raw(dim_a, dim_b, matrix, label)
+
+
+def _state_fields(data: dict) -> tuple:
+    """The constructor arguments of a stored state (:func:`_state_parts`),
+    with a retired layout named as such."""
+    try:
+        return _parsed("state", _state_parts, data)
+    except RetiredLayout as exc:
+        raise RetiredLayout(f"state in a retired layout ({exc}): "
+                            "re-run build to replace it") from None
+
+
+def _state_parts(data: dict) -> tuple:
+    if isinstance(data, dict) and "matrix" in data and "edges" in data:
+        raise RetiredLayout("both matrix and edges")
+    dim_a, dim_b = data["dim_a"], data["dim_b"]
+    if type(dim_a) is not int or type(dim_b) is not int:
+        raise TypeError("state dimensions are not integers")
+    if "edges" not in data:
+        return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", "")
+    edges = [NamedVector(e["name"], vector_from_json(e["vector"], dim_a * dim_b),
+                         _rational(e["weight"])) for e in data["edges"]]
+    if not all(isinstance(e.name, str) for e in edges):
+        raise TypeError("edge names are not strings")
+    return dim_a, dim_b, None, data.get("label", ""), edges
+
+
+def _parsed(what: str, parse, *args):
+    """``parse(*args)``, with the exceptions of malformed JSON raised as
+    :class:`MalformedData`.  Only reading stored fields goes through here,
+    so the same exceptions from a replay keep their tracebacks."""
+    try:
+        return parse(*args)
+    except (KeyError, IndexError, ValueError, TypeError, AttributeError,
+            ZeroDivisionError) as exc:
+        raise MalformedData(f"malformed {what}: {type(exc).__name__}: {exc}") from None
+
+
+def load(path) -> dict:
+    with open(path) as fh:
+        return json.load(fh)
+
+
+# ---------------------------------------------------------------------------
+# certificate replay
+# ---------------------------------------------------------------------------
+
+def verify_ppt_certificate(data: dict) -> bool:
+    """Replay a PPT certificate: rebuild both factorizations and check them.
+    The Gram sum of rho's factorization proves rho PSD, so it is also the
+    check of a matrix state (:func:`ppt_state_from_json`), and a valid
+    negativity witness for rho raises :class:`NotPsd`."""
+    s = ppt_state_from_json(_parsed("certificate", lambda d: d["state"], data))
+    evidence, claimed = _parsed("certificate", _read_ppt, data, s.matrix.rows)
+    for key, M in (("rho", s.matrix), ("rho_ta", s.partial_transpose("A"))):
+        psd, *ev = evidence[key]
+        if psd:
+            pivots, columns = ev
+            if any(d < 0 for d in pivots):
+                raise CertificateInvalid(f"negative pivot in {key}")
+            if weighted_gram(columns, pivots, M.rows) != M:
+                raise CertificateInvalid(f"factorization of {key} does not reproduce the matrix")
+        else:
+            w, value = ev
+            val = vdot(w, M.matvec(w))
+            if not (val.im == 0 and val.re < 0 and format_scalar(val.re) == value):
+                raise CertificateInvalid(f"witness for {key} does not evaluate negatively")
+            if key == "rho":
+                raise NotPsd(f"state {s.label!r} is not PSD; witness value {value}")
+    if claimed != ("PPT" if evidence["rho_ta"][0] else "NPT"):
+        raise CertificateInvalid("verdict does not match the evidence")
+    return True
+
+
+def _read_ppt(data: dict, n: int) -> tuple:
+    """``{key: (True, pivots, columns) | (False, witness, value)}`` for
+    ``rho`` and ``rho_ta`` (vectors of ``n`` entries), and the verdict."""
+    evidence = {}
+    for key in ("rho", "rho_ta"):
+        ev = data[key]
+        if type(ev["psd"]) is not bool:
+            raise TypeError(f"{key} psd is not true or false")
+        if ev["psd"]:
+            evidence[key] = (True, [_rational(d) for _, d in ev["pivots"]],
+                             [vector_from_json(col, n) for col in ev["columns"]])
+        else:
+            evidence[key] = (False, vector_from_json(ev["witness"], n), ev["witness_value"])
+    return evidence, data["verdict"]
+
+
+def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
+    """Replay the lower half of an sn-verdict on its state: an indexed
+    cofactor identity proving ``SN(s) >= value``.
+
+    Checks the power ``k <= N <= 2k`` with ``k = value`` and shape-checks
+    every ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly
+    increasing in-range indices, no pair twice, cofactors of degree
+    ``N - k``).  The certifier's setup (:func:`minors.lower_bound_setup`)
+    checks the named basis and the witness, which must overlap the declared
+    variable.  Then only the listed determinants of the coordinate matrix
+    ``M`` are computed and ``sum cofactor * det M[rows, cols] = x_w^N`` is
+    checked exactly (:func:`minors.minor_identity_holds`, the check
+    ``certify-sn`` runs on what it writes).  Nothing is enumerated.
+    """
+    from . import minors as mi
+
+    m, n = s.dims
+    source, variables, witness, witness_variable, power, pairs, cofactors = \
+        _parsed("certificate", _read_sn_lower, half, m, n)
+    try:
+        sym, overlapped = mi.lower_bound_setup(s, column_space(s.matrix), source,
+                                               variables, witness)
+    except PptlabError as exc:
+        raise CertificateInvalid(str(exc)) from None
+    if overlapped != witness_variable:
+        raise CertificateInvalid("witness overlap is not the declared single variable")
+    if not mi.minor_identity_holds(sym, power, witness_variable, pairs, cofactors):
+        raise CertificateInvalid("cofactor identity does not expand to the witness power")
+    return True
+
+
+def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
+    """The basis source, variables, witness, witness variable, power,
+    minor pairs and cofactor terms of the lower half of an sn-verdict on an
+    ``m x n`` state."""
+    k, power = half["value"], half["power"]
+    if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
+        # the minors are homogeneous of degree k, and the certifier searches N <= 2k
+        raise CertificateInvalid("witness power is not an integer in [k, 2k]")
+    if half["basis"] not in ("edges", "range"):
+        raise CertificateInvalid('basis is neither "edges" nor "range"')
+    variables = half["variables"]
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
+        raise CertificateInvalid("variables is not a list of names")
+    pairs, cofactors = _indexed_minors(half["minors"], len(variables), k, power - k, m, n)
+    return (half["basis"], variables, vector_from_json(half["witness"], m * n),
+            half["witness_variable"], power, pairs, cofactors)
+
+
+def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) -> tuple:
+    """The ``(rows, cols)`` pairs and cofactor terms of shape-checked ``minors``."""
+    if not isinstance(entries, list):
+        raise CertificateInvalid("minors is not a list of [rows, cols, cofactor]")
+    pairs, cofactors = [], []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise CertificateInvalid(f"minor entry {entry!r} is not [rows, cols, cofactor]")
+        rows, cols, cof = entry
+        for idx, bound in ((rows, m), (cols, n)):
+            if not (isinstance(idx, list) and len(idx) == k and all(type(i) is int for i in idx)
+                    and idx == sorted(set(idx)) and all(0 <= i < bound for i in idx)):
+                raise CertificateInvalid(f"minor indices {idx!r} are not {k} strictly "
+                                         f"increasing indices below {bound}")
+        pairs.append((tuple(rows), tuple(cols)))
+        cofactors.append(_cofactor(nvars, cof, degree))
+    if len(set(pairs)) != len(pairs):
+        raise CertificateInvalid("a minor (rows, cols) is listed twice")
+    return pairs, cofactors
+
+
+def _cofactor(nvars: int, data, degree: int) -> dict:
+    """The terms of a stored ``{"terms": [[monomial, "p/q"], ...]}`` of one ``degree``."""
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list):
+        raise CertificateInvalid("cofactor has no term list")
+    out = {}
+    for term in terms:
+        monomial, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
+        exps = tuple(_sparse_from_json(monomial, nvars,
+                                       lambda e: e if type(e) is int and e > 0 else 0, 0))
+        if not isinstance(c, str) or sum(exps) != degree or exps in out:
+            raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial of "
+                                     f"degree {degree} and a rational string")
+        out[exps] = Fraction(c)
+    return out
+
+
+def verify_sn_upper_certificate(half: dict, s: BipartiteState) -> bool:
+    """Replay the upper half of an sn-verdict on its state, the conic sum of
+    its edges: ``value`` is the largest of the edges' Schmidt ranks, as stored."""
+    m, n = s.dims
+    value, stored_ranks = _parsed("certificate", lambda h: (h["value"], h["schmidt_ranks"]), half)
+    if type(value) is not int:
+        raise CertificateInvalid("upper bound value is not an integer")
+    if not s.edges:
+        raise CertificateInvalid("the state has no edge decomposition")
+    ranks = [schmidt_rank(e.vec, m, n) for e in s.edges]
+    if max(ranks) != value:
+        raise CertificateInvalid("claimed bound does not match the decomposition ranks")
+    if stored_ranks != ranks or any(type(r) is not int for r in stored_ranks):
+        raise CertificateInvalid("stored Schmidt ranks are not the edges' ranks")
+    return True
+
+
+def sn_verdict_text(lower: int | None, upper: int) -> str:
+    """Verdict line of an sn-verdict payload; ``lower`` is None when inconclusive."""
+    if lower is None:
+        return f"SN <= {upper} (lower bound inconclusive)"
+    if lower == upper:
+        return f"SN = {lower}"
+    return f"SN in [{lower}, {upper}]"
+
+
+def verify_sn_verdict(data: dict) -> bool:
+    """Replay an sn-verdict: parse the one stored state, replay each half on
+    it (:func:`verify_sn_lower_certificate` unless the lower bound is
+    inconclusive, :func:`verify_sn_upper_certificate`), and check that the
+    stored verdict line is the one their values imply."""
+    lower, upper, stored = _parsed("certificate", _read_sn_verdict, data)
+    s = state_from_json(stored)
+    if lower is not None:
+        verify_sn_lower_certificate(lower, s)
+    verify_sn_upper_certificate(upper, s)
+    return True
+
+
+def _read_sn_verdict(data: dict) -> tuple:
+    """The lower (None when inconclusive) and upper halves and the stored
+    state, with the stored verdict line checked against their values."""
+    lower, upper = data.get("lower"), data["upper"]
+    expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
+    if data["verdict"] != expected:
+        raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
+    return lower, upper, data["state"]
+
+
+VERIFIERS = {
+    "ppt": verify_ppt_certificate,
+    "sn-verdict": verify_sn_verdict,
+}
+
+
+def verify_certificate(data: dict) -> bool:
+    """Replay ``data`` by its ``kind``.  A certificate that does not parse
+    fails with :class:`CertificateInvalid` like one whose replay fails."""
+    kind = data.get("kind") if isinstance(data, dict) else None
+    try:
+        if kind in ("sn-lower", "sn-upper") or kind == "sn-verdict" and "state" not in data:
+            # a standalone half (the generator/Groebner payloads among them), or
+            # a verdict that stored its state in each half
+            raise RetiredLayout(kind)
+        if not isinstance(kind, str) or kind not in VERIFIERS:
+            raise CertificateInvalid(f"unknown certificate kind {kind!r}")
+        return VERIFIERS[kind](data)
+    except RetiredLayout:  # also dense vectors, or a state with both matrix and edges
+        verb = "ppt-check" if kind == "ppt" else "certify-sn"
+        raise CertificateInvalid(f"{kind} certificate in a retired layout: "
+                                 f"re-run {verb} to replace it") from None
+    except MalformedData as exc:
+        raise CertificateInvalid(str(exc)) from None
+

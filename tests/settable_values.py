@@ -24,9 +24,10 @@ def _public(name: str) -> bool:
 
 
 def counts(package: Path) -> dict:
-    """``{"options", "parameters", "fields"}`` counted over the modules of ``package``."""
+    """``{"options", "parameters", "fields"}`` counted over the modules of
+    ``package`` and of its subpackages."""
     out = {"options": 0, "parameters": 0, "fields": 0}
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(package.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if (path.name == "cli.py" and isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute) and node.func.attr == "add_argument"):

@@ -58,17 +58,14 @@ def test_criterion_7_lift_property_suite():
     _check(acceptance.criterion_7(REPRODUCE_SEED))
 
 
-def test_criterion_7_checks_each_lift_once(monkeypatch):
+def test_criterion_7_checks_each_lift_once(spy):
     """Each case's core is the Gram sum of its vectors and its lift is checked
     by lift_decomposition's own sum: 100 Gram sums and 50 LDL* (one per
     assembled extension) for the 50 cases."""
-    calls = []
-    for name in ("weighted_gram", "psd_check"):
-        kernel = getattr(em, name)
-        monkeypatch.setattr(em, name, lambda *args, _name=name, _kernel=kernel:
-                            calls.append(_name) or _kernel(*args))
+    calls = spy(em, "weighted_gram", "psd_check")
     assert acceptance.criterion_7(REPRODUCE_SEED).passed
-    assert (calls.count("weighted_gram"), calls.count("psd_check")) == (100, 50)
+    names = [name for name, _ in calls]
+    assert (names.count("weighted_gram"), names.count("psd_check")) == (100, 50)
 
 
 def test_criterion_7_fails_on_a_lift_that_does_not_reproduce(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 
 from pptlab import acceptance
 from pptlab import algcert as ac
+from pptlab import certifier as ce
 from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
@@ -365,7 +366,7 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
 def _closure_component(sym, k, variables):
     """The witness closure's component of the monomial on ``variables``, as
     monic polynomial -> (rows, cols)."""
-    closure = ac._WitnessClosure(sym, k, ())
+    closure = ce._WitnessClosure(sym, k, ())
     P = closure.P
     target = P.one + sum(closure.units[sym.ring._index[v]] for v in variables)
     return {P.polynomial(sym.ring, dict(key)).monic(): (rows, cols)
@@ -458,8 +459,8 @@ def _leibniz_det(sym, rows, cols):
 
 def test_certify_rho4x5():
     final = co.rho_4x5().final
-    cert = ac.certify_sn_lower(final, final.edges[0].vec, 3, ())
-    assert isinstance(cert, ac.LowerBound)
+    cert = ce.certify_sn_lower(final, final.edges[0].vec, 3, ())
+    assert isinstance(cert, ce.LowerBound)
     assert cert.value == 3 and cert.power == 4
     # psi00^3 is not in the ideal: the observed power is minimal
     sym = _range_matrix(final)
@@ -471,8 +472,8 @@ def test_certify_family_members():
     for k in (2, 3):
         st = co.rho_family(k)
         excl = [e.name for e in st.edges if e.name.startswith("delta")]
-        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
-        assert isinstance(cert, ac.LowerBound)
+        cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+        assert isinstance(cert, ce.LowerBound)
         assert cert.power == k
 
 
@@ -488,8 +489,8 @@ def test_linear_method_agrees_with_groebner():
         deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
         cases.append((st, k, deltas, k, used))
     for st, k, excl, power, used in cases:
-        cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
-        assert isinstance(cert, ac.LowerBound)
+        cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+        assert isinstance(cert, ce.LowerBound)
         assert (cert.power, len(cert.minors)) == (power, used)
         sym = _range_matrix(st, naming="edge" if excl else "site")
         ring = sym.ring
@@ -535,7 +536,7 @@ def _closure_cases():
 def test_closure_matches_enumerate_then_solve(name, st, k, excl):
     """The witness closure stores the same power, minors, positions and
     cofactors as solving over every enumerated minor."""
-    cert = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+    cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
     assert (cert.power, cert.minors) == _enumerated_lower(st, k, excl)
 
 
@@ -546,14 +547,14 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
     monkeypatch.setattr(ac, "minor_ideal", enumerate_)
     monkeypatch.setattr(ac, "linear_membership_cofactors", enumerate_)
     final = co.rho_4x5().final
-    assert ac.certify_sn_lower(final, final.edges[0].vec, 3, ()).power == 4
+    assert ce.certify_sn_lower(final, final.edges[0].vec, 3, ()).power == 4
     st = co.rho_family(4)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
-    cert = ac.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas)
+    cert = ce.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas)
     assert len(cert.minors) == 14
 
 
-def test_certify_sn_lower_solves_for_the_range_once(monkeypatch):
+def test_certify_sn_lower_solves_for_the_range_once(spy):
     """The witness check and the choice of basis share one range solve, and
     the basis choice names its source: the edges, or on rho3x3 with e3 split
     into two dependent edges, the canonical basis of the range."""
@@ -562,25 +563,23 @@ def test_certify_sn_lower_solves_for_the_range_once(monkeypatch):
     split = qs.BipartiteState(3, 3, label="split", edges=split + [
         qs.NamedVector("e3b", rho.edges[3].vec, Fraction(2))])
     assert split == rho
-    calls = []
-    column_space = em.column_space
-    monkeypatch.setattr(em, "column_space", lambda M: calls.append(M) or column_space(M))
+    calls = spy(em, "column_space")
     for st, k, source in ((co.rho_4x5().final, 3, "edges"), (rho, 2, "edges"),
                           (split, 2, "range")):
         calls.clear()
-        assert ac.certify_sn_lower(st, st.edges[0].vec, k, ()).basis == source
-        assert calls == [st.matrix]
+        assert ce.certify_sn_lower(st, st.edges[0].vec, k, ()).basis == source
+        assert calls == [("column_space", (st.matrix,))]
 
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
     with pytest.raises(DimensionMismatch):
-        ac.certify_sn_lower(co.rho_3x3(), co.rho_3x3().edges[0].vec, 4, ())
+        ce.certify_sn_lower(co.rho_3x3(), co.rho_3x3().edges[0].vec, 4, ())
 
 
 def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
     """The certifier checks the identity of the cofactors it is about to
     write: a solve whose trail has one coefficient changed is caught."""
-    solve = ac._cofactor_trail
+    solve = ce._cofactor_trail
 
     def tampered(*args):
         solved = solve(*args)
@@ -590,10 +589,10 @@ def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
         key = next(iter(trail))
         return {**trail, key: trail[key] + 1}, sigma
 
-    monkeypatch.setattr(ac, "_cofactor_trail", tampered)
+    monkeypatch.setattr(ce, "_cofactor_trail", tampered)
     final = co.rho_4x5().final
     with pytest.raises(InternalInconsistency):
-        ac.certify_sn_lower(final, final.edges[0].vec, 3, ())
+        ce.certify_sn_lower(final, final.edges[0].vec, 3, ())
 
 
 def _determinants(sym, pairs):
@@ -681,17 +680,17 @@ def test_linear_membership_cofactors_small():
 
 def test_certify_separable_inconclusive():
     d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 1, 1]), label="sep")
-    res = ac.certify_sn_lower(d, em.basis_vector(4, 0), 2, ())
-    assert isinstance(res, ac.Inconclusive)
+    res = ce.certify_sn_lower(d, em.basis_vector(4, 0), 2, ())
+    assert isinstance(res, ce.Inconclusive)
 
 
 def test_certify_witness_validation():
     final = co.rho_4x5().final
     with pytest.raises(WitnessNotInRange):
-        ac.certify_sn_lower(final, em.basis_vector(20, 3), 3, ())
+        ce.certify_sn_lower(final, em.basis_vector(20, 3), 3, ())
     overlap = tuple(a + b for a, b in zip(final.edges[0].vec, final.edges[1].vec))
     with pytest.raises(NonSingleVariableOverlap):
-        ac.certify_sn_lower(final, overlap, 3, ())
+        ce.certify_sn_lower(final, overlap, 3, ())
 
 
 def test_certify_numeric_spot_check():
@@ -712,12 +711,12 @@ def test_certify_numeric_spot_check():
 
 def test_sn_upper_family_and_product():
     st = co.rho_family(3)
-    cert = ac.sn_upper_from_decomposition(st)
+    cert = ce.sn_upper_from_decomposition(st)
     assert cert.value == 3
     v = em.kron_vec(em.vector([1, 2]), em.vector([0, 1]))
     pure = qs.BipartiteState(2, 2, label="prod", edges=[qs.NamedVector("v", v, Fraction(1))])
     assert pure.matrix == em.ExactMatrix.outer(v, v)
-    cert = ac.sn_upper_from_decomposition(pure)
+    cert = ce.sn_upper_from_decomposition(pure)
     assert cert == (1, (1,))
 
 
@@ -728,7 +727,7 @@ def test_sn_upper_family_transpose():
         # the constructor checks the decomposition against the matrix
         pt_state = qs.BipartiteState(dim, dim, st.partial_transpose("A"),
                                      label=f"family{k}-pt", edges=co.family_pt_decomposition(k))
-        cert = ac.sn_upper_from_decomposition(pt_state)
+        cert = ce.sn_upper_from_decomposition(pt_state)
         assert cert.value == 2
 
 
@@ -744,9 +743,9 @@ def test_lower_never_exceeds_upper_on_corpus():
     pipe = co.rho_4x5()
     corpus = [(pipe.final, 3, ()), (co.rho_family(2), 2, ("delta_1", "delta_2"))]
     for st, k, excl in corpus:
-        lower = ac.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
-        upper = ac.sn_upper_from_decomposition(st)
-        assert isinstance(lower, ac.LowerBound)
+        lower = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+        upper = ce.sn_upper_from_decomposition(st)
+        assert isinstance(lower, ce.LowerBound)
         assert lower.value <= upper.value
 
 
@@ -934,7 +933,7 @@ def test_records_are_immutable():
     """Bounds and rule verdicts are named tuples: their fields cannot be
     reassigned."""
     final = co.rho_4x5().final
-    lower, upper = ac.certify_sn(final)
+    lower, upper = ce.certify_sn(final)
     verdict = ex.RuleVerdict(True, "R1", 1, (), details={"reason": "a"})
     for record, field in ((lower, "power"), (upper, "value"), (verdict, "rule")):
         with pytest.raises(AttributeError):

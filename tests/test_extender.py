@@ -14,7 +14,7 @@ from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
 from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch, NotPPT,
-                           PptlabError, PreconditionViolation, RangeViolation)
+                           PPTFailure, PptlabError, PreconditionViolation, RangeViolation)
 
 from oracles import ppt_extension_space_stacked, trivial_coupling_space_by_products
 
@@ -483,16 +483,13 @@ def test_run_pipeline_without_edges_builds_the_same_stages():
     assert all(st.edges is None for st in stages)
 
 
-def test_rho4x5_sums_and_factors_each_matrix_once(monkeypatch):
+def test_rho4x5_sums_and_factors_each_matrix_once(spy):
     """Built from scratch, rho4x5 runs 4 Gram sums (rho3x3's edges, then
-    each step's lifted edges once, in lift_decomposition) and 8 LDL* (each
-    assembled extension, each product pair's partial transpose and each
-    remainder); no state built from edges is factored."""
-    calls = []
-    for name in ("weighted_gram", "psd_check"):
-        kernel = getattr(em, name)
-        monkeypatch.setattr(em, name, lambda *args, _name=name, _kernel=kernel:
-                            calls.append(_name) or _kernel(*args))
+    each step's lifted edges once, in lift_decomposition) and 6 LDL* (the
+    direct sum's extension, each product pair's partial transpose, which
+    also proves that extension PSD, and each remainder); no state built
+    from edges is factored."""
+    calls = spy(em, "weighted_gram", "psd_check")
     co.rho_3x3.cache_clear()
     co.rho_4x5.cache_clear()
     try:
@@ -500,20 +497,17 @@ def test_rho4x5_sums_and_factors_each_matrix_once(monkeypatch):
     finally:
         co.rho_3x3.cache_clear()
         co.rho_4x5.cache_clear()
-    assert (calls.count("weighted_gram"), calls.count("psd_check")) == (4, 8)
+    names = [name for name, _ in calls]
+    assert (names.count("weighted_gram"), names.count("psd_check")) == (4, 6)
 
 
-def test_rho4x5_builds_every_level_in_place(monkeypatch):
+def test_rho4x5_builds_every_level_in_place(spy):
     """Each step of rho4x5 places its new level on its own side, so the
-    build changes no frame; it still runs 4 Gram sums and 8 LDL*.  A
+    build changes no frame; it still runs 4 Gram sums and 6 LDL*.  A
     product pair decides its range conditions by the range solves of its
     edge block, so the build forms no column space and runs 7 ``_rref``."""
-    calls = []
-    for module, name in ((em, "weighted_gram"), (em, "psd_check"), (qs, "swap_subsystems"),
-                         (em, "column_space"), (em, "_rref")):
-        kernel = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda *args, _name=name, _kernel=kernel, **kwargs:
-                            calls.append(_name) or _kernel(*args, **kwargs))
+    spy(qs, "swap_subsystems")
+    calls = spy(em, "weighted_gram", "psd_check", "column_space", "_rref")
     co.rho_3x3.cache_clear()
     co.rho_4x5.cache_clear()
     try:
@@ -521,8 +515,9 @@ def test_rho4x5_builds_every_level_in_place(monkeypatch):
     finally:
         co.rho_3x3.cache_clear()
         co.rho_4x5.cache_clear()
-    assert [calls.count(name) for name in ("swap_subsystems", "weighted_gram", "psd_check",
-                                           "column_space", "_rref")] == [0, 4, 8, 0, 7]
+    names = [name for name, _ in calls]
+    assert [names.count(name) for name in ("swap_subsystems", "weighted_gram", "psd_check",
+                                           "column_space", "_rref")] == [0, 4, 6, 0, 7]
 
 
 def test_rho4x5_stages_are_the_sums_of_their_edges():
@@ -533,24 +528,18 @@ def test_rho4x5_stages_are_the_sums_of_their_edges():
             stage.matrix
 
 
-def test_rho4x5_factors_no_large_matrix_twice(monkeypatch):
-    """Building rho4x5 PSD-checks each 16x16 and 20x20 matrix once: a
-    product-pair step reuses the extension it checked."""
-    factored = []
-    check = em.psd_check
-
-    def counting(M):
-        factored.append(M)
-        return check(M)
-
-    monkeypatch.setattr(em, "psd_check", counting)
+def test_rho4x5_factors_no_large_matrix_twice(spy):
+    """Building rho4x5 PSD-checks each 16x16 and 20x20 matrix at most once:
+    a product-pair step factors its extension's partial transpose, which
+    proves the extension PSD too, and then its remainder."""
+    calls = spy(em, "psd_check")
     co.rho_4x5.cache_clear()
     try:
         co.rho_4x5()
     finally:
         co.rho_4x5.cache_clear()
-    large = [M for M in factored if M.rows in (16, 20)]
-    assert [M.rows for M in large] == [16, 16, 16, 20, 20, 20]
+    large = [M for _, (M,) in calls if M.rows in (16, 20)]
+    assert [M.rows for M in large] == [16, 16, 20, 20]
     assert len(set(large)) == len(large)
 
 
@@ -641,6 +630,50 @@ def test_product_pair_coupling_is_never_trivial(name, data):
     assert not _is_trivial_coupling(core, ext, side)
 
 
+@pytest.mark.parametrize("name", sorted(FULL_RANK_CORES))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_product_pair_of_a_ppt_core_is_ppt(name, data):
+    """On a PPT core a product pair that passes its preconditions is PSD and
+    its partial transposes on A and on B are PSD, on either side, although
+    only the partial transpose on its side is factored when it is built:
+    the argument in ``product_pair_extension``'s docstring, checked by LDL*."""
+    core = FULL_RANK_CORES[name]()
+    side = data.draw(st.sampled_from("AB"), label="side")
+    here, other = core.dims if side == "A" else core.dims[::-1]
+    vec = lambda size: tuple(data.draw(st.lists(gaussian_rationals, min_size=size, max_size=size)))
+    ext, exc = _outcome(ex.product_pair_extension, core, vec(here), vec(other), vec(other), side)
+    event("built" if ext is not None else "refused")
+    if ext is None:
+        assert exc[0] is PreconditionViolation
+        return
+    assert em.psd_check(ext.matrix).is_psd
+    assert all(em.psd_check(ext.partial_transpose(t)).is_psd for t in "AB")
+
+
+def _npt_full_rank():
+    """``1 + 3 |Phi><Phi|`` on 3x3 with ``|Phi> = sum |ii>``: full rank, and
+    NPT, since its partial transpose ``1 + 3 F`` (``F`` the swap) has the
+    eigenvalue -2 on the antisymmetric subspace."""
+    phi = tuple(em.ONE if i in (0, 4, 8) else em.ZERO for i in range(9))
+    return qs.BipartiteState(3, 3, em.ExactMatrix.identity(9) +
+                             em.ExactMatrix.outer(phi, phi).scale(3), label="npt")
+
+
+@pytest.mark.parametrize("beta, gamma", [(0, 1), (1, 0)],
+                         ids=["extension-not-psd", "extension-psd"])
+def test_product_pair_of_an_npt_core_fails_its_ppt_check(beta, gamma):
+    """On an NPT core that meets every precondition the partial transpose's
+    LDL* refuses the product pair, whether the extension is PSD or not:
+    with ``gamma = |1>`` the coefficient ``<ag|(rho^T)^{-1}|ag>`` is -1/8,
+    so the extension is not PSD; with ``gamma = |0>`` it is PSD, but its
+    partial transpose contains the core's, which is not."""
+    core = _npt_full_rank()
+    with pytest.raises(PPTFailure, match="assembled extension fails the exact PPT check"):
+        ex.product_pair_extension(core, em.basis_vector(3, 0), em.basis_vector(3, beta),
+                                  em.basis_vector(3, gamma), "A")
+
+
 def _is_trivial_coupling(core, ext, side):
     """Whether the coupling of ``ext``, the extension of ``core`` at the
     last level of ``side``, is in the span of the SLOCC couplings by
@@ -716,15 +749,13 @@ def test_lift_through_recorded_pipeline():
         assert qs.schmidt_rank(v1, 4, 4) <= sr0 + 1
 
 
-def test_lift_checks_the_core_through_the_extension_once(monkeypatch):
+def test_lift_checks_the_core_through_the_extension_once(spy):
     """lift_decomposition runs one Gram sum, of the lifted edges against the
     extension, and that check refuses a wrong core vector or weight."""
     pipe = co.rho_4x5()
     vecs = [e.vec for e in pipe.stage1.edges]
     weights = [e.weight for e in pipe.stage1.edges]
-    calls = []
-    gram = em.weighted_gram
-    monkeypatch.setattr(em, "weighted_gram", lambda *args: calls.append(1) or gram(*args))
+    calls = spy(em, "weighted_gram")
     ex.lift_decomposition(pipe.stage2, "B", 3, vecs, weights)
     assert len(calls) == 1
     for wrong_vecs, wrong_weights in (([vecs[1]] + vecs[1:], weights),

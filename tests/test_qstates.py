@@ -66,12 +66,10 @@ def test_rho3x3_trace_and_norms():
     assert [int(em.vdot(e.vec, e.vec).re) for e in rho.edges] == [3, 2, 2, 1, 1]
 
 
-def test_rho3x3_sums_its_named_edges_once(monkeypatch):
+def test_rho3x3_sums_its_named_edges_once(spy, monkeypatch):
     """rho3x3 builds its five named edges and sums them once; its edges and
     matrix are those of the grid state it names."""
-    calls = []
-    gram = em.weighted_gram
-    monkeypatch.setattr(em, "weighted_gram", lambda *args: calls.append(1) or gram(*args))
+    calls = spy(em, "weighted_gram")
     rho = co.rho_3x3.__wrapped__()
     assert len(calls) == 1
     monkeypatch.undo()
@@ -84,13 +82,11 @@ def test_rho3x3_sums_its_named_edges_once(monkeypatch):
          for i, j in enumerate((0, 1, 4, 2, 3))]
 
 
-def test_swap_subsystems_sums_and_factors_nothing(monkeypatch):
+def test_swap_subsystems_sums_and_factors_nothing(spy):
     """A swap permutes a checked state's matrix and edges: no Gram sum and
     no LDL* runs."""
     stage = co.rho_4x5().stage1
-    calls = []
-    for name in ("weighted_gram", "psd_check"):
-        monkeypatch.setattr(em, name, lambda *args, _name=name: calls.append(_name))
+    calls = spy(em, "weighted_gram", "psd_check")
     sw = qs.swap_subsystems(stage)
     assert calls == [] and sw.dims == (3, 4) and len(sw.edges) == len(stage.edges)
 

@@ -13,12 +13,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from pptlab import algcert as ac
+from pptlab import certifier as ce
 from pptlab import cli
 from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import minors as mi
 from pptlab import qstates as qs
+from pptlab import replay as rp
 from pptlab import serialize as se
 from pptlab.errors import (
     BoundsViolation,
@@ -71,13 +73,13 @@ def test_ppt_certificate_tamper_detection():
 def _verdict(state, lower):
     """The sn-verdict of ``state`` with the ``lower`` result and the upper
     bound of its edges, as read back from JSON."""
-    upper = ac.sn_upper_from_decomposition(state)
+    upper = ce.sn_upper_from_decomposition(state)
     return json.loads(json.dumps(se.sn_verdict_certificate(state, lower, upper)))
 
 
 def test_sn_certificates_roundtrip():
     final = co.rho_4x5().final
-    data = _verdict(final, ac.certify_sn_lower(final, final.edges[0].vec, 3, ()))
+    data = _verdict(final, ce.certify_sn_lower(final, final.edges[0].vec, 3, ()))
     assert set(data) == {"kind", "state", "lower", "upper", "verdict"}
     assert data["state"] == se.state_to_json(final) and data["verdict"] == "SN = 3"
     assert not {"kind", "state", "k"} & (set(data["lower"]) | set(data["upper"]))
@@ -312,7 +314,7 @@ def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
 @pytest.mark.parametrize("verb, kernel", [
     ("ppt-check", "psd_check"), ("verify", "weighted_gram"),
 ])
-def test_cli_kernel_fault_in_a_replay_keeps_its_traceback(tmp_path, monkeypatch, verb, kernel):
+def test_cli_kernel_fault_in_a_replay_keeps_its_traceback(tmp_path, replace, verb, kernel):
     """Reading a stored state or certificate is input parsing; the exact
     kernels that replay it are not, so a ValueError raised inside one
     surfaces instead of exiting 2 or failing the certificate."""
@@ -327,7 +329,7 @@ def test_cli_kernel_fault_in_a_replay_keeps_its_traceback(tmp_path, monkeypatch,
     def broken(*args):
         raise ValueError("kernel fault")
 
-    monkeypatch.setattr(em, kernel, broken)
+    replace(em, kernel, broken)
     with pytest.raises(ValueError, match="kernel fault"):
         cli.run(argv)
 
@@ -396,19 +398,15 @@ def test_cli_certify_sn_needs_edges(tmp_path, capsys, state):
     assert capsys.readouterr().err == "certify-sn: state carries no range decomposition\n"
 
 
-def test_loading_an_edge_state_sums_its_edges_once(tmp_path, monkeypatch):
+def test_loading_an_edge_state_sums_its_edges_once(tmp_path, spy, monkeypatch):
     """A state file of edges is read by one Gram sum and no LDL*: a Gram sum
     of nonnegative weights is PSD by construction."""
     path = tmp_path / "family5.json"
     assert cli.run(["build", "--state", "family:5", "--out", str(path)]) == 0
     data = json.loads(path.read_text())
-    calls = []
-    for name in ("weighted_gram", "psd_check"):
-        kernel = getattr(em, name)
-        monkeypatch.setattr(em, name, lambda *args, _name=name, _kernel=kernel:
-                            calls.append(_name) or _kernel(*args))
+    calls = spy(em, "weighted_gram", "psd_check")
     loaded = se.state_from_json(data)
-    assert calls == ["weighted_gram"]
+    assert [name for name, _ in calls] == ["weighted_gram"]
     monkeypatch.undo()
     assert loaded == co.rho_family(5) and loaded.edges == tuple(co.family_edges(5))
 
@@ -586,27 +584,20 @@ def test_ppt_check_json_pinned(tmp_path, state, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-def _counting(monkeypatch, name):
-    """Calls of the exactmat kernel ``name``, counted from now on."""
-    calls = []
-    kernel = getattr(em, name)
-    monkeypatch.setattr(em, name, lambda *args: calls.append(1) or kernel(*args))
-    return calls
-
-
 def test_a_stored_matrix_state_is_factored_once_by_ppt_check_and_not_by_verify(
-        tmp_path, monkeypatch):
+        tmp_path, spy):
     """ppt-check of a stored matrix state runs two LDL* (rho and its partial
     transpose; three when loading the state ran its own), and verify of the
     certificate runs none: the Gram sums of the stored factorizations check
     both matrices, rho's the state itself."""
     state, cert = os.path.join(DATA, "rounded_4x4_s634511.json"), tmp_path / "ppt.json"
-    calls = _counting(monkeypatch, "psd_check")
+    calls = spy(em, "psd_check")
     assert cli.run(["ppt-check", "--state", state, "--out", str(cert)]) == 0
     assert len(calls) == 2
-    grams = _counting(monkeypatch, "weighted_gram")
+    spy(em, "weighted_gram")
     assert cli.run(["verify", str(cert)]) == 0
-    assert (len(calls), len(grams)) == (2, 2)
+    names = [name for name, _ in calls]
+    assert (names.count("psd_check"), names.count("weighted_gram")) == (2, 2)
 
 
 def _not_psd_matrix_state():
@@ -837,7 +828,7 @@ def test_serialize_import_loads_no_extender():
     assert _loaded_after_import("pptlab.serialize", ["pptlab.extender"]) == "[]"
 
 
-VERB_MODULES = ["pptlab.algcert", "pptlab.extender", "logging"]
+VERB_MODULES = ["pptlab.algcert", "pptlab.certifier", "pptlab.extender", "logging"]
 
 
 def test_cli_import_loads_no_verb_modules():
@@ -847,7 +838,7 @@ def test_cli_import_loads_no_verb_modules():
 
 def test_ppt_check_and_verify_process_loads_no_verb_modules(tmp_path):
     """A process that writes a ppt certificate and replays it loads neither
-    algcert, extender, logging nor dataclasses."""
+    the certifier, algcert, extender, logging nor dataclasses."""
     state, cert = tmp_path / "state.json", tmp_path / "ppt.json"
     assert cli.run(["build", "--state", "family:3", "--out", str(state)]) == 0
     ppt_check = ["ppt-check", "--state", str(state), "--out", str(cert)]
@@ -900,26 +891,31 @@ def _pptlab_modules_after(argv):
 
 
 def test_each_verb_process_loads_only_the_modules_it_runs(tmp_path):
-    """``verify`` replays without the certifier (``algcert``) and without
-    the named constructions; a verb that reads its state from a file never
-    builds a named state; ``survey`` loads neither the certifier nor the
-    extension layer."""
+    """``verify`` replays on the replay kernel (and ``minors`` for a lower
+    half), without the certifier and without the named constructions;
+    ``certify-sn`` runs the certifier without the Groebner oracle
+    (``algcert``); a verb that reads its state from a file never builds a
+    named state; ``survey`` loads neither the certifier nor the extension
+    layer."""
     state, ppt, sn = tmp_path / "state.json", tmp_path / "ppt.json", tmp_path / "sn.json"
     assert cli.run(["build", "--state", "family:3", "--out", str(state)]) == 0
     loaded = _pptlab_modules_after(["ppt-check", "--state", str(state), "--out", str(ppt)])
     assert "pptlab.constructions" not in loaded
     loaded = _pptlab_modules_after(["certify-sn", "--state", str(state), "--exclude-deltas",
                                     "--out", str(sn)])
-    assert "pptlab.algcert" in loaded and "pptlab.constructions" not in loaded
+    assert "pptlab.certifier" in loaded
+    assert not loaded & {"pptlab.algcert", "pptlab.constructions"}
     loaded = _pptlab_modules_after(["verify", FAMILY6])
     assert "pptlab.minors" in loaded
-    assert not loaded & {"pptlab.algcert", "pptlab.constructions"}
+    assert not loaded & {"pptlab.certifier", "pptlab.algcert", "pptlab.constructions"}
     loaded = _pptlab_modules_after(["verify", str(ppt)])
-    assert not loaded & {"pptlab.algcert", "pptlab.constructions", "pptlab.minors"}
+    assert not loaded & {"pptlab.certifier", "pptlab.algcert", "pptlab.constructions",
+                         "pptlab.minors"}
     loaded = _pptlab_modules_after(["survey", "--dims", "3x3", "--birank", "4,4",
                                     "--samples", "1", "--json"])
     assert "pptlab.numlab" in loaded
-    assert not loaded & {"pptlab.algcert", "pptlab.extender", "pptlab.constructions"}
+    assert not loaded & {"pptlab.certifier", "pptlab.algcert", "pptlab.extender",
+                         "pptlab.constructions"}
 
 
 def test_cli_json_with_out_prints_what_it_writes(tmp_path, capsys):
@@ -937,7 +933,7 @@ def test_cli_verbose_configures_logging():
     argv = ["-m", "pptlab.cli", "certify-sn", "--state", "rho3x3", "--k", "2"]
     assert _child(argv).stderr == ""
     err = _child(argv[:2] + ["--verbose"] + argv[2:]).stderr
-    assert "INFO pptlab.algcert: certify_sn_lower: " in err
+    assert "INFO pptlab.certifier: certify_sn_lower: " in err
 
 
 # -- sn-verdict claims ----------------------------------------------------------
@@ -988,7 +984,7 @@ def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
     """Both halves replay on the one stored state: the upper half of
     another 3x3 state does not match the ranks of its edges."""
     fam = co.rho_family(2)
-    upper = ac.sn_upper_from_decomposition(fam)
+    upper = ce.sn_upper_from_decomposition(fam)
     mixed = _copy(rho3x3_verdict)
     mixed["upper"] = se._sn_upper_json(upper)
     mixed["verdict"] = "SN = 2"
@@ -1118,7 +1114,7 @@ def test_certifier_and_verifier_refuse_the_same_setups(rho3x3_verdict, edit, exc
     state = se.state_from_json(cert["state"])
     witness = se.vector_from_json(cert["lower"]["witness"], 9)
     with pytest.raises(error, match=message):
-        ac.certify_sn_lower(state, witness, 2, exclude_vars=exclude)
+        ce.certify_sn_lower(state, witness, 2, exclude_vars=exclude)
     with pytest.raises(se.CertificateInvalid, match=message):
         se.verify_certificate(cert)
 
@@ -1343,10 +1339,8 @@ def test_old_format_sn_lower_is_rejected(rho3x3_verdict, edit):
         se.verify_certificate(lower)
 
 
-def test_sn_verdict_parses_its_state_once(rho3x3_verdict, monkeypatch):
-    calls = []
-    parse = se.state_from_json
-    monkeypatch.setattr(se, "state_from_json", lambda data: calls.append(1) or parse(data))
+def test_sn_verdict_parses_its_state_once(rho3x3_verdict, spy):
+    calls = spy(se, "state_from_json")
     assert se.verify_certificate(rho3x3_verdict)
     assert len(calls) == 1
 
@@ -1354,17 +1348,18 @@ def test_sn_verdict_parses_its_state_once(rho3x3_verdict, monkeypatch):
 @pytest.mark.parametrize("conclusive", [True, False], ids=["both-halves", "inconclusive"])
 def test_sn_verdict_replays_through_the_module_half_verifiers(rho3x3_verdict, monkeypatch,
                                                               conclusive):
-    """``verify_sn_verdict`` calls the module's ``verify_sn_lower_certificate``
-    and ``verify_sn_upper_certificate`` (which a tracer can wrap by name),
-    each once, with its half and the one parsed state."""
+    """``verify_sn_verdict`` calls the replay kernel's
+    ``verify_sn_lower_certificate`` and ``verify_sn_upper_certificate``
+    (which a tracer can wrap by name there), each once, with its half and
+    the one parsed state."""
     calls = []
 
     def counted(name):
-        replay = getattr(se, name)
+        replay = getattr(rp, name)
         return lambda half, state: calls.append((name, half, state)) or replay(half, state)
 
     for name in ("verify_sn_lower_certificate", "verify_sn_upper_certificate"):
-        monkeypatch.setattr(se, name, counted(name))
+        monkeypatch.setattr(rp, name, counted(name))
     cert = _copy(rho3x3_verdict)
     if not conclusive:
         del cert["lower"]
@@ -1383,7 +1378,7 @@ def genuine_lowers():
     out = {}
     for name, state in (("family3", co.rho_family(3)), ("rho4x5", co.rho_4x5().final)):
         deltas = [e.name for e in state.edges if e.name.startswith("delta")]
-        cert = ac.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas)
+        cert = ce.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas)
         out[name] = (state, _verdict(state, cert))
     return out
 
