@@ -791,13 +791,15 @@ class BipartiteState:
     ``edges`` optionally records a conic decomposition ``sum_w w |v><v|`` of
     the matrix, with no negative weight: alone, they define it by one Gram
     sum, PSD by construction; with a matrix, they must reproduce it.  A
-    matrix alone is checked PSD by exact LDL*.
+    matrix alone is checked PSD by exact LDL*.  Both dimensions are positive.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
 
     def __init__(self, dim_a: int, dim_b: int, matrix: ExactMatrix | None = None,
                  label: str = "", edges: Sequence[NamedVector] | None = None):
+        if dim_a < 1 or dim_b < 1:
+            raise DimensionMismatch(f"local dimensions {dim_a}x{dim_b} are not positive")
         if edges is None:
             if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
                 raise DimensionMismatch("matrix size does not match local dimensions")
@@ -990,6 +992,8 @@ def _state_parts(data: dict) -> tuple:
     dim_a, dim_b = data["dim_a"], data["dim_b"]
     if type(dim_a) is not int or type(dim_b) is not int:
         raise TypeError("state dimensions are not integers")
+    if dim_a < 1 or dim_b < 1:  # (-2)(-2) = 4 would pass every shape check
+        raise ValueError(f"state dimensions {dim_a}x{dim_b} are not positive")
     if "edges" not in data:
         return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", "")
     edges = [NamedVector(e["name"], vector_from_json(e["vector"], dim_a * dim_b),

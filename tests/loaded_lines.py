@@ -8,32 +8,44 @@ kind of state file (rho4x5, with ``pptlab build``) and runs, each in a
 fresh process, ``ppt-check`` and ``certify-sn`` on it and ``verify`` of the
 two certificates they write.
 
-``python tests/loaded_lines.py`` prints the four totals;
-``tests/test_verb_loading.py`` keeps each under a ceiling.
+``python tests/loaded_lines.py`` prints the four totals, and, for each of
+the four processes, the median time from ``main`` returning to the
+parent's wait returning (:func:`exit_times`, five runs): the interpreter's
+shutdown, which ``cli.main`` shortens by freezing the collector's objects.
+``tests/test_verb_loading.py`` keeps each total under a ceiling.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs ``pptlab argv`` as ``python -m pptlab.cli`` does (cli.py as
-# ``__main__``), then writes the pptlab modules left in sys.modules
+# ``__main__``), then writes the pptlab modules left in sys.modules, the
+# collector's freeze count and the system-wide monotonic time at which
+# ``main`` returned (by ``sys.exit`` or an exception)
 _PROBE = """\
-import atexit, json, runpy, sys
+import atexit, gc, json, runpy, sys, time
+returned = []
 def dump():
     with open({out!r}, "w") as fh:
-        json.dump({{name: module.__file__ for name, module in sys.modules.items()
-                   if name.split(".")[0] == "pptlab"}}, fh)
+        json.dump({{"modules": {{name: module.__file__ for name, module in sys.modules.items()
+                                if name.split(".")[0] == "pptlab"}},
+                   "frozen": gc.get_freeze_count(), "returned": returned[0]}}, fh)
 atexit.register(dump)
 sys.argv = ["pptlab", *{argv!r}]
-runpy.run_module("pptlab.cli", run_name="__main__", alter_sys=True)
+try:
+    runpy.run_module("pptlab.cli", run_name="__main__", alter_sys=True)
+finally:
+    returned.append(time.clock_gettime(time.CLOCK_MONOTONIC))
 """
 
 VERBS = (
@@ -49,16 +61,31 @@ def _lines(path) -> int:
         return sum(1 for _ in fh)
 
 
+def probe(argv, cwd) -> tuple:
+    """Run ``pptlab argv`` in ``cwd`` in a fresh process; return its exit
+    code, what it wrote at exit (``modules``: ``{module: file}`` of the
+    ``pptlab`` modules loaded, ``frozen``: ``gc.get_freeze_count()``), and
+    the seconds from ``main`` returning to this process's wait returning."""
+    out = os.path.join(cwd, "probe.json")
+    if os.path.exists(out):  # a process that writes none must not read the last one's
+        os.remove(out)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    code = subprocess.run([sys.executable, "-c", _PROBE.format(out=out, argv=argv)], cwd=cwd,
+                          env=env, capture_output=True).returncode
+    waited = time.clock_gettime(time.CLOCK_MONOTONIC)
+    with open(out) as fh:
+        found = json.load(fh)
+    return code, found, waited - found["returned"]
+
+
 def loaded(argv, cwd) -> dict:
     """``{module: file}`` of the ``pptlab`` modules that a fresh process
     running ``pptlab argv`` in ``cwd`` has loaded when it exits (0)."""
-    out = os.path.join(cwd, "modules.json")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-c", _PROBE.format(out=out, argv=argv)], cwd=cwd,
-                   env=env, check=True, capture_output=True)
-    with open(out) as fh:
-        return json.load(fh)
+    code, found, _ = probe(argv, cwd)
+    if code != 0:
+        raise subprocess.CalledProcessError(code, ["pptlab", *argv])
+    return found["modules"]
 
 
 def measure(workdir) -> dict:
@@ -75,8 +102,19 @@ def measure(workdir) -> dict:
     return out
 
 
+def exit_times(workdir) -> dict:
+    """``{verb: median seconds from main returning to the wait returning}``
+    over five fresh processes of each of :data:`VERBS`, in a ``workdir``
+    that :func:`measure` has filled."""
+    return {name: statistics.median(probe(argv, workdir)[2] for _ in range(5))
+            for name, argv in VERBS}
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         found = measure(tmp)
+        exits = exit_times(tmp)
     print("Lines of pptlab compiled per process: "
           + ", ".join(f"{name} {lines}" for name, (lines, _) in found.items()))
+    print("Median exit time per process (main returning to the wait returning, five runs): "
+          + ", ".join(f"{name} {seconds * 1e3:.1f} ms" for name, seconds in exits.items()))

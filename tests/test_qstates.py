@@ -8,7 +8,7 @@ import pytest
 from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import qstates as qs
-from pptlab.errors import BoundsViolation, InvalidK, NotPsd
+from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NotPsd
 
 
 def test_grid_single_solid_edge():
@@ -203,6 +203,17 @@ def test_swap_examples():
 def test_state_constructor_rejects_non_psd():
     with pytest.raises(NotPsd):
         qs.BipartiteState(1, 2, em.ExactMatrix([[1, 2], [2, 1]]), label="bad")
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4), (4, 0), (0, 0)])
+def test_state_constructor_rejects_non_positive_dimensions(dims):
+    """Dimensions whose product is the matrix size, or zero, are still not
+    a state's: the partial transpose over ``range(-2)`` would be zero."""
+    v = em.vector([1, 0, 0, 1])
+    for kwargs in ({"matrix": em.ExactMatrix.outer(v, v)},
+                   {"edges": [qs.NamedVector("e", v, Fraction(1))]}):
+        with pytest.raises(DimensionMismatch, match="are not positive"):
+            qs.BipartiteState(*dims, **kwargs)
 
 
 def test_rho4x5_pipeline_stages_and_ppt():

@@ -311,6 +311,35 @@ def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
     assert "verify: FAILED" in capsys.readouterr().out
 
 
+def _bell_json(dim_a, dim_b):
+    """The Bell state ``|00> + |11>`` stored as one edge, with the stated dimensions."""
+    return {"kind": "state", "dim_a": dim_a, "dim_b": dim_b, "label": "bell",
+            "edges": [{"name": "e", "vector": [[0, "1"], [3, "1"]], "weight": "1"}]}
+
+
+@pytest.mark.parametrize("dims", [(-2, -2), (-1, -4)], ids=["minus-2x-2", "minus-1x-4"])
+def test_cli_refuses_non_positive_dimensions(tmp_path, capsys, dims):
+    """The Bell state is NPT.  Stored with dimensions whose product is 4, it
+    passed the shape checks, and its partial transpose over ``range(-2)``
+    was the zero matrix: ``ppt-check`` called it PPT and ``verify`` replayed
+    that certificate.  Both now refuse the dimensions."""
+    state, cert = tmp_path / "state.json", tmp_path / "cert.json"
+    state.write_text(json.dumps(_bell_json(2, 2)))
+    assert cli.run(["ppt-check", "--state", str(state)]) == 0
+    assert capsys.readouterr().out == "bell: NPT\n"
+    state.write_text(json.dumps(_bell_json(*dims)))
+    assert cli.run(["ppt-check", "--state", str(state)]) == 2
+    assert capsys.readouterr() == ("", "ppt-check: MalformedData: malformed state: ValueError: "
+                                   f"state dimensions {dims[0]}x{dims[1]} are not positive\n")
+    bell = se.state_from_json(_bell_json(2, 2))
+    forged = se.ppt_certificate(qs.BipartiteState._raw(*dims, bell.matrix, "bell", bell.edges))
+    assert (forged["verdict"], forged["state"]["dim_a"]) == ("PPT", dims[0])
+    cert.write_text(json.dumps(forged))
+    assert cli.run(["verify", str(cert)]) == 1
+    assert capsys.readouterr().out == ("verify: FAILED: malformed state: ValueError: "
+                                       f"state dimensions {dims[0]}x{dims[1]} are not positive\n")
+
+
 @pytest.mark.parametrize("verb, kernel", [
     ("ppt-check", "psd_check"), ("verify", "weighted_gram"),
 ])
@@ -1598,8 +1627,16 @@ def genuine_verdicts(tmp_path_factory):
     return out
 
 
+def _non_positive_dims(state):
+    """Negative stored dimensions whose product is the genuine ``dim_a *
+    dim_b``, so that every shape check of the stored vectors and matrix
+    passes."""
+    m, n = state["dim_a"], state["dim_b"]
+    return [(-m, -n), (-1, -m * n), (-m * n, -1)]
+
+
 UPPER_MUTATIONS = ("edge-name", "edge-vector-entry", "edge-pairs", "edge-weight",
-                   "upper-value", "schmidt-rank", "verdict")
+                   "upper-value", "schmidt-rank", "verdict", "dims")
 VERDICT_MUTATIONS = ("cofactor", "row-index", "column-index", "power", "witness-variable",
                      "basis", "witness-pairs", "monomial-pairs") + UPPER_MUTATIONS
 ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
@@ -1608,8 +1645,9 @@ ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
 def _mutate_verdict(data, payload):
     """One drawn perturbation of one field of an sn-verdict (in place): of
     a half, of an edge of its one state (name, vector entry, a fault in its
-    sparse pairs, or weight), or of the verdict line.  Without a lower half
-    only the upper and state mutations apply."""
+    sparse pairs, or weight), of the state's dimensions (negative, with
+    the upper half derived from them), or of the verdict line.  Without a
+    lower half only the upper and state mutations apply."""
     lower, upper, state = payload.get("lower"), payload["upper"], payload["state"]
     length = state["dim_a"] * state["dim_b"]
     kind = data.draw(st.sampled_from(VERDICT_MUTATIONS if lower else UPPER_MUTATIONS),
@@ -1646,6 +1684,14 @@ def _mutate_verdict(data, payload):
     elif kind == "edge-weight":
         edge["weight"] = data.draw(st.sampled_from(["0", "2", "1/2", "-1", "x", None, 3, 3.0, True]
                                                    + _numbers(edge["weight"])))
+    elif kind == "dims":
+        # and the upper half and verdict line that the kernel derives from them
+        m, n = data.draw(st.sampled_from(_non_positive_dims(state)), label="dims")
+        state["dim_a"], state["dim_b"] = m, n
+        upper["schmidt_ranks"] = [rp.schmidt_rank(rp.vector_from_json(e["vector"], length), m, n)
+                                  for e in state["edges"]]
+        upper["value"] = max(upper["schmidt_ranks"])
+        payload["verdict"] = se.sn_verdict_text(lower and lower["value"], upper["value"])
     elif kind == "upper-value":
         upper["value"] = data.draw(st.integers(0, 6) | st.sampled_from(
             [True, None, str(upper["value"])] + _numbers(str(upper["value"]))), label="value")
@@ -1667,15 +1713,16 @@ def _numbers(text):
 
 def _upper_claim_holds(upper, stored):
     """Independent check of an accepted upper half on the ``stored`` state,
-    the weighted Gram sum of its edges: the edge vectors are valid sparse
-    pairs, the weights are nonnegative rational strings, and sympy ranks of
-    the edge vectors' matricizations are the stored Schmidt ranks, whose
-    maximum is the claimed value, an integer."""
+    the weighted Gram sum of its edges: the dimensions are positive, the
+    edge vectors are valid sparse pairs, the weights are nonnegative
+    rational strings, and sympy ranks of the edge vectors' matricizations
+    are the stored Schmidt ranks, whose maximum is the claimed value, an
+    integer."""
     sympy = pytest.importorskip("sympy")
     m, n = stored["dim_a"], stored["dim_b"]
     vectors = [_vector(e["vector"], m * n) for e in stored["edges"]]
-    if None in vectors or not all(isinstance(e["weight"], str) and Fraction(e["weight"]) >= 0
-                                  for e in stored["edges"]):
+    if m < 1 or n < 1 or None in vectors or not all(
+            isinstance(e["weight"], str) and Fraction(e["weight"]) >= 0 for e in stored["edges"]):
         return False
 
     def number(z):
@@ -1927,7 +1974,7 @@ def genuine_ppt_certificates():
 
 
 PPT_MUTATIONS = ("pivot", "column-entry", "column-pairs", "imaginary-part", "state-entry",
-                 "swapped-state", "verdict", "psd-flag")
+                 "swapped-state", "verdict", "psd-flag", "dims")
 NPT_MUTATIONS = PPT_MUTATIONS + ("witness-entry", "witness-pairs", "witness-value")
 SCALARS = ["0", "1", "-1", "2", "1/2", "-1/4", "1+1 i", "1 i", "x", "", None, 1]
 
@@ -1949,7 +1996,8 @@ def _mutate_ppt(data, cert, others):
     genuine ``rho`` evidence, so that only the ``rho_ta`` evidence is false.
     The state mutations change an entry of the matrix, or of an edge (its
     name, a vector entry, its weight or a fault in its sparse pairs) when
-    the state is stored as edges."""
+    the state is stored as edges; ``dims`` writes the certificate of the
+    state read with negative dimensions."""
     npt = not cert["rho_ta"]["psd"]
     ev, state = cert["rho"], cert["state"]
     n = state["dim_a"] * state["dim_b"]
@@ -1998,6 +2046,12 @@ def _mutate_ppt(data, cert, others):
     elif kind == "swapped-state":
         other = _copy(data.draw(st.sampled_from(others)))
         cert["state"], cert["rho"] = other["state"], other["rho"]
+    elif kind == "dims":
+        # the certificate the writer makes of the stored state read with them
+        s = se.ppt_state_from_json(state)
+        dims = data.draw(st.sampled_from(_non_positive_dims(state)), label="dims")
+        cert.update(_copy(se.ppt_certificate(qs.BipartiteState._raw(*dims, s.matrix, s.label,
+                                                                    s.edges))))
     elif kind == "verdict":
         cert["verdict"] = data.draw(st.sampled_from(["PPT", "NPT", "ppt", None]), label="verdict")
     elif kind == "psd-flag":
@@ -2018,19 +2072,21 @@ def _mutate_ppt(data, cert, others):
 
 
 def _ppt_claim_holds(cert):
-    """Independent check of an accepted ppt certificate: every stored vector
-    (edge, LDL* column, witness) is valid sparse pairs and, by sympy, the
-    stored matrix, or the weighted Gram sum of the stored edges, is
-    Hermitian and is PSD (the stored state is a state), and its partial
-    transpose is PSD exactly when the verdict is PPT.  A Hermitian ``A`` is
-    PSD iff every coefficient of ``det(x + A)`` is nonnegative.  Stored
-    rationals (edge weights, pivots) must be strings, and each ``psd`` flag
-    ``true`` or ``false``."""
+    """Independent check of an accepted ppt certificate: the stored
+    dimensions are positive, every stored vector (edge, LDL* column,
+    witness) is valid sparse pairs and, by sympy, the stored matrix, or the
+    weighted Gram sum of the stored edges, is Hermitian and is PSD (the
+    stored state is a state), and its partial transpose is PSD exactly when
+    the verdict is PPT.  A Hermitian ``A`` is PSD iff every coefficient of
+    ``det(x + A)`` is nonnegative.  Stored rationals (edge weights, pivots)
+    must be strings, and each ``psd`` flag ``true`` or ``false``."""
     sympy = pytest.importorskip("sympy")
     if not all(type(cert[key]["psd"]) is bool for key in ("rho", "rho_ta")):
         return False
     state = cert["state"]
     m, n = state["dim_a"], state["dim_b"]
+    if m < 1 or n < 1:
+        return False
     evidence = [v for ev in (cert["rho"], cert["rho_ta"])
                 for v in (ev["columns"] if ev["psd"] else [ev["witness"]])]
     edges = [_vector(e["vector"], m * n) for e in state.get("edges", ())]
