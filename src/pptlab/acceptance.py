@@ -17,7 +17,6 @@ from . import constructions as co
 from . import exactmat as em
 from . import extender as ex
 from . import extension_count_bound
-from . import minors as mi
 from . import qstates as qs
 from .errors import CriterionFailed, DecompositionMismatch
 
@@ -86,7 +85,7 @@ def criterion_1() -> CriterionResult:
         _, sym = ac.range_coordinate_matrix(rho, em.column_space(rho.matrix), "site")
         minors = ac.minor_ideal(sym, 2, ())
         gb = ac.buchberger(minors)
-        ring = sym.ring
+        ring = ac.PolyRing(sym.variables)
         psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
         _check(ac.in_ideal(psi00 ** 2, gb), "psi00^2 not in the 2-minor ideal")
         _check(ac.in_ideal(psi01 * psi10, gb), "psi01*psi10 not in the 2-minor ideal")
@@ -116,7 +115,7 @@ def cofactor_identity_4x5() -> bool:
     so x00^4 lies in the ideal generated by the g_i.  (The cofactors on g1
     and g2 carry the factor 1/2.)  Independent of Groebner machinery.
     """
-    ring = mi.PolyRing(["x00", "x01", "x10", "x02", "x20"])
+    ring = ac.PolyRing(["x00", "x01", "x10", "x02", "x20"])
     x00, x01, x10, x02, x20 = (ring.var(v) for v in ring.variables)
     g1 = x20 * (x00 * x00 - x01 * x10)
     g2 = x02 * (x00 * x00 + x01 * x10)

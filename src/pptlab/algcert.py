@@ -1,17 +1,19 @@
-"""The Groebner oracle: Buchberger's algorithm and the minor ideal.
+"""The Groebner oracle: polynomials over Q, Buchberger and the minor ideal.
 
 An independent check of the certifier (:mod:`pptlab.certifier`), which
 does not use it: a reduced Groebner basis of all ``k x k`` minors of a range
 coordinate matrix (:func:`minor_ideal`, :func:`buchberger`) decides ideal
 membership by normal form (:func:`in_ideal`), and
 :func:`linear_membership_cofactors` finds explicit cofactors over every
-minor by the certifier's integer Macaulay solve.  Acceptance criterion 1
+minor by the certifier's integer Macaulay solve.  Acceptance criteria 1-2
 and the tests use it; ``certify-sn`` and ``verify`` never load it.
 
-The reduction, Buchberger and cofactor kernels pack each monomial into one
-int on entry (:class:`minors._Packing`) and unpack on exit; the minor
-kernels read the packed rows of the coordinate matrix.  The range basis
-and the minors' bookkeeping are the certifier's.
+It owns the rational polynomials (:class:`PolyRing`, :class:`Polynomial`
+and :class:`Minor`).  Its kernels pack each monomial into one int on entry
+(:func:`pack_terms`, :class:`minors._Packing`) and unpack on exit
+(:func:`polynomial`); the minor kernels read the packed rows of the
+coordinate matrix.  The range basis and the minors' bookkeeping are the
+certifier's.
 """
 
 from __future__ import annotations
@@ -30,6 +32,171 @@ from .certifier import certify_sn_lower, sn_upper_from_decomposition  # noqa: F4
 from .errors import DimensionMismatch, InternalInconsistency
 
 PROGRESS_EVERY = 2000  # Buchberger pairs between progress log lines
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q, grevlex order
+# ---------------------------------------------------------------------------
+
+class PolyRing:
+    """Polynomial ring over Q with named variables and grevlex order."""
+
+    __slots__ = ("variables", "_index")
+
+    def __init__(self, variables: Sequence[str]):
+        vs = tuple(variables)
+        if len(set(vs)) != len(vs):
+            raise ValueError("duplicate variable names")
+        object.__setattr__(self, "variables", vs)
+        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PolyRing is immutable")
+
+    @property
+    def nvars(self) -> int:
+        return len(self.variables)
+
+    def zero(self) -> "Polynomial":
+        return Polynomial(self, {})
+
+    def one(self) -> "Polynomial":
+        return self.constant(1)
+
+    def constant(self, c) -> "Polynomial":
+        c = Fraction(c)
+        return Polynomial(self, {(0,) * self.nvars: c} if c else {})
+
+    def var(self, name: str) -> "Polynomial":
+        i = self._index[name]
+        e = tuple(1 if j == i else 0 for j in range(self.nvars))
+        return Polynomial(self, {e: Fraction(1)})
+
+    def monomial_str(self, exps: tuple) -> str:
+        parts = []
+        for v, e in zip(self.variables, exps):
+            if e == 1:
+                parts.append(v)
+            elif e > 1:
+                parts.append(f"{v}^{e}")
+        return "*".join(parts) if parts else "1"
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and self.variables == other.variables
+
+    def __hash__(self):
+        return hash(self.variables)
+
+    def __repr__(self):
+        return f"PolyRing({', '.join(self.variables)})"
+
+
+class Polynomial:
+    """Sparse multivariate polynomial with rational coefficients."""
+
+    __slots__ = ("ring", "terms", "_lead")
+
+    def __init__(self, ring: PolyRing, terms: dict):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
+        object.__setattr__(self, "_lead", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Polynomial is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def leading_monomial(self) -> tuple:
+        lead = self._lead
+        if lead is None and self.terms:
+            lead = max(self.terms, key=mi._grevlex_key)
+            object.__setattr__(self, "_lead", lead)
+        return lead
+
+    def leading_coeff(self) -> Fraction:
+        return self.terms[self.leading_monomial()]
+
+    def degree(self) -> int:
+        return max((sum(m) for m in self.terms), default=-1)
+
+    # the constructor drops the zero coefficients that sums and products leave
+    def __add__(self, other: "Polynomial") -> "Polynomial":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return Polynomial(self.ring, out)
+
+    def __sub__(self, other: "Polynomial") -> "Polynomial":
+        return self + -other
+
+    def __neg__(self) -> "Polynomial":
+        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, Polynomial):
+            out: dict = {}
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    m = tuple(a + b for a, b in zip(m1, m2))
+                    out[m] = out.get(m, 0) + c1 * c2
+            return Polynomial(self.ring, out)
+        return self.scale(other)
+
+    __rmul__ = __mul__
+
+    def scale(self, c) -> "Polynomial":
+        c = Fraction(c)
+        return Polynomial(self.ring, {m: c * x for m, x in self.terms.items()})
+
+    def __pow__(self, k: int) -> "Polynomial":
+        out = self.ring.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def monic(self) -> "Polynomial":
+        lc = self.leading_coeff() if self.terms else 1
+        return self if lc == 1 else Polynomial(self.ring, {m: c / lc for m, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for m in sorted(self.terms, key=mi._grevlex_key, reverse=True):
+            c = self.terms[m]
+            mono = self.ring.monomial_str(m)
+            if mono == "1":
+                parts.append(str(c))
+            elif c == 1:
+                parts.append(mono)
+            elif c == -1:
+                parts.append(f"-{mono}")
+            else:
+                parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    def __repr__(self):
+        return f"Polynomial({self})"
+
+
+def pack_terms(P: mi._Packing, p: Polynomial) -> dict:
+    return {P.pack(m): c for m, c in p.terms.items()}
+
+
+def polynomial(P: mi._Packing, ring: PolyRing, terms: dict) -> Polynomial:
+    return Polynomial(ring, {P.unpack(m): c for m, c in terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +252,7 @@ def _reduce(work: dict, divisors: Sequence[tuple], guard: int) -> dict:
     return remainder
 
 
-def normal_form(p: mi.Polynomial, basis: Sequence[mi.Polynomial]) -> mi.Polynomial:
+def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     """Full reduction of ``p`` modulo ``basis``; idempotent.
 
     Terms are reduced in descending grevlex order, each by the first basis
@@ -94,8 +261,8 @@ def normal_form(p: mi.Polynomial, basis: Sequence[mi.Polynomial]) -> mi.Polynomi
     divisible by any basis leading monomial.
     """
     P = mi._Packing(p.ring.nvars)
-    divisors = [_divisor(P.pack_terms(g), P.guard) for g in basis if g]
-    return P.polynomial(p.ring, _reduce(P.pack_terms(p), divisors, P.guard))
+    divisors = [_divisor(pack_terms(P, g), P.guard) for g in basis if g]
+    return polynomial(P, p.ring, _reduce(pack_terms(P, p), divisors, P.guard))
 
 
 def _interreduce(terms_list: Iterable[dict], guard: int) -> list:
@@ -183,7 +350,7 @@ def _gm_update(P: mi._Packing, polys: list, G: list, pairs: list, ih: int) -> No
     G.append(ih)
 
 
-def buchberger(generators: Sequence[mi.Polynomial]) -> list:
+def buchberger(generators: Sequence[Polynomial]) -> list:
     """Reduced Groebner basis of the given generators (grevlex).
 
     Uses the normal pair-selection strategy (a heap keyed by lcm) with the
@@ -197,7 +364,7 @@ def buchberger(generators: Sequence[mi.Polynomial]) -> list:
     ring = generators[0].ring
     P = mi._Packing(ring.nvars)
     guard = P.guard
-    polys = _interreduce([P.pack_terms(g) for g in generators], guard)
+    polys = _interreduce([pack_terms(P, g) for g in generators], guard)
     G: list = []
     pairs: list = []
     for ih in range(len(polys)):
@@ -216,14 +383,14 @@ def buchberger(generators: Sequence[mi.Polynomial]) -> list:
             _gm_update(P, polys, G, pairs, len(polys) - 1)
             divisors = [polys[ig] for ig in G]
     reduced = _interreduce([_record_terms(polys[ig]) for ig in G], guard)
-    return [P.polynomial(ring, _record_terms(d)) for d in reduced]
+    return [polynomial(P, ring, _record_terms(d)) for d in reduced]
 
 
-def in_ideal(p: mi.Polynomial, groebner: Sequence[mi.Polynomial]) -> bool:
+def in_ideal(p: Polynomial, groebner: Sequence[Polynomial]) -> bool:
     return normal_form(p, groebner).is_zero()
 
 
-def linear_membership_cofactors(target: mi.Polynomial, generators: Sequence[mi.Polynomial],
+def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynomial],
                                 cofactor_degree: int):
     """Explicit cofactors ``target = sum_i c_i g_i`` with polynomial ``c_i``
     of degree at most ``cofactor_degree``, or ``None``.
@@ -236,9 +403,9 @@ def linear_membership_cofactors(target: mi.Polynomial, generators: Sequence[mi.P
     """
     ring = target.ring
     P = mi._Packing(ring.nvars)
-    packed = [_int_terms(P.pack_terms(g)) for g in generators]
+    packed = [_int_terms(pack_terms(P, g)) for g in generators]
     P.check_degree(max((g.degree() for g in generators), default=0) + cofactor_degree)
-    work, sigma = _int_terms(P.pack_terms(target))
+    work, sigma = _int_terms(pack_terms(P, target))
     solved = _cofactor_trail(work, sigma, packed, _cofactor_monomials(P, cofactor_degree))
     if solved is None:
         return None
@@ -246,7 +413,7 @@ def linear_membership_cofactors(target: mi.Polynomial, generators: Sequence[mi.P
     cofactors: dict = {}
     for (i, mono), c in trail.items():
         cofactors.setdefault(i, {})[mono] = Fraction(c, sigma)
-    out = [(i, mi.Polynomial(ring, terms)) for i, terms in sorted(cofactors.items())]
+    out = [(i, Polynomial(ring, terms)) for i, terms in sorted(cofactors.items())]
     # replay the identity before returning it
     acc = ring.zero()
     for i, c in out:
@@ -273,19 +440,19 @@ def range_coordinate_matrix(s: rp.BipartiteState, rng: rp.Subspace,
     coordinate matrix over the real, orthogonal basis :func:`certifier._named_basis`
     names."""
     source, basis = _named_basis(s, rng, naming)
-    sym = mi.coordinate_matrix(s.dim_a, s.dim_b, mi.PolyRing([name for name, _ in basis]), basis)
+    sym = mi.coordinate_matrix(s.dim_a, s.dim_b, basis)
     _require_orthogonal(sym.basis)
     return source, sym
 
 
-class Minor(mi.Polynomial):
+class Minor(Polynomial):
     """A monic minor that remembers where it was first found:
     ``det M[rows, cols] = det_factor * minor`` for the sorted index tuples
     ``rows`` and ``cols``.  It compares equal to the plain polynomial."""
 
     __slots__ = ("rows", "cols", "det_factor")
 
-    def __init__(self, ring: mi.PolyRing, terms: dict, rows: tuple, cols: tuple,
+    def __init__(self, ring: PolyRing, terms: dict, rows: tuple, cols: tuple,
                  det_factor: Fraction):
         super().__init__(ring, terms)
         object.__setattr__(self, "rows", rows)
@@ -309,7 +476,7 @@ def minor_ideal(M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str]) 
     """
     if k > min(M.dim_a, M.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
-    ring, P, rows, scales = M.ring, M.packing, M.rows, M.scales
+    ring, P, rows, scales = PolyRing(M.variables), M.packing, M.rows, M.scales
     P.check_degree(k)
     excluded = sum(P.max << (P.width * ring._index[v]) for v in exclude_vars)
     found: dict = {}        # primitive terms -> (first rows, cols, leading coefficient)

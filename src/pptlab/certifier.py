@@ -15,14 +15,14 @@ run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
 The search is the witness closure (:class:`_WitnessClosure`), which
 computes only the minors that share monomials with a witness power, and
 the integer Macaulay solve of their cofactors (:func:`_cofactor_trail`).
-Polynomials, packed monomials, coordinate matrices, the setup of a lower
-bound and the replay of an identity live in :mod:`pptlab.minors`, and the
-states, ranges and Schmidt ranks in the replay kernel :mod:`pptlab.replay`;
-this module imports those two and nothing else of the package, and checks
-each identity it finds with the verifier's
-:func:`minors.minor_identity_holds` before returning it.  Buchberger's
-algorithm stays apart, in :mod:`pptlab.algcert`, as an independent
-membership oracle.
+Packed monomials, coordinate matrices, the setup of a lower bound and the
+replay of an identity live in :mod:`pptlab.minors`, and the states, ranges
+and Schmidt ranks in the replay kernel :mod:`pptlab.replay`; this module
+imports those two and nothing else of the package, and checks each
+identity it finds with the verifier's :func:`minors.minor_identity_holds`
+before returning it.  It computes on packed terms only: the rational
+polynomials and Buchberger's algorithm stay apart, in
+:mod:`pptlab.algcert`, as an independent membership oracle.
 """
 
 from __future__ import annotations
@@ -159,9 +159,9 @@ def _site_variable_name(idx: int, n: int) -> str:
 def _named_basis(s: rp.BipartiteState, rng: rp.Subspace, naming: str) -> tuple:
     """``(source, basis)``: the basis of ``rng``, the range of ``s``, that
     the certifier uses, as ``(variable, vector)`` pairs: the edges under
-    their names (``naming="edge"``), or the edges when they are a basis,
-    else the canonical RREF basis (``"range"``), named after each vector's
-    leading site (``psi<i><j>``).  Repeated names get their position appended."""
+    their names (``naming="edge"``, which reads no ``rng``), or the edges
+    when they are a basis, else the canonical RREF basis, named after each
+    vector's leading site (``psi<i><j>``).  A repeat appends each name's position."""
     if naming == "edge":
         source, basis = "edges", [(e.name, e.vec) for e in s.edges or ()]
     else:
@@ -222,7 +222,7 @@ class _WitnessClosure:
         P.check_degree(k)
         self.k = k
         self.rows, self.scales = M.rows, M.scales
-        self.excluded = sum(P.max << (P.width * M.ring._index[v]) for v in exclude_vars)
+        self.excluded = sum(P.max << (P.width * M.variables.index(v)) for v in exclude_vars)
         self.units = [P.unit(l) for l in range(P.nvars)]
         self.places: dict = {}      # units[l] -> [(row, col)] of the entries with x_l
         for i, row in enumerate(self.rows):
@@ -387,7 +387,7 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
         raise DimensionMismatch("minor size exceeds matrix dimensions")
     closure = _WitnessClosure(sym, k, exclude_vars)
     P = closure.P
-    xw = closure.units[sym.ring._index[witness_var]]
+    xw = closure.units[sym.variables.index(witness_var)]
     for N in range(k, 2 * k + 1):
         P.check_degree(N)
         target = P.one + N * xw
@@ -411,7 +411,7 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
         terms = [cofactors[i] for i in used]
         if not mi.minor_identity_holds(sym, N, witness_var, pairs, terms):
             raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
-        return LowerBound(k, tuple(witness_vector), witness_var, sym.ring.variables, source, N,
+        return LowerBound(k, tuple(witness_vector), witness_var, sym.variables, source, N,
                           tuple((rows, cols, cof) for (rows, cols), cof in zip(pairs, terms)))
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
 
@@ -431,11 +431,12 @@ def certify_sn(s: rp.BipartiteState, k: int | None = None, exclude_deltas: bool 
     (:func:`sn_upper_from_decomposition`).  The lower bound's witness is the
     first edge of maximal Schmidt rank and ``k`` defaults to that rank
     (:func:`certify_sn_lower`).  ``exclude_deltas`` leaves out the
-    ``delta*`` edges' variables and names the variables after the edges, as
-    the scaling family's certificates do.
+    ``delta*`` edges' variables (by position) and names the variables after
+    the edges, as the scaling family's certificates do.
     """
     upper = sn_upper_from_decomposition(s)
     witness = s.edges[upper.schmidt_ranks.index(upper.value)].vec
-    exclude = [e.name for e in s.edges if e.name.startswith("delta")] if exclude_deltas else []
+    names = [name for name, _ in _named_basis(s, None, "edge")[1]] if exclude_deltas else []
+    exclude = [name for name, e in zip(names, s.edges) if e.name.startswith("delta")]
     lower = certify_sn_lower(s, witness, upper.value if k is None else k, exclude_vars=exclude)
     return lower, upper

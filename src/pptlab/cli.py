@@ -13,9 +13,9 @@ parsing, :func:`run` imports the one module of :mod:`pptlab.verbs` that
 holds the verb's body (``certify-sn`` runs ``verbs/certify_sn.py``), so a
 process compiles its verb and what that verb imports: ``verify`` only the
 replay kernel :mod:`pptlab.replay` (and :mod:`pptlab.minors` for an
-sn-lower half), ``certify-sn`` the certifier but not the Groebner oracle,
-``sample`` and ``survey`` numpy but no exact module.  Only ``--verbose``
-imports ``logging``.  :func:`run` builds that verb's subparser alone.
+sn-lower half), ``certify-sn`` the certifier but not the polynomials of
+the Groebner oracle, ``sample`` and ``survey`` numpy but no exact module.
+Only ``--verbose`` imports ``logging``; :func:`run` builds one subparser.
 
 Examples:
 

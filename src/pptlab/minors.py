@@ -1,26 +1,25 @@
-"""The sn-lower replay: polynomials, packed monomials and minors.
+"""The sn-lower replay: packed monomials, coordinate matrices and minors.
 
 A Schmidt-number lower bound is an identity ``sum_i c_i det M[rows_i,
 cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` of a range
 basis (``Psi_ij = sum_l v_l[ij] x_l``).  This module holds what checking
 such an identity needs, and nothing of the search that finds one:
-:class:`PolyRing` and :class:`Polynomial` over Q in grevlex order,
-:class:`_Packing` (a monomial as one int), :func:`coordinate_matrix`, which
-builds ``M`` from the basis once as scaled integer rows of packed linear
-forms, and :func:`minor_identity_holds`, which computes only the listed
-determinants by Laplace expansion on those rows.  The certifier
-(:mod:`pptlab.certifier`) and the verifier (:mod:`pptlab.replay`) run the
-same setup, :func:`lower_bound_setup`, and the same identity check.  Of
-the package it imports only the replay kernel and :mod:`pptlab.errors`, so
-a ``verify`` process that replays a lower half loads this module on top of
-the kernel, and never the certifier.
+:class:`_Packing` (a monomial as one int, in grevlex order),
+:func:`coordinate_matrix`, which builds ``M`` from the basis once as scaled
+integer rows of packed linear forms, and :func:`minor_identity_holds`,
+which computes only the listed determinants by Laplace expansion on those
+rows.  The certifier (:mod:`pptlab.certifier`) and the verifier
+(:mod:`pptlab.replay`) run the same setup, :func:`lower_bound_setup`, and
+the same identity check.  Of the package it imports only the replay kernel
+and :mod:`pptlab.errors`, so a ``verify`` process that replays a lower half
+loads this module on top of the kernel, and never the certifier or the
+polynomial classes of the Groebner oracle (:mod:`pptlab.algcert`).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import replay as rp
@@ -29,176 +28,12 @@ from .errors import (DimensionMismatch, MonomialOverflow, NonOrthogonalBasis,
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q, grevlex order
-# ---------------------------------------------------------------------------
-
-def _grevlex_key(exps: tuple):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-class PolyRing:
-    """Polynomial ring over Q with named variables and grevlex order."""
-
-    __slots__ = ("variables", "_index")
-
-    def __init__(self, variables: Sequence[str]):
-        vs = tuple(variables)
-        if len(set(vs)) != len(vs):
-            raise ValueError("duplicate variable names")
-        object.__setattr__(self, "variables", vs)
-        object.__setattr__(self, "_index", {v: i for i, v in enumerate(vs)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyRing is immutable")
-
-    @property
-    def nvars(self) -> int:
-        return len(self.variables)
-
-    def zero(self) -> "Polynomial":
-        return Polynomial(self, {})
-
-    def one(self) -> "Polynomial":
-        return self.constant(1)
-
-    def constant(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial(self, {(0,) * self.nvars: c} if c else {})
-
-    def var(self, name: str) -> "Polynomial":
-        i = self._index[name]
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, {e: Fraction(1)})
-
-    def monomial_str(self, exps: tuple) -> str:
-        parts = []
-        for v, e in zip(self.variables, exps):
-            if e == 1:
-                parts.append(v)
-            elif e > 1:
-                parts.append(f"{v}^{e}")
-        return "*".join(parts) if parts else "1"
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.variables == other.variables
-
-    def __hash__(self):
-        return hash(self.variables)
-
-    def __repr__(self):
-        return f"PolyRing({', '.join(self.variables)})"
-
-
-class Polynomial:
-    """Sparse multivariate polynomial with rational coefficients."""
-
-    __slots__ = ("ring", "terms", "_lead")
-
-    def __init__(self, ring: PolyRing, terms: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
-        object.__setattr__(self, "_lead", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def leading_monomial(self) -> tuple:
-        lead = self._lead
-        if lead is None and self.terms:
-            lead = max(self.terms, key=_grevlex_key)
-            object.__setattr__(self, "_lead", lead)
-        return lead
-
-    def leading_coeff(self) -> Fraction:
-        return self.terms[self.leading_monomial()]
-
-    def degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=-1)
-
-    # the constructor drops the zero coefficients that sums and products leave
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return Polynomial(self.ring, out)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + -other
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            out: dict = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    out[m] = out.get(m, 0) + c1 * c2
-            return Polynomial(self.ring, out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
-            return self.ring.zero()
-        return Polynomial(self.ring, {m: c * x for m, x in self.terms.items()})
-
-    def __pow__(self, k: int) -> "Polynomial":
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        lc = self.leading_coeff()
-        if lc == 1:
-            return self
-        return Polynomial(self.ring, {m: c / lc for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m in sorted(self.terms, key=_grevlex_key, reverse=True):
-            c = self.terms[m]
-            mono = self.ring.monomial_str(m)
-            if mono == "1":
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(mono)
-            elif c == -1:
-                parts.append(f"-{mono}")
-            else:
-                parts.append(f"{c}*{mono}")
-        s = " + ".join(parts).replace("+ -", "- ")
-        return s
-
-    def __repr__(self):
-        return f"Polynomial({self})"
-
-
-# ---------------------------------------------------------------------------
 # packed monomials
 # ---------------------------------------------------------------------------
+
+def _grevlex_key(exps: tuple):  # the order :class:`_Packing` encodes
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
 
 class _Packing:
     """Monomials of an ``nvars``-variable ring packed into one Python int.
@@ -241,12 +76,6 @@ class _Packing:
         """Variable ``l`` as a packed factor: ``monomial * x_l = monomial + unit(l)``."""
         return (1 << (self.width * self.nvars)) - (1 << (self.width * l))
 
-    def pack_terms(self, p: Polynomial) -> dict:
-        return {self.pack(m): c for m, c in p.terms.items()}
-
-    def polynomial(self, ring: PolyRing, terms: dict) -> Polynomial:
-        return Polynomial(ring, {self.unpack(m): c for m, c in terms.items()})
-
     def degree(self, key: int) -> int:
         return key >> (self.width * self.nvars)
 
@@ -275,24 +104,24 @@ class SymbolicRangeMatrix(NamedTuple):
     parametrized range vector, as the packed integer rows its minors are
     computed on.
 
-    ``basis`` holds the (name, vector) pairs backing each variable, in
-    variable order.  ``rows[i]`` lists the nonzero entries of row ``i``
-    times ``scales[i]``, the lcm of the row's denominators, as ``(column,
-    [(packed x_l - one, int coefficient)])`` in variable order; a minor of
-    the scaled rows is the minor of ``Psi`` times the product of their
-    scales.
+    ``basis`` holds the (name, vector) pairs backing each of the
+    ``variables``, in their order.  ``rows[i]`` lists the nonzero entries
+    of row ``i`` times ``scales[i]``, the lcm of the row's denominators, as
+    ``(column, [(packed x_l - one, int coefficient)])`` in variable order; a
+    minor of the scaled rows is the minor of ``Psi`` times the product of
+    their scales.
     """
 
     dim_a: int
     dim_b: int
-    ring: PolyRing
+    variables: tuple        # tuple[str, ...]
     basis: tuple            # tuple[(name, rp.Vector), ...]
     packing: _Packing
     rows: tuple
     scales: tuple
 
 
-def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> SymbolicRangeMatrix:
+def coordinate_matrix(m: int, n: int, basis: Sequence) -> SymbolicRangeMatrix:
     """Coordinate matrix ``Psi_ij = sum_l v_l[ij] x_l`` of ``(name, vector)`` pairs.
 
     Basis entries must be real: the coordinate ring is Q.
@@ -300,7 +129,7 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
     for _, v in basis:
         if any(x.im != 0 for x in v):
             raise NonOrthogonalBasis("the basis is not real: the coordinate ring is Q")
-    P = _Packing(ring.nvars)
+    P = _Packing(len(basis))
     units = [P.unit(l) for l in range(P.nvars)]
     rows, scales = [], []
     for i in range(m):
@@ -310,7 +139,8 @@ def coordinate_matrix(m: int, n: int, ring: PolyRing, basis: Sequence) -> Symbol
         rows.append(tuple((j, [(unit, c.numerator * (scale // c.denominator)) for unit, c in entry])
                           for j, entry in entries if entry))
         scales.append(scale)
-    return SymbolicRangeMatrix(m, n, ring, tuple(basis), P, tuple(rows), tuple(scales))
+    return SymbolicRangeMatrix(m, n, tuple(name for name, _ in basis), tuple(basis), P,
+                               tuple(rows), tuple(scales))
 
 
 def lower_bound_setup(s: rp.BipartiteState, rng: rp.Subspace, basis: str,
@@ -327,7 +157,7 @@ def lower_bound_setup(s: rp.BipartiteState, rng: rp.Subspace, basis: str,
         raise NonOrthogonalBasis("the state's edges are not a basis of the range")
     if len(variables) != len(vectors) or len(set(variables)) != len(variables):
         raise DimensionMismatch("the certificate needs one variable per basis vector")
-    M = coordinate_matrix(s.dim_a, s.dim_b, PolyRing(variables), tuple(zip(variables, vectors)))
+    M = coordinate_matrix(s.dim_a, s.dim_b, tuple(zip(variables, vectors)))
     overlaps = [name for name, v in M.basis if rp.vdot(v, witness)]
     if len(overlaps) != 1:
         raise NonSingleVariableOverlap(
@@ -403,5 +233,5 @@ def minor_identity_holds(M: SymbolicRangeMatrix, power: int, witness_variable: s
                     acc[key] = total
                 else:
                     del acc[key]
-    target = tuple(power if v == witness_variable else 0 for v in M.ring.variables)
+    target = tuple(power if v == witness_variable else 0 for v in M.variables)
     return acc == {P.pack(target): den}

@@ -11,9 +11,9 @@ the state record (:class:`BipartiteState`, checked once where it is made)
 with its partial transpose and the Schmidt rank of a vector, the JSON
 readers with the sparse ``[index, value]`` codec, and the two verifiers
 behind :data:`VERIFIERS`, through which :func:`verify_certificate`
-dispatches.  Replaying an sn-lower half imports :mod:`pptlab.minors` when
-it runs.  :mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and
-:mod:`pptlab.serialize` import this code from here under their names.
+dispatches.  Replaying an sn-lower half imports :mod:`pptlab.minors`, the
+packed-monomial identity check, when it runs.  :mod:`pptlab.exactmat`,
+:mod:`pptlab.qstates` and :mod:`pptlab.serialize` import it from here.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ This module writes each layout from the exact objects (the bounds come
 from :mod:`pptlab.certifier`).  The readers of states and certificates,
 the sparse codec, both verifiers and the :data:`VERIFIERS` table they are
 dispatched through are what ``verify`` runs, so they live in the replay
-kernel :mod:`pptlab.replay`; this module imports them from there under
-their names, and ``VERIFIERS`` is the kernel's own dict.  Reading a step
-imports :mod:`pptlab.extender`, and reading a grid graph
-:mod:`pptlab.constructions`.
+kernel :mod:`pptlab.replay`, and this module imports them from there
+under their names.  Reading a step imports :mod:`pptlab.extender`, and
+reading a grid graph :mod:`pptlab.constructions`.
 """
 
 from __future__ import annotations
@@ -88,18 +87,19 @@ def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
 
 def graph_to_json(g) -> dict:
     """A :class:`constructions.GridGraph` as JSON."""
-    solid = [{"sites": [list(s) for s in e.sites], "weight": rp.format_scalar(e.weight)}
-             for e in g.edges if e.kind == "solid"]
-    dashed = [{"sites": [list(s) for s in e.sites], "weight": rp.format_scalar(e.weight)}
-              for e in g.edges if e.kind == "dashed"]
+    solid, dashed = ([{"sites": [list(s) for s in e.sites], "weight": rp.format_scalar(e.weight)}
+                      for e in g.edges if e.kind == kind] for kind in ("solid", "dashed"))
     return {"dims": [g.dim_a, g.dim_b], "solid": solid, "dashed": dashed}
 
 
 def graph_from_json(data: dict):
-    """The :class:`constructions.GridGraph` of :func:`graph_to_json`."""
+    """The :class:`constructions.GridGraph` of :func:`graph_to_json`, whose
+    ``dims`` must be two ints of at least 1."""
     from . import constructions as co  # only graph input builds a grid state
 
     m, n = data["dims"]
+    if not all(type(d) is int and d >= 1 for d in (m, n)):
+        raise ValueError(f"dims {[m, n]!r} are not two ints of at least 1")
     solid = [(e["sites"], Fraction(e["weight"])) for e in data.get("solid", ())]
     dashed = [(e["sites"], Fraction(e["weight"])) for e in data.get("dashed", ())]
     return co.grid_graph(m, n, solid=solid, dashed=dashed)

@@ -26,7 +26,7 @@ class InputError(PptlabError):
 
 
 # what reading a file, JSON text or a number raises on malformed input
-_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError)
+_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
 
 
 def _parse(parse, *args):

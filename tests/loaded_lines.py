@@ -8,10 +8,12 @@ kind of state file (rho4x5, with ``pptlab build``) and runs, each in a
 fresh process, ``ppt-check`` and ``certify-sn`` on it and ``verify`` of the
 two certificates they write.
 
-``python tests/loaded_lines.py`` prints the four totals, and, for each of
-the four processes, the median time from ``main`` returning to the
-parent's wait returning (:func:`exit_times`, five runs): the interpreter's
-shutdown, which ``cli.main`` shortens by freezing the collector's objects.
+``python tests/loaded_lines.py`` prints the four totals, one line per
+process with each module it loaded and that module's lines (where its
+total is spent), and, for each of the four processes, the median time from
+``main`` returning to the parent's wait returning (:func:`exit_times`, five
+runs): the interpreter's shutdown, which ``cli.main`` shortens by freezing
+the collector's objects.
 ``tests/test_verb_loading.py`` keeps each total under a ceiling.
 """
 
@@ -89,16 +91,17 @@ def loaded(argv, cwd) -> dict:
 
 
 def measure(workdir) -> dict:
-    """``{verb: (lines compiled, loaded module names)}`` for :data:`VERBS`;
-    ``cli.py`` counts once as ``__main__``, and again if imported."""
+    """``{verb: (lines compiled, {loaded module: its lines})}`` for
+    :data:`VERBS`; ``cli.py`` counts once as ``__main__``, and again if
+    imported."""
     subprocess.run([sys.executable, "-m", "pptlab.cli", "build", "--state", "rho4x5",
                     "--out", "state.json"], cwd=workdir, check=True, capture_output=True,
                    env=dict(os.environ, PYTHONPATH=str(SRC)))
     main = _lines(SRC / "pptlab" / "cli.py")
     out = {}
     for name, argv in VERBS:
-        modules = loaded(argv, workdir)
-        out[name] = (main + sum(_lines(path) for path in modules.values()), set(modules))
+        modules = {module: _lines(path) for module, path in loaded(argv, workdir).items()}
+        out[name] = (main + sum(modules.values()), modules)
     return out
 
 
@@ -116,5 +119,10 @@ if __name__ == "__main__":
         exits = exit_times(tmp)
     print("Lines of pptlab compiled per process: "
           + ", ".join(f"{name} {lines}" for name, (lines, _) in found.items()))
+    main = _lines(SRC / "pptlab" / "cli.py")
+    for name, (lines, modules) in found.items():
+        print(f"  {name} ({lines}): cli as __main__ {main}, " + ", ".join(
+            f"{module.removeprefix('pptlab.')} {n}"
+            for module, n in sorted(modules.items(), key=lambda item: -item[1])))
     print("Median exit time per process (main returning to the wait returning, five runs): "
           + ", ".join(f"{name} {seconds * 1e3:.1f} ms" for name, seconds in exits.items()))

@@ -68,8 +68,8 @@ def interreduce(polys) -> list:
         return []
     ring = polys[0].ring
     P = mi._Packing(ring.nvars)
-    reduced = ac._interreduce([P.pack_terms(p) for p in polys], P.guard)
-    return [P.polynomial(ring, ac._record_terms(d)) for d in reduced]
+    reduced = ac._interreduce([ac.pack_terms(P, p) for p in polys], P.guard)
+    return [ac.polynomial(P, ring, ac._record_terms(d)) for d in reduced]
 
 
 def _unit(ring, l: int) -> tuple:
@@ -80,8 +80,8 @@ def coordinate_entries(sym) -> tuple:
     """The entries ``Psi_ij = sum_l v_l[ij] x_l`` of a
     ``minors.SymbolicRangeMatrix`` as polynomials, read from its basis
     rather than from its packed rows."""
-    ring, n = sym.ring, sym.dim_b
-    return tuple(tuple(mi.Polynomial(ring, {_unit(ring, l): v[i * n + j].re
+    ring, n = ac.PolyRing(sym.variables), sym.dim_b
+    return tuple(tuple(ac.Polynomial(ring, {_unit(ring, l): v[i * n + j].re
                                             for l, (_, v) in enumerate(sym.basis)})
                        for j in range(n))
                  for i in range(sym.dim_a))
@@ -97,7 +97,7 @@ def linear_form_matrix(ring, entries):
     basis = [(name, tuple(em.GaussianRational(entries[i][j].terms.get(_unit(ring, l), 0))
                           for i in range(m) for j in range(n)))
              for l, name in enumerate(ring.variables)]
-    return mi.coordinate_matrix(m, n, ring, basis)
+    return mi.coordinate_matrix(m, n, basis)
 
 
 def evaluate(p, point: dict) -> Fraction:

@@ -13,7 +13,6 @@ from pptlab import cli
 from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import extender as ex
-from pptlab import minors as mi
 from pptlab import numlab as nl
 from pptlab import qstates as qs
 from pptlab import serialize as se
@@ -214,7 +213,7 @@ def test_eigenvalues_match_exact_characteristic_polynomial():
     from pptlab import algcert as ac
 
     rng = random.Random(17)
-    ring = mi.PolyRing(["x", "y"])
+    ring = ac.PolyRing(["x", "y"])
     x, y = ring.var("x"), ring.var("y")
     for _ in range(10):
         entries = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)]

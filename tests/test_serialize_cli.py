@@ -115,6 +115,30 @@ def test_cli_build_from_graph(tmp_path):
     assert st.dims == (2, 2)
 
 
+@pytest.mark.parametrize("dims", [[2.0, 2], [True, 2], [2], [0, 2]],
+                         ids=["float", "bool", "one", "zero"])
+def test_cli_build_refuses_graph_dims_that_are_not_two_positive_ints(dims, tmp_path, capsys):
+    """A float dimension used to fail inside the state builder, and a bool
+    one to write a state file with ``"dim_a": true`` that every reader
+    refuses."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"dims": dims, "solid": [{"sites": [[0, 0]], "weight": "1"}]}))
+    assert cli.run(["build", "--graph", str(graph)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_zero_denominator_in_input_exits_2(tmp_path, capsys):
+    """``"1/0"`` as a grid-graph weight or a step vector entry is input that
+    does not parse, not a fault of the program."""
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"dims": [2, 2], "solid": [{"sites": [[0, 0]], "weight": "1/0"}]}))
+    assert cli.run(["build", "--graph", str(graph)]) == 2
+    step = {**RHO_4X5_STEP_JSON[1], "alpha": ["1/0", "0", "0"]}
+    assert cli.run(["extend", "--state", "rho3x3", "--step", json.dumps(step)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("ZeroDivisionError") == 2
+
+
 def test_cli_pipe_family_pptcheck_exit_codes(tmp_path):
     assert cli.run(["build", "--state", "nonexistent.json"]) == 2
     assert cli.run(["ppt-check", "--state", "rho3x3"]) == 0
@@ -995,6 +1019,29 @@ def test_cli_certify_family2_uses_first_max_rank_witness(tmp_path, capsys):
     assert "OK" in capsys.readouterr().out
 
 
+def test_certify_sn_excludes_repeated_delta_names_by_position(tmp_path, monkeypatch):
+    """The named basis appends each position to repeated edge names, so
+    ``--exclude-deltas`` excludes the delta edges' variables by position:
+    ``delta_1_1`` and ``delta_1_2``, never the bare ``delta_1``."""
+    vectors = ([1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0])
+    state = qs.BipartiteState(2, 2, label="dup", edges=[
+        qs.NamedVector(name, em.vector(v), Fraction(1))
+        for name, v in zip(("a", "delta_1", "delta_1"), vectors)])
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(se.state_to_json(state)))
+    assert cli.run(["certify-sn", "--state", str(path), "--exclude-deltas"]) in (0, 1)
+    excluded = []
+    certify_sn_lower = ce.certify_sn_lower
+
+    def spy(*args, exclude_vars):
+        excluded.append(exclude_vars)
+        return certify_sn_lower(*args, exclude_vars=exclude_vars)
+
+    monkeypatch.setattr(ce, "certify_sn_lower", spy)
+    ce.certify_sn(state, exclude_deltas=True)
+    assert excluded == [["delta_1_1", "delta_1_2"]]
+
+
 def test_sn_lower_value_must_equal_k(rho3x3_verdict):
     """The lower ``value`` is the k of the replay: another value, with the
     verdict line it implies, fails the power range or the minor size."""
@@ -1339,10 +1386,10 @@ def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
     the stored basis [1] lies in the minor ideal, so it 'proved' SN >= 3 for
     a 3x3 PPT state from its one 3x3 minor."""
     lower = _retired(rho3x3_verdict, "sn-lower")
-    ring = mi.PolyRing(lower["variables"])
+    ring = ac.PolyRing(lower["variables"])
     edges = se.state_from_json(rho3x3_verdict["state"]).edges
     basis = tuple(zip(ring.variables, (e.vec for e in edges)))
-    (minor,) = ac.minor_ideal(mi.coordinate_matrix(3, 3, ring, basis), 3, ())
+    (minor,) = ac.minor_ideal(mi.coordinate_matrix(3, 3, basis), 3, ())
     forged = {key: lower[key] for key in ("kind", "state", "witness", "witness_variable",
                                           "variables", "basis")}
     forged.update(value=3, k=3, power=3, method="groebner", monomial_order="grevlex",

@@ -1,6 +1,7 @@
 """Rules the package source must keep."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pptlab
@@ -29,12 +30,13 @@ def test_settable_values_do_not_grow():
     assert sum(found.values()) <= SETTABLE_VALUES_CEILING, found
 
 
-def _imported_modules(path: Path) -> set:
+def _imported_modules(path: Path, nodes=ast.walk) -> set:
     """The absolute names of the modules ``path`` imports, and of each name
-    a ``from`` import takes from a package (it may be a submodule)."""
+    a ``from`` import takes from a package (it may be a submodule); with
+    ``nodes=ast.iter_child_nodes``, of its module-level imports only."""
     package = ".".join(("pptlab",) + path.relative_to(PACKAGE).parent.parts)
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for node in nodes(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             found.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -51,3 +53,30 @@ def test_no_module_imports_the_cli():
     imported ``pptlab.cli`` would make each process compile it twice."""
     assert [str(path.relative_to(PACKAGE)) for path in SOURCES
             if "pptlab.cli" in _imported_modules(path)] == []
+
+
+# the trusted replay: the pptlab modules each of its modules may import
+# besides the standard library, at module level and inside a function
+# (the kernel loads the sn-lower replay only when it replays a lower half)
+REPLAY_IMPORTS = {
+    "replay.py": ({"pptlab.errors"}, {"pptlab.minors"}),
+    "minors.py": ({"pptlab.errors", "pptlab.replay"}, set()),
+}
+
+
+def _outside(found: set, allowed: set) -> set:
+    """The names in ``found`` that are neither standard library nor the
+    package itself nor in (or taken from) an ``allowed`` module."""
+    return {name for name in found
+            if name.split(".")[0] not in sys.stdlib_module_names and name != "pptlab"
+            and not any(name == a or name.startswith(a + ".") for a in allowed)}
+
+
+def test_the_replay_imports_only_the_kernel_errors_and_the_standard_library():
+    """``replay.py`` imports only ``errors``, and ``minors.py`` only
+    ``replay`` and ``errors``: neither may load the certifier or the
+    Groebner oracle with its polynomials into a ``verify`` process."""
+    for name, (top, lazy) in REPLAY_IMPORTS.items():
+        path = PACKAGE / name
+        assert _outside(_imported_modules(path, ast.iter_child_nodes), top) == set(), name
+        assert _outside(_imported_modules(path), top | lazy) == set(), name
