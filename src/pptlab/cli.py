@@ -61,7 +61,7 @@ def build_parser(verbs) -> argparse.ArgumentParser:
 
     if "build" in verbs:
         p = sub.add_parser("build", help="build a state from a grid graph or a name")
-        p.add_argument("--graph", help="GridGraph JSON file")
+        p.add_argument("--graph", help="grid-graph JSON file")
         p.add_argument("--state", help="named state (e.g. rho4x5, family:3) or state JSON file")
         p.add_argument("--label", default="")
         common(p)

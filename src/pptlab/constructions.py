@@ -3,10 +3,12 @@ and the scaling family.
 
 Every construction returns a :class:`qstates.BipartiteState` that records
 its exact conic decomposition as ``edges`` (the Tiles state excepted).  A
-grid graph's solid hyperedges become ``|e+> = sum |ij>`` and its dashed
-edges ``|e-> = |ij> - |kl>``.  :data:`RHO_4X5_STEPS` is the 4x5 pipeline
-as data that :func:`extender.run_pipeline` replays from ``rho_3x3``; the
-family member ``rho^(k)`` lives in ``(2k-1) x (2k-1)``.  The CLI imports
+grid graph is read from its JSON straight into those edges
+(:func:`graph_state`): its solid hyperedges become ``|e+> = sum |ij>``
+and its dashed edges ``|e-> = |ij> - |kl>``.  :data:`RHO_4X5_STEPS` is
+the 4x5 pipeline as data that :func:`extender.run_pipeline` replays from
+``rho_3x3``; the family member ``rho^(k)`` lives in ``(2k-1) x (2k-1)``,
+with ``(2k-1)^2`` at most :data:`replay.MAX_DIM`.  The CLI imports
 this module only for ``build`` and the named state references
 (``rho3x3``, ``rho4x5``, ``tiles``, ``family:k``); a verb that reads its
 state from a file never loads it.
@@ -16,11 +18,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from . import exactmat as em
 from . import qstates as qs
-from .errors import BoundsViolation, InvalidK
+from . import replay as rp
+from .errors import InvalidK
 
 
 def _sites_vec(plus: list, m: int, n: int, minus: list = ()) -> em.Vector:
@@ -37,75 +40,44 @@ def _sites_vec(plus: list, m: int, n: int, minus: list = ()) -> em.Vector:
 # grid graphs
 # ---------------------------------------------------------------------------
 
-class GridEdge(NamedTuple):
-    """One weighted hyperedge of a grid graph.
-
-    ``kind`` is "solid" (plus-superposition of all sites) or "dashed"
-    (difference of exactly two sites).
-    """
-
-    kind: str
-    sites: tuple
-    weight: Fraction
-
-    def vector(self, dim_a: int, dim_b: int) -> em.Vector:
-        if self.kind == "solid":
-            return _sites_vec(self.sites, dim_a, dim_b)
-        return _sites_vec(self.sites[:1], dim_a, dim_b, minus=self.sites[1:])
+def graph_state(data: dict, label: str) -> qs.BipartiteState:
+    """The state of a grid-graph JSON: its solid hyperedges ``|e+> = sum
+    |ij>`` named ``s0, s1, ...``, then its dashed edges ``|e-> = |ij> -
+    |kl>`` named ``d0, d1, ...``, each with its weight.  It is read by the
+    state reader's rules (:func:`_graph_edges`), and any fault in it raises
+    :class:`replay.MalformedData`."""
+    m, n, edges = rp._parsed("graph", _graph_edges, data)
+    return qs.BipartiteState(m, n, label=label, edges=edges)
 
 
-class GridGraph(NamedTuple("GridGraph", [("dim_a", int), ("dim_b", int), ("edges", tuple)])):
-    """Vertex grid with solid hyperedges and dashed two-site edges
-    (``edges`` is a tuple of :class:`GridEdge`), checked at construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, dim_a: int, dim_b: int, edges: tuple):
-        for e in edges:
-            if e.weight <= 0:
-                raise BoundsViolation("edge weights must be strictly positive")
-            if e.kind not in ("solid", "dashed"):
-                raise BoundsViolation(f"unknown edge kind {e.kind!r}")
-            if e.kind == "dashed" and (len(e.sites) != 2 or e.sites[0] == e.sites[1]):
-                raise BoundsViolation("dashed edges connect exactly two distinct sites")
-            if e.kind == "solid" and not e.sites:
-                raise BoundsViolation("solid edges need at least one site")
-            for (i, j) in e.sites:
-                if not (0 <= i < dim_a and 0 <= j < dim_b):
-                    raise BoundsViolation(f"site ({i},{j}) outside the {dim_a}x{dim_b} grid")
-        return super().__new__(cls, dim_a, dim_b, edges)
-
-    def _replace(self, **changes) -> "GridGraph":
-        # the named tuple's own _replace would skip the checks in __new__
-        return GridGraph(**{**self._asdict(), **changes})
-
-
-def grid_graph(dim_a: int, dim_b: int, solid: Iterable, dashed: Iterable) -> GridGraph:
-    """Build a grid graph from (sites, weight) pairs."""
+def _graph_edges(data: dict) -> tuple:
+    """``(m, n, edges)`` of a graph with only the keys ``dims``, ``solid``
+    and ``dashed``, and ``sites`` and ``weight`` on each edge: ``dims`` as a
+    state's (:func:`replay._checked_dims`), sites that are distinct ``[i,
+    j]`` int pairs on the grid (two on a dashed edge, at least one on a
+    solid one) and a positive rational string as each weight."""
+    unknown = sorted(set(data) - {"dims", "solid", "dashed"})
+    if unknown:
+        raise ValueError(f"unknown graph keys {unknown}")
+    m, n = rp._checked_dims(*data["dims"])
     edges = []
-    for sites, w in solid:
-        edges.append(GridEdge("solid", tuple(tuple(s) for s in sites), Fraction(w)))
-    for sites, w in dashed:
-        edges.append(GridEdge("dashed", tuple(tuple(s) for s in sites), Fraction(w)))
-    return GridGraph(dim_a, dim_b, tuple(edges))
-
-
-def grid_to_state(g: GridGraph, label: str) -> qs.BipartiteState:
-    """Translate a grid graph into its unnormalized mixed state.
-
-    Solid hyperedges become ``|e+> = sum |ij>`` and dashed edges
-    ``|e-> = |ij> - |kl>``; the state is the weighted sum of the rank-one
-    projectors, hence PSD by construction.
-    """
-    named = []
-    ns, nd = 0, 0
-    for e in g.edges:
-        if e.kind == "solid":
-            name, ns = f"s{ns}", ns + 1
-        else:
-            name, nd = f"d{nd}", nd + 1
-        named.append(qs.NamedVector(name, e.vector(g.dim_a, g.dim_b), e.weight))
-    return qs.BipartiteState(g.dim_a, g.dim_b, label=label, edges=named)
+    for kind, count in (("solid", "one or more"), ("dashed", "two")):
+        for t, e in enumerate(data.get(kind, [])):
+            if not (isinstance(e, dict) and set(e) == {"sites", "weight"}):
+                raise ValueError(f"{kind} edge {t} is not an object of sites and weight")
+            sites = [tuple(s) for s in e["sites"] if isinstance(s, list) and len(s) == 2
+                     and all(type(x) is int for x in s) and 0 <= s[0] < m and 0 <= s[1] < n]
+            if (len(sites) != len(e["sites"]) or len(set(sites)) != len(sites)
+                    or not (len(sites) == 2 if kind == "dashed" else sites)):
+                raise ValueError(f"{kind} edge {t} sites {e['sites']!r} are not {count} "
+                                 f"distinct [i, j] int pairs on the {m}x{n} grid")
+            weight = rp._rational(e["weight"])
+            if weight <= 0:
+                raise ValueError(f"{kind} edge {t} weight {e['weight']!r} is not positive")
+            plus = sites[:1] if kind == "dashed" else sites
+            vec = _sites_vec(plus, m, n, minus=sites[len(plus):])
+            edges.append(qs.NamedVector(f"{kind[0]}{t}", vec, weight))
+    return m, n, edges
 
 
 # ---------------------------------------------------------------------------
@@ -121,17 +93,10 @@ def rho_3x3() -> qs.BipartiteState:
 
     and weights (1, 1, 1, 3, 3).  PPT, birank (5, 6), Schmidt number 2.
     """
-    g = grid_graph(
-        3, 3,
-        solid=[([(0, 0), (1, 1), (2, 2)], 1),
-               ([(0, 1), (1, 2)], 1),
-               ([(0, 2)], 3),
-               ([(2, 0)], 3)],
-        dashed=[([(1, 0), (2, 1)], 1)],
-    )
-    # the graph lists solid edges first; name them e0..e4 in docstring order
-    edges = [qs.NamedVector(f"e{i}", g.edges[j].vector(3, 3), g.edges[j].weight)
-             for i, j in enumerate((0, 1, 4, 2, 3))]
+    parts = [("e0", [(0, 0), (1, 1), (2, 2)], (), 1), ("e1", [(0, 1), (1, 2)], (), 1),
+             ("e2", [(1, 0)], [(2, 1)], 1), ("e3", [(0, 2)], (), 3), ("e4", [(2, 0)], (), 3)]
+    edges = [qs.NamedVector(name, _sites_vec(plus, 3, 3, minus), Fraction(w))
+             for name, plus, minus, w in parts]
     return qs.BipartiteState(3, 3, label="rho3x3", edges=edges)
 
 
@@ -211,10 +176,11 @@ def rho_4x5() -> Rho45Pipeline:
 
 def family_edges(k: int) -> list:
     """Named defining edges of the family member (also its eigenvectors);
-    the antidiagonal edge ``delta_i`` has weight ``min(i, 2k-1-i)``."""
-    if k < 2:
-        raise InvalidK("family requires k >= 2")
+    the antidiagonal edge ``delta_i`` has weight ``min(i, 2k-1-i)``; ``k``
+    is at least 2, and ``(2k-1)^2`` at most :data:`replay.MAX_DIM`."""
     dim = 2 * k - 1
+    if k < 2 or dim * dim > rp.MAX_DIM:
+        raise InvalidK(f"family requires k >= 2 and (2k-1)^2 <= {rp.MAX_DIM}, not k = {k}")
     alpha = _sites_vec([(i, k - 1 - i) for i in range(k)], dim, dim)
     edges = [qs.NamedVector("alpha", alpha, Fraction(1))]
     for i in range(k):

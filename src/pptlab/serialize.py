@@ -1,34 +1,33 @@
-"""JSON round-trips for states, grid graphs, and certificates: the writers.
+"""JSON round-trips for states, steps and certificates: the writers.
 
-Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``, and only
-hand-written grid-graph input may spell them as JSON numbers; matrices as
-``{"rows", "cols", "entries"}`` with stringified entries.  A vector (edge
-vector, witness, LDL* column) stores its nonzero entries as ``[index,
-"p/q"]`` pairs in index order, a cofactor monomial its ``[variable,
-exponent]`` pairs; their lengths come from the state or the ring.  A
-state stores its ``edges`` when it has them, else its ``matrix``; an edge
-state's matrix is read back by one Gram sum.  Certificates carry a
-``"kind"`` tag dispatched by the verifier: ``ppt`` (LDL* evidence for the
-state and its partial transpose; for a state stored as its matrix, rho's
-is also the state's check) and ``sn-verdict`` (the evidence of a
-Schmidt-number ``lower`` and ``upper`` bound, and the verdict line), each
-storing its state once.  The halves refer to that state: the lower one
-names its basis of the range (``"edges"`` or ``"range"``), the upper one
-stores the Schmidt ranks of the state's edges.  Retired layouts (dense
-vectors among them) fail with a request to re-run the verb that wrote them.
+Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``, and every reader
+refuses them as JSON numbers; matrices as ``{"rows", "cols", "entries"}``
+with stringified entries.  A vector (edge vector, witness, LDL* column)
+stores its nonzero entries as ``[index, "p/q"]`` pairs in index order, a
+cofactor monomial its ``[variable, exponent]`` pairs; their lengths come
+from the state or the ring.  A state stores its ``edges`` when it has
+them, else its ``matrix``, never both; an edge state's matrix is read back
+by one Gram sum.  Certificates carry a ``"kind"`` tag dispatched by the
+verifier: ``ppt`` (LDL* evidence for the state and its partial transpose;
+for a state stored as its matrix, rho's is also the state's check) and
+``sn-verdict`` (the evidence of a Schmidt-number ``lower`` and ``upper``
+bound, and the verdict line), each storing its state once.  The halves
+refer to that state: the lower one names its basis of the range
+(``"edges"`` or ``"range"``), the upper one stores the Schmidt ranks of
+the state's edges.  Any other layout is malformed, or of an unknown kind.
 
 This module writes each layout from the exact objects (the bounds come
-from :mod:`pptlab.certifier`).  The readers of states and certificates,
-the sparse codec, both verifiers and the :data:`VERIFIERS` table they are
+from :mod:`pptlab.certifier`), and reads an extension step, which imports
+:mod:`pptlab.extender`.  The readers of states and certificates, the
+sparse codec, both verifiers and the :data:`VERIFIERS` table they are
 dispatched through are what ``verify`` runs, so they live in the replay
 kernel :mod:`pptlab.replay`, and this module imports them from there
-under their names.  Reading a step imports :mod:`pptlab.extender`, and
-reading a grid graph :mod:`pptlab.constructions`.
+under their names.  A grid graph is read into a state by
+:func:`constructions.graph_state`.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from . import replay as rp
@@ -68,15 +67,19 @@ def state_to_json(s: rp.BipartiteState) -> dict:
 
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
     """Parse one extension step: ``kind``, ``side`` (default "A"), the
-    kind's parameters, vectors as lists of every entry (a step names no
-    dimensions) and matrices as objects, and the optional ``names`` of the
-    remainder's rank-one parts."""
+    kind's parameters and the optional ``names`` of the remainder's rank-one
+    parts, and no other key.  ``edge`` and ``chi`` are matrices, the other
+    parameters lists of every entry (a step names no dimensions), and each
+    entry a rational string; a malformed parameter's ``ValueError`` names it."""
     from . import extender as ex
     from . import qstates as qs
 
     kind = data.get("kind")
-    parameters = {key: matrix_from_json(data[key]) if isinstance(data[key], dict)
-                  else tuple(rp.parse_scalar(x) for x in data[key]) for key in ex.step_keys(kind)}
+    keys = ex.step_keys(kind)
+    unknown = sorted(set(data) - {"kind", "side", "names", *keys})
+    if unknown:
+        raise ValueError(f"unknown step keys {unknown} for the kind {kind!r}")
+    parameters = {key: _step_parameter(key, data[key]) for key in keys}
     names = data.get("names")
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):
@@ -85,24 +88,18 @@ def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
                             None if names is None else tuple(names))
 
 
-def graph_to_json(g) -> dict:
-    """A :class:`constructions.GridGraph` as JSON."""
-    solid, dashed = ([{"sites": [list(s) for s in e.sites], "weight": rp.format_scalar(e.weight)}
-                      for e in g.edges if e.kind == kind] for kind in ("solid", "dashed"))
-    return {"dims": [g.dim_a, g.dim_b], "solid": solid, "dashed": dashed}
-
-
-def graph_from_json(data: dict):
-    """The :class:`constructions.GridGraph` of :func:`graph_to_json`, whose
-    ``dims`` must be two ints of at least 1."""
-    from . import constructions as co  # only graph input builds a grid state
-
-    m, n = data["dims"]
-    if not all(type(d) is int and d >= 1 for d in (m, n)):
-        raise ValueError(f"dims {[m, n]!r} are not two ints of at least 1")
-    solid = [(e["sites"], Fraction(e["weight"])) for e in data.get("solid", ())]
-    dashed = [(e["sites"], Fraction(e["weight"])) for e in data.get("dashed", ())]
-    return co.grid_graph(m, n, solid=solid, dashed=dashed)
+def _step_parameter(key: str, value):
+    """The step parameter ``key`` read as its key declares it."""
+    try:
+        if key in ("edge", "chi"):
+            if not isinstance(value, dict):
+                raise TypeError("not a {rows, cols, entries} matrix")
+            return matrix_from_json(value)
+        if not isinstance(value, list):
+            raise TypeError("not a list of rational strings")
+        return tuple(rp.parse_scalar(x) for x in value)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"step parameter {key!r}: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

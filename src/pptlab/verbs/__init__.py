@@ -25,8 +25,10 @@ class InputError(PptlabError):
     """Command-line input that does not parse (exit 2)."""
 
 
-# what reading a file, JSON text or a number raises on malformed input
-_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError)
+# what reading a file, JSON text (nested too deeply, too) or a number raises
+# on malformed input
+_PARSE_ERRORS = (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError,
+                 RecursionError)
 
 
 def _parse(parse, *args):

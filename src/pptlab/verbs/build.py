@@ -10,8 +10,7 @@ from .states import load_state
 
 def run(args) -> int:
     if args.graph:
-        g = _parse(se.graph_from_json, _parse(se.load, args.graph))
-        state = co.grid_to_state(g, label=args.label or "grid-state")
+        state = co.graph_state(_parse(se.load, args.graph), args.label or "grid-state")
     elif args.state:
         state = load_state(args.state)
     else:

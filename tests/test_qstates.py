@@ -1,4 +1,4 @@
-"""States, grid graphs, partial transposes, and the canonical families."""
+"""States, grid-graph input, partial transposes, and the canonical families."""
 
 import random
 from fractions import Fraction
@@ -9,36 +9,31 @@ from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import qstates as qs
 from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NotPsd
+from pptlab.replay import MalformedData
+
+
+def _edge(sites, weight="1") -> dict:
+    return {"sites": [list(site) for site in sites], "weight": str(weight)}
 
 
 def test_grid_single_solid_edge():
-    g = co.grid_graph(2, 2, solid=[([(0, 0)], 1)], dashed=())
-    st = co.grid_to_state(g, "grid")
+    st = co.graph_state({"dims": [2, 2], "solid": [_edge([(0, 0)])]}, "grid")
     expect = em.ExactMatrix.outer(em.basis_vector(4, 0), em.basis_vector(4, 0))
-    assert st.matrix == expect
+    assert st.matrix == expect and [e.name for e in st.edges] == ["s0"]
 
 
 def test_grid_dashed_edge():
-    g = co.grid_graph(2, 2, solid=(), dashed=[([(0, 0), (1, 1)], 1)])
-    st = co.grid_to_state(g, "grid")
+    st = co.graph_state({"dims": [2, 2], "dashed": [_edge([(0, 0), (1, 1)])]}, "grid")
     v = em.vector([1, 0, 0, -1])
-    assert st.matrix == em.ExactMatrix.outer(v, v)
+    assert st.matrix == em.ExactMatrix.outer(v, v) and [e.name for e in st.edges] == ["d0"]
 
 
 def test_grid_bounds_and_weight_validation():
-    with pytest.raises(BoundsViolation):
-        co.grid_graph(2, 2, solid=[([(0, 2)], 1)], dashed=())
-    with pytest.raises(BoundsViolation):
-        co.grid_graph(2, 2, solid=[([(0, 0)], 0)], dashed=())
-    with pytest.raises(BoundsViolation):
-        co.grid_graph(2, 2, solid=(), dashed=[([(0, 0)], 1)])
-
-
-def test_grid_graph_replace_keeps_the_checks():
-    g = co.grid_graph(2, 2, solid=[([(1, 1)], 1)], dashed=())
-    assert g._replace(dim_a=3).dim_a == 3
-    with pytest.raises(BoundsViolation):
-        g._replace(dim_a=1)
+    for edges in ({"solid": [_edge([(0, 2)])]}, {"solid": [_edge([(0, 0)], 0)]},
+                  {"dashed": [_edge([(0, 0)])]}, {"dashed": [_edge([(0, 0), (0, 0)])]},
+                  {"solid": [_edge([])]}):
+        with pytest.raises(MalformedData, match="malformed graph: ValueError"):
+            co.graph_state({"dims": [2, 2], **edges}, "grid")
 
 
 def test_grid_state_psd_random():
@@ -49,14 +44,14 @@ def test_grid_state_psd_random():
         for _ in range(rng.randint(1, 4)):
             sites = {(rng.randrange(m), rng.randrange(n))
                      for _ in range(rng.randint(1, 3))}
-            solid.append((sorted(sites), Fraction(rng.randint(1, 4), rng.randint(1, 3))))
+            solid.append(_edge(sorted(sites), Fraction(rng.randint(1, 4), rng.randint(1, 3))))
         if m * n >= 2:
             a = (rng.randrange(m), rng.randrange(n))
             b = a
             while b == a:
                 b = (rng.randrange(m), rng.randrange(n))
-            dashed.append(((a, b), 1))
-        st = co.grid_to_state(co.grid_graph(m, n, solid, dashed), "random-grid")
+            dashed.append(_edge((a, b)))
+        st = co.graph_state({"dims": [m, n], "solid": solid, "dashed": dashed}, "random-grid")
         assert em.psd_check(st.matrix).is_psd
 
 
@@ -73,9 +68,9 @@ def test_rho3x3_sums_its_named_edges_once(spy, monkeypatch):
     rho = co.rho_3x3.__wrapped__()
     assert len(calls) == 1
     monkeypatch.undo()
-    grid = co.grid_to_state(co.grid_graph(
-        3, 3, solid=[([(0, 0), (1, 1), (2, 2)], 1), ([(0, 1), (1, 2)], 1), ([(0, 2)], 3),
-                     ([(2, 0)], 3)], dashed=[([(1, 0), (2, 1)], 1)]), "grid")
+    grid = co.graph_state({"dims": [3, 3], "solid": [
+        _edge([(0, 0), (1, 1), (2, 2)]), _edge([(0, 1), (1, 2)]), _edge([(0, 2)], 3),
+        _edge([(2, 0)], 3)], "dashed": [_edge([(1, 0), (2, 1)])]}, "grid")
     assert rho.matrix == grid.matrix and rho.label == "rho3x3"
     assert [(e.name, e.vec, e.weight) for e in rho.edges] == \
         [(f"e{i}", grid.edges[j].vec, grid.edges[j].weight)

@@ -43,12 +43,19 @@ def test_state_json_roundtrip():
 
 
 def test_graph_json_roundtrip():
-    g = co.grid_graph(3, 4,
-                      solid=[([(0, 0), (1, 1)], Fraction(3, 2)), ([(2, 3)], 1)],
-                      dashed=[([(0, 1), (1, 0)], 2)])
-    back = se.graph_from_json(json.loads(json.dumps(se.graph_to_json(g))))
-    assert back == g
-    assert co.grid_to_state(back, "back").matrix == co.grid_to_state(g, "g").matrix
+    """A graph's state is its named edges: written as a state file, it
+    reads back to the same edges and matrix."""
+    graph = {"dims": [3, 4], "solid": [{"sites": [[0, 0], [1, 1]], "weight": "3/2"},
+                                       {"sites": [[2, 3]], "weight": "1"}],
+             "dashed": [{"sites": [[0, 1], [1, 0]], "weight": "2"}]}
+    state = co.graph_state(json.loads(json.dumps(graph)), "g")
+    e = [em.basis_vector(12, i) for i in range(12)]
+    assert [(edge.name, edge.weight) for edge in state.edges] == \
+        [("s0", Fraction(3, 2)), ("s1", 1), ("d0", 2)]
+    assert state.edges[0].vec == tuple(a + b for a, b in zip(e[0], e[5]))
+    assert state.edges[2].vec == tuple(a - b for a, b in zip(e[1], e[4]))
+    back = se.state_from_json(json.loads(json.dumps(se.state_to_json(state))))
+    assert back.edges == state.edges and back.matrix == state.matrix
 
 
 def test_ppt_certificate_roundtrip_and_npt():
@@ -762,8 +769,9 @@ def test_cli_entrypoint_runs():
 def _separable_2x2(tmp_path) -> str:
     """A state file of the separable product-edge state ``|00><00| + |11><11|``,
     on which the lower bound search is inconclusive."""
-    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)], dashed=()),
-                          "grid-state")
+    st = co.graph_state({"dims": [2, 2], "solid": [{"sites": [[0, 0]], "weight": "1"},
+                                                   {"sites": [[1, 1]], "weight": "1"}]},
+                        "grid-state")
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
     return str(f)
@@ -869,9 +877,9 @@ def test_cli_import_loads_no_numpy():
 def test_serialize_import_loads_no_algcert():
     """Importing serialize loads neither algcert nor logging, which only
     algcert uses, nor the replay kernel or the named constructions: an
-    sn-lower replay imports ``minors`` when it runs, and graph input
-    ``constructions``, so a process that reads only states and ppt
-    certificates skips all four."""
+    sn-lower replay imports ``minors`` when it runs, and only ``build``
+    and named states ``constructions``, so a process that reads only
+    states and ppt certificates skips all four."""
     names = ["pptlab.algcert", "logging", "pptlab.minors", "pptlab.constructions"]
     assert _loaded_after_import("pptlab.serialize", names) == "[]"
 
@@ -1085,8 +1093,9 @@ def test_sn_verdict_text_is_rebuilt(rho3x3_verdict):
 
 
 def test_cli_verify_accepts_inconclusive_verdict(tmp_path):
-    st = co.grid_to_state(co.grid_graph(2, 2, solid=[([(0, 0)], 1), ([(1, 1)], 1)], dashed=()),
-                          "grid-state")
+    st = co.graph_state({"dims": [2, 2], "solid": [{"sites": [[0, 0]], "weight": "1"},
+                                                   {"sites": [[1, 1]], "weight": "1"}]},
+                        "grid-state")
     f = tmp_path / "sep.json"
     f.write_text(json.dumps(se.state_to_json(st)))
     cert = tmp_path / "cert.json"
@@ -1365,20 +1374,23 @@ def _retired(verdict, layout):
     return {"sn-lower": lower, "sn-upper": upper}[layout]
 
 
-@pytest.mark.parametrize("layout", ["state-per-half", "sn-lower", "sn-upper", "edges-copied"])
-def test_cli_verify_fails_retired_sn_layouts(rho3x3_verdict, tmp_path, capsys, layout):
+@pytest.mark.parametrize("layout, reason", [
+    ("state-per-half", "malformed certificate: KeyError: 'state'"),
+    ("sn-lower", "unknown certificate kind 'sn-lower'"),
+    ("sn-upper", "unknown certificate kind 'sn-upper'"),
+    ("edges-copied", "malformed state: ValueError: a state stores both its matrix and its edges"),
+], ids=["state-per-half", "sn-lower", "sn-upper", "edges-copied"])
+def test_cli_verify_fails_retired_sn_layouts(rho3x3_verdict, tmp_path, capsys, layout, reason):
     """The layouts before the state was stored once, at the top level (a
     verdict with a state per half, and a standalone half), and before an
     sn-verdict referred to its state's edges instead of copying them.
-    Each fails ``pptlab verify`` with one line that asks to re-run
-    certify-sn, although every proof in it is genuine."""
+    Each fails ``pptlab verify`` (exit 1) with one line, as malformed or of
+    an unknown kind, although every proof in it is genuine."""
     path = tmp_path / "old.json"
     path.write_text(json.dumps(_retired(rho3x3_verdict, layout)))
     capsys.readouterr()
     assert cli.run(["verify", str(path)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("verify: FAILED: ") and out.count("\n") == 1
-    assert "retired layout" in out and "re-run certify-sn" in out
+    assert capsys.readouterr().out == f"verify: FAILED: {reason}\n"
 
 
 def test_forged_groebner_payload_fails_verify(rho3x3_verdict, tmp_path, capsys):
@@ -1411,7 +1423,7 @@ def test_old_format_sn_lower_is_rejected(rho3x3_verdict, edit):
     """Generator/Groebner payloads were standalone sn-lower certificates."""
     lower = _retired(rho3x3_verdict, "sn-lower")
     edit(lower)
-    with pytest.raises(se.CertificateInvalid, match="re-run certify-sn"):
+    with pytest.raises(se.CertificateInvalid, match="unknown certificate kind 'sn-lower'"):
         se.verify_certificate(lower)
 
 
@@ -1895,9 +1907,8 @@ def test_signed_product_edges_are_refused_by_every_verb(tmp_path, capsys):
 
 
 def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys):
-    """A state file that stores both its matrix and its edges is input in a
-    retired layout (exit 2, re-run build); a ppt certificate holding one
-    fails verify (exit 1, re-run ppt-check)."""
+    """A state file that stores both its matrix and its edges is malformed
+    input (exit 2); a ppt certificate holding one fails verify (exit 1)."""
     state, cert = tmp_path / "state.json", tmp_path / "ppt.json"
     assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
     old = json.loads(cert.read_text())
@@ -1905,14 +1916,12 @@ def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys)
     state.write_text(json.dumps(old["state"]))
     cert.write_text(json.dumps(old))
     capsys.readouterr()
+    reason = "malformed state: ValueError: a state stores both its matrix and its edges\n"
     for verb in ("ppt-check", "certify-sn", "build"):
         assert cli.run([verb, "--state", str(state)]) == 2
-        err = capsys.readouterr().err
-        assert "retired layout" in err and "re-run build" in err
+        assert capsys.readouterr() == ("", f"{verb}: MalformedData: {reason}")
     assert cli.run(["verify", str(cert)]) == 1
-    out = capsys.readouterr().out
-    assert out.startswith("verify: FAILED: ppt certificate in a retired layout")
-    assert "re-run ppt-check" in out
+    assert capsys.readouterr().out == f"verify: FAILED: {reason}"
 
 
 @pytest.mark.parametrize("verb, state, digest", [
@@ -1924,10 +1933,10 @@ def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys)
 def test_files_with_dense_vectors_ask_for_a_rerun(tmp_path, capsys, verb, state, digest):
     """A file written before vectors were stored sparsely: ``_densified``
     rebuilds its exact bytes (pinned by SHA-256) from what the verb writes
-    now.  A state file fails ``--state`` input (exit 2, re-run build) and a
-    certificate fails verify (exit 1, re-run the verb), also the ppt
-    certificate of a state stored as its matrix, which holds dense LDL*
-    columns only."""
+    now.  Its first dense entry is not an ``[index, value]`` pair: a state
+    file is malformed ``--state`` input (exit 2) and a certificate fails
+    verify (exit 1), also the ppt certificate of a state stored as its
+    matrix, which holds dense LDL* columns only."""
     new, old = tmp_path / "new.json", tmp_path / "old.json"
     args = ["--k", "2"] if verb == "certify-sn" else []
     assert cli.run([verb, "--state", state, *args, "--out", str(new)]) == 0
@@ -1939,13 +1948,14 @@ def test_files_with_dense_vectors_ask_for_a_rerun(tmp_path, capsys, verb, state,
             step = ["--step", json.dumps(RHO_4X5_STEP_JSON[0])] if reader == "extend" else []
             assert cli.run([reader, "--state", str(old), *step]) == 2
             assert capsys.readouterr().err == (
-                f"{reader}: RetiredLayout: state in a retired layout (a vector stored "
-                f"densely): re-run build to replace it\n")
+                f"{reader}: MalformedData: malformed state: ValueError: entry '1' is not "
+                f"[index, nonzero value] with an index above -1 and below 9\n")
         return
     assert cli.run(["verify", str(old)]) == 1
-    kind = "ppt" if verb == "ppt-check" else "sn-verdict"
-    assert capsys.readouterr().out == \
-        f"verify: FAILED: {kind} certificate in a retired layout: re-run {verb} to replace it\n"
+    what = "certificate" if state == "tiles" else "state"
+    assert re.fullmatch(f"verify: FAILED: malformed {what}: ValueError: entry '[-0-9/]+' is not "
+                        r"\[index, nonzero value\] with an index above -1 and below 9\n",
+                        capsys.readouterr().out)
 
 
 @pytest.mark.parametrize("verb", ["verify", "plot"])

@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 2050,
-    "certify-sn": 2485,
-    "verify ppt": 1600,
-    "verify sn-verdict": 1821,
+    "ppt-check": 1788,
+    "certify-sn": 2476,
+    "verify ppt": 1578,
+    "verify sn-verdict": 1815,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
