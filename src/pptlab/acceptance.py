@@ -11,12 +11,12 @@ import time
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import algcert as ac
 from . import certifier as ce
 from . import constructions as co
 from . import exactmat as em
 from . import extender as ex
 from . import extension_count_bound
+from . import minors as mi
 from . import qstates as qs
 from .errors import CriterionFailed, DecompositionMismatch
 
@@ -82,27 +82,47 @@ def criterion_1() -> CriterionResult:
         ]
         acc = em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9)
         _check(acc == pt, "PT does not equal the weighted f-decomposition bit-exactly")
-        _, sym = ac.range_coordinate_matrix(rho, em.column_space(rho.matrix), "site")
-        minors = ac.minor_ideal(sym, 2, ())
-        gb = ac.buchberger(minors)
-        ring = ac.PolyRing(sym.variables)
-        psi00, psi01, psi10 = (ring.var(v) for v in ("psi00", "psi01", "psi10"))
-        _check(ac.in_ideal(psi00 ** 2, gb), "psi00^2 not in the 2-minor ideal")
-        _check(ac.in_ideal(psi01 * psi10, gb), "psi01*psi10 not in the 2-minor ideal")
+        # the edge e0 = |00> + |11> + |22> overlaps psi00 alone
+        square = ce.certify_sn_lower(rho, rho.edges[0].vec, 2, ())
+        _check(isinstance(square, ce.LowerBound) and square.power == 2,
+               "psi00^2 not in the 2-minor ideal")
+        M = _site_matrix(rho)
+        mixed = ce.minor_membership(ce.WitnessClosure(M, 2, ()), _monomial(M, "psi01", "psi10"))
+        _check(mixed is not None, "psi01*psi10 not in the 2-minor ideal")
         cands = [co._sites_vec([(0, 2)], 3, 3), co._sites_vec([(2, 0)], 3, 3)]
         verdict = ex.edge_state_check(rho, cands)
         _check(verdict.is_edge_for_candidates, "edge-state check failed")
         _check(all(d["in_range"] for d in verdict.details), "a candidate lies outside the range")
         return {"birank": [5, 6], "edge_state": True,
-                "groebner_size": len(gb)}
+                "minors": {name: [[list(rows), list(cols)] for rows, cols, _ in minors] for
+                           name, minors in (("psi00^2", square.minors), ("psi01*psi10", mixed))}}
 
     return _run(1, "rho3x3 regression", 1.0, body)
+
+
+def _site_matrix(s: qs.BipartiteState) -> mi.SymbolicRangeMatrix:
+    """The coordinate matrix of the range of ``s`` over its site-named basis."""
+    return mi.coordinate_matrix(*s.dims, ce._named_basis(s, em.column_space(s.matrix), "site")[1])
+
+
+def _monomial(M: mi.SymbolicRangeMatrix, *names: str) -> tuple:
+    return tuple(names.count(v) for v in M.variables)  # the exponents of the product
+
+
+# (rows, cols, cofactor variable, coefficient) of cofactor_identity_4x5's minors
+IDENTITY_4X5 = (
+    ((0, 1, 2), (0, 1, 2), "psi00", Fraction(1)),       # g5
+    ((0, 1, 3), (1, 2, 3), "psi00", Fraction(-3)),      # g3 / 3
+    ((1, 2, 3), (0, 1, 4), "psi00", Fraction(-3)),      # g4 / 3
+    ((0, 1, 3), (0, 1, 3), "psi02", Fraction(-3, 2)),   # g1 / 3
+    ((1, 2, 3), (1, 2, 4), "psi20", Fraction(-3, 2)),   # g2 / 3
+)
 
 
 def cofactor_identity_4x5() -> bool:
     """Verify the explicit Nullstellensatz identity for the 4x5 coordinate ideal.
 
-    With the five minors
+    With the five minors (``x_ij`` is the coordinate ``psi_ij``)
 
         g1 = x20*(x00^2 - x01*x10),   g2 = x02*(x00^2 + x01*x10),
         g3 = x20*(x01^2 - x00*x02),   g4 = -x02*(x10^2 + x00*x20),
@@ -112,18 +132,15 @@ def cofactor_identity_4x5() -> bool:
 
         x00*(g5 - g3 - g4) - (x02*g1 + x20*g2)/2 = x00^4,
 
-    so x00^4 lies in the ideal generated by the g_i.  (The cofactors on g1
-    and g2 carry the factor 1/2.)  Independent of Groebner machinery.
+    so x00^4 lies in the ideal generated by the g_i.  :data:`IDENTITY_4X5`
+    states it as the determinants it names; those on row 3 (whose entries
+    in columns 3 and 4 are ``x20/3`` and ``x02/3``) are ``g_i / 3``.  The
+    check ``verify`` runs, :func:`minors.minor_identity_holds`, expands them.
     """
-    ring = ac.PolyRing(["x00", "x01", "x10", "x02", "x20"])
-    x00, x01, x10, x02, x20 = (ring.var(v) for v in ring.variables)
-    g1 = x20 * (x00 * x00 - x01 * x10)
-    g2 = x02 * (x00 * x00 + x01 * x10)
-    g3 = x20 * (x01 * x01 - x00 * x02)
-    g4 = -(x02 * (x10 * x10 + x00 * x20))
-    g5 = x00 * x00 * x00 + x01 * x01 * x20 - x10 * x10 * x02 - x00 * x02 * x20
-    lhs = x00 * (g5 - g3 - g4) - (x02 * g1 + x20 * g2).scale(Fraction(1, 2))
-    return (lhs - x00 ** 4).is_zero()
+    M = _site_matrix(co.rho_4x5().final)
+    return mi.minor_identity_holds(M, _monomial(M, *["psi00"] * 4),
+                                   [(rows, cols) for rows, cols, _, _ in IDENTITY_4X5],
+                                   [{_monomial(M, v): c} for _, _, v, c in IDENTITY_4X5])
 
 
 def criterion_2() -> CriterionResult:

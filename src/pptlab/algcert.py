@@ -5,8 +5,8 @@ does not use it: a reduced Groebner basis of all ``k x k`` minors of a range
 coordinate matrix (:func:`minor_ideal`, :func:`buchberger`) decides ideal
 membership by normal form (:func:`in_ideal`), and
 :func:`linear_membership_cofactors` finds explicit cofactors over every
-minor by the certifier's integer Macaulay solve.  Acceptance criteria 1-2
-and the tests use it; ``certify-sn`` and ``verify`` never load it.
+minor by the certifier's integer Macaulay solve.  Only the tests use it:
+no module of the package imports it, so no ``pptlab`` process loads it.
 
 It owns the rational polynomials (:class:`PolyRing`, :class:`Polynomial`
 and :class:`Minor`).  Its kernels pack each monomial into one int on entry

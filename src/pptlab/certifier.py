@@ -12,9 +12,10 @@ run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
 :class:`UpperBound` holding exact values, which
 :func:`serialize.sn_verdict_certificate` writes as JSON.
 
-The search is the witness closure (:class:`_WitnessClosure`), which
-computes only the minors that share monomials with a witness power, and
-the integer Macaulay solve of their cofactors (:func:`_cofactor_trail`).
+:func:`minor_membership` proves any monomial in the minor ideal: the
+witness closure (:class:`WitnessClosure`) computes only the minors that
+share monomials with it, and :func:`_cofactor_trail` solves for their
+cofactors.
 Packed monomials, coordinate matrices, the setup of a lower bound and the
 replay of an identity live in :mod:`pptlab.minors`, and the states, ranges
 and Schmidt ranks in the replay kernel :mod:`pptlab.replay`; this module
@@ -199,14 +200,15 @@ def _primitive(minor: dict) -> tuple:
     return frozenset((m, c // g) for m, c in minor.items()), lead
 
 
-class _WitnessClosure:
-    """The minors that share monomials, transitively, with a witness power.
+class WitnessClosure:
+    """The minors that share monomials, transitively, with a target monomial
+    (a witness power ``x_w^N`` for :func:`certify_sn_lower`).
 
-    In the Macaulay system of ``x_w^N`` over the ``k x k`` minors, a row
-    ``mono * g`` that shares no monomial, however indirectly, with ``x_w^N``
+    In the Macaulay system of the target over the ``k x k`` minors, a row
+    ``mono * g`` that shares no monomial, however indirectly, with it
     never meets the rows that do: eliminating them never mixes the two
     sets, so the target reduces exactly as in the full system.  The closure
-    therefore starts from the packed monomial ``x_w^N``; for each degree-``k``
+    therefore starts from the packed target; for each degree-``k``
     divisor ``t`` of a monomial it reaches, it lists the ``(rows, cols)``
     whose Leibniz expansion has a term on ``t`` (one position per variable
     of ``t``, in distinct rows and columns: every entry is a linear form),
@@ -214,18 +216,17 @@ class _WitnessClosure:
     row ``(u / t) * g`` whose minor ``g`` contains ``t``.  Zero minors and
     minors with an excluded variable are dropped, and proportional minors
     keep their lexicographically first ``(rows, cols)``, as in
-    :func:`algcert.minor_ideal`.  Determinants are cached across powers.
+    :func:`algcert.minor_ideal`.  Determinants are cached across targets.
     """
 
     def __init__(self, M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str]):
         P = self.P = M.packing
         P.check_degree(k)
-        self.k = k
-        self.rows, self.scales = M.rows, M.scales
+        self.k, self.M = k, M
         self.excluded = sum(P.max << (P.width * M.variables.index(v)) for v in exclude_vars)
         self.units = [P.unit(l) for l in range(P.nvars)]
         self.places: dict = {}      # units[l] -> [(row, col)] of the entries with x_l
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(M.rows):
             for j, entry in row:
                 for unit, _ in entry:
                     self.places.setdefault(unit, []).append((i, j))
@@ -271,7 +272,7 @@ class _WitnessClosure:
         when it vanishes or has an excluded variable."""
         if pos in self._minors:
             return self._minors[pos]
-        terms = mi._determinant(self.rows, self.P, *pos)
+        terms = mi._determinant(self.M.rows, self.P, *pos)
         out = None
         if terms and not _has_excluded(terms, self.excluded):
             out = (terms,) + _primitive(terms)
@@ -353,11 +354,12 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
     """Certify ``SN(s) >= k`` through the range criterion.
 
     Searches the smallest ``N <= 2k`` with ``x_w^N`` in the ideal of
-    ``k x k`` minors, where ``x_w`` is the single range coordinate the
-    witness overlaps.  Membership means every Schmidt-rank ``k-1`` vector in
-    the range is orthogonal to the witness, which itself lies in the range,
-    so no rank ``<= k-1`` decomposition can exist.  Returns a
-    :class:`LowerBound` on success, :class:`Inconclusive` otherwise.
+    ``k x k`` minors (:func:`minor_membership`), where ``x_w`` is the single
+    range coordinate the witness overlaps.  Membership means every
+    Schmidt-rank ``k-1`` vector in the range is orthogonal to the witness,
+    which itself lies in the range, so no rank ``<= k-1`` decomposition can
+    exist.  Returns a :class:`LowerBound` on success, :class:`Inconclusive`
+    otherwise.
 
     The variables take the edges' names exactly when ``exclude_vars`` is
     non-empty.  The setup is the verifier's (:func:`minors.lower_bound_setup`),
@@ -368,13 +370,9 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
     linear problem in the cofactors of degree ``N - k`` (a Macaulay matrix
     argument, complete for homogeneous ideals); no power below ``k`` lies in
     the ideal, and the verifier accepts exactly the powers ``k <= N <= 2k``
-    this search can return.  The solve at each ``N`` runs over the minors
-    of :class:`_WitnessClosure`, in :func:`algcert.minor_ideal`'s order, and finds
-    the cofactors the solve over every minor would; nothing is enumerated.
-    The certificate keeps only the minors with a nonzero cofactor, each as
-    its first ``[rows, cols]`` with the cofactor rescaled from the monic
-    minor to that determinant.  Excluding variables only shrinks the ideal,
-    so ``exclude_vars`` is a search heuristic and is not recorded.
+    this search can return.  One closure serves every ``N``, so each
+    determinant is computed once.  Excluding variables only shrinks the
+    ideal, so ``exclude_vars`` is a search heuristic and is not recorded.
     """
     if k < 1:
         raise InvalidK(f"k = {k}: a Schmidt-number lower bound needs k >= 1")
@@ -385,35 +383,48 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
     _require_orthogonal(sym.basis)
     if k > min(sym.dim_a, sym.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
-    closure = _WitnessClosure(sym, k, exclude_vars)
-    P = closure.P
-    xw = closure.units[sym.variables.index(witness_var)]
+    closure = WitnessClosure(sym, k, exclude_vars)
     for N in range(k, 2 * k + 1):
-        P.check_degree(N)
-        target = P.one + N * xw
-        found = closure.component(target)
-        _info(__name__, "certify_sn_lower: N=%d: %d minors in %d variables", N, len(found), P.nvars)
-        # algcert.minor_ideal's order: leading monomial, term count, first (rows, cols)
-        keys = sorted(found, key=lambda key: (max(key)[0], len(key), found[key][:2]))
-        generators = [(dict(key), max(key)[1]) for key in keys]
-        monomials = _cofactor_monomials(P, N - k)
-        solved = _cofactor_trail({target: 1}, 1, generators, monomials)
-        if solved is None:
-            continue
-        trail, sigma = solved
-        cofactors: dict = {}
-        for (i, mono), c in trail.items():
-            rows, _, lead = found[keys[i]]
-            det_factor = Fraction(lead, math.prod(closure.scales[r] for r in rows))
-            cofactors.setdefault(i, {})[mono] = Fraction(c, sigma) / det_factor
-        used = sorted(cofactors)
-        pairs = [found[keys[i]][:2] for i in used]
-        terms = [cofactors[i] for i in used]
-        if not mi.minor_identity_holds(sym, N, witness_var, pairs, terms):
-            raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
-        return LowerBound(k, tuple(witness_vector), witness_var, sym.variables, source, N,
-                          tuple((rows, cols, cof) for (rows, cols), cof in zip(pairs, terms)))
+        target = tuple(N if v == witness_var else 0 for v in sym.variables)
+        minors = minor_membership(closure, target)
+        if minors is not None:
+            return LowerBound(k, tuple(witness_vector), witness_var, sym.variables, source, N,
+                              minors)
     return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
+
+
+def minor_membership(closure: WitnessClosure, target: tuple):
+    """The ``(rows, cols, {exponents: Fraction})`` triples of ``sum cofactor
+    * det M[rows, cols] = target``, a monomial's exponent tuple over the
+    closure's matrix ``M``, checked by :func:`minors.minor_identity_holds`;
+    ``None`` when ``target`` is not in the ideal of the ``k x k`` minors.
+
+    The solve runs over the minors the closure reaches from ``target``, in
+    :func:`algcert.minor_ideal`'s order, and finds the cofactors the solve
+    over every minor would.  Each minor with a nonzero cofactor is kept as
+    its first ``(rows, cols)``, the cofactor rescaled from the monic minor
+    to that determinant."""
+    P, k, M = closure.P, closure.k, closure.M
+    packed = P.pack(target)
+    found = closure.component(packed)
+    _info(__name__, "minor_membership: degree %d: %d minors in %d variables",
+          sum(target), len(found), P.nvars)
+    # algcert.minor_ideal's order: leading monomial, term count, first (rows, cols)
+    keys = sorted(found, key=lambda key: (max(key)[0], len(key), found[key][:2]))
+    generators = [(dict(key), max(key)[1]) for key in keys]
+    solved = _cofactor_trail({packed: 1}, 1, generators, _cofactor_monomials(P, sum(target) - k))
+    if solved is None:
+        return None
+    trail, sigma = solved
+    cofactors: dict = {}
+    for (i, mono), c in trail.items():
+        rows, _, lead = found[keys[i]]
+        det_factor = Fraction(lead, math.prod(M.scales[r] for r in rows))
+        cofactors.setdefault(i, {})[mono] = Fraction(c, sigma) / det_factor
+    minors = tuple(found[keys[i]][:2] + (cofactors[i],) for i in sorted(cofactors))
+    if not mi.minor_identity_holds(M, target, [m[:2] for m in minors], [m[2] for m in minors]):
+        raise InternalInconsistency("cofactor bookkeeping failed: the identity does not replay")
+    return minors
 
 
 def sn_upper_from_decomposition(target: rp.BipartiteState) -> UpperBound:

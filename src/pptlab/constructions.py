@@ -117,19 +117,9 @@ def tiles_complement() -> qs.BipartiteState:
 
 def tiles_kernel_products() -> tuple:
     """The five Tiles product vectors, unnormalized."""
-    def vec(entries):
-        v = [em.ZERO] * 9
-        for idx, val in entries:
-            v[idx] = em.as_scalar(val)
-        return tuple(v)
-
-    return (
-        vec([(0, 1), (1, -1)]),
-        vec([(7, 1), (8, -1)]),
-        vec([(2, 1), (5, -1)]),
-        vec([(3, 1), (6, -1)]),
-        tuple(em.ONE for _ in range(9)),
-    )
+    differences = (((0, 0), (0, 1)), ((2, 1), (2, 2)), ((0, 2), (1, 2)), ((1, 0), (2, 0)))
+    return tuple(_sites_vec([plus], 3, 3, [minus]) for plus, minus in differences) + \
+        (_sites_vec([(i, j) for i in range(3) for j in range(3)], 3, 3),)
 
 
 class Rho45Pipeline(NamedTuple):
@@ -249,8 +239,5 @@ def family_kernel_vector(k: int) -> em.Vector:
     """The antidiagonal-block kernel vector
     ``Omega = sum_{i=1}^{k-1} (|i,2k-1-i> - |2k-1-i,i>)``."""
     dim = 2 * k - 1
-    v = [em.ZERO] * (dim * dim)
-    for i in range(1, k):
-        v[qs.flat_index(i, dim - i, dim)] = em.ONE
-        v[qs.flat_index(dim - i, i, dim)] = -em.ONE
-    return tuple(v)
+    return _sites_vec([(i, dim - i) for i in range(1, k)], dim, dim,
+                      [(dim - i, i) for i in range(1, k)])

@@ -49,6 +49,7 @@ from .errors import (
     PreconditionViolation,
     RangeViolation,
 )
+from .replay import matrix_from_json
 
 Side = Literal["A", "B"]
 
@@ -473,6 +474,40 @@ def step_keys(kind: str) -> tuple:
     return _STEP_KINDS[kind][0]
 
 
+def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
+    """Parse one extension step: ``kind``, ``side`` (default "A"), the
+    kind's parameters and the optional ``names`` of the remainder's rank-one
+    parts, and no other key.  ``edge`` and ``chi`` are matrices, the other
+    parameters lists of every entry (a step names no dimensions), and each
+    entry a rational string; a malformed parameter's ``ValueError`` names it."""
+    kind = data.get("kind")
+    keys = step_keys(kind)
+    unknown = sorted(set(data) - {"kind", "side", "names", *keys})
+    if unknown:
+        raise ValueError(f"unknown step keys {unknown} for the kind {kind!r}")
+    parameters = {key: _step_parameter(key, data[key]) for key in keys}
+    names = data.get("names")
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(x, str) for x in names)):
+        raise ValueError("step names must be a list of strings")
+    return qs.ExtensionStep(kind, data.get("side", "A"), parameters, label,
+                            None if names is None else tuple(names))
+
+
+def _step_parameter(key: str, value):
+    """The step parameter ``key`` read as its key declares it."""
+    try:
+        if key in ("edge", "chi"):
+            if not isinstance(value, dict):
+                raise TypeError("not a {rows, cols, entries} matrix")
+            return matrix_from_json(value)
+        if not isinstance(value, list):
+            raise TypeError("not a list of rational strings")
+        return tuple(em.parse_scalar(x) for x in value)
+    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"step parameter {key!r}: {type(exc).__name__}: {exc}") from None
+
+
 def apply_step(core: qs.BipartiteState, step: qs.ExtensionStep) -> qs.BipartiteState:
     """Apply one :class:`qstates.ExtensionStep` to ``core``; the new level
     is the last local index of ``step.side``."""
@@ -534,7 +569,7 @@ class RuleVerdict(NamedTuple):
     sn_bound: int | None
     trusted_rules_used: tuple
     details: dict
-    entangled: bool = False
+    entangled: bool
 
 
 def _is_ppt(s: qs.BipartiteState) -> bool:
@@ -554,25 +589,23 @@ def separability_rules(s: qs.BipartiteState) -> RuleVerdict:
     dims = tuple(sorted(s.dims))
     ppt = _is_ppt(s)
     if not ppt:
-        return RuleVerdict(False, None, None, (), entangled=True,
-                           details={"reason": "partial transpose not PSD"})
+        return RuleVerdict(False, None, None, (), {"reason": "partial transpose not PSD"}, True)
     if dims in ((2, 2), (2, 3)) or 1 in dims:
         rule = "R1" if dims in ((2, 2), (2, 3)) else "R2"
         used = (TRUSTED_RULES["R1"],) if rule == "R1" else ()
-        return RuleVerdict(True, rule, 1, used,
-                           details={"reason": f"PPT in {s.dim_a}x{s.dim_b}"})
+        return RuleVerdict(True, rule, 1, used, {"reason": f"PPT in {s.dim_a}x{s.dim_b}"}, False)
     ok, info = block_separability(s)
     if ok:
-        return RuleVerdict(True, "R2", 1, tuple(info.get("trusted", ())), details=info)
+        return RuleVerdict(True, "R2", 1, tuple(info.get("trusted", ())), info, False)
     if dims == (2, 4):
         prod = _kernel_product_vector(s)
         if prod is not None:
             return RuleVerdict(True, "R3", 1, (TRUSTED_RULES["R3"],),
-                               details={"kernel_product": [em.format_scalar(x) for x in prod]})
+                               {"kernel_product": [em.format_scalar(x) for x in prod]}, False)
     if s.dims == (3, 3):
         return RuleVerdict(False, None, 2, (TRUSTED_RULES["R4"],),
-                           details={"reason": "3x3 PPT: SN <= 2 recorded, separability unknown"})
-    return RuleVerdict(False, None, None, (), details={})
+                           {"reason": "3x3 PPT: SN <= 2 recorded, separability unknown"}, False)
+    return RuleVerdict(False, None, None, (), {}, False)
 
 
 def block_separability(s: qs.BipartiteState):
@@ -749,21 +782,11 @@ def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
     product vectors only, where it equals the conjugate up to the global
     phase of ``u``.  Exactness keeps this closed over Gaussian rationals.
     """
-    A = em.ExactMatrix([[v[i * n + j] for j in range(n)] for i in range(m)])
-    # rank-one factorization: first nonzero row/column
-    for i in range(m):
-        if any(A.row(i)):
-            row = A.row(i)
-            break
-    pivot_j = next(j for j, x in enumerate(row) if x)
-    col = A.col(pivot_j)
-    # v = col (x) row / row[pivot_j]; conjugate the B factor (the row)
-    scale = em.ONE / row[pivot_j]
-    out = [em.ZERO] * (m * n)
-    for i in range(m):
-        for j in range(n):
-            out[i * n + j] = col[i] * row[j].conj() * scale.conj()
-    return tuple(out)
+    # the first nonzero entry v[i0, j0] factors v as col (x) row / v[i0, j0], with
+    # col = v[., j0] and row = v[i0, .]; conjugate the B factor (the row)
+    i0, j0 = divmod(next(p for p, x in enumerate(v) if x), n)
+    scale = (em.ONE / v[i0 * n + j0]).conj()
+    return tuple(v[i * n + j0] * v[i0 * n + j].conj() * scale for i in range(m) for j in range(n))
 
 
 # ---------------------------------------------------------------------------

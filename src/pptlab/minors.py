@@ -203,20 +203,20 @@ def _determinant(rows: list, P: _Packing, chosen: tuple, cols: tuple) -> dict:
     return table.get(tuple(cols), {})
 
 
-def minor_identity_holds(M: SymbolicRangeMatrix, power: int, witness_variable: str,
+def minor_identity_holds(M: SymbolicRangeMatrix, target: tuple,
                          pairs: Sequence[tuple], cofactors: Sequence[dict]) -> bool:
-    """Whether ``sum cofactor_i * det M[rows_i, cols_i] = x_w^power`` exactly.
+    """Whether ``sum cofactor_i * det M[rows_i, cols_i] = target`` exactly.
 
-    ``pairs`` lists the ``(rows, cols)`` of each minor and ``cofactors`` the
-    matching terms (exponent tuple -> Fraction) of degree ``power - k``.
-    Only these determinants are computed, on the packed int rows of ``M``
-    (:func:`_determinant`), and the sum is compared
-    with ``x_w^power`` over one common denominator: that of every cofactor
-    coefficient times its minor's row scales.  Both the certifier and the
-    verifier of sn-lower identities call it.
-    """
+    ``target`` is a monomial's exponent tuple over ``M.variables``, ``pairs``
+    the ``(rows, cols)`` of each minor and ``cofactors`` the matching terms
+    (exponent tuple -> Fraction) of degree ``deg target - k``.  Only these
+    determinants are computed, on the packed int rows of ``M``
+    (:func:`_determinant`), and the sum is compared with ``target`` over one
+    common denominator: that of every cofactor coefficient times its
+    minor's row scales.  The certifier, the sn-lower verifier and the
+    acceptance suite call it."""
     P, rows, scales = M.packing, M.rows, M.scales
-    P.check_degree(power)   # every product has degree power
+    goal = P.pack(target)   # checks deg target, the degree of every product
     shifted = [(math.prod(scales[r] for r in chosen),
                 [(P.pack(e) - P.one, c) for e, c in terms.items() if c])
                for (chosen, _), terms in zip(pairs, cofactors)]
@@ -233,5 +233,4 @@ def minor_identity_holds(M: SymbolicRangeMatrix, power: int, witness_variable: s
                     acc[key] = total
                 else:
                     del acc[key]
-    target = tuple(power if v == witness_variable else 0 for v in M.variables)
-    return acc == {P.pack(target): den}
+    return acc == {goal: den}

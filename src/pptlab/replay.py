@@ -173,20 +173,16 @@ def _decimal_digits(n: int) -> int:
 
 
 def parse_scalar(text: str) -> GaussianRational:
-    """Inverse of :func:`format_scalar`; only a string is read."""
-    if not isinstance(text, str):
-        raise TypeError(f"{text!r} is not a rational string")
-    s = text.strip()
-    if s.endswith("i"):
-        body = s[:-1].strip()
-        # split at the sign separating real and imaginary parts; a sign after
-        # "e" belongs to an exponent ("2e-3")
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
-                re_part, im_part = body[:pos], body[pos] + body[pos + 1:]
-                return GaussianRational(Fraction(re_part), Fraction(im_part))
-        return GaussianRational(0, Fraction(body))
-    return GaussianRational(Fraction(s))
+    """Inverse of :func:`format_scalar`; each part is read by :func:`_rational`."""
+    if not (isinstance(text, str) and text.strip().endswith("i")):
+        return GaussianRational(_rational(text))
+    body = text.strip()[:-1].strip()
+    # split at the sign separating real and imaginary parts; a sign after
+    # "e" belongs to an exponent ("2e-3")
+    for pos in range(len(body) - 1, 0, -1):
+        if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
+            return GaussianRational(_rational(body[:pos]), _rational(body[pos:]))
+    return GaussianRational(0, _rational(body))
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +351,11 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def is_zero(self) -> bool:
         return all(not x for row in self._e for x in row)
 
     def is_hermitian(self) -> bool:
-        return self.is_square() and _int_hermitian(_int_matrix(self)[1])
+        return self.rows == self.cols and _int_hermitian(_int_matrix(self)[1])
 
     def is_diagonal(self) -> bool:
         return all(not self._e[i][j] for i in range(self.rows) for j in range(self.cols) if i != j)
@@ -665,10 +658,10 @@ class PsdResult(NamedTuple):
     """
 
     is_psd: bool
-    pivots: tuple = ()            # tuple[(index, Fraction), ...]
-    columns: tuple = ()           # tuple[Vector, ...], l_t with l_t[index]=1
-    witness: Vector | None = None
-    witness_value: Fraction | None = None
+    pivots: tuple                 # tuple[(index, Fraction), ...], () unless PSD
+    columns: tuple                # tuple[Vector, ...], l_t with l_t[index]=1
+    witness: Vector | None        # None when PSD
+    witness_value: Fraction | None
 
     @property
     def rank(self) -> int:
@@ -732,8 +725,7 @@ def psd_check(M: ExactMatrix) -> PsdResult:
             if dnum < 0:
                 loc = [ZERO] * n
                 loc[piv] = ONE
-                w = _psd_witness(loc, pivot_indices, ells, n)
-                return PsdResult(False, witness=w, witness_value=d)
+                return PsdResult(False, (), (), _psd_witness(loc, pivot_indices, ells, n), d)
             # ell = column piv / d, the conjugate of the pivot row over its diagonal
             nz = [i for i in range(n) if _nonzero(A[piv], i)]
             ell = [ZERO] * n
@@ -755,8 +747,8 @@ def psd_check(M: ExactMatrix) -> PsdResult:
             off = next(((i, k) for ai, i in enumerate(active) for k in active[ai + 1:]
                         if _nonzero(A[i], k)), None)
             if off is None:
-                cols = tuple(tuple(l) for l in ells)
-                return PsdResult(True, pivots=tuple(zip(pivot_indices, pivot_values)), columns=cols)
+                return PsdResult(True, tuple(zip(pivot_indices, pivot_values)),
+                                 tuple(tuple(l) for l in ells), None, None)
             i, k = off
             ur, ui = _entry(A[i], k)
             q = den[i] * scale
@@ -764,8 +756,7 @@ def psd_check(M: ExactMatrix) -> PsdResult:
             loc[i] = ONE
             loc[k] = -_quotient(ur, -ui, (q, 0))
             value = Fraction(-2 * (ur * ur + ui * ui), q * q)
-            w = _psd_witness(loc, pivot_indices, ells, n)
-            return PsdResult(False, witness=w, witness_value=value)
+            return PsdResult(False, (), (), _psd_witness(loc, pivot_indices, ells, n), value)
 
 
 # ---------------------------------------------------------------------------
@@ -948,9 +939,16 @@ def _sparse_from_json(data, length: int, parse, zero) -> list:
 
 
 def _rational(text) -> Fraction:
-    """A stored rational: a ``"p/q"`` string, never a JSON number or bool."""
+    """A stored rational: a ``"p/q"`` string, never a JSON number or bool,
+    whose exponent (``"2e-3"``) expands to at most the digits
+    :func:`format_scalar` writes: ``Fraction`` expands it exactly, and
+    ``"1e10000000"`` would take seconds."""
     if not isinstance(text, str):
         raise TypeError(f"{text!r} is not a rational string")
+    _, e, exponent = text.lower().partition("e")
+    limit = sys.get_int_max_str_digits()  # 0: no limit
+    if e and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"{text.strip()[:20]!r} expands past {limit} digits")
     return Fraction(text)
 
 
@@ -1092,7 +1090,8 @@ def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
         raise CertificateInvalid(str(exc)) from None
     if overlapped != witness_variable:
         raise CertificateInvalid("witness overlap is not the declared single variable")
-    if not mi.minor_identity_holds(sym, power, witness_variable, pairs, cofactors):
+    target = tuple(power if v == witness_variable else 0 for v in variables)
+    if not mi.minor_identity_holds(sym, target, pairs, cofactors):
         raise CertificateInvalid("cofactor identity does not expand to the witness power")
     return True
 
@@ -1146,10 +1145,10 @@ def _cofactor(nvars: int, data, degree: int) -> dict:
         monomial, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
         exps = tuple(_sparse_from_json(monomial, nvars,
                                        lambda e: e if type(e) is int and e > 0 else 0, 0))
-        if not isinstance(c, str) or sum(exps) != degree or exps in out:
-            raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial of "
-                                     f"degree {degree} and a rational string")
-        out[exps] = Fraction(c)
+        if sum(exps) != degree or exps in out:
+            raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial "
+                                     f"of degree {degree}")
+        out[exps] = _rational(c)
     return out
 
 

@@ -1,4 +1,4 @@
-"""JSON round-trips for states, steps and certificates: the writers.
+"""JSON round-trips for states and certificates: the writers.
 
 Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``, and every reader
 refuses them as JSON numbers; matrices as ``{"rows", "cols", "entries"}``
@@ -16,19 +16,17 @@ refer to that state: the lower one names its basis of the range
 (``"edges"`` or ``"range"``), the upper one stores the Schmidt ranks of
 the state's edges.  Any other layout is malformed, or of an unknown kind.
 
-This module writes each layout from the exact objects (the bounds come
-from :mod:`pptlab.certifier`), and reads an extension step, which imports
-:mod:`pptlab.extender`.  The readers of states and certificates, the
-sparse codec, both verifiers and the :data:`VERIFIERS` table they are
-dispatched through are what ``verify`` runs, so they live in the replay
-kernel :mod:`pptlab.replay`, and this module imports them from there
-under their names.  A grid graph is read into a state by
-:func:`constructions.graph_state`.
+This module holds only the writers, of each layout from the exact
+objects (the bounds come from :mod:`pptlab.certifier`).  The readers of
+states and certificates, the sparse codec, both verifiers and the
+:data:`VERIFIERS` table they are dispatched through are what ``verify``
+runs, so they live in the replay kernel :mod:`pptlab.replay`, and this
+module imports them from there under their names.  A grid graph is read
+into a state by :func:`constructions.graph_state`, an extension step by
+:func:`extender.step_from_json`, next to the step kinds' keys.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from . import replay as rp
 from .replay import (VERIFIERS, CertificateInvalid, MalformedData, load,  # noqa: F401
@@ -36,9 +34,6 @@ from .replay import (VERIFIERS, CertificateInvalid, MalformedData, load,  # noqa
                      state_from_json, vector_from_json, verify_certificate,
                      verify_ppt_certificate, verify_sn_lower_certificate,
                      verify_sn_upper_certificate)
-
-if TYPE_CHECKING:
-    from . import qstates as qs
 
 
 def matrix_to_json(M: rp.ExactMatrix) -> dict:
@@ -63,43 +58,6 @@ def state_to_json(s: rp.BipartiteState) -> dict:
         out["edges"] = [{"name": e.name, "vector": vector_to_json(e.vec),
                          "weight": rp.format_scalar(e.weight)} for e in s.edges]
     return out
-
-
-def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
-    """Parse one extension step: ``kind``, ``side`` (default "A"), the
-    kind's parameters and the optional ``names`` of the remainder's rank-one
-    parts, and no other key.  ``edge`` and ``chi`` are matrices, the other
-    parameters lists of every entry (a step names no dimensions), and each
-    entry a rational string; a malformed parameter's ``ValueError`` names it."""
-    from . import extender as ex
-    from . import qstates as qs
-
-    kind = data.get("kind")
-    keys = ex.step_keys(kind)
-    unknown = sorted(set(data) - {"kind", "side", "names", *keys})
-    if unknown:
-        raise ValueError(f"unknown step keys {unknown} for the kind {kind!r}")
-    parameters = {key: _step_parameter(key, data[key]) for key in keys}
-    names = data.get("names")
-    if names is not None and not (isinstance(names, list)
-                                  and all(isinstance(x, str) for x in names)):
-        raise ValueError("step names must be a list of strings")
-    return qs.ExtensionStep(kind, data.get("side", "A"), parameters, label,
-                            None if names is None else tuple(names))
-
-
-def _step_parameter(key: str, value):
-    """The step parameter ``key`` read as its key declares it."""
-    try:
-        if key in ("edge", "chi"):
-            if not isinstance(value, dict):
-                raise TypeError("not a {rows, cols, entries} matrix")
-            return matrix_from_json(value)
-        if not isinstance(value, list):
-            raise TypeError("not a list of rational strings")
-        return tuple(rp.parse_scalar(x) for x in value)
-    except (KeyError, ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"step parameter {key!r}: {type(exc).__name__}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ def run(args) -> int:
     data = _parse(json.loads, args.step)
     if not isinstance(data, dict):
         raise InputError("--step must be a JSON object")
-    step = _parse(se.step_from_json, data, f"{data.get('kind')}({state.label})")
+    step = _parse(ex.step_from_json, data, f"{data.get('kind')}({state.label})")
     out = ex.run_pipeline(state, [step])[0]
     _emit(args, se.state_to_json(out),
           text=f"extended to {out.dim_a}x{out.dim_b} ({step.kind} on side {step.side})")

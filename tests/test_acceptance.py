@@ -1,13 +1,17 @@
 """Acceptance suite: one test per criterion, each printing its verdict line."""
 
+import itertools
 import os
 import subprocess
 import sys
 
+import pytest
+
 from pptlab import acceptance
+from pptlab import certifier as ce
 from pptlab import exactmat as em
 from pptlab import extender as ex
-from pptlab.errors import DecompositionMismatch
+from pptlab.errors import DecompositionMismatch, InternalInconsistency
 
 REPRODUCE_SEED = 7  # the default of `pptlab reproduce --seed`
 
@@ -26,6 +30,71 @@ def test_criterion_1_rho3x3_regression():
 
 def test_criterion_2_rho4x5_pipeline():
     _check(acceptance.criterion_2())
+
+
+def test_criteria_1_and_2_state_their_memberships_as_minor_identities():
+    """Criterion 1 records the (rows, cols) of the minors each of its two
+    identities uses, and criterion 2's hand-written identity holds."""
+    result = acceptance.criterion_1()
+    assert result.passed, result.details
+    assert result.details["minors"] == {"psi00^2": [[[0, 1], [0, 1]], [[1, 2], [1, 2]]],
+                                        "psi01*psi10": [[[0, 1], [0, 1]], [[1, 2], [1, 2]]]}
+    assert "groebner_size" not in result.details
+    assert acceptance.cofactor_identity_4x5()
+
+
+def _spoiled_identities():
+    """One spoiled cofactor, and one spoiled (rows, cols), of each minor of
+    ``acceptance.IDENTITY_4X5``."""
+    for i, (rows, cols, var, c) in enumerate(acceptance.IDENTITY_4X5):
+        yield f"g{i}-cofactor", i, (rows, cols, var, c + 1)
+        other = min(set(range(5)) - set(cols))
+        yield f"g{i}-cols", i, (rows, tuple(sorted(cols[:2] + (other,))), var, c)
+
+
+SPOILED = list(_spoiled_identities())
+
+
+@pytest.mark.parametrize("index, entry", [case[1:] for case in SPOILED],
+                         ids=[case[0] for case in SPOILED])
+def test_a_spoiled_4x5_identity_fails(monkeypatch, index, entry):
+    table = list(acceptance.IDENTITY_4X5)
+    table[index] = entry
+    monkeypatch.setattr(acceptance, "IDENTITY_4X5", tuple(table))
+    assert not acceptance.cofactor_identity_4x5()
+
+
+@pytest.mark.parametrize("spoil", ["cofactor", "rows-cols"])
+def test_criterion_1_fails_on_a_spoiled_identity(monkeypatch, spoil):
+    """Each identity of criterion 1 is replayed by the check ``verify``
+    runs: a solve that returns one wrong cofactor, or a closure that files
+    one minor under another's (rows, cols), fails it."""
+    if spoil == "cofactor":
+        solve = ce._cofactor_trail
+
+        def spoiled(*args):
+            out = solve(*args)
+            if out is not None:
+                trail, sigma = out
+                key = next(iter(trail))
+                out = {**trail, key: trail[key] + sigma}, sigma
+            return out
+
+        monkeypatch.setattr(ce, "_cofactor_trail", spoiled)
+    else:
+        component = ce.WitnessClosure.component
+
+        def spoiled(self, target):
+            found = component(self, target)
+            key = next(iter(found))
+            rows, cols, lead = found[key]
+            other = next(c for c in itertools.combinations(range(self.M.dim_b), len(cols))
+                         if c != cols)
+            return {**found, key: (rows, other, lead)}
+
+        monkeypatch.setattr(ce.WitnessClosure, "component", spoiled)
+    with pytest.raises(InternalInconsistency, match="the identity does not replay"):
+        acceptance.criterion_1()
 
 
 def test_criterion_3_stage2_projection():

@@ -366,7 +366,7 @@ def test_minor_ideal_ties_keep_the_first_lexicographic_position():
 def _closure_component(sym, k, variables):
     """The witness closure's component of the monomial on ``variables``, as
     monic polynomial -> (rows, cols)."""
-    closure = ce._WitnessClosure(sym, k, ())
+    closure = ce.WitnessClosure(sym, k, ())
     P = closure.P
     target = P.one + sum(closure.units[sym.variables.index(v)] for v in variables)
     return {ac.polynomial(P, ac.PolyRing(sym.variables), dict(key)).monic(): (rows, cols)
@@ -538,6 +538,41 @@ def test_closure_matches_enumerate_then_solve(name, st, k, excl):
     cofactors as solving over every enumerated minor."""
     cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
     assert (cert.power, cert.minors) == _enumerated_lower(st, k, excl)
+
+
+MEMBERSHIP_CASES = [c for c in _closure_cases()
+                    if c[0] in ("rho3x3", "rho4x5", "family3-all", "family3")]
+
+
+@pytest.mark.parametrize("name, st, k, excl", MEMBERSHIP_CASES,
+                         ids=[c[0] for c in MEMBERSHIP_CASES])
+def test_minor_membership_of_the_witness_power_is_certify_sn_lower(name, st, k, excl):
+    """Given ``x_w^N``, the target function returns certify_sn_lower's
+    triples, and below ``N`` it finds no identity."""
+    cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+    sym = _range_matrix(st, naming="edge" if excl else "site")
+    assert sym.variables == cert.variables
+    closure = ce.WitnessClosure(sym, k, excl)
+    for N in range(k, cert.power + 1):
+        target = tuple(N * (v == cert.witness_variable) for v in sym.variables)
+        assert ce.minor_membership(closure, target) == (cert.minors if N == cert.power else None)
+
+
+def test_criterion_1_identities_expand_to_their_monomials():
+    """The oracle's cross-check of criterion 1: Buchberger puts psi00^2 and
+    psi01*psi10 in rho3x3's 2-minor ideal (test_minor_consequence_chain_rho3x3),
+    and the identities the certifier finds for them expand, by Leibniz, to
+    exactly those monomials; psi00 alone has none."""
+    sym = _range_matrix(co.rho_3x3())
+    ring = ac.PolyRing(sym.variables)
+    closure = ce.WitnessClosure(sym, 2, ())
+    for names in (("psi00", "psi00"), ("psi01", "psi10"), ("psi02", "psi20")):
+        minors = ce.minor_membership(closure, tuple(names.count(v) for v in sym.variables))
+        acc = ring.zero()
+        for rows, cols, cof in minors:
+            acc = acc + ac.Polynomial(ring, cof) * _leibniz_det(sym, rows, cols)
+        assert acc == ring.var(names[0]) * ring.var(names[1])
+    assert ce.minor_membership(closure, tuple(int(v == "psi00") for v in sym.variables)) is None
 
 
 def test_certify_sn_lower_never_enumerates(monkeypatch):
@@ -932,7 +967,7 @@ def test_records_are_immutable():
     reassigned."""
     final = co.rho_4x5().final
     lower, upper = ce.certify_sn(final)
-    verdict = ex.RuleVerdict(True, "R1", 1, (), details={"reason": "a"})
+    verdict = ex.RuleVerdict(True, "R1", 1, (), {"reason": "a"}, False)
     for record, field in ((lower, "power"), (upper, "value"), (verdict, "rule")):
         with pytest.raises(AttributeError):
             setattr(record, field, 4)

@@ -1,8 +1,9 @@
 """Grid-graph and step input: one strict reader each, and the size rule.
 
 ``build --graph`` reads a graph under the state reader's rules, ``extend
---step`` reads each parameter by its key, and every state input (a state
-file, a graph, ``family:k``) has at most ``replay.MAX_DIM`` levels.  Each
+--step`` reads each parameter by its key, every state input (a state
+file, a graph, ``family:k``) has at most ``replay.MAX_DIM`` levels, and
+every stored rational expands to at most the int-to-text digit limit.  Each
 malformed input exits 2 with one line on stderr (``verify``: exit 1 with
 one ``FAILED`` line), never a traceback; the fuzzer at the end mutates
 valid graphs and steps and drives :func:`cli.run` in process
@@ -14,7 +15,9 @@ import copy
 import hashlib
 import io
 import json
+import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -210,6 +213,76 @@ def test_oversized_certificate_fails_verify_before_allocating(kind, tmp_path):
                                               "state dimensions 3000x3000 exceed 1024 levels "
                                               "in all\n", "")
     assert time.perf_counter() - start < 2
+
+
+# -- the scalar bound ------------------------------------------------------------
+
+# ten bytes that Fraction would expand, exactly, to a ten-million-digit int
+HUGE = "1e10000000"
+
+
+def _huge_case(case: str, tmp_path) -> tuple:
+    """``(argv, exit code)`` of one reader given :data:`HUGE`, built from a
+    valid input: ``verify`` exits 1, every other verb 2."""
+    path = tmp_path / "input.json"
+    if case in ("ppt-pivot", "cofactor"):
+        verb = ["ppt-check"] if case == "ppt-pivot" else ["certify-sn", "--k", "2"]
+        assert _run(verb + ["--state", "rho3x3", "--out", str(path)])[0] == 0
+        cert = json.loads(path.read_text())
+        if case == "ppt-pivot":
+            cert["rho"]["pivots"][0][1] = HUGE
+        else:
+            cert["lower"]["minors"][0][2]["terms"][0][1] = HUGE
+        path.write_text(json.dumps(cert))
+        return ["verify", str(path)], 1
+    if case == "step-entry":
+        return ["extend", "--state", "rho3x3", "--step",
+                json.dumps({"kind": "slocc", "side": "B", "phi": ["1", "0", HUGE]})], 2
+    if case == "imaginary-part":
+        return ["extend", "--state", "rho3x3", "--step",
+                json.dumps({"kind": "slocc", "side": "B", "phi": ["1", "0", f"1-{HUGE} i"]})], 2
+    if case == "graph-weight":
+        path.write_text(json.dumps(_graph(solid=[{"sites": [[0, 0]], "weight": HUGE}])))
+        return ["build", "--graph", str(path)], 2
+    if case == "state-weight":
+        assert _run(["build", "--state", "rho3x3", "--out", str(path)])[0] == 0
+        state = json.loads(path.read_text())
+        state["edges"][3]["weight"] = HUGE
+    else:  # a matrix entry
+        state = {"kind": "state", "dim_a": 1, "dim_b": 1, "label": "one",
+                 "matrix": {"rows": 1, "cols": 1, "entries": [[HUGE]]}}
+    path.write_text(json.dumps(state))
+    return ["ppt-check", "--state", str(path)], 2
+
+
+@pytest.mark.parametrize("case", ["state-weight", "matrix-entry", "graph-weight", "step-entry",
+                                  "imaginary-part", "ppt-pivot", "cofactor"])
+def test_a_scalar_past_the_digit_limit_is_refused_at_once(case, tmp_path):
+    """Every stored rational is read by ``replay._rational``, which refuses
+    an exponent that expands past ``sys.get_int_max_str_digits()`` digits:
+    read exactly, this ten-byte value held each reader for seconds."""
+    argv, expected = _huge_case(case, tmp_path)
+    start = time.perf_counter()
+    code, out, err = _run(argv)
+    assert time.perf_counter() - start < 1
+    assert code == expected
+    line = out if expected == 1 else err
+    limit = sys.get_int_max_str_digits()
+    assert line.count("\n") == 1 and f"{HUGE}' expands past {limit} digits" in line, (out, err)
+
+
+def test_exponents_within_the_digit_limit_still_read():
+    """``"2e-3"`` is 1/500, as before, in either part of a scalar, and an
+    exponent at the limit reads while one past it is refused."""
+    limit = sys.get_int_max_str_digits()
+    assert rp._rational("2e-3") == Fraction(1, 500)
+    assert rp.parse_scalar("2e-3") == rp.GaussianRational(Fraction(1, 500))
+    assert rp.parse_scalar("1-2e-3 i") == rp.GaussianRational(1, Fraction(-1, 500))
+    assert rp.parse_scalar(" 3E2 ") == 300
+    assert rp._rational(f"1e-{limit}") == Fraction(1, 10 ** limit)
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}"):
+        with pytest.raises(ValueError, match="expands past"):
+            rp._rational(text)
 
 
 # -- the fuzzer ------------------------------------------------------------------

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -414,3 +415,38 @@ def test_the_float_layer_loads_without_the_exact_one(code):
     loaded = set(json.loads(out))
     assert "pptlab.numlab" in loaded
     assert not loaded & {"pptlab.exactmat", "pptlab.qstates", "pptlab.serialize"}
+
+
+@pytest.mark.parametrize("argv, dims", [
+    (["sample", "--dims", "200x200", "--birank", "4,4"], "200x200"),
+    (["survey", "--dims", "3x3 200x200", "--birank", "4,4", "--samples", "2"], "200x200"),
+    (["sample", "--dims=-2x-2", "--birank", "1,1"], "-2x-2"),
+], ids=["sample", "survey", "negative"])
+def test_a_sample_past_the_level_bound_exits_2_allocating_nothing(argv, dims, capsys):
+    """``numlab.MAX_LEVELS`` is checked before anything is allocated (numpy
+    reports its buffers to tracemalloc): a 200x200 sample ended in numpy's
+    ``_ArrayMemoryError`` (23.8 GiB), and -2x-2 in a reshape traceback."""
+    tracemalloc.start()
+    try:
+        code = cli.run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (2, f"{argv[0]}: DimensionMismatch: dimensions "
+                                                  f"{dims} are not 1 to 36 levels in all\n")
+    assert peak < 1 << 20
+
+
+def test_a_survey_checks_every_row_before_it_samples(monkeypatch):
+    monkeypatch.setattr(nl, "gauss_newton_lockstep",
+                        lambda *args: pytest.fail("a row was sampled before the check"))
+    with pytest.raises(DimensionMismatch, match="dimensions 200x200 are not"):
+        nl.unextendibility_survey([(3, 3), (200, 200)], [(4, 4)], samples=2, seed=0)
+
+
+def test_the_level_bound_admits_6x6():
+    assert nl.MAX_LEVELS == 36
+    assert nl._levels(6, 6) == 36 and nl._levels(1, 36) == 36
+    for m, n in ((6, 7), (0, 3), (37, 1)):
+        with pytest.raises(DimensionMismatch, match=f"dimensions {m}x{n} are not"):
+            nl.gauss_newton_lockstep(m, n, 1, 1, [0])

@@ -1,5 +1,6 @@
 """Serialization round-trips, certificate replay, and the CLI surface."""
 
+import ast
 import hashlib
 import json
 import os
@@ -182,7 +183,7 @@ def test_cli_replays_the_recorded_rho4x5_steps(tmp_path):
     state = "rho3x3"
     for i, (data, step, want) in enumerate(zip(RHO_4X5_STEP_JSON, pipe.steps,
                                                (pipe.stage1, pipe.stage2, pipe.final))):
-        assert se.step_from_json(data, step.label).parameters == step.parameters
+        assert ex.step_from_json(data, step.label).parameters == step.parameters
         out = tmp_path / f"stage{i}.json"
         assert cli.run(["extend", "--state", state, "--step", json.dumps(data),
                         "--out", str(out)]) == 0
@@ -261,7 +262,7 @@ def test_cli_extend_lifts_the_edges_of_a_state_that_has_them(tmp_path):
     state = "rho3x3"
     for i, (data, step) in enumerate(zip(RHO_4X5_STEP_JSON, co.rho_4x5().steps)):
         named = {**data, "names": list(step.names)}
-        assert se.step_from_json(named, step.label) == step
+        assert ex.step_from_json(named, step.label) == step
         out = tmp_path / f"stage{i}.json"
         assert cli.run(["extend", "--state", state, "--step", json.dumps(named),
                         "--out", str(out)]) == 0
@@ -557,7 +558,7 @@ def test_reading_equals_entrywise_parse(data):
     rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
     entries = data.draw(st.lists(st.lists(st.sampled_from(SPELLINGS), min_size=cols,
                                           max_size=cols), min_size=rows, max_size=rows))
-    edge = se.step_from_json({"kind": "direct_sum",
+    edge = ex.step_from_json({"kind": "direct_sum",
                               "edge": {"rows": rows, "cols": cols, "entries": entries}},
                              "x").parameters["edge"]
     assert edge == em.ExactMatrix([[em.parse_scalar(x) for x in row] for row in entries])
@@ -885,8 +886,14 @@ def test_serialize_import_loads_no_algcert():
 
 
 def test_serialize_import_loads_no_extender():
-    """Only ``step_from_json`` needs extender (the step kinds' keys)."""
+    """serialize holds only writers: a step is read by
+    ``extender.step_from_json``, next to the step kinds' keys, so serialize
+    never imports extender, not even inside a function."""
     assert _loaded_after_import("pptlab.serialize", ["pptlab.extender"]) == "[]"
+    assert not hasattr(se, "step_from_json")
+    tree = ast.parse(open(se.__file__).read())
+    assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and "extender" in [node.module, *(alias.name for alias in node.names)]]
 
 
 VERB_MODULES = ["pptlab.algcert", "pptlab.certifier", "pptlab.extender", "logging"]
@@ -994,7 +1001,7 @@ def test_cli_verbose_configures_logging():
     argv = ["-m", "pptlab.cli", "certify-sn", "--state", "rho3x3", "--k", "2"]
     assert _child(argv).stderr == ""
     err = _child(argv[:2] + ["--verbose"] + argv[2:]).stderr
-    assert "INFO pptlab.certifier: certify_sn_lower: " in err
+    assert "INFO pptlab.certifier: minor_membership: degree 2: " in err
 
 
 # -- sn-verdict claims ----------------------------------------------------------

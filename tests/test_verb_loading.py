@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1788,
-    "certify-sn": 2476,
-    "verify ppt": 1578,
-    "verify sn-verdict": 1815,
+    "ppt-check": 1745,
+    "certify-sn": 2443,
+    "verify ppt": 1577,
+    "verify sn-verdict": 1813,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
