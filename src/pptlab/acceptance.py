@@ -102,7 +102,8 @@ def criterion_1() -> CriterionResult:
 
 def _site_matrix(s: qs.BipartiteState) -> mi.SymbolicRangeMatrix:
     """The coordinate matrix of the range of ``s`` over its site-named basis."""
-    return mi.coordinate_matrix(*s.dims, ce._named_basis(s, em.column_space(s.matrix), "site")[1])
+    vectors = mi.range_basis(s)[2]
+    return mi.coordinate_matrix(*s.dims, tuple(zip(ce._variables(s, "site", vectors), vectors)))
 
 
 def _monomial(M: mi.SymbolicRangeMatrix, *names: str) -> tuple:

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from . import minors as mi
 from . import replay as rp
 from .certifier import (_cofactor_monomials, _cofactor_trail, _has_excluded, _info,
-                        _named_basis, _primitive, _require_orthogonal)
+                        _primitive, _require_orthogonal, _variables)
 # the benchmark's tracer (pptbench/tracer.py) wraps these two under this module
 from .certifier import certify_sn_lower, sn_upper_from_decomposition  # noqa: F401
 from .errors import DimensionMismatch, InternalInconsistency
@@ -196,7 +196,23 @@ def pack_terms(P: mi._Packing, p: Polynomial) -> dict:
 
 
 def polynomial(P: mi._Packing, ring: PolyRing, terms: dict) -> Polynomial:
-    return Polynomial(ring, {P.unpack(m): c for m, c in terms.items()})
+    return Polynomial(ring, {_unpack(P, m): c for m, c in terms.items()})
+
+
+def _unpack(P: mi._Packing, key: int) -> tuple:  # the oracle's, as is _lcm
+    w, mx = P.width, P.max
+    return tuple(mx - ((key >> (w * i)) & mx) for i in range(P.nvars))
+
+
+def _lcm(P: mi._Packing, a: int, b: int) -> int:
+    g, w = P.guard, P.width
+    ge = ((a | g) - b) & g                  # guards of fields with e_a <= e_b
+    ge -= ge >> (w - 1)                     # ... widened to their value bits
+    low = (b & ge) | (a & (P.one ^ ge))     # per-field min = per-variable max
+    # the exponent sum collects in field n-1 of (exponents * [1, ..., 1]),
+    # and P.one is MAX * [1, ..., 1]
+    deg = ((P.one - low) * (P.one // P.max) >> (w * max(P.nvars - 1, 0))) & ((1 << w) - 1)
+    return (P.check_degree(deg) << (w * P.nvars)) | low
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +329,15 @@ def _gm_update(P: mi._Packing, polys: list, G: list, pairs: list, ih: int) -> No
     ``G`` holds basis indices, ``pairs`` is a heap of ``(lcm, i, j)``; both
     are updated in place.
     """
-    guard = P.guard
+    guard, top = P.guard, P.width * P.nvars     # a packed monomial's degree is key >> top
     lead_h = polys[ih][1]
-    deg_h = P.degree(lead_h)
+    deg_h = lead_h >> top
     lcms = {}
     cand = []
     for ig in G:
         lead_g = polys[ig][1]
-        l = lcms[ig] = P.lcm(lead_h, lead_g)
-        cand.append((l, P.degree(l) != deg_h + P.degree(lead_g), ig))
+        l = lcms[ig] = _lcm(P, lead_h, lead_g)
+        cand.append((l, l >> top != deg_h + (lead_g >> top), ig))
     # chain criterion (M and F): keep only the pairs whose lcm no other new
     # pair's lcm divides.  A divisor has lower degree or is equal, so one
     # ascending pass suffices; coprime pairs sort first among equal lcms and
@@ -335,7 +351,7 @@ def _gm_update(P: mi._Packing, polys: list, G: list, pairs: list, ih: int) -> No
     # criterion B on the old pairs: drop (i, j) when lead_h divides its lcm
     # and the pairs (i, h), (j, h) have smaller lcms
     def lcm_with_h(i):
-        return lcms[i] if i in lcms else P.lcm(polys[i][1], lead_h)
+        return lcms[i] if i in lcms else _lcm(P, polys[i][1], lead_h)
 
     hg = lead_h | guard
     surviving = []
@@ -434,13 +450,14 @@ def _int_terms(terms: dict) -> tuple:
 # symbolic range matrices and minor ideals
 # ---------------------------------------------------------------------------
 
-def range_coordinate_matrix(s: rp.BipartiteState, rng: rp.Subspace,
-                            naming: str) -> tuple:
-    """``(source, matrix)``: ``rng``, the range of ``s``, as a symbolic
-    coordinate matrix over the real, orthogonal basis :func:`certifier._named_basis`
-    names."""
-    source, basis = _named_basis(s, rng, naming)
-    sym = mi.coordinate_matrix(s.dim_a, s.dim_b, basis)
+def range_coordinate_matrix(s: rp.BipartiteState, naming: str) -> tuple:
+    """``(source, matrix)``: the range of ``s`` as a coordinate matrix over a real,
+    orthogonal basis: the edges under their names (``naming="edge"``), or
+    the basis :func:`minors.range_basis` picks, under site names."""
+    _, source, vectors = mi.range_basis(s)
+    if naming == "edge":
+        source, vectors = "edges", [e.vec for e in s.edges]
+    sym = mi.coordinate_matrix(*s.dims, tuple(zip(_variables(s, naming, vectors), vectors)))
     _require_orthogonal(sym.basis)
     return source, sym
 
@@ -508,6 +525,6 @@ def minor_ideal(M: mi.SymbolicRangeMatrix, k: int, exclude_vars: Sequence[str]) 
     for key in out:
         chosen, cols, lead = found[key]
         plead = max(key)[1]
-        minors.append(Minor(ring, {P.unpack(m): Fraction(c, plead) for m, c in key}, chosen, cols,
+        minors.append(Minor(ring, {_unpack(P, m): Fraction(c, plead) for m, c in key}, chosen, cols,
                             Fraction(lead, math.prod(scales[r] for r in chosen))))
     return minors

@@ -16,9 +16,9 @@ run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
 witness closure (:class:`WitnessClosure`) computes only the minors that
 share monomials with it, and :func:`_cofactor_trail` solves for their
 cofactors.
-Packed monomials, coordinate matrices, the setup of a lower bound and the
-replay of an identity live in :mod:`pptlab.minors`, and the states, ranges
-and Schmidt ranks in the replay kernel :mod:`pptlab.replay`; this module
+The range, packed monomials, coordinate matrices, the setup of a lower
+bound and the replay of an identity live in :mod:`pptlab.minors`, and the
+states and Schmidt ranks in the replay kernel :mod:`pptlab.replay`; this module
 imports those two and nothing else of the package, and checks each
 identity it finds with the verifier's :func:`minors.minor_identity_holds`
 before returning it.  It computes on packed terms only: the rational
@@ -150,30 +150,14 @@ def _monomials_up_to(nvars: int, degree: int):
 # range bases and the witness closure
 # ---------------------------------------------------------------------------
 
-def _site_variable_name(idx: int, n: int) -> str:
-    i, j = divmod(idx, n)
-    if i < 10 and j < 10:
-        return f"psi{i}{j}"
-    return f"psi_{i}_{j}"
-
-
-def _named_basis(s: rp.BipartiteState, rng: rp.Subspace, naming: str) -> tuple:
-    """``(source, basis)``: the basis of ``rng``, the range of ``s``, that
-    the certifier uses, as ``(variable, vector)`` pairs: the edges under
-    their names (``naming="edge"``, which reads no ``rng``), or the edges
-    when they are a basis, else the canonical RREF basis, named after each
-    vector's leading site (``psi<i><j>``).  A repeat appends each name's position."""
+def _variables(s: rp.BipartiteState, naming: str, vectors: Sequence) -> list:
+    """Distinct names per vector: edge names (``"edge"``) or leading sites (``psi<i><j>``)."""
     if naming == "edge":
-        source, basis = "edges", [(e.name, e.vec) for e in s.edges or ()]
+        names = [e.name for e in s.edges]
     else:
-        vectors = rp.edge_basis(s, rng)
-        source = "range" if vectors is None else "edges"
-        basis = [(_site_variable_name(next(i for i, x in enumerate(v) if x), s.dim_b), v)
-                 for v in (rng.basis if vectors is None else vectors)]
-    names = [name for name, _ in basis]
-    if len(set(names)) != len(names):
-        basis = [(f"{name}_{l}", v) for l, (name, v) in enumerate(basis)]
-    return source, basis
+        sites = [divmod(next(i for i, x in enumerate(v) if x), s.dim_b) for v in vectors]
+        names = [f"psi{i}{j}" if i < 10 and j < 10 else f"psi_{i}_{j}" for i, j in sites]
+    return names if len(set(names)) == len(names) else [f"{x}_{l}" for l, x in enumerate(names)]
 
 
 def _require_orthogonal(basis: Sequence) -> None:
@@ -362,8 +346,8 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
     otherwise.
 
     The variables take the edges' names exactly when ``exclude_vars`` is
-    non-empty.  The setup is the verifier's (:func:`minors.lower_bound_setup`),
-    and the certifier demands an orthogonal basis on top.
+    non-empty.  The setup is the verifier's (:func:`minors.lower_bound_setup`,
+    which refuses a state without edges), and an orthogonal basis is demanded.
 
     Every entry of a range coordinate matrix is a linear form, so every
     minor is homogeneous of degree ``k`` and membership of ``x_w^N`` is a
@@ -376,10 +360,9 @@ def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
     """
     if k < 1:
         raise InvalidK(f"k = {k}: a Schmidt-number lower bound needs k >= 1")
-    rng = rp.column_space(s.matrix)
-    source, basis = _named_basis(s, rng, "edge" if exclude_vars else "site")
-    sym, witness_var = mi.lower_bound_setup(s, rng, source, [name for name, _ in basis],
-                                            witness_vector)
+    sym, witness_var, source = mi.lower_bound_setup(
+        s, "edges" if exclude_vars else None,
+        lambda vectors: _variables(s, "edge" if exclude_vars else "site", vectors), witness_vector)
     _require_orthogonal(sym.basis)
     if k > min(sym.dim_a, sym.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
@@ -447,7 +430,7 @@ def certify_sn(s: rp.BipartiteState, k: int | None = None, exclude_deltas: bool 
     """
     upper = sn_upper_from_decomposition(s)
     witness = s.edges[upper.schmidt_ranks.index(upper.value)].vec
-    names = [name for name, _ in _named_basis(s, None, "edge")[1]] if exclude_deltas else []
+    names = _variables(s, "edge", ()) if exclude_deltas else []
     exclude = [name for name, e in zip(names, s.edges) if e.name.startswith("delta")]
     lower = certify_sn_lower(s, witness, upper.value if k is None else k, exclude_vars=exclude)
     return lower, upper

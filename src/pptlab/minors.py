@@ -1,19 +1,17 @@
-"""The sn-lower replay: packed monomials, coordinate matrices and minors.
+"""The sn-lower replay: the range, packed monomials, coordinate matrices and minors.
 
 A Schmidt-number lower bound is an identity ``sum_i c_i det M[rows_i,
 cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` of a range
 basis (``Psi_ij = sum_l v_l[ij] x_l``).  This module holds what checking
-such an identity needs, and nothing of the search that finds one:
-:class:`_Packing` (a monomial as one int, in grevlex order),
-:func:`coordinate_matrix`, which builds ``M`` from the basis once as scaled
-integer rows of packed linear forms, and :func:`minor_identity_holds`,
-which computes only the listed determinants by Laplace expansion on those
-rows.  The certifier (:mod:`pptlab.certifier`) and the verifier
-(:mod:`pptlab.replay`) run the same setup, :func:`lower_bound_setup`, and
-the same identity check.  Of the package it imports only the replay kernel
-and :mod:`pptlab.errors`, so a ``verify`` process that replays a lower half
-loads this module on top of the kernel, and never the certifier or the
-polynomial classes of the Groebner oracle (:mod:`pptlab.algcert`).
+such an identity needs, and nothing of the search that finds one: the
+range, read once from the state's edges, with the rule that picks its basis
+(:func:`range_basis`), :class:`_Packing` (a monomial as one int, in grevlex
+order), :func:`coordinate_matrix` (``M`` as scaled integer rows of packed
+linear forms) and :func:`minor_identity_holds` (the listed determinants only,
+by Laplace expansion).  The certifier and the verifier run the same setup,
+:func:`lower_bound_setup`, and identity check.  It imports only the replay
+kernel and :mod:`pptlab.errors`: a ``verify`` process loads it on top of the
+kernel, and never the certifier or the Groebner oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 from . import replay as rp
 from .errors import (DimensionMismatch, MonomialOverflow, NonOrthogonalBasis,
-                     NonSingleVariableOverlap, WitnessNotInRange)
+                     NonSingleVariableOverlap, PreconditionViolation, WitnessNotInRange)
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +41,11 @@ class _Packing:
     guard.  Integer order is then grevlex, the product of ``a`` and ``b`` is
     ``a + b - one``, the quotient ``a / b`` is ``a - b + one``, and ``a``
     divides ``b`` iff ``((a | guard) - b) & guard == guard``.  Every packed
-    monomial has degree at most ``max``, so no field can wrap: packing and
-    :meth:`lcm` raise :class:`MonomialOverflow` instead.
+    monomial has degree at most ``max``, so no field can wrap: packing
+    raises :class:`MonomialOverflow` instead (:meth:`check_degree`).
     """
 
-    __slots__ = ("nvars", "width", "max", "one", "guard", "_spread")
+    __slots__ = ("nvars", "width", "max", "one", "guard")
 
     def __init__(self, nvars: int):
         # up to 32 bytes per monomial: four-byte fields for small rings, one
@@ -58,7 +56,6 @@ class _Packing:
         self.max = (1 << (width - 1)) - 1
         self.one = sum(self.max << (width * i) for i in range(nvars))
         self.guard = sum(1 << (width * i + width - 1) for i in range(nvars))
-        self._spread = sum(1 << (width * i) for i in range(nvars))
 
     def pack(self, exps: tuple) -> int:
         if len(exps) != self.nvars or min(exps, default=0) < 0:
@@ -68,25 +65,9 @@ class _Packing:
             key = (key << self.width) | (self.max - e)
         return key
 
-    def unpack(self, key: int) -> tuple:
-        w, mx = self.width, self.max
-        return tuple(mx - ((key >> (w * i)) & mx) for i in range(self.nvars))
-
     def unit(self, l: int) -> int:
         """Variable ``l`` as a packed factor: ``monomial * x_l = monomial + unit(l)``."""
         return (1 << (self.width * self.nvars)) - (1 << (self.width * l))
-
-    def degree(self, key: int) -> int:
-        return key >> (self.width * self.nvars)
-
-    def lcm(self, a: int, b: int) -> int:
-        g, w = self.guard, self.width
-        ge = ((a | g) - b) & g                  # guards of fields with e_a <= e_b
-        ge -= ge >> (w - 1)                     # ... widened to their value bits
-        low = (b & ge) | (a & (self.one ^ ge))  # per-field min = per-variable max
-        # the exponent sum collects in field n-1 of (exponents * [1, ..., 1])
-        deg = ((self.one - low) * self._spread >> (w * max(self.nvars - 1, 0))) & ((1 << w) - 1)
-        return (self.check_degree(deg) << (w * self.nvars)) | low
 
     def check_degree(self, deg: int) -> int:
         if deg > self.max:
@@ -143,26 +124,41 @@ def coordinate_matrix(m: int, n: int, basis: Sequence) -> SymbolicRangeMatrix:
                                tuple(rows), tuple(scales))
 
 
-def lower_bound_setup(s: rp.BipartiteState, rng: rp.Subspace, basis: str,
-                      variables: Sequence[str], witness: rp.Vector) -> tuple:
-    """``(M, witness_variable)``: the coordinate matrix of the basis of
-    ``rng``, the range of ``s``, that ``basis`` names (``"range"``, the
-    canonical one, or ``"edges"``, which must be one), one of ``variables``
-    per vector, and the variable of the one vector the ``witness`` (which
-    must lie in ``rng``) overlaps.  Each check raises its own error."""
+def range_basis(s: rp.BipartiteState) -> tuple:
+    """``(rng, source, vectors)``: the span of the edge vectors of positive
+    weight, which (no weight being negative) is the range of their Gram sum
+    ``s.matrix``, canonical basis and all; and its default basis: the edges
+    (``"edges"``) when there are ``rng.dim``, else the canonical one (``"range"``)."""
+    if not s.edges:
+        raise PreconditionViolation("the state has no edge decomposition")
+    rng = rp.Subspace(s.dim_a * s.dim_b, [e.vec for e in s.edges if e.weight])
+    vectors = tuple(e.vec for e in s.edges)
+    return (rng, "edges", vectors) if len(vectors) == rng.dim else (rng, "range", rng.basis)
+
+
+def lower_bound_setup(s: rp.BipartiteState, basis: str | None, variables, witness) -> tuple:
+    """``(M, witness_variable, source)``: the coordinate matrix of the basis
+    ``source`` of the range of ``s`` that ``basis`` names (``"range"``,
+    ``"edges"``, which must be one, or None: :func:`range_basis`'s default)
+    over ``variables`` (names, or a function naming the vectors), and the
+    variable of the one vector the ``witness`` (in the range) overlaps."""
+    rng, default, vectors = range_basis(s)
     if not rng.contains(witness):
         raise WitnessNotInRange("the witness is not in the state's range")
-    vectors = rng.basis if basis == "range" else rp.edge_basis(s, rng)
-    if vectors is None:
+    source = basis or default
+    if source == "range":
+        vectors = rng.basis
+    elif default != "edges":
         raise NonOrthogonalBasis("the state's edges are not a basis of the range")
-    if len(variables) != len(vectors) or len(set(variables)) != len(variables):
+    names = variables(vectors) if callable(variables) else variables
+    if len(names) != len(vectors) or len(set(names)) != len(names):
         raise DimensionMismatch("the certificate needs one variable per basis vector")
-    M = coordinate_matrix(s.dim_a, s.dim_b, tuple(zip(variables, vectors)))
+    M = coordinate_matrix(s.dim_a, s.dim_b, tuple(zip(names, vectors)))
     overlaps = [name for name, v in M.basis if rp.vdot(v, witness)]
     if len(overlaps) != 1:
         raise NonSingleVariableOverlap(
             f"the witness overlaps {len(overlaps)} basis vectors, need exactly 1")
-    return M, overlaps[0]
+    return M, overlaps[0], source
 
 
 def _laplace_extend(table: dict, row: list) -> dict:

@@ -14,9 +14,8 @@ reports them under ``calibration``.  Each Gauss-Newton step is the
 minimum-norm solution of the linearized system, taken from the normal
 equations of ``J J^T`` with one refinement step; ``lstsq`` (an SVD) is the
 fallback when ``J J^T`` is singular or the refinement shows the solve too
-inaccurate.  A survey draws all seeds of one ``(dims, birank)`` row in
-lockstep (:func:`gauss_newton_lockstep`), each sample bit-identical to
-its own run.
+inaccurate.  A survey draws a row's seeds in lockstep batches
+(:func:`gauss_newton_lockstep`), each sample bit-identical to its own run.
 
 Only :func:`from_exact` and :func:`rationalize_to_birank` cross into the
 exact layer, and they import it when they run: sampling, surveys and the
@@ -56,6 +55,9 @@ ROUNDING_SHIFT = Fraction(1, 2 ** 16)
 # seed of `pptlab sample --birank 4,4` took 0.8 s at 135 MB peak for 6x6, 3.7 s
 # at 396 MB for 7x7 and 17 s at 1.1 GB for 8x8 (2 vCPU)
 MAX_LEVELS = 36
+# the bytes of Gram matrices and Jacobians one lockstep batch of a survey row
+# stacks: 52 KB a sample at 3x3 (4,4), 156 KB at 3x4 (5,6), 10.6 MB at 5x5 (4,4)
+SURVEY_BATCH_BYTES = 2 ** 24
 
 
 class FloatState(NamedTuple):
@@ -504,17 +506,16 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
                    "note": "defaults are empirical calibration choices"}
     for (m, n) in dims_list:
         for (p, q) in biranks:
-            residuals = []
+            residuals = []          # one per converged sample
             dims_hist: dict = {}
             ambiguous = 0
             deviations = []
             mismatched = []
-            converged = 0
-            seeds = range(seed, seed + samples)
-            for sample_seed, st in zip(seeds, gauss_newton_lockstep(m, n, p, q, seeds)):
+            bound = extension_count_bound(m, n, p, q)
+            expected = m + max(bound, 0)
+            for sample_seed, st in _survey_samples(m, n, p, q, range(seed, seed + samples)):
                 if isinstance(st, ConvergenceFailure):
                     continue
-                converged += 1
                 residuals.append(st.residual)
                 try:
                     d, report = numeric_extension_dimension(st, return_report=True)
@@ -524,19 +525,26 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
                 if report["ranks"] != (p, q):
                     mismatched.append(sample_seed)
                 dims_hist[d] = dims_hist.get(d, 0) + 1
-                expected = m + max(extension_count_bound(m, n, p, q), 0)
                 if d != expected:
                     deviations.append({"seed": sample_seed, "dimension": d, "expected": expected})
-            bound = extension_count_bound(m, n, p, q)
             reports.append(SurveyReport(
-                dims=(m, n), birank=(p, q), samples=samples, converged=converged,
+                dims=(m, n), birank=(p, q), samples=samples, converged=len(residuals),
                 residual_max=float(max(residuals)) if residuals else float("nan"),
                 # statistics.median: numpy's would import numpy.ma, 17 ms per process
                 residual_median=statistics.median(residuals) if residuals else float("nan"),
                 extension_dims=dims_hist, ambiguous=ambiguous, bound=bound,
-                expected_dimension=m + max(bound, 0), deviations=deviations,
+                expected_dimension=expected, deviations=deviations,
                 calibration=calibration, rank_mismatch=mismatched))
     return reports
+
+
+def _survey_samples(m: int, n: int, p: int, q: int, seeds: range):
+    """``(seed, sample)`` per seed, from lockstep runs over consecutive batches
+    within :data:`SURVEY_BATCH_BYTES`; a sample equals its batch of one bit for bit."""
+    rows = (m * n - p) ** 2 + (m * n - q) ** 2  # a sample stacks rows^2 + rows (mn)^2 doubles
+    batch = max(1, SURVEY_BATCH_BYTES // max(8 * rows * (rows + (m * n) ** 2), 1))
+    for part in (seeds[lo:lo + batch] for lo in range(0, len(seeds), batch)):
+        yield from zip(part, gauss_newton_lockstep(m, n, p, q, part))
 
 
 def survey_table(reports) -> str:

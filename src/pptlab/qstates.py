@@ -14,10 +14,10 @@ matrix by the ppt certificate's own LDL* of it, and
 transpose proves the extension PSD.
 Partial transposes are returned as plain matrices because their
 positivity is precisely the property under investigation.  The state
-record (:class:`BipartiteState`, :class:`NamedVector`), its check
-(:func:`replay.state_ldl`), the partial transpose and the Schmidt rank
-are what ``verify`` runs, so they live in the replay kernel
-:mod:`pptlab.replay` and are imported here under their names.  An
+record (:class:`BipartiteState`, :class:`NamedVector`), the partial
+transpose and the Schmidt rank are what ``verify`` runs, so they live in
+the replay kernel :mod:`pptlab.replay`, with the check of a matrix state
+(:func:`replay.state_ldl`), and are imported here under their names.  An
 :class:`ExtensionStep` is one replayable step of an extension pipeline.
 The paper's named states (grid graphs, rho3x3, Tiles, the 4x5 pipeline and
 the scaling family) are built in :mod:`pptlab.constructions`.

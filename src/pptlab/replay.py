@@ -849,15 +849,6 @@ def state_ldl(matrix: ExactMatrix, label: str) -> PsdResult:
     return res
 
 
-def edge_basis(s: BipartiteState, rng: Subspace) -> tuple | None:
-    """The edge vectors of ``s`` when they are a basis of ``rng``, its range
-    (linearly independent and spanning it), else None.  The edges of
-    positive weight span the range of the Gram sum (no weight is negative),
-    so the edges are a basis of it exactly when there are ``rng.dim``."""
-    vecs = tuple(e.vec for e in s.edges or ())
-    return vecs if len(vecs) == rng.dim else None
-
-
 def partial_transpose_matrix(M: ExactMatrix, m: int, n: int, side: Side) -> ExactMatrix:
     """Exact partial transpose: ``<ij|M^Tb|kl> = <il|M|kj>`` on side B,
     ``<ij|M^Ta|kl> = <kj|M|il>`` on side A."""
@@ -1072,11 +1063,11 @@ def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
     every ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly
     increasing in-range indices, no pair twice, cofactors of degree
     ``N - k``).  The certifier's setup (:func:`minors.lower_bound_setup`)
-    checks the named basis and the witness, which must overlap the declared
-    variable.  Then only the listed determinants of the coordinate matrix
-    ``M`` are computed and ``sum cofactor * det M[rows, cols] = x_w^N`` is
-    checked exactly (:func:`minors.minor_identity_holds`, the check
-    ``certify-sn`` runs on what it writes).  Nothing is enumerated.
+    reads the range from the edges and checks the named basis and the
+    witness, which must overlap the declared variable.  Then only the listed
+    determinants of ``M`` are computed and ``sum cofactor * det M[rows,
+    cols] = x_w^N`` is checked exactly (:func:`minors.minor_identity_holds`,
+    as ``certify-sn`` checks what it writes).  Nothing is enumerated.
     """
     from . import minors as mi
 
@@ -1084,8 +1075,7 @@ def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
     source, variables, witness, witness_variable, power, pairs, cofactors = \
         _parsed("certificate", _read_sn_lower, half, m, n)
     try:
-        sym, overlapped = mi.lower_bound_setup(s, column_space(s.matrix), source,
-                                               variables, witness)
+        sym, overlapped, _ = mi.lower_bound_setup(s, source, variables, witness)
     except PptlabError as exc:
         raise CertificateInvalid(str(exc)) from None
     if overlapped != witness_variable:
@@ -1159,8 +1149,6 @@ def verify_sn_upper_certificate(half: dict, s: BipartiteState) -> bool:
     value, stored_ranks = _parsed("certificate", lambda h: (h["value"], h["schmidt_ranks"]), half)
     if type(value) is not int:
         raise CertificateInvalid("upper bound value is not an integer")
-    if not s.edges:
-        raise CertificateInvalid("the state has no edge decomposition")
     ranks = [schmidt_rank(e.vec, m, n) for e in s.edges]
     if max(ranks) != value:
         raise CertificateInvalid("claimed bound does not match the decomposition ranks")
@@ -1193,11 +1181,14 @@ def verify_sn_verdict(data: dict) -> bool:
 
 def _read_sn_verdict(data: dict) -> tuple:
     """The lower (None when inconclusive) and upper halves and the stored
-    state, with the stored verdict line checked against their values."""
+    state, with the stored verdict line checked against their values; a
+    state without edges is refused before its matrix is read or factored."""
     lower, upper = data.get("lower"), data["upper"]
     expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
     if data["verdict"] != expected:
         raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
+    if not data["state"].get("edges"):
+        raise CertificateInvalid("the state has no edge decomposition")
     return lower, upper, data["state"]
 
 

@@ -1,17 +1,20 @@
-"""``pptlab certify-sn``: the sn-verdict of a state with recorded edges,
-from :func:`certifier.certify_sn`; the Groebner oracle is not loaded."""
+"""``pptlab certify-sn``: the sn-verdict of a state with recorded edges
+(:func:`certifier.certify_sn`); a state file without them is refused unread."""
 
 import sys
 
 from .. import certifier as ce
 from .. import serialize as se
-from . import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, _emit
-from .states import load_state
+from . import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, _emit, _parse
+from .states import named_state
 
 
 def run(args) -> int:
-    state = load_state(args.state)
-    if not state.edges:
+    state = named_state(args.state)
+    if state is None:
+        data = _parse(se.load, args.state)
+        state = se.state_from_json(data) if isinstance(data, dict) and data.get("edges") else None
+    if state is None or not state.edges:
         print("certify-sn: state carries no range decomposition", file=sys.stderr)
         return EXIT_INPUT
     lower, upper = ce.certify_sn(state, args.k, args.exclude_deltas)

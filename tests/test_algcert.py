@@ -24,6 +24,7 @@ from pptlab.errors import (
     MonomialOverflow,
     NonOrthogonalBasis,
     NonSingleVariableOverlap,
+    PreconditionViolation,
     WitnessNotInRange,
 )
 
@@ -228,7 +229,7 @@ def test_oversized_exponent_raises_instead_of_wrapping():
 
 def _range_matrix(st, naming="site"):
     """The symbolic coordinate matrix of the range of ``st``."""
-    return ac.range_coordinate_matrix(st, em.column_space(st.matrix), naming)[1]
+    return ac.range_coordinate_matrix(st, naming)[1]
 
 
 def test_range_matrix_rho3x3_pattern():
@@ -249,14 +250,20 @@ def test_range_matrix_rho4x5_zero_pattern():
 
 def test_range_matrix_pure_product():
     v = em.basis_vector(1, 0)
-    st = qs.BipartiteState(1, 1, em.ExactMatrix([[1]]), label="00")
+    st = qs.BipartiteState(1, 1, label="00", edges=[qs.NamedVector("e", v, Fraction(1))])
+    assert st.matrix == em.ExactMatrix([[1]])
     sym = _range_matrix(st)
     assert not coordinate_entries(sym)[0][0].is_zero()
 
 
 def test_range_matrix_falls_back_to_rref_basis():
-    # a state without recorded edges still yields a parametrization
-    st = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 0, 0]), label="d")
+    # three dependent edges (|00> twice) of diag(1, 1, 0, 0) are not a basis
+    # of its range, so the canonical basis names the variables
+    e00, e01 = em.basis_vector(4, 0), em.basis_vector(4, 1)
+    st = qs.BipartiteState(2, 2, label="d", edges=[
+        qs.NamedVector("a", e00, Fraction(1, 2)), qs.NamedVector("b", e00, Fraction(1, 2)),
+        qs.NamedVector("c", e01, Fraction(1))])
+    assert st.matrix == em.ExactMatrix.diag([1, 1, 0, 0])
     sym = _range_matrix(st)
     assert sym.variables == ("psi00", "psi01")
 
@@ -590,20 +597,22 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
 
 
 def test_certify_sn_lower_solves_for_the_range_once(spy):
-    """The witness check and the choice of basis share one range solve, and
-    the basis choice names its source: the edges, or on rho3x3 with e3 split
-    into two dependent edges, the canonical basis of the range."""
+    """The witness check and the choice of basis share one range solve, read
+    from the edges (``minors.range_basis``; no ``column_space`` of the
+    matrix), and the basis choice names its source: the edges, or on rho3x3
+    with e3 split into two dependent edges, the canonical basis of the range."""
     rho = co.rho_3x3()
     split = [e._replace(weight=Fraction(1)) if e.name == "e3" else e for e in rho.edges]
     split = qs.BipartiteState(3, 3, label="split", edges=split + [
         qs.NamedVector("e3b", rho.edges[3].vec, Fraction(2))])
     assert split == rho
-    calls = spy(em, "column_space")
+    spy(em, "column_space")
+    calls = spy(mi, "range_basis")
     for st, k, source in ((co.rho_4x5().final, 3, "edges"), (rho, 2, "edges"),
                           (split, 2, "range")):
         calls.clear()
         assert ce.certify_sn_lower(st, st.edges[0].vec, k, ()).basis == source
-        assert calls == [("column_space", (st.matrix,))]
+        assert calls == [("range_basis", (st,))]
 
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
@@ -713,9 +722,22 @@ def test_linear_membership_cofactors_small():
 
 
 def test_certify_separable_inconclusive():
-    d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 1, 1]), label="sep")
+    d = qs.BipartiteState(2, 2, label="sep", edges=[
+        qs.NamedVector(f"e{i}", em.basis_vector(4, i), Fraction(1)) for i in range(4)])
+    assert d.matrix == em.ExactMatrix.diag([1, 1, 1, 1])
     res = ce.certify_sn_lower(d, em.basis_vector(4, 0), 2, ())
     assert isinstance(res, ce.Inconclusive)
+
+
+def test_certify_sn_lower_refuses_a_state_without_edges(spy):
+    """A matrix state has no edges to read its range from: one
+    PreconditionViolation, before any range or minor is computed."""
+    d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 1, 1]), label="sep")
+    calls = spy(em, "column_space", "Subspace")
+    for exclude in ((), ("psi00",)):
+        with pytest.raises(PreconditionViolation, match="the state has no edge decomposition"):
+            ce.certify_sn_lower(d, em.basis_vector(4, 0), 2, exclude)
+    assert calls == []
 
 
 def test_certify_witness_validation():

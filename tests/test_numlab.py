@@ -450,3 +450,39 @@ def test_the_level_bound_admits_6x6():
     for m, n in ((6, 7), (0, 3), (37, 1)):
         with pytest.raises(DimensionMismatch, match=f"dimensions {m}x{n} are not"):
             nl.gauss_newton_lockstep(m, n, 1, 1, [0])
+
+
+def _survey_json_and_peak(capsys, argv) -> tuple:
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return capsys.readouterr().out, peak
+
+
+def test_a_survey_batches_its_samples_by_their_memory(monkeypatch, capsys):
+    """A survey row runs the lockstep in batches that fit
+    ``SURVEY_BATCH_BYTES``: a 5x5 (4,4) sample stacks 10.6 MB of Gram matrix
+    and Jacobian, so batches of one keep the peak near one sample's, while
+    the output is byte-identical to one batch of all the samples."""
+    batches = []
+    with monkeypatch.context() as patch:
+        patch.setattr(nl, "gauss_newton_lockstep", lambda m, n, p, q, seeds: batches.append(
+            (m, n, list(seeds))) or [ConvergenceFailure("not run")] * len(seeds))
+        for dims, birank, samples in (((3, 3), (4, 4), 20), ((3, 4), (5, 6), 6),
+                                      ((5, 5), (4, 4), 3), ((2, 2), (4, 4), 5)):
+            nl.unextendibility_survey([dims], [birank], samples, seed=7)
+    # the benchmark's survey rows stay one batch each; a full birank has no
+    # Jacobian rows
+    assert batches == [(3, 3, list(range(7, 27))), (3, 4, list(range(7, 13))),
+                       (5, 5, [7]), (5, 5, [8]), (5, 5, [9]), (2, 2, list(range(7, 12)))]
+    argv = ["survey", "--dims", "5x5", "--birank", "4,4", "--samples", "2", "--seed", "0",
+            "--json"]
+    monkeypatch.setattr(nl, "SURVEY_BATCH_BYTES", 1 << 40)
+    together, together_peak = _survey_json_and_peak(capsys, argv)
+    monkeypatch.setattr(nl, "SURVEY_BATCH_BYTES", 0)
+    alone, alone_peak = _survey_json_and_peak(capsys, argv)
+    assert alone == together and json.loads(alone)["reports"][0]["converged"] == 2
+    assert alone_peak < 0.8 * together_peak, (alone_peak, together_peak)

@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1745,
-    "certify-sn": 2443,
-    "verify ppt": 1577,
-    "verify sn-verdict": 1813,
+    "ppt-check": 1736,
+    "certify-sn": 2416,
+    "verify ppt": 1568,
+    "verify sn-verdict": 1800,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
