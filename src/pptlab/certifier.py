@@ -412,7 +412,7 @@ def minor_membership(closure: WitnessClosure, target: tuple):
 
 def sn_upper_from_decomposition(target: rp.BipartiteState) -> UpperBound:
     """Certify ``SN(target) <= max SR(e)`` over the edges whose conic sum
-    ``target`` is (nonnegative weights, checked when it was built)."""
+    ``target`` is, the ones that span its range (:func:`minors.range_basis`)."""
     m, n = target.dims
     ranks = tuple(rp.schmidt_rank(e.vec, m, n) for e in target.edges)
     return UpperBound(max(ranks), ranks)

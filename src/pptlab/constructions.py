@@ -45,7 +45,8 @@ def graph_state(data: dict, label: str) -> qs.BipartiteState:
     |ij>`` named ``s0, s1, ...``, then its dashed edges ``|e-> = |ij> -
     |kl>`` named ``d0, d1, ...``, each with its weight.  It is read by the
     state reader's rules (:func:`_graph_edges`), and any fault in it raises
-    :class:`replay.MalformedData`."""
+    :class:`replay.MalformedData`; the state's constructor refuses a weight
+    that is not positive, as it does for every edge state."""
     m, n, edges = rp._parsed("graph", _graph_edges, data)
     return qs.BipartiteState(m, n, label=label, edges=edges)
 
@@ -55,7 +56,7 @@ def _graph_edges(data: dict) -> tuple:
     and ``dashed``, and ``sites`` and ``weight`` on each edge: ``dims`` as a
     state's (:func:`replay._checked_dims`), sites that are distinct ``[i,
     j]`` int pairs on the grid (two on a dashed edge, at least one on a
-    solid one) and a positive rational string as each weight."""
+    solid one) and a rational string as each weight."""
     unknown = sorted(set(data) - {"dims", "solid", "dashed"})
     if unknown:
         raise ValueError(f"unknown graph keys {unknown}")
@@ -71,12 +72,9 @@ def _graph_edges(data: dict) -> tuple:
                     or not (len(sites) == 2 if kind == "dashed" else sites)):
                 raise ValueError(f"{kind} edge {t} sites {e['sites']!r} are not {count} "
                                  f"distinct [i, j] int pairs on the {m}x{n} grid")
-            weight = rp._rational(e["weight"])
-            if weight <= 0:
-                raise ValueError(f"{kind} edge {t} weight {e['weight']!r} is not positive")
             plus = sites[:1] if kind == "dashed" else sites
             vec = _sites_vec(plus, m, n, minus=sites[len(plus):])
-            edges.append(qs.NamedVector(f"{kind[0]}{t}", vec, weight))
+            edges.append(qs.NamedVector(f"{kind[0]}{t}", vec, rp._rational(e["weight"])))
     return m, n, edges
 
 

@@ -125,14 +125,14 @@ def coordinate_matrix(m: int, n: int, basis: Sequence) -> SymbolicRangeMatrix:
 
 
 def range_basis(s: rp.BipartiteState) -> tuple:
-    """``(rng, source, vectors)``: the span of the edge vectors of positive
-    weight, which (no weight being negative) is the range of their Gram sum
-    ``s.matrix``, canonical basis and all; and its default basis: the edges
-    (``"edges"``) when there are ``rng.dim``, else the canonical one (``"range"``)."""
+    """``(rng, source, vectors)``: the span of the edge vectors, which (every
+    weight being positive) is the range of their Gram sum ``s.matrix``,
+    canonical basis and all; and its default basis: the edges (``"edges"``)
+    when there are ``rng.dim``, else the canonical one (``"range"``)."""
     if not s.edges:
         raise PreconditionViolation("the state has no edge decomposition")
-    rng = rp.Subspace(s.dim_a * s.dim_b, [e.vec for e in s.edges if e.weight])
     vectors = tuple(e.vec for e in s.edges)
+    rng = rp.Subspace(s.dim_a * s.dim_b, vectors)
     return (rng, "edges", vectors) if len(vectors) == rng.dim else (rng, "range", rng.basis)
 
 

@@ -6,10 +6,10 @@ unnormalized; normalization does not change any entanglement property and
 would leave the rational field.
 
 A state is checked once, where it is made: given edges, by refusing a
-negative weight (their Gram sum is then PSD), else by exact LDL*.  What
-keeps a checked state valid builds its result unchecked (``_raw``), and so
-do :func:`serialize.ppt_state_from_json`, whose callers check a stored
-matrix by the ppt certificate's own LDL* of it, and
+weight that is not positive (their Gram sum is then PSD), else by exact
+LDL*.  What keeps a checked state valid builds its result unchecked
+(``_raw``), and so do :func:`serialize.ppt_state_from_json`, whose callers
+check a stored matrix by the ppt certificate's own LDL* of it, and
 :func:`extender.product_pair_extension`, whose LDL* of the partial
 transpose proves the extension PSD.
 Partial transposes are returned as plain matrices because their

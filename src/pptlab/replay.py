@@ -120,9 +120,6 @@ class GaussianRational:
     def __hash__(self):
         return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * float(self.im)
-
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
@@ -269,7 +266,7 @@ class ExactMatrix:
         return [list(r) for r in self._e]
 
     def to_complex_rows(self):
-        return [[x.to_complex() for x in row] for row in self._e]
+        return [[complex(float(x.re), float(x.im)) for x in row] for row in self._e]
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -771,7 +768,7 @@ def flat_index(i: int, j: int, n: int) -> int:
 
 
 class NamedVector(NamedTuple):
-    """A labeled vector with a nonnegative rational weight, e.g. a grid edge."""
+    """A labeled vector with a rational weight: a state's edge, of positive weight."""
 
     name: str
     vec: Vector
@@ -781,10 +778,10 @@ class NamedVector(NamedTuple):
 class BipartiteState:
     """Unnormalized bipartite density operator with exact entries.
 
-    ``edges`` optionally records a conic decomposition ``sum_w w |v><v|`` of
-    the matrix, with no negative weight: alone, they define it by one Gram
-    sum, PSD by construction; with a matrix, they must reproduce it.  A
-    matrix alone is checked PSD by exact LDL*.  Both dimensions are positive.
+    A state is given by its ``edges`` or its ``matrix``, never both.  Edges
+    are a conic decomposition ``sum_w w |v><v|`` with positive weights (any
+    other weight is refused): one Gram sum, PSD, whose range they span.  A
+    matrix is checked PSD by exact LDL*.  Both dimensions are positive.
     """
 
     __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
@@ -793,20 +790,19 @@ class BipartiteState:
                  label: str = "", edges: Sequence[NamedVector] | None = None):
         if dim_a < 1 or dim_b < 1:
             raise DimensionMismatch(f"local dimensions {dim_a}x{dim_b} are not positive")
+        if (matrix is None) == (edges is None):
+            raise DimensionMismatch("a state is given by its edges or by its matrix, not both")
         if edges is None:
             if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
                 raise DimensionMismatch("matrix size does not match local dimensions")
             state_ldl(matrix, label)
         else:
             edges = tuple(edges)
-            bad = next((e for e in edges if e.weight < 0), None)
+            bad = next((e for e in edges if e.weight <= 0), None)
             if bad is not None:
-                raise BoundsViolation(f"edge {bad.name!r} has negative weight {bad.weight}")
-            acc = weighted_gram([e.vec for e in edges], [e.weight for e in edges],
-                                   dim_a * dim_b)
-            if matrix is not None and acc != matrix:
-                raise DimensionMismatch("recorded edge decomposition does not reproduce the matrix")
-            matrix = acc
+                sign = "negative" if bad.weight else "zero"
+                raise BoundsViolation(f"edge {bad.name!r} has {sign} weight {bad.weight}")
+            matrix = weighted_gram([e.vec for e in edges], [e.weight for e in edges], dim_a * dim_b)
         self._set(dim_a, dim_b, matrix, label, edges)
 
     def _set(self, *fields) -> "BipartiteState":
@@ -959,7 +955,7 @@ def ppt_state_from_json(data: dict) -> BipartiteState:
     replays its Gram sum; each raises :class:`NotPsd` when rho is not PSD."""
     parts = _parsed("state", _state_parts, data)
     dim_a, dim_b, matrix, label = parts[:4]
-    if matrix is None:  # edges: a Gram sum of nonnegative weights is PSD
+    if matrix is None:  # edges: a Gram sum of positive weights is PSD
         return BipartiteState(*parts)
     if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
         raise DimensionMismatch("matrix size does not match local dimensions")

@@ -4,8 +4,8 @@
 of the verb it runs, whose ``run(args)`` returns the exit code: a process
 compiles its verb and what that verb imports, and nothing of the others.
 This package holds what the verbs share: the exit codes, :func:`_parse`
-and the :class:`InputError` it raises, and :func:`_emit`; a verb that
-reads a state takes it from :mod:`pptlab.verbs.states`.  No module here
+and the :class:`InputError` it raises, :func:`_emit` and :func:`_write`;
+a verb reads its state through :mod:`pptlab.verbs.states`.  No module here
 imports :mod:`pptlab.cli`: ``python -m pptlab.cli`` runs the CLI as
 ``__main__``, so importing it back would compile it a second time.
 """
@@ -43,12 +43,16 @@ def _parse(parse, *args):
         raise InputError(f"{type(exc).__name__}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``, which is refused as input (exit 2) when it cannot be opened."""
+    with _parse(open, path, "w") as fh:
+        fh.write(text)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     """Write the JSON payload to ``--out`` when given, and print it under
     ``--json``; otherwise print ``text``.  The payload is encoded once."""
-    path = args.out
-    encoded = json.dumps(payload, indent=2) if path or args.json else None
-    if path:
-        with open(path, "w") as fh:
-            fh.write(encoded + "\n")
+    encoded = json.dumps(payload, indent=2) if args.out or args.json else None
+    if args.out:
+        _write(args.out, encoded + "\n")
     print(encoded if args.json else text)

@@ -1,22 +1,15 @@
-"""``pptlab certify-sn``: the sn-verdict of a state with recorded edges
-(:func:`certifier.certify_sn`); a state file without them is refused unread."""
+"""``pptlab certify-sn``: the sn-verdict (:func:`certifier.certify_sn`) of a
+state read by :func:`edge_state`, which ``plot`` shares (loading no certifier)."""
 
-import sys
-
-from .. import certifier as ce
-from .. import serialize as se
-from . import EXIT_INCONCLUSIVE, EXIT_INPUT, EXIT_OK, _emit, _parse
+from .. import replay as rp
+from . import EXIT_INCONCLUSIVE, EXIT_OK, InputError, _emit, _parse
 from .states import named_state
 
 
 def run(args) -> int:
-    state = named_state(args.state)
-    if state is None:
-        data = _parse(se.load, args.state)
-        state = se.state_from_json(data) if isinstance(data, dict) and data.get("edges") else None
-    if state is None or not state.edges:
-        print("certify-sn: state carries no range decomposition", file=sys.stderr)
-        return EXIT_INPUT
+    from .. import certifier as ce
+    from .. import serialize as se
+    state = edge_state(args.state)
     lower, upper = ce.certify_sn(state, args.k, args.exclude_deltas)
     payload = se.sn_verdict_certificate(state, lower, upper)
     if isinstance(lower, ce.LowerBound):
@@ -25,3 +18,15 @@ def run(args) -> int:
         return EXIT_OK
     _emit(args, payload, text=payload["verdict"])
     return EXIT_INCONCLUSIVE
+
+
+def edge_state(ref: str) -> rp.BipartiteState:
+    """The state ``ref`` names or stores, refused without edges: a file
+    unread (its matrix could cost seconds of LDL*), a named state once built."""
+    state = named_state(ref)
+    if state is None:
+        data = _parse(rp.load, ref)
+        state = rp.state_from_json(data) if isinstance(data, dict) and data.get("edges") else None
+    if state is None or not state.edges:
+        raise InputError("state carries no edge decomposition")
+    return state

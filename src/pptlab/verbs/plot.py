@@ -1,27 +1,17 @@
 """``pptlab plot``: a grid-graph diagram of a state's edges, as text and
-optionally SVG (display only)."""
+optionally SVG (display only); the state is read as ``certify-sn`` reads
+it (:func:`pptlab.verbs.certify_sn.edge_state`)."""
 
-from __future__ import annotations
-
-import sys
-from typing import TYPE_CHECKING
-
-from . import EXIT_INPUT, EXIT_OK
-from .states import load_state
-
-if TYPE_CHECKING:
-    from .. import replay as rp
+from .. import replay as rp
+from . import EXIT_OK, _write
+from .certify_sn import edge_state
 
 
 def run(args) -> int:
-    state = load_state(args.state)
-    if state.edges is None:
-        print("plot: state carries no edge decomposition", file=sys.stderr)
-        return EXIT_INPUT
+    state = edge_state(args.state)
     text = render_grid(state)
     if args.svg:
-        with open(args.svg, "w") as fh:
-            fh.write(render_svg(state))
+        _write(args.svg, render_svg(state))
         print(f"wrote {args.svg}")
     print(text)
     return EXIT_OK

@@ -2,12 +2,8 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from .. import replay as rp
 from . import _parse
-
-if TYPE_CHECKING:
-    from .. import replay as rp
 
 # named state references: name -> the state, from the constructions module
 NAMED_STATES = {
@@ -34,7 +30,5 @@ def load_state(ref: str) -> rp.BipartiteState:
     """The state ``ref`` names, or the one stored in the file ``ref``."""
     state = named_state(ref)
     if state is None:
-        from .. import replay as rp
-
         state = rp.state_from_json(_parse(rp.load, ref))
     return state

@@ -272,9 +272,9 @@ def test_range_matrix_orthogonality_enforced():
     v1 = em.vector([1, 0, 0, 0])
     v2 = em.vector([1, 1, 0, 0])
     mat = em.ExactMatrix.outer(v1, v1) + em.ExactMatrix.outer(v2, v2)
-    st = qs.BipartiteState(2, 2, mat, label="o",
-                           edges=[qs.NamedVector("a", v1, Fraction(1)),
-                                  qs.NamedVector("b", v2, Fraction(1))])
+    st = qs.BipartiteState(2, 2, label="o", edges=[qs.NamedVector("a", v1, Fraction(1)),
+                                                    qs.NamedVector("b", v2, Fraction(1))])
+    assert st.matrix == mat
     with pytest.raises(NonOrthogonalBasis):
         _range_matrix(st)
 
@@ -780,18 +780,19 @@ def test_sn_upper_family_transpose():
     for k in (2, 3):
         st = co.rho_family(k)
         dim = 2 * k - 1
-        # the constructor checks the decomposition against the matrix
-        pt_state = qs.BipartiteState(dim, dim, st.partial_transpose("A"),
-                                     label=f"family{k}-pt", edges=co.family_pt_decomposition(k))
+        pt_state = qs.BipartiteState(dim, dim, label=f"family{k}-pt",
+                                     edges=co.family_pt_decomposition(k))
+        assert pt_state.matrix == st.partial_transpose("A")
         cert = ce.sn_upper_from_decomposition(pt_state)
         assert cert.value == 2
 
 
 def test_sn_upper_mismatch():
-    """An upper bound is read off a state's edges, which a state checks
-    against its matrix when it is built."""
+    """An upper bound is read off a state's edges, which define its matrix:
+    a state is built from its edges or its matrix, so edges that do not sum
+    to a given matrix cannot be recorded with it."""
     st = co.rho_family(2)
-    with pytest.raises(DimensionMismatch, match="does not reproduce"):
+    with pytest.raises(DimensionMismatch, match="by its edges or by its matrix, not both"):
         qs.BipartiteState(*st.dims, st.matrix, edges=st.edges[:1])
 
 

@@ -1,12 +1,15 @@
 """Schmidt-number bounds run on edge states only, and read the range from the edges.
 
-``minors.range_basis`` spans the edge vectors of positive weight; with no
-negative weight that is the range of their Gram sum, so its canonical basis
-is ``column_space`` of the state's matrix (a hypothesis property).  A stored
-state without edges never reaches a Schmidt-number bound: ``verify`` of its
-sn-verdict and ``certify-sn`` of it are refused before its matrix is read,
-so a 16x16 dense matrix state (~0.4 MB, ten seconds and more of LDL*) costs
-nothing.  ``verify`` never factors a matrix at all.
+Every edge of a state has a positive weight, which the state's constructor
+alone checks: a zero weight is refused like a negative one, by every verb
+that reads a state file.  So ``minors.range_basis`` spans all the edge
+vectors, the range of their Gram sum (``column_space`` of the state's
+matrix, a hypothesis property), and the witness and the upper bound of
+``certify_sn`` come from the same edges.  A stored state without edges
+never reaches a Schmidt-number bound: ``verify`` of its sn-verdict, and
+``certify-sn`` and ``plot`` of it, are refused before its matrix is read,
+so a 16x16 dense matrix state (~0.4 MB, ten seconds and more of LDL*)
+costs nothing.  ``verify`` never factors a matrix at all.
 """
 
 import json
@@ -27,6 +30,7 @@ from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import replay as rp
 from pptlab import serialize as se
+from pptlab.errors import BoundsViolation, DimensionMismatch, PptlabError, WitnessNotInRange
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -54,20 +58,23 @@ def forged(tmp_path_factory):
     return str(d / "cert.json"), str(d / "state.json")
 
 
-def test_the_forged_matrix_state_is_refused_at_once(forged, capsys):
-    """``verify`` fails the forged sn-verdict (exit 1) and ``certify-sn``
-    refuses its state (exit 2), each within 1 s and with the messages of a
-    full replay: the state has no edges, so nothing is factored."""
+def test_the_forged_matrix_state_is_refused_at_once(forged, spy, capsys):
+    """``verify`` fails the forged sn-verdict (exit 1), and ``certify-sn``
+    and ``plot`` refuse its state (exit 2), each within 1 s with one line:
+    the state has no edges, so its matrix is neither read nor factored."""
     cert, state = forged
     assert os.path.getsize(cert) > 350_000
-    start = time.perf_counter()
-    assert cli.run(["verify", cert]) == 1
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().out == "verify: FAILED: the state has no edge decomposition\n"
-    start = time.perf_counter()
-    assert cli.run(["certify-sn", "--state", state]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == "certify-sn: state carries no range decomposition\n"
+    calls = spy(rp, "psd_check")
+    for argv, code, line in (
+            (["verify", cert], 1, "verify: FAILED: the state has no edge decomposition\n"),
+            (["certify-sn", "--state", state], 2, "certify-sn: state carries no edge decomposition\n"),
+            (["plot", "--state", state], 2, "plot: state carries no edge decomposition\n")):
+        start = time.perf_counter()
+        assert cli.run(argv) == code
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (captured.out if code == 1 else captured.err) == line
+    assert calls == []
 
 
 def test_verify_never_factors_a_matrix(forged, spy, tmp_path, capsys):
@@ -102,7 +109,7 @@ def test_verify_never_factors_a_matrix(forged, spy, tmp_path, capsys):
 @st.composite
 def edge_states(draw):
     """Edge states of up to 3x3 with small Gaussian-rational entries and
-    weights that may be 0; some edges repeat or combine earlier ones."""
+    positive weights; some edges repeat or combine earlier ones."""
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entry = st.builds(em.GaussianRational, st.integers(-2, 2), st.just(0) | st.integers(-1, 1))
     vectors = []
@@ -116,7 +123,7 @@ def edge_states(draw):
             a, b = draw(st.sampled_from(vectors)), draw(st.sampled_from(vectors))
             c = em.as_scalar(draw(st.integers(-2, 2)))
             vectors.append(tuple(x + c * y for x, y in zip(a, b)))
-    weights = draw(st.lists(st.sampled_from([0, Fraction(1, 2), 1, 3]), min_size=len(vectors),
+    weights = draw(st.lists(st.sampled_from([Fraction(1, 2), 1, 3]), min_size=len(vectors),
                             max_size=len(vectors)))
     return qs.BipartiteState(m, n, label="random", edges=[
         qs.NamedVector(f"e{i}", v, Fraction(w)) for i, (v, w) in enumerate(zip(vectors, weights))])
@@ -133,3 +140,76 @@ def test_the_positive_edges_span_the_range_of_their_gram_sum(s):
     independent = em.Subspace(len(s.edges[0].vec), [e.vec for e in s.edges]).dim == len(s.edges)
     assert (source == "edges") == (independent and all(e.weight > 0 for e in s.edges))
     assert vectors == (tuple(e.vec for e in s.edges) if source == "edges" else rng.basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_states())
+def test_certify_sn_reads_its_witness_and_upper_bound_off_the_spanning_edges(s):
+    """On an edge state the witness, the first edge of largest Schmidt rank,
+    lies in ``range_basis``'s range, so ``certify_sn`` never raises
+    ``WitnessNotInRange``; its upper bound is that largest rank."""
+    rng = mi.range_basis(s)[0]
+    ranks = [rp.schmidt_rank(e.vec, *s.dims) for e in s.edges]
+    assert rng.contains(s.edges[ranks.index(max(ranks))].vec)
+    try:
+        lower, upper = ce.certify_sn(s)
+    except WitnessNotInRange:
+        raise
+    except PptlabError:  # e.g. an overlap with several basis vectors
+        return
+    assert upper.value == max(ranks)
+    if isinstance(lower, ce.LowerBound):
+        assert rng.contains(lower.witness)
+
+
+def _zero_weight_states() -> dict:
+    """The two files of a zero-weight edge, by name: family:3 with one more
+    edge, ``|00>`` of weight 0 (``certify-sn --exclude-deltas`` failed it
+    with ``NonOrthogonalBasis`` while the range spanned only the edges of
+    positive weight), and ``|00><00|`` with a Bell edge of weight 0
+    (``ppt-check`` called it PPT, and ``certify-sn`` failed it with
+    ``WitnessNotInRange``, while a zero weight was read)."""
+    family = se.state_to_json(co.rho_family(3))
+    family["edges"].append({"name": "zero", "vector": [[0, "1"]], "weight": "0"})
+    product = {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "product",
+               "edges": [{"name": "p00", "vector": [[0, "1"]], "weight": "1"},
+                         {"name": "bell", "vector": [[0, "1"], [3, "1"]], "weight": "0"}]}
+    return {"zero": family, "bell": product}
+
+
+@pytest.mark.parametrize("edge", ["zero", "bell"])
+def test_a_zero_weight_edge_is_refused_by_every_state_reader(edge, tmp_path, capsys):
+    """A state file with a zero-weight edge exits 2 from every verb that
+    reads a state, with one line naming the edge; ``verify`` of a ppt
+    certificate or an sn-verdict that holds it exits 1."""
+    data = _zero_weight_states()[edge]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(data))
+    line = f"BoundsViolation: edge {edge!r} has zero weight 0\n"
+    step = json.dumps({"kind": "slocc", "side": "A", "phi": ["1"] * data["dim_a"]})
+    for argv in (["build"], ["ppt-check"], ["certify-sn", "--exclude-deltas"], ["certify-sn"],
+                 ["extend", "--step", step], ["extremal"], ["plot"]):
+        assert cli.run(argv + ["--state", str(path)]) == 2, argv
+        assert capsys.readouterr() == ("", f"{argv[0]}: {line}")
+    valid = se.state_from_json({**data, "edges": data["edges"][:-1]})
+    for cert in (se.ppt_certificate(valid), se.sn_verdict_certificate(valid, *ce.certify_sn(valid))):
+        path.write_text(json.dumps({**cert, "state": data}))
+        assert cli.run(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == f"verify: FAILED: edge {edge!r} has zero weight 0\n"
+
+
+def test_the_constructor_takes_edges_or_a_matrix(spy):
+    """Edges and a matrix together are refused, even when the edges sum to
+    the matrix, and so is neither; edges are summed once, never factored."""
+    rho = co.rho_3x3()
+    calls = spy(rp, "weighted_gram", "psd_check")
+    for kwargs in ({"matrix": rho.matrix, "edges": rho.edges}, {}):
+        with pytest.raises(DimensionMismatch, match="by its edges or by its matrix, not both"):
+            qs.BipartiteState(3, 3, label="both", **kwargs)
+    assert calls == []
+    assert qs.BipartiteState(3, 3, label="edges", edges=rho.edges) == rho
+    assert [name for name, _ in calls] == ["weighted_gram"]
+    for weight, sign in ((0, "zero"), (Fraction(-1, 2), "negative")):
+        edges = rho.edges[:3] + (rho.edges[3]._replace(weight=weight),)
+        with pytest.raises(BoundsViolation, match=f"edge 'e3' has {sign} weight {weight}$"):
+            qs.BipartiteState(3, 3, label="bad", edges=edges)

@@ -218,9 +218,9 @@ def test_side_b_product_pair_checks_as_the_swapped_side_a_one(case):
 @st.composite
 def edge_states(draw):
     """A small state given by its edges: Gaussian-rational vectors and
-    nonnegative rational weights, zero among them."""
+    positive rational weights."""
     m, n, count = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 4))
-    weights = st.fractions(min_value=0, max_value=4, max_denominator=3)
+    weights = st.fractions(min_value=Fraction(1, 3), max_value=4, max_denominator=3)
     edges = [qs.NamedVector(f"v{i}", tuple(draw(st.lists(gaussian_rationals, min_size=m * n,
                                                           max_size=m * n))), draw(weights))
              for i in range(count)]

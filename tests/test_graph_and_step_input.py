@@ -96,8 +96,10 @@ GRAPH_CASES = {
     "number-weight-1e400": (_solid([[0, 0]], float("inf")), "inf is not a rational string"),
     "float-weight": (_solid([[0, 0]], 0.1), "0.1 is not a rational string"),
     "int-weight": (_solid([[0, 0]], 1), "1 is not a rational string"),
-    "zero-weight": (_solid([[0, 0]], "0"), "weight '0' is not positive"),
-    "negative-weight": (_solid([[0, 0]], "-1/2"), "weight '-1/2' is not positive"),
+    # the state's constructor, not the graph reader, refuses a weight that is not positive
+    "zero-weight": (_solid([[0, 0]], "0"), "BoundsViolation: edge 's0' has zero weight 0"),
+    "negative-weight": (_solid([[0, 0]], "-1/2"),
+                        "BoundsViolation: edge 's0' has negative weight -1/2"),
     "huge-dims": (_graph(dims=[100000, 100000]), "exceed 1024 levels in all"),
     "extra-key": (_graph(comment="x"), "unknown graph keys ['comment']"),
     "extra-edge-key": (_graph(solid=[{"sites": [[0, 0]], "weight": "1", "name": "a"}]),
@@ -115,7 +117,8 @@ def test_malformed_graph_exits_2(graph, message, tmp_path):
     path.write_text(json.dumps(graph).replace("Infinity", "1e400"))
     code, out, err = _run(["build", "--graph", str(path)])
     assert (code, out) == (2, "") and err.count("\n") == 1, err
-    assert err.startswith("build: MalformedData: malformed graph: ") and message in err, err
+    prefix = "" if message.startswith("BoundsViolation") else "MalformedData: malformed graph: "
+    assert err.startswith(f"build: {prefix}") and message in err, err
 
 
 STEP_CASES = {

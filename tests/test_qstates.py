@@ -29,11 +29,13 @@ def test_grid_dashed_edge():
 
 
 def test_grid_bounds_and_weight_validation():
-    for edges in ({"solid": [_edge([(0, 2)])]}, {"solid": [_edge([(0, 0)], 0)]},
-                  {"dashed": [_edge([(0, 0)])]}, {"dashed": [_edge([(0, 0), (0, 0)])]},
-                  {"solid": [_edge([])]}):
+    for edges in ({"solid": [_edge([(0, 2)])]}, {"dashed": [_edge([(0, 0)])]},
+                  {"dashed": [_edge([(0, 0), (0, 0)])]}, {"solid": [_edge([])]}):
         with pytest.raises(MalformedData, match="malformed graph: ValueError"):
             co.graph_state({"dims": [2, 2], **edges}, "grid")
+    # a weight that is not positive is refused by the state's constructor
+    with pytest.raises(BoundsViolation, match="edge 's0' has zero weight 0"):
+        co.graph_state({"dims": [2, 2], "solid": [_edge([(0, 0)], 0)]}, "grid")
 
 
 def test_grid_state_psd_random():

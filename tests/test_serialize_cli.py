@@ -449,14 +449,15 @@ def test_cli_a_matrix_without_its_entries_is_malformed(tmp_path, capsys):
     {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "none", "edges": []}, "tiles",
 ], ids=["empty-edges", "matrix-state"])
 def test_cli_certify_sn_needs_edges(tmp_path, capsys, state):
-    """certify-sn bounds a state through its edges: a state without any
-    exits 2 with one line, not a traceback."""
+    """certify-sn bounds a state through its edges, and plot draws them: a
+    state without any exits 2 with one line, not a traceback."""
     if isinstance(state, dict):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(state))
         state = str(path)
-    assert cli.run(["certify-sn", "--state", state]) == 2
-    assert capsys.readouterr().err == "certify-sn: state carries no range decomposition\n"
+    for verb in ("certify-sn", "plot"):
+        assert cli.run([verb, "--state", state]) == 2
+        assert capsys.readouterr().err == f"{verb}: state carries no edge decomposition\n"
 
 
 def test_loading_an_edge_state_sums_its_edges_once(tmp_path, spy, monkeypatch):
@@ -758,6 +759,42 @@ def test_cli_plot(tmp_path, capsys):
     assert svg.read_text().startswith("<svg")
     out = capsys.readouterr().out
     assert "e0" in out
+
+
+# the arguments of each verb that writes its payload to --out, and of plot, which
+# writes --svg
+WRITERS = {
+    "build": ["--state", "rho3x3"],
+    "ppt-check": ["--state", "rho3x3"],
+    "extend": ["--state", "rho3x3", "--step", json.dumps(RHO_4X5_STEP_JSON[0])],
+    "certify-sn": ["--state", "rho3x3", "--k", "2"],
+    "extremal": ["--state", "rho3x3"],
+    "sample": ["--dims", "3x3", "--birank", "4,4"],
+    "survey": ["--dims", "3x3", "--birank", "4,4", "--samples", "1"],
+    "reproduce": [],
+    "plot": ["--state", "rho3x3"],
+}
+
+
+def test_every_verb_that_writes_a_file_is_listed():
+    parser = cli.build_parser(cli.VERBS)
+    verbs = next(a for a in parser._actions if a.dest == "verb").choices
+    writers = {name for name, p in verbs.items()
+               if any({"--out", "--svg"} & set(a.option_strings) for a in p._actions)}
+    assert writers == set(WRITERS)
+
+
+@pytest.mark.parametrize("verb", WRITERS)
+def test_an_unwritable_output_path_exits_2(verb, tmp_path, capsys):
+    """``--out`` (``plot``: ``--svg``) into a missing directory, or onto a
+    directory, exits 2 with one line on stderr, not a traceback."""
+    option = "--svg" if verb == "plot" else "--out"
+    missing = tmp_path / "missing" / "out.json"
+    for target, reason in ((missing, f"[Errno 2] No such file or directory: '{missing}'"),
+                           (tmp_path, f"IsADirectoryError: [Errno 21] Is a directory: '{tmp_path}'")):
+        assert cli.run([verb, *WRITERS[verb], option, str(target)]) == 2
+        assert capsys.readouterr() == ("", f"{verb}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_entrypoint_runs():

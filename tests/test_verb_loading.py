@@ -11,8 +11,8 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1736,
-    "certify-sn": 2416,
+    "ppt-check": 1730,
+    "certify-sn": 2415,
     "verify ppt": 1568,
     "verify sn-verdict": 1800,
 }
