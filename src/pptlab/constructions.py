@@ -52,29 +52,27 @@ def graph_state(data: dict, label: str) -> qs.BipartiteState:
 
 
 def _graph_edges(data: dict) -> tuple:
-    """``(m, n, edges)`` of a graph with only the keys ``dims``, ``solid``
-    and ``dashed``, and ``sites`` and ``weight`` on each edge: ``dims`` as a
-    state's (:func:`replay._checked_dims`), sites that are distinct ``[i,
-    j]`` int pairs on the grid (two on a dashed edge, at least one on a
-    solid one) and a rational string as each weight."""
-    unknown = sorted(set(data) - {"dims", "solid", "dashed"})
-    if unknown:
-        raise ValueError(f"unknown graph keys {unknown}")
-    m, n = rp._checked_dims(*data["dims"])
+    """``(m, n, edges)`` of a graph, read by the key rule of every stored
+    layout (:func:`replay._fields`): the key ``dims`` and the optional
+    ``solid`` and ``dashed``, and ``sites`` and ``weight`` on each edge.
+    ``dims`` are a state's (:func:`replay._checked_dims`), sites are
+    distinct ``[i, j]`` int pairs on the grid (two on a dashed edge, at
+    least one on a solid one) and each weight is a rational string."""
+    dims, *kinds = rp._fields(data, "graph", ("dims",), {"solid": [], "dashed": []})
+    m, n = rp._checked_dims(*dims)
     edges = []
-    for kind, count in (("solid", "one or more"), ("dashed", "two")):
-        for t, e in enumerate(data.get(kind, [])):
-            if not (isinstance(e, dict) and set(e) == {"sites", "weight"}):
-                raise ValueError(f"{kind} edge {t} is not an object of sites and weight")
-            sites = [tuple(s) for s in e["sites"] if isinstance(s, list) and len(s) == 2
+    for kind, count, stored in zip(("solid", "dashed"), ("one or more", "two"), kinds):
+        for t, e in enumerate(stored):
+            given, weight = rp._fields(e, f"{kind} edge {t}", ("sites", "weight"))
+            sites = [tuple(s) for s in given if isinstance(s, list) and len(s) == 2
                      and all(type(x) is int for x in s) and 0 <= s[0] < m and 0 <= s[1] < n]
-            if (len(sites) != len(e["sites"]) or len(set(sites)) != len(sites)
+            if (len(sites) != len(given) or len(set(sites)) != len(sites)
                     or not (len(sites) == 2 if kind == "dashed" else sites)):
-                raise ValueError(f"{kind} edge {t} sites {e['sites']!r} are not {count} "
+                raise ValueError(f"{kind} edge {t} sites {given!r} are not {count} "
                                  f"distinct [i, j] int pairs on the {m}x{n} grid")
             plus = sites[:1] if kind == "dashed" else sites
             vec = _sites_vec(plus, m, n, minus=sites[len(plus):])
-            edges.append(qs.NamedVector(f"{kind[0]}{t}", vec, rp._rational(e["weight"])))
+            edges.append(qs.NamedVector(f"{kind[0]}{t}", vec, rp._rational(weight)))
     return m, n, edges
 
 

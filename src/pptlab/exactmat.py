@@ -18,11 +18,11 @@ never materialized; its action is available through
 :func:`solve_on_range_matrix`.
 
 What ``verify`` runs (scalars, :class:`ExactMatrix`, :func:`weighted_gram`,
-the elimination, :class:`Subspace`, :func:`column_space`, :func:`rank` and
-:func:`psd_check`) lives in the replay kernel :mod:`pptlab.replay`; this
-module imports it from there, so ``em.psd_check`` and the rest keep their
-names, and holds the kernels, solves and projectors only the certifiers
-and the extension layer use.
+the elimination, :class:`Subspace`, :func:`rank` and :func:`psd_check`)
+lives in the replay kernel :mod:`pptlab.replay`; this module imports it
+from there, so ``em.psd_check`` and the rest keep their names, and holds the
+column spaces, annihilators, kernels, solves and projectors only the
+certifiers and the extension layer use.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from typing import Sequence
 from .errors import DimensionMismatch, RangeViolation
 from .replay import (ONE, ZERO, ExactMatrix, GaussianRational, PsdResult,  # noqa: F401
                      Subspace, Vector, _echelon, _entry, _int_rows, _nonzero, _quotient,
-                     _rref, as_scalar, column_space, format_scalar, parse_scalar,
-                     psd_check, rank, vdot, vector, weighted_gram)
+                     _rref, as_scalar, format_scalar, parse_scalar, psd_check, rank, vdot,
+                     vector, weighted_gram)
 
 I_UNIT = GaussianRational(0, 1)
 
@@ -59,8 +59,35 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# kernels, solves and projectors on the replay kernel's integer rows
+# subspaces, kernels, solves and projectors on the replay kernel's integer rows
 # ---------------------------------------------------------------------------
+
+def column_space(M: ExactMatrix) -> Subspace:
+    """Range R(M) as a canonical subspace."""
+    return Subspace(M.rows, zip(*M.tolists()))
+
+
+def _canonical_subspace(ambient_dim: int, basis: list) -> Subspace:
+    """The subspace spanned by ``basis``, which is already canonical."""
+    S = object.__new__(Subspace)
+    object.__setattr__(S, "ambient_dim", ambient_dim)
+    object.__setattr__(S, "basis", tuple(basis))
+    return S
+
+
+def annihilator(S: Subspace) -> list:
+    """Rows ``r`` with ``S = {w : sum_j r[j] w[j] = 0}``, one per non-pivot
+    column, read off the canonical basis without elimination."""
+    pivots = [next(i for i, x in enumerate(b) if x) for b in S.basis]
+    rows = []
+    for f in sorted(set(range(S.ambient_dim)) - set(pivots)):
+        v = [ZERO] * S.ambient_dim
+        v[f] = ONE
+        for b, pc in zip(S.basis, pivots):
+            v[pc] = -b[f]
+        rows.append(tuple(v))
+    return rows
+
 
 def _int_kernel(work: list, ncols: int) -> tuple:
     """``(rank, right kernel)`` of the Gaussian-integer rows ``work``.
@@ -81,7 +108,7 @@ def _int_kernel(work: list, ncols: int) -> tuple:
             if _nonzero(row, f):
                 v[pc] = _quotient(*_entry(row, f), lead)
         basis.append(tuple(v))
-    return len(pivots), Subspace._canonical(ncols, basis)
+    return len(pivots), _canonical_subspace(ncols, basis)
 
 
 def rank_and_kernel(M: ExactMatrix) -> tuple[int, Subspace]:
@@ -137,4 +164,4 @@ def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
     """Exact intersection: the null space of both annihilators' rows stacked."""
     if U.ambient_dim != V.ambient_dim:
         raise DimensionMismatch("subspaces in different ambient spaces")
-    return null_space(U.annihilator() + V.annihilator(), U.ambient_dim)
+    return null_space(annihilator(U) + annihilator(V), U.ambient_dim)

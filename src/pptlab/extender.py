@@ -49,6 +49,7 @@ from .errors import (
     PreconditionViolation,
     RangeViolation,
 )
+from . import replay as rp
 from .replay import matrix_from_json
 
 Side = Literal["A", "B"]
@@ -292,7 +293,8 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
             j, spectator = place(*cell)
             slices.setdefault(spectator, {})[w] = j
         rows += [(spread(re, members), im and spread(im, members))
-                 for re, im in em._int_rows(space.annihilator()) for members in slices.values()]
+                 for re, im in em._int_rows(em.annihilator(space))
+                 for members in slices.values()]
     return em._int_kernel(rows, N)[1]
 
 
@@ -477,20 +479,19 @@ def step_keys(kind: str) -> tuple:
 def step_from_json(data: dict, label: str) -> qs.ExtensionStep:
     """Parse one extension step: ``kind``, ``side`` (default "A"), the
     kind's parameters and the optional ``names`` of the remainder's rank-one
-    parts, and no other key.  ``edge`` and ``chi`` are matrices, the other
-    parameters lists of every entry (a step names no dimensions), and each
-    entry a rational string; a malformed parameter's ``ValueError`` names it."""
+    parts, and no other key (:func:`replay._fields`).  ``edge`` and ``chi``
+    are matrices, the other parameters lists of every entry (a step names
+    no dimensions), and each entry a rational string; a malformed
+    parameter's ``ValueError`` names it."""
     kind = data.get("kind")
     keys = step_keys(kind)
-    unknown = sorted(set(data) - {"kind", "side", "names", *keys})
-    if unknown:
-        raise ValueError(f"unknown step keys {unknown} for the kind {kind!r}")
-    parameters = {key: _step_parameter(key, data[key]) for key in keys}
-    names = data.get("names")
+    _, *values, side, names = rp._fields(data, f"{kind} step", ("kind", *keys),
+                                         {"side": "A", "names": None})
+    parameters = {key: _step_parameter(key, value) for key, value in zip(keys, values)}
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):
         raise ValueError("step names must be a list of strings")
-    return qs.ExtensionStep(kind, data.get("side", "A"), parameters, label,
+    return qs.ExtensionStep(kind, side, parameters, label,
                             None if names is None else tuple(names))
 
 

@@ -404,11 +404,17 @@ def numeric_extension_dimension(state: FloatState, return_report: bool = False):
     return dim, report
 
 
+def complex_matrix(M) -> np.ndarray:
+    """The exact matrix ``M`` as a complex array."""
+    return np.array([[complex(float(x.re), float(x.im)) for x in row] for row in M.tolists()],
+                    dtype=complex)
+
+
 def from_exact(state: qs.BipartiteState) -> FloatState:
     """Cast an exact state to floats, trace-normalized."""
     from . import qstates as qs
 
-    mat = np.array(state.matrix.to_complex_rows(), dtype=complex)
+    mat = complex_matrix(state.matrix)
     mat = mat / np.trace(mat).real
     p, q = qs.birank(state)
     return FloatState(state.dim_a, state.dim_b, mat, (p, q), 0.0, 0)

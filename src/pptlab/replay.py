@@ -6,10 +6,11 @@ code sits in this one bottom-layer module, which imports only
 (:class:`GaussianRational`) with their ``"p/q+r/s i"`` text form, dense
 matrices (:class:`ExactMatrix`) and the one Gram kernel
 :func:`weighted_gram`, the one row elimination (:func:`_echelon`) behind
-:func:`column_space` and :func:`rank`, the pivoted LDL* :func:`psd_check`,
+:class:`Subspace` and :func:`rank`, the pivoted LDL* :func:`psd_check`,
 the state record (:class:`BipartiteState`, checked once where it is made)
 with its partial transpose and the Schmidt rank of a vector, the JSON
-readers with the sparse ``[index, value]`` codec, and the two verifiers
+readers with the sparse ``[index, value]`` codec and the one field reader
+:func:`_fields`, which owns every stored layout's keys, and the two verifiers
 behind :data:`VERIFIERS`, through which :func:`verify_certificate`
 dispatches.  Replaying an sn-lower half imports :mod:`pptlab.minors`, the
 packed-monomial identity check, when it runs.  :mod:`pptlab.exactmat`,
@@ -259,14 +260,8 @@ class ExactMatrix:
     def row(self, i: int) -> Vector:
         return self._e[i]
 
-    def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self._e)
-
     def tolists(self):
         return [list(r) for r in self._e]
-
-    def to_complex_rows(self):
-        return [[complex(float(x.re), float(x.im)) for x in row] for row in self._e]
 
     # -- algebra ----------------------------------------------------------
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -323,9 +318,6 @@ class ExactMatrix:
 
     def adjoint(self) -> "ExactMatrix":
         return ExactMatrix([[self._e[i][j].conj() for i in range(self.rows)] for j in range(self.cols)])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self._e[i][j] for i in range(self.rows)] for j in range(self.cols)])
 
     def conjugate(self) -> "ExactMatrix":
         return ExactMatrix([[x.conj() for x in row] for row in self._e])
@@ -582,33 +574,12 @@ class Subspace:
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", tuple(_rref(rows)[1]))
 
-    @staticmethod
-    def _canonical(ambient_dim: int, basis: list) -> "Subspace":
-        """The subspace spanned by ``basis``, which is already canonical."""
-        S = object.__new__(Subspace)
-        object.__setattr__(S, "ambient_dim", ambient_dim)
-        object.__setattr__(S, "basis", tuple(basis))
-        return S
-
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def annihilator(self) -> list:
-        """Rows ``r`` with ``S = {w : sum_j r[j] w[j] = 0}``, one per non-pivot
-        column, read off the canonical basis without elimination."""
-        pivots = [next(i for i, x in enumerate(b) if x) for b in self.basis]
-        rows = []
-        for f in sorted(set(range(self.ambient_dim)) - set(pivots)):
-            v = [ZERO] * self.ambient_dim
-            v[f] = ONE
-            for b, pc in zip(self.basis, pivots):
-                v[pc] = -b[f]
-            rows.append(tuple(v))
-        return rows
 
     def contains(self, v: Vector) -> bool:
         if len(v) != self.ambient_dim:
@@ -631,11 +602,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def column_space(M: ExactMatrix) -> Subspace:
-    """Range R(M) as a canonical subspace."""
-    return Subspace(M.rows, [M.col(j) for j in range(M.cols)])
 
 
 def rank(M: ExactMatrix) -> int:
@@ -891,7 +857,8 @@ class MalformedData(PptlabError):
 
 
 def matrix_from_json(data: dict) -> ExactMatrix:
-    rows, cols, entries = data["rows"], data["cols"], data["entries"]
+    """The matrix stored as ``{"rows", "cols", "entries"}``, no other key."""
+    rows, cols, entries = _fields(data, "matrix", ("rows", "cols", "entries"))
     if not (type(rows) is type(cols) is int and len(entries) == rows and (rows or not cols)
             and all(isinstance(row, list) and len(row) == cols for row in entries)):
         raise ValueError(f"matrix entries are not {rows!r} rows of {cols!r} entries each")
@@ -976,16 +943,33 @@ def _checked_dims(dim_a, dim_b) -> tuple:
 
 
 def _state_parts(data: dict) -> tuple:
-    if isinstance(data, dict) and "matrix" in data and "edges" in data:
-        raise ValueError("a state stores both its matrix and its edges")
-    dim_a, dim_b = _checked_dims(data["dim_a"], data["dim_b"])
-    if "edges" not in data:
-        return dim_a, dim_b, matrix_from_json(data["matrix"]), data.get("label", "")
-    edges = [NamedVector(e["name"], vector_from_json(e["vector"], dim_a * dim_b),
-                         _rational(e["weight"])) for e in data["edges"]]
-    if not all(isinstance(e.name, str) for e in edges):
-        raise TypeError("edge names are not strings")
-    return dim_a, dim_b, None, data.get("label", ""), edges
+    """A state's ``dim_a``, ``dim_b``, ``edges`` (each ``name``, ``vector``,
+    ``weight``) or ``matrix``, never both, and optional ``kind`` and ``label``."""
+    edged = "edges" in data
+    dim_a, dim_b, stored, _, label = _fields(
+        data, "edge state" if edged else "matrix state",
+        ("dim_a", "dim_b", "edges" if edged else "matrix"), {"kind": None, "label": ""})
+    dim_a, dim_b = _checked_dims(dim_a, dim_b)
+    if not edged:
+        return dim_a, dim_b, matrix_from_json(stored), label
+    edges = []
+    for t, e in enumerate(stored):
+        name, vec, weight = _fields(e, f"edge {t}", ("name", "vector", "weight"))
+        if not isinstance(name, str):
+            raise TypeError("edge names are not strings")
+        edges.append(NamedVector(name, vector_from_json(vec, dim_a * dim_b), _rational(weight)))
+    return dim_a, dim_b, None, label, edges
+
+
+def _fields(data: dict, what: str, keys: Sequence[str], optional=()) -> list:
+    """The values of a stored object's ``keys`` (``KeyError`` if one is
+    missing), then of its ``optional`` ones (a ``{key: default}`` dict): the
+    key rule of every stored layout, which refuses any other key by name."""
+    optional = dict(optional)
+    unknown = sorted(set(data) - {*keys, *optional})
+    if unknown:
+        raise ValueError(f"unknown {what} keys {unknown}")
+    return [data[key] for key in keys] + [data.get(key, d) for key, d in optional.items()]
 
 
 def _parsed(what: str, parse, *args):
@@ -1013,8 +997,11 @@ def verify_ppt_certificate(data: dict) -> bool:
     The Gram sum of rho's factorization proves rho PSD, so it is also the
     check of a matrix state (:func:`ppt_state_from_json`), and a valid
     negativity witness for rho raises :class:`NotPsd`."""
-    s = ppt_state_from_json(_parsed("certificate", lambda d: d["state"], data))
-    evidence, claimed = _parsed("certificate", _read_ppt, data, s.matrix.rows)
+    _, stored, claimed, rho, rho_ta = _parsed("certificate", _fields, data, "ppt certificate",
+                                              ("kind", "state", "verdict", "rho", "rho_ta"))
+    s = ppt_state_from_json(stored)
+    evidence = {key: _parsed("certificate", _read_evidence, key, ev, s.matrix.rows)
+                for key, ev in (("rho", rho), ("rho_ta", rho_ta))}
     for key, M in (("rho", s.matrix), ("rho_ta", s.partial_transpose("A"))):
         psd, *ev = evidence[key]
         if psd:
@@ -1035,20 +1022,17 @@ def verify_ppt_certificate(data: dict) -> bool:
     return True
 
 
-def _read_ppt(data: dict, n: int) -> tuple:
-    """``{key: (True, pivots, columns) | (False, witness, value)}`` for
-    ``rho`` and ``rho_ta`` (vectors of ``n`` entries), and the verdict."""
-    evidence = {}
-    for key in ("rho", "rho_ta"):
-        ev = data[key]
-        if type(ev["psd"]) is not bool:
-            raise TypeError(f"{key} psd is not true or false")
-        if ev["psd"]:
-            evidence[key] = (True, [_rational(d) for _, d in ev["pivots"]],
-                             [vector_from_json(col, n) for col in ev["columns"]])
-        else:
-            evidence[key] = (False, vector_from_json(ev["witness"], n), ev["witness_value"])
-    return evidence, data["verdict"]
+def _read_evidence(key: str, ev: dict, n: int) -> tuple:
+    """``(psd, pivots, columns)`` or ``(psd, witness, witness_value)``, the
+    evidence ``key`` of a ppt certificate, its vectors of ``n`` entries."""
+    psd = ev["psd"]
+    if type(psd) is not bool:
+        raise TypeError(f"{key} psd is not true or false")
+    layout = ("psd", "pivots", "columns") if psd else ("psd", "witness", "witness_value")
+    _, a, b = _fields(ev, f"{key} evidence", layout)
+    if psd:
+        return True, [_rational(d) for _, d in a], [vector_from_json(col, n) for col in b]
+    return False, vector_from_json(a, n), b
 
 
 def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
@@ -1085,19 +1069,20 @@ def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
 def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
     """The basis source, variables, witness, witness variable, power,
     minor pairs and cofactor terms of the lower half of an sn-verdict on an
-    ``m x n`` state."""
-    k, power = half["value"], half["power"]
+    ``m x n`` state, read from the keys :func:`serialize._sn_lower_json` writes."""
+    k, witness, witness_variable, variables, basis, power, minors = _fields(
+        half, "lower half",
+        ("value", "witness", "witness_variable", "variables", "basis", "power", "minors"))
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
-    if half["basis"] not in ("edges", "range"):
+    if basis not in ("edges", "range"):
         raise CertificateInvalid('basis is neither "edges" nor "range"')
-    variables = half["variables"]
     if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
         raise CertificateInvalid("variables is not a list of names")
-    pairs, cofactors = _indexed_minors(half["minors"], len(variables), k, power - k, m, n)
-    return (half["basis"], variables, vector_from_json(half["witness"], m * n),
-            half["witness_variable"], power, pairs, cofactors)
+    pairs, cofactors = _indexed_minors(minors, len(variables), k, power - k, m, n)
+    return (basis, variables, vector_from_json(witness, m * n), witness_variable, power,
+            pairs, cofactors)
 
 
 def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) -> tuple:
@@ -1123,7 +1108,7 @@ def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) ->
 
 def _cofactor(nvars: int, data, degree: int) -> dict:
     """The terms of a stored ``{"terms": [[monomial, "p/q"], ...]}`` of one ``degree``."""
-    terms = data.get("terms") if isinstance(data, dict) else None
+    (terms,) = _fields(data, "cofactor", ("terms",))
     if not isinstance(terms, list):
         raise CertificateInvalid("cofactor has no term list")
     out = {}
@@ -1139,10 +1124,11 @@ def _cofactor(nvars: int, data, degree: int) -> dict:
 
 
 def verify_sn_upper_certificate(half: dict, s: BipartiteState) -> bool:
-    """Replay the upper half of an sn-verdict on its state, the conic sum of
-    its edges: ``value`` is the largest of the edges' Schmidt ranks, as stored."""
+    """Replay an sn-verdict's upper half (``value``, ``schmidt_ranks``) on its state,
+    the conic sum of its edges: ``value`` is their largest Schmidt rank, as stored."""
     m, n = s.dims
-    value, stored_ranks = _parsed("certificate", lambda h: (h["value"], h["schmidt_ranks"]), half)
+    value, stored_ranks = _parsed("certificate", _fields, half, "upper half",
+                                  ("value", "schmidt_ranks"))
     if type(value) is not int:
         raise CertificateInvalid("upper bound value is not an integer")
     ranks = [schmidt_rank(e.vec, m, n) for e in s.edges]
@@ -1176,16 +1162,19 @@ def verify_sn_verdict(data: dict) -> bool:
 
 
 def _read_sn_verdict(data: dict) -> tuple:
-    """The lower (None when inconclusive) and upper halves and the stored
-    state, with the stored verdict line checked against their values; a
-    state without edges is refused before its matrix is read or factored."""
-    lower, upper = data.get("lower"), data["upper"]
-    expected = sn_verdict_text(lower["value"] if lower is not None else None, upper["value"])
-    if data["verdict"] != expected:
-        raise CertificateInvalid(f"verdict {data['verdict']!r} does not match {expected!r}")
-    if not data["state"].get("edges"):
+    """The ``lower`` (None under ``lower_inconclusive``) and ``upper`` halves
+    and the state, the verdict line checked against their values; a state
+    without edges is refused before its matrix is read or factored."""
+    proven = "lower" in data
+    _, state, lower, upper, verdict = _fields(
+        data, "sn-verdict", ("kind", "state", "lower" if proven else "lower_inconclusive",
+                             "upper", "verdict"))
+    expected = sn_verdict_text(lower["value"] if proven else None, upper["value"])
+    if verdict != expected:
+        raise CertificateInvalid(f"verdict {verdict!r} does not match {expected!r}")
+    if not state.get("edges"):
         raise CertificateInvalid("the state has no edge decomposition")
-    return lower, upper, data["state"]
+    return lower if proven else None, upper, state
 
 
 VERIFIERS = {

@@ -14,7 +14,9 @@ for a state stored as its matrix, rho's is also the state's check) and
 bound, and the verdict line), each storing its state once.  The halves
 refer to that state: the lower one names its basis of the range
 (``"edges"`` or ``"range"``), the upper one stores the Schmidt ranks of
-the state's edges.  Any other layout is malformed, or of an unknown kind.
+the state's edges.  Each writer writes exactly these keys, and any other
+layout is malformed (one field reader, :func:`replay._fields`, refuses by
+name a key an object's layout does not list), or of an unknown kind.
 
 This module holds only the writers, of each layout from the exact
 objects (the bounds come from :mod:`pptlab.certifier`).  The readers of

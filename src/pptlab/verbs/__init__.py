@@ -44,9 +44,11 @@ def _parse(parse, *args):
 
 
 def _write(path: str, text: str) -> None:
-    """Write ``text`` to ``path``, which is refused as input (exit 2) when it cannot be opened."""
-    with _parse(open, path, "w") as fh:
-        fh.write(text)
+    """Write ``text`` to ``path``; failing to open, write or close it is input (exit 2)."""
+    def write():
+        with open(path, "w") as fh:
+            fh.write(text)
+    _parse(write)
 
 
 def _emit(args, payload: dict, text: str) -> None:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pptlab import exactmat as em
+from pptlab import numlab as nl
 from pptlab.errors import DimensionMismatch, NotHermitian, RangeViolation
 
 from oracles import intersection_via_stacked_kernel
@@ -188,7 +189,7 @@ def test_psd_float_cross_validation():
         else:
             M = rnd_hermitian(rng, n, span=5, den=5)
         verdict = em.psd_check(M).is_psd
-        eigmin = float(np.linalg.eigvalsh(np.array(M.to_complex_rows())).min()) if n else 0.0
+        eigmin = float(np.linalg.eigvalsh(nl.complex_matrix(M)).min()) if n else 0.0
         assert verdict == (eigmin >= -1e-8)
 
 
@@ -316,7 +317,7 @@ def test_annihilator_rows_cut_out_the_subspace():
         n = rng.randint(1, 5)
         S = em.Subspace(n, [tuple(rnd_scalar(rng) for _ in range(n))
                             for _ in range(rng.randint(0, n))])
-        rows = S.annihilator()
+        rows = em.annihilator(S)
         assert len(rows) == n - S.dim
         for r in rows:
             for b in S.basis:
@@ -463,7 +464,7 @@ def _sympy_subspace(vectors, n):
         return em.Subspace(n)
     with _sympy_long_ints():
         ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
-    return em.Subspace._canonical(n, [tuple(_from_sympy(ref[i, j]) for j in range(n))
+    return em._canonical_subspace(n, [tuple(_from_sympy(ref[i, j]) for j in range(n))
                                       for i in range(len(pivots))])
 
 

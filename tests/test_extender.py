@@ -47,7 +47,7 @@ def test_split_rho45_at_last_b_index():
     final = co.rho_4x5().final
     blocks = ex.split_blocks(final, "B", 4)
     assert blocks.core.dims == (4, 4)
-    nz_cols = [c for c in range(blocks.coupling.cols) if any(blocks.coupling.col(c))]
+    nz_cols = [c for c, col in enumerate(zip(*blocks.coupling.tolists())) if any(col)]
     assert nz_cols == [3]  # the |02><3|-type coupling targets A-index 3
     assert ex.assemble_extension(blocks).matrix == final.matrix
 

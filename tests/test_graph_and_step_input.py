@@ -103,8 +103,8 @@ GRAPH_CASES = {
     "huge-dims": (_graph(dims=[100000, 100000]), "exceed 1024 levels in all"),
     "extra-key": (_graph(comment="x"), "unknown graph keys ['comment']"),
     "extra-edge-key": (_graph(solid=[{"sites": [[0, 0]], "weight": "1", "name": "a"}]),
-                       "solid edge 0 is not an object of sites and weight"),
-    "no-weight": (_graph(solid=[{"sites": [[0, 0]]}]), "is not an object of sites and weight"),
+                       "ValueError: unknown solid edge 0 keys ['name']"),
+    "no-weight": (_graph(solid=[{"sites": [[0, 0]]}]), "KeyError: 'weight'"),
     "no-dims": ({"solid": []}, "KeyError: 'dims'"),
     "not-an-object": ([1, 2], "ValueError: unknown graph keys [1, 2]"),
 }
@@ -135,7 +135,10 @@ STEP_CASES = {
         "rows": 1, "cols": 1, "entries": [[3]]}},
         "step parameter 'edge': TypeError: 3 is not a rational string"),
     "unknown-key": ({"kind": "slocc", "side": "A", "phi": ["1", "0", "0"], "psi": ["1"]},
-                    "unknown step keys ['psi'] for the kind 'slocc'"),
+                    "ValueError: unknown slocc step keys ['psi']"),
+    "matrix-unknown-key": ({"kind": "direct_sum", "side": "A", "edge": {
+        "rows": 1, "cols": 1, "entries": [["3"]], "row": 1}},
+        "step parameter 'edge': ValueError: unknown matrix keys ['row']"),
     "missing-key": ({"kind": "product_pair", "side": "B", "alpha": ["1", "0", "0"],
                      "beta": ["0", "0", "1", "0"]}, "KeyError: 'gamma'"),
 }
@@ -206,7 +209,8 @@ def test_oversized_certificate_fails_verify_before_allocating(kind, tmp_path):
         cert = {"kind": "ppt", "state": state, "verdict": "PPT", "rho": evidence,
                 "rho_ta": evidence}
     else:
-        cert = {"kind": "sn-verdict", "state": state, "upper": {"value": 1, "schmidt_ranks": [1]},
+        cert = {"kind": "sn-verdict", "state": state, "lower_inconclusive": "not searched",
+                "upper": {"value": 1, "schmidt_ranks": [1]},
                 "verdict": "SN <= 1 (lower bound inconclusive)"}
     path = tmp_path / "big.json"
     path.write_text(json.dumps(cert))

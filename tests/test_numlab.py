@@ -49,7 +49,7 @@ def test_eig_matches_exact_characteristic_roots():
         B = em.ExactMatrix([[em.GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                              for _ in range(3)] for _ in range(3)])
         G = B.matmul(B.adjoint())
-        w = np.linalg.eigvalsh(np.array(G.to_complex_rows()))
+        w = np.linalg.eigvalsh(nl.complex_matrix(G))
         res = em.psd_check(G)
         assert res.is_psd
         assert np.all(w >= -1e-9)

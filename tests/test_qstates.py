@@ -120,7 +120,7 @@ def test_partial_transpose_involution_and_full_transpose():
         ta = qs.partial_transpose_matrix(H, m, n, "A")
         assert qs.partial_transpose_matrix(ta, m, n, "A") == H
         tb = qs.partial_transpose_matrix(ta, m, n, "B")
-        assert tb == H.transpose()
+        assert tb == H.conjugate()  # the transpose of the Hermitian H
 
 
 def test_rho3x3_pt_decomposition_bit_exact():

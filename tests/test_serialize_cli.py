@@ -1,7 +1,9 @@
 """Serialization round-trips, certificate replay, and the CLI surface."""
 
 import ast
+import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -23,6 +25,7 @@ from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import replay as rp
 from pptlab import serialize as se
+from pptlab import verbs
 from pptlab.errors import (
     BoundsViolation,
     ConvergenceFailure,
@@ -784,10 +787,31 @@ def test_every_verb_that_writes_a_file_is_listed():
     assert writers == set(WRITERS)
 
 
+class _FullFile(io.StringIO):
+    """A file on a full disk, as ``/dev/full`` is: ``fails`` names the call
+    that raises, ``write`` or ``close`` (the flush of what was buffered)."""
+
+    def __init__(self, fails: str):
+        super().__init__()
+        self.fails = fails
+
+    def write(self, text):
+        if self.fails == "write":
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(text)
+
+    def close(self):
+        failed = self.fails == "close" and not self.closed
+        super().close()
+        if failed:
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+
 @pytest.mark.parametrize("verb", WRITERS)
-def test_an_unwritable_output_path_exits_2(verb, tmp_path, capsys):
-    """``--out`` (``plot``: ``--svg``) into a missing directory, or onto a
-    directory, exits 2 with one line on stderr, not a traceback."""
+def test_an_unwritable_output_path_exits_2(verb, tmp_path, capsys, monkeypatch):
+    """``--out`` (``plot``: ``--svg``) into a missing directory, onto a
+    directory, or onto a full disk that fails the write or the close, exits
+    2 with one line on stderr, not a traceback."""
     option = "--svg" if verb == "plot" else "--out"
     missing = tmp_path / "missing" / "out.json"
     for target, reason in ((missing, f"[Errno 2] No such file or directory: '{missing}'"),
@@ -795,6 +819,10 @@ def test_an_unwritable_output_path_exits_2(verb, tmp_path, capsys):
         assert cli.run([verb, *WRITERS[verb], option, str(target)]) == 2
         assert capsys.readouterr() == ("", f"{verb}: {reason}\n")
     assert list(tmp_path.iterdir()) == []
+    for fails in ("write", "close"):
+        monkeypatch.setattr(verbs, "open", lambda path, mode: _FullFile(fails), raising=False)
+        assert cli.run([verb, *WRITERS[verb], option, str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"{verb}: OSError: [Errno 28] No space left on device\n")
 
 
 def test_cli_entrypoint_runs():
@@ -1117,7 +1145,7 @@ def test_sn_verdict_halves_must_concern_one_state(rho3x3_verdict):
     mixed["upper"] = se._sn_upper_json(upper)
     mixed["verdict"] = "SN = 2"
     assert se.verify_certificate({"kind": "sn-verdict", "state": se.state_to_json(fam),
-                                  "upper": mixed["upper"],
+                                  "lower_inconclusive": "not searched", "upper": mixed["upper"],
                                   "verdict": "SN <= 2 (lower bound inconclusive)"})
     with pytest.raises(se.CertificateInvalid, match="does not match the decomposition ranks"):
         se.verify_certificate(mixed)
@@ -1130,6 +1158,7 @@ def test_sn_verdict_text_is_rebuilt(rho3x3_verdict):
     bad["verdict"] = "SN = 3"
     _rejected(bad)
     inconclusive = {k: v for k, v in rho3x3_verdict.items() if k != "lower"}
+    inconclusive["lower_inconclusive"] = "not searched"
     inconclusive["verdict"] = "SN <= 3 (lower bound inconclusive)"
     assert se.verify_certificate(inconclusive)
     inconclusive["verdict"] = "SN in [2, 3]"
@@ -1422,7 +1451,7 @@ def _retired(verdict, layout):
     ("state-per-half", "malformed certificate: KeyError: 'state'"),
     ("sn-lower", "unknown certificate kind 'sn-lower'"),
     ("sn-upper", "unknown certificate kind 'sn-upper'"),
-    ("edges-copied", "malformed state: ValueError: a state stores both its matrix and its edges"),
+    ("edges-copied", "malformed state: ValueError: unknown edge state keys ['matrix']"),
 ], ids=["state-per-half", "sn-lower", "sn-upper", "edges-copied"])
 def test_cli_verify_fails_retired_sn_layouts(rho3x3_verdict, tmp_path, capsys, layout, reason):
     """The layouts before the state was stored once, at the top level (a
@@ -1495,6 +1524,7 @@ def test_sn_verdict_replays_through_the_module_half_verifiers(rho3x3_verdict, mo
     cert = _copy(rho3x3_verdict)
     if not conclusive:
         del cert["lower"]
+        cert["lower_inconclusive"] = "not searched"
         cert["verdict"] = "SN <= 3 (lower bound inconclusive)"
     assert se.verify_certificate(cert)
     halves = (["lower"] if conclusive else []) + ["upper"]
@@ -1960,7 +1990,7 @@ def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys)
     state.write_text(json.dumps(old["state"]))
     cert.write_text(json.dumps(old))
     capsys.readouterr()
-    reason = "malformed state: ValueError: a state stores both its matrix and its edges\n"
+    reason = "malformed state: ValueError: unknown edge state keys ['matrix']\n"
     for verb in ("ppt-check", "certify-sn", "build"):
         assert cli.run([verb, "--state", str(state)]) == 2
         assert capsys.readouterr() == ("", f"{verb}: MalformedData: {reason}")

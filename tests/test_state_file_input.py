@@ -10,7 +10,9 @@ those verbs on the file through :func:`cli.run` in process (:func:`cli.main`
 would freeze the collector's objects).  Whatever the file, each run returns
 0, 1 or 2, with ``SystemExit`` counted as its code, exits 2 with one line on
 stderr and nothing on stdout, raises nothing else, and ends within the
-example's deadline.
+example's deadline.  An unknown key, on the state, an edge or the matrix,
+exits 2 from each of them, naming the key (``certify-sn`` and ``plot``
+refuse a matrix state unread, for having no edges).
 """
 
 import contextlib
@@ -19,6 +21,7 @@ import io
 import json
 from datetime import timedelta
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +37,9 @@ BASES = {"rho3x3": se.state_to_json(co.rho_3x3()), "bell": BELL}
 # what a mutation puts in place of a weight, a dimension or any node
 WEIGHTS = ["0", "-1", "-1/2", "0/7", "0+0 i", "1 i", 0, 1, None]
 DIMS = [0, -2, 1, 2, 4, "3", 3.0, True, None, 10 ** 6]
+# every verb that reads a state file, with the arguments it needs
+VERBS = (["build"], ["ppt-check"], ["certify-sn"], ["certify-sn", "--exclude-deltas"],
+         ["extend", "--step", None], ["extremal"], ["plot"])
 VALUES = ["1", "-1", "1/0", "x", "", True, 0, 2.5, 10 ** 400, None, [], {}, [[0, "1"]],
           {"rows": 1, "cols": 1, "entries": [["1"]]}]
 
@@ -83,6 +89,12 @@ def _mutate(data, doc: dict) -> None:
             parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(VALUES), label="value"))
 
 
+def _argvs(dim_a: int) -> list:
+    """:data:`VERBS`, ``extend`` with a step on ``dim_a`` levels."""
+    step = json.dumps({"kind": "slocc", "side": "A", "phi": ["1"] * dim_a})
+    return [[step if arg is None else arg for arg in argv] for argv in VERBS]
+
+
 def _run(argv) -> tuple:
     """``(exit code, stdout, stderr)`` of ``cli.run(argv)``; a ``SystemExit``
     counts as its code."""
@@ -104,11 +116,34 @@ def test_mutated_state_files_exit_0_1_or_2(tmp_path, data):
     _mutate(data, doc)
     path = tmp_path / "state.json"
     path.write_text(json.dumps(doc))
-    step = json.dumps({"kind": "slocc", "side": "A", "phi": ["1"] * BASES[base]["dim_a"]})
-    for argv in (["build"], ["ppt-check"], ["certify-sn"], ["certify-sn", "--exclude-deltas"],
-                 ["extend", "--step", step], ["extremal"], ["plot"]):
+    for argv in _argvs(BASES[base]["dim_a"]):
         code, out, err = _run(argv + ["--state", str(path)])
         assert code in (0, 1, 2), (argv, code, out, err)
         if code == 2:
             assert out == "" and err.count("\n") == 1 and err.startswith(f"{argv[0]}: "), \
                 (argv, err)
+
+
+# an unknown key on each level of a state file: the base, and the path to the object
+UNKNOWN_KEYS = {"state": ("rho3x3", ()), "edge": ("rho3x3", ("edges", 1)),
+                "matrix-state": ("bell", ()), "matrix": ("bell", ("matrix",))}
+
+
+@pytest.mark.parametrize("level", UNKNOWN_KEYS)
+def test_an_unknown_key_exits_2_naming_it(tmp_path, level):
+    base, where = UNKNOWN_KEYS[level]
+    doc = copy.deepcopy(BASES[base])
+    node = doc
+    for key in where:
+        node = node[key]
+    node["lable"] = "x"
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    for argv in _argvs(doc["dim_a"]):
+        code, out, err = _run(argv + ["--state", str(path)])
+        assert (code, out) == (2, "") and err.count("\n") == 1, (argv, err)
+        if base == "bell" and argv[0] in ("certify-sn", "plot"):
+            assert err == f"{argv[0]}: state carries no edge decomposition\n"
+        else:
+            assert err.startswith(f"{argv[0]}: MalformedData: malformed state: ValueError: "
+                                  "unknown ") and "keys ['lable']" in err, (argv, err)

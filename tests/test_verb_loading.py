@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1730,
-    "certify-sn": 2415,
-    "verify ppt": 1568,
-    "verify sn-verdict": 1800,
+    "ppt-check": 1723,
+    "certify-sn": 2408,
+    "verify ppt": 1559,
+    "verify sn-verdict": 1791,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
