@@ -82,9 +82,10 @@ def criterion_1() -> CriterionResult:
         ]
         acc = em.weighted_gram([v for v, _ in fs], [w for _, w in fs], 9)
         _check(acc == pt, "PT does not equal the weighted f-decomposition bit-exactly")
-        # the edge e0 = |00> + |11> + |22> overlaps psi00 alone
-        square = ce.certify_sn_lower(rho, rho.edges[0].vec, 2, ())
-        _check(isinstance(square, ce.LowerBound) and square.power == 2,
+        # psi00, the one coordinate the edge e0 = |00> + |11> + |22> overlaps, is tried first
+        square = ce.certify_sn_lower(rho, 2, ())
+        _check(isinstance(square, ce.LowerBound)
+               and (square.witness_variable, square.power) == ("psi00", 2),
                "psi00^2 not in the 2-minor ideal")
         M = _site_matrix(rho)
         mixed = ce.minor_membership(ce.WitnessClosure(M, 2, ()), _monomial(M, "psi01", "psi10"))
@@ -280,7 +281,8 @@ def criterion_6() -> CriterionResult:
             ext = ex.product_pair_extension(sw, **step.parameters, side="A")
             chi_vec = ex.coupling_choi_vector(ex.split_blocks(ext, "A", m).coupling, m, n)
             space = spaces[name]
-            _check(space.solution_space.contains(chi_vec), f"{name}: coupling not a solution")
+            _check(em.in_subspace(space.solution_space, chi_vec),
+                   f"{name}: coupling not a solution")
             summary[name]["pipeline_coupling"] = "nontrivial solution"
         return summary
 

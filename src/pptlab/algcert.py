@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 from . import minors as mi
 from . import replay as rp
 from .certifier import (_cofactor_monomials, _cofactor_trail, _has_excluded, _info,
-                        _primitive, _require_orthogonal, _variables)
+                        _primitive, _variables)
 # the benchmark's tracer (pptbench/tracer.py) wraps these two under this module
 from .certifier import certify_sn_lower, sn_upper_from_decomposition  # noqa: F401
 from .errors import DimensionMismatch, InternalInconsistency
@@ -451,15 +451,14 @@ def _int_terms(terms: dict) -> tuple:
 # ---------------------------------------------------------------------------
 
 def range_coordinate_matrix(s: rp.BipartiteState, naming: str) -> tuple:
-    """``(source, matrix)``: the range of ``s`` as a coordinate matrix over a real,
-    orthogonal basis: the edges under their names (``naming="edge"``), or
-    the basis :func:`minors.range_basis` picks, under site names."""
+    """``(source, matrix)``: the range of ``s`` as a coordinate matrix over a
+    real basis: the edges under their names (``naming="edge"``), or the
+    basis :func:`minors.range_basis` picks, under site names."""
     _, source, vectors = mi.range_basis(s)
     if naming == "edge":
         source, vectors = "edges", [e.vec for e in s.edges]
-    sym = mi.coordinate_matrix(*s.dims, tuple(zip(_variables(s, naming, vectors), vectors)))
-    _require_orthogonal(sym.basis)
-    return source, sym
+    names = _variables(s, naming, vectors)
+    return source, mi.coordinate_matrix(*s.dims, tuple(zip(names, vectors)))
 
 
 class Minor(Polynomial):

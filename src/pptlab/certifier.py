@@ -1,11 +1,14 @@
 """Schmidt-number certification: the search for a certificate.
 
 The range of a state is parametrized by one coordinate per range-basis
-vector; vanishing of all ``k x k`` minors of the resulting coordinate
-matrix cuts out exactly the Schmidt-rank ``<= k-1`` vectors.  Membership of
-a power of the witness coordinate in the minor ideal, shown by an explicit
-identity ``sum_i c_i det M[rows_i, cols_i] = x_w^N`` over the minors it
-uses, then certifies a Schmidt-number lower bound via the Nullstellensatz.
+vector, for any real basis; vanishing of all ``k x k`` minors of the
+resulting coordinate matrix cuts out exactly the Schmidt-rank ``<= k-1``
+vectors.  Membership of a power of any one coordinate in the minor ideal,
+shown by an explicit identity ``sum_i c_i det M[rows_i, cols_i] = x_w^N``
+over the minors it uses, puts those vectors in the hyperplane ``x_w = 0``
+and so certifies a Schmidt-number lower bound (the proof is
+:func:`minors.lower_bound_setup`'s); :func:`certify_sn_lower` tries the
+coordinates in one fixed order.
 Upper bounds come from a state's edges, the conic decomposition it is.
 :func:`certify_sn` is the recipe ``certify-sn`` and the acceptance suite
 run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
@@ -36,12 +39,7 @@ from typing import NamedTuple, Sequence
 
 from . import minors as mi
 from . import replay as rp
-from .errors import (
-    DimensionMismatch,
-    InternalInconsistency,
-    InvalidK,
-    NonOrthogonalBasis,
-)
+from .errors import DimensionMismatch, InternalInconsistency, InvalidK
 
 
 def _info(logger: str, msg: str, *args) -> None:
@@ -160,15 +158,6 @@ def _variables(s: rp.BipartiteState, naming: str, vectors: Sequence) -> list:
     return names if len(set(names)) == len(names) else [f"{x}_{l}" for l, x in enumerate(names)]
 
 
-def _require_orthogonal(basis: Sequence) -> None:
-    """Refuse ``(name, vector)`` pairs with two non-orthogonal vectors."""
-    supports = [frozenset(i for i, x in enumerate(v) if x) for _, v in basis]
-    for (a, (n1, v1)), (b, (n2, v2)) in itertools.combinations(enumerate(basis), 2):
-        # vectors with disjoint supports are orthogonal
-        if not supports[a].isdisjoint(supports[b]) and rp.vdot(v1, v2):
-            raise NonOrthogonalBasis(f"range basis vectors {n1} and {n2} overlap")
-
-
 def _has_excluded(minor: dict, excluded: int) -> bool:
     """Whether a term of the packed ``minor`` has a variable of the field
     mask ``excluded``."""
@@ -186,7 +175,7 @@ def _primitive(minor: dict) -> tuple:
 
 class WitnessClosure:
     """The minors that share monomials, transitively, with a target monomial
-    (a witness power ``x_w^N`` for :func:`certify_sn_lower`).
+    (a coordinate power ``x_w^N`` for :func:`certify_sn_lower`).
 
     In the Macaulay system of the target over the ``k x k`` minors, a row
     ``mono * g`` that shares no monomial, however indirectly, with it
@@ -307,11 +296,11 @@ class LowerBound(NamedTuple):
     cofactor * det M[rows, cols] = witness_variable^power`` over the
     coordinate matrix ``M`` of the real range basis that ``basis`` names
     (``"edges"``, the state's edge vectors, or ``"range"``, the canonical
-    basis), one vector per name in ``variables``.  ``minors`` holds ``(rows,
-    cols, {exponents: Fraction})`` triples, replayed as those determinants."""
+    basis), one vector per name in ``variables``, ``witness_variable`` one
+    of them.  ``minors`` holds ``(rows, cols, {exponents: Fraction})``
+    triples, replayed as those determinants."""
 
     value: int
-    witness: rp.Vector
     witness_variable: str
     variables: tuple
     basis: str
@@ -333,47 +322,50 @@ class Inconclusive(NamedTuple):
     reason: str
 
 
-def certify_sn_lower(s: rp.BipartiteState, witness_vector: rp.Vector, k: int,
-                     exclude_vars: Sequence[str]):
+def certify_sn_lower(s: rp.BipartiteState, k: int, exclude_vars: Sequence[str]):
     """Certify ``SN(s) >= k`` through the range criterion.
 
-    Searches the smallest ``N <= 2k`` with ``x_w^N`` in the ideal of
-    ``k x k`` minors (:func:`minor_membership`), where ``x_w`` is the single
-    range coordinate the witness overlaps.  Membership means every
-    Schmidt-rank ``k-1`` vector in the range is orthogonal to the witness,
-    which itself lies in the range, so no rank ``<= k-1`` decomposition can
-    exist.  Returns a :class:`LowerBound` on success, :class:`Inconclusive`
-    otherwise.
+    Searches, for one range coordinate ``x_w`` after another, the smallest
+    ``N <= 2k`` with ``x_w^N`` in the ideal of ``k x k`` minors
+    (:func:`minor_membership`); any one proves the bound.  The coordinates
+    come in one fixed order: those whose basis vectors overlap the first
+    edge of largest Schmidt rank, then the others, each in variable order,
+    never an excluded one (no minor left holds it).  Returns a
+    :class:`LowerBound` on the first success, :class:`Inconclusive` otherwise.
 
     The variables take the edges' names exactly when ``exclude_vars`` is
     non-empty.  The setup is the verifier's (:func:`minors.lower_bound_setup`,
-    which refuses a state without edges), and an orthogonal basis is demanded.
+    which refuses a state without edges).
 
     Every entry of a range coordinate matrix is a linear form, so every
     minor is homogeneous of degree ``k`` and membership of ``x_w^N`` is a
     linear problem in the cofactors of degree ``N - k`` (a Macaulay matrix
     argument, complete for homogeneous ideals); no power below ``k`` lies in
     the ideal, and the verifier accepts exactly the powers ``k <= N <= 2k``
-    this search can return.  One closure serves every ``N``, so each
+    this search can return.  One closure serves every target, so each
     determinant is computed once.  Excluding variables only shrinks the
     ideal, so ``exclude_vars`` is a search heuristic and is not recorded.
     """
     if k < 1:
         raise InvalidK(f"k = {k}: a Schmidt-number lower bound needs k >= 1")
-    sym, witness_var, source = mi.lower_bound_setup(
+    sym, source = mi.lower_bound_setup(
         s, "edges" if exclude_vars else None,
-        lambda vectors: _variables(s, "edge" if exclude_vars else "site", vectors), witness_vector)
-    _require_orthogonal(sym.basis)
+        lambda vectors: _variables(s, "edge" if exclude_vars else "site", vectors))
     if k > min(sym.dim_a, sym.dim_b):
         raise DimensionMismatch("minor size exceeds matrix dimensions")
+    ranks = [rp.schmidt_rank(e.vec, *s.dims) for e in s.edges]
+    lead = s.edges[ranks.index(max(ranks))].vec
+    targets = [name for name, v in sorted(sym.basis, key=lambda b: not rp.vdot(b[1], lead))
+               if name not in exclude_vars]
     closure = WitnessClosure(sym, k, exclude_vars)
-    for N in range(k, 2 * k + 1):
-        target = tuple(N if v == witness_var else 0 for v in sym.variables)
-        minors = minor_membership(closure, target)
-        if minors is not None:
-            return LowerBound(k, tuple(witness_vector), witness_var, sym.variables, source, N,
-                              minors)
-    return Inconclusive(f"{witness_var}^N has no cofactor representation for N <= {2 * k}")
+    for var in targets:
+        for N in range(k, 2 * k + 1):
+            target = tuple(N if v == var else 0 for v in sym.variables)
+            minors = minor_membership(closure, target)
+            if minors is not None:
+                return LowerBound(k, var, sym.variables, source, N, minors)
+    return Inconclusive(f"no range coordinate x has x^N in the {k} x {k} minor ideal "
+                        f"for N <= {2 * k}")
 
 
 def minor_membership(closure: WitnessClosure, target: tuple):
@@ -422,15 +414,14 @@ def certify_sn(s: rp.BipartiteState, k: int | None = None, exclude_deltas: bool 
     """``(lower, upper)`` Schmidt-number bounds of a state with recorded edges.
 
     The upper bound is the edges' decomposition
-    (:func:`sn_upper_from_decomposition`).  The lower bound's witness is the
-    first edge of maximal Schmidt rank and ``k`` defaults to that rank
-    (:func:`certify_sn_lower`).  ``exclude_deltas`` leaves out the
-    ``delta*`` edges' variables (by position) and names the variables after
-    the edges, as the scaling family's certificates do.
+    (:func:`sn_upper_from_decomposition`), and ``k`` defaults to its value,
+    the largest Schmidt rank of an edge (:func:`certify_sn_lower`).
+    ``exclude_deltas`` leaves out the ``delta*`` edges' variables (by
+    position) and names the variables after the edges, as the scaling
+    family's certificates do.
     """
     upper = sn_upper_from_decomposition(s)
-    witness = s.edges[upper.schmidt_ranks.index(upper.value)].vec
     names = _variables(s, "edge", ()) if exclude_deltas else []
     exclude = [name for name, e in zip(names, s.edges) if e.name.startswith("delta")]
-    lower = certify_sn_lower(s, witness, upper.value if k is None else k, exclude_vars=exclude)
+    lower = certify_sn_lower(s, upper.value if k is None else k, exclude_vars=exclude)
     return lower, upper

@@ -41,16 +41,9 @@ class DecompositionMismatch(PptlabError):
     """A claimed conic decomposition does not reproduce its target."""
 
 
-class WitnessNotInRange(PptlabError):
-    """The certification witness vector is not in the state's range."""
-
-
-class NonSingleVariableOverlap(PptlabError):
-    """The witness overlap is not a single-variable monomial."""
-
-
 class NonOrthogonalBasis(PptlabError):
-    """An orthogonal range basis was demanded but not available."""
+    """A named range basis is not one: its vectors are not real, or the
+    edges it names are not a basis of the range."""
 
 
 class InvalidK(PptlabError):

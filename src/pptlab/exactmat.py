@@ -21,8 +21,8 @@ What ``verify`` runs (scalars, :class:`ExactMatrix`, :func:`weighted_gram`,
 the elimination, :class:`Subspace`, :func:`rank` and :func:`psd_check`)
 lives in the replay kernel :mod:`pptlab.replay`; this module imports it
 from there, so ``em.psd_check`` and the rest keep their names, and holds the
-column spaces, annihilators, kernels, solves and projectors only the
-certifiers and the extension layer use.
+column spaces, annihilators, subspace membership, kernels, solves and
+projectors only the certifiers and the extension layer use.
 """
 
 from __future__ import annotations
@@ -87,6 +87,19 @@ def annihilator(S: Subspace) -> list:
             v[pc] = -b[f]
         rows.append(tuple(v))
     return rows
+
+
+def in_subspace(S: Subspace, v: Vector) -> bool:
+    """Whether ``v`` lies in ``S``: it reduces to zero by the canonical basis."""
+    if len(v) != S.ambient_dim:
+        raise DimensionMismatch("vector of wrong length")
+    w = list(v)
+    for b in S.basis:
+        lead = next(i for i, x in enumerate(b) if x)
+        if w[lead]:
+            f = w[lead]
+            w = [a - f * c if c else a for a, c in zip(w, b)]
+    return not any(w)
 
 
 def _int_kernel(work: list, ncols: int) -> tuple:

@@ -766,9 +766,9 @@ def edge_state_check(s: qs.BipartiteState, candidates: Sequence[em.Vector]) -> E
     for v in candidates:
         if qs.schmidt_rank(v, m, n) != 1:
             raise DimensionMismatch("candidates must be product vectors")
-        in_range = range_rho.contains(v)
+        in_range = em.in_subspace(range_rho, v)
         conj_v = _partial_conjugate(v, m, n)
-        pt_in_range = range_pt.contains(conj_v) if in_range else False
+        pt_in_range = em.in_subspace(range_pt, conj_v) if in_range else False
         details.append({"in_range": in_range, "pt_in_corange": pt_in_range})
         if in_range and pt_in_range:
             blocked = True

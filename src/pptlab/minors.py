@@ -1,16 +1,17 @@
 """The sn-lower replay: the range, packed monomials, coordinate matrices and minors.
 
 A Schmidt-number lower bound is an identity ``sum_i c_i det M[rows_i,
-cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` of a range
-basis (``Psi_ij = sum_l v_l[ij] x_l``).  This module holds what checking
-such an identity needs, and nothing of the search that finds one: the
-range, read once from the state's edges, with the rule that picks its basis
-(:func:`range_basis`), :class:`_Packing` (a monomial as one int, in grevlex
-order), :func:`coordinate_matrix` (``M`` as scaled integer rows of packed
-linear forms) and :func:`minor_identity_holds` (the listed determinants only,
-by Laplace expansion).  The certifier and the verifier run the same setup,
-:func:`lower_bound_setup`, and identity check.  It imports only the replay
-kernel and :mod:`pptlab.errors`: a ``verify`` process loads it on top of the
+cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` (``Psi_ij =
+sum_l v_l[ij] x_l``) of any real range basis, ``x_w`` any one coordinate
+(:func:`lower_bound_setup` holds the proof).  This module holds what
+checking such an identity needs, and nothing of the search that finds
+one: the range, read once from the state's edges, with the rule that
+picks its basis (:func:`range_basis`), :class:`_Packing` (a monomial as
+one int, in grevlex order), :func:`coordinate_matrix` (``M`` as scaled
+integer rows of packed linear forms) and :func:`minor_identity_holds`
+(the listed determinants only, by Laplace expansion), which the certifier
+and the verifier share with the setup.  It imports only the replay kernel
+and :mod:`pptlab.errors`: a ``verify`` process loads it on top of the
 kernel, and never the certifier or the Groebner oracle.
 """
 
@@ -22,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 from . import replay as rp
 from .errors import (DimensionMismatch, MonomialOverflow, NonOrthogonalBasis,
-                     NonSingleVariableOverlap, PreconditionViolation, WitnessNotInRange)
+                     PreconditionViolation)
 
 
 # ---------------------------------------------------------------------------
@@ -136,15 +137,22 @@ def range_basis(s: rp.BipartiteState) -> tuple:
     return (rng, "edges", vectors) if len(vectors) == rng.dim else (rng, "range", rng.basis)
 
 
-def lower_bound_setup(s: rp.BipartiteState, basis: str | None, variables, witness) -> tuple:
-    """``(M, witness_variable, source)``: the coordinate matrix of the basis
-    ``source`` of the range of ``s`` that ``basis`` names (``"range"``,
-    ``"edges"``, which must be one, or None: :func:`range_basis`'s default)
-    over ``variables`` (names, or a function naming the vectors), and the
-    variable of the one vector the ``witness`` (in the range) overlaps."""
+def lower_bound_setup(s: rp.BipartiteState, basis: str | None, variables) -> tuple:
+    """``(M, source)``: the coordinate matrix of the basis ``source`` of the
+    range of ``s`` that ``basis`` names (``"range"``, ``"edges"``, which
+    must be one, or None: :func:`range_basis`'s default) over ``variables``
+    (names, or a function naming the vectors).
+
+    The proof it serves needs no witness vector and no orthogonality.  Let
+    ``b_1..b_r`` be a basis of the range with coordinates ``x``, and let
+    ``x_j^N`` be a combination of the ``k x k`` minors of ``M(x)``.  A range
+    vector of Schmidt rank ``<= k-1`` zeroes every such minor, so ``x_j``
+    vanishes on it: all of them lie in the hyperplane ``x_j = 0`` of the
+    range.  A decomposition of ``s`` into such vectors would span only that
+    hyperplane, yet it must span the range, so ``SN(s) >= k``.  What the
+    proof does need is checked here: the vectors are a basis of the range,
+    real (the coordinate ring is Q), and one variable names each."""
     rng, default, vectors = range_basis(s)
-    if not rng.contains(witness):
-        raise WitnessNotInRange("the witness is not in the state's range")
     source = basis or default
     if source == "range":
         vectors = rng.basis
@@ -153,12 +161,7 @@ def lower_bound_setup(s: rp.BipartiteState, basis: str | None, variables, witnes
     names = variables(vectors) if callable(variables) else variables
     if len(names) != len(vectors) or len(set(names)) != len(names):
         raise DimensionMismatch("the certificate needs one variable per basis vector")
-    M = coordinate_matrix(s.dim_a, s.dim_b, tuple(zip(names, vectors)))
-    overlaps = [name for name, v in M.basis if rp.vdot(v, witness)]
-    if len(overlaps) != 1:
-        raise NonSingleVariableOverlap(
-            f"the witness overlaps {len(overlaps)} basis vectors, need exactly 1")
-    return M, overlaps[0], source
+    return coordinate_matrix(s.dim_a, s.dim_b, tuple(zip(names, vectors))), source
 
 
 def _laplace_extend(table: dict, row: list) -> dict:

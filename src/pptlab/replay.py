@@ -581,17 +581,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Vector) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector of wrong length")
-        w = list(v)
-        for b in self.basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if w[lead]:
-                f = w[lead]
-                w = [a - f * c if c else a for a, c in zip(w, b)]
-        return not any(w)
-
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
@@ -944,11 +933,16 @@ def _checked_dims(dim_a, dim_b) -> tuple:
 
 def _state_parts(data: dict) -> tuple:
     """A state's ``dim_a``, ``dim_b``, ``edges`` (each ``name``, ``vector``,
-    ``weight``) or ``matrix``, never both, and optional ``kind`` and ``label``."""
+    ``weight``) or ``matrix``, never both, and optional ``kind`` (``"state"``)
+    and ``label`` (a string)."""
     edged = "edges" in data
-    dim_a, dim_b, stored, _, label = _fields(
+    dim_a, dim_b, stored, kind, label = _fields(
         data, "edge state" if edged else "matrix state",
-        ("dim_a", "dim_b", "edges" if edged else "matrix"), {"kind": None, "label": ""})
+        ("dim_a", "dim_b", "edges" if edged else "matrix"), {"kind": "state", "label": ""})
+    if kind != "state":
+        raise ValueError(f"state kind {kind!r} is not 'state'")
+    if not isinstance(label, str):
+        raise TypeError(f"state label {label!r} is not a string")
     dim_a, dim_b = _checked_dims(dim_a, dim_b)
     if not edged:
         return dim_a, dim_b, matrix_from_json(stored), label
@@ -1042,24 +1036,23 @@ def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
     Checks the power ``k <= N <= 2k`` with ``k = value`` and shape-checks
     every ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly
     increasing in-range indices, no pair twice, cofactors of degree
-    ``N - k``).  The certifier's setup (:func:`minors.lower_bound_setup`)
-    reads the range from the edges and checks the named basis and the
-    witness, which must overlap the declared variable.  Then only the listed
-    determinants of ``M`` are computed and ``sum cofactor * det M[rows,
-    cols] = x_w^N`` is checked exactly (:func:`minors.minor_identity_holds`,
-    as ``certify-sn`` checks what it writes).  Nothing is enumerated.
+    ``N - k``), and that ``witness_variable`` is one of the ``variables``.
+    The certifier's setup (:func:`minors.lower_bound_setup`, which holds the
+    proof) reads the range from the edges and checks that the named basis
+    is a basis of it.  Then only the listed determinants of ``M`` are
+    computed and ``sum cofactor * det M[rows, cols] = x_w^N`` is checked
+    exactly (:func:`minors.minor_identity_holds`, as ``certify-sn`` checks
+    what it writes).  Nothing is enumerated.
     """
     from . import minors as mi
 
     m, n = s.dims
-    source, variables, witness, witness_variable, power, pairs, cofactors = \
+    source, variables, witness_variable, power, pairs, cofactors = \
         _parsed("certificate", _read_sn_lower, half, m, n)
     try:
-        sym, overlapped, _ = mi.lower_bound_setup(s, source, variables, witness)
+        sym, _ = mi.lower_bound_setup(s, source, variables)
     except PptlabError as exc:
         raise CertificateInvalid(str(exc)) from None
-    if overlapped != witness_variable:
-        raise CertificateInvalid("witness overlap is not the declared single variable")
     target = tuple(power if v == witness_variable else 0 for v in variables)
     if not mi.minor_identity_holds(sym, target, pairs, cofactors):
         raise CertificateInvalid("cofactor identity does not expand to the witness power")
@@ -1067,12 +1060,12 @@ def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
 
 
 def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
-    """The basis source, variables, witness, witness variable, power,
+    """The basis source, variables, witness variable (one of them), power,
     minor pairs and cofactor terms of the lower half of an sn-verdict on an
     ``m x n`` state, read from the keys :func:`serialize._sn_lower_json` writes."""
-    k, witness, witness_variable, variables, basis, power, minors = _fields(
+    k, witness_variable, variables, basis, power, minors = _fields(
         half, "lower half",
-        ("value", "witness", "witness_variable", "variables", "basis", "power", "minors"))
+        ("value", "witness_variable", "variables", "basis", "power", "minors"))
     if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
         # the minors are homogeneous of degree k, and the certifier searches N <= 2k
         raise CertificateInvalid("witness power is not an integer in [k, 2k]")
@@ -1080,9 +1073,10 @@ def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
         raise CertificateInvalid('basis is neither "edges" nor "range"')
     if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
         raise CertificateInvalid("variables is not a list of names")
+    if witness_variable not in variables:
+        raise CertificateInvalid("witness_variable is not one of the variables")
     pairs, cofactors = _indexed_minors(minors, len(variables), k, power - k, m, n)
-    return (basis, variables, vector_from_json(witness, m * n), witness_variable, power,
-            pairs, cofactors)
+    return basis, variables, witness_variable, power, pairs, cofactors
 
 
 def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) -> tuple:
@@ -1169,6 +1163,8 @@ def _read_sn_verdict(data: dict) -> tuple:
     _, state, lower, upper, verdict = _fields(
         data, "sn-verdict", ("kind", "state", "lower" if proven else "lower_inconclusive",
                              "upper", "verdict"))
+    if not (proven or isinstance(lower, str)):
+        raise TypeError(f"lower_inconclusive {lower!r} is not a reason string")
     expected = sn_verdict_text(lower["value"] if proven else None, upper["value"])
     if verdict != expected:
         raise CertificateInvalid(f"verdict {verdict!r} does not match {expected!r}")

@@ -2,7 +2,7 @@
 
 Exact scalars serialize as ``"p/q"`` or ``"p/q+r/s i"``, and every reader
 refuses them as JSON numbers; matrices as ``{"rows", "cols", "entries"}``
-with stringified entries.  A vector (edge vector, witness, LDL* column)
+with stringified entries.  A vector (edge vector, NPT witness, LDL* column)
 stores its nonzero entries as ``[index, "p/q"]`` pairs in index order, a
 cofactor monomial its ``[variable, exponent]`` pairs; their lengths come
 from the state or the ring.  A state stores its ``edges`` when it has
@@ -96,7 +96,6 @@ def _psd_json(res: rp.PsdResult) -> dict:
 def _sn_lower_json(lower) -> dict:
     """The lower half that :func:`replay._read_sn_lower` reads."""
     return {"value": lower.value,
-            "witness": vector_to_json(lower.witness),
             "witness_variable": lower.witness_variable,
             "variables": list(lower.variables),
             "basis": lower.basis,

@@ -23,9 +23,7 @@ from pptlab.errors import (
     InternalInconsistency,
     MonomialOverflow,
     NonOrthogonalBasis,
-    NonSingleVariableOverlap,
     PreconditionViolation,
-    WitnessNotInRange,
 )
 
 from oracles import coordinate_entries, evaluate, interreduce, linear_form_matrix
@@ -268,17 +266,6 @@ def test_range_matrix_falls_back_to_rref_basis():
     assert sym.variables == ("psi00", "psi01")
 
 
-def test_range_matrix_orthogonality_enforced():
-    v1 = em.vector([1, 0, 0, 0])
-    v2 = em.vector([1, 1, 0, 0])
-    mat = em.ExactMatrix.outer(v1, v1) + em.ExactMatrix.outer(v2, v2)
-    st = qs.BipartiteState(2, 2, label="o", edges=[qs.NamedVector("a", v1, Fraction(1)),
-                                                    qs.NamedVector("b", v2, Fraction(1))])
-    assert st.matrix == mat
-    with pytest.raises(NonOrthogonalBasis):
-        _range_matrix(st)
-
-
 # -- minors ------------------------------------------------------------------------------
 
 def test_minor_count_4x5():
@@ -466,7 +453,7 @@ def _leibniz_det(sym, rows, cols):
 
 def test_certify_rho4x5():
     final = co.rho_4x5().final
-    cert = ce.certify_sn_lower(final, final.edges[0].vec, 3, ())
+    cert = ce.certify_sn_lower(final, 3, ())
     assert isinstance(cert, ce.LowerBound)
     assert cert.value == 3 and cert.power == 4
     # psi00^3 is not in the ideal: the observed power is minimal
@@ -479,7 +466,7 @@ def test_certify_family_members():
     for k in (2, 3):
         st = co.rho_family(k)
         excl = [e.name for e in st.edges if e.name.startswith("delta")]
-        cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+        cert = ce.certify_sn_lower(st, k, exclude_vars=excl)
         assert isinstance(cert, ce.LowerBound)
         assert cert.power == k
 
@@ -496,7 +483,7 @@ def test_linear_method_agrees_with_groebner():
         deltas = tuple(e.name for e in st.edges if e.name.startswith("delta"))
         cases.append((st, k, deltas, k, used))
     for st, k, excl, power, used in cases:
-        cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+        cert = ce.certify_sn_lower(st, k, exclude_vars=excl)
         assert isinstance(cert, ce.LowerBound)
         assert (cert.power, len(cert.minors)) == (power, used)
         sym = _range_matrix(st, naming="edge" if excl else "site")
@@ -543,7 +530,7 @@ def _closure_cases():
 def test_closure_matches_enumerate_then_solve(name, st, k, excl):
     """The witness closure stores the same power, minors, positions and
     cofactors as solving over every enumerated minor."""
-    cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+    cert = ce.certify_sn_lower(st, k, exclude_vars=excl)
     assert (cert.power, cert.minors) == _enumerated_lower(st, k, excl)
 
 
@@ -556,7 +543,7 @@ MEMBERSHIP_CASES = [c for c in _closure_cases()
 def test_minor_membership_of_the_witness_power_is_certify_sn_lower(name, st, k, excl):
     """Given ``x_w^N``, the target function returns certify_sn_lower's
     triples, and below ``N`` it finds no identity."""
-    cert = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+    cert = ce.certify_sn_lower(st, k, exclude_vars=excl)
     sym = _range_matrix(st, naming="edge" if excl else "site")
     assert sym.variables == cert.variables
     closure = ce.WitnessClosure(sym, k, excl)
@@ -589,15 +576,15 @@ def test_certify_sn_lower_never_enumerates(monkeypatch):
     monkeypatch.setattr(ac, "minor_ideal", enumerate_)
     monkeypatch.setattr(ac, "linear_membership_cofactors", enumerate_)
     final = co.rho_4x5().final
-    assert ce.certify_sn_lower(final, final.edges[0].vec, 3, ()).power == 4
+    assert ce.certify_sn_lower(final, 3, ()).power == 4
     st = co.rho_family(4)
     deltas = [e.name for e in st.edges if e.name.startswith("delta")]
-    cert = ce.certify_sn_lower(st, st.edges[0].vec, 4, exclude_vars=deltas)
+    cert = ce.certify_sn_lower(st, 4, exclude_vars=deltas)
     assert len(cert.minors) == 14
 
 
 def test_certify_sn_lower_solves_for_the_range_once(spy):
-    """The witness check and the choice of basis share one range solve, read
+    """The setup and the choice of basis share one range solve, read
     from the edges (``minors.range_basis``; no ``column_space`` of the
     matrix), and the basis choice names its source: the edges, or on rho3x3
     with e3 split into two dependent edges, the canonical basis of the range."""
@@ -611,13 +598,33 @@ def test_certify_sn_lower_solves_for_the_range_once(spy):
     for st, k, source in ((co.rho_4x5().final, 3, "edges"), (rho, 2, "edges"),
                           (split, 2, "range")):
         calls.clear()
-        assert ce.certify_sn_lower(st, st.edges[0].vec, k, ()).basis == source
+        assert ce.certify_sn_lower(st, k, ()).basis == source
         assert calls == [("range_basis", (st,))]
+
+
+def test_certify_sn_lower_tries_each_coordinate_in_one_order_over_one_closure(spy):
+    """On rho3x3 at k = 3 no coordinate power lies in the 3 x 3 minor ideal.
+    With the edges in reverse order, psi00 (the coordinate of e0, the first
+    edge of largest Schmidt rank) comes last in variable order, yet it is
+    tried first, then the others in variable order, each at N = 3..6; one
+    closure serves them all, computing each determinant once."""
+    rho = co.rho_3x3()
+    st = qs.BipartiteState(3, 3, label="reversed", edges=rho.edges[::-1])
+    variables = mi.lower_bound_setup(st, None, lambda v: ce._variables(st, "site", v))[0].variables
+    assert variables[-1] == "psi00"
+    calls = spy(ce, "minor_membership")
+    spy(mi, "_determinant")
+    assert isinstance(ce.certify_sn_lower(st, 3, ()), ce.Inconclusive)
+    targets = [args[1] for name, args in calls if name == "minor_membership"]
+    positions = [args[2:] for name, args in calls if name == "_determinant"]
+    order = ("psi00",) + variables[:-1]
+    assert targets == [tuple(N * (v == w) for v in variables) for w in order for N in range(3, 7)]
+    assert len(positions) == len(set(positions)) > 0
 
 
 def test_certify_sn_lower_rejects_k_above_the_dimensions():
     with pytest.raises(DimensionMismatch):
-        ce.certify_sn_lower(co.rho_3x3(), co.rho_3x3().edges[0].vec, 4, ())
+        ce.certify_sn_lower(co.rho_3x3(), 4, ())
 
 
 def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
@@ -636,7 +643,7 @@ def test_certify_sn_lower_replays_what_it_writes(monkeypatch):
     monkeypatch.setattr(ce, "_cofactor_trail", tampered)
     final = co.rho_4x5().final
     with pytest.raises(InternalInconsistency):
-        ce.certify_sn_lower(final, final.edges[0].vec, 3, ())
+        ce.certify_sn_lower(final, 3, ())
 
 
 def _determinants(sym, pairs):
@@ -725,7 +732,7 @@ def test_certify_separable_inconclusive():
     d = qs.BipartiteState(2, 2, label="sep", edges=[
         qs.NamedVector(f"e{i}", em.basis_vector(4, i), Fraction(1)) for i in range(4)])
     assert d.matrix == em.ExactMatrix.diag([1, 1, 1, 1])
-    res = ce.certify_sn_lower(d, em.basis_vector(4, 0), 2, ())
+    res = ce.certify_sn_lower(d, 2, ())
     assert isinstance(res, ce.Inconclusive)
 
 
@@ -736,17 +743,8 @@ def test_certify_sn_lower_refuses_a_state_without_edges(spy):
     calls = spy(em, "column_space", "Subspace")
     for exclude in ((), ("psi00",)):
         with pytest.raises(PreconditionViolation, match="the state has no edge decomposition"):
-            ce.certify_sn_lower(d, em.basis_vector(4, 0), 2, exclude)
+            ce.certify_sn_lower(d, 2, exclude)
     assert calls == []
-
-
-def test_certify_witness_validation():
-    final = co.rho_4x5().final
-    with pytest.raises(WitnessNotInRange):
-        ce.certify_sn_lower(final, em.basis_vector(20, 3), 3, ())
-    overlap = tuple(a + b for a, b in zip(final.edges[0].vec, final.edges[1].vec))
-    with pytest.raises(NonSingleVariableOverlap):
-        ce.certify_sn_lower(final, overlap, 3, ())
 
 
 def test_certify_numeric_spot_check():
@@ -800,7 +798,7 @@ def test_lower_never_exceeds_upper_on_corpus():
     pipe = co.rho_4x5()
     corpus = [(pipe.final, 3, ()), (co.rho_family(2), 2, ("delta_1", "delta_2"))]
     for st, k, excl in corpus:
-        lower = ce.certify_sn_lower(st, st.edges[0].vec, k, exclude_vars=excl)
+        lower = ce.certify_sn_lower(st, k, exclude_vars=excl)
         upper = ce.sn_upper_from_decomposition(st)
         assert isinstance(lower, ce.LowerBound)
         assert lower.value <= upper.value

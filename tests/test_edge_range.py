@@ -4,8 +4,8 @@ Every edge of a state has a positive weight, which the state's constructor
 alone checks: a zero weight is refused like a negative one, by every verb
 that reads a state file.  So ``minors.range_basis`` spans all the edge
 vectors, the range of their Gram sum (``column_space`` of the state's
-matrix, a hypothesis property), and the witness and the upper bound of
-``certify_sn`` come from the same edges.  A stored state without edges
+matrix, a hypothesis property), and ``certify_sn``'s first target
+coordinate and upper bound come from the same edges.  A stored state without edges
 never reaches a Schmidt-number bound: ``verify`` of its sn-verdict, and
 ``certify-sn`` and ``plot`` of it, are refused before its matrix is read,
 so a 16x16 dense matrix state (~0.4 MB, ten seconds and more of LDL*)
@@ -30,7 +30,7 @@ from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import replay as rp
 from pptlab import serialize as se
-from pptlab.errors import BoundsViolation, DimensionMismatch, PptlabError, WitnessNotInRange
+from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NonOrthogonalBasis
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -145,21 +145,57 @@ def test_the_positive_edges_span_the_range_of_their_gram_sum(s):
 @settings(max_examples=100, deadline=None)
 @given(edge_states())
 def test_certify_sn_reads_its_witness_and_upper_bound_off_the_spanning_edges(s):
-    """On an edge state the witness, the first edge of largest Schmidt rank,
-    lies in ``range_basis``'s range, so ``certify_sn`` never raises
-    ``WitnessNotInRange``; its upper bound is that largest rank."""
+    """On an edge state the first edge of largest Schmidt rank, whose
+    coordinates ``certify_sn`` tries first, lies in ``range_basis``'s range.
+    ``certify_sn`` refuses only a basis that is not real (or an upper bound
+    of 0, all edges zero); its upper bound is that largest rank, and a lower
+    bound names one of its variables."""
     rng = mi.range_basis(s)[0]
     ranks = [rp.schmidt_rank(e.vec, *s.dims) for e in s.edges]
-    assert rng.contains(s.edges[ranks.index(max(ranks))].vec)
+    assert em.in_subspace(rng, s.edges[ranks.index(max(ranks))].vec)
     try:
         lower, upper = ce.certify_sn(s)
-    except WitnessNotInRange:
-        raise
-    except PptlabError:  # e.g. an overlap with several basis vectors
+    except NonOrthogonalBasis as exc:
+        assert "not real" in str(exc)
+        return
+    except InvalidK:
+        assert max(ranks) == 0
         return
     assert upper.value == max(ranks)
     if isinstance(lower, ce.LowerBound):
-        assert rng.contains(lower.witness)
+        assert lower.witness_variable in lower.variables
+
+
+@st.composite
+def product_edge_states(draw):
+    """States of 2 to 4 product edges ``a (x) b`` on 2x2 to 3x3, with small
+    Gaussian-integer entries, all of them real in about half the states
+    (the certifier needs a real basis), and a ``k`` from 2 to the smaller
+    dimension."""
+    m, n = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    im = st.integers(-1, 1) if draw(st.booleans(), label="complex") else st.just(0)
+    entry = st.builds(em.GaussianRational, st.integers(-2, 2), im)
+    edges = []
+    for i in range(draw(st.integers(2, 4))):
+        a = draw(st.lists(entry, min_size=m, max_size=m).filter(any))
+        b = draw(st.lists(entry, min_size=n, max_size=n).filter(any))
+        edges.append(qs.NamedVector(f"p{i}", em.kron_vec(tuple(a), tuple(b)), Fraction(1)))
+    return qs.BipartiteState(m, n, label="product", edges=edges), draw(st.integers(2, min(m, n)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_edge_states())
+def test_a_state_of_product_edges_gets_no_lower_bound_above_1(case):
+    """Soundness: a state whose edges are all product vectors has SN = 1, so
+    ``certify_sn_lower`` proves no ``SN >= k`` for k >= 2, over whichever
+    basis and coordinate; it may refuse a basis that is not real."""
+    s, k = case
+    try:
+        lower = ce.certify_sn_lower(s, k, ())
+    except NonOrthogonalBasis as exc:
+        assert "not real" in str(exc)
+        return
+    assert isinstance(lower, ce.Inconclusive)
 
 
 def _zero_weight_states() -> dict:

@@ -265,8 +265,8 @@ def test_subspace_canonical_equality():
     U = em.Subspace(3, [em.vector([1, 1, 0]), em.vector([0, 0, 1])])
     V = em.Subspace(3, [em.vector([2, 2, 2]), em.vector([0, 0, -5])])
     assert U == V
-    assert U.contains(em.vector([3, 3, 7]))
-    assert not U.contains(em.vector([1, 0, 0]))
+    assert em.in_subspace(U, em.vector([3, 3, 7]))
+    assert not em.in_subspace(U, em.vector([1, 0, 0]))
 
 
 def test_intersection_examples():

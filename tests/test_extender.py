@@ -427,7 +427,7 @@ def test_slocc_couplings_always_solve():
         m, n = st.dims
         for i in range(m):
             chi = ex.slocc_coupling(st, em.basis_vector(m, i))
-            assert space.solution_space.contains(ex.coupling_choi_vector(chi, m, n))
+            assert em.in_subspace(space.solution_space, ex.coupling_choi_vector(chi, m, n))
 
 
 # -- slocc ---------------------------------------------------------------------------
@@ -683,7 +683,7 @@ def _is_trivial_coupling(core, ext, side):
     trivial = [flat(ex.split_blocks(ex.slocc_extension(core, em.basis_vector(here, i), side),
                                     side, here).coupling) for i in range(here)]
     chi = flat(ex.split_blocks(ext, side, here).coupling)
-    return em.Subspace(len(chi), trivial).contains(tuple(chi))
+    return em.in_subspace(em.Subspace(len(chi), trivial), tuple(chi))
 
 
 def test_product_pair_edge_block_minimal_form():

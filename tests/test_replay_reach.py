@@ -36,7 +36,8 @@ KEPT = {
     # the value protocol of the kernel's immutable types: the builders compare,
     # hash, print and do arithmetic on the same objects the replay makes
     "GaussianRational.__setattr__", "GaussianRational.__hash__", "GaussianRational.__repr__",
-    "GaussianRational.__str__", "GaussianRational.__neg__", "GaussianRational.__rsub__",
+    "GaussianRational.__str__", "GaussianRational.__neg__", "GaussianRational.__sub__",
+    "GaussianRational.__rsub__",
     "GaussianRational.__truediv__", "GaussianRational.__rtruediv__", "GaussianRational.abs2",
     "ExactMatrix.__setattr__", "ExactMatrix.__hash__", "ExactMatrix.__repr__",
     "ExactMatrix.__sub__", "ExactMatrix.__neg__", "ExactMatrix.__mul__", "ExactMatrix.scale",

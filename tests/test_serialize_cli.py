@@ -30,10 +30,8 @@ from pptlab.errors import (
     BoundsViolation,
     ConvergenceFailure,
     NonOrthogonalBasis,
-    NonSingleVariableOverlap,
     NotPsd,
     PptlabError,
-    WitnessNotInRange,
 )
 
 
@@ -90,7 +88,7 @@ def _verdict(state, lower):
 
 def test_sn_certificates_roundtrip():
     final = co.rho_4x5().final
-    data = _verdict(final, ce.certify_sn_lower(final, final.edges[0].vec, 3, ()))
+    data = _verdict(final, ce.certify_sn_lower(final, 3, ()))
     assert set(data) == {"kind", "state", "lower", "upper", "verdict"}
     assert data["state"] == se.state_to_json(final) and data["verdict"] == "SN = 3"
     assert not {"kind", "state", "k"} & (set(data["lower"]) | set(data["upper"]))
@@ -858,17 +856,17 @@ def test_cli_certify_rejects_k_below_1(k, capsys):
 
 @pytest.mark.parametrize("state, args, code, digest", [
     ("rho3x3", ["--k", "2"], 0,
-     "973ccbc240431da6176394f7a06e6620278a9686486557c7d3231c7bbb706f0b"),
-    ("rho4x5", [], 0, "6df7a0cb52e74d4438fcd1943f8426dfa2fc481ff8d26cd5b135dcb3870e1658"),
+     "8f80339d450ade5b22e2f67477f3347aede9c3220f369e847c4ea3fdb0c55648"),
+    ("rho4x5", [], 0, "638f12f6f8c2a80d0db34991420114988feee4c7ea9b465feacaccd8d1e58124"),
     ("family:2", ["--exclude-deltas"], 0,
-     "045b4c468b2361f965edb6f0a00a7f63906bf7496b81bce6f10fc3ba58c890c1"),
+     "33648747ec05c0836f64a1f6a7adc4d700c58f123346d395298b5eb02b3803a9"),
     ("family:3", ["--exclude-deltas"], 0,
-     "a0b8a431ff581ef80244c669821e8cfc0477c88c5a4c614a57f6a89648ca7383"),
+     "2d5c20efb5df124401bbf98f59669bd4ff3082360db143848f0ab5786321bd34"),
     ("family:4", ["--exclude-deltas"], 0,
-     "088e2f0dc67b80814df7a9dd440dd1492f1719ca6390d0ee24800807fd621257"),
+     "64af785d21de89681d0d4e253fc04bd5d85c10debec89b05bae52de6d57ef26e"),
     ("family:5", ["--exclude-deltas", "--method", "linear"], 0,
-     "1f3deb76f9e625b451b60b4c84b64101f4aafe7b70aa514affe80df96112190f"),
-    (None, ["--k", "2"], 1, "f4edb7c1fdb13dd7210b0e7963ac1d30ff7871009495ce043e2d4b1a36fb6c8d"),
+     "52f073d71582f2f302d5d89780f4aece7689fcf8dde390cdf61a63970b3987ec"),
+    (None, ["--k", "2"], 1, "17368495558afb6131b1bfa5fc08cd7c9a07c235c7b784f13585a52045fe8cf8"),
 ], ids=["rho3x3-k2", "rho4x5", "family2", "family3", "family4", "family5-linear",
         "inconclusive-2x2"])
 def test_certify_sn_json_pinned(tmp_path, state, args, code, digest):
@@ -1239,40 +1237,87 @@ def test_range_basis_certifies_and_replays_on_dependent_edges(rho3x3_verdict, tm
         se.verify_certificate(data)
 
 
-def _witness(pairs):
-    """Edit: the lower half's witness becomes the sparse ``pairs``."""
-    def edit(cert):
-        cert["lower"]["witness"] = pairs
-    return edit
-
-
 def _complex_edge(cert):
     """Edit: edge e1 of the state gets the complex entry ``1+1 i``."""
     cert["state"]["edges"][1]["vector"][0][1] = "1+1 i"
 
 
+# the probe state: w = |00> + |11> + |22> overlaps x = |00> + |01>, so no
+# range basis of its edges is orthogonal and w overlaps two of its vectors
+PROBE = {"kind": "state", "dim_a": 3, "dim_b": 3, "label": "probe", "edges": [
+    {"name": "w", "vector": [[0, "1"], [4, "1"], [8, "1"]], "weight": "1"},
+    {"name": "x", "vector": [[0, "1"], [1, "1"]], "weight": "1"},
+    {"name": "y", "vector": [[5, "1"]], "weight": "1"},
+    {"name": "z", "vector": [[6, "1"]], "weight": "1"}]}
+
+
+def test_the_probe_state_certifies_sn_2_over_a_non_orthogonal_basis(tmp_path, capsys):
+    """The range criterion needs neither an orthogonal basis nor a witness
+    vector: on the probe state, whose edges overlap, certify_sn_lower proves
+    ``SN >= 2`` as the square of w's coordinate, the first it tries, with
+    one 2x2 minor, and certify-sn's sn-verdict of it verifies."""
+    state = se.state_from_json(PROBE)
+    lower = ce.certify_sn_lower(state, 2, ())
+    assert (lower.witness_variable, lower.variables, lower.basis, lower.power) == \
+        ("psi00_0", ("psi00_0", "psi00_1", "psi12_2", "psi20_3"), "edges", 2)
+    assert lower.minors == (((1, 2), (1, 2), {(0, 0, 0, 0): Fraction(1)}),)
+    path, cert = tmp_path / "probe.json", tmp_path / "sn.json"
+    path.write_text(json.dumps(PROBE))
+    capsys.readouterr()
+    assert cli.run(["certify-sn", "--state", str(path), "--k", "2", "--out", str(cert)]) == 0
+    assert capsys.readouterr().out == "probe: SN in [2, 3] (lower N=2, upper max SR=3)\n"
+    assert cli.run(["verify", str(cert)]) == 0
+    assert capsys.readouterr().out == "verify: OK (sn-verdict)\n"
+
+
+def test_another_witness_variable_fails_verify(rho3x3_verdict, tmp_path, capsys):
+    """The identity proves a power of its own variable only: naming another
+    variable of the certificate, or a name none of them has, fails verify."""
+    lower = rho3x3_verdict["lower"]
+    others = [v for v in lower["variables"] if v != lower["witness_variable"]]
+    assert len(others) == 4
+    path = tmp_path / "sn.json"
+    for name, reason in [(v, "cofactor identity does not expand to the witness power")
+                         for v in others] + [
+            ("x", "witness_variable is not one of the variables"),
+            (0, "witness_variable is not one of the variables")]:
+        cert = _copy(rho3x3_verdict)
+        cert["lower"]["witness_variable"] = name
+        path.write_text(json.dumps(cert))
+        assert cli.run(["verify", str(path)]) == 1
+        assert capsys.readouterr().out == f"verify: FAILED: {reason}\n"
+
+
+def test_a_stored_witness_vector_fails_verify_naming_it(rho3x3_verdict, tmp_path, capsys):
+    """An sn-verdict written before the lower half dropped its witness
+    vector fails verify through the key rule, naming the key; certify-sn
+    writes it anew."""
+    cert = _copy(rho3x3_verdict)
+    cert["lower"]["witness"] = [[0, "1"], [4, "1"], [8, "1"]]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(cert))
+    assert cli.run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verify: FAILED: malformed certificate: ValueError: " \
+        "unknown lower half keys ['witness']\n"
+
+
 @pytest.mark.parametrize("edit, exclude, error, message", [
-    (_witness([[4, "1"]]), (), WitnessNotInRange, "not in the state's range"),
-    (_witness([[0, "1"], [1, "1"], [4, "1"], [5, "1"], [8, "1"]]), (),
-     NonSingleVariableOverlap, "overlaps 2 basis vectors"),
     (lambda cert: cert.update(_split_e3(cert)), ("e3b",), NonOrthogonalBasis,
      "not a basis of the range"),
     (_complex_edge, (), NonOrthogonalBasis, "not real"),
-], ids=["witness-outside-the-range", "witness-overlaps-two", "edges-on-split-e3",
-        "complex-basis"])
+], ids=["edges-on-split-e3", "complex-basis"])
 def test_certifier_and_verifier_refuse_the_same_setups(rho3x3_verdict, edit, exclude, error,
                                                        message):
-    """One setup (minors.lower_bound_setup) refuses a bad witness or basis
-    for both sides: certify_sn_lower raises its error, and verify of the
+    """One setup (minors.lower_bound_setup) refuses a basis the proof cannot
+    use for both sides: certify_sn_lower raises its error, and verify of the
     rho3x3 sn-verdict edited the same way fails with the same message.
     Naming variables after the edges (an excluded e3b) makes the certifier
     use the dependent edges of the e3 split as its basis."""
     cert = _copy(rho3x3_verdict)
     edit(cert)
     state = se.state_from_json(cert["state"])
-    witness = se.vector_from_json(cert["lower"]["witness"], 9)
     with pytest.raises(error, match=message):
-        ce.certify_sn_lower(state, witness, 2, exclude_vars=exclude)
+        ce.certify_sn_lower(state, 2, exclude_vars=exclude)
     with pytest.raises(se.CertificateInvalid, match=message):
         se.verify_certificate(cert)
 
@@ -1402,7 +1447,8 @@ def _densified(data):
     """``data`` (a state, ppt certificate or sn-verdict) in the retired
     layout that stored every vector densely: edge vectors, witnesses and
     LDL* columns as lists of every entry, cofactor monomials as exponent
-    vectors."""
+    vectors.  Its lower half also stored the witness vector, the first edge
+    of largest Schmidt rank, after ``value``."""
     data = _copy(data)
     state = data.get("state", data)
     n = state["dim_a"] * state["dim_b"]
@@ -1414,8 +1460,10 @@ def _densified(data):
         else:
             ev["witness"] = _dense(ev["witness"], n, "0")
     if "lower" in data:
-        lower = data["lower"]
-        lower["witness"] = _dense(lower["witness"], n, "0")
+        ranks = data["upper"]["schmidt_ranks"]
+        witness = list(state["edges"][ranks.index(max(ranks))]["vector"])
+        lower = data["lower"] = {"value": data["lower"]["value"], "witness": witness,
+                                 **data["lower"]}
         for _, _, cofactor in lower["minors"]:
             for term in cofactor["terms"]:
                 term[0] = _dense(term[0], len(lower["variables"]), 0)
@@ -1540,7 +1588,7 @@ def genuine_lowers():
     out = {}
     for name, state in (("family3", co.rho_family(3)), ("rho4x5", co.rho_4x5().final)):
         deltas = [e.name for e in state.edges if e.name.startswith("delta")]
-        cert = ce.certify_sn_lower(state, state.edges[0].vec, 3, exclude_vars=deltas)
+        cert = ce.certify_sn_lower(state, 3, exclude_vars=deltas)
         out[name] = (state, _verdict(state, cert))
     return out
 
@@ -1618,7 +1666,14 @@ def _natural(e):
 
 MUTATIONS = ("index", "repeated-index", "unsorted", "out-of-range", "duplicate-pair",
              "entry-shape", "coefficient", "exponent", "exponent-move", "power",
-             "witness-variable", "basis", "witness-entry", "witness-pairs", "monomial-pairs")
+             "witness-variable", "basis", "monomial-pairs")
+
+
+def _other_variables(lower):
+    """What ``witness_variable`` becomes: another variable of the
+    certificate, or a value that names none of them."""
+    return st.sampled_from([v for v in lower["variables"] if v != lower["witness_variable"]]
+                           + ["x", "", 0, None, ["psi00"], lower["variables"]])
 
 
 def _mutate(data, lower, m, n):
@@ -1656,17 +1711,12 @@ def _mutate(data, lower, m, n):
     elif kind == "exponent-move" and term[0]:
         # one exponent moves to another variable
         data.draw(st.sampled_from(term[0]))[0] = data.draw(st.integers(0, nvars - 1))
-    elif kind == "witness-entry":
-        _set_entry(lower["witness"], data.draw(st.integers(0, m * n - 1), label="site"),
-                   data.draw(st.sampled_from(ENTRIES), label="entry"))
-    elif kind == "witness-pairs":
-        _spoil_pairs(data, lower["witness"], m * n, "1", ZERO_SPELLINGS)
     elif kind == "monomial-pairs":
         _spoil_pairs(data, term[0], nvars, 1, [0])
     elif kind == "power":
         lower["power"] = data.draw(st.integers(-2, 12) | st.sampled_from([4.0, "3", None]))
     elif kind == "witness-variable":
-        lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"] + ["x", 0]))
+        lower["witness_variable"] = data.draw(_other_variables(lower), label="variable")
     elif kind == "basis":
         lower["basis"] = data.draw(st.sampled_from(BASIS_SOURCES), label="basis")
 
@@ -1677,9 +1727,9 @@ BASIS_SOURCES = ["edges", "range", "Edges", "", None, 0, ["edges"]]
 def _claim_holds(lower, state):
     """Independent check of an accepted lower half by sympy determinants:
     the named basis (the state's edges or the canonical basis of its range)
-    is a real basis of the range, the witness overlaps only the declared
-    coordinate, every minor is ``value x value``, and the identity expands
-    to the witness power.  The witness and the monomials must be stored as
+    is a real basis of the range, the witness variable is one of its
+    distinct variables, every minor is ``value x value``, and the identity
+    expands to that variable's power.  The monomials must be stored as
     valid sparse pairs."""
     sympy = pytest.importorskip("sympy")
     m, n = state.dims
@@ -1690,17 +1740,16 @@ def _claim_holds(lower, state):
         basis = [e.vec for e in state.edges]
     else:
         return False
-    witness = _vector(lower["witness"], m * n)
     names = lower["variables"]
     terms = [(rows, cols, _decoded(monomial, len(names), _natural), c)
              for rows, cols, cofactor in lower["minors"] for monomial, c in cofactor["terms"]]
-    if witness is None or any(exps is None for _, _, exps, _ in terms) or not (
+    if any(exps is None for _, _, exps, _ in terms) or not (
             all(len(rows) == len(cols) == lower["value"] for rows, cols, _ in lower["minors"])
             and len(basis) == len(names) == rng.dim
-            and em.Subspace(m * n, basis).dim == rng.dim and all(map(rng.contains, basis))
+            and em.Subspace(m * n, basis).dim == rng.dim
+            and all(em.in_subspace(rng, v) for v in basis)
             and all(x.im == 0 for v in basis for x in v)
-            and [x for x, v in zip(names, basis) if em.vdot(v, witness)]
-            == [lower["witness_variable"]]):
+            and len(set(names)) == len(names) and lower["witness_variable"] in names):
         return False
     xs = sympy.symbols(names)
 
@@ -1771,7 +1820,7 @@ def _non_positive_dims(state):
 UPPER_MUTATIONS = ("edge-name", "edge-vector-entry", "edge-pairs", "edge-weight",
                    "upper-value", "schmidt-rank", "verdict", "dims")
 VERDICT_MUTATIONS = ("cofactor", "row-index", "column-index", "power", "witness-variable",
-                     "basis", "witness-pairs", "monomial-pairs") + UPPER_MUTATIONS
+                     "basis", "monomial-pairs") + UPPER_MUTATIONS
 ENTRIES = ["0", "1", "-1", "2", "1/2", "1+1 i", "x", None]
 
 
@@ -1798,7 +1847,7 @@ def _mutate_verdict(data, payload):
     elif kind == "power":
         lower["power"] = data.draw(st.integers(-1, 2 * lower["value"] + 2))
     elif kind == "witness-variable":
-        lower["witness_variable"] = data.draw(st.sampled_from(lower["variables"]))
+        lower["witness_variable"] = data.draw(_other_variables(lower), label="variable")
     elif kind == "basis":
         lower["basis"] = data.draw(st.sampled_from(BASIS_SOURCES), label="basis")
     elif kind == "edge-name":
@@ -1808,8 +1857,6 @@ def _mutate_verdict(data, payload):
                    data.draw(st.sampled_from(ENTRIES), label="entry"))
     elif kind == "edge-pairs":
         _spoil_pairs(data, edge["vector"], length, "1", ZERO_SPELLINGS)
-    elif kind == "witness-pairs":
-        _spoil_pairs(data, lower["witness"], length, "1", ZERO_SPELLINGS)
     elif kind == "monomial-pairs":
         entry = data.draw(st.sampled_from(lower["minors"]), label="minor")
         term = data.draw(st.sampled_from(entry[2]["terms"]), label="term")
@@ -2056,7 +2103,7 @@ def test_committed_family6_certificate_replays_and_is_rewritten(tmp_path, capsys
     with open(FAMILY6, "rb") as fh:
         committed = fh.read()
     assert hashlib.sha256(committed).hexdigest() == \
-        "f491ab3509163505c06f9a4ddfbd2f6ac1c9a6ec277388a774f4cba480ad6920"
+        "b9651cf022b7cd1e74e7cf42ce83bfd7d58164454d280fcc832f5b0b15d57b50"
     assert json.loads(committed)["verdict"] == "SN = 6"
     capsys.readouterr()
     assert cli.run(["verify", FAMILY6]) == 0
@@ -2068,8 +2115,8 @@ def test_committed_family6_certificate_replays_and_is_rewritten(tmp_path, capsys
 
 
 @pytest.mark.parametrize("k, digest", [
-    (7, "762db2626bd85f30c00cd93157632ff87fd3967837263b41da10bbddb5bca4fb"),
-    (8, "ce70cde1dbdf49fa4a17b4cf874ba7e2dbd2c5506d1c78e7408d5f34183b6fab"),
+    (7, "b7cf4530eac4240b9912433c8f7348219c65ca717c9262d456bb379de534cd88"),
+    (8, "6bfbeb1c5e8691ecedf53467ca8cb707c5f5cb081f13f8fda13242f063db3165"),
 ], ids=["family7", "family8"])
 def test_committed_family7_and_family8_certificates_replay(k, digest, capsys):
     """The committed family:7 (13x13) and family:8 (15x15) sn-verdicts are

@@ -147,3 +147,43 @@ def test_an_unknown_key_exits_2_naming_it(tmp_path, level):
         else:
             assert err.startswith(f"{argv[0]}: MalformedData: malformed state: ValueError: "
                                   "unknown ") and "keys ['lable']" in err, (argv, err)
+
+
+# a value of a type its key does not take: the key, the value and the refusal's last words
+WRONG_TYPES = {
+    "label-object": ("label", {"x": [1]}, "TypeError: state label {'x': [1]} is not a string"),
+    "label-number": ("label", 7, "TypeError: state label 7 is not a string"),
+    "kind": ("kind", "sn-verdict", "ValueError: state kind 'sn-verdict' is not 'state'"),
+    "kind-null": ("kind", None, "ValueError: state kind None is not 'state'"),
+    "lower-inconclusive": ("lower_inconclusive", 7,
+                           "TypeError: lower_inconclusive 7 is not a reason string"),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_a_value_of_the_wrong_type_is_refused(tmp_path, case):
+    """A state's ``label`` is a string and its ``kind`` is ``"state"``: a
+    rho3x3 state file with another exits 2 from every verb that reads a
+    state, with one line naming the value, and ``verify`` fails its ppt
+    certificate (exit 1).  An sn-verdict's ``lower_inconclusive`` reason is
+    a string: another fails ``verify`` (exit 1)."""
+    key, value, refusal = WRONG_TYPES[case]
+    path, cert = tmp_path / "state.json", tmp_path / "cert.json"
+    if key == "lower_inconclusive":
+        path.write_text(json.dumps({**BASES["rho3x3"], "edges": BASES["rho3x3"]["edges"][3:]}))
+        assert _run(["certify-sn", "--state", str(path), "--k", "2", "--out", str(cert)])[0] == 1
+        doc = json.loads(cert.read_text())
+        doc[key] = value
+        cert.write_text(json.dumps(doc))
+        assert _run(["verify", str(cert)]) == \
+            (1, f"verify: FAILED: malformed certificate: {refusal}\n", "")
+        return
+    path.write_text(json.dumps({**BASES["rho3x3"], key: value}))
+    for argv in _argvs(3):
+        assert _run(argv + ["--state", str(path)]) == \
+            (2, "", f"{argv[0]}: MalformedData: malformed state: {refusal}\n"), argv
+    assert _run(["ppt-check", "--state", "rho3x3", "--out", str(cert)])[0] == 0
+    doc = json.loads(cert.read_text())
+    doc["state"][key] = value
+    cert.write_text(json.dumps(doc))
+    assert _run(["verify", str(cert)]) == (1, f"verify: FAILED: malformed state: {refusal}\n", "")

@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1723,
-    "certify-sn": 2408,
-    "verify ppt": 1559,
-    "verify sn-verdict": 1791,
+    "ppt-check": 1711,
+    "certify-sn": 2390,
+    "verify ppt": 1548,
+    "verify sn-verdict": 1783,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
