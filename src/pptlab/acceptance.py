@@ -168,24 +168,39 @@ def criterion_2() -> CriterionResult:
     return _run(2, "4x5 extension pipeline, SN = 3", 10.0, body)
 
 
+def _product(a: tuple, b: tuple, weight: Fraction) -> tuple:
+    return em.kron_vec(em.vector(a), em.vector(b)), weight
+
+
+# (vector, weight) of the product edges a (x) b whose Gram sum is rho_4x5()'s
+# stage 2 with B's level 0 projected out; B's levels 1-3 are renumbered 0-2
+PRODUCTS_4X3 = tuple(_product((t, 1, t.conj(), 0), (1, t, 0), Fraction(1, 4))
+                     for t in (em.ONE, -em.ONE, em.I_UNIT, -em.I_UNIT)) + (
+    _product((1, 0, 0, 0), (0, 1, 0), Fraction(2)),
+    _product((0, 0, 1, 0), (0, 0, 1), Fraction(1, 3)),
+    _product((0, 0, 0, 1), (0, 1, 0), Fraction(3)),
+    _product((0, 0, 0, 1), (0, 0, 1), Fraction(1, 3)),
+)
+
+
 def criterion_3() -> CriterionResult:
-    """Intermediate 4x4 state: separable projection and SN <= 2."""
+    """Intermediate 4x4 state: its projection off B's level 0 is the exact
+    Gram sum of the product edges :data:`PRODUCTS_4X3`, so it has SN <= 1,
+    and the paper's peel-off bound SN(rho) <= SN(projection) + 1 gives
+    SN(stage 2) <= 2."""
 
     def body():
-        pipe = co.rho_4x5()
-        bound = ex.sn_bounds_from_projection(pipe.stage2, "B", em.basis_vector(4, 0))
-        verdict = bound.separability
-        _check(verdict.separable and verdict.rule == "R2",
-               f"projection not R2-separable: {verdict}")
-        block_dims = [tuple(sorted(b["dims"])) for b in verdict.details["blocks"]]
-        _check((2, 3) in block_dims, f"no 2x3 block found: {block_dims}")
-        ph_blocks = [b for b in verdict.details["blocks"] if b["rule"] == "peres-horodecki"]
-        _check(len(ph_blocks) == 1, f"{len(ph_blocks)} Peres-Horodecki blocks")
-        _check(bound.sn_upper == 2, f"SN upper bound {bound.sn_upper}")
-        return {"rule": verdict.rule, "blocks": verdict.details["blocks"],
-                "products": len(verdict.details["products"]), "sn_upper": 2}
+        products = qs.BipartiteState(4, 3, label="stage2|products", edges=[
+            qs.NamedVector(f"p{i}", v, w) for i, (v, w) in enumerate(PRODUCTS_4X3)])
+        projection = qs.project_local_block(co.rho_4x5().stage2, [0, 1, 2, 3], [1, 2, 3])
+        _check(products.matrix == projection.matrix,
+               "the product edges do not sum to the projection")
+        bound = ce.sn_upper_from_decomposition(products).value
+        _check(bound == 1, f"an edge of the projection has Schmidt rank {bound}")
+        return {"products": len(PRODUCTS_4X3), "projection_sn_upper": bound,
+                "sn_upper": bound + 1}
 
-    return _run(3, "stage-2 projection separable (R2), SN <= 2", 1.0, body)
+    return _run(3, "stage-2 projection separable, SN <= 2", 1.0, body)
 
 
 def criterion_4() -> CriterionResult:

@@ -41,7 +41,7 @@ class DecompositionMismatch(PptlabError):
     """A claimed conic decomposition does not reproduce its target."""
 
 
-class NonOrthogonalBasis(PptlabError):
+class NotARealRangeBasis(PptlabError):
     """A named range basis is not one: its vectors are not real, or the
     edges it names are not a basis of the range."""
 

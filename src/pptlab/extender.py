@@ -26,9 +26,7 @@ Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
 dimension n when extending A, A-side space of dimension m when extending B).
 
-The trusted separability rules (:func:`separability_rules`), which bound
-the Schmidt number of a projected state (:func:`sn_bounds_from_projection`),
-and the candidate edge-state check (:func:`edge_state_check`) live here too.
+The candidate edge-state check (:func:`edge_state_check`) lives here too.
 """
 
 from __future__ import annotations
@@ -552,195 +550,8 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
 
 
 # ---------------------------------------------------------------------------
-# trusted separability rules, projection bounds and edge states
+# edge states
 # ---------------------------------------------------------------------------
-
-TRUSTED_RULES = {
-    "R1": "peres-horodecki separability in 2x2 and 2x3",
-    "R3": "2x4 PPT with a product vector in the kernel is separable",
-    "R4": "3x3 PPT states have Schmidt number at most 2",
-}
-
-
-class RuleVerdict(NamedTuple):
-    """Outcome of the trusted separability rule set."""
-
-    separable: bool
-    rule: str | None
-    sn_bound: int | None
-    trusted_rules_used: tuple
-    details: dict
-    entangled: bool
-
-
-def _is_ppt(s: qs.BipartiteState) -> bool:
-    return em.psd_check(s.partial_transpose("A")).is_psd
-
-
-def separability_rules(s: qs.BipartiteState) -> RuleVerdict:
-    """Apply the trusted rules in order R1, R2, R3, R4.
-
-    R1: 2x2 or 2x3 dimensions and PPT.  R2: the support splits into a sum
-    of local blocks, each one 1-dimensional on a side, diagonal, or
-    R1-certified, plus isolated diagonal product terms.  R3: 2x4 PPT with a
-    verified product vector in the kernel.  R4 records the Schmidt-number
-    bound 2 for 3x3 PPT states without claiming separability.  Every applied
-    trusted rule is named in the verdict.
-    """
-    dims = tuple(sorted(s.dims))
-    ppt = _is_ppt(s)
-    if not ppt:
-        return RuleVerdict(False, None, None, (), {"reason": "partial transpose not PSD"}, True)
-    if dims in ((2, 2), (2, 3)) or 1 in dims:
-        rule = "R1" if dims in ((2, 2), (2, 3)) else "R2"
-        used = (TRUSTED_RULES["R1"],) if rule == "R1" else ()
-        return RuleVerdict(True, rule, 1, used, {"reason": f"PPT in {s.dim_a}x{s.dim_b}"}, False)
-    ok, info = block_separability(s)
-    if ok:
-        return RuleVerdict(True, "R2", 1, tuple(info.get("trusted", ())), info, False)
-    if dims == (2, 4):
-        prod = _kernel_product_vector(s)
-        if prod is not None:
-            return RuleVerdict(True, "R3", 1, (TRUSTED_RULES["R3"],),
-                               {"kernel_product": [em.format_scalar(x) for x in prod]}, False)
-    if s.dims == (3, 3):
-        return RuleVerdict(False, None, 2, (TRUSTED_RULES["R4"],),
-                           {"reason": "3x3 PPT: SN <= 2 recorded, separability unknown"}, False)
-    return RuleVerdict(False, None, None, (), {}, False)
-
-
-def block_separability(s: qs.BipartiteState):
-    """Direct-sum local block decomposition (rule R2 workhorse).
-
-    Local indices tied together by off-diagonal entries form clusters; each
-    cluster's block is the principal submatrix over its index rectangle
-    ``A_t x B_t``, which keeps interior diagonal terms inside the block
-    (dropping them can break the block's positivity under partial
-    transposition).  Diagonal sites outside every rectangle peel off as
-    product states.  Each block must be trivially separable (a local
-    dimension of 1, or diagonal) or certified by the 2x2 / 2x3 PPT rule.
-    Returns ``(ok, details)``.
-
-    Every nonzero entry is then inside one rectangle or is such a diagonal
-    site, so nothing else is checked: an off-diagonal entry ``(r, c)``
-    joins the A and B indices of both sites into one cluster, so both
-    sites lie in that cluster's rectangle, and rectangles of different
-    clusters share no A index and no B index.
-    """
-    M = s.matrix
-    m, n = s.dims
-    size = m * n
-    parent = list(range(m + n))  # nodes: A indices, then B indices at offset m
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    coupled = set()
-    for r in range(size):
-        for c in range(size):
-            if r != c and M.entry(r, c):
-                coupled.update((r, c))
-                a1, b1 = divmod(r, n)
-                a2, b2 = divmod(c, n)
-                union(a1, a2)
-                union(m + b1, m + b2)
-                union(a1, m + b1)
-    clusters: dict = {}
-    for r in coupled:
-        a, b = divmod(r, n)
-        root = find(a)
-        clusters.setdefault(root, [set(), set()])
-        clusters[root][0].add(a)
-        clusters[root][1].add(b)
-
-    blocks = []
-    trusted = []
-    for rows_a, rows_b in clusters.values():
-        rows_a, rows_b = sorted(rows_a), sorted(rows_b)
-        block = qs.project_local_block(s, rows_a, rows_b)
-        dims = tuple(sorted(block.dims))
-        entry = {"rows_a": rows_a, "rows_b": rows_b, "dims": list(block.dims)}
-        if 1 in dims:
-            entry["rule"] = "local-dimension-1"
-        elif block.matrix.is_diagonal():
-            entry["rule"] = "diagonal"
-        elif dims in ((2, 2), (2, 3)) and _is_ppt(block):
-            entry["rule"] = "peres-horodecki"
-            trusted.append(TRUSTED_RULES["R1"])
-        else:
-            return False, {"failed_block": entry, "blocks": blocks, "products": []}
-        blocks.append(entry)
-    inside = {a * n + b for rows_a, rows_b in clusters.values() for a in rows_a for b in rows_b}
-    products = [{"site": list(divmod(r, n)), "weight": em.format_scalar(M.entry(r, r).re)}
-                for r in range(size) if r not in inside and M.entry(r, r)]
-    return True, {"blocks": blocks, "products": products, "trusted": trusted}
-
-
-def _kernel_product_vector(s: qs.BipartiteState):
-    """A kernel basis vector of ``rho`` of Schmidt rank 1, or None.  The
-    search is not exhaustive."""
-    m, n = s.dims
-    _, kern = em.rank_and_kernel(s.matrix)
-    for v in kern.basis:
-        if qs.schmidt_rank(v, m, n) == 1:
-            return v
-    return None
-
-
-class ProjectionBound(NamedTuple):
-    """Certified relation between a state and one local projection of it.
-
-    Records ``SN(state) <= SN(projected) + 1`` for the projector
-    ``1 - |phi><phi|`` on the chosen side; when the projected state is
-    certified separable this pins ``SN(state) <= 2``.
-    """
-
-    side: Side
-    removed_vector: em.Vector
-    projected: qs.BipartiteState
-    separability: RuleVerdict
-    sn_upper: int | None
-
-
-def sn_bounds_from_projection(s: qs.BipartiteState, side: Side,
-                              removed_vector: em.Vector) -> ProjectionBound:
-    """Project out one local direction and certify the remainder.
-
-    When the removed vector is a computational basis direction the projected
-    state is restricted to the surviving local indices before the
-    separability rules run.
-    """
-    local_dim = s.dim_a if side == "A" else s.dim_b
-    if len(removed_vector) != local_dim:
-        raise DimensionMismatch("removed vector must live on the chosen side")
-    nz = [i for i, x in enumerate(removed_vector) if x]
-    if not nz:
-        raise PreconditionViolation("removed vector must be nonzero")
-    if len(nz) == 1:
-        keep = [i for i in range(local_dim) if i != nz[0]]
-        projected = qs.project_local_block(
-            s, keep if side == "A" else list(range(s.dim_a)),
-            keep if side == "B" else list(range(s.dim_b)))
-    else:
-        phi = removed_vector
-        norm2 = em.vdot(phi, phi)
-        A = em.ExactMatrix.identity(local_dim) - em.ExactMatrix.outer(phi, phi).scale(em.ONE / norm2)
-        op = A.kron(em.ExactMatrix.identity(s.dim_b)) if side == "A" \
-            else em.ExactMatrix.identity(s.dim_a).kron(A)
-        mat = op.matmul(s.matrix).matmul(op.adjoint())
-        projected = qs.BipartiteState._raw(*s.dims, mat, f"{s.label}|proj")
-    verdict = separability_rules(projected)
-    upper = 2 if verdict.separable else None
-    return ProjectionBound(side, removed_vector, projected, verdict, upper)
-
 
 class EdgeVerdict(NamedTuple):
     """Range-criterion edge check, limited to the supplied candidates."""

@@ -22,7 +22,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import replay as rp
-from .errors import (DimensionMismatch, MonomialOverflow, NonOrthogonalBasis,
+from .errors import (DimensionMismatch, MonomialOverflow, NotARealRangeBasis,
                      PreconditionViolation)
 
 
@@ -110,7 +110,7 @@ def coordinate_matrix(m: int, n: int, basis: Sequence) -> SymbolicRangeMatrix:
     """
     for _, v in basis:
         if any(x.im != 0 for x in v):
-            raise NonOrthogonalBasis("the basis is not real: the coordinate ring is Q")
+            raise NotARealRangeBasis("the basis is not real: the coordinate ring is Q")
     P = _Packing(len(basis))
     units = [P.unit(l) for l in range(P.nvars)]
     rows, scales = [], []
@@ -157,7 +157,7 @@ def lower_bound_setup(s: rp.BipartiteState, basis: str | None, variables) -> tup
     if source == "range":
         vectors = rng.basis
     elif default != "edges":
-        raise NonOrthogonalBasis("the state's edges are not a basis of the range")
+        raise NotARealRangeBasis("the state's edges are not a basis of the range")
     names = variables(vectors) if callable(variables) else variables
     if len(names) != len(vectors) or len(set(names)) != len(names):
         raise DimensionMismatch("the certificate needs one variable per basis vector")

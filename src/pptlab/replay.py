@@ -346,9 +346,6 @@ class ExactMatrix:
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and _int_hermitian(_int_matrix(self)[1])
 
-    def is_diagonal(self) -> bool:
-        return all(not self._e[i][j] for i in range(self.rows) for j in range(self.cols) if i != j)
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -8,6 +8,9 @@ from .sample import _check_seed, _parse_birank, _parse_dims
 def run(args) -> int:
     dims = [_parse(_parse_dims, d) for d in args.dims.split()]
     biranks = [_parse(_parse_birank, b) for b in args.birank.split()]
+    for option, values in (("--dims", dims), ("--birank", biranks)):
+        if not values:  # an empty survey would report nothing and exit 0
+            raise InputError(f"{option} lists nothing to survey")
     if args.samples < 1:  # no residual to report, and JSON has no NaN
         raise InputError("--samples must be at least 1")
     _check_seed(args.seed)

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -98,7 +99,39 @@ def test_criterion_1_fails_on_a_spoiled_identity(monkeypatch, spoil):
 
 
 def test_criterion_3_stage2_projection():
-    _check(acceptance.criterion_3())
+    result = acceptance.criterion_3()
+    _check(result)
+    assert result.name == "stage-2 projection separable, SN <= 2"
+    assert result.details == {"products": 8, "projection_sn_upper": 1, "sn_upper": 2}
+
+
+def _sites(*sites) -> tuple:
+    """The 4x3 vector with entry 1 on each ``(a, b)`` of ``sites``."""
+    return tuple(em.ONE if (a, b) in sites else em.ZERO for a in range(4) for b in range(3))
+
+
+# the four phi_t and |0>|1> of acceptance.PRODUCTS_4X3 sum to this entangled split
+ENTANGLED_TWIN = ((_sites((0, 0), (1, 1)), Fraction(1)),
+                  (_sites((1, 0), (2, 1)), Fraction(1)),
+                  (_sites((0, 1)), Fraction(3)), (_sites((2, 0)), Fraction(1)))
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (lambda table: [*table[:4], (table[4][0], table[4][1] + 1), *table[5:]], "do not sum"),
+    (lambda table: [acceptance._product((2, 1, 1, 0), (1, 1, 0), Fraction(1, 4)), *table[1:]],
+     "do not sum"),
+    (lambda table: [*table[:4], (_sites((0, 0), (1, 1)), table[4][1]), *table[5:]],
+     "do not sum"),
+    (lambda table: [*ENTANGLED_TWIN, *table[5:]], "Schmidt rank 2"),
+], ids=["weight", "factor-entry", "bell-edge", "entangled-twin"])
+def test_a_spoiled_product_table_fails_criterion_3(monkeypatch, spoil, error):
+    """A changed weight, a changed entry of one factor, or one product
+    replaced by ``|00>+|11>`` breaks the sum; an entangled split of the same
+    projection keeps the sum and fails the Schmidt-rank check."""
+    monkeypatch.setattr(acceptance, "PRODUCTS_4X3", tuple(spoil(acceptance.PRODUCTS_4X3)))
+    result = acceptance.criterion_3()
+    assert not result.passed
+    assert error in result.details["error"]
 
 
 def test_criterion_4_scaling_family():

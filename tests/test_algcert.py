@@ -22,7 +22,7 @@ from pptlab.errors import (
     DimensionMismatch,
     InternalInconsistency,
     MonomialOverflow,
-    NonOrthogonalBasis,
+    NotARealRangeBasis,
     PreconditionViolation,
 )
 
@@ -804,109 +804,6 @@ def test_lower_never_exceeds_upper_on_corpus():
         assert lower.value <= upper.value
 
 
-# -- separability rules -------------------------------------------------------------------------
-
-def test_r1_small_dimensions():
-    d = qs.BipartiteState(2, 3, em.ExactMatrix.diag([1, 2, 1, 1, 0, 1]), label="d23")
-    v = ex.separability_rules(d)
-    assert v.separable and v.rule == "R1"
-
-
-def test_r2_diagonal_state():
-    d = qs.BipartiteState(3, 3, em.ExactMatrix.diag([1, 0, 2, 0, 1, 1, 3, 0, 1]), label="diag")
-    v = ex.separability_rules(d)
-    assert v.separable and v.rule == "R2"
-
-
-def test_r2_stage2_projection():
-    pipe = co.rho_4x5()
-    proj = qs.project_local_block(pipe.stage2, [0, 1, 2, 3], [1, 2, 3])
-    v = ex.separability_rules(proj)
-    assert v.separable and v.rule == "R2"
-    dims = [tuple(sorted(b["dims"])) for b in v.details["blocks"]]
-    assert (2, 3) in dims
-
-
-def test_r2_rejects_entangled_block():
-    # a pure entangled state cannot decompose
-    v = em.vector([1, 0, 0, 1])
-    st = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="bell")
-    verdict = ex.separability_rules(st)
-    assert not verdict.separable
-    assert verdict.entangled  # caught by the PPT precheck
-
-
-def test_r3_kernel_product():
-    # 2x4 diagonal with a zero level: kernel contains |00>; PPT; R2 fires
-    # first on diagonal states, so build an off-diagonal separable example
-    a0 = em.kron_vec(em.vector([1, 1]), em.basis_vector(4, 1))
-    a1 = em.kron_vec(em.vector([1, -1]), em.basis_vector(4, 2))
-    mat = em.ExactMatrix.outer(a0, a0) + em.ExactMatrix.outer(a1, a1)
-    st = qs.BipartiteState(2, 4, mat, label="s24")
-    v = ex.separability_rules(st)
-    assert v.separable
-    assert v.rule == "R2"  # two 1x2 blocks on disjoint rows; see the R3 tests below
-
-
-def _chained_2x4(diag, extra=()):
-    """A 2x4 state: ``diag`` plus ``|00>+|11>``, ``|01>+|12>`` and
-    ``|12>+|13>``, whose off-diagonal entries join every A and B level into
-    one 2x4 block, so R2 cannot split it; ``extra`` are further matrices
-    added to it.  None of the vectors has weight on ``|03>``."""
-    def sites(*pairs):
-        v = [0] * 8
-        for a, b in pairs:
-            v[a * 4 + b] = 1
-        return em.vector(v)
-
-    vecs = [sites((0, 0), (1, 1)), sites((0, 1), (1, 2)), sites((1, 2), (1, 3))]
-    M = em.weighted_gram(vecs, [1] * 3, 8) + em.ExactMatrix.diag(diag)
-    for X in extra:
-        M = M + X
-    return qs.BipartiteState(2, 4, M, label="chained")
-
-
-def test_r3_kernel_product_of_a_state_r2_cannot_split():
-    """With no weight on ``|03>``, the kernel is spanned by that product
-    vector, and only R3 certifies the state."""
-    st = _chained_2x4([1, 1, 1, 0, 1, 1, 1, 1])
-    ok, info = ex.block_separability(st)
-    assert not ok and info["failed_block"]["dims"] == [2, 4]
-    v = ex.separability_rules(st)
-    assert (v.separable, v.rule, v.sn_bound) == (True, "R3", 1)
-    assert v.trusted_rules_used == (ex.TRUSTED_RULES["R3"],)
-    assert v.details["kernel_product"] == ["0", "0", "0", "1", "0", "0", "0", "0"]
-
-
-@pytest.mark.parametrize("kernel", ["empty", "entangled"])
-def test_2x4_state_without_a_kernel_product_falls_through(kernel):
-    """A PPT 2x4 state that R2 cannot split and whose kernel basis holds no
-    product vector (full rank, or the kernel spanned by the Schmidt-rank-2
-    ``|03>+|10>``) gets no rule and no bound."""
-    k = em.vector([0, 0, 0, 1, 1, 0, 0, 0])
-    st = _chained_2x4([1] * 8) if kernel == "empty" else \
-        _chained_2x4([2] * 8, [-em.ExactMatrix.outer(k, k)])
-    assert not ex.block_separability(st)[0]
-    assert em.rank(st.matrix) == (8 if kernel == "empty" else 7)
-    v = ex.separability_rules(st)
-    assert (v.separable, v.entangled, v.rule, v.sn_bound, v.trusted_rules_used) == \
-        (False, False, None, None, ())
-
-
-def test_r4_rho3x3_bound():
-    v = ex.separability_rules(co.rho_3x3())
-    assert not v.separable
-    assert v.sn_bound == 2
-    assert any("3x3" in r for r in v.trusted_rules_used)
-
-
-def test_npt_detected():
-    v = em.vector([1, 0, 0, 1])
-    st = qs.BipartiteState(2, 2, em.ExactMatrix.outer(v, v), label="bell")
-    verdict = ex.separability_rules(st)
-    assert verdict.entangled and not verdict.separable
-
-
 # -- the explicit identity ------------------------------------------------------------------------
 
 def test_coordinate_matrix_requires_a_real_basis():
@@ -914,7 +811,7 @@ def test_coordinate_matrix_requires_a_real_basis():
     sym = mi.coordinate_matrix(2, 2, real)
     assert [str(e) for e in coordinate_entries(sym)[0]] == ["x", "y"]
     complex_basis = [("x", em.vector([1, 0, 0, em.GaussianRational(1, 1)])), real[1]]
-    with pytest.raises(NonOrthogonalBasis, match="real"):
+    with pytest.raises(NotARealRangeBasis, match="real"):
         mi.coordinate_matrix(2, 2, complex_basis)
 
 
@@ -984,11 +881,9 @@ def test_partial_conjugate_complex_product():
 
 
 def test_records_are_immutable():
-    """Bounds and rule verdicts are named tuples: their fields cannot be
-    reassigned."""
+    """Bounds are named tuples: their fields cannot be reassigned."""
     final = co.rho_4x5().final
     lower, upper = ce.certify_sn(final)
-    verdict = ex.RuleVerdict(True, "R1", 1, (), {"reason": "a"}, False)
-    for record, field in ((lower, "power"), (upper, "value"), (verdict, "rule")):
+    for record, field in ((lower, "power"), (upper, "value")):
         with pytest.raises(AttributeError):
             setattr(record, field, 4)

@@ -30,7 +30,7 @@ from pptlab import minors as mi
 from pptlab import qstates as qs
 from pptlab import replay as rp
 from pptlab import serialize as se
-from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NonOrthogonalBasis
+from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NotARealRangeBasis
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -155,7 +155,7 @@ def test_certify_sn_reads_its_witness_and_upper_bound_off_the_spanning_edges(s):
     assert em.in_subspace(rng, s.edges[ranks.index(max(ranks))].vec)
     try:
         lower, upper = ce.certify_sn(s)
-    except NonOrthogonalBasis as exc:
+    except NotARealRangeBasis as exc:
         assert "not real" in str(exc)
         return
     except InvalidK:
@@ -192,7 +192,7 @@ def test_a_state_of_product_edges_gets_no_lower_bound_above_1(case):
     s, k = case
     try:
         lower = ce.certify_sn_lower(s, k, ())
-    except NonOrthogonalBasis as exc:
+    except NotARealRangeBasis as exc:
         assert "not real" in str(exc)
         return
     assert isinstance(lower, ce.Inconclusive)
@@ -201,7 +201,7 @@ def test_a_state_of_product_edges_gets_no_lower_bound_above_1(case):
 def _zero_weight_states() -> dict:
     """The two files of a zero-weight edge, by name: family:3 with one more
     edge, ``|00>`` of weight 0 (``certify-sn --exclude-deltas`` failed it
-    with ``NonOrthogonalBasis`` while the range spanned only the edges of
+    with ``NotARealRangeBasis`` while the range spanned only the edges of
     positive weight), and ``|00><00|`` with a Bell edge of weight 0
     (``ppt-check`` called it PPT, and ``certify-sn`` failed it with
     ``WitnessNotInRange``, while a zero weight was read)."""

@@ -1,6 +1,5 @@
 """Local extension engine."""
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -762,82 +761,6 @@ def test_lift_checks_the_core_through_the_extension_once(spy):
                                       (vecs, [2 * weights[0]] + weights[1:])):
         with pytest.raises(DecompositionMismatch):
             ex.lift_decomposition(pipe.stage2, "B", 3, wrong_vecs, wrong_weights)
-
-
-# -- separability rules --------------------------------------------------------------------
-
-@st.composite
-def sparse_states(draw):
-    """A small state of up to four edges, each on one or two sites."""
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    edges = []
-    for i in range(draw(st.integers(0, 4))):
-        sites = draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
-                              min_size=1, max_size=2, unique=True))
-        vec = [em.ZERO] * (m * n)
-        for a, b in sites:
-            vec[a * n + b] = draw(gaussian_rationals.filter(bool))
-        edges.append(qs.NamedVector(f"v{i}", tuple(vec), Fraction(1)))
-    return qs.BipartiteState(m, n, label="sparse", edges=edges)
-
-
-@settings(max_examples=80, deadline=None)
-@given(sparse_states())
-def test_block_separability_parts_sum_to_the_state(s):
-    """When every block passes, the blocks (principal submatrices over their
-    rectangles) and the isolated diagonal products add up to the state: no
-    entry escapes all rectangles, so ``block_separability`` does not look
-    for one."""
-    ok, info = ex.block_separability(s)
-    event("split" if ok else "refused")
-    if not ok:
-        return
-    m, n = s.dims
-    parts = [list(itertools.product(b["rows_a"], b["rows_b"])) for b in info["blocks"]]
-    parts += [[tuple(p["site"])] for p in info["products"]]
-    total = [[em.ZERO] * (m * n) for _ in range(m * n)]
-    for sites in parts:
-        idx = [a * n + b for a, b in sites]
-        for r in idx:
-            for c in idx:
-                assert not total[r][c], "two parts overlap"
-                total[r][c] = s.matrix.entry(r, c)
-    assert em.ExactMatrix(total) == s.matrix
-    assert [p["weight"] for p in info["products"]] == \
-        [em.format_scalar(s.matrix.entry(a * n + b, a * n + b).re)
-         for a, b in (p["site"] for p in info["products"])]
-
-
-# -- projection bounds --------------------------------------------------------------------
-
-def test_projection_bound_on_separable_state():
-    d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 2, 1]), label="sep")
-    rec = ex.sn_bounds_from_projection(d, "B", em.basis_vector(2, 0))
-    assert rec.separability.separable
-    assert rec.sn_upper == 2
-
-
-def test_projection_bound_stage2():
-    pipe = co.rho_4x5()
-    rec = ex.sn_bounds_from_projection(pipe.stage2, "B", em.basis_vector(4, 0))
-    assert rec.separability.separable
-    assert rec.separability.rule == "R2"
-    assert rec.sn_upper == 2
-
-
-def test_projection_bound_final_state_uninformative():
-    pipe = co.rho_4x5()
-    rec = ex.sn_bounds_from_projection(pipe.final, "B", em.basis_vector(5, 0))
-    assert not rec.separability.separable
-    assert rec.sn_upper is None
-
-
-def test_projection_bound_non_basis_vector():
-    d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 2, 1]), label="sep")
-    rec = ex.sn_bounds_from_projection(d, "A", em.vector([1, 1]))
-    assert rec.projected.dims == (2, 2)
-    # (1 - |phi><phi|/2) applied on side A annihilates the symmetric part
-    assert rec.projected.matrix.trace().re < d.matrix.trace().re
 
 
 # -- extremality ----------------------------------------------------------------------------

@@ -47,7 +47,7 @@ KEPT = {
     # ExactMatrix's constructors and algebra, which the builders call as methods
     "ExactMatrix.zeros", "ExactMatrix.identity", "ExactMatrix.diag", "ExactMatrix.from_cols",
     "ExactMatrix.row", "ExactMatrix.tolists", "ExactMatrix.adjoint", "ExactMatrix.conjugate",
-    "ExactMatrix.trace", "ExactMatrix.kron", "ExactMatrix.is_zero", "ExactMatrix.is_diagonal",
+    "ExactMatrix.trace", "ExactMatrix.kron", "ExactMatrix.is_zero",
     # the writers' half of the sparse codec, beside its reader
     "_sparse_to_json",
     # reached only on a failing input: a scalar past the int-to-text digit limit

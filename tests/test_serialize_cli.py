@@ -29,7 +29,7 @@ from pptlab import verbs
 from pptlab.errors import (
     BoundsViolation,
     ConvergenceFailure,
-    NonOrthogonalBasis,
+    NotARealRangeBasis,
     NotPsd,
     PptlabError,
 )
@@ -706,11 +706,14 @@ def test_cli_extremal():
     (["--birank", "4,4 10,10"], "DimensionMismatch: birank outside the valid range"),
     (["--birank", "4,4", "--samples", "0"], "--samples must be at least 1"),
     (["--birank", "4,4", "--seed", "-3"], "--seed must be at least 0"),
-], ids=["birank", "second-birank", "no-samples", "negative-seed"])
+    (["--birank", "4,4", "--dims", ""], "--dims lists nothing to survey"),
+    (["--birank", " "], "--birank lists nothing to survey"),
+], ids=["birank", "second-birank", "no-samples", "negative-seed", "no-dims", "no-biranks"])
 def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
     """A birank outside ``1..mn`` used to be skipped (``"reports": []``,
-    exit 0), and no samples wrote a NaN residual, which is not JSON; both
-    exit 2 before any sampling, as ``sample`` does."""
+    exit 0), as were an empty ``--dims`` and ``--birank`` list, and no
+    samples wrote a NaN residual, which is not JSON; each exits 2 before
+    any sampling, as ``sample`` does."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("the survey sampled before rejecting its input")
 
@@ -1302,9 +1305,9 @@ def test_a_stored_witness_vector_fails_verify_naming_it(rho3x3_verdict, tmp_path
 
 
 @pytest.mark.parametrize("edit, exclude, error, message", [
-    (lambda cert: cert.update(_split_e3(cert)), ("e3b",), NonOrthogonalBasis,
+    (lambda cert: cert.update(_split_e3(cert)), ("e3b",), NotARealRangeBasis,
      "not a basis of the range"),
-    (_complex_edge, (), NonOrthogonalBasis, "not real"),
+    (_complex_edge, (), NotARealRangeBasis, "not real"),
 ], ids=["edges-on-split-e3", "complex-basis"])
 def test_certifier_and_verifier_refuse_the_same_setups(rho3x3_verdict, edit, exclude, error,
                                                        message):

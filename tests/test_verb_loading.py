@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1711,
-    "certify-sn": 2390,
-    "verify ppt": 1548,
-    "verify sn-verdict": 1783,
+    "ppt-check": 1708,
+    "certify-sn": 2387,
+    "verify ppt": 1545,
+    "verify sn-verdict": 1780,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
