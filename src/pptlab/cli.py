@@ -6,14 +6,16 @@ print text only).  Exit codes: 0 a verdict was produced, 1 the run was
 inconclusive (failed certificate replay, inconclusive certification, failed
 acceptance), 2 input error: input that does not parse, or a
 :class:`PptlabError` the input causes.  Any other exception is a fault of
-the program and surfaces with its traceback.
+the program and surfaces with its traceback.  A reader that closes stdout
+early (``| head``) ends the process with 141, as SIGPIPE would, and
+nothing on stderr.
 
 This module holds only the parser, :func:`run` and :func:`main`.  After
 parsing, :func:`run` imports the one module of :mod:`pptlab.verbs` that
 holds the verb's body (``certify-sn`` runs ``verbs/certify_sn.py``), so a
 process compiles its verb and what that verb imports: ``verify`` only the
 replay kernel :mod:`pptlab.replay` (and :mod:`pptlab.minors` for an
-sn-lower half), ``certify-sn`` the certifier but not the polynomials of
+sn-verdict), ``certify-sn`` the certifier but not the polynomials of
 the Groebner oracle, ``sample`` and ``survey`` numpy but no exact module.
 Only ``--verbose`` imports ``logging``; :func:`run` builds one subparser.
 
@@ -33,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from importlib import import_module
 
@@ -172,9 +175,14 @@ def main() -> None:
     collector's objects, so the interpreter's shutdown does not walk them;
     :func:`run` itself also runs in long-lived processes, and never does."""
     try:
-        sys.exit(run())
+        code = run()
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's shutdown
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for that flush
+        code = 141
     finally:
         gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,18 +1,19 @@
-"""The sn-lower replay: the range, packed monomials, coordinate matrices and minors.
+"""The sn-verdict replay: the range, packed monomials, coordinate matrices and minors.
 
-A Schmidt-number lower bound is an identity ``sum_i c_i det M[rows_i,
+An sn-verdict's lower half is an identity ``sum_i c_i det M[rows_i,
 cols_i] = x_w^N`` over minors of the coordinate matrix ``M`` (``Psi_ij =
 sum_l v_l[ij] x_l``) of any real range basis, ``x_w`` any one coordinate
-(:func:`lower_bound_setup` holds the proof).  This module holds what
-checking such an identity needs, and nothing of the search that finds
-one: the range, read once from the state's edges, with the rule that
-picks its basis (:func:`range_basis`), :class:`_Packing` (a monomial as
-one int, in grevlex order), :func:`coordinate_matrix` (``M`` as scaled
-integer rows of packed linear forms) and :func:`minor_identity_holds`
-(the listed determinants only, by Laplace expansion), which the certifier
-and the verifier share with the setup.  It imports only the replay kernel
-and :mod:`pptlab.errors`: a ``verify`` process loads it on top of the
-kernel, and never the certifier or the Groebner oracle.
+(:func:`lower_bound_setup` holds the proof); its upper half stores the
+Schmidt ranks of the state's edges.  :func:`verify_sn_verdict` replays
+both, with what checking such an identity needs, and nothing of the
+search that finds one: the range, read once from the state's edges, with
+the rule that picks its basis (:func:`range_basis`), :class:`_Packing` (a
+monomial as one int, in grevlex order), :func:`coordinate_matrix` (``M``
+as scaled integer rows of packed linear forms) and
+:func:`minor_identity_holds` (the listed determinants only, by Laplace
+expansion), which the certifier shares with the setup.  It imports only
+the replay kernel and :mod:`pptlab.errors`; the kernel loads it only to
+replay an sn-verdict, so a ppt ``verify`` never compiles it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import math
 from typing import NamedTuple, Sequence
 
 from . import replay as rp
-from .errors import (DimensionMismatch, MonomialOverflow, NotARealRangeBasis,
+from .errors import (DimensionMismatch, MonomialOverflow, NotARealRangeBasis, PptlabError,
                      PreconditionViolation)
+from .replay import CertificateInvalid
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +235,140 @@ def minor_identity_holds(M: SymbolicRangeMatrix, target: tuple,
                 else:
                     del acc[key]
     return acc == {goal: den}
+
+
+# ---------------------------------------------------------------------------
+# the sn-verdict replay
+# ---------------------------------------------------------------------------
+
+def verify_sn_verdict(data: dict) -> bool:
+    """Replay an sn-verdict: parse the one stored state, replay each half on
+    it (:func:`verify_sn_lower_certificate` unless the lower bound is
+    inconclusive, :func:`verify_sn_upper_certificate`), and check that the
+    stored verdict line is the one their values imply."""
+    lower, upper, stored = rp._parsed("certificate", _read_sn_verdict, data)
+    s = rp.state_from_json(stored)
+    if lower is not None:
+        verify_sn_lower_certificate(lower, s)
+    verify_sn_upper_certificate(upper, s)
+    return True
+
+
+def _read_sn_verdict(data: dict) -> tuple:
+    """The ``lower`` (None under ``lower_inconclusive``) and ``upper`` halves
+    and the state, the verdict line checked against their values; a state
+    without edges is refused before its matrix is read or factored."""
+    proven = "lower" in data
+    _, state, lower, upper, verdict = rp._fields(
+        data, "sn-verdict", ("kind", "state", "lower" if proven else "lower_inconclusive",
+                             "upper", "verdict"))
+    if not (proven or isinstance(lower, str)):
+        raise TypeError(f"lower_inconclusive {lower!r} is not a reason string")
+    expected = rp.sn_verdict_text(lower["value"] if proven else None, upper["value"])
+    if verdict != expected:
+        raise CertificateInvalid(f"verdict {verdict!r} does not match {expected!r}")
+    if not state.get("edges"):
+        raise CertificateInvalid("the state has no edge decomposition")
+    return lower if proven else None, upper, state
+
+
+def verify_sn_lower_certificate(half: dict, s: rp.BipartiteState) -> bool:
+    """Replay the lower half of an sn-verdict on its state: an indexed
+    cofactor identity proving ``SN(s) >= value``.
+
+    Checks the power ``k <= N <= 2k`` with ``k = value`` and shape-checks
+    every ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly
+    increasing in-range indices, no pair twice, cofactors of degree
+    ``N - k``), and that ``witness_variable`` is one of the ``variables``.
+    The certifier's setup (:func:`lower_bound_setup`, which holds the
+    proof) reads the range from the edges and checks that the named basis
+    is a basis of it.  Then only the listed determinants of ``M`` are
+    computed and ``sum cofactor * det M[rows, cols] = x_w^N`` is checked
+    exactly (:func:`minor_identity_holds`, as ``certify-sn`` checks
+    what it writes).  Nothing is enumerated.
+    """
+    m, n = s.dims
+    source, variables, witness_variable, power, pairs, cofactors = \
+        rp._parsed("certificate", _read_sn_lower, half, m, n)
+    try:
+        sym, _ = lower_bound_setup(s, source, variables)
+    except PptlabError as exc:
+        raise CertificateInvalid(str(exc)) from None
+    target = tuple(power if v == witness_variable else 0 for v in variables)
+    if not minor_identity_holds(sym, target, pairs, cofactors):
+        raise CertificateInvalid("cofactor identity does not expand to the witness power")
+    return True
+
+
+def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
+    """The basis source, variables, witness variable (one of them), power,
+    minor pairs and cofactor terms of the lower half of an sn-verdict on an
+    ``m x n`` state, read from the keys :func:`serialize._sn_lower_json` writes."""
+    k, witness_variable, variables, basis, power, minors = rp._fields(
+        half, "lower half",
+        ("value", "witness_variable", "variables", "basis", "power", "minors"))
+    if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
+        # the minors are homogeneous of degree k, and the certifier searches N <= 2k
+        raise CertificateInvalid("witness power is not an integer in [k, 2k]")
+    if basis not in ("edges", "range"):
+        raise CertificateInvalid('basis is neither "edges" nor "range"')
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
+        raise CertificateInvalid("variables is not a list of names")
+    if witness_variable not in variables:
+        raise CertificateInvalid("witness_variable is not one of the variables")
+    pairs, cofactors = _indexed_minors(minors, len(variables), k, power - k, m, n)
+    return basis, variables, witness_variable, power, pairs, cofactors
+
+
+def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) -> tuple:
+    """The ``(rows, cols)`` pairs and cofactor terms of shape-checked ``minors``."""
+    if not isinstance(entries, list):
+        raise CertificateInvalid("minors is not a list of [rows, cols, cofactor]")
+    pairs, cofactors = [], []
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 3):
+            raise CertificateInvalid(f"minor entry {entry!r} is not [rows, cols, cofactor]")
+        rows, cols, cof = entry
+        for idx, bound in ((rows, m), (cols, n)):
+            if not (isinstance(idx, list) and len(idx) == k and all(type(i) is int for i in idx)
+                    and idx == sorted(set(idx)) and all(0 <= i < bound for i in idx)):
+                raise CertificateInvalid(f"minor indices {idx!r} are not {k} strictly "
+                                         f"increasing indices below {bound}")
+        pairs.append((tuple(rows), tuple(cols)))
+        cofactors.append(_cofactor(nvars, cof, degree))
+    if len(set(pairs)) != len(pairs):
+        raise CertificateInvalid("a minor (rows, cols) is listed twice")
+    return pairs, cofactors
+
+
+def _cofactor(nvars: int, data, degree: int) -> dict:
+    """The terms of a stored ``{"terms": [[monomial, "p/q"], ...]}`` of one ``degree``."""
+    (terms,) = rp._fields(data, "cofactor", ("terms",))
+    if not isinstance(terms, list):
+        raise CertificateInvalid("cofactor has no term list")
+    out = {}
+    for term in terms:
+        monomial, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
+        exps = tuple(rp._sparse_from_json(monomial, nvars,
+                                          lambda e: e if type(e) is int and e > 0 else 0, 0))
+        if sum(exps) != degree or exps in out:
+            raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial "
+                                     f"of degree {degree}")
+        out[exps] = rp._rational(c)
+    return out
+
+
+def verify_sn_upper_certificate(half: dict, s: rp.BipartiteState) -> bool:
+    """Replay an sn-verdict's upper half (``value``, ``schmidt_ranks``) on its state,
+    the conic sum of its edges: ``value`` is their largest Schmidt rank, as stored."""
+    m, n = s.dims
+    value, stored_ranks = rp._parsed("certificate", rp._fields, half, "upper half",
+                                     ("value", "schmidt_ranks"))
+    if type(value) is not int:
+        raise CertificateInvalid("upper bound value is not an integer")
+    ranks = [rp.schmidt_rank(e.vec, m, n) for e in s.edges]
+    if max(ranks) != value:
+        raise CertificateInvalid("claimed bound does not match the decomposition ranks")
+    if stored_ranks != ranks or any(type(r) is not int for r in stored_ranks):
+        raise CertificateInvalid("stored Schmidt ranks are not the edges' ranks")
+    return True

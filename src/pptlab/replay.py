@@ -1,4 +1,4 @@
-"""The replay kernel: everything ``pptlab verify`` runs.
+"""The replay kernel: the core every ``pptlab verify`` runs, and the ppt replay.
 
 A certificate is trusted only as far as the code that replays it, so that
 code sits in this one bottom-layer module, which imports only
@@ -9,12 +9,13 @@ matrices (:class:`ExactMatrix`) and the one Gram kernel
 :class:`Subspace` and :func:`rank`, the pivoted LDL* :func:`psd_check`,
 the state record (:class:`BipartiteState`, checked once where it is made)
 with its partial transpose and the Schmidt rank of a vector, the JSON
-readers with the sparse ``[index, value]`` codec and the one field reader
-:func:`_fields`, which owns every stored layout's keys, and the two verifiers
-behind :data:`VERIFIERS`, through which :func:`verify_certificate`
-dispatches.  Replaying an sn-lower half imports :mod:`pptlab.minors`, the
-packed-monomial identity check, when it runs.  :mod:`pptlab.exactmat`,
-:mod:`pptlab.qstates` and :mod:`pptlab.serialize` import it from here.
+readers with the sparse ``[index, value]`` reader and the one field reader
+:func:`_fields`, which owns every stored layout's keys, the ppt verifier,
+and :data:`VERIFIERS`, through which :func:`verify_certificate` dispatches.
+The sn-verdict replay is :mod:`pptlab.minors`, which :data:`VERIFIERS`
+imports only to replay one, so a ppt ``verify`` never compiles it.
+:mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and :mod:`pptlab.serialize`
+import the kernel from here.
 """
 
 from __future__ import annotations
@@ -70,9 +71,6 @@ class GaussianRational:
         other = as_scalar(other)
         return GaussianRational._raw(self.re - other.re, self.im - other.im)
 
-    def __rsub__(self, other):
-        return as_scalar(other) - self
-
     def __mul__(self, other):
         other = as_scalar(other)
         a, b, c, d = self.re, self.im, other.re, other.im
@@ -91,9 +89,6 @@ class GaussianRational:
             return GaussianRational._raw(self.re / other.re, _ZERO)
         a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianRational._raw((a * c + b * d) / n2, (b * c - a * d) / n2)
-
-    def __rtruediv__(self, other):
-        return as_scalar(other) / self
 
     def __neg__(self):
         return GaussianRational._raw(-self.re, -self.im)
@@ -272,19 +267,9 @@ class ExactMatrix:
         self._check_same_shape(other)
         return ExactMatrix([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._e, other._e)])
 
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in r] for r in self._e])
-
     def scale(self, c) -> "ExactMatrix":
         c = as_scalar(c)
         return ExactMatrix([[c * a for a in r] for r in self._e])
-
-    def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            return self.matmul(other)
-        return self.scale(other)
-
-    __rmul__ = scale
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.cols != other.rows:
@@ -353,9 +338,6 @@ class ExactMatrix:
 
     def __hash__(self):
         return hash(self._e)
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
 
     def _check_same_shape(self, other: "ExactMatrix"):
         if self.shape != other.shape:
@@ -583,12 +565,6 @@ class Subspace:
             return NotImplemented
         return self.ambient_dim == other.ambient_dim and self.basis == other.basis
 
-    def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
 
 def rank(M: ExactMatrix) -> int:
     return len(_echelon(_int_rows(M._e), range(M.cols), reduce=False))
@@ -780,9 +756,6 @@ class BipartiteState:
             return NotImplemented
         return self.dims == other.dims and self.matrix == other.matrix
 
-    def __repr__(self):
-        return f"BipartiteState({self.dim_a}x{self.dim_b}, {self.label!r})"
-
     def partial_transpose(self, side: Side) -> ExactMatrix:
         return partial_transpose_matrix(self.matrix, self.dim_a, self.dim_b, side)
 
@@ -854,11 +827,6 @@ def matrix_from_json(data: dict) -> ExactMatrix:
 def vector_from_json(data, length: int) -> Vector:
     """The vector of ``length`` entries that :func:`serialize.vector_to_json` wrote."""
     return tuple(_sparse_from_json(data, length, parse_scalar, ZERO))
-
-
-def _sparse_to_json(v, value) -> list:
-    """``[index, value(x)]`` for each nonzero entry ``x`` of ``v``, in index order."""
-    return [[i, value(x)] for i, x in enumerate(v) if x]
 
 
 def _sparse_from_json(data, length: int, parse, zero) -> list:
@@ -1026,110 +994,6 @@ def _read_evidence(key: str, ev: dict, n: int) -> tuple:
     return False, vector_from_json(a, n), b
 
 
-def verify_sn_lower_certificate(half: dict, s: BipartiteState) -> bool:
-    """Replay the lower half of an sn-verdict on its state: an indexed
-    cofactor identity proving ``SN(s) >= value``.
-
-    Checks the power ``k <= N <= 2k`` with ``k = value`` and shape-checks
-    every ``[rows, cols, cofactor]`` of ``minors`` (``k`` strictly
-    increasing in-range indices, no pair twice, cofactors of degree
-    ``N - k``), and that ``witness_variable`` is one of the ``variables``.
-    The certifier's setup (:func:`minors.lower_bound_setup`, which holds the
-    proof) reads the range from the edges and checks that the named basis
-    is a basis of it.  Then only the listed determinants of ``M`` are
-    computed and ``sum cofactor * det M[rows, cols] = x_w^N`` is checked
-    exactly (:func:`minors.minor_identity_holds`, as ``certify-sn`` checks
-    what it writes).  Nothing is enumerated.
-    """
-    from . import minors as mi
-
-    m, n = s.dims
-    source, variables, witness_variable, power, pairs, cofactors = \
-        _parsed("certificate", _read_sn_lower, half, m, n)
-    try:
-        sym, _ = mi.lower_bound_setup(s, source, variables)
-    except PptlabError as exc:
-        raise CertificateInvalid(str(exc)) from None
-    target = tuple(power if v == witness_variable else 0 for v in variables)
-    if not mi.minor_identity_holds(sym, target, pairs, cofactors):
-        raise CertificateInvalid("cofactor identity does not expand to the witness power")
-    return True
-
-
-def _read_sn_lower(half: dict, m: int, n: int) -> tuple:
-    """The basis source, variables, witness variable (one of them), power,
-    minor pairs and cofactor terms of the lower half of an sn-verdict on an
-    ``m x n`` state, read from the keys :func:`serialize._sn_lower_json` writes."""
-    k, witness_variable, variables, basis, power, minors = _fields(
-        half, "lower half",
-        ("value", "witness_variable", "variables", "basis", "power", "minors"))
-    if type(k) is not int or type(power) is not int or not k <= power <= 2 * k:
-        # the minors are homogeneous of degree k, and the certifier searches N <= 2k
-        raise CertificateInvalid("witness power is not an integer in [k, 2k]")
-    if basis not in ("edges", "range"):
-        raise CertificateInvalid('basis is neither "edges" nor "range"')
-    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)):
-        raise CertificateInvalid("variables is not a list of names")
-    if witness_variable not in variables:
-        raise CertificateInvalid("witness_variable is not one of the variables")
-    pairs, cofactors = _indexed_minors(minors, len(variables), k, power - k, m, n)
-    return basis, variables, witness_variable, power, pairs, cofactors
-
-
-def _indexed_minors(entries, nvars: int, k: int, degree: int, m: int, n: int) -> tuple:
-    """The ``(rows, cols)`` pairs and cofactor terms of shape-checked ``minors``."""
-    if not isinstance(entries, list):
-        raise CertificateInvalid("minors is not a list of [rows, cols, cofactor]")
-    pairs, cofactors = [], []
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise CertificateInvalid(f"minor entry {entry!r} is not [rows, cols, cofactor]")
-        rows, cols, cof = entry
-        for idx, bound in ((rows, m), (cols, n)):
-            if not (isinstance(idx, list) and len(idx) == k and all(type(i) is int for i in idx)
-                    and idx == sorted(set(idx)) and all(0 <= i < bound for i in idx)):
-                raise CertificateInvalid(f"minor indices {idx!r} are not {k} strictly "
-                                         f"increasing indices below {bound}")
-        pairs.append((tuple(rows), tuple(cols)))
-        cofactors.append(_cofactor(nvars, cof, degree))
-    if len(set(pairs)) != len(pairs):
-        raise CertificateInvalid("a minor (rows, cols) is listed twice")
-    return pairs, cofactors
-
-
-def _cofactor(nvars: int, data, degree: int) -> dict:
-    """The terms of a stored ``{"terms": [[monomial, "p/q"], ...]}`` of one ``degree``."""
-    (terms,) = _fields(data, "cofactor", ("terms",))
-    if not isinstance(terms, list):
-        raise CertificateInvalid("cofactor has no term list")
-    out = {}
-    for term in terms:
-        monomial, c = term if isinstance(term, list) and len(term) == 2 else (None, None)
-        exps = tuple(_sparse_from_json(monomial, nvars,
-                                       lambda e: e if type(e) is int and e > 0 else 0, 0))
-        if sum(exps) != degree or exps in out:
-            raise CertificateInvalid(f"cofactor term {term!r} is not a new monomial "
-                                     f"of degree {degree}")
-        out[exps] = _rational(c)
-    return out
-
-
-def verify_sn_upper_certificate(half: dict, s: BipartiteState) -> bool:
-    """Replay an sn-verdict's upper half (``value``, ``schmidt_ranks``) on its state,
-    the conic sum of its edges: ``value`` is their largest Schmidt rank, as stored."""
-    m, n = s.dims
-    value, stored_ranks = _parsed("certificate", _fields, half, "upper half",
-                                  ("value", "schmidt_ranks"))
-    if type(value) is not int:
-        raise CertificateInvalid("upper bound value is not an integer")
-    ranks = [schmidt_rank(e.vec, m, n) for e in s.edges]
-    if max(ranks) != value:
-        raise CertificateInvalid("claimed bound does not match the decomposition ranks")
-    if stored_ranks != ranks or any(type(r) is not int for r in stored_ranks):
-        raise CertificateInvalid("stored Schmidt ranks are not the edges' ranks")
-    return True
-
-
 def sn_verdict_text(lower: int | None, upper: int) -> str:
     """Verdict line of an sn-verdict payload; ``lower`` is None when inconclusive."""
     if lower is None:
@@ -1139,41 +1003,12 @@ def sn_verdict_text(lower: int | None, upper: int) -> str:
     return f"SN in [{lower}, {upper}]"
 
 
-def verify_sn_verdict(data: dict) -> bool:
-    """Replay an sn-verdict: parse the one stored state, replay each half on
-    it (:func:`verify_sn_lower_certificate` unless the lower bound is
-    inconclusive, :func:`verify_sn_upper_certificate`), and check that the
-    stored verdict line is the one their values imply."""
-    lower, upper, stored = _parsed("certificate", _read_sn_verdict, data)
-    s = state_from_json(stored)
-    if lower is not None:
-        verify_sn_lower_certificate(lower, s)
-    verify_sn_upper_certificate(upper, s)
-    return True
+def _sn_verdict(data: dict) -> bool:
+    from .minors import verify_sn_verdict  # the sn-verdict replay, compiled only to run one
+    return verify_sn_verdict(data)
 
 
-def _read_sn_verdict(data: dict) -> tuple:
-    """The ``lower`` (None under ``lower_inconclusive``) and ``upper`` halves
-    and the state, the verdict line checked against their values; a state
-    without edges is refused before its matrix is read or factored."""
-    proven = "lower" in data
-    _, state, lower, upper, verdict = _fields(
-        data, "sn-verdict", ("kind", "state", "lower" if proven else "lower_inconclusive",
-                             "upper", "verdict"))
-    if not (proven or isinstance(lower, str)):
-        raise TypeError(f"lower_inconclusive {lower!r} is not a reason string")
-    expected = sn_verdict_text(lower["value"] if proven else None, upper["value"])
-    if verdict != expected:
-        raise CertificateInvalid(f"verdict {verdict!r} does not match {expected!r}")
-    if not state.get("edges"):
-        raise CertificateInvalid("the state has no edge decomposition")
-    return lower if proven else None, upper, state
-
-
-VERIFIERS = {
-    "ppt": verify_ppt_certificate,
-    "sn-verdict": verify_sn_verdict,
-}
+VERIFIERS = {"ppt": verify_ppt_certificate, "sn-verdict": _sn_verdict}
 
 
 def verify_certificate(data: dict) -> bool:

@@ -18,14 +18,15 @@ the state's edges.  Each writer writes exactly these keys, and any other
 layout is malformed (one field reader, :func:`replay._fields`, refuses by
 name a key an object's layout does not list), or of an unknown kind.
 
-This module holds only the writers, of each layout from the exact
-objects (the bounds come from :mod:`pptlab.certifier`).  The readers of
-states and certificates, the sparse codec, both verifiers and the
-:data:`VERIFIERS` table they are dispatched through are what ``verify``
-runs, so they live in the replay kernel :mod:`pptlab.replay`, and this
-module imports them from there under their names.  A grid graph is read
-into a state by :func:`constructions.graph_state`, an extension step by
-:func:`extender.step_from_json`, next to the step kinds' keys.
+This module holds the writers (the bounds come from :mod:`pptlab.certifier`)
+and the writers' half of the sparse codec.  The readers, the ppt verifier
+and :data:`VERIFIERS` are the replay kernel's, imported from there under
+their names; the two sn-verdict halves, which ``pptbench/tracer.py`` wraps
+here by name, are forwards that import :mod:`pptlab.minors` when called,
+so that ``ppt-check``, ``build`` and ``extend`` never compile it.  A grid
+graph is read into a state by :func:`constructions.graph_state`, an
+extension step by :func:`extender.step_from_json`, next to the step kinds'
+keys.
 """
 
 from __future__ import annotations
@@ -34,8 +35,17 @@ from . import replay as rp
 from .replay import (VERIFIERS, CertificateInvalid, MalformedData, load,  # noqa: F401
                      matrix_from_json, ppt_state_from_json, sn_verdict_text,
                      state_from_json, vector_from_json, verify_certificate,
-                     verify_ppt_certificate, verify_sn_lower_certificate,
-                     verify_sn_upper_certificate)
+                     verify_ppt_certificate)
+
+
+def verify_sn_lower_certificate(half: dict, s: rp.BipartiteState) -> bool:
+    from .minors import verify_sn_lower_certificate
+    return verify_sn_lower_certificate(half, s)
+
+
+def verify_sn_upper_certificate(half: dict, s: rp.BipartiteState) -> bool:
+    from .minors import verify_sn_upper_certificate
+    return verify_sn_upper_certificate(half, s)
 
 
 def matrix_to_json(M: rp.ExactMatrix) -> dict:
@@ -48,7 +58,12 @@ def matrix_to_json(M: rp.ExactMatrix) -> dict:
 
 def vector_to_json(v: rp.Vector) -> list:
     """The nonzero entries of ``v`` as ``[index, "p/q"]`` pairs."""
-    return rp._sparse_to_json(v, rp.format_scalar)
+    return _sparse_to_json(v, rp.format_scalar)
+
+
+def _sparse_to_json(v, value) -> list:
+    """``[index, value(x)]`` for each nonzero entry ``x`` of ``v``, in index order."""
+    return [[i, value(x)] for i, x in enumerate(v) if x]
 
 
 def state_to_json(s: rp.BipartiteState) -> dict:
@@ -94,7 +109,7 @@ def _psd_json(res: rp.PsdResult) -> dict:
 
 
 def _sn_lower_json(lower) -> dict:
-    """The lower half that :func:`replay._read_sn_lower` reads."""
+    """The lower half that :func:`minors._read_sn_lower` reads."""
     return {"value": lower.value,
             "witness_variable": lower.witness_variable,
             "variables": list(lower.variables),
@@ -105,11 +120,11 @@ def _sn_lower_json(lower) -> dict:
 
 
 def _cofactor_json(terms: dict) -> dict:
-    """The ``{"terms": [[monomial, "p/q"], ...]}`` of :func:`replay._cofactor`, in
+    """The ``{"terms": [[monomial, "p/q"], ...]}`` of :func:`minors._cofactor`, in
     ascending grevlex order, each monomial its ``[variable, exponent]`` pairs."""
     from . import minors as mi
 
-    return {"terms": [[rp._sparse_to_json(m, int), rp.format_scalar(c)]
+    return {"terms": [[_sparse_to_json(m, int), rp.format_scalar(c)]
                       for m, c in sorted(terms.items(), key=lambda t: mi._grevlex_key(t[0]))]}
 
 

@@ -16,7 +16,7 @@ def run(args) -> int:
     else:
         print("build: need --graph or --state", file=sys.stderr)
         return EXIT_INPUT
-    payload = se.state_to_json(state)
+    payload = dict(se.state_to_json(state), label=args.label or state.label)
     _emit(args, payload, text=f"built {state.dim_a}x{state.dim_b} state "
-          f"{state.label!r} (trace {state.matrix.trace()})")
+          f"{payload['label']!r} (trace {state.matrix.trace()})")
     return EXIT_OK

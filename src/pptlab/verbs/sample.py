@@ -5,12 +5,12 @@ import sys
 
 from .. import numlab as nl
 from ..errors import ConvergenceFailure
-from . import EXIT_INCONCLUSIVE, EXIT_OK, InputError, _emit, _parse
+from . import EXIT_INCONCLUSIVE, EXIT_OK, InputError, _emit
 
 
 def run(args) -> int:
-    m, n = _parse(_parse_dims, args.dims)
-    p, q = _parse(_parse_birank, args.birank)
+    m, n = _int_pair("--dims", args.dims)
+    p, q = _int_pair("--birank", args.birank)
     _check_seed(args.seed)
     try:
         st = nl.gauss_newton_birank(m, n, p, q, seed=args.seed)
@@ -37,11 +37,12 @@ def _check_seed(seed: int) -> None:
         raise InputError("--seed must be at least 0")
 
 
-def _parse_dims(text: str):
-    m, n = text.lower().split("x")
-    return int(m), int(n)
-
-
-def _parse_birank(text: str):
-    p, q = text.split(",")
-    return int(p), int(q)
+def _int_pair(option: str, text: str) -> tuple:
+    """The two ints ``text`` gives ``--dims`` or ``--birank``; else an
+    :class:`InputError` naming the option's form."""
+    sep, form = ("x", "MxN, e.g. 3x3") if option == "--dims" else (",", "p,q, e.g. 4,4")
+    try:
+        a, b = map(int, text.lower().split(sep))
+    except ValueError:  # a count other than two, or a part that is no int
+        raise InputError(f"{option} {text!r} is not of the form {form}") from None
+    return a, b

@@ -1,13 +1,13 @@
 """``pptlab survey``: the unextendibility survey over dimensions and biranks."""
 
 from .. import numlab as nl
-from . import EXIT_OK, InputError, _emit, _parse
-from .sample import _check_seed, _parse_birank, _parse_dims
+from . import EXIT_OK, InputError, _emit
+from .sample import _check_seed, _int_pair
 
 
 def run(args) -> int:
-    dims = [_parse(_parse_dims, d) for d in args.dims.split()]
-    biranks = [_parse(_parse_birank, b) for b in args.birank.split()]
+    dims = [_int_pair("--dims", d) for d in args.dims.split()]
+    biranks = [_int_pair("--birank", b) for b in args.birank.split()]
     for option, values in (("--dims", dims), ("--birank", biranks)):
         if not values:  # an empty survey would report nothing and exit 0
             raise InputError(f"{option} lists nothing to survey")

@@ -4,16 +4,20 @@
 usage and error text stays the one the parser of all verbs prints.
 ``cli.main``, the console script, freezes the collector's objects on every
 way out of ``cli.run``, so that the interpreter's shutdown skips them;
-``cli.run`` itself, which long-lived processes call, never freezes.
+``cli.run`` itself, which long-lived processes call, never freezes.  A
+reader that closes the output pipe early ends the process with 141.
 """
 
 import argparse
 import gc
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-from loaded_lines import probe
+from loaded_lines import SRC, probe
 
 from pptlab import cli
 
@@ -102,6 +106,20 @@ def test_main_freezes_the_collector_on_every_exit(workdir, argv, code):
     runs before the interpreter's last collections, finds the objects frozen."""
     exited, found, _ = probe(argv, workdir)
     assert (exited, found["frozen"] > 0) == (code, True)
+
+
+@pytest.mark.parametrize("argv", [["verify", "ppt.json"], ["verify", "forged.json"],
+                                  ["ppt-check", "--state", "rho3x3", "--json"]],
+                         ids=["verify-ok", "verify-failed", "ppt-check-json"])
+def test_a_closed_output_pipe_exits_141_with_nothing_on_stderr(workdir, argv):
+    """``pptlab verify GOOD.json | head -c0`` printed a ``BrokenPipeError``
+    traceback and exited 1, which reads as a failed replay."""
+    proc = subprocess.Popen([sys.executable, "-m", "pptlab.cli", *argv], cwd=workdir,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=str(SRC)))
+    proc.stdout.close()  # the reader is gone before the verb prints
+    assert (proc.wait(), proc.stderr.read()) == (141, b"")
+    proc.stderr.close()
 
 
 def test_run_leaves_the_collector_unfrozen(workdir):

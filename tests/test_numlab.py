@@ -1,14 +1,19 @@
 """Floating-point sampling laboratory."""
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
 import tracemalloc
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pptlab import cli
 from pptlab import constructions as co
@@ -486,3 +491,64 @@ def test_a_survey_batches_its_samples_by_their_memory(monkeypatch, capsys):
     alone, alone_peak = _survey_json_and_peak(capsys, argv)
     assert alone == together and json.loads(alone)["reports"][0]["converged"] == 2
     assert alone_peak < 0.8 * together_peak, (alone_peak, together_peak)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sample", "--dims", "3x3x3", "--birank", "4,4"], "--dims '3x3x3' is not of the form MxN"),
+    (["sample", "--dims", "3x3", "--birank", "4,4,4"], "--birank '4,4,4' is not of the form p,q"),
+    (["survey", "--dims", "3x3 3", "--birank", "4,4"], "--dims '3' is not of the form MxN"),
+    (["survey", "--dims", "3x3", "--birank", "4,a"], "--birank '4,a' is not of the form p,q"),
+], ids=["sample-dims", "sample-birank", "survey-dims", "survey-birank"])
+def test_a_malformed_pair_exits_2_naming_its_form(argv, message, capsys):
+    """``3x3x3`` and ``4,4,4`` exited 2 with ``ValueError: too many values to
+    unpack (expected 2)``."""
+    assert cli.run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{argv[0]}: {message}, e.g. ") and err.count("\n") == 1
+
+
+def _run(argv) -> tuple:
+    """``(exit code, stdout, stderr)`` of ``cli.run(argv)``; a ``SystemExit``
+    counts as its code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _pair_text(separators, largest: int):
+    """A ``--dims`` or ``--birank`` value: two ints up to ``largest`` joined
+    by one of ``separators``, or zero to three parts so joined, each such an
+    int or a token that is no int or gives a huge size.  With ``largest`` 3
+    a ``--dims`` has at most 9 levels, so a valid sample takes milliseconds."""
+    small = st.integers(-1, largest).map(str)
+    part = small | st.sampled_from(["", " ", "a", "1.5", "1e1", "+2", " 2 ", "x", ",", "999"])
+    return st.builds(str.join, st.sampled_from(separators),
+                     st.lists(small, min_size=2, max_size=2) | st.lists(part, max_size=3))
+
+
+@settings(max_examples=80, deadline=timedelta(seconds=5),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(verb=st.sampled_from(["sample", "survey"]),
+       dims=st.lists(_pair_text(["x", "X"], 3), min_size=1, max_size=2),
+       biranks=st.lists(_pair_text([","], 9), min_size=1, max_size=2),
+       seed=st.integers(0, 2 ** 70) | st.integers(-2, -1),
+       samples=st.integers(1, 2) | st.integers(-1, 0))
+def test_the_numeric_verbs_are_total_on_their_options(verb, dims, biranks, seed, samples):
+    """Whatever ``--dims``, ``--birank``, ``--seed`` and ``--samples`` hold,
+    ``sample`` and ``survey`` (in process, at most 9 levels and 2 samples)
+    exit 0 with output, 1 (a sample that does not converge) or 2 with one
+    line on stderr, naming the verb, and nothing on stdout."""
+    argv = [verb, f"--dims={dims[0] if verb == 'sample' else ' '.join(dims)}",
+            f"--birank={biranks[0] if verb == 'sample' else ' '.join(biranks)}",
+            f"--seed={seed}"] + ([f"--samples={samples}"] if verb == "survey" else [])
+    code, out, err = _run(argv)
+    assert code in (0, 1, 2), (argv, code, out, err)
+    if code == 0:
+        assert out and err == "", (argv, err)
+    else:
+        assert out == "" and err.count("\n") == 1 and err.startswith(f"{verb}: "), \
+            (argv, code, out, err)

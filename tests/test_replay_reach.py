@@ -1,15 +1,17 @@
-"""The replay kernel holds what ``verify`` runs, and builder-only code
-only where it is named.
+"""The replay holds what ``verify`` runs, and builder-only code only where
+it is named.
 
-``replay.py`` is what a reader of a certificate has to trust, so code that
-only the builders run belongs in ``exactmat``, ``qstates``, ``serialize`` or
-``numlab``.  With ``sys.setprofile`` the test records every ``replay``
-function that ``pptlab verify`` (through :func:`cli.run`, in process) runs
-over the committed certificates and over fresh ones: ppt certificates of
-edge and matrix states, PSD and NPT, and sn-verdicts, proven on either
-basis and inconclusive.  It fails when the kernel defines a function
-outside that set and outside :data:`KEPT`, the builder-only names that stay
-in the kernel, each group for its stated reason.
+``replay.py`` (the shared core and the ppt replay) and ``minors.py`` (the
+sn-verdict replay) are what a reader of a certificate has to trust, so code
+that only the builders run belongs in ``exactmat``, ``qstates``,
+``serialize``, ``numlab`` or the certifier.  With ``sys.setprofile`` the
+test records every function of the two modules that ``pptlab verify``
+(through :func:`cli.run`, in process) runs over the committed certificates
+and over fresh ones: ppt certificates of edge and matrix states, PSD and
+NPT, and sn-verdicts, proven on either basis and inconclusive.  It fails
+when either module defines a function outside that set and outside
+:data:`KEPT` or :data:`MINORS_KEPT`, the builder-only names that stay, each
+group for its stated reason.
 """
 
 import contextlib
@@ -23,6 +25,7 @@ from pathlib import Path
 import pytest
 
 from pptlab import cli
+from pptlab import minors as mi
 from pptlab import replay as rp
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -34,37 +37,39 @@ KEPT = {
     "_psd_witness", "_int_matrix", "_int_hermitian", "ExactMatrix.is_hermitian", "state_ldl",
     "PsdResult.rank",
     # the value protocol of the kernel's immutable types: the builders compare,
-    # hash, print and do arithmetic on the same objects the replay makes
+    # hash, print and do arithmetic on the same objects the replay makes, and a
+    # failing test prints a scalar's value
     "GaussianRational.__setattr__", "GaussianRational.__hash__", "GaussianRational.__repr__",
     "GaussianRational.__str__", "GaussianRational.__neg__", "GaussianRational.__sub__",
-    "GaussianRational.__rsub__",
-    "GaussianRational.__truediv__", "GaussianRational.__rtruediv__", "GaussianRational.abs2",
-    "ExactMatrix.__setattr__", "ExactMatrix.__hash__", "ExactMatrix.__repr__",
-    "ExactMatrix.__sub__", "ExactMatrix.__neg__", "ExactMatrix.__mul__", "ExactMatrix.scale",
+    "GaussianRational.__truediv__", "GaussianRational.abs2", "ExactMatrix.__setattr__",
+    "ExactMatrix.__hash__", "ExactMatrix.__sub__", "ExactMatrix.scale",
     "ExactMatrix._check_same_shape", "Subspace.__setattr__", "Subspace.__eq__",
-    "Subspace.__hash__", "Subspace.__repr__", "BipartiteState.__setattr__",
-    "BipartiteState.__eq__", "BipartiteState.__repr__",
+    "BipartiteState.__setattr__", "BipartiteState.__eq__",
     # ExactMatrix's constructors and algebra, which the builders call as methods
     "ExactMatrix.zeros", "ExactMatrix.identity", "ExactMatrix.diag", "ExactMatrix.from_cols",
     "ExactMatrix.row", "ExactMatrix.tolists", "ExactMatrix.adjoint", "ExactMatrix.conjugate",
     "ExactMatrix.trace", "ExactMatrix.kron", "ExactMatrix.is_zero",
-    # the writers' half of the sparse codec, beside its reader
-    "_sparse_to_json",
     # reached only on a failing input: a scalar past the int-to-text digit limit
     "_decimal_digits",
 }
 
+MINORS_KEPT = {
+    # the grevlex order that _Packing encodes, by which the writers and the
+    # Groebner oracle sort monomials
+    "_grevlex_key",
+}
 
-def _defined() -> set:
-    """The qualified names of the functions and methods ``replay`` defines."""
+
+def _defined(module) -> set:
+    """The qualified names of the functions and methods ``module`` defines."""
     found = set()
-    for obj in vars(rp).values():
-        if getattr(obj, "__module__", None) != rp.__name__:
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
             continue
         members = vars(obj).values() if inspect.isclass(obj) else [obj]
         for member in members:
             member = getattr(member, "__func__", getattr(member, "fget", member))
-            if inspect.isfunction(member) and member.__module__ == rp.__name__:
+            if inspect.isfunction(member) and member.__module__ == module.__name__:
                 found.add(member.__code__.co_qualname)
     return found
 
@@ -108,14 +113,16 @@ def _certificates(tmp_path) -> list:
 
 
 @pytest.fixture(scope="module")
-def reached(tmp_path_factory) -> set:
-    """The qualified names of the ``replay`` functions that ``verify`` runs."""
+def reached(tmp_path_factory) -> dict:
+    """``{module: the qualified names of its functions that verify runs}``
+    for ``replay`` and ``minors``."""
     paths = _certificates(tmp_path_factory.mktemp("reach"))
-    found = set()
+    found = {rp: set(), mi: set()}
+    files = {module.__file__: names for module, names in found.items()}
 
     def record(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == rp.__file__:
-            found.add(frame.f_code.co_qualname)
+        if event == "call" and frame.f_code.co_filename in files:
+            files[frame.f_code.co_filename].add(frame.f_code.co_qualname)
 
     for path in paths:
         sys.setprofile(record)
@@ -128,10 +135,18 @@ def reached(tmp_path_factory) -> set:
 
 
 def test_the_kernel_defines_only_what_verify_runs_or_names_why_it_stays(reached):
-    assert sorted(_defined() - reached - KEPT) == []
+    assert sorted(_defined(rp) - reached[rp] - KEPT) == []
 
 
 def test_every_kept_name_is_defined_and_unreached(reached):
     """A name that ``verify`` now runs, or that left the kernel, leaves :data:`KEPT`."""
-    assert sorted(KEPT - (_defined() - reached)) == []
+    assert sorted(KEPT - (_defined(rp) - reached[rp])) == []
+
+
+def test_the_sn_verdict_replay_defines_only_what_verify_runs_or_names_why_it_stays(reached):
+    assert sorted(_defined(mi) - reached[mi] - MINORS_KEPT) == []
+
+
+def test_every_kept_sn_verdict_replay_name_is_defined_and_unreached(reached):
+    assert sorted(MINORS_KEPT - (_defined(mi) - reached[mi])) == []
 

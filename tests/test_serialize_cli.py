@@ -124,6 +124,26 @@ def test_cli_build_from_graph(tmp_path):
     assert st.dims == (2, 2)
 
 
+def test_cli_build_label_names_a_named_or_stored_state(tmp_path, capsys):
+    """``--label`` was ignored with ``--state``: ``build --state rho3x3
+    --label mine`` wrote ``"label": "rho3x3"``.  A graph's state is still
+    ``grid-state`` unless labeled."""
+    stored = tmp_path / "rho3x3.json"
+    assert cli.run(["build", "--state", "rho3x3", "--out", str(stored)]) == 0
+    plain = json.loads(stored.read_text())
+    capsys.readouterr()
+    for ref in ("rho3x3", str(stored)):
+        assert cli.run(["build", "--state", ref, "--label", "mine", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {**plain, "label": "mine"}
+        assert cli.run(["build", "--state", ref, "--label", "mine"]) == 0
+        assert capsys.readouterr().out == "built 3x3 state 'mine' (trace 13)\n"
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"dims": [2, 2], "solid": [{"sites": [[0, 0]], "weight": "1"}]}))
+    for label, expected in (([], "grid-state"), (["--label", "g"], "g")):
+        assert cli.run(["build", "--graph", str(graph), "--json", *label]) == 0
+        assert json.loads(capsys.readouterr().out)["label"] == expected
+
+
 @pytest.mark.parametrize("dims", [[2.0, 2], [True, 2], [2], [0, 2]],
                          ids=["float", "bool", "one", "zero"])
 def test_cli_build_refuses_graph_dims_that_are_not_two_positive_ints(dims, tmp_path, capsys):
@@ -944,7 +964,7 @@ def test_cli_import_loads_no_numpy():
 def test_serialize_import_loads_no_algcert():
     """Importing serialize loads neither algcert nor logging, which only
     algcert uses, nor the replay kernel or the named constructions: an
-    sn-lower replay imports ``minors`` when it runs, and only ``build``
+    sn-verdict replay imports ``minors`` when it runs, and only ``build``
     and named states ``constructions``, so a process that reads only
     states and ppt certificates skips all four."""
     names = ["pptlab.algcert", "logging", "pptlab.minors", "pptlab.constructions"]
@@ -1560,18 +1580,18 @@ def test_sn_verdict_parses_its_state_once(rho3x3_verdict, spy):
 @pytest.mark.parametrize("conclusive", [True, False], ids=["both-halves", "inconclusive"])
 def test_sn_verdict_replays_through_the_module_half_verifiers(rho3x3_verdict, monkeypatch,
                                                               conclusive):
-    """``verify_sn_verdict`` calls the replay kernel's
+    """``verify_sn_verdict`` calls the sn-verdict replay's
     ``verify_sn_lower_certificate`` and ``verify_sn_upper_certificate``
-    (which a tracer can wrap by name there), each once, with its half and
+    (in ``minors``, where it runs them by name), each once, with its half and
     the one parsed state."""
     calls = []
 
     def counted(name):
-        replay = getattr(rp, name)
+        replay = getattr(mi, name)
         return lambda half, state: calls.append((name, half, state)) or replay(half, state)
 
     for name in ("verify_sn_lower_certificate", "verify_sn_upper_certificate"):
-        monkeypatch.setattr(rp, name, counted(name))
+        monkeypatch.setattr(mi, name, counted(name))
     cert = _copy(rho3x3_verdict)
     if not conclusive:
         del cert["lower"]
