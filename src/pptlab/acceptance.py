@@ -327,7 +327,7 @@ def criterion_7(seed: int) -> CriterionResult:
             gcols = rng.randint(1, 2)
             G = em.ExactMatrix([[_random_scalar(rng) for _ in range(gcols)]
                                 for _ in range(n)])
-            edge = ex._flat_edge(core_mat, chi)[1] + G.matmul(G.adjoint())
+            edge = ex._flat_edge(core_mat, chi)[1] + G.matmul(em.adjoint(G))
             blocks = ex.ExtensionBlocks(core, chi, edge, "A", m)
             ext = ex.assemble_extension(blocks)
             try:  # the lift checks its own sum against the extension, bit for bit
@@ -387,13 +387,13 @@ def criterion_9(seed: int) -> CriterionResult:
             gcols = rng.randint(1, edge_dim)
             G = em.ExactMatrix([[_random_scalar(rng) for _ in range(gcols)]
                                 for _ in range(edge_dim)])
-            We = G.matmul(G.adjoint())
+            We = G.matmul(em.adjoint(G))
             C = em.ExactMatrix([[_random_scalar(rng) for _ in range(edge_dim)]
                                 for _ in range(core_cells)])
             chi = C.matmul(We)
             A = em.ExactMatrix([[_random_scalar(rng) for _ in range(core_cells)]
                                 for _ in range(core_cells)])
-            Wc = A + A.adjoint()
+            Wc = A + em.adjoint(A)
             perp = rng.randrange(m if side == "A" else n)
             core_dims = (m - 1, n) if side == "A" else (m, n - 1)
             W = ex.assemble_matrix(Wc, chi, We, core_dims, side, perp)

@@ -204,8 +204,12 @@ def _unpack(P: mi._Packing, key: int) -> tuple:  # the oracle's, as is _lcm
     return tuple(mx - ((key >> (w * i)) & mx) for i in range(P.nvars))
 
 
-def _lcm(P: mi._Packing, a: int, b: int) -> int:
-    g, w = P.guard, P.width
+def _guard(P: mi._Packing) -> int:  # a divides b iff ((a | guard) - b) & guard == guard
+    return sum(1 << (P.width * i + P.width - 1) for i in range(P.nvars))
+
+
+def _lcm(P: mi._Packing, g: int, a: int, b: int) -> int:
+    w = P.width
     ge = ((a | g) - b) & g                  # guards of fields with e_a <= e_b
     ge -= ge >> (w - 1)                     # ... widened to their value bits
     low = (b & ge) | (a & (P.one ^ ge))     # per-field min = per-variable max
@@ -277,8 +281,9 @@ def normal_form(p: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     divisible by any basis leading monomial.
     """
     P = mi._Packing(p.ring.nvars)
-    divisors = [_divisor(pack_terms(P, g), P.guard) for g in basis if g]
-    return polynomial(P, p.ring, _reduce(pack_terms(P, p), divisors, P.guard))
+    guard = _guard(P)
+    divisors = [_divisor(pack_terms(P, g), guard) for g in basis if g]
+    return polynomial(P, p.ring, _reduce(pack_terms(P, p), divisors, guard))
 
 
 def _interreduce(terms_list: Iterable[dict], guard: int) -> list:
@@ -329,14 +334,14 @@ def _gm_update(P: mi._Packing, polys: list, G: list, pairs: list, ih: int) -> No
     ``G`` holds basis indices, ``pairs`` is a heap of ``(lcm, i, j)``; both
     are updated in place.
     """
-    guard, top = P.guard, P.width * P.nvars     # a packed monomial's degree is key >> top
+    guard, top = _guard(P), P.width * P.nvars     # a packed monomial's degree is key >> top
     lead_h = polys[ih][1]
     deg_h = lead_h >> top
     lcms = {}
     cand = []
     for ig in G:
         lead_g = polys[ig][1]
-        l = lcms[ig] = _lcm(P, lead_h, lead_g)
+        l = lcms[ig] = _lcm(P, guard, lead_h, lead_g)
         cand.append((l, l >> top != deg_h + (lead_g >> top), ig))
     # chain criterion (M and F): keep only the pairs whose lcm no other new
     # pair's lcm divides.  A divisor has lower degree or is equal, so one
@@ -351,7 +356,7 @@ def _gm_update(P: mi._Packing, polys: list, G: list, pairs: list, ih: int) -> No
     # criterion B on the old pairs: drop (i, j) when lead_h divides its lcm
     # and the pairs (i, h), (j, h) have smaller lcms
     def lcm_with_h(i):
-        return lcms[i] if i in lcms else _lcm(P, polys[i][1], lead_h)
+        return lcms[i] if i in lcms else _lcm(P, guard, polys[i][1], lead_h)
 
     hg = lead_h | guard
     surviving = []
@@ -379,7 +384,7 @@ def buchberger(generators: Sequence[Polynomial]) -> list:
         return []
     ring = generators[0].ring
     P = mi._Packing(ring.nvars)
-    guard = P.guard
+    guard = _guard(P)
     polys = _interreduce([pack_terms(P, g) for g in generators], guard)
     G: list = []
     pairs: list = []

@@ -129,7 +129,7 @@ class Rho45Pipeline(NamedTuple):
 
 RHO_4X5_STEPS = (
     # a direct sum on A: the new level carries 3|30><30| + 3|32><32|
-    qs.ExtensionStep("direct_sum", "A", {"edge": em.ExactMatrix.diag([3, 0, 3])},
+    qs.ExtensionStep("direct_sum", "A", {"edge": em.diag([3, 0, 3])},
                      "rho4x3", ("p30", "p32")),
     # B-extensions with couplings |20><3|_A and then |02><3|_A
     qs.ExtensionStep("product_pair", "B", {"alpha": em.basis_vector(3, 0),

@@ -19,10 +19,12 @@ never materialized; its action is available through
 
 What ``verify`` runs (scalars, :class:`ExactMatrix`, :func:`weighted_gram`,
 the elimination, :class:`Subspace`, :func:`rank` and :func:`psd_check`)
-lives in the replay kernel :mod:`pptlab.replay`; this module imports it
-from there, so ``em.psd_check`` and the rest keep their names, and holds the
-column spaces, annihilators, subspace membership, kernels, solves and
-projectors only the certifiers and the extension layer use.
+lives in the replay kernel :mod:`pptlab.replay`, imported here under the
+same names.  One rule places a matrix operation: :class:`ExactMatrix` keeps
+its value protocol, what ``verify`` runs and what the benchmark pins, and
+what only the builders call is a function here: :func:`zeros`, :func:`diag`,
+:func:`adjoint` and the rest of the algebra, column spaces, annihilators,
+subspace membership, kernels, solves and projectors.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ I_UNIT = GaussianRational(0, 1)
 
 
 # ---------------------------------------------------------------------------
-# vectors: plain tuples of GaussianRational
+# vectors (plain tuples of GaussianRational) and the builders' matrix algebra
 # ---------------------------------------------------------------------------
 
 def basis_vector(n: int, j: int) -> Vector:
@@ -56,6 +58,31 @@ def kron_vec(u: Vector, v: Vector) -> Vector:
 
 def is_zero_vector(v: Vector) -> bool:
     return not any(v)
+
+
+def zeros(rows: int, cols: int) -> ExactMatrix:
+    return ExactMatrix([[ZERO] * cols for _ in range(rows)])
+
+
+def diag(values: Sequence) -> ExactMatrix:
+    return ExactMatrix([[x if i == j else ZERO for j in range(len(values))]
+                        for i, x in enumerate(values)])
+
+
+def adjoint(M: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix([[x.conj() for x in col] for col in zip(*M._e)])
+
+
+def conjugate(M: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix([[x.conj() for x in row] for row in M._e])
+
+
+def trace(M: ExactMatrix) -> GaussianRational:
+    return sum((M.entry(i, i) for i in range(min(M.rows, M.cols))), ZERO)
+
+
+def is_zero(M: ExactMatrix) -> bool:
+    return not any(any(row) for row in M._e)
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +170,10 @@ def orth_projector(S: Subspace) -> ExactMatrix:
     if S.ambient_dim < 1:
         raise DimensionMismatch("ambient dimension must be at least 1")
     if S.dim == 0:
-        return ExactMatrix.zeros(S.ambient_dim, S.ambient_dim)
-    C = ExactMatrix.from_cols(S.basis)        # ambient x k
-    G = C.adjoint().matmul(C)                 # k x k, positive definite
-    X = solve_on_range_matrix(G, C.adjoint())  # G^{-1} C*, unique: G is invertible
+        return zeros(S.ambient_dim, S.ambient_dim)
+    C = ExactMatrix(zip(*S.basis))            # ambient x k, the basis as columns
+    G = adjoint(C).matmul(C)                  # k x k, positive definite
+    X = solve_on_range_matrix(G, adjoint(C))  # G^{-1} C*, unique: G is invertible
     return C.matmul(X)
 
 

@@ -112,10 +112,12 @@ def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int)
     """Split an operator on an ``m x n`` system at one local level.
 
     Returns ``(core, coupling, edge, core_dims)`` where ``core`` excludes
-    the level ``perp_index`` of the chosen side.
+    the level ``perp_index`` of the chosen side, which must have another.
     """
     if M.shape != (m * n, m * n):
         raise DimensionMismatch("operator size does not match dimensions")
+    if (m if side == "A" else n) < 2:
+        raise BoundsViolation(f"side {side} has one level: splitting it off leaves no core")
     core_idx, new_idx = level_indices(m, n, side, perp_index)
     core_dims = (m - 1, n) if side == "A" else (m, n - 1)
     core = em.ExactMatrix([[M.entry(r, c) for c in core_idx] for r in core_idx])
@@ -175,7 +177,7 @@ def _flat_edge(rho_c: em.ExactMatrix, chi: em.ExactMatrix):
     signals that no edge block makes the assembled operator PSD.
     """
     K = em.solve_on_range_matrix(rho_c, chi)
-    return K, chi.adjoint().matmul(K)
+    return K, em.adjoint(chi).matmul(K)
 
 
 def schur_complement(blocks: ExtensionBlocks) -> em.ExactMatrix:
@@ -252,7 +254,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     if not em.psd_check(rho_ta).is_psd:
         raise NotPPT("core state is not PPT")
     range_ab = em.column_space(core.matrix)
-    range_ac = em.column_space(rho_ta.conjugate())
+    range_ac = em.column_space(em.conjugate(rho_ta))
     sol = _choi_null_space(m, n, range_ab, range_ac)
     basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
     # Choi vector i: the SLOCC coupling by |i>, columns i*n .. i*n + n-1 of the core
@@ -311,7 +313,7 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side,
     """
     X = _product_columns(core, phi, side)
     chi = core.matrix.matmul(X)
-    blocks = ExtensionBlocks(core, chi, X.adjoint().matmul(chi), side,
+    blocks = ExtensionBlocks(core, chi, em.adjoint(X).matmul(chi), side,
                              core.dim_a if side == "A" else core.dim_b)
     return assemble_extension(blocks, label or f"slocc({core.label})")
 
@@ -374,7 +376,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
         flat_edge(rho_t, em.ExactMatrix.outer(ag, beta),
                   "partial conjugate not in the transposed range of rho_c")
     X = _product_columns(core, alpha, side)
-    r_loc = em.rank(X.adjoint().matmul(rho.matmul(X)))
+    r_loc = em.rank(em.adjoint(X).matmul(rho.matmul(X)))
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
@@ -424,7 +426,7 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     blocks = split_blocks(ext, side, perp_index)
     m, n = blocks.core.dims
     K, flat_edge = _flat_edge(blocks.core.matrix, blocks.coupling)
-    Kadj = K.adjoint()
+    Kadj = em.adjoint(K)
     m_ext, n_ext = ext.dims
     core_idx, new_idx = level_indices(m_ext, n_ext, side, perp_index)
     lifted = []
@@ -436,8 +438,8 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
             out[r] = t
         lifted.append((tuple(out), w))
     remainder_edge = blocks.edge - flat_edge
-    zero_core = em.ExactMatrix.zeros(m * n, m * n)
-    zero_chi = em.ExactMatrix.zeros(m * n, remainder_edge.rows)
+    zero_core = em.zeros(m * n, m * n)
+    zero_chi = em.zeros(m * n, remainder_edge.rows)
     remainder = assemble_matrix(zero_core, zero_chi, remainder_edge, (m, n), side, perp_index)
     total = remainder + em.weighted_gram([v for v, _ in lifted], [w for _, w in lifted],
                                          m_ext * n_ext)
@@ -453,7 +455,7 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
 def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix, side: Side,
                           label: str) -> qs.BipartiteState:
     """Extension with zero coupling: the new level carries ``edge`` alone."""
-    chi = em.ExactMatrix.zeros(core.dim_a * core.dim_b, edge.rows)
+    chi = em.zeros(core.dim_a * core.dim_b, edge.rows)
     perp = core.dim_a if side == "A" else core.dim_b
     return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), label=label)
 
@@ -522,10 +524,13 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
 
     When ``core`` carries edges, each step lifts them through the extension
     (:func:`lift_decomposition`) and adds the remainder's LDL* rank-one
-    parts under the step's ``names`` (``<side><level>_<t>`` when None).
+    parts under the step's ``names`` (``<side><level>_<t>`` when None); a
+    step on a state without edges takes no ``names``.
     """
     states = []
     for step in steps:
+        if core.edges is None and step.names is not None:
+            raise PreconditionViolation(f"{step.label}: a state without edges takes no names")
         ext = apply_step(core, step)
         if core.edges is not None:
             perp = (ext.dim_a if step.side == "A" else ext.dim_b) - 1
@@ -620,14 +625,14 @@ def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
     of ``blocks``.
     """
     core = blocks.core.matrix
-    if core.is_zero():
+    if em.is_zero(core):
         if em.rank(blocks.edge) <= 1:
             return PsdExtremality(True, "rank-one edge with zero core", None, ())
         parts = _embedded_rank_ones(em.psd_check(blocks.edge), blocks)
         return PsdExtremality(False, "edge block of rank above one", None, parts)
     flat_edge = _flat_edge(core, blocks.coupling)[1]
     rho_ec = blocks.edge - flat_edge
-    if rho_ec.is_zero():
+    if em.is_zero(rho_ec):
         return PsdExtremality(True, "flat extension", None, ())
     flat = assemble_matrix(core, blocks.coupling, flat_edge, blocks.core.dims, blocks.side,
                            blocks.perp_index)
@@ -686,8 +691,8 @@ def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     triv = em.subspace_intersection(em.column_space(rho_ec), r2).dim == 0
     # couplings in R(rho_c) (x) conj R(rho_ec) and in conj R(rho_c^Ta) (x) R(rho_ec^Ta)
     inter = _choi_null_space(m, n, em.column_space(blocks_a.core.matrix),
-                             em.column_space(core_ta.conjugate()),
-                             range_c=em.column_space(rho_ec.conjugate()), range_b=r2)
+                             em.column_space(em.conjugate(core_ta)),
+                             range_c=em.column_space(em.conjugate(rho_ec)), range_b=r2)
     certified = triv and inter.dim == 0
     verdict = "Extremal" if certified else "NotCertified"
     return PptExtremality(certified, triv, inter.dim, verdict)
@@ -711,11 +716,11 @@ def witness_schur_peel(W: em.ExactMatrix, dims: tuple, side: Side, perp_index: i
     if not W.is_hermitian():
         raise NotHermitian("witness must be Hermitian")
     Wc, chi, We, core_dims = split_matrix(W, m, n, side, perp_index)
-    flat_core = _flat_edge(We, chi.adjoint())[1]  # chi W_e^{-1} chi*
+    flat_core = _flat_edge(We, em.adjoint(chi))[1]  # chi W_e^{-1} chi*
     W_peeled = Wc - flat_core
     psd_part = assemble_matrix(flat_core, chi, We, core_dims, side, perp_index)
-    embedded = assemble_matrix(W_peeled, em.ExactMatrix.zeros(*chi.shape),
-                               em.ExactMatrix.zeros(*We.shape), core_dims, side, perp_index)
+    embedded = assemble_matrix(W_peeled, em.zeros(*chi.shape),
+                               em.zeros(*We.shape), core_dims, side, perp_index)
     if embedded + psd_part != W:
         raise DecompositionMismatch("peeled witness and PSD part do not reproduce the witness")
     return W_peeled, psd_part

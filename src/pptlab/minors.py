@@ -40,15 +40,15 @@ class _Packing:
     """Monomials of an ``nvars``-variable ring packed into one Python int.
 
     Fields, most significant first: ``[degree | MAX-e_{n-1} | ... | MAX-e_0]``,
-    each ``width`` bits with the top bit of every exponent field spare as a
-    guard.  Integer order is then grevlex, the product of ``a`` and ``b`` is
-    ``a + b - one``, the quotient ``a / b`` is ``a - b + one``, and ``a``
-    divides ``b`` iff ``((a | guard) - b) & guard == guard``.  Every packed
-    monomial has degree at most ``max``, so no field can wrap: packing
-    raises :class:`MonomialOverflow` instead (:meth:`check_degree`).
+    each ``width`` bits with the top bit of every exponent field spare (the
+    Groebner oracle's divisibility test reads it).  Integer order is then
+    grevlex, the product of ``a`` and ``b`` is ``a + b - one`` and the
+    quotient ``a / b`` is ``a - b + one``.  Every packed monomial has degree
+    at most ``max``, so no field can wrap: packing raises
+    :class:`MonomialOverflow` instead (:meth:`check_degree`).
     """
 
-    __slots__ = ("nvars", "width", "max", "one", "guard")
+    __slots__ = ("nvars", "width", "max", "one")
 
     def __init__(self, nvars: int):
         # up to 32 bytes per monomial: four-byte fields for small rings, one
@@ -58,7 +58,6 @@ class _Packing:
         self.width = width
         self.max = (1 << (width - 1)) - 1
         self.one = sum(self.max << (width * i) for i in range(nvars))
-        self.guard = sum(1 << (width * i + width - 1) for i in range(nvars))
 
     def pack(self, exps: tuple) -> int:
         if len(exps) != self.nvars or min(exps, default=0) < 0:

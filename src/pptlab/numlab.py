@@ -55,8 +55,8 @@ ROUNDING_SHIFT = Fraction(1, 2 ** 16)
 # seed of `pptlab sample --birank 4,4` took 0.8 s at 135 MB peak for 6x6, 3.7 s
 # at 396 MB for 7x7 and 17 s at 1.1 GB for 8x8 (2 vCPU)
 MAX_LEVELS = 36
-# the bytes of Gram matrices and Jacobians one lockstep batch of a survey row
-# stacks: 52 KB a sample at 3x3 (4,4), 156 KB at 3x4 (5,6), 10.6 MB at 5x5 (4,4)
+# the bytes one lockstep batch of a survey row holds, per sample its Gram matrix, Jacobian and
+# 12 complex (mn)^2 arrays: 68 KB at 3x3 (4,4), 249 KB at 6x6 (36,36), 10.7 MB at 5x5 (4,4)
 SURVEY_BATCH_BYTES = 2 ** 24
 
 
@@ -548,7 +548,7 @@ def _survey_samples(m: int, n: int, p: int, q: int, seeds: range):
     """``(seed, sample)`` per seed, from lockstep runs over consecutive batches
     within :data:`SURVEY_BATCH_BYTES`; a sample equals its batch of one bit for bit."""
     rows = (m * n - p) ** 2 + (m * n - q) ** 2  # a sample stacks rows^2 + rows (mn)^2 doubles
-    batch = max(1, SURVEY_BATCH_BYTES // max(8 * rows * (rows + (m * n) ** 2), 1))
+    batch = max(1, SURVEY_BATCH_BYTES // (8 * rows * (rows + (m * n) ** 2) + 192 * (m * n) ** 2))
     for part in (seeds[lo:lo + batch] for lo in range(0, len(seeds), batch)):
         yield from zip(part, gauss_newton_lockstep(m, n, p, q, part))
 

@@ -4,16 +4,18 @@ A certificate is trusted only as far as the code that replays it, so that
 code sits in this one bottom-layer module, which imports only
 :mod:`pptlab.errors` and the standard library: exact scalars
 (:class:`GaussianRational`) with their ``"p/q+r/s i"`` text form, dense
-matrices (:class:`ExactMatrix`) and the one Gram kernel
-:func:`weighted_gram`, the one row elimination (:func:`_echelon`) behind
-:class:`Subspace` and :func:`rank`, the pivoted LDL* :func:`psd_check`,
-the state record (:class:`BipartiteState`, checked once where it is made)
-with its partial transpose and the Schmidt rank of a vector, the JSON
-readers with the sparse ``[index, value]`` reader and the one field reader
-:func:`_fields`, which owns every stored layout's keys, the ppt verifier,
-and :data:`VERIFIERS`, through which :func:`verify_certificate` dispatches.
-The sn-verdict replay is :mod:`pptlab.minors`, which :data:`VERIFIERS`
-imports only to replay one, so a ppt ``verify`` never compiles it.
+matrices (:class:`ExactMatrix`: its value protocol, what ``verify`` runs and
+what the tracer pins; the builders' algebra is :mod:`pptlab.exactmat`'s) and
+the one Gram kernel :func:`weighted_gram`, the one row elimination
+(:func:`_echelon`) behind :class:`Subspace` and :func:`rank`, the pivoted
+LDL* :func:`psd_check`, the state record (:class:`BipartiteState`, checked
+once where it is made) with its partial transpose and the Schmidt rank of a
+vector, the JSON readers with the sparse ``[index, value]`` reader and the
+one field reader :func:`_fields`, which owns every stored layout's keys, the
+ppt verifier, and :data:`VERIFIERS`, through which
+:func:`verify_certificate` dispatches.  The sn-verdict replay is
+:mod:`pptlab.minors`, which :data:`VERIFIERS` imports only to replay one, so
+a ppt ``verify`` never compiles it.
 :mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and :mod:`pptlab.serialize`
 import the kernel from here.
 """
@@ -222,25 +224,8 @@ class ExactMatrix:
 
     # -- constructors ---------------------------------------------------
     @staticmethod
-    def zeros(rows: int, cols: int) -> "ExactMatrix":
-        return ExactMatrix([[ZERO] * cols for _ in range(rows)])
-
-    @staticmethod
     def identity(n: int) -> "ExactMatrix":
         return ExactMatrix([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def diag(values: Iterable) -> "ExactMatrix":
-        vals = [as_scalar(v) for v in values]
-        n = len(vals)
-        return ExactMatrix([[vals[i] if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def from_cols(columns: Sequence[Vector]) -> "ExactMatrix":
-        if not columns:
-            return ExactMatrix.zeros(0, 0)
-        n = len(columns[0])
-        return ExactMatrix([[columns[j][i] for j in range(len(columns))] for i in range(n)])
 
     @staticmethod
     def outer(u: Vector, v: Vector) -> "ExactMatrix":
@@ -301,32 +286,10 @@ class ExactMatrix:
             out.append(acc)
         return tuple(out)
 
-    def adjoint(self) -> "ExactMatrix":
-        return ExactMatrix([[self._e[i][j].conj() for i in range(self.rows)] for j in range(self.cols)])
-
-    def conjugate(self) -> "ExactMatrix":
-        return ExactMatrix([[x.conj() for x in row] for row in self._e])
-
-    def trace(self) -> GaussianRational:
-        acc = ZERO
-        for i in range(min(self.rows, self.cols)):
-            acc = acc + self._e[i][i]
-        return acc
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        out = []
-        for r1 in self._e:
-            for r2 in other._e:
-                out.append([a * b for a in r1 for b in r2])
-        return ExactMatrix(out)
-
     # -- predicates --------------------------------------------------------
     @property
     def shape(self):
         return (self.rows, self.cols)
-
-    def is_zero(self) -> bool:
-        return all(not x for row in self._e for x in row)
 
     def is_hermitian(self) -> bool:
         return self.rows == self.cols and _int_hermitian(_int_matrix(self)[1])

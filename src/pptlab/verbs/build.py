@@ -3,6 +3,7 @@
 import sys
 
 from .. import constructions as co
+from .. import exactmat as em
 from .. import serialize as se
 from . import EXIT_INPUT, EXIT_OK, _emit, _parse
 from .states import load_state
@@ -18,5 +19,5 @@ def run(args) -> int:
         return EXIT_INPUT
     payload = dict(se.state_to_json(state), label=args.label or state.label)
     _emit(args, payload, text=f"built {state.dim_a}x{state.dim_b} state "
-          f"{payload['label']!r} (trace {state.matrix.trace()})")
+          f"{payload['label']!r} (trace {em.trace(state.matrix)})")
     return EXIT_OK

@@ -2,7 +2,7 @@
 
 None of them is on a path the package runs: each recomputes a result of
 ``exactmat``, ``extender``, ``minors`` or ``algcert`` a second way, or
-(:func:`evaluate`) computes what only the tests need.
+(:func:`evaluate`, :func:`kron`) computes what only the tests need.
 """
 
 import math
@@ -15,6 +15,11 @@ from pptlab import minors as mi
 from pptlab import qstates as qs
 
 
+def kron(A: em.ExactMatrix, B: em.ExactMatrix) -> em.ExactMatrix:
+    """The Kronecker product ``A (x) B``, a local operator on ``A``'s and ``B``'s sides."""
+    return em.ExactMatrix([em.kron_vec(a, b) for a in A.tolists() for b in B.tolists()])
+
+
 def intersection_via_stacked_kernel(U: em.Subspace, V: em.Subspace) -> em.Subspace:
     """The intersection of ``U`` and ``V`` without annihilators.
 
@@ -25,7 +30,7 @@ def intersection_via_stacked_kernel(U: em.Subspace, V: em.Subspace) -> em.Subspa
     if U.dim == 0 or V.dim == 0:
         return em.Subspace(n)
     cols = list(U.basis) + [tuple(-x for x in v) for v in V.basis]
-    _, kern = em.rank_and_kernel(em.ExactMatrix.from_cols(cols))
+    _, kern = em.rank_and_kernel(em.ExactMatrix(zip(*cols)))
     vecs = []
     for w in kern.basis:
         x = (em.ZERO,) * n
@@ -46,7 +51,7 @@ def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
     units = [em.basis_vector(n, j) for j in range(n)]
     s1 = [em.kron_vec(u, e) for u in em.column_space(core.matrix).basis for e in units]
     s2 = [tuple(v[a * n + c] * e[b] for a in range(m) for b in range(n) for c in range(n))
-          for v in em.column_space(core.partial_transpose("A").conjugate()).basis for e in units]
+          for v in em.column_space(em.conjugate(core.partial_transpose("A"))).basis for e in units]
     N = m * n * n
     return intersection_via_stacked_kernel(em.Subspace(N, s1), em.Subspace(N, s2))
 
@@ -68,7 +73,7 @@ def interreduce(polys) -> list:
         return []
     ring = polys[0].ring
     P = mi._Packing(ring.nvars)
-    reduced = ac._interreduce([ac.pack_terms(P, p) for p in polys], P.guard)
+    reduced = ac._interreduce([ac.pack_terms(P, p) for p in polys], ac._guard(P))
     return [ac.polynomial(P, ring, ac._record_terms(d)) for d in reduced]
 
 

@@ -261,7 +261,7 @@ def test_range_matrix_falls_back_to_rref_basis():
     st = qs.BipartiteState(2, 2, label="d", edges=[
         qs.NamedVector("a", e00, Fraction(1, 2)), qs.NamedVector("b", e00, Fraction(1, 2)),
         qs.NamedVector("c", e01, Fraction(1))])
-    assert st.matrix == em.ExactMatrix.diag([1, 1, 0, 0])
+    assert st.matrix == em.diag([1, 1, 0, 0])
     sym = _range_matrix(st)
     assert sym.variables == ("psi00", "psi01")
 
@@ -731,7 +731,7 @@ def test_linear_membership_cofactors_small():
 def test_certify_separable_inconclusive():
     d = qs.BipartiteState(2, 2, label="sep", edges=[
         qs.NamedVector(f"e{i}", em.basis_vector(4, i), Fraction(1)) for i in range(4)])
-    assert d.matrix == em.ExactMatrix.diag([1, 1, 1, 1])
+    assert d.matrix == em.diag([1, 1, 1, 1])
     res = ce.certify_sn_lower(d, 2, ())
     assert isinstance(res, ce.Inconclusive)
 
@@ -739,7 +739,7 @@ def test_certify_separable_inconclusive():
 def test_certify_sn_lower_refuses_a_state_without_edges(spy):
     """A matrix state has no edges to read its range from: one
     PreconditionViolation, before any range or minor is computed."""
-    d = qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 1, 1]), label="sep")
+    d = qs.BipartiteState(2, 2, em.diag([1, 1, 1, 1]), label="sep")
     calls = spy(em, "column_space", "Subspace")
     for exclude in ((), ("psi00",)):
         with pytest.raises(PreconditionViolation, match="the state has no edge decomposition"):

@@ -15,7 +15,7 @@ from pptlab import qstates as qs
 from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch, NotPPT,
                            PPTFailure, PptlabError, PreconditionViolation, RangeViolation)
 
-from oracles import ppt_extension_space_stacked, trivial_coupling_space_by_products
+from oracles import kron, ppt_extension_space_stacked, trivial_coupling_space_by_products
 
 
 def rnd_scalar(rng, span=2):
@@ -33,11 +33,11 @@ def random_psd_state(rng, m, n, nvec=None):
 
 def test_direct_sum_split_has_zero_coupling():
     core = co.rho_3x3()
-    edge = em.ExactMatrix.diag([3, 0, 3])
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), edge, "A", 3)
+    edge = em.diag([3, 0, 3])
+    blocks = ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
     st = ex.assemble_extension(blocks)
     back = ex.split_blocks(st, "A", 3)
-    assert back.coupling.is_zero()
+    assert em.is_zero(back.coupling)
     assert back.core.matrix == core.matrix
     assert back.edge == edge
 
@@ -64,12 +64,12 @@ def test_split_assemble_roundtrip_random():
 
 def test_extension_blocks_check_shapes_and_level():
     """Blocks are checked at construction, and ``_replace`` keeps the checks."""
-    core, edge = co.rho_3x3(), em.ExactMatrix.diag([3, 0, 3])
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), edge, "A", 3)
+    core, edge = co.rho_3x3(), em.diag([3, 0, 3])
+    blocks = ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
     with pytest.raises(DimensionMismatch, match="coupling"):
-        ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 2), edge, "A", 3)
+        ex.ExtensionBlocks(core, em.zeros(9, 2), edge, "A", 3)
     with pytest.raises(DimensionMismatch, match="edge"):
-        ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), em.ExactMatrix.zeros(2, 2), "A", 3)
+        ex.ExtensionBlocks(core, em.zeros(9, 3), em.zeros(2, 2), "A", 3)
     assert blocks._replace(perp_index=0).perp_index == 0
     with pytest.raises(BoundsViolation):
         blocks._replace(perp_index=4)
@@ -100,10 +100,10 @@ def _phased_full_rank():
     """rho3x3 plus the identity under complex local phases: a complex PPT
     state of full rank on which every product pair meets its range
     preconditions, and whose partial transposes on A and on B differ."""
-    op = em.ExactMatrix.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]
-                             ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
+    op = kron(em.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]),
+              em.diag([1, -em.I_UNIT, 1]))
     rho = co.rho_3x3().matrix + em.ExactMatrix.identity(9)
-    return qs.BipartiteState(3, 3, op.matmul(rho).matmul(op.adjoint()), label="phased")
+    return qs.BipartiteState(3, 3, op.matmul(rho).matmul(em.adjoint(op)), label="phased")
 
 
 SWAP_CORES = {
@@ -254,8 +254,8 @@ def test_unchecked_states_agree_with_checked_ones(s, data):
 
 def test_schur_zero_coupling_returns_edge():
     core = co.rho_3x3()
-    edge = em.ExactMatrix.diag([1, 2, 3])
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(9, 3), edge, "A", 3)
+    edge = em.diag([1, 2, 3])
+    blocks = ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
     assert ex.schur_complement(blocks) == edge
 
 
@@ -272,13 +272,13 @@ def test_schur_flat_extension_vanishes():
     chi = core.matrix.matmul(R)
     flat = ex.flat_extension(core, chi, "A")
     blocks = ex.split_blocks(flat, "A", 2)
-    assert ex.schur_complement(blocks).is_zero()
+    assert em.is_zero(ex.schur_complement(blocks))
     # flat extensions preserve the range dimension
     assert em.rank(flat.matrix) == em.rank(core.matrix)
 
 
 def test_schur_range_violation_signals_non_psd():
-    core = qs.BipartiteState(1, 2, em.ExactMatrix.diag([1, 0]), label="c")
+    core = qs.BipartiteState(1, 2, em.diag([1, 0]), label="c")
     chi = em.ExactMatrix([[0, 0], [1, 0]])  # column outside R(core)
     blocks = ex.ExtensionBlocks(core, chi, em.ExactMatrix.identity(2), "A", 1)
     with pytest.raises(RangeViolation):
@@ -350,9 +350,9 @@ def test_extension_space_cross_check_stacked():
     mixed = qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm")
     dense = ex.slocc_extension(co.rho_3x3(), em.vector([1, -2, Fraction(1, 2)]), "A")
     # a local diagonal unitary with complex phases
-    op = em.ExactMatrix.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]
-                             ).kron(em.ExactMatrix.diag([1, -em.I_UNIT, 1]))
-    phased = qs.BipartiteState(3, 3, op.matmul(co.rho_3x3().matrix).matmul(op.adjoint()),
+    op = kron(em.diag([1, em.I_UNIT, em.GaussianRational(Fraction(3, 5), Fraction(4, 5))]),
+              em.diag([1, -em.I_UNIT, 1]))
+    phased = qs.BipartiteState(3, 3, op.matmul(co.rho_3x3().matrix).matmul(em.adjoint(op)),
                                label="phased")
     states = [co.rho_3x3(), co.rho_family(2), co.tiles_complement(), mixed,
               qs.swap_subsystems(co.rho_4x5().stage1), dense, phased]
@@ -396,7 +396,7 @@ def test_trivial_dimension_is_the_rank_of_the_slocc_choi_rows():
     corpus = [co.rho_3x3(), co.rho_family(2), co.tiles_complement(),
               qs.BipartiteState(2, 2, em.ExactMatrix.identity(4), label="mm"),
               qs.swap_subsystems(pipe.stage1), qs.swap_subsystems(pipe.stage2),
-              qs.BipartiteState(2, 2, em.ExactMatrix.diag([1, 1, 0, 0]), label="empty-level")]
+              qs.BipartiteState(2, 2, em.diag([1, 1, 0, 0]), label="empty-level")]
     states = corpus + dense_extensions(11) + dense_extensions(12)
     dims = [ex.ppt_extension_space(st).trivial_dimension for st in states]
     assert dims == [trivial_coupling_space_by_products(st).dim for st in states]
@@ -435,7 +435,7 @@ def test_slocc_zero_phi_is_direct_sum():
     rho = co.rho_3x3()
     st = ex.slocc_extension(rho, (em.ZERO,) * 3, "A")
     blocks = ex.split_blocks(st, "A", 3)
-    assert blocks.coupling.is_zero() and blocks.edge.is_zero()
+    assert em.is_zero(blocks.coupling) and em.is_zero(blocks.edge)
     assert blocks.core.matrix == rho.matrix
 
 
@@ -476,7 +476,8 @@ def test_slocc_side_b():
 def test_run_pipeline_without_edges_builds_the_same_stages():
     pipe = co.rho_4x5()
     bare = qs.BipartiteState(3, 3, co.rho_3x3().matrix, label="bare")
-    stages = ex.run_pipeline(bare, pipe.steps)
+    # a state without edges has nothing to name: the steps go without names
+    stages = ex.run_pipeline(bare, [step._replace(names=None) for step in pipe.steps])
     assert [st.matrix for st in stages] == [pipe.stage1.matrix, pipe.stage2.matrix,
                                             pipe.final.matrix]
     assert all(st.edges is None for st in stages)
@@ -546,6 +547,12 @@ def test_run_pipeline_needs_one_name_per_remainder_part():
     step = co.rho_4x5().steps[0]._replace(names=("p30",))
     with pytest.raises(DecompositionMismatch, match="2 rank-one parts, 1 names"):
         ex.run_pipeline(co.rho_3x3(), [step])
+
+
+def test_run_pipeline_refuses_names_without_edges_to_lift():
+    bare = qs.BipartiteState(3, 3, co.rho_3x3().matrix, label="bare")
+    with pytest.raises(PreconditionViolation, match="rho4x3: a state without edges takes no names"):
+        ex.run_pipeline(bare, co.rho_4x5().steps[:1])
 
 
 @pytest.mark.parametrize("change", [{"kind": "twist"}, {"side": "C"}], ids=["kind", "side"])
@@ -692,7 +699,7 @@ def test_product_pair_edge_block_minimal_form():
                                     side="B")
     blocks = ex.split_blocks(ext, "B", 3)
     # rho_e = s1 |gamma><gamma| + s2 |beta><beta| with s1 = s2 = 1/3 here
-    expect = em.ExactMatrix.diag([0, 0, Fraction(1, 3), Fraction(1, 3)])
+    expect = em.diag([0, 0, Fraction(1, 3), Fraction(1, 3)])
     assert blocks.edge == expect
 
 
@@ -701,8 +708,8 @@ def test_product_pair_edge_block_minimal_form():
 def test_lift_zero_coupling_keeps_vectors():
     rng = random.Random(4)
     core = random_psd_state(rng, 2, 2, nvec=2)
-    edge = em.ExactMatrix.diag([1, 1])
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(4, 2), edge, "A", 2)
+    edge = em.diag([1, 1])
+    blocks = ex.ExtensionBlocks(core, em.zeros(4, 2), edge, "A", 2)
     st = ex.assemble_extension(blocks)
     vecs = [e for e in _decomposition_of(core)]
     lifted, remainder = ex.lift_decomposition(st, "A", 2, [v for v, _ in vecs],
@@ -724,7 +731,7 @@ def test_lift_single_pure_core():
     st = ex.flat_extension(core, chi, "A")
     lifted, remainder = ex.lift_decomposition(st, "A", 2, [v])
     assert len(lifted) == 1
-    assert remainder.is_zero()
+    assert em.is_zero(remainder)
     assert qs.schmidt_rank(lifted[0][0], 3, 2) <= qs.schmidt_rank(v, 2, 2) + 1
 
 
@@ -732,7 +739,7 @@ def test_lift_mismatched_core_rejected():
     rng = random.Random(5)
     core = random_psd_state(rng, 2, 2)
     edge = em.ExactMatrix.identity(2)
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(4, 2), edge, "A", 2)
+    blocks = ex.ExtensionBlocks(core, em.zeros(4, 2), edge, "A", 2)
     st = ex.assemble_extension(blocks)
     with pytest.raises(DecompositionMismatch):
         ex.lift_decomposition(st, "A", 2, [em.vector([1, 0, 0, 0])])
@@ -774,7 +781,7 @@ def test_extremality_psd_flat_and_perturbed():
     blocks = ex.split_blocks(flat, "A", 2)
     assert ex.extremality_check_psd(blocks).extremal
     bumped = ex.ExtensionBlocks(blocks.core, blocks.coupling,
-                                blocks.edge + em.ExactMatrix.diag([1, 0]), "A", 2)
+                                blocks.edge + em.diag([1, 0]), "A", 2)
     verdict = ex.extremality_check_psd(bumped)
     assert not verdict.extremal
     assert len(verdict.rank_one_parts) == 1
@@ -802,9 +809,9 @@ def test_extremality_psd_parts_in_the_frame_of_the_blocks(stage, side):
 def test_extremality_psd_zero_core_with_an_edge_of_rank_two():
     """A zero core with an edge of rank above one splits into the edge's
     rank-one LDL* parts, placed on the new level."""
-    core = qs.BipartiteState(1, 2, em.ExactMatrix.zeros(2, 2), label="0")
+    core = qs.BipartiteState(1, 2, em.zeros(2, 2), label="0")
     edge = em.ExactMatrix([[2, 1], [1, 2]])
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(2, 2), edge, "A", 1)
+    blocks = ex.ExtensionBlocks(core, em.zeros(2, 2), edge, "A", 1)
     verdict = ex.extremality_check_psd(blocks)
     assert (verdict.extremal, verdict.reason, verdict.flat_part) == \
         (False, "edge block of rank above one", None)
@@ -816,16 +823,16 @@ def test_extremality_psd_zero_core_with_an_edge_of_rank_two():
 
 def test_extremality_ppt_refuses_an_npt_extension():
     """A direct sum on an NPT core is PSD but not PPT."""
-    blocks = ex.ExtensionBlocks(_bell_core(), em.ExactMatrix.zeros(4, 2),
+    blocks = ex.ExtensionBlocks(_bell_core(), em.zeros(4, 2),
                                 em.ExactMatrix.identity(2), "A", 2)
     with pytest.raises(NotPPT, match="extension is not PPT"):
         ex.extremality_check_ppt(blocks)
 
 
 def test_extremality_psd_rank_one_edge_with_zero_core():
-    core = qs.BipartiteState(1, 2, em.ExactMatrix.zeros(2, 2), label="0")
+    core = qs.BipartiteState(1, 2, em.zeros(2, 2), label="0")
     v = em.vector([1, 1])
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(2, 2),
+    blocks = ex.ExtensionBlocks(core, em.zeros(2, 2),
                                 em.ExactMatrix.outer(v, v), "A", 1)
     assert ex.extremality_check_psd(blocks).extremal
 
@@ -843,7 +850,7 @@ def test_extremality_ppt_counterexample_not_certified():
 
 def test_extremality_ppt_direct_sum_overlap_not_certified():
     core = qs.BipartiteState(1, 2, em.ExactMatrix.identity(2), label="c")
-    blocks = ex.ExtensionBlocks(core, em.ExactMatrix.zeros(2, 2),
+    blocks = ex.ExtensionBlocks(core, em.zeros(2, 2),
                                 em.ExactMatrix.identity(2), "A", 1)
     verdict = ex.extremality_check_ppt(blocks)
     assert not verdict.triv_intersection_ok
@@ -884,8 +891,8 @@ def test_extremality_ppt_pipeline_stages_frozen(stage, side, perp, expected):
         rows[0][:2], rows[1][:2] = [c, s], [s, c]
         return em.ExactMatrix(rows)
 
-    op = mix(st.dim_a).kron(mix(st.dim_b))
-    rotated = qs.BipartiteState(*st.dims, op.matmul(st.matrix).matmul(op.adjoint()), label="rot")
+    op = kron(mix(st.dim_a), mix(st.dim_b))
+    rotated = qs.BipartiteState(*st.dims, op.matmul(st.matrix).matmul(em.adjoint(op)), label="rot")
     for state in (st, rotated):
         verdict = ex.extremality_check_ppt(ex.split_blocks(state, side, perp))
         assert (verdict.triv_intersection_ok, verdict.perturbation_dimension) == expected
@@ -903,23 +910,23 @@ def test_extremality_ppt_slocc_extension_certified():
 def test_witness_peel_block_diagonal():
     rng = random.Random(7)
     Wc = em.ExactMatrix([[1, em.I_UNIT], [-em.I_UNIT, 2]])  # on 1x2 core of a 2x2 split
-    We = em.ExactMatrix.diag([1, 2])
-    W = ex.assemble_matrix(Wc, em.ExactMatrix.zeros(2, 2), We, (1, 2), "A", 1)
+    We = em.diag([1, 2])
+    W = ex.assemble_matrix(Wc, em.zeros(2, 2), We, (1, 2), "A", 1)
     peeled, psd_part = ex.witness_schur_peel(W, (2, 2), "A", 1)
     assert peeled == Wc
     assert em.psd_check(psd_part).is_psd
     back_core, back_chi, back_edge, _ = ex.split_matrix(psd_part, 2, 2, "A", 1)
-    assert back_core.is_zero() and back_chi.is_zero() and back_edge == We
+    assert em.is_zero(back_core) and em.is_zero(back_chi) and back_edge == We
 
 
 def test_witness_peel_invertible_edge_identity():
     rng = random.Random(8)
     for _ in range(10):
         We_root = em.ExactMatrix([[rnd_scalar(rng) for _ in range(2)] for _ in range(2)])
-        We = We_root.matmul(We_root.adjoint()) + em.ExactMatrix.identity(2)
+        We = We_root.matmul(em.adjoint(We_root)) + em.ExactMatrix.identity(2)
         chi = em.ExactMatrix([[rnd_scalar(rng) for _ in range(2)] for _ in range(2)])
         A = em.ExactMatrix([[rnd_scalar(rng) for _ in range(2)] for _ in range(2)])
-        Wc = A + A.adjoint()
+        Wc = A + em.adjoint(A)
         W = ex.assemble_matrix(Wc, chi, We, (1, 2), "A", 1)
         peeled, psd_part = ex.witness_schur_peel(W, (2, 2), "A", 1)
         assert em.psd_check(psd_part).is_psd
@@ -928,7 +935,7 @@ def test_witness_peel_invertible_edge_identity():
 def test_witness_peel_range_violation():
     Wc = em.ExactMatrix.identity(2)
     chi = em.ExactMatrix([[1, 0], [0, 1]])
-    We = em.ExactMatrix.diag([1, 0])  # R(chi*) not inside R(We)
+    We = em.diag([1, 0])  # R(chi*) not inside R(We)
     W = ex.assemble_matrix(Wc, chi, We, (1, 2), "A", 1)
     with pytest.raises(RangeViolation):
         ex.witness_schur_peel(W, (2, 2), "A", 1)
@@ -945,15 +952,15 @@ def test_extension_space_complex_covariance_and_completions():
                         [0, 1, 0],
                         [0, em.GaussianRational(0, -1), 1]])
     assert em.rank(A) == 3 and em.rank(B) == 3
-    op = A.kron(B)
+    op = kron(A, B)
     expectations = [(co.tiles_complement(), 3), (co.rho_3x3(), 7)]
     for base, dim in expectations:
-        mat = op.matmul(base.matrix).matmul(op.adjoint())
+        mat = op.matmul(base.matrix).matmul(em.adjoint(op))
         rot = qs.BipartiteState(3, 3, mat, label=f"{base.label}-rotated")
         assert em.psd_check(rot.partial_transpose("A")).is_psd
         space = ex.ppt_extension_space(rot)
         assert space.dimension == dim
-        zero_edge = em.ExactMatrix.zeros(3, 3)
+        zero_edge = em.zeros(3, 3)
         for chi in space.basis:
             # the partial transpose's coupling, read off the transposed operator
             pt0 = qs.partial_transpose_matrix(
@@ -962,7 +969,7 @@ def test_extension_space_complex_covariance_and_completions():
             assert rho_ta == rot.partial_transpose("A")
             K1 = em.solve_on_range_matrix(rot.matrix, chi)
             K2 = em.solve_on_range_matrix(rho_ta, X)
-            edge = chi.adjoint().matmul(K1) + X.adjoint().matmul(K2)
+            edge = em.adjoint(chi).matmul(K1) + em.adjoint(X).matmul(K2)
             ext = ex.assemble_extension(ex.ExtensionBlocks(rot, chi, edge, "A", 3))
             pt = qs.partial_transpose_matrix(ext.matrix, 4, 3, "A")
             assert em.psd_check(pt).is_psd

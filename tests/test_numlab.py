@@ -53,7 +53,7 @@ def test_eig_matches_exact_characteristic_roots():
     for _ in range(10):
         B = em.ExactMatrix([[em.GaussianRational(rng.randint(-3, 3), rng.randint(-3, 3))
                              for _ in range(3)] for _ in range(3)])
-        G = B.matmul(B.adjoint())
+        G = B.matmul(em.adjoint(B))
         w = np.linalg.eigvalsh(nl.complex_matrix(G))
         res = em.psd_check(G)
         assert res.is_psd
@@ -491,6 +491,25 @@ def test_a_survey_batches_its_samples_by_their_memory(monkeypatch, capsys):
     alone, alone_peak = _survey_json_and_peak(capsys, argv)
     assert alone == together and json.loads(alone)["reports"][0]["converged"] == 2
     assert alone_peak < 0.8 * together_peak, (alone_peak, together_peak)
+
+
+def test_a_survey_batch_counts_the_arrays_each_running_sample_holds(monkeypatch):
+    """A running sample also holds a dozen complex ``(mn)^2`` arrays: its
+    point, partial transpose, eigenvectors, parameters, step and trials.  At
+    full birank it has no Jacobian rows, and a 6x6 (36,36) survey used to run
+    all its samples in one batch (335 MB peak at 3,000 samples); it now
+    splits, while criterion 8's row and the benchmark's rows stay one batch."""
+    lengths = []
+    monkeypatch.setattr(nl, "gauss_newton_lockstep", lambda m, n, p, q, seeds: lengths.append(
+        len(seeds)) or [ConvergenceFailure("not run")] * len(seeds))
+    nl.unextendibility_survey([(6, 6)], [(36, 36)], 1500, seed=0)
+    assert len(lengths) > 1 and sum(lengths) == 1500
+    assert max(lengths) * 12 * 16 * 36 ** 2 <= nl.SURVEY_BATCH_BYTES
+    lengths.clear()
+    for dims, birank, samples in (((3, 3), (4, 4), 100), ((3, 3), (4, 4), 20),
+                                  ((3, 4), (5, 6), 6)):
+        nl.unextendibility_survey([dims], [birank], samples, seed=0)
+    assert lengths == [100, 20, 6]
 
 
 @pytest.mark.parametrize("argv, message", [

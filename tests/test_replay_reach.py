@@ -32,23 +32,21 @@ DATA = Path(__file__).resolve().parent / "data"
 
 KEPT = {
     # pinned by name in pptbench/tracer.py (exactmat.*), with the LDL* that
-    # checks a matrix state where it is made, and its helpers
+    # checks a matrix state where it is made, and its helpers; and
+    # ExactMatrix.identity, which pptbench/workloads.py calls as a method
     "ExactMatrix.outer", "ExactMatrix.__add__", "ExactMatrix.matmul", "psd_check",
     "_psd_witness", "_int_matrix", "_int_hermitian", "ExactMatrix.is_hermitian", "state_ldl",
-    "PsdResult.rank",
+    "PsdResult.rank", "ExactMatrix.identity",
     # the value protocol of the kernel's immutable types: the builders compare,
-    # hash, print and do arithmetic on the same objects the replay makes, and a
-    # failing test prints a scalar's value
+    # hash, print, read and do arithmetic on the same objects the replay makes,
+    # and a failing test prints a scalar's value
     "GaussianRational.__setattr__", "GaussianRational.__hash__", "GaussianRational.__repr__",
     "GaussianRational.__str__", "GaussianRational.__neg__", "GaussianRational.__sub__",
     "GaussianRational.__truediv__", "GaussianRational.abs2", "ExactMatrix.__setattr__",
     "ExactMatrix.__hash__", "ExactMatrix.__sub__", "ExactMatrix.scale",
-    "ExactMatrix._check_same_shape", "Subspace.__setattr__", "Subspace.__eq__",
-    "BipartiteState.__setattr__", "BipartiteState.__eq__",
-    # ExactMatrix's constructors and algebra, which the builders call as methods
-    "ExactMatrix.zeros", "ExactMatrix.identity", "ExactMatrix.diag", "ExactMatrix.from_cols",
-    "ExactMatrix.row", "ExactMatrix.tolists", "ExactMatrix.adjoint", "ExactMatrix.conjugate",
-    "ExactMatrix.trace", "ExactMatrix.kron", "ExactMatrix.is_zero",
+    "ExactMatrix._check_same_shape", "ExactMatrix.row", "ExactMatrix.tolists",
+    "Subspace.__setattr__", "Subspace.__eq__", "BipartiteState.__setattr__",
+    "BipartiteState.__eq__",
     # reached only on a failing input: a scalar past the int-to-text digit limit
     "_decimal_digits",
 }

@@ -221,8 +221,8 @@ def _kernel_case(kind, side, tmp_path):
         return "rho3x3", rho.label, {"phi": phi}, \
             ex.slocc_extension(rho, tuple(em.parse_scalar(x) for x in phi), side)
     if kind == "direct_sum":
-        edge = em.ExactMatrix.diag([3, 0, Fraction(1, 2)])
-        blocks = ex.ExtensionBlocks(rho, em.ExactMatrix.zeros(9, 3), edge, side, 3)
+        edge = em.diag([3, 0, Fraction(1, 2)])
+        blocks = ex.ExtensionBlocks(rho, em.zeros(9, 3), edge, side, 3)
         return "rho3x3", rho.label, {"edge": se.matrix_to_json(edge)}, \
             ex.assemble_extension(blocks)
     if kind == "flat":
@@ -450,7 +450,7 @@ def test_cli_a_matrix_without_its_entries_is_malformed(tmp_path, capsys):
     """Empty ``entries`` is not the zero matrix: a state file holding it
     exits 2 on ppt-check, a ppt certificate holding it fails verify, and
     an extend step whose edge holds it exits 2."""
-    cert = se.ppt_certificate(qs.BipartiteState(2, 2, em.ExactMatrix.zeros(4, 4), label="0"))
+    cert = se.ppt_certificate(qs.BipartiteState(2, 2, em.zeros(4, 4), label="0"))
     cert["state"]["matrix"]["entries"] = []
     state = tmp_path / "state.json"
     state.write_text(json.dumps(cert["state"]))
@@ -719,6 +719,36 @@ def test_ppt_certificate_with_a_negativity_witness_for_rho_fails_verify(tmp_path
 
 def test_cli_extremal():
     assert cli.run(["extremal", "--state", "rho4x5", "--side", "B", "--perp", "4"]) == 0
+
+
+def test_extremal_refuses_to_split_off_a_side_of_one_level(tmp_path, capsys):
+    """Splitting the only level of a side leaves no core; an ``ExactMatrix``
+    with no rows has shape (0, 0), so this used to fail later as
+    ``DimensionMismatch: coupling block has the wrong shape``."""
+    state = qs.BipartiteState(1, 2, label="1x2", edges=[
+        qs.NamedVector("a", em.basis_vector(2, 0), Fraction(1)),
+        qs.NamedVector("b", em.basis_vector(2, 1), Fraction(1))])
+    message = "side A has one level: splitting it off leaves no core"
+    with pytest.raises(BoundsViolation, match=message):
+        ex.split_blocks(state, "A", 0)
+    with pytest.raises(BoundsViolation, match="side B has one level"):
+        ex.split_matrix(state.partial_transpose("A"), 2, 1, "B", 0)
+    path = tmp_path / "1x2.json"
+    path.write_text(json.dumps(se.state_to_json(state)))
+    assert cli.run(["extremal", "--state", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"extremal: BoundsViolation: {message}\n")
+    assert cli.run(["extremal", "--state", str(path), "--side", "B"]) == 0
+
+
+def test_extend_refuses_names_on_a_state_without_edges(capsys):
+    """A matrix state has no edges to lift, so a step's ``names`` would name
+    nothing; they used to be dropped without a word."""
+    step = {"kind": "slocc", "side": "A", "phi": ["1", "0", "0"]}
+    argv = ["extend", "--state", "tiles", "--step"]
+    assert cli.run(argv + [json.dumps({**step, "names": ["x", "y", "z"]})]) == 2
+    assert capsys.readouterr() == ("", "extend: PreconditionViolation: slocc(tiles-complement): "
+                                   "a state without edges takes no names\n")
+    assert cli.run(argv + [json.dumps(step)]) == 0
 
 
 @pytest.mark.parametrize("argv, message", [

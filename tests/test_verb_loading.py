@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1566,
-    "certify-sn": 2384,
-    "verify ppt": 1388,
-    "verify sn-verdict": 1762,
+    "ppt-check": 1529,
+    "certify-sn": 2346,
+    "verify ppt": 1351,
+    "verify sn-verdict": 1724,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
