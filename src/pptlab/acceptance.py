@@ -102,9 +102,8 @@ def criterion_1() -> CriterionResult:
 
 
 def _site_matrix(s: qs.BipartiteState) -> mi.SymbolicRangeMatrix:
-    """The coordinate matrix of the range of ``s`` over its site-named basis."""
-    vectors = mi.range_basis(s)[2]
-    return mi.coordinate_matrix(*s.dims, tuple(zip(ce._variables(s, "site", vectors), vectors)))
+    """The range's coordinate matrix of a lower bound's setup, site-named."""
+    return mi.lower_bound_setup(s, None, lambda vectors: ce._variables(s, "site", vectors))[0]
 
 
 def _monomial(M: mi.SymbolicRangeMatrix, *names: str) -> tuple:

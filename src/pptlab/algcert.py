@@ -419,15 +419,18 @@ def linear_membership_cofactors(target: Polynomial, generators: Sequence[Polynom
     For a homogeneous generator set of degree ``d``, membership of a
     degree-``d + e`` homogeneous target is a linear problem over the
     monomial-multiplied generators of cofactor degree ``e``; no Groebner
-    basis is involved.  The returned list pairs each used generator index
-    with its cofactor polynomial, ready to replay by expansion.
+    basis is involved.  The rows of every cofactor degree ``0..e`` join the
+    solve, lowest first, so generators that are not homogeneous are served
+    too.  The returned list pairs each used generator index with its
+    cofactor polynomial, ready to replay by expansion.
     """
     ring = target.ring
     P = mi._Packing(ring.nvars)
     packed = [_int_terms(pack_terms(P, g)) for g in generators]
     P.check_degree(max((g.degree() for g in generators), default=0) + cofactor_degree)
     work, sigma = _int_terms(pack_terms(P, target))
-    solved = _cofactor_trail(work, sigma, packed, _cofactor_monomials(P, cofactor_degree))
+    monomials = [m for e in range(cofactor_degree + 1) for m in _cofactor_monomials(P, e)]
+    solved = _cofactor_trail(work, sigma, packed, monomials)
     if solved is None:
         return None
     trail, sigma = solved

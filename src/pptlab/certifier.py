@@ -18,7 +18,7 @@ run; it returns a :class:`LowerBound` (or :class:`Inconclusive`) and an
 :func:`minor_membership` proves any monomial in the minor ideal: the
 witness closure (:class:`WitnessClosure`) computes only the minors that
 share monomials with it, and :func:`_cofactor_trail` solves for their
-cofactors.
+cofactors of the one degree the monomial's Macaulay rows have.
 The range, packed monomials, coordinate matrices, the setup of a lower
 bound and the replay of an identity live in :mod:`pptlab.minors`, and the
 states and Schmidt ranks in the replay kernel :mod:`pptlab.replay`; this module
@@ -56,8 +56,10 @@ def _info(logger: str, msg: str, *args) -> None:
 
 def _cofactor_monomials(P: mi._Packing, degree: int) -> list:
     """``(exponents, packed monomial - one)`` of every cofactor monomial of
-    degree 0..``degree``, in :func:`_monomials_up_to` order."""
-    return [(mono, P.pack(mono) - P.one) for mono in _monomials_up_to(P.nvars, degree)]
+    degree exactly ``degree`` (none if negative), in increasing exponent order."""
+    combos = itertools.combinations_with_replacement(range(P.nvars), degree) if degree >= 0 else ()
+    monos = sorted(tuple(c.count(l) for l in range(P.nvars)) for c in combos)
+    return [(mono, P.pack(mono) - P.one) for mono in monos]
 
 
 def _cofactor_trail(work: dict, sigma: int, generators: Sequence[tuple], monomials: list):
@@ -66,11 +68,14 @@ def _cofactor_trail(work: dict, sigma: int, generators: Sequence[tuple], monomia
 
     ``work`` holds the packed int terms of ``sigma * target`` (consumed);
     ``generators`` the ``(int terms, scale)`` of each generator ``g_i``,
-    whose terms are ``scale * g_i``; ``monomials`` the cofactor monomials of
-    :func:`_cofactor_monomials`.  Returns ``(trail, sigma)`` with ``sigma *
-    target = sum trail[i, exponents] * monomial * g_i`` and no zero entry,
-    or ``None`` when the target is not a combination of the rows.  Rows are
-    eliminated in ``monomials`` order, generators in list order within each.
+    whose terms are ``scale * g_i``; ``monomials`` the cofactor monomials
+    (:func:`_cofactor_monomials`), one row ``mono * g_i`` each.  Returns
+    ``(trail, sigma)`` with ``sigma * target = sum trail[i, exponents] *
+    monomial * g_i`` and no zero entry, or ``None`` when the target is not a
+    combination of the rows.  Rows are eliminated in ``monomials`` order,
+    generators in list order within each.  Rows of different degrees never
+    meet, so :func:`minor_membership`, whose minors all have degree ``k``,
+    passes only the degree ``N - k`` of its degree-``N`` target.
     """
     # Macaulay rows over the ints: each row is (terms, trail) with terms =
     # sum trail[(i, mono)] * mono * generators[i], scaled freely
@@ -126,22 +131,6 @@ def _int_submul(target: dict, a: int, b: int, source: dict):
             target[key] = s
         else:
             target.pop(key, None)
-
-
-def _monomials_up_to(nvars: int, degree: int):
-    """All monomials of degree exactly 0..degree (degree 0 first)."""
-    out = [(0,) * nvars]
-    frontier = out[:]
-    for _ in range(degree):
-        nxt = set()
-        for m in frontier:
-            for i in range(nvars):
-                e = list(m)
-                e[i] += 1
-                nxt.add(tuple(e))
-        frontier = sorted(nxt)
-        out.extend(frontier)
-    return out
 
 
 # ---------------------------------------------------------------------------

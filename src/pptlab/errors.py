@@ -33,10 +33,6 @@ class PreconditionViolation(PptlabError):
     """A documented precondition failed; the message names the condition."""
 
 
-class PPTFailure(PptlabError):
-    """An extension that should be PPT failed the exact post-check."""
-
-
 class DecompositionMismatch(PptlabError):
     """A claimed conic decomposition does not reproduce its target."""
 

@@ -43,7 +43,6 @@ from .errors import (
     DimensionMismatch,
     NotHermitian,
     NotPPT,
-    PPTFailure,
     PreconditionViolation,
     RangeViolation,
 )
@@ -197,10 +196,6 @@ def coupling_choi_vector(chi: em.ExactMatrix, m: int, n: int) -> em.Vector:
     return tuple(x for ab in range(m * n) for x in chi.row(ab))
 
 
-def coupling_from_choi(w: em.Vector, m: int, n: int) -> em.ExactMatrix:
-    return em.ExactMatrix([[w[ab * n + c] for c in range(n)] for ab in range(m * n)])
-
-
 class ExtensionSpace(NamedTuple):
     """Solution space of the PPT coupling constraints for a fixed core.
 
@@ -208,11 +203,11 @@ class ExtensionSpace(NamedTuple):
     is not a degree of freedom: a valid edge exists for every solution).
     ``trivial_dimension`` is that of the span of the side-A SLOCC couplings.
     ``bound`` is the counting lower bound ``(p+q-mn)n - m`` on the number of
-    nontrivial extensions; it may be negative.
+    nontrivial extensions; it may be negative.  ``solution_space`` holds the
+    couplings' Choi vectors (:func:`coupling_choi_vector`).
     """
 
     dimension: int
-    basis: tuple                       # tuple[ExactMatrix, ...]
     trivial_dimension: int
     bound: int
     solution_space: em.Subspace
@@ -256,11 +251,10 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     range_ab = em.column_space(core.matrix)
     range_ac = em.column_space(em.conjugate(rho_ta))
     sol = _choi_null_space(m, n, range_ab, range_ac)
-    basis = tuple(coupling_from_choi(w, m, n) for w in sol.basis)
     # Choi vector i: the SLOCC coupling by |i>, columns i*n .. i*n + n-1 of the core
     rows = core.matrix.tolists()
     trivial = [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
-    return ExtensionSpace(sol.dim, basis, em.rank(em.ExactMatrix(trivial)),
+    return ExtensionSpace(sol.dim, em.rank(em.ExactMatrix(trivial)),
                           extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
 
 
@@ -341,7 +335,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     ``rho_c`` is PSD, so it is PSD exactly when ``rho^T`` is.  A PSD
     ``rho^T`` makes ``s2 >= 0``.  One exact LDL* of the partial transpose
     therefore proves the extension PPT, and the extension is built without
-    a check of its own.  It fails, with :class:`PPTFailure`, exactly when
+    a check of its own.  It fails, with :class:`NotPPT`, exactly when
     the core is NPT: the core is not required to be PPT, and on an NPT core
     the extension may be PSD or not.
 
@@ -384,7 +378,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     ext = qs.BipartiteState._raw(*dims, assemble_matrix(rho, chi, edge, (m, n), side, here),
                                  label or "extension")
     if not em.psd_check(ext.partial_transpose(side)).is_psd:  # also proves ext PSD
-        raise PPTFailure("assembled extension fails the exact PPT check")
+        raise NotPPT("assembled extension fails the exact PPT check")
     return ext
 
 
@@ -562,8 +556,7 @@ class EdgeVerdict(NamedTuple):
     """Range-criterion edge check, limited to the supplied candidates."""
 
     is_edge_for_candidates: bool
-    candidates: tuple
-    details: tuple
+    details: tuple                # one per candidate, in order
 
 
 def edge_state_check(s: qs.BipartiteState, candidates: Sequence[em.Vector]) -> EdgeVerdict:
@@ -588,7 +581,7 @@ def edge_state_check(s: qs.BipartiteState, candidates: Sequence[em.Vector]) -> E
         details.append({"in_range": in_range, "pt_in_corange": pt_in_range})
         if in_range and pt_in_range:
             blocked = True
-    return EdgeVerdict(not blocked, tuple(tuple(v) for v in candidates), tuple(details))
+    return EdgeVerdict(not blocked, tuple(details))
 
 
 def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
@@ -666,7 +659,6 @@ class PptExtremality(NamedTuple):
     ``NotCertified``: the criterion is one-sided (:data:`PPT_EXTREMALITY_NOTE`).
     """
 
-    certified: bool
     triv_intersection_ok: bool
     perturbation_dimension: int
     verdict: str
@@ -693,9 +685,8 @@ def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     inter = _choi_null_space(m, n, em.column_space(blocks_a.core.matrix),
                              em.column_space(em.conjugate(core_ta)),
                              range_c=em.column_space(em.conjugate(rho_ec)), range_b=r2)
-    certified = triv and inter.dim == 0
-    verdict = "Extremal" if certified else "NotCertified"
-    return PptExtremality(certified, triv, inter.dim, verdict)
+    verdict = "Extremal" if triv and inter.dim == 0 else "NotCertified"
+    return PptExtremality(triv, inter.dim, verdict)
 
 
 # ---------------------------------------------------------------------------

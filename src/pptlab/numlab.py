@@ -560,7 +560,7 @@ def survey_table(reports) -> str:
     for r in reports:
         hist = ",".join(f"{k}:{v}" for k, v in sorted(r.extension_dims.items()))
         lines.append(
-            f"{r.dims[0]}x{r.dims[1]:>4} {str(r.birank):>8} {r.converged:>4}/{r.samples:<4} "
+            f"{'x'.join(map(str, r.dims)):>6} {str(r.birank):>8} {r.converged:>4}/{r.samples:<4} "
             f"{r.residual_max:>10.2e} {hist:>18} {r.bound:>6} {len(r.deviations):>6} "
             f"{len(r.rank_mismatch):>5}")
     return "\n".join(lines)

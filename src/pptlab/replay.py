@@ -551,10 +551,6 @@ class PsdResult(NamedTuple):
     witness: Vector | None        # None when PSD
     witness_value: Fraction | None
 
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
 
 def _psd_witness(loc: list, pivot_indices: list, ell_list: list, n: int) -> Vector:
     """Extend a local witness to the original coordinates.

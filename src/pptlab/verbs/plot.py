@@ -18,25 +18,29 @@ def run(args) -> int:
 
 
 def render_grid(state: rp.BipartiteState) -> str:
-    """ASCII rendering: the site grid plus one line per edge."""
+    """ASCII rendering: the site grid plus one line per edge.  Sites read
+    ``|ij>``, or ``|i,j>`` when a side has 10 or more levels."""
     m, n = state.dims
     lines = [f"{state.label or 'state'}: {m}x{n} grid, {len(state.edges)} edges"]
-    used = [[" ." for _ in range(n)] for _ in range(m)]
     letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    # a, b, ..., Z, then a1, b1, ...: one letter each for the first 52 edges
+    tags = [letters[idx % 52] + str(idx // 52 or "") for idx in range(len(state.edges))]
+    width = 1 + max(map(len, tags), default=1)
+    used = [["." for _ in range(n)] for _ in range(m)]
+    sep = "," if max(m, n) >= 10 else ""
     legend = []
-    for idx, e in enumerate(state.edges):
-        tag = letters[idx % len(letters)]
+    for tag, e in zip(tags, state.edges):
         sites = []
         for i in range(m):
             for j in range(n):
                 x = e.vec[i * n + j]
                 if x:
                     sites.append((i, j, x))
-                    used[i][j] = f" {tag}" if used[i][j] == " ." else used[i][j][:1] + "*"
-        desc = " ".join(f"{'+' if x.re >= 0 and x.im == 0 else ''}{x}|{i}{j}>" for i, j, x in sites)
+                    used[i][j] = tag if used[i][j] == "." else "*"
+        desc = " ".join(f"{'+' if x.re >= 0 and x.im == 0 else ''}{x}|{i}{sep}{j}>"
+                        for i, j, x in sites)
         legend.append(f"  {tag}: {e.name} (weight {e.weight}) = {desc}")
-    for i in range(m):
-        lines.append("".join(used[i]))
+    lines += ["".join(f"{cell:>{width}}" for cell in row) for row in used]
     lines.extend(legend)
     lines.append("  (* marks sites shared by several edges)")
     return "\n".join(lines)

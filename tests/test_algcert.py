@@ -569,6 +569,24 @@ def test_criterion_1_identities_expand_to_their_monomials():
     assert ce.minor_membership(closure, tuple(int(v == "psi00") for v in sym.variables)) is None
 
 
+def test_minor_membership_solves_only_its_targets_degree(spy):
+    """Every minor has degree k, so the row ``mono * g`` has degree ``k +
+    deg(mono)`` and the target ``x^N`` meets only the rows of degree N: the
+    solve gets exactly the cofactor monomials of degree ``N - k``, and none
+    for a target below degree k."""
+    calls = spy(ce, "_cofactor_trail")
+    for st, k, power in ((co.rho_3x3(), 2, 2), (co.rho_4x5().final, 3, 4)):  # psi00^power
+        sym = _range_matrix(st)
+        closure = ce.WitnessClosure(sym, k, ())
+        nvars = len(sym.variables)
+        for N in range(1, 2 * k + 1):
+            found = ce.minor_membership(closure, tuple(N * (v == "psi00") for v in sym.variables))
+            monomials = calls[-1][1][3]
+            assert all(sum(mono) == N - k for mono, _ in monomials)
+            assert len(monomials) == (math.comb(nvars + N - k - 1, N - k) if N >= k else 0)
+            assert (found is not None) == (N >= power)
+
+
 def test_certify_sn_lower_never_enumerates(monkeypatch):
     def enumerate_(*args, **kwargs):
         raise AssertionError("certify_sn_lower enumerated the minors")
@@ -728,6 +746,17 @@ def test_linear_membership_cofactors_small():
     assert ac.linear_membership_cofactors(x ** 2, gens, cofactor_degree=0) is None
 
 
+def test_linear_membership_cofactors_keeps_lower_degrees():
+    """The oracle's contract is cofactors of degree at most d: for generators
+    that are not homogeneous, ``x + 1 = 1 * (x + 1)`` needs the degree-0
+    cofactor although d = 1, and no row of degree 1 alone reaches it."""
+    ring = ac.PolyRing(["x", "y"])
+    x = ring.var("x")
+    g = x + ring.one()
+    assert ac.linear_membership_cofactors(g, [g], cofactor_degree=1) == [(0, ring.one())]
+    assert ac.linear_membership_cofactors(x * g, [g], cofactor_degree=1) == [(0, x)]
+
+
 def test_certify_separable_inconclusive():
     d = qs.BipartiteState(2, 2, label="sep", edges=[
         qs.NamedVector(f"e{i}", em.basis_vector(4, i), Fraction(1)) for i in range(4)])
@@ -865,7 +894,7 @@ def test_edge_state_rho4x5_regression():
     final = co.rho_4x5().final
     cands = [e.vec for e in final.edges if qs.schmidt_rank(e.vec, 4, 5) == 1]
     verdict = ex.edge_state_check(final, cands)  # grid product edges as candidates
-    assert len(verdict.candidates) == 4   # |30>, |32>, |23>, |04>
+    assert len(verdict.details) == 4   # |30>, |32>, |23>, |04>
     assert verdict.is_edge_for_candidates  # frozen regression verdict
 
 

@@ -13,7 +13,7 @@ from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
 from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch, NotPPT,
-                           PPTFailure, PptlabError, PreconditionViolation, RangeViolation)
+                           PptlabError, PreconditionViolation, RangeViolation)
 
 from oracles import kron, ppt_extension_space_stacked, trivial_coupling_space_by_products
 
@@ -675,7 +675,7 @@ def test_product_pair_of_an_npt_core_fails_its_ppt_check(beta, gamma):
     so the extension is not PSD; with ``gamma = |0>`` it is PSD, but its
     partial transpose contains the core's, which is not."""
     core = _npt_full_rank()
-    with pytest.raises(PPTFailure, match="assembled extension fails the exact PPT check"):
+    with pytest.raises(NotPPT, match="assembled extension fails the exact PPT check"):
         ex.product_pair_extension(core, em.basis_vector(3, 0), em.basis_vector(3, beta),
                                   em.basis_vector(3, gamma), "A")
 
@@ -961,7 +961,8 @@ def test_extension_space_complex_covariance_and_completions():
         space = ex.ppt_extension_space(rot)
         assert space.dimension == dim
         zero_edge = em.zeros(3, 3)
-        for chi in space.basis:
+        for w in space.solution_space.basis:
+            chi = em.ExactMatrix([[w[ab * 3 + c] for c in range(3)] for ab in range(9)])
             # the partial transpose's coupling, read off the transposed operator
             pt0 = qs.partial_transpose_matrix(
                 ex.assemble_matrix(rot.matrix, chi, zero_edge, (3, 3), "A", 3), 4, 3, "A")

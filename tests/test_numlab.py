@@ -58,7 +58,7 @@ def test_eig_matches_exact_characteristic_roots():
         res = em.psd_check(G)
         assert res.is_psd
         assert np.all(w >= -1e-9)
-        assert np.sum(np.abs(w) > 1e-9) == res.rank
+        assert np.sum(np.abs(w) > 1e-9) == len(res.pivots)
 
 
 def test_gauss_newton_full_birank_immediate():
@@ -202,6 +202,17 @@ def test_survey_counts_samples_whose_birank_collapsed():
     assert report.rank_mismatch == [777]
     assert (report.to_json()["rank_mismatch"], report.to_json()["rank_mismatch_seeds"]) == (1, [777])
     assert nl.survey_table([report]).splitlines()[-1].split()[-1] == "1"
+
+
+def test_survey_table_right_aligns_the_dims_column():
+    """Each row's ``MxN`` ends in the column where the header's ``dims``
+    ends, one and two digits a side alike (not ``3x   3``)."""
+    report, = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=1, seed=5)
+    dims = [(3, 3), (10, 3), (3, 10), (36, 36)]
+    lines = nl.survey_table([report._replace(dims=d) for d in dims]).splitlines()
+    ends = [len(line) - len(line.lstrip()) + len(line.split()[0]) for line in lines[:1] + lines[2:]]
+    assert ends == [6] * 5
+    assert [line.split()[0] for line in lines[2:]] == ["3x3", "10x3", "3x10", "36x36"]
 
 
 def test_survey_of_full_birank_samples_reports_no_mismatch():

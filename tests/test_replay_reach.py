@@ -36,7 +36,7 @@ KEPT = {
     # ExactMatrix.identity, which pptbench/workloads.py calls as a method
     "ExactMatrix.outer", "ExactMatrix.__add__", "ExactMatrix.matmul", "psd_check",
     "_psd_witness", "_int_matrix", "_int_hermitian", "ExactMatrix.is_hermitian", "state_ldl",
-    "PsdResult.rank", "ExactMatrix.identity",
+    "ExactMatrix.identity",
     # the value protocol of the kernel's immutable types: the builders compare,
     # hash, print, read and do arithmetic on the same objects the replay makes,
     # and a failing test prints a scalar's value

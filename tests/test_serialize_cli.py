@@ -815,6 +815,29 @@ def test_cli_plot(tmp_path, capsys):
     assert "e0" in out
 
 
+def test_plot_names_sites_and_edges_unambiguously(capsys):
+    """A site reads ``|ij>`` below 10 levels a side, as rho3x3's plot shows
+    byte for byte, and ``|i,j>`` from 10 on: on family:8 (15x15) beta_1_7's
+    second site is ``|8,14>``, not ``|814>``.  Past 52 edges the tags go on
+    (``a1``, ``b1``, ...), so family:8's 71 edges have 71 tags, and each tag
+    marks its edge's sites in the grid."""
+    assert cli.run(["plot", "--state", "rho3x3"]) == 0
+    assert capsys.readouterr().out == "\n".join([
+        "rho3x3: 3x3 grid, 5 edges", " a b d", " c a b", " e c a",
+        "  a: e0 (weight 1) = +1|00> +1|11> +1|22>", "  b: e1 (weight 1) = +1|01> +1|12>",
+        "  c: e2 (weight 1) = +1|10> -1|21>", "  d: e3 (weight 3) = +1|02>",
+        "  e: e4 (weight 3) = +1|20>", "  (* marks sites shared by several edges)", ""])
+    assert cli.run(["plot", "--state", "family:8"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    grid = [line.split() for line in out[1:16]]
+    legend = dict(re.fullmatch(r"  (\w+): (\w+) .*", line).groups() for line in out[16:-1])
+    assert len(legend) == 71 and len(set(legend.values())) == 71
+    assert legend["a"] == "alpha" and legend["a1"] == "gamma_4_1"
+    assert "+1|1,7> +1|8,14>" in out[16 + list(legend).index("b")]
+    assert all(len(row) == 15 for row in grid) and grid[1][14] == "f1"
+    assert {cell for row in grid for cell in row} - set(legend) == {"."}
+
+
 # the arguments of each verb that writes its payload to --out, and of plot, which
 # writes --svg
 WRITERS = {

@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1529,
-    "certify-sn": 2346,
-    "verify ppt": 1351,
-    "verify sn-verdict": 1724,
+    "ppt-check": 1510,
+    "certify-sn": 2316,
+    "verify ppt": 1332,
+    "verify sn-verdict": 1705,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
