@@ -18,13 +18,15 @@ never materialized; its action is available through
 :func:`solve_on_range_matrix`.
 
 What ``verify`` runs (scalars, :class:`ExactMatrix`, :func:`weighted_gram`,
-the elimination, :class:`Subspace`, :func:`rank` and :func:`psd_check`)
-lives in the replay kernel :mod:`pptlab.replay`, imported here under the
-same names.  One rule places a matrix operation: :class:`ExactMatrix` keeps
-its value protocol, what ``verify`` runs and what the benchmark pins, and
-what only the builders call is a function here: :func:`zeros`, :func:`diag`,
-:func:`adjoint` and the rest of the algebra, column spaces, annihilators,
-subspace membership, kernels, solves and projectors.
+the elimination, :class:`Subspace` and :func:`rank`) lives in the replay
+kernel :mod:`pptlab.replay`, imported here under the same names, and so
+does :func:`psd_check`, which no ``verify`` runs: it is the LDL* that checks
+a matrix state where the state is made.  One rule places a matrix
+operation: :class:`ExactMatrix` keeps its value protocol, what ``verify``
+runs and what the benchmark pins, and what only the builders call is a
+function here: :func:`zeros`, :func:`diag`, :func:`adjoint` and the rest of
+the algebra, column spaces, annihilators, subspace membership, kernels,
+solves and projectors.
 """
 
 from __future__ import annotations

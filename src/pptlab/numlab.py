@@ -15,7 +15,9 @@ minimum-norm solution of the linearized system, taken from the normal
 equations of ``J J^T`` with one refinement step; ``lstsq`` (an SVD) is the
 fallback when ``J J^T`` is singular or the refinement shows the solve too
 inaccurate.  A survey draws a row's seeds in lockstep batches
-(:func:`gauss_newton_lockstep`), each sample bit-identical to its own run.
+(:func:`gauss_newton_lockstep`), each sample bit-identical to its own run
+under the same BLAS thread count: one OpenBLAS thread and two can give a
+sample different bits.
 
 Only :func:`from_exact` and :func:`rationalize_to_birank` cross into the
 exact layer, and they import it when they run: sampling, surveys and the
@@ -46,7 +48,6 @@ _START_NOISE = 0.1
 # this fraction of its norm is replaced by lstsq's; the steps kept agree with
 # lstsq's to about 1e-10 relative on the sampler's iterates
 _REFINE_LIMIT = 1e-6
-_GRAM_BLOCK = 32  # rows per tile of the Gram product (see _gram)
 # exact rounding of samples snaps factor entries to multiples of 2**-ROUNDING_BITS
 # and adds ROUNDING_SHIFT times the identity
 ROUNDING_BITS = 24
@@ -183,62 +184,32 @@ def _birank_jacobian(x: np.ndarray, eig, m: int, n: int, kp: int, kq: int):
     return jac, vals
 
 
-def _gram(jac: np.ndarray) -> np.ndarray:
-    """``jac @ jac.T``, for each matrix of a stack ``jac``, from
-    ``_GRAM_BLOCK``-row tiles of its upper triangle.
-
-    Each product packs one small tile where the whole product would pack all
-    of ``jac``.  In a process that samples 3x3 and 4x4 states this keeps
-    the BLAS buffers it touches, and so its peak RSS, about 0.3 MB lower;
-    at 4x4 (162 rows) the tiles take 0.44 ms against 0.25 ms for one product.
-    """
-    k = jac.shape[-2]
-    gram = np.empty(jac.shape[:-1] + (k,))
-    for lo in range(0, k, _GRAM_BLOCK):
-        rows = jac[..., lo:lo + _GRAM_BLOCK, :]
-        for lo2 in range(lo, k, _GRAM_BLOCK):
-            tile = rows @ jac[..., lo2:lo2 + _GRAM_BLOCK, :].swapaxes(-1, -2)
-            gram[..., lo:lo + _GRAM_BLOCK, lo2:lo2 + _GRAM_BLOCK] = tile
-            gram[..., lo2:lo2 + _GRAM_BLOCK, lo:lo + _GRAM_BLOCK] = tile.swapaxes(-1, -2)
-    return gram
-
-
-def _normal_equation_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
-    """Per sample of the stacks ``jac`` and ``rhs``, ``jac^T (jac jac^T)^{-1}
-    rhs``, the minimum-norm solution of ``jac @ step = rhs`` when ``jac`` has
-    full row rank, or ``None`` when it cannot be trusted.
+def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
+    """Per sample of the stacks ``jac`` and ``rhs``, the minimum-norm
+    solution of ``jac @ step = rhs``: ``jac^T (jac jac^T)^{-1} rhs`` when
+    ``jac`` has full row rank, else ``lstsq``'s (an SVD).
 
     The LU solve of the Gram matrix has an error that grows with its
     condition number, the square of ``jac``'s, so one step of iterative
-    refinement follows.  A sample's result is ``None`` when its Gram matrix
+    refinement follows.  A sample's step is ``lstsq``'s when its Gram matrix
     is singular or the refinement moves its step by more than
     ``_REFINE_LIMIT`` of its norm (the solve was too inaccurate).  One
     singular Gram matrix fails the stacked solve, and then each sample is
     solved alone.
     """
-    gram = _gram(jac)
     jac_t = jac.swapaxes(-1, -2)
+    gram = jac @ jac_t
     try:
         step = jac_t @ np.linalg.solve(gram, rhs[..., None])
         fix = jac_t @ np.linalg.solve(gram, rhs[..., None] - jac @ step)
     except np.linalg.LinAlgError:
         if len(jac) == 1:
-            return [None]
+            return [np.linalg.lstsq(jac[0], rhs[0], rcond=None)[0]]
         return [out for s in range(len(jac))
-                for out in _normal_equation_steps(jac[s:s + 1], rhs[s:s + 1])]
-    return [a + b if np.linalg.norm(b) <= _REFINE_LIMIT * np.linalg.norm(a) else None
-            for a, b in zip(step[..., 0], fix[..., 0])]
-
-
-def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
-    """Per sample of the stacks ``jac`` and ``rhs``, the minimum-norm
-    solution of ``jac @ step = rhs``: from the normal equations
-    (:func:`_normal_equation_steps`), else from ``lstsq`` (an SVD).  The Gram
-    matrices are freed before ``lstsq`` allocates its workspace, which keeps
-    the sampling process's peak RSS about 0.25 MB lower."""
-    steps = _normal_equation_steps(jac, rhs)
-    return [np.linalg.lstsq(j, r, rcond=None)[0] if step is None else step
-            for j, r, step in zip(jac, rhs, steps)]
+                for out in _min_norm_steps(jac[s:s + 1], rhs[s:s + 1])]
+    return [a + b if np.linalg.norm(b) <= _REFINE_LIMIT * np.linalg.norm(a)
+            else np.linalg.lstsq(j, r, rcond=None)[0]
+            for j, r, a, b in zip(jac, rhs, step[..., 0], fix[..., 0])]
 
 
 def gauss_newton_birank(m: int, n: int, p: int, q: int, seed) -> FloatState:
@@ -279,12 +250,13 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
     or the :class:`ConvergenceFailure` it would raise.
 
     Each iteration stacks the samples still running: their Jacobians, Gram
-    tiles, LU solves and refinements, and the eigendecompositions at their
+    matrices, LU solves and refinements, and the eigendecompositions at their
     full steps.  The ``lstsq`` fallback and the step halving stay per
     sample.  A sample leaves the batch when it converges or reaches
     :data:`DEFAULT_MAX_ITER` iterations.  Every sample equals its batch of
     one bit for bit: a stacked product, solve or eigendecomposition runs,
-    per matrix, the BLAS or LAPACK call of the single one.
+    per matrix, the BLAS or LAPACK call of the single one.  Both runs need
+    the same BLAS thread count, which can change a sample's bits.
     """
     size = _levels(m, n)
     if not (1 <= p <= size and 1 <= q <= size):
@@ -380,12 +352,8 @@ def numeric_extension_dimension(state: FloatState, return_report: bool = False):
     Q, q = _range_projector(rho_ta)
     N = m * n * n
     P1 = np.kron(np.eye(m * n) - P, np.eye(n))
-    swap = np.zeros((N, N))
-    for a in range(m):
-        for b in range(n):
-            for c in range(n):
-                swap[a * n * n + b * n + c, a * n * n + c * n + b] = 1.0
-    P2 = np.kron(np.eye(m * n) - Q.conj(), np.eye(n)) @ swap
+    swap = np.arange(N).reshape(m, n, n).swapaxes(1, 2).ravel()  # B <-> B' on (A,B,B')
+    P2 = np.kron(np.eye(m * n) - Q.conj(), np.eye(n))[:, swap]
     sv = np.linalg.svd(np.vstack([P1, P2]), compute_uv=False)
     lo, hi = _AMBIGUOUS
     if np.any((sv >= lo) & (sv <= hi)):

@@ -7,15 +7,15 @@ code sits in this one bottom-layer module, which imports only
 matrices (:class:`ExactMatrix`: its value protocol, what ``verify`` runs and
 what the tracer pins; the builders' algebra is :mod:`pptlab.exactmat`'s) and
 the one Gram kernel :func:`weighted_gram`, the one row elimination
-(:func:`_echelon`) behind :class:`Subspace` and :func:`rank`, the pivoted
-LDL* :func:`psd_check`, the state record (:class:`BipartiteState`, checked
-once where it is made) with its partial transpose and the Schmidt rank of a
-vector, the JSON readers with the sparse ``[index, value]`` reader and the
-one field reader :func:`_fields`, which owns every stored layout's keys, the
-ppt verifier, and :data:`VERIFIERS`, through which
-:func:`verify_certificate` dispatches.  The sn-verdict replay is
-:mod:`pptlab.minors`, which :data:`VERIFIERS` imports only to replay one, so
-a ppt ``verify`` never compiles it.
+(:func:`_echelon`) behind :class:`Subspace` and :func:`rank`, the state
+record (:class:`BipartiteState`, checked once where it is made: a matrix
+state by the pivoted LDL* :func:`psd_check`, which no ``verify`` runs) with
+its partial transpose and the Schmidt rank of a vector, the JSON readers
+with the sparse ``[index, value]`` reader and the one field reader
+:func:`_fields`, which owns every stored layout's keys, the ppt verifier,
+and :data:`VERIFIERS`, through which :func:`verify_certificate` dispatches.
+The sn-verdict replay is :mod:`pptlab.minors`, which :data:`VERIFIERS`
+imports only to replay one, so a ppt ``verify`` never compiles it.
 :mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and :mod:`pptlab.serialize`
 import the kernel from here.
 """
@@ -172,12 +172,12 @@ def parse_scalar(text: str) -> GaussianRational:
     if not (isinstance(text, str) and text.strip().endswith("i")):
         return GaussianRational(_rational(text))
     body = text.strip()[:-1].strip()
-    # split at the sign separating real and imaginary parts; a sign after
-    # "e" belongs to an exponent ("2e-3")
-    for pos in range(len(body) - 1, 0, -1):
-        if body[pos] in "+-" and body[pos - 1] not in "+-/eE":
-            return GaussianRational(_rational(body[:pos]), _rational(body[pos:]))
-    return GaussianRational(0, _rational(body))
+    # the sign between the parts; a sign after "e" is an exponent's ("2e-3")
+    pos = next((p for p in range(len(body) - 1, 0, -1)
+                if body[p] in "+-" and body[p - 1] not in "+-/eE"), 0)
+    if body[pos:] in ("", "+", "-"):  # "i", "-i", "1+i"
+        raise ValueError(f"{text.strip()[:20]!r} is not of the form 'p/q+r/s i' (i: '0+1 i')")
+    return GaussianRational(_rational(body[:pos] or "0"), _rational(body[pos:]))
 
 
 # ---------------------------------------------------------------------------

@@ -113,16 +113,26 @@ def exit_times(workdir) -> dict:
             for name, argv in VERBS}
 
 
-if __name__ == "__main__":
+def main() -> None:
+    """Print the totals, the modules behind them and the exit times."""
     with tempfile.TemporaryDirectory() as tmp:
         found = measure(tmp)
         exits = exit_times(tmp)
     print("Lines of pptlab compiled per process: "
           + ", ".join(f"{name} {lines}" for name, (lines, _) in found.items()))
-    main = _lines(SRC / "pptlab" / "cli.py")
+    cli_lines = _lines(SRC / "pptlab" / "cli.py")
     for name, (lines, modules) in found.items():
-        print(f"  {name} ({lines}): cli as __main__ {main}, " + ", ".join(
+        print(f"  {name} ({lines}): cli as __main__ {cli_lines}, " + ", ".join(
             f"{module.removeprefix('pptlab.')} {n}"
             for module, n in sorted(modules.items(), key=lambda item: -item[1])))
     print("Median exit time per process (main returning to the wait returning, five runs): "
           + ", ".join(f"{name} {seconds * 1e3:.1f} ms" for name, seconds in exits.items()))
+
+
+if __name__ == "__main__":
+    try:
+        main()
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's shutdown
+    except BrokenPipeError:  # the reader left early (``| head -1``): end as cli.main does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for that flush
+        sys.exit(141)

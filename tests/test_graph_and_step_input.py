@@ -292,6 +292,27 @@ def test_exponents_within_the_digit_limit_still_read():
             rp._rational(text)
 
 
+@pytest.mark.parametrize("text", ["i", "-i", "1+i"])
+@pytest.mark.parametrize("reader", ["state-file", "step-phi"])
+def test_a_bare_imaginary_unit_is_refused_naming_the_written_form(text, reader, tmp_path):
+    """``"i"``, ``"-i"`` and ``"1+i"`` are not read (the unit is written
+    ``"0+1 i"``), and the refusal names the text and that form, not
+    Fraction's ``Invalid literal for Fraction: ''``."""
+    if reader == "state-file":
+        path = tmp_path / "state.json"
+        assert _run(["build", "--state", "rho3x3", "--out", str(path)])[0] == 0
+        state = json.loads(path.read_text())
+        state["edges"][0]["vector"][0][1] = text
+        path.write_text(json.dumps(state))
+        argv = ["ppt-check", "--state", str(path)]
+    else:
+        argv = ["extend", "--state", "rho3x3", "--step",
+                json.dumps({"kind": "slocc", "side": "B", "phi": ["1", "0", text]})]
+    code, out, err = _run(argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1, err
+    assert f"{text!r} is not of the form 'p/q+r/s i' (i: '0+1 i')" in err, err
+
+
 # -- the fuzzer ------------------------------------------------------------------
 
 def _paths(node, path=()):
