@@ -63,6 +63,9 @@ def is_zero_vector(v: Vector) -> bool:
 
 
 def zeros(rows: int, cols: int) -> ExactMatrix:
+    """The zero matrix; :class:`ExactMatrix` reads its column count off its first row."""
+    if not rows and cols:
+        raise DimensionMismatch(f"no {rows}x{cols} matrix: a matrix with no rows has no columns")
     return ExactMatrix([[ZERO] * cols for _ in range(rows)])
 
 

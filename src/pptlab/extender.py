@@ -21,7 +21,9 @@ side-B extension through :func:`qstates.swap_subsystems`.
 An extension is checked PSD once, when assembled (a product pair by the
 LDL* of its partial transpose, which proves it PSD too); its core,
 relabellings and projections are unchecked, and its lifted edges are
-checked only by their sum.
+checked only by their sum.  An extension is PSD-extremal exactly when it
+is flat (:func:`extremality_check_psd`); :func:`lift_decomposition` alone
+splits a nonflat one into its flat part and rank-one terms on the new level.
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
 dimension n when extending A, A-side space of dimension m when extending B).
@@ -79,11 +81,6 @@ class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
     def _replace(self, **changes) -> "ExtensionBlocks":
         # the named tuple's own _replace would skip the checks in __new__
         return ExtensionBlocks(**{**self._asdict(), **changes})
-
-    @property
-    def ext_dims(self) -> tuple:
-        m, n = self.core.dims
-        return (m + 1, n) if self.side == "A" else (m, n + 1)
 
 
 def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):
@@ -156,8 +153,8 @@ def assemble_extension(blocks: ExtensionBlocks, label: str = "") -> qs.Bipartite
     m, n = blocks.core.dims
     M = assemble_matrix(blocks.core.matrix, blocks.coupling, blocks.edge,
                         (m, n), blocks.side, blocks.perp_index)
-    dims = blocks.ext_dims
-    return qs.BipartiteState(dims[0], dims[1], M, label=label or "extension")
+    m_ext, n_ext = (m + 1, n) if blocks.side == "A" else (m, n + 1)
+    return qs.BipartiteState(m_ext, n_ext, M, label=label or "extension")
 
 
 # ---------------------------------------------------------------------------
@@ -606,43 +603,24 @@ def _partial_conjugate(v: em.Vector, m: int, n: int) -> em.Vector:
 class PsdExtremality(NamedTuple):
     extremal: bool
     reason: str
-    flat_part: em.ExactMatrix | None     # assembled flat extension
-    rank_one_parts: tuple                # weighted vectors in R(rho_ec) (x) |perp>
 
 
 def extremality_check_psd(blocks: ExtensionBlocks) -> PsdExtremality:
     """Extremality in the cone of PSD local extensions.
 
-    Flat extensions are extremal; a nonflat extension splits into its flat
-    part plus rank-one terms supported on the new level, both in the frame
-    of ``blocks``.
+    An extension is extremal exactly when it is flat: its edge Schur
+    complement vanishes, or, over a zero core, its edge has rank at most
+    one.  :func:`lift_decomposition` splits a nonflat one: its lifted core
+    vectors sum to the flat part, and its remainder's LDL* gives the
+    rank-one terms on the new level.
     """
-    core = blocks.core.matrix
-    if em.is_zero(core):
+    if em.is_zero(blocks.core.matrix):
         if em.rank(blocks.edge) <= 1:
-            return PsdExtremality(True, "rank-one edge with zero core", None, ())
-        parts = _embedded_rank_ones(em.psd_check(blocks.edge), blocks)
-        return PsdExtremality(False, "edge block of rank above one", None, parts)
-    flat_edge = _flat_edge(core, blocks.coupling)[1]
-    rho_ec = blocks.edge - flat_edge
-    if em.is_zero(rho_ec):
-        return PsdExtremality(True, "flat extension", None, ())
-    flat = assemble_matrix(core, blocks.coupling, flat_edge, blocks.core.dims, blocks.side,
-                           blocks.perp_index)
-    parts = _embedded_rank_ones(em.psd_check(rho_ec), blocks)
-    return PsdExtremality(False, "nonzero Schur complement", flat, parts)
-
-
-def _embedded_rank_ones(res: em.PsdResult, blocks: ExtensionBlocks) -> tuple:
-    m_ext, n_ext = blocks.ext_dims
-    _, new_idx = level_indices(m_ext, n_ext, blocks.side, blocks.perp_index)
-    parts = []
-    for (_, d), col in zip(res.pivots, res.columns):
-        vec = [em.ZERO] * (m_ext * n_ext)
-        for r, x in zip(new_idx, col):
-            vec[r] = x
-        parts.append((tuple(vec), Fraction(d)))
-    return tuple(parts)
+            return PsdExtremality(True, "rank-one edge with zero core")
+        return PsdExtremality(False, "edge block of rank above one")
+    if em.is_zero(schur_complement(blocks)):
+        return PsdExtremality(True, "flat extension")
+    return PsdExtremality(False, "nonzero Schur complement")
 
 
 # what a PPT-cone verdict of extremality_check_ppt does and does not claim

@@ -3,8 +3,10 @@
 Samples random PPT states with a prescribed birank by driving the smallest
 eigenvalues of a random Hermitian matrix and of its partial transpose to
 zero with a damped Gauss-Newton iteration, then measures extension-space
-dimensions numerically.  Everything here is double precision; the exact
-layer is the oracle these routines are validated against.
+dimensions numerically.  A sample has trace one and no eigenvalue below
+``-DEFAULT_TOL``, of it or of its partial transpose; its driven ones are
+within :data:`DEFAULT_TOL` of zero.  Everything here is double precision;
+the exact layer is the oracle these routines are validated against.
 
 The calibration is fixed: residual tolerance :data:`DEFAULT_TOL` (1e-10),
 at most :data:`DEFAULT_MAX_ITER` (200) iterations with step halving on a
@@ -230,6 +232,10 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed) -> FloatState:
     Steps are halved while the max eigenvalue residual increases, for at
     most :data:`DEFAULT_MAX_ITER` steps, until the residual is below
     :data:`DEFAULT_TOL`; past that it raises :class:`ConvergenceFailure`.
+    The sample has trace one (each trial point is divided by its trace) and
+    no eigenvalue below ``-DEFAULT_TOL`` on either side.  A side with none
+    driven (``p`` or ``q`` = mn) starts with none below ``1/(2mn)``, and is
+    checked at convergence: one below ``-DEFAULT_TOL`` raises it.
     """
     out, = gauss_newton_lockstep(m, n, p, q, [seed])
     if isinstance(out, ConvergenceFailure):
@@ -264,35 +270,45 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
     kp, kq = size - p, size - q
 
     def points(xs):
-        """Per matrix of the stack ``xs``: it, its residual, and the
-        eigenvectors of it and of its partial transpose."""
+        """Per matrix of the stack ``xs``: it, its residual, the eigenvectors
+        of it and of its partial transpose, and their lowest eigenvalues."""
         w1, v1 = np.linalg.eigh(xs)
         w2, v2 = np.linalg.eigh(partial_transpose_np(xs, m, n))
-        return [(x, np.concatenate([a[:kp], b[:kq]]), (va, vb))
+        return [(x, np.concatenate([a[:kp], b[:kq]]), (va, vb), (a[0], b[0]))
                 for x, a, b, va, vb in zip(xs, w1, w2, v1, v2)]
 
     def trials(params, steps):
-        """The points at ``params + steps`` (stacks), each over its trace
-        unless that is near 0."""
+        """The points at ``params + steps`` (stacks), each over its trace; a
+        step onto trace 0 has none, so its residual is infinite."""
         xs = _params_to_herm(params + steps, size)
         tr = np.trace(xs, axis1=-2, axis2=-1).real
-        return points(np.stack([x / t if abs(t) > 1e-12 else x for x, t in zip(xs, tr)]))
+        pts = points(xs / np.where(tr, tr, 1)[:, None, None])
+        return [(x, r if t else np.full_like(r, np.inf), *rest) for t, (x, r, *rest) in zip(tr, pts)]
 
     starts = []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         x = np.eye(size, dtype=complex) / size + _START_NOISE * random_hermitian(size, rng)
-        starts.append(x / np.trace(x).real)
+        x = x / np.trace(x).real
+        # a side with nothing to drive (p or q = mn) starts with no eigenvalue below 1/(2mn)
+        low = min([np.linalg.eigvalsh(y)[0] for y, k in
+                   ((x, kp), (partial_transpose_np(x, m, n), kq)) if not k], default=1.0)
+        shift = max(0.0, 1 / size - 2 * low)
+        starts.append((x + shift * np.eye(size)) / (1 + shift * size) if shift else x)
     current = points(np.stack(starts)) if starts else []
     out = [None] * len(current)
     running = range(len(current))
     for it in range(DEFAULT_MAX_ITER + 1):
         left = []
         for s in running:
-            x, r, _ = current[s]
+            x, r, _, lowest = current[s]
             res = float(np.max(np.abs(r))) if r.size else 0.0
             if res < DEFAULT_TOL:  # a NaN residual keeps iterating
-                out[s] = FloatState(m, n, x, (p, q), res, it)
+                # only a side with no eigenvalue to drive (p or q = mn) can be negative here
+                w, name = min(zip(lowest, ("the state", "its partial transpose")))
+                out[s] = FloatState(m, n, x, (p, q), res, it) if w >= -DEFAULT_TOL else \
+                    ConvergenceFailure(f"birank ({p},{q}) drives no eigenvalue of {name}, which "
+                                       f"has eigenvalue {w:.3e} below -{DEFAULT_TOL:.1e}")
             elif it == DEFAULT_MAX_ITER:
                 out[s] = ConvergenceFailure(f"residual {res:.3e} above {DEFAULT_TOL:.1e} "
                                             f"after {DEFAULT_MAX_ITER} iterations")

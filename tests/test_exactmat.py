@@ -89,6 +89,15 @@ def test_division_by_zero():
         em.ONE / em.ZERO
 
 
+def test_zeros_refuses_columns_without_rows():
+    """An ``ExactMatrix`` with no rows has no columns, so ``zeros`` refuses
+    ``0 x n`` for ``n > 0`` rather than return a ``0 x 0`` matrix."""
+    assert [em.zeros(*shape).shape for shape in ((0, 0), (3, 0), (2, 3))] == \
+        [(0, 0), (3, 0), (2, 3)]
+    with pytest.raises(DimensionMismatch, match="no 0x3 matrix"):
+        em.zeros(0, 3)
+
+
 # -- rank and kernel ------------------------------------------------------------
 
 def test_rank_zero_matrix():

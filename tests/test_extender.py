@@ -711,15 +711,15 @@ def test_lift_zero_coupling_keeps_vectors():
     edge = em.diag([1, 1])
     blocks = ex.ExtensionBlocks(core, em.zeros(4, 2), edge, "A", 2)
     st = ex.assemble_extension(blocks)
-    vecs = [e for e in _decomposition_of(core)]
+    vecs = _decomposition_of(core.matrix)
     lifted, remainder = ex.lift_decomposition(st, "A", 2, [v for v, _ in vecs],
                                               [w for _, w in vecs])
     for (v0, _), (v1, _) in zip(vecs, lifted):
         assert v1[:4] == v0 and em.is_zero_vector(v1[4:])
 
 
-def _decomposition_of(state):
-    res = em.psd_check(state.matrix)
+def _decomposition_of(M):
+    res = em.psd_check(M)
     return [(col, Fraction(d)) for (_, d), col in zip(res.pivots, res.columns)]
 
 
@@ -772,6 +772,28 @@ def test_lift_checks_the_core_through_the_extension_once(spy):
 
 # -- extremality ----------------------------------------------------------------------------
 
+def _assert_lift_splits(ext, side, perp, rank_ones):
+    """``lift_decomposition`` of the core's LDL* splits ``ext``: the lifted
+    vectors sum to the flat extension, and the remainder's LDL* gives
+    ``rank_ones`` terms, which sit on the new level in the frame of the
+    blocks and, with the lifted vectors, reassemble ``ext``."""
+    blocks = ex.split_blocks(ext, side, perp)
+    core = _decomposition_of(blocks.core.matrix)
+    lifted, remainder = ex.lift_decomposition(ext, side, perp, [v for v, _ in core],
+                                              [w for _, w in core])
+    parts = _decomposition_of(remainder)
+    assert len(parts) == rank_ones
+    size = ext.matrix.rows
+    flat_edge = blocks.edge - ex.schur_complement(blocks)
+    flat = ex.assemble_extension(blocks._replace(edge=flat_edge)).matrix
+    assert em.weighted_gram([v for v, _ in lifted], [w for _, w in lifted], size) == flat
+    _, new_idx = ex.level_indices(ext.dim_a, ext.dim_b, side, perp)
+    for v, _ in parts:
+        assert all(not x for i, x in enumerate(v) if i not in new_idx)
+    assert flat + em.weighted_gram([v for v, _ in parts], [w for _, w in parts], size) == \
+        ext.matrix
+
+
 def test_extremality_psd_flat_and_perturbed():
     rng = random.Random(6)
     core = random_psd_state(rng, 2, 2)
@@ -779,46 +801,30 @@ def test_extremality_psd_flat_and_perturbed():
     chi = core.matrix.matmul(R)
     flat = ex.flat_extension(core, chi, "A")
     blocks = ex.split_blocks(flat, "A", 2)
-    assert ex.extremality_check_psd(blocks).extremal
+    assert ex.extremality_check_psd(blocks) == (True, "flat extension")
     bumped = ex.ExtensionBlocks(blocks.core, blocks.coupling,
                                 blocks.edge + em.diag([1, 0]), "A", 2)
-    verdict = ex.extremality_check_psd(bumped)
-    assert not verdict.extremal
-    assert len(verdict.rank_one_parts) == 1
-    # the decomposition reassembles the extension
-    parts = verdict.rank_one_parts
-    total = verdict.flat_part + em.weighted_gram([v for v, _ in parts], [w for _, w in parts], 6)
-    assert total == ex.assemble_extension(bumped).matrix
+    assert ex.extremality_check_psd(bumped) == (False, "nonzero Schur complement")
+    _assert_lift_splits(ex.assemble_extension(bumped), "A", 2, 1)
 
 
 @pytest.mark.parametrize("stage, side", [("final", "B"), ("stage1", "A")])
 def test_extremality_psd_parts_in_the_frame_of_the_blocks(stage, side):
     st = getattr(co.rho_4x5(), stage)
     perp = (st.dim_a if side == "A" else st.dim_b) - 1
-    verdict = ex.extremality_check_psd(ex.split_blocks(st, side, perp))
-    assert not verdict.extremal
-    parts = verdict.rank_one_parts
-    total = verdict.flat_part + em.weighted_gram([v for v, _ in parts], [w for _, w in parts],
-                                                 st.matrix.rows)
-    assert total == st.matrix
-    _, new_idx = ex.level_indices(st.dim_a, st.dim_b, side, perp)
-    for v, _ in parts:
-        assert all(not x for i, x in enumerate(v) if i not in new_idx)
+    blocks = ex.split_blocks(st, side, perp)
+    assert ex.extremality_check_psd(blocks) == (False, "nonzero Schur complement")
+    _assert_lift_splits(st, side, perp, em.rank(ex.schur_complement(blocks)))
 
 
 def test_extremality_psd_zero_core_with_an_edge_of_rank_two():
-    """A zero core with an edge of rank above one splits into the edge's
-    rank-one LDL* parts, placed on the new level."""
+    """A zero core with an edge of rank above one is not extremal; its split
+    is the edge's two rank-one LDL* parts, placed on the new level."""
     core = qs.BipartiteState(1, 2, em.zeros(2, 2), label="0")
     edge = em.ExactMatrix([[2, 1], [1, 2]])
     blocks = ex.ExtensionBlocks(core, em.zeros(2, 2), edge, "A", 1)
-    verdict = ex.extremality_check_psd(blocks)
-    assert (verdict.extremal, verdict.reason, verdict.flat_part) == \
-        (False, "edge block of rank above one", None)
-    parts = verdict.rank_one_parts
-    assert len(parts) == 2 and all(not any(v[:2]) for v, _ in parts)
-    assert em.weighted_gram([v for v, _ in parts], [w for _, w in parts], 4) == \
-        ex.assemble_extension(blocks).matrix
+    assert ex.extremality_check_psd(blocks) == (False, "edge block of rank above one")
+    _assert_lift_splits(ex.assemble_extension(blocks), "A", 1, 2)
 
 
 def test_extremality_ppt_refuses_an_npt_extension():

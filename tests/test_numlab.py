@@ -67,6 +67,44 @@ def test_gauss_newton_full_birank_immediate():
     assert st.residual == 0.0
 
 
+def _assert_sample_or_failure(out, m, n):
+    """``out`` is a :class:`ConvergenceFailure` or a trace-one sample with no
+    eigenvalue below ``-DEFAULT_TOL``, on either side."""
+    if isinstance(out, ConvergenceFailure):
+        return
+    assert abs(np.trace(out.matrix).real - 1) <= 1e-9
+    for x in (out.matrix, nl.partial_transpose_np(out.matrix, m, n)):
+        assert np.linalg.eigvalsh(x).min() >= -nl.DEFAULT_TOL
+
+
+@pytest.mark.parametrize("m, n, p, q", [(2, 2, 1, 1), (3, 3, 2, 1)])
+def test_no_sample_collapses_to_zero(m, n, p, q):
+    """Every trial point is scaled to trace one, so a step towards 0 cannot
+    shrink every eigenvalue at once into a "converged" zero matrix."""
+    for out in nl.gauss_newton_lockstep(m, n, p, q, range(3)):
+        _assert_sample_or_failure(out, m, n)
+
+
+@pytest.mark.parametrize("m, n, p, q, seeds, side", [
+    (3, 3, 9, 9, range(10), None),
+    (3, 3, 8, 9, range(10), None),
+    (3, 3, 9, 4, [0], "the state"),
+    (3, 3, 4, 9, [0, 1], "its partial transpose")])
+def test_an_undriven_side_must_be_psd(m, n, p, q, seeds, side):
+    """At p = mn (or q = mn) nothing drives the eigenvalues of that side: it
+    starts positive definite, and a sample that leaves it with a negative
+    eigenvalue is a failure that names the side."""
+    outs = nl.gauss_newton_lockstep(m, n, p, q, seeds)
+    for out in outs:
+        _assert_sample_or_failure(out, m, n)
+    if side is None:
+        assert all(isinstance(out, nl.FloatState) for out in outs)
+    else:
+        assert all(isinstance(out, ConvergenceFailure) and
+                   str(out).startswith(f"birank ({p},{q}) drives no eigenvalue of {side}, "
+                                       "which has eigenvalue -") for out in outs)
+
+
 def test_gauss_newton_3x3_rank44():
     st = nl.gauss_newton_birank(3, 3, 4, 4, seed=0)
     assert st.residual < 1e-9
