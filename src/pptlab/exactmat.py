@@ -161,15 +161,6 @@ def rank_and_kernel(M: ExactMatrix) -> tuple[int, Subspace]:
     return _int_kernel(_int_rows(M._e), M.cols)
 
 
-def null_space(rows: Sequence[Vector], n: int) -> Subspace:
-    """``{w in C^n : sum_j r[j] w[j] = 0 for every row r}``; all of ``C^n``
-    when there are no rows."""
-    for r in rows:
-        if len(r) != n:
-            raise DimensionMismatch(f"constraint rows of length {len(r)} on C^{n}")
-    return _int_kernel(_int_rows(vector(r) for r in rows), n)[1]
-
-
 def orth_projector(S: Subspace) -> ExactMatrix:
     """Orthogonal projector onto ``S`` via exact Gram-matrix inversion."""
     if S.ambient_dim < 1:
@@ -204,9 +195,3 @@ def solve_on_range_matrix(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         X[pc] = row[n:]
     return ExactMatrix(X)
 
-
-def subspace_intersection(U: Subspace, V: Subspace) -> Subspace:
-    """Exact intersection: the null space of both annihilators' rows stacked."""
-    if U.ambient_dim != V.ambient_dim:
-        raise DimensionMismatch("subspaces in different ambient spaces")
-    return null_space(annihilator(U) + annihilator(V), U.ambient_dim)

@@ -296,17 +296,15 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
 def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side,
                     label: str = "") -> qs.BipartiteState:
     """Trivial extension ``(S (x) 1) rho (S (x) 1)*`` with ``S = 1 + |perp><phi|``
-    (``1 (x) S`` on side B): coupling ``rho X`` and edge ``X* rho X``, with
-    ``X`` the product columns of ``phi`` (:func:`_product_columns`).
+    (``1 (x) S`` on side B): the flat extension of the coupling ``rho X``,
+    with ``X`` the product columns of ``phi`` (:func:`_product_columns`).
+    Its edge ``X* rho X`` is the flat edge ``(rho X)* rho^{-1} (rho X)``.
 
     The new level is appended as the last local index.  The output is PPT
     iff the core is, and no decomposition vector gains Schmidt rank.
     """
-    X = _product_columns(core, phi, side)
-    chi = core.matrix.matmul(X)
-    blocks = ExtensionBlocks(core, chi, em.adjoint(X).matmul(chi), side,
-                             core.dim_a if side == "A" else core.dim_b)
-    return assemble_extension(blocks, label or f"slocc({core.label})")
+    return flat_extension(core, core.matrix.matmul(_product_columns(core, phi, side)), side,
+                          label or f"slocc({core.label})")
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
@@ -644,24 +642,23 @@ class PptExtremality(NamedTuple):
 
 def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     """Runs in the A frame: a side-B extension is analyzed as the side-A
-    extension of the swapped core."""
+    extension of the swapped core.  The extension and its partial transpose
+    split alike, and their edge Schur complements' ranges meet only in 0
+    exactly when they form a direct sum: both bases stacked have full rank."""
     ext = assemble_extension(blocks)
-    blocks_a = blocks
     if blocks.side == "B":
         ext = qs.swap_subsystems(ext)
-        blocks_a = split_blocks(ext, "A", blocks.perp_index)
-    m, n = blocks_a.core.dims
+    m, n = ext.dim_a - 1, ext.dim_b
     pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "A")
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")
-    rho_ec = schur_complement(blocks_a)
-    # the partial transpose splits into rho_c^Ta, its coupling and the same edge
-    core_ta, chi_ta, edge_ta, _ = split_matrix(pt, m + 1, n, "A", blocks_a.perp_index)
-    r2 = em.column_space(edge_ta - _flat_edge(core_ta, chi_ta)[1])
-    triv = em.subspace_intersection(em.column_space(rho_ec), r2).dim == 0
+    core, chi, edge, _ = split_matrix(ext.matrix, m + 1, n, "A", blocks.perp_index)
+    core_ta, chi_ta, edge_ta, _ = split_matrix(pt, m + 1, n, "A", blocks.perp_index)
+    rho_ec = edge - _flat_edge(core, chi)[1]
+    r1, r2 = em.column_space(rho_ec), em.column_space(edge_ta - _flat_edge(core_ta, chi_ta)[1])
+    triv = em.rank(em.ExactMatrix(r1.basis + r2.basis)) == r1.dim + r2.dim
     # couplings in R(rho_c) (x) conj R(rho_ec) and in conj R(rho_c^Ta) (x) R(rho_ec^Ta)
-    inter = _choi_null_space(m, n, em.column_space(blocks_a.core.matrix),
-                             em.column_space(em.conjugate(core_ta)),
+    inter = _choi_null_space(m, n, em.column_space(core), em.column_space(em.conjugate(core_ta)),
                              range_c=em.column_space(em.conjugate(rho_ec)), range_b=r2)
     verdict = "Extremal" if triv and inter.dim == 0 else "NotCertified"
     return PptExtremality(triv, inter.dim, verdict)

@@ -189,7 +189,8 @@ def _birank_jacobian(x: np.ndarray, eig, m: int, n: int, kp: int, kq: int):
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
     """Per sample of the stacks ``jac`` and ``rhs``, the minimum-norm
     solution of ``jac @ step = rhs``: ``jac^T (jac jac^T)^{-1} rhs`` when
-    ``jac`` has full row rank, else ``lstsq``'s (an SVD).
+    ``jac`` has full row rank, else ``lstsq``'s (an SVD), at once when ``jac``
+    has more rows than columns.
 
     The LU solve of the Gram matrix has an error that grows with its
     condition number, the square of ``jac``'s, so one step of iterative
@@ -199,6 +200,8 @@ def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
     singular Gram matrix fails the stacked solve, and then each sample is
     solved alone.
     """
+    if jac.shape[1] > jac.shape[2]:  # jac jac^T is singular
+        return [np.linalg.lstsq(j, r, rcond=None)[0] for j, r in zip(jac, rhs)]
     jac_t = jac.swapaxes(-1, -2)
     gram = jac @ jac_t
     try:

@@ -15,7 +15,8 @@ from pptlab import qstates as qs
 from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch, NotPPT,
                            PptlabError, PreconditionViolation, RangeViolation)
 
-from oracles import kron, ppt_extension_space_stacked, trivial_coupling_space_by_products
+from oracles import (intersection_via_stacked_kernel, kron, ppt_extension_space_stacked,
+                     trivial_coupling_space_by_products)
 
 
 def rnd_scalar(rng, span=2):
@@ -471,6 +472,25 @@ def test_slocc_side_b():
     assert em.psd_check(st.partial_transpose("A")).is_psd
 
 
+def test_slocc_extension_is_the_flat_extension_of_its_coupling():
+    """On both sides of the extend-survey cores, along dense directions, the
+    SLOCC extension by ``phi`` is the flat extension of its coupling
+    ``rho X`` (``X = |phi> (x) 1``, or ``1 (x) |phi>`` on side B), and its edge
+    is ``X* rho X``."""
+    rng = random.Random(14)
+    for core in (co.rho_3x3(), co.tiles_complement(), co.rho_family(2), co.rho_4x5().stage1):
+        m, n = core.dims
+        for side, local in (("A", m), ("B", n)):
+            phi = dense_direction(rng, local)
+            col = em.ExactMatrix([[x] for x in phi])
+            X = kron(col, em.ExactMatrix.identity(n)) if side == "A" else \
+                kron(em.ExactMatrix.identity(m), col)
+            st = ex.slocc_extension(core, phi, side)
+            assert st.matrix == ex.flat_extension(core, core.matrix.matmul(X), side).matrix
+            assert ex.split_blocks(st, side, local).edge == \
+                em.adjoint(X).matmul(core.matrix).matmul(X)
+
+
 # -- extension steps and pipelines ---------------------------------------------------
 
 def test_run_pipeline_without_edges_builds_the_same_stages():
@@ -903,6 +923,42 @@ def test_extremality_ppt_pipeline_stages_frozen(stage, side, perp, expected):
         verdict = ex.extremality_check_ppt(ex.split_blocks(state, side, perp))
         assert (verdict.triv_intersection_ok, verdict.perturbation_dimension) == expected
         assert verdict.verdict == "NotCertified"
+
+
+def _schur_ranges(blocks):
+    """The ranges of the edge Schur complements of an extension and of its
+    partial transpose on the extended side, in the extension's own frame."""
+    side, perp = blocks.side, blocks.perp_index
+    ext = ex.assemble_extension(blocks)
+    pt = qs.BipartiteState._raw(*ext.dims, ext.partial_transpose(side), "pt")
+    return [em.column_space(ex.schur_complement(ex.split_blocks(s, side, perp)))
+            for s in (ext, pt)]
+
+
+def test_extremality_ppt_intersection_matches_the_oracle():
+    """The direct-sum decision of ``extremality_check_ppt`` says the two edge
+    Schur complements' ranges meet only in 0 exactly when the stacked-kernel
+    intersection of the ranges is 0, on the frozen pipeline splits and on
+    splits of seeded separable states of 2x2 to 3x3 on either side."""
+    rng = random.Random(13)
+    pipe = co.rho_4x5()
+    cases = [ex.split_blocks(getattr(pipe, stage), side, perp)
+             for stage, side, perp, _ in _FROZEN_PPT]
+    for _ in range(30):
+        m, n = rng.randint(2, 3), rng.randint(2, 3)
+        vecs = [em.kron_vec(tuple(rnd_scalar(rng) for _ in range(m)),
+                            tuple(rnd_scalar(rng) for _ in range(n)))
+                for _ in range(rng.randint(1, 4))]
+        st = qs.BipartiteState(m, n, em.weighted_gram(vecs, [1] * len(vecs), m * n), label="sep")
+        side = rng.choice("AB")
+        cases.append(ex.split_blocks(st, side, rng.randrange(m if side == "A" else n)))
+    seen = set()
+    for blocks in cases:
+        r1, r2 = _schur_ranges(blocks)
+        triv = ex.extremality_check_ppt(blocks).triv_intersection_ok
+        assert triv == (intersection_via_stacked_kernel(r1, r2).dim == 0)
+        seen.add(triv)
+    assert seen == {True, False}
 
 
 def test_extremality_ppt_slocc_extension_certified():

@@ -379,6 +379,22 @@ def test_rank_deficient_jacobian_takes_the_lstsq_fallback(monkeypatch):
     assert np.array_equal(step, lstsq(jac, rhs, rcond=None)[0])
 
 
+def test_overdetermined_jacobians_take_lstsq_without_a_gram_solve(monkeypatch):
+    """A stack of Jacobians with more rows than columns, whose Gram matrices
+    ``J J^T`` are singular by shape, gets lstsq's steps, sample by sample,
+    and no ``np.linalg.solve`` call."""
+    rng = np.random.default_rng(0)
+    jacs, rhs = rng.standard_normal((3, 12, 8)), rng.standard_normal((3, 12))
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    got = nl._min_norm_steps(jacs, rhs)
+    assert calls == []
+    assert len(got) == 3
+    for step, jac, r in zip(got, jacs, rhs):
+        assert step.tobytes() == np.linalg.lstsq(jac, r, rcond=None)[0].tobytes()
+
+
 # converged flag, numerical ranks and numeric extension dimension per seed,
 # as the sampler produced them when every step came from lstsq
 SAMPLER_PINS = [
