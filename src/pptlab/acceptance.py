@@ -45,14 +45,14 @@ def _check(condition, message: str) -> None:
 
 
 def _run(number, name, limit, fn) -> CriterionResult:
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         details = fn()
         passed = True
     except CriterionFailed as exc:
         details = {"error": str(exc)}
         passed = False
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     if passed and limit is not None and dt > limit:
         passed = False
         details["error"] = f"runtime {dt:.2f}s exceeds the {limit:.0f}s budget"

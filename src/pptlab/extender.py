@@ -204,10 +204,14 @@ class ExtensionSpace(NamedTuple):
     couplings' Choi vectors (:func:`coupling_choi_vector`).
     """
 
-    dimension: int
     trivial_dimension: int
     bound: int
     solution_space: em.Subspace
+
+    @property
+    def dimension(self) -> int:
+        """The dimension of :attr:`solution_space`."""
+        return self.solution_space.dim
 
 
 def _product_columns(core: qs.BipartiteState, phi: em.Vector, side: Side) -> em.ExactMatrix:
@@ -251,7 +255,7 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     # Choi vector i: the SLOCC coupling by |i>, columns i*n .. i*n + n-1 of the core
     rows = core.matrix.tolists()
     trivial = [[x for row in rows for x in row[i * n:(i + 1) * n]] for i in range(m)]
-    return ExtensionSpace(sol.dim, em.rank(em.ExactMatrix(trivial)),
+    return ExtensionSpace(em.rank(em.ExactMatrix(trivial)),
                           extension_count_bound(m, n, range_ab.dim, range_ac.dim), sol)
 
 

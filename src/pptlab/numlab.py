@@ -79,7 +79,7 @@ def random_hermitian(n: int, seed) -> np.ndarray:
     diagonal.  Deterministic per seed."""
     if n < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (a + a.conj().T) / 2
 
@@ -99,16 +99,10 @@ def _upper(n: int) -> tuple:
     return np.triu_indices(n, 1)
 
 
-def _herm_to_params(h: np.ndarray) -> np.ndarray:
-    """The real parameters of ``h``, or of each matrix of a stack ``h``."""
-    iu = _upper(h.shape[-1])
-    upper = h[..., iu[0], iu[1]]
-    return np.concatenate([h.diagonal(axis1=-2, axis2=-1).real, upper.real, upper.imag], axis=-1)
-
-
 def _params_to_herm(p: np.ndarray, n: int) -> np.ndarray:
     """The Hermitian matrix of the real parameters ``p``, or the stack of
-    those of each row of ``p``."""
+    those of each row of ``p``: the diagonal, then the upper triangle's real
+    and imaginary parts, the order of :func:`_birank_jacobian`'s columns."""
     iu = _upper(n)
     k = len(iu[0])
     h = np.zeros(p.shape[:-1] + (n, n), dtype=complex)
@@ -246,10 +240,13 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed) -> FloatState:
     return out
 
 
-def _levels(m: int, n: int) -> int:
-    """``m * n``, checked to be 1 to :data:`MAX_LEVELS` before anything is allocated."""
+def _levels(m: int, n: int, biranks=()) -> int:
+    """``m * n``, checked to be 1 to :data:`MAX_LEVELS`, and each birank
+    ``(p, q)`` of ``biranks`` 1 to ``mn``, before anything is allocated."""
     if not (m >= 1 and n >= 1 and m * n <= MAX_LEVELS):
         raise DimensionMismatch(f"dimensions {m}x{n} are not 1 to {MAX_LEVELS} levels in all")
+    if any(not (1 <= p <= m * n and 1 <= q <= m * n) for p, q in biranks):
+        raise DimensionMismatch("birank outside the valid range")
     return m * n
 
 
@@ -260,16 +257,15 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
 
     Each iteration stacks the samples still running: their Jacobians, Gram
     matrices, LU solves and refinements, and the eigendecompositions at their
-    full steps.  The ``lstsq`` fallback and the step halving stay per
-    sample.  A sample leaves the batch when it converges or reaches
-    :data:`DEFAULT_MAX_ITER` iterations.  Every sample equals its batch of
-    one bit for bit: a stacked product, solve or eigendecomposition runs,
-    per matrix, the BLAS or LAPACK call of the single one.  Both runs need
-    the same BLAS thread count, which can change a sample's bits.
+    full steps.  The iterate is each sample's Hermitian point: the steps turn
+    into Hermitian directions once per iteration, and the ``lstsq`` fallback
+    and the halving of a sample's one direction stay per sample.  A sample
+    leaves the batch when it converges or reaches :data:`DEFAULT_MAX_ITER`
+    iterations.  Every sample equals its batch of one bit for bit: a stacked
+    product, solve or eigendecomposition runs, per matrix, the BLAS or LAPACK
+    call of the single one, under the same BLAS thread count.
     """
-    size = _levels(m, n)
-    if not (1 <= p <= size and 1 <= q <= size):
-        raise DimensionMismatch("birank outside the valid range")
+    size = _levels(m, n, [(p, q)])
     kp, kq = size - p, size - q
 
     def points(xs):
@@ -280,10 +276,9 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
         return [(x, np.concatenate([a[:kp], b[:kq]]), (va, vb), (a[0], b[0]))
                 for x, a, b, va, vb in zip(xs, w1, w2, v1, v2)]
 
-    def trials(params, steps):
-        """The points at ``params + steps`` (stacks), each over its trace; a
-        step onto trace 0 has none, so its residual is infinite."""
-        xs = _params_to_herm(params + steps, size)
+    def trials(xs):
+        """The points of the stack ``xs``, each over its trace; a point of
+        trace 0 has none, so its residual is infinite."""
         tr = np.trace(xs, axis1=-2, axis2=-1).real
         pts = points(xs / np.where(tr, tr, 1)[:, None, None])
         return [(x, r if t else np.full_like(r, np.inf), *rest) for t, (x, r, *rest) in zip(tr, pts)]
@@ -323,16 +318,15 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
         xs = np.stack([current[s][0] for s in running])
         eig = tuple(np.stack([current[s][2][b] for s in running]) for b in (0, 1))
         jac, vals = _birank_jacobian(xs, eig, m, n, kp, kq)
-        steps = _min_norm_steps(jac, -vals)
-        params = _herm_to_params(xs)
+        directions = _params_to_herm(np.stack(_min_norm_steps(jac, -vals)), size)
         # every sample tries its full step; one whose residual does not drop
         # halves it, alone, down to a scale below 1e-9
-        for s, par, step, new in zip(running, params, steps, trials(params, np.stack(steps))):
+        for s, x, d, new in zip(running, xs, directions, trials(xs + directions)):
             base = np.max(np.abs(current[s][1]))
             scale = 1.0
             while not (np.max(np.abs(new[1])) < base or scale < 1e-9):
                 scale *= 0.5
-                new, = trials(par[None], scale * step[None])
+                new, = trials((x + scale * d)[None])
             current[s] = new
     return out
 
@@ -491,9 +485,7 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
     :class:`DimensionMismatch` before any sampling.
     """
     for m, n in dims_list:
-        size = _levels(m, n)
-        if any(not (1 <= p <= size and 1 <= q <= size) for p, q in biranks):
-            raise DimensionMismatch("birank outside the valid range")
+        _levels(m, n, biranks)
     reports = []
     calibration = {"tol": DEFAULT_TOL, "max_iter": DEFAULT_MAX_ITER, "svd_tol": DEFAULT_SVD_TOL,
                    "note": "defaults are empirical calibration choices"}

@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,18 @@ def _check(result):
     for key, value in result.details.items():
         print(f"    {key}: {value}")
     assert result.passed, result.details
+
+
+@pytest.mark.parametrize("elapsed, passed", [(2.5, False), (0.5, True)], ids=["past", "within"])
+def test_a_criterion_is_timed_on_the_monotonic_clock(monkeypatch, elapsed, passed):
+    """A criterion's runtime is read from ``time.perf_counter``, which no
+    wall-clock step moves, and one past its limit fails naming the budget."""
+    ticks = iter([1000.0, 1000.0 + elapsed])
+    monkeypatch.setattr(acceptance, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+    result = acceptance._run(0, "timed", 1, lambda: {})
+    assert (result.passed, result.seconds) == (passed, elapsed)
+    assert result.details == ({} if passed else
+                              {"error": f"runtime {elapsed:.2f}s exceeds the 1s budget"})
 
 
 def test_criterion_1_rho3x3_regression():

@@ -12,8 +12,9 @@ from pptlab import extension_count_bound
 from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab import qstates as qs
-from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch, NotPPT,
-                           PptlabError, PreconditionViolation, RangeViolation)
+from pptlab.errors import (BoundsViolation, DecompositionMismatch, DimensionMismatch,
+                           NotHermitian, NotPPT, PptlabError, PreconditionViolation,
+                           RangeViolation)
 
 from oracles import (intersection_via_stacked_kernel, kron, ppt_extension_space_stacked,
                      trivial_coupling_space_by_products)
@@ -992,6 +993,14 @@ def test_witness_peel_invertible_edge_identity():
         W = ex.assemble_matrix(Wc, chi, We, (1, 2), "A", 1)
         peeled, psd_part = ex.witness_schur_peel(W, (2, 2), "A", 1)
         assert em.psd_check(psd_part).is_psd
+
+
+def test_witness_peel_refuses_a_non_hermitian_witness():
+    """One entry of the core block off its Hermitian place: the blocks would
+    peel (identity edge, zero coupling), but the witness is refused."""
+    W = em.ExactMatrix([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotHermitian, match="witness must be Hermitian"):
+        ex.witness_schur_peel(W, (2, 2), "A", 1)
 
 
 def test_witness_peel_range_violation():

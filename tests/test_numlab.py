@@ -22,7 +22,7 @@ from pptlab import extender as ex
 from pptlab import numlab as nl
 from pptlab import qstates as qs
 from pptlab import serialize as se
-from pptlab.errors import ConvergenceFailure, DimensionMismatch, RankAmbiguity
+from pptlab.errors import ConvergenceFailure, DimensionMismatch, NotPsd, RankAmbiguity
 
 from oracles import linear_form_matrix
 
@@ -180,6 +180,15 @@ def test_rationalize_round_trip():
         assert em.psd_check(exact.partial_transpose("B")).is_psd
 
 
+def test_a_rounding_whose_partial_transpose_is_not_psd_raises():
+    """The Bell state's partial transpose has eigenvalue -1/2, far below what
+    the rounding shift lifts, so rounding it at birank (1, 4) raises NotPsd."""
+    bell = np.zeros((4, 4), dtype=complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    with pytest.raises(NotPsd, match="partial transpose of the rounded state is not PSD"):
+        nl.rationalize_to_birank(nl.FloatState(2, 2, bell, (1, 4), 0.0, 0))
+
+
 def test_rounded_4x4_sample_certifies_with_small_pivots(tmp_path):
     """4x4 birank (7,7), seed 634511: rounded with denominators up to 10**7
     its LDL* pivots reached ~63k bits, past the 4300-digit limit of writing
@@ -242,6 +251,22 @@ def test_survey_counts_samples_whose_birank_collapsed():
     assert report.rank_mismatch == [777]
     assert (report.to_json()["rank_mismatch"], report.to_json()["rank_mismatch_seeds"]) == (1, [777])
     assert nl.survey_table([report]).splitlines()[-1].split()[-1] == "1"
+
+
+def test_survey_counts_an_ambiguous_sample_in_no_dimension(monkeypatch):
+    """A converged sample whose rank is ambiguous counts as converged and as
+    ambiguous, and in no extension dimension (here the second of five)."""
+    measure, calls = nl.numeric_extension_dimension, []
+
+    def second_ambiguous(state, **kwargs):
+        calls.append(state)
+        if len(calls) == 2:
+            raise RankAmbiguity("forced")
+        return measure(state, **kwargs)
+
+    monkeypatch.setattr(nl, "numeric_extension_dimension", second_ambiguous)
+    report, = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=5, seed=0)
+    assert (report.converged, report.ambiguous, report.extension_dims) == (5, 1, {3: 4})
 
 
 def test_survey_table_right_aligns_the_dims_column():

@@ -1481,6 +1481,19 @@ def test_malformed_exponents_fail_verify(rho3x3_verdict, tmp_path, exponents):
     assert cli.run(["verify", str(path)]) == 1
 
 
+@pytest.mark.parametrize("minors", [None, {}, "[]"], ids=["null", "object", "string"])
+def test_minors_that_are_not_a_list_fail_verify(rho3x3_verdict, tmp_path, capsys, minors):
+    """The lower half's ``minors`` must be a list: an object or a string
+    would otherwise be iterated as its keys or characters."""
+    cert = _copy(rho3x3_verdict)
+    cert["lower"]["minors"] = minors
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(cert))
+    assert cli.run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == \
+        "verify: FAILED: minors is not a list of [rows, cols, cofactor]\n"
+
+
 @pytest.mark.parametrize("power", [1, 5, 2.0, True, "2"],
                          ids=["below-k", "above-2k", "float", "bool", "string"])
 def test_sn_lower_power_must_be_an_integer_in_k_to_2k(rho3x3_verdict, power):
