@@ -2,6 +2,8 @@
 
 Each criterion is a function returning a :class:`CriterionResult`; the
 pytest module and the ``reproduce`` CLI verb both drive :func:`run_all`.
+The randomized criteria (7, 8 and 9) draw from the fixed seeds below, so
+every run records the same details and only the timings vary.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from . import minors as mi
 from . import qstates as qs
 from .errors import CriterionFailed, DecompositionMismatch
 
-SURVEY_SEED = 2026
+SURVEY_SEED = 2026  # criterion 8's survey
+LIFT_SEED = 7       # criterion 7's random cases
+PEEL_SEED = 8       # criterion 9's random cases
 
 
 class CriterionResult(NamedTuple):
@@ -303,12 +307,12 @@ def criterion_6() -> CriterionResult:
     return _run(6, "counting-bound consistency and pipeline couplings", 5.0, body)
 
 
-def criterion_7(seed: int) -> CriterionResult:
+def criterion_7() -> CriterionResult:
     """50 randomized decomposition lifts reconstruct bit-exactly with all
     Schmidt-rank increments at most 1."""
 
     def body():
-        rng = random.Random(seed)
+        rng = random.Random(LIFT_SEED)
         cases = 0
         while cases < 50:
             m = rng.randint(1, 3)
@@ -330,7 +334,8 @@ def criterion_7(seed: int) -> CriterionResult:
             blocks = ex.ExtensionBlocks(core, chi, edge, "A", m)
             ext = ex.assemble_extension(blocks)
             try:  # the lift checks its own sum against the extension, bit for bit
-                lifted = ex.lift_decomposition(ext, "A", m, vecs)[0]
+                lifted = ex.lift_decomposition(ext, "A", m, vecs,
+                                               [e.weight for e in core.edges])[0]
             except DecompositionMismatch as exc:
                 raise CriterionFailed(f"reconstruction not bit-exact: {exc}") from exc
             for v0, (v1, _) in zip(vecs, lifted):
@@ -372,11 +377,11 @@ def criterion_8() -> CriterionResult:
     return _run(8, "random birank-(4,4) survey, dimension 3 throughout", 120.0, body)
 
 
-def criterion_9(seed: int) -> CriterionResult:
+def criterion_9() -> CriterionResult:
     """50 witness peels reconstruct bit-exactly with a PSD completion."""
 
     def body():
-        rng = random.Random(seed + 1)
+        rng = random.Random(PEEL_SEED)
         for case in range(50):
             m = rng.randint(2, 3)
             n = rng.randint(2, 3)
@@ -412,9 +417,9 @@ def _random_vector(rng, size) -> em.Vector:
     return tuple(_random_scalar(rng) for _ in range(size))
 
 
-def run_all(seed: int) -> list:
+def run_all() -> list:
     return [criterion_1(), criterion_2(), criterion_3(), criterion_4(), criterion_5(),
-            criterion_6(), criterion_7(seed), criterion_8(), criterion_9(seed)]
+            criterion_6(), criterion_7(), criterion_8(), criterion_9()]
 
 
 def manifest(results) -> dict:

@@ -64,8 +64,9 @@ def build_parser(verbs) -> argparse.ArgumentParser:
 
     if "build" in verbs:
         p = sub.add_parser("build", help="build a state from a grid graph or a name")
-        p.add_argument("--graph", help="grid-graph JSON file")
-        p.add_argument("--state", help="named state (e.g. rho4x5, family:3) or state JSON file")
+        one = p.add_mutually_exclusive_group(required=True)
+        one.add_argument("--graph", help="grid-graph JSON file")
+        one.add_argument("--state", help="named state (e.g. rho4x5, family:3) or state JSON file")
         p.add_argument("--label", default="")
         common(p)
 
@@ -127,7 +128,6 @@ def build_parser(verbs) -> argparse.ArgumentParser:
 
     if "reproduce" in verbs:
         p = sub.add_parser("reproduce", help="run the acceptance suite")
-        p.add_argument("--seed", type=int, default=7)
         common(p)
 
     if "plot" in verbs:
@@ -150,8 +150,7 @@ def _verbs_to_build(argv) -> tuple:
     return VERBS
 
 
-def run(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def run(argv) -> int:
     args = build_parser(_verbs_to_build(argv)).parse_args(argv)
     if args.verbose:
         import logging
@@ -175,7 +174,7 @@ def main() -> None:
     collector's objects, so the interpreter's shutdown does not walk them;
     :func:`run` itself also runs in long-lived processes, and never does."""
     try:
-        code = run()
+        code = run(sys.argv[1:])
         sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's shutdown
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for that flush

@@ -10,7 +10,9 @@ where ``chi`` couples the new level into the core and ``rho_e`` lives on
 the new level into the extended product basis, on either side: every
 construction (direct-sum, SLOCC, product-pair and flat extensions) takes
 the extended side as a parameter and places its new level with it, as do
-block splitting, decomposition lifts and the witness peel.  The linear
+block splitting, decomposition lifts and the witness peel.  A construction
+labels its state ``<kind>(<core>)`` (a product pair ``extension``), which
+:func:`run_pipeline` replaces with its step's label, if set.  The linear
 constraints a PPT extension places on ``chi`` are solved exactly in the
 tripartite Choi-dual picture, where the coupling becomes a vector
 ``|chi>`` in A (x) B (x) B' and partial transposition acts as the swap of
@@ -61,7 +63,7 @@ Side = Literal["A", "B"]
 class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
         ("core", qs.BipartiteState), ("coupling", em.ExactMatrix), ("edge", em.ExactMatrix),
         ("side", Side), ("perp_index", int)])):
-    """Block data of a single-level local extension, checked at construction."""
+    """Block data of a single-level local extension, checked by ``__new__`` (not ``_replace``)."""
 
     __slots__ = ()
 
@@ -77,10 +79,6 @@ class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
         if not (0 <= perp_index < ext_local):
             raise BoundsViolation("perp_index outside the extended local space")
         return super().__new__(cls, core, coupling, edge, side, perp_index)
-
-    def _replace(self, **changes) -> "ExtensionBlocks":
-        # the named tuple's own _replace would skip the checks in __new__
-        return ExtensionBlocks(**{**self._asdict(), **changes})
 
 
 def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):
@@ -297,8 +295,7 @@ def _choi_null_space(m: int, n: int, range_ab: em.Subspace, range_ac: em.Subspac
 # concrete extensions
 # ---------------------------------------------------------------------------
 
-def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side,
-                    label: str = "") -> qs.BipartiteState:
+def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side) -> qs.BipartiteState:
     """Trivial extension ``(S (x) 1) rho (S (x) 1)*`` with ``S = 1 + |perp><phi|``
     (``1 (x) S`` on side B): the flat extension of the coupling ``rho X``,
     with ``X`` the product columns of ``phi`` (:func:`_product_columns`).
@@ -307,12 +304,12 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side,
     The new level is appended as the last local index.  The output is PPT
     iff the core is, and no decomposition vector gains Schmidt rank.
     """
-    return flat_extension(core, core.matrix.matmul(_product_columns(core, phi, side)), side,
-                          label or f"slocc({core.label})")
+    ext = flat_extension(core, core.matrix.matmul(_product_columns(core, phi, side)), side)
+    return qs.BipartiteState._raw(*ext.dims, ext.matrix, f"slocc({core.label})")
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
-                           gamma: em.Vector, side: Side, label: str = "") -> qs.BipartiteState:
+                           gamma: em.Vector, side: Side) -> qs.BipartiteState:
     """Nontrivial PPT extension with coupling ``|alpha beta><gamma|``.
 
     ``alpha`` lives on the extended side, ``beta`` and ``gamma`` on the other
@@ -375,22 +372,27 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
     dims = (m + 1, n) if side == "A" else (m, n + 1)
     ext = qs.BipartiteState._raw(*dims, assemble_matrix(rho, chi, edge, (m, n), side, here),
-                                 label or "extension")
+                                 "extension")
     if not em.psd_check(ext.partial_transpose(side)).is_psd:  # also proves ext PSD
         raise NotPPT("assembled extension fails the exact PPT check")
     return ext
 
 
-def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side,
-                   label: str = "") -> qs.BipartiteState:
+def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side) -> qs.BipartiteState:
     """Extension with the unique edge block making the Schur complement zero.
 
     ``chi`` has rows indexed by the core product basis and one column per
     basis vector of the other side; the new level is the last local index.
+    A column of ``chi`` outside R(rho_c) is refused: then no edge block
+    makes the extension PSD.
     """
     perp = core.dim_a if side == "A" else core.dim_b
-    blocks = ExtensionBlocks(core, chi, _flat_edge(core.matrix, chi)[1], side, perp)
-    return assemble_extension(blocks, label=label or f"flat({core.label})")
+    try:
+        edge = _flat_edge(core.matrix, chi)[1]
+    except RangeViolation:
+        raise PreconditionViolation("chi is not in the range of rho_c: "
+                                    "no edge block makes the extension PSD") from None
+    return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), f"flat({core.label})")
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +400,7 @@ def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side,
 # ---------------------------------------------------------------------------
 
 def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
-                       core_vectors: Sequence[em.Vector],
-                       weights: Sequence[Fraction] | None = None):
+                       core_vectors: Sequence[em.Vector], weights: Sequence[Fraction]):
     """Lift a conic decomposition of the core through an extension.
 
     Given ``sum_i w_i |v_i><v_i| = rho_c`` exactly, produces lifted vectors
@@ -412,8 +413,6 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     ``(vector, weight)`` pairs on the extended space and ``remainder`` is the
     embedded remainder matrix.
     """
-    if weights is None:
-        weights = [Fraction(1)] * len(core_vectors)
     if len(weights) != len(core_vectors):
         raise DimensionMismatch("one weight per core vector")
     blocks = split_blocks(ext, side, perp_index)
@@ -445,15 +444,16 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
 # extension steps and pipelines
 # ---------------------------------------------------------------------------
 
-def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix, side: Side,
-                          label: str) -> qs.BipartiteState:
+def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix,
+                          side: Side) -> qs.BipartiteState:
     """Extension with zero coupling: the new level carries ``edge`` alone."""
-    chi = em.zeros(core.dim_a * core.dim_b, edge.rows)
-    perp = core.dim_a if side == "A" else core.dim_b
-    return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), label=label)
+    m, n = core.dims
+    other, perp = (n, m) if side == "A" else (m, n)  # the new level's size, then its index
+    return assemble_extension(ExtensionBlocks(core, em.zeros(m * n, other), edge, side, perp),
+                              f"direct_sum({core.label})")
 
 
-# step kind -> (parameter keys, constructor(core, *parameters, side, label))
+# step kind -> (parameter keys, constructor(core, *parameters, side))
 _STEP_KINDS = {
     "direct_sum": (("edge",), _direct_sum_extension),
     "slocc": (("phi",), slocc_extension),
@@ -509,11 +509,12 @@ def apply_step(core: qs.BipartiteState, step: qs.ExtensionStep) -> qs.BipartiteS
     if step.side not in ("A", "B"):
         raise BoundsViolation(f"side must be 'A' or 'B', not {step.side!r}")
     kernel = _STEP_KINDS[step.kind][1]
-    return kernel(core, *(step.parameters[key] for key in keys), step.side, step.label)
+    return kernel(core, *(step.parameters[key] for key in keys), step.side)
 
 
 def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> list:
-    """Apply ``steps`` in order and return the state after each one.
+    """Apply ``steps`` in order and return the state after each one,
+    labelled by its step (by its constructor when the step's label is empty).
 
     When ``core`` carries edges, each step lifts them through the extension
     (:func:`lift_decomposition`) and adds the remainder's LDL* rank-one
@@ -525,6 +526,7 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
         if core.edges is None and step.names is not None:
             raise PreconditionViolation(f"{step.label}: a state without edges takes no names")
         ext = apply_step(core, step)
+        edges = None
         if core.edges is not None:
             perp = (ext.dim_a if step.side == "A" else ext.dim_b) - 1
             lifted, remainder = lift_decomposition(ext, step.side, perp,
@@ -538,12 +540,11 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
                 raise DecompositionMismatch(f"{step.label}: remainder has {len(res.pivots)} "
                                             f"rank-one parts, {len(names)} names")
             # lift_decomposition checked that these edges sum to ext.matrix
-            edges = [qs.NamedVector(e.name, v, w) for e, (v, w) in zip(core.edges, lifted)]
-            edges += [qs.NamedVector(name, col, Fraction(d))
-                      for name, (_, d), col in zip(names, res.pivots, res.columns)]
-            ext = qs.BipartiteState._raw(*ext.dims, ext.matrix, ext.label, tuple(edges))
-        states.append(ext)
-        core = ext
+            edges = tuple([qs.NamedVector(e.name, v, w) for e, (v, w) in zip(core.edges, lifted)]
+                          + [qs.NamedVector(name, col, Fraction(d))
+                             for name, (_, d), col in zip(names, res.pivots, res.columns)])
+        core = qs.BipartiteState._raw(*ext.dims, ext.matrix, step.label or ext.label, edges)
+        states.append(core)
     return states
 
 

@@ -48,7 +48,7 @@ class GaussianRational:
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re=0, im=0):
+    def __init__(self, re, im=0):
         object.__setattr__(self, "re", _frac(re))
         object.__setattr__(self, "im", _frac(im))
 
@@ -508,7 +508,7 @@ class Subspace:
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, vectors: Iterable[Vector] = ()):
+    def __init__(self, ambient_dim: int, vectors: Iterable[Vector]):
         rows = [vector(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:

@@ -28,7 +28,7 @@ def intersection_via_stacked_kernel(U: em.Subspace, V: em.Subspace) -> em.Subspa
     """
     n = U.ambient_dim
     if U.dim == 0 or V.dim == 0:
-        return em.Subspace(n)
+        return em.Subspace(n, ())
     cols = list(U.basis) + [tuple(-x for x in v) for v in V.basis]
     _, kern = em.rank_and_kernel(em.ExactMatrix(zip(*cols)))
     vecs = []

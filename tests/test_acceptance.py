@@ -15,8 +15,6 @@ from pptlab import exactmat as em
 from pptlab import extender as ex
 from pptlab.errors import DecompositionMismatch, InternalInconsistency
 
-REPRODUCE_SEED = 7  # the default of `pptlab reproduce --seed`
-
 
 def _check(result):
     print()
@@ -44,6 +42,15 @@ def test_criterion_1_rho3x3_regression():
 
 def test_criterion_2_rho4x5_pipeline():
     _check(acceptance.criterion_2())
+
+
+def test_criterion_2_fails_on_an_inconclusive_lower_bound(monkeypatch):
+    monkeypatch.setattr(ce, "certify_sn_lower",
+                        lambda *args, **kwargs: ce.Inconclusive("no witness power"))
+    result = acceptance.criterion_2()
+    assert not result.passed
+    assert result.details["error"] == \
+        "lower bound inconclusive: Inconclusive(reason='no witness power')"
 
 
 def test_criteria_1_and_2_state_their_memberships_as_minor_identities():
@@ -170,7 +177,7 @@ def test_criterion_6_counting_bound_consistency():
 
 
 def test_criterion_7_lift_property_suite():
-    _check(acceptance.criterion_7(REPRODUCE_SEED))
+    _check(acceptance.criterion_7())
 
 
 def test_criterion_7_checks_each_lift_once(spy):
@@ -178,7 +185,7 @@ def test_criterion_7_checks_each_lift_once(spy):
     by lift_decomposition's own sum: 100 Gram sums and 50 LDL* (one per
     assembled extension) for the 50 cases."""
     calls = spy(em, "weighted_gram", "psd_check")
-    assert acceptance.criterion_7(REPRODUCE_SEED).passed
+    assert acceptance.criterion_7().passed
     names = [name for name, _ in calls]
     assert (names.count("weighted_gram"), names.count("psd_check")) == (100, 50)
 
@@ -188,7 +195,7 @@ def test_criterion_7_fails_on_a_lift_that_does_not_reproduce(monkeypatch):
         raise DecompositionMismatch("lifted vectors and remainder do not reproduce the extension")
 
     monkeypatch.setattr(ex, "lift_decomposition", mismatch)
-    result = acceptance.criterion_7(REPRODUCE_SEED)
+    result = acceptance.criterion_7()
     assert not result.passed and result.line().startswith("FAIL")
     assert result.details["error"].startswith("reconstruction not bit-exact")
 
@@ -198,7 +205,7 @@ def test_criterion_8_survey_replication():
 
 
 def test_criterion_9_witness_peel_suite():
-    _check(acceptance.criterion_9(REPRODUCE_SEED))
+    _check(acceptance.criterion_9())
 
 
 def test_false_claim_fails_under_python_O():

@@ -890,6 +890,15 @@ def test_edge_state_product_counterexample():
     assert not verdict.is_edge_for_candidates
 
 
+def test_edge_state_refuses_a_candidate_that_is_not_a_product():
+    """The edge property speaks of product vectors; |00> + |11> + |22>, in
+    the range of rho3x3, is refused rather than judged."""
+    w = em.vector([1, 0, 0, 0, 1, 0, 0, 0, 1])
+    assert em.in_subspace(em.column_space(co.rho_3x3().matrix), w)
+    with pytest.raises(DimensionMismatch, match="candidates must be product vectors"):
+        ex.edge_state_check(co.rho_3x3(), [w])
+
+
 def test_edge_state_rho4x5_regression():
     final = co.rho_4x5().final
     cands = [e.vec for e in final.edges if qs.schmidt_rank(e.vec, 4, 5) == 1]

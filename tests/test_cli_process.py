@@ -19,11 +19,13 @@ from pathlib import Path
 import pytest
 from loaded_lines import SRC, probe
 
+from pptlab import certifier as ce
 from pptlab import cli
+from pptlab.errors import InternalInconsistency
 
 # the arguments each verb requires, with values that parse
 REQUIRED = {
-    "build": [],
+    "build": ["--state", "s.json"],
     "ppt-check": ["--state", "s.json"],
     "extend": ["--state", "s.json", "--step", "{}"],
     "certify-sn": ["--state", "s.json"],
@@ -39,6 +41,7 @@ PARSES = ([[verb, "--help"] for verb in cli.VERBS]
           + [[verb] for verb in cli.VERBS if REQUIRED[verb]]
           + [[verb, *REQUIRED[verb], "--no-such-option"] for verb in cli.VERBS]
           + [["reproduce", "--seed", "x"], ["build", "--label"], ["verify", "a", "b"],
+             ["build", "--graph", "g.json", "--state", "s.json"],
              ["--help"], [], ["-v"], ["-v", "verify", "missing.json"], ["no-such-verb"],
              ["no-such-verb", "--help"], ["--help", "verify"], ["-v", "--help", "verify"],
              ["--verb", "verify", "missing.json"]])
@@ -120,6 +123,15 @@ def test_a_closed_output_pipe_exits_141_with_nothing_on_stderr(workdir, argv):
     proc.stdout.close()  # the reader is gone before the verb prints
     assert (proc.wait(), proc.stderr.read()) == (141, b"")
     proc.stderr.close()
+
+
+def test_an_internal_inconsistency_is_raised_not_an_input_error(monkeypatch):
+    """A self-check of the program that fails is a fault of the program:
+    ``cli.run`` lets it out as a traceback instead of exiting 2 as it does
+    for a refused input.  Here certify-sn's cofactor identity does not replay."""
+    monkeypatch.setattr(ce.mi, "minor_identity_holds", lambda *args: False)
+    with pytest.raises(InternalInconsistency, match="the identity does not replay"):
+        cli.run(["certify-sn", "--state", "rho3x3", "--k", "2"])
 
 
 def test_run_leaves_the_collector_unfrozen(workdir):

@@ -447,7 +447,7 @@ def _sympy_subspace(vectors, n):
     """The canonical subspace of sympy vectors, through sympy's own RREF."""
     import sympy
     if not vectors:
-        return em.Subspace(n)
+        return em.Subspace(n, ())
     with _sympy_long_ints():
         ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
     return em._canonical_subspace(n, [tuple(_from_sympy(ref[i, j]) for j in range(n))

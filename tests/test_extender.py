@@ -65,16 +65,13 @@ def test_split_assemble_roundtrip_random():
 
 
 def test_extension_blocks_check_shapes_and_level():
-    """Blocks are checked at construction, and ``_replace`` keeps the checks."""
+    """Blocks are checked at construction."""
     core, edge = co.rho_3x3(), em.diag([3, 0, 3])
-    blocks = ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
+    ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
     with pytest.raises(DimensionMismatch, match="coupling"):
         ex.ExtensionBlocks(core, em.zeros(9, 2), edge, "A", 3)
     with pytest.raises(DimensionMismatch, match="edge"):
         ex.ExtensionBlocks(core, em.zeros(9, 3), em.zeros(2, 2), "A", 3)
-    assert blocks._replace(perp_index=0).perp_index == 0
-    with pytest.raises(BoundsViolation):
-        blocks._replace(perp_index=4)
 
 
 @pytest.mark.parametrize("side, bad", [("A", -1), ("A", 4), ("B", -1), ("B", 4)])
@@ -750,7 +747,7 @@ def test_lift_single_pure_core():
     R = em.ExactMatrix([[1, 0], [0, 1], [1, 1], [0, 0]])
     chi = core.matrix.matmul(R)
     st = ex.flat_extension(core, chi, "A")
-    lifted, remainder = ex.lift_decomposition(st, "A", 2, [v])
+    lifted, remainder = ex.lift_decomposition(st, "A", 2, [v], [Fraction(1)])
     assert len(lifted) == 1
     assert em.is_zero(remainder)
     assert qs.schmidt_rank(lifted[0][0], 3, 2) <= qs.schmidt_rank(v, 2, 2) + 1
@@ -763,7 +760,15 @@ def test_lift_mismatched_core_rejected():
     blocks = ex.ExtensionBlocks(core, em.zeros(4, 2), edge, "A", 2)
     st = ex.assemble_extension(blocks)
     with pytest.raises(DecompositionMismatch):
-        ex.lift_decomposition(st, "A", 2, [em.vector([1, 0, 0, 0])])
+        ex.lift_decomposition(st, "A", 2, [em.vector([1, 0, 0, 0])], [Fraction(1)])
+
+
+def test_lift_needs_one_weight_per_core_vector():
+    pipe = co.rho_4x5()
+    vecs = [e.vec for e in pipe.stage1.edges]
+    weights = [e.weight for e in pipe.stage1.edges]
+    with pytest.raises(DimensionMismatch, match="one weight per core vector"):
+        ex.lift_decomposition(pipe.stage2, "B", 3, vecs, weights[:-1])
 
 
 def test_lift_through_recorded_pipeline():

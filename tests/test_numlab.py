@@ -166,6 +166,22 @@ def test_rank_ambiguity_detection():
         nl.numeric_extension_dimension(st)
 
 
+def test_a_singular_value_on_the_rank_tolerance_is_ambiguous(monkeypatch):
+    """rho3x3's range projectors are clear of the tolerance; one singular
+    value of the stacked annihilator moved onto it makes the dimension
+    ambiguous rather than counted."""
+    svd = np.linalg.svd
+
+    def one_on_the_tolerance(a, **kwargs):
+        sv = svd(a, **kwargs)
+        sv[-1] = nl.DEFAULT_SVD_TOL
+        return sv
+
+    monkeypatch.setattr(np.linalg, "svd", one_on_the_tolerance)
+    with pytest.raises(RankAmbiguity, match="singular values"):
+        nl.numeric_extension_dimension(nl.from_exact(co.rho_3x3()))
+
+
 def test_rationalize_round_trip():
     converged = []
     for seed in range(10):

@@ -144,6 +144,20 @@ def test_cli_build_label_names_a_named_or_stored_state(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["label"] == expected
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["--graph", "g.json", "--state", "tiles"],
+     "argument --state: not allowed with argument --graph"),
+    ([], "one of the arguments --graph --state is required"),
+], ids=["both", "neither"])
+def test_cli_build_takes_exactly_one_of_graph_and_state(argv, error, capsys):
+    """``build --graph g.json --state tiles`` built the graph and exited 0."""
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["build", *argv])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f"pptlab build: error: {error}\n")
+
+
 @pytest.mark.parametrize("dims", [[2.0, 2], [True, 2], [2], [0, 2]],
                          ids=["float", "bool", "one", "zero"])
 def test_cli_build_refuses_graph_dims_that_are_not_two_positive_ints(dims, tmp_path, capsys):
@@ -252,15 +266,32 @@ def test_cli_extend_matches_library_kernel(tmp_path, kind, side):
     assert got.label == f"{kind}({label})"
 
 
-@pytest.mark.parametrize("step", [
-    {"kind": "twist", "side": "A", "phi": ["1", "0", "0"]},
-    {"kind": "slocc", "side": "A", "phi": ["1", "0"]},
-    {"kind": "product_pair", "side": "A", "alpha": ["1", "0", "0"],
-     "beta": ["0", "1"], "gamma": ["0", "0", "1"]},
-], ids=["unknown-kind", "short-phi", "short-beta"])
-def test_cli_extend_input_errors_exit_2(step, capsys):
+@pytest.mark.parametrize("step, message", [
+    ({"kind": "twist", "side": "A", "phi": ["1", "0", "0"]},
+     "BoundsViolation: unknown step kind 'twist'"),
+    ({"kind": "slocc", "side": "A", "phi": ["1", "0"]},
+     "DimensionMismatch: phi must live on the extended side"),
+    ({"kind": "product_pair", "side": "A", "alpha": ["1", "0", "0"],
+      "beta": ["0", "1"], "gamma": ["0", "0", "1"]},
+     "DimensionMismatch: alpha on the extended side, beta/gamma on the other side"),
+    ({"kind": "direct_sum", "side": "A", "edge": se.matrix_to_json(em.diag([1, 0, 0, 0]))},
+     "DimensionMismatch: edge block has the wrong shape"),
+    ({"kind": "direct_sum", "side": "A", "edge": se.matrix_to_json(em.diag([-1, 0, 3]))},
+     "NotPsd: state 'direct_sum(rho3x3)' is not PSD; witness value -1"),
+    ({"kind": "flat", "side": "A",
+      "chi": se.matrix_to_json(em.ExactMatrix([[1, 0, 0]] + [[0, 0, 0]] * 8))},
+     "PreconditionViolation: chi is not in the range of rho_c: "
+     "no edge block makes the extension PSD"),
+], ids=["unknown-kind", "short-phi", "short-beta", "large-edge", "negative-edge",
+        "chi-outside-range"])
+def test_cli_extend_input_errors_exit_2(step, message, capsys):
+    """Each refusal names what the step got wrong: a direct-sum step
+    supplies no coupling, so a 4x4 edge on rho3x3 is the edge's fault, and
+    a negative one fails the state the step names.  A flat coupling with
+    the column |00>, outside R(rho3x3), leaves no edge block that makes the
+    extension PSD."""
     assert cli.run(["extend", "--state", "rho3x3", "--step", json.dumps(step)]) == 2
-    assert capsys.readouterr().out == ""
+    assert capsys.readouterr() == ("", f"extend: {message}\n")
 
 
 @pytest.mark.parametrize("state, digest", [
@@ -891,7 +922,7 @@ def test_an_unwritable_output_path_exits_2(verb, tmp_path, capsys, monkeypatch):
         from pptlab import acceptance
 
         monkeypatch.setattr(acceptance, "run_all",
-                            lambda seed: [acceptance.criterion_1(), acceptance.criterion_3()])
+                            lambda: [acceptance.criterion_1(), acceptance.criterion_3()])
     option = "--svg" if verb == "plot" else "--out"
     missing = tmp_path / "missing" / "out.json"
     for target, reason in ((missing, f"[Errno 2] No such file or directory: '{missing}'"),
@@ -972,8 +1003,8 @@ def test_cli_verify_fresh_process(tmp_path):
 def test_reproduce_deterministic_manifest():
     from pptlab import acceptance
 
-    a = acceptance.criterion_7(seed=123)
-    b = acceptance.criterion_7(seed=123)
+    a = acceptance.criterion_7()
+    b = acceptance.criterion_7()
     assert a.details == b.details
     man = acceptance.manifest([a])
     assert man["criteria"][0]["number"] == 7
@@ -986,7 +1017,7 @@ def test_cli_reproduce_stdout(monkeypatch, capsys, as_json):
     from pptlab import acceptance
 
     monkeypatch.setattr(acceptance, "run_all",
-                        lambda seed: [acceptance.criterion_1(), acceptance.criterion_3()])
+                        lambda: [acceptance.criterion_1(), acceptance.criterion_3()])
     assert cli.run(["reproduce"] + (["--json"] if as_json else [])) == 0
     out = capsys.readouterr().out
     if as_json:
@@ -1479,6 +1510,21 @@ def test_malformed_exponents_fail_verify(rho3x3_verdict, tmp_path, exponents):
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(cert))
     assert cli.run(["verify", str(path)]) == 1
+
+
+@pytest.mark.parametrize("variables", [None, "psi00 psi01 psi02 psi10 psi20",
+                                       ["psi00", "psi01", "psi02", "psi10", 0]],
+                         ids=["null", "string", "number"])
+def test_variables_that_are_not_a_list_of_names_fail_verify(rho3x3_verdict, tmp_path, capsys,
+                                                            variables):
+    """A string would otherwise pass the witness variable's membership test
+    as a substring, and a number would name a variable."""
+    cert = _copy(rho3x3_verdict)
+    cert["lower"]["variables"] = variables
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(cert))
+    assert cli.run(["verify", str(path)]) == 1
+    assert capsys.readouterr().out == "verify: FAILED: variables is not a list of names\n"
 
 
 @pytest.mark.parametrize("minors", [None, {}, "[]"], ids=["null", "object", "string"])

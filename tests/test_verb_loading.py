@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1510,
-    "certify-sn": 2316,
-    "verify ppt": 1332,
-    "verify sn-verdict": 1705,
+    "ppt-check": 1509,
+    "certify-sn": 2315,
+    "verify ppt": 1331,
+    "verify sn-verdict": 1704,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
