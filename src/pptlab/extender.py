@@ -63,7 +63,7 @@ Side = Literal["A", "B"]
 class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
         ("core", qs.BipartiteState), ("coupling", em.ExactMatrix), ("edge", em.ExactMatrix),
         ("side", Side), ("perp_index", int)])):
-    """Block data of a single-level local extension, checked by ``__new__`` (not ``_replace``)."""
+    """Block data of a single-level local extension, checked at construction and by ``_replace``."""
 
     __slots__ = ()
 
@@ -79,6 +79,10 @@ class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
         if not (0 <= perp_index < ext_local):
             raise BoundsViolation("perp_index outside the extended local space")
         return super().__new__(cls, core, coupling, edge, side, perp_index)
+
+    def _replace(self, **changes) -> "ExtensionBlocks":
+        # the named tuple's own _replace would skip the checks in __new__
+        return ExtensionBlocks(**{**self._asdict(), **changes})
 
 
 def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):

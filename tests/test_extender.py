@@ -65,13 +65,18 @@ def test_split_assemble_roundtrip_random():
 
 
 def test_extension_blocks_check_shapes_and_level():
-    """Blocks are checked at construction."""
+    """Blocks are checked at construction, and ``_replace`` keeps the checks."""
     core, edge = co.rho_3x3(), em.diag([3, 0, 3])
-    ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
+    blocks = ex.ExtensionBlocks(core, em.zeros(9, 3), edge, "A", 3)
     with pytest.raises(DimensionMismatch, match="coupling"):
         ex.ExtensionBlocks(core, em.zeros(9, 2), edge, "A", 3)
     with pytest.raises(DimensionMismatch, match="edge"):
         ex.ExtensionBlocks(core, em.zeros(9, 3), em.zeros(2, 2), "A", 3)
+    assert blocks._replace(perp_index=0).perp_index == 0
+    with pytest.raises(BoundsViolation, match="perp_index"):
+        blocks._replace(perp_index=4)
+    with pytest.raises(DimensionMismatch, match="edge"):
+        blocks._replace(edge=em.zeros(2, 2))
 
 
 @pytest.mark.parametrize("side, bad", [("A", -1), ("A", 4), ("B", -1), ("B", 4)])
