@@ -40,8 +40,9 @@ REQUIRED = {
 PARSES = ([[verb, "--help"] for verb in cli.VERBS]
           + [[verb] for verb in cli.VERBS if REQUIRED[verb]]
           + [[verb, *REQUIRED[verb], "--no-such-option"] for verb in cli.VERBS]
-          + [["certify-sn", "--state", "s.json", "--k", "x"], ["build", "--label"],
-             ["verify", "a", "b"], ["build", "--graph", "g.json", "--state", "s.json"],
+          + [["certify-sn", "--state", "s.json", "--k", "x"], ["reproduce", "--seed", "x"],
+             ["build", "--label"], ["verify", "a", "b"],
+             ["build", "--graph", "g.json", "--state", "s.json"],
              ["--help"], [], ["-v"], ["-v", "verify", "missing.json"], ["no-such-verb"],
              ["no-such-verb", "--help"], ["--help", "verify"], ["-v", "--help", "verify"],
              ["--verb", "verify", "missing.json"]])
