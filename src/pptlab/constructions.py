@@ -107,7 +107,7 @@ def tiles_complement() -> qs.BipartiteState:
         (|0>+|1>+|2>)(|0>+|1>+|2>).
     """
     products = tiles_kernel_products()
-    P = em.weighted_gram(products, [em.ONE / em.vdot(v, v) for v in products], 9)
+    P = em.weighted_gram(products, [1 / em.vdot(v, v).re for v in products], 9)
     return qs.BipartiteState(3, 3, em.ExactMatrix.identity(9) - P, label="tiles-complement")
 
 

@@ -243,16 +243,16 @@ def ppt_extension_space(core: qs.BipartiteState) -> ExtensionSpace:
     """Solve the side-A PPT coupling constraints exactly.
 
     A coupling's Choi vector must lie in R(rho_c) (x) C^n over (A,B) and in
-    the conjugated R(rho_c^Ta) over (A,B'); the solutions are the null space
-    of both ranges' annihilator rows, stacked (:func:`_choi_null_space`).
+    R(rho_c^Tb) over (A,B'); the solutions are the null space of both
+    ranges' annihilator rows, stacked (:func:`_choi_null_space`).
     Side-B extensions are analyzed on the swapped core.
     """
     m, n = core.dims
-    rho_ta = core.partial_transpose("A")
-    if not em.psd_check(rho_ta).is_psd:
+    rho_tb = core.partial_transpose("B")
+    if not em.psd_check(rho_tb).is_psd:
         raise NotPPT("core state is not PPT")
     range_ab = em.column_space(core.matrix)
-    range_ac = em.column_space(em.conjugate(rho_ta))
+    range_ac = em.column_space(rho_tb)
     sol = _choi_null_space(m, n, range_ab, range_ac)
     # Choi vector i: the SLOCC coupling by |i>, columns i*n .. i*n + n-1 of the core
     rows = core.matrix.tolists()

@@ -84,11 +84,9 @@ def random_hermitian(n: int, seed) -> np.ndarray:
     return (a + a.conj().T) / 2
 
 
-def partial_transpose_np(x: np.ndarray, m: int, n: int, side: str = "B") -> np.ndarray:
-    """Partial transpose of ``x``, or of each matrix of a stack ``x``."""
-    t = x.reshape(x.shape[:-2] + (m, n, m, n))
-    t = t.swapaxes(-3, -1) if side == "B" else t.swapaxes(-4, -2)
-    return t.reshape(x.shape)
+def partial_transpose_np(x: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Partial transpose on side B of ``x``, or of each matrix of a stack ``x``."""
+    return x.reshape(x.shape[:-2] + (m, n, m, n)).swapaxes(-3, -1).reshape(x.shape)
 
 
 # -- Hermitian real parametrization -----------------------------------------
@@ -353,36 +351,26 @@ def numeric_extension_dimension(state: FloatState, return_report: bool = False):
     """Dimension of the PPT coupling solution space, from float range bases.
 
     Mirrors the exact solver: stacks the annihilator rows ``(1 - P) (x) 1``
-    of the numerical range of ``rho`` on (A,B) and the conjugated ones of
-    ``rho^Ta`` on (A,B'), and counts the singular values below
-    :data:`DEFAULT_SVD_TOL`.  Raises :class:`RankAmbiguity` when singular values cluster
-    within a decade of the threshold.
+    of the numerical range of ``rho`` on (A,B) and those of the range of
+    ``rho^Tb`` on (A,B'), and counts the singular values below
+    :data:`DEFAULT_SVD_TOL`; ``return_report`` returns ``(dimension,
+    (rank rho, rank rho^Tb))``.  Raises :class:`RankAmbiguity` when singular
+    values cluster within a decade of the threshold.
     """
     m, n = state.dim_a, state.dim_b
     rho = np.asarray(state.matrix, dtype=complex)
-    rho_ta = partial_transpose_np(rho, m, n, "A")
     P, p = _range_projector(rho)
-    Q, q = _range_projector(rho_ta)
+    Q, q = _range_projector(partial_transpose_np(rho, m, n))
     N = m * n * n
     P1 = np.kron(np.eye(m * n) - P, np.eye(n))
     swap = np.arange(N).reshape(m, n, n).swapaxes(1, 2).ravel()  # B <-> B' on (A,B,B')
-    P2 = np.kron(np.eye(m * n) - Q.conj(), np.eye(n))[:, swap]
+    P2 = np.kron(np.eye(m * n) - Q, np.eye(n))[:, swap]
     sv = np.linalg.svd(np.vstack([P1, P2]), compute_uv=False)
     lo, hi = _AMBIGUOUS
     if np.any((sv >= lo) & (sv <= hi)):
         raise RankAmbiguity("singular values within a decade of the rank tolerance")
     dim = int(np.sum(sv < DEFAULT_SVD_TOL))
-    if not return_report:
-        return dim
-    above = sv[sv > DEFAULT_SVD_TOL]
-    below = sv[sv < DEFAULT_SVD_TOL]
-    report = {
-        "dimension": dim,
-        "ranks": (p, q),
-        "spectral_gap": [float(below.max()) if below.size else 0.0,
-                         float(above.min()) if above.size else float("inf")],
-    }
-    return dim, report
+    return (dim, (p, q)) if return_report else dim
 
 
 def complex_matrix(M) -> np.ndarray:
@@ -503,11 +491,11 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
                     continue
                 residuals.append(st.residual)
                 try:
-                    d, report = numeric_extension_dimension(st, return_report=True)
+                    d, ranks = numeric_extension_dimension(st, return_report=True)
                 except RankAmbiguity:
                     ambiguous += 1
                     continue
-                if report["ranks"] != (p, q):
+                if ranks != (p, q):
                     mismatched.append(sample_seed)
                 dims_hist[d] = dims_hist.get(d, 0) + 1
                 if d != expected:

@@ -32,7 +32,6 @@ from .errors import (BoundsViolation, DimensionMismatch, NotHermitian, NotPsd, P
                      ScalarTooLarge)
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(x) -> Fraction:
@@ -308,7 +307,8 @@ class ExactMatrix:
 
 
 def weighted_gram(vectors: Sequence[Vector], weights: Sequence, dim: int) -> ExactMatrix:
-    """Conic sum ``sum_i w_i |v_i><v_i|`` as a ``dim x dim`` matrix.
+    """Conic sum ``sum_i w_i |v_i><v_i|`` as a ``dim x dim`` matrix, with
+    rational weights ``w_i`` (ints or ``Fraction``s).
 
     Only the nonzero entries of each vector are visited, so a sum of sparse
     grid edges costs per pair of nonzeros rather than per matrix entry.
@@ -323,20 +323,18 @@ def weighted_gram(vectors: Sequence[Vector], weights: Sequence, dim: int) -> Exa
     for v, w in zip(vectors, weights):
         if len(v) != dim:
             raise DimensionMismatch(f"vector of length {len(v)} in a {dim}-dimensional Gram sum")
-        w = as_scalar(w)
         nz = [i for i, a in enumerate(v) if a]
         if nz and w:
             values = [v[i] for i in nz]
             s = _row_lcm(values)
-            terms.append((nz, *_int_row(values, s), w.re / (s * s), w.im / (s * s)))
-    scale = math.lcm(*(c.denominator for *_, cr, ci in terms for c in (cr, ci)))
+            terms.append((nz, *_int_row(values, s), _frac(w) / (s * s)))
+    scale = math.lcm(*(c.denominator for *_, c in terms))
     acc = {}  # (i, j): the integer sums (re, im) of entry (i, j) times scale
-    for nz, re, im, cr, ci in terms:
-        mr = cr.numerator * (scale // cr.denominator)
-        mi = ci.numerator * (scale // ci.denominator)
+    for nz, re, im, c in terms:
+        mult = c.numerator * (scale // c.denominator)
         im = im or [0] * len(nz)
         for i, a, ai in zip(nz, re, im):
-            xr, xi = mr * a - mi * ai, mr * ai + mi * a  # scale * w / s^2 * u_i
+            xr, xi = mult * a, mult * ai  # scale * w / s^2 * u_i
             for j, b, bi in zip(nz, re, im):
                 sr, si = acc.get((i, j), (0, 0))
                 acc[i, j] = (sr + xr * b + xi * bi, si + xi * b - xr * bi)
@@ -949,7 +947,8 @@ def _read_evidence(key: str, ev: dict, n: int) -> tuple:
     layout = ("psd", "pivots", "columns") if psd else ("psd", "witness", "witness_value")
     _, a, b = _fields(ev, f"{key} evidence", layout)
     if psd:
-        return True, [_rational(d) for _, d in a], [vector_from_json(col, n) for col in b]
+        pivots = [d for d in _sparse_from_json(a, n, _rational, _ZERO) if d]
+        return True, pivots, [vector_from_json(col, n) for col in b]
     return False, vector_from_json(a, n), b
 
 

@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing its verdict line."""
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -206,6 +207,16 @@ def test_criterion_8_survey_replication():
 
 def test_criterion_9_witness_peel_suite():
     _check(acceptance.criterion_9())
+
+
+def test_the_manifest_reads_back_from_json_unchanged():
+    """``reproduce --json`` writes :func:`acceptance.manifest`: each
+    criterion's details hold JSON values only (a set raises ``TypeError``),
+    and the text reads back to the document it was written from.  The
+    survey histogram's int keys are written as strings, so the read-back
+    dict is compared as text."""
+    text = json.dumps(acceptance.manifest(acceptance.run_all()))
+    assert json.dumps(json.loads(text)) == text
 
 
 def test_false_claim_fails_under_python_O():

@@ -339,7 +339,8 @@ def gram_terms(draw):
     count = draw(st.integers(0, 4))
     vecs = [tuple(draw(st.lists(gaussian_rationals, min_size=dim, max_size=dim)))
             for _ in range(count)]
-    weights = draw(st.lists(gaussian_rationals, min_size=count, max_size=count))
+    weights = draw(st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                            min_size=count, max_size=count))
     return vecs, weights, dim
 
 
@@ -533,16 +534,16 @@ def test_psd_check_zero_diagonal_witness_on_scaled_entries():
 
 @st.composite
 def long_gram_terms(draw):
-    """Vectors and weights with parts of up to 1100 bits, real or complex,
-    zero entries and zero weights included, as in a replayed LDL*
-    factorization."""
+    """Vectors with parts of up to 1100 bits, real or complex, and rational
+    weights as long, zero entries and zero weights included, as in a
+    replayed LDL* factorization."""
     part = _big_fractions(draw(st.sampled_from((2, 64, 1100))))
     scalar = st.one_of(st.just(em.ZERO), st.builds(em.GaussianRational, part),
                        st.builds(em.GaussianRational, part, part))
     dim = draw(st.integers(0, 5))
     count = draw(st.integers(0, 4))
     vecs = [tuple(draw(st.lists(scalar, min_size=dim, max_size=dim))) for _ in range(count)]
-    weights = draw(st.lists(st.one_of(part, scalar), min_size=count, max_size=count))
+    weights = draw(st.lists(part, min_size=count, max_size=count))
     return vecs, weights, dim
 
 

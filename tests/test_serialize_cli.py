@@ -395,6 +395,34 @@ def test_cli_verify_fails_malformed_ppt_certificates(tmp_path, capsys, edit):
     assert "verify: FAILED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fault", ["x", -5, 1000, True, None, 2.5, "swapped", "zero"],
+                         ids=["string", "negative", "out-of-range", "bool", "null", "float",
+                              "swapped", "zero"])
+def test_cli_verify_fails_malformed_pivot_pairs(tmp_path, capsys, fault):
+    """rho3x3's pivots are sparse ``[index, value]`` pairs, read as a stored
+    vector's are.  A pivot index that is not an int below 9, its first two
+    pairs (both ``"1"``) swapped, or a zero pivot inserted with a column of
+    its own fails ``verify``; a reader of the values alone accepted each."""
+    cert = tmp_path / "cert.json"
+    assert cli.run(["ppt-check", "--state", "rho3x3", "--out", str(cert)]) == 0
+    data = json.loads(cert.read_text())
+    pivots, columns = data["rho"]["pivots"], data["rho"]["columns"]
+    assert pivots == [[0, "1"], [1, "1"], [2, "3"], [3, "1"], [6, "3"]]
+    if fault == "swapped":
+        pivots[0], pivots[1] = pivots[1], pivots[0]
+    elif fault == "zero":
+        pivots.insert(4, [4, "0"])
+        columns.insert(4, columns[0])
+    else:
+        pivots[1][0] = fault
+    cert.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert cli.run(["verify", str(cert)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("verify: FAILED: malformed certificate: ValueError: entry [")
+    assert out.count("\n") == 1
+
+
 def _bell_json(dim_a, dim_b):
     """The Bell state ``|00> + |11>`` stored as one edge, with the stated dimensions."""
     return {"kind": "state", "dim_a": dim_a, "dim_b": dim_b, "label": "bell",
@@ -750,6 +778,23 @@ def test_ppt_certificate_with_a_negativity_witness_for_rho_fails_verify(tmp_path
 
 def test_cli_extremal():
     assert cli.run(["extremal", "--state", "rho4x5", "--side", "B", "--perp", "4"]) == 0
+
+
+@pytest.mark.parametrize("state, side, perp, cone", [
+    ("rho4x5:stage1", "B", 2, ("NotCertified", False, 4)),
+    ("rho4x5", "B", 4, ("NotCertified", True, 1)),
+    ("family:3", "A", 4, ("Extremal", True, 0)),
+], ids=["stage1-B", "rho4x5-B", "family3-A"])
+def test_extremal_json_pins_the_ppt_cone_verdicts(capsys, state, side, perp, cone):
+    """``extremal --json`` splits off the last level of ``side`` by default
+    and reports the PPT-cone verdict, whether the ranges form a direct sum,
+    and the perturbation dimension."""
+    assert cli.run(["extremal", "--state", state, "--side", side, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    ppt = out["ppt_cone"]
+    assert (out["side"], out["perp_index"]) == (side, perp)
+    assert (ppt["verdict"], ppt["trivial_range_intersection"],
+            ppt["perturbation_dimension"]) == cone
 
 
 def test_extremal_refuses_to_split_off_a_side_of_one_level(tmp_path, capsys):
@@ -2292,8 +2337,8 @@ def genuine_ppt_certificates():
     return out
 
 
-PPT_MUTATIONS = ("pivot", "column-entry", "column-pairs", "imaginary-part", "state-entry",
-                 "swapped-state", "verdict", "psd-flag", "dims")
+PPT_MUTATIONS = ("pivot", "pivot-pairs", "column-entry", "column-pairs", "imaginary-part",
+                 "state-entry", "swapped-state", "verdict", "psd-flag", "dims")
 NPT_MUTATIONS = PPT_MUTATIONS + ("witness-entry", "witness-pairs", "witness-value")
 SCALARS = ["0", "1", "-1", "2", "1/2", "-1/4", "1+1 i", "1 i", "x", "", None, 1]
 
@@ -2328,6 +2373,8 @@ def _mutate_ppt(data, cert, others):
         pivot = data.draw(st.sampled_from(ev["pivots"]), label="pivot")
         pivot[1] = data.draw(st.sampled_from(SCALARS + [3, 3.0, True] + _numbers(pivot[1]))
                              | st.fractions().map(str), label="value")
+    elif kind == "pivot-pairs":
+        _spoil_pairs(data, ev["pivots"], n, "1", ZERO_SPELLINGS)
     elif kind == "column-entry":
         _set_entry(data.draw(st.sampled_from(ev["columns"]), label="column"),
                    data.draw(st.integers(0, n - 1), label="row"), data.draw(st.sampled_from(SCALARS)))
@@ -2398,7 +2445,8 @@ def _ppt_claim_holds(cert):
     stored state is a state), and its partial transpose is PSD exactly when
     the verdict is PPT.  A Hermitian ``A`` is PSD iff every coefficient of
     ``det(x + A)`` is nonnegative.  Stored rationals (edge weights, pivots)
-    must be strings, and each ``psd`` flag ``true`` or ``false``."""
+    must be strings, the pivots valid sparse pairs, and each ``psd`` flag
+    ``true`` or ``false``."""
     sympy = pytest.importorskip("sympy")
     if not all(type(cert[key]["psd"]) is bool for key in ("rho", "rho_ta")):
         return False
@@ -2409,10 +2457,10 @@ def _ppt_claim_holds(cert):
     evidence = [v for ev in (cert["rho"], cert["rho_ta"])
                 for v in (ev["columns"] if ev["psd"] else [ev["witness"]])]
     edges = [_vector(e["vector"], m * n) for e in state.get("edges", ())]
-    rationals = [e["weight"] for e in state.get("edges", ())] + [
-        d for ev in (cert["rho"], cert["rho_ta"]) if ev["psd"] for _, d in ev["pivots"]]
-    if None in edges or any(_vector(v, m * n) is None for v in evidence) \
-            or not all(isinstance(x, str) for x in rationals):
+    pivots = [_decoded(ev["pivots"], m * n, lambda x: Fraction(x) if isinstance(x, str) else None)
+              for ev in (cert["rho"], cert["rho_ta"]) if ev["psd"]]
+    if None in edges or None in pivots or any(_vector(v, m * n) is None for v in evidence) \
+            or not all(isinstance(e["weight"], str) for e in state.get("edges", ())):
         return False
 
     def number(z):
@@ -2442,10 +2490,10 @@ def _ppt_claim_holds(cert):
 def test_mutated_ppt_certificates_are_rejected(genuine_ppt_certificates, data):
     """Mutation fuzzing of ppt certificates: ``verify`` fails every one-field
     perturbation of a genuine PPT (rho3x3) or NPT (complex 3x3) certificate,
-    a pivot, a column entry, an imaginary part, a state entry, the whole
-    state, the verdict, a ``psd`` flag or, on the NPT state, the witness or its value, with
-    a PptlabError, unless sympy shows the verdict still true of the stored
-    state."""
+    a pivot, a fault in the pivots' sparse pairs, a column entry, an
+    imaginary part, a state entry, the whole state, the verdict, a ``psd``
+    flag or, on the NPT state, the witness or its value, with a PptlabError,
+    unless sympy shows the verdict still true of the stored state."""
     name = data.draw(st.sampled_from(sorted(genuine_ppt_certificates)))
     genuine = genuine_ppt_certificates[name]
     cert = _copy(genuine)

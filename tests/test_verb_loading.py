@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1509,
-    "certify-sn": 2315,
-    "verify ppt": 1331,
-    "verify sn-verdict": 1704,
+    "ppt-check": 1508,
+    "certify-sn": 2314,
+    "verify ppt": 1330,
+    "verify sn-verdict": 1703,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
