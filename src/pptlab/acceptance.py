@@ -372,7 +372,7 @@ def criterion_8() -> CriterionResult:
             _check(num_dim == exact_dim, f"{name}: numeric {num_dim} vs exact {exact_dim}")
             oracle[name] = exact_dim
         return {"converged": r.converged, "residual_max": r.residual_max,
-                "extension_dims": r.extension_dims, "oracle": oracle}
+                "extension_dims": r.to_json()["extension_dims"], "oracle": oracle}
 
     return _run(8, "random birank-(4,4) survey, dimension 3 throughout", 120.0, body)
 

@@ -2,7 +2,7 @@
 and the scaling family.
 
 Every construction returns a :class:`qstates.BipartiteState` that records
-its exact conic decomposition as ``edges`` (the Tiles state excepted).  A
+its exact conic decomposition as ``edges``, Tiles its projector's LDL*.  A
 grid graph is read from its JSON straight into those edges
 (:func:`graph_state`): its solid hyperedges become ``|e+> = sum |ij>``
 and its dashed edges ``|e-> = |ij> - |kl>``.  :data:`RHO_4X5_STEPS` is
@@ -98,17 +98,20 @@ def rho_3x3() -> qs.BipartiteState:
 
 @functools.lru_cache(maxsize=None)
 def tiles_complement() -> qs.BipartiteState:
-    """Projector onto the complement of the Tiles unextendible product basis.
-
+    """Projector onto the complement of the Tiles unextendible product basis,
+    as edges ``l0``-``l3``: its exact LDL* columns, weighted by the pivots.
     A 3x3 PPT entangled state of birank (4, 4) whose kernel is spanned by
-    the five product vectors
+    the five product vectors (:func:`tiles_kernel_products`)
 
         |0>(|0>-|1>),  |2>(|1>-|2>),  (|0>-|1>)|2>,  (|1>-|2>)|0>,
         (|0>+|1>+|2>)(|0>+|1>+|2>).
     """
     products = tiles_kernel_products()
     P = em.weighted_gram(products, [1 / em.vdot(v, v).re for v in products], 9)
-    return qs.BipartiteState(3, 3, em.ExactMatrix.identity(9) - P, label="tiles-complement")
+    res = em.psd_check(em.ExactMatrix.identity(9) - P)
+    edges = [qs.NamedVector(f"l{t}", col, d)
+             for t, ((_, d), col) in enumerate(zip(res.pivots, res.columns))]
+    return qs.BipartiteState(3, 3, label="tiles-complement", edges=edges)
 
 
 def tiles_kernel_products() -> tuple:

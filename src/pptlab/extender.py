@@ -688,7 +688,7 @@ def witness_schur_peel(W: em.ExactMatrix, dims: tuple, side: Side, perp_index: i
     exactly the obstruction the peel-off detects.
     """
     m, n = dims
-    if not W.is_hermitian():
+    if W != em.adjoint(W):
         raise NotHermitian("witness must be Hermitian")
     Wc, chi, We, core_dims = split_matrix(W, m, n, side, perp_index)
     flat_core = _flat_edge(We, em.adjoint(chi))[1]  # chi W_e^{-1} chi*

@@ -290,9 +290,6 @@ class ExactMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    def is_hermitian(self) -> bool:
-        return self.rows == self.cols and _int_hermitian(_int_matrix(self)[1])
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented

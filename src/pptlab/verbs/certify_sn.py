@@ -21,12 +21,12 @@ def run(args) -> int:
 
 
 def edge_state(ref: str) -> rp.BipartiteState:
-    """The state ``ref`` names or stores, refused without edges: a file
-    unread (its matrix could cost seconds of LDL*), a named state once built."""
+    """The state ``ref`` names (each records its edges), or the edge state in
+    the file ``ref``; a file without edges is refused unread, before any LDL*."""
     state = named_state(ref)
     if state is None:
         data = _parse(rp.load, ref)
         state = rp.state_from_json(data) if isinstance(data, dict) and data.get("edges") else None
-    if state is None or not state.edges:
+    if state is None:
         raise InputError("state carries no edge decomposition")
     return state

@@ -2,7 +2,8 @@
 
 None of them is on a path the package runs: each recomputes a result of
 ``exactmat``, ``extender``, ``minors`` or ``algcert`` a second way, or
-(:func:`evaluate`, :func:`kron`) computes what only the tests need.
+(:func:`evaluate`, :func:`kron`, :func:`matrix_state`) computes what only
+the tests need.
 """
 
 import math
@@ -18,6 +19,12 @@ from pptlab import qstates as qs
 def kron(A: em.ExactMatrix, B: em.ExactMatrix) -> em.ExactMatrix:
     """The Kronecker product ``A (x) B``, a local operator on ``A``'s and ``B``'s sides."""
     return em.ExactMatrix([em.kron_vec(a, b) for a in A.tolists() for b in B.tolists()])
+
+
+def matrix_state(s: qs.BipartiteState) -> qs.BipartiteState:
+    """``s`` given by its matrix alone, under its label: a state file's form
+    of a state without edges, since every named state records its edges."""
+    return qs.BipartiteState(*s.dims, s.matrix, label=s.label)
 
 
 def intersection_via_stacked_kernel(U: em.Subspace, V: em.Subspace) -> em.Subspace:
@@ -65,16 +72,45 @@ def trivial_coupling_space_by_products(core: qs.BipartiteState) -> em.Subspace:
     return em.Subspace(m * n * n, [ex.coupling_choi_vector(chi, m, n) for chi in couplings])
 
 
+def first_divisor_remainder(p, basis):
+    """Reference reduction on exponent tuples: the largest remaining term is
+    reduced by the first basis element whose leading monomial divides it."""
+    ring = p.ring
+    divisors = [g for g in basis if g]
+    work, remainder = dict(p.terms), {}
+    while work:
+        m = max(work, key=mi._grevlex_key)
+        c = work.pop(m)
+        g = next((g for g in divisors
+                  if all(a <= b for a, b in zip(g.leading_monomial(), m))), None)
+        if g is None:
+            remainder[m] = c
+            continue
+        shift = tuple(a - b for a, b in zip(m, g.leading_monomial()))
+        q = c / g.leading_coeff()
+        multiple = {tuple(a + b for a, b in zip(t, shift)): q * x for t, x in g.terms.items()}
+        rest = ac.Polynomial(ring, {**work, m: c}) - ac.Polynomial(ring, multiple)
+        work = dict(rest.terms)
+    return ac.Polynomial(ring, remainder)
+
+
 def interreduce(polys) -> list:
-    """Reduce each polynomial against the others until stable; monic output
-    sorted by leading monomial (``algcert``'s packed interreduction)."""
-    polys = [p for p in polys if p]
-    if not polys:
-        return []
-    ring = polys[0].ring
-    P = mi._Packing(ring.nvars)
-    reduced = ac._interreduce([ac.pack_terms(P, p) for p in polys], ac._guard(P))
-    return [ac.polynomial(P, ring, ac._record_terms(d)) for d in reduced]
+    """Reduce each polynomial by the others until none changes; the monic
+    nonzero results, sorted by leading monomial.  It works on exponent
+    tuples through :func:`first_divisor_remainder`, so it shares no routine
+    with ``algcert.buchberger``, whose last step it re-derives."""
+    current = [p.monic() for p in polys if p]
+    changed = True
+    while changed:
+        changed = False
+        done = []
+        for i, p in enumerate(current):
+            r = first_divisor_remainder(p, done + current[i + 1:])
+            changed |= r != p
+            if r:
+                done.append(r.monic())
+        current = done
+    return sorted(current, key=lambda p: mi._grevlex_key(p.leading_monomial()))
 
 
 def _unit(ring, l: int) -> tuple:

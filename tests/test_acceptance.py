@@ -211,12 +211,12 @@ def test_criterion_9_witness_peel_suite():
 
 def test_the_manifest_reads_back_from_json_unchanged():
     """``reproduce --json`` writes :func:`acceptance.manifest`: each
-    criterion's details hold JSON values only (a set raises ``TypeError``),
-    and the text reads back to the document it was written from.  The
-    survey histogram's int keys are written as strings, so the read-back
-    dict is compared as text."""
-    text = json.dumps(acceptance.manifest(acceptance.run_all()))
-    assert json.dumps(json.loads(text)) == text
+    criterion's details hold JSON values only (a set raises ``TypeError``,
+    and an int key reads back as a string), and the text reads back to the
+    document it was written from."""
+    manifest = acceptance.manifest(acceptance.run_all())
+    text = json.dumps(manifest)
+    assert json.loads(text) == manifest and json.dumps(json.loads(text)) == text
 
 
 def test_false_claim_fails_under_python_O():

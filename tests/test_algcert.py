@@ -26,7 +26,8 @@ from pptlab.errors import (
     PreconditionViolation,
 )
 
-from oracles import coordinate_entries, evaluate, interreduce, linear_form_matrix
+from oracles import (coordinate_entries, evaluate, first_divisor_remainder, interreduce,
+                     linear_form_matrix)
 
 
 # -- polynomial arithmetic -------------------------------------------------------
@@ -167,28 +168,6 @@ def test_buchberger_matches_sympy_on_random_ideals():
         assert ours_set == sympy_set
 
 
-def _first_divisor_remainder(p, basis):
-    """Reference reduction on exponent tuples: the largest remaining term is
-    reduced by the first basis element whose leading monomial divides it."""
-    ring = p.ring
-    divisors = [g for g in basis if g]
-    work, remainder = dict(p.terms), {}
-    while work:
-        m = max(work, key=mi._grevlex_key)
-        c = work.pop(m)
-        g = next((g for g in divisors
-                  if all(a <= b for a, b in zip(g.leading_monomial(), m))), None)
-        if g is None:
-            remainder[m] = c
-            continue
-        shift = tuple(a - b for a, b in zip(m, g.leading_monomial()))
-        q = c / g.leading_coeff()
-        multiple = {tuple(a + b for a, b in zip(t, shift)): q * x for t, x in g.terms.items()}
-        rest = ac.Polynomial(ring, {**work, m: c}) - ac.Polynomial(ring, multiple)
-        work = dict(rest.terms)
-    return ac.Polynomial(ring, remainder)
-
-
 def test_normal_form_first_divisor_rule_on_non_groebner_bases():
     """Remainders modulo arbitrary bases (overlapping leads, zero entries,
     list order mattering) match the first-divisor rule term for term."""
@@ -203,8 +182,8 @@ def test_normal_form_first_divisor_rule_on_non_groebner_bases():
     for _ in range(150):
         basis = [rnd_poly(rng.randint(0, 3), 2) for _ in range(rng.randint(1, 4))]
         p = rnd_poly(rng.randint(1, 6), 4)
-        assert ac.normal_form(p, basis) == _first_divisor_remainder(p, basis)
-        assert ac.normal_form(p, basis[::-1]) == _first_divisor_remainder(p, basis[::-1])
+        assert ac.normal_form(p, basis) == first_divisor_remainder(p, basis)
+        assert ac.normal_form(p, basis[::-1]) == first_divisor_remainder(p, basis[::-1])
 
 
 def test_oversized_exponent_raises_instead_of_wrapping():

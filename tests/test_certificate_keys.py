@@ -22,6 +22,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pptlab import cli
+from pptlab import constructions as co
+from pptlab import serialize as se
+
+from oracles import matrix_state
 
 BELL = {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "bell",
         "edges": [{"name": "b", "vector": [[0, "1"], [3, "1"]], "weight": "1"}]}
@@ -33,7 +37,7 @@ PRODUCT = {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "product",
 MADE = (
     ("ppt-psd", "rho3x3", ["ppt-check"], 0),
     ("ppt-npt", BELL, ["ppt-check"], 0),
-    ("ppt-matrix", "tiles", ["ppt-check"], 0),
+    ("ppt-matrix", se.state_to_json(matrix_state(co.tiles_complement())), ["ppt-check"], 0),
     ("sn-proven", "rho3x3", ["certify-sn", "--k", "2"], 0),
     ("sn-inconclusive", PRODUCT, ["certify-sn", "--k", "2"], 1),
 )

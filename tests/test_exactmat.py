@@ -147,11 +147,13 @@ def test_psd_requires_hermitian():
 
 
 def test_is_hermitian_matches_the_entrywise_definition():
-    """The check on integer rows agrees with ``M[i][j] == conj(M[j][i])`` on
-    Gaussian-rational matrices, Hermitian or with one entry changed."""
+    """``psd_check``'s Hermitian test on integer rows agrees with ``M[i][j]
+    == conj(M[j][i])`` on Gaussian-rational matrices, Hermitian or with one
+    entry changed: it raises ``NotHermitian`` exactly when they differ."""
     rng = random.Random(11)
-    assert not em.ExactMatrix([[1, 2, 3], [2, 1, 0]]).is_hermitian()
-    assert em.ExactMatrix([]).is_hermitian()
+    with pytest.raises(NotHermitian):
+        em.psd_check(em.ExactMatrix([[1, 2, 3], [2, 1, 0]]))
+    assert em.psd_check(em.ExactMatrix([])).is_psd
     for _ in range(60):
         n = rng.randint(1, 5)
         M = rnd_hermitian(rng, n, den=7)
@@ -161,8 +163,9 @@ def test_is_hermitian_matches_the_entrywise_definition():
             rows[i][j] = rows[i][j] + rnd_scalar(rng, den=3)
         M = em.ExactMatrix(rows)
         entrywise = all(rows[i][j] == rows[j][i].conj() for i in range(n) for j in range(n))
-        assert M.is_hermitian() == entrywise
-        if not entrywise:
+        if entrywise:
+            em.psd_check(M)
+        else:
             with pytest.raises(NotHermitian):
                 em.psd_check(M)
 
@@ -324,7 +327,7 @@ def test_matrix_kron_and_outer():
     assert k.entry(0, 0) == 1 and k.entry(1, 1) == 1 and k.entry(0, 2) == 2
     u = em.vector([1, em.I_UNIT])
     P = em.ExactMatrix.outer(u, u)
-    assert P.is_hermitian()
+    assert P == em.adjoint(P)
     assert P.entry(0, 1) == em.GaussianRational(0, -1)
 
 

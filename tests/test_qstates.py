@@ -305,6 +305,25 @@ def test_tiles_complement_is_projector_with_kernel_products():
     assert em.psd_check(tiles.partial_transpose("A")).is_psd
 
 
+def test_tiles_edges_are_the_projectors_ldl_columns():
+    """Tiles records its projector's exact LDL* as edges ``l0``-``l3``, in
+    pivot order and weighted by the pivots: their Gram sum is the projector
+    ``1 - sum_v |v><v| / <v|v>`` over the five kernel products, summed here
+    from dense outer products, and each edge has Schmidt rank 2."""
+    P = em.ExactMatrix.identity(9)
+    for v in co.tiles_kernel_products():
+        P = P - em.ExactMatrix.outer(v, v).scale(1 / em.vdot(v, v).re)
+    edges = co.tiles_complement().edges
+    assert [(e.name, e.weight) for e in edges] == [
+        ("l0", Fraction(7, 18)), ("l1", Fraction(5, 14)), ("l2", Fraction(3, 10)),
+        ("l3", Fraction(2, 3))]
+    gram = em.ExactMatrix([[0] * 9] * 9)
+    for e in edges:
+        gram = gram + em.ExactMatrix.outer(e.vec, e.vec).scale(e.weight)
+    assert gram == P
+    assert [qs.schmidt_rank(e.vec, 3, 3) for e in edges] == [2, 2, 2, 2]
+
+
 def test_schmidt_rank():
     assert qs.schmidt_rank(em.vector([1, 0, 0, 1]), 2, 2) == 2
     assert qs.schmidt_rank(em.vector([1, 1, 0, 0]), 2, 2) == 1

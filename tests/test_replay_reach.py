@@ -25,8 +25,12 @@ from pathlib import Path
 import pytest
 
 from pptlab import cli
+from pptlab import constructions as co
 from pptlab import minors as mi
 from pptlab import replay as rp
+from pptlab import serialize as se
+
+from oracles import matrix_state
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -35,7 +39,7 @@ KEPT = {
     # checks a matrix state where it is made, and its helpers; and
     # ExactMatrix.identity, which pptbench/workloads.py calls as a method
     "ExactMatrix.outer", "ExactMatrix.__add__", "ExactMatrix.matmul", "psd_check",
-    "_psd_witness", "_int_matrix", "_int_hermitian", "ExactMatrix.is_hermitian", "state_ldl",
+    "_psd_witness", "_int_matrix", "_int_hermitian", "state_ldl",
     "ExactMatrix.identity",
     # the value protocol of the kernel's immutable types: the builders compare,
     # hash, print, read and do arithmetic on the same objects the replay makes,
@@ -90,11 +94,13 @@ def _certificates(tmp_path) -> list:
     product = {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "product",
                "edges": [{"name": "a", "vector": [[0, "1"]], "weight": "1"},
                          {"name": "b", "vector": [[3, "1"]], "weight": "1"}]}
-    for name, doc in (("dependent", dependent), ("bell", bell), ("product", product)):
+    tiles = se.state_to_json(matrix_state(co.tiles_complement()))
+    for name, doc in (("dependent", dependent), ("bell", bell), ("product", product),
+                      ("tiles", tiles)):
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     runs = (
         (["ppt-check", "--state", str(rho3x3)], 0),           # PSD, an edge state
-        (["ppt-check", "--state", "tiles"], 0),               # PSD, a matrix state
+        (["ppt-check", "--state", str(tmp_path / "tiles.json")], 0),  # PSD, a matrix state
         (["ppt-check", "--state", "rho4x5"], 0),
         (["ppt-check", "--state", str(tmp_path / "bell.json")], 0),  # NPT
         (["certify-sn", "--state", "rho3x3", "--k", "2"], 0),  # proven on the edges

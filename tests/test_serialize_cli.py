@@ -34,9 +34,14 @@ from pptlab.errors import (
     PptlabError,
 )
 
+from oracles import matrix_state
+
+# Tiles stored as its matrix: the matrix state these tests read, write and spoil
+TILES_MATRIX = matrix_state(co.tiles_complement())
+
 
 def test_state_json_roundtrip():
-    for st in (co.rho_3x3(), co.rho_4x5().final, co.tiles_complement()):
+    for st in (co.rho_3x3(), co.rho_4x5().final, co.tiles_complement(), TILES_MATRIX):
         data = json.loads(json.dumps(se.state_to_json(st)))
         back = se.state_from_json(data)
         assert back == st and se.state_from_json(data) == back
@@ -526,7 +531,8 @@ def test_cli_a_matrix_without_its_entries_is_malformed(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("state", [
-    {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "none", "edges": []}, "tiles",
+    {"kind": "state", "dim_a": 2, "dim_b": 2, "label": "none", "edges": []},
+    se.state_to_json(TILES_MATRIX),
 ], ids=["empty-edges", "matrix-state"])
 def test_cli_certify_sn_needs_edges(tmp_path, capsys, state):
     """certify-sn bounds a state through its edges, and plot draws them: a
@@ -598,13 +604,13 @@ def _spoil_state(data, bad):
 
 
 # a state stored as its edges, and one stored as its matrix
-SPOILED_STATES = (co.rho_3x3, co.tiles_complement)
+SPOILED_STATES = (co.rho_3x3(), TILES_MATRIX)
 
 
 @pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
 def test_repeated_malformed_scalar_in_a_state_is_rejected(bad):
     for state in SPOILED_STATES:
-        data = _spoil_state(se.state_to_json(state()), bad)
+        data = _spoil_state(se.state_to_json(state), bad)
         with pytest.raises(se.MalformedData) as info:
             se.state_from_json(data)
         assert str(info.value) == _malformed("state", bad)
@@ -613,7 +619,7 @@ def test_repeated_malformed_scalar_in_a_state_is_rejected(bad):
 @pytest.mark.parametrize("bad", BAD_SCALARS, ids=BAD_IDS)
 def test_repeated_malformed_scalar_fails_verify(bad):
     for state in SPOILED_STATES:
-        spoiled = se.ppt_certificate(state())
+        spoiled = se.ppt_certificate(state)
         spoiled["state"] = _spoil_state(spoiled["state"], bad)
         with pytest.raises(se.CertificateInvalid) as info:
             se.verify_certificate(spoiled)
@@ -816,11 +822,13 @@ def test_extremal_refuses_to_split_off_a_side_of_one_level(tmp_path, capsys):
     assert cli.run(["extremal", "--state", str(path), "--side", "B"]) == 0
 
 
-def test_extend_refuses_names_on_a_state_without_edges(capsys):
+def test_extend_refuses_names_on_a_state_without_edges(tmp_path, capsys):
     """A matrix state has no edges to lift, so a step's ``names`` would name
     nothing; they used to be dropped without a word."""
+    path = tmp_path / "tiles.json"
+    path.write_text(json.dumps(se.state_to_json(TILES_MATRIX)))
     step = {"kind": "slocc", "side": "A", "phi": ["1", "0", "0"]}
-    argv = ["extend", "--state", "tiles", "--step"]
+    argv = ["extend", "--state", str(path), "--step"]
     assert cli.run(argv + [json.dumps({**step, "names": ["x", "y", "z"]})]) == 2
     assert capsys.readouterr() == ("", "extend: PreconditionViolation: slocc(tiles-complement): "
                                    "a state without edges takes no names\n")
@@ -2153,7 +2161,7 @@ def test_sn_upper_without_vectors_is_rejected(rho3x3_verdict):
     """The upper half reads the state's edges: a state with no edges, or one
     stored as its matrix alone, has no decomposition to bound."""
     for state in ({**rho3x3_verdict["state"], "edges": []},
-                  se.state_to_json(co.tiles_complement())):
+                  se.state_to_json(TILES_MATRIX)):
         cert = {"kind": "sn-verdict", "state": state, "lower_inconclusive": "not searched",
                 "upper": {"value": 1, "schmidt_ranks": []},
                 "verdict": "SN <= 1 (lower bound inconclusive)"}
@@ -2234,7 +2242,8 @@ def test_retired_state_layout_fails_state_input_and_ppt_verify(tmp_path, capsys)
 @pytest.mark.parametrize("verb, state, digest", [
     ("build", "rho3x3", "b74bb6060aa3d3860ed3378880a744002f1cc196a0a81920775c72ee6f49c0c4"),
     ("ppt-check", "rho3x3", "fb1feff34429b516408c1331c3ad0a3134c3116795e019afecf4c2230ca31e62"),
-    ("ppt-check", "tiles", "53f21bb8ea4918ffb5d903708db0c063b529fd7d3e7a8383d3bc42bd13bc4be7"),
+    ("ppt-check", se.state_to_json(TILES_MATRIX),
+     "53f21bb8ea4918ffb5d903708db0c063b529fd7d3e7a8383d3bc42bd13bc4be7"),
     ("certify-sn", "rho3x3", "b325c894fc9bd15734c01c30559144104812f8fb3cf3a007d6d25670dc22843d"),
 ], ids=["state", "ppt", "ppt-of-a-matrix-state", "sn-verdict"])
 def test_files_with_dense_vectors_ask_for_a_rerun(tmp_path, capsys, verb, state, digest):
@@ -2245,6 +2254,9 @@ def test_files_with_dense_vectors_ask_for_a_rerun(tmp_path, capsys, verb, state,
     verify (exit 1), also the ppt certificate of a state stored as its
     matrix, which holds dense LDL* columns only."""
     new, old = tmp_path / "new.json", tmp_path / "old.json"
+    if isinstance(state, dict):
+        (tmp_path / "state.json").write_text(json.dumps(state))
+        state = str(tmp_path / "state.json")
     args = ["--k", "2"] if verb == "certify-sn" else []
     assert cli.run([verb, "--state", state, *args, "--out", str(new)]) == 0
     old.write_text(json.dumps(_densified(json.loads(new.read_text())), indent=2) + "\n")
@@ -2259,7 +2271,7 @@ def test_files_with_dense_vectors_ask_for_a_rerun(tmp_path, capsys, verb, state,
                 f"[index, nonzero value] with an index above -1 and below 9\n")
         return
     assert cli.run(["verify", str(old)]) == 1
-    what = "certificate" if state == "tiles" else "state"
+    what = "state" if "edges" in json.loads(new.read_text())["state"] else "certificate"
     assert re.fullmatch(f"verify: FAILED: malformed {what}: ValueError: entry '[-0-9/]+' is not "
                         r"\[index, nonzero value\] with an index above -1 and below 9\n",
                         capsys.readouterr().out)
@@ -2282,21 +2294,27 @@ def test_verify_and_plot_reject_json(verb, tmp_path, capsys):
 FAMILY6 = os.path.join(DATA, "family6_sn_verdict.json")
 
 
-def test_committed_family6_certificate_replays_and_is_rewritten(tmp_path, capsys):
-    """The committed family:6 sn-verdict (11x11, past the paper's 9x9) is
-    pinned by SHA-256, ``pptlab verify`` replays it as SN = 6, and
-    ``certify-sn`` writes the same bytes."""
-    with open(FAMILY6, "rb") as fh:
+@pytest.mark.parametrize("path, state, args, verdict, digest", [
+    (FAMILY6, "family:6", ["--exclude-deltas"], "SN = 6",
+     "b9651cf022b7cd1e74e7cf42ce83bfd7d58164454d280fcc832f5b0b15d57b50"),
+    (os.path.join(DATA, "tiles_sn_verdict.json"), "tiles", [], "SN = 2",
+     "3d484df44e39f84b0db09ec2398a9de5043ea6a57a474887c3d3d431dccdd1c5"),
+], ids=["family6", "tiles"])
+def test_committed_certificate_replays_and_is_rewritten(tmp_path, capsys, path, state, args,
+                                                        verdict, digest):
+    """The committed sn-verdicts of family:6 (11x11, past the paper's 9x9)
+    and of Tiles (3x3, from its LDL* edges) are pinned by SHA-256,
+    ``pptlab verify`` replays each, and ``certify-sn`` writes the same
+    bytes."""
+    with open(path, "rb") as fh:
         committed = fh.read()
-    assert hashlib.sha256(committed).hexdigest() == \
-        "b9651cf022b7cd1e74e7cf42ce83bfd7d58164454d280fcc832f5b0b15d57b50"
-    assert json.loads(committed)["verdict"] == "SN = 6"
+    assert hashlib.sha256(committed).hexdigest() == digest
+    assert json.loads(committed)["verdict"] == verdict
     capsys.readouterr()
-    assert cli.run(["verify", FAMILY6]) == 0
+    assert cli.run(["verify", path]) == 0
     assert capsys.readouterr().out == "verify: OK (sn-verdict)\n"
     out = tmp_path / "sn.json"
-    assert cli.run(["certify-sn", "--state", "family:6", "--exclude-deltas",
-                    "--out", str(out)]) == 0
+    assert cli.run(["certify-sn", "--state", state, *args, "--out", str(out)]) == 0
     assert out.read_bytes() == committed
 
 

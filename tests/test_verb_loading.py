@@ -11,10 +11,10 @@ import pytest
 from loaded_lines import measure
 
 CEILINGS = {
-    "ppt-check": 1508,
-    "certify-sn": 2314,
-    "verify ppt": 1330,
-    "verify sn-verdict": 1703,
+    "ppt-check": 1505,
+    "certify-sn": 2311,
+    "verify ppt": 1327,
+    "verify sn-verdict": 1700,
 }
 
 # what a replay must not trust: the certifiers' exact layer and writers
