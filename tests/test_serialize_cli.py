@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -835,6 +836,14 @@ def test_extend_refuses_names_on_a_state_without_edges(tmp_path, capsys):
     assert cli.run(argv + [json.dumps(step)]) == 0
 
 
+# (dims, birank, message) of targets whose Newton system is overdetermined
+OVERDETERMINED = [
+    ("5x5", "4,4", "birank (4,4) of 5x5 is overdetermined: 882 conditions on 625 parameters"),
+    ("2x2", "1,1", "birank (1,1) of 2x2 is overdetermined: 18 conditions on 16 parameters"),
+    ("4x4", "4,4", "birank (4,4) of 4x4 is overdetermined: 288 conditions on 256 parameters"),
+]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["--birank", "10,10"], "DimensionMismatch: birank outside the valid range"),
     (["--birank", "4,4 10,10"], "DimensionMismatch: birank outside the valid range"),
@@ -842,12 +851,16 @@ def test_extend_refuses_names_on_a_state_without_edges(tmp_path, capsys):
     (["--birank", "4,4", "--seed", "-3"], "--seed must be at least 0"),
     (["--birank", "4,4", "--dims", ""], "--dims lists nothing to survey"),
     (["--birank", " "], "--birank lists nothing to survey"),
-], ids=["birank", "second-birank", "no-samples", "negative-seed", "no-dims", "no-biranks"])
+    *[(["--dims", dims, "--birank", birank], f"DimensionMismatch: {message}")
+      for dims, birank, message in OVERDETERMINED],
+], ids=["birank", "second-birank", "no-samples", "negative-seed", "no-dims", "no-biranks",
+        *[f"overdetermined-{dims}-{birank}" for dims, birank, _ in OVERDETERMINED]])
 def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
     """A birank outside ``1..mn`` used to be skipped (``"reports": []``,
-    exit 0), as were an empty ``--dims`` and ``--birank`` list, and no
-    samples wrote a NaN residual, which is not JSON; each exits 2 before
-    any sampling, as ``sample`` does."""
+    exit 0), as were an empty ``--dims`` and ``--birank`` list, and
+    ``--samples 0`` wrote a NaN residual, which is not JSON; each exits 2
+    before any sampling, as ``sample`` does.  So does a birank whose Newton
+    system has more conditions than parameters."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("the survey sampled before rejecting its input")
 
@@ -855,6 +868,28 @@ def test_cli_survey_input_errors_exit_2(argv, message, capsys, monkeypatch):
     assert cli.run(["survey", "--dims", "3x3", *argv, "--json"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"survey: {message}\n"
+
+
+def test_a_survey_row_with_nothing_converged_writes_null_residuals(capsys, monkeypatch):
+    """A row whose samples all fail has no residual: ``--json`` writes
+    ``null`` for both (it wrote ``NaN``, which is not JSON), while the table
+    prints ``nan``.  2x5 (4,2) has as many conditions as parameters (100),
+    so it is sampled, not refused."""
+    def failing(m, n, p, q, seeds):
+        return [ConvergenceFailure("not run")] * len(seeds)
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    monkeypatch.setattr("pptlab.numlab.gauss_newton_lockstep", failing)
+    argv = ["survey", "--dims", "2x5", "--birank", "4,2", "--samples", "1"]
+    assert cli.run(argv + ["--json"]) == 0
+    report, = json.loads(capsys.readouterr().out, parse_constant=no_constant)["reports"]
+    assert (report["converged"], report["residual_max"], report["residual_median"]) == (0, None, None)
+    assert cli.run(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split()[4] == "nan"
+    with pytest.raises(ValueError, match="not JSON compliant"):  # no verb writes NaN
+        verbs._emit(types.SimpleNamespace(out=None, json=True), {"residual": float("nan")}, "")
 
 
 def test_cli_sample_negative_seed_exits_2(capsys, monkeypatch):
@@ -878,10 +913,18 @@ def test_cli_sample_and_survey(capsys):
 
 
 def test_cli_sample_exit_codes(monkeypatch, capsys):
-    """A birank the dimensions cannot carry is an input error (exit 2); only
-    a sample that does not converge is inconclusive (exit 1)."""
-    assert cli.run(["sample", "--dims", "2x2", "--birank", "9,9"]) == 2
-    assert "DimensionMismatch: birank outside the valid range" in capsys.readouterr().err
+    """A birank the dimensions cannot carry, or whose Newton system is
+    overdetermined, is an input error (exit 2), refused before a start point
+    is drawn; only a sample that does not converge is inconclusive (exit 1)."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sample drew a start point before rejecting its input")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("pptlab.numlab.random_hermitian", no_sampling)
+        for dims, birank, message in [("2x2", "9,9", "birank outside the valid range"),
+                                      *OVERDETERMINED]:
+            assert cli.run(["sample", "--dims", dims, "--birank", birank]) == 2
+            assert capsys.readouterr() == ("", f"sample: DimensionMismatch: {message}\n")
 
     def no_convergence(*args, **kwargs):
         raise ConvergenceFailure("residual above tolerance")
