@@ -20,10 +20,19 @@ reports them under ``calibration``.  Each Gauss-Newton step is the
 minimum-norm solution of the linearized system, taken from the normal
 equations of ``J J^T`` with one refinement step (``J`` has no more rows
 than columns); ``lstsq`` (an SVD) is the fallback when ``J J^T`` is
-singular or the refinement shows the solve too inaccurate.  A survey draws
-a row's seeds in lockstep batches (:func:`gauss_newton_lockstep`), each
-sample bit-identical to its own run under the same BLAS thread count: one
-OpenBLAS thread and two can give a sample different bits.
+singular or the refinement shows the solve too inaccurate.
+
+A sample starts at ``I/mn`` plus 0.1 times :func:`random_hermitian` of its
+seed, over its trace.  Its normals come from the standard library's
+Mersenne Twister, ``random.Random(seed).gauss``, which :mod:`statistics`
+loads into every process here anyway; numpy's generators would load their
+own package, nine extension modules with ``secrets``, ``hashlib`` and
+OpenSSL (6.0 MB of RSS), for a few hundred draws.  A seed is an int of at
+least 0: ``random.Random`` would fold ``-5`` onto ``5`` and hash a ``str``
+or ``float``, so any other seed raises :class:`PreconditionViolation`.  A
+survey draws a row's seeds in lockstep batches (:func:`gauss_newton_lockstep`),
+each sample bit-identical to its own run under the same BLAS thread count:
+one OpenBLAS thread and two can give a sample different bits.
 
 Only :func:`from_exact` and :func:`rationalize_to_birank` cross into the
 exact layer, and they import it when they run: sampling, surveys and the
@@ -34,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import math
+import random
 import statistics
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
@@ -41,7 +51,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from . import extension_count_bound
-from .errors import ConvergenceFailure, DimensionMismatch, NotPsd, RankAmbiguity
+from .errors import (ConvergenceFailure, DimensionMismatch, NotPsd, PreconditionViolation,
+                     RankAmbiguity)
 
 if TYPE_CHECKING:
     from . import qstates as qs
@@ -79,13 +90,24 @@ class FloatState(NamedTuple):
     iterations: int
 
 
-def random_hermitian(n: int, seed) -> np.ndarray:
-    """Random Hermitian matrix: complex normal off-diagonals, real normal
-    diagonal.  Deterministic per seed."""
+def _check_seed(seed) -> None:
+    """Refuse a seed that is no int of at least 0, a bool too (see the module docstring)."""
+    if type(seed) is not int or seed < 0:
+        raise PreconditionViolation(f"seed {seed!r} is not an int of at least 0")
+
+
+def random_hermitian(n: int, seed: int) -> np.ndarray:
+    """Random Hermitian matrix: complex normal off-diagonals (variance 1/2
+    per part), real normal diagonal (variance 1).  Deterministic per seed, an
+    int of at least 0: the real parts, then the imaginary parts, of ``a`` in
+    ``(a + a*) / 2``, row by row from ``random.Random(seed).gauss(0.0, 1.0)``
+    (see the module docstring for why not numpy's generator)."""
     if n < 1:
         raise DimensionMismatch("dimension must be at least 1")
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    _check_seed(seed)
+    gauss = random.Random(seed).gauss
+    real, imag = np.array([gauss(0.0, 1.0) for _ in range(2 * n * n)]).reshape(2, n, n)
+    a = real + 1j * imag
     return (a + a.conj().T) / 2
 
 
@@ -293,8 +315,7 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
 
     starts = []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        x = np.eye(size, dtype=complex) / size + _START_NOISE * random_hermitian(size, rng)
+        x = np.eye(size, dtype=complex) / size + _START_NOISE * random_hermitian(size, seed)
         x = x / np.trace(x).real
         # a side with nothing to drive (p or q = mn) starts with no eigenvalue below 1/(2mn)
         low = min([np.linalg.eigvalsh(y)[0] for y, k in
@@ -482,8 +503,11 @@ def unextendibility_survey(dims_list, biranks, samples: int, seed: int) -> list:
     numerical ranks are not ``(p, q)`` are counted, with their seeds, in
     ``rank_mismatch``; they stay in every other count.  A birank outside
     ``1..mn`` or with an overdetermined Newton system, or dimensions past
-    :data:`MAX_LEVELS`, raise :class:`DimensionMismatch` before any sampling.
+    :data:`MAX_LEVELS`, raise :class:`DimensionMismatch`, and a ``seed``
+    that is no int of at least 0 :class:`PreconditionViolation`, before any
+    sampling.
     """
+    _check_seed(seed)
     for m, n in dims_list:
         _levels(m, n, biranks)
     reports = []

@@ -1,5 +1,6 @@
-"""``pptlab sample``: one Gauss-Newton birank sample, and the parsers of
-dimensions, biranks and seeds that ``survey`` shares."""
+"""``pptlab sample``: one Gauss-Newton birank sample, and the parser of
+dimensions and biranks that ``survey`` shares; :mod:`pptlab.numlab`
+refuses a seed below 0."""
 
 import sys
 
@@ -11,7 +12,6 @@ from . import EXIT_INCONCLUSIVE, EXIT_OK, InputError, _emit
 def run(args) -> int:
     m, n = _int_pair("--dims", args.dims)
     p, q = _int_pair("--birank", args.birank)
-    _check_seed(args.seed)
     try:
         st = nl.gauss_newton_birank(m, n, p, q, seed=args.seed)
     except ConvergenceFailure as exc:
@@ -30,11 +30,6 @@ def run(args) -> int:
     _emit(args, payload, text=f"sampled {m}x{n} birank ({p},{q}): residual {st.residual:.2e} "
           f"in {st.iterations} iterations")
     return EXIT_OK
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:  # numpy's generator takes no negative seed
-        raise InputError("--seed must be at least 0")
 
 
 def _int_pair(option: str, text: str) -> tuple:

@@ -2,7 +2,7 @@
 
 from .. import numlab as nl
 from . import EXIT_OK, InputError, _emit
-from .sample import _check_seed, _int_pair
+from .sample import _int_pair
 
 
 def run(args) -> int:
@@ -13,7 +13,6 @@ def run(args) -> int:
             raise InputError(f"{option} lists nothing to survey")
     if args.samples < 1:  # no residual to report, and JSON has no NaN
         raise InputError("--samples must be at least 1")
-    _check_seed(args.seed)
     reports = nl.unextendibility_survey(dims, biranks, samples=args.samples, seed=args.seed)
     payload = {"kind": "survey", "reports": [r.to_json() for r in reports]}
     _emit(args, payload, text=nl.survey_table(reports))

@@ -5,15 +5,20 @@
 ``__pycache__`` (``PYTHONDONTWRITEBYTECODE=1``, as the benchmark runs it)
 each process compiles them afresh.  :func:`measure` writes the benchmark's
 kind of state file (rho4x5, with ``pptlab build``) and runs, each in a
-fresh process, ``ppt-check`` and ``certify-sn`` on it and ``verify`` of the
-two certificates they write.
+fresh process, ``ppt-check`` and ``certify-sn`` on it, ``verify`` of the
+two certificates they write, and the benchmark's ``sample`` (4x4 (7,7))
+and ``survey`` (3x3 (4,4), 20 samples).  Each process reports at exit
+whether it loaded ``numpy.random`` and its peak RSS, ``VmHWM`` of
+``/proc/self/status`` (``None`` where there is no ``/proc``): the
+``ru_maxrss`` that ``wait4`` returns can hold the parent's high-water
+mark for a child started by ``vfork``.
 
-``python tests/loaded_lines.py`` prints the four totals, one line per
-process with each module it loaded and that module's lines (where its
-total is spent), and, for each of the four processes, the median time from
-``main`` returning to the parent's wait returning (:func:`exit_times`, five
-runs): the interpreter's shutdown, which ``cli.main`` shortens by freezing
-the collector's objects.
+``python tests/loaded_lines.py`` prints the six totals, one line per
+process with its peak RSS and each module it loaded and that module's
+lines (where its total is spent), and, for each of the four certificate
+processes, the median time from ``main`` returning to the parent's wait
+returning (:func:`exit_times`, five runs): the interpreter's shutdown,
+which ``cli.main`` shortens by freezing the collector's objects.
 ``tests/test_verb_loading.py`` keeps each total under a ceiling.
 """
 
@@ -27,20 +32,29 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # runs ``pptlab argv`` as ``python -m pptlab.cli`` does (cli.py as
-# ``__main__``), then writes the pptlab modules left in sys.modules, the
-# collector's freeze count and the system-wide monotonic time at which
-# ``main`` returned (by ``sys.exit`` or an exception)
+# ``__main__``), then writes the pptlab modules left in sys.modules, whether
+# numpy.random is among them, the peak RSS in KB, the collector's freeze
+# count and the system-wide monotonic time at which ``main`` returned (by
+# ``sys.exit`` or an exception)
 _PROBE = """\
 import atexit, gc, json, runpy, sys, time
 returned = []
+def peak_kb():
+    try:
+        with open("/proc/self/status") as fh:
+            return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    except OSError:
+        return None
 def dump():
     with open({out!r}, "w") as fh:
         json.dump({{"modules": {{name: module.__file__ for name, module in sys.modules.items()
                                 if name.split(".")[0] == "pptlab"}},
+                   "numpy_random": "numpy.random" in sys.modules, "peak_kb": peak_kb(),
                    "frozen": gc.get_freeze_count(), "returned": returned[0]}}, fh)
 atexit.register(dump)
 sys.argv = ["pptlab", *{argv!r}]
@@ -56,6 +70,20 @@ VERBS = (
     ("verify ppt", ["verify", "ppt.json"]),
     ("verify sn-verdict", ["verify", "sn.json"]),
 )
+# the benchmark's sampling processes, which read no state file
+SAMPLERS = (
+    ("sample", ["sample", "--dims", "4x4", "--birank", "7,7"]),
+    ("survey", ["survey", "--dims", "3x3", "--birank", "4,4", "--samples", "20"]),
+)
+
+
+class Process(NamedTuple):
+    """What :func:`measure` finds of one process."""
+
+    lines: int            # lines of src/pptlab compiled, cli.py as __main__ included
+    modules: dict         # loaded pptlab module -> its lines
+    numpy_random: bool    # whether it loaded numpy.random
+    peak_kb: int | None   # VmHWM at exit
 
 
 def _lines(path) -> int:
@@ -81,27 +109,22 @@ def probe(argv, cwd) -> tuple:
     return code, found, waited - found["returned"]
 
 
-def loaded(argv, cwd) -> dict:
-    """``{module: file}`` of the ``pptlab`` modules that a fresh process
-    running ``pptlab argv`` in ``cwd`` has loaded when it exits (0)."""
-    code, found, _ = probe(argv, cwd)
-    if code != 0:
-        raise subprocess.CalledProcessError(code, ["pptlab", *argv])
-    return found["modules"]
-
-
 def measure(workdir) -> dict:
-    """``{verb: (lines compiled, {loaded module: its lines})}`` for
-    :data:`VERBS`; ``cli.py`` counts once as ``__main__``, and again if
-    imported."""
+    """``{process: Process}`` for :data:`VERBS` and :data:`SAMPLERS`, each
+    run once in a fresh process that must exit 0; ``cli.py`` counts once as
+    ``__main__``, and again if imported."""
     subprocess.run([sys.executable, "-m", "pptlab.cli", "build", "--state", "rho4x5",
                     "--out", "state.json"], cwd=workdir, check=True, capture_output=True,
                    env=dict(os.environ, PYTHONPATH=str(SRC)))
     main = _lines(SRC / "pptlab" / "cli.py")
     out = {}
-    for name, argv in VERBS:
-        modules = {module: _lines(path) for module, path in loaded(argv, workdir).items()}
-        out[name] = (main + sum(modules.values()), modules)
+    for name, argv in VERBS + SAMPLERS:
+        code, found, _ = probe(argv, workdir)
+        if code != 0:
+            raise subprocess.CalledProcessError(code, ["pptlab", *argv])
+        modules = {module: _lines(path) for module, path in found["modules"].items()}
+        out[name] = Process(main + sum(modules.values()), modules, found["numpy_random"],
+                            found["peak_kb"])
     return out
 
 
@@ -119,12 +142,15 @@ def main() -> None:
         found = measure(tmp)
         exits = exit_times(tmp)
     print("Lines of pptlab compiled per process: "
-          + ", ".join(f"{name} {lines}" for name, (lines, _) in found.items()))
+          + ", ".join(f"{name} {process.lines}" for name, process in found.items()))
     cli_lines = _lines(SRC / "pptlab" / "cli.py")
-    for name, (lines, modules) in found.items():
-        print(f"  {name} ({lines}): cli as __main__ {cli_lines}, " + ", ".join(
-            f"{module.removeprefix('pptlab.')} {n}"
-            for module, n in sorted(modules.items(), key=lambda item: -item[1])))
+    for name, process in found.items():
+        peak = "?" if process.peak_kb is None else f"{process.peak_kb / 1024:.1f} MB"
+        print(f"  {name} ({process.lines}; peak RSS {peak}"
+              + (", numpy.random loaded" if process.numpy_random else "")
+              + f"): cli as __main__ {cli_lines}, " + ", ".join(
+                  f"{module.removeprefix('pptlab.')} {n}"
+                  for module, n in sorted(process.modules.items(), key=lambda item: -item[1])))
     print("Median exit time per process (main returning to the wait returning, five runs): "
           + ", ".join(f"{name} {seconds * 1e3:.1f} ms" for name, seconds in exits.items()))
 

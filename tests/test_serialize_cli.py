@@ -848,7 +848,8 @@ OVERDETERMINED = [
     (["--birank", "10,10"], "DimensionMismatch: birank outside the valid range"),
     (["--birank", "4,4 10,10"], "DimensionMismatch: birank outside the valid range"),
     (["--birank", "4,4", "--samples", "0"], "--samples must be at least 1"),
-    (["--birank", "4,4", "--seed", "-3"], "--seed must be at least 0"),
+    (["--birank", "4,4", "--seed", "-3"],
+     "PreconditionViolation: seed -3 is not an int of at least 0"),
     (["--birank", "4,4", "--dims", ""], "--dims lists nothing to survey"),
     (["--birank", " "], "--birank lists nothing to survey"),
     *[(["--dims", dims, "--birank", birank], f"DimensionMismatch: {message}")
@@ -893,15 +894,16 @@ def test_a_survey_row_with_nothing_converged_writes_null_residuals(capsys, monke
 
 
 def test_cli_sample_negative_seed_exits_2(capsys, monkeypatch):
-    """numpy's generator takes no negative seed; ``sample`` rejects one as
-    input before it samples, as ``survey`` does."""
+    """``random.Random`` would give seed -1 the sample of seed 1; ``sample``
+    rejects it before any Newton step, as ``survey`` does."""
     def no_sampling(*args, **kwargs):
         raise AssertionError("sample sampled before rejecting its input")
 
-    monkeypatch.setattr("pptlab.numlab.gauss_newton_birank", no_sampling)
+    monkeypatch.setattr("pptlab.numlab._birank_jacobian", no_sampling)
     assert cli.run(["sample", "--dims", "3x3", "--birank", "4,4", "--seed", "-1"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "sample: --seed must be at least 0\n"
+    assert out == "" and \
+        err == "sample: PreconditionViolation: seed -1 is not an int of at least 0\n"
 
 
 def test_cli_sample_and_survey(capsys):

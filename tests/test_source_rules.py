@@ -55,6 +55,20 @@ def test_no_module_imports_the_cli():
             if "pptlab.cli" in _imported_modules(path)] == []
 
 
+def test_no_module_names_numpy_random():
+    """The sampler draws its start points from ``random.Random``, which
+    ``statistics`` already loads: ``numpy.random`` would cost every sampling
+    process about 6 MB of RSS."""
+    found = [f"{path.relative_to(PACKAGE)}:{node.lineno}"
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "random"
+             and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")]
+    found += [str(path.relative_to(PACKAGE)) for path in SOURCES
+              if "numpy.random" in _imported_modules(path)]
+    assert found == []
+
+
 def test_no_module_imports_the_groebner_oracle():
     """``algcert`` is the tests' independent membership oracle: the package
     proves every membership by an indexed cofactor identity that
