@@ -20,7 +20,7 @@ from . import extender as ex
 from . import extension_count_bound
 from . import minors as mi
 from . import qstates as qs
-from .errors import CriterionFailed, DecompositionMismatch
+from .errors import CriterionFailed, DecompositionMismatch, PreconditionViolation
 
 SURVEY_SEED = 2026  # criterion 8's survey
 LIFT_SEED = 7       # criterion 7's random cases
@@ -352,12 +352,16 @@ def criterion_8() -> CriterionResult:
     """Survey replication: 3x3 birank (4,4), 100 samples: at least 90
     converge below 1e-9 and every converged sample has extension dimension
     3; the numeric dimension agrees with the exact solver on rho3x3 and the
-    k=2 family member."""
+    k=2 family member.  Without numpy it fails, naming the missing package."""
 
     def body():
         from . import numlab as nl
 
-        reports = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=100, seed=SURVEY_SEED)
+        try:
+            reports = nl.unextendibility_survey([(3, 3)], [(4, 4)], samples=100,
+                                                seed=SURVEY_SEED)
+        except PreconditionViolation as exc:  # numpy is not installed
+            raise CriterionFailed(str(exc)) from exc
         r = reports[0]
         _check(r.converged >= 90, f"only {r.converged}/100 converged")
         _check(r.residual_max < 1e-9, f"residual {r.residual_max}")

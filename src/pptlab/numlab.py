@@ -34,9 +34,13 @@ survey draws a row's seeds in lockstep batches (:func:`gauss_newton_lockstep`),
 each sample bit-identical to its own run under the same BLAS thread count:
 one OpenBLAS thread and two can give a sample different bits.
 
-Only :func:`from_exact` and :func:`rationalize_to_birank` cross into the
-exact layer, and they import it when they run: sampling, surveys and the
-counting bound (:func:`pptlab.extension_count_bound`) load no exact module.
+numpy loads at a routine's first read of ``np``, a stand-in that then
+rebinds ``np`` to numpy: a process that never samples carries none of its
+13.7 MB, and without numpy that read raises :class:`PreconditionViolation`
+naming the ``pptlab[sample]`` extra.  Only :func:`from_exact` and
+:func:`rationalize_to_birank` cross into the exact layer, and they import
+it when they run: sampling, surveys and the counting bound
+(:func:`pptlab.extension_count_bound`) load no exact module.
 """
 
 from __future__ import annotations
@@ -48,14 +52,28 @@ import statistics
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
-
 from . import extension_count_bound
 from .errors import (ConvergenceFailure, DimensionMismatch, NotPsd, PreconditionViolation,
                      RankAmbiguity)
 
 if TYPE_CHECKING:
     from . import qstates as qs
+
+
+class _Numpy:
+    """numpy, imported at the first attribute read, which rebinds ``np`` to it."""
+
+    def __getattr__(self, name):
+        global np
+        try:
+            import numpy as np
+        except ImportError:
+            raise PreconditionViolation(
+                "numpy is not installed: pip install 'pptlab[sample]'") from None
+        return getattr(np, name)
+
+
+np = _Numpy()
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 200
@@ -363,7 +381,7 @@ def gauss_newton_lockstep(m: int, n: int, p: int, q: int, seeds) -> list:
 # -- numerical extension dimension -------------------------------------------
 
 # a value within a decade of DEFAULT_SVD_TOL makes a rank ambiguous
-_AMBIGUOUS = (DEFAULT_SVD_TOL / np.sqrt(10), DEFAULT_SVD_TOL * np.sqrt(10))
+_AMBIGUOUS = (DEFAULT_SVD_TOL / math.sqrt(10), DEFAULT_SVD_TOL * math.sqrt(10))
 
 
 def _range_projector(mat: np.ndarray):

@@ -1149,6 +1149,16 @@ def test_cli_import_loads_no_numpy():
     assert _loaded_after_import("pptlab.cli", ["numpy", "pptlab.numlab"]) == "[]"
 
 
+def test_numlab_loads_numpy_at_its_first_numeric_call():
+    """``import pptlab.numlab`` loads no numpy, so a process that imports it
+    and never samples (the exact certifier's benchmark process) carries none
+    of numpy's 13.7 MB; the first sample's start point loads it."""
+    names = ["numpy", "numpy.linalg"]
+    assert _loaded_after_import("pptlab.numlab", names) == "[]"
+    code = "from pptlab import numlab\nnumlab.random_hermitian(3, 0)"
+    assert _loaded_after(code, names) == str(sorted(names))
+
+
 def test_serialize_import_loads_no_algcert():
     """Importing serialize loads neither algcert nor logging, which only
     algcert uses, nor the replay kernel or the named constructions: an

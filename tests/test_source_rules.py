@@ -69,6 +69,25 @@ def test_no_module_names_numpy_random():
     assert found == []
 
 
+def _run_at_import(tree):
+    """The nodes of ``tree`` that run when its module is imported: all but
+    the bodies of functions."""
+    for node in ast.iter_child_nodes(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+            yield from _run_at_import(node)
+
+
+def test_no_module_imports_numpy_when_it_is_imported():
+    """numpy is the ``pptlab[sample]`` extra, and ``numlab`` imports it at
+    its first numeric call: an import that runs with a module's own would
+    load numpy's 13.7 MB into every process that imports the module, the
+    exact certifier's included, and break every install without numpy."""
+    assert [str(path.relative_to(PACKAGE)) for path in SOURCES
+            if any(name.split(".")[0] == "numpy"
+                   for name in _imported_modules(path, _run_at_import))] == []
+
+
 def test_no_module_imports_the_groebner_oracle():
     """``algcert`` is the tests' independent membership oracle: the package
     proves every membership by an indexed cofactor identity that
