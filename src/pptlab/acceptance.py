@@ -35,10 +35,10 @@ class CriterionResult(NamedTuple):
     limit: float | None
     details: dict
 
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+    def line(self) -> str:  # a FAIL line ends with its reason
+        status, why = ("PASS", "") if self.passed else ("FAIL", f"  {self.details['error']}")
         budget = f" (limit {self.limit:.0f}s)" if self.limit else ""
-        return f"{status}  criterion {self.number}: {self.name}  [{self.seconds:.2f}s{budget}]"
+        return f"{status}  criterion {self.number}: {self.name}  [{self.seconds:.2f}s{budget}]{why}"
 
 
 def _check(condition, message: str) -> None:

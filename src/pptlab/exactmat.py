@@ -19,24 +19,26 @@ never materialized; its action is available through
 
 What ``verify`` runs (scalars, :class:`ExactMatrix`, :func:`weighted_gram`,
 the elimination, :class:`Subspace` and :func:`rank`) lives in the replay
-kernel :mod:`pptlab.replay`, imported here under the same names, and so
-does :func:`psd_check`, which no ``verify`` runs: it is the LDL* that checks
-a matrix state where the state is made.  One rule places a matrix
-operation: :class:`ExactMatrix` keeps its value protocol, what ``verify``
-runs and what the benchmark pins, and what only the builders call is a
-function here: :func:`zeros`, :func:`diag`, :func:`adjoint` and the rest of
-the algebra, column spaces, annihilators, subspace membership, kernels,
-solves and projectors.
+kernel :mod:`pptlab.replay`, imported here under the same names.  One rule
+places a matrix operation: :class:`ExactMatrix` keeps its value protocol,
+what ``verify`` runs and what the benchmark pins, and what only the
+builders call is a function here: :func:`zeros`, :func:`diag`,
+:func:`adjoint` and the rest of the algebra, column spaces, annihilators,
+subspace membership, kernels, solves, projectors and the LDL*
+(:func:`psd_check`, which makes a ppt certificate's evidence, and
+:func:`state_ldl`, the check of a matrix state where a builder makes it).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from fractions import Fraction
+from typing import NamedTuple, Sequence
 
-from .errors import DimensionMismatch, RangeViolation
-from .replay import (ONE, ZERO, ExactMatrix, GaussianRational, PsdResult,  # noqa: F401
-                     Subspace, Vector, _echelon, _entry, _int_rows, _nonzero, _quotient,
-                     _rref, as_scalar, format_scalar, parse_scalar, psd_check, rank, vdot,
+from .errors import DimensionMismatch, NotHermitian, NotPsd, RangeViolation
+from .replay import (ONE, ZERO, ExactMatrix, GaussianRational, Subspace, Vector,  # noqa: F401
+                     _combine, _echelon, _entry, _int_row, _int_rows, _nonzero, _quotient,
+                     _row_lcm, _rref, as_scalar, format_scalar, parse_scalar, rank, vdot,
                      vector, weighted_gram)
 
 I_UNIT = GaussianRational(0, 1)
@@ -195,3 +197,137 @@ def solve_on_range_matrix(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         X[pc] = row[n:]
     return ExactMatrix(X)
 
+
+# ---------------------------------------------------------------------------
+# exact PSD decision
+# ---------------------------------------------------------------------------
+
+def _int_matrix(M: ExactMatrix) -> tuple:
+    """``(L, rows)``: ``L`` the common denominator of ``M`` and the rows of
+    ``L * M`` as Gaussian-integer lists."""
+    scale = math.lcm(*(_row_lcm(row) for row in M._e))
+    return scale, [_int_row(row, scale) for row in M._e]
+
+
+def _int_hermitian(A: list) -> bool:
+    """Whether the square Gaussian-integer rows ``A`` equal their adjoint."""
+    zero = [0] * len(A)
+    re_t = [list(col) for col in zip(*(re for re, _ in A))]
+    im_t = [[-x for x in col] for col in zip(*(im or zero for _, im in A))]
+    return re_t == [re for re, _ in A] and im_t == [im or zero for _, im in A]
+
+
+class PsdResult(NamedTuple):
+    """Outcome of an exact PSD decision.
+
+    PSD case: ``M = sum_t d_t |l_t><l_t|`` with strictly positive rational
+    ``d_t`` (``pivots`` holds the pivot index alongside ``d_t``).  Non-PSD
+    case: ``witness`` satisfies ``<v|M|v> = witness_value < 0`` exactly.
+    """
+
+    is_psd: bool
+    pivots: tuple                 # tuple[(index, Fraction), ...], () unless PSD
+    columns: tuple                # tuple[Vector, ...], l_t with l_t[index]=1
+    witness: Vector | None        # None when PSD
+    witness_value: Fraction | None
+
+
+def _psd_witness(loc: list, pivot_indices: list, ell_list: list, n: int) -> Vector:
+    """Extend a local witness to the original coordinates.
+
+    The local witness ``loc`` lives in the residual after eliminating the
+    recorded pivots; appending corrections on the pivot coordinates makes it
+    orthogonal to every recorded column, which preserves the quadratic form
+    value taken on the residual.
+    """
+    v = list(loc)
+    t = len(pivot_indices)
+    alphas = [ZERO] * t
+    for s in range(t - 1, -1, -1):
+        ell = ell_list[s]
+        acc = ZERO
+        for i, x in enumerate(v):
+            if x and ell[i]:
+                acc = acc + ell[i].conj() * x
+        for s2 in range(s + 1, t):
+            a2 = alphas[s2]
+            if a2 and ell[pivot_indices[s2]]:
+                acc = acc + ell[pivot_indices[s2]].conj() * a2
+        alphas[s] = -acc
+    for s in range(t):
+        v[pivot_indices[s]] = v[pivot_indices[s]] + alphas[s]
+    return tuple(v)
+
+
+def psd_check(M: ExactMatrix) -> PsdResult:
+    """Exact positive-semidefiniteness decision by pivoted LDL*.
+
+    Pivots only on nonzero diagonal entries, the first in index order; a
+    negative diagonal or a zero diagonal with a nonzero residual row yields
+    an explicit witness vector with a negative quadratic form value.  The
+    elimination is fraction-free over Gaussian-integer rows of ``L * M``,
+    ``L`` the common denominator of ``M``: eliminating a pivot updates only
+    the rows where the pivot row is nonzero, each over its full length.
+    """
+    n = M.rows
+    scale, A = _int_matrix(M)
+    if n != M.cols or not _int_hermitian(A):
+        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
+    den = [1] * n           # row i of the Schur complement is A[i] / (den[i] * scale)
+    p_prev = 1
+    active = list(range(n))
+    pivot_indices: list[int] = []
+    pivot_values: list[Fraction] = []
+    ells: list[list] = []
+
+    while True:
+        piv = next((j for j in active if A[j][0][j]), None)
+        if piv is not None:
+            re, im = A[piv]
+            dnum = re[piv]
+            d = Fraction(dnum, den[piv] * scale)
+            if dnum < 0:
+                loc = [ZERO] * n
+                loc[piv] = ONE
+                return PsdResult(False, (), (), _psd_witness(loc, pivot_indices, ells, n), d)
+            # ell = column piv / d, the conjugate of the pivot row over its diagonal
+            nz = [i for i in range(n) if _nonzero(A[piv], i)]
+            ell = [ZERO] * n
+            for i in nz:
+                ell[i] = _quotient(re[i], -im[i] if im is not None else 0, (dnum, 0))
+            if den[piv] != p_prev:  # bring the pivot row up to the current step
+                A[piv] = _combine((p_prev, 0), A[piv], (0, 0), A[piv], (den[piv], 0))
+            p = (A[piv][0][piv], 0)
+            for i in nz:
+                if i != piv:
+                    A[i] = _combine(p, A[i], _entry(A[i], piv), A[piv], (den[i], 0))
+                    den[i] = p[0]
+            p_prev = p[0]
+            pivot_indices.append(piv)
+            pivot_values.append(d)
+            ells.append(ell)
+            active.remove(piv)
+        else:
+            off = next(((i, k) for ai, i in enumerate(active) for k in active[ai + 1:]
+                        if _nonzero(A[i], k)), None)
+            if off is None:
+                return PsdResult(True, tuple(zip(pivot_indices, pivot_values)),
+                                 tuple(tuple(l) for l in ells), None, None)
+            i, k = off
+            ur, ui = _entry(A[i], k)
+            q = den[i] * scale
+            loc = [ZERO] * n
+            loc[i] = ONE
+            loc[k] = -_quotient(ur, -ui, (q, 0))
+            value = Fraction(-2 * (ur * ur + ui * ui), q * q)
+            return PsdResult(False, (), (), _psd_witness(loc, pivot_indices, ells, n), value)
+
+
+def state_ldl(matrix: ExactMatrix, label: str) -> PsdResult:
+    """The exact LDL* of a state's matrix, which is the check of a matrix
+    state: :class:`NotPsd` unless the matrix is PSD (and, from
+    :func:`psd_check`, ``NotHermitian`` unless it is Hermitian)."""
+    res = psd_check(matrix)
+    if not res.is_psd:
+        raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
+    return res

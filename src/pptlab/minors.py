@@ -246,7 +246,7 @@ def verify_sn_verdict(data: dict) -> bool:
     inconclusive, :func:`verify_sn_upper_certificate`), and check that the
     stored verdict line is the one their values imply."""
     lower, upper, stored = rp._parsed("certificate", _read_sn_verdict, data)
-    s = rp.state_from_json(stored)
+    s = rp.read_state(stored)
     if lower is not None:
         verify_sn_lower_certificate(lower, s)
     verify_sn_upper_certificate(upper, s)

@@ -8,17 +8,16 @@ would leave the rational field.
 A state is checked once, where it is made: given edges, by refusing a
 weight that is not positive (their Gram sum is then PSD), else by exact
 LDL*.  What keeps a checked state valid builds its result unchecked
-(``_raw``), and so do :func:`serialize.ppt_state_from_json`, whose callers
-check a stored matrix by the ppt certificate's own LDL* of it, and
+(``_raw``), and so do :func:`replay.read_state`, whose callers check a
+stored matrix by the ppt certificate's own LDL* of it, and
 :func:`extender.product_pair_extension`, whose LDL* of the partial
 transpose proves the extension PSD.
 Partial transposes are returned as plain matrices because their
-positivity is precisely the property under investigation.  The state
-record (:class:`BipartiteState`, :class:`NamedVector`), the partial
-transpose and the Schmidt rank are what ``verify`` runs, so they live in
-the replay kernel :mod:`pptlab.replay`, with the check of a matrix state
-(:func:`replay.state_ldl`), and are imported here under their names.  An
-:class:`ExtensionStep` is one replayable step of an extension pipeline.
+positivity is precisely the property under investigation.  The edge state
+(``replay.BipartiteState``, :class:`NamedVector`), the partial transpose
+and the Schmidt rank are what ``verify`` runs, so they live in the replay
+kernel :mod:`pptlab.replay`; :class:`BipartiteState` adds the matrix form.
+An :class:`ExtensionStep` is one replayable step of an extension pipeline.
 The paper's named states (grid graphs, rho3x3, Tiles, the 4x5 pipeline and
 the scaling family) are built in :mod:`pptlab.constructions`.
 """
@@ -27,10 +26,29 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
+from . import exactmat as em
 from . import replay as rp
-from .errors import BoundsViolation
-from .replay import (BipartiteState, NamedVector, Side, flat_index,  # noqa: F401
-                     partial_transpose_matrix, schmidt_rank)
+from .errors import BoundsViolation, DimensionMismatch
+from .replay import (NamedVector, Side, flat_index, partial_transpose_matrix,  # noqa: F401
+                     schmidt_rank)
+
+
+class BipartiteState(rp.BipartiteState):
+    """A state given by its ``edges`` or by its ``matrix``, never both; a
+    matrix is checked PSD by exact LDL* (``NotPsd``, ``NotHermitian``)."""
+
+    __slots__ = ()
+
+    def __init__(self, dim_a: int, dim_b: int, matrix: rp.ExactMatrix | None = None,
+                 label: str = "", edges: Sequence[NamedVector] | None = None):
+        if (matrix is None) == (edges is None):
+            raise DimensionMismatch("a state is given by its edges or by its matrix, not both")
+        if edges is not None:
+            super().__init__(dim_a, dim_b, label, edges)
+            return
+        rp._check_dims(dim_a, dim_b, matrix)
+        em.state_ldl(matrix, label)
+        self._set(dim_a, dim_b, matrix, label, None)
 
 
 # ---------------------------------------------------------------------------

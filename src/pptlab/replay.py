@@ -8,12 +8,12 @@ matrices (:class:`ExactMatrix`: its value protocol, what ``verify`` runs and
 what the tracer pins; the builders' algebra is :mod:`pptlab.exactmat`'s) and
 the one Gram kernel :func:`weighted_gram`, the one row elimination
 (:func:`_echelon`) behind :class:`Subspace` and :func:`rank`, the state
-record (:class:`BipartiteState`, checked once where it is made: a matrix
-state by the pivoted LDL* :func:`psd_check`, which no ``verify`` runs) with
-its partial transpose and the Schmidt rank of a vector, the JSON readers
-with the sparse ``[index, value]`` reader and the one field reader
-:func:`_fields`, which owns every stored layout's keys, the ppt verifier,
-and :data:`VERIFIERS`, through which :func:`verify_certificate` dispatches.
+record (:class:`BipartiteState`, an edge state) with its partial transpose
+and the Schmidt rank of a vector, the one state reader :func:`read_state`
+and the JSON readers with the sparse ``[index, value]`` reader and the one
+field reader :func:`_fields`, which owns every stored layout's keys, the
+ppt verifier, and :data:`VERIFIERS`, through which
+:func:`verify_certificate` dispatches.  It factors nothing.
 The sn-verdict replay is :mod:`pptlab.minors`, which :data:`VERIFIERS`
 imports only to replay one, so a ppt ``verify`` never compiles it.
 :mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and :mod:`pptlab.serialize`
@@ -28,8 +28,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable, Literal, NamedTuple, Sequence
 
-from .errors import (BoundsViolation, DimensionMismatch, NotHermitian, NotPsd, PptlabError,
-                     ScalarTooLarge)
+from .errors import BoundsViolation, DimensionMismatch, NotPsd, PptlabError, ScalarTooLarge
 
 _ZERO = Fraction(0)
 
@@ -369,21 +368,6 @@ def _int_row(row, scale: int) -> tuple:
     return re, (im if any(im) else None)
 
 
-def _int_matrix(M: "ExactMatrix") -> tuple:
-    """``(L, rows)``: ``L`` the common denominator of ``M`` and the rows of
-    ``L * M`` as Gaussian-integer lists."""
-    scale = math.lcm(*(_row_lcm(row) for row in M._e))
-    return scale, [_int_row(row, scale) for row in M._e]
-
-
-def _int_hermitian(A: list) -> bool:
-    """Whether the square Gaussian-integer rows ``A`` equal their adjoint."""
-    zero = [0] * len(A)
-    re_t = [list(col) for col in zip(*(re for re, _ in A))]
-    im_t = [[-x for x in col] for col in zip(*(im or zero for _, im in A))]
-    return re_t == [re for re, _ in A] and im_t == [im or zero for _, im in A]
-
-
 def _combine(a: tuple, x: tuple, b: tuple, y: tuple, q: tuple) -> tuple:
     """Exact ``(a * x - b * y) / q`` for Gaussian-integer rows ``x``, ``y``
     and scalars ``a``, ``b``, ``q``; the quotient must be integral."""
@@ -529,116 +513,6 @@ def rank(M: ExactMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact PSD decision
-# ---------------------------------------------------------------------------
-
-class PsdResult(NamedTuple):
-    """Outcome of an exact PSD decision.
-
-    PSD case: ``M = sum_t d_t |l_t><l_t|`` with strictly positive rational
-    ``d_t`` (``pivots`` holds the pivot index alongside ``d_t``).  Non-PSD
-    case: ``witness`` satisfies ``<v|M|v> = witness_value < 0`` exactly.
-    """
-
-    is_psd: bool
-    pivots: tuple                 # tuple[(index, Fraction), ...], () unless PSD
-    columns: tuple                # tuple[Vector, ...], l_t with l_t[index]=1
-    witness: Vector | None        # None when PSD
-    witness_value: Fraction | None
-
-
-def _psd_witness(loc: list, pivot_indices: list, ell_list: list, n: int) -> Vector:
-    """Extend a local witness to the original coordinates.
-
-    The local witness ``loc`` lives in the residual after eliminating the
-    recorded pivots; appending corrections on the pivot coordinates makes it
-    orthogonal to every recorded column, which preserves the quadratic form
-    value taken on the residual.
-    """
-    v = list(loc)
-    t = len(pivot_indices)
-    alphas = [ZERO] * t
-    for s in range(t - 1, -1, -1):
-        ell = ell_list[s]
-        acc = ZERO
-        for i, x in enumerate(v):
-            if x and ell[i]:
-                acc = acc + ell[i].conj() * x
-        for s2 in range(s + 1, t):
-            a2 = alphas[s2]
-            if a2 and ell[pivot_indices[s2]]:
-                acc = acc + ell[pivot_indices[s2]].conj() * a2
-        alphas[s] = -acc
-    for s in range(t):
-        v[pivot_indices[s]] = v[pivot_indices[s]] + alphas[s]
-    return tuple(v)
-
-
-def psd_check(M: ExactMatrix) -> PsdResult:
-    """Exact positive-semidefiniteness decision by pivoted LDL*.
-
-    Pivots only on nonzero diagonal entries, the first in index order; a
-    negative diagonal or a zero diagonal with a nonzero residual row yields
-    an explicit witness vector with a negative quadratic form value.  The
-    elimination is fraction-free over Gaussian-integer rows of ``L * M``,
-    ``L`` the common denominator of ``M``: eliminating a pivot updates only
-    the rows where the pivot row is nonzero, each over its full length.
-    """
-    n = M.rows
-    scale, A = _int_matrix(M)
-    if n != M.cols or not _int_hermitian(A):
-        raise NotHermitian("psd_check requires an exactly Hermitian matrix")
-    den = [1] * n           # row i of the Schur complement is A[i] / (den[i] * scale)
-    p_prev = 1
-    active = list(range(n))
-    pivot_indices: list[int] = []
-    pivot_values: list[Fraction] = []
-    ells: list[list] = []
-
-    while True:
-        piv = next((j for j in active if A[j][0][j]), None)
-        if piv is not None:
-            re, im = A[piv]
-            dnum = re[piv]
-            d = Fraction(dnum, den[piv] * scale)
-            if dnum < 0:
-                loc = [ZERO] * n
-                loc[piv] = ONE
-                return PsdResult(False, (), (), _psd_witness(loc, pivot_indices, ells, n), d)
-            # ell = column piv / d, the conjugate of the pivot row over its diagonal
-            nz = [i for i in range(n) if _nonzero(A[piv], i)]
-            ell = [ZERO] * n
-            for i in nz:
-                ell[i] = _quotient(re[i], -im[i] if im is not None else 0, (dnum, 0))
-            if den[piv] != p_prev:  # bring the pivot row up to the current step
-                A[piv] = _combine((p_prev, 0), A[piv], (0, 0), A[piv], (den[piv], 0))
-            p = (A[piv][0][piv], 0)
-            for i in nz:
-                if i != piv:
-                    A[i] = _combine(p, A[i], _entry(A[i], piv), A[piv], (den[i], 0))
-                    den[i] = p[0]
-            p_prev = p[0]
-            pivot_indices.append(piv)
-            pivot_values.append(d)
-            ells.append(ell)
-            active.remove(piv)
-        else:
-            off = next(((i, k) for ai, i in enumerate(active) for k in active[ai + 1:]
-                        if _nonzero(A[i], k)), None)
-            if off is None:
-                return PsdResult(True, tuple(zip(pivot_indices, pivot_values)),
-                                 tuple(tuple(l) for l in ells), None, None)
-            i, k = off
-            ur, ui = _entry(A[i], k)
-            q = den[i] * scale
-            loc = [ZERO] * n
-            loc[i] = ONE
-            loc[k] = -_quotient(ur, -ui, (q, 0))
-            value = Fraction(-2 * (ur * ur + ui * ui), q * q)
-            return PsdResult(False, (), (), _psd_witness(loc, pivot_indices, ells, n), value)
-
-
-# ---------------------------------------------------------------------------
 # bipartite states
 # ---------------------------------------------------------------------------
 
@@ -660,43 +534,33 @@ class NamedVector(NamedTuple):
 class BipartiteState:
     """Unnormalized bipartite density operator with exact entries.
 
-    A state is given by its ``edges`` or its ``matrix``, never both.  Edges
-    are a conic decomposition ``sum_w w |v><v|`` with positive weights (any
-    other weight is refused): one Gram sum, PSD, whose range they span.  A
-    matrix is checked PSD by exact LDL*.  Both dimensions are positive.
-    """
+    Made from its ``edges``, a conic decomposition ``sum_w w |v><v|`` with
+    positive weights (any other weight is refused): one Gram sum, PSD, whose
+    range they span.  Both dimensions are positive.  A matrix state is
+    :class:`qstates.BipartiteState`'s or :func:`read_state`'s."""
 
     __slots__ = ("dim_a", "dim_b", "matrix", "label", "edges")
 
-    def __init__(self, dim_a: int, dim_b: int, matrix: ExactMatrix | None = None,
-                 label: str = "", edges: Sequence[NamedVector] | None = None):
-        if dim_a < 1 or dim_b < 1:
-            raise DimensionMismatch(f"local dimensions {dim_a}x{dim_b} are not positive")
-        if (matrix is None) == (edges is None):
-            raise DimensionMismatch("a state is given by its edges or by its matrix, not both")
-        if edges is None:
-            if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
-                raise DimensionMismatch("matrix size does not match local dimensions")
-            state_ldl(matrix, label)
-        else:
-            edges = tuple(edges)
-            bad = next((e for e in edges if e.weight <= 0), None)
-            if bad is not None:
-                sign = "negative" if bad.weight else "zero"
-                raise BoundsViolation(f"edge {bad.name!r} has {sign} weight {bad.weight}")
-            matrix = weighted_gram([e.vec for e in edges], [e.weight for e in edges], dim_a * dim_b)
+    def __init__(self, dim_a: int, dim_b: int, label: str, edges: Sequence[NamedVector]):
+        _check_dims(dim_a, dim_b)
+        edges = tuple(edges)
+        bad = next((e for e in edges if e.weight <= 0), None)
+        if bad is not None:
+            sign = "negative" if bad.weight else "zero"
+            raise BoundsViolation(f"edge {bad.name!r} has {sign} weight {bad.weight}")
+        matrix = weighted_gram([e.vec for e in edges], [e.weight for e in edges], dim_a * dim_b)
         self._set(dim_a, dim_b, matrix, label, edges)
 
     def _set(self, *fields) -> "BipartiteState":
-        for slot, value in zip(self.__slots__, fields):
+        for slot, value in zip(BipartiteState.__slots__, fields):  # a subclass adds no slot
             object.__setattr__(self, slot, value)
         return self
 
-    @staticmethod
-    def _raw(dim_a: int, dim_b: int, matrix: ExactMatrix, label: str,
+    @classmethod
+    def _raw(cls, dim_a: int, dim_b: int, matrix: ExactMatrix, label: str,
              edges: tuple | None = None) -> "BipartiteState":
         """Unchecked: a state made from a checked one, ``edges`` summing to ``matrix``."""
-        return object.__new__(BipartiteState)._set(dim_a, dim_b, matrix, label, edges)
+        return object.__new__(cls)._set(dim_a, dim_b, matrix, label, edges)
 
     def __setattr__(self, name, value):
         raise AttributeError("BipartiteState is immutable")
@@ -714,14 +578,12 @@ class BipartiteState:
         return partial_transpose_matrix(self.matrix, self.dim_a, self.dim_b, side)
 
 
-def state_ldl(matrix: ExactMatrix, label: str) -> PsdResult:
-    """The exact LDL* of a state's matrix, which is the check of a matrix
-    state: :class:`NotPsd` unless the matrix is PSD (and, from
-    :func:`psd_check`, ``NotHermitian`` unless it is Hermitian)."""
-    res = psd_check(matrix)
-    if not res.is_psd:
-        raise NotPsd(f"state {label!r} is not PSD; witness value {res.witness_value}")
-    return res
+def _check_dims(dim_a: int, dim_b: int, matrix: ExactMatrix | None = None) -> None:
+    """Positive local dimensions, and a ``matrix`` (if any) of their size."""
+    if dim_a < 1 or dim_b < 1:
+        raise DimensionMismatch(f"local dimensions {dim_a}x{dim_b} are not positive")
+    if matrix is not None and matrix.shape != (dim_a * dim_b, dim_a * dim_b):
+        raise DimensionMismatch("matrix size does not match local dimensions")
 
 
 def partial_transpose_matrix(M: ExactMatrix, m: int, n: int, side: Side) -> ExactMatrix:
@@ -814,26 +676,16 @@ def _rational(text) -> Fraction:
     return Fraction(text)
 
 
-def state_from_json(data: dict) -> BipartiteState:
-    """Build a stored state from its edges (one Gram sum) or its matrix.
-    Malformed JSON raises :class:`MalformedData`; the checks of the
-    constructor run outside that conversion, so a fault in them keeps its
-    own exception."""
-    return BipartiteState(*_parsed("state", _state_parts, data))
-
-
-def ppt_state_from_json(data: dict) -> BipartiteState:
-    """The stored state a ppt certificate is made or replayed for: as
-    :func:`state_from_json`, but a matrix state is checked here for its
-    shape only.  The certificate's LDL* of rho checks it, once:
-    :func:`serialize.ppt_certificate` computes it, and :func:`verify_ppt_certificate`
-    replays its Gram sum; each raises :class:`NotPsd` when rho is not PSD."""
-    parts = _parsed("state", _state_parts, data)
-    dim_a, dim_b, matrix, label = parts[:4]
-    if matrix is None:  # edges: a Gram sum of positive weights is PSD
-        return BipartiteState(*parts)
-    if matrix.shape != (dim_a * dim_b, dim_a * dim_b):
-        raise DimensionMismatch("matrix size does not match local dimensions")
+def read_state(data: dict) -> BipartiteState:
+    """A stored state: its edges go through the edge rule, and its matrix
+    is checked for its shape only, leaving its reader to prove it PSD (by a
+    ppt certificate's LDL* of rho).  Malformed JSON raises
+    :class:`MalformedData`; the state's own checks run outside that
+    conversion, so a fault in them keeps its own exception."""
+    dim_a, dim_b, label, edges, matrix = _parsed("state", _state_parts, data)
+    if matrix is None:
+        return BipartiteState(dim_a, dim_b, label, edges)
+    _check_dims(dim_a, dim_b, matrix)
     return BipartiteState._raw(dim_a, dim_b, matrix, label)
 
 
@@ -851,9 +703,9 @@ def _checked_dims(dim_a, dim_b) -> tuple:
 
 
 def _state_parts(data: dict) -> tuple:
-    """A state's ``dim_a``, ``dim_b``, ``edges`` (each ``name``, ``vector``,
-    ``weight``) or ``matrix``, never both, and optional ``kind`` (``"state"``)
-    and ``label`` (a string)."""
+    """``(dim_a, dim_b, label, edges, matrix)`` of a stored state: its
+    ``edges`` (each ``name``, ``vector``, ``weight``) or ``matrix``, the other
+    None, and optional ``kind`` (``"state"``) and ``label`` (a string)."""
     edged = "edges" in data
     dim_a, dim_b, stored, kind, label = _fields(
         data, "edge state" if edged else "matrix state",
@@ -864,14 +716,14 @@ def _state_parts(data: dict) -> tuple:
         raise TypeError(f"state label {label!r} is not a string")
     dim_a, dim_b = _checked_dims(dim_a, dim_b)
     if not edged:
-        return dim_a, dim_b, matrix_from_json(stored), label
+        return dim_a, dim_b, label, None, matrix_from_json(stored)
     edges = []
     for t, e in enumerate(stored):
         name, vec, weight = _fields(e, f"edge {t}", ("name", "vector", "weight"))
         if not isinstance(name, str):
             raise TypeError("edge names are not strings")
         edges.append(NamedVector(name, vector_from_json(vec, dim_a * dim_b), _rational(weight)))
-    return dim_a, dim_b, None, label, edges
+    return dim_a, dim_b, label, edges, None
 
 
 def _fields(data: dict, what: str, keys: Sequence[str], optional=()) -> list:
@@ -908,11 +760,11 @@ def load(path) -> dict:
 def verify_ppt_certificate(data: dict) -> bool:
     """Replay a PPT certificate: rebuild both factorizations and check them.
     The Gram sum of rho's factorization proves rho PSD, so it is also the
-    check of a matrix state (:func:`ppt_state_from_json`), and a valid
+    check of a matrix state (:func:`read_state`), and a valid
     negativity witness for rho raises :class:`NotPsd`."""
     _, stored, claimed, rho, rho_ta = _parsed("certificate", _fields, data, "ppt certificate",
                                               ("kind", "state", "verdict", "rho", "rho_ta"))
-    s = ppt_state_from_json(stored)
+    s = read_state(stored)
     evidence = {key: _parsed("certificate", _read_evidence, key, ev, s.matrix.rows)
                 for key, ev in (("rho", rho), ("rho_ta", rho_ta))}
     for key, M in (("rho", s.matrix), ("rho_ta", s.partial_transpose("A"))):

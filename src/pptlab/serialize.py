@@ -18,12 +18,13 @@ the state's edges.  Each writer writes exactly these keys, and any other
 layout is malformed (one field reader, :func:`replay._fields`, refuses by
 name a key an object's layout does not list), or of an unknown kind.
 
-This module holds the writers (the bounds come from :mod:`pptlab.certifier`)
-and the writers' half of the sparse codec.  The readers, the ppt verifier
-and :data:`VERIFIERS` are the replay kernel's, imported from there under
-their names; the two sn-verdict halves, which ``pptbench/tracer.py`` wraps
-here by name, are forwards that import :mod:`pptlab.minors` when called,
-so that ``ppt-check``, ``build`` and ``extend`` never compile it.  A grid
+This module holds the writers (the bounds come from :mod:`pptlab.certifier`),
+the writers' half of the sparse codec and the builders' state reader, which
+factors a matrix state.  The other readers, the ppt verifier and
+:data:`VERIFIERS` are the replay kernel's, imported from there under their
+names; the two sn-verdict halves, which ``pptbench/tracer.py`` wraps here
+by name, are forwards that import :mod:`pptlab.minors` when called, so
+that ``ppt-check``, ``build`` and ``extend`` never compile it.  A grid
 graph is read into a state by :func:`constructions.graph_state`, an
 extension step by :func:`extender.step_from_json`, next to the step kinds'
 keys.
@@ -33,9 +34,17 @@ from __future__ import annotations
 
 from . import replay as rp
 from .replay import (VERIFIERS, CertificateInvalid, MalformedData, load,  # noqa: F401
-                     matrix_from_json, ppt_state_from_json, sn_verdict_text,
-                     state_from_json, vector_from_json, verify_certificate,
-                     verify_ppt_certificate)
+                     matrix_from_json, read_state, sn_verdict_text, vector_from_json,
+                     verify_certificate, verify_ppt_certificate)
+
+
+def state_from_json(data: dict) -> rp.BipartiteState:
+    """The builders' state reader: :func:`replay.read_state`, then a matrix state's LDL*."""
+    from . import exactmat as em
+    state = rp.read_state(data)
+    if state.edges is None:
+        em.state_ldl(state.matrix, state.label)
+    return state
 
 
 def verify_sn_lower_certificate(half: dict, s: rp.BipartiteState) -> bool:
@@ -84,10 +93,10 @@ def state_to_json(s: rp.BipartiteState) -> dict:
 def ppt_certificate(s: rp.BipartiteState) -> dict:
     """Exact PPT certificate: LDL* pivots for the state and for its partial
     transpose (or a negativity witness).  The LDL* of rho is also the check
-    of a matrix state read by :func:`ppt_state_from_json`
-    (:func:`replay.state_ldl`)."""
-    res_rho = rp.state_ldl(s.matrix, s.label)
-    res_pt = rp.psd_check(s.partial_transpose("A"))
+    of a matrix state read by :func:`replay.read_state`."""
+    from . import exactmat as em
+    res_rho = em.state_ldl(s.matrix, s.label)
+    res_pt = em.psd_check(s.partial_transpose("A"))
     return {
         "kind": "ppt",
         "state": state_to_json(s),
@@ -97,7 +106,7 @@ def ppt_certificate(s: rp.BipartiteState) -> dict:
     }
 
 
-def _psd_json(res: rp.PsdResult) -> dict:
+def _psd_json(res) -> dict:  # res: an exactmat.PsdResult
     if res.is_psd:
         return {
             "psd": True,

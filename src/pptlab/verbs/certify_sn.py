@@ -26,7 +26,7 @@ def edge_state(ref: str) -> rp.BipartiteState:
     state = named_state(ref)
     if state is None:
         data = _parse(rp.load, ref)
-        state = rp.state_from_json(data) if isinstance(data, dict) and data.get("edges") else None
+        state = rp.read_state(data) if isinstance(data, dict) and data.get("edges") else None
     if state is None:
         raise InputError("state carries no edge decomposition")
     return state

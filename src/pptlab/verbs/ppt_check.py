@@ -8,7 +8,7 @@ from .states import named_state
 def run(args) -> int:
     state = named_state(args.state)
     if state is None:  # the certificate's LDL* of rho checks a stored matrix state
-        state = se.ppt_state_from_json(_parse(se.load, args.state))
+        state = se.read_state(_parse(se.load, args.state))
     cert = se.ppt_certificate(state)
     verdict = cert["verdict"]
     _emit(args, cert, text=f"{state.label or 'state'}: {verdict}")

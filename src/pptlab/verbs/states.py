@@ -30,5 +30,6 @@ def load_state(ref: str) -> rp.BipartiteState:
     """The state ``ref`` names, or the one stored in the file ``ref``."""
     state = named_state(ref)
     if state is None:
-        state = rp.state_from_json(_parse(rp.load, ref))
+        from .. import serialize as se
+        state = se.state_from_json(_parse(rp.load, ref))
     return state

@@ -2,9 +2,11 @@
 
 ``exactmat``, ``qstates`` and ``serialize`` import what ``verify`` runs
 from the replay kernel ``pptlab.replay`` under the same names, so one
-function object is bound in several modules, and a call reaches it through
-whichever module its caller names.  A patch of one module alone would miss
-the calls made through the others.
+function object (``weighted_gram``, say) is bound in several modules, and
+a call reaches it through whichever module its caller names.  A patch of
+one module alone would miss the calls made through the others.  The LDL*
+(``psd_check``, ``state_ldl``) is bound in ``exactmat`` alone, since no
+``verify`` runs it.
 """
 
 import sys

@@ -64,7 +64,7 @@ def test_the_forged_matrix_state_is_refused_at_once(forged, spy, capsys):
     the state has no edges, so its matrix is neither read nor factored."""
     cert, state = forged
     assert os.path.getsize(cert) > 350_000
-    calls = spy(rp, "psd_check")
+    calls = spy(em, "psd_check")
     for argv, code, line in (
             (["verify", cert], 1, "verify: FAILED: the state has no edge decomposition\n"),
             (["certify-sn", "--state", state], 2, "certify-sn: state carries no edge decomposition\n"),
@@ -96,7 +96,7 @@ def test_verify_never_factors_a_matrix(forged, spy, tmp_path, capsys):
         with open(paths[-1], "w") as fh:
             json.dump(cert, fh)
     capsys.readouterr()
-    calls = spy(rp, "psd_check")
+    calls = spy(em, "psd_check")
     codes = [cli.run(["verify", path]) for path in paths + [forged[0]]]
     assert calls == []
     out = capsys.readouterr().out.splitlines()
@@ -238,7 +238,7 @@ def test_the_constructor_takes_edges_or_a_matrix(spy):
     """Edges and a matrix together are refused, even when the edges sum to
     the matrix, and so is neither; edges are summed once, never factored."""
     rho = co.rho_3x3()
-    calls = spy(rp, "weighted_gram", "psd_check")
+    calls = spy(em, "weighted_gram", "psd_check")
     for kwargs in ({"matrix": rho.matrix, "edges": rho.edges}, {}):
         with pytest.raises(DimensionMismatch, match="by its edges or by its matrix, not both"):
             qs.BipartiteState(3, 3, label="both", **kwargs)

@@ -78,7 +78,7 @@ def test_rho3x3_graph_builds_rho3x3(tmp_path):
     assert _run(["build", "--graph", str(path), "--out", str(out)])[0] == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == \
         "4eb6ece2c783bf372e6f28194dec78fe2bf2b939b90bfb8e36017066fc50a6dd"
-    state = rp.state_from_json(json.loads(out.read_text()))
+    state = rp.read_state(json.loads(out.read_text()))
     assert state.matrix == co.rho_3x3().matrix and state.label == "grid-state"
     assert [e.name for e in state.edges] == ["s0", "s1", "s2", "s3", "d0"]
 

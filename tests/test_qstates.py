@@ -1,5 +1,7 @@
 """States, grid-graph input, partial transposes, and the canonical families."""
 
+import inspect
+import json
 import random
 from fractions import Fraction
 
@@ -8,7 +10,9 @@ import pytest
 from pptlab import constructions as co
 from pptlab import exactmat as em
 from pptlab import qstates as qs
-from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NotPsd
+from pptlab import replay as rp
+from pptlab import serialize as se
+from pptlab.errors import BoundsViolation, DimensionMismatch, InvalidK, NotHermitian, NotPsd
 from pptlab.replay import MalformedData
 
 
@@ -200,6 +204,49 @@ def test_swap_examples():
 def test_state_constructor_rejects_non_psd():
     with pytest.raises(NotPsd):
         qs.BipartiteState(1, 2, em.ExactMatrix([[1, 2], [2, 1]]), label="bad")
+
+
+def test_the_replay_defines_no_factorization():
+    """The LDL* lives in ``exactmat``; the replay's state takes edges only."""
+    moved = ("psd_check", "_psd_witness", "state_ldl", "_int_matrix", "_int_hermitian",
+             "PsdResult")
+    assert [name for name in moved if name in vars(rp)] == []
+    assert all(name in vars(em) for name in moved)
+    assert list(inspect.signature(rp.BipartiteState.__init__).parameters) == \
+        ["self", "dim_a", "dim_b", "label", "edges"]
+
+
+def test_the_builders_state_keeps_its_calling_forms(spy):
+    """The matrix form ``BipartiteState(m, n, M, label=...)`` is checked by
+    one LDL*, and ``__init__`` is the subclass's own (the benchmark's tracer
+    wraps it there); an edge state compares equal across the two classes."""
+    assert "__init__" in vars(qs.BipartiteState) and qs.BipartiteState.__slots__ == ()
+    calls = spy(em, "psd_check")
+    with pytest.raises(NotPsd, match="state 'bad' is not PSD"):
+        qs.BipartiteState(1, 2, em.ExactMatrix([[1, 2], [2, 1]]), label="bad")
+    with pytest.raises(NotHermitian):
+        qs.BipartiteState(1, 2, em.ExactMatrix([[1, 1], [0, 1]]), label="bad")
+    assert len(calls) == 2
+    rho = co.rho_3x3()
+    assert rp.BipartiteState(3, 3, "rho", rho.edges) == rho == \
+        qs.BipartiteState(3, 3, rho.matrix, label="rho")
+
+
+def test_only_the_builders_reader_factors_a_stored_matrix(spy):
+    """``serialize.state_from_json`` runs one LDL* of a stored matrix and
+    refuses a matrix that is not PSD; the replay's reader checks its shape
+    only, leaving the proof to the certificate that holds it."""
+    rho = co.rho_3x3()
+    good = json.loads(json.dumps(se.state_to_json(qs.BipartiteState(3, 3, rho.matrix))))
+    bad = {**good, "dim_a": 1, "dim_b": 2, "matrix": {
+        "rows": 2, "cols": 2, "entries": [["1", "2"], ["2", "1"]]}}
+    calls = spy(em, "psd_check")
+    assert rp.read_state(good) == rho and rp.read_state(bad).matrix.rows == 2
+    assert calls == []
+    assert se.state_from_json(good) == rho and len(calls) == 1
+    with pytest.raises(NotPsd, match="is not PSD"):
+        se.state_from_json(bad)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("dims", [(-2, -2), (-1, -4), (0, 4), (4, 0), (0, 0)])

@@ -35,12 +35,9 @@ from oracles import matrix_state
 DATA = Path(__file__).resolve().parent / "data"
 
 KEPT = {
-    # pinned by name in pptbench/tracer.py (exactmat.*), with the LDL* that
-    # checks a matrix state where it is made, and its helpers; and
+    # pinned by name in pptbench/tracer.py (exactmat.*), and
     # ExactMatrix.identity, which pptbench/workloads.py calls as a method
-    "ExactMatrix.outer", "ExactMatrix.__add__", "ExactMatrix.matmul", "psd_check",
-    "_psd_witness", "_int_matrix", "_int_hermitian", "state_ldl",
-    "ExactMatrix.identity",
+    "ExactMatrix.outer", "ExactMatrix.__add__", "ExactMatrix.matmul", "ExactMatrix.identity",
     # the value protocol of the kernel's immutable types: the builders compare,
     # hash, print, read and do arithmetic on the same objects the replay makes,
     # and a failing test prints a scalar's value

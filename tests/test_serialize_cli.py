@@ -1798,7 +1798,7 @@ def test_old_format_sn_lower_is_rejected(rho3x3_verdict, edit):
 
 
 def test_sn_verdict_parses_its_state_once(rho3x3_verdict, spy):
-    calls = spy(se, "state_from_json")
+    calls = spy(rp, "read_state")
     assert se.verify_certificate(rho3x3_verdict)
     assert len(calls) == 1
 
@@ -2487,7 +2487,7 @@ def _mutate_ppt(data, cert, others):
         cert["state"], cert["rho"] = other["state"], other["rho"]
     elif kind == "dims":
         # the certificate the writer makes of the stored state read with them
-        s = se.ppt_state_from_json(state)
+        s = rp.read_state(state)
         dims = data.draw(st.sampled_from(_non_positive_dims(state)), label="dims")
         cert.update(_copy(se.ppt_certificate(qs.BipartiteState._raw(*dims, s.matrix, s.label,
                                                                     s.edges))))

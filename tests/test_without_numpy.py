@@ -4,10 +4,12 @@ numpy is the ``pptlab[sample]`` extra.  The interpreter of a virtual
 environment made without pip (``venv.create(..., with_pip=False)``) has no
 site packages, so with ``PYTHONPATH`` at ``src`` it runs this ``pptlab``
 with no numpy to find.  There, every exact verb prints and writes what it
-does with numpy installed; ``sample`` and ``survey`` exit 2 with one stderr
-line naming the extra; and acceptance criterion 8 fails with "numpy is not
-installed" as its reason, so ``reproduce`` still runs the exact criteria
-and never reports 8 as passed.
+does with numpy installed, ``ppt-check`` of a stored matrix state (whose
+LDL* ``serialize`` imports only when it certifies) included; ``sample``
+and ``survey`` exit 2 with one stderr line naming the extra; and
+acceptance criterion 8 fails with "numpy is not installed" as its reason,
+which ``reproduce`` prints on its FAIL line, so ``reproduce`` still runs
+the exact criteria and never reports 8 as passed.
 """
 
 import json
@@ -19,13 +21,19 @@ import venv
 import pytest
 from loaded_lines import SRC
 
-# the exact verbs on rho3x3, run in order in one directory: (argv, file it writes)
+# a sampled state stored as its matrix, rounded to exact entries
+ROUNDED = str(SRC.parent / "tests" / "data" / "rounded_4x4_s634511.json")
+
+# the exact verbs on rho3x3, then on the rounded matrix state, run in order in
+# one directory: (argv, file it writes)
 EXACT = (
     (["build", "--state", "rho3x3", "--out", "state.json"], "state.json"),
     (["ppt-check", "--state", "state.json", "--out", "ppt.json"], "ppt.json"),
     (["certify-sn", "--state", "state.json", "--k", "2", "--out", "sn.json"], "sn.json"),
     (["verify", "ppt.json"], None),
     (["verify", "sn.json"], None),
+    (["ppt-check", "--state", ROUNDED, "--out", "rounded.json"], "rounded.json"),
+    (["verify", "rounded.json"], None),
 )
 SAMPLERS = (
     ["sample", "--dims", "3x3", "--birank", "4,4"],
@@ -83,3 +91,13 @@ def test_criterion_8_fails_for_want_of_numpy(bare_python):
     number, name, passed, details = json.loads(done.stdout)
     assert (number, passed, details) == (8, False, {"error": MISSING})
     assert name == "random birank-(4,4) survey, dimension 3 throughout"
+
+
+def test_reproduce_prints_why_criterion_8_failed(bare_python):
+    """Without ``--json``, the FAIL line of criterion 8 names the reason."""
+    code = ("import sys; from pptlab import acceptance as ac, cli; "
+            "ac.run_all = lambda: [ac.criterion_8()]; sys.exit(cli.run(['reproduce']))")
+    done = _run(bare_python, ["-c", code])
+    assert (done.returncode, done.stderr) == (1, ""), done.stderr
+    assert done.stdout.startswith("FAIL  criterion 8: random birank-(4,4) survey")
+    assert done.stdout.endswith(f"s)]  {MISSING}\n"), done.stdout
