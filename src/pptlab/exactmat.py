@@ -80,10 +80,6 @@ def adjoint(M: ExactMatrix) -> ExactMatrix:
     return ExactMatrix([[x.conj() for x in col] for col in zip(*M._e)])
 
 
-def conjugate(M: ExactMatrix) -> ExactMatrix:
-    return ExactMatrix([[x.conj() for x in row] for row in M._e])
-
-
 def trace(M: ExactMatrix) -> GaussianRational:
     return sum((M.entry(i, i) for i in range(min(M.rows, M.cols))), ZERO)
 

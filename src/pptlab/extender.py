@@ -20,12 +20,13 @@ B and B'.  That picture is written for side A, so only the Choi analyses
 (:func:`ppt_extension_space` and :func:`extremality_check_ppt`) read a
 side-B extension through :func:`qstates.swap_subsystems`.
 
-An extension is checked PSD once, when assembled (a product pair by the
-LDL* of its partial transpose, which proves it PSD too); its core,
-relabellings and projections are unchecked, and its lifted edges are
-checked only by their sum.  An extension is PSD-extremal exactly when it
-is flat (:func:`extremality_check_psd`); :func:`lift_decomposition` alone
-splits a nonflat one into its flat part and rank-one terms on the new level.
+Every extension ends in :func:`assemble_extension`: over a PSD core it is
+PSD exactly when its coupling lies in the core's range and its edge Schur
+complement, the remainder on the new level, is PSD (a product pair also
+factors its partial transpose, its PPT proof).  An extension of a state
+with edges has edges: the core's, lifted, then the remainder's LDL* parts.
+Cores, relabellings and projections are unchecked.  An extension is
+PSD-extremal exactly when it is flat (:func:`extremality_check_psd`).
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
 dimension n when extending A, A-side space of dimension m when extending B).
@@ -69,20 +70,32 @@ class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
 
     def __new__(cls, core: qs.BipartiteState, coupling: em.ExactMatrix, edge: em.ExactMatrix,
                 side: Side, perp_index: int):
-        m, n = core.dims
-        new_local = n if side == "A" else m
-        if coupling.shape != (m * n, new_local):
+        here, new_local = _sizes(core.dims, side)
+        if coupling.shape != (core.matrix.rows, new_local):
             raise DimensionMismatch("coupling block has the wrong shape")
         if edge.shape != (new_local, new_local):
             raise DimensionMismatch("edge block has the wrong shape")
-        ext_local = (m if side == "A" else n) + 1
-        if not (0 <= perp_index < ext_local):
+        if not 0 <= perp_index <= here:
             raise BoundsViolation("perp_index outside the extended local space")
         return super().__new__(cls, core, coupling, edge, side, perp_index)
 
     def _replace(self, **changes) -> "ExtensionBlocks":
         # the named tuple's own _replace would skip the checks in __new__
         return ExtensionBlocks(**{**self._asdict(), **changes})
+
+
+def _sizes(dims: tuple, side: Side) -> tuple:
+    """``(here, other)``, the local dimensions of ``side`` and of the other side,
+    by the one side rule: any side but "A" or "B" is refused, first."""
+    if side not in ("A", "B"):
+        raise BoundsViolation(f"side must be 'A' or 'B', not {side!r}")
+    return dims if side == "A" else dims[::-1]
+
+
+def _extended_dims(core_dims: tuple, side: Side) -> tuple:
+    """The local dimensions after adjoining one level to ``side``."""
+    m, n = core_dims
+    return (m + 1, n) if side == "A" else (m, n + 1)
 
 
 def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):
@@ -93,17 +106,12 @@ def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):
     level ``perp_index`` of ``side``), and ``new_idx[j]`` that of the
     adjoined level paired with basis vector ``j`` of the other side.
     """
-    if not 0 <= perp_index < (m_ext if side == "A" else n_ext):
+    if not 0 <= perp_index < _sizes((m_ext, n_ext), side)[0]:
         raise BoundsViolation(f"perp_index outside side {side}")
-    if side == "A":
-        keep = [a for a in range(m_ext) if a != perp_index]
-        core_idx = [a * n_ext + b for a in keep for b in range(n_ext)]
-        new_idx = [perp_index * n_ext + b for b in range(n_ext)]
-    else:
-        keep = [b for b in range(n_ext) if b != perp_index]
-        core_idx = [a * n_ext + b for a in range(m_ext) for b in keep]
-        new_idx = [a * n_ext + perp_index for a in range(m_ext)]
-    return core_idx, new_idx
+    # the level of side in each basis vector; both lists keep the index order
+    level = [r // n_ext if side == "A" else r % n_ext for r in range(m_ext * n_ext)]
+    return ([r for r, x in enumerate(level) if x != perp_index],
+            [r for r, x in enumerate(level) if x == perp_index])
 
 
 def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int):
@@ -114,7 +122,7 @@ def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int)
     """
     if M.shape != (m * n, m * n):
         raise DimensionMismatch("operator size does not match dimensions")
-    if (m if side == "A" else n) < 2:
+    if _sizes((m, n), side)[0] < 2:
         raise BoundsViolation(f"side {side} has one level: splitting it off leaves no core")
     core_idx, new_idx = level_indices(m, n, side, perp_index)
     core_dims = (m - 1, n) if side == "A" else (m, n - 1)
@@ -127,21 +135,16 @@ def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int)
 def assemble_matrix(core: em.ExactMatrix, chi: em.ExactMatrix, edge: em.ExactMatrix,
                     core_dims: tuple, side: Side, perp_index: int) -> em.ExactMatrix:
     """Inverse of :func:`split_matrix`."""
-    m, n = core_dims
-    m_ext, n_ext = (m + 1, n) if side == "A" else (m, n + 1)
-    core_idx, new_idx = level_indices(m_ext, n_ext, side, perp_index)
-    size = m_ext * n_ext
-    out = [[em.ZERO] * size for _ in range(size)]
-    for i, r in enumerate(core_idx):
-        for j, c in enumerate(core_idx):
-            out[r][c] = core.entry(i, j)
-        for j, c in enumerate(new_idx):
-            out[r][c] = chi.entry(i, j)
-            out[c][r] = chi.entry(i, j).conj()
-    for i, r in enumerate(new_idx):
-        for j, c in enumerate(new_idx):
-            out[r][c] = edge.entry(i, j)
-    return em.ExactMatrix(out)
+    rows = [a + b for a, b in zip(core.tolists() + em.adjoint(chi).tolists(),
+                                  chi.tolists() + edge.tolists())]
+    at = _block_order(core_dims, side, perp_index)
+    return em.ExactMatrix([[rows[i][j] for j in at] for i in at])
+
+
+def _block_order(core_dims: tuple, side: Side, perp_index: int) -> list:
+    """Each extended basis vector's position in the block order: core, then new level."""
+    core_idx, new_idx = level_indices(*_extended_dims(core_dims, side), side, perp_index)
+    return sorted(range(len(core_idx) + len(new_idx)), key=(core_idx + new_idx).__getitem__)
 
 
 def split_blocks(s: qs.BipartiteState, side: Side, perp_index: int) -> ExtensionBlocks:
@@ -152,11 +155,40 @@ def split_blocks(s: qs.BipartiteState, side: Side, perp_index: int) -> Extension
 
 
 def assemble_extension(blocks: ExtensionBlocks, label: str = "") -> qs.BipartiteState:
-    m, n = blocks.core.dims
-    M = assemble_matrix(blocks.core.matrix, blocks.coupling, blocks.edge,
-                        (m, n), blocks.side, blocks.perp_index)
-    m_ext, n_ext = (m + 1, n) if blocks.side == "A" else (m, n + 1)
-    return qs.BipartiteState(m_ext, n_ext, M, label=label or "extension")
+    """The extension with these blocks, checked by one range solve
+    (:func:`_flat_edge`) and one LDL* of the edge Schur complement; when
+    either fails, the extension's own LDL* refuses it.  A core's edges are
+    handed on lifted, then the remainder's parts, ``<side><level>_<t>``."""
+    return _extension(blocks, label or "extension", None)
+
+
+def _extension(blocks: ExtensionBlocks, label: str, solved: tuple | None) -> qs.BipartiteState:
+    """:func:`assemble_extension`, reusing a constructor's ``_flat_edge`` (``solved``)."""
+    core, chi, edge, side, perp = blocks
+    dims = _extended_dims(core.dims, side)
+    M = assemble_matrix(core.matrix, chi, edge, core.dims, side, perp)
+    try:
+        K, flat_edge = solved or _flat_edge(core.matrix, chi)
+        res = em.psd_check(edge - flat_edge)
+    except RangeViolation:
+        res = None
+    if res is None or not res.is_psd:
+        em.state_ldl(M, label)  # raises: over a PSD core, M is PSD only in the case above
+    if core.edges is None:
+        return qs.BipartiteState._raw(*dims, M, label)
+    vectors = _lifted(K, core.dims, side, perp, [e.vec for e in core.edges], res.columns)
+    names = [e.name for e in core.edges] + [f"{side}{perp}_{t}" for t in range(len(res.pivots))]
+    weights = [e.weight for e in core.edges] + [d for _, d in res.pivots]
+    return qs.BipartiteState._raw(*dims, M, label,
+                                  tuple(map(qs.NamedVector, names, vectors, weights)))
+
+
+def _lifted(K: em.ExactMatrix, core_dims: tuple, side: Side, perp: int, vectors, parts=()):
+    """Core ``vectors`` lifted through an extension, ``(v; K* v)``, then the
+    new level's ``parts``, ``(0; p)``, in the extended basis."""
+    at, Kadj = _block_order(core_dims, side, perp), em.adjoint(K)
+    blocks = [(*v, *Kadj.matvec(v)) for v in vectors] + [(em.ZERO,) * K.rows + p for p in parts]
+    return [tuple(w[i] for i in at) for w in blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -164,15 +196,12 @@ def assemble_extension(blocks: ExtensionBlocks, label: str = "") -> qs.Bipartite
 # ---------------------------------------------------------------------------
 
 def _flat_edge(rho_c: em.ExactMatrix, chi: em.ExactMatrix):
-    """``(K, chi* K)`` with ``K = rho_c^{-1} chi`` solved on the range.
-
-    This is the one range solve of the extension layer: flat extensions,
-    Schur complements (of an extension and of its partial transpose), the
-    product-pair edge, decomposition lifts and the witness peel-off all
-    call it.  ``K`` is a particular solution; ``chi* K``, the edge block of
-    the flat extension, is the same for every solution and in every frame,
-    and so is ``v* K`` for every ``v`` in R(rho_c).  A range violation
-    signals that no edge block makes the assembled operator PSD.
+    """``(K, chi* K)`` with ``K = rho_c^{-1} chi`` solved on the range, the
+    one range solve of the extension layer.  ``K`` is a particular solution;
+    ``chi* K``, the edge block of the flat extension, is the same for every
+    solution and in every frame, and so is ``v* K`` for every ``v`` in
+    R(rho_c).  A range violation signals that no edge block makes the
+    assembled operator PSD.
     """
     K = em.solve_on_range_matrix(rho_c, chi)
     return K, em.adjoint(chi).matmul(K)
@@ -225,7 +254,7 @@ def _product_columns(core: qs.BipartiteState, phi: em.Vector, side: Side) -> em.
     ``<phi|rho|phi>``, is its edge.
     """
     m, n = core.dims
-    if len(phi) != (m if side == "A" else n):
+    if len(phi) != _sizes(core.dims, side)[0]:
         raise DimensionMismatch("phi must live on the extended side")
     if side == "A":
         return em.ExactMatrix([[x if b == j else em.ZERO for j in range(n)]
@@ -309,7 +338,7 @@ def slocc_extension(core: qs.BipartiteState, phi: em.Vector, side: Side) -> qs.B
     iff the core is, and no decomposition vector gains Schmidt rank.
     """
     ext = flat_extension(core, core.matrix.matmul(_product_columns(core, phi, side)), side)
-    return qs.BipartiteState._raw(*ext.dims, ext.matrix, f"slocc({core.label})")
+    return qs.BipartiteState._raw(*ext.dims, ext.matrix, f"slocc({core.label})", ext.edges)
 
 
 def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.Vector,
@@ -334,10 +363,10 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     gamma><beta|`` plus ``s1 |gamma><gamma|``, and ``s1 >= 0`` because
     ``rho_c`` is PSD, so it is PSD exactly when ``rho^T`` is.  A PSD
     ``rho^T`` makes ``s2 >= 0``.  One exact LDL* of the partial transpose
-    therefore proves the extension PPT, and the extension is built without
-    a check of its own.  It fails, with :class:`NotPPT`, exactly when
-    the core is NPT: the core is not required to be PPT, and on an NPT core
-    the extension may be PSD or not.
+    therefore proves the extension PPT, and its remainder ``s2
+    |beta><beta|`` PSD (:func:`assemble_extension`).  It fails, with
+    :class:`NotPPT`, exactly when the core is NPT: the core is not required
+    to be PPT, and on an NPT core the extension may be PSD or not.
 
     The extension is not checked against the trivial SLOCC couplings
     ``rho X_phi`` of ``side`` (:func:`_product_columns`), which the checks
@@ -346,8 +375,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     parallel to ``g`` (refused), or ``rho X_phi`` and so the coupling are
     zero (refused by the local rank).
     """
-    m, n = core.dims
-    here, other = (m, n) if side == "A" else (n, m)
+    here, other = _sizes(core.dims, side)
     if len(alpha) != here or len(beta) != other or len(gamma) != other:
         raise DimensionMismatch("alpha on the extended side, beta/gamma on the other side")
     pair = em.kron_vec if side == "A" else (lambda x, y: em.kron_vec(y, x))
@@ -362,24 +390,23 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
 
     def flat_edge(M, coupling, outside):  # of the extension, then of its partial transpose
         try:
-            return _flat_edge(M, coupling)[1]
+            return _flat_edge(M, coupling)
         except RangeViolation:
             raise PreconditionViolation(outside) from None
 
-    edge = flat_edge(rho, chi, "product vector |alpha beta> is not in the range of rho_c") + \
-        flat_edge(rho_t, em.ExactMatrix.outer(ag, beta),
-                  "partial conjugate not in the transposed range of rho_c")
+    solved = flat_edge(rho, chi, "product vector |alpha beta> is not in the range of rho_c")
+    edge = solved[1] + flat_edge(rho_t, em.ExactMatrix.outer(ag, beta),
+                                 "partial conjugate not in the transposed range of rho_c")[1]
     X = _product_columns(core, alpha, side)
     r_loc = em.rank(em.adjoint(X).matmul(rho.matmul(X)))
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
-    dims = (m + 1, n) if side == "A" else (m, n + 1)
-    ext = qs.BipartiteState._raw(*dims, assemble_matrix(rho, chi, edge, (m, n), side, here),
-                                 "extension")
-    if not em.psd_check(ext.partial_transpose(side)).is_psd:  # also proves ext PSD
+    M = assemble_matrix(rho, chi, edge, core.dims, side, here)
+    pt = qs.partial_transpose_matrix(M, *_extended_dims(core.dims, side), side)
+    if not em.psd_check(pt).is_psd:
         raise NotPPT("assembled extension fails the exact PPT check")
-    return ext
+    return _extension(ExtensionBlocks(core, chi, edge, side, here), "extension", solved)
 
 
 def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side) -> qs.BipartiteState:
@@ -390,13 +417,14 @@ def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side) -> 
     A column of ``chi`` outside R(rho_c) is refused: then no edge block
     makes the extension PSD.
     """
-    perp = core.dim_a if side == "A" else core.dim_b
+    perp = _sizes(core.dims, side)[0]
     try:
-        edge = _flat_edge(core.matrix, chi)[1]
+        solved = _flat_edge(core.matrix, chi)
     except RangeViolation:
         raise PreconditionViolation("chi is not in the range of rho_c: "
                                     "no edge block makes the extension PSD") from None
-    return assemble_extension(ExtensionBlocks(core, chi, edge, side, perp), f"flat({core.label})")
+    return _extension(ExtensionBlocks(core, chi, solved[1], side, perp), f"flat({core.label})",
+                      solved)
 
 
 # ---------------------------------------------------------------------------
@@ -420,25 +448,12 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
     if len(weights) != len(core_vectors):
         raise DimensionMismatch("one weight per core vector")
     blocks = split_blocks(ext, side, perp_index)
-    m, n = blocks.core.dims
     K, flat_edge = _flat_edge(blocks.core.matrix, blocks.coupling)
-    Kadj = em.adjoint(K)
-    m_ext, n_ext = ext.dims
-    core_idx, new_idx = level_indices(m_ext, n_ext, side, perp_index)
-    lifted = []
-    for v, w in zip(core_vectors, weights):
-        out = [em.ZERO] * (m_ext * n_ext)
-        for r, x in zip(core_idx, v):
-            out[r] = x
-        for r, t in zip(new_idx, Kadj.matvec(v)):
-            out[r] = t
-        lifted.append((tuple(out), w))
-    remainder_edge = blocks.edge - flat_edge
-    zero_core = em.zeros(m * n, m * n)
-    zero_chi = em.zeros(m * n, remainder_edge.rows)
-    remainder = assemble_matrix(zero_core, zero_chi, remainder_edge, (m, n), side, perp_index)
-    total = remainder + em.weighted_gram([v for v, _ in lifted], [w for _, w in lifted],
-                                         m_ext * n_ext)
+    lifted = list(zip(_lifted(K, blocks.core.dims, side, perp_index, core_vectors), weights))
+    rows = blocks.coupling.rows
+    remainder = assemble_matrix(em.zeros(rows, rows), em.zeros(*blocks.coupling.shape),
+                                blocks.edge - flat_edge, blocks.core.dims, side, perp_index)
+    total = remainder + em.weighted_gram([v for v, _ in lifted], list(weights), ext.matrix.rows)
     if total != ext.matrix:
         raise DecompositionMismatch("lifted vectors and remainder do not reproduce the extension")
     return lifted, remainder
@@ -451,10 +466,9 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
 def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix,
                           side: Side) -> qs.BipartiteState:
     """Extension with zero coupling: the new level carries ``edge`` alone."""
-    m, n = core.dims
-    other, perp = (n, m) if side == "A" else (m, n)  # the new level's size, then its index
-    return assemble_extension(ExtensionBlocks(core, em.zeros(m * n, other), edge, side, perp),
-                              f"direct_sum({core.label})")
+    perp, other = _sizes(core.dims, side)  # the new level's index, then its size
+    return assemble_extension(ExtensionBlocks(core, em.zeros(core.matrix.rows, other), edge,
+                                              side, perp), f"direct_sum({core.label})")
 
 
 # step kind -> (parameter keys, constructor(core, *parameters, side))
@@ -510,8 +524,6 @@ def apply_step(core: qs.BipartiteState, step: qs.ExtensionStep) -> qs.BipartiteS
     """Apply one :class:`qstates.ExtensionStep` to ``core``; the new level
     is the last local index of ``step.side``."""
     keys = step_keys(step.kind)
-    if step.side not in ("A", "B"):
-        raise BoundsViolation(f"side must be 'A' or 'B', not {step.side!r}")
     kernel = _STEP_KINDS[step.kind][1]
     return kernel(core, *(step.parameters[key] for key in keys), step.side)
 
@@ -520,33 +532,23 @@ def run_pipeline(core: qs.BipartiteState, steps: Sequence[qs.ExtensionStep]) -> 
     """Apply ``steps`` in order and return the state after each one,
     labelled by its step (by its constructor when the step's label is empty).
 
-    When ``core`` carries edges, each step lifts them through the extension
-    (:func:`lift_decomposition`) and adds the remainder's LDL* rank-one
-    parts under the step's ``names`` (``<side><level>_<t>`` when None); a
-    step on a state without edges takes no ``names``.
+    A step hands on the edges of a core that has them
+    (:func:`assemble_extension`), with its remainder's rank-one parts
+    renamed by the step's ``names`` when set; a step on a state without
+    edges takes no ``names``.
     """
     states = []
     for step in steps:
         if core.edges is None and step.names is not None:
             raise PreconditionViolation(f"{step.label}: a state without edges takes no names")
         ext = apply_step(core, step)
-        edges = None
-        if core.edges is not None:
-            perp = (ext.dim_a if step.side == "A" else ext.dim_b) - 1
-            lifted, remainder = lift_decomposition(ext, step.side, perp,
-                                                   [e.vec for e in core.edges],
-                                                   [e.weight for e in core.edges])
-            res = em.psd_check(remainder)
-            names = step.names
-            if names is None:
-                names = tuple(f"{step.side}{perp}_{t}" for t in range(len(res.pivots)))
-            if len(res.pivots) != len(names):
-                raise DecompositionMismatch(f"{step.label}: remainder has {len(res.pivots)} "
-                                            f"rank-one parts, {len(names)} names")
-            # lift_decomposition checked that these edges sum to ext.matrix
-            edges = tuple([qs.NamedVector(e.name, v, w) for e, (v, w) in zip(core.edges, lifted)]
-                          + [qs.NamedVector(name, col, Fraction(d))
-                             for name, (_, d), col in zip(names, res.pivots, res.columns)])
+        edges = ext.edges
+        if step.names is not None:
+            lifted, parts = edges[:len(core.edges)], edges[len(core.edges):]
+            if len(parts) != len(step.names):
+                raise DecompositionMismatch(f"{step.label}: remainder has {len(parts)} "
+                                            f"rank-one parts, {len(step.names)} names")
+            edges = lifted + tuple(e._replace(name=name) for e, name in zip(parts, step.names))
         core = qs.BipartiteState._raw(*ext.dims, ext.matrix, step.label or ext.label, edges)
         states.append(core)
     return states
@@ -652,23 +654,24 @@ class PptExtremality(NamedTuple):
 def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     """Runs in the A frame: a side-B extension is analyzed as the side-A
     extension of the swapped core.  The extension and its partial transpose
-    split alike, and their edge Schur complements' ranges meet only in 0
-    exactly when they form a direct sum: both bases stacked have full rank."""
+    ``rho^Tb`` split alike, and their edge Schur complements' ranges meet
+    only in 0 exactly when they form a direct sum: both bases stacked have
+    full rank.  A Hermitian matrix's rows span its range conjugated."""
     ext = assemble_extension(blocks)
     if blocks.side == "B":
         ext = qs.swap_subsystems(ext)
     m, n = ext.dim_a - 1, ext.dim_b
-    pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "A")
+    pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "B")
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")
-    core, chi, edge, _ = split_matrix(ext.matrix, m + 1, n, "A", blocks.perp_index)
-    core_ta, chi_ta, edge_ta, _ = split_matrix(pt, m + 1, n, "A", blocks.perp_index)
-    rho_ec = edge - _flat_edge(core, chi)[1]
-    r1, r2 = em.column_space(rho_ec), em.column_space(edge_ta - _flat_edge(core_ta, chi_ta)[1])
+    (core, rho_ec), (core_tb, rho_ec_tb) = [  # each core and edge Schur complement
+        (c, e - _flat_edge(c, x)[1]) for c, x, e, _ in
+        (split_matrix(M, m + 1, n, "A", blocks.perp_index) for M in (ext.matrix, pt))]
+    r1, r2 = em.column_space(rho_ec), em.Subspace(n, rho_ec_tb.tolists())  # r2 = R(rho_ec^Ta)
     triv = em.rank(em.ExactMatrix(r1.basis + r2.basis)) == r1.dim + r2.dim
-    # couplings in R(rho_c) (x) conj R(rho_ec) and in conj R(rho_c^Ta) (x) R(rho_ec^Ta)
-    inter = _choi_null_space(m, n, em.column_space(core), em.column_space(em.conjugate(core_ta)),
-                             range_c=em.column_space(em.conjugate(rho_ec)), range_b=r2)
+    # couplings in R(rho_c) (x) conj R(rho_ec) and in R(rho_c^Tb) (x) R(rho_ec^Ta)
+    inter = _choi_null_space(m, n, em.column_space(core), em.column_space(core_tb),
+                             range_c=em.Subspace(n, rho_ec.tolists()), range_b=r2)
     verdict = "Extremal" if triv and inter.dim == 0 else "NotCertified"
     return PptExtremality(triv, inter.dim, verdict)
 

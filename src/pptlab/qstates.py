@@ -10,8 +10,8 @@ weight that is not positive (their Gram sum is then PSD), else by exact
 LDL*.  What keeps a checked state valid builds its result unchecked
 (``_raw``), and so do :func:`replay.read_state`, whose callers check a
 stored matrix by the ppt certificate's own LDL* of it, and
-:func:`extender.product_pair_extension`, whose LDL* of the partial
-transpose proves the extension PSD.
+:func:`extender.assemble_extension`, where a checked core, a coupling in
+its range and the LDL* of the edge Schur complement prove the extension PSD.
 Partial transposes are returned as plain matrices because their
 positivity is precisely the property under investigation.  The edge state
 (``replay.BipartiteState``, :class:`NamedVector`), the partial transpose

@@ -57,8 +57,9 @@ def ppt_extension_space_stacked(core: qs.BipartiteState) -> em.Subspace:
     m, n = core.dims
     units = [em.basis_vector(n, j) for j in range(n)]
     s1 = [em.kron_vec(u, e) for u in em.column_space(core.matrix).basis for e in units]
+    conj_ta = em.ExactMatrix([[x.conj() for x in row] for row in core.partial_transpose("A").tolists()])
     s2 = [tuple(v[a * n + c] * e[b] for a in range(m) for b in range(n) for c in range(n))
-          for v in em.column_space(em.conjugate(core.partial_transpose("A"))).basis for e in units]
+          for v in em.column_space(conj_ta).basis for e in units]
     N = m * n * n
     return intersection_via_stacked_kernel(em.Subspace(N, s1), em.Subspace(N, s2))
 

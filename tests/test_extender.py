@@ -1,6 +1,8 @@
 """Local extension engine."""
 
+import functools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -507,12 +509,13 @@ def test_run_pipeline_without_edges_builds_the_same_stages():
 
 
 def test_rho4x5_sums_and_factors_each_matrix_once(spy):
-    """Built from scratch, rho4x5 runs 4 Gram sums (rho3x3's edges, then
-    each step's lifted edges once, in lift_decomposition) and 6 LDL* (the
-    direct sum's extension, each product pair's partial transpose, which
-    also proves that extension PSD, and each remainder); no state built
-    from edges is factored."""
-    calls = spy(em, "weighted_gram", "psd_check")
+    """Built from scratch, rho4x5 runs 1 Gram sum (rho3x3's edges), 5 LDL*
+    and 5 range solves.  Each step factors its remainder on the new level
+    (3x3, then 4x4 twice); each product pair also factors its partial
+    transpose (16x16, 20x20), which proves it PPT.  No extension matrix is
+    factored, and no state is summed from its edges again: the lifted
+    edges and remainder parts sum to the extension by construction."""
+    calls = spy(em, "weighted_gram", "psd_check", "solve_on_range_matrix")
     co.rho_3x3.cache_clear()
     co.rho_4x5.cache_clear()
     try:
@@ -521,14 +524,16 @@ def test_rho4x5_sums_and_factors_each_matrix_once(spy):
         co.rho_3x3.cache_clear()
         co.rho_4x5.cache_clear()
     names = [name for name, _ in calls]
-    assert (names.count("weighted_gram"), names.count("psd_check")) == (4, 6)
+    assert [names.count(name) for name in ("weighted_gram", "psd_check",
+                                           "solve_on_range_matrix")] == [1, 5, 5]
+    assert [args[0].rows for name, args in calls if name == "psd_check"] == [3, 16, 4, 20, 4]
 
 
 def test_rho4x5_builds_every_level_in_place(spy):
     """Each step of rho4x5 places its new level on its own side, so the
-    build changes no frame; it still runs 4 Gram sums and 6 LDL*.  A
+    build changes no frame; it still runs 1 Gram sum and 5 LDL*.  A
     product pair decides its range conditions by the range solves of its
-    edge block, so the build forms no column space and runs 7 ``_rref``."""
+    edge block, so the build forms no column space and runs 5 ``_rref``."""
     spy(qs, "swap_subsystems")
     calls = spy(em, "weighted_gram", "psd_check", "column_space", "_rref")
     co.rho_3x3.cache_clear()
@@ -540,7 +545,7 @@ def test_rho4x5_builds_every_level_in_place(spy):
         co.rho_4x5.cache_clear()
     names = [name for name, _ in calls]
     assert [names.count(name) for name in ("swap_subsystems", "weighted_gram", "psd_check",
-                                           "column_space", "_rref")] == [0, 4, 6, 0, 7]
+                                           "column_space", "_rref")] == [0, 1, 5, 0, 5]
 
 
 def test_rho4x5_stages_are_the_sums_of_their_edges():
@@ -552,9 +557,9 @@ def test_rho4x5_stages_are_the_sums_of_their_edges():
 
 
 def test_rho4x5_factors_no_large_matrix_twice(spy):
-    """Building rho4x5 PSD-checks each 16x16 and 20x20 matrix at most once:
-    a product-pair step factors its extension's partial transpose, which
-    proves the extension PSD too, and then its remainder."""
+    """Building rho4x5 PSD-checks one 16x16 and one 20x20 matrix: a
+    product-pair step factors its extension's partial transpose, which
+    proves it PPT, and then only its remainder on the new level."""
     calls = spy(em, "psd_check")
     co.rho_4x5.cache_clear()
     try:
@@ -562,8 +567,7 @@ def test_rho4x5_factors_no_large_matrix_twice(spy):
     finally:
         co.rho_4x5.cache_clear()
     large = [M for _, (M,) in calls if M.rows in (16, 20)]
-    assert [M.rows for M in large] == [16, 16, 20, 20]
-    assert len(set(large)) == len(large)
+    assert [M.rows for M in large] == [16, 20]
 
 
 def test_run_pipeline_needs_one_name_per_remainder_part():
@@ -583,6 +587,103 @@ def test_apply_step_rejects_unknown_kind_and_side(change):
     step = co.rho_4x5().steps[0]._replace(**change)
     with pytest.raises(BoundsViolation):
         ex.apply_step(co.rho_3x3(), step)
+
+
+@pytest.mark.parametrize("side", ["a", "C", ""], ids=["lowercase", "C", "empty"])
+def test_every_extension_path_refuses_a_side_other_than_a_or_b(side):
+    """One side rule: ``split_blocks(rho3x3, "a", 2)`` used to split side B.
+    Every path refuses such a side first, with one message, whatever else
+    its parameters get wrong."""
+    rho = co.rho_3x3()
+    message = f"side must be 'A' or 'B', not {side!r}"
+    calls = [lambda: ex.level_indices(4, 3, side, 0),
+             lambda: ex.split_blocks(rho, side, 2),
+             lambda: ex.split_matrix(rho.matrix, 3, 3, side, 2),
+             lambda: ex.assemble_matrix(rho.matrix, em.zeros(9, 3), em.zeros(3, 3), (3, 3), side, 3),
+             lambda: ex.ExtensionBlocks(rho, em.zeros(9, 2), em.zeros(2, 2), side, 3),
+             lambda: ex.lift_decomposition(co.rho_4x5().stage1, side, 3, [], []),
+             lambda: ex.witness_schur_peel(rho.matrix, (3, 3), side, 0)]
+    for step in co.rho_4x5().steps:  # a product pair with a 4-entry beta on rho3x3, too
+        calls.append(lambda step=step: ex.apply_step(rho, step._replace(side=side)))
+    calls.append(lambda: ex.slocc_extension(rho, (em.ONE,), side))
+    calls.append(lambda: ex.flat_extension(rho, em.ExactMatrix([[1, 0, 0]] + [[0] * 3] * 8), side))
+    for call in calls:
+        with pytest.raises(BoundsViolation, match=re.escape(message)):
+            call()
+
+
+# the cores of the extension property, each given by its edges
+EDGE_CORES = {"rho3x3": co.rho_3x3, "tiles": co.tiles_complement,
+              "family:2": lambda: co.rho_family(2), "rho4x5:stage1": lambda: co.rho_4x5().stage1}
+
+
+@functools.cache
+def _accepted_pairs(name, side):
+    """The basis triples ``(alpha, beta, gamma)`` on which the product pair
+    extends the matrix form of a core; all triples when there are none
+    (Tiles, whose range holds no product vector)."""
+    core = EDGE_CORES[name]()
+    here, other = core.dims if side == "A" else core.dims[::-1]
+    triples = [(em.basis_vector(here, a), em.basis_vector(other, b), em.basis_vector(other, g))
+               for a in range(here) for b in range(other) for g in range(other)]
+    bare = qs.BipartiteState._raw(*core.dims, core.matrix, core.label)
+    accepted = [t for t in triples if _outcome(ex.product_pair_extension, bare, *t, side)[1] is None]
+    return accepted or triples
+
+
+def _drawn_step(data, core, name, kind, side):
+    here, other = core.dims if side == "A" else core.dims[::-1]
+
+    def matrix(rows, cols):
+        return em.ExactMatrix([data.draw(st.lists(gaussian_rationals, min_size=cols,
+                                                  max_size=cols)) for _ in range(rows)])
+
+    if kind == "direct_sum":  # G G* - H H*, refused when H adds a negative direction
+        G, H = matrix(other, data.draw(st.integers(1, 2))), matrix(other, data.draw(st.integers(0, 1)))
+        edge = G.matmul(em.adjoint(G))
+        parameters = {"edge": edge - H.matmul(em.adjoint(H)) if H.cols else edge}
+    elif kind == "slocc":
+        parameters = {"phi": tuple(data.draw(st.lists(gaussian_rationals, min_size=here,
+                                                      max_size=here)))}
+    elif kind == "flat":
+        parameters = {"chi": core.matrix.matmul(matrix(core.matrix.rows, other))}
+    else:
+        parameters = dict(zip(("alpha", "beta", "gamma"),
+                              data.draw(st.sampled_from(_accepted_pairs(name, side)))))
+    return qs.ExtensionStep(kind, side, parameters, "", None)
+
+
+@pytest.mark.parametrize("side", "AB")
+@pytest.mark.parametrize("kind", ["direct_sum", "slocc", "product_pair", "flat"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_extension_of_an_edge_state_is_an_edge_state(kind, side, data):
+    """A step on a core given by its edges gives the matrix of the same
+    step on the core's matrix form (or the same refusal), and hands on
+    edges that sum to it: the core's edges lifted, as lift_decomposition
+    lifts them, then the remainder's parts, each of positive weight."""
+    name = data.draw(st.sampled_from(sorted(EDGE_CORES)))
+    core = EDGE_CORES[name]()
+    step = _drawn_step(data, core, name, kind, side)
+    bare = qs.BipartiteState._raw(*core.dims, core.matrix, core.label)
+    want, refused = _outcome(ex.apply_step, bare, step)
+    got, got_refused = _outcome(ex.apply_step, core, step)
+    assert got_refused == refused
+    event(f"{kind} {side}: {'refused' if refused else 'extended'}")
+    if refused:
+        return
+    assert want.edges is None and got.matrix == want.matrix
+    assert qs.BipartiteState(*got.dims, label="sum", edges=got.edges).matrix == want.matrix
+    lifted, parts = got.edges[:len(core.edges)], got.edges[len(core.edges):]
+    assert [e.name for e in lifted] == [e.name for e in core.edges]
+    assert all(e.weight > 0 for e in parts)
+    perp = (got.dim_a if side == "A" else got.dim_b) - 1
+    assert [e.name for e in parts] == [f"{side}{perp}_{t}" for t in range(len(parts))]
+    vectors, remainder = ex.lift_decomposition(got, side, perp, [e.vec for e in core.edges],
+                                               [e.weight for e in core.edges])
+    assert vectors == [(e.vec, e.weight) for e in lifted]
+    assert remainder == em.weighted_gram([e.vec for e in parts], [e.weight for e in parts],
+                                         got.matrix.rows)
 
 
 # -- product-pair extensions ----------------------------------------------------------

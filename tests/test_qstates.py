@@ -124,7 +124,7 @@ def test_partial_transpose_involution_and_full_transpose():
         ta = qs.partial_transpose_matrix(H, m, n, "A")
         assert qs.partial_transpose_matrix(ta, m, n, "A") == H
         tb = qs.partial_transpose_matrix(ta, m, n, "B")
-        assert tb == em.conjugate(H)  # the transpose of the Hermitian H
+        assert tb == em.ExactMatrix([[x.conj() for x in row] for row in H.tolists()])  # H^T
 
 
 def test_rho3x3_pt_decomposition_bit_exact():
