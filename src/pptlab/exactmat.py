@@ -120,16 +120,10 @@ def annihilator(S: Subspace) -> list:
 
 
 def in_subspace(S: Subspace, v: Vector) -> bool:
-    """Whether ``v`` lies in ``S``: it reduces to zero by the canonical basis."""
+    """Whether ``v`` lies in ``S``: adjoining it to the basis keeps the rank."""
     if len(v) != S.ambient_dim:
         raise DimensionMismatch("vector of wrong length")
-    w = list(v)
-    for b in S.basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        if w[lead]:
-            f = w[lead]
-            w = [a - f * c if c else a for a, c in zip(w, b)]
-    return not any(w)
+    return rank(ExactMatrix(S.basis + (v,))) == S.dim
 
 
 def _int_kernel(work: list, ncols: int) -> tuple:

@@ -23,9 +23,9 @@ side-B extension through :func:`qstates.swap_subsystems`.
 Every extension ends in :func:`assemble_extension`: over a PSD core it is
 PSD exactly when its coupling lies in the core's range and its edge Schur
 complement, the remainder on the new level, is PSD (a product pair also
-factors its partial transpose, its PPT proof).  An extension of a state
-with edges has edges: the core's, lifted, then the remainder's LDL* parts.
-Cores, relabellings and projections are unchecked.  An extension is
+factors its core's partial transpose, its PPT proof).  An extension of a
+state with edges has edges: the core's, lifted, then the remainder's LDL*
+parts.  Cores, relabellings and projections are unchecked.  An extension is
 PSD-extremal exactly when it is flat (:func:`extremality_check_psd`).
 Coupling matrices are stored with rows indexed by the core product basis
 and columns indexed by the local space of the new block (B-side space of
@@ -70,7 +70,7 @@ class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
 
     def __new__(cls, core: qs.BipartiteState, coupling: em.ExactMatrix, edge: em.ExactMatrix,
                 side: Side, perp_index: int):
-        here, new_local = _sizes(core.dims, side)
+        here, new_local = rp.side_sizes(core.dims, side)
         if coupling.shape != (core.matrix.rows, new_local):
             raise DimensionMismatch("coupling block has the wrong shape")
         if edge.shape != (new_local, new_local):
@@ -82,14 +82,6 @@ class ExtensionBlocks(NamedTuple("ExtensionBlocks", [
     def _replace(self, **changes) -> "ExtensionBlocks":
         # the named tuple's own _replace would skip the checks in __new__
         return ExtensionBlocks(**{**self._asdict(), **changes})
-
-
-def _sizes(dims: tuple, side: Side) -> tuple:
-    """``(here, other)``, the local dimensions of ``side`` and of the other side,
-    by the one side rule: any side but "A" or "B" is refused, first."""
-    if side not in ("A", "B"):
-        raise BoundsViolation(f"side must be 'A' or 'B', not {side!r}")
-    return dims if side == "A" else dims[::-1]
 
 
 def _extended_dims(core_dims: tuple, side: Side) -> tuple:
@@ -106,7 +98,7 @@ def level_indices(m_ext: int, n_ext: int, side: Side, perp_index: int):
     level ``perp_index`` of ``side``), and ``new_idx[j]`` that of the
     adjoined level paired with basis vector ``j`` of the other side.
     """
-    if not 0 <= perp_index < _sizes((m_ext, n_ext), side)[0]:
+    if not 0 <= perp_index < rp.side_sizes((m_ext, n_ext), side)[0]:
         raise BoundsViolation(f"perp_index outside side {side}")
     # the level of side in each basis vector; both lists keep the index order
     level = [r // n_ext if side == "A" else r % n_ext for r in range(m_ext * n_ext)]
@@ -122,7 +114,7 @@ def split_matrix(M: em.ExactMatrix, m: int, n: int, side: Side, perp_index: int)
     """
     if M.shape != (m * n, m * n):
         raise DimensionMismatch("operator size does not match dimensions")
-    if _sizes((m, n), side)[0] < 2:
+    if rp.side_sizes((m, n), side)[0] < 2:
         raise BoundsViolation(f"side {side} has one level: splitting it off leaves no core")
     core_idx, new_idx = level_indices(m, n, side, perp_index)
     core_dims = (m - 1, n) if side == "A" else (m, n - 1)
@@ -154,12 +146,12 @@ def split_blocks(s: qs.BipartiteState, side: Side, perp_index: int) -> Extension
     return ExtensionBlocks(core, chi, edge, side, perp_index)
 
 
-def assemble_extension(blocks: ExtensionBlocks, label: str = "") -> qs.BipartiteState:
+def assemble_extension(blocks: ExtensionBlocks) -> qs.BipartiteState:
     """The extension with these blocks, checked by one range solve
     (:func:`_flat_edge`) and one LDL* of the edge Schur complement; when
     either fails, the extension's own LDL* refuses it.  A core's edges are
     handed on lifted, then the remainder's parts, ``<side><level>_<t>``."""
-    return _extension(blocks, label or "extension", None)
+    return _extension(blocks, "extension", None)
 
 
 def _extension(blocks: ExtensionBlocks, label: str, solved: tuple | None) -> qs.BipartiteState:
@@ -254,7 +246,7 @@ def _product_columns(core: qs.BipartiteState, phi: em.Vector, side: Side) -> em.
     ``<phi|rho|phi>``, is its edge.
     """
     m, n = core.dims
-    if len(phi) != _sizes(core.dims, side)[0]:
+    if len(phi) != rp.side_sizes(core.dims, side)[0]:
         raise DimensionMismatch("phi must live on the extended side")
     if side == "A":
         return em.ExactMatrix([[x if b == j else em.ZERO for j in range(n)]
@@ -362,9 +354,9 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     on ``side`` is the flat extension of ``rho^T`` by ``|conj(alpha)
     gamma><beta|`` plus ``s1 |gamma><gamma|``, and ``s1 >= 0`` because
     ``rho_c`` is PSD, so it is PSD exactly when ``rho^T`` is.  A PSD
-    ``rho^T`` makes ``s2 >= 0``.  One exact LDL* of the partial transpose
-    therefore proves the extension PPT, and its remainder ``s2
-    |beta><beta|`` PSD (:func:`assemble_extension`).  It fails, with
+    ``rho^T`` makes ``s2 >= 0``.  One exact LDL* of ``rho^T``, the core's
+    partial transpose, therefore proves the extension PPT and its remainder
+    ``s2 |beta><beta|`` PSD (:func:`assemble_extension`).  It fails, with
     :class:`NotPPT`, exactly when the core is NPT: the core is not required
     to be PPT, and on an NPT core the extension may be PSD or not.
 
@@ -375,7 +367,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     parallel to ``g`` (refused), or ``rho X_phi`` and so the coupling are
     zero (refused by the local rank).
     """
-    here, other = _sizes(core.dims, side)
+    here, other = rp.side_sizes(core.dims, side)
     if len(alpha) != here or len(beta) != other or len(gamma) != other:
         raise DimensionMismatch("alpha on the extended side, beta/gamma on the other side")
     pair = em.kron_vec if side == "A" else (lambda x, y: em.kron_vec(y, x))
@@ -402,9 +394,7 @@ def product_pair_extension(core: qs.BipartiteState, alpha: em.Vector, beta: em.V
     if r_loc <= 2:
         raise PreconditionViolation(
             f"rank(<alpha|rho_c|alpha>) = {r_loc} is not > 2 (boundary cases are rejected)")
-    M = assemble_matrix(rho, chi, edge, core.dims, side, here)
-    pt = qs.partial_transpose_matrix(M, *_extended_dims(core.dims, side), side)
-    if not em.psd_check(pt).is_psd:
+    if not em.psd_check(rho_t).is_psd:
         raise NotPPT("assembled extension fails the exact PPT check")
     return _extension(ExtensionBlocks(core, chi, edge, side, here), "extension", solved)
 
@@ -417,7 +407,7 @@ def flat_extension(core: qs.BipartiteState, chi: em.ExactMatrix, side: Side) -> 
     A column of ``chi`` outside R(rho_c) is refused: then no edge block
     makes the extension PSD.
     """
-    perp = _sizes(core.dims, side)[0]
+    perp = rp.side_sizes(core.dims, side)[0]
     try:
         solved = _flat_edge(core.matrix, chi)
     except RangeViolation:
@@ -466,9 +456,9 @@ def lift_decomposition(ext: qs.BipartiteState, side: Side, perp_index: int,
 def _direct_sum_extension(core: qs.BipartiteState, edge: em.ExactMatrix,
                           side: Side) -> qs.BipartiteState:
     """Extension with zero coupling: the new level carries ``edge`` alone."""
-    perp, other = _sizes(core.dims, side)  # the new level's index, then its size
-    return assemble_extension(ExtensionBlocks(core, em.zeros(core.matrix.rows, other), edge,
-                                              side, perp), f"direct_sum({core.label})")
+    perp, other = rp.side_sizes(core.dims, side)  # the new level's index, then its size
+    return _extension(ExtensionBlocks(core, em.zeros(core.matrix.rows, other), edge, side, perp),
+                      f"direct_sum({core.label})", None)
 
 
 # step kind -> (parameter keys, constructor(core, *parameters, side))
@@ -653,20 +643,24 @@ class PptExtremality(NamedTuple):
 
 def extremality_check_ppt(blocks: ExtensionBlocks) -> PptExtremality:
     """Runs in the A frame: a side-B extension is analyzed as the side-A
-    extension of the swapped core.  The extension and its partial transpose
-    ``rho^Tb`` split alike, and their edge Schur complements' ranges meet
-    only in 0 exactly when they form a direct sum: both bases stacked have
-    full rank.  A Hermitian matrix's rows span its range conjugated."""
-    ext = assemble_extension(blocks)
+    extension of the swapped core.  Its edge Schur complement is the one
+    the finisher (:func:`_extension`) factors; ``rho^Tb`` splits alike.  The
+    two ranges meet only in 0 exactly when both bases stacked have full
+    rank.  A Hermitian matrix's rows span its range conjugated."""
+    try:
+        solved = _flat_edge(blocks.core.matrix, blocks.coupling)
+    except RangeViolation:
+        solved = None  # the finisher refuses the extension
+    ext, core = _extension(blocks, "extension", solved), blocks.core.matrix
     if blocks.side == "B":
-        ext = qs.swap_subsystems(ext)
+        ext, core = qs.swap_subsystems(ext), qs.swap_subsystems(blocks.core).matrix
     m, n = ext.dim_a - 1, ext.dim_b
     pt = qs.partial_transpose_matrix(ext.matrix, m + 1, n, "B")
     if not em.psd_check(pt).is_psd:
         raise NotPPT("extension is not PPT")
-    (core, rho_ec), (core_tb, rho_ec_tb) = [  # each core and edge Schur complement
-        (c, e - _flat_edge(c, x)[1]) for c, x, e, _ in
-        (split_matrix(M, m + 1, n, "A", blocks.perp_index) for M in (ext.matrix, pt))]
+    rho_ec = blocks.edge - solved[1]
+    core_tb, chi_tb, edge_tb, _ = split_matrix(pt, m + 1, n, "A", blocks.perp_index)
+    rho_ec_tb = edge_tb - _flat_edge(core_tb, chi_tb)[1]
     r1, r2 = em.column_space(rho_ec), em.Subspace(n, rho_ec_tb.tolists())  # r2 = R(rho_ec^Ta)
     triv = em.rank(em.ExactMatrix(r1.basis + r2.basis)) == r1.dim + r2.dim
     # couplings in R(rho_c) (x) conj R(rho_ec) and in R(rho_c^Tb) (x) R(rho_ec^Ta)

@@ -8,12 +8,13 @@ matrices (:class:`ExactMatrix`: its value protocol, what ``verify`` runs and
 what the tracer pins; the builders' algebra is :mod:`pptlab.exactmat`'s) and
 the one Gram kernel :func:`weighted_gram`, the one row elimination
 (:func:`_echelon`) behind :class:`Subspace` and :func:`rank`, the state
-record (:class:`BipartiteState`, an edge state) with its partial transpose
-and the Schmidt rank of a vector, the one state reader :func:`read_state`
-and the JSON readers with the sparse ``[index, value]`` reader and the one
-field reader :func:`_fields`, which owns every stored layout's keys, the
-ppt verifier, and :data:`VERIFIERS`, through which
-:func:`verify_certificate` dispatches.  It factors nothing.
+record (:class:`BipartiteState`, an edge state) with its partial transpose,
+the one side rule (:func:`side_sizes`: a side is "A" or "B") and the
+Schmidt rank of a vector, the one state reader :func:`read_state` and the
+JSON readers with the sparse ``[index, value]`` reader and the one field
+reader :func:`_fields`, which owns every stored layout's keys, the ppt
+verifier, and :data:`VERIFIERS`, through which :func:`verify_certificate`
+dispatches.  It factors nothing.
 The sn-verdict replay is :mod:`pptlab.minors`, which :data:`VERIFIERS`
 imports only to replay one, so a ppt ``verify`` never compiles it.
 :mod:`pptlab.exactmat`, :mod:`pptlab.qstates` and :mod:`pptlab.serialize`
@@ -519,6 +520,13 @@ def rank(M: ExactMatrix) -> int:
 Side = Literal["A", "B"]
 
 
+def side_sizes(dims: tuple, side: Side) -> tuple:
+    """``(here, other)``, the local dimensions of ``side`` and of the other side."""
+    if side not in ("A", "B"):
+        raise BoundsViolation(f"side must be 'A' or 'B', not {side!r}")
+    return dims if side == "A" else dims[::-1]
+
+
 def flat_index(i: int, j: int, n: int) -> int:
     return i * n + j
 
@@ -587,22 +595,14 @@ def _check_dims(dim_a: int, dim_b: int, matrix: ExactMatrix | None = None) -> No
 
 
 def partial_transpose_matrix(M: ExactMatrix, m: int, n: int, side: Side) -> ExactMatrix:
-    """Exact partial transpose: ``<ij|M^Tb|kl> = <il|M|kj>`` on side B,
-    ``<ij|M^Ta|kl> = <kj|M|il>`` on side A."""
+    """Exact partial transpose, by one gather over the product basis:
+    ``<ij|M^Tb|kl> = <il|M|kj>``, and ``M^Ta = (M^Tb)^T``."""
+    side_sizes((m, n), side)
     if M.shape != (m * n, m * n):
         raise DimensionMismatch("operator size does not match local dimensions")
-    out = [[ZERO] * (m * n) for _ in range(m * n)]
-    for i in range(m):
-        for j in range(n):
-            r = flat_index(i, j, n)
-            for k in range(m):
-                for l in range(n):
-                    c = flat_index(k, l, n)
-                    if side == "B":
-                        out[r][c] = M.entry(flat_index(i, l, n), flat_index(k, j, n))
-                    else:
-                        out[r][c] = M.entry(flat_index(k, j, n), flat_index(i, l, n))
-    return ExactMatrix(out)
+    tb = [[M.entry(i * n + l, k * n + j) for k in range(m) for l in range(n)]
+          for i in range(m) for j in range(n)]
+    return ExactMatrix(tb if side == "B" else zip(*tb))
 
 
 def schmidt_rank(v: Vector, m: int, n: int) -> int:

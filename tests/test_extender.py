@@ -511,10 +511,11 @@ def test_run_pipeline_without_edges_builds_the_same_stages():
 def test_rho4x5_sums_and_factors_each_matrix_once(spy):
     """Built from scratch, rho4x5 runs 1 Gram sum (rho3x3's edges), 5 LDL*
     and 5 range solves.  Each step factors its remainder on the new level
-    (3x3, then 4x4 twice); each product pair also factors its partial
-    transpose (16x16, 20x20), which proves it PPT.  No extension matrix is
-    factored, and no state is summed from its edges again: the lifted
-    edges and remainder parts sum to the extension by construction."""
+    (3x3, then 4x4 twice); each product pair also factors its core's
+    partial transpose (12x12, 16x16), which proves it PPT.  No extension
+    matrix or extension's partial transpose is factored, and no state is
+    summed from its edges again: the lifted edges and remainder parts sum
+    to the extension by construction."""
     calls = spy(em, "weighted_gram", "psd_check", "solve_on_range_matrix")
     co.rho_3x3.cache_clear()
     co.rho_4x5.cache_clear()
@@ -526,7 +527,7 @@ def test_rho4x5_sums_and_factors_each_matrix_once(spy):
     names = [name for name, _ in calls]
     assert [names.count(name) for name in ("weighted_gram", "psd_check",
                                            "solve_on_range_matrix")] == [1, 5, 5]
-    assert [args[0].rows for name, args in calls if name == "psd_check"] == [3, 16, 4, 20, 4]
+    assert [args[0].rows for name, args in calls if name == "psd_check"] == [3, 12, 4, 16, 4]
 
 
 def test_rho4x5_builds_every_level_in_place(spy):
@@ -557,17 +558,32 @@ def test_rho4x5_stages_are_the_sums_of_their_edges():
 
 
 def test_rho4x5_factors_no_large_matrix_twice(spy):
-    """Building rho4x5 PSD-checks one 16x16 and one 20x20 matrix: a
-    product-pair step factors its extension's partial transpose, which
-    proves it PPT, and then only its remainder on the new level."""
+    """Building rho4x5 PSD-checks one 12x12 and one 16x16 matrix: a
+    product-pair step factors its core's partial transpose, which proves
+    it PPT, and then only its remainder on the new level, so no LDL* has
+    the size of the extension it checks (16, then 20)."""
     calls = spy(em, "psd_check")
     co.rho_4x5.cache_clear()
     try:
-        co.rho_4x5()
+        pipe = co.rho_4x5()
     finally:
         co.rho_4x5.cache_clear()
-    large = [M for _, (M,) in calls if M.rows in (16, 20)]
-    assert [M.rows for M in large] == [16, 20]
+    large = [M.rows for _, (M,) in calls if M.rows >= 12]
+    assert large == [12, 16]
+    assert all(rows < st.matrix.rows for rows, st in zip(large, (pipe.stage2, pipe.final)))
+
+
+def test_extremality_ppt_reuses_the_finishers_schur_complement(spy):
+    """On rho4x5 split at level 4 of B, ``extremality_check_ppt`` solves the
+    4x4 core once, for the finisher, whose 4x4 edge Schur complement it
+    reuses, and the core of the partial transpose once; it factors that
+    Schur complement and the 20x20 partial transpose."""
+    blocks = ex.split_blocks(co.rho_4x5().final, "B", 4)
+    calls = spy(em, "psd_check", "solve_on_range_matrix")
+    ex.extremality_check_ppt(blocks)
+    assert [(name, args[0].rows) for name, args in calls] == [
+        ("solve_on_range_matrix", 16), ("psd_check", 4), ("psd_check", 20),
+        ("solve_on_range_matrix", 16)]
 
 
 def test_run_pipeline_needs_one_name_per_remainder_part():
@@ -766,8 +782,9 @@ def test_product_pair_coupling_is_never_trivial(name, data):
 def test_product_pair_of_a_ppt_core_is_ppt(name, data):
     """On a PPT core a product pair that passes its preconditions is PSD and
     its partial transposes on A and on B are PSD, on either side, although
-    only the partial transpose on its side is factored when it is built:
-    the argument in ``product_pair_extension``'s docstring, checked by LDL*."""
+    only its core's partial transpose on its side is factored when it is
+    built: the argument in ``product_pair_extension``'s docstring, checked
+    by LDL* of the built extension's partial transposes."""
     core = FULL_RANK_CORES[name]()
     side = data.draw(st.sampled_from("AB"), label="side")
     here, other = core.dims if side == "A" else core.dims[::-1]
@@ -793,11 +810,11 @@ def _npt_full_rank():
 @pytest.mark.parametrize("beta, gamma", [(0, 1), (1, 0)],
                          ids=["extension-not-psd", "extension-psd"])
 def test_product_pair_of_an_npt_core_fails_its_ppt_check(beta, gamma):
-    """On an NPT core that meets every precondition the partial transpose's
-    LDL* refuses the product pair, whether the extension is PSD or not:
-    with ``gamma = |1>`` the coefficient ``<ag|(rho^T)^{-1}|ag>`` is -1/8,
-    so the extension is not PSD; with ``gamma = |0>`` it is PSD, but its
-    partial transpose contains the core's, which is not."""
+    """On an NPT core that meets every precondition the LDL* of the core's
+    partial transpose refuses the product pair, whether the extension is
+    PSD or not: with ``gamma = |1>`` the coefficient ``<ag|(rho^T)^{-1}|ag>``
+    is -1/8, so the extension is not PSD; with ``gamma = |0>`` it is PSD,
+    but its partial transpose contains the core's, which is not."""
     core = _npt_full_rank()
     with pytest.raises(NotPPT, match="assembled extension fails the exact PPT check"):
         ex.product_pair_extension(core, em.basis_vector(3, 0), em.basis_vector(3, beta),

@@ -127,6 +127,34 @@ def test_partial_transpose_involution_and_full_transpose():
         assert tb == em.ExactMatrix([[x.conj() for x in row] for row in H.tolists()])  # H^T
 
 
+def test_partial_transpose_matches_its_entrywise_definition():
+    """``<ij|M^Tb|kl> = <il|M|kj>`` and ``<ij|M^Ta|kl> = <kj|M|il>`` on
+    matrices with no symmetry, on unequal local dimensions."""
+    rng = random.Random(5)
+    for m, n in ((1, 1), (2, 3), (3, 2), (4, 5)):
+        M = em.ExactMatrix([[em.GaussianRational(rng.randint(-9, 9), rng.randint(-9, 9))
+                             for _ in range(m * n)] for _ in range(m * n)])
+        index = [(i, j) for i in range(m) for j in range(n)]
+        at = lambda i, j, k, l: M.entry(i * n + j, k * n + l)
+        assert qs.partial_transpose_matrix(M, m, n, "B") == em.ExactMatrix(
+            [[at(i, l, k, j) for k, l in index] for i, j in index])
+        assert qs.partial_transpose_matrix(M, m, n, "A") == em.ExactMatrix(
+            [[at(k, j, i, l) for k, l in index] for i, j in index])
+
+
+@pytest.mark.parametrize("side", ["x", "a", ""], ids=["x", "lowercase", "empty"])
+def test_partial_transpose_refuses_a_side_other_than_a_or_b(side):
+    """The kernel's one side rule: a side other than "A" or "B" is refused,
+    before the operator's size is read, instead of being read as "A"."""
+    rho = co.rho_4x5().stage1
+    message = f"side must be 'A' or 'B', not {side!r}"
+    for call in (lambda: rp.partial_transpose_matrix(rho.matrix, 4, 3, side),
+                 lambda: rp.partial_transpose_matrix(rho.matrix, 2, 2, side),
+                 lambda: rho.partial_transpose(side)):
+        with pytest.raises(BoundsViolation, match=message):
+            call()
+
+
 def test_rho3x3_pt_decomposition_bit_exact():
     rho = co.rho_3x3()
     pt = rho.partial_transpose("B")

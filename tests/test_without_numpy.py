@@ -24,14 +24,17 @@ from loaded_lines import SRC
 # a sampled state stored as its matrix, rounded to exact entries
 ROUNDED = str(SRC.parent / "tests" / "data" / "rounded_4x4_s634511.json")
 
-# the exact verbs on rho3x3, then on the rounded matrix state, run in order in
-# one directory: (argv, file it writes)
+# the exact verbs on rho3x3, the sn certificate of rho4x5 (whose build runs the
+# extension pipeline), then on the rounded matrix state, run in order in one
+# directory: (argv, file it writes)
 EXACT = (
     (["build", "--state", "rho3x3", "--out", "state.json"], "state.json"),
     (["ppt-check", "--state", "state.json", "--out", "ppt.json"], "ppt.json"),
     (["certify-sn", "--state", "state.json", "--k", "2", "--out", "sn.json"], "sn.json"),
     (["verify", "ppt.json"], None),
     (["verify", "sn.json"], None),
+    (["certify-sn", "--state", "rho4x5", "--out", "sn45.json"], "sn45.json"),
+    (["verify", "sn45.json"], None),
     (["ppt-check", "--state", ROUNDED, "--out", "rounded.json"], "rounded.json"),
     (["verify", "rounded.json"], None),
 )
