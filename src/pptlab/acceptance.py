@@ -293,13 +293,11 @@ def criterion_6() -> CriterionResult:
         _check(extension_count_bound(2, 4, 8, 8) == 30, "count bound (2, 4, 8, 8) is not 30")
 
         # the two side-B pipeline couplings, in the swapped frame, are nontrivial solutions
-        for name, step in (("stage1-swapped", pipe.steps[1]), ("stage2-swapped", pipe.steps[2])):
-            sw = corpus[name]
-            m, n = sw.dims
-            ext = ex.product_pair_extension(sw, **step.parameters, side="A")
-            chi_vec = ex.coupling_choi_vector(ex.split_blocks(ext, "A", m).coupling, m, n)
-            space = spaces[name]
-            _check(em.in_subspace(space.solution_space, chi_vec),
+        for name, ext in (("stage1-swapped", pipe.stage2), ("stage2-swapped", pipe.final)):
+            m, n = corpus[name].dims
+            coupling = ex.split_blocks(qs.swap_subsystems(ext), "A", m).coupling
+            _check(em.in_subspace(spaces[name].solution_space,
+                                  ex.coupling_choi_vector(coupling, m, n)),
                    f"{name}: coupling not a solution")
             summary[name]["pipeline_coupling"] = "nontrivial solution"
         return summary

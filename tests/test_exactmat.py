@@ -1,6 +1,5 @@
 """Exact scalar, matrix, and subspace layer."""
 
-import contextlib
 import random
 import sys
 from fractions import Fraction
@@ -404,29 +403,35 @@ def gaussian_rows(draw, max_rows=5, max_cols=6):
     return rows
 
 
-def _to_sympy(z):
-    import sympy
-    return sympy.Rational(z.re.numerator, z.re.denominator) \
-        + sympy.I * sympy.Rational(z.im.numerator, z.im.denominator)
+def _domain(rows):
+    """``rows`` as a sympy ``DomainMatrix`` over the Gaussian rationals."""
+    from sympy import QQ_I
+    from sympy.polys.matrices import DomainMatrix
+    return DomainMatrix([[QQ_I(z.re, z.im) for z in row] for row in rows],
+                        (len(rows), len(rows[0])), QQ_I)
 
 
-def _from_sympy(x):
-    import sympy
-    re, im = sympy.expand(x).as_real_imag()
-    return em.GaussianRational(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+def _exact_rows(dm):
+    """The rows of a ``DomainMatrix`` over ``QQ_I`` as Gaussian rationals."""
+    return [tuple(em.GaussianRational(Fraction(x.x.numerator, x.x.denominator),
+                                      Fraction(x.y.numerator, x.y.denominator)) for x in row)
+            for row in dm.to_list()]
+
+
+def _domain_subspace(dm):
+    """The canonical subspace spanned by the rows of ``dm``, through sympy's own RREF."""
+    ref, pivots = dm.rref()
+    return em._canonical_subspace(dm.shape[1], _exact_rows(ref)[:len(pivots)])
 
 
 @settings(max_examples=30, deadline=None)
 @given(gaussian_rows())
 def test_rref_matches_sympy(rows):
     """The canonical basis is sympy's reduced row echelon form, pivots included."""
-    import sympy
     ncols = len(rows[0])
-    with _sympy_long_ints():
-        ref, pivots = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows]).rref()
-    want = tuple(tuple(_from_sympy(ref[i, j]) for j in range(ncols)) for i in range(len(pivots)))
+    ref, pivots = _domain(rows).rref()
     S = em.Subspace(ncols, rows)
-    assert S.basis == want
+    assert S.basis == tuple(_exact_rows(ref)[:len(pivots)])
     assert [next(j for j, x in enumerate(b) if x) for b in S.basis] == list(pivots)
     rank, kern = em.rank_and_kernel(em.ExactMatrix(rows))
     assert rank == len(pivots) and kern.dim == ncols - rank
@@ -434,29 +439,14 @@ def test_rref_matches_sympy(rows):
         assert em.is_zero_vector(em.ExactMatrix(rows).matvec(v))
 
 
-@contextlib.contextmanager
-def _sympy_long_ints():
-    """Lift Python's int-to-text digit limit while sympy runs: converting a
-    rational matrix to the integers, sympy formats each rejected entry into
-    its ``CoercionFailed`` message, and ``str`` of a long entry raises
-    ``ValueError`` before sympy can fall back to the rationals."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
-def _sympy_subspace(vectors, n):
-    """The canonical subspace of sympy vectors, through sympy's own RREF."""
-    import sympy
-    if not vectors:
-        return em.Subspace(n, ())
-    with _sympy_long_ints():
-        ref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
-    return em._canonical_subspace(n, [tuple(_from_sympy(ref[i, j]) for j in range(n))
-                                      for i in range(len(pivots))])
+def test_rref_matches_sympy_past_the_int_to_text_limit():
+    """Rational entries with more digits than Python's int-to-text limit,
+    left at its default, go through the domain oracle: no step of it formats
+    an int (sympy's generic matrices did, to refuse them as integers)."""
+    big = em.GaussianRational(Fraction(10 ** 4400 + 1, 3))
+    assert 0 < sys.get_int_max_str_digits() < 4400
+    test_rref_matches_sympy.hypothesis.inner_test(
+        [(big, em.ONE, em.ZERO), (big * 2, em.ONE * 2, em.ZERO), (em.ZERO, em.ONE / big, big)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -466,21 +456,17 @@ def test_elimination_entry_points_match_sympy(rows, data):
     complex, rank-deficient matrices with zero rows and long denominators
     equal sympy's rank, null space and column space; every kernel vector
     annihilates every row."""
-    import sympy
     rows = list(rows)
     for _ in range(data.draw(st.integers(0, 2))):
         rows.insert(data.draw(st.integers(0, len(rows))), (em.ZERO,) * len(rows[0]))
-    m, n = len(rows), len(rows[0])
     M = em.ExactMatrix(rows)
-    S = sympy.Matrix([[_to_sympy(z) for z in row] for row in rows])
-    with _sympy_long_ints():
-        s_rank, s_null, s_cols = S.rank(), S.nullspace(), S.columnspace()
+    D = _domain(rows)
     rank, kern = em.rank_and_kernel(M)
-    assert em.rank(M) == rank == s_rank
-    assert kern == _sympy_subspace(s_null, n)
+    assert em.rank(M) == rank == D.rank()
+    assert kern == _domain_subspace(D.nullspace())
     for v in kern.basis:
         assert em.is_zero_vector(M.matvec(v))
-    assert em.column_space(M) == _sympy_subspace(s_cols, m)
+    assert em.column_space(M) == _domain_subspace(D.columnspace().transpose())
 
 
 @settings(max_examples=60, deadline=None)

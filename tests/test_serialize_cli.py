@@ -2036,7 +2036,8 @@ CATALAN = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
 @pytest.mark.parametrize("k", sorted(CATALAN))
 def test_family_certificates_use_catalan_many_minors_and_replay(k, tmp_path):
     """certify-sn on family:k (deltas excluded) proves SN = k at witness power
-    k with C_k minors, and verify replays the certificate."""
+    k with C_k minors, verify replays the certificate, and its bytes are
+    those of the committed certificate, where there is one (k = 6, 7)."""
     path = tmp_path / "sn.json"
     assert cli.run(["certify-sn", "--state", f"family:{k}", "--exclude-deltas",
                     "--out", str(path)]) == 0
@@ -2044,6 +2045,10 @@ def test_family_certificates_use_catalan_many_minors_and_replay(k, tmp_path):
     assert (data["verdict"], data["lower"]["power"]) == (f"SN = {k}", k)
     assert len(data["lower"]["minors"]) == CATALAN[k]
     assert se.verify_certificate(data)
+    committed = os.path.join(DATA, f"family{k}_sn_verdict.json")
+    if os.path.exists(committed):
+        with open(committed, "rb") as fh:
+            assert path.read_bytes() == fh.read()
 
 
 @pytest.fixture(scope="module")
@@ -2349,18 +2354,20 @@ def test_verify_and_plot_reject_json(verb, tmp_path, capsys):
 FAMILY6 = os.path.join(DATA, "family6_sn_verdict.json")
 
 
-@pytest.mark.parametrize("path, state, args, verdict, digest", [
-    (FAMILY6, "family:6", ["--exclude-deltas"], "SN = 6",
-     "b9651cf022b7cd1e74e7cf42ce83bfd7d58164454d280fcc832f5b0b15d57b50"),
-    (os.path.join(DATA, "tiles_sn_verdict.json"), "tiles", [], "SN = 2",
-     "3d484df44e39f84b0db09ec2398a9de5043ea6a57a474887c3d3d431dccdd1c5"),
-], ids=["family6", "tiles"])
-def test_committed_certificate_replays_and_is_rewritten(tmp_path, capsys, path, state, args,
-                                                        verdict, digest):
-    """The committed sn-verdicts of family:6 (11x11, past the paper's 9x9)
-    and of Tiles (3x3, from its LDL* edges) are pinned by SHA-256,
-    ``pptlab verify`` replays each, and ``certify-sn`` writes the same
-    bytes."""
+@pytest.mark.parametrize("name, verdict, digest", [
+    ("family6", "SN = 6", "b9651cf022b7cd1e74e7cf42ce83bfd7d58164454d280fcc832f5b0b15d57b50"),
+    ("tiles", "SN = 2", "3d484df44e39f84b0db09ec2398a9de5043ea6a57a474887c3d3d431dccdd1c5"),
+    ("family7", "SN = 7", "b7cf4530eac4240b9912433c8f7348219c65ca717c9262d456bb379de534cd88"),
+    ("family8", "SN = 8", "6bfbeb1c5e8691ecedf53467ca8cb707c5f5cb081f13f8fda13242f063db3165"),
+], ids=["family6", "tiles", "family7", "family8"])
+def test_committed_certificate_replays_and_is_rewritten(tmp_path, capsys, name, verdict, digest):
+    """The committed sn-verdicts of family:6 to family:8 (11x11 to 15x15,
+    past the paper's 9x9) and of Tiles (3x3, from its LDL* edges) are pinned
+    by SHA-256, and ``pptlab verify`` replays each.  ``certify-sn`` writes
+    the same bytes: Tiles' here, family:6's and family:7's in
+    ``test_family_certificates_use_catalan_many_minors_and_replay``, and
+    family:8's, which takes ~15 s, in CI."""
+    path = os.path.join(DATA, f"{name}_sn_verdict.json")
     with open(path, "rb") as fh:
         committed = fh.read()
     assert hashlib.sha256(committed).hexdigest() == digest
@@ -2368,28 +2375,10 @@ def test_committed_certificate_replays_and_is_rewritten(tmp_path, capsys, path, 
     capsys.readouterr()
     assert cli.run(["verify", path]) == 0
     assert capsys.readouterr().out == "verify: OK (sn-verdict)\n"
-    out = tmp_path / "sn.json"
-    assert cli.run(["certify-sn", "--state", state, *args, "--out", str(out)]) == 0
-    assert out.read_bytes() == committed
-
-
-@pytest.mark.parametrize("k, digest", [
-    (7, "b7cf4530eac4240b9912433c8f7348219c65ca717c9262d456bb379de534cd88"),
-    (8, "6bfbeb1c5e8691ecedf53467ca8cb707c5f5cb081f13f8fda13242f063db3165"),
-], ids=["family7", "family8"])
-def test_committed_family7_and_family8_certificates_replay(k, digest, capsys):
-    """The committed family:7 (13x13) and family:8 (15x15) sn-verdicts are
-    pinned by SHA-256 and ``pptlab verify`` replays them as SN = k.  CI
-    compares them with what ``certify-sn`` writes, which takes ~20 s at
-    k = 8."""
-    path = os.path.join(DATA, f"family{k}_sn_verdict.json")
-    with open(path, "rb") as fh:
-        committed = fh.read()
-    assert hashlib.sha256(committed).hexdigest() == digest
-    assert json.loads(committed)["verdict"] == f"SN = {k}"
-    capsys.readouterr()
-    assert cli.run(["verify", path]) == 0
-    assert capsys.readouterr().out == "verify: OK (sn-verdict)\n"
+    if name == "tiles":
+        out = tmp_path / "sn.json"
+        assert cli.run(["certify-sn", "--state", "tiles", "--out", str(out)]) == 0
+        assert out.read_bytes() == committed
 
 
 # -- ppt certificates under mutation -----------------------------------------------
